@@ -21,7 +21,7 @@
 //! [`FLAT_MIN`], mdraid cliff below [`DECLINE_MAX`], and the lsraid
 //! band must beat the mdraid cliff.
 
-use bench::lifecycle::{cliff_ratio, flat_ratio};
+use bench::lifecycle::{cliff_ratio, flat_ratio, median_active};
 use bench::lsgc::{
     drive, gc_config, lsgc_json, lsgc_scheduler, overwrite_offsets, phase_waf, LsOutcome,
     MdOutcome, QosGcSink, AGE_OPS, BLOCK, OVERWRITE_OPS, WAF_MAX, ZONES, ZONE_SECTORS,
@@ -147,28 +147,19 @@ fn main() -> bench::BenchResult {
     );
     md_run.finish(md_end)?;
 
-    let med = |w: &[f64]| {
-        let mut v: Vec<f64> = bench::lifecycle::active_windows(w).to_vec();
-        v.sort_by(f64::total_cmp);
-        if v.is_empty() {
-            0.0
-        } else {
-            v[v.len() / 2]
-        }
-    };
     bench::print_table(
         "Sustained skewed overwrite (median MiB/s, band ratio)",
         &["system", "MiB/s", "band", "WAF"],
         &[
             vec![
                 "lsraid".into(),
-                format!("{:.0}", med(&ls.windows_mib_s)),
+                format!("{:.0}", median_active(&ls.windows_mib_s)),
                 format!("{ls_flat:.3}"),
                 format!("{waf:.3}"),
             ],
             vec![
                 "mdraid".into(),
-                format!("{:.0}", med(&md.windows_mib_s)),
+                format!("{:.0}", median_active(&md.windows_mib_s)),
                 format!("{md_cliff:.3}"),
                 "1.000".into(),
             ],

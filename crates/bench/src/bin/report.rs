@@ -34,7 +34,8 @@
 //!                         windows must be >= R (default 0.90)
 //!   --lsgc FILE           render a BENCH_lsgc.json artifact (log-structured
 //!                         RAID under sustained overwrite GC pressure) and
-//!                         gate its WAF / pp-log / band-vs-cliff SLOs
+//!                         gate its WAF / pp-log / band-vs-cliff SLOs and
+//!                         the absolute floor on its median MiB/s
 //!   --waf-max R           lsgc write-amplification ceiling: measured-phase
 //!                         WAF must be <= R (default 1.5)
 //!   --explain FILE        render a BENCH_*_spans.json artifact (causal
@@ -303,8 +304,23 @@ fn load_qos(path: &str) -> bench::BenchResult<QosRun> {
     })
 }
 
+/// Floor on the log-structured run's median window throughput. A band
+/// ratio alone passes at any speed; this is the speed.
+const LSGC_MIB_MIN: f64 = 600.0;
+
+/// The per-window throughput series of one run section.
+fn windows_of(v: &Json, path: &str) -> bench::BenchResult<Vec<f64>> {
+    Ok(req(v, "windows_mib_s", path)?
+        .as_arr()
+        .unwrap_or(&[])
+        .iter()
+        .filter_map(Json::as_f64)
+        .collect())
+}
+
 struct LsgcRun {
     path: String,
+    median_mib_s: f64,
     flat_ratio: f64,
     cliff_ratio: f64,
     waf: f64,
@@ -333,6 +349,7 @@ fn lsgc_from_doc(doc: &Json, path: &str) -> bench::BenchResult<LsgcRun> {
     };
     Ok(LsgcRun {
         path: path.to_string(),
+        median_mib_s: bench::lifecycle::median_active(&windows_of(ls, path)?),
         flat_ratio: f64_of(ls, "flat_ratio")?,
         cliff_ratio: f64_of(md, "cliff_ratio")?,
         waf: f64_of(ls, "waf")?,
@@ -353,8 +370,9 @@ fn load_lsgc(path: &str) -> bench::BenchResult<LsgcRun> {
 fn render_lsgc(g: &LsgcRun) {
     println!("\n## lsgc ({})", g.path);
     println!(
-        "   lsraid: band {:.3}, WAF {:.3}, {} reclaims ({} emergency), \
+        "   lsraid: median {:.0} MiB/s, band {:.3}, WAF {:.3}, {} reclaims ({} emergency), \
          {} sectors migrated, {} pp-log writes",
+        g.median_mib_s,
         g.flat_ratio,
         g.waf,
         g.group_reclaims,
@@ -402,14 +420,6 @@ fn load_lifecycle(path: &str) -> bench::BenchResult<LifecycleRun> {
             .as_u64()
             .ok_or_else(|| BenchError::Gate(format!("{path}: {key} is not an integer")))
     };
-    let windows = |v: &Json| -> bench::BenchResult<Vec<f64>> {
-        Ok(req(v, "windows_mib_s", path)?
-            .as_arr()
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(Json::as_f64)
-            .collect())
-    };
     Ok(LifecycleRun {
         path: path.to_string(),
         cliff_ratio: f64_of(nomgr, "cliff_ratio")?,
@@ -422,8 +432,8 @@ fn load_lifecycle(path: &str) -> bench::BenchResult<LifecycleRun> {
         mgmt_resets: u64_of(mgr, "mgmt_resets")?,
         sched_mgmt_ops: u64_of(mgr, "sched_mgmt_ops")?,
         mgmt_io_share: f64_of(mgr, "mgmt_io_share")?,
-        nomgr_windows: windows(nomgr)?,
-        mgr_windows: windows(mgr)?,
+        nomgr_windows: windows_of(nomgr, path)?,
+        mgr_windows: windows_of(mgr, path)?,
     })
 }
 
@@ -1379,9 +1389,17 @@ fn main() -> bench::BenchResult {
 
     // Log-structured GC gates: WAF ceiling, the structural zero-pp-log
     // claim (full-stripe appends never take the partial-parity path),
-    // and the scenario's reason to exist — the log-structured band must
-    // beat the mdraid cliff it is contrasted against.
+    // the scenario's reason to exist — the log-structured band must
+    // beat the mdraid cliff it is contrasted against — and an absolute
+    // throughput floor, because a flat band says nothing about its level.
     for g in &lsgc_runs {
+        slo(
+            "lsgc_median_mib_s",
+            &g.path,
+            g.median_mib_s,
+            LSGC_MIB_MIN,
+            g.median_mib_s >= LSGC_MIB_MIN,
+        );
         slo("lsgc_waf", &g.path, g.waf, waf_max, g.waf <= waf_max);
         #[allow(clippy::cast_precision_loss)]
         slo(
@@ -1653,6 +1671,7 @@ mod tests {
         let text = r#"{
             "kind": "lsgc",
             "lsraid": {
+                "windows_mib_s": [1400.0, 1410.0, 1390.0, 700.0],
                 "flat_ratio": 0.903, "waf": 1.392, "group_reclaims": 176,
                 "emergency_reclaims": 0, "migrated_sectors": 408604,
                 "pp_log_writes": 0
@@ -1661,6 +1680,8 @@ mod tests {
         }"#;
         let doc = Json::parse(text).expect("valid JSON");
         let g = lsgc_from_doc(&doc, "BENCH_lsgc.json").expect("parses");
+        // The trailing partial window does not count.
+        assert!((g.median_mib_s - 1400.0).abs() < 1e-9);
         assert!((g.flat_ratio - 0.903).abs() < 1e-9);
         assert!((g.cliff_ratio - 0.621).abs() < 1e-9);
         assert!((g.waf - 1.392).abs() < 1e-9);

@@ -324,6 +324,13 @@ pub fn active_windows(windows: &[f64]) -> &[f64] {
     &windows[first..end]
 }
 
+/// Median throughput over the active windows (0.0 when there are none).
+pub fn median_active(windows: &[f64]) -> f64 {
+    let mut v = active_windows(windows).to_vec();
+    v.sort_by(f64::total_cmp);
+    v.get(v.len() / 2).copied().unwrap_or(0.0)
+}
+
 /// Cliff ratio: post-peak trough over the early peak (best window of the
 /// first quarter), like `report`'s decline check. `None` with too few
 /// windows.

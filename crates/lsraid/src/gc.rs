@@ -3,7 +3,8 @@
 //! [`GcManager`] is a background actor: each [`GcManager::pump`] call
 //! migrates a bounded budget of valid data out of the current victim
 //! group (picked by garbage ratio with an age tie-break) into the cold
-//! stream, and reclaims the group once drained. Migration IO runs under
+//! stream, in runs of up to one stripe of data per sink op, and reclaims
+//! the group once drained. Migration IO runs under
 //! [`obs::Actor::Gc`], so trace spans blame GC and the engine's guarded
 //! remap logic recognizes the writes; routing the writes through a QoS
 //! scheduler tenant (see the `bench` crate) turns the manager into an
@@ -136,13 +137,13 @@ pub struct GcManager {
 impl GcManager {
     /// Creates a manager over `vol` with the given policy.
     pub fn new(vol: Arc<LsVolume>, cfg: GcConfig) -> GcManager {
-        let unit = vol.stripe_unit();
+        let stripe = vol.stripe_data_sectors();
         GcManager {
             vol,
             cfg,
             victim: None,
             cursor: 0,
-            buf: vec![0u8; (unit * SECTOR_SIZE) as usize],
+            buf: vec![0u8; (stripe * SECTOR_SIZE) as usize],
             credit: 0.0,
             migrated_sectors: 0,
             reclaimed_groups: 0,
@@ -184,19 +185,22 @@ impl GcManager {
         if self.credit < 1.0 {
             return Ok(at);
         }
-        if self.victim.is_none() {
-            let eff = self.cfg.effective_threshold(free);
-            let Some(v) = self.vol.pick_victim(eff, self.cfg.low_water) else {
-                return Ok(at);
-            };
-            if !self.vol.begin_migration(v) {
-                return Ok(at);
+        let v = match self.victim {
+            Some(v) => v,
+            None => {
+                let eff = self.cfg.effective_threshold(free);
+                let Some(v) = self.vol.pick_victim(eff, self.cfg.low_water) else {
+                    return Ok(at);
+                };
+                if !self.vol.begin_migration(v) {
+                    return Ok(at);
+                }
+                self.victim = Some(v);
+                self.cursor = 0;
+                v
             }
-            self.victim = Some(v);
-            self.cursor = 0;
-        }
-        let v = self.victim.expect("victim acquired above");
-        let unit = self.vol.stripe_unit();
+        };
+        let stripe = self.vol.stripe_data_sectors();
         let mut t = at;
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let budget = self.credit as u64;
@@ -209,7 +213,7 @@ impl GcManager {
                 }
                 return Ok(t);
             }
-            let max = unit.min(budget - spent);
+            let max = stripe.min(budget - spent);
             let Some((lba, len, next)) = self.vol.next_valid_run(v, self.cursor, max) else {
                 break;
             };

@@ -24,13 +24,26 @@
 //!
 //! The mapping table is made durable by checkpoint + roll-forward: the
 //! active metadata slot starts with a full checkpoint record and accrues
-//! per-stripe seal summaries, group open/free transitions and logical
-//! zone reset/finish events, all FUA-written and individually
-//! checksummed. At mount the highest-epoch slot is replayed in sequence
-//! order; a seal summary is only applied when every member zone provably
-//! holds the stripe's data (device write pointers survived the crash),
-//! which truncates each logical zone to its durable prefix. Mount ends by
+//! seal summaries, group open/free transitions and logical zone
+//! reset/finish events, all FUA-written and individually checksummed. At
+//! mount the highest-epoch slot is replayed in sequence order; a seal
+//! summary entry is only applied when every member zone provably holds
+//! the stripe's data (device write pointers survived the crash), which
+//! truncates each logical zone to its durable prefix. Mount ends by
 //! rotating to a fresh checkpoint so recovery repairs are durable.
+//!
+//! # Submit/complete
+//!
+//! One log call has one issue instant: every data leg and every parity
+//! leg of every stripe it touches is handed to its device at that
+//! instant (after any group-open work), the seal entries of the stripes
+//! it filled are staged and committed as *one* summary record issued
+//! beside the legs, and the call completes at the latest of those
+//! completions. A summary that lands before its data is harmless (mount
+//! refuses it) and a lost one only loses unflushed data, so nothing has
+//! to wait for anything; staged entries are committed before whatever
+//! is ordered after them — the flush barrier (hence `GroupFree`, which
+//! follows one) and a rotation's checkpoint.
 //!
 //! Group reclaim follows a strict ordering invariant: migrated data is
 //! sealed and flushed *before* the `GroupFree` record is written, and the
@@ -42,6 +55,8 @@
 
 mod gc;
 mod meta;
+#[cfg(test)]
+mod tests;
 
 pub use gc::{DirectSink, GcConfig, GcManager, GcSink};
 
@@ -195,7 +210,7 @@ enum GState {
     Sealed,
 }
 
-/// In-flight parity accumulator for the open stripe of a group.
+/// Parity accumulator for the open stripe of a stream's open group.
 #[derive(Debug)]
 struct StripeBuf {
     p: Vec<u8>,
@@ -235,13 +250,8 @@ struct Group {
     /// foreground, 1/2 = cold generations). Migration out of a victim
     /// targets `min(gen + 1, STREAMS - 1)`.
     gen: u8,
-    /// Latest completion among the open stripe's data writes; the seal's
-    /// parity write issues no earlier than this.
-    stripe_issue: SimTime,
     /// Reverse map: logical sector per data slot (`NONE64` = garbage).
     lbas: Vec<u64>,
-    /// Parity accumulator, held only while open.
-    buf: Option<StripeBuf>,
 }
 
 /// One logical zone exposed through [`ZonedVolume`].
@@ -279,16 +289,12 @@ struct LsInner {
     /// Set while an inline emergency collection runs (re-entrancy guard).
     in_emergency: bool,
     created_seq: u64,
-    /// Pool of parity accumulators (one per possible open group).
+    /// Parity accumulator per stream (a stream has at most one open
+    /// group); all-zero whenever the stream's open stripe is empty.
     bufs: Vec<StripeBuf>,
-    /// Zero source for padding (one stripe unit).
-    zeros: Vec<u8>,
-    /// Bounce buffer for emergency-GC migration reads.
+    /// Bounce buffer for emergency-GC migration reads (one stripe).
     gc_buf: Vec<u8>,
     meta: MetaLog,
-    /// Reserved metadata headroom so a rotation's pad-seal summaries
-    /// always fit in the active slot.
-    rotating: bool,
     c_user: u64,
     c_migrated: u64,
     c_pads: u64,
@@ -325,8 +331,10 @@ pub struct LsVolume {
     /// Data slots per group (`s * kd`).
     group_cap: u64,
     /// Metadata headroom (sectors) that forces early rotation so the
-    /// rotation's own pad-seal summaries still fit.
+    /// rotation's own summary batch still fits the old slot.
     meta_headroom: u64,
+    /// Zero source for padding (one stripe of data).
+    zeros: Vec<u8>,
     inner: Mutex<LsInner>,
     recorder: RwLock<Option<Arc<obs::Recorder>>>,
 }
@@ -546,9 +554,7 @@ impl LsVolume {
                 valid: 0,
                 created: 0,
                 gen: 0,
-                stripe_issue: SimTime::ZERO,
                 lbas: vec![NONE64; group_cap as usize],
-                buf: None,
             })
             .collect();
         let free_zones: Vec<Vec<u32>> = (0..n)
@@ -563,13 +569,22 @@ impl LsVolume {
         let free_groups: Vec<u32> = (0..g_total).rev().collect();
         let bufs = (0..STREAMS).map(|_| StripeBuf::new(k, p == 2)).collect();
 
-        // Metadata scratch: the summary record is the largest ordinary
-        // record; the checkpoint dominates everything.
-        let summary_payload = 16 + kd as usize * 8;
-        let rec_cap = (meta::record_sectors(summary_payload) * SECTOR_SIZE) as usize;
+        // Most seal entries one summary batch can hold: a foreground
+        // write stays inside one logical zone (`c` sectors entered
+        // mid-stripe seal at most `ceil(c / kd)` stripes), an inline
+        // collection it triggers seals one more with its first migration
+        // run (at most `kd` sectors) before that run's own commit drains
+        // the batch, and a rotation pad-seals every stream on top. The
+        // headroom keeps that much of the active slot free, so the batch
+        // a rotation writes before its barrier always fits.
+        let batch_entries = c.div_ceil(kd) as usize + 1 + STREAMS;
+        let meta_headroom =
+            meta::record_sectors(batch_entries * meta::summary_entry_bytes(kd as usize));
+        // Ordinary records (group open/free, zone reset/finish) take
+        // one sector; the checkpoint dominates everything.
+        let rec_cap = SECTOR_SIZE as usize;
         let ckpt_payload = 24 + lz.len() * 16 + groups.len() * (24 + n * 4) + map.len() * 8;
         let ckpt_sectors = meta::record_sectors(ckpt_payload);
-        let meta_headroom = 4 * meta::record_sectors(summary_payload);
         if ckpt_sectors + meta_headroom + 1 > c {
             return Err(invalid("lsraid: checkpoint does not fit the metadata zone"));
         }
@@ -585,8 +600,7 @@ impl LsVolume {
             in_emergency: false,
             created_seq: 0,
             bufs,
-            zeros: vec![0u8; (k * SECTOR_SIZE) as usize],
-            gc_buf: vec![0u8; (k * SECTOR_SIZE) as usize],
+            gc_buf: vec![0u8; (kd * SECTOR_SIZE) as usize],
             meta: MetaLog {
                 slot: 0,
                 used: 0,
@@ -594,8 +608,12 @@ impl LsVolume {
                 epoch: 0,
                 rec_buf: Vec::with_capacity(rec_cap),
                 ckpt_buf: Vec::with_capacity((ckpt_sectors * SECTOR_SIZE) as usize),
+                staged: {
+                    let mut staged = Vec::with_capacity((meta_headroom * SECTOR_SIZE) as usize);
+                    staged.resize(HEADER_BYTES, 0);
+                    staged
+                },
             },
-            rotating: false,
             c_user: 0,
             c_migrated: 0,
             c_pads: 0,
@@ -618,6 +636,7 @@ impl LsVolume {
             kd,
             group_cap,
             meta_headroom,
+            zeros: vec![0u8; (kd * SECTOR_SIZE) as usize],
             inner: Mutex::new(inner),
             recorder: RwLock::new(None),
         })
@@ -643,9 +662,15 @@ impl LsVolume {
         &self.config
     }
 
-    /// Stripe unit in sectors (the natural GC migration granule).
+    /// Stripe unit in sectors.
     pub fn stripe_unit(&self) -> u64 {
         self.k
+    }
+
+    /// Data sectors per stripe (the GC migration granule: a run this
+    /// long fills exactly one stripe of the cold stream).
+    pub fn stripe_data_sectors(&self) -> u64 {
+        self.kd
     }
 
     /// Data slots per stripe group.
@@ -863,85 +888,126 @@ impl LsVolume {
     // Metadata log
     // ------------------------------------------------------------------
 
-    /// Writes `buf` (a finished record) to both metadata replicas with
-    /// FUA and advances the log cursor.
-    fn meta_write(
-        &self,
-        inner: &mut LsInner,
-        t: SimTime,
-        buf: &[u8],
-        sectors: u64,
-    ) -> Result<SimTime> {
-        let lba = self.phys.zone_start(inner.meta.slot as u32) + inner.meta.used;
+    /// Writes `buf` (a finished record) at sector `used` of metadata
+    /// slot `slot` on both replicas with FUA. The caller advances the
+    /// log cursor on success.
+    fn meta_write(&self, slot: usize, used: u64, t: SimTime, buf: &[u8]) -> Result<SimTime> {
+        let lba = self.phys.zone_start(slot as u32) + used;
         let mut done = t;
         for dev in self.devices.iter().take(META_DEVICES) {
             done = done.max(dev.write(t, lba, buf, WriteFlags::FUA)?.done);
         }
-        inner.meta.used += sectors;
-        inner.meta.seq += 1;
         self.trace_span(
             obs::OpClass::Write,
             obs::Stage::MetaAppend,
             None,
             obs::NONE,
             lba,
-            sectors,
+            buf.len() as u64 / SECTOR_SIZE,
             t,
             done,
         );
         Ok(done)
     }
 
+    /// Whether a record of `sectors` may not enter the active slot
+    /// without eating into the rotation headroom.
+    fn slot_full(&self, inner: &LsInner, sectors: u64) -> bool {
+        inner.meta.used + sectors + self.meta_headroom > self.phys.zone_cap()
+    }
+
+    /// Writes the staged seal entries as one `Summary` record into the
+    /// active slot, unconditionally (the rotation headroom is what makes
+    /// that safe). A failed write keeps the entries staged.
+    fn write_staged(&self, inner: &mut LsInner, t: SimTime) -> Result<SimTime> {
+        let meta = &mut inner.meta;
+        if !meta.has_staged() {
+            return Ok(t);
+        }
+        let len = meta.staged.len();
+        let n = finish_record(&mut meta.staged, kind::SUMMARY, meta.epoch, meta.seq);
+        let res = self.meta_write(meta.slot, meta.used, t, &meta.staged);
+        if res.is_ok() {
+            meta.staged.truncate(HEADER_BYTES);
+            meta.advance(n);
+        } else {
+            meta.staged.truncate(len);
+        }
+        res
+    }
+
+    /// Commits the staged seal entries, rotating the log instead when
+    /// the active slot is (almost) full: the rotation writes them itself
+    /// ahead of its barrier.
+    fn commit_staged(&self, inner: &mut LsInner, t: SimTime) -> Result<SimTime> {
+        if !inner.meta.has_staged() {
+            return Ok(t);
+        }
+        let sectors = meta::record_sectors(inner.meta.staged.len() - HEADER_BYTES);
+        if self.slot_full(inner, sectors) {
+            self.rotate_meta(inner, t)
+        } else {
+            self.write_staged(inner, t)
+        }
+    }
+
+    /// Stamps the record under construction in `buf` (a scratch buffer
+    /// detached from `inner`) and appends it at the log cursor.
+    fn append_record(
+        &self,
+        inner: &mut LsInner,
+        t: SimTime,
+        rec_kind: u32,
+        buf: &mut Vec<u8>,
+    ) -> Result<SimTime> {
+        let meta = &mut inner.meta;
+        let n = finish_record(buf, rec_kind, meta.epoch, meta.seq);
+        let done = self.meta_write(meta.slot, meta.used, t, buf)?;
+        meta.advance(n);
+        Ok(done)
+    }
+
     /// Commits one roll-forward record built by `build`, rotating the
-    /// log first when the active slot is (almost) full. The headroom
-    /// check triggers early enough that the rotation's own pad-seal
-    /// summaries always fit in the old slot. `build` serializes from
-    /// engine state and is re-invoked after a rotation (the rotated log
-    /// starts from a fresh checkpoint, so the record must restate itself
-    /// under the new epoch).
+    /// log first when the active slot is (almost) full. `build` must not
+    /// depend on anything a rotation changes (it pad-seals and moves the
+    /// log cursor; the header is stamped afterwards).
     fn commit_record(
         &self,
         inner: &mut LsInner,
         t: SimTime,
         rec_kind: u32,
-        build: impl Fn(&LsInner, &mut Vec<u8>),
+        build: impl FnOnce(&LsInner, &mut Vec<u8>),
     ) -> Result<SimTime> {
+        // Nothing below touches `rec_buf`: the rotation has its own
+        // buffers and never commits a record.
         let mut buf = std::mem::take(&mut inner.meta.rec_buf);
         buf.clear();
         buf.resize(HEADER_BYTES, 0);
         build(inner, &mut buf);
-        let sectors = meta::record_sectors(buf.len() - HEADER_BYTES);
-        let mut t = t;
-        if !inner.rotating && inner.meta.used + sectors + self.meta_headroom > self.phys.zone_cap()
-        {
-            // Rotation pads/seals open stripes, so it may itself commit
-            // summary records; restore the scratch buffer first.
-            inner.meta.rec_buf = buf;
-            t = self.rotate_meta(inner, t)?;
-            buf = std::mem::take(&mut inner.meta.rec_buf);
-            buf.clear();
-            buf.resize(HEADER_BYTES, 0);
-            build(inner, &mut buf);
-        }
-        let n = finish_record(&mut buf, rec_kind, inner.meta.epoch, inner.meta.seq);
-        let done = self.meta_write(inner, t, &buf, n);
+        let rotated = if self.slot_full(inner, meta::record_sectors(buf.len() - HEADER_BYTES)) {
+            self.rotate_meta(inner, t)
+        } else {
+            Ok(t)
+        };
+        let res = rotated.and_then(|t| self.append_record(inner, t, rec_kind, &mut buf));
         inner.meta.rec_buf = buf;
-        done
-    }
-
-    /// Rotates the metadata log: makes all logged state durable (pad-seal
-    /// plus device flush), resets the inactive slot, bumps the epoch and
-    /// writes a fresh checkpoint there. The durability barrier is what
-    /// lets the checkpoint's mapping table be trusted verbatim at mount.
-    fn rotate_meta(&self, inner: &mut LsInner, t: SimTime) -> Result<SimTime> {
-        inner.rotating = true;
-        let res = self.rotate_meta_guarded(inner, t);
-        inner.rotating = false;
         res
     }
 
-    fn rotate_meta_guarded(&self, inner: &mut LsInner, t: SimTime) -> Result<SimTime> {
-        let t = self.flush_inner(inner, t)?;
+    /// Rotates the metadata log: makes all logged state durable (pad-seal,
+    /// the staged summaries, device flush), resets the inactive slot,
+    /// bumps the epoch and writes a fresh checkpoint there. The
+    /// durability barrier is what lets the checkpoint's mapping table be
+    /// trusted verbatim at mount.
+    ///
+    /// Everything it calls — [`Self::pad_seal`], [`Self::write_staged`],
+    /// the device barrier, the checkpoint write — appends at the log
+    /// cursor at most and never checks it, so a rotation cannot start a
+    /// rotation, a collection or a flush.
+    fn rotate_meta(&self, inner: &mut LsInner, t: SimTime) -> Result<SimTime> {
+        let padded = self.pad_seal(inner, t)?;
+        let summarized = self.write_staged(inner, t)?;
+        let t = self.flush_devices(padded.max(summarized))?;
         let other = 1 - inner.meta.slot;
         let mut done = t;
         for dev in self.devices.iter().take(META_DEVICES) {
@@ -960,8 +1026,7 @@ impl LsVolume {
         buf.clear();
         buf.resize(HEADER_BYTES, 0);
         self.build_checkpoint(inner, &mut buf);
-        let n = finish_record(&mut buf, kind::CHECKPOINT, inner.meta.epoch, inner.meta.seq);
-        let done = self.meta_write(inner, t, &buf, n);
+        let done = self.append_record(inner, t, kind::CHECKPOINT, &mut buf);
         inner.meta.ckpt_buf = buf;
         done
     }
@@ -1102,43 +1167,42 @@ impl LsVolume {
         Ok(())
     }
 
+    /// Applies a summary record entry by entry, in seal order.
     fn apply_summary(
         &self,
         inner: &mut LsInner,
         payload: &[u8],
         capped: &mut [bool],
     ) -> Result<()> {
-        let mut rd = Rd::new(payload);
-        let g = rd.u32()? as usize;
-        let _pad = rd.u32()?;
-        let stripe = rd.u64()?;
-        if g >= inner.groups.len() || capped[g] {
-            return Ok(());
-        }
-        if stripe != inner.groups[g].sealed {
-            return Ok(());
-        }
-        // Only apply when every member zone provably holds the stripe
-        // (device write pointers survive a crash truncated to the
-        // durable prefix; a lost data or parity write caps the group).
-        for (di, &z) in inner.groups[g].zones.iter().enumerate() {
-            if z == NO_ZONE {
-                capped[g] = true;
-                return Ok(());
-            }
-            if self.devices[di].zone_info(z)?.written() < (stripe + 1) * self.k {
-                capped[g] = true;
-                return Ok(());
-            }
-        }
-        for i in 0..self.kd {
-            let lba = rd.u64()?;
-            if lba == NONE64 || lba as usize >= inner.map.len() {
+        for entry in meta::summary_entries(payload, self.kd as usize) {
+            let g = entry.group as usize;
+            let stripe = entry.stripe;
+            if g >= inner.groups.len() || capped[g] || stripe != inner.groups[g].sealed {
                 continue;
             }
-            inner.map[lba as usize] = enc(g as u32, stripe * self.kd + i);
+            // Only apply when every member zone provably holds the stripe
+            // (device write pointers survive a crash truncated to the
+            // durable prefix; a lost data or parity write caps the group).
+            // The record is issued beside the stripe's legs, so it may
+            // well be durable when they are not.
+            for (di, &z) in inner.groups[g].zones.iter().enumerate() {
+                if z == NO_ZONE || self.devices[di].zone_info(z)?.written() < (stripe + 1) * self.k
+                {
+                    capped[g] = true;
+                    break;
+                }
+            }
+            if capped[g] {
+                continue;
+            }
+            for (i, lba) in entry.lbas().enumerate() {
+                if lba == NONE64 || lba as usize >= inner.map.len() {
+                    continue;
+                }
+                inner.map[lba as usize] = enc(g as u32, stripe * self.kd + i as u64);
+            }
+            inner.groups[g].sealed = stripe + 1;
         }
-        inner.groups[g].sealed = stripe + 1;
         Ok(())
     }
 
@@ -1242,8 +1306,6 @@ impl LsVolume {
         for grp in &mut inner.groups {
             grp.valid = 0;
             grp.fill = 0;
-            grp.stripe_issue = SimTime::ZERO;
-            grp.buf = None;
             grp.lbas.fill(NONE64);
         }
         for (l, &pa) in inner.map.iter().enumerate() {
@@ -1292,9 +1354,6 @@ impl LsVolume {
         inner.open = [None; STREAMS];
         inner.migrating = None;
         inner.in_emergency = false;
-        while inner.bufs.len() < STREAMS {
-            inner.bufs.push(StripeBuf::new(self.k, self.p == 2));
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1356,11 +1415,7 @@ impl LsVolume {
             grp.fill = 0;
             grp.valid = 0;
             grp.created = created;
-            grp.stripe_issue = SimTime::ZERO;
             grp.lbas.fill(NONE64);
-            let mut buf = inner.bufs.pop().expect("stripe buffer pool exhausted");
-            buf.clear();
-            inner.groups[g as usize].buf = Some(buf);
         }
         inner.c_groups_opened += 1;
         let done = self.commit_record(inner, t, kind::GROUP_OPEN, |inner, buf| {
@@ -1375,9 +1430,12 @@ impl LsVolume {
         Ok((g, done))
     }
 
-    /// Appends `data` into `stream`'s open group, accumulating parity
-    /// and updating the mapping table; seals each stripe as it fills.
-    /// `lba` is the first logical sector (ignored for pads).
+    /// Appends `data` into `stream`'s log, opening groups as they fill.
+    /// Every device command of the call — data legs, the parity legs of
+    /// each stripe it fills, and the one summary record carrying those
+    /// stripes' seal entries — is issued at one instant: `at`, moved only
+    /// by group-open work (its record, an inline collection). Returns the
+    /// latest completion. `lba` is the first logical sector.
     fn log_data(
         &self,
         inner: &mut LsInner,
@@ -1389,28 +1447,56 @@ impl LsVolume {
     ) -> Result<SimTime> {
         let total = data.len() as u64 / SECTOR_SIZE;
         let mut consumed = 0u64;
-        let mut t = at;
+        let mut issue = at;
+        let mut done = at;
         while consumed < total {
-            let (g, t2) = self.open_group(inner, t, stream)?;
-            t = t2;
-            let gi = g as usize;
-            let (stripe, fill) = {
-                let grp = &inner.groups[gi];
-                (grp.sealed, grp.fill)
-            };
+            let (g, opened) = self.open_group(inner, issue, stream)?;
+            issue = opened;
+            let rest = &data[(consumed * SECTOR_SIZE) as usize..];
+            let (n, legs) =
+                self.fill_stripe(inner, g, stream, issue, rest, mode, lba + consumed)?;
+            consumed += n;
+            done = done.max(legs);
+        }
+        Ok(done.max(self.commit_staged(inner, issue)?))
+    }
+
+    /// Appends the head of `data` into the open stripe of group `g`
+    /// (the open group of `stream`), all legs issued at `t`, and seals
+    /// the stripe if that fills it. Returns the sectors taken and the
+    /// latest completion. Touches neither the free pools nor the log
+    /// cursor, so it is safe wherever a stripe may need filling —
+    /// including the pad-seal inside a metadata rotation.
+    #[allow(clippy::too_many_arguments)]
+    fn fill_stripe(
+        &self,
+        inner: &mut LsInner,
+        g: u32,
+        stream: usize,
+        t: SimTime,
+        data: &[u8],
+        mode: LogMode,
+        lba: u64,
+    ) -> Result<(u64, SimTime)> {
+        let gi = g as usize;
+        let stripe = inner.groups[gi].sealed;
+        let take = (data.len() as u64 / SECTOR_SIZE).min(self.kd - inner.groups[gi].fill);
+        let mut consumed = 0u64;
+        let mut done = t;
+        while consumed < take {
+            let fill = inner.groups[gi].fill;
             let unit = (fill / self.k) as usize;
             let sec = fill % self.k;
-            let run = (self.k - sec).min(total - consumed);
+            let run = (self.k - sec).min(take - consumed);
             let dev = self.data_dev(stripe, unit);
             let zone = inner.groups[gi].zones[dev];
             let plba = self.phys.zone_start(zone) + stripe * self.k + sec;
             let chunk =
                 &data[(consumed * SECTOR_SIZE) as usize..((consumed + run) * SECTOR_SIZE) as usize];
             let c = self.devices[dev].write(t, plba, chunk, WriteFlags::default())?;
+            done = done.max(c.done);
             {
-                let grp = &mut inner.groups[gi];
-                grp.stripe_issue = grp.stripe_issue.max(c.done);
-                let buf = grp.buf.as_mut().expect("open group has a stripe buffer");
+                let buf = &mut inner.bufs[stream];
                 let bo = (sec * SECTOR_SIZE) as usize;
                 sim::xor_into(&mut buf.p[bo..bo + chunk.len()], chunk);
                 if self.p == 2 {
@@ -1454,13 +1540,11 @@ impl LsVolume {
                     self.addc(obs::Counter::LsPadSectors, run);
                 }
             }
-            if inner.groups[gi].fill == self.kd {
-                t = self.seal_stripe(inner, g, c.done)?;
-            } else {
-                t = c.done;
-            }
         }
-        Ok(t)
+        if inner.groups[gi].fill == self.kd {
+            done = done.max(self.seal_stripe(inner, g, stream, t)?);
+        }
+        Ok((take, done))
     }
 
     /// Points logical sector `l` at `(gi, slot)`, releasing any previous
@@ -1477,96 +1561,75 @@ impl LsVolume {
         inner.groups[gi].valid += 1;
     }
 
-    /// Writes the full-stripe parity unit(s) and commits the stripe's
-    /// seal summary; closes the group when its last stripe seals.
-    fn seal_stripe(&self, inner: &mut LsInner, g: u32, t: SimTime) -> Result<SimTime> {
+    /// Issues the full stripe's parity unit(s) at `t`, stages the
+    /// stripe's seal entry for the caller's summary commit, and advances
+    /// the group; closes it when its last stripe seals. Returns the
+    /// parity legs' completion.
+    fn seal_stripe(
+        &self,
+        inner: &mut LsInner,
+        g: u32,
+        stream: usize,
+        t: SimTime,
+    ) -> Result<SimTime> {
         let gi = g as usize;
-        let (stripe, issue) = {
-            let grp = &inner.groups[gi];
-            (grp.sealed, grp.stripe_issue.max(t))
-        };
-        let pdev = (stripe % self.n as u64) as usize;
-        let pzone = inner.groups[gi].zones[pdev];
-        let plba = self.phys.zone_start(pzone) + stripe * self.k;
-        let mut done = {
-            let buf = inner.groups[gi]
-                .buf
-                .as_ref()
-                .expect("sealing an open group");
-            let c = self.devices[pdev].write(issue, plba, &buf.p, WriteFlags::default())?;
+        let stripe = inner.groups[gi].sealed;
+        let legs = [
+            (
+                &inner.bufs[stream].p,
+                obs::PathKind::FullParity,
+                obs::Counter::FullParityWrites,
+            ),
+            (
+                &inner.bufs[stream].q,
+                obs::PathKind::QParity,
+                obs::Counter::QParityWrites,
+            ),
+        ];
+        let mut done = t;
+        for (i, (unit, path, counter)) in legs.into_iter().take(self.p).enumerate() {
+            let dev = ((stripe + i as u64) % self.n as u64) as usize;
+            let lba = self.phys.zone_start(inner.groups[gi].zones[dev]) + stripe * self.k;
+            let c = self.devices[dev].write(t, lba, unit, WriteFlags::default())?;
             self.trace_span(
                 obs::OpClass::Write,
                 obs::Stage::Xor,
-                Some(obs::PathKind::FullParity),
+                Some(path),
                 obs::NONE,
-                plba,
+                lba,
                 self.k,
-                issue,
+                t,
                 c.done,
             );
-            c.done
-        };
-        self.bump(obs::Counter::FullParityWrites);
-        inner.c_parity += self.k;
-        if self.p == 2 {
-            let qdev = ((stripe + 1) % self.n as u64) as usize;
-            let qzone = inner.groups[gi].zones[qdev];
-            let qlba = self.phys.zone_start(qzone) + stripe * self.k;
-            let buf = inner.groups[gi]
-                .buf
-                .as_ref()
-                .expect("sealing an open group");
-            let c = self.devices[qdev].write(issue, qlba, &buf.q, WriteFlags::default())?;
-            self.trace_span(
-                obs::OpClass::Write,
-                obs::Stage::Xor,
-                Some(obs::PathKind::QParity),
-                obs::NONE,
-                qlba,
-                self.k,
-                issue,
-                c.done,
-            );
-            self.bump(obs::Counter::QParityWrites);
-            inner.c_parity += self.k;
+            self.bump(counter);
             done = done.max(c.done);
         }
-        let done = self.commit_record(inner, done, kind::SUMMARY, |inner, buf| {
-            put_u32(buf, g);
-            put_u32(buf, 0);
-            put_u64(buf, stripe);
-            let grp = &inner.groups[gi];
-            let base = (stripe * self.kd) as usize;
-            for slot in 0..self.kd as usize {
-                put_u64(buf, grp.lbas[base + slot]);
-            }
-        })?;
+        inner.c_parity += self.k * self.p as u64;
+        let base = (stripe * self.kd) as usize;
+        meta::put_summary_entry(
+            &mut inner.meta.staged,
+            g,
+            stripe,
+            &inner.groups[gi].lbas[base..base + self.kd as usize],
+        );
+        inner.bufs[stream].clear();
         let grp = &mut inner.groups[gi];
         grp.sealed = stripe + 1;
         grp.fill = 0;
-        grp.stripe_issue = SimTime::ZERO;
-        if let Some(buf) = grp.buf.as_mut() {
-            buf.clear();
-        }
         if grp.sealed == self.s {
-            let stream = match grp.state {
-                GState::Open(stream) => stream as usize,
-                _ => HOT,
-            };
             grp.state = GState::Sealed;
-            let buf = grp.buf.take().expect("sealed group returns its buffer");
-            inner.bufs.push(buf);
             inner.open[stream] = None;
         }
         Ok(done)
     }
 
     /// Zero-pads every open stream to its next stripe boundary so all
-    /// logged data becomes parity-protected and summarized.
+    /// logged data becomes parity-protected and its seal entry staged.
+    /// A stream is only padded inside its open stripe, which
+    /// [`Self::fill_stripe`] fills without opening, committing or
+    /// collecting anything.
     fn pad_seal(&self, inner: &mut LsInner, at: SimTime) -> Result<SimTime> {
-        let zeros = std::mem::take(&mut inner.zeros);
-        let mut t = at;
-        let mut res = Ok(());
+        let mut done = at;
         for stream in 0..STREAMS {
             let Some(g) = inner.open[stream] else {
                 continue;
@@ -1575,37 +1638,22 @@ impl LsVolume {
             if fill == 0 {
                 continue;
             }
-            let mut pad = self.kd - fill;
-            while pad > 0 {
-                let chunk = pad.min(self.k);
-                match self.log_data(
-                    inner,
-                    t,
-                    &zeros[..(chunk * SECTOR_SIZE) as usize],
-                    LogMode::Pad,
-                    0,
-                    stream,
-                ) {
-                    Ok(done) => t = done,
-                    Err(e) => {
-                        res = Err(e);
-                        break;
-                    }
-                }
-                pad -= chunk;
-            }
-            if res.is_err() {
-                break;
-            }
+            let pad = &self.zeros[..((self.kd - fill) * SECTOR_SIZE) as usize];
+            let (_, legs) = self.fill_stripe(inner, g, stream, at, pad, LogMode::Pad, 0)?;
+            done = done.max(legs);
         }
-        inner.zeros = zeros;
-        res.map(|()| t)
+        Ok(done)
     }
 
-    /// Durability barrier: pad-seals every stream, then flushes every
-    /// device cache.
+    /// Durability barrier: pad-seals every stream and commits the staged
+    /// summaries (all issued at `at`), then flushes every device cache.
     fn flush_inner(&self, inner: &mut LsInner, at: SimTime) -> Result<SimTime> {
-        let start = self.pad_seal(inner, at)?;
+        let padded = self.pad_seal(inner, at)?;
+        let summarized = self.commit_staged(inner, at)?;
+        self.flush_devices(padded.max(summarized))
+    }
+
+    fn flush_devices(&self, start: SimTime) -> Result<SimTime> {
         let mut done = start;
         for dev in &self.devices {
             done = done.max(dev.flush(start)?.done);
@@ -1908,17 +1956,20 @@ impl LsVolume {
         victim: u32,
         buf: &mut [u8],
     ) -> Result<SimTime> {
-        let mut t = at;
+        // Same shape as a foreground write: every move's read is issued
+        // at `at`, its write when that read completes, and the drain
+        // completes at the latest of them.
+        let mut done = at;
         let mut cursor = 0u64;
-        while let Some((lba, len, next)) = self.valid_run_inner(inner, victim, cursor, self.k) {
+        while let Some((lba, len, next)) = self.valid_run_inner(inner, victim, cursor, self.kd) {
             cursor = next;
             let bytes = (len * SECTOR_SIZE) as usize;
-            let rd = self.read_inner(inner, t, lba, &mut buf[..bytes])?;
+            let rd = self.read_inner(inner, at, lba, &mut buf[..bytes])?;
             let target = self.migration_target(inner);
-            t = self.log_data(inner, rd, &buf[..bytes], LogMode::Gc, lba, target)?;
+            done = done.max(self.log_data(inner, rd, &buf[..bytes], LogMode::Gc, lba, target)?);
         }
         debug_assert_eq!(inner.groups[victim as usize].valid, 0);
-        self.reclaim_inner(inner, t, victim)
+        self.reclaim_inner(inner, done, victim)
     }
 
     // ------------------------------------------------------------------

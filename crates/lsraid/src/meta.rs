@@ -3,9 +3,10 @@
 //! The engine keeps two metadata slots (physical zone 0 and zone 1,
 //! replicated on devices 0 and 1). A slot always starts with a full
 //! `Checkpoint` record and is followed by an append-only sequence of
-//! roll-forward records: per-stripe `Summary` records written at seal
-//! time, stripe-group `GroupOpen`/`GroupFree` transitions, and logical
-//! `ZoneReset`/`ZoneFinish` events. When the active slot cannot hold the
+//! roll-forward records: `Summary` records carrying one entry per stripe
+//! sealed by a log call (group-committed: one record per call, however
+//! many stripes it sealed), stripe-group `GroupOpen`/`GroupFree`
+//! transitions, and logical `ZoneReset`/`ZoneFinish` events. When the active slot cannot hold the
 //! next record the log rotates: the other slot is reset, a fresh
 //! checkpoint (higher epoch) is written there, and appends continue.
 //!
@@ -25,7 +26,8 @@ pub(crate) const HEADER_BYTES: usize = 32;
 pub(crate) mod kind {
     /// Full engine state: logical zones, group table, mapping table.
     pub const CHECKPOINT: u32 = 1;
-    /// Stripe sealed: the reverse map of its data slots.
+    /// Stripes sealed: one [`SummaryEntry`](super::SummaryEntry) per
+    /// stripe, in seal order.
     pub const SUMMARY: u32 = 2;
     /// A stripe group was opened on a set of physical zones.
     pub const GROUP_OPEN: u32 = 3;
@@ -52,6 +54,23 @@ pub(crate) struct MetaLog {
     pub rec_buf: Vec<u8>,
     /// Preallocated scratch for checkpoint records.
     pub ckpt_buf: Vec<u8>,
+    /// The `Summary` record under construction: [`HEADER_BYTES`] of
+    /// reserved space, then one entry per stripe sealed since the last
+    /// commit. Preallocated for the largest batch one call can stage.
+    pub staged: Vec<u8>,
+}
+
+impl MetaLog {
+    /// Whether any seal entry awaits its commit.
+    pub fn has_staged(&self) -> bool {
+        self.staged.len() > HEADER_BYTES
+    }
+
+    /// Moves the cursor past a record of `sectors` just written.
+    pub fn advance(&mut self, sectors: u64) {
+        self.used += sectors;
+        self.seq += 1;
+    }
 }
 
 /// One parsed record (mount path only; allocation is fine there).
@@ -77,6 +96,49 @@ pub(crate) fn get_u32(buf: &[u8], off: usize) -> u32 {
 
 pub(crate) fn get_u64(buf: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(buf[off..off + 8].try_into().expect("u64 slice"))
+}
+
+/// Bytes one seal entry occupies in a `Summary` payload for stripes of
+/// `kd` data slots: group, pad, stripe, then the reverse map.
+pub(crate) fn summary_entry_bytes(kd: usize) -> usize {
+    16 + kd * 8
+}
+
+/// Appends the seal entry of `stripe` in group `g` to a `Summary`
+/// payload; `lbas` is the stripe's reverse map (`kd` slots).
+pub(crate) fn put_summary_entry(buf: &mut Vec<u8>, g: u32, stripe: u64, lbas: &[u64]) {
+    put_u32(buf, g);
+    put_u32(buf, 0);
+    put_u64(buf, stripe);
+    for &lba in lbas {
+        put_u64(buf, lba);
+    }
+}
+
+/// One stripe's seal entry inside a parsed `Summary` payload.
+pub(crate) struct SummaryEntry<'a> {
+    pub group: u32,
+    pub stripe: u64,
+    lbas: &'a [u8],
+}
+
+impl SummaryEntry<'_> {
+    /// The logical sector each data slot of the stripe held at seal time.
+    pub fn lbas(&self) -> impl Iterator<Item = u64> + '_ {
+        self.lbas.chunks_exact(8).map(|b| get_u64(b, 0))
+    }
+}
+
+/// Iterates the entries of a `Summary` payload in seal order. The
+/// payload is checksummed as a whole, so entries are never torn.
+pub(crate) fn summary_entries(payload: &[u8], kd: usize) -> impl Iterator<Item = SummaryEntry<'_>> {
+    payload
+        .chunks_exact(summary_entry_bytes(kd))
+        .map(|e| SummaryEntry {
+            group: get_u32(e, 0),
+            stripe: get_u64(e, 8),
+            lbas: &e[16..],
+        })
 }
 
 /// FNV-1a over the payload, seeded with the header identity so a record
@@ -174,6 +236,31 @@ mod tests {
         assert_eq!(rec.seq, 41);
         assert_eq!(get_u32(&rec.payload, 0), 7);
         assert_eq!(get_u64(&rec.payload, 4), 0xdead_beef);
+    }
+
+    #[test]
+    fn multi_entry_summary_roundtrip() {
+        let kd = 64usize;
+        let stripes: Vec<(u32, u64, Vec<u64>)> = (0..4u64)
+            .map(|s| {
+                let lbas = (0..kd as u64)
+                    .map(|i| if i % 7 == 0 { u64::MAX } else { s * 1000 + i })
+                    .collect();
+                (3 + (s / 3) as u32, 125 + s, lbas)
+            })
+            .collect();
+        let mut buf = vec![0u8; HEADER_BYTES];
+        for (g, stripe, lbas) in &stripes {
+            put_summary_entry(&mut buf, *g, *stripe, lbas);
+        }
+        assert_eq!(buf.len(), HEADER_BYTES + 4 * summary_entry_bytes(kd));
+        // Four 64-slot entries share one sector: that is the group commit.
+        assert_eq!(finish_record(&mut buf, kind::SUMMARY, 2, 9), 1);
+        let (rec, _) = parse_record(&buf).expect("valid record");
+        let got: Vec<(u32, u64, Vec<u64>)> = summary_entries(&rec.payload, kd)
+            .map(|e| (e.group, e.stripe, e.lbas().collect()))
+            .collect();
+        assert_eq!(got, stripes);
     }
 
     #[test]

@@ -269,6 +269,50 @@ fn gc_manager_reclaims_and_preserves_data() {
     assert_eq!(vol.scrub(T0).unwrap().parity_errors, 0);
 }
 
+/// Forwards to a [`DirectSink`] and records each move's size in sectors.
+struct SizingSink<'a> {
+    inner: DirectSink<'a>,
+    moves: Vec<u64>,
+}
+
+impl lsraid::GcSink for SizingSink<'_> {
+    fn migrate(&mut self, at: SimTime, lba: u64, data: &[u8]) -> zns::Result<SimTime> {
+        self.moves.push(data.len() as u64 / SECTOR_SIZE);
+        self.inner.migrate(at, lba, data)
+    }
+}
+
+#[test]
+fn gc_moves_are_stripe_sized() {
+    let vol = Arc::new(LsVolume::format(devices(5), LsConfig::default(), T0).unwrap());
+    let zones = vol.geometry().num_zones();
+    for z in 0..zones {
+        write_zone(&vol, z, 0);
+    }
+    // Every fourth zone dies: each group keeps three whole zones, i.e.
+    // valid runs of a full stripe (a 64-sector zone is one stripe).
+    for z in (0..zones).step_by(4) {
+        write_zone(&vol, z, 1);
+    }
+    vol.flush(T0).unwrap();
+    let stripe = vol.stripe_data_sectors();
+    let cfg = GcConfig {
+        budget_sectors: 2 * stripe + 8,
+        low_water: 64,
+        threshold_water: 65,
+        high_water: 65,
+        ..GcConfig::default()
+    };
+    let mut gc = GcManager::new(vol.clone(), cfg);
+    let mut sink = SizingSink {
+        inner: DirectSink::new(&vol),
+        moves: Vec::new(),
+    };
+    gc.pump(T0, &mut sink).unwrap();
+    // Two whole stripes, then what is left of the budget.
+    assert_eq!(sink.moves, [stripe, stripe, 8]);
+}
+
 #[test]
 fn emergency_reclaim_keeps_writes_flowing() {
     let vol = LsVolume::format(devices(5), LsConfig::default(), T0).unwrap();
