@@ -19,8 +19,9 @@ use crate::config::RaiznConfig;
 use crate::metadata::{MdPayload, MdRecord, MD_HEADER_BYTES};
 use crate::stats::AtomicRaiznStats;
 use crate::stripe::StripeBuffer;
-use crate::volume::{internal, xor_into, MdRole, MetaState, RaiznVolume, RelocatedUnit};
+use crate::volume::{internal, MdRole, MetaState, RaiznVolume, RelocatedUnit};
 use crate::Result;
+use sim::codec::{Decode, Role};
 use sim::SimTime;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -257,18 +258,6 @@ impl RaiznVolume {
                     }
                 }
                 _ => {}
-            }
-        }
-        if std::env::var_os("RAIZN_DEBUG").is_some() {
-            for (tag, map) in [("P", &pp.p), ("Q", &pp.q)] {
-                for ((lz, stripe), imgs) in map.iter() {
-                    for img in imgs {
-                        eprintln!(
-                            "[harvest] {tag} lz={lz} stripe={stripe} end_lba={} covered={:?}",
-                            img.end_lba, img.covered
-                        );
-                    }
-                }
             }
         }
 
@@ -534,11 +523,6 @@ impl RaiznVolume {
                     &mut out,
                 )?;
                 if !ok {
-                    if std::env::var_os("RAIZN_DEBUG").is_some() {
-                        eprintln!(
-                            "[recover] lz={lz} stripe={stripe} dev={dev} have={have} needed={needed} complete={complete} irreparable"
-                        );
-                    }
                     rollback = Some(self.readable_prefix(&m, devices, at, lz, &mut wp, pp, fill)?);
                     break 'stripes;
                 }
@@ -556,11 +540,6 @@ impl RaiznVolume {
         }
 
         if let Some(r) = rollback {
-            if std::env::var_os("RAIZN_DEBUG").is_some() {
-                eprintln!(
-                    "[recover] lz={lz} rollback {fill} -> {r} (wp={wp:?}, max_stripe={max_stripe})"
-                );
-            }
             fill = r;
         }
 
@@ -677,9 +656,6 @@ impl RaiznVolume {
                     Some(k) => stripe_fill.saturating_sub(k * su).min(su),
                 };
                 if have > expected {
-                    if std::env::var_os("RAIZN_DEBUG").is_some() {
-                        eprintln!("[recover] lz={lz} ghost slot stripe={stripe} dev={dev} have={have} expected={expected} fill={fill}");
-                    }
                     z.conflicts.insert((stripe, dev));
                     // Record the conflict as an (empty) relocation so it
                     // survives future mounts: the padded ghost slot would
@@ -708,9 +684,6 @@ impl RaiznVolume {
 
         let z_wp = fill;
         let lgeo = layout.logical_geometry();
-        if std::env::var_os("RAIZN_DEBUG").is_some() {
-            eprintln!("[recover] lz={lz} final wp={z_wp} wps={wp:?}");
-        }
         z.wp = z_wp;
         self.zone_wp[lz as usize].store(z_wp, Ordering::Release);
         z.state = if z_wp == 0 {
@@ -828,104 +801,99 @@ impl RaiznVolume {
                 .collect()
         };
 
-        // Accumulate every available data unit (except `skips`) into
-        // `dst`, XOR-wise (coeff == None) or scaled by g^i (Q leg),
-        // zero-extended past each unit's written extent at `fill`.
+        // Fold every available data unit (except `skips`) into the
+        // syndromes of `plan`, zero-extended past each unit's written
+        // extent at `fill`.
         let mut tmp = vec![0u8; bytes];
-        let accumulate =
-            |dst: &mut [u8], tmp: &mut Vec<u8>, fill: u64, skips: &[u64], rs: bool| -> Result<()> {
-                for i in 0..d_units {
-                    if skips.contains(&i) {
-                        continue;
-                    }
-                    let written = fill.saturating_sub(i * su).min(su);
-                    let irows = written.saturating_sub(row0).min(rows);
-                    if irows == 0 {
-                        continue;
-                    }
-                    let idev = layout.data_device(lz, stripe, i);
-                    tmp.fill(0);
-                    self.fetch_slot_rows(
-                        m,
-                        devices,
-                        at,
-                        lz,
-                        stripe,
-                        idev,
-                        row0,
-                        &mut tmp[..(irows * SECTOR_SIZE) as usize],
-                    )?;
-                    if rs {
-                        sim::gf_mul_into(dst, tmp, sim::gf_pow(2, i as u32));
-                    } else {
-                        xor_into(dst, tmp);
-                    }
+        let mut aux = vec![0u8; bytes];
+        let absorb_data = |plan: &Decode,
+                           out: &mut [u8],
+                           aux: &mut [u8],
+                           tmp: &mut Vec<u8>,
+                           fill: u64,
+                           skips: &[u64]|
+         -> Result<()> {
+            for i in 0..d_units {
+                if skips.contains(&i) {
+                    continue;
                 }
-                Ok(())
-            };
+                let written = fill.saturating_sub(i * su).min(su);
+                let irows = written.saturating_sub(row0).min(rows);
+                if irows == 0 {
+                    continue;
+                }
+                let idev = layout.data_device(lz, stripe, i);
+                tmp.fill(0);
+                self.fetch_slot_rows(
+                    m,
+                    devices,
+                    at,
+                    lz,
+                    stripe,
+                    idev,
+                    row0,
+                    &mut tmp[..(irows * SECTOR_SIZE) as usize],
+                )?;
+                plan.absorb(Role::Data(i as u32), tmp, out, aux);
+            }
+            Ok(())
+        };
+        // The codec never decodes a slot against itself.
+        let plan_of = |target: Role, other: Option<Role>| {
+            Decode::new(target, other).ok_or_else(|| internal("duplicate role in erasure set"))
+        };
 
         match layout.unit_of_device(lz, stripe, dev) {
             // ---- Rebuilding a parity slot (P or Q). ----------------------
             None => {
-                let is_q = qdev == Some(dev);
+                // With every data unit in hand (fetched, or recovered
+                // below) the parity syndrome is the slot itself.
+                let plan = plan_of(if qdev == Some(dev) { Role::Q } else { Role::P }, None)?;
                 let fill = layout.stripe_data_sectors(); // parity slots exist only complete
                 let missing = missing_at(fill, None);
-                match missing.as_slice() {
-                    [] => {
-                        out.fill(0);
-                        accumulate(out, &mut tmp, fill, &[], is_q)?;
-                        Ok(true)
+                plan.begin(out, &mut aux);
+                absorb_data(&plan, out, &mut aux, &mut tmp, fill, &missing)?;
+                // Data units that are gone too: recover each one through
+                // the full data-unit machinery (the other parity leg,
+                // lower-extent pp snapshots, or a two-erasure solve), then
+                // fold them in. Depth is bounded: the data arm never
+                // recurses.
+                for &k in &missing {
+                    let kdev = layout.data_device(lz, stripe, k);
+                    let mut dk = vec![0u8; bytes];
+                    let ok = self.rebuild_rows(
+                        m, devices, at, lz, stripe, kdev, have, needed, complete, pp, wp, &mut dk,
+                    )?;
+                    if !ok {
+                        return Ok(false);
                     }
-                    missing => {
-                        // Some data units are also gone: recover each one
-                        // through the full data-unit machinery (the other
-                        // parity leg, lower-extent pp snapshots, or a
-                        // two-erasure solve), then fold them in. Depth is
-                        // bounded: the data arm never recurses.
-                        out.fill(0);
-                        accumulate(out, &mut tmp, fill, missing, is_q)?;
-                        for &k in missing {
-                            let kdev = layout.data_device(lz, stripe, k);
-                            let mut dk = vec![0u8; bytes];
-                            let ok = self.rebuild_rows(
-                                m, devices, at, lz, stripe, kdev, have, needed, complete, pp, wp,
-                                &mut dk,
-                            )?;
-                            if !ok {
-                                return Ok(false);
-                            }
-                            if is_q {
-                                sim::gf_mul_into(out, &dk, sim::gf_pow(2, k as u32));
-                            } else {
-                                xor_into(out, &dk);
-                            }
-                        }
-                        Ok(true)
-                    }
+                    plan.absorb(Role::Data(k as u32), &dk, out, &mut aux);
                 }
+                Ok(true)
             }
             // ---- Rebuilding a data unit. ---------------------------------
             Some(j) => {
+                let target = Role::Data(j as u32);
                 let p_cands = leg_candidates(pdev, pp.p.get(&(lz, stripe)))?;
                 let q_cands = match qdev {
                     Some(qd) => leg_candidates(qd, pp.q.get(&(lz, stripe)))?,
                     None => Vec::new(),
                 };
-                // Single-erasure via P: out = P ^ XOR(other units).
-                for (pbuf, extent) in &p_cands {
-                    if j * su + needed <= *extent && missing_at(*extent, Some(j)).is_empty() {
-                        out.copy_from_slice(pbuf);
-                        accumulate(out, &mut tmp, *extent, &[j], false)?;
-                        return Ok(true);
-                    }
-                }
-                // Single-erasure via Q: out = g^{-j} · (Q ^ Σ g^i·D_i).
-                for (qbuf, extent) in &q_cands {
-                    if j * su + needed <= *extent && missing_at(*extent, Some(j)).is_empty() {
-                        out.copy_from_slice(qbuf);
-                        accumulate(out, &mut tmp, *extent, &[j], true)?;
-                        sim::gf_scale(out, sim::gf_inv(sim::gf_pow(2, j as u32)));
-                        return Ok(true);
+                // Single-erasure via P, then via Q (decoding as if P were
+                // the second loss): the leg plus every other unit.
+                for (cands, leg, other) in [
+                    (&p_cands, Role::P, None),
+                    (&q_cands, Role::Q, Some(Role::P)),
+                ] {
+                    for (buf, extent) in cands {
+                        if j * su + needed <= *extent && missing_at(*extent, Some(j)).is_empty() {
+                            let plan = plan_of(target, other)?;
+                            plan.begin(out, &mut aux);
+                            plan.absorb(leg, buf, out, &mut aux);
+                            absorb_data(&plan, out, &mut aux, &mut tmp, *extent, &[j])?;
+                            plan.finish(out, &aux);
+                            return Ok(true);
+                        }
                     }
                 }
                 // Two-erasure: both legs at the same data extent, exactly
@@ -940,20 +908,20 @@ impl RaiznVolume {
                             continue;
                         };
                         let k = *k;
-                        let mut sp = pbuf.clone();
-                        let mut sq = qbuf.clone();
-                        accumulate(&mut sp, &mut tmp, *ep, &[j, k], false)?;
-                        accumulate(&mut sq, &mut tmp, *ep, &[j, k], true)?;
+                        let plan = plan_of(target, Some(Role::Data(k as u32)))?;
+                        plan.begin(out, &mut aux);
+                        plan.absorb(Role::P, pbuf, out, &mut aux);
+                        plan.absorb(Role::Q, qbuf, out, &mut aux);
+                        absorb_data(&plan, out, &mut aux, &mut tmp, *ep, &[j, k])?;
                         // Rows where unit k holds data need the 2x2 solve;
-                        // rows past its written extent see D_k == 0, so sp
-                        // is D_j there outright (staggered fill, §5.1).
+                        // rows past its written extent see D_k == 0, so the
+                        // P syndrome (`aux`) is D_j there outright
+                        // (staggered fill, §5.1).
                         let written_k = ep.saturating_sub(k * su).min(su);
                         let krows = written_k.saturating_sub(row0).min(rows);
                         let kb = (krows * SECTOR_SIZE) as usize;
-                        sim::rs_solve_two(&mut sp[..kb], &mut sq[..kb], j as u32, k as u32);
-                        // rs_solve_two leaves D_j in sq (and D_k in sp).
-                        out[..kb].copy_from_slice(&sq[..kb]);
-                        out[kb..].copy_from_slice(&sp[kb..]);
+                        plan.finish(&mut out[..kb], &aux[..kb]);
+                        out[kb..].copy_from_slice(&aux[kb..]);
                         return Ok(true);
                     }
                 }
@@ -1317,17 +1285,7 @@ impl RaiznVolume {
                     AtomicRaiznStats::add(&self.stats.pp_q_log_entries, 1);
                 }
             }
-            let snap = m.pp_live.entry(lz).or_default();
-            snap.stripe = b.stripe();
-            snap.filled = b.filled_sectors();
-            snap.parity.clear();
-            snap.parity
-                .extend_from_slice(&b.parity()[..(rows * SECTOR_SIZE) as usize]);
-            snap.q.clear();
-            if self.layout.parity_units() >= 2 {
-                snap.q
-                    .extend_from_slice(&b.q_parity()[..(rows * SECTOR_SIZE) as usize]);
-            }
+            m.pp_live[lz as usize].capture(b, su);
         }
         Ok(())
     }

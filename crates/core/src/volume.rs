@@ -27,6 +27,7 @@ use crate::stats::{AtomicRaiznStats, RaiznStats};
 use crate::stripe::StripeBuffer;
 use crate::Result;
 use parking_lot::{Mutex, RwLock};
+use sim::codec::{Decode, Role};
 use sim::SimTime;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -35,18 +36,6 @@ use zns::{
     AppendCompletion, IoCompletion, Lba, WriteFlags, ZnsDevice, ZnsError, ZoneGeometry, ZoneInfo,
     ZoneState, ZonedVolume, SECTOR_SIZE,
 };
-
-/// What a device stores for one particular stripe (the roles rotate per
-/// stripe and zone; see [`RaiznLayout`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotRole {
-    /// Data unit `k` of the stripe.
-    Data(u64),
-    /// The XOR parity unit.
-    P,
-    /// The Reed–Solomon Q parity unit (dual-parity mode only).
-    Q,
-}
 
 /// Which metadata zone a record goes to (§4.3: partial parity is isolated
 /// in its own zone; everything else shares the general zone).
@@ -91,9 +80,15 @@ pub(crate) struct LZone {
     /// a rolled-back crash suffix; writes to them are relocated.
     pub conflicts: HashSet<(u64, u32)>,
     /// Retired stripe buffer kept for reuse, so this zone's steady-state
-    /// writes allocate nothing. Per-shard (not a global pool): reuse never
-    /// contends with other zones' writers.
+    /// sub-stripe writes allocate nothing. Per-shard (not a global pool):
+    /// reuse never contends with other zones' writers. Parked dirty; the
+    /// one clear happens when it is drawn again.
     pub spare: Option<StripeBuffer>,
+    /// Spare parity columns (`parity_units` stripe units, allocated on
+    /// first use): where a whole-stripe write encodes P and Q straight
+    /// from the caller's payload, and the landing/second-syndrome columns
+    /// of a degraded-read decode. Contents are scratch between uses.
+    pub scratch: Vec<u8>,
 }
 
 impl LZone {
@@ -110,11 +105,6 @@ impl LZone {
         match self.spare.take() {
             Some(mut b) => {
                 debug_assert!(b.shape_matches_parity(data_units, unit_sectors, parity_units));
-                debug_assert!(sim::is_zero(b.parity()), "pooled buffer not clean");
-                debug_assert!(
-                    b.parity_units() < 2 || sim::is_zero(b.q_parity()),
-                    "pooled buffer Q not clean"
-                );
                 b.recycle(stripe);
                 AtomicRaiznStats::add(&stats.stripe_buffers_reused, 1);
                 b
@@ -123,32 +113,59 @@ impl LZone {
         }
     }
 
-    /// Retires a stripe buffer into the zone's spare slot (cleared via its
-    /// dirty high-water mark), or drops it if a spare is already parked.
-    fn retire_buffer(&mut self, mut buf: StripeBuffer) {
+    /// Parks a stripe buffer in the zone's spare slot as it is, or drops
+    /// it if a spare is already parked.
+    fn retire_buffer(&mut self, buf: StripeBuffer) {
         if self.spare.is_none() {
-            buf.recycle(0);
             self.spare = Some(buf);
         }
+    }
+
+    /// The zone's spare parity columns, at least `bytes` long.
+    fn scratch_mut(&mut self, bytes: usize) -> &mut Vec<u8> {
+        if self.scratch.len() < bytes {
+            self.scratch = vec![0u8; bytes];
+        }
+        &mut self.scratch
     }
 }
 
 /// Checkpoint snapshot of a zone's running partial parity, maintained on
 /// every pp-log append so metadata GC can re-log live parity without
-/// locking the zone shard that owns the stripe buffer.
+/// locking the zone shard that owns the stripe buffer. One per logical
+/// zone; the first capture reserves whole columns, so the pp-log path
+/// never grows them again.
 #[derive(Debug, Default)]
 pub(crate) struct PpSnapshot {
     /// Stripe index the snapshot describes.
     pub stripe: u64,
-    /// Data sectors filled into the stripe at snapshot time. The snapshot
-    /// is live iff the zone's mirrored write pointer still equals
-    /// `stripe * stripe_data + filled`.
+    /// Data sectors filled into the stripe at snapshot time; 0 means the
+    /// zone has no snapshot. The snapshot is live iff the zone's mirrored
+    /// write pointer still equals `stripe * stripe_data + filled`.
     pub filled: u64,
     /// Running parity prefix (`filled.min(stripe_unit)` rows).
     pub parity: Vec<u8>,
     /// Running Q-parity prefix, same shape as `parity`. Empty in
     /// single-parity mode.
     pub q: Vec<u8>,
+}
+
+impl PpSnapshot {
+    /// Re-captures the running parity prefix of `buf`, whose units are
+    /// `su` sectors.
+    pub(crate) fn capture(&mut self, buf: &StripeBuffer, su: u64) {
+        let rows = (buf.filled_sectors().min(su) * SECTOR_SIZE) as usize;
+        self.stripe = buf.stripe();
+        self.filled = buf.filled_sectors();
+        self.parity.clear();
+        self.parity.reserve_exact(buf.parity().len());
+        self.parity.extend_from_slice(&buf.parity()[..rows]);
+        self.q.clear();
+        if buf.parity_units() >= 2 {
+            self.q.reserve_exact(buf.parity().len());
+            self.q.extend_from_slice(&buf.q_parity()[..rows]);
+        }
+    }
 }
 
 /// Cross-zone volume metadata: the single global lock domain. Everything
@@ -159,8 +176,9 @@ pub(crate) struct MetaState {
     pub gens: Vec<u64>,
     pub relocated: HashMap<(u32, u64, u32), RelocatedUnit>,
     pub md: Vec<MdRoles>,
-    /// Per-zone partial-parity checkpoint snapshots (see [`PpSnapshot`]).
-    pub pp_live: HashMap<u32, PpSnapshot>,
+    /// Partial-parity checkpoint snapshots, indexed by logical zone (see
+    /// [`PpSnapshot`]).
+    pub pp_live: Vec<PpSnapshot>,
     /// Scratch buffer for metadata record encoding; taken/restored around
     /// appends so payload bytes never need an owned staging `Vec`.
     pub md_scratch: Vec<u8>,
@@ -243,10 +261,6 @@ impl std::fmt::Debug for RaiznVolume {
             .finish_non_exhaustive()
     }
 }
-
-// Parity arithmetic goes through the shared word-vectorized kernel in
-// `sim::xor` (also used by the stripe buffer, recovery, and mdraid5).
-pub(crate) use sim::xor_into;
 
 /// An internal invariant violation surfaced as an error instead of a
 /// panic, so injected device faults can never take the volume down
@@ -560,6 +574,7 @@ impl RaiznVolume {
                     buffer: None,
                     conflicts: HashSet::new(),
                     spare: None,
+                    scratch: Vec::new(),
                 })
             })
             .collect();
@@ -578,7 +593,7 @@ impl RaiznVolume {
                 gens,
                 relocated: HashMap::new(),
                 md,
-                pp_live: HashMap::new(),
+                pp_live: (0..nz).map(|_| PpSnapshot::default()).collect(),
                 md_scratch: Vec::new(),
                 gather_scratch: Vec::new(),
             }),
@@ -925,9 +940,7 @@ impl RaiznVolume {
                     let lgeo = self.layout.logical_geometry();
                     let stripe_data = self.layout.stripe_data_sectors();
                     for lz in 0..self.layout.logical_zones() as usize {
-                        let Some(snap) = m.pp_live.get(&(lz as u32)) else {
-                            continue;
-                        };
+                        let snap = &m.pp_live[lz];
                         if snap.filled == 0 {
                             continue;
                         }
@@ -1338,34 +1351,35 @@ impl RaiznVolume {
 
     /// The role a device plays in one stripe: a data unit, the P (XOR)
     /// parity, or the Q (Reed–Solomon) parity.
-    fn slot_role(&self, lzone: u32, stripe: u64, dev: u32) -> SlotRole {
+    fn slot_role(&self, lzone: u32, stripe: u64, dev: u32) -> Role {
         match self.layout.unit_of_device(lzone, stripe, dev) {
-            Some(k) => SlotRole::Data(k),
-            None => {
-                if dev == self.layout.parity_device(lzone, stripe) {
-                    SlotRole::P
-                } else {
-                    SlotRole::Q
-                }
-            }
+            Some(k) => Role::Data(k as u32),
+            None if dev == self.layout.parity_device(lzone, stripe) => Role::P,
+            None => Role::Q,
         }
+    }
+
+    /// Bytes of a zone's spare parity columns ([`LZone::scratch`]).
+    fn scratch_bytes(&self) -> usize {
+        (self.layout.parity_units() as u64 * self.layout.stripe_unit() * SECTOR_SIZE) as usize
     }
 
     /// Reconstructs rows of the unit that `missing_dev` holds for
     /// `(lzone, stripe)` from the surviving devices (§4.2). The stripe
     /// must be complete (parity present).
     ///
-    /// Erasure decode is syndrome-based: `sp` accumulates the XOR of every
-    /// available data unit plus P, `sq` accumulates `g^k ·` every
-    /// available data unit plus Q (generator `g = 2` in GF(2^8)). With one
-    /// erasure the relevant syndrome *is* the missing slot; with two
-    /// erasures (RAIZN-2) the pair is solved with [`sim::rs_solve_two`].
-    /// Devices in the failed set whose slots are not served by the
-    /// relocation cache count as erased alongside `missing_dev`; more
+    /// The arithmetic is the stripe codec's ([`sim::codec::Decode`]):
+    /// every surviving slot the erasure pattern needs is read into the
+    /// first column of `scratch` (the zone's spare parity columns) and
+    /// folded into `out` — and, when a second *data* unit is lost too,
+    /// into the second scratch column — then solved in place. Nothing is
+    /// allocated. Devices in the failed set whose slots are not served by
+    /// the relocation cache count as erased alongside `missing_dev`; more
     /// erasures than parity units is unrecoverable.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn reconstruct_slot_rows(
         &self,
+        scratch: &mut [u8],
         devices: &[Arc<ZnsDevice>],
         at: SimTime,
         lzone: u32,
@@ -1399,59 +1413,32 @@ impl RaiznVolume {
             return Err(ZnsError::DeviceFailed);
         }
         let target = self.slot_role(lzone, stripe, missing_dev);
+        let unit_bytes = (self.layout.stripe_unit() * SECTOR_SIZE) as usize;
+        let (tmp, aux) = scratch.split_at_mut(unit_bytes);
+        let len = out.len();
+        let tmp = &mut tmp[..len];
+        let aux_len = |plan: &Decode| if plan.uses_aux() { len } else { 0 };
         // A *source* slot can turn out unreadable mid-decode (a latent
         // media error on a second device); with parity headroom left it
         // joins the erasure set and the decode restarts.
-        let (mut sp, mut sq, other, done) = 'retry: loop {
-            let other = {
-                let rest = missing & !(1u64 << missing_dev);
-                if rest == 0 {
-                    None
-                } else {
-                    Some(self.slot_role(lzone, stripe, rest.trailing_zeros()))
-                }
-            };
-            // Which syndromes this erasure pattern needs.
-            let (need_sp, need_sq) = match (target, other) {
-                (SlotRole::Data(_) | SlotRole::P, None) => (true, false),
-                (SlotRole::Q, None) => (false, true),
-                (SlotRole::Data(_), Some(SlotRole::Data(_))) => (true, true),
-                (SlotRole::Data(_), Some(SlotRole::P)) | (SlotRole::P, Some(SlotRole::Data(_))) => {
-                    // D_j comes out of sq alone; recovering P additionally
-                    // needs the XOR of the available data (sp).
-                    (matches!(target, SlotRole::P), true)
-                }
-                (SlotRole::Data(_), Some(SlotRole::Q)) | (SlotRole::Q, Some(SlotRole::Data(_))) => {
-                    (true, matches!(target, SlotRole::Q))
-                }
-                (SlotRole::P, Some(SlotRole::Q)) | (SlotRole::Q, Some(SlotRole::P)) => {
-                    (matches!(target, SlotRole::P), matches!(target, SlotRole::Q))
-                }
-                (SlotRole::P, Some(SlotRole::P)) | (SlotRole::Q, Some(SlotRole::Q)) => {
-                    return Err(internal("duplicate parity role in erasure set"))
-                }
-            };
-            let mut sp = vec![0u8; if need_sp { out.len() } else { 0 }];
-            let mut sq = vec![0u8; if need_sq { out.len() } else { 0 }];
-            let mut tmp = vec![0u8; out.len()];
+        let (plan, done) = 'retry: loop {
+            let rest = missing & !(1u64 << missing_dev);
+            let other = (rest != 0).then(|| self.slot_role(lzone, stripe, rest.trailing_zeros()));
+            let plan = Decode::new(target, other)
+                .ok_or_else(|| internal("duplicate role in erasure set"))?;
+            let aux = &mut aux[..aux_len(&plan)];
+            plan.begin(out, aux);
             let mut done = at;
             for dev in 0..n {
                 if missing & (1u64 << dev) != 0 {
                     continue;
                 }
                 let role = self.slot_role(lzone, stripe, dev);
-                let (to_sp, to_sq) = match role {
-                    SlotRole::Data(_) => (need_sp, need_sq),
-                    SlotRole::P => (need_sp, false),
-                    SlotRole::Q => (false, need_sq),
-                };
-                if !to_sp && !to_sq {
+                if !plan.wants(role) {
                     continue;
                 }
-                let t = match self
-                    .fetch_slot_rows_live(devices, at, lzone, stripe, dev, row0, &mut tmp)
-                {
-                    Ok(t) => t,
+                match self.fetch_slot_rows_live(devices, at, lzone, stripe, dev, row0, tmp) {
+                    Ok(t) => done = done.max(t),
                     Err(
                         e @ (ZnsError::MediaError { .. }
                         | ZnsError::TransientError { .. }
@@ -1464,61 +1451,15 @@ impl RaiznVolume {
                         continue 'retry;
                     }
                     Err(e) => return Err(e),
-                };
-                done = done.max(t);
-                if to_sp {
-                    xor_into(&mut sp, &tmp);
                 }
-                if to_sq {
-                    match role {
-                        SlotRole::Data(k) => {
-                            sim::gf_mul_into(&mut sq, &tmp, sim::gf_pow(2, k as u32))
-                        }
-                        SlotRole::Q => xor_into(&mut sq, &tmp),
-                        SlotRole::P => {}
-                    }
-                }
+                plan.absorb(role, tmp, out, aux);
             }
-            break 'retry (sp, sq, other, done);
+            break 'retry (plan, done);
         };
-        let double = other.is_some();
-        if double {
+        plan.finish(out, &aux[..aux_len(&plan)]);
+        if missing.count_ones() > 1 {
             AtomicRaiznStats::add(&self.stats.double_degraded_reads, 1);
             self.bump(obs::Counter::DoubleDegradedReads);
-        }
-        match (target, other) {
-            // One erasure: the syndrome is the slot.
-            (SlotRole::Data(_) | SlotRole::P, None) => out.copy_from_slice(&sp),
-            (SlotRole::Q, None) => out.copy_from_slice(&sq),
-            // Two data units: solve the 2x2 Vandermonde system.
-            (SlotRole::Data(j), Some(SlotRole::Data(k))) => {
-                sim::rs_solve_two(&mut sp, &mut sq, j as u32, k as u32);
-                // rs_solve_two leaves D_j in sq and D_k in sp.
-                out.copy_from_slice(&sq);
-            }
-            // Data + P: sq collapses to g^j · D_j.
-            (SlotRole::Data(j), Some(SlotRole::P)) => {
-                sim::gf_scale(&mut sq, sim::gf_inv(sim::gf_pow(2, j as u32)));
-                out.copy_from_slice(&sq);
-            }
-            (SlotRole::P, Some(SlotRole::Data(j))) => {
-                sim::gf_scale(&mut sq, sim::gf_inv(sim::gf_pow(2, j as u32)));
-                xor_into(&mut sp, &sq);
-                out.copy_from_slice(&sp);
-            }
-            // Data + Q: sp is D_j; Q follows from re-encoding it.
-            (SlotRole::Data(_), Some(SlotRole::Q)) => out.copy_from_slice(&sp),
-            (SlotRole::Q, Some(SlotRole::Data(j))) => {
-                sim::gf_mul_into(&mut sq, &sp, sim::gf_pow(2, j as u32));
-                out.copy_from_slice(&sq);
-            }
-            // P + Q: each syndrome is its parity over the (all available)
-            // data units.
-            (SlotRole::P, Some(SlotRole::Q)) => out.copy_from_slice(&sp),
-            (SlotRole::Q, Some(SlotRole::P)) => out.copy_from_slice(&sq),
-            (SlotRole::P, Some(SlotRole::P)) | (SlotRole::Q, Some(SlotRole::Q)) => unreachable!(),
-        }
-        if double {
             self.trace_span(
                 obs::OpClass::Read,
                 obs::Stage::WholeOp,
@@ -1580,7 +1521,7 @@ impl RaiznVolume {
     #[allow(clippy::too_many_arguments)]
     fn degraded_slot_read(
         &self,
-        z: &LZone,
+        z: &mut LZone,
         devices: &[Arc<ZnsDevice>],
         at: SimTime,
         lzone: u32,
@@ -1604,7 +1545,8 @@ impl RaiznVolume {
             out.copy_from_slice(b.read_range(s0, s0 + rows));
             Ok(at)
         } else {
-            self.reconstruct_slot_rows(devices, at, lzone, stripe, dev, row0, out)
+            let scratch = z.scratch_mut(self.scratch_bytes());
+            self.reconstruct_slot_rows(scratch, devices, at, lzone, stripe, dev, row0, out)
         };
         if let Ok(t) = r {
             self.trace_span(
@@ -1659,7 +1601,9 @@ impl RaiznVolume {
             // and relocate the repaired copy so the latent sectors are
             // never read again.
             let mut data = vec![0u8; (su * SECTOR_SIZE) as usize];
-            let t = self.reconstruct_slot_rows(devices, at, lzone, stripe, dev, 0, &mut data)?;
+            let scratch = z.scratch_mut(self.scratch_bytes());
+            let t =
+                self.reconstruct_slot_rows(scratch, devices, at, lzone, stripe, dev, 0, &mut data)?;
             let off = (row0 * SECTOR_SIZE) as usize;
             out.copy_from_slice(&data[off..off + out.len()]);
             AtomicRaiznStats::add(&self.stats.read_repairs, 1);
@@ -1671,7 +1615,8 @@ impl RaiznVolume {
             // from parity without committing a relocation.
             AtomicRaiznStats::add(&self.stats.degraded_reads, 1);
             self.bump(obs::Counter::DegradedReads);
-            self.reconstruct_slot_rows(devices, at, lzone, stripe, dev, row0, out)
+            let scratch = z.scratch_mut(self.scratch_bytes());
+            self.reconstruct_slot_rows(scratch, devices, at, lzone, stripe, dev, row0, out)
         }
     }
 
@@ -1751,25 +1696,30 @@ impl RaiznVolume {
         let _actor = obs::actor_scope(obs::Actor::Scrub);
         let devices = self.devices.read();
         let su = self.layout.stripe_unit();
-        let dual = self.layout.parity_units() == 2;
         let stripe_data = self.layout.stripe_data_sectors();
         let unit_bytes = (su * SECTOR_SIZE) as usize;
         let mut report = ScrubReport::default();
-        let mut acc_p = vec![0u8; unit_bytes];
-        let mut acc_q = vec![0u8; if dual { unit_bytes } else { 0 }];
-        let mut slot = vec![0u8; unit_bytes];
+        // One stripe in memory: the data units in unit order, the stored
+        // parity slots, and the parity the codec computes over the data.
+        let mut data = vec![0u8; self.layout.data_units() as usize * unit_bytes];
+        let mut stored = vec![0u8; self.scratch_bytes()];
+        let mut fresh = vec![0u8; self.scratch_bytes()];
         for lz in 0..self.layout.logical_zones() {
             let mut z = self.lock_shard(lz);
             let full_stripes = z.wp / stripe_data;
             for stripe in 0..full_stripes {
-                acc_p.fill(0);
-                acc_q.fill(0);
                 for dev in 0..self.layout.devices() {
-                    match self.fetch_slot_rows_live(&devices, at, lz, stripe, dev, 0, &mut slot) {
+                    let slot = match self.slot_role(lz, stripe, dev) {
+                        Role::Data(k) => &mut data[k as usize * unit_bytes..][..unit_bytes],
+                        Role::P => &mut stored[..unit_bytes],
+                        Role::Q => &mut stored[unit_bytes..],
+                    };
+                    match self.fetch_slot_rows_live(&devices, at, lz, stripe, dev, 0, slot) {
                         Ok(_) => {}
                         Err(ZnsError::MediaError { .. }) => {
+                            let scratch = z.scratch_mut(self.scratch_bytes());
                             self.reconstruct_slot_rows(
-                                &devices, at, lz, stripe, dev, 0, &mut slot,
+                                scratch, &devices, at, lz, stripe, dev, 0, slot,
                             )?;
                             self.relocate_repaired_unit(
                                 &mut z,
@@ -1778,7 +1728,7 @@ impl RaiznVolume {
                                 lz,
                                 stripe,
                                 dev,
-                                slot.clone(),
+                                slot.to_vec(),
                                 su,
                             )?;
                             report.units_healed += 1;
@@ -1786,42 +1736,23 @@ impl RaiznVolume {
                         }
                         Err(e) => return Err(e),
                     }
-                    // Role-aware accumulation: the P syndrome folds data
-                    // and stored P, the Q syndrome folds g^k-scaled data
-                    // and stored Q; each vanishes iff its parity is right.
-                    match self.slot_role(lz, stripe, dev) {
-                        SlotRole::Data(k) => {
-                            xor_into(&mut acc_p, &slot);
-                            if dual {
-                                sim::gf_mul_into(&mut acc_q, &slot, sim::gf_pow(2, k as u32));
-                            }
-                        }
-                        SlotRole::P => xor_into(&mut acc_p, &slot),
-                        SlotRole::Q => xor_into(&mut acc_q, &slot),
-                    }
                 }
                 report.stripes_checked += 1;
-                if !sim::is_zero(&acc_p) {
-                    // The P syndrome should vanish; it does not, so
-                    // stored_P ^ acc_p is the correct parity. Install it
-                    // as a relocated unit.
-                    let pdev = self.layout.parity_device(lz, stripe);
-                    let mut fixed = vec![0u8; unit_bytes];
-                    self.fetch_slot_rows_live(&devices, at, lz, stripe, pdev, 0, &mut fixed)?;
-                    xor_into(&mut fixed, &acc_p);
-                    self.relocate_repaired_unit(&mut z, &devices, at, lz, stripe, pdev, fixed, su)?;
-                    report.parity_repairs += 1;
-                    AtomicRaiznStats::add(&self.stats.scrub_repairs, 1);
-                }
-                if dual && !sim::is_zero(&acc_q) {
-                    let qdev = self
-                        .layout
-                        .q_device(lz, stripe)
-                        .ok_or_else(|| internal("dual mode must have a Q device"))?;
-                    let mut fixed = vec![0u8; unit_bytes];
-                    self.fetch_slot_rows_live(&devices, at, lz, stripe, qdev, 0, &mut fixed)?;
-                    xor_into(&mut fixed, &acc_q);
-                    self.relocate_repaired_unit(&mut z, &devices, at, lz, stripe, qdev, fixed, su)?;
+                let (p, q) = fresh.split_at_mut(unit_bytes);
+                sim::encode_pq(&data, Some(p), (!q.is_empty()).then_some(q));
+                // A stored parity slot that differs from the encode of the
+                // data is wrong; the encode is the repair, installed as a
+                // relocated unit.
+                let pdev = self.layout.parity_device(lz, stripe);
+                let legs = [Some(pdev), self.layout.q_device(lz, stripe)];
+                for (leg, dev) in legs.into_iter().enumerate() {
+                    let Some(dev) = dev else { continue };
+                    let col = leg * unit_bytes..(leg + 1) * unit_bytes;
+                    if stored[col.clone()] == fresh[col.clone()] {
+                        continue;
+                    }
+                    let fixed = fresh[col].to_vec();
+                    self.relocate_repaired_unit(&mut z, &devices, at, lz, stripe, dev, fixed, su)?;
                     report.parity_repairs += 1;
                     AtomicRaiznStats::add(&self.stats.scrub_repairs, 1);
                 }
@@ -1836,6 +1767,99 @@ impl RaiznVolume {
     // ------------------------------------------------------------------
     // Write path helpers
     // ------------------------------------------------------------------
+
+    /// Issues the parity legs of a completed stripe and returns when the
+    /// last one completes: with `zrwa_rows` the final delta rows and the
+    /// slot commit of each in-place ZRWA parity slot, otherwise the whole
+    /// columns to the parity slots. `p` / `q` are `None` for a leg that
+    /// does not exist (`q` on a single-parity array) or that
+    /// `store_slot_rows` would drop (device failed, slot not relocated);
+    /// a dropped leg is not issued, its span and counters still land at
+    /// `issue`. Runs under `lzone`'s shard lock (`z`).
+    #[allow(clippy::too_many_arguments)]
+    fn store_parity_legs(
+        &self,
+        z: &mut LZone,
+        devices: &[Arc<ZnsDevice>],
+        issue: SimTime,
+        lzone: u32,
+        stripe: u64,
+        p: Option<&[u8]>,
+        q: Option<&[u8]>,
+        zrwa_rows: Option<(u64, u64)>,
+        fua: bool,
+    ) -> Result<SimTime> {
+        let su = self.layout.stripe_unit();
+        let pdev = self.layout.parity_device(lzone, stripe);
+        let qdev = self.layout.q_device(lzone, stripe);
+        let flags = WriteFlags {
+            fua,
+            preflush: false,
+        };
+        let mut completion = issue;
+        if let Some((row_lo, row_hi)) = zrwa_rows {
+            // §5.4 extension: the earlier rows are already in the window;
+            // write the final delta and commit the slot.
+            let rows = (row_lo * SECTOR_SIZE) as usize..(row_hi * SECTOR_SIZE) as usize;
+            let phys_zone = self.layout.phys_zone(lzone);
+            let pba = self.layout.stripe_pba(lzone, stripe) + row_lo;
+            for (dev, col) in [(Some(pdev), p), (qdev, q)] {
+                let Some(dev) = dev else { continue };
+                let col = col.ok_or_else(|| internal("zrwa parity leg without a column"))?;
+                let d = &devices[dev as usize];
+                let mut done = d.write_zrwa(issue, pba, &col[rows.clone()])?.done;
+                done = done.max(d.commit_zrwa(done, phys_zone, (stripe + 1) * su)?.done);
+                completion = completion.max(done);
+                AtomicRaiznStats::add(&self.stats.zrwa_parity_writes, 1);
+                self.bump(obs::Counter::ZrwaParityWrites);
+                if dev == pdev {
+                    self.trace_span(
+                        obs::OpClass::Write,
+                        obs::Stage::Xor,
+                        Some(obs::PathKind::Zrwa),
+                        lzone,
+                        pba,
+                        row_hi - row_lo,
+                        issue,
+                        done,
+                    );
+                }
+            }
+        } else {
+            // Full parity to the parity slots in the data zone.
+            let legs = [
+                (Some(pdev), p, obs::PathKind::FullParity),
+                (qdev, q, obs::PathKind::QParity),
+            ];
+            for (dev, col, path) in legs {
+                let Some(dev) = dev else { continue };
+                let done = match col {
+                    Some(col) => {
+                        self.store_slot_rows(z, devices, issue, lzone, stripe, dev, 0, col, flags)?
+                    }
+                    None => issue,
+                };
+                completion = completion.max(done);
+                self.trace_span(
+                    obs::OpClass::Write,
+                    obs::Stage::Xor,
+                    Some(path),
+                    lzone,
+                    0,
+                    su,
+                    issue,
+                    done,
+                );
+            }
+        }
+        AtomicRaiznStats::add(&self.stats.full_parity_writes, 1);
+        self.bump(obs::Counter::FullParityWrites);
+        if qdev.is_some() {
+            AtomicRaiznStats::add(&self.stats.q_parity_writes, 1);
+            self.bump(obs::Counter::QParityWrites);
+        }
+        Ok(completion)
+    }
 
     /// Stores `data` rows of the slot held by `dev` at `(lzone, stripe)`,
     /// relocating to the device's metadata zone when the slot is
@@ -1870,11 +1894,7 @@ impl RaiznVolume {
             let off = (row0 * SECTOR_SIZE) as usize;
             entry.data[off..off + data.len()].copy_from_slice(data);
             entry.valid = entry.valid.max(row0 + data.len() as u64 / SECTOR_SIZE);
-            let valid = entry.valid;
             self.sync_relocated_count(&m);
-            if std::env::var_os("RAIZN_DEBUG").is_some() {
-                eprintln!("[reloc] lz={lzone} stripe={stripe} dev={dev} row0={row0} valid={valid}");
-            }
             AtomicRaiznStats::add(&self.stats.relocated_units, 1);
             self.bump(obs::Counter::RelocatedWrites);
             self.trace_span(
@@ -2070,18 +2090,23 @@ impl RaiznVolume {
             let wp = z.wp;
             let stripe = wp / stripe_data;
             let off_in_stripe = wp % stripe_data;
-            // Ensure the stripe buffer stages this stripe, drawing from
-            // the zone's spare so steady-state writes allocate nothing.
-            {
-                let need_new = match &z.buffer {
-                    Some(b) => b.stripe() != stripe,
-                    None => true,
-                };
-                if need_new {
-                    debug_assert_eq!(off_in_stripe, 0, "mid-stripe write without a staged buffer");
-                    if let Some(stale) = z.buffer.take() {
-                        z.retire_buffer(stale);
-                    }
+            let chunk_sectors =
+                (stripe_data - off_in_stripe).min(remaining.len() as u64 / SECTOR_SIZE);
+            let (chunk, rest) = remaining.split_at((chunk_sectors * SECTOR_SIZE) as usize);
+            remaining = rest;
+            // A chunk that covers the whole stripe is never staged: its
+            // parity is encoded straight from `chunk` once the data legs
+            // are out. Only sub-stripe chunks go through the stripe
+            // buffer, drawn from the zone's spare so steady-state writes
+            // allocate nothing.
+            let whole = chunk_sectors == stripe_data;
+            let staged_here = matches!(&z.buffer, Some(b) if b.stripe() == stripe);
+            if !staged_here {
+                debug_assert_eq!(off_in_stripe, 0, "mid-stripe write without a staged buffer");
+                if let Some(stale) = z.buffer.take() {
+                    z.retire_buffer(stale);
+                }
+                if !whole {
                     let buf = z.stripe_buffer(
                         &self.stats,
                         stripe,
@@ -2092,16 +2117,10 @@ impl RaiznVolume {
                     z.buffer = Some(buf);
                 }
             }
-            let chunk_sectors =
-                (stripe_data - off_in_stripe).min(remaining.len() as u64 / SECTOR_SIZE);
-            let (chunk, rest) = remaining.split_at((chunk_sectors * SECTOR_SIZE) as usize);
-            remaining = rest;
-
-            let (row_lo, row_hi) = z
-                .buffer
-                .as_mut()
-                .ok_or_else(|| internal("stripe buffer staged above"))?
-                .fill(chunk);
+            let (row_lo, row_hi) = match z.buffer.as_mut() {
+                Some(buf) => buf.fill(chunk),
+                None => (0, su),
+            };
 
             // Data sub-IOs, split per unit.
             let mut cursor = off_in_stripe;
@@ -2139,11 +2158,7 @@ impl RaiznVolume {
                 z.wp += chunk_sectors;
                 self.zone_wp[lzone as usize].store(z.wp, Ordering::Release);
             }
-            let complete = z
-                .buffer
-                .as_ref()
-                .ok_or_else(|| internal("stripe buffer staged for completion check"))?
-                .is_complete();
+            let complete = z.buffer.as_ref().is_none_or(StripeBuffer::is_complete);
             let pdev = self.layout.parity_device(lzone, stripe);
             let qdev = self.layout.q_device(lzone, stripe);
             let slot_conflicted = z.conflicts.contains(&(stripe, pdev));
@@ -2159,111 +2174,56 @@ impl RaiznVolume {
                 && !slot_conflicted
                 && q_zrwa_ok;
             if complete {
-                // Detach the buffer: its parity is handed to the device
-                // layer as a borrowed slice (no copy) and the buffer is
-                // then retired into the zone's spare slot.
-                let buf = z
-                    .buffer
-                    .take()
-                    .ok_or_else(|| internal("stripe buffer staged for parity write"))?;
-                if zrwa_ok {
-                    // §5.4 extension: the earlier rows are already in the
-                    // window; write the final delta and commit the slot.
-                    let pp = &buf.parity()
-                        [(row_lo * SECTOR_SIZE) as usize..(row_hi * SECTOR_SIZE) as usize];
-                    let phys_zone = self.layout.phys_zone(lzone);
-                    let pba = self.layout.stripe_pba(lzone, stripe) + row_lo;
-                    let dev = &devices[pdev as usize];
-                    let mut done = dev.write_zrwa(issue, pba, pp)?.done;
-                    done = done.max(dev.commit_zrwa(done, phys_zone, (stripe + 1) * su)?.done);
-                    completion = completion.max(done);
-                    AtomicRaiznStats::add(&self.stats.zrwa_parity_writes, 1);
-                    self.bump(obs::Counter::ZrwaParityWrites);
-                    self.trace_span(
-                        obs::OpClass::Write,
-                        obs::Stage::Xor,
-                        Some(obs::PathKind::Zrwa),
-                        lzone,
-                        pba,
-                        row_hi - row_lo,
-                        issue,
-                        done,
-                    );
-                    if let Some(q) = qdev {
-                        // Q-leg: the same delta rows of the Q column.
-                        let qq = &buf.q_parity()
-                            [(row_lo * SECTOR_SIZE) as usize..(row_hi * SECTOR_SIZE) as usize];
-                        let qd = &devices[q as usize];
-                        let mut qdone = qd.write_zrwa(issue, pba, qq)?.done;
-                        qdone =
-                            qdone.max(qd.commit_zrwa(qdone, phys_zone, (stripe + 1) * su)?.done);
-                        completion = completion.max(qdone);
-                        AtomicRaiznStats::add(&self.stats.zrwa_parity_writes, 1);
-                        self.bump(obs::Counter::ZrwaParityWrites);
-                    }
-                } else {
-                    // Full parity to the parity slot in the data zone.
-                    let done = self.store_slot_rows(
-                        &mut z,
-                        &devices,
-                        issue,
-                        lzone,
-                        stripe,
-                        pdev,
-                        0,
-                        buf.parity(),
-                        WriteFlags {
-                            fua: flags.fua,
-                            preflush: false,
-                        },
-                    )?;
-                    completion = completion.max(done);
-                    self.trace_span(
-                        obs::OpClass::Write,
-                        obs::Stage::Xor,
-                        Some(obs::PathKind::FullParity),
-                        lzone,
-                        0,
-                        su,
-                        issue,
-                        done,
-                    );
-                }
-                AtomicRaiznStats::add(&self.stats.full_parity_writes, 1);
-                self.bump(obs::Counter::FullParityWrites);
-                if let Some(q) = qdev {
-                    if !zrwa_ok {
-                        // Full Q parity to the Q slot in the data zone.
-                        let qdone = self.store_slot_rows(
+                // A parity leg whose device has failed (and whose slot is
+                // not relocated) is dropped by `store_slot_rows`; it is
+                // neither computed nor issued.
+                let dropped = |z: &LZone, dev: u32| {
+                    self.is_failed(dev as usize) && !z.conflicts.contains(&(stripe, dev))
+                };
+                let want_p = !dropped(&z, pdev);
+                let want_q = qdev.is_some_and(|q| !dropped(&z, q));
+                // Detach whichever owns the parity columns — the staged
+                // buffer, or the zone's spare columns after a one-pass
+                // encode of the caller's payload — and hand them to the
+                // device layer as borrowed slices (no copy). The owner
+                // goes back to the zone whether or not a leg fails.
+                let done = match z.buffer.take() {
+                    Some(buf) => {
+                        let done = self.store_parity_legs(
                             &mut z,
                             &devices,
                             issue,
                             lzone,
                             stripe,
-                            q,
-                            0,
-                            buf.q_parity(),
-                            WriteFlags {
-                                fua: flags.fua,
-                                preflush: false,
-                            },
-                        )?;
-                        completion = completion.max(qdone);
-                        self.trace_span(
-                            obs::OpClass::Write,
-                            obs::Stage::Xor,
-                            Some(obs::PathKind::QParity),
-                            lzone,
-                            0,
-                            su,
-                            issue,
-                            qdone,
+                            want_p.then(|| buf.parity()),
+                            want_q.then(|| buf.q_parity()),
+                            zrwa_ok.then_some((row_lo, row_hi)),
+                            flags.fua,
                         );
+                        z.retire_buffer(buf);
+                        done
                     }
-                    AtomicRaiznStats::add(&self.stats.q_parity_writes, 1);
-                    self.bump(obs::Counter::QParityWrites);
-                }
-                z.retire_buffer(buf);
+                    None => {
+                        let mut cols = std::mem::take(z.scratch_mut(self.scratch_bytes()));
+                        let (p, q) = cols.split_at_mut((su * SECTOR_SIZE) as usize);
+                        let (mut p, mut q) = (want_p.then_some(p), want_q.then_some(q));
+                        sim::encode_pq(chunk, p.as_deref_mut(), q.as_deref_mut());
+                        let done = self.store_parity_legs(
+                            &mut z,
+                            &devices,
+                            issue,
+                            lzone,
+                            stripe,
+                            p.as_deref(),
+                            q.as_deref(),
+                            zrwa_ok.then_some((row_lo, row_hi)),
+                            flags.fua,
+                        );
+                        z.scratch = cols;
+                        done
+                    }
+                };
+                completion = completion.max(done?);
             } else if zrwa_ok {
                 // §5.4 extension: overwrite the affected parity rows in
                 // place inside the parity slot's ZRWA window (borrowed
@@ -2307,7 +2267,7 @@ impl RaiznVolume {
                 // buffer into the pooled scratch: no owned payload copy.
                 let mut m = self.lock_meta();
                 let mut scratch = std::mem::take(&mut m.md_scratch);
-                let (pp_rows, pp_stripe, pp_filled) = {
+                let pp_rows = {
                     let buf = z
                         .buffer
                         .as_ref()
@@ -2332,7 +2292,7 @@ impl RaiznVolume {
                         m.gens[lzone as usize],
                     )
                     .encode_into(&mut scratch);
-                    (hi - lo, buf.stripe(), buf.filled_sectors())
+                    hi - lo
                 };
                 let r = self.md_append_bytes(
                     &mut m,
@@ -2404,22 +2364,11 @@ impl RaiznVolume {
                 m.md_scratch = scratch;
                 // Refresh the checkpoint snapshot for metadata GC: the
                 // stripe buffer itself stays behind this zone's shard.
-                {
-                    let buf = z
-                        .buffer
-                        .as_ref()
-                        .ok_or_else(|| internal("stripe buffer staged for pp snapshot"))?;
-                    let rows = (pp_filled.min(su) * SECTOR_SIZE) as usize;
-                    let snap = m.pp_live.entry(lzone).or_default();
-                    snap.stripe = pp_stripe;
-                    snap.filled = pp_filled;
-                    snap.parity.clear();
-                    snap.parity.extend_from_slice(&buf.parity()[..rows]);
-                    snap.q.clear();
-                    if qdev.is_some() {
-                        snap.q.extend_from_slice(&buf.q_parity()[..rows]);
-                    }
-                }
+                let buf = z
+                    .buffer
+                    .as_ref()
+                    .ok_or_else(|| internal("stripe buffer staged for pp snapshot"))?;
+                m.pp_live[lzone as usize].capture(buf, su);
                 drop(m);
                 completion = completion.max(pp_done);
                 AtomicRaiznStats::add(&self.stats.pp_log_entries, 1);
@@ -2652,7 +2601,7 @@ impl RaiznVolume {
             let done = self.persist_gen_page(&mut m, devices, t, lzone)?;
             m.relocated.retain(|(lz, _, _), _| *lz != lzone);
             self.sync_relocated_count(&m);
-            m.pp_live.remove(&lzone);
+            m.pp_live[lzone as usize].filled = 0;
             done
         };
         if let Some(buf) = z.buffer.take() {
@@ -2746,21 +2695,8 @@ impl RaiznVolume {
             let z = self.lock_shard(lz);
             let mut m = self.lock_meta();
             match &z.buffer {
-                Some(buf) if buf.filled_sectors() > 0 => {
-                    let rows = (buf.filled_sectors().min(su) * SECTOR_SIZE) as usize;
-                    let snap = m.pp_live.entry(lz).or_default();
-                    snap.stripe = buf.stripe();
-                    snap.filled = buf.filled_sectors();
-                    snap.parity.clear();
-                    snap.parity.extend_from_slice(&buf.parity()[..rows]);
-                    snap.q.clear();
-                    if buf.parity_units() >= 2 {
-                        snap.q.extend_from_slice(&buf.q_parity()[..rows]);
-                    }
-                }
-                _ => {
-                    m.pp_live.remove(&lz);
-                }
+                Some(buf) if buf.filled_sectors() > 0 => m.pp_live[lz as usize].capture(buf, su),
+                _ => m.pp_live[lz as usize].filled = 0,
             }
         }
         let mut m = self.lock_meta();
@@ -2912,6 +2848,7 @@ impl RaiznVolume {
                         reads_done = cursor;
                     } else {
                         reads_done = self.reconstruct_slot_rows(
+                            z.scratch_mut(self.scratch_bytes()),
                             &devices,
                             cursor,
                             lzone,
@@ -3418,5 +3355,39 @@ impl obs::GaugeSource for RaiznVolume {
         ));
         self.shard_locks.sample_gauges(0, out);
         self.meta_locks.sample_gauges(1, out);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zns::{FaultOp, FaultPlan, ZnsConfig};
+
+    /// A whole-stripe write whose parity leg fails hands the zone its
+    /// spare parity columns back: the next whole-stripe write or degraded
+    /// read must not have to allocate them again.
+    #[test]
+    fn failed_parity_leg_keeps_the_spare_columns() {
+        let devices: Vec<Arc<ZnsDevice>> = (0..5)
+            .map(|_| Arc::new(ZnsDevice::new(ZnsConfig::small_test())))
+            .collect();
+        let config = RaiznConfig {
+            transient_retry_limit: 0,
+            device_error_budget: u64::MAX,
+            ..RaiznConfig::small_test()
+        };
+        let v = RaiznVolume::format(devices.clone(), config, SimTime::ZERO).unwrap();
+        let sectors = v.layout.stripe_data_sectors();
+        let stripe = vec![7u8; (sectors * SECTOR_SIZE) as usize];
+        v.write(SimTime::ZERO, 0, &stripe, WriteFlags::default())
+            .unwrap();
+        let columns = v.scratch_bytes();
+        assert_eq!(v.lock_shard(0).scratch.len(), columns);
+
+        let pdev = v.layout.parity_device(0, 1) as usize;
+        devices[pdev].set_fault_plan(FaultPlan::new(1).fail_nth(FaultOp::Write, 1));
+        v.write(SimTime::ZERO, sectors, &stripe, WriteFlags::default())
+            .unwrap_err();
+        assert_eq!(v.lock_shard(0).scratch.len(), columns);
     }
 }

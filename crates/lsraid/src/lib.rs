@@ -1985,38 +1985,35 @@ impl LsVolume {
         let inner = self.inner.lock();
         let mut rep = LsScrubReport::default();
         let bytes = (self.k * SECTOR_SIZE) as usize;
-        let mut acc = vec![0u8; bytes];
-        let mut qacc = vec![0u8; bytes];
-        let mut unit_buf = vec![0u8; bytes];
+        // One stripe in memory: the data units in unit order, the parity
+        // the codec computes over them, and one stored parity slot.
+        let mut data = vec![0u8; self.d * bytes];
+        let mut p = vec![0u8; bytes];
+        let mut q = vec![0u8; if self.p == 2 { bytes } else { 0 }];
+        let mut stored = vec![0u8; bytes];
         for grp in &inner.groups {
             if grp.state == GState::Free {
                 continue;
             }
             for stripe in 0..grp.sealed {
                 rep.stripes += 1;
-                acc.fill(0);
-                qacc.fill(0);
-                for unit in 0..self.d {
+                for (unit, unit_buf) in data.chunks_exact_mut(bytes).enumerate() {
                     let dev = self.data_dev(stripe, unit);
                     let z = grp.zones[dev];
                     self.devices[dev].read(
                         at,
                         self.phys.zone_start(z) + stripe * self.k,
-                        &mut unit_buf,
+                        unit_buf,
                     )?;
-                    sim::xor_into(&mut acc, &unit_buf);
-                    if self.p == 2 {
-                        sim::gf_mul_into(&mut qacc, &unit_buf, sim::gf_pow(2, unit as u32));
-                    }
                 }
+                sim::encode_pq(&data, Some(&mut p), (self.p == 2).then_some(&mut q));
                 let pdev = (stripe % self.n as u64) as usize;
                 self.devices[pdev].read(
                     at,
                     self.phys.zone_start(grp.zones[pdev]) + stripe * self.k,
-                    &mut unit_buf,
+                    &mut stored,
                 )?;
-                sim::xor_into(&mut acc, &unit_buf);
-                if !sim::is_zero(&acc) {
+                if stored != p {
                     rep.parity_errors += 1;
                 }
                 if self.p == 2 {
@@ -2024,10 +2021,9 @@ impl LsVolume {
                     self.devices[qdev].read(
                         at,
                         self.phys.zone_start(grp.zones[qdev]) + stripe * self.k,
-                        &mut unit_buf,
+                        &mut stored,
                     )?;
-                    sim::xor_into(&mut qacc, &unit_buf);
-                    if !sim::is_zero(&qacc) {
+                    if stored != q {
                         rep.q_errors += 1;
                     }
                 }

@@ -9,12 +9,25 @@
 //! Q = g^0·D_0 ^ g^1·D_1 ^ ... ^ g^{d-1}·D_{d-1}
 //! ```
 //!
-//! Every Q computation reduces to `dst ^= c · src` over sector-sized byte
-//! ranges ([`gf_mul_into`]) plus the occasional in-place constant scale
-//! ([`gf_scale`]). Like [`crate::xor_into`], the kernels process [`u64`]
-//! words — eight field elements per lane step — using the classic SWAR
-//! "xtime" ladder, make no alignment assumptions, and never allocate.
-//! Safe Rust only (`sim` forbids `unsafe`).
+//! Incremental Q updates reduce to `dst ^= c · src` over sector-sized
+//! byte ranges ([`gf_mul_into`]) plus the occasional in-place constant
+//! scale ([`gf_scale`]); whole-stripe encode and erasure decode live in
+//! [`crate::codec`] on top of these. Two multiply strategies, picked by
+//! the constant:
+//!
+//! - `c = 2^k` (every Q coefficient of an array with at most eight data
+//!   units): `k` steps of the "xtime" doubling per byte. The doubling is
+//!   branch-free mask arithmetic — shift left, AND the reduction
+//!   constant with the sign mask — which the compiler turns into four
+//!   byte-lane SIMD instructions, so the loop auto-vectorizes like
+//!   [`crate::xor_into`].
+//! - any other `c` (decode inverses, wide arrays): one lookup per byte in
+//!   the `c` row of a compile-time 256 × 256 product table (64 KiB of
+//!   read-only data). The cost is flat in `c`, where a shift-and-add
+//!   ladder pays one data-dependent step per set bit.
+//!
+//! The kernels make no alignment assumptions and never allocate. Safe
+//! Rust only (`sim` forbids `unsafe`).
 //!
 //! The scalar byte-at-a-time references ([`gf_mul_into_scalar_reference`],
 //! [`gf_scale_scalar_reference`]) are the proptest oracles and benchmark
@@ -35,10 +48,8 @@
 //! assert_eq!(q, d1);
 //! ```
 
-const WORD: usize = 8;
-
 /// The reduction constant of the field polynomial 0x11d, low byte.
-const POLY_LOW: u64 = 0x1d;
+const POLY_LOW: u8 = 0x1d;
 
 /// `g^i` for `i` in `0..510`: doubled so `EXP[LOG[a] + LOG[b]]` needs no
 /// modular reduction. `g = 2` generates the full multiplicative group.
@@ -47,8 +58,11 @@ const EXP: [u8; 512] = build_exp();
 /// `LOG[x]` is the discrete log of `x` base `g` (`LOG[0]` is unused).
 const LOG: [u8; 256] = build_log();
 
-const fn xtime(x: u8) -> u8 {
-    ((x & 0x7f) << 1) ^ if x & 0x80 != 0 { 0x1d } else { 0 }
+/// Doubles one field element. Mask form, no branch: the arithmetic shift
+/// smears the top bit over the byte and selects the reduction constant.
+#[inline(always)]
+pub(crate) const fn xtime(x: u8) -> u8 {
+    (x << 1) ^ (POLY_LOW & ((x as i8) >> 7) as u8)
 }
 
 const fn build_exp() -> [u8; 512] {
@@ -109,30 +123,33 @@ pub const fn gf_inv(a: u8) -> u8 {
     EXP[255 - LOG[a as usize] as usize]
 }
 
-/// Doubles all eight field elements packed in a word (SWAR "xtime").
-#[inline]
-fn xtime_word(v: u64) -> u64 {
-    let hi = v & 0x8080_8080_8080_8080;
-    // `hi >> 7` leaves a 0x01 in each byte whose element overflowed;
-    // multiplying by 0x1d broadcasts the reduction into those bytes
-    // without inter-byte carries (0x01 * 0x1d fits in a byte).
-    ((v & 0x7f7f_7f7f_7f7f_7f7f) << 1) ^ ((hi >> 7) * POLY_LOW)
+/// `GF_MUL[c][x] = c · x`: one 256-byte row per constant, built at
+/// compile time. Generic multipliers index their row once per byte.
+static GF_MUL: [[u8; 256]; 256] = build_mul();
+
+const fn build_mul() -> [[u8; 256]; 256] {
+    let mut t = [[0u8; 256]; 256];
+    let mut c = 1;
+    while c < 256 {
+        let mut x = 1;
+        while x < 256 {
+            t[c][x] = gf_mul(c as u8, x as u8);
+            x += 1;
+        }
+        c += 1;
+    }
+    t
 }
 
-/// Multiplies all eight packed field elements by the constant `c`.
-#[inline]
-fn mul_word(mut v: u64, c: u8) -> u64 {
-    let mut acc = 0u64;
-    let mut cc = c;
-    loop {
-        if cc & 1 != 0 {
-            acc ^= v;
+/// `dst ^= 2^K · src`; `K` is a constant so the doubling chain unrolls
+/// and the byte loop vectorizes.
+fn mac_pow2<const K: u32>(dst: &mut [u8], src: &[u8]) {
+    for (db, sb) in dst.iter_mut().zip(src) {
+        let mut v = *sb;
+        for _ in 0..K {
+            v = xtime(v);
         }
-        cc >>= 1;
-        if cc == 0 {
-            return acc;
-        }
-        v = xtime_word(v);
+        *db ^= v;
     }
 }
 
@@ -149,19 +166,23 @@ fn mul_word(mut v: u64, c: u8) -> u64 {
 pub fn gf_mul_into(dst: &mut [u8], src: &[u8], c: u8) {
     assert_eq!(dst.len(), src.len(), "gf_mul_into length mismatch");
     match c {
-        0 => return,
-        1 => return crate::xor_into(dst, src),
-        _ => {}
-    }
-    let mut d = dst.chunks_exact_mut(WORD);
-    let mut s = src.chunks_exact(WORD);
-    for (dw, sw) in d.by_ref().zip(s.by_ref()) {
-        let x = u64::from_ne_bytes(dw.try_into().expect("word chunk"))
-            ^ mul_word(u64::from_ne_bytes(sw.try_into().expect("word chunk")), c);
-        dw.copy_from_slice(&x.to_ne_bytes());
-    }
-    for (db, sb) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *db ^= gf_mul(*sb, c);
+        0 => {}
+        1 => crate::xor_into(dst, src),
+        c if c.is_power_of_two() => match c.trailing_zeros() {
+            1 => mac_pow2::<1>(dst, src),
+            2 => mac_pow2::<2>(dst, src),
+            3 => mac_pow2::<3>(dst, src),
+            4 => mac_pow2::<4>(dst, src),
+            5 => mac_pow2::<5>(dst, src),
+            6 => mac_pow2::<6>(dst, src),
+            _ => mac_pow2::<7>(dst, src),
+        },
+        c => {
+            let row = &GF_MUL[c as usize];
+            for (db, sb) in dst.iter_mut().zip(src) {
+                *db ^= row[*sb as usize];
+            }
+        }
     }
 }
 
@@ -171,21 +192,44 @@ pub fn gf_mul_into(dst: &mut [u8], src: &[u8], c: u8) {
 /// finished syndrome. `c == 1` is a no-op; `c == 0` zeroes the buffer.
 pub fn gf_scale(buf: &mut [u8], c: u8) {
     match c {
-        0 => return buf.fill(0),
-        1 => return,
-        _ => {}
-    }
-    let mut b = buf.chunks_exact_mut(WORD);
-    for bw in b.by_ref() {
-        let x = mul_word(u64::from_ne_bytes(bw.try_into().expect("word chunk")), c);
-        bw.copy_from_slice(&x.to_ne_bytes());
-    }
-    for bb in b.into_remainder() {
-        *bb = gf_mul(*bb, c);
+        0 => buf.fill(0),
+        1 => {}
+        c => {
+            let row = &GF_MUL[c as usize];
+            for b in buf.iter_mut() {
+                *b = row[*b as usize];
+            }
+        }
     }
 }
 
-/// Two-erasure Reed–Solomon solve for two missing *data* units `j < k`.
+/// The first unknown of the two-erasure solve: with `sp` and `sq` the P
+/// and Q syndromes of two missing data units `j != k` (see
+/// [`rs_solve_two`]), overwrites `sq` with `D_j` and leaves `sp` alone.
+/// Both divisions are folded into two table rows, `D_j = A[sp] ^ B[sq]`
+/// with `A = g^k / (g^j ^ g^k)` and `B = 1 / (g^j ^ g^k)`: one pass, two
+/// lookups and one store per byte. This is the only copy of that loop —
+/// a degraded read wants one unit and stops here.
+///
+/// # Panics
+///
+/// Panics if `j == k` (the denominator vanishes) or lengths differ.
+// Never inlined: where `j` and `k` are constants at the call site LLVM
+// folds the two rows into the loop and it runs a third slower (`hotpath`
+// `rs_decode_gib_s` 0.99 against 1.38).
+#[inline(never)]
+pub(crate) fn rs_solve_first(sp: &[u8], sq: &mut [u8], j: u32, k: u32) {
+    assert_eq!(sp.len(), sq.len(), "rs_solve_two length mismatch");
+    assert!(j != k, "rs_solve_two: identical erasure indices");
+    let (gj, gk) = (gf_pow(2, j), gf_pow(2, k));
+    let b = gf_inv(gj ^ gk);
+    let (ra, rb) = (&GF_MUL[gf_mul(gk, b) as usize], &GF_MUL[b as usize]);
+    for (q, p) in sq.iter_mut().zip(sp) {
+        *q = ra[*p as usize] ^ rb[*q as usize];
+    }
+}
+
+/// Two-erasure Reed–Solomon solve for two missing *data* units `j != k`.
 ///
 /// On entry `sp` must hold the P syndrome (XOR of P and every surviving
 /// data unit) and `sq` the Q syndrome (Q xor `g^i·D_i` over survivors),
@@ -196,15 +240,15 @@ pub fn gf_scale(buf: &mut [u8], c: u8) {
 /// D_j = (g^k·sp ^ sq) / (g^j ^ g^k)        D_k = sp ^ D_j
 /// ```
 ///
+/// `D_j` is one table pass ([`rs_solve_first`]); `D_k` follows by a
+/// vector XOR. Writing both from the table loop reads each byte once but
+/// is bound by its two byte stores (47 µs per 64 KiB against 33 µs).
+///
 /// # Panics
 ///
 /// Panics if `j == k` (the denominator vanishes) or lengths differ.
 pub fn rs_solve_two(sp: &mut [u8], sq: &mut [u8], j: u32, k: u32) {
-    assert!(j != k, "rs_solve_two: identical erasure indices");
-    let gj = gf_pow(2, j);
-    let gk = gf_pow(2, k);
-    gf_mul_into(sq, sp, gk);
-    gf_scale(sq, gf_inv(gj ^ gk));
+    rs_solve_first(sp, sq, j, k);
     crate::xor_into(sp, sq);
 }
 
@@ -225,15 +269,16 @@ pub fn gf_scale_scalar_reference(buf: &mut [u8], c: u8) {
     }
 }
 
-/// Shift-and-reduce scalar multiply, independent of the log/exp tables
-/// so the oracle does not share table-construction bugs with the kernel.
+/// Shift-and-reduce scalar multiply with a textbook branching doubling,
+/// independent of the tables and of the kernels' mask-form [`xtime`] so
+/// the oracle shares no construction bug with what it checks.
 fn gf_mul_scalar(mut a: u8, mut b: u8) -> u8 {
     let mut acc = 0u8;
     while b != 0 {
         if b & 1 != 0 {
             acc ^= a;
         }
-        a = xtime(a);
+        a = ((a & 0x7f) << 1) ^ if a & 0x80 != 0 { 0x1d } else { 0 };
         b >>= 1;
     }
     acc

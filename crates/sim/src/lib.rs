@@ -21,8 +21,12 @@
 //! - [`SimRng`]: a deterministic, seedable RNG wrapper.
 //! - [`xor`]: word-vectorized XOR/zero-check kernels shared by every
 //!   parity hot path (stripe fill, reconstruction, rebuild, mdraid5).
-//! - [`gf`]: word-vectorized GF(2^8) Reed–Solomon kernels for the dual
-//!   (P+Q) parity mode, plus the two-erasure decode solver.
+//! - [`gf`]: GF(2^8) Reed–Solomon kernels for the dual (P+Q) parity
+//!   mode (vectorized doubling ladder for `2^k`, product table otherwise),
+//!   plus the two-erasure solver.
+//! - [`codec`]: the stripe codec over both — one-pass P+Q encode of a
+//!   whole stripe and allocation-free erasure decode, used by every
+//!   engine that keeps parity.
 //!
 //! # Examples
 //!
@@ -40,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod gf;
 mod histogram;
 mod latency;
@@ -50,6 +55,7 @@ mod stats;
 mod time;
 pub mod xor;
 
+pub use codec::encode_pq;
 pub use gf::{gf_inv, gf_mul, gf_mul_into, gf_pow, gf_scale, rs_solve_two};
 pub use histogram::Histogram;
 pub use latency::ChannelModel;
