@@ -68,11 +68,12 @@ fn main() -> bench::BenchResult {
             "Stripe buffers".into(),
             "-".into(),
             "-".into(),
+            // What a zone shard holds (`LZone::{buffer, spare}`): the staged
+            // buffer of its incomplete stripe plus one retired spare.
             format!(
-                "{} KiB ({} units) x {} per open zone",
+                "{} KiB ({} units) x 2 per open zone (staged + spare)",
                 stripe_buffer_bytes / 1024,
                 layout.data_units() + 1,
-                config.stripe_buffers_per_zone
             ),
         ],
         vec![

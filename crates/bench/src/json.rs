@@ -300,22 +300,11 @@ mod tests {
     fn round_trips_exporter_output() {
         let rec = obs::Recorder::new(16, 1);
         rec.enable_windows(sim::SimDuration::from_millis(10), 8);
-        rec.record(obs::TraceEvent {
-            seq: 0,
-            op: obs::OpClass::Write,
-            stage: obs::Stage::WholeOp,
-            path: None,
-            device: obs::NONE,
-            zone: obs::NONE,
-            lba: 0,
-            sectors: 8,
-            start: sim::SimTime::ZERO,
-            end: sim::SimTime::from_micros(50),
-            outcome: obs::Outcome::Success,
-            span: 0,
-            parent: 0,
-            blame: obs::Actor::None,
-        });
+        let tracer = obs::Tracer::new();
+        tracer.attach(rec.clone(), obs::NONE);
+        let (start, end) = (sim::SimTime::ZERO, sim::SimTime::from_micros(50));
+        tracer
+            .leaf(obs::Span::new(obs::OpClass::Write, obs::Stage::WholeOp, start, end).sectors(8));
         let breakdown = Json::parse(&rec.breakdown_json("x")).unwrap();
         assert!(breakdown.get("stages").unwrap().get("whole_op").is_some());
         let timeline = Json::parse(&obs::timeline_json("x", &rec, None, 4096)).unwrap();

@@ -129,44 +129,22 @@ pub fn manager_config() -> LifecycleConfig {
 /// management work is dispatched under mClock arbitration before the
 /// next foreground op. A shed management op is a harness bug (the
 /// internal tenant's queue is drained every pump), so it fails loudly.
-pub struct QosMgmtSink<'a> {
-    sched: &'a QosScheduler,
-    completions: Vec<SchedCompletion>,
-    next_tag: u64,
-}
+pub struct QosMgmtSink<'a>(qos::InternalTenant<'a>);
 
 impl<'a> QosMgmtSink<'a> {
     /// Wraps `sched`; management ops go to [`MGMT_TENANT`].
     pub fn new(sched: &'a QosScheduler) -> Self {
-        QosMgmtSink {
-            sched,
-            completions: Vec::with_capacity(64),
-            next_tag: 0,
-        }
+        QosMgmtSink(qos::InternalTenant::new(sched, MGMT_TENANT))
     }
 }
 
 impl MgmtSink for QosMgmtSink<'_> {
     fn submit_mgmt(&mut self, at: SimTime, zone: u32, op: zns::ZoneMgmtOp) -> zns::Result<SimTime> {
-        match self
-            .sched
-            .submit_mgmt(MGMT_TENANT, self.next_tag, at, zone, op)?
-        {
-            Admission::Admitted(_) => {}
-            Admission::Shed { reason, .. } => {
-                return Err(zns::ZnsError::InvalidArgument(format!(
-                    "management {op} of zone {zone} shed ({reason:?})"
-                )))
-            }
-        }
-        self.next_tag += 1;
-        self.completions.clear();
-        while self.sched.step(&mut self.completions)? {}
-        let mut done = at;
-        for c in &self.completions {
-            done = done.max(c.done);
-        }
-        Ok(done)
+        self.0.submit_and_drain(
+            at,
+            format_args!("management {op} of zone {zone}"),
+            |sched, tenant, tag| sched.submit_mgmt(tenant, tag, at, zone, op),
+        )
     }
 }
 

@@ -139,44 +139,22 @@ pub fn overwrite_offsets(total_blocks: u64, ops: u64, seed: u64) -> Vec<u64> {
 /// migration is dispatched under mClock arbitration before the collector
 /// proceeds. A shed migration is a harness bug (the sink drains the
 /// queue after every submit), so it fails loudly.
-pub struct QosGcSink<'a> {
-    sched: &'a QosScheduler,
-    completions: Vec<SchedCompletion>,
-    next_tag: u64,
-}
+pub struct QosGcSink<'a>(qos::InternalTenant<'a>);
 
 impl<'a> QosGcSink<'a> {
     /// Wraps `sched`; migration writes go to [`GC_TENANT`].
     pub fn new(sched: &'a QosScheduler) -> Self {
-        QosGcSink {
-            sched,
-            completions: Vec::with_capacity(64),
-            next_tag: 0,
-        }
+        QosGcSink(qos::InternalTenant::new(sched, GC_TENANT))
     }
 }
 
 impl GcSink for QosGcSink<'_> {
     fn migrate(&mut self, at: SimTime, lba: Lba, data: &[u8]) -> zns::Result<SimTime> {
-        match self
-            .sched
-            .submit_write(GC_TENANT, self.next_tag, at, lba, data)?
-        {
-            Admission::Admitted(_) => {}
-            Admission::Shed { reason, .. } => {
-                return Err(zns::ZnsError::InvalidArgument(format!(
-                    "gc migration write at lba {lba} shed ({reason:?})"
-                )))
-            }
-        }
-        self.next_tag += 1;
-        self.completions.clear();
-        while self.sched.step(&mut self.completions)? {}
-        let mut done = at;
-        for c in &self.completions {
-            done = done.max(c.done);
-        }
-        Ok(done)
+        self.0.submit_and_drain(
+            at,
+            format_args!("gc migration write at lba {lba}"),
+            |sched, tenant, tag| sched.submit_write(tenant, tag, at, lba, data),
+        )
     }
 }
 

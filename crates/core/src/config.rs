@@ -4,7 +4,7 @@
 ///
 /// The defaults mirror the paper's evaluation setup: 64 KiB stripe units,
 /// 3 reserved metadata zones per device (general metadata, partial-parity
-/// log, one swap zone), 8 stripe buffers per open logical zone.
+/// log, one swap zone).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RaiznConfig {
     /// Stripe unit size in sectors (default 16 = 64 KiB).
@@ -17,8 +17,6 @@ pub struct RaiznConfig {
     /// Metadata zones reserved at the start of every device (>= 3:
     /// general + partial-parity + at least one swap zone).
     pub md_zones_per_device: u32,
-    /// Stripe buffers pre-allocated per open logical zone (paper: 8).
-    pub stripe_buffers_per_zone: usize,
     /// When a logical zone accumulates more relocated stripe units than
     /// this, its physical zones are rewritten through a swap zone at the
     /// next mount.
@@ -66,7 +64,6 @@ impl Default for RaiznConfig {
             stripe_unit_sectors: 16,
             parity: 1,
             md_zones_per_device: 3,
-            stripe_buffers_per_zone: 8,
             relocation_threshold: 16,
             pp_log_full_unit: false,
             use_zrwa: false,
@@ -127,10 +124,6 @@ impl RaiznConfig {
             "no data zones left after reserving {} metadata zones",
             self.md_zones_per_device
         );
-        assert!(
-            self.stripe_buffers_per_zone >= 1,
-            "at least one stripe buffer per zone is required"
-        );
     }
 }
 
@@ -143,7 +136,6 @@ mod tests {
         let c = RaiznConfig::default();
         assert_eq!(c.stripe_unit_sectors * 4096, 64 * 1024);
         assert_eq!(c.md_zones_per_device, 3);
-        assert_eq!(c.stripe_buffers_per_zone, 8);
     }
 
     #[test]

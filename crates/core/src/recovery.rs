@@ -568,7 +568,7 @@ impl RaiznVolume {
                 let off = (cursor * SECTOR_SIZE) as usize;
                 if m.relocated.contains_key(&(lz, stripe, dev)) || !self.is_failed(dev as usize) {
                     let out = &mut staged[off..off + (rows * SECTOR_SIZE) as usize];
-                    self.fetch_slot_rows(&m, devices, at, lz, stripe, dev, row0, out)?;
+                    self.fetch_slot_rows(Some(&m), devices, at, lz, stripe, dev, row0, out)?;
                 } else {
                     missing.push(k);
                 }
@@ -767,24 +767,25 @@ impl RaiznVolume {
         // candidate carries the data extent its parity was computed over —
         // an older (smaller-extent) snapshot can be the only decodable one
         // when a unit staged after it died with its device.
-        let leg_candidates =
-            |leg_dev: u32, imgs: Option<&Vec<ParityImage>>| -> Result<Vec<(Vec<u8>, u64)>> {
-                let mut cands = Vec::new();
-                if complete && avail(m, stripe, leg_dev).unwrap_or(0) >= needed.min(su) {
-                    let mut buf = vec![0u8; bytes];
-                    self.fetch_slot_rows(m, devices, at, lz, stripe, leg_dev, row0, &mut buf)?;
-                    cands.push((buf, layout.stripe_data_sectors()));
+        let leg_candidates = |leg_dev: u32,
+                              imgs: Option<&Vec<ParityImage>>|
+         -> Result<Vec<(Vec<u8>, u64)>> {
+            let mut cands = Vec::new();
+            if complete && avail(m, stripe, leg_dev).unwrap_or(0) >= needed.min(su) {
+                let mut buf = vec![0u8; bytes];
+                self.fetch_slot_rows(Some(m), devices, at, lz, stripe, leg_dev, row0, &mut buf)?;
+                cands.push((buf, layout.stripe_data_sectors()));
+            }
+            for img in imgs.into_iter().flatten().rev() {
+                if (row0..needed).all(|r| img.covered[r as usize]) {
+                    let buf = img.rows
+                        [(row0 * SECTOR_SIZE) as usize..(needed * SECTOR_SIZE) as usize]
+                        .to_vec();
+                    cands.push((buf, img.extent(lz, stripe, &layout)));
                 }
-                for img in imgs.into_iter().flatten().rev() {
-                    if (row0..needed).all(|r| img.covered[r as usize]) {
-                        let buf = img.rows
-                            [(row0 * SECTOR_SIZE) as usize..(needed * SECTOR_SIZE) as usize]
-                            .to_vec();
-                        cands.push((buf, img.extent(lz, stripe, &layout)));
-                    }
-                }
-                Ok(cands)
-            };
+            }
+            Ok(cands)
+        };
 
         // Data units short of `irows` rows at extent `fill`, excluding
         // `skip` (the unit being rebuilt, if any).
@@ -825,7 +826,7 @@ impl RaiznVolume {
                 let idev = layout.data_device(lz, stripe, i);
                 tmp.fill(0);
                 self.fetch_slot_rows(
-                    m,
+                    Some(m),
                     devices,
                     at,
                     lz,

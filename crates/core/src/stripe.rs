@@ -221,17 +221,14 @@ impl StripeBuffer {
         self.filled = 0;
     }
 
-    /// Whether this buffer stages stripes of the given shape (used by the
-    /// volume's buffer pool to check recycled buffers are interchangeable
-    /// with fresh ones).
-    pub fn shape_matches(&self, data_units: u64, unit_sectors: u64) -> bool {
-        self.data_units == data_units && self.unit_sectors == unit_sectors
-    }
-
-    /// [`shape_matches`](Self::shape_matches) plus the parity-column
-    /// count (dual-parity pools must not hand out single-parity buffers).
+    /// Whether this buffer stages stripes of the given shape, parity
+    /// columns included (used by the volume to check a recycled buffer is
+    /// interchangeable with a fresh one; a dual-parity zone must not be
+    /// handed a single-parity buffer).
     pub fn shape_matches_parity(&self, data_units: u64, unit_sectors: u64, parity: u32) -> bool {
-        self.shape_matches(data_units, unit_sectors) && self.parity_units() == parity
+        self.data_units == data_units
+            && self.unit_sectors == unit_sectors
+            && self.parity_units() == parity
     }
 }
 

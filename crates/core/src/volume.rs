@@ -48,6 +48,33 @@ pub(crate) enum MdRole {
     PpLog,
 }
 
+/// One parity leg of a stripe: P (XOR) on every array, Q (Reed–Solomon)
+/// on a dual-parity one. The write path's parity stages loop over
+/// [`RaiznVolume::parity_legs`] rather than spelling the Q leg out again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ParityLeg {
+    P,
+    Q,
+}
+
+impl ParityLeg {
+    /// The leg's running parity column in a staged stripe.
+    fn column(self, buf: &StripeBuffer) -> &[u8] {
+        match self {
+            ParityLeg::P => buf.parity(),
+            ParityLeg::Q => buf.q_parity(),
+        }
+    }
+
+    /// The partial-parity log payload carrying rows of the leg's column.
+    fn pp_payload(self, first_row: u64, data: &[u8]) -> MdPayloadRef<'_> {
+        match self {
+            ParityLeg::P => MdPayloadRef::PartialParity { first_row, data },
+            ParityLeg::Q => MdPayloadRef::PartialParityQ { first_row, data },
+        }
+    }
+}
+
 /// Per-device metadata zone role assignment.
 #[derive(Debug, Clone)]
 pub(crate) struct MdRoles {
@@ -244,9 +271,10 @@ pub struct RaiznVolume {
     /// Rebuild progress: zones completed by the in-flight rebuild pass.
     pub(crate) rebuild_zones_done: AtomicU64,
     pub(crate) stats: AtomicRaiznStats,
-    /// Observability recorder for volume-layer spans (parity-path
-    /// attribution, metadata appends, flush latency) and counters.
-    recorder: RwLock<Option<Arc<obs::Recorder>>>,
+    /// Volume-layer spans (parity-path attribution, metadata appends,
+    /// flush latency) and counters. Volume spans carry no device: device
+    /// attribution lives in the spans [`zns::ZnsDevice`] emits itself.
+    tracer: obs::Tracer,
     /// Wall-clock contention statistics for the zone shard locks
     /// (aggregate across shards; gauge id 0).
     shard_locks: obs::LockStats,
@@ -356,122 +384,6 @@ impl RaiznVolume {
     pub(crate) fn sync_relocated_count(&self, m: &MetaState) {
         self.relocated_len
             .store(m.relocated.len(), Ordering::Release);
-    }
-
-    /// Records a volume-layer trace span on the attached recorder, if any.
-    /// Volume spans carry `device == obs::NONE`: device attribution lives
-    /// in the device-layer spans emitted by [`zns::ZnsDevice`] itself.
-    #[allow(clippy::too_many_arguments)]
-    fn trace_span(
-        &self,
-        op: obs::OpClass,
-        stage: obs::Stage,
-        path: Option<obs::PathKind>,
-        zone: u32,
-        lba: Lba,
-        sectors: u64,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        if let Some(rec) = self.recorder.read().as_ref() {
-            rec.record(obs::TraceEvent {
-                seq: 0,
-                op,
-                stage,
-                path,
-                device: obs::NONE,
-                zone,
-                lba,
-                sectors,
-                start,
-                end,
-                outcome: obs::Outcome::Success,
-                span: 0,
-                parent: obs::current_span(),
-                blame: obs::current_actor(),
-            });
-        }
-    }
-
-    /// Opens a causal span for a top-level volume operation: allocates an
-    /// id (0 when span tracing is disabled), remembers any enclosing span
-    /// as the parent, and installs the id as the ambient span so nested
-    /// device, lock, and parity events link to it. The returned guard
-    /// restores the previous ambient span on drop.
-    fn begin_span(&self) -> (u64, u64, obs::SpanScope) {
-        let parent = obs::current_span();
-        let span = self.recorder.read().as_ref().map_or(0, |r| r.new_span());
-        (span, parent, obs::span_scope(span))
-    }
-
-    /// Records the root `WholeOp` event of a top-level operation with an
-    /// explicit span identity (from [`begin_span`](Self::begin_span)) so
-    /// the recorder can close the op's blame tree on it.
-    #[allow(clippy::too_many_arguments)]
-    fn trace_root(
-        &self,
-        op: obs::OpClass,
-        zone: u32,
-        lba: Lba,
-        sectors: u64,
-        start: SimTime,
-        end: SimTime,
-        span: u64,
-        parent: u64,
-    ) {
-        if let Some(rec) = self.recorder.read().as_ref() {
-            rec.record(obs::TraceEvent {
-                seq: 0,
-                op,
-                stage: obs::Stage::WholeOp,
-                path: None,
-                device: obs::NONE,
-                zone,
-                lba,
-                sectors,
-                start,
-                end,
-                outcome: obs::Outcome::Success,
-                span,
-                parent,
-                blame: obs::current_actor(),
-            });
-        }
-    }
-
-    /// Drops a zero-width `LockWait` marker at `at` into the current span.
-    /// Wall-clock lock contention can never enter the virtual timeline
-    /// (that would break determinism; contention totals live in the
-    /// lock-contention shards), but the marker places the acquisition in
-    /// the op's blame tree and exported waterfalls.
-    fn mark_lock(&self, op: obs::OpClass, zone: u32, at: SimTime) {
-        if let Some(rec) = self.recorder.read().as_ref() {
-            if rec.spans_enabled() {
-                rec.record(obs::TraceEvent {
-                    seq: 0,
-                    op,
-                    stage: obs::Stage::LockWait,
-                    path: None,
-                    device: obs::NONE,
-                    zone,
-                    lba: 0,
-                    sectors: 0,
-                    start: at,
-                    end: at,
-                    outcome: obs::Outcome::Success,
-                    span: 0,
-                    parent: obs::current_span(),
-                    blame: obs::current_actor(),
-                });
-            }
-        }
-    }
-
-    /// Bumps a counter on the attached recorder, if any.
-    fn bump(&self, counter: obs::Counter) {
-        if let Some(rec) = self.recorder.read().as_ref() {
-            rec.bump(counter);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -607,7 +519,7 @@ impl RaiznVolume {
             rebuild_zones_total: AtomicU64::new(0),
             rebuild_zones_done: AtomicU64::new(0),
             stats: AtomicRaiznStats::default(),
-            recorder: RwLock::new(None),
+            tracer: obs::Tracer::new(),
             shard_locks: obs::LockStats::new(),
             meta_locks: obs::LockStats::new(),
         }
@@ -633,7 +545,7 @@ impl RaiznVolume {
     /// it. To also capture device-layer spans, attach the same recorder to
     /// the member devices via [`zns::ZnsDevice::set_recorder`].
     pub fn set_recorder(&self, recorder: std::sync::Arc<obs::Recorder>) {
-        *self.recorder.write() = Some(recorder);
+        self.tracer.attach(recorder, obs::NONE);
     }
 
     /// The generation counter of logical zone `lzone`.
@@ -711,68 +623,56 @@ impl RaiznVolume {
         }
     }
 
-    /// Appends to `dev`'s physical `zone` with bounded retries on
-    /// transient errors; exhaustion counts against the device's error
-    /// budget and surfaces the transient error.
-    fn append_with_retry(
+    /// Issues one command to member `dev` with bounded retries on
+    /// transient errors — the only retry loop in the array layer. A
+    /// command that still fails transiently after
+    /// `transient_retry_limit` retries, or that reports a media error, is
+    /// charged against the member's error budget
+    /// ([`note_device_error`](Self::note_device_error)); what the caller
+    /// then sees is `exhausted`'s choice. Every other outcome passes
+    /// through untouched. `cmd` returns the command's completion instant.
+    fn member_command(
         &self,
         devices: &[Arc<ZnsDevice>],
         at: SimTime,
         dev: usize,
-        zone: u32,
-        bytes: &[u8],
-        flags: WriteFlags,
-    ) -> Result<AppendCompletion> {
+        exhausted: Exhausted,
+        mut cmd: impl FnMut(&ZnsDevice) -> Result<SimTime>,
+    ) -> Result<SimTime> {
         let limit = self.config.transient_retry_limit;
         let mut attempt = 0u32;
         loop {
-            match devices[dev].append(at, zone, bytes, flags) {
+            match cmd(&devices[dev]) {
                 Err(ZnsError::TransientError { .. }) if attempt < limit => {
                     attempt += 1;
                     AtomicRaiznStats::add(&self.stats.transient_retries, 1);
-                    self.bump(obs::Counter::Retries);
+                    self.tracer.bump(obs::Counter::Retries);
                 }
-                Err(e @ ZnsError::TransientError { .. }) => {
+                Err(e @ (ZnsError::TransientError { .. } | ZnsError::MediaError { .. })) => {
                     self.note_device_error(devices, dev);
-                    return Err(e);
+                    return match exhausted {
+                        Exhausted::Omit if self.is_failed(dev) => Ok(at),
+                        _ => Err(e),
+                    };
                 }
                 other => return other,
             }
         }
     }
+}
 
-    /// Resets `dev`'s physical zone `phys` with bounded retries. On
-    /// exhaustion the device is charged an error; if that degrades it the
-    /// reset is treated as done (the device is out of the array, and the
-    /// logged reset WAL replays on its eventual rebuild/remount).
-    fn reset_phys_with_retry(
-        &self,
-        devices: &[Arc<ZnsDevice>],
-        at: SimTime,
-        dev: usize,
-        phys: u32,
-    ) -> Result<SimTime> {
-        let limit = self.config.transient_retry_limit;
-        let mut attempt = 0u32;
-        loop {
-            match devices[dev].reset_zone(at, phys) {
-                Ok(c) => return Ok(c.done),
-                Err(ZnsError::TransientError { .. }) if attempt < limit => {
-                    attempt += 1;
-                    AtomicRaiznStats::add(&self.stats.transient_retries, 1);
-                    self.bump(obs::Counter::Retries);
-                }
-                Err(e @ ZnsError::TransientError { .. }) => {
-                    self.note_device_error(devices, dev);
-                    if self.is_failed(dev) {
-                        return Ok(at);
-                    }
-                    return Err(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
+/// What [`RaiznVolume::member_command`] returns for a command it gave up
+/// on and charged to the member's error budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Exhausted {
+    /// Writes and resets: if the charge degraded the member the command
+    /// is omitted and completes at its issue time — the member is out of
+    /// the array, parity covers the unit, and a logged reset WAL replays
+    /// on its eventual rebuild/remount. Otherwise the error surfaces.
+    Omit,
+    /// Reads and appends: the error always surfaces, for the caller to
+    /// reconstruct around (reads) or to drop the replica (metadata).
+    Surface,
 }
 
 impl RaiznVolume {
@@ -852,46 +752,38 @@ impl RaiznVolume {
             fua,
             preflush: false,
         };
-        let zone = match role {
+        let zone_of = |m: &MetaState| match role {
             MdRole::General => m.md[dev].general,
             MdRole::PpLog => m.md[dev].pplog,
         };
-        let r = match self.append_with_retry(devices, at, dev, zone, bytes, flags) {
-            Ok(c) => {
+        let append = |t: SimTime, zone: u32| {
+            self.member_command(devices, t, dev, Exhausted::Surface, |d| {
+                Ok(d.append(t, zone, bytes, flags)?.done)
+            })
+        };
+        let zone = zone_of(m);
+        let mut issued = at;
+        let mut r = append(at, zone);
+        if matches!(r, Err(ZnsError::ZoneFull { .. })) {
+            issued = self.md_gc(m, devices, at, dev, role)?;
+            r = append(issued, zone_of(m));
+        }
+        let r = match r {
+            Ok(done) => {
                 AtomicRaiznStats::add(&self.stats.md_appends, 1);
-                Ok(c.done)
-            }
-            Err(ZnsError::ZoneFull { .. }) => {
-                let t = self.md_gc(m, devices, at, dev, role)?;
-                let zone = match role {
-                    MdRole::General => m.md[dev].general,
-                    MdRole::PpLog => m.md[dev].pplog,
-                };
-                match self.append_with_retry(devices, t, dev, zone, bytes, flags) {
-                    Ok(c) => {
-                        AtomicRaiznStats::add(&self.stats.md_appends, 1);
-                        Ok(c.done)
-                    }
-                    Err(ZnsError::TransientError { .. }) if self.is_failed(dev) => Ok(t),
-                    Err(e) => Err(e),
-                }
+                Ok(done)
             }
             // Retry exhaustion just degraded the device: its metadata
             // replica is gone with it, mirroring the failed-device
             // early-return above.
-            Err(ZnsError::TransientError { .. }) if self.is_failed(dev) => Ok(at),
+            Err(ZnsError::TransientError { .. }) if self.is_failed(dev) => Ok(issued),
             Err(e) => Err(e),
         };
         if let Ok(done) = r {
-            self.trace_span(
-                obs::OpClass::Append,
-                obs::Stage::MetaAppend,
-                None,
-                zone,
-                0,
-                bytes.len() as u64 / SECTOR_SIZE,
-                at,
-                done,
+            self.tracer.leaf(
+                obs::Span::new(obs::OpClass::Append, obs::Stage::MetaAppend, at, done)
+                    .zone(zone)
+                    .sectors(bytes.len() as u64 / SECTOR_SIZE),
             );
         }
         r
@@ -915,7 +807,7 @@ impl RaiznVolume {
         dev: usize,
         role: MdRole,
     ) -> Result<SimTime> {
-        self.bump(obs::Counter::MdGcRuns);
+        self.tracer.bump(obs::Counter::MdGcRuns);
         let new_zone = m.md[dev]
             .swaps
             .pop()
@@ -930,6 +822,13 @@ impl RaiznVolume {
         // relocation cache, counter table) into the pooled scratch buffer:
         // no owned payload staging.
         let mut scratch = std::mem::take(&mut m.md_scratch);
+        let mut checkpoint = |record: &[u8]| -> Result<()> {
+            t = self.member_command(devices, t, dev, Exhausted::Surface, |d| {
+                Ok(d.append(t, new_zone, record, WriteFlags::default())?.done)
+            })?;
+            AtomicRaiznStats::add(&self.stats.md_appends, 1);
+            Ok(())
+        };
         let r = (|| -> Result<()> {
             match role {
                 MdRole::PpLog => {
@@ -974,45 +873,18 @@ impl RaiznVolume {
                         };
                         MdRecordRef::new(payload, true, sstart, sstart + snap.filled, m.gens[lz])
                             .encode_into(&mut scratch);
-                        let c = self.append_with_retry(
-                            devices,
-                            t,
-                            dev,
-                            new_zone,
-                            &scratch,
-                            WriteFlags::default(),
-                        )?;
-                        t = c.done;
-                        AtomicRaiznStats::add(&self.stats.md_appends, 1);
+                        checkpoint(&scratch)?;
                     }
                 }
                 MdRole::General => {
                     self.superblock_record(devices.len(), dev, true)
                         .as_ref()
                         .encode_into(&mut scratch);
-                    let c = self.append_with_retry(
-                        devices,
-                        t,
-                        dev,
-                        new_zone,
-                        &scratch,
-                        WriteFlags::default(),
-                    )?;
-                    t = c.done;
-                    AtomicRaiznStats::add(&self.stats.md_appends, 1);
+                    checkpoint(&scratch)?;
                     let per = crate::metadata::GEN_COUNTERS_PER_PAGE;
                     for first in (0..m.gens.len()).step_by(per) {
                         Self::encode_gen_page(&m.gens, first, true, &mut scratch);
-                        let c = self.append_with_retry(
-                            devices,
-                            t,
-                            dev,
-                            new_zone,
-                            &scratch,
-                            WriteFlags::default(),
-                        )?;
-                        t = c.done;
-                        AtomicRaiznStats::add(&self.stats.md_appends, 1);
+                        checkpoint(&scratch)?;
                     }
                     // Zone-finish WALs stay live until the zone's next
                     // reset: re-log one checkpoint record per sealed zone
@@ -1032,16 +904,7 @@ impl RaiznVolume {
                             m.gens[lz],
                         )
                         .encode_into(&mut scratch);
-                        let c = self.append_with_retry(
-                            devices,
-                            t,
-                            dev,
-                            new_zone,
-                            &scratch,
-                            WriteFlags::default(),
-                        )?;
-                        t = c.done;
-                        AtomicRaiznStats::add(&self.stats.md_appends, 1);
+                        checkpoint(&scratch)?;
                     }
                     let mut keys: Vec<(u32, u64, u32)> = m
                         .relocated
@@ -1062,16 +925,7 @@ impl RaiznVolume {
                                 &mut scratch,
                             );
                         }
-                        let c = self.append_with_retry(
-                            devices,
-                            t,
-                            dev,
-                            new_zone,
-                            &scratch,
-                            WriteFlags::default(),
-                        )?;
-                        t = c.done;
-                        AtomicRaiznStats::add(&self.stats.md_appends, 1);
+                        checkpoint(&scratch)?;
                     }
                 }
             }
@@ -1081,7 +935,9 @@ impl RaiznVolume {
         r?;
         // The checkpoint must be durable before the old zone disappears.
         t = devices[dev].flush(t)?.done;
-        t = self.reset_phys_with_retry(devices, t, dev, old_zone)?;
+        t = self.member_command(devices, t, dev, Exhausted::Omit, |d| {
+            Ok(d.reset_zone(t, old_zone)?.done)
+        })?;
         m.md[dev].swaps.insert(0, old_zone);
         AtomicRaiznStats::add(&self.stats.md_gc_runs, 1);
         Ok(t)
@@ -1263,12 +1119,19 @@ impl RaiznVolume {
     // Unit fetch (relocation- and failure-aware)
     // ------------------------------------------------------------------
 
-    /// Reads rows straight off `dev` with bounded transient retries; retry
-    /// exhaustion and media errors are charged against the device's error
-    /// budget and surfaced for the caller to reconstruct around.
+    /// Reads `out.len()` bytes starting at row `row0` of the unit held by
+    /// `dev` for `(lzone, stripe)`, transparently serving relocated slots
+    /// from the in-memory cache. Callers already holding the meta lock
+    /// (recovery) pass their guard as `meta`; with `None` the relocation
+    /// cache is consulted only when the lock-free relocation count says
+    /// any entries exist, so steady-state reads never touch the meta lock.
+    /// Device reads retry transients; retry exhaustion and media errors
+    /// are charged against the device's error budget and surfaced for the
+    /// caller to reconstruct around.
     #[allow(clippy::too_many_arguments)]
-    fn fetch_device_rows(
+    pub(crate) fn fetch_slot_rows(
         &self,
+        meta: Option<&MetaState>,
         devices: &[Arc<ZnsDevice>],
         at: SimTime,
         lzone: u32,
@@ -1277,76 +1140,28 @@ impl RaiznVolume {
         row0: u64,
         out: &mut [u8],
     ) -> Result<SimTime> {
+        let mut from_cache = |m: &MetaState| match m.relocated.get(&(lzone, stripe, dev)) {
+            Some(rel) => {
+                let off = (row0 * SECTOR_SIZE) as usize;
+                out.copy_from_slice(&rel.data[off..off + out.len()]);
+                true
+            }
+            None => false,
+        };
+        let cached = match meta {
+            Some(m) => from_cache(m),
+            None => self.relocated_len.load(Ordering::Acquire) > 0 && from_cache(&self.lock_meta()),
+        };
+        if cached {
+            return Ok(at);
+        }
         if self.is_failed(dev as usize) {
             return Err(ZnsError::DeviceFailed);
         }
         let pba = self.layout.stripe_pba(lzone, stripe) + row0;
-        let limit = self.config.transient_retry_limit;
-        let mut attempt = 0u32;
-        loop {
-            match devices[dev as usize].read(at, pba, out) {
-                Ok(c) => return Ok(c.done),
-                Err(ZnsError::TransientError { .. }) if attempt < limit => {
-                    attempt += 1;
-                    AtomicRaiznStats::add(&self.stats.transient_retries, 1);
-                    self.bump(obs::Counter::Retries);
-                }
-                Err(e @ (ZnsError::TransientError { .. } | ZnsError::MediaError { .. })) => {
-                    self.note_device_error(devices, dev as usize);
-                    return Err(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Reads `out.len()` bytes starting at row `row0` of the unit held by
-    /// `dev` for `(lzone, stripe)`, transparently serving relocated slots
-    /// from the in-memory cache. Cold-path variant for callers already
-    /// holding the meta lock (recovery).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn fetch_slot_rows(
-        &self,
-        m: &MetaState,
-        devices: &[Arc<ZnsDevice>],
-        at: SimTime,
-        lzone: u32,
-        stripe: u64,
-        dev: u32,
-        row0: u64,
-        out: &mut [u8],
-    ) -> Result<SimTime> {
-        if let Some(rel) = m.relocated.get(&(lzone, stripe, dev)) {
-            let off = (row0 * SECTOR_SIZE) as usize;
-            out.copy_from_slice(&rel.data[off..off + out.len()]);
-            return Ok(at);
-        }
-        self.fetch_device_rows(devices, at, lzone, stripe, dev, row0, out)
-    }
-
-    /// Hot-path variant of [`Self::fetch_slot_rows`]: consults the
-    /// relocation cache only when the lock-free relocation count says any
-    /// entries exist, so steady-state reads never touch the meta lock.
-    #[allow(clippy::too_many_arguments)]
-    fn fetch_slot_rows_live(
-        &self,
-        devices: &[Arc<ZnsDevice>],
-        at: SimTime,
-        lzone: u32,
-        stripe: u64,
-        dev: u32,
-        row0: u64,
-        out: &mut [u8],
-    ) -> Result<SimTime> {
-        if self.relocated_len.load(Ordering::Acquire) > 0 {
-            let m = self.lock_meta();
-            if let Some(rel) = m.relocated.get(&(lzone, stripe, dev)) {
-                let off = (row0 * SECTOR_SIZE) as usize;
-                out.copy_from_slice(&rel.data[off..off + out.len()]);
-                return Ok(at);
-            }
-        }
-        self.fetch_device_rows(devices, at, lzone, stripe, dev, row0, out)
+        self.member_command(devices, at, dev as usize, Exhausted::Surface, |d| {
+            Ok(d.read(at, pba, out)?.done)
+        })
     }
 
     /// The role a device plays in one stripe: a data unit, the P (XOR)
@@ -1437,7 +1252,7 @@ impl RaiznVolume {
                 if !plan.wants(role) {
                     continue;
                 }
-                match self.fetch_slot_rows_live(devices, at, lzone, stripe, dev, row0, tmp) {
+                match self.fetch_slot_rows(None, devices, at, lzone, stripe, dev, row0, tmp) {
                     Ok(t) => done = done.max(t),
                     Err(
                         e @ (ZnsError::MediaError { .. }
@@ -1459,16 +1274,12 @@ impl RaiznVolume {
         plan.finish(out, &aux[..aux_len(&plan)]);
         if missing.count_ones() > 1 {
             AtomicRaiznStats::add(&self.stats.double_degraded_reads, 1);
-            self.bump(obs::Counter::DoubleDegradedReads);
-            self.trace_span(
-                obs::OpClass::Read,
-                obs::Stage::WholeOp,
-                Some(obs::PathKind::DoubleDegraded),
-                lzone,
-                0,
-                out.len() as u64 / SECTOR_SIZE,
-                at,
-                done,
+            self.tracer.bump(obs::Counter::DoubleDegradedReads);
+            self.tracer.leaf(
+                obs::Span::new(obs::OpClass::Read, obs::Stage::WholeOp, at, done)
+                    .path(obs::PathKind::DoubleDegraded)
+                    .zone(lzone)
+                    .sectors(out.len() as u64 / SECTOR_SIZE),
             );
         }
         Ok(done)
@@ -1502,7 +1313,7 @@ impl RaiznVolume {
                 .relocated
                 .contains_key(&(lzone, stripe, dev));
         if relocated || !self.is_failed(dev as usize) {
-            match self.fetch_slot_rows_live(devices, at, lzone, stripe, dev, row0, out) {
+            match self.fetch_slot_rows(None, devices, at, lzone, stripe, dev, row0, out) {
                 Ok(t) => Ok(t),
                 Err(
                     e @ (ZnsError::MediaError { .. }
@@ -1532,7 +1343,7 @@ impl RaiznVolume {
         out: &mut [u8],
     ) -> Result<SimTime> {
         AtomicRaiznStats::add(&self.stats.degraded_reads, 1);
-        self.bump(obs::Counter::DegradedReads);
+        self.tracer.bump(obs::Counter::DegradedReads);
         let from_buffer = matches!(&z.buffer, Some(b) if b.stripe() == stripe);
         let r = if from_buffer {
             let b = z
@@ -1549,15 +1360,11 @@ impl RaiznVolume {
             self.reconstruct_slot_rows(scratch, devices, at, lzone, stripe, dev, row0, out)
         };
         if let Ok(t) = r {
-            self.trace_span(
-                obs::OpClass::Read,
-                obs::Stage::WholeOp,
-                Some(obs::PathKind::Degraded),
-                lzone,
-                0,
-                out.len() as u64 / SECTOR_SIZE,
-                at,
-                t,
+            self.tracer.leaf(
+                obs::Span::new(obs::OpClass::Read, obs::Stage::WholeOp, at, t)
+                    .path(obs::PathKind::Degraded)
+                    .zone(lzone)
+                    .sectors(out.len() as u64 / SECTOR_SIZE),
             );
         }
         r
@@ -1607,14 +1414,14 @@ impl RaiznVolume {
             let off = (row0 * SECTOR_SIZE) as usize;
             out.copy_from_slice(&data[off..off + out.len()]);
             AtomicRaiznStats::add(&self.stats.read_repairs, 1);
-            self.bump(obs::Counter::ReadRepairs);
+            self.tracer.bump(obs::Counter::ReadRepairs);
             let t2 = self.relocate_repaired_unit(z, devices, at, lzone, stripe, dev, data, su)?;
             Ok(t.max(t2))
         } else {
             // Transient exhaustion / fresh device failure: serve this read
             // from parity without committing a relocation.
             AtomicRaiznStats::add(&self.stats.degraded_reads, 1);
-            self.bump(obs::Counter::DegradedReads);
+            self.tracer.bump(obs::Counter::DegradedReads);
             let scratch = z.scratch_mut(self.scratch_bytes());
             self.reconstruct_slot_rows(scratch, devices, at, lzone, stripe, dev, row0, out)
         }
@@ -1714,7 +1521,7 @@ impl RaiznVolume {
                         Role::P => &mut stored[..unit_bytes],
                         Role::Q => &mut stored[unit_bytes..],
                     };
-                    match self.fetch_slot_rows_live(&devices, at, lz, stripe, dev, 0, slot) {
+                    match self.fetch_slot_rows(None, &devices, at, lz, stripe, dev, 0, slot) {
                         Ok(_) => {}
                         Err(ZnsError::MediaError { .. }) => {
                             let scratch = z.scratch_mut(self.scratch_bytes());
@@ -1768,6 +1575,68 @@ impl RaiznVolume {
     // Write path helpers
     // ------------------------------------------------------------------
 
+    /// The parity legs `(device, leg)` of `(lzone, stripe)`, P first.
+    fn parity_legs(&self, lzone: u32, stripe: u64) -> impl Iterator<Item = (u32, ParityLeg)> {
+        let p = self.layout.parity_device(lzone, stripe);
+        let q = self.layout.q_device(lzone, stripe);
+        [(Some(p), ParityLeg::P), (q, ParityLeg::Q)]
+            .into_iter()
+            .filter_map(|(dev, leg)| Some((dev?, leg)))
+    }
+
+    /// Parity stage of a chunk that completes its stripe: detaches
+    /// whichever owns the parity columns — the staged buffer, or the
+    /// zone's spare columns after a one-pass encode of the caller's
+    /// payload (`chunk` is then the whole stripe) — and hands them to the
+    /// device layer as borrowed slices (no copy). The owner goes back to
+    /// the zone whether or not a leg fails. Runs under `lzone`'s shard
+    /// lock (`z`).
+    #[allow(clippy::too_many_arguments)]
+    fn store_parity_legs(
+        &self,
+        z: &mut LZone,
+        devices: &[Arc<ZnsDevice>],
+        issue: SimTime,
+        lzone: u32,
+        stripe: u64,
+        chunk: &[u8],
+        zrwa_rows: Option<(u64, u64)>,
+        fua: bool,
+    ) -> Result<SimTime> {
+        // A parity leg whose device has failed (and whose slot is not
+        // relocated) is dropped by `store_slot_rows`; it is neither
+        // computed nor issued.
+        let dropped = |z: &LZone, dev: u32| {
+            self.is_failed(dev as usize) && !z.conflicts.contains(&(stripe, dev))
+        };
+        let want_p = !dropped(z, self.layout.parity_device(lzone, stripe));
+        let want_q = self
+            .layout
+            .q_device(lzone, stripe)
+            .is_some_and(|q| !dropped(z, q));
+        match z.buffer.take() {
+            Some(buf) => {
+                let (p, q) = (want_p.then(|| buf.parity()), want_q.then(|| buf.q_parity()));
+                let done = self
+                    .issue_parity_columns(z, devices, issue, lzone, stripe, p, q, zrwa_rows, fua);
+                z.retire_buffer(buf);
+                done
+            }
+            None => {
+                let unit_bytes = (self.layout.stripe_unit() * SECTOR_SIZE) as usize;
+                let mut cols = std::mem::take(z.scratch_mut(self.scratch_bytes()));
+                let (p, q) = cols.split_at_mut(unit_bytes);
+                let (mut p, mut q) = (want_p.then_some(p), want_q.then_some(q));
+                sim::encode_pq(chunk, p.as_deref_mut(), q.as_deref_mut());
+                let (p, q) = (p.as_deref(), q.as_deref());
+                let done = self
+                    .issue_parity_columns(z, devices, issue, lzone, stripe, p, q, zrwa_rows, fua);
+                z.scratch = cols;
+                done
+            }
+        }
+    }
+
     /// Issues the parity legs of a completed stripe and returns when the
     /// last one completes: with `zrwa_rows` the final delta rows and the
     /// slot commit of each in-place ZRWA parity slot, otherwise the whole
@@ -1777,7 +1646,7 @@ impl RaiznVolume {
     /// a dropped leg is not issued, its span and counters still land at
     /// `issue`. Runs under `lzone`'s shard lock (`z`).
     #[allow(clippy::too_many_arguments)]
-    fn store_parity_legs(
+    fn issue_parity_columns(
         &self,
         z: &mut LZone,
         devices: &[Arc<ZnsDevice>],
@@ -1811,17 +1680,14 @@ impl RaiznVolume {
                 done = done.max(d.commit_zrwa(done, phys_zone, (stripe + 1) * su)?.done);
                 completion = completion.max(done);
                 AtomicRaiznStats::add(&self.stats.zrwa_parity_writes, 1);
-                self.bump(obs::Counter::ZrwaParityWrites);
+                self.tracer.bump(obs::Counter::ZrwaParityWrites);
                 if dev == pdev {
-                    self.trace_span(
-                        obs::OpClass::Write,
-                        obs::Stage::Xor,
-                        Some(obs::PathKind::Zrwa),
-                        lzone,
-                        pba,
-                        row_hi - row_lo,
-                        issue,
-                        done,
+                    self.tracer.leaf(
+                        obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, issue, done)
+                            .path(obs::PathKind::Zrwa)
+                            .zone(lzone)
+                            .lba(pba)
+                            .sectors(row_hi - row_lo),
                     );
                 }
             }
@@ -1840,23 +1706,19 @@ impl RaiznVolume {
                     None => issue,
                 };
                 completion = completion.max(done);
-                self.trace_span(
-                    obs::OpClass::Write,
-                    obs::Stage::Xor,
-                    Some(path),
-                    lzone,
-                    0,
-                    su,
-                    issue,
-                    done,
+                self.tracer.leaf(
+                    obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, issue, done)
+                        .path(path)
+                        .zone(lzone)
+                        .sectors(su),
                 );
             }
         }
         AtomicRaiznStats::add(&self.stats.full_parity_writes, 1);
-        self.bump(obs::Counter::FullParityWrites);
+        self.tracer.bump(obs::Counter::FullParityWrites);
         if qdev.is_some() {
             AtomicRaiznStats::add(&self.stats.q_parity_writes, 1);
-            self.bump(obs::Counter::QParityWrites);
+            self.tracer.bump(obs::Counter::QParityWrites);
         }
         Ok(completion)
     }
@@ -1896,16 +1758,12 @@ impl RaiznVolume {
             entry.valid = entry.valid.max(row0 + data.len() as u64 / SECTOR_SIZE);
             self.sync_relocated_count(&m);
             AtomicRaiznStats::add(&self.stats.relocated_units, 1);
-            self.bump(obs::Counter::RelocatedWrites);
-            self.trace_span(
-                obs::OpClass::Write,
-                obs::Stage::WholeOp,
-                Some(obs::PathKind::Relocated),
-                lzone,
-                0,
-                data.len() as u64 / SECTOR_SIZE,
-                at,
-                at,
+            self.tracer.bump(obs::Counter::RelocatedWrites);
+            self.tracer.leaf(
+                obs::Span::new(obs::OpClass::Write, obs::Stage::WholeOp, at, at)
+                    .path(obs::PathKind::Relocated)
+                    .zone(lzone)
+                    .sectors(data.len() as u64 / SECTOR_SIZE),
             );
             // Encode the record borrowing the cached unit in place: no
             // clone of the stripe-unit payload on the relocation path.
@@ -1937,29 +1795,12 @@ impl RaiznVolume {
         if self.is_failed(dev as usize) {
             return Ok(at); // degraded write: omitted, covered by parity
         }
+        // Retry exhaustion that degrades the device omits the write: the
+        // unit stays covered by parity.
         let pba = self.layout.stripe_pba(lzone, stripe) + row0;
-        let limit = self.config.transient_retry_limit;
-        let mut attempt = 0u32;
-        loop {
-            match devices[dev as usize].write(at, pba, data, flags) {
-                Ok(c) => return Ok(c.done),
-                Err(ZnsError::TransientError { .. }) if attempt < limit => {
-                    attempt += 1;
-                    AtomicRaiznStats::add(&self.stats.transient_retries, 1);
-                    self.bump(obs::Counter::Retries);
-                }
-                Err(e @ ZnsError::TransientError { .. }) => {
-                    self.note_device_error(devices, dev as usize);
-                    if self.is_failed(dev as usize) {
-                        // Freshly degraded: the write is omitted and the
-                        // unit stays covered by parity.
-                        return Ok(at);
-                    }
-                    return Err(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.member_command(devices, at, dev as usize, Exhausted::Omit, |d| {
+            Ok(d.write(at, pba, data, flags)?.done)
+        })
     }
 
     /// Foreground active-budget reclaim: when `reclaim_on_exhaustion` is
@@ -2009,17 +1850,9 @@ impl RaiznVolume {
         Ok(at)
     }
 
-    /// The write-path core, shared by `write` and `append`. Takes only
-    /// the target zone's shard lock (plus brief meta acquisitions on the
-    /// metadata-logging branches), so writes to distinct zones run
-    /// concurrently.
-    fn do_write(
-        &self,
-        at: SimTime,
-        lba: Lba,
-        data: &[u8],
-        flags: WriteFlags,
-    ) -> Result<IoCompletion> {
+    /// Write stage 1: checks the arguments alone and names the target —
+    /// the logical zone and the write's length in sectors.
+    fn write_target(&self, lba: Lba, data: &[u8]) -> Result<(u32, u64)> {
         let lgeo = self.layout.logical_geometry();
         if data.is_empty() || !data.len().is_multiple_of(SECTOR_SIZE as usize) {
             return Err(ZnsError::InvalidArgument(format!(
@@ -2031,364 +1864,242 @@ impl RaiznVolume {
         if !lgeo.contains(lba) {
             return Err(ZnsError::OutOfRange { lba, sectors });
         }
-        let lzone = lgeo.zone_of(lba);
         if self.read_only.load(Ordering::Acquire) {
             return Err(ZnsError::VolumeReadOnly);
         }
-        let (span, parent, _span_guard) = self.begin_span();
-        // Foreground reclaim (opt-in): activating a fresh zone with the
-        // device active budget exhausted inline-finishes a victim zone
-        // first, and this write absorbs the whole finish (fill writes
-        // over the victim's remainder). Runs before any lock is taken:
-        // it acquires shard/meta/device locks of its own.
-        let at = self.reclaim_for_activation(at, lzone)?;
-        let devices = self.devices.read();
-        let mut z = self.lock_shard(lzone);
-        self.mark_lock(obs::OpClass::Write, lzone, at);
-        let validate = |z: &LZone| -> Result<()> {
-            match z.state {
-                ZoneState::Full => return Err(ZnsError::ZoneFull { zone: lzone }),
-                ZoneState::ReadOnly => return Err(ZnsError::ZoneReadOnly { zone: lzone }),
-                ZoneState::Offline => return Err(ZnsError::ZoneOffline { zone: lzone }),
-                _ => {}
-            }
-            let expect = lgeo.zone_start(lzone) + z.wp;
-            if lba != expect {
-                return Err(ZnsError::NotSequential {
-                    zone: lzone,
-                    expected: expect,
-                    got: lba,
-                });
-            }
-            if z.wp + sectors > lgeo.zone_cap() {
-                return Err(ZnsError::ZoneFull { zone: lzone });
-            }
-            Ok(())
-        };
-        validate(&z)?;
+        Ok((lgeo.zone_of(lba), sectors))
+    }
 
-        let mut issue = at;
-        let mut completion = at;
-        if flags.preflush {
-            // flush_all takes every shard in index order; release ours
-            // first (lock order: at most one shard at a time), then
-            // re-validate — a racing writer to the same zone surfaces as
-            // an ordinary sequencing error.
-            drop(z);
-            let done = self.flush_all(&devices, at)?;
-            issue = done;
-            completion = done;
-            z = self.lock_shard(lzone);
-            validate(&z)?;
+    /// Write stage 2 (and again after a preflush dropped the shard): the
+    /// zone must be writable, `lba` must be its write pointer, and the
+    /// write must fit its capacity.
+    fn check_sequential(&self, z: &LZone, lzone: u32, lba: Lba, sectors: u64) -> Result<()> {
+        let lgeo = self.layout.logical_geometry();
+        match z.state {
+            ZoneState::Full => return Err(ZnsError::ZoneFull { zone: lzone }),
+            ZoneState::ReadOnly => return Err(ZnsError::ZoneReadOnly { zone: lzone }),
+            ZoneState::Offline => return Err(ZnsError::ZoneOffline { zone: lzone }),
+            _ => {}
         }
+        let expect = lgeo.zone_start(lzone) + z.wp;
+        if lba != expect {
+            return Err(ZnsError::NotSequential {
+                zone: lzone,
+                expected: expect,
+                got: lba,
+            });
+        }
+        if z.wp + sectors > lgeo.zone_cap() {
+            return Err(ZnsError::ZoneFull { zone: lzone });
+        }
+        Ok(())
+    }
 
-        let stripe_data = self.layout.stripe_data_sectors();
+    /// Chunk stage: stages the chunk that starts `off_in_stripe` sectors
+    /// into `stripe` in the zone's stripe buffer and returns the parity
+    /// row hull it touched. A chunk that covers the whole stripe bypasses
+    /// the buffer: its parity is encoded straight from the caller's
+    /// payload once the data legs are out. Buffers are drawn from the
+    /// zone's spare, so steady-state writes allocate nothing.
+    fn stage_chunk(
+        &self,
+        z: &mut LZone,
+        stripe: u64,
+        off_in_stripe: u64,
+        chunk: &[u8],
+    ) -> (u64, u64) {
         let su = self.layout.stripe_unit();
-        let data_units = self.layout.data_units();
-        let mut remaining = data;
-        while !remaining.is_empty() {
-            let wp = z.wp;
-            let stripe = wp / stripe_data;
-            let off_in_stripe = wp % stripe_data;
-            let chunk_sectors =
-                (stripe_data - off_in_stripe).min(remaining.len() as u64 / SECTOR_SIZE);
-            let (chunk, rest) = remaining.split_at((chunk_sectors * SECTOR_SIZE) as usize);
-            remaining = rest;
-            // A chunk that covers the whole stripe is never staged: its
-            // parity is encoded straight from `chunk` once the data legs
-            // are out. Only sub-stripe chunks go through the stripe
-            // buffer, drawn from the zone's spare so steady-state writes
-            // allocate nothing.
-            let whole = chunk_sectors == stripe_data;
-            let staged_here = matches!(&z.buffer, Some(b) if b.stripe() == stripe);
-            if !staged_here {
-                debug_assert_eq!(off_in_stripe, 0, "mid-stripe write without a staged buffer");
-                if let Some(stale) = z.buffer.take() {
-                    z.retire_buffer(stale);
-                }
-                if !whole {
-                    let buf = z.stripe_buffer(
-                        &self.stats,
-                        stripe,
-                        data_units,
-                        su,
-                        self.layout.parity_units(),
-                    );
-                    z.buffer = Some(buf);
-                }
+        let whole = chunk.len() as u64 / SECTOR_SIZE == self.layout.stripe_data_sectors();
+        let staged_here = matches!(&z.buffer, Some(b) if b.stripe() == stripe);
+        if !staged_here {
+            debug_assert_eq!(off_in_stripe, 0, "mid-stripe write without a staged buffer");
+            if let Some(stale) = z.buffer.take() {
+                z.retire_buffer(stale);
             }
-            let (row_lo, row_hi) = match z.buffer.as_mut() {
-                Some(buf) => buf.fill(chunk),
-                None => (0, su),
-            };
+            if !whole {
+                let (units, parity) = (self.layout.data_units(), self.layout.parity_units());
+                z.buffer = Some(z.stripe_buffer(&self.stats, stripe, units, su, parity));
+            }
+        }
+        match z.buffer.as_mut() {
+            Some(buf) => buf.fill(chunk),
+            None => (0, su),
+        }
+    }
 
-            // Data sub-IOs, split per unit.
-            let mut cursor = off_in_stripe;
-            let mut coff = 0usize;
-            while cursor < off_in_stripe + chunk_sectors {
-                let unit = cursor / su;
-                let row0 = cursor % su;
-                let rows = (su - row0).min(off_in_stripe + chunk_sectors - cursor);
-                let dev = self.layout.data_device(lzone, stripe, unit);
-                let bytes = &chunk[coff..coff + (rows * SECTOR_SIZE) as usize];
-                let done = self.store_slot_rows(
-                    &mut z,
-                    &devices,
-                    issue,
-                    lzone,
-                    stripe,
-                    dev,
-                    row0,
-                    bytes,
-                    WriteFlags {
-                        fua: flags.fua,
-                        preflush: false,
-                    },
-                )?;
-                completion = completion.max(done);
-                cursor += rows;
-                coff += (rows * SECTOR_SIZE) as usize;
-            }
+    /// Chunk stage: issues the chunk's data legs, one sub-IO per stripe
+    /// unit it touches, and returns when the last one completes.
+    #[allow(clippy::too_many_arguments)]
+    fn issue_data_legs(
+        &self,
+        z: &mut LZone,
+        devices: &[Arc<ZnsDevice>],
+        issue: SimTime,
+        lzone: u32,
+        stripe: u64,
+        off_in_stripe: u64,
+        chunk: &[u8],
+        fua: bool,
+    ) -> Result<SimTime> {
+        let su = self.layout.stripe_unit();
+        let flags = WriteFlags {
+            fua,
+            preflush: false,
+        };
+        let end = off_in_stripe + chunk.len() as u64 / SECTOR_SIZE;
+        let mut completion = issue;
+        let mut cursor = off_in_stripe;
+        let mut coff = 0usize;
+        while cursor < end {
+            let row0 = cursor % su;
+            let rows = (su - row0).min(end - cursor);
+            let dev = self.layout.data_device(lzone, stripe, cursor / su);
+            let bytes = &chunk[coff..coff + (rows * SECTOR_SIZE) as usize];
+            let done =
+                self.store_slot_rows(z, devices, issue, lzone, stripe, dev, row0, bytes, flags)?;
+            completion = completion.max(done);
+            cursor += rows;
+            coff += (rows * SECTOR_SIZE) as usize;
+        }
+        Ok(completion)
+    }
 
-            {
-                // The written units are volatile again until the next
-                // flush/FUA, even if an earlier flush covered their heads.
-                let wp = z.wp;
-                z.pbitmap.clear_range(wp, wp + chunk_sectors);
-                z.wp += chunk_sectors;
-                self.zone_wp[lzone as usize].store(z.wp, Ordering::Release);
-            }
-            let complete = z.buffer.as_ref().is_none_or(StripeBuffer::is_complete);
-            let pdev = self.layout.parity_device(lzone, stripe);
-            let qdev = self.layout.q_device(lzone, stripe);
-            let slot_conflicted = z.conflicts.contains(&(stripe, pdev));
-            // The in-place ZRWA parity path needs healthy, unconflicted
-            // slots for every parity leg; otherwise fall back to the
-            // store/pp-log paths which handle degradation and relocation.
-            let q_zrwa_ok = match qdev {
-                None => true,
-                Some(q) => !self.is_failed(q as usize) && !z.conflicts.contains(&(stripe, q)),
-            };
-            let zrwa_ok = self.config.use_zrwa
-                && !self.is_failed(pdev as usize)
-                && !slot_conflicted
-                && q_zrwa_ok;
-            if complete {
-                // A parity leg whose device has failed (and whose slot is
-                // not relocated) is dropped by `store_slot_rows`; it is
-                // neither computed nor issued.
-                let dropped = |z: &LZone, dev: u32| {
-                    self.is_failed(dev as usize) && !z.conflicts.contains(&(stripe, dev))
-                };
-                let want_p = !dropped(&z, pdev);
-                let want_q = qdev.is_some_and(|q| !dropped(&z, q));
-                // Detach whichever owns the parity columns — the staged
-                // buffer, or the zone's spare columns after a one-pass
-                // encode of the caller's payload — and hand them to the
-                // device layer as borrowed slices (no copy). The owner
-                // goes back to the zone whether or not a leg fails.
-                let done = match z.buffer.take() {
-                    Some(buf) => {
-                        let done = self.store_parity_legs(
-                            &mut z,
-                            &devices,
-                            issue,
-                            lzone,
-                            stripe,
-                            want_p.then(|| buf.parity()),
-                            want_q.then(|| buf.q_parity()),
-                            zrwa_ok.then_some((row_lo, row_hi)),
-                            flags.fua,
-                        );
-                        z.retire_buffer(buf);
-                        done
-                    }
-                    None => {
-                        let mut cols = std::mem::take(z.scratch_mut(self.scratch_bytes()));
-                        let (p, q) = cols.split_at_mut((su * SECTOR_SIZE) as usize);
-                        let (mut p, mut q) = (want_p.then_some(p), want_q.then_some(q));
-                        sim::encode_pq(chunk, p.as_deref_mut(), q.as_deref_mut());
-                        let done = self.store_parity_legs(
-                            &mut z,
-                            &devices,
-                            issue,
-                            lzone,
-                            stripe,
-                            p.as_deref(),
-                            q.as_deref(),
-                            zrwa_ok.then_some((row_lo, row_hi)),
-                            flags.fua,
-                        );
-                        z.scratch = cols;
-                        done
-                    }
-                };
-                completion = completion.max(done?);
-            } else if zrwa_ok {
-                // §5.4 extension: overwrite the affected parity rows in
-                // place inside the parity slot's ZRWA window (borrowed
-                // straight out of the stripe buffer).
-                let buf = z
-                    .buffer
-                    .as_ref()
-                    .ok_or_else(|| internal("stripe buffer staged for zrwa parity"))?;
-                let pp =
-                    &buf.parity()[(row_lo * SECTOR_SIZE) as usize..(row_hi * SECTOR_SIZE) as usize];
-                let pba = self.layout.stripe_pba(lzone, stripe) + row_lo;
-                let done = devices[pdev as usize].write_zrwa(issue, pba, pp)?.done;
-                completion = completion.max(done);
-                AtomicRaiznStats::add(&self.stats.zrwa_parity_writes, 1);
-                self.bump(obs::Counter::ZrwaParityWrites);
-                self.trace_span(
-                    obs::OpClass::Write,
-                    obs::Stage::Xor,
-                    Some(obs::PathKind::Zrwa),
-                    lzone,
-                    pba,
-                    row_hi - row_lo,
-                    issue,
-                    done,
+    /// Whether an incomplete stripe's parity may go in place through ZRWA
+    /// windows: that needs a healthy, unconflicted slot for every parity
+    /// leg; otherwise the store / pp-log stages handle degradation and
+    /// relocation.
+    fn zrwa_parity_ok(&self, z: &LZone, lzone: u32, stripe: u64) -> bool {
+        self.config.use_zrwa
+            && self.parity_legs(lzone, stripe).all(|(dev, _)| {
+                !self.is_failed(dev as usize) && !z.conflicts.contains(&(stripe, dev))
+            })
+    }
+
+    /// Parity stage of a chunk that leaves its stripe incomplete on a
+    /// ZRWA array (§5.4 extension): overwrites the affected rows of every
+    /// parity leg in place inside its slot's ZRWA window, borrowed
+    /// straight out of the stripe buffer. The rows stay open in the
+    /// windows until the stripe completes.
+    fn zrwa_partial_legs(
+        &self,
+        z: &LZone,
+        devices: &[Arc<ZnsDevice>],
+        issue: SimTime,
+        lzone: u32,
+        stripe: u64,
+        (row_lo, row_hi): (u64, u64),
+    ) -> Result<SimTime> {
+        let buf = z
+            .buffer
+            .as_ref()
+            .ok_or_else(|| internal("stripe buffer staged for zrwa parity"))?;
+        let rows = (row_lo * SECTOR_SIZE) as usize..(row_hi * SECTOR_SIZE) as usize;
+        let pba = self.layout.stripe_pba(lzone, stripe) + row_lo;
+        let mut completion = issue;
+        for (dev, leg) in self.parity_legs(lzone, stripe) {
+            let delta = &leg.column(buf)[rows.clone()];
+            let done = devices[dev as usize].write_zrwa(issue, pba, delta)?.done;
+            completion = completion.max(done);
+            AtomicRaiznStats::add(&self.stats.zrwa_parity_writes, 1);
+            self.tracer.bump(obs::Counter::ZrwaParityWrites);
+            if leg == ParityLeg::P {
+                self.tracer.leaf(
+                    obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, issue, done)
+                        .path(obs::PathKind::Zrwa)
+                        .zone(lzone)
+                        .lba(pba)
+                        .sectors(row_hi - row_lo),
                 );
-                if let Some(q) = qdev {
-                    // Q-leg: the same rows of the Q column, still open in
-                    // the Q slot's ZRWA window until the stripe completes.
-                    let qq = &buf.q_parity()
-                        [(row_lo * SECTOR_SIZE) as usize..(row_hi * SECTOR_SIZE) as usize];
-                    let qdone = devices[q as usize].write_zrwa(issue, pba, qq)?.done;
-                    completion = completion.max(qdone);
-                    AtomicRaiznStats::add(&self.stats.zrwa_parity_writes, 1);
-                    self.bump(obs::Counter::ZrwaParityWrites);
-                }
-            } else {
-                // Partial parity log on the device that will hold this
-                // stripe's parity (§5.1). Write completion is withheld
-                // until the log is written, closing the write hole. The
-                // parity rows are encoded straight out of the stripe
-                // buffer into the pooled scratch: no owned payload copy.
-                let mut m = self.lock_meta();
-                let mut scratch = std::mem::take(&mut m.md_scratch);
-                let pp_rows = {
-                    let buf = z
-                        .buffer
-                        .as_ref()
-                        .ok_or_else(|| internal("stripe buffer staged for pp log"))?;
-                    // Ablation: optionally log the whole running parity
-                    // unit instead of only the affected rows (§5.1).
-                    let (lo, hi) = if self.config.pp_log_full_unit {
-                        (0, su)
-                    } else {
-                        (row_lo, row_hi)
-                    };
-                    let zstart = lgeo.zone_start(lzone);
-                    MdRecordRef::new(
-                        MdPayloadRef::PartialParity {
-                            first_row: lo,
-                            data: &buf.parity()
-                                [(lo * SECTOR_SIZE) as usize..(hi * SECTOR_SIZE) as usize],
-                        },
-                        false,
-                        lba.max(zstart + z.wp - chunk_sectors),
-                        zstart + z.wp,
-                        m.gens[lzone as usize],
-                    )
-                    .encode_into(&mut scratch);
-                    hi - lo
-                };
-                let r = self.md_append_bytes(
+            }
+        }
+        Ok(completion)
+    }
+
+    /// Parity stage of a chunk that leaves its stripe incomplete (§5.1):
+    /// logs the affected rows of the running parity on the device that
+    /// will hold the stripe's parity — and, on a dual-parity array, a
+    /// second record tagged `PartialParityQ` on the future Q holder, so a
+    /// crash plus two device losses can still close the write hole. The
+    /// write's completion is withheld until every leg has landed. Rows
+    /// are encoded straight out of the stripe buffer into the pooled
+    /// scratch: no owned payload copy. `z.wp` is already past the chunk.
+    #[allow(clippy::too_many_arguments)]
+    fn log_partial_parity(
+        &self,
+        z: &LZone,
+        devices: &[Arc<ZnsDevice>],
+        issue: SimTime,
+        lzone: u32,
+        stripe: u64,
+        chunk_sectors: u64,
+        (row_lo, row_hi): (u64, u64),
+        fua: bool,
+    ) -> Result<SimTime> {
+        let su = self.layout.stripe_unit();
+        let buf = z
+            .buffer
+            .as_ref()
+            .ok_or_else(|| internal("stripe buffer staged for pp log"))?;
+        // Ablation: optionally log the whole running parity unit instead
+        // of only the affected rows (§5.1).
+        let (lo, hi) = if self.config.pp_log_full_unit {
+            (0, su)
+        } else {
+            (row_lo, row_hi)
+        };
+        let rows = (lo * SECTOR_SIZE) as usize..(hi * SECTOR_SIZE) as usize;
+        let chunk_end = self.layout.logical_geometry().zone_start(lzone) + z.wp;
+        let mut m = self.lock_meta();
+        let mut scratch = std::mem::take(&mut m.md_scratch);
+        let logged = (|| -> Result<SimTime> {
+            let mut done = issue;
+            for (dev, leg) in self.parity_legs(lzone, stripe) {
+                MdRecordRef::new(
+                    leg.pp_payload(lo, &leg.column(buf)[rows.clone()]),
+                    false,
+                    chunk_end - chunk_sectors,
+                    chunk_end,
+                    m.gens[lzone as usize],
+                )
+                .encode_into(&mut scratch);
+                let dev = dev as usize;
+                done = done.max(self.md_append_bytes(
                     &mut m,
-                    &devices,
+                    devices,
                     issue,
-                    pdev as usize,
+                    dev,
                     MdRole::PpLog,
                     true,
                     &scratch,
-                    flags.fua,
-                );
-                let mut pp_done = match r {
-                    Ok(done) => done,
-                    Err(e) => {
-                        m.md_scratch = scratch;
-                        return Err(e);
-                    }
-                };
-                // Q-leg (§RAIZN-2): a second partial-parity record, tagged
-                // PartialParityQ, on the device that will hold this
-                // stripe's Q parity. Both legs must land before the write
-                // completes so a crash plus two device losses can still
-                // close the write hole.
-                if let Some(q) = qdev {
-                    {
-                        let buf = z
-                            .buffer
-                            .as_ref()
-                            .ok_or_else(|| internal("stripe buffer staged for pp-q log"))?;
-                        let (lo, hi) = if self.config.pp_log_full_unit {
-                            (0, su)
-                        } else {
-                            (row_lo, row_hi)
-                        };
-                        let zstart = lgeo.zone_start(lzone);
-                        MdRecordRef::new(
-                            MdPayloadRef::PartialParityQ {
-                                first_row: lo,
-                                data: &buf.q_parity()
-                                    [(lo * SECTOR_SIZE) as usize..(hi * SECTOR_SIZE) as usize],
-                            },
-                            false,
-                            lba.max(zstart + z.wp - chunk_sectors),
-                            zstart + z.wp,
-                            m.gens[lzone as usize],
-                        )
-                        .encode_into(&mut scratch);
-                    }
-                    let rq = self.md_append_bytes(
-                        &mut m,
-                        &devices,
-                        issue,
-                        q as usize,
-                        MdRole::PpLog,
-                        true,
-                        &scratch,
-                        flags.fua,
-                    );
-                    match rq {
-                        Ok(done) => pp_done = pp_done.max(done),
-                        Err(e) => {
-                            m.md_scratch = scratch;
-                            return Err(e);
-                        }
-                    }
-                    AtomicRaiznStats::add(&self.stats.pp_q_log_entries, 1);
-                    AtomicRaiznStats::add(&self.stats.pp_log_bytes, pp_rows * SECTOR_SIZE);
-                }
-                m.md_scratch = scratch;
-                // Refresh the checkpoint snapshot for metadata GC: the
-                // stripe buffer itself stays behind this zone's shard.
-                let buf = z
-                    .buffer
-                    .as_ref()
-                    .ok_or_else(|| internal("stripe buffer staged for pp snapshot"))?;
-                m.pp_live[lzone as usize].capture(buf, su);
-                drop(m);
-                completion = completion.max(pp_done);
-                AtomicRaiznStats::add(&self.stats.pp_log_entries, 1);
-                AtomicRaiznStats::add(&self.stats.pp_log_bytes, pp_rows * SECTOR_SIZE);
-                self.bump(obs::Counter::PpLogWrites);
-                self.trace_span(
-                    obs::OpClass::Write,
-                    obs::Stage::Xor,
-                    Some(obs::PathKind::PpLog),
-                    lzone,
-                    0,
-                    pp_rows,
-                    issue,
-                    pp_done,
-                );
+                    fua,
+                )?);
             }
-        }
+            Ok(done)
+        })();
+        m.md_scratch = scratch;
+        let pp_done = logged?;
+        // Refresh the checkpoint snapshot for metadata GC: the stripe
+        // buffer itself stays behind this zone's shard.
+        m.pp_live[lzone as usize].capture(buf, su);
+        drop(m);
+        let legs = u64::from(self.layout.parity_units());
+        AtomicRaiznStats::add(&self.stats.pp_log_entries, 1);
+        AtomicRaiznStats::add(&self.stats.pp_q_log_entries, legs - 1);
+        AtomicRaiznStats::add(&self.stats.pp_log_bytes, legs * (hi - lo) * SECTOR_SIZE);
+        self.tracer.bump(obs::Counter::PpLogWrites);
+        self.tracer.leaf(
+            obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, issue, pp_done)
+                .path(obs::PathKind::PpLog)
+                .zone(lzone)
+                .sectors(hi - lo),
+        );
+        Ok(pp_done)
+    }
 
-        // State transitions.
-        if z.wp == lgeo.zone_cap() {
+    /// Write stage after the last chunk: a zone filled to capacity turns
+    /// `Full`, any other written zone is (at least) implicitly open.
+    fn settle_zone_state(&self, z: &mut LZone, lzone: u32) {
+        if z.wp == self.layout.logical_geometry().zone_cap() {
             z.state = ZoneState::Full;
             if let Some(buf) = z.buffer.take() {
                 z.retire_buffer(buf);
@@ -2400,6 +2111,102 @@ impl RaiznVolume {
         } else if z.state == ZoneState::Empty || z.state == ZoneState::Closed {
             z.state = ZoneState::ImplicitlyOpen;
         }
+    }
+
+    /// The write-path core, shared by `write` and `append`, as a sequence
+    /// of named stages: validate → preflush → per stripe chunk { stage or
+    /// bypass the stripe buffer → issue data legs → advance the write
+    /// pointer → one parity stage } → settle zone state → FUA persist →
+    /// root span. Takes only the target zone's shard lock (plus brief
+    /// meta acquisitions in the metadata-logging stages), so writes to
+    /// distinct zones run concurrently.
+    fn do_write(
+        &self,
+        at: SimTime,
+        lba: Lba,
+        data: &[u8],
+        flags: WriteFlags,
+    ) -> Result<IoCompletion> {
+        let (lzone, sectors) = self.write_target(lba, data)?;
+        let op_span = self.tracer.begin();
+        // Foreground reclaim (opt-in): activating a fresh zone with the
+        // device active budget exhausted inline-finishes a victim zone
+        // first, and this write absorbs the whole finish (fill writes
+        // over the victim's remainder). Runs before any lock is taken:
+        // it acquires shard/meta/device locks of its own.
+        let at = self.reclaim_for_activation(at, lzone)?;
+        let devices = self.devices.read();
+        let mut z = self.lock_shard(lzone);
+        self.tracer.lock_mark(obs::OpClass::Write, lzone, at);
+        self.check_sequential(&z, lzone, lba, sectors)?;
+
+        let mut issue = at;
+        if flags.preflush {
+            // flush_all takes every shard in index order; release ours
+            // first (lock order: at most one shard at a time), then
+            // re-validate — a racing writer to the same zone surfaces as
+            // an ordinary sequencing error.
+            drop(z);
+            issue = self.flush_all(&devices, at)?;
+            z = self.lock_shard(lzone);
+            self.check_sequential(&z, lzone, lba, sectors)?;
+        }
+        let mut completion = issue;
+
+        let stripe_data = self.layout.stripe_data_sectors();
+        let mut remaining = data;
+        while !remaining.is_empty() {
+            let stripe = z.wp / stripe_data;
+            let off_in_stripe = z.wp % stripe_data;
+            let chunk_sectors =
+                (stripe_data - off_in_stripe).min(remaining.len() as u64 / SECTOR_SIZE);
+            let (chunk, rest) = remaining.split_at((chunk_sectors * SECTOR_SIZE) as usize);
+            remaining = rest;
+            let rows = self.stage_chunk(&mut z, stripe, off_in_stripe, chunk);
+            let done = self.issue_data_legs(
+                &mut z,
+                &devices,
+                issue,
+                lzone,
+                stripe,
+                off_in_stripe,
+                chunk,
+                flags.fua,
+            )?;
+            completion = completion.max(done);
+            // The written units are volatile again until the next
+            // flush/FUA, even if an earlier flush covered their heads.
+            let wp = z.wp;
+            z.pbitmap.clear_range(wp, wp + chunk_sectors);
+            z.wp += chunk_sectors;
+            self.zone_wp[lzone as usize].store(z.wp, Ordering::Release);
+            // Exactly one parity stage per chunk: full parity when the
+            // chunk completes its stripe, otherwise the affected rows in
+            // place (ZRWA) or in the partial-parity log.
+            let complete = z.buffer.as_ref().is_none_or(StripeBuffer::is_complete);
+            let zrwa = self.zrwa_parity_ok(&z, lzone, stripe);
+            let done = if complete {
+                let zrwa_rows = zrwa.then_some(rows);
+                self.store_parity_legs(
+                    &mut z, &devices, issue, lzone, stripe, chunk, zrwa_rows, flags.fua,
+                )?
+            } else if zrwa {
+                self.zrwa_partial_legs(&z, &devices, issue, lzone, stripe, rows)?
+            } else {
+                self.log_partial_parity(
+                    &z,
+                    &devices,
+                    issue,
+                    lzone,
+                    stripe,
+                    chunk_sectors,
+                    rows,
+                    flags.fua,
+                )?
+            };
+            completion = completion.max(done);
+        }
+        self.settle_zone_state(&mut z, lzone);
 
         // FUA: everything below the new write pointer must be durable
         // before completion (§5.3).
@@ -2407,15 +2214,12 @@ impl RaiznVolume {
             let done = self.persist_zone(&mut z, &devices, completion, lzone)?;
             completion = completion.max(done);
         }
-        self.trace_root(
-            obs::OpClass::Write,
-            lzone,
-            lba,
-            sectors,
-            at,
-            completion,
-            span,
-            parent,
+        self.tracer.root(
+            &op_span,
+            obs::Span::new(obs::OpClass::Write, obs::Stage::WholeOp, at, completion)
+                .zone(lzone)
+                .lba(lba)
+                .sectors(sectors),
         );
         Ok(IoCompletion { done: completion })
     }
@@ -2454,16 +2258,8 @@ impl RaiznVolume {
             AtomicRaiznStats::add(&self.stats.persistence_flushes, 1);
         }
         z.pbitmap.mark_persisted_below(wp);
-        self.trace_span(
-            obs::OpClass::Flush,
-            obs::Stage::Flush,
-            None,
-            lzone,
-            0,
-            0,
-            at,
-            done,
-        );
+        self.tracer
+            .leaf(obs::Span::new(obs::OpClass::Flush, obs::Stage::Flush, at, done).zone(lzone));
         Ok(done)
     }
 
@@ -2483,16 +2279,12 @@ impl RaiznVolume {
             let wp = z.wp;
             z.pbitmap.mark_persisted_below(wp);
         }
-        self.trace_span(
+        self.tracer.leaf(obs::Span::new(
             obs::OpClass::Flush,
             obs::Stage::Flush,
-            None,
-            obs::NONE,
-            0,
-            0,
             at,
             done,
-        );
+        ));
         Ok(done)
     }
 
@@ -2938,10 +2730,10 @@ impl ZonedVolume for RaiznVolume {
         }
         let lzone = lgeo.zone_of(lba);
         let rel0 = lgeo.offset_in_zone(lba);
-        let (span, parent, _span_guard) = self.begin_span();
+        let op_span = self.tracer.begin();
         let devices = self.devices.read();
         let mut z = self.lock_shard(lzone);
-        self.mark_lock(obs::OpClass::Read, lzone, at);
+        self.tracer.lock_mark(obs::OpClass::Read, lzone, at);
         if rel0 + sectors > z.wp {
             return Err(ZnsError::ReadUnwritten {
                 lba: lgeo.zone_start(lzone) + z.wp,
@@ -2964,15 +2756,12 @@ impl ZonedVolume for RaiznVolume {
             cursor += rows;
             off += (rows * SECTOR_SIZE) as usize;
         }
-        self.trace_root(
-            obs::OpClass::Read,
-            lzone,
-            lba,
-            sectors,
-            at,
-            done,
-            span,
-            parent,
+        self.tracer.root(
+            &op_span,
+            obs::Span::new(obs::OpClass::Read, obs::Stage::WholeOp, at, done)
+                .zone(lzone)
+                .lba(lba)
+                .sectors(sectors),
         );
         Ok(IoCompletion { done })
     }
@@ -3045,10 +2834,10 @@ impl ZonedVolume for RaiznVolume {
                 sectors: 0,
             });
         }
-        let (span, parent, _span_guard) = self.begin_span();
+        let op_span = self.tracer.begin();
         let devices = self.devices.read();
         let mut z = self.lock_shard(zone);
-        self.mark_lock(obs::OpClass::Reset, zone, at);
+        self.tracer.lock_mark(obs::OpClass::Reset, zone, at);
         if self.read_only.load(Ordering::Acquire) {
             return Err(ZnsError::VolumeReadOnly);
         }
@@ -3056,7 +2845,7 @@ impl ZonedVolume for RaiznVolume {
         // physical zone is touched.
         let t = {
             let mut m = self.lock_meta();
-            self.mark_lock(obs::OpClass::Reset, obs::NONE, at);
+            self.tracer.lock_mark(obs::OpClass::Reset, obs::NONE, at);
             self.log_reset_intent(&mut m, &devices, at, zone)?
         };
         let phys = self.layout.phys_zone(zone);
@@ -3065,18 +2854,16 @@ impl ZonedVolume for RaiznVolume {
             if self.is_failed(i) {
                 continue;
             }
-            done = done.max(self.reset_phys_with_retry(&devices, t, i, phys)?);
+            done = done.max(self.member_command(&devices, t, i, Exhausted::Omit, |d| {
+                Ok(d.reset_zone(t, phys)?.done)
+            })?);
         }
         done = done.max(self.finish_reset(&mut z, &devices, done, zone)?);
-        self.trace_root(
-            obs::OpClass::Reset,
-            zone,
-            lgeo.zone_start(zone),
-            0,
-            at,
-            done,
-            span,
-            parent,
+        self.tracer.root(
+            &op_span,
+            obs::Span::new(obs::OpClass::Reset, obs::Stage::WholeOp, at, done)
+                .zone(zone)
+                .lba(lgeo.zone_start(zone)),
         );
         Ok(IoCompletion { done })
     }
@@ -3089,10 +2876,10 @@ impl ZonedVolume for RaiznVolume {
                 sectors: 0,
             });
         }
-        let (span, parent, _span_guard) = self.begin_span();
+        let op_span = self.tracer.begin();
         let devices = self.devices.read();
         let mut z = self.lock_shard(zone);
-        self.mark_lock(obs::OpClass::Finish, zone, at);
+        self.tracer.lock_mark(obs::OpClass::Finish, zone, at);
         if self.read_only.load(Ordering::Acquire) {
             return Err(ZnsError::VolumeReadOnly);
         }
@@ -3103,62 +2890,38 @@ impl ZonedVolume for RaiznVolume {
         // passed as a borrowed slice, then reattached (rebuild still
         // consults it for the incomplete stripe).
         let taken = z.buffer.take();
-        let mut seal_result: Result<()> = Ok(());
-        if let Some(buf) = &taken {
-            if buf.filled_sectors() > 0 {
-                let rows = buf.filled_sectors().min(self.layout.stripe_unit());
-                let stripe = buf.stripe();
-                let pdev = self.layout.parity_device(zone, stripe);
-                match self.store_slot_rows(
-                    &mut z,
-                    &devices,
-                    at,
-                    zone,
-                    stripe,
-                    pdev,
-                    0,
-                    &buf.parity()[..(rows * SECTOR_SIZE) as usize],
-                    WriteFlags::default(),
-                ) {
-                    Ok(t) => {
-                        done = done.max(t);
-                        AtomicRaiznStats::add(&self.stats.full_parity_writes, 1);
-                        self.bump(obs::Counter::FullParityWrites);
-                    }
-                    Err(e) => seal_result = Err(e),
-                }
-                if seal_result.is_ok() {
-                    if let Some(q) = self.layout.q_device(zone, stripe) {
-                        match self.store_slot_rows(
-                            &mut z,
-                            &devices,
-                            at,
-                            zone,
-                            stripe,
-                            q,
-                            0,
-                            &buf.q_parity()[..(rows * SECTOR_SIZE) as usize],
-                            WriteFlags::default(),
-                        ) {
-                            Ok(t) => {
-                                done = done.max(t);
-                                AtomicRaiznStats::add(&self.stats.q_parity_writes, 1);
-                                self.bump(obs::Counter::QParityWrites);
-                            }
-                            Err(e) => seal_result = Err(e),
-                        }
-                    }
-                }
+        let sealed = (|| -> Result<()> {
+            let Some(buf) = taken.as_ref().filter(|b| b.filled_sectors() > 0) else {
+                return Ok(());
+            };
+            let rows = buf.filled_sectors().min(self.layout.stripe_unit());
+            let stripe = buf.stripe();
+            for (dev, leg) in self.parity_legs(zone, stripe) {
+                let prefix = &leg.column(buf)[..(rows * SECTOR_SIZE) as usize];
+                let flags = WriteFlags::default();
+                let t = self
+                    .store_slot_rows(&mut z, &devices, at, zone, stripe, dev, 0, prefix, flags)?;
+                done = done.max(t);
+                let (writes, counter) = match leg {
+                    ParityLeg::P => (
+                        &self.stats.full_parity_writes,
+                        obs::Counter::FullParityWrites,
+                    ),
+                    ParityLeg::Q => (&self.stats.q_parity_writes, obs::Counter::QParityWrites),
+                };
+                AtomicRaiznStats::add(writes, 1);
+                self.tracer.bump(counter);
             }
-        }
+            Ok(())
+        })();
         z.buffer = taken;
-        seal_result?;
+        sealed?;
         // Write-ahead: the sealed write pointer goes to the metadata WAL
         // before any device seals, so a crash anywhere in the per-device
         // finish loop rolls forward to exactly this fill at mount.
         {
             let mut m = self.lock_meta();
-            self.mark_lock(obs::OpClass::Finish, obs::NONE, at);
+            self.tracer.lock_mark(obs::OpClass::Finish, obs::NONE, at);
             let t = self.log_finish_intent(&mut m, &devices, at, zone, z.wp)?;
             done = done.max(t);
         }
@@ -3174,15 +2937,11 @@ impl ZonedVolume for RaiznVolume {
         let wp = z.wp;
         z.pbitmap.mark_persisted_below(wp);
         AtomicRaiznStats::add(&self.stats.zone_finishes, 1);
-        self.trace_root(
-            obs::OpClass::Finish,
-            zone,
-            lgeo.zone_start(zone),
-            0,
-            at,
-            done,
-            span,
-            parent,
+        self.tracer.root(
+            &op_span,
+            obs::Span::new(obs::OpClass::Finish, obs::Stage::WholeOp, at, done)
+                .zone(zone)
+                .lba(lgeo.zone_start(zone)),
         );
         Ok(IoCompletion { done })
     }

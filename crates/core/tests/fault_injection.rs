@@ -215,3 +215,157 @@ fn scrub_refuses_degraded_array() {
     v.fail_device(1).unwrap();
     assert!(matches!(v.scrub(T0), Err(ZnsError::DeviceFailed)));
 }
+
+/// What a member command that exhausted its retries turns into, seen from
+/// the volume: per command kind, whether the charge degraded the member
+/// (`budget == 0`: the first charge does) or not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Exhaustion {
+    /// The volume op succeeds: the command was omitted (write, reset),
+    /// its metadata replica dropped (append), or the data reconstructed
+    /// from parity (read).
+    Absorbed,
+    /// The transient error surfaces to the caller.
+    Surfaces,
+}
+
+/// One row per member-command kind: the device command under test is the
+/// first of its class on `target` after the plan is installed.
+struct RetryCase {
+    op: FaultOp,
+    /// Whether the volume needs one flushed stripe before the op.
+    prefill: bool,
+    /// The device whose command fails.
+    target: fn(&raizn::RaiznLayout) -> usize,
+    /// The volume op that issues the command.
+    run: fn(&RaiznVolume) -> zns::Result<()>,
+    /// Exhaustion outcome while the member stays in the array.
+    exhausted_healthy: Exhaustion,
+}
+
+const RETRY_CASES: [RetryCase; 4] = [
+    RetryCase {
+        op: FaultOp::Read,
+        prefill: true,
+        target: |l| l.data_device(0, 0, 1) as usize,
+        run: |v| {
+            let mut out = vec![0u8; (16 * SECTOR_SIZE) as usize];
+            v.read(T0, 0, &mut out)?;
+            assert_eq!(out, bytes(16, 77), "read served wrong data");
+            Ok(())
+        },
+        // A read the device cannot serve is reconstructed from parity.
+        exhausted_healthy: Exhaustion::Absorbed,
+    },
+    RetryCase {
+        op: FaultOp::Write,
+        prefill: false,
+        target: |l| l.data_device(0, 0, 2) as usize,
+        run: |v| {
+            v.write(T0, 0, &bytes(16, 77), WriteFlags::default())
+                .map(drop)
+        },
+        exhausted_healthy: Exhaustion::Surfaces,
+    },
+    RetryCase {
+        op: FaultOp::Append,
+        prefill: false,
+        // A sub-stripe write logs partial parity on the parity device.
+        target: |l| l.parity_device(0, 0) as usize,
+        run: |v| {
+            v.write(T0, 0, &bytes(4, 77), WriteFlags::default())
+                .map(drop)
+        },
+        exhausted_healthy: Exhaustion::Surfaces,
+    },
+    RetryCase {
+        op: FaultOp::Reset,
+        prefill: true,
+        target: |l| l.data_device(0, 0, 3) as usize,
+        run: |v| v.reset_zone(T0, 0).map(drop),
+        exhausted_healthy: Exhaustion::Surfaces,
+    },
+];
+
+/// Unrecovered errors charged to `dev` so far, read back through the
+/// `error_budget_remaining` gauge.
+fn charged(v: &RaiznVolume, dev: usize) -> u64 {
+    let mut gauges = Vec::new();
+    obs::GaugeSource::sample_gauges(v, &mut gauges);
+    let remaining = gauges
+        .iter()
+        .find(|g| g.gauge == "error_budget_remaining" && g.device == dev as u32)
+        .expect("per-device budget gauge")
+        .value;
+    v.config().device_error_budget - remaining as u64
+}
+
+/// The one member-command retry, pinned per command kind: bursts up to the
+/// retry limit are absorbed uncharged; one more failure charges the member
+/// exactly once after exactly `limit` retries, and what the caller then
+/// sees depends on the command kind and on whether the charge degraded
+/// the member.
+#[test]
+fn member_command_retry_counts_charges_and_outcomes() {
+    let limit = RaiznConfig::small_test().transient_retry_limit;
+    for case in &RETRY_CASES {
+        // (consecutive failures, error budget)
+        for (failures, budget) in [(limit, 16), (limit + 1, 16), (limit + 1, 0)] {
+            let ctx = format!("{} x{failures} budget {budget}", case.op);
+            let devs = devices(5);
+            let config = RaiznConfig {
+                device_error_budget: budget,
+                ..RaiznConfig::small_test()
+            };
+            let v = RaiznVolume::format(devs.clone(), config, T0).unwrap();
+            if case.prefill {
+                v.write(T0, 0, &bytes(16, 77), WriteFlags::default())
+                    .unwrap();
+                v.flush(T0).unwrap();
+            }
+            let dev = (case.target)(&v.layout());
+            let plan = (1..=u64::from(failures))
+                .fold(FaultPlan::new(1), |plan, n| plan.fail_nth(case.op, n));
+            devs[dev].set_fault_plan(plan);
+
+            let result = (case.run)(&v);
+
+            let stats = v.stats();
+            let exhausted = failures > limit;
+            assert_eq!(
+                stats.transient_retries,
+                u64::from(limit.min(failures)),
+                "{ctx}"
+            );
+            assert_eq!(
+                u64::from(failures),
+                devs[dev].stats().injected_transients,
+                "{ctx}: every planned failure was consumed by the one command"
+            );
+            let degraded = exhausted && budget == 0;
+            assert_eq!(stats.auto_degrades, u64::from(degraded), "{ctx}");
+            assert_eq!(
+                v.failed_devices(),
+                if degraded { vec![dev] } else { vec![] },
+                "{ctx}"
+            );
+            if budget > 0 {
+                assert_eq!(charged(&v, dev), u64::from(exhausted), "{ctx}");
+            }
+            let expect = match (exhausted, degraded) {
+                (false, _) | (true, true) => Exhaustion::Absorbed,
+                (true, false) => case.exhausted_healthy,
+            };
+            match expect {
+                Exhaustion::Absorbed => result.unwrap_or_else(|e| panic!("{ctx}: {e}")),
+                Exhaustion::Surfaces => assert!(
+                    matches!(result, Err(ZnsError::TransientError { op }) if op == case.op),
+                    "{ctx}: {result:?}"
+                ),
+            }
+            // A read the member could not serve is a degraded read, once.
+            let reconstructed = case.op == FaultOp::Read && exhausted;
+            assert_eq!(stats.degraded_reads, u64::from(reconstructed), "{ctx}");
+        }
+    }
+}

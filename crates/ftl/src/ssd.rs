@@ -4,7 +4,7 @@ use crate::block::BlockDevice;
 use crate::config::FtlConfig;
 use crate::stats::FtlStats;
 use parking_lot::Mutex;
-use sim::{ChannelModel, SimDuration, SimTime};
+use sim::{OccupancyModel, SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use zns::{IoCompletion, Lba, Result, WriteFlags, ZnsError, SECTOR_SIZE};
@@ -93,40 +93,13 @@ struct Inner {
     /// cover the highest written sector. Invariant: bytes of unwritten or
     /// trimmed sectors are zero, so reads are single bulk copies.
     data: Vec<u8>,
-    timing: ChannelModel,
+    timing: OccupancyModel,
     stats: FtlStats,
     failed: bool,
-    recorder: Option<std::sync::Arc<obs::Recorder>>,
-    dev_id: u32,
-}
-
-/// Emits one device-level span into the attached recorder, if any.
-fn trace_span(
-    inner: &Inner,
-    op: obs::OpClass,
-    lba: Lba,
-    sectors: u64,
-    start: SimTime,
-    end: SimTime,
-) {
-    if let Some(rec) = inner.recorder.as_ref() {
-        rec.record(obs::TraceEvent {
-            seq: 0,
-            op,
-            stage: obs::Stage::DeviceIo,
-            path: None,
-            device: inner.dev_id,
-            zone: obs::NONE,
-            lba,
-            sectors,
-            start,
-            end,
-            outcome: obs::Outcome::Success,
-            span: 0,
-            parent: obs::current_span(),
-            blame: obs::current_actor(),
-        });
-    }
+    /// Span/counter handle (device-layer spans, GC-stall counters).
+    /// Attached under the device lock, like everything else in here, so
+    /// the lock gauges count the attach as they always did.
+    tracer: obs::Tracer,
 }
 
 impl ConvSsd {
@@ -143,12 +116,7 @@ impl ConvSsd {
             .collect();
         // Keep block 0 as the initial frontier; the rest are free.
         let free_list: Vec<u32> = (1..total_blocks as u32).rev().collect();
-        let timing = ChannelModel::new(
-            config.latency.channels,
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-            SECTOR_SIZE,
-        );
+        let timing = OccupancyModel::new(config.latency.channels, 1, 1);
         ConvSsd {
             inner: Mutex::new(Inner {
                 l2p: vec![NONE32; config.user_sectors as usize],
@@ -160,8 +128,7 @@ impl ConvSsd {
                 timing,
                 stats: FtlStats::default(),
                 failed: false,
-                recorder: None,
-                dev_id: 0,
+                tracer: obs::Tracer::new(),
             }),
             config,
             locks: obs::LockStats::new(),
@@ -173,9 +140,7 @@ impl ConvSsd {
     /// stalls are surfaced as [`obs::Counter::GcStalls`] /
     /// [`obs::Counter::GcStallNanos`].
     pub fn set_recorder(&self, recorder: std::sync::Arc<obs::Recorder>, dev_id: u32) {
-        let mut inner = self.locks.lock(&self.inner);
-        inner.recorder = Some(recorder);
-        inner.dev_id = dev_id;
+        self.locks.lock(&self.inner).tracer.attach(recorder, dev_id);
     }
 
     /// The device configuration.
@@ -414,7 +379,11 @@ impl BlockDevice for ConvSsd {
             remaining -= chunk;
         }
         inner.stats.host_pages_read += sectors;
-        trace_span(&inner, obs::OpClass::Read, lba, sectors, at, done);
+        inner.tracer.leaf(
+            obs::Span::new(obs::OpClass::Read, obs::Stage::DeviceIo, at, done)
+                .lba(lba)
+                .sectors(sectors),
+        );
         Ok(IoCompletion { done })
     }
 
@@ -464,10 +433,10 @@ impl BlockDevice for ConvSsd {
                 inner.timing.occupy(start, per_channel);
             }
             inner.stats.gc_stall += gc_busy;
-            if let Some(rec) = inner.recorder.as_ref() {
-                rec.bump(obs::Counter::GcStalls);
-                rec.add(obs::Counter::GcStallNanos, gc_busy.as_nanos());
-            }
+            inner.tracer.bump(obs::Counter::GcStalls);
+            inner
+                .tracer
+                .add(obs::Counter::GcStallNanos, gc_busy.as_nanos());
         }
         let mut done = start;
         let mut remaining = sectors;
@@ -482,11 +451,13 @@ impl BlockDevice for ConvSsd {
             // crash consistency is out of scope (the paper benchmarks
             // mdraid without a journal).
             done += lat.flush;
-            if let Some(rec) = inner.recorder.as_ref() {
-                rec.bump(obs::Counter::CacheFlushes);
-            }
+            inner.tracer.bump(obs::Counter::CacheFlushes);
         }
-        trace_span(&inner, obs::OpClass::Write, lba, sectors, at, done);
+        inner.tracer.leaf(
+            obs::Span::new(obs::OpClass::Write, obs::Stage::DeviceIo, at, done)
+                .lba(lba)
+                .sectors(sectors),
+        );
         Ok(IoCompletion { done })
     }
 
@@ -511,7 +482,11 @@ impl BlockDevice for ConvSsd {
             }
         }
         let done = inner.timing.occupy(at, self.config.latency.zone_mgmt);
-        trace_span(&inner, obs::OpClass::Reset, lba, sectors, at, done);
+        inner.tracer.leaf(
+            obs::Span::new(obs::OpClass::Reset, obs::Stage::DeviceIo, at, done)
+                .lba(lba)
+                .sectors(sectors),
+        );
         Ok(IoCompletion { done })
     }
 
@@ -521,25 +496,13 @@ impl BlockDevice for ConvSsd {
             return Err(ZnsError::DeviceFailed);
         }
         let done = inner.timing.drained_at().max(at) + self.config.latency.flush;
-        if let Some(rec) = inner.recorder.as_ref() {
-            rec.bump(obs::Counter::CacheFlushes);
-            rec.record(obs::TraceEvent {
-                seq: 0,
-                op: obs::OpClass::Flush,
-                stage: obs::Stage::Flush,
-                path: None,
-                device: inner.dev_id,
-                zone: obs::NONE,
-                lba: 0,
-                sectors: 0,
-                start: at,
-                end: done,
-                outcome: obs::Outcome::Success,
-                span: 0,
-                parent: obs::current_span(),
-                blame: obs::current_actor(),
-            });
-        }
+        inner.tracer.bump(obs::Counter::CacheFlushes);
+        inner.tracer.leaf(obs::Span::new(
+            obs::OpClass::Flush,
+            obs::Stage::Flush,
+            at,
+            done,
+        ));
         Ok(IoCompletion { done })
     }
 }
@@ -554,7 +517,7 @@ impl obs::GaugeSource for ConvSsd {
     /// that make the conventional-SSD throughput collapse explainable.
     fn sample_gauges(&self, out: &mut Vec<obs::GaugeReading>) {
         let inner = self.locks.lock(&self.inner);
-        let d = inner.dev_id;
+        let d = inner.tracer.device().unwrap_or(0);
         let free = inner.free_list.len();
         let total = inner.blocks.len().max(1);
         out.push(obs::GaugeReading::new(

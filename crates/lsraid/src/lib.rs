@@ -61,7 +61,7 @@ mod tests;
 pub use gc::{DirectSink, GcConfig, GcManager, GcSink};
 
 use meta::{finish_record, kind, parse_record, put_u32, put_u64, MetaLog, Record, HEADER_BYTES};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use sim::SimTime;
 use std::sync::Arc;
 use zns::{
@@ -336,7 +336,7 @@ pub struct LsVolume {
     /// Zero source for padding (one stripe of data).
     zeros: Vec<u8>,
     inner: Mutex<LsInner>,
-    recorder: RwLock<Option<Arc<obs::Recorder>>>,
+    tracer: obs::Tracer,
 }
 
 impl std::fmt::Debug for LsVolume {
@@ -638,7 +638,7 @@ impl LsVolume {
             meta_headroom,
             zeros: vec![0u8; (kd * SECTOR_SIZE) as usize],
             inner: Mutex::new(inner),
-            recorder: RwLock::new(None),
+            tracer: obs::Tracer::new(),
         })
     }
 
@@ -649,7 +649,7 @@ impl LsVolume {
     /// Attaches an observability recorder for volume-layer spans and
     /// counters (device-layer spans attach via each device).
     pub fn set_recorder(&self, recorder: Arc<obs::Recorder>) {
-        *self.recorder.write() = Some(recorder);
+        self.tracer.attach(recorder, obs::NONE);
     }
 
     /// The member devices.
@@ -736,116 +736,6 @@ impl LsVolume {
     }
 
     // ------------------------------------------------------------------
-    // Tracing (mirrors the raizn-core idiom; volume spans carry
-    // device == obs::NONE, device attribution lives in device spans)
-    // ------------------------------------------------------------------
-
-    #[allow(clippy::too_many_arguments)]
-    fn trace_span(
-        &self,
-        op: obs::OpClass,
-        stage: obs::Stage,
-        path: Option<obs::PathKind>,
-        zone: u32,
-        lba: Lba,
-        sectors: u64,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        if let Some(rec) = self.recorder.read().as_ref() {
-            rec.record(obs::TraceEvent {
-                seq: 0,
-                op,
-                stage,
-                path,
-                device: obs::NONE,
-                zone,
-                lba,
-                sectors,
-                start,
-                end,
-                outcome: obs::Outcome::Success,
-                span: 0,
-                parent: obs::current_span(),
-                blame: obs::current_actor(),
-            });
-        }
-    }
-
-    fn begin_span(&self) -> (u64, u64, obs::SpanScope) {
-        let parent = obs::current_span();
-        let span = self.recorder.read().as_ref().map_or(0, |r| r.new_span());
-        (span, parent, obs::span_scope(span))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn trace_root(
-        &self,
-        op: obs::OpClass,
-        zone: u32,
-        lba: Lba,
-        sectors: u64,
-        start: SimTime,
-        end: SimTime,
-        span: u64,
-        parent: u64,
-    ) {
-        if let Some(rec) = self.recorder.read().as_ref() {
-            rec.record(obs::TraceEvent {
-                seq: 0,
-                op,
-                stage: obs::Stage::WholeOp,
-                path: None,
-                device: obs::NONE,
-                zone,
-                lba,
-                sectors,
-                start,
-                end,
-                outcome: obs::Outcome::Success,
-                span,
-                parent,
-                blame: obs::current_actor(),
-            });
-        }
-    }
-
-    fn mark_lock(&self, op: obs::OpClass, zone: u32, at: SimTime) {
-        if let Some(rec) = self.recorder.read().as_ref() {
-            if rec.spans_enabled() {
-                rec.record(obs::TraceEvent {
-                    seq: 0,
-                    op,
-                    stage: obs::Stage::LockWait,
-                    path: None,
-                    device: obs::NONE,
-                    zone,
-                    lba: 0,
-                    sectors: 0,
-                    start: at,
-                    end: at,
-                    outcome: obs::Outcome::Success,
-                    span: 0,
-                    parent: obs::current_span(),
-                    blame: obs::current_actor(),
-                });
-            }
-        }
-    }
-
-    fn bump(&self, counter: obs::Counter) {
-        if let Some(rec) = self.recorder.read().as_ref() {
-            rec.bump(counter);
-        }
-    }
-
-    fn addc(&self, counter: obs::Counter, n: u64) {
-        if let Some(rec) = self.recorder.read().as_ref() {
-            rec.add(counter, n);
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Geometry helpers
     // ------------------------------------------------------------------
 
@@ -897,15 +787,10 @@ impl LsVolume {
         for dev in self.devices.iter().take(META_DEVICES) {
             done = done.max(dev.write(t, lba, buf, WriteFlags::FUA)?.done);
         }
-        self.trace_span(
-            obs::OpClass::Write,
-            obs::Stage::MetaAppend,
-            None,
-            obs::NONE,
-            lba,
-            buf.len() as u64 / SECTOR_SIZE,
-            t,
-            done,
+        self.tracer.leaf(
+            obs::Span::new(obs::OpClass::Write, obs::Stage::MetaAppend, t, done)
+                .lba(lba)
+                .sectors(buf.len() as u64 / SECTOR_SIZE),
         );
         Ok(done)
     }
@@ -1533,11 +1418,11 @@ impl LsVolume {
                 LogMode::User => inner.c_user += run,
                 LogMode::Gc => {
                     inner.c_migrated += run;
-                    self.addc(obs::Counter::LsMigratedSectors, run);
+                    self.tracer.add(obs::Counter::LsMigratedSectors, run);
                 }
                 LogMode::Pad => {
                     inner.c_pads += run;
-                    self.addc(obs::Counter::LsPadSectors, run);
+                    self.tracer.add(obs::Counter::LsPadSectors, run);
                 }
             }
         }
@@ -1591,17 +1476,13 @@ impl LsVolume {
             let dev = ((stripe + i as u64) % self.n as u64) as usize;
             let lba = self.phys.zone_start(inner.groups[gi].zones[dev]) + stripe * self.k;
             let c = self.devices[dev].write(t, lba, unit, WriteFlags::default())?;
-            self.trace_span(
-                obs::OpClass::Write,
-                obs::Stage::Xor,
-                Some(path),
-                obs::NONE,
-                lba,
-                self.k,
-                t,
-                c.done,
+            self.tracer.leaf(
+                obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, t, c.done)
+                    .path(path)
+                    .lba(lba)
+                    .sectors(self.k),
             );
-            self.bump(counter);
+            self.tracer.bump(counter);
             done = done.max(c.done);
         }
         inner.c_parity += self.k * self.p as u64;
@@ -1658,16 +1539,12 @@ impl LsVolume {
         for dev in &self.devices {
             done = done.max(dev.flush(start)?.done);
         }
-        self.trace_span(
+        self.tracer.leaf(obs::Span::new(
             obs::OpClass::Flush,
             obs::Stage::Flush,
-            None,
-            obs::NONE,
-            0,
-            0,
             start,
             done,
-        );
+        ));
         Ok(done)
     }
 
@@ -1909,7 +1786,7 @@ impl LsVolume {
         grp.lbas.fill(NONE64);
         inner.free_groups.push(g);
         inner.c_group_reclaims += 1;
-        self.bump(obs::Counter::LsGroupReclaims);
+        self.tracer.bump(obs::Counter::LsGroupReclaims);
         Ok(t)
     }
 
@@ -1934,8 +1811,8 @@ impl LsVolume {
         inner.in_emergency = false;
         let done = res?;
         inner.c_emergency += 1;
-        self.bump(obs::Counter::GcStalls);
-        self.addc(
+        self.tracer.bump(obs::Counter::GcStalls);
+        self.tracer.add(
             obs::Counter::GcStallNanos,
             done.as_nanos().saturating_sub(at.as_nanos()),
         );
@@ -2099,9 +1976,9 @@ impl ZonedVolume for LsVolume {
     fn read(&self, at: SimTime, lba: Lba, buf: &mut [u8]) -> Result<IoCompletion> {
         let nsec = buf.len() as u64 / SECTOR_SIZE;
         let (zone, rel) = self.check_write_range(lba, nsec, buf.len())?;
-        let (span, parent, _scope) = self.begin_span();
+        let op_span = self.tracer.begin();
         let inner = self.inner.lock();
-        self.mark_lock(obs::OpClass::Read, zone, at);
+        self.tracer.lock_mark(obs::OpClass::Read, zone, at);
         if rel + nsec > inner.lz[zone as usize].wp {
             return Err(ZnsError::ReadUnwritten {
                 lba: self.geo.zone_start(zone) + inner.lz[zone as usize].wp,
@@ -2109,16 +1986,22 @@ impl ZonedVolume for LsVolume {
         }
         let done = self.read_inner(&inner, at, lba, buf)?;
         drop(inner);
-        self.trace_root(obs::OpClass::Read, zone, lba, nsec, at, done, span, parent);
+        self.tracer.root(
+            &op_span,
+            obs::Span::new(obs::OpClass::Read, obs::Stage::WholeOp, at, done)
+                .zone(zone)
+                .lba(lba)
+                .sectors(nsec),
+        );
         Ok(IoCompletion { done })
     }
 
     fn write(&self, at: SimTime, lba: Lba, data: &[u8], flags: WriteFlags) -> Result<IoCompletion> {
         let nsec = data.len() as u64 / SECTOR_SIZE;
         let (zone, rel) = self.check_write_range(lba, nsec, data.len())?;
-        let (span, parent, _scope) = self.begin_span();
+        let op_span = self.tracer.begin();
         let mut inner = self.inner.lock();
-        self.mark_lock(obs::OpClass::Write, zone, at);
+        self.tracer.lock_mark(obs::OpClass::Write, zone, at);
         let gc_write = obs::current_actor() == obs::Actor::Gc && inner.migrating.is_some();
         if !gc_write {
             let z = &inner.lz[zone as usize];
@@ -2138,7 +2021,13 @@ impl ZonedVolume for LsVolume {
         }
         let done = self.write_body(&mut inner, at, zone, rel, data, flags, gc_write)?;
         drop(inner);
-        self.trace_root(obs::OpClass::Write, zone, lba, nsec, at, done, span, parent);
+        self.tracer.root(
+            &op_span,
+            obs::Span::new(obs::OpClass::Write, obs::Stage::WholeOp, at, done)
+                .zone(zone)
+                .lba(lba)
+                .sectors(nsec),
+        );
         Ok(IoCompletion { done })
     }
 
@@ -2159,9 +2048,9 @@ impl ZonedVolume for LsVolume {
                 sectors: nsec,
             });
         }
-        let (span, parent, _scope) = self.begin_span();
+        let op_span = self.tracer.begin();
         let mut inner = self.inner.lock();
-        self.mark_lock(obs::OpClass::Append, zone, at);
+        self.tracer.lock_mark(obs::OpClass::Append, zone, at);
         let rel = inner.lz[zone as usize].wp;
         if inner.lz[zone as usize].state == ZoneState::Full || rel + nsec > self.geo.zone_cap() {
             return Err(ZnsError::ZoneFull { zone });
@@ -2169,15 +2058,12 @@ impl ZonedVolume for LsVolume {
         let lba = self.geo.zone_start(zone) + rel;
         let done = self.write_body(&mut inner, at, zone, rel, data, flags, false)?;
         drop(inner);
-        self.trace_root(
-            obs::OpClass::Append,
-            zone,
-            lba,
-            nsec,
-            at,
-            done,
-            span,
-            parent,
+        self.tracer.root(
+            &op_span,
+            obs::Span::new(obs::OpClass::Append, obs::Stage::WholeOp, at, done)
+                .zone(zone)
+                .lba(lba)
+                .sectors(nsec),
         );
         Ok(AppendCompletion { lba, done })
     }
@@ -2189,9 +2075,9 @@ impl ZonedVolume for LsVolume {
                 sectors: 0,
             });
         }
-        let (span, parent, _scope) = self.begin_span();
+        let op_span = self.tracer.begin();
         let mut inner = self.inner.lock();
-        self.mark_lock(obs::OpClass::Reset, zone, at);
+        self.tracer.lock_mark(obs::OpClass::Reset, zone, at);
         let base = u64::from(zone) * self.geo.zone_cap();
         for off in 0..self.geo.zone_cap() {
             let idx = (base + off) as usize;
@@ -2211,15 +2097,11 @@ impl ZonedVolume for LsVolume {
             put_u32(buf, zone);
         })?;
         drop(inner);
-        self.trace_root(
-            obs::OpClass::Reset,
-            zone,
-            self.geo.zone_start(zone),
-            0,
-            at,
-            done,
-            span,
-            parent,
+        self.tracer.root(
+            &op_span,
+            obs::Span::new(obs::OpClass::Reset, obs::Stage::WholeOp, at, done)
+                .zone(zone)
+                .lba(self.geo.zone_start(zone)),
         );
         Ok(IoCompletion { done })
     }
@@ -2231,9 +2113,9 @@ impl ZonedVolume for LsVolume {
                 sectors: 0,
             });
         }
-        let (span, parent, _scope) = self.begin_span();
+        let op_span = self.tracer.begin();
         let mut inner = self.inner.lock();
-        self.mark_lock(obs::OpClass::Finish, zone, at);
+        self.tracer.lock_mark(obs::OpClass::Finish, zone, at);
         if inner.lz[zone as usize].state == ZoneState::Full {
             return Ok(IoCompletion { done: at });
         }
@@ -2245,15 +2127,11 @@ impl ZonedVolume for LsVolume {
             put_u32(buf, zone);
         })?;
         drop(inner);
-        self.trace_root(
-            obs::OpClass::Finish,
-            zone,
-            self.geo.zone_start(zone),
-            0,
-            at,
-            done,
-            span,
-            parent,
+        self.tracer.root(
+            &op_span,
+            obs::Span::new(obs::OpClass::Finish, obs::Stage::WholeOp, at, done)
+                .zone(zone)
+                .lba(self.geo.zone_start(zone)),
         );
         Ok(IoCompletion { done })
     }
@@ -2300,12 +2178,15 @@ impl ZonedVolume for LsVolume {
     }
 
     fn flush(&self, at: SimTime) -> Result<IoCompletion> {
-        let (span, parent, _scope) = self.begin_span();
+        let op_span = self.tracer.begin();
         let mut inner = self.inner.lock();
-        self.mark_lock(obs::OpClass::Flush, obs::NONE, at);
+        self.tracer.lock_mark(obs::OpClass::Flush, obs::NONE, at);
         let done = self.flush_inner(&mut inner, at)?;
         drop(inner);
-        self.trace_root(obs::OpClass::Flush, obs::NONE, 0, 0, at, done, span, parent);
+        self.tracer.root(
+            &op_span,
+            obs::Span::new(obs::OpClass::Flush, obs::Stage::WholeOp, at, done),
+        );
         Ok(IoCompletion { done })
     }
 

@@ -44,6 +44,11 @@ pub struct ResyncReport {
 pub struct Md5Volume {
     layout: Md5Layout,
     state: Mutex<State>,
+    /// Array-layer spans (full-stripe vs RMW vs RCW path attribution,
+    /// journal appends) and counters. mdraid has no zones, so spans carry
+    /// no zone and address the stripe via its device-space offset in
+    /// `lba`.
+    tracer: obs::Tracer,
 }
 
 struct State {
@@ -56,50 +61,6 @@ struct State {
     /// it ("ensuring maximum performance"); it exists here so that cost
     /// is measurable.
     journal: Option<Journal>,
-    /// Observability recorder for array-layer spans (full-stripe vs RMW vs
-    /// RCW path attribution, journal appends) and counters.
-    recorder: Option<Arc<obs::Recorder>>,
-}
-
-/// Records an array-layer trace span on the attached recorder, if any.
-/// mdraid has no zones, so spans carry `zone == obs::NONE` and address the
-/// stripe via its device-space offset in `lba`.
-#[allow(clippy::too_many_arguments)]
-fn trace_span(
-    st: &State,
-    op: obs::OpClass,
-    stage: obs::Stage,
-    path: Option<obs::PathKind>,
-    lba: Lba,
-    sectors: u64,
-    start: SimTime,
-    end: SimTime,
-) {
-    if let Some(rec) = st.recorder.as_ref() {
-        rec.record(obs::TraceEvent {
-            seq: 0,
-            op,
-            stage,
-            path,
-            device: obs::NONE,
-            zone: obs::NONE,
-            lba,
-            sectors,
-            start,
-            end,
-            outcome: obs::Outcome::Success,
-            span: 0,
-            parent: obs::current_span(),
-            blame: obs::current_actor(),
-        });
-    }
-}
-
-/// Bumps a counter on the attached recorder, if any.
-fn bump(st: &State, counter: obs::Counter) {
-    if let Some(rec) = st.recorder.as_ref() {
-        rec.bump(counter);
-    }
 }
 
 struct Journal {
@@ -157,8 +118,8 @@ impl Md5Volume {
                 failed: None,
                 cache,
                 journal: None,
-                recorder: None,
             }),
+            tracer: obs::Tracer::new(),
         })
     }
 
@@ -179,7 +140,7 @@ impl Md5Volume {
     /// vs read-modify-write vs reconstruct-write path attribution, journal
     /// appends, degraded reads) and counters land on it.
     pub fn set_recorder(&self, recorder: Arc<obs::Recorder>) {
-        self.state.lock().recorder = Some(recorder);
+        self.tracer.attach(recorder, obs::NONE);
     }
 
     /// The address arithmetic of this array.
@@ -261,16 +222,12 @@ impl Md5Volume {
         if row_off == 0 && rows == self.layout.chunk_sectors() && out.len() == chunk_bytes {
             st.cache.put(stripe, slot, out);
         }
-        bump(st, obs::Counter::DegradedReads);
-        trace_span(
-            st,
-            obs::OpClass::Read,
-            obs::Stage::WholeOp,
-            Some(obs::PathKind::Degraded),
-            dev_lba,
-            rows,
-            at,
-            done,
+        self.tracer.bump(obs::Counter::DegradedReads);
+        self.tracer.leaf(
+            obs::Span::new(obs::OpClass::Read, obs::Stage::WholeOp, at, done)
+                .path(obs::PathKind::Degraded)
+                .lba(dev_lba)
+                .sectors(rows),
         );
         Ok(done)
     }
@@ -339,16 +296,12 @@ impl Md5Volume {
             }
             done =
                 done.max(self.store_rows(st, at, stripe, self.parity_slot(), 0, &parity, flags)?);
-            bump(st, obs::Counter::FullStripeWrites);
-            trace_span(
-                st,
-                obs::OpClass::Write,
-                obs::Stage::Xor,
-                Some(obs::PathKind::FullStripe),
-                self.layout.stripe_offset(stripe),
-                chunk * n_data,
-                at,
-                done,
+            self.tracer.bump(obs::Counter::FullStripeWrites);
+            self.tracer.leaf(
+                obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, at, done)
+                    .path(obs::PathKind::FullStripe)
+                    .lba(self.layout.stripe_offset(stripe))
+                    .sectors(chunk * n_data),
             );
             return Ok(done);
         }
@@ -463,16 +416,12 @@ impl Md5Volume {
         } else {
             (obs::PathKind::Rcw, obs::Counter::RcwWrites)
         };
-        bump(st, counter);
-        trace_span(
-            st,
-            obs::OpClass::Write,
-            obs::Stage::Xor,
-            Some(path),
-            self.layout.stripe_offset(stripe) + u0,
-            union_rows,
-            at,
-            done,
+        self.tracer.bump(counter);
+        self.tracer.leaf(
+            obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, at, done)
+                .path(path)
+                .lba(self.layout.stripe_offset(stripe) + u0)
+                .sectors(union_rows),
         );
         Ok(done)
     }
@@ -580,15 +529,10 @@ impl BlockDevice for Md5Volume {
             cursor += rows;
             off += len;
         }
-        trace_span(
-            &st,
-            obs::OpClass::Read,
-            obs::Stage::WholeOp,
-            None,
-            lba,
-            sectors,
-            at,
-            done,
+        self.tracer.leaf(
+            obs::Span::new(obs::OpClass::Read, obs::Stage::WholeOp, at, done)
+                .lba(lba)
+                .sectors(sectors),
         );
         Ok(IoCompletion { done })
     }
@@ -628,15 +572,10 @@ impl BlockDevice for Md5Volume {
             if let Some(j) = st.journal.as_mut() {
                 j.cursor = jcur;
             }
-            trace_span(
-                &st,
-                obs::OpClass::Append,
-                obs::Stage::MetaAppend,
-                None,
-                lba,
-                sectors,
-                at,
-                jdone,
+            self.tracer.leaf(
+                obs::Span::new(obs::OpClass::Append, obs::Stage::MetaAppend, at, jdone)
+                    .lba(lba)
+                    .sectors(sectors),
             );
             at = jdone;
         }
@@ -665,15 +604,10 @@ impl BlockDevice for Md5Volume {
             cursor += span;
             off += (span * SECTOR_SIZE) as usize;
         }
-        trace_span(
-            &st,
-            obs::OpClass::Write,
-            obs::Stage::WholeOp,
-            None,
-            lba,
-            sectors,
-            at,
-            done,
+        self.tracer.leaf(
+            obs::Span::new(obs::OpClass::Write, obs::Stage::WholeOp, at, done)
+                .lba(lba)
+                .sectors(sectors),
         );
         Ok(IoCompletion { done })
     }
@@ -711,16 +645,12 @@ impl BlockDevice for Md5Volume {
             }
             done = done.max(dev.flush(at)?.done);
         }
-        trace_span(
-            &st,
+        self.tracer.leaf(obs::Span::new(
             obs::OpClass::Flush,
             obs::Stage::Flush,
-            None,
-            0,
-            0,
             at,
             done,
-        );
+        ));
         Ok(IoCompletion { done })
     }
 }

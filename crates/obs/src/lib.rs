@@ -2,7 +2,8 @@
 //!
 //! Every layer of the stack (ZNS device model, conventional-SSD FTL, the
 //! RAIZN volume, the mdraid comparison target, the workload engine) can be
-//! handed a shared [`Recorder`] and will then emit [`TraceEvent`]s:
+//! handed a shared [`Recorder`] and will then emit [`TraceEvent`]s through
+//! its [`Tracer`]:
 //! one per IO span, carrying the op kind, the layer-specific *stage*
 //! (device IO, XOR, metadata append, flush), the device/zone/LBA range it
 //! touched, its virtual start/end instants, and the path the IO took
@@ -32,31 +33,29 @@
 //!
 //! # Examples
 //!
+//! Layers never build a [`TraceEvent`] themselves: they hold a [`Tracer`],
+//! describe what happened as a [`Span`], and the tracer fills in the rest
+//! (sequence number, ambient causal parent, ambient actor, outcome).
+//!
 //! ```
-//! use obs::{Counter, OpClass, Outcome, Recorder, Stage, TraceEvent};
+//! use obs::{Counter, OpClass, Recorder, Span, Stage, Tracer};
 //! use sim::SimTime;
 //!
 //! let rec = Recorder::new(1024, 1);
-//! rec.record(TraceEvent {
-//!     op: OpClass::Write,
-//!     stage: Stage::DeviceIo,
-//!     device: 0,
-//!     zone: 3,
-//!     lba: 192,
-//!     sectors: 8,
-//!     start: SimTime::ZERO,
-//!     end: SimTime::from_micros(20),
-//!     outcome: Outcome::Success,
-//!     path: None,
-//!     seq: 0,                  // assigned by the recorder
-//!     span: 0,                 // no span identity of its own
-//!     parent: obs::current_span(), // ambient causal parent (0 = root)
-//!     blame: obs::current_actor(), // ambient actor (interference blame)
-//! });
-//! rec.bump(Counter::CacheFlushes);
+//! let tracer = Tracer::new(); // detached: every call is a no-op
+//! tracer.attach(rec.clone(), 0); // this layer is device 0
+//! let (start, end) = (SimTime::ZERO, SimTime::from_micros(20));
+//! tracer.leaf(
+//!     Span::new(OpClass::Write, Stage::DeviceIo, start, end)
+//!         .zone(3)
+//!         .lba(192)
+//!         .sectors(8),
+//! );
+//! tracer.bump(Counter::CacheFlushes);
 //! let events = rec.events();
 //! assert_eq!(events.len(), 1);
 //! assert_eq!(events[0].stage, Stage::DeviceIo);
+//! assert_eq!(events[0].device, 0);
 //! assert!(rec.breakdown_json("demo").contains("device_io"));
 //! ```
 
@@ -71,12 +70,14 @@ use std::sync::{Arc, OnceLock};
 
 pub mod span;
 pub mod timeline;
+mod tracer;
 
 pub use span::{
     actor_scope, blame_segments, current_actor, current_span, span_scope, spans_json, Actor,
     ActorScope, BlameRow, SlowOp, SpanConfig, SpanScope, BLAME_CATEGORIES, NCATS,
 };
 pub use timeline::{timeline_json, GaugeReading, GaugeSeries, GaugeSource, Timeline};
+pub use tracer::{OpenSpan, Span, Tracer};
 
 /// The class of operation a trace event describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

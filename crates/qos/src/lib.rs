@@ -52,11 +52,13 @@
 #![warn(missing_docs)]
 
 mod config;
+mod internal;
 mod mclock;
 mod scheduler;
 mod stats;
 
 pub use config::{QosConfig, TenantSpec};
+pub use internal::InternalTenant;
 pub use scheduler::QosScheduler;
 pub use stats::TenantSnapshot;
 

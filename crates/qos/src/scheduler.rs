@@ -31,6 +31,19 @@ enum OpDir {
     Mgmt(zns::ZoneMgmtOp),
 }
 
+impl OpDir {
+    /// The trace op class of a queued op.
+    fn class(self) -> obs::OpClass {
+        match self {
+            OpDir::Read => obs::OpClass::Read,
+            OpDir::Write => obs::OpClass::Write,
+            OpDir::Mgmt(zns::ZoneMgmtOp::Finish) => obs::OpClass::Finish,
+            OpDir::Mgmt(zns::ZoneMgmtOp::Reset) => obs::OpClass::Reset,
+            OpDir::Mgmt(_) => obs::OpClass::ZoneMgmt,
+        }
+    }
+}
+
 struct QueuedOp {
     token: OpToken,
     tag: u64,
@@ -97,7 +110,7 @@ struct Inner {
 pub struct QosScheduler {
     target: Arc<dyn IoTarget>,
     config: QosConfig,
-    recorder: Option<Arc<obs::Recorder>>,
+    tracer: obs::Tracer,
     inner: Mutex<Inner>,
     locks: obs::LockStats,
 }
@@ -158,7 +171,7 @@ impl QosScheduler {
                 max_coalesce_ops: max_batch,
                 ..config
             },
-            recorder: None,
+            tracer: obs::Tracer::new(),
             locks: obs::LockStats::new(),
             inner: Mutex::new(Inner {
                 tenants: states,
@@ -177,8 +190,8 @@ impl QosScheduler {
     /// queue-wait span (arrival to dispatch) and a service span
     /// (dispatch to completion) tagged with its tenant index, and
     /// sheds/deferrals/coalesces bump their counters.
-    pub fn with_recorder(mut self, recorder: Arc<obs::Recorder>) -> Self {
-        self.recorder = Some(recorder);
+    pub fn with_recorder(self, recorder: Arc<obs::Recorder>) -> Self {
+        self.tracer.attach(recorder, obs::NONE);
         self
     }
 
@@ -316,9 +329,7 @@ impl QosScheduler {
                 ShedReason::Congestion
             };
             inner.tenants[ti].totals.shed += 1;
-            if let Some(rec) = self.recorder.as_ref() {
-                rec.bump(obs::Counter::SchedSheds);
-            }
+            self.tracer.bump(obs::Counter::SchedSheds);
             let retry_at = self.retry_estimate(inner, ti, arrival);
             return Ok(Admission::Shed { reason, retry_at });
         }
@@ -495,8 +506,7 @@ impl SharedScheduler for QosScheduler {
         // per-op QueueWait/Service events all link under it. Management
         // dispatches run as the lifecycle actor so device stalls they
         // cause are blamed as interference.
-        let rid = self.recorder.as_ref().map_or(0, |r| r.new_span());
-        let span_guard = obs::span_scope(rid);
+        let batch_span = self.tracer.begin();
         let actor_guard = obs::actor_scope(match inner.tenants[ti].spec.actor {
             Some(actor) => actor,
             None => match dir {
@@ -547,11 +557,7 @@ impl SharedScheduler for QosScheduler {
         let t = &mut inner.tenants[ti];
         t.totals.batches += 1;
         t.totals.merged += merged;
-        if let Some(rec) = self.recorder.as_ref() {
-            if merged > 0 {
-                rec.add(obs::Counter::SchedCoalescedOps, merged);
-            }
-        }
+        self.tracer.add(obs::Counter::SchedCoalescedOps, merged);
         let deadline_ns = t.spec.deadline.as_nanos();
         for mut op in inner.batch.drain(..) {
             let arrival = SimTime::from_nanos(op.arrival_ns);
@@ -566,53 +572,26 @@ impl SharedScheduler for QosScheduler {
             if deferred {
                 t.totals.deferred += 1;
             }
-            if let Some(rec) = self.recorder.as_ref() {
-                if deferred {
-                    rec.bump(obs::Counter::SchedDeferrals);
-                }
-                if matches!(op.dir, OpDir::Mgmt(_)) {
-                    rec.bump(obs::Counter::SchedMgmtOps);
-                }
-                let class = match op.dir {
-                    OpDir::Read => obs::OpClass::Read,
-                    OpDir::Write => obs::OpClass::Write,
-                    OpDir::Mgmt(zns::ZoneMgmtOp::Finish) => obs::OpClass::Finish,
-                    OpDir::Mgmt(zns::ZoneMgmtOp::Reset) => obs::OpClass::Reset,
-                    OpDir::Mgmt(_) => obs::OpClass::ZoneMgmt,
-                };
-                rec.record(obs::TraceEvent {
-                    seq: 0,
-                    op: class,
-                    stage: obs::Stage::QueueWait,
-                    path: None,
-                    device: ti as u32,
-                    zone: obs::NONE,
-                    lba: op.off,
-                    sectors: op.sectors,
-                    start: arrival,
-                    end: dispatch,
-                    outcome: obs::Outcome::Success,
-                    span: 0,
-                    parent: obs::current_span(),
-                    blame: obs::current_actor(),
-                });
-                rec.record(obs::TraceEvent {
-                    seq: 0,
-                    op: class,
-                    stage: obs::Stage::Service,
-                    path: None,
-                    device: ti as u32,
-                    zone: obs::NONE,
-                    lba: op.off,
-                    sectors: op.sectors,
-                    start: dispatch,
-                    end: done,
-                    outcome: obs::Outcome::Success,
-                    span: 0,
-                    parent: obs::current_span(),
-                    blame: obs::current_actor(),
-                });
+            if deferred {
+                self.tracer.bump(obs::Counter::SchedDeferrals);
             }
+            if matches!(op.dir, OpDir::Mgmt(_)) {
+                self.tracer.bump(obs::Counter::SchedMgmtOps);
+            }
+            let class = op.dir.class();
+            let tenant = ti as u32;
+            self.tracer.leaf(
+                obs::Span::new(class, obs::Stage::QueueWait, arrival, dispatch)
+                    .device(tenant)
+                    .lba(op.off)
+                    .sectors(op.sectors),
+            );
+            self.tracer.leaf(
+                obs::Span::new(class, obs::Stage::Service, dispatch, done)
+                    .device(tenant)
+                    .lba(op.off)
+                    .sectors(op.sectors),
+            );
             if let Some(buf) = op.buf.take() {
                 if inner.pool.len() < POOL_CAP {
                     inner.pool.push(buf);
@@ -628,38 +607,21 @@ impl SharedScheduler for QosScheduler {
                 deferred,
             });
         }
-        // Close the batch's blame tree: the root must be recorded after
-        // every child event, and outside the span scope so it carries
-        // `parent == 0`. Zero sectors — the per-op Service events already
-        // account the batch's bytes in window throughput.
+        // Close the batch's blame tree: the root is recorded after every
+        // child event and as a top-level event, so it carries `parent ==
+        // 0` and no blame whatever scope `step` runs under. Zero sectors —
+        // the per-op Service events already account the batch's bytes in
+        // window throughput.
         drop(actor_guard);
-        drop(span_guard);
-        if rid != 0 {
-            if let Some(rec) = self.recorder.as_ref() {
-                let class = match dir {
-                    OpDir::Read => obs::OpClass::Read,
-                    OpDir::Write => obs::OpClass::Write,
-                    OpDir::Mgmt(zns::ZoneMgmtOp::Finish) => obs::OpClass::Finish,
-                    OpDir::Mgmt(zns::ZoneMgmtOp::Reset) => obs::OpClass::Reset,
-                    OpDir::Mgmt(_) => obs::OpClass::ZoneMgmt,
-                };
-                rec.record(obs::TraceEvent {
-                    seq: 0,
-                    op: class,
-                    stage: obs::Stage::WholeOp,
-                    path: None,
-                    device: ti as u32,
-                    zone: obs::NONE,
-                    lba: start_off,
-                    sectors: 0,
-                    start: SimTime::from_nanos(batch_arrival),
-                    end: done,
-                    outcome: obs::Outcome::Success,
-                    span: rid,
-                    parent: 0,
-                    blame: obs::Actor::None,
-                });
-            }
+        if batch_span.id() != 0 {
+            let arrival = SimTime::from_nanos(batch_arrival);
+            self.tracer.root(
+                &batch_span,
+                obs::Span::new(dir.class(), obs::Stage::WholeOp, arrival, done)
+                    .device(ti as u32)
+                    .lba(start_off)
+                    .top(),
+            );
         }
         Ok(true)
     }

@@ -9,12 +9,10 @@
 //! This crate provides the shared building blocks:
 //!
 //! - [`SimTime`] / [`SimDuration`]: nanosecond-resolution virtual time.
-//! - [`ChannelModel`]: a channel-parallel service-time model that turns
-//!   byte counts into completion times, approximating the internal
-//!   parallelism of an SSD.
-//! - [`OccupancyModel`]: the lock-free discrete-event generalization with
-//!   per-channel/way/plane `next_avail_time`, shareable across worker
-//!   threads without a device mutex.
+//! - [`OccupancyModel`]: a lock-free discrete-event service-time model
+//!   with per-channel/way/plane `next_avail_time`, approximating the
+//!   internal parallelism of an SSD and shareable across worker threads
+//!   without a device mutex.
 //! - [`Histogram`]: a log-linear latency histogram with percentile queries
 //!   (an HdrHistogram-style structure, sufficient for p50/p99/p99.9).
 //! - [`Timeseries`]: a throughput sampler for timeseries plots (Fig. 10).
@@ -31,13 +29,12 @@
 //! # Examples
 //!
 //! ```
-//! use sim::{ChannelModel, SimTime, SimDuration};
+//! use sim::{OccupancyModel, SimTime, SimDuration};
 //!
-//! // A device with 8 channels, 10 us fixed cost plus 1 us per 4 KiB.
-//! let mut m = ChannelModel::new(8, SimDuration::from_micros(10),
-//!                               SimDuration::from_nanos(1000), 4096);
+//! // A device with 8 channels; a command occupies one for 10 us.
+//! let m = OccupancyModel::new(8, 1, 1);
 //! let t0 = SimTime::ZERO;
-//! let done = m.service(t0, 4096);
+//! let done = m.occupy(t0, SimDuration::from_micros(10));
 //! assert!(done > t0);
 //! ```
 
@@ -47,7 +44,6 @@
 pub mod codec;
 pub mod gf;
 mod histogram;
-mod latency;
 mod occupancy;
 mod rng;
 mod series;
@@ -58,7 +54,6 @@ pub mod xor;
 pub use codec::encode_pq;
 pub use gf::{gf_inv, gf_mul, gf_mul_into, gf_pow, gf_scale, rs_solve_two};
 pub use histogram::Histogram;
-pub use latency::ChannelModel;
 pub use occupancy::{OccupancyModel, Occupied};
 pub use rng::SimRng;
 pub use series::{Timeseries, TimeseriesPoint};

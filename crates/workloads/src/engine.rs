@@ -75,6 +75,15 @@ pub enum OpKind {
     Write,
 }
 
+impl OpKind {
+    fn class(self) -> obs::OpClass {
+        match self {
+            OpKind::Read => obs::OpClass::Read,
+            OpKind::Write => obs::OpClass::Write,
+        }
+    }
+}
+
 /// Address pattern of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pattern {
@@ -272,6 +281,101 @@ impl JobState {
     }
 }
 
+/// Completion accounting of one run, shared by every run loop: the
+/// latency distributions, per-job and total counts, the sampled series,
+/// the op's whole-op trace event, the gauge-timeline tick and the run's
+/// end instant.
+struct Tally {
+    tracer: obs::Tracer,
+    timeline: Option<Arc<obs::Timeline>>,
+    latency: Histogram,
+    per_job: Vec<JobReport>,
+    throughput: Option<Timeseries>,
+    latencies: Option<LatencySeries>,
+    total_ops: u64,
+    total_bytes: u64,
+    end: SimTime,
+}
+
+impl Tally {
+    /// A zeroed tally for a run of `jobs` jobs observed through
+    /// `engine`'s tracer and timeline, sampling series at `sample`.
+    fn new(engine: &Engine, jobs: usize, sample: Option<SimDuration>) -> Tally {
+        Tally {
+            tracer: engine.tracer.clone(),
+            timeline: engine.timeline.clone(),
+            latency: Histogram::new(),
+            per_job: (0..jobs).map(|_| JobReport::default()).collect(),
+            throughput: sample.map(Timeseries::new),
+            latencies: sample.map(LatencySeries::new),
+            total_ops: 0,
+            total_bytes: 0,
+            end: engine.start,
+        }
+    }
+
+    /// Accounts one op of job `ji` that moved `bytes` and completed at
+    /// `done`, `latency` after it was issued (or arrived). `event` is the
+    /// op's whole-op trace event; it closes the blame tree of `root` when
+    /// the engine opened one for the op.
+    fn complete(
+        &mut self,
+        ji: usize,
+        bytes: u64,
+        latency: SimDuration,
+        done: SimTime,
+        root: Option<obs::OpenSpan>,
+        event: obs::Span,
+    ) {
+        self.latency.record(latency);
+        let job = &mut self.per_job[ji];
+        job.ops += 1;
+        job.bytes += bytes;
+        job.latency.record(latency);
+        match root {
+            Some(open) => self.tracer.root(&open, event),
+            None => self.tracer.leaf(event),
+        }
+        if let Some(tl) = self.timeline.as_ref() {
+            tl.maybe_sample(done);
+        }
+        if let Some(ts) = self.throughput.as_mut() {
+            ts.record(done, bytes);
+        }
+        if let Some(ls) = self.latencies.as_mut() {
+            ls.record(done, latency);
+        }
+        self.total_ops += 1;
+        self.total_bytes += bytes;
+        self.end = self.end.max(done);
+    }
+
+    /// Folds a worker's finished report in; its jobs are this run's jobs
+    /// `first`, `first + stride`, …
+    fn absorb(&mut self, report: RunReport, first: usize, stride: usize) {
+        for (k, jr) in report.jobs.into_iter().enumerate() {
+            self.per_job[first + k * stride] = jr;
+        }
+        self.latency.merge(&report.latency);
+        self.total_ops += report.total_ops;
+        self.total_bytes += report.total_bytes;
+        self.end = self.end.max(report.end);
+    }
+
+    fn report(self, start: SimTime) -> RunReport {
+        RunReport {
+            total_ops: self.total_ops,
+            total_bytes: self.total_bytes,
+            duration: self.end.saturating_since(start),
+            latency: self.latency,
+            throughput_series: self.throughput.map(|t| t.points()),
+            latency_series: self.latencies.map(|l| l.points()),
+            end: self.end,
+            jobs: self.per_job,
+        }
+    }
+}
+
 /// The workload engine. Deterministic given its seed.
 #[derive(Debug)]
 pub struct Engine {
@@ -280,7 +384,7 @@ pub struct Engine {
     start: SimTime,
     sample: Option<SimDuration>,
     time_limit: Option<SimDuration>,
-    recorder: Option<Arc<obs::Recorder>>,
+    tracer: obs::Tracer,
     timeline: Option<Arc<obs::Timeline>>,
     depth: Option<Arc<PipelineDepth>>,
 }
@@ -294,7 +398,7 @@ impl Engine {
             start: SimTime::ZERO,
             sample: None,
             time_limit: None,
-            recorder: None,
+            tracer: obs::Tracer::new(),
             timeline: None,
             depth: None,
         }
@@ -311,8 +415,8 @@ impl Engine {
     /// a whole-op span (kind, offset, size, issue and completion times),
     /// making the engine's op stream replayable and comparable across
     /// runs.
-    pub fn recorder(mut self, recorder: Arc<obs::Recorder>) -> Self {
-        self.recorder = Some(recorder);
+    pub fn recorder(self, recorder: Arc<obs::Recorder>) -> Self {
+        self.tracer.attach(recorder, obs::NONE);
         self
     }
 
@@ -405,13 +509,7 @@ impl Engine {
                 ZnsError::InvalidArgument("at least one job required".to_string())
             })?;
         let mut buf = io_buffer(max_block);
-        let mut latency = Histogram::new();
-        let mut per_job: Vec<JobReport> = jobs.iter().map(|_| JobReport::default()).collect();
-        let mut ts = self.sample.map(Timeseries::new);
-        let mut ls = self.sample.map(LatencySeries::new);
-        let mut total_ops = 0u64;
-        let mut total_bytes = 0u64;
-        let mut end = self.start;
+        let mut tally = Tally::new(self, jobs.len(), self.sample);
         let deadline = self.time_limit.map(|l| self.start + l);
 
         loop {
@@ -464,58 +562,24 @@ impl Engine {
             let off = job.next_offset(&mut self.rng, &|o| target.max_io_at(o));
             let bytes = (block * SECTOR_SIZE) as usize;
             // The engine op is the causal root: the target's own span and
-            // everything below it link under `rid`.
-            let rid = self.recorder.as_ref().map_or(0, |r| r.new_span());
-            let done = {
-                let _span = obs::span_scope(rid);
-                match job.spec.kind {
-                    OpKind::Read => target.read(issue, off, &mut buf[..bytes])?,
-                    OpKind::Write => target.write(issue, off, &buf[..bytes])?,
-                }
+            // everything below it link under it, whatever scope the engine
+            // itself runs under.
+            let root = self.tracer.begin();
+            let done = match job.spec.kind {
+                OpKind::Read => target.read(issue, off, &mut buf[..bytes])?,
+                OpKind::Write => target.write(issue, off, &buf[..bytes])?,
             };
+            let event = obs::Span::new(job.spec.kind.class(), obs::Stage::WholeOp, issue, done)
+                .lba(off)
+                .sectors(block)
+                .top();
             let lat = done.since(issue);
-            latency.record(lat);
-            per_job[ji].ops += 1;
-            per_job[ji].bytes += bytes as u64;
-            per_job[ji].latency.record(lat);
-            if let Some(rec) = self.recorder.as_ref() {
-                rec.record(obs::TraceEvent {
-                    seq: 0,
-                    op: match job.spec.kind {
-                        OpKind::Read => obs::OpClass::Read,
-                        OpKind::Write => obs::OpClass::Write,
-                    },
-                    stage: obs::Stage::WholeOp,
-                    path: None,
-                    device: obs::NONE,
-                    zone: obs::NONE,
-                    lba: off,
-                    sectors: block,
-                    start: issue,
-                    end: done,
-                    outcome: obs::Outcome::Success,
-                    span: rid,
-                    parent: 0,
-                    blame: obs::Actor::None,
-                });
-            }
-            if let Some(tl) = self.timeline.as_ref() {
-                tl.maybe_sample(done);
-            }
-            if let Some(ts) = ts.as_mut() {
-                ts.record(done, bytes as u64);
-            }
-            if let Some(ls) = ls.as_mut() {
-                ls.record(done, lat);
-            }
+            tally.complete(ji, bytes as u64, lat, done, Some(root), event);
             job.in_flight.push(Reverse(done.as_nanos()));
             if let Some(g) = self.depth.as_ref() {
                 g.enter();
             }
             job.remaining -= 1;
-            total_ops += 1;
-            total_bytes += bytes as u64;
-            end = end.max(done);
         }
         if let Some(g) = self.depth.as_ref() {
             for job in &states {
@@ -525,16 +589,22 @@ impl Engine {
             }
         }
 
-        Ok(RunReport {
-            total_ops,
-            total_bytes,
-            duration: end.saturating_since(self.start),
-            latency,
-            throughput_series: ts.map(|t| t.points()),
-            latency_series: ls.map(|l| l.points()),
-            end,
-            jobs: per_job,
-        })
+        Ok(tally.report(self.start))
+    }
+
+    /// A worker engine for `run_threaded`: this engine's settings and
+    /// shared observers, its own RNG stream, no timeseries sampling.
+    fn worker(&self, stream: u64) -> Engine {
+        Engine {
+            rng: SimRng::new_stream(self.seed, stream),
+            seed: self.seed,
+            start: self.start,
+            sample: None,
+            time_limit: self.time_limit,
+            tracer: self.tracer.clone(),
+            timeline: self.timeline.clone(),
+            depth: self.depth.clone(),
+        }
     }
 
     /// Runs `jobs` against `target` on `threads` OS threads: worker `w`
@@ -567,33 +637,14 @@ impl Engine {
         if threads == 1 {
             // Degenerate case: keep the exact single-threaded loop (and
             // its bit-identical op order).
-            return Engine {
-                rng: SimRng::new_stream(self.seed, 0),
-                seed: self.seed,
-                start: self.start,
-                sample: None,
-                time_limit: self.time_limit,
-                recorder: self.recorder.clone(),
-                timeline: self.timeline.clone(),
-                depth: self.depth.clone(),
-            }
-            .run(target, jobs);
+            return self.worker(0).run(target, jobs);
         }
         let results: Vec<Result<RunReport>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|w| {
                     let subset: Vec<JobSpec> =
                         jobs.iter().skip(w).step_by(threads).cloned().collect();
-                    let mut worker = Engine {
-                        rng: SimRng::new_stream(self.seed, w as u64),
-                        seed: self.seed,
-                        start: self.start,
-                        sample: None,
-                        time_limit: self.time_limit,
-                        recorder: self.recorder.clone(),
-                        timeline: self.timeline.clone(),
-                        depth: self.depth.clone(),
-                    };
+                    let mut worker = self.worker(w as u64);
                     scope.spawn(move || worker.run(target, &subset))
                 })
                 .collect();
@@ -604,31 +655,11 @@ impl Engine {
         });
         // Deterministic merge: workers in index order, each job report back
         // at its original position.
-        let mut per_job: Vec<JobReport> = jobs.iter().map(|_| JobReport::default()).collect();
-        let mut latency = Histogram::new();
-        let mut total_ops = 0u64;
-        let mut total_bytes = 0u64;
-        let mut end = self.start;
+        let mut tally = Tally::new(self, jobs.len(), None);
         for (w, result) in results.into_iter().enumerate() {
-            let report = result?;
-            for (k, jr) in report.jobs.into_iter().enumerate() {
-                per_job[w + k * threads] = jr;
-            }
-            latency.merge(&report.latency);
-            total_ops += report.total_ops;
-            total_bytes += report.total_bytes;
-            end = end.max(report.end);
+            tally.absorb(result?, w, threads);
         }
-        Ok(RunReport {
-            total_ops,
-            total_bytes,
-            duration: end.saturating_since(self.start),
-            latency,
-            throughput_series: None,
-            latency_series: None,
-            end,
-            jobs: per_job,
-        })
+        Ok(tally.report(self.start))
     }
 
     /// Runs `jobs` closed-loop against a shared multi-tenant scheduler:
@@ -654,13 +685,7 @@ impl Engine {
                 ZnsError::InvalidArgument("at least one job required".to_string())
             })?;
         let buf = io_buffer(max_block);
-        let mut latency = Histogram::new();
-        let mut per_job: Vec<JobReport> = jobs.iter().map(|_| JobReport::default()).collect();
-        let mut ts = self.sample.map(Timeseries::new);
-        let mut ls = self.sample.map(LatencySeries::new);
-        let mut total_ops = 0u64;
-        let mut total_bytes = 0u64;
-        let mut end = self.start;
+        let mut tally = Tally::new(self, jobs.len(), self.sample);
         let deadline = self.time_limit.map(|l| self.start + l);
         let mut comps: Vec<SchedCompletion> = Vec::with_capacity(64);
 
@@ -708,7 +733,7 @@ impl Engine {
         // so early submission does not perturb scheduling.
         for ji in 0..states.len() {
             while states[ji].remaining > 0 && states[ji].outstanding < states[ji].spec.queue_depth {
-                submit_one(self, sched, &mut states, &mut per_job, &buf, ji)?;
+                submit_one(self, sched, &mut states, &mut tally.per_job, &buf, ji)?;
             }
         }
 
@@ -735,51 +760,19 @@ impl Engine {
                     )));
                 }
                 states[ji].outstanding -= 1;
-                let block = states[ji].spec.block_sectors;
-                let bytes = block * SECTOR_SIZE;
-                let lat = c.done.since(c.arrival);
-                latency.record(lat);
-                per_job[ji].ops += 1;
-                per_job[ji].bytes += bytes;
-                per_job[ji].latency.record(lat);
+                let spec = &states[ji].spec;
+                // The scheduler already records the batch root; this
+                // per-op completion stays outside the tree.
+                let event =
+                    obs::Span::new(spec.kind.class(), obs::Stage::WholeOp, c.arrival, c.done)
+                        .device(spec.tenant)
+                        .sectors(spec.block_sectors)
+                        .top();
+                let bytes = spec.block_sectors * SECTOR_SIZE;
+                tally.complete(ji, bytes, c.done.since(c.arrival), c.done, None, event);
                 if c.deferred {
-                    per_job[ji].deferred += 1;
+                    tally.per_job[ji].deferred += 1;
                 }
-                total_ops += 1;
-                total_bytes += bytes;
-                if let Some(rec) = self.recorder.as_ref() {
-                    rec.record(obs::TraceEvent {
-                        seq: 0,
-                        op: match states[ji].spec.kind {
-                            OpKind::Read => obs::OpClass::Read,
-                            OpKind::Write => obs::OpClass::Write,
-                        },
-                        stage: obs::Stage::WholeOp,
-                        path: None,
-                        device: states[ji].spec.tenant,
-                        zone: obs::NONE,
-                        lba: 0,
-                        sectors: block,
-                        start: c.arrival,
-                        end: c.done,
-                        outcome: obs::Outcome::Success,
-                        // The scheduler already records the batch root;
-                        // this per-op completion stays outside the tree.
-                        span: 0,
-                        parent: 0,
-                        blame: obs::Actor::None,
-                    });
-                }
-                if let Some(tl) = self.timeline.as_ref() {
-                    tl.maybe_sample(c.done);
-                }
-                if let Some(ts) = ts.as_mut() {
-                    ts.record(c.done, bytes);
-                }
-                if let Some(ls) = ls.as_mut() {
-                    ls.record(c.done, lat);
-                }
-                end = end.max(c.done);
                 states[ji].frontier = states[ji].frontier.max(c.done);
                 if let Some(d) = deadline {
                     if states[ji].frontier >= d {
@@ -792,21 +785,12 @@ impl Engine {
                 while states[ji].remaining > 0
                     && states[ji].outstanding < states[ji].spec.queue_depth
                 {
-                    submit_one(self, sched, &mut states, &mut per_job, &buf, ji)?;
+                    submit_one(self, sched, &mut states, &mut tally.per_job, &buf, ji)?;
                 }
             }
         }
 
-        Ok(RunReport {
-            total_ops,
-            total_bytes,
-            duration: end.saturating_since(self.start),
-            latency,
-            throughput_series: ts.map(|t| t.points()),
-            latency_series: ls.map(|l| l.points()),
-            end,
-            jobs: per_job,
-        })
+        Ok(tally.report(self.start))
     }
 }
 

@@ -46,6 +46,8 @@ pub struct ZnsDevice {
     /// service time in parallel without serializing on `inner`.
     timing: OccupancyModel,
     inner: Mutex<Inner>,
+    /// Span/counter handle; lives outside the state mutex like `timing`.
+    tracer: obs::Tracer,
 }
 
 #[derive(Debug)]
@@ -57,87 +59,6 @@ struct Inner {
     failed: bool,
     write_seq: u64,
     faults: Option<FaultPlan>,
-    recorder: Option<std::sync::Arc<obs::Recorder>>,
-    dev_id: u32,
-}
-
-/// Emits one device-level span into the attached recorder, if any.
-/// Allocation-free: the recorder's ring and histograms are pre-allocated.
-#[allow(clippy::too_many_arguments)]
-fn trace_span(
-    inner: &Inner,
-    op: obs::OpClass,
-    stage: obs::Stage,
-    zone: u32,
-    lba: Lba,
-    sectors: u64,
-    start: SimTime,
-    end: SimTime,
-    outcome: obs::Outcome,
-) {
-    if let Some(rec) = inner.recorder.as_ref() {
-        rec.record(obs::TraceEvent {
-            seq: 0,
-            op,
-            stage,
-            path: None,
-            device: inner.dev_id,
-            zone,
-            lba,
-            sectors,
-            start,
-            end,
-            outcome,
-            span: 0,
-            parent: obs::current_span(),
-            blame: obs::current_actor(),
-        });
-    }
-}
-
-/// Accounts a command's queueing stall behind a busy flash unit: bumps the
-/// device-wait counters and, when the stall is non-zero, emits a
-/// [`obs::Stage::DeviceWait`] span `[at, at + wait)` blamed on the actor
-/// whose work last held the unit (no blame when it was our own actor class
-/// — that is plain queueing, not interference). Returns the instant the
-/// command actually started service, so the caller's `DeviceIo` span can
-/// begin there and the two partition the original window exactly.
-fn record_wait(
-    inner: &mut Inner,
-    op: obs::OpClass,
-    zone: u32,
-    lba: Lba,
-    at: SimTime,
-    occ: sim::Occupied,
-) -> SimTime {
-    if occ.wait_ns == 0 {
-        return at;
-    }
-    inner.stats.device_wait_ns += occ.wait_ns;
-    let stalled_until = at + sim::SimDuration::from_nanos(occ.wait_ns);
-    if let Some(rec) = inner.recorder.as_ref() {
-        rec.add(obs::Counter::DeviceWaitNanos, occ.wait_ns);
-        let cur = obs::current_actor();
-        let prev = obs::Actor::from_u8(occ.prev_tag);
-        let blame = if prev == cur { obs::Actor::None } else { prev };
-        rec.record(obs::TraceEvent {
-            seq: 0,
-            op,
-            stage: obs::Stage::DeviceWait,
-            path: None,
-            device: inner.dev_id,
-            zone,
-            lba,
-            sectors: 0,
-            start: at,
-            end: stalled_until,
-            outcome: obs::Outcome::Success,
-            span: 0,
-            parent: obs::current_span(),
-            blame,
-        });
-    }
-    stalled_until
 }
 
 impl ZnsDevice {
@@ -158,9 +79,8 @@ impl ZnsDevice {
                 failed: false,
                 write_seq: 0,
                 faults: None,
-                recorder: None,
-                dev_id: 0,
             }),
+            tracer: obs::Tracer::new(),
             config,
         }
     }
@@ -168,9 +88,39 @@ impl ZnsDevice {
     /// Attaches a trace recorder; every subsequent command emits spans
     /// tagged with `dev_id` (the device's index within its array).
     pub fn set_recorder(&self, recorder: std::sync::Arc<obs::Recorder>, dev_id: u32) {
-        let mut inner = self.inner.lock();
-        inner.recorder = Some(recorder);
-        inner.dev_id = dev_id;
+        self.tracer.attach(recorder, dev_id);
+    }
+
+    /// Accounts a command's queueing stall behind a busy flash unit: bumps
+    /// the device-wait counters and, when the stall is non-zero, emits a
+    /// [`obs::Stage::DeviceWait`] span `[at, at + wait)` blamed on the
+    /// actor whose work last held the unit (no blame when it was our own
+    /// actor class — that is plain queueing, not interference). Returns
+    /// the instant the command actually started service, so the caller's
+    /// `DeviceIo` span can begin there and the two partition the original
+    /// window exactly.
+    fn record_wait(
+        &self,
+        inner: &mut Inner,
+        op: obs::OpClass,
+        zone: u32,
+        lba: Lba,
+        at: SimTime,
+        occ: sim::Occupied,
+    ) -> SimTime {
+        if occ.wait_ns == 0 {
+            return at;
+        }
+        inner.stats.device_wait_ns += occ.wait_ns;
+        let stalled_until = at + sim::SimDuration::from_nanos(occ.wait_ns);
+        self.tracer.add(obs::Counter::DeviceWaitNanos, occ.wait_ns);
+        self.tracer.leaf(
+            obs::Span::new(op, obs::Stage::DeviceWait, at, stalled_until)
+                .zone(zone)
+                .lba(lba)
+                .behind(obs::Actor::from_u8(occ.prev_tag)),
+        );
+        stalled_until
     }
 
     /// The device configuration.
@@ -479,16 +429,12 @@ impl ZnsDevice {
         let mut inner = self.inner.lock();
         Self::check_alive(&inner)?;
         if let Err(e) = Self::inject_fault(&mut inner, op) {
-            trace_span(
-                &inner,
-                opclass,
-                obs::Stage::DeviceIo,
-                zone,
-                geo.zone_start(zone),
-                sectors,
-                at,
-                at,
-                obs::Outcome::Transient,
+            self.tracer.leaf(
+                obs::Span::new(opclass, obs::Stage::DeviceIo, at, at)
+                    .zone(zone)
+                    .lba(geo.zone_start(zone))
+                    .sectors(sectors)
+                    .outcome(obs::Outcome::Transient),
             );
             return Err(e);
         }
@@ -516,20 +462,9 @@ impl ZnsDevice {
             }
             issue = self.timing.drained_at().max(issue) + lat.flush;
             inner.stats.flushes += 1;
-            if let Some(rec) = inner.recorder.as_ref() {
-                rec.bump(obs::Counter::CacheFlushes);
-            }
-            trace_span(
-                &inner,
-                obs::OpClass::Flush,
-                obs::Stage::Flush,
-                zone,
-                0,
-                0,
-                at,
-                issue,
-                obs::Outcome::Success,
-            );
+            self.tracer.bump(obs::Counter::CacheFlushes);
+            self.tracer
+                .leaf(obs::Span::new(obs::OpClass::Flush, obs::Stage::Flush, at, issue).zone(zone));
         }
 
         let assigned = geo.zone_start(zone) + inner.zones[zone as usize].wp;
@@ -583,19 +518,14 @@ impl ZnsDevice {
         inner.stats.writes += 1;
         inner.stats.sectors_written += sectors;
         let served = match first {
-            Some(occ) => record_wait(&mut inner, opclass, zone, assigned, start, occ),
+            Some(occ) => self.record_wait(&mut inner, opclass, zone, assigned, start, occ),
             None => start,
         };
-        trace_span(
-            &inner,
-            opclass,
-            obs::Stage::DeviceIo,
-            zone,
-            assigned,
-            sectors,
-            served.min(done),
-            done,
-            obs::Outcome::Success,
+        self.tracer.leaf(
+            obs::Span::new(opclass, obs::Stage::DeviceIo, served.min(done), done)
+                .zone(zone)
+                .lba(assigned)
+                .sectors(sectors),
         );
         Ok(AppendCompletion {
             lba: assigned,
@@ -686,7 +616,7 @@ impl ZnsDevice {
         inner.stats.writes += 1;
         inner.stats.sectors_written += sectors;
         if let Some(occ) = first {
-            record_wait(&mut inner, obs::OpClass::Write, zone, lba, start, occ);
+            self.record_wait(&mut inner, obs::OpClass::Write, zone, lba, start, occ);
         }
         Ok(IoCompletion { done })
     }
@@ -764,16 +694,12 @@ impl ZonedVolume for ZnsDevice {
             }
         }
         if let Err(e) = Self::check_latent(&mut inner, lba, sectors) {
-            trace_span(
-                &inner,
-                obs::OpClass::Read,
-                obs::Stage::DeviceIo,
-                zone,
-                lba,
-                sectors,
-                at,
-                at,
-                obs::Outcome::Media,
+            self.tracer.leaf(
+                obs::Span::new(obs::OpClass::Read, obs::Stage::DeviceIo, at, at)
+                    .zone(zone)
+                    .lba(lba)
+                    .sectors(sectors)
+                    .outcome(obs::Outcome::Media),
             );
             return Err(e);
         }
@@ -806,19 +732,19 @@ impl ZonedVolume for ZnsDevice {
         inner.stats.reads += 1;
         inner.stats.sectors_read += sectors;
         let served = match first {
-            Some(occ) => record_wait(&mut inner, obs::OpClass::Read, zone, lba, start, occ),
+            Some(occ) => self.record_wait(&mut inner, obs::OpClass::Read, zone, lba, start, occ),
             None => start,
         };
-        trace_span(
-            &inner,
-            obs::OpClass::Read,
-            obs::Stage::DeviceIo,
-            zone,
-            lba,
-            sectors,
-            served.min(done),
-            done,
-            obs::Outcome::Success,
+        self.tracer.leaf(
+            obs::Span::new(
+                obs::OpClass::Read,
+                obs::Stage::DeviceIo,
+                served.min(done),
+                done,
+            )
+            .zone(zone)
+            .lba(lba)
+            .sectors(sectors),
         );
         Ok(IoCompletion { done })
     }
@@ -894,7 +820,7 @@ impl ZonedVolume for ZnsDevice {
         let tag = obs::current_actor().as_u8();
         let occ = self.timing.occupy_affine_tagged(zone as u64, at, dur, tag);
         let done = occ.done;
-        let served = record_wait(
+        let served = self.record_wait(
             &mut inner,
             obs::OpClass::Reset,
             zone,
@@ -902,16 +828,15 @@ impl ZonedVolume for ZnsDevice {
             at,
             occ,
         );
-        trace_span(
-            &inner,
-            obs::OpClass::Reset,
-            obs::Stage::DeviceIo,
-            zone,
-            geo.zone_start(zone),
-            0,
-            served.min(done),
-            done,
-            obs::Outcome::Success,
+        self.tracer.leaf(
+            obs::Span::new(
+                obs::OpClass::Reset,
+                obs::Stage::DeviceIo,
+                served.min(done),
+                done,
+            )
+            .zone(zone)
+            .lba(geo.zone_start(zone)),
         );
         Ok(IoCompletion { done })
     }
@@ -966,17 +891,15 @@ impl ZonedVolume for ZnsDevice {
         let occ = self.timing.occupy_tagged(fill_done, lat.finish, tag);
         let done = occ.done;
         let occ0 = *first.get_or_insert(occ);
-        let served = record_wait(&mut inner, obs::OpClass::Finish, zone, 0, at, occ0);
-        trace_span(
-            &inner,
-            obs::OpClass::Finish,
-            obs::Stage::DeviceIo,
-            zone,
-            0,
-            0,
-            served.min(done),
-            done,
-            obs::Outcome::Success,
+        let served = self.record_wait(&mut inner, obs::OpClass::Finish, zone, 0, at, occ0);
+        self.tracer.leaf(
+            obs::Span::new(
+                obs::OpClass::Finish,
+                obs::Stage::DeviceIo,
+                served.min(done),
+                done,
+            )
+            .zone(zone),
         );
         Ok(IoCompletion { done })
     }
@@ -1051,20 +974,13 @@ impl ZonedVolume for ZnsDevice {
         }
         inner.stats.flushes += 1;
         let done = self.timing.drained_at().max(at) + self.config.latency().flush;
-        if let Some(rec) = inner.recorder.as_ref() {
-            rec.bump(obs::Counter::CacheFlushes);
-        }
-        trace_span(
-            &inner,
+        self.tracer.bump(obs::Counter::CacheFlushes);
+        self.tracer.leaf(obs::Span::new(
             obs::OpClass::Flush,
             obs::Stage::Flush,
-            obs::NONE,
-            0,
-            0,
             at,
             done,
-            obs::Outcome::Success,
-        );
+        ));
         Ok(IoCompletion { done })
     }
 
@@ -1100,7 +1016,7 @@ impl obs::GaugeSource for ZnsDevice {
             wp += z.wp;
             cache += z.wp - z.durable;
         }
-        let d = inner.dev_id;
+        let d = self.tracer.device().unwrap_or(0);
         out.push(obs::GaugeReading::new("wp_sectors", d, wp as f64));
         out.push(obs::GaugeReading::new("cache_sectors", d, cache as f64));
         out.push(obs::GaugeReading::new(

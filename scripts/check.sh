@@ -18,6 +18,14 @@ for crate in crates/*/; do
   fi
 done
 
+# Layers emit through `obs::Tracer`, which owns the event defaults; a
+# hand-written `TraceEvent { .. }` literal outside crates/obs is another
+# copy of them coming back.
+if grep -rn --include='*.rs' 'TraceEvent {' crates | grep -v '^crates/obs/'; then
+  echo "check.sh: TraceEvent literal outside crates/obs (emit through obs::Tracer)" >&2
+  exit 1
+fi
+
 # Concurrency correctness: racing per-zone schedules vs the
 # single-threaded oracle, same-seed determinism, remount after the race.
 cargo test --release -q -p raizn --test concurrent_stress
