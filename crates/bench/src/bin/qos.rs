@@ -23,6 +23,7 @@
 //! phase). SLO gates over the JSON run in `report --qos` and are wired
 //! into `scripts/check.sh`.
 
+use bench::lifecycle::{join, tenant_json};
 use qos::{QosConfig, QosScheduler, TenantSnapshot, TenantSpec};
 use sim::SimDuration;
 use std::sync::Arc;
@@ -66,18 +67,6 @@ fn jain(x: &[f64]) -> f64 {
     } else {
         sum * sum / (n * sq)
     }
-}
-
-fn tenant_json(t: &TenantSnapshot) -> String {
-    format!(
-        "{{\"name\": \"{}\", \"admitted\": {}, \"completed\": {}, \"shed\": {}, \
-         \"deferred\": {}, \"batches\": {}, \"merged\": {}, \"bytes\": {}}}",
-        t.name, t.admitted, t.completed, t.shed, t.deferred, t.batches, t.merged, t.bytes
-    )
-}
-
-fn join(parts: impl IntoIterator<Item = String>) -> String {
-    parts.into_iter().collect::<Vec<_>>().join(", ")
 }
 
 struct Isolation {

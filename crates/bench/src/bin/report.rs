@@ -16,28 +16,16 @@
 //!                         peak (post-peak trough / early peak <= --decline-max)
 //!   --flat-min R          flat-band threshold (default 0.7)
 //!   --decline-max R       decline threshold (default 0.6)
-//!   --p99-factor F        additionally gate every file: worst window
-//!                         whole-op p99 <= F x whole-run p99 (0 = off)
 //!   --qos FILE            render a BENCH_qos.json artifact (per-tenant
 //!                         sections) and gate its fairness/isolation SLOs
-//!   --qos-p99-ratio R     contended/solo victim p99 ceiling (default 1.25)
-//!   --qos-jain R          Jain fairness index floor (default 0.95)
-//!   --qos-share-dev R     max per-tenant deviation of ops/weight from the
-//!                         mean share (default 0.10)
-//!   --qos-uplift R        coalescer full-parity/pp-log uplift floor
-//!                         (default 2.0)
+//!                         (victim p99 ratio, Jain index, weight-share
+//!                         deviation, coalescer uplift)
 //!   --lifecycle FILE      render a BENCH_ziggurat.json artifact (zone
 //!                         lifecycle) and gate its cliff/flat/budget SLOs
-//!   --cliff-max R         unmanaged-run cliff ceiling: post-peak trough /
-//!                         early peak must be <= R (default 0.70)
-//!   --lifecycle-flat R    managed-run flat floor: min/max over active
-//!                         windows must be >= R (default 0.90)
 //!   --lsgc FILE           render a BENCH_lsgc.json artifact (log-structured
 //!                         RAID under sustained overwrite GC pressure) and
 //!                         gate its WAF / pp-log / band-vs-cliff SLOs and
 //!                         the absolute floor on its median MiB/s
-//!   --waf-max R           lsgc write-amplification ceiling: measured-phase
-//!                         WAF must be <= R (default 1.5)
 //!   --explain FILE        render a BENCH_*_spans.json artifact (causal
 //!                         blame trees): per-tenant critical-path blame
 //!                         table plus ASCII waterfalls of the captured
@@ -57,6 +45,9 @@
 //!                         growth and throughput drop must be <= P
 //!                         percent (0 = off)
 //! ```
+//!
+//! The thresholds of the `--qos`, `--lifecycle` and `--lsgc` gates are the
+//! constants below [`LSGC_MIB_MIN`]; nothing sets them per run.
 //!
 //! Every SLO prints one machine-readable line
 //! `SLO <check> file=<path> value=<v> threshold=<t> <PASS|FAIL>`; any FAIL
@@ -142,17 +133,9 @@ fn load(path: &str) -> bench::BenchResult<Run> {
         windows.push((start_s, tput, p99));
     }
 
-    // Trim to the active range; drop the final (typically partial) window
-    // when at least two remain.
-    let first = windows.iter().position(|w| w.1 > 0.0);
-    let active = match first {
-        Some(first) => {
-            let last = windows.iter().rposition(|w| w.1 > 0.0).unwrap_or(first);
-            let end = if last > first { last } else { last + 1 };
-            first..end
-        }
-        None => 0..0,
-    };
+    let tputs: Vec<f64> = windows.iter().map(|w| w.1).collect();
+    let first = tputs.iter().position(|&t| t > 0.0).unwrap_or(0);
+    let active = first..first + bench::lifecycle::active_windows(&tputs).len();
 
     let mut gauges: Vec<(String, f64, f64, usize)> = Vec::new();
     for g in doc
@@ -307,6 +290,21 @@ fn load_qos(path: &str) -> bench::BenchResult<QosRun> {
 /// Floor on the log-structured run's median window throughput. A band
 /// ratio alone passes at any speed; this is the speed.
 const LSGC_MIB_MIN: f64 = 600.0;
+/// Ceiling on the log-structured run's measured-phase write amplification.
+const LSGC_WAF_MAX: f64 = 1.5;
+/// Ceiling on the victim's contended p99 over its solo p99.
+const QOS_P99_RATIO_MAX: f64 = 1.25;
+/// Floor on the Jain fairness index of the weighted tenants.
+const QOS_JAIN_MIN: f64 = 0.95;
+/// Ceiling on any tenant's deviation of ops/weight from the mean share.
+const QOS_SHARE_DEV_MAX: f64 = 0.10;
+/// Floor on the coalescer's full-parity per pp-log uplift.
+const QOS_UPLIFT_MIN: f64 = 2.0;
+/// Ceiling on the unmanaged spray's post-peak trough over its early peak:
+/// it must actually fall off the cliff.
+const LIFECYCLE_CLIFF_MAX: f64 = 0.70;
+/// Floor on the managed spray's min/max band over its active windows.
+const LIFECYCLE_FLAT_MIN: f64 = 0.90;
 
 /// The per-window throughput series of one run section.
 fn windows_of(v: &Json, path: &str) -> bench::BenchResult<Vec<f64>> {
@@ -473,34 +471,30 @@ fn render_lifecycle(l: &LifecycleRun) {
 /// The lifecycle SLO set: `(name, value, threshold, pass)` per gate.
 ///
 /// - `lifecycle_cliff`: the unmanaged run must actually show the cliff
-///   (post-peak trough <= `cliff_max` of the early peak) — it is the
-///   regression oracle proving the cost model bites.
-/// - `lifecycle_flat`: the managed run holds >= `flat_min` of its best
-///   window across the whole band.
+///   (post-peak trough <= [`LIFECYCLE_CLIFF_MAX`] of the early peak) —
+///   it is the regression oracle proving the cost model bites.
+/// - `lifecycle_flat`: the managed run holds >= [`LIFECYCLE_FLAT_MIN`] of
+///   its best window across the whole band.
 /// - `lifecycle_fg_reclaims`: the manager keeps the foreground reclaim
 ///   path completely idle.
 /// - `lifecycle_budget`: no run ever exceeds the device active-zone
 ///   budget.
 /// - `lifecycle_mgmt_ops`: management IO went through the scheduler
 ///   (attribution is part of the contract, not a side effect).
-fn lifecycle_slos(
-    l: &LifecycleRun,
-    cliff_max: f64,
-    flat_min: f64,
-) -> Vec<(&'static str, f64, f64, bool)> {
+fn lifecycle_slos(l: &LifecycleRun) -> Vec<(&'static str, f64, f64, bool)> {
     let max_active = l.max_active_mgr.max(l.max_active_nomgr) as f64;
     vec![
         (
             "lifecycle_cliff",
             l.cliff_ratio,
-            cliff_max,
-            l.cliff_ratio <= cliff_max,
+            LIFECYCLE_CLIFF_MAX,
+            l.cliff_ratio <= LIFECYCLE_CLIFF_MAX,
         ),
         (
             "lifecycle_flat",
             l.flat_ratio,
-            flat_min,
-            l.flat_ratio >= flat_min,
+            LIFECYCLE_FLAT_MIN,
+            l.flat_ratio >= LIFECYCLE_FLAT_MIN,
         ),
         (
             "lifecycle_fg_reclaims",
@@ -1107,8 +1101,6 @@ enum Check {
     Flat,
     /// post-peak trough over early peak must be <= threshold.
     Decline,
-    /// worst window p99 over whole-run p99 must be <= threshold.
-    P99,
 }
 
 impl Check {
@@ -1116,50 +1108,15 @@ impl Check {
         match self {
             Check::Flat => "flat",
             Check::Decline => "decline",
-            Check::P99 => "window_p99",
         }
     }
 
     /// Returns `(value, pass)`; `None` when the run has too few windows.
     fn evaluate(&self, run: &Run, threshold: f64) -> Option<(f64, bool)> {
-        let tputs = run.active_tputs();
+        let tputs: Vec<f64> = run.windows.iter().map(|w| w.1).collect();
         match self {
-            Check::Flat => {
-                let min = tputs.iter().cloned().fold(f64::INFINITY, f64::min);
-                let max = tputs.iter().cloned().fold(0.0f64, f64::max);
-                if max <= 0.0 {
-                    return None;
-                }
-                let ratio = min / max;
-                Some((ratio, ratio >= threshold))
-            }
-            Check::Decline => {
-                // Early peak: best window of the first quarter. Trough:
-                // worst window after the peak (GC recovery at the very end
-                // of a run must not mask the collapse, so min — not last).
-                let head = tputs.len().div_ceil(4);
-                let (peak_at, peak) = tputs[..head]
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))?;
-                let trough = tputs[peak_at + 1..]
-                    .iter()
-                    .cloned()
-                    .fold(f64::INFINITY, f64::min);
-                if !trough.is_finite() || *peak <= 0.0 {
-                    return None;
-                }
-                let ratio = trough / peak;
-                Some((ratio, ratio <= threshold))
-            }
-            Check::P99 => {
-                let worst = run.windows[run.active.clone()].iter().map(|w| w.2).max()?;
-                if run.whole_run_p99_ns == 0 {
-                    return None;
-                }
-                let factor = worst as f64 / run.whole_run_p99_ns as f64;
-                Some((factor, factor <= threshold))
-            }
+            Check::Flat => bench::lifecycle::flat_ratio(&tputs).map(|r| (r, r >= threshold)),
+            Check::Decline => bench::lifecycle::cliff_ratio(&tputs).map(|r| (r, r <= threshold)),
         }
     }
 }
@@ -1167,11 +1124,8 @@ impl Check {
 fn usage() -> BenchError {
     BenchError::Gate(
         "usage: report [--expect-flat FILE] [--expect-decline FILE] \
-         [--flat-min R] [--decline-max R] [--p99-factor F] [--qos FILE] \
-         [--qos-p99-ratio R] [--qos-jain R] [--qos-share-dev R] \
-         [--qos-uplift R] [--lifecycle FILE] [--cliff-max R] \
-         [--lifecycle-flat R] [--lsgc FILE] [--waf-max R] \
-         [--explain FILE] [--interference-max P] \
+         [--flat-min R] [--decline-max R] [--qos FILE] [--lifecycle FILE] \
+         [--lsgc FILE] [--explain FILE] [--interference-max P] \
          [--queue-share-max P] [--diff A B] [--regress-max P] [FILE...]"
             .to_string(),
     )
@@ -1182,16 +1136,8 @@ fn main() -> bench::BenchResult {
     let mut qos_files: Vec<String> = Vec::new();
     let mut flat_min = 0.7f64;
     let mut decline_max = 0.6f64;
-    let mut p99_factor = 0.0f64;
-    let mut qos_p99_ratio = 1.25f64;
-    let mut qos_jain = 0.95f64;
-    let mut qos_share_dev = 0.10f64;
-    let mut qos_uplift = 2.0f64;
     let mut lifecycle_files: Vec<String> = Vec::new();
-    let mut cliff_max = 0.70f64;
-    let mut lifecycle_flat = 0.90f64;
     let mut lsgc_files: Vec<String> = Vec::new();
-    let mut waf_max = 1.5f64;
     let mut explain_files: Vec<String> = Vec::new();
     let mut interference_max = 0.0f64;
     let mut queue_share_max = 0.0f64;
@@ -1215,17 +1161,9 @@ fn main() -> bench::BenchResult {
             }
             "--flat-min" => flat_min = numeric(&mut args)?,
             "--decline-max" => decline_max = numeric(&mut args)?,
-            "--p99-factor" => p99_factor = numeric(&mut args)?,
             "--qos" => qos_files.push(args.next().ok_or_else(usage)?),
-            "--qos-p99-ratio" => qos_p99_ratio = numeric(&mut args)?,
-            "--qos-jain" => qos_jain = numeric(&mut args)?,
-            "--qos-share-dev" => qos_share_dev = numeric(&mut args)?,
-            "--qos-uplift" => qos_uplift = numeric(&mut args)?,
             "--lifecycle" => lifecycle_files.push(args.next().ok_or_else(usage)?),
-            "--cliff-max" => cliff_max = numeric(&mut args)?,
-            "--lifecycle-flat" => lifecycle_flat = numeric(&mut args)?,
             "--lsgc" => lsgc_files.push(args.next().ok_or_else(usage)?),
-            "--waf-max" => waf_max = numeric(&mut args)?,
             "--explain" => explain_files.push(args.next().ok_or_else(usage)?),
             "--interference-max" => interference_max = numeric(&mut args)?,
             "--queue-share-max" => queue_share_max = numeric(&mut args)?,
@@ -1298,49 +1236,6 @@ fn main() -> bench::BenchResult {
 
     println!();
     let mut failures = Vec::new();
-    let mut gate = |check: &Check, run: &Run, threshold: f64| {
-        let line = match check.evaluate(run, threshold) {
-            Some((value, pass)) => {
-                let verdict = if pass { "PASS" } else { "FAIL" };
-                if !pass {
-                    failures.push(format!(
-                        "{} on {}: value {value:.3} vs threshold {threshold}",
-                        check.name(),
-                        run.path
-                    ));
-                }
-                format!(
-                    "SLO {} file={} value={value:.3} threshold={threshold} {verdict}",
-                    check.name(),
-                    run.path
-                )
-            }
-            None => {
-                failures.push(format!(
-                    "{} on {}: not enough active windows to evaluate",
-                    check.name(),
-                    run.path
-                ));
-                format!(
-                    "SLO {} file={} value=NaN threshold={threshold} FAIL",
-                    check.name(),
-                    run.path
-                )
-            }
-        };
-        println!("{line}");
-    };
-    for (run, check) in &runs {
-        match check {
-            Some(c @ Check::Flat) => gate(c, run, flat_min),
-            Some(c @ Check::Decline) => gate(c, run, decline_max),
-            Some(Check::P99) | None => {}
-        }
-        if p99_factor > 0.0 {
-            gate(&Check::P99, run, p99_factor);
-        }
-    }
-
     let mut slo = |name: &str, path: &str, value: f64, threshold: f64, pass: bool| {
         let verdict = if pass { "PASS" } else { "FAIL" };
         if !pass {
@@ -1350,39 +1245,49 @@ fn main() -> bench::BenchResult {
         }
         println!("SLO {name} file={path} value={value:.3} threshold={threshold} {verdict}");
     };
+    for (run, check) in &runs {
+        let (check, threshold) = match check {
+            Some(c @ Check::Flat) => (c, flat_min),
+            Some(c @ Check::Decline) => (c, decline_max),
+            None => continue,
+        };
+        // Too few active windows to evaluate reads as NaN and fails.
+        let (value, pass) = check.evaluate(run, threshold).unwrap_or((f64::NAN, false));
+        slo(check.name(), &run.path, value, threshold, pass);
+    }
     for q in &qos_runs {
         slo(
             "qos_isolation_p99_ratio",
             &q.path,
             q.p99_ratio,
-            qos_p99_ratio,
-            q.p99_ratio <= qos_p99_ratio,
+            QOS_P99_RATIO_MAX,
+            q.p99_ratio <= QOS_P99_RATIO_MAX,
         );
         slo(
             "qos_fairness_jain",
             &q.path,
             q.jain,
-            qos_jain,
-            q.jain >= qos_jain,
+            QOS_JAIN_MIN,
+            q.jain >= QOS_JAIN_MIN,
         );
         slo(
             "qos_weight_share_dev",
             &q.path,
             q.max_weight_dev,
-            qos_share_dev,
-            q.max_weight_dev <= qos_share_dev,
+            QOS_SHARE_DEV_MAX,
+            q.max_weight_dev <= QOS_SHARE_DEV_MAX,
         );
         slo(
             "qos_coalesce_uplift",
             &q.path,
             q.uplift,
-            qos_uplift,
-            q.uplift >= qos_uplift,
+            QOS_UPLIFT_MIN,
+            q.uplift >= QOS_UPLIFT_MIN,
         );
     }
 
     for l in &lifecycle_runs {
-        for (name, value, threshold, pass) in lifecycle_slos(l, cliff_max, lifecycle_flat) {
+        for (name, value, threshold, pass) in lifecycle_slos(l) {
             slo(name, &l.path, value, threshold, pass);
         }
     }
@@ -1400,7 +1305,13 @@ fn main() -> bench::BenchResult {
             LSGC_MIB_MIN,
             g.median_mib_s >= LSGC_MIB_MIN,
         );
-        slo("lsgc_waf", &g.path, g.waf, waf_max, g.waf <= waf_max);
+        slo(
+            "lsgc_waf",
+            &g.path,
+            g.waf,
+            LSGC_WAF_MAX,
+            g.waf <= LSGC_WAF_MAX,
+        );
         #[allow(clippy::cast_precision_loss)]
         slo(
             "lsgc_pp_log_writes",
@@ -1505,7 +1416,7 @@ mod tests {
 
     #[test]
     fn healthy_artifact_passes_every_gate() {
-        let slos = lifecycle_slos(&healthy(), 0.70, 0.90);
+        let slos = lifecycle_slos(&healthy());
         assert_eq!(slos.len(), 5);
         assert!(slos.iter().all(|s| s.3), "{slos:?}");
     }
@@ -1517,7 +1428,7 @@ mod tests {
             cliff_ratio: 0.95,
             ..healthy()
         };
-        let slos = lifecycle_slos(&l, 0.70, 0.90);
+        let slos = lifecycle_slos(&l);
         assert!(!verdict(&slos, "lifecycle_cliff"));
         assert!(verdict(&slos, "lifecycle_flat"));
     }
@@ -1528,7 +1439,7 @@ mod tests {
             flat_ratio: 0.58,
             ..healthy()
         };
-        assert!(!verdict(&lifecycle_slos(&l, 0.70, 0.90), "lifecycle_flat"));
+        assert!(!verdict(&lifecycle_slos(&l), "lifecycle_flat"));
     }
 
     #[test]
@@ -1539,7 +1450,7 @@ mod tests {
             sched_mgmt_ops: 0,
             ..healthy()
         };
-        let slos = lifecycle_slos(&l, 0.70, 0.90);
+        let slos = lifecycle_slos(&l);
         assert!(!verdict(&slos, "lifecycle_fg_reclaims"));
         assert!(!verdict(&slos, "lifecycle_budget"));
         assert!(!verdict(&slos, "lifecycle_mgmt_ops"));
@@ -1551,10 +1462,7 @@ mod tests {
             max_active_nomgr: 10,
             ..healthy()
         };
-        assert!(!verdict(
-            &lifecycle_slos(&l, 0.70, 0.90),
-            "lifecycle_budget"
-        ));
+        assert!(!verdict(&lifecycle_slos(&l), "lifecycle_budget"));
     }
 
     fn span_run(rows: Vec<BlameRow>) -> SpanRun {

@@ -334,7 +334,9 @@ pub fn flat_ratio(windows: &[f64]) -> Option<f64> {
     (max > 0.0).then(|| min / max)
 }
 
-pub(crate) fn tenant_json(t: &TenantSnapshot) -> String {
+/// One tenant's scheduler counters as a JSON object (the `tenants` rows of
+/// the qos, lifecycle and lsgc artifacts).
+pub fn tenant_json(t: &TenantSnapshot) -> String {
     format!(
         "{{\"name\": \"{}\", \"admitted\": {}, \"completed\": {}, \"shed\": {}, \
          \"deferred\": {}, \"batches\": {}, \"merged\": {}, \"bytes\": {}}}",
@@ -342,7 +344,8 @@ pub(crate) fn tenant_json(t: &TenantSnapshot) -> String {
     )
 }
 
-pub(crate) fn join(parts: impl IntoIterator<Item = String>) -> String {
+/// Joins rendered JSON elements with `", "`.
+pub fn join(parts: impl IntoIterator<Item = String>) -> String {
     parts.into_iter().collect::<Vec<_>>().join(", ")
 }
 

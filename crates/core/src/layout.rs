@@ -168,6 +168,20 @@ impl RaiznLayout {
         Some(k - self.parity as u64)
     }
 
+    /// Sectors the slot `dev` holds for `stripe` of `lzone` must contain
+    /// when the zone's logical fill is `fill` sectors: a data slot holds
+    /// its share of the stripe's fill, a parity slot (P or Q) holds a full
+    /// unit once the stripe is complete and nothing before.
+    pub fn slot_extent(&self, lzone: u32, stripe: u64, dev: u32, fill: u64) -> u64 {
+        let stripe_data = self.stripe_data_sectors();
+        let stripe_fill = fill.saturating_sub(stripe * stripe_data).min(stripe_data);
+        match self.unit_of_device(lzone, stripe, dev) {
+            Some(k) => stripe_fill.saturating_sub(k * self.su).min(self.su),
+            None if stripe_fill == stripe_data => self.su,
+            None => 0,
+        }
+    }
+
     /// PBA (on whichever device) of `stripe`'s units within the backing
     /// physical zone of `lzone`: every unit of stripe `s` lives at the same
     /// per-device offset `s * stripe_unit`.
@@ -309,6 +323,48 @@ mod tests {
         }
         // Single-parity mode exposes no Q device.
         assert_eq!(layout().q_device(0, 0), None);
+    }
+
+    /// Data / P / Q slot × empty / partial / complete stripe, on both
+    /// parity levels (stripe unit 4; 4 resp. 3 data units).
+    #[test]
+    fn slot_extent_table() {
+        let geo = zns::ZnsConfig::small_test().geometry();
+        for config in [RaiznConfig::small_test(), RaiznConfig::small_test_raizn2()] {
+            let l = RaiznLayout::new(5, config, geo);
+            let sd = l.stripe_data_sectors();
+            let (lz, stripe) = (2, 3);
+            let data = |k| l.data_device(lz, stripe, k);
+            let parity = [Some(l.parity_device(lz, stripe)), l.q_device(lz, stripe)];
+            // (fill within the stripe, unit 0, unit 1, last unit, parity)
+            let table = [
+                (0, 0, 0, 0, 0),      // empty
+                (3, 3, 0, 0, 0),      // inside unit 0
+                (4, 4, 0, 0, 0),      // unit 0 exactly
+                (6, 4, 2, 0, 0),      // into unit 1
+                (sd - 1, 4, 4, 3, 0), // one sector short
+                (sd, 4, 4, 4, 4),     // complete
+            ];
+            for (in_stripe, u0, u1, last, par) in table {
+                let fill = stripe * sd + in_stripe;
+                let got = |dev| l.slot_extent(lz, stripe, dev, fill);
+                assert_eq!(got(data(0)), u0, "unit 0 at {in_stripe}");
+                assert_eq!(got(data(1)), u1, "unit 1 at {in_stripe}");
+                assert_eq!(
+                    got(data(l.data_units() - 1)),
+                    last,
+                    "last unit at {in_stripe}"
+                );
+                for dev in parity.into_iter().flatten() {
+                    assert_eq!(got(dev), par, "parity dev {dev} at {in_stripe}");
+                }
+            }
+            // Stripes wholly below the fill are complete, above it empty.
+            for dev in 0..5 {
+                assert_eq!(l.slot_extent(lz, stripe - 1, dev, stripe * sd), 4);
+                assert_eq!(l.slot_extent(lz, stripe + 1, dev, stripe * sd + 5), 0);
+            }
+        }
     }
 
     #[test]

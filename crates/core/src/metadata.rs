@@ -167,38 +167,28 @@ fn put_u64(buf: &mut [u8], off: usize, v: u64) {
     buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
 }
 
+fn get<const N: usize>(buf: &[u8], off: usize) -> Result<[u8; N]> {
+    buf.get(off..off + N)
+        .and_then(|b| b.try_into().ok())
+        .ok_or_else(|| {
+            ZnsError::InvalidArgument(format!("metadata header truncated at byte offset {off}"))
+        })
+}
+
 fn get_u32(buf: &[u8], off: usize) -> Result<u32> {
-    match buf.get(off..off + 4) {
-        Some(b) => {
-            let mut w = [0u8; 4];
-            w.copy_from_slice(b);
-            Ok(u32::from_le_bytes(w))
-        }
-        None => Err(ZnsError::InvalidArgument(format!(
-            "metadata header truncated at byte offset {off}"
-        ))),
-    }
+    get(buf, off).map(u32::from_le_bytes)
 }
 
 fn get_u64(buf: &[u8], off: usize) -> Result<u64> {
-    match buf.get(off..off + 8) {
-        Some(b) => {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(b);
-            Ok(u64::from_le_bytes(w))
-        }
-        None => Err(ZnsError::InvalidArgument(format!(
-            "metadata header truncated at byte offset {off}"
-        ))),
-    }
+    get(buf, off).map(u64::from_le_bytes)
 }
 
-/// A borrowed view of a record payload: the zero-copy twin of
-/// [`MdPayload`], used by the write path to serialize partial parity,
-/// relocated units, and generation pages straight out of live buffers
-/// (stripe buffer, relocation cache, counter table) without staging them
-/// in an owned `Vec` first.
-#[derive(Debug, Clone, Copy)]
+/// A borrowed view of a record payload: what every writer of the log
+/// builds, so partial parity, relocated units and generation pages are
+/// serialized straight out of live buffers (stripe buffer, relocation
+/// cache, counter table). [`MdPayload`] is its owned twin, produced only
+/// by [`MdRecord::decode`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MdPayloadRef<'a> {
     /// Array parameters, stored inline.
     Superblock(Superblock),
@@ -242,8 +232,8 @@ pub enum MdPayloadRef<'a> {
 
 /// A record built over a borrowed payload; see [`MdPayloadRef`]. Encodes
 /// with [`MdRecordRef::encode_into`] into a caller-provided (typically
-/// pooled) buffer.
-#[derive(Debug, Clone, Copy)]
+/// pooled) buffer — the only encoder of the on-disk format.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MdRecordRef<'a> {
     /// The header.
     pub header: MetadataHeader,
@@ -252,8 +242,8 @@ pub struct MdRecordRef<'a> {
 }
 
 impl<'a> MdRecordRef<'a> {
-    /// Creates a record view with the given header fields (same header
-    /// fix-ups as [`MdRecord::new`]).
+    /// Creates a record view with the given header fields. A generation
+    /// page's LBA range is its zone range, whatever range is passed.
     pub fn new(
         payload: MdPayloadRef<'a>,
         checkpoint: bool,
@@ -290,6 +280,18 @@ impl<'a> MdRecordRef<'a> {
             },
             payload,
         }
+    }
+
+    /// Sectors [`encode_into`](Self::encode_into) produces: the header
+    /// plus any payload sectors.
+    pub fn encoded_sectors(&self) -> u64 {
+        let payload = match &self.payload {
+            MdPayloadRef::RelocatedStripeUnit { data, .. }
+            | MdPayloadRef::PartialParity { data, .. }
+            | MdPayloadRef::PartialParityQ { data, .. } => data.len(),
+            _ => 0,
+        };
+        1 + payload as u64 / SECTOR_SIZE
     }
 
     /// Serializes the record into `out`, replacing its contents: one
@@ -412,48 +414,13 @@ impl MdPayload {
 }
 
 impl MdRecord {
-    /// Creates a record with the given header fields.
-    pub fn new(
-        md_type_payload: MdPayload,
-        checkpoint: bool,
-        start_lba: Lba,
-        end_lba: Lba,
-        generation: u64,
-    ) -> MdRecord {
-        let header = MdRecordRef::new(
-            md_type_payload.as_ref(),
-            checkpoint,
-            start_lba,
-            end_lba,
-            generation,
-        )
-        .header;
-        MdRecord {
-            header,
-            payload: md_type_payload,
-        }
-    }
-
-    /// Borrows this record as an [`MdRecordRef`].
+    /// Borrows this record as an [`MdRecordRef`] (to re-encode or compare
+    /// a decoded record).
     pub fn as_ref(&self) -> MdRecordRef<'_> {
         MdRecordRef {
             header: self.header,
             payload: self.payload.as_ref(),
         }
-    }
-
-    /// Serializes the record: one header sector plus any payload sectors.
-    /// The result length is always a multiple of the sector size. Hot
-    /// paths should prefer [`MdRecordRef::encode_into`] with a pooled
-    /// scratch buffer; this convenience allocates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a trailing payload is not sector-aligned.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.as_ref().encode_into(&mut out);
-        out
     }
 
     /// Number of payload sectors that follow a header, given its bytes.
@@ -570,20 +537,26 @@ impl MdRecord {
 mod tests {
     use super::*;
 
-    fn roundtrip(rec: MdRecord) {
-        let bytes = rec.encode();
-        assert_eq!(bytes.len() % SECTOR_SIZE as usize, 0);
+    fn encode(rec: MdRecordRef<'_>) -> Vec<u8> {
+        let mut out = Vec::new();
+        rec.encode_into(&mut out);
+        out
+    }
+
+    fn roundtrip(rec: MdRecordRef<'_>) {
+        let bytes = encode(rec);
+        assert_eq!(bytes.len() as u64, rec.encoded_sectors() * SECTOR_SIZE);
         let (h, p) = bytes.split_at(MD_HEADER_BYTES);
         let sectors = MdRecord::payload_sectors(h).expect("valid header");
         assert_eq!(p.len() as u64, sectors * SECTOR_SIZE);
         let decoded = MdRecord::decode(h, p).expect("decodes");
-        assert_eq!(decoded, rec);
+        assert_eq!(decoded.as_ref(), rec);
     }
 
     #[test]
     fn superblock_roundtrip() {
-        roundtrip(MdRecord::new(
-            MdPayload::Superblock(Superblock {
+        roundtrip(MdRecordRef::new(
+            MdPayloadRef::Superblock(Superblock {
                 num_devices: 5,
                 device_index: 2,
                 stripe_unit_sectors: 16,
@@ -601,10 +574,11 @@ mod tests {
 
     #[test]
     fn gen_counters_roundtrip() {
-        roundtrip(MdRecord::new(
-            MdPayload::GenCounters {
+        let counters: Vec<u64> = (0..508).collect();
+        roundtrip(MdRecordRef::new(
+            MdPayloadRef::GenCounters {
                 first_zone: 508,
-                counters: (0..508u64).collect(),
+                counters: &counters,
             },
             true,
             0,
@@ -615,23 +589,35 @@ mod tests {
 
     #[test]
     fn zone_reset_log_roundtrip() {
-        roundtrip(MdRecord::new(MdPayload::ZoneResetLog, false, 256, 512, 7));
+        roundtrip(MdRecordRef::new(
+            MdPayloadRef::ZoneResetLog,
+            false,
+            256,
+            512,
+            7,
+        ));
     }
 
     #[test]
     fn zone_finish_log_roundtrip() {
         // End LBA is the sealed write pointer, not the zone cap.
-        roundtrip(MdRecord::new(MdPayload::ZoneFinishLog, false, 256, 280, 7));
+        roundtrip(MdRecordRef::new(
+            MdPayloadRef::ZoneFinishLog,
+            false,
+            256,
+            280,
+            7,
+        ));
     }
 
     #[test]
     fn relocated_unit_roundtrip() {
-        roundtrip(MdRecord::new(
-            MdPayload::RelocatedStripeUnit {
+        roundtrip(MdRecordRef::new(
+            MdPayloadRef::RelocatedStripeUnit {
                 lzone: 2,
                 stripe: 9,
                 valid_sectors: 3,
-                data: vec![0xCD; 4 * SECTOR_SIZE as usize],
+                data: &[0xCD; 4 * SECTOR_SIZE as usize],
             },
             false,
             100,
@@ -642,10 +628,10 @@ mod tests {
 
     #[test]
     fn partial_parity_roundtrip() {
-        roundtrip(MdRecord::new(
-            MdPayload::PartialParity {
+        roundtrip(MdRecordRef::new(
+            MdPayloadRef::PartialParity {
                 first_row: 2,
-                data: vec![0xEE; 2 * SECTOR_SIZE as usize],
+                data: &[0xEE; 2 * SECTOR_SIZE as usize],
             },
             false,
             40,
@@ -656,10 +642,10 @@ mod tests {
 
     #[test]
     fn partial_parity_q_roundtrip() {
-        roundtrip(MdRecord::new(
-            MdPayload::PartialParityQ {
+        roundtrip(MdRecordRef::new(
+            MdPayloadRef::PartialParityQ {
                 first_row: 1,
-                data: vec![0x5A; 3 * SECTOR_SIZE as usize],
+                data: &[0x5A; 3 * SECTOR_SIZE as usize],
             },
             false,
             40,
@@ -668,10 +654,19 @@ mod tests {
         ));
     }
 
+    fn reset_log(checkpoint: bool, generation: u64) -> Vec<u8> {
+        encode(MdRecordRef::new(
+            MdPayloadRef::ZoneResetLog,
+            checkpoint,
+            0,
+            1,
+            generation,
+        ))
+    }
+
     #[test]
     fn truncated_header_is_an_error_not_a_panic() {
-        let rec = MdRecord::new(MdPayload::ZoneResetLog, false, 0, 1, 0);
-        let bytes = rec.encode();
+        let bytes = reset_log(false, 0);
         // Long enough to pass the length gate nowhere, short enough that a
         // naive slice would panic: decode must return InvalidArgument.
         assert!(MdRecord::decode(&bytes[..16], &[]).is_err());
@@ -680,8 +675,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let rec = MdRecord::new(MdPayload::ZoneResetLog, false, 0, 1, 0);
-        let mut bytes = rec.encode();
+        let mut bytes = reset_log(false, 0);
         bytes[0] ^= 0xFF;
         assert!(MdRecord::payload_sectors(&bytes).is_none());
         assert!(MdRecord::decode(&bytes, &[]).is_err());
@@ -689,17 +683,14 @@ mod tests {
 
     #[test]
     fn unknown_type_rejected() {
-        let rec = MdRecord::new(MdPayload::ZoneResetLog, false, 0, 1, 0);
-        let mut bytes = rec.encode();
+        let mut bytes = reset_log(false, 0);
         bytes[4] = 99;
         assert!(MdRecord::decode(&bytes, &[]).is_err());
     }
 
     #[test]
     fn checkpoint_flag_roundtrips() {
-        let rec = MdRecord::new(MdPayload::ZoneResetLog, true, 0, 1, 5);
-        let bytes = rec.encode();
-        let decoded = MdRecord::decode(&bytes, &[]).unwrap();
+        let decoded = MdRecord::decode(&reset_log(true, 5), &[]).unwrap();
         assert!(decoded.header.checkpoint);
         assert_eq!(decoded.header.generation, 5);
     }
@@ -713,19 +704,17 @@ mod tests {
 
     #[test]
     fn payload_sector_counts() {
-        let pp = MdRecord::new(
-            MdPayload::PartialParity {
+        let pp = encode(MdRecordRef::new(
+            MdPayloadRef::PartialParity {
                 first_row: 0,
-                data: vec![0; 3 * SECTOR_SIZE as usize],
+                data: &[0; 3 * SECTOR_SIZE as usize],
             },
             false,
             0,
             12,
             0,
-        )
-        .encode();
+        ));
         assert_eq!(MdRecord::payload_sectors(&pp), Some(3));
-        let rl = MdRecord::new(MdPayload::ZoneResetLog, false, 0, 1, 0).encode();
-        assert_eq!(MdRecord::payload_sectors(&rl), Some(0));
+        assert_eq!(MdRecord::payload_sectors(&reset_log(false, 0)), Some(0));
     }
 }

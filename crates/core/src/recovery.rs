@@ -19,7 +19,7 @@ use crate::config::RaiznConfig;
 use crate::metadata::{MdPayload, MdRecord, MD_HEADER_BYTES};
 use crate::stats::AtomicRaiznStats;
 use crate::stripe::StripeBuffer;
-use crate::volume::{internal, MdRole, MetaState, RaiznVolume, RelocatedUnit};
+use crate::volume::{internal, LiveMeta, MdRole, MdRoles, MetaState, RaiznVolume, RelocatedUnit};
 use crate::Result;
 use sim::codec::{Decode, Role};
 use sim::SimTime;
@@ -27,13 +27,6 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use zns::{WriteFlags, ZnsDevice, ZnsError, ZoneState, ZonedVolume, SECTOR_SIZE};
-
-/// All metadata records harvested from one device during the mount scan.
-#[derive(Debug, Default)]
-struct Harvest {
-    /// (device, record) pairs in scan order.
-    records: Vec<(usize, MdRecord)>,
-}
 
 /// A per-(zone, stripe) partial-parity image assembled by replaying pp
 /// records in write order, snapshotted at one data extent.
@@ -104,7 +97,8 @@ impl RaiznVolume {
         let failed_mask: u64 = failed.iter().fold(0, |m, d| m | (1u64 << d));
 
         // ---- 1. Scan metadata zones. -----------------------------------
-        let mut harvest = Harvest::default();
+        // (device, record) pairs in scan order.
+        let mut harvest: Vec<(usize, MdRecord)> = Vec::new();
         for (di, dev) in devices.iter().enumerate() {
             if failed_mask & (1u64 << di) != 0 {
                 continue;
@@ -118,7 +112,7 @@ impl RaiznVolume {
         let mut saw_superblock = false;
         let n_lzones = layout.logical_zones() as usize;
         let mut gens = vec![0u64; n_lzones];
-        for (_, rec) in &harvest.records {
+        for (_, rec) in &harvest {
             match &rec.payload {
                 MdPayload::Superblock(sb) => {
                     saw_superblock = true;
@@ -164,7 +158,7 @@ impl RaiznVolume {
         let mut pp = PpImages::default();
         let su = layout.stripe_unit();
         let su_bytes = (su * SECTOR_SIZE) as usize;
-        let mut ordered: Vec<&(usize, MdRecord)> = harvest.records.iter().collect();
+        let mut ordered: Vec<&(usize, MdRecord)> = harvest.iter().collect();
         ordered.sort_by_key(|(_, r)| {
             (
                 !r.header.checkpoint, // checkpoints first (so normals overwrite)
@@ -273,8 +267,8 @@ impl RaiznVolume {
             }
             {
                 let mut m = vol.lock_meta();
-                m.relocated = relocated;
-                vol.sync_relocated_count(&m);
+                m.live.relocated = relocated;
+                vol.sync_relocated_count(&m.live);
             }
 
             for lz in 0..vol.layout.logical_zones() {
@@ -318,7 +312,8 @@ impl RaiznVolume {
         let phys_zone = layout.phys_zone(lz);
         let n = layout.devices();
         let mut z = self.lock_shard(lz);
-        let mut m = self.lock_meta();
+        let mut meta = self.lock_meta();
+        let m = &mut meta.live;
 
         // Per-device physical write pointers (relative), None for failed.
         let mut wp: Vec<Option<u64>> = Vec::with_capacity(n as usize);
@@ -378,7 +373,7 @@ impl RaiznVolume {
             }
             m.gens[lz as usize] += 1;
             m.relocated.retain(|(z2, _, _), _| *z2 != lz);
-            self.sync_relocated_count(&m);
+            self.sync_relocated_count(m);
             z.conflicts.clear();
             AtomicRaiznStats::add(&self.stats.zone_resets, 1);
             return Ok(true);
@@ -399,14 +394,14 @@ impl RaiznVolume {
             }
             m.gens[lz as usize] += 1;
             m.relocated.retain(|(z2, _, _), _| *z2 != lz);
-            self.sync_relocated_count(&m);
+            self.sync_relocated_count(m);
             z.conflicts.clear();
             return Ok(true);
         }
 
         // Available sectors of the slot `dev` holds for `stripe`:
         // relocated slots count by their relocation extent.
-        let avail = |m: &MetaState, wp: &[Option<u64>], stripe: u64, dev: u32| {
+        let avail = |m: &LiveMeta, wp: &[Option<u64>], stripe: u64, dev: u32| {
             avail_local(m, wp, lz, su, stripe, dev)
         };
 
@@ -438,10 +433,10 @@ impl RaiznVolume {
         } else {
             // Either parity leg witnesses stripe completion: in a degraded
             // dual-parity mount the P holder may be the failed device.
-            let p = avail(&m, &wp, max_stripe, parity_dev).unwrap_or(0);
+            let p = avail(m, &wp, max_stripe, parity_dev).unwrap_or(0);
             let q = layout
                 .q_device(lz, max_stripe)
-                .and_then(|qd| avail(&m, &wp, max_stripe, qd))
+                .and_then(|qd| avail(m, &wp, max_stripe, qd))
                 .unwrap_or(0);
             p.max(q)
         };
@@ -452,7 +447,7 @@ impl RaiznVolume {
             let mut f = max_stripe * stripe_data;
             for k in 0..d_units {
                 let dev = layout.data_device(lz, max_stripe, k);
-                if let Some(a) = avail(&m, &wp, max_stripe, dev) {
+                if let Some(a) = avail(m, &wp, max_stripe, dev) {
                     if a > 0 {
                         f = f.max(max_stripe * stripe_data + k * su + a);
                     }
@@ -486,21 +481,11 @@ impl RaiznVolume {
         let mut rollback: Option<u64> = None;
         let repair_limit = if finished { 0 } else { max_stripe + 1 };
         'stripes: for stripe in 0..repair_limit {
-            let stripe_fill = (fill.saturating_sub(stripe * stripe_data)).min(stripe_data);
-            let complete = stripe_fill == stripe_data;
+            let complete = fill >= (stripe + 1) * stripe_data;
             for dev in 0..n {
                 let unit = layout.unit_of_device(lz, stripe, dev);
-                let needed = match unit {
-                    None => {
-                        if complete {
-                            su
-                        } else {
-                            0
-                        }
-                    }
-                    Some(k) => stripe_fill.saturating_sub(k * su).min(su),
-                };
-                let have = avail(&m, &wp, stripe, dev).unwrap_or(0);
+                let needed = layout.slot_extent(lz, stripe, dev, fill);
+                let have = avail(m, &wp, stripe, dev).unwrap_or(0);
                 if have >= needed {
                     continue;
                 }
@@ -519,11 +504,11 @@ impl RaiznVolume {
                 let mut out = vec![0u8; (rows * SECTOR_SIZE) as usize];
                 let avail_now = wp.clone();
                 let ok = self.rebuild_rows(
-                    &m, devices, at, lz, stripe, dev, have, needed, complete, pp, &avail_now,
+                    m, devices, at, lz, stripe, dev, have, needed, complete, pp, &avail_now,
                     &mut out,
                 )?;
                 if !ok {
-                    rollback = Some(self.readable_prefix(&m, devices, at, lz, &mut wp, pp, fill)?);
+                    rollback = Some(self.readable_prefix(m, devices, at, lz, &mut wp, pp, fill)?);
                     break 'stripes;
                 }
                 if failed {
@@ -568,7 +553,7 @@ impl RaiznVolume {
                 let off = (cursor * SECTOR_SIZE) as usize;
                 if m.relocated.contains_key(&(lz, stripe, dev)) || !self.is_failed(dev as usize) {
                     let out = &mut staged[off..off + (rows * SECTOR_SIZE) as usize];
-                    self.fetch_slot_rows(Some(&m), devices, at, lz, stripe, dev, row0, out)?;
+                    self.fetch_slot_rows(Some(m), devices, at, lz, stripe, dev, row0, out)?;
                 } else {
                     missing.push(k);
                 }
@@ -596,7 +581,7 @@ impl RaiznVolume {
                 let jdev = layout.data_device(lz, stripe, j);
                 let mut out = vec![0u8; (jw * SECTOR_SIZE) as usize];
                 let ok = self.rebuild_rows(
-                    &m,
+                    m,
                     devices,
                     at,
                     lz,
@@ -644,18 +629,7 @@ impl RaiznVolume {
                 if m.relocated.contains_key(&(lz, stripe, dev)) {
                     continue; // already a conflicted slot from a past session
                 }
-                let stripe_fill = (fill.saturating_sub(stripe * stripe_data)).min(stripe_data);
-                let expected = match layout.unit_of_device(lz, stripe, dev) {
-                    None => {
-                        if stripe_fill == stripe_data {
-                            su
-                        } else {
-                            0
-                        }
-                    }
-                    Some(k) => stripe_fill.saturating_sub(k * su).min(su),
-                };
-                if have > expected {
+                if have > layout.slot_extent(lz, stripe, dev, fill) {
                     z.conflicts.insert((stripe, dev));
                     // Record the conflict as an (empty) relocation so it
                     // survives future mounts: the padded ghost slot would
@@ -680,7 +654,7 @@ impl RaiznVolume {
                 }
             }
         }
-        self.sync_relocated_count(&m);
+        self.sync_relocated_count(m);
 
         let z_wp = fill;
         let lgeo = layout.logical_geometry();
@@ -738,7 +712,7 @@ impl RaiznVolume {
     #[allow(clippy::too_many_arguments)]
     fn rebuild_rows(
         &self,
-        m: &MetaState,
+        m: &LiveMeta,
         devices: &[Arc<ZnsDevice>],
         at: SimTime,
         lz: u32,
@@ -757,7 +731,7 @@ impl RaiznVolume {
         let rows = needed - have;
         let row0 = have;
         let bytes = (rows * SECTOR_SIZE) as usize;
-        let avail = |m: &MetaState, stripe: u64, dev: u32| avail_local(m, wp, lz, su, stripe, dev);
+        let avail = |m: &LiveMeta, stripe: u64, dev: u32| avail_local(m, wp, lz, su, stripe, dev);
         let pdev = layout.parity_device(lz, stripe);
         let qdev = layout.q_device(lz, stripe);
 
@@ -951,7 +925,7 @@ impl RaiznVolume {
     #[allow(clippy::too_many_arguments)]
     fn readable_prefix(
         &self,
-        m: &MetaState,
+        m: &LiveMeta,
         devices: &[Arc<ZnsDevice>],
         at: SimTime,
         lz: u32,
@@ -982,16 +956,7 @@ impl RaiznVolume {
             let mut stripe_cap: Option<u64> = None;
             for dev in order {
                 let unit = layout.unit_of_device(lz, stripe, dev);
-                let needed = match unit {
-                    None => {
-                        if complete {
-                            su
-                        } else {
-                            0
-                        }
-                    }
-                    Some(k) => stripe_fill.saturating_sub(k * su).min(su),
-                };
+                let needed = layout.slot_extent(lz, stripe, dev, fill);
                 let have = avail_local(m, wp, lz, su, stripe, dev)
                     .unwrap_or(0)
                     .min(needed);
@@ -1069,7 +1034,7 @@ impl RaiznVolume {
         let mut targets: Vec<(u32, u32)> = {
             let m = self.lock_meta();
             let mut counts: HashMap<(u32, u32), usize> = HashMap::new();
-            for (lz, _stripe, dev) in m.relocated.keys() {
+            for (lz, _stripe, dev) in m.live.relocated.keys() {
                 *counts.entry((*lz, *dev)).or_default() += 1;
             }
             counts
@@ -1097,7 +1062,6 @@ impl RaiznVolume {
     ) -> Result<()> {
         let layout = self.layout;
         let su = layout.stripe_unit();
-        let stripe_data = layout.stripe_data_sectors();
         let phys_zone = layout.phys_zone(lz);
         let phys_start = layout.phys_geometry().zone_start(phys_zone);
         let mut z = self.lock_shard(lz);
@@ -1109,25 +1073,12 @@ impl RaiznVolume {
         let mut corrected: Vec<u8> = Vec::new();
         let mut stripe = 0u64;
         loop {
-            let stripe_fill = (fill.saturating_sub(stripe * stripe_data)).min(stripe_data);
-            if stripe_fill == 0 {
-                break;
-            }
-            let expected = match layout.unit_of_device(lz, stripe, dev) {
-                None => {
-                    if stripe_fill == stripe_data {
-                        su
-                    } else {
-                        0
-                    }
-                }
-                Some(k) => stripe_fill.saturating_sub(k * su).min(su),
-            };
+            let expected = layout.slot_extent(lz, stripe, dev, fill);
             if expected == 0 {
                 break;
             }
             let bytes = (expected * SECTOR_SIZE) as usize;
-            if let Some(rel) = m.relocated.get(&(lz, stripe, dev)) {
+            if let Some(rel) = m.live.relocated.get(&(lz, stripe, dev)) {
                 corrected.extend_from_slice(&rel.data[..bytes]);
             } else {
                 let off = corrected.len();
@@ -1146,7 +1097,7 @@ impl RaiznVolume {
 
         // Bounce through a swap metadata zone so the data stays on stable
         // media across the reset window, then rewrite the zone in place.
-        let swap = m.md[dev as usize]
+        let swap = m.log.md[dev as usize]
             .swaps
             .first()
             .copied()
@@ -1165,9 +1116,10 @@ impl RaiznVolume {
         device.reset_zone(t, swap)?;
 
         // The relocations on this device's column are healed.
-        m.relocated
+        m.live
+            .relocated
             .retain(|(z2, _, d), _| !(*z2 == lz && *d == dev));
-        self.sync_relocated_count(&m);
+        self.sync_relocated_count(&m.live);
         z.conflicts.retain(|(_, d)| *d != dev);
         AtomicRaiznStats::add(&self.stats.zone_rewrites, 1);
         Ok(())
@@ -1177,116 +1129,52 @@ impl RaiznVolume {
     /// emptiest metadata zone per device, then reset the others — leaving
     /// a compact, bounded metadata footprint for the new session.
     fn mount_refresh_metadata(&self, devices: &[Arc<ZnsDevice>], at: SimTime) -> Result<()> {
+        self.sync_pp_snapshots();
         let mdz = self.layout.md_zones();
-        {
-            let mut m = self.lock_meta();
-            for dev in 0..devices.len() {
-                if self.is_failed(dev) {
-                    continue;
-                }
-                // Choose the md zone with the most free space as the new
-                // general zone.
-                let mut best = 0u32;
-                let mut best_free = 0u64;
-                for mz in 0..mdz {
-                    let info = devices[dev].zone_info(mz)?;
-                    let free = info.remaining();
-                    if free >= best_free {
-                        best = mz;
-                        best_free = free;
-                    }
-                }
-                m.md[dev].general = best;
-                let others: Vec<u32> = (0..mdz).filter(|z| *z != best).collect();
-                m.md[dev].pplog = others[0];
-                m.md[dev].swaps = others[1..].to_vec();
-
-                // Checkpoint.
-                let mut recs = vec![self.superblock_record(devices.len(), dev, true)];
-                recs.extend(self.gen_records(&m, true));
-                let mut keys: Vec<(u32, u64, u32)> = m
-                    .relocated
-                    .keys()
-                    .filter(|(_, _, rdev)| *rdev as usize == dev)
-                    .copied()
-                    .collect();
-                keys.sort_unstable();
-                for key @ (lz, stripe, _) in keys {
-                    let unit = &m.relocated[&key];
-                    let lgeo = self.layout.logical_geometry();
-                    let sstart = lgeo.zone_start(lz) + stripe * self.layout.stripe_data_sectors();
-                    recs.push(MdRecord::new(
-                        MdPayload::RelocatedStripeUnit {
-                            lzone: lz,
-                            stripe,
-                            valid_sectors: unit.valid,
-                            data: unit.data.clone(),
-                        },
-                        true,
-                        sstart,
-                        sstart + self.layout.stripe_data_sectors(),
-                        m.gens[lz as usize],
-                    ));
-                }
-                let mut t = at;
-                for rec in recs {
-                    t = self.md_append(&mut m, devices, t, dev, MdRole::General, &rec, false)?;
-                }
-                devices[dev].flush(t)?;
-                // Reset the other metadata zones.
-                for mz in others {
-                    let info = devices[dev].zone_info(mz)?;
-                    if info.write_pointer > info.start {
-                        devices[dev].reset_zone(t, mz)?;
-                    }
-                }
-            }
-        }
-        // Re-log partial parity for seeded stripe buffers so a failure of
-        // the data device before the next write is still recoverable, and
-        // seed the pp checkpoint snapshots the metadata GC relogs from.
-        for lz in 0..self.layout.logical_zones() {
-            let z = self.lock_shard(lz);
-            let mut m = self.lock_meta();
-            let Some(b) = z.buffer.as_ref().filter(|b| b.filled_sectors() > 0) else {
+        let mut m = self.lock_meta();
+        let MetaState { log, live, .. } = &mut *m;
+        for dev in 0..devices.len() {
+            if self.is_failed(dev) {
                 continue;
-            };
-            let su = self.layout.stripe_unit();
-            let rows = b.filled_sectors().min(su);
-            let lgeo = self.layout.logical_geometry();
-            let sstart = lgeo.zone_start(lz) + b.stripe() * self.layout.stripe_data_sectors();
-            let pdev = self.layout.parity_device(lz, b.stripe()) as usize;
-            if !self.is_failed(pdev) {
-                let rec = MdRecord::new(
-                    MdPayload::PartialParity {
-                        first_row: 0,
-                        data: b.parity()[..(rows * SECTOR_SIZE) as usize].to_vec(),
-                    },
-                    false,
-                    sstart,
-                    sstart + b.filled_sectors(),
-                    m.gens[lz as usize],
-                );
-                self.md_append(&mut m, devices, at, pdev, MdRole::PpLog, &rec, false)?;
-                AtomicRaiznStats::add(&self.stats.pp_log_entries, 1);
             }
-            if let Some(qd) = self.layout.q_device(lz, b.stripe()) {
-                if !self.is_failed(qd as usize) {
-                    let rec = MdRecord::new(
-                        MdPayload::PartialParityQ {
-                            first_row: 0,
-                            data: b.q_parity()[..(rows * SECTOR_SIZE) as usize].to_vec(),
-                        },
-                        false,
-                        sstart,
-                        sstart + b.filled_sectors(),
-                        m.gens[lz as usize],
-                    );
-                    self.md_append(&mut m, devices, at, qd as usize, MdRole::PpLog, &rec, false)?;
-                    AtomicRaiznStats::add(&self.stats.pp_q_log_entries, 1);
+            // Choose the md zone with the most free space as the new
+            // general zone.
+            let mut best = 0u32;
+            let mut best_free = 0u64;
+            for mz in 0..mdz {
+                let info = devices[dev].zone_info(mz)?;
+                let free = info.remaining();
+                if free >= best_free {
+                    best = mz;
+                    best_free = free;
                 }
             }
-            m.pp_live[lz as usize].capture(b, su);
+            let others: Vec<u32> = (0..mdz).filter(|z| *z != best).collect();
+            log.md[dev] = MdRoles {
+                general: best,
+                pplog: others[0],
+                swaps: others[1..].to_vec(),
+            };
+            let mut t = at;
+            self.checkpoint_live(live, dev, MdRole::General, true, |rec| {
+                t = self.md_append(log, live, devices, t, dev, MdRole::General, rec, false)?;
+                Ok(())
+            })?;
+            devices[dev].flush(t)?;
+            // Reset the other metadata zones.
+            for mz in others {
+                let info = devices[dev].zone_info(mz)?;
+                if info.write_pointer > info.start {
+                    devices[dev].reset_zone(t, mz)?;
+                }
+            }
+            // Partial parity of the seeded stripe buffers goes back into
+            // the emptied pp-log zone, so a failure of a data device before
+            // the next write is still recoverable.
+            self.checkpoint_live(live, dev, MdRole::PpLog, false, |rec| {
+                self.md_append(log, live, devices, at, dev, MdRole::PpLog, rec, false)?;
+                Ok(())
+            })?;
         }
         Ok(())
     }
@@ -1294,7 +1182,7 @@ impl RaiznVolume {
 
 /// Slot availability shared by the repair helpers.
 fn avail_local(
-    m: &MetaState,
+    m: &LiveMeta,
     wp: &[Option<u64>],
     lz: u32,
     su: u64,
@@ -1314,7 +1202,7 @@ fn scan_md_zone(
     zone: u32,
     at: SimTime,
     device_index: usize,
-    harvest: &mut Harvest,
+    harvest: &mut Vec<(usize, MdRecord)>,
 ) -> Result<()> {
     let info = dev.zone_info(zone)?;
     let wp = info.write_pointer - info.start;
@@ -1334,7 +1222,7 @@ fn scan_md_zone(
             dev.read(at, start + cursor + 1, &mut payload)?;
         }
         match MdRecord::decode(&header, &payload) {
-            Ok(rec) => harvest.records.push((device_index, rec)),
+            Ok(rec) => harvest.push((device_index, rec)),
             Err(_) => break,
         }
         cursor += 1 + payload_sectors;

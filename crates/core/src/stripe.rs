@@ -93,9 +93,9 @@ impl StripeBuffer {
     ///
     /// The parity update is *not* per sector: the written range is split
     /// at stripe-unit boundaries, and each unit segment — whose sectors
-    /// occupy contiguous parity rows — is XORed as one contiguous range
-    /// through the word-vectorized [`sim::xor_into`] kernel. The row hull
-    /// falls out of the same segment arithmetic.
+    /// occupy contiguous parity rows — is folded into P (and Q) as one
+    /// contiguous range by [`sim::codec::absorb`]. The row hull falls out
+    /// of the same segment arithmetic.
     ///
     /// # Panics
     ///
@@ -128,21 +128,14 @@ impl StripeBuffer {
             row_lo = row_lo.min(row);
             row_hi = row_hi.max(row + run);
             let d_off = (s * SECTOR_SIZE) as usize;
-            let p_off = (row * SECTOR_SIZE) as usize;
             let len = (run * SECTOR_SIZE) as usize;
-            sim::xor_into(
-                &mut self.parity[p_off..p_off + len],
+            sim::codec::absorb(
+                &mut self.parity,
+                (!self.q.is_empty()).then_some(&mut self.q[..]),
+                (s / su) as u32,
+                (row * SECTOR_SIZE) as usize,
                 &self.data[d_off..d_off + len],
             );
-            if !self.q.is_empty() {
-                // Q accumulates g^k * data for unit index k = s / su.
-                let coeff = sim::gf_pow(2, (s / su) as u32);
-                sim::gf_mul_into(
-                    &mut self.q[p_off..p_off + len],
-                    &self.data[d_off..d_off + len],
-                    coeff,
-                );
-            }
             s += run;
         }
         self.filled = end;

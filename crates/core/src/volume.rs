@@ -22,7 +22,9 @@
 use crate::bitmap::PersistenceBitmap;
 use crate::config::RaiznConfig;
 use crate::layout::RaiznLayout;
-use crate::metadata::{MdPayload, MdPayloadRef, MdRecord, MdRecordRef, Superblock};
+use crate::metadata::{
+    MdPayloadRef, MdRecordRef, MetadataType, Superblock, GEN_COUNTERS_PER_PAGE, MD_HEADER_BYTES,
+};
 use crate::stats::{AtomicRaiznStats, RaiznStats};
 use crate::stripe::StripeBuffer;
 use crate::Result;
@@ -75,6 +77,20 @@ impl ParityLeg {
     }
 }
 
+/// A logged zone-state transition (§5.2): the write-ahead records
+/// [`RaiznVolume::log_zone_intent`] replicates before any device acts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ZoneIntent {
+    /// Reset of the whole zone; consumed by the mount-time replay.
+    Reset,
+    /// Finish, sealed at this write pointer. Unlike the reset intent the
+    /// record stays live until the zone's next reset bumps its
+    /// generation: it is the remount's only authoritative witness of the
+    /// sealed fill when the devices holding the final stripe's data are
+    /// gone, so every checkpoint re-logs it.
+    Finish(u64),
+}
+
 /// Per-device metadata zone role assignment.
 #[derive(Debug, Clone)]
 pub(crate) struct MdRoles {
@@ -83,8 +99,34 @@ pub(crate) struct MdRoles {
     pub swaps: Vec<u32>,
 }
 
+impl MdRoles {
+    /// The assignment of a freshly formatted (or replaced) device.
+    fn fresh(md_zones: u32) -> MdRoles {
+        MdRoles {
+            general: 0,
+            pplog: 1,
+            swaps: (2..md_zones).collect(),
+        }
+    }
+
+    /// The zone currently taking `role`'s records.
+    pub fn zone(&self, role: MdRole) -> u32 {
+        match role {
+            MdRole::General => self.general,
+            MdRole::PpLog => self.pplog,
+        }
+    }
+
+    pub fn zone_mut(&mut self, role: MdRole) -> &mut u32 {
+        match role {
+            MdRole::General => &mut self.general,
+            MdRole::PpLog => &mut self.pplog,
+        }
+    }
+}
+
 /// In-memory cached copy of a relocated stripe unit (§5.2). The key in
-/// [`MetaState::relocated`] identifies the slot: `(lzone, stripe, device)`.
+/// [`LiveMeta::relocated`] identifies the slot: `(lzone, stripe, device)`.
 #[derive(Debug, Clone)]
 pub(crate) struct RelocatedUnit {
     /// Full stripe unit bytes, zero padded beyond `valid`.
@@ -195,20 +237,31 @@ impl PpSnapshot {
     }
 }
 
-/// Cross-zone volume metadata: the single global lock domain. Everything
-/// here is either genuinely shared between zones (generation table,
-/// metadata zone roles, relocation cache) or is scratch reused across
-/// operations.
-pub(crate) struct MetaState {
+/// The metadata log's write cursor: where each device's records go, and
+/// the pooled buffer they are encoded in.
+pub(crate) struct MdLog {
+    pub md: Vec<MdRoles>,
+    /// Encode buffer of [`RaiznVolume::md_write`], which alone names it.
+    md_scratch: Vec<u8>,
+}
+
+/// The live metadata: everything the log exists to make recoverable, and
+/// so everything a checkpoint ([`RaiznVolume::checkpoint_live`]) re-logs.
+pub(crate) struct LiveMeta {
     pub gens: Vec<u64>,
     pub relocated: HashMap<(u32, u64, u32), RelocatedUnit>,
-    pub md: Vec<MdRoles>,
     /// Partial-parity checkpoint snapshots, indexed by logical zone (see
     /// [`PpSnapshot`]).
     pub pp_live: Vec<PpSnapshot>,
-    /// Scratch buffer for metadata record encoding; taken/restored around
-    /// appends so payload bytes never need an owned staging `Vec`.
-    pub md_scratch: Vec<u8>,
+}
+
+/// Cross-zone volume metadata: the single global lock domain. Split into
+/// the log cursor and the live state so an append can encode a record
+/// that borrows the live state into the log's own scratch — two disjoint
+/// field borrows under the one lock.
+pub(crate) struct MetaState {
+    pub log: MdLog,
+    pub live: LiveMeta,
     /// Scratch buffer for gather writes ([`zns::ZonedVolume::write_vectored`]);
     /// taken/restored around the staged write so steady-state batches
     /// allocate nothing.
@@ -258,11 +311,12 @@ pub struct RaiznVolume {
     /// change under the shard lock. Readers that only need the frontier
     /// (metadata GC snapshot validation) use this instead of the shard.
     pub(crate) zone_wp: Vec<AtomicU64>,
-    /// Lock-free per-zone "sealed by an explicit finish" flags. Metadata
-    /// GC checkpoints a [`MdPayload::ZoneFinishLog`] for flagged zones so
-    /// the sealed write pointer stays durable across GC passes.
+    /// Lock-free per-zone "sealed" flags (finished, or filled to
+    /// capacity). Every checkpoint re-logs a [`ZoneIntent::Finish`] for
+    /// flagged zones so the sealed write pointer stays durable across
+    /// metadata GC passes, remounts and rebuilds.
     pub(crate) zone_sealed: Vec<AtomicBool>,
-    /// Lock-free mirror of `meta.relocated.len()`: hot reads skip the meta
+    /// Lock-free mirror of `meta.live.relocated.len()`: hot reads skip the meta
     /// lock entirely while no relocations exist.
     relocated_len: AtomicUsize,
     /// Rebuild progress: zones scheduled by the in-flight rebuild pass
@@ -380,10 +434,10 @@ impl RaiznVolume {
     }
 
     /// Refreshes the lock-free relocation count mirror after any mutation
-    /// of `meta.relocated` (call with the meta lock still held).
-    pub(crate) fn sync_relocated_count(&self, m: &MetaState) {
+    /// of `meta.live.relocated` (call with the meta lock still held).
+    pub(crate) fn sync_relocated_count(&self, live: &LiveMeta) {
         self.relocated_len
-            .store(m.relocated.len(), Ordering::Release);
+            .store(live.relocated.len(), Ordering::Release);
     }
 
     // ------------------------------------------------------------------
@@ -421,9 +475,23 @@ impl RaiznVolume {
         {
             let devices = vol.devices.read();
             let mut m = vol.lock_meta();
-            let mut t = at;
-            t = vol.persist_superblock(&mut m, &devices, t)?;
-            vol.persist_all_gens(&mut m, &devices, t)?;
+            let MetaState { log, live, .. } = &mut *m;
+            // Two passes over the (fresh) live state: the superblock lands
+            // on every member before any generation page is issued.
+            let (mut t, role) = (at, MdRole::General);
+            for pass in [MetadataType::Superblock, MetadataType::GenCounters] {
+                let issue = t;
+                for dev in 0..devices.len() {
+                    vol.checkpoint_live(live, dev, role, false, |rec| {
+                        if rec.header.md_type == pass {
+                            let done =
+                                vol.md_append(log, live, &devices, issue, dev, role, rec, true)?;
+                            t = t.max(done);
+                        }
+                        Ok(())
+                    })?;
+                }
+            }
         }
         Ok(vol)
     }
@@ -491,22 +559,22 @@ impl RaiznVolume {
             })
             .collect();
         let md = (0..n)
-            .map(|_| MdRoles {
-                general: 0,
-                pplog: 1,
-                swaps: (2..config.md_zones_per_device).collect(),
-            })
+            .map(|_| MdRoles::fresh(config.md_zones_per_device))
             .collect();
         RaiznVolume {
             layout,
             config,
             zones,
             meta: Mutex::new(MetaState {
-                gens,
-                relocated: HashMap::new(),
-                md,
-                pp_live: (0..nz).map(|_| PpSnapshot::default()).collect(),
-                md_scratch: Vec::new(),
+                log: MdLog {
+                    md,
+                    md_scratch: Vec::new(),
+                },
+                live: LiveMeta {
+                    gens,
+                    relocated: HashMap::new(),
+                    pp_live: (0..nz).map(|_| PpSnapshot::default()).collect(),
+                },
                 gather_scratch: Vec::new(),
             }),
             devices: RwLock::new(devices),
@@ -550,7 +618,7 @@ impl RaiznVolume {
 
     /// The generation counter of logical zone `lzone`.
     pub fn generation(&self, lzone: u32) -> u64 {
-        self.lock_meta().gens[lzone as usize]
+        self.lock_meta().live.gens[lzone as usize]
     }
 
     /// Whether the array is running degraded (a device has failed).
@@ -675,349 +743,276 @@ enum Exhausted {
     Surface,
 }
 
+/// The generation counter page `page` of `gens`, borrowing the live
+/// counter table.
+fn gen_page(gens: &[u64], page: usize, checkpoint: bool) -> MdRecordRef<'_> {
+    let first = page * GEN_COUNTERS_PER_PAGE;
+    let end = (first + GEN_COUNTERS_PER_PAGE).min(gens.len());
+    let counters = &gens[first..end];
+    let payload = MdPayloadRef::GenCounters {
+        first_zone: first as u32,
+        counters,
+    };
+    MdRecordRef::new(payload, checkpoint, 0, 0, 0)
+}
+
 impl RaiznVolume {
     // ------------------------------------------------------------------
-    // Metadata plumbing
+    // Metadata log: one writer, one enumeration of live records
     // ------------------------------------------------------------------
 
-    /// Appends a record to `dev`'s metadata zone for `role`, running
-    /// metadata GC if the zone is full. Returns the completion time.
-    ///
-    /// Convenience wrapper over [`Self::md_append_bytes`] for owned
-    /// records on cold paths; the hot write path encodes borrowed-payload
-    /// [`crate::MdRecordRef`]s into the pooled scratch buffer instead.
+    /// Whether `rec`'s header sector is left out of its log append: the
+    /// §5.4 ablation where, with logical-block metadata enabled, partial
+    /// parity headers ride in per-block metadata descriptors instead of a
+    /// dedicated 4 KiB sector (recovery of such records is not exercised
+    /// by the ablation benches).
+    fn elides_header(&self, rec: &MdRecordRef<'_>) -> bool {
+        self.config.lb_metadata_headers
+            && rec.encoded_sectors() > 1
+            && matches!(
+                rec.header.md_type,
+                MetadataType::PartialParity | MetadataType::PartialParityQ
+            )
+    }
+
+    /// Serializes `rec` and appends it to `member`'s metadata zone for
+    /// `role` (`member` is device `dev`, or the replacement about to take
+    /// its place): the only place a record is encoded, and the only code
+    /// that names the log's pooled scratch — whose capacity is why a
+    /// steady-state append allocates nothing.
+    #[allow(clippy::too_many_arguments)]
+    fn md_write(
+        &self,
+        log: &mut MdLog,
+        member: &ZnsDevice,
+        at: SimTime,
+        dev: usize,
+        role: MdRole,
+        rec: MdRecordRef<'_>,
+        flags: WriteFlags,
+    ) -> Result<SimTime> {
+        rec.encode_into(&mut log.md_scratch);
+        let skip = usize::from(self.elides_header(&rec)) * MD_HEADER_BYTES;
+        let bytes = &log.md_scratch[skip..];
+        let done = member
+            .append(at, log.md[dev].zone(role), bytes, flags)?
+            .done;
+        AtomicRaiznStats::add(&self.stats.md_appends, 1);
+        Ok(done)
+    }
+
+    /// Appends `rec` to `dev`'s metadata zone for `role`, running
+    /// metadata GC if the zone is full (GC checkpoints `live`, which is
+    /// why an append needs it). A failed device's replica is skipped.
+    /// Returns the completion time.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn md_append(
         &self,
-        m: &mut MetaState,
+        log: &mut MdLog,
+        live: &LiveMeta,
         devices: &[Arc<ZnsDevice>],
         at: SimTime,
         dev: usize,
         role: MdRole,
-        rec: &MdRecord,
+        rec: MdRecordRef<'_>,
         fua: bool,
     ) -> Result<SimTime> {
         if self.is_failed(dev) {
             return Ok(at);
         }
-        let mut scratch = std::mem::take(&mut m.md_scratch);
-        rec.as_ref().encode_into(&mut scratch);
-        let is_pp = matches!(
-            rec.header.md_type,
-            crate::metadata::MetadataType::PartialParity
-                | crate::metadata::MetadataType::PartialParityQ
-        );
-        let r = self.md_append_bytes(m, devices, at, dev, role, is_pp, &scratch, fua);
-        m.md_scratch = scratch;
-        r
-    }
-
-    /// Appends pre-encoded record `bytes` (header + payload sectors) to
-    /// `dev`'s metadata zone for `role`, running metadata GC if the zone
-    /// is full. `is_pp` flags partial-parity records for the
-    /// logical-block-metadata ablation. Returns the completion time.
-    ///
-    /// Callers encode via [`crate::MdRecordRef::encode_into`] into
-    /// [`MetaState::md_scratch`] (taken out around the call), keeping the
-    /// steady-state metadata path free of heap allocation.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn md_append_bytes(
-        &self,
-        m: &mut MetaState,
-        devices: &[Arc<ZnsDevice>],
-        at: SimTime,
-        dev: usize,
-        role: MdRole,
-        is_pp: bool,
-        bytes: &[u8],
-        fua: bool,
-    ) -> Result<SimTime> {
-        if self.is_failed(dev) {
-            return Ok(at);
-        }
-        // Ablation (§5.4): with logical-block metadata enabled, partial
-        // parity headers ride in per-block metadata descriptors instead of
-        // a dedicated 4 KiB header sector. Modelled by dropping the header
-        // sector from the log append (recovery of such records is not
-        // exercised by the ablation benches).
-        let bytes = if self.config.lb_metadata_headers
-            && is_pp
-            && bytes.len() > crate::metadata::MD_HEADER_BYTES
-        {
-            &bytes[crate::metadata::MD_HEADER_BYTES..]
-        } else {
-            bytes
-        };
         let flags = WriteFlags {
             fua,
             preflush: false,
         };
-        let zone_of = |m: &MetaState| match role {
-            MdRole::General => m.md[dev].general,
-            MdRole::PpLog => m.md[dev].pplog,
-        };
-        let append = |t: SimTime, zone: u32| {
+        let write = |log: &mut MdLog, t: SimTime| {
             self.member_command(devices, t, dev, Exhausted::Surface, |d| {
-                Ok(d.append(t, zone, bytes, flags)?.done)
+                self.md_write(log, d, t, dev, role, rec, flags)
             })
         };
-        let zone = zone_of(m);
+        let zone = log.md[dev].zone(role);
         let mut issued = at;
-        let mut r = append(at, zone);
+        let mut r = write(log, at);
         if matches!(r, Err(ZnsError::ZoneFull { .. })) {
-            issued = self.md_gc(m, devices, at, dev, role)?;
-            r = append(issued, zone_of(m));
+            issued = self.md_gc(log, live, devices, at, dev, role)?;
+            r = write(log, issued);
         }
-        let r = match r {
-            Ok(done) => {
-                AtomicRaiznStats::add(&self.stats.md_appends, 1);
-                Ok(done)
-            }
+        let done = match r {
+            Ok(done) => done,
             // Retry exhaustion just degraded the device: its metadata
             // replica is gone with it, mirroring the failed-device
             // early-return above.
-            Err(ZnsError::TransientError { .. }) if self.is_failed(dev) => Ok(issued),
-            Err(e) => Err(e),
+            Err(ZnsError::TransientError { .. }) if self.is_failed(dev) => issued,
+            Err(e) => return Err(e),
         };
-        if let Ok(done) = r {
-            self.tracer.leaf(
-                obs::Span::new(obs::OpClass::Append, obs::Stage::MetaAppend, at, done)
-                    .zone(zone)
-                    .sectors(bytes.len() as u64 / SECTOR_SIZE),
-            );
+        let sectors = rec.encoded_sectors() - u64::from(self.elides_header(&rec));
+        self.tracer.leaf(
+            obs::Span::new(obs::OpClass::Append, obs::Stage::MetaAppend, at, done)
+                .zone(zone)
+                .sectors(sectors),
+        );
+        Ok(done)
+    }
+
+    /// Visits, in log order, every record `dev`'s metadata zone for
+    /// `role` must hold for the live state to be recoverable from that
+    /// device: the one enumeration behind metadata GC, the mount-time
+    /// refresh, the seeding of a rebuilt member and format.
+    ///
+    /// - `General`: the superblock, every generation page, one finish WAL
+    ///   per sealed logical zone (live until the zone's next reset; the
+    ///   lock-free mirrors carry the frozen frontier), and the relocated
+    ///   units homed on `dev` in sorted key order.
+    /// - `PpLog`: the running partial parity of every zone whose P or Q
+    ///   leg homes on `dev`, from the [`PpSnapshot`]s rather than the
+    ///   stripe buffers (which live behind per-zone shard locks). A
+    ///   snapshot is live iff the zone's lock-free write-pointer mirror
+    ///   still matches its frontier, which makes the walk identical to a
+    ///   buffer walk without violating the shard → meta lock order.
+    ///
+    /// Records borrow `live`; `checkpoint` is their header flag.
+    pub(crate) fn checkpoint_live<'a>(
+        &self,
+        live: &'a LiveMeta,
+        dev: usize,
+        role: MdRole,
+        checkpoint: bool,
+        mut visit: impl FnMut(MdRecordRef<'a>) -> Result<()>,
+    ) -> Result<()> {
+        let lgeo = self.layout.logical_geometry();
+        let stripe_data = self.layout.stripe_data_sectors();
+        let zones = 0..self.layout.logical_zones();
+        match role {
+            MdRole::General => {
+                let phys = self.layout.phys_geometry();
+                let superblock = MdPayloadRef::Superblock(Superblock {
+                    num_devices: self.layout.devices(),
+                    device_index: dev as u32,
+                    stripe_unit_sectors: self.layout.stripe_unit(),
+                    md_zones_per_device: self.layout.md_zones(),
+                    phys_zones: phys.num_zones(),
+                    phys_zone_size: phys.zone_size(),
+                    phys_zone_cap: phys.zone_cap(),
+                });
+                visit(MdRecordRef::new(superblock, checkpoint, 0, 0, 0))?;
+                for page in 0..live.gens.len().div_ceil(GEN_COUNTERS_PER_PAGE) {
+                    visit(gen_page(&live.gens, page, checkpoint))?;
+                }
+                for lz in zones {
+                    if self.zone_sealed[lz as usize].load(Ordering::Acquire) {
+                        let wp = self.zone_wp[lz as usize].load(Ordering::Acquire);
+                        let sealed = ZoneIntent::Finish(wp);
+                        visit(self.zone_intent_record(live, lz, sealed, checkpoint))?;
+                    }
+                }
+                let mut keys: Vec<(u32, u64, u32)> = live
+                    .relocated
+                    .keys()
+                    .filter(|(_, _, rdev)| *rdev as usize == dev)
+                    .copied()
+                    .collect();
+                keys.sort_unstable();
+                for key in keys {
+                    visit(self.relocation_record(live, key, checkpoint))?;
+                }
+            }
+            MdRole::PpLog => {
+                let su = self.layout.stripe_unit();
+                for lz in zones {
+                    let snap = &live.pp_live[lz as usize];
+                    let wp = self.zone_wp[lz as usize].load(Ordering::Acquire);
+                    if snap.filled == 0
+                        || wp / stripe_data != snap.stripe
+                        || wp % stripe_data != snap.filled
+                    {
+                        continue;
+                    }
+                    let (leg, column) =
+                        if self.layout.parity_device(lz, snap.stripe) as usize == dev {
+                            (ParityLeg::P, &snap.parity)
+                        } else if self.layout.q_device(lz, snap.stripe) == Some(dev as u32) {
+                            (ParityLeg::Q, &snap.q)
+                        } else {
+                            continue;
+                        };
+                    let rows = (snap.filled.min(su) * SECTOR_SIZE) as usize;
+                    let sstart = lgeo.zone_start(lz) + snap.stripe * stripe_data;
+                    visit(MdRecordRef::new(
+                        leg.pp_payload(0, &column[..rows]),
+                        checkpoint,
+                        sstart,
+                        sstart + snap.filled,
+                        live.gens[lz as usize],
+                    ))?;
+                }
+            }
         }
-        r
+        Ok(())
+    }
+
+    /// Re-captures every zone's pp checkpoint snapshot from its stripe
+    /// buffer (shard → meta, one zone at a time), for a checkpoint that
+    /// must not miss zones staging parity without pp appends: the ZRWA
+    /// path, and the buffers mount-time recovery seeds.
+    pub(crate) fn sync_pp_snapshots(&self) {
+        let su = self.layout.stripe_unit();
+        for lz in 0..self.layout.logical_zones() {
+            let z = self.lock_shard(lz);
+            let mut m = self.lock_meta();
+            let snap = &mut m.live.pp_live[lz as usize];
+            match &z.buffer {
+                Some(buf) if buf.filled_sectors() > 0 => snap.capture(buf, su),
+                _ => snap.filled = 0,
+            }
+        }
     }
 
     /// Garbage collects `dev`'s metadata zone for `role` (§4.3, Fig. 4):
     /// designate a swap zone, checkpoint live metadata into it, flush, and
     /// reset the old zone back into the swap pool.
-    ///
-    /// Partial-parity checkpoints are re-logged from the [`PpSnapshot`]s
-    /// in [`MetaState::pp_live`] rather than the stripe buffers (which
-    /// live behind per-zone shard locks): a snapshot is included iff the
-    /// zone's lock-free write-pointer mirror still matches its frontier,
-    /// which makes the checkpoint identical to a buffer walk without
-    /// violating the shard → meta lock order.
     pub(crate) fn md_gc(
         &self,
-        m: &mut MetaState,
+        log: &mut MdLog,
+        live: &LiveMeta,
         devices: &[Arc<ZnsDevice>],
         at: SimTime,
         dev: usize,
         role: MdRole,
     ) -> Result<SimTime> {
         self.tracer.bump(obs::Counter::MdGcRuns);
-        let new_zone = m.md[dev]
+        let new_zone = log.md[dev]
             .swaps
             .pop()
             .ok_or_else(|| internal("metadata GC requires at least one swap zone"))?;
-        let old_zone = match role {
-            MdRole::General => std::mem::replace(&mut m.md[dev].general, new_zone),
-            MdRole::PpLog => std::mem::replace(&mut m.md[dev].pplog, new_zone),
-        };
+        let old_zone = std::mem::replace(log.md[dev].zone_mut(role), new_zone);
         let mut t = at;
-        // Checkpoint live metadata, flagged as checkpoint records. Every
-        // record is encoded straight out of live state (pp snapshots,
-        // relocation cache, counter table) into the pooled scratch buffer:
-        // no owned payload staging.
-        let mut scratch = std::mem::take(&mut m.md_scratch);
-        let mut checkpoint = |record: &[u8]| -> Result<()> {
-            t = self.member_command(devices, t, dev, Exhausted::Surface, |d| {
-                Ok(d.append(t, new_zone, record, WriteFlags::default())?.done)
+        self.checkpoint_live(live, dev, role, true, |rec| {
+            let issue = t;
+            t = self.member_command(devices, issue, dev, Exhausted::Surface, |d| {
+                self.md_write(log, d, issue, dev, role, rec, WriteFlags::default())
             })?;
-            AtomicRaiznStats::add(&self.stats.md_appends, 1);
             Ok(())
-        };
-        let r = (|| -> Result<()> {
-            match role {
-                MdRole::PpLog => {
-                    // Re-log the partial parity of every zone whose
-                    // snapshot is still live and whose parity lands on
-                    // this device.
-                    let su = self.layout.stripe_unit();
-                    let lgeo = self.layout.logical_geometry();
-                    let stripe_data = self.layout.stripe_data_sectors();
-                    for lz in 0..self.layout.logical_zones() as usize {
-                        let snap = &m.pp_live[lz];
-                        if snap.filled == 0 {
-                            continue;
-                        }
-                        // Staleness guard: the snapshot must describe the
-                        // zone's current in-flight stripe frontier.
-                        let wp = self.zone_wp[lz].load(Ordering::Acquire);
-                        if wp / stripe_data != snap.stripe || wp % stripe_data != snap.filled {
-                            continue;
-                        }
-                        let pdev = self.layout.parity_device(lz as u32, snap.stripe);
-                        let qdev = self.layout.q_device(lz as u32, snap.stripe);
-                        let is_p_home = pdev as usize == dev;
-                        let is_q_home = qdev == Some(dev as u32);
-                        if !is_p_home && !is_q_home {
-                            continue;
-                        }
-                        let rows = snap.filled.min(su);
-                        let zstart = lgeo.zone_start(lz as u32);
-                        let sstart = zstart + snap.stripe * stripe_data;
-                        let bytes = (rows * SECTOR_SIZE) as usize;
-                        let payload = if is_p_home {
-                            MdPayloadRef::PartialParity {
-                                first_row: 0,
-                                data: &snap.parity[..bytes],
-                            }
-                        } else {
-                            MdPayloadRef::PartialParityQ {
-                                first_row: 0,
-                                data: &snap.q[..bytes],
-                            }
-                        };
-                        MdRecordRef::new(payload, true, sstart, sstart + snap.filled, m.gens[lz])
-                            .encode_into(&mut scratch);
-                        checkpoint(&scratch)?;
-                    }
-                }
-                MdRole::General => {
-                    self.superblock_record(devices.len(), dev, true)
-                        .as_ref()
-                        .encode_into(&mut scratch);
-                    checkpoint(&scratch)?;
-                    let per = crate::metadata::GEN_COUNTERS_PER_PAGE;
-                    for first in (0..m.gens.len()).step_by(per) {
-                        Self::encode_gen_page(&m.gens, first, true, &mut scratch);
-                        checkpoint(&scratch)?;
-                    }
-                    // Zone-finish WALs stay live until the zone's next
-                    // reset: re-log one checkpoint record per sealed zone
-                    // (the lock-free mirrors carry the frozen frontier).
-                    let lgeo = self.layout.logical_geometry();
-                    for lz in 0..self.layout.logical_zones() as usize {
-                        if !self.zone_sealed[lz].load(Ordering::Acquire) {
-                            continue;
-                        }
-                        let wp = self.zone_wp[lz].load(Ordering::Acquire);
-                        let zstart = lgeo.zone_start(lz as u32);
-                        MdRecordRef::new(
-                            MdPayloadRef::ZoneFinishLog,
-                            true,
-                            zstart,
-                            zstart + wp,
-                            m.gens[lz],
-                        )
-                        .encode_into(&mut scratch);
-                        checkpoint(&scratch)?;
-                    }
-                    let mut keys: Vec<(u32, u64, u32)> = m
-                        .relocated
-                        .keys()
-                        .filter(|(_, _, rdev)| *rdev as usize == dev)
-                        .copied()
-                        .collect();
-                    keys.sort_unstable();
-                    for (lz, stripe, rdev) in keys {
-                        {
-                            let unit = &m.relocated[&(lz, stripe, rdev)];
-                            self.encode_relocation_record(
-                                m.gens[lz as usize],
-                                lz,
-                                stripe,
-                                unit,
-                                true,
-                                &mut scratch,
-                            );
-                        }
-                        checkpoint(&scratch)?;
-                    }
-                }
-            }
-            Ok(())
-        })();
-        m.md_scratch = scratch;
-        r?;
+        })?;
         // The checkpoint must be durable before the old zone disappears.
         t = devices[dev].flush(t)?.done;
         t = self.member_command(devices, t, dev, Exhausted::Omit, |d| {
             Ok(d.reset_zone(t, old_zone)?.done)
         })?;
-        m.md[dev].swaps.insert(0, old_zone);
+        log.md[dev].swaps.insert(0, old_zone);
         AtomicRaiznStats::add(&self.stats.md_gc_runs, 1);
         Ok(t)
     }
 
-    pub(crate) fn superblock_record(
+    /// The relocation record of the cached unit at `key`, borrowing its
+    /// payload bytes (no owned copy of the stripe unit).
+    fn relocation_record<'a>(
         &self,
-        num_devices: usize,
-        dev: usize,
+        live: &'a LiveMeta,
+        key @ (lzone, stripe, _): (u32, u64, u32),
         checkpoint: bool,
-    ) -> MdRecord {
-        let phys = self.layout.phys_geometry();
-        MdRecord::new(
-            MdPayload::Superblock(Superblock {
-                num_devices: num_devices as u32,
-                device_index: dev as u32,
-                stripe_unit_sectors: self.layout.stripe_unit(),
-                md_zones_per_device: self.layout.md_zones(),
-                phys_zones: phys.num_zones(),
-                phys_zone_size: phys.zone_size(),
-                phys_zone_cap: phys.zone_cap(),
-            }),
-            checkpoint,
-            0,
-            0,
-            0,
-        )
-    }
-
-    /// Builds the generation counter pages covering all logical zones.
-    pub(crate) fn gen_records(&self, m: &MetaState, checkpoint: bool) -> Vec<MdRecord> {
-        m.gens
-            .chunks(crate::metadata::GEN_COUNTERS_PER_PAGE)
-            .enumerate()
-            .map(|(i, chunk)| {
-                MdRecord::new(
-                    MdPayload::GenCounters {
-                        first_zone: (i * crate::metadata::GEN_COUNTERS_PER_PAGE) as u32,
-                        counters: chunk.to_vec(),
-                    },
-                    checkpoint,
-                    0,
-                    0,
-                    0,
-                )
-            })
-            .collect()
-    }
-
-    /// Encodes the generation counter page starting at logical zone
-    /// `first` into `out`, borrowing the live counter table directly.
-    fn encode_gen_page(gens: &[u64], first: usize, checkpoint: bool, out: &mut Vec<u8>) {
-        let per = crate::metadata::GEN_COUNTERS_PER_PAGE;
-        let end = (first + per).min(gens.len());
-        MdRecordRef::new(
-            MdPayloadRef::GenCounters {
-                first_zone: first as u32,
-                counters: &gens[first..end],
-            },
-            checkpoint,
-            0,
-            0,
-            0,
-        )
-        .encode_into(out);
-    }
-
-    /// Encodes a relocation record into `out`, borrowing the cached
-    /// unit's payload bytes (no owned copy of the stripe unit).
-    fn encode_relocation_record(
-        &self,
-        gen: u64,
-        lzone: u32,
-        stripe: u64,
-        unit: &RelocatedUnit,
-        checkpoint: bool,
-        out: &mut Vec<u8>,
-    ) {
-        let lgeo = self.layout.logical_geometry();
-        let sstart = lgeo.zone_start(lzone) + stripe * self.layout.stripe_data_sectors();
+    ) -> MdRecordRef<'a> {
+        let unit = &live.relocated[&key];
+        let stripe_data = self.layout.stripe_data_sectors();
+        let sstart = self.layout.logical_geometry().zone_start(lzone) + stripe * stripe_data;
         MdRecordRef::new(
             MdPayloadRef::RelocatedStripeUnit {
                 lzone,
@@ -1027,57 +1022,28 @@ impl RaiznVolume {
             },
             checkpoint,
             sstart,
-            sstart + self.layout.stripe_data_sectors(),
-            gen,
+            sstart + stripe_data,
+            live.gens[lzone as usize],
         )
-        .encode_into(out);
     }
 
-    /// Writes the superblock to every live device's general metadata zone.
-    pub(crate) fn persist_superblock(
+    /// Persists the relocation record of the cached unit `dev` holds for
+    /// `(lzone, stripe)` on that device (§5.2).
+    #[allow(clippy::too_many_arguments)]
+    fn log_relocation(
         &self,
         m: &mut MetaState,
         devices: &[Arc<ZnsDevice>],
         at: SimTime,
+        lzone: u32,
+        stripe: u64,
+        dev: u32,
+        fua: bool,
     ) -> Result<SimTime> {
-        let mut done = at;
-        for dev in 0..devices.len() {
-            let rec = self.superblock_record(devices.len(), dev, false);
-            done = done.max(self.md_append(m, devices, at, dev, MdRole::General, &rec, true)?);
-        }
-        Ok(done)
-    }
-
-    /// Persists all generation counter pages to every live device.
-    pub(crate) fn persist_all_gens(
-        &self,
-        m: &mut MetaState,
-        devices: &[Arc<ZnsDevice>],
-        at: SimTime,
-    ) -> Result<SimTime> {
-        let per = crate::metadata::GEN_COUNTERS_PER_PAGE;
-        let mut scratch = std::mem::take(&mut m.md_scratch);
-        let r = (|| -> Result<SimTime> {
-            let mut done = at;
-            for first in (0..m.gens.len()).step_by(per) {
-                Self::encode_gen_page(&m.gens, first, false, &mut scratch);
-                for dev in 0..devices.len() {
-                    done = done.max(self.md_append_bytes(
-                        m,
-                        devices,
-                        at,
-                        dev,
-                        MdRole::General,
-                        false,
-                        &scratch,
-                        true,
-                    )?);
-                }
-            }
-            Ok(done)
-        })();
-        m.md_scratch = scratch;
-        r
+        let MetaState { log, live, .. } = m;
+        let rec = self.relocation_record(live, (lzone, stripe, dev), false);
+        let (dev, role) = (dev as usize, MdRole::General);
+        self.md_append(log, live, devices, at, dev, role, rec, fua)
     }
 
     /// Persists the generation counter page containing `lzone` to every
@@ -1089,28 +1055,14 @@ impl RaiznVolume {
         at: SimTime,
         lzone: u32,
     ) -> Result<SimTime> {
-        let per = crate::metadata::GEN_COUNTERS_PER_PAGE;
-        let first = (lzone as usize / per) * per;
-        let mut scratch = std::mem::take(&mut m.md_scratch);
-        Self::encode_gen_page(&m.gens, first, false, &mut scratch);
-        let r = (|| -> Result<SimTime> {
-            let mut done = at;
-            for dev in 0..devices.len() {
-                done = done.max(self.md_append_bytes(
-                    m,
-                    devices,
-                    at,
-                    dev,
-                    MdRole::General,
-                    false,
-                    &scratch,
-                    true,
-                )?);
-            }
-            Ok(done)
-        })();
-        m.md_scratch = scratch;
-        r
+        let MetaState { log, live, .. } = m;
+        let rec = gen_page(&live.gens, lzone as usize / GEN_COUNTERS_PER_PAGE, false);
+        let mut done = at;
+        for dev in 0..devices.len() {
+            let t = self.md_append(log, live, devices, at, dev, MdRole::General, rec, true)?;
+            done = done.max(t);
+        }
+        Ok(done)
     }
 }
 
@@ -1131,7 +1083,7 @@ impl RaiznVolume {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn fetch_slot_rows(
         &self,
-        meta: Option<&MetaState>,
+        meta: Option<&LiveMeta>,
         devices: &[Arc<ZnsDevice>],
         at: SimTime,
         lzone: u32,
@@ -1140,7 +1092,7 @@ impl RaiznVolume {
         row0: u64,
         out: &mut [u8],
     ) -> Result<SimTime> {
-        let mut from_cache = |m: &MetaState| match m.relocated.get(&(lzone, stripe, dev)) {
+        let mut from_cache = |m: &LiveMeta| match m.relocated.get(&(lzone, stripe, dev)) {
             Some(rel) => {
                 let off = (row0 * SECTOR_SIZE) as usize;
                 out.copy_from_slice(&rel.data[off..off + out.len()]);
@@ -1150,7 +1102,9 @@ impl RaiznVolume {
         };
         let cached = match meta {
             Some(m) => from_cache(m),
-            None => self.relocated_len.load(Ordering::Acquire) > 0 && from_cache(&self.lock_meta()),
+            None => {
+                self.relocated_len.load(Ordering::Acquire) > 0 && from_cache(&self.lock_meta().live)
+            }
         };
         if cached {
             return Ok(at);
@@ -1162,6 +1116,17 @@ impl RaiznVolume {
         self.member_command(devices, at, dev as usize, Exhausted::Surface, |d| {
             Ok(d.read(at, pba, out)?.done)
         })
+    }
+
+    /// Whether the relocation cache holds the slot `dev` has for
+    /// `(lzone, stripe)`; takes the meta lock only while any entry exists.
+    fn is_relocated(&self, lzone: u32, stripe: u64, dev: u32) -> bool {
+        self.relocated_len.load(Ordering::Acquire) > 0
+            && self
+                .lock_meta()
+                .live
+                .relocated
+                .contains_key(&(lzone, stripe, dev))
     }
 
     /// The role a device plays in one stripe: a data unit, the P (XOR)
@@ -1214,12 +1179,7 @@ impl RaiznVolume {
                 }
                 // A failed device's slot is still available when the
                 // relocation cache holds it.
-                let relocated = self.relocated_len.load(Ordering::Acquire) > 0
-                    && self
-                        .lock_meta()
-                        .relocated
-                        .contains_key(&(lzone, stripe, dev));
-                if !relocated {
+                if !self.is_relocated(lzone, stripe, dev) {
                     missing |= bit;
                 }
             }
@@ -1307,12 +1267,7 @@ impl RaiznVolume {
         out: &mut [u8],
     ) -> Result<SimTime> {
         let dev = self.layout.data_device(lzone, stripe, unit);
-        let relocated = self.relocated_len.load(Ordering::Acquire) > 0
-            && self
-                .lock_meta()
-                .relocated
-                .contains_key(&(lzone, stripe, dev));
-        if relocated || !self.is_failed(dev as usize) {
+        if self.is_relocated(lzone, stripe, dev) || !self.is_failed(dev as usize) {
             match self.fetch_slot_rows(None, devices, at, lzone, stripe, dev, row0, out) {
                 Ok(t) => Ok(t),
                 Err(
@@ -1447,33 +1402,11 @@ impl RaiznVolume {
     ) -> Result<SimTime> {
         z.conflicts.insert((stripe, dev));
         let mut m = self.lock_meta();
-        m.relocated
+        m.live
+            .relocated
             .insert((lzone, stripe, dev), RelocatedUnit { data, valid });
-        self.sync_relocated_count(&m);
-        let mut scratch = std::mem::take(&mut m.md_scratch);
-        {
-            let unit = &m.relocated[&(lzone, stripe, dev)];
-            self.encode_relocation_record(
-                m.gens[lzone as usize],
-                lzone,
-                stripe,
-                unit,
-                false,
-                &mut scratch,
-            );
-        }
-        let r = self.md_append_bytes(
-            &mut m,
-            devices,
-            at,
-            dev as usize,
-            MdRole::General,
-            false,
-            &scratch,
-            true,
-        );
-        m.md_scratch = scratch;
-        match r {
+        self.sync_relocated_count(&m.live);
+        match self.log_relocation(&mut m, devices, at, lzone, stripe, dev, true) {
             Ok(t) => Ok(t),
             Err(ZnsError::TransientError { .. } | ZnsError::DeviceFailed) => Ok(at),
             Err(e) => Err(e),
@@ -1747,6 +1680,7 @@ impl RaiznVolume {
             let unit_bytes = (su * SECTOR_SIZE) as usize;
             let mut m = self.lock_meta();
             let entry = m
+                .live
                 .relocated
                 .entry((lzone, stripe, dev))
                 .or_insert_with(|| RelocatedUnit {
@@ -1756,7 +1690,7 @@ impl RaiznVolume {
             let off = (row0 * SECTOR_SIZE) as usize;
             entry.data[off..off + data.len()].copy_from_slice(data);
             entry.valid = entry.valid.max(row0 + data.len() as u64 / SECTOR_SIZE);
-            self.sync_relocated_count(&m);
+            self.sync_relocated_count(&m.live);
             AtomicRaiznStats::add(&self.stats.relocated_units, 1);
             self.tracer.bump(obs::Counter::RelocatedWrites);
             self.tracer.leaf(
@@ -1765,32 +1699,7 @@ impl RaiznVolume {
                     .zone(lzone)
                     .sectors(data.len() as u64 / SECTOR_SIZE),
             );
-            // Encode the record borrowing the cached unit in place: no
-            // clone of the stripe-unit payload on the relocation path.
-            let mut scratch = std::mem::take(&mut m.md_scratch);
-            {
-                let unit = &m.relocated[&(lzone, stripe, dev)];
-                self.encode_relocation_record(
-                    m.gens[lzone as usize],
-                    lzone,
-                    stripe,
-                    unit,
-                    false,
-                    &mut scratch,
-                );
-            }
-            let r = self.md_append_bytes(
-                &mut m,
-                devices,
-                at,
-                dev as usize,
-                MdRole::General,
-                false,
-                &scratch,
-                flags.fua,
-            );
-            m.md_scratch = scratch;
-            return r;
+            return self.log_relocation(&mut m, devices, at, lzone, stripe, dev, flags.fua);
         }
         if self.is_failed(dev as usize) {
             return Ok(at); // degraded write: omitted, covered by parity
@@ -2021,8 +1930,8 @@ impl RaiznVolume {
     /// second record tagged `PartialParityQ` on the future Q holder, so a
     /// crash plus two device losses can still close the write hole. The
     /// write's completion is withheld until every leg has landed. Rows
-    /// are encoded straight out of the stripe buffer into the pooled
-    /// scratch: no owned payload copy. `z.wp` is already past the chunk.
+    /// are borrowed straight out of the stripe buffer: no owned payload
+    /// copy. `z.wp` is already past the chunk.
     #[allow(clippy::too_many_arguments)]
     fn log_partial_parity(
         &self,
@@ -2050,37 +1959,23 @@ impl RaiznVolume {
         let rows = (lo * SECTOR_SIZE) as usize..(hi * SECTOR_SIZE) as usize;
         let chunk_end = self.layout.logical_geometry().zone_start(lzone) + z.wp;
         let mut m = self.lock_meta();
-        let mut scratch = std::mem::take(&mut m.md_scratch);
-        let logged = (|| -> Result<SimTime> {
-            let mut done = issue;
-            for (dev, leg) in self.parity_legs(lzone, stripe) {
-                MdRecordRef::new(
-                    leg.pp_payload(lo, &leg.column(buf)[rows.clone()]),
-                    false,
-                    chunk_end - chunk_sectors,
-                    chunk_end,
-                    m.gens[lzone as usize],
-                )
-                .encode_into(&mut scratch);
-                let dev = dev as usize;
-                done = done.max(self.md_append_bytes(
-                    &mut m,
-                    devices,
-                    issue,
-                    dev,
-                    MdRole::PpLog,
-                    true,
-                    &scratch,
-                    fua,
-                )?);
-            }
-            Ok(done)
-        })();
-        m.md_scratch = scratch;
-        let pp_done = logged?;
+        let MetaState { log, live, .. } = &mut *m;
+        let mut pp_done = issue;
+        for (dev, leg) in self.parity_legs(lzone, stripe) {
+            let rec = MdRecordRef::new(
+                leg.pp_payload(lo, &leg.column(buf)[rows.clone()]),
+                false,
+                chunk_end - chunk_sectors,
+                chunk_end,
+                live.gens[lzone as usize],
+            );
+            let dev = dev as usize;
+            let done = self.md_append(log, live, devices, issue, dev, MdRole::PpLog, rec, fua)?;
+            pp_done = pp_done.max(done);
+        }
         // Refresh the checkpoint snapshot for metadata GC: the stripe
         // buffer itself stays behind this zone's shard.
-        m.pp_live[lzone as usize].capture(buf, su);
+        live.pp_live[lzone as usize].capture(buf, su);
         drop(m);
         let legs = u64::from(self.layout.parity_units());
         AtomicRaiznStats::add(&self.stats.pp_log_entries, 1);
@@ -2292,82 +2187,50 @@ impl RaiznVolume {
     // Zone reset (§5.2)
     // ------------------------------------------------------------------
 
-    /// Appends the zone-reset WAL for `lzone` to the two designated
-    /// devices (first stripe unit holder and first parity holder, rotating
-    /// per zone) and returns the completion time.
-    fn log_reset_intent(
+    /// The WAL record of `intent` on `lzone`: the header's LBA range runs
+    /// from the zone start to the zone's capacity (reset) or to the sealed
+    /// write pointer (finish).
+    fn zone_intent_record(
         &self,
-        m: &mut MetaState,
-        devices: &[Arc<ZnsDevice>],
-        at: SimTime,
+        live: &LiveMeta,
         lzone: u32,
-    ) -> Result<SimTime> {
+        intent: ZoneIntent,
+        checkpoint: bool,
+    ) -> MdRecordRef<'static> {
         let lgeo = self.layout.logical_geometry();
-        let rec = MdRecord::new(
-            MdPayload::ZoneResetLog,
-            false,
-            lgeo.zone_start(lzone),
-            lgeo.zone_start(lzone) + lgeo.zone_cap(),
-            m.gens[lzone as usize],
-        );
-        let d0 = self.layout.data_device(lzone, 0, 0) as usize;
-        let d1 = self.layout.parity_device(lzone, 0) as usize;
-        let mut done = at;
-        done = done.max(self.md_append(m, devices, at, d0, MdRole::General, &rec, true)?);
-        done = done.max(self.md_append(m, devices, at, d1, MdRole::General, &rec, true)?);
-        // Dual parity keeps a third WAL copy on the Q holder so the intent
-        // survives losing any two devices.
-        if let Some(q) = self.layout.q_device(lzone, 0) {
-            done = done.max(self.md_append(
-                m,
-                devices,
-                at,
-                q as usize,
-                MdRole::General,
-                &rec,
-                true,
-            )?);
-        }
-        Ok(done)
+        let start = lgeo.zone_start(lzone);
+        let (payload, end) = match intent {
+            ZoneIntent::Reset => (MdPayloadRef::ZoneResetLog, start + lgeo.zone_cap()),
+            ZoneIntent::Finish(wp) => (MdPayloadRef::ZoneFinishLog, start + wp),
+        };
+        MdRecordRef::new(payload, checkpoint, start, end, live.gens[lzone as usize])
     }
 
-    /// Appends the zone-finish WAL for `lzone` (sealed at `wp`) to the
-    /// same devices as the reset WAL. Unlike the reset intent — which is
-    /// consumed by the replay — the finish record stays live until the
-    /// zone's next reset bumps its generation: it is the remount's only
-    /// authoritative witness of the sealed fill when the devices holding
-    /// the final stripe's data are gone.
-    fn log_finish_intent(
+    /// Appends the write-ahead record of `intent` on `lzone` to the
+    /// designated devices — the holders of the zone's first stripe unit
+    /// and first parity unit (rotating per zone), plus the Q holder on a
+    /// dual-parity array so the intent survives losing any two devices —
+    /// and returns the completion time.
+    fn log_zone_intent(
         &self,
         m: &mut MetaState,
         devices: &[Arc<ZnsDevice>],
         at: SimTime,
         lzone: u32,
-        wp: u64,
+        intent: ZoneIntent,
     ) -> Result<SimTime> {
-        let lgeo = self.layout.logical_geometry();
-        let rec = MdRecord::new(
-            MdPayload::ZoneFinishLog,
-            false,
-            lgeo.zone_start(lzone),
-            lgeo.zone_start(lzone) + wp,
-            m.gens[lzone as usize],
-        );
-        let d0 = self.layout.data_device(lzone, 0, 0) as usize;
-        let d1 = self.layout.parity_device(lzone, 0) as usize;
+        let MetaState { log, live, .. } = m;
+        let rec = self.zone_intent_record(live, lzone, intent, false);
+        let homes = [
+            Some(self.layout.data_device(lzone, 0, 0)),
+            Some(self.layout.parity_device(lzone, 0)),
+            self.layout.q_device(lzone, 0),
+        ];
         let mut done = at;
-        done = done.max(self.md_append(m, devices, at, d0, MdRole::General, &rec, true)?);
-        done = done.max(self.md_append(m, devices, at, d1, MdRole::General, &rec, true)?);
-        if let Some(q) = self.layout.q_device(lzone, 0) {
-            done = done.max(self.md_append(
-                m,
-                devices,
-                at,
-                q as usize,
-                MdRole::General,
-                &rec,
-                true,
-            )?);
+        for dev in homes.into_iter().flatten() {
+            let dev = dev as usize;
+            let t = self.md_append(log, live, devices, at, dev, MdRole::General, rec, true)?;
+            done = done.max(t);
         }
         Ok(done)
     }
@@ -2384,16 +2247,16 @@ impl RaiznVolume {
     ) -> Result<SimTime> {
         let done = {
             let mut m = self.lock_meta();
-            m.gens[lzone as usize] += 1;
-            if m.gens[lzone as usize] == u64::MAX {
+            m.live.gens[lzone as usize] += 1;
+            if m.live.gens[lzone as usize] == u64::MAX {
                 // Counter exhaustion: the volume goes read-only until
                 // maintenance runs (§4.3).
                 self.read_only.store(true, Ordering::Release);
             }
             let done = self.persist_gen_page(&mut m, devices, t, lzone)?;
-            m.relocated.retain(|(lz, _, _), _| *lz != lzone);
-            self.sync_relocated_count(&m);
-            m.pp_live[lzone as usize].filled = 0;
+            m.live.relocated.retain(|(lz, _, _), _| *lz != lzone);
+            self.sync_relocated_count(&m.live);
+            m.live.pp_live[lzone as usize].filled = 0;
             done
         };
         if let Some(buf) = z.buffer.take() {
@@ -2430,7 +2293,7 @@ impl RaiznVolume {
         let _z = self.lock_shard(lzone);
         let t = {
             let mut m = self.lock_meta();
-            self.log_reset_intent(&mut m, &devices, at, lzone)?
+            self.log_zone_intent(&mut m, &devices, at, lzone, ZoneIntent::Reset)?
         };
         let phys = self.layout.phys_zone(lzone);
         for dev in devices.iter().take(devices_reset) {
@@ -2459,7 +2322,7 @@ impl RaiznVolume {
         let z = self.lock_shard(lzone);
         let t = {
             let mut m = self.lock_meta();
-            self.log_finish_intent(&mut m, &devices, at, lzone, z.wp)?
+            self.log_zone_intent(&mut m, &devices, at, lzone, ZoneIntent::Finish(z.wp))?
         };
         let phys = self.layout.phys_zone(lzone);
         for dev in devices.iter().take(devices_finished) {
@@ -2479,29 +2342,17 @@ impl RaiznVolume {
     /// Propagates device IO errors.
     pub fn maintenance(&self, at: SimTime) -> Result<SimTime> {
         let devices = self.devices.read();
-        let su = self.layout.stripe_unit();
-        // Sync the pp checkpoint snapshots from the live stripe buffers
-        // first (shard → meta per zone): zones staging parity without pp
-        // appends (the ZRWA path) have buffers but no snapshots.
-        for lz in 0..self.layout.logical_zones() {
-            let z = self.lock_shard(lz);
-            let mut m = self.lock_meta();
-            match &z.buffer {
-                Some(buf) if buf.filled_sectors() > 0 => m.pp_live[lz as usize].capture(buf, su),
-                _ => m.pp_live[lz as usize].filled = 0,
-            }
-        }
+        self.sync_pp_snapshots();
         let mut m = self.lock_meta();
-        for g in &mut m.gens {
-            *g = 0;
-        }
+        let MetaState { log, live, .. } = &mut *m;
+        live.gens.fill(0);
         let mut t = at;
         for dev in 0..devices.len() {
             if self.is_failed(dev) {
                 continue;
             }
-            t = t.max(self.md_gc(&mut m, &devices, t, dev, MdRole::General)?);
-            t = t.max(self.md_gc(&mut m, &devices, t, dev, MdRole::PpLog)?);
+            t = t.max(self.md_gc(log, live, &devices, t, dev, MdRole::General)?);
+            t = t.max(self.md_gc(log, live, &devices, t, dev, MdRole::PpLog)?);
         }
         drop(m);
         self.read_only.store(false, Ordering::Release);
@@ -2574,30 +2425,11 @@ impl RaiznVolume {
                 let mut z = self.lock_shard(lzone);
                 let wp = z.wp;
                 let phys_zone = self.layout.phys_zone(lzone);
-                let full_stripes = wp / self.layout.stripe_data_sectors();
-                let tail = wp % self.layout.stripe_data_sectors();
-                let max_stripe = full_stripes + if tail > 0 { 1 } else { 0 };
-                for stripe in 0..max_stripe {
-                    let complete = stripe < full_stripes;
+                let stripe_data = self.layout.stripe_data_sectors();
+                for stripe in 0..wp.div_ceil(stripe_data) {
+                    let complete = (stripe + 1) * stripe_data <= wp;
                     // What does the replacement hold for this stripe?
-                    let needed: u64 = match self.layout.unit_of_device(lzone, stripe, failed as u32)
-                    {
-                        None => {
-                            // Parity slot: present only for complete stripes.
-                            if complete {
-                                su
-                            } else {
-                                0
-                            }
-                        }
-                        Some(k) => {
-                            if complete {
-                                su
-                            } else {
-                                tail.saturating_sub(k * su).min(su)
-                            }
-                        }
-                    };
+                    let needed = self.layout.slot_extent(lzone, stripe, failed as u32, wp);
                     if needed == 0 {
                         continue;
                     }
@@ -2605,9 +2437,9 @@ impl RaiznVolume {
                     let reads_done;
                     let healed = {
                         let mut m = self.lock_meta();
-                        let rel = m.relocated.remove(&(lzone, stripe, failed as u32));
+                        let rel = m.live.relocated.remove(&(lzone, stripe, failed as u32));
                         if rel.is_some() {
-                            self.sync_relocated_count(&m);
+                            self.sync_relocated_count(&m.live);
                         }
                         rel
                     };
@@ -2665,24 +2497,21 @@ impl RaiznVolume {
                 self.rebuild_zones_done.fetch_add(1, Ordering::AcqRel);
             }
 
-            // Replicated metadata goes onto the fresh device.
+            // The fresh device's metadata zones get every live record the
+            // failed member's held.
             {
                 let mut m = self.lock_meta();
-                let sb = self.superblock_record(devices.len(), failed, false);
-                let gens = self.gen_records(&m, false);
+                let MetaState { log, live, .. } = &mut *m;
+                log.md[failed] = MdRoles::fresh(self.layout.md_zones());
                 let mut t = last_write;
-                let c = replacement.append(t, 0, &sb.encode(), WriteFlags::FUA)?;
-                t = c.done;
-                for rec in gens {
-                    let c = replacement.append(t, 0, &rec.encode(), WriteFlags::FUA)?;
-                    t = c.done;
+                let (fresh, fua) = (&*replacement, WriteFlags::FUA);
+                for role in [MdRole::General, MdRole::PpLog] {
+                    self.checkpoint_live(live, failed, role, false, |rec| {
+                        t = self.md_write(log, fresh, t, failed, role, rec, fua)?;
+                        Ok(())
+                    })?;
                 }
                 last_write = last_write.max(t);
-                m.md[failed] = MdRoles {
-                    general: 0,
-                    pplog: 1,
-                    swaps: (2..self.layout.md_zones()).collect(),
-                };
             }
         }
         // Swap in the replacement: the only writer of the device table.
@@ -2846,7 +2675,7 @@ impl ZonedVolume for RaiznVolume {
         let t = {
             let mut m = self.lock_meta();
             self.tracer.lock_mark(obs::OpClass::Reset, obs::NONE, at);
-            self.log_reset_intent(&mut m, &devices, at, zone)?
+            self.log_zone_intent(&mut m, &devices, at, zone, ZoneIntent::Reset)?
         };
         let phys = self.layout.phys_zone(zone);
         let mut done = t;
@@ -2922,7 +2751,7 @@ impl ZonedVolume for RaiznVolume {
         {
             let mut m = self.lock_meta();
             self.tracer.lock_mark(obs::OpClass::Finish, obs::NONE, at);
-            let t = self.log_finish_intent(&mut m, &devices, at, zone, z.wp)?;
+            let t = self.log_zone_intent(&mut m, &devices, at, zone, ZoneIntent::Finish(z.wp))?;
             done = done.max(t);
         }
         let phys = self.layout.phys_zone(zone);
@@ -3078,7 +2907,7 @@ impl obs::GaugeSource for RaiznVolume {
         {
             let devices = self.devices.read();
             let m = self.lock_meta();
-            for (d, (dev, roles)) in devices.iter().zip(m.md.iter()).enumerate() {
+            for (d, (dev, roles)) in devices.iter().zip(m.log.md.iter()).enumerate() {
                 out.push(obs::GaugeReading::new(
                     "error_budget_remaining",
                     d as u32,

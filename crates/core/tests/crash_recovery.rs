@@ -324,6 +324,53 @@ fn partial_finish_of_empty_zone_undone_on_mount() {
     assert_eq!(out, fresh);
 }
 
+/// A zone finished at a stripe boundary below capacity: once the members
+/// holding the last data unit(s) of the last stripe are gone, nothing on
+/// the survivors tells a complete final stripe from an absent one (a
+/// sealed zone's parity slot never witnesses completion) — only the
+/// finish WAL does. It must therefore survive a remount: the mount-time
+/// metadata refresh resets the zone the WAL was appended to, so it has to
+/// checkpoint the record along with everything else that is live.
+fn sealed_wp_survives_a_remount(config: RaiznConfig) {
+    let devs = devices(5);
+    let v = RaiznVolume::format(devs.clone(), config, T0).unwrap();
+    let layout = v.layout();
+    let sealed = 3 * layout.stripe_data_sectors();
+    let data = bytes(sealed, 50);
+    v.write(T0, 0, &data, WriteFlags::default()).unwrap();
+    v.finish_zone(T0, 0).unwrap();
+    v.flush(T0).unwrap();
+    drop(v);
+    // One healthy power cycle...
+    crash_all(&devs, &mut CrashPolicy::KeepCache);
+    let v = RaiznVolume::mount(devs.clone(), config, T0).unwrap();
+    assert_eq!(v.zone_info(0).unwrap().write_pointer, sealed);
+    drop(v);
+    // ...then one that also takes as many members as parity tolerates:
+    // the holders of the last stripe's last data units.
+    crash_all(&devs, &mut CrashPolicy::KeepCache);
+    for lost in 1..=layout.parity_units() as u64 {
+        devs[layout.data_device(0, 2, layout.data_units() - lost) as usize].fail();
+    }
+    let v = RaiznVolume::mount(devs, config, T0).unwrap();
+    let info = v.zone_info(0).unwrap();
+    assert_eq!(info.state, ZoneState::Full);
+    assert_eq!(info.write_pointer, sealed, "sealed write pointer lost");
+    let mut out = vec![0u8; data.len()];
+    v.read(T0, 0, &mut out).unwrap();
+    assert_eq!(out, data);
+}
+
+#[test]
+fn finish_wal_survives_remount_then_member_loss() {
+    sealed_wp_survives_a_remount(RaiznConfig::small_test());
+}
+
+#[test]
+fn finish_wal_survives_remount_then_double_member_loss() {
+    sealed_wp_survives_a_remount(RaiznConfig::small_test_raizn2());
+}
+
 #[test]
 fn completed_reset_stays_empty_on_mount() {
     let devs = devices(5);

@@ -7,7 +7,12 @@
 //! - every zone's recovered write pointer lies in `[durable, written]`;
 //! - everything below the recovered write pointer reads back as the
 //!   written prefix;
-//! - a scrub pass finds no parity mismatch (no stripe holes survive).
+//! - a scrub pass finds no parity mismatch (no stripe holes survive);
+//! - a second, loss-free power cycle that also takes any one member
+//!   mounts degraded to the same write pointers and the same data (the
+//!   first mount rewrote the metadata log; whatever it did not carry over
+//!   is missing exactly when a member's absence makes it the only
+//!   witness).
 
 use raizn::{RaiznConfig, RaiznVolume};
 use sim::{SimRng, SimTime};
@@ -43,9 +48,10 @@ impl ZoneModel {
     }
 }
 
-/// The scripted workload: four zones exercising stripe buffers, partial
-/// parity, FUA barriers, a logged zone reset, and zone finish. Stays
-/// within the device's 6-active-zone budget (2 metadata + 4 data).
+/// The scripted workload: five zones exercising stripe buffers, partial
+/// parity, FUA barriers, a logged zone reset, and zone finish (mid-stripe
+/// and at a stripe boundary). Stays within the device's 6-active-zone
+/// budget (2 metadata + 4 data; zone 4 opens after zone 3 is sealed).
 fn run_workload(v: &RaiznVolume) -> Vec<ZoneModel> {
     let lgeo = v.layout().logical_geometry();
     let z = |zone: u32| lgeo.zone_start(zone);
@@ -61,6 +67,7 @@ fn run_workload(v: &RaiznVolume) -> Vec<ZoneModel> {
     let c2 = bytes(6, 0xC2);
     let d0 = bytes(8, 0xD0);
     let d1 = bytes(10, 0xD1);
+    let e0 = bytes(32, 0xE0);
 
     // Durable phase.
     v.write(T0, z(0), &a0, WriteFlags::default()).unwrap();
@@ -74,6 +81,11 @@ fn run_workload(v: &RaiznVolume) -> Vec<ZoneModel> {
     v.write(T0, z(3), &d1, WriteFlags::default()).unwrap();
     v.flush(T0).unwrap();
     v.finish_zone(T0, 3).unwrap();
+    // Zone 4: sealed durable at a stripe boundary, where no surviving
+    // slot can tell a complete last stripe from an absent one.
+    v.write(T0, z(4), &e0, WriteFlags::default()).unwrap();
+    v.flush(T0).unwrap();
+    v.finish_zone(T0, 4).unwrap();
 
     // Cached tails: partial stripes (and one cached stripe completion
     // with its parity write) whose fate the crash point decides.
@@ -97,6 +109,10 @@ fn run_workload(v: &RaiznVolume) -> Vec<ZoneModel> {
         ZoneModel {
             data: d1,
             durable: 10,
+        },
+        ZoneModel {
+            data: e0,
+            durable: 32,
         },
     ]
 }
@@ -134,6 +150,47 @@ fn verify(v: &RaiznVolume, models: &[ZoneModel], point: &str) {
         rep.parity_repairs == 0 && rep.units_healed == 0,
         "{point}: scrub found damage after recovery: {rep:?}"
     );
+}
+
+/// The degraded axis, run on a volume `verify` just accepted: power-cycle
+/// again losing nothing but member `lost`, and the degraded mount must
+/// report what the healthy one did.
+fn verify_after_member_loss(
+    v: RaiznVolume,
+    devs: &[Arc<ZnsDevice>],
+    models: &[ZoneModel],
+    lost: usize,
+    point: &str,
+) {
+    let lgeo = v.layout().logical_geometry();
+    let healthy: Vec<u64> = (0..models.len() as u32)
+        .map(|zi| v.zone_info(zi).unwrap().write_pointer)
+        .collect();
+    drop(v);
+    for dev in devs {
+        dev.crash(&mut CrashPolicy::KeepCache);
+    }
+    devs[lost].fail();
+    let v = RaiznVolume::mount(devs.to_vec(), RaiznConfig::small_test(), T0)
+        .unwrap_or_else(|e| panic!("{point}: mount without member {lost} failed: {e}"));
+    for (zi, m) in models.iter().enumerate() {
+        let start = lgeo.zone_start(zi as u32);
+        let wp = v.zone_info(zi as u32).unwrap().write_pointer;
+        assert_eq!(
+            wp, healthy[zi],
+            "{point}: zone {zi} write pointer moved without member {lost}"
+        );
+        let mut out = vec![0u8; ((wp - start) * SECTOR_SIZE) as usize];
+        if !out.is_empty() {
+            v.read(T0, start, &mut out).unwrap_or_else(|e| {
+                panic!("{point}: zone {zi} read without member {lost} failed: {e}")
+            });
+        }
+        assert!(
+            out[..] == m.data[..out.len()],
+            "{point}: zone {zi} reads differently without member {lost}"
+        );
+    }
 }
 
 /// Every crash point of the scripted workload: for each device and each
@@ -180,11 +237,13 @@ fn every_crash_point_recovers() {
             };
             dev.crash(&mut p);
         }
-        let v = RaiznVolume::mount(devs, RaiznConfig::small_test(), T0).unwrap();
-        verify(&v, &models, if lose { "lose-cache" } else { "keep-cache" });
+        let v = RaiznVolume::mount(devs.clone(), RaiznConfig::small_test(), T0).unwrap();
+        let point = if lose { "lose-cache" } else { "keep-cache" };
+        verify(&v, &models, point);
+        verify_after_member_loss(v, &devs, &models, 4, point);
     }
 
-    for (d, zone, s) in points {
+    for (i, (d, zone, s)) in points.into_iter().enumerate() {
         let point = format!("dev {d} zone {zone} survivor {s}");
         let devs = devices();
         let v = RaiznVolume::format(devs.clone(), RaiznConfig::small_test(), T0).unwrap();
@@ -198,8 +257,9 @@ fn every_crash_point_recovers() {
             };
             dev.crash(&mut p);
         }
-        let v = RaiznVolume::mount(devs, RaiznConfig::small_test(), T0)
+        let v = RaiznVolume::mount(devs.clone(), RaiznConfig::small_test(), T0)
             .unwrap_or_else(|e| panic!("{point}: mount failed: {e}"));
         verify(&v, &models, &point);
+        verify_after_member_loss(v, &devs, &models, i % DEVICES, &point);
     }
 }

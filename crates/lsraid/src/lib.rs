@@ -1380,18 +1380,15 @@ impl LsVolume {
                 &data[(consumed * SECTOR_SIZE) as usize..((consumed + run) * SECTOR_SIZE) as usize];
             let c = self.devices[dev].write(t, plba, chunk, WriteFlags::default())?;
             done = done.max(c.done);
-            {
-                let buf = &mut inner.bufs[stream];
-                let bo = (sec * SECTOR_SIZE) as usize;
-                sim::xor_into(&mut buf.p[bo..bo + chunk.len()], chunk);
-                if self.p == 2 {
-                    sim::gf_mul_into(
-                        &mut buf.q[bo..bo + chunk.len()],
-                        chunk,
-                        sim::gf_pow(2, unit as u32),
-                    );
-                }
-            }
+            let buf = &mut inner.bufs[stream];
+            let q = (self.p == 2).then_some(&mut buf.q[..]);
+            sim::codec::absorb(
+                &mut buf.p,
+                q,
+                unit as u32,
+                (sec * SECTOR_SIZE) as usize,
+                chunk,
+            );
             match mode {
                 LogMode::Pad => {}
                 LogMode::User => {

@@ -132,6 +132,22 @@ fn encode<const P: bool, const Q: bool>(data: &[u8], p: &mut [u8], q: &mut [u8])
     }
 }
 
+/// Folds `chunk` — bytes of data unit `unit` starting `row_off` bytes into
+/// the unit — into running parity columns: the incremental counterpart of
+/// [`encode_pq`] for a stripe that fills piecemeal. `p ^= chunk` and, when
+/// a Q column is kept, `q ^= g^unit · chunk` over the same byte range.
+///
+/// # Panics
+///
+/// Panics if the chunk runs past the end of a column.
+pub fn absorb(p: &mut [u8], q: Option<&mut [u8]>, unit: u32, row_off: usize, chunk: &[u8]) {
+    let rows = row_off..row_off + chunk.len();
+    xor_into(&mut p[rows.clone()], chunk);
+    if let Some(q) = q {
+        gf_mul_into(&mut q[rows], chunk, gf_pow(2, unit));
+    }
+}
+
 /// What one member device holds for a stripe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
@@ -271,6 +287,28 @@ mod tests {
     #[should_panic(expected = "whole units")]
     fn ragged_data_rejected() {
         encode_pq(&[0u8; 10], Some(&mut [0u8; 4]), None);
+    }
+
+    #[test]
+    fn piecewise_absorb_matches_the_one_pass_encode() {
+        let mut rng = crate::SimRng::new(0xAB50);
+        let (d, len) = (5usize, 200usize);
+        let data = random_bytes(&mut rng, d * len);
+        let (ep, eq) = reference_pq(&data, d, len);
+        let (mut p, mut q, mut p_only) = (vec![0u8; len], vec![0u8; len], vec![0u8; len]);
+        // Ragged pieces, split where they cross a unit boundary.
+        let mut at = 0;
+        for piece in [1usize, 63, 64, 199, 7, 130].into_iter().cycle() {
+            if at == data.len() {
+                break;
+            }
+            let run = piece.min(len - at % len).min(data.len() - at);
+            let chunk = &data[at..at + run];
+            absorb(&mut p, Some(&mut q), (at / len) as u32, at % len, chunk);
+            absorb(&mut p_only, None, (at / len) as u32, at % len, chunk);
+            at += run;
+        }
+        assert_eq!((&p, &q, &p_only), (&ep, &eq, &ep));
     }
 
     /// The pre-codec decode, kept as the oracle: three separate kernels

@@ -26,6 +26,31 @@ if grep -rn --include='*.rs' 'TraceEvent {' crates | grep -v '^crates/obs/'; the
   exit 1
 fi
 
+# Core's metadata log is written in one place and its live records are
+# enumerated in one place (`md_write`, `checkpoint_live`, `log_zone_intent`
+# in core/volume.rs). The encode scratch named anywhere but `md_write`
+# (its declaration aside) is a second encoder coming back; a finish-WAL or
+# superblock payload built at a second site is a second list of what a
+# checkpoint must re-log — the divergence that lost the finish WAL across
+# a remount.
+core=crates/core/src
+if awk '/fn md_write\(/ { inside = 1 }
+        inside && /^    }$/ { inside = 0; next }
+        !inside && /md_scratch/ && !/md_scratch: Vec/ && !/^ *\/\// { print FILENAME ": " $0; found = 1 }
+        END { exit !found }' "$core"/*.rs; then
+  echo "check.sh: md_scratch named outside md_write (append through md_append/md_write)" >&2
+  exit 1
+fi
+for payload in 'MdPayloadRef::ZoneFinishLog' 'MdPayloadRef::Superblock('; do
+  sites=$(grep -nF "$payload" "$core"/*.rs | grep -v "^$core/metadata.rs" || true)
+  if [ "$(printf '%s\n' "$sites" | grep -c .)" -ne 1 ]; then
+    echo "check.sh: $payload must be built at exactly one site outside metadata.rs" \
+         "(checkpoint_live / log_zone_intent); found:" >&2
+    printf '%s\n' "$sites" >&2
+    exit 1
+  fi
+done
+
 # Concurrency correctness: racing per-zone schedules vs the
 # single-threaded oracle, same-seed determinism, remount after the race.
 cargo test --release -q -p raizn --test concurrent_stress
