@@ -42,7 +42,22 @@
 //!   log-structured engine's steady state — heap allocations per
 //!   stripe-aligned append with full observability attached (gate: 0)
 //!   and the WAF its stats report while the collector is idle (gate:
-//!   exactly 1.0; `lsraid_write_mib_s` reports its throughput).
+//!   exactly 1.0).
+//! - `lsraid_write_mib_s`: its throughput on the same whole-stripe
+//!   appends, timed inside the interleaved rounds that produce
+//!   `write_path_mib_s` (per-round minimum). Both engines then do the
+//!   same work per stripe — four data legs from the caller's payload and
+//!   one `encode_pq` pass for P — plus lsraid's 64 map updates and seal
+//!   entry (gate: >= 0.6x `write_path_mib_s`; reads 0.84-0.90, and
+//!   0.46-0.49 while every unit was folded into a per-stream accumulator
+//!   that each seal cleared).
+//! - `lsraid_partial_write_mib_s`: one-unit (64 KiB) appends, four to a
+//!   stripe, same rounds: the piecemeal path, where a call's bytes are
+//!   copied into the stream's stage and the fourth call seals from it.
+//! - `lsraid_rotation_host_ms`: wall clock of one metadata rotation at
+//!   `bench::lsgc` geometry (a 6.5 MB checkpoint: serialise the mapping
+//!   table, checksum it, two replica writes), the fastest of three — the
+//!   row that says what a checkpoint costs the write that trips it.
 //! - `allocs_per_qos_op`: heap allocations per op submitted through and
 //!   dispatched by the `qos` scheduler (coalescer on, recorder attached)
 //!   after warm-up (gate: 0 — pooled payload buffers, preallocated
@@ -117,6 +132,15 @@ const P2_WALL_RATIO_TARGET: f64 = 0.5;
 /// failed one run in six.
 const P2_WALL_RATIO_MIN: f64 = 0.45;
 
+/// Floor for lsraid's whole-stripe appends against RAIZN's whole-stripe
+/// writes on the wall clock. Per stripe both issue four data legs from
+/// the caller's payload and run one `encode_pq` pass; lsraid adds 64 map
+/// updates and a seal entry, and reads 0.84-0.90 (0.46-0.49 while it
+/// folded every unit into an accumulator and cleared it at each seal),
+/// slow spells of the host included: both rows come from the same
+/// interleaved rounds.
+const LSRAID_WALL_RATIO_MIN: f64 = 0.6;
+
 /// Allocation-counting wrapper around the system allocator.
 struct CountingAlloc;
 
@@ -157,31 +181,35 @@ fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / f64::from(iters)
 }
 
-/// Builds a fresh 5-device RAIZN volume; when `recorder` is given, every
-/// device and the volume itself record into it (unsampled, so the traced
-/// configuration is the worst case) and are registered on `timeline`.
-fn fresh_volume(
-    observe: Option<(&Arc<obs::Recorder>, &Arc<obs::Timeline>)>,
-    parity: u32,
-) -> bench::BenchResult<Arc<RaiznVolume>> {
-    let devices: Vec<Arc<ZnsDevice>> = (0..5)
+/// Who observes a fresh array: a recorder every layer records into
+/// (unsampled, so the traced configuration is the worst case) and the
+/// timeline every layer registers its gauges on.
+type Observe<'a> = Option<(&'a Arc<obs::Recorder>, &'a Arc<obs::Timeline>)>;
+
+/// Five fresh accounting-only devices, observed when asked.
+fn fresh_devices(observe: Observe<'_>, zones: u32, zone_sectors: u64) -> Vec<Arc<ZnsDevice>> {
+    (0..5)
         .map(|i| {
             let dev = Arc::new(ZnsDevice::new(
                 ZnsConfig::builder()
-                    .zones(32, 4096, 4096)
+                    .zones(zones, zone_sectors, zone_sectors)
                     .open_limits(14, 28)
                     .store_data(false)
                     .build(),
             ));
             if let Some((rec, tl)) = observe {
-                dev.set_recorder(rec.clone(), i as u32);
+                dev.set_recorder(rec.clone(), i);
                 tl.register(dev.clone());
             }
             dev
         })
-        .collect();
+        .collect()
+}
+
+/// Builds a fresh 5-device RAIZN volume, observed when asked.
+fn fresh_volume(observe: Observe<'_>, parity: u32) -> bench::BenchResult<Arc<RaiznVolume>> {
     let vol = Arc::new(RaiznVolume::format(
-        devices,
+        fresh_devices(observe, 32, 4096),
         RaiznConfig {
             parity,
             ..RaiznConfig::default()
@@ -195,34 +223,37 @@ fn fresh_volume(
     Ok(vol)
 }
 
-/// Builds a fresh 5-device log-structured volume with the full
-/// observability plane attached (unsampled, like `fresh_volume`).
+/// Builds a fresh 5-device log-structured volume, observed when asked.
 fn fresh_ls_volume(
-    rec: &Arc<obs::Recorder>,
-    tl: &Arc<obs::Timeline>,
+    observe: Observe<'_>,
+    zones: u32,
+    zone_sectors: u64,
 ) -> bench::BenchResult<Arc<LsVolume>> {
-    let devices: Vec<Arc<ZnsDevice>> = (0..5)
-        .map(|i| {
-            let dev = Arc::new(ZnsDevice::new(
-                ZnsConfig::builder()
-                    .zones(32, 4096, 4096)
-                    .open_limits(14, 28)
-                    .store_data(false)
-                    .build(),
-            ));
-            dev.set_recorder(rec.clone(), i as u32);
-            tl.register(dev.clone());
-            dev
-        })
-        .collect();
     let vol = Arc::new(LsVolume::format(
-        devices,
+        fresh_devices(observe, zones, zone_sectors),
         LsConfig::default(),
         SimTime::ZERO,
     )?);
-    vol.set_recorder(rec.clone());
-    tl.register(vol.clone());
+    if let Some((rec, tl)) = observe {
+        vol.set_recorder(rec.clone());
+        tl.register(vol.clone());
+    }
     Ok(vol)
+}
+
+/// Wall-clock milliseconds of one metadata rotation of `vol`: resets of
+/// an empty logical zone (one single-sector record each, no stripe
+/// touched) until one of them finds the slot full and rotates.
+fn rotation_ms(vol: &LsVolume) -> bench::BenchResult<f64> {
+    let rotations = vol.stats().meta_rotations;
+    loop {
+        let t0 = Instant::now();
+        vol.reset_zone(SimTime::ZERO, 0)?;
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        if vol.stats().meta_rotations > rotations {
+            return Ok(ms);
+        }
+    }
 }
 
 /// Issues `iters` contiguous writes of `data` starting at `*lba`,
@@ -378,9 +409,10 @@ fn main() -> bench::BenchResult {
     // Two identical single-parity volumes, one unobserved and one with
     // the full observability plane attached — unsampled tracing
     // (sample_every = 1), tumbling windows, and a gauge timeline polled
-    // per write — plus an observed dual-parity (RAIZN-2) volume. Rounds
-    // interleave so all three see the same machine conditions; the
-    // minimum round of each is compared.
+    // per write — plus an observed dual-parity (RAIZN-2) volume and two
+    // observed log-structured ones (whole-stripe and one-unit appends).
+    // Rounds interleave so all of them see the same machine conditions;
+    // the minimum round of each is compared.
     let recorder = obs::Recorder::new(65_536, 1);
     recorder.enable_windows(bench::TIMELINE_WINDOW, 256);
     // Span tracing (blame trees + rolling-p99 tail sampling) runs during
@@ -394,28 +426,45 @@ fn main() -> bench::BenchResult {
     let untraced = fresh_volume(None, 1)?;
     let traced = fresh_volume(Some((&recorder, &timeline)), 1)?;
     let raizn2 = fresh_volume(Some((&recorder, &timeline)), 2)?;
+    let lsr = fresh_ls_volume(Some((&recorder, &timeline)), 32, 4096)?;
+    let lsr_partial = fresh_ls_volume(Some((&recorder, &timeline)), 32, 4096)?;
     let stripe_sectors = 64u64; // 4 data units x 16 sectors
     let stripe_bytes = (stripe_sectors * 4096) as usize;
     let data = vec![0u8; stripe_bytes];
     let r2_stripe_sectors = 48u64; // 3 data units x 16 sectors
     let r2_data = &data[..(r2_stripe_sectors * 4096) as usize];
+    let one_unit = &data[..16 * 4096];
     let (mut lba_u, mut lba_t, mut lba2) = (0u64, 0u64, 0u64);
+    let (mut lba_l, mut lba_lp) = (0u64, 0u64);
     // Warm-up: a few stripes so the spare parity columns and metadata
     // scratch on every volume reach their steady-state capacities (the
     // timeline takes its one due sample here, outside the timed rounds).
     write_round(untraced.as_ref(), &mut lba_u, &data, 8, None)?;
     write_round(traced.as_ref(), &mut lba_t, &data, 8, Some(&timeline))?;
     write_round(raizn2.as_ref(), &mut lba2, r2_data, 8, Some(&timeline))?;
+    write_round(lsr.as_ref(), &mut lba_l, &data, 8, Some(&timeline))?;
+    write_round(
+        lsr_partial.as_ref(),
+        &mut lba_lp,
+        one_unit,
+        8,
+        Some(&timeline),
+    )?;
+    let ls_pre = lsr.stats();
 
     // 8 + 8 x 30 stripes, plus the partial writes below, stay inside each
     // volume's first logical zone (256 stripes): a fresh zone's first
-    // whole-stripe write allocates its spare parity columns.
+    // whole-stripe write allocates its spare parity columns. They also
+    // stay inside the log-structured volumes' first stripe group (256
+    // stripes as well), opened by the warm-up.
     const ROUNDS: usize = 8;
     let full_iters = 30u64;
     let mut untraced_ns = f64::INFINITY;
     let mut traced_ns = f64::INFINITY;
     let mut r2_ns = f64::INFINITY;
-    let (mut full_allocs, mut r2_full_allocs) = (0u64, 0u64);
+    let mut ls_ns = f64::INFINITY;
+    let mut ls_partial_ns = f64::INFINITY;
+    let (mut full_allocs, mut r2_full_allocs, mut ls_allocs) = (0u64, 0u64, 0u64);
     for _ in 0..ROUNDS {
         let (nu, au) = write_round(untraced.as_ref(), &mut lba_u, &data, full_iters, None)?;
         let (nt, at) = write_round(
@@ -432,12 +481,23 @@ fn main() -> bench::BenchResult {
             full_iters,
             Some(&timeline),
         )?;
+        let (nl, al) = write_round(lsr.as_ref(), &mut lba_l, &data, full_iters, Some(&timeline))?;
+        let (np, _) = write_round(
+            lsr_partial.as_ref(),
+            &mut lba_lp,
+            one_unit,
+            full_iters,
+            Some(&timeline),
+        )?;
         gate!(au == 0, "untraced steady-state writes allocate: {au}");
         untraced_ns = untraced_ns.min(nu);
         traced_ns = traced_ns.min(nt);
         r2_ns = r2_ns.min(n2);
+        ls_ns = ls_ns.min(nl);
+        ls_partial_ns = ls_partial_ns.min(np);
         full_allocs += at;
         r2_full_allocs += a2;
+        ls_allocs += al;
     }
     let writes = (ROUNDS as u64 * full_iters) as f64;
     let allocs_per_full = full_allocs as f64 / writes;
@@ -446,6 +506,18 @@ fn main() -> bench::BenchResult {
     let overhead_ns = (traced_ns - untraced_ns).max(0.0);
     let mib_s = stripe_bytes as f64 / (1024.0 * 1024.0) / (traced_ns / 1e9);
     let raizn2_mib_s = (r2_stripe_sectors * 4096) as f64 / (1024.0 * 1024.0) / (r2_ns / 1e9);
+    // The log-structured engine's share of the rounds. Its steady state
+    // holds the same allocation budget with the full observability plane
+    // attached: the flat mapping table, the per-stream stages, the
+    // parity scratch and the per-group metadata are preallocated, so
+    // appends into an open stripe group never touch the heap. Its
+    // reported WAF must be exactly 1.0 while its collector is idle:
+    // stripe-aligned appends produce no pads and no migrations, and the
+    // stats must not invent amplification where none happened.
+    let allocs_per_ls = ls_allocs as f64 / writes;
+    let ls_waf = phase_waf(&ls_pre, &lsr.stats());
+    let lsraid_mib_s = stripe_bytes as f64 / (1024.0 * 1024.0) / (ls_ns / 1e9);
+    let lsraid_partial_mib_s = one_unit.len() as f64 / (1024.0 * 1024.0) / (ls_partial_ns / 1e9);
 
     // --- Write path: 4 KiB partial-stripe writes (pp-log path) ----------
     // Warm up within the same open zone, then measure (tracing enabled).
@@ -488,25 +560,16 @@ fn main() -> bench::BenchResult {
     }
     let [allocs_per_degraded, allocs_per_degraded_p2] = degraded_allocs;
 
-    // --- Log-structured engine: steady-state append writes --------------
-    // The lsraid log write path holds the same budget with the full
-    // observability plane attached: the flat mapping table, the pooled
-    // stripe accumulators and the per-group metadata are preallocated,
-    // so appends into an open stripe group never touch the heap. The
-    // engine's reported WAF must be exactly 1.0 while its collector is
-    // idle: stripe-aligned appends produce no pads and no migrations,
-    // and the stats must not invent amplification where none happened.
-    let lsr = fresh_ls_volume(&recorder, &timeline)?;
-    let mut lba_l = 0u64;
-    write_round(lsr.as_ref(), &mut lba_l, &data, 8, Some(&timeline))?;
-    let ls_pre = lsr.stats();
-    let ls_iters = 100u64;
-    let (ls_ns, ls_allocs) =
-        write_round(lsr.as_ref(), &mut lba_l, &data, ls_iters, Some(&timeline))?;
-    let ls_post = lsr.stats();
-    let allocs_per_ls = ls_allocs as f64 / ls_iters as f64;
-    let ls_waf = phase_waf(&ls_pre, &ls_post);
-    let lsraid_mib_s = stripe_bytes as f64 / (1024.0 * 1024.0) / (ls_ns / 1e9);
+    // --- Log-structured engine: one metadata rotation --------------------
+    // Unobserved, at the geometry of the `lsgc` scenario (and of the
+    // benchmark's `lsraid_gc_qos`), where a checkpoint carries an
+    // 811 008-entry mapping table.
+    let rotating = fresh_ls_volume(None, bench::lsgc::ZONES, bench::lsgc::ZONE_SECTORS)?;
+    let mut rotation_host_ms = f64::INFINITY;
+    for _ in 0..3 {
+        rotation_host_ms = rotation_host_ms.min(rotation_ms(&rotating)?);
+    }
+    drop(rotating);
 
     // --- Lifecycle manager: steady-state pumps on the write path --------
     // A ZoneLifecycleManager attached to the traced volume and pumped
@@ -646,7 +709,7 @@ fn main() -> bench::BenchResult {
 
     let reused = traced.stats().stripe_buffers_reused;
     let json = format!(
-        "{{\n  \"xor_scalar_ns_per_op\": {scalar_ns:.1},\n  \"xor_word_ns_per_op\": {word_ns:.1},\n  \"xor_speedup\": {speedup:.2},\n  \"gf_encode_pq_gib_s\": {encode_gib_s:.2},\n  \"rs_decode_gib_s\": {decode_gib_s:.2},\n  \"write_path_mib_s\": {mib_s:.1},\n  \"raizn2_write_mib_s\": {raizn2_mib_s:.1},\n  \"lsraid_write_mib_s\": {lsraid_mib_s:.1},\n  \"allocs_per_full_stripe_write\": {allocs_per_full},\n  \"allocs_per_partial_write\": {allocs_per_partial},\n  \"allocs_per_full_stripe_write_p2\": {allocs_per_full_p2},\n  \"allocs_per_partial_write_p2\": {allocs_per_partial_p2},\n  \"allocs_per_degraded_read\": {allocs_per_degraded},\n  \"allocs_per_degraded_read_p2\": {allocs_per_degraded_p2},\n  \"allocs_per_lsraid_write\": {allocs_per_ls},\n  \"lsraid_waf_gc_idle\": {ls_waf},\n  \"allocs_per_qos_op\": {allocs_per_qos},\n  \"allocs_per_write_managed\": {allocs_per_managed},\n  \"stripe_buffers_reused\": {reused},\n  \"trace_overhead_pct\": {overhead_pct:.2},\n  \"trace_overhead_ns_per_write\": {overhead_ns:.0},\n  \"scaling\": {scaling_json}\n}}\n"
+        "{{\n  \"xor_scalar_ns_per_op\": {scalar_ns:.1},\n  \"xor_word_ns_per_op\": {word_ns:.1},\n  \"xor_speedup\": {speedup:.2},\n  \"gf_encode_pq_gib_s\": {encode_gib_s:.2},\n  \"rs_decode_gib_s\": {decode_gib_s:.2},\n  \"write_path_mib_s\": {mib_s:.1},\n  \"raizn2_write_mib_s\": {raizn2_mib_s:.1},\n  \"lsraid_write_mib_s\": {lsraid_mib_s:.1},\n  \"lsraid_partial_write_mib_s\": {lsraid_partial_mib_s:.1},\n  \"lsraid_rotation_host_ms\": {rotation_host_ms:.2},\n  \"allocs_per_full_stripe_write\": {allocs_per_full},\n  \"allocs_per_partial_write\": {allocs_per_partial},\n  \"allocs_per_full_stripe_write_p2\": {allocs_per_full_p2},\n  \"allocs_per_partial_write_p2\": {allocs_per_partial_p2},\n  \"allocs_per_degraded_read\": {allocs_per_degraded},\n  \"allocs_per_degraded_read_p2\": {allocs_per_degraded_p2},\n  \"allocs_per_lsraid_write\": {allocs_per_ls},\n  \"lsraid_waf_gc_idle\": {ls_waf},\n  \"allocs_per_qos_op\": {allocs_per_qos},\n  \"allocs_per_write_managed\": {allocs_per_managed},\n  \"stripe_buffers_reused\": {reused},\n  \"trace_overhead_pct\": {overhead_pct:.2},\n  \"trace_overhead_ns_per_write\": {overhead_ns:.0},\n  \"scaling\": {scaling_json}\n}}\n"
     );
     std::fs::write("BENCH_hotpath.json", &json)?;
     print!("{json}");
@@ -698,6 +761,11 @@ fn main() -> bench::BenchResult {
     gate!(
         allocs_per_ls == 0.0,
         "lsraid steady-state log writes allocate: {allocs_per_ls} allocs/write"
+    );
+    gate!(
+        lsraid_mib_s >= LSRAID_WALL_RATIO_MIN * mib_s,
+        "lsraid whole-stripe appends fell below {LSRAID_WALL_RATIO_MIN}x the RAIZN write path on \
+         the wall clock: {lsraid_mib_s:.1} vs {mib_s:.1} MiB/s"
     );
     gate!(
         ls_waf == 1.0,

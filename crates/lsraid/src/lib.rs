@@ -210,28 +210,6 @@ enum GState {
     Sealed,
 }
 
-/// Parity accumulator for the open stripe of a stream's open group.
-#[derive(Debug)]
-struct StripeBuf {
-    p: Vec<u8>,
-    q: Vec<u8>,
-}
-
-impl StripeBuf {
-    fn new(k: u64, dual: bool) -> StripeBuf {
-        let bytes = (k * SECTOR_SIZE) as usize;
-        StripeBuf {
-            p: vec![0u8; bytes],
-            q: if dual { vec![0u8; bytes] } else { Vec::new() },
-        }
-    }
-
-    fn clear(&mut self) {
-        self.p.fill(0);
-        self.q.fill(0);
-    }
-}
-
 /// One stripe group: a RAID stripe set over one zone per device.
 #[derive(Debug)]
 struct Group {
@@ -289,9 +267,13 @@ struct LsInner {
     /// Set while an inline emergency collection runs (re-entrancy guard).
     in_emergency: bool,
     created_seq: u64,
-    /// Parity accumulator per stream (a stream has at most one open
-    /// group); all-zero whenever the stream's open stripe is empty.
-    bufs: Vec<StripeBuf>,
+    /// Data stage per stream (a stream has at most one open group),
+    /// `kd` sectors: what a stripe that fills piecemeal holds so far.
+    /// Only the first `fill` sectors of the open stripe mean anything.
+    stages: Vec<Vec<u8>>,
+    /// The P (then Q) unit of the stripe being sealed: output scratch of
+    /// [`LsVolume::seal_stripe`], dead outside it.
+    parity: Vec<u8>,
     /// Bounce buffer for emergency-GC migration reads (one stripe).
     gc_buf: Vec<u8>,
     meta: MetaLog,
@@ -333,8 +315,6 @@ pub struct LsVolume {
     /// Metadata headroom (sectors) that forces early rotation so the
     /// rotation's own summary batch still fits the old slot.
     meta_headroom: u64,
-    /// Zero source for padding (one stripe of data).
-    zeros: Vec<u8>,
     inner: Mutex<LsInner>,
     tracer: obs::Tracer,
 }
@@ -567,7 +547,9 @@ impl LsVolume {
             })
             .collect();
         let free_groups: Vec<u32> = (0..g_total).rev().collect();
-        let bufs = (0..STREAMS).map(|_| StripeBuf::new(k, p == 2)).collect();
+        let stages = (0..STREAMS)
+            .map(|_| vec![0u8; (kd * SECTOR_SIZE) as usize])
+            .collect();
 
         // Most seal entries one summary batch can hold: a foreground
         // write stays inside one logical zone (`c` sectors entered
@@ -599,7 +581,8 @@ impl LsVolume {
             migrating: None,
             in_emergency: false,
             created_seq: 0,
-            bufs,
+            stages,
+            parity: vec![0u8; (k * SECTOR_SIZE) as usize * p],
             gc_buf: vec![0u8; (kd * SECTOR_SIZE) as usize],
             meta: MetaLog {
                 slot: 0,
@@ -636,7 +619,6 @@ impl LsVolume {
             kd,
             group_cap,
             meta_headroom,
-            zeros: vec![0u8; (kd * SECTOR_SIZE) as usize],
             inner: Mutex::new(inner),
             tracer: obs::Tracer::new(),
         })
@@ -937,9 +919,7 @@ impl LsVolume {
                 put_u32(buf, z);
             }
         }
-        for &pa in &inner.map {
-            put_u64(buf, pa);
-        }
+        meta::put_u64s(buf, &inner.map);
     }
 
     // ------------------------------------------------------------------
@@ -1300,7 +1280,6 @@ impl LsVolume {
             grp.fill = 0;
             grp.valid = 0;
             grp.created = created;
-            grp.lbas.fill(NONE64);
         }
         inner.c_groups_opened += 1;
         let done = self.commit_record(inner, t, kind::GROUP_OPEN, |inner, buf| {
@@ -1348,10 +1327,17 @@ impl LsVolume {
 
     /// Appends the head of `data` into the open stripe of group `g`
     /// (the open group of `stream`), all legs issued at `t`, and seals
-    /// the stripe if that fills it. Returns the sectors taken and the
-    /// latest completion. Touches neither the free pools nor the log
+    /// the stripe if that fills it; [`LogMode::Pad`] takes no `data` and
+    /// zero-fills the rest of the stripe. Returns the sectors taken and
+    /// the latest completion. Touches neither the free pools nor the log
     /// cursor, so it is safe wherever a stripe may need filling —
     /// including the pad-seal inside a metadata rotation.
+    ///
+    /// Parity is encoded once, at the seal, from wherever the stripe's
+    /// bytes are. A call that covers an empty stripe leaves them in
+    /// `data`: legs and encode read the caller's slice and nothing is
+    /// copied. Any other call copies its share into the stream's stage
+    /// and issues its legs from there.
     #[allow(clippy::too_many_arguments)]
     fn fill_stripe(
         &self,
@@ -1364,69 +1350,86 @@ impl LsVolume {
         lba: u64,
     ) -> Result<(u64, SimTime)> {
         let gi = g as usize;
+        let bytes = |sectors: u64| (sectors * SECTOR_SIZE) as usize;
         let stripe = inner.groups[gi].sealed;
-        let take = (data.len() as u64 / SECTOR_SIZE).min(self.kd - inner.groups[gi].fill);
-        let mut consumed = 0u64;
+        let fill = inner.groups[gi].fill;
+        let take = match mode {
+            LogMode::Pad => self.kd - fill,
+            _ => (data.len() as u64 / SECTOR_SIZE).min(self.kd - fill),
+        };
+        let whole = (take == self.kd && mode != LogMode::Pad).then(|| &data[..bytes(take)]);
+        // The stripe's image: slot `i` of the open stripe is sector `i`.
+        let image = whole.unwrap_or_else(|| {
+            let stage = &mut inner.stages[stream];
+            match mode {
+                LogMode::Pad => stage[bytes(fill)..].fill(0),
+                _ => stage[bytes(fill)..bytes(fill + take)].copy_from_slice(&data[..bytes(take)]),
+            }
+            stage
+        });
+        let zones = &inner.groups[gi].zones;
         let mut done = t;
-        while consumed < take {
-            let fill = inner.groups[gi].fill;
-            let unit = (fill / self.k) as usize;
-            let sec = fill % self.k;
-            let run = (self.k - sec).min(take - consumed);
-            let dev = self.data_dev(stripe, unit);
-            let zone = inner.groups[gi].zones[dev];
-            let plba = self.phys.zone_start(zone) + stripe * self.k + sec;
-            let chunk =
-                &data[(consumed * SECTOR_SIZE) as usize..((consumed + run) * SECTOR_SIZE) as usize];
-            let c = self.devices[dev].write(t, plba, chunk, WriteFlags::default())?;
-            done = done.max(c.done);
-            let buf = &mut inner.bufs[stream];
-            let q = (self.p == 2).then_some(&mut buf.q[..]);
-            sim::codec::absorb(
-                &mut buf.p,
-                q,
-                unit as u32,
-                (sec * SECTOR_SIZE) as usize,
-                chunk,
-            );
-            match mode {
-                LogMode::Pad => {}
-                LogMode::User => {
-                    for i in 0..run {
-                        self.map_sector(inner, gi, stripe * self.kd + fill + i, lba + consumed + i);
-                    }
-                }
-                LogMode::Gc => {
-                    for i in 0..run {
-                        let l = lba + consumed + i;
-                        let old = inner.map[l as usize];
-                        // Only remap if the sector is still where GC read
-                        // it from; a concurrent overwrite wins and the
-                        // migrated copy becomes garbage.
-                        if old != NONE64 && inner.migrating == Some(group_of(old)) {
-                            self.map_sector(inner, gi, stripe * self.kd + fill + i, l);
-                        }
-                    }
+        let mut issued = 0u64;
+        let mut legs = Ok(());
+        while issued < take {
+            let slot = fill + issued;
+            let sec = slot % self.k;
+            let run = (self.k - sec).min(take - issued);
+            let dev = self.data_dev(stripe, (slot / self.k) as usize);
+            let plba = self.phys.zone_start(zones[dev]) + stripe * self.k + sec;
+            let chunk = &image[bytes(slot)..bytes(slot + run)];
+            match self.devices[dev].write(t, plba, chunk, WriteFlags::default()) {
+                Ok(c) => done = done.max(c.done),
+                Err(e) => {
+                    legs = Err(e);
+                    break;
                 }
             }
-            inner.groups[gi].fill += run;
-            consumed += run;
-            match mode {
-                LogMode::User => inner.c_user += run,
-                LogMode::Gc => {
-                    inner.c_migrated += run;
-                    self.tracer.add(obs::Counter::LsMigratedSectors, run);
+            issued += run;
+        }
+        // Account for exactly what reached a device, failed call or not.
+        let base = stripe * self.kd + fill;
+        match mode {
+            LogMode::User => {
+                for i in 0..issued {
+                    self.map_sector(inner, gi, base + i, lba + i);
                 }
-                LogMode::Pad => {
-                    inner.c_pads += run;
-                    self.tracer.add(obs::Counter::LsPadSectors, run);
+                inner.c_user += issued;
+            }
+            LogMode::Gc => {
+                for i in 0..issued {
+                    let old = inner.map[(lba + i) as usize];
+                    // Only remap if the sector is still where GC read
+                    // it from; a concurrent overwrite wins and the
+                    // migrated copy becomes garbage.
+                    if old != NONE64 && inner.migrating == Some(group_of(old)) {
+                        self.map_sector(inner, gi, base + i, lba + i);
+                    }
                 }
+                inner.c_migrated += issued;
+                self.tracer.add(obs::Counter::LsMigratedSectors, issued);
+            }
+            LogMode::Pad => {
+                inner.c_pads += issued;
+                self.tracer.add(obs::Counter::LsPadSectors, issued);
             }
         }
-        if inner.groups[gi].fill == self.kd {
-            done = done.max(self.seal_stripe(inner, g, stream, t)?);
+        inner.groups[gi].fill += issued;
+        let seal = legs.and_then(|()| {
+            if fill + take == self.kd {
+                self.seal_stripe(inner, g, stream, t, whole)
+            } else {
+                Ok(t)
+            }
+        });
+        if let (Some(data), Err(_)) = (whole, &seal) {
+            // The stripe stays open — part-filled by the legs before the
+            // failed one, or full and unsealed — and whoever completes it
+            // encodes from the stage, which this call bypassed.
+            let kept = bytes(inner.groups[gi].fill);
+            inner.stages[stream][..kept].copy_from_slice(&data[..kept]);
         }
-        Ok((take, done))
+        Ok((take, done.max(seal?)))
     }
 
     /// Points logical sector `l` at `(gi, slot)`, releasing any previous
@@ -1443,36 +1446,39 @@ impl LsVolume {
         inner.groups[gi].valid += 1;
     }
 
-    /// Issues the full stripe's parity unit(s) at `t`, stages the
-    /// stripe's seal entry for the caller's summary commit, and advances
-    /// the group; closes it when its last stripe seals. Returns the
-    /// parity legs' completion.
+    /// Encodes the full stripe's parity in one pass over its bytes —
+    /// `whole` when one call brought them all, the stream's stage
+    /// otherwise — issues the parity unit(s) at `t`, stages the stripe's
+    /// seal entry for the caller's summary commit, and advances the
+    /// group; closes it when its last stripe seals. Returns the parity
+    /// legs' completion.
     fn seal_stripe(
         &self,
         inner: &mut LsInner,
         g: u32,
         stream: usize,
         t: SimTime,
+        whole: Option<&[u8]>,
     ) -> Result<SimTime> {
         let gi = g as usize;
         let stripe = inner.groups[gi].sealed;
+        let unit = (self.k * SECTOR_SIZE) as usize;
+        let (p, q) = inner.parity.split_at_mut(unit);
+        sim::encode_pq(
+            whole.unwrap_or(&inner.stages[stream]),
+            Some(p),
+            (self.p == 2).then_some(q),
+        );
         let legs = [
-            (
-                &inner.bufs[stream].p,
-                obs::PathKind::FullParity,
-                obs::Counter::FullParityWrites,
-            ),
-            (
-                &inner.bufs[stream].q,
-                obs::PathKind::QParity,
-                obs::Counter::QParityWrites,
-            ),
+            (obs::PathKind::FullParity, obs::Counter::FullParityWrites),
+            (obs::PathKind::QParity, obs::Counter::QParityWrites),
         ];
         let mut done = t;
-        for (i, (unit, path, counter)) in legs.into_iter().take(self.p).enumerate() {
+        for (i, (column, (path, counter))) in inner.parity.chunks_exact(unit).zip(legs).enumerate()
+        {
             let dev = ((stripe + i as u64) % self.n as u64) as usize;
             let lba = self.phys.zone_start(inner.groups[gi].zones[dev]) + stripe * self.k;
-            let c = self.devices[dev].write(t, lba, unit, WriteFlags::default())?;
+            let c = self.devices[dev].write(t, lba, column, WriteFlags::default())?;
             self.tracer.leaf(
                 obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, t, c.done)
                     .path(path)
@@ -1490,7 +1496,6 @@ impl LsVolume {
             stripe,
             &inner.groups[gi].lbas[base..base + self.kd as usize],
         );
-        inner.bufs[stream].clear();
         let grp = &mut inner.groups[gi];
         grp.sealed = stripe + 1;
         grp.fill = 0;
@@ -1512,12 +1517,10 @@ impl LsVolume {
             let Some(g) = inner.open[stream] else {
                 continue;
             };
-            let fill = inner.groups[g as usize].fill;
-            if fill == 0 {
+            if inner.groups[g as usize].fill == 0 {
                 continue;
             }
-            let pad = &self.zeros[..((self.kd - fill) * SECTOR_SIZE) as usize];
-            let (_, legs) = self.fill_stripe(inner, g, stream, at, pad, LogMode::Pad, 0)?;
+            let (_, legs) = self.fill_stripe(inner, g, stream, at, &[], LogMode::Pad, 0)?;
             done = done.max(legs);
         }
         Ok(done)
@@ -1780,6 +1783,9 @@ impl LsVolume {
         grp.state = GState::Free;
         grp.sealed = 0;
         grp.fill = 0;
+        // A `Free` group has an all-`NONE64` reverse map (`assemble` and
+        // `finish_mount` leave every group so), which is what lets
+        // `open_group` hand it out without touching the map.
         grp.lbas.fill(NONE64);
         inner.free_groups.push(g);
         inner.c_group_reclaims += 1;

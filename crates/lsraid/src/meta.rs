@@ -90,6 +90,17 @@ pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Appends `words` little-endian: one resize and a copy per word, which
+/// is what keeps a checkpoint's mapping table (one word per logical
+/// sector) cheap to serialise.
+pub(crate) fn put_u64s(buf: &mut Vec<u8>, words: &[u64]) {
+    let at = buf.len();
+    buf.resize(at + words.len() * 8, 0);
+    for (dst, w) in buf[at..].chunks_exact_mut(8).zip(words) {
+        dst.copy_from_slice(&w.to_le_bytes());
+    }
+}
+
 pub(crate) fn get_u32(buf: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(buf[off..off + 4].try_into().expect("u32 slice"))
 }
@@ -110,9 +121,7 @@ pub(crate) fn put_summary_entry(buf: &mut Vec<u8>, g: u32, stripe: u64, lbas: &[
     put_u32(buf, g);
     put_u32(buf, 0);
     put_u64(buf, stripe);
-    for &lba in lbas {
-        put_u64(buf, lba);
-    }
+    put_u64s(buf, lbas);
 }
 
 /// One stripe's seal entry inside a parsed `Summary` payload.
@@ -141,24 +150,24 @@ pub(crate) fn summary_entries(payload: &[u8], kd: usize) -> impl Iterator<Item =
         })
 }
 
-/// FNV-1a over the payload, seeded with the header identity so a record
-/// copied to the wrong position fails verification.
+/// FNV-1a's xor-then-multiply over the payload, taken a little-endian
+/// `u64` word per multiply (the tail that is left, a byte per multiply,
+/// last), seeded with the header identity — kind, epoch, sequence number
+/// and payload length — so a record copied to the wrong position fails
+/// verification. A word per step instead of a byte is what keeps a
+/// multi-megabyte checkpoint off the rotation's critical path: the
+/// multiplies are a dependent chain either way.
 fn checksum(kind: u32, epoch: u64, seq: u64, payload: &[u8]) -> u32 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for b in kind
-        .to_le_bytes()
+    let mix = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = [u64::from(kind), epoch, seq, payload.len() as u64]
         .into_iter()
-        .chain(epoch.to_le_bytes())
-        .chain(seq.to_le_bytes())
-    {
-        mix(b);
+        .fold(0xcbf2_9ce4_8422_2325, mix);
+    let mut words = payload.chunks_exact(8);
+    for w in &mut words {
+        h = mix(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
     }
-    for &b in payload {
-        mix(b);
+    for &b in words.remainder() {
+        h = mix(h, u64::from(b));
     }
     (h ^ (h >> 32)) as u32
 }
@@ -273,5 +282,78 @@ mod tests {
         assert!(parse_record(&buf).is_none());
         // Zeroed (unwritten) sector: magic must fail.
         assert!(parse_record(&[0u8; 4096]).is_none());
+    }
+
+    /// The definition, spelled out the slow way: words assembled by
+    /// shifts from a byte iterator, no slices, no `from_le_bytes`.
+    fn checksum_reference(kind: u32, epoch: u64, seq: u64, payload: &[u8]) -> u32 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |w: u64| h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        for w in [u64::from(kind), epoch, seq, payload.len() as u64] {
+            mix(w);
+        }
+        let mut bytes = payload.iter().copied();
+        for _ in 0..payload.len() / 8 {
+            let mut w = 0u64;
+            for shift in (0..64).step_by(8) {
+                w |= u64::from(bytes.next().unwrap()) << shift;
+            }
+            mix(w);
+        }
+        for b in bytes {
+            mix(u64::from(b));
+        }
+        (h ^ (h >> 32)) as u32
+    }
+
+    #[test]
+    fn checksum_matches_the_naive_reference_at_every_tail_length() {
+        let mut payload = vec![0u8; 67];
+        sim::SimRng::new(0xC5).fill_bytes(&mut payload);
+        for len in 0..=payload.len() {
+            let p = &payload[..len];
+            assert_eq!(
+                checksum(kind::SUMMARY, 7, 1234, p),
+                checksum_reference(kind::SUMMARY, 7, 1234, p),
+                "payload of {len} bytes"
+            );
+        }
+    }
+
+    /// Five whole words and a three-byte tail.
+    fn sealed_record() -> Vec<u8> {
+        let mut buf = vec![0u8; HEADER_BYTES];
+        buf.extend((0..43u8).map(|i| i.wrapping_mul(37) ^ 0x5A));
+        finish_record(&mut buf, kind::SUMMARY, 3, 41);
+        assert!(parse_record(&buf).is_some());
+        buf
+    }
+
+    #[test]
+    fn single_bit_flips_are_rejected_in_words_and_tail() {
+        let buf = sealed_record();
+        // First word, last whole word, each tail byte.
+        for byte in [0usize, 7, 32, 39, 40, 41, 42] {
+            for bit in 0..8 {
+                let mut torn = buf.clone();
+                torn[HEADER_BYTES + byte] ^= 1 << bit;
+                assert!(
+                    parse_record(&torn).is_none(),
+                    "payload byte {byte} bit {bit} flipped"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn record_replayed_under_another_identity_is_rejected() {
+        let buf = sealed_record();
+        // kind, epoch, seq as the header holds them.
+        for (field, other) in [(4..8, 4u64), (8..16, 4), (16..24, 42)] {
+            let mut moved = buf.clone();
+            let n = field.len();
+            moved[field].copy_from_slice(&other.to_le_bytes()[..n]);
+            assert!(parse_record(&moved).is_none());
+        }
     }
 }

@@ -61,3 +61,34 @@ fn headroom_covers_a_rotations_own_batch() {
     }
     assert_eq!(inner.c_pads, 3 * (vol.kd - 1));
 }
+
+/// A reclaimed group goes back to the pool with the state `open_group`
+/// relies on and no longer resets: no valid sectors, a reverse map that
+/// names none.
+#[test]
+fn reopened_group_starts_with_an_empty_reverse_map() {
+    let vol = LsVolume::format(devices(64), LsConfig::default(), T0).unwrap();
+    let group = vol.group_cap;
+    let data = vec![0xC3u8; (vol.geo.zone_cap() * SECTOR_SIZE) as usize];
+    let mut inner = vol.inner.lock();
+    let inner = &mut *inner;
+    // Fill the first hot group with four logical zones, then overwrite
+    // them: every slot of that group is mapped once and garbage after.
+    for pass in 0..2 {
+        for lba in (0..group).step_by(data.len() / SECTOR_SIZE as usize) {
+            vol.log_data(inner, T0, &data, LogMode::User, lba, HOT)
+                .unwrap();
+        }
+        assert_eq!(inner.groups[0].valid, if pass == 0 { group } else { 0 });
+    }
+    assert_eq!(inner.groups[0].state, GState::Sealed);
+    vol.reclaim_inner(inner, T0, 0).unwrap();
+    assert_eq!(inner.groups[0].state, GState::Free);
+    // The pool is a stack: the next open takes the group just freed.
+    let (g, _) = vol.open_group(inner, T0, COLD).unwrap();
+    assert_eq!(g, 0);
+    let grp = &inner.groups[0];
+    assert_eq!(grp.state, GState::Open(COLD as u8));
+    assert_eq!((grp.valid, grp.fill, grp.sealed), (0, 0, 0));
+    assert!(grp.lbas.iter().all(|&l| l == NONE64));
+}

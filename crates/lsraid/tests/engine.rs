@@ -3,7 +3,8 @@
 //! metadata-log rotation.
 
 use lsraid::{DirectSink, GcConfig, GcManager, LsConfig, LsVolume};
-use sim::SimTime;
+use proptest::prelude::*;
+use sim::{SimRng, SimTime};
 use std::sync::Arc;
 use zns::{CrashPolicy, WriteFlags, ZnsConfig, ZnsDevice, ZonedVolume, SECTOR_SIZE};
 
@@ -397,4 +398,107 @@ fn sequential_rule_enforced_for_foreground() {
         vol.read(T0, 0, &mut buf),
         Err(zns::ZnsError::ReadUnwritten { .. })
     ));
+}
+
+/// Logs `stream[from..to]` at logical sectors `from..to` in calls of the
+/// lengths `cut` hands out (clamped to what is left), then flushes.
+fn log_span(vol: &LsVolume, stream: &[u8], from: u64, to: u64, mut cut: impl FnMut() -> u64) {
+    let mut at = from;
+    while at < to {
+        let n = cut().min(to - at);
+        let bytes = (at * SECTOR_SIZE) as usize..((at + n) * SECTOR_SIZE) as usize;
+        vol.write(T0, at, &stream[bytes], WriteFlags::default())
+            .unwrap();
+        at += n;
+    }
+    vol.flush(T0).unwrap();
+}
+
+/// Everything below the write pointer of every stripe-group zone (zones
+/// 0 and 1 hold the metadata log, whose records follow the call cuts).
+fn member_zones(devs: &[Arc<ZnsDevice>]) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for dev in devs {
+        for z in 2..dev.config().geometry().num_zones() {
+            let info = dev.zone_info(z).unwrap();
+            let mut buf = vec![0u8; (info.written() * SECTOR_SIZE) as usize];
+            if !buf.is_empty() {
+                dev.read(T0, info.start, &mut buf).unwrap();
+            }
+            out.push(buf);
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The log is append-only, so where calls are cut decides only which
+    /// slice a stripe's parity is encoded from — the caller's, when one
+    /// call covers an empty stripe, or the stream's stage — never what
+    /// lands on the members. One byte stream goes into two arrays, once
+    /// in stripe-aligned whole-stripe calls and once cut raggedly, with
+    /// the same two flush pads at the same stream offsets.
+    #[test]
+    fn ragged_cuts_leave_the_members_a_whole_stripe_log_does(
+        parity in 1u32..=2,
+        seed in 0u64..1 << 32,
+    ) {
+        let format = || {
+            let devs: Vec<Arc<ZnsDevice>> = (0..5)
+                .map(|_| {
+                    Arc::new(ZnsDevice::new(
+                        ZnsConfig::builder().zones(16, 384, 384).open_limits(8, 12).build(),
+                    ))
+                })
+                .collect();
+            let cfg = LsConfig::default().parity(parity);
+            (LsVolume::format(devs.clone(), cfg, T0).unwrap(), devs)
+        };
+        let (whole, whole_devs) = format();
+        let (ragged, ragged_devs) = format();
+        let (unit, stripe) = (whole.stripe_unit(), whole.stripe_data_sectors());
+        // One logical zone holds the stream: six stripes at one parity,
+        // eight at two.
+        let zone = whole.geometry().zone_cap();
+        prop_assert_eq!(zone % stripe, 0);
+
+        let mut rng = SimRng::new(seed);
+        let total = zone - rng.gen_range(stripe);
+        let mid = 1 + rng.gen_range(total - 1);
+        let mut stream = vec![0u8; (total * SECTOR_SIZE) as usize];
+        rng.fill_bytes(&mut stream);
+        // Sub-unit, exactly one unit, unit-straddling, stripe-straddling,
+        // multi-stripe.
+        let mut ragged_cut = || match rng.gen_range(5) {
+            0 => 1 + rng.gen_range(unit - 1),
+            1 => unit,
+            2 => unit + 1 + rng.gen_range(unit - 1),
+            3 => stripe - unit + 1 + rng.gen_range(2 * unit - 1),
+            _ => stripe + 1 + rng.gen_range(2 * stripe),
+        };
+        for (from, to) in [(0, mid), (mid, total)] {
+            // Each flush pads to a stripe boundary, so whole-stripe calls
+            // from `from` stay stripe-aligned in the log.
+            log_span(&whole, &stream, from, to, || stripe);
+            log_span(&ragged, &stream, from, to, &mut ragged_cut);
+        }
+
+        prop_assert!(member_zones(&whole_devs) == member_zones(&ragged_devs));
+        for vol in [&whole, &ragged] {
+            let rep = vol.scrub(T0).unwrap();
+            prop_assert_eq!((rep.parity_errors, rep.q_errors), (0, 0));
+            let mut got = vec![0u8; stream.len()];
+            vol.read(T0, 0, &mut got).unwrap();
+            prop_assert!(got == stream);
+        }
+        let (w, r) = (whole.stats(), ragged.stats());
+        prop_assert_eq!(
+            (w.user_sectors, w.pad_sectors, w.parity_sectors),
+            (r.user_sectors, r.pad_sectors, r.parity_sectors)
+        );
+        prop_assert_eq!(w.user_sectors, total);
+        prop_assert!(w.pad_sectors < 2 * stripe);
+    }
 }

@@ -273,3 +273,53 @@ fn crash_between_staging_and_commit_inside_a_rotation() {
     write(&vol, STRIPE, 20).unwrap();
     assert_reads_back(&vol, STRIPE, 20);
 }
+
+/// A whole-stripe call encodes from the caller's slice and stages
+/// nothing, so a leg that fails inside one leaves the stripe open with
+/// its bytes in no stage: what did reach the devices has to be staged
+/// before the error returns, or the writes that complete the stripe seal
+/// it with parity over the wrong bytes. Fails write `nth` of device
+/// `victim` inside the second stripe of a four-stripe call.
+fn failed_leg_inside_a_whole_stripe_write(parity: u32, victim: usize, nth: u64) {
+    let cfg = LsConfig::default().parity(parity);
+    let devs = devices(1024);
+    let vol = LsVolume::format(devs.clone(), cfg.clone(), T0).unwrap();
+    let stripe = vol.stripe_data_sectors();
+    devs[victim].set_fault_plan(FaultPlan::new(1).fail_nth(FaultOp::Write, nth));
+    assert!(write(&vol, 0, 4 * stripe).is_err(), "the leg must fail");
+    assert_eq!(written(&vol, 0), 0);
+    // The retry completes the open stripe through the stage, goes on in
+    // whole stripes, and leaves a tail of its own; then a sub-stripe
+    // write and the barrier's pad.
+    write(&vol, 0, 4 * stripe).unwrap();
+    write(&vol, 4 * stripe, 20).unwrap();
+    vol.flush(T0).unwrap();
+    let check = |vol: &LsVolume| {
+        let rep = vol.scrub(T0).unwrap();
+        assert!(rep.stripes >= 5);
+        assert_eq!((rep.parity_errors, rep.q_errors), (0, 0));
+        assert_reads_back(vol, 0, 4 * stripe + 20);
+    };
+    check(&vol);
+    drop(vol);
+    crash_all(&devs, |_| CrashPolicy::LoseCache);
+    check(&LsVolume::mount(devs, cfg, T0).unwrap());
+}
+
+/// The third data unit of stripe 1: P (and Q) of that stripe sit on
+/// device 1 (and 2), so the unit is on device 3 (4), whose only earlier
+/// write is its data unit of stripe 0. The stripe is left half full.
+#[test]
+fn failed_data_leg_of_a_whole_stripe_write_keeps_parity_right() {
+    failed_leg_inside_a_whole_stripe_write(1, 3, 2);
+    failed_leg_inside_a_whole_stripe_write(2, 4, 2);
+}
+
+/// The P leg of stripe 1, device 1's third write after the group-open
+/// record and its unit of stripe 0 (data at one parity, Q at two). The
+/// stripe is left full and unsealed; the retry seals it first.
+#[test]
+fn failed_parity_leg_of_a_whole_stripe_write_keeps_parity_right() {
+    failed_leg_inside_a_whole_stripe_write(1, 1, 3);
+    failed_leg_inside_a_whole_stripe_write(2, 1, 3);
+}

@@ -2,8 +2,8 @@
 //!
 //! One place for the parity arithmetic of a RAID-5/6 stripe, shared by
 //! the RAIZN volume (full-stripe writes, degraded reads, scrub, rebuild,
-//! crash recovery) and the log-structured engine's scrub. The stripe is
-//! `d` equally sized data units `D_0 .. D_{d-1}` with
+//! crash recovery) and the log-structured engine (seal, scrub). The
+//! stripe is `d` equally sized data units `D_0 .. D_{d-1}` with
 //!
 //! ```text
 //! P = D_0 ^ D_1 ^ ... ^ D_{d-1}

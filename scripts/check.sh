@@ -51,6 +51,15 @@ for payload in 'MdPayloadRef::ZoneFinishLog' 'MdPayloadRef::Superblock('; do
   fi
 done
 
+# lsraid computes parity in one place, from whole stripes: `encode_pq` at
+# the seal (and in scrub). An incremental kernel named anywhere in the
+# crate is a running accumulator — and the clearing it needs — coming
+# back.
+if grep -rnE 'codec::absorb|xor_into|gf_mul_into' crates/lsraid/src; then
+  echo "check.sh: incremental parity kernel in crates/lsraid/src (encode_pq at the seal only)" >&2
+  exit 1
+fi
+
 # Concurrency correctness: racing per-zone schedules vs the
 # single-threaded oracle, same-seed determinism, remount after the race.
 cargo test --release -q -p raizn --test concurrent_stress
