@@ -24,6 +24,17 @@
 //!   write (partial-parity log path) after warm-up, tracing enabled
 //!   (gate: 0 — the checkpoint snapshot reserves whole columns on its
 //!   first capture).
+//! - `raizn_partial_write_ns` / `raizn_partial_write_su_ratio` (and the
+//!   `_p2` pair): host ns per sequential 4 KiB sub-stripe write (pp-log
+//!   path, unobserved volume, 16-sector unit, per-round minimum of
+//!   interleaved rounds), and the same at a 64-sector unit divided by it.
+//!   A sub-stripe write must cost what it writes, not what its stripe
+//!   unit holds (gate: ratio <= 1.5; reads 1.0-1.2, and 2.8-3.3 while
+//!   every write re-copied the running-parity prefix into the checkpoint
+//!   snapshot). A ratio of two rows of one run: it fires on a noisy host.
+//! - `allocs_per_fua_write`: heap allocations per 4 KiB FUA write (pp-log
+//!   append plus the flush of every device holding an unpersisted unit)
+//!   after warm-up, tracing enabled (gate: 0).
 //! - `allocs_per_full_stripe_write_p2` / `allocs_per_partial_write_p2`:
 //!   the same two counts on a dual-parity (RAIZN-2) volume — the Q
 //!   column and second pp-log leg share the parity pools, so both gate
@@ -141,6 +152,11 @@ const P2_WALL_RATIO_MIN: f64 = 0.45;
 /// interleaved rounds.
 const LSRAID_WALL_RATIO_MIN: f64 = 0.6;
 
+/// Ceiling for a 4 KiB sub-stripe write at a 64-sector stripe unit over
+/// the same write at a 16-sector unit. Flat would be 1.0; the longer
+/// stripe seals a quarter as often and reads 1.0-1.2.
+const PARTIAL_SU_RATIO_MAX: f64 = 1.5;
+
 /// Allocation-counting wrapper around the system allocator.
 struct CountingAlloc;
 
@@ -206,12 +222,18 @@ fn fresh_devices(observe: Observe<'_>, zones: u32, zone_sectors: u64) -> Vec<Arc
         .collect()
 }
 
-/// Builds a fresh 5-device RAIZN volume, observed when asked.
-fn fresh_volume(observe: Observe<'_>, parity: u32) -> bench::BenchResult<Arc<RaiznVolume>> {
+/// Builds a fresh 5-device RAIZN volume with stripe units of `unit`
+/// sectors, observed when asked.
+fn fresh_volume(
+    observe: Observe<'_>,
+    parity: u32,
+    unit: u64,
+) -> bench::BenchResult<Arc<RaiznVolume>> {
     let vol = Arc::new(RaiznVolume::format(
         fresh_devices(observe, 32, 4096),
         RaiznConfig {
             parity,
+            stripe_unit_sectors: unit,
             ..RaiznConfig::default()
         },
         SimTime::ZERO,
@@ -342,7 +364,7 @@ fn qos_round(
 /// One thread-scaling trial: runs `jobs` on `threads` engine workers
 /// against a fresh volume, returning (wall seconds, ops, bytes).
 fn scaling_trial(threads: usize, jobs: &[JobSpec]) -> bench::BenchResult<(f64, u64, u64)> {
-    let target = ZonedTarget::new(fresh_volume(None, 1)?);
+    let target = ZonedTarget::new(fresh_volume(None, 1, 16)?);
     let engine = Engine::new(0x5CA1E);
     let t0 = Instant::now();
     let report = engine.run_threaded(&target, jobs, threads)?;
@@ -423,9 +445,9 @@ fn main() -> bench::BenchResult {
         keep_slowest: None,
     });
     let timeline = obs::Timeline::new(bench::TIMELINE_WINDOW);
-    let untraced = fresh_volume(None, 1)?;
-    let traced = fresh_volume(Some((&recorder, &timeline)), 1)?;
-    let raizn2 = fresh_volume(Some((&recorder, &timeline)), 2)?;
+    let untraced = fresh_volume(None, 1, 16)?;
+    let traced = fresh_volume(Some((&recorder, &timeline)), 1, 16)?;
+    let raizn2 = fresh_volume(Some((&recorder, &timeline)), 2, 16)?;
     let lsr = fresh_ls_volume(Some((&recorder, &timeline)), 32, 4096)?;
     let lsr_partial = fresh_ls_volume(Some((&recorder, &timeline)), 32, 4096)?;
     let stripe_sectors = 64u64; // 4 data units x 16 sectors
@@ -533,6 +555,41 @@ fn main() -> bench::BenchResult {
         write_round(raizn2.as_ref(), &mut lba2, four_k, 64, Some(&timeline))?;
     let allocs_per_partial_p2 = r2_partial_allocs as f64 / 64.0;
 
+    // FUA: the same write, then a flush of every device that holds an
+    // unpersisted unit below the write pointer.
+    let mut fua_a0 = 0;
+    for i in 0..8 + 64 {
+        if i == 8 {
+            fua_a0 = allocs();
+        }
+        traced.write(SimTime::ZERO, lba_t, four_k, WriteFlags::FUA)?;
+        lba_t += 1;
+    }
+    let allocs_per_fua = (allocs() - fua_a0) as f64 / 64.0;
+
+    // --- Sub-stripe writes against the stripe unit ------------------------
+    // Sequential 4 KiB writes on unobserved volumes of 16- and 64-sector
+    // units at both parity levels, rounds interleaved, minimum taken.
+    // Nothing on the path may scale with the unit: the ratio of the two
+    // rows is the gate.
+    let mut sub = Vec::new();
+    for (parity, unit) in [(1u32, 16u64), (1, 64), (2, 16), (2, 64)] {
+        let vol = fresh_volume(None, parity, unit)?;
+        let mut lba = 0u64;
+        write_round(vol.as_ref(), &mut lba, four_k, 64, None)?;
+        sub.push((vol, lba));
+    }
+    let mut sub_ns = [f64::INFINITY; 4];
+    for _ in 0..ROUNDS {
+        for ((vol, lba), best) in sub.iter_mut().zip(&mut sub_ns) {
+            let (ns, _) = write_round(vol.as_ref(), lba, four_k, 1024, None)?;
+            *best = best.min(ns);
+        }
+    }
+    drop(sub);
+    let [partial_ns, partial_ns_64, partial_ns_p2, partial_ns_64_p2] = sub_ns;
+    let (su_ratio, su_ratio_p2) = (partial_ns_64 / partial_ns, partial_ns_64_p2 / partial_ns_p2);
+
     // --- Degraded reads: erasure decode on the read path -----------------
     // Fresh volumes (full observability attached) with a few whole
     // stripes each; one member fails on the single-parity volume, two on
@@ -541,7 +598,7 @@ fn main() -> bench::BenchResult {
     let mut unit = vec![0u8; 16 * 4096];
     let mut degraded_allocs = [0f64; 2];
     for (parity, sectors, slot) in [(1u32, stripe_sectors, 0usize), (2, r2_stripe_sectors, 1)] {
-        let vol = fresh_volume(Some((&recorder, &timeline)), parity)?;
+        let vol = fresh_volume(Some((&recorder, &timeline)), parity, 16)?;
         let mut lba = 0u64;
         let payload = &data[..(sectors * 4096) as usize];
         write_round(vol.as_ref(), &mut lba, payload, 10, Some(&timeline))?;
@@ -637,7 +694,7 @@ fn main() -> bench::BenchResult {
     // volume per trial. Device time is virtual (costs nothing real), so
     // wall-clock speedup isolates the host-side write path: per-zone lock
     // shards must let independent zones' writes proceed concurrently.
-    let probe = fresh_volume(None, 1)?;
+    let probe = fresh_volume(None, 1, 16)?;
     let zone_cap = probe.geometry().zone_cap();
     let num_zones = u64::from(probe.geometry().num_zones());
     drop(probe);
@@ -709,7 +766,7 @@ fn main() -> bench::BenchResult {
 
     let reused = traced.stats().stripe_buffers_reused;
     let json = format!(
-        "{{\n  \"xor_scalar_ns_per_op\": {scalar_ns:.1},\n  \"xor_word_ns_per_op\": {word_ns:.1},\n  \"xor_speedup\": {speedup:.2},\n  \"gf_encode_pq_gib_s\": {encode_gib_s:.2},\n  \"rs_decode_gib_s\": {decode_gib_s:.2},\n  \"write_path_mib_s\": {mib_s:.1},\n  \"raizn2_write_mib_s\": {raizn2_mib_s:.1},\n  \"lsraid_write_mib_s\": {lsraid_mib_s:.1},\n  \"lsraid_partial_write_mib_s\": {lsraid_partial_mib_s:.1},\n  \"lsraid_rotation_host_ms\": {rotation_host_ms:.2},\n  \"allocs_per_full_stripe_write\": {allocs_per_full},\n  \"allocs_per_partial_write\": {allocs_per_partial},\n  \"allocs_per_full_stripe_write_p2\": {allocs_per_full_p2},\n  \"allocs_per_partial_write_p2\": {allocs_per_partial_p2},\n  \"allocs_per_degraded_read\": {allocs_per_degraded},\n  \"allocs_per_degraded_read_p2\": {allocs_per_degraded_p2},\n  \"allocs_per_lsraid_write\": {allocs_per_ls},\n  \"lsraid_waf_gc_idle\": {ls_waf},\n  \"allocs_per_qos_op\": {allocs_per_qos},\n  \"allocs_per_write_managed\": {allocs_per_managed},\n  \"stripe_buffers_reused\": {reused},\n  \"trace_overhead_pct\": {overhead_pct:.2},\n  \"trace_overhead_ns_per_write\": {overhead_ns:.0},\n  \"scaling\": {scaling_json}\n}}\n"
+        "{{\n  \"xor_scalar_ns_per_op\": {scalar_ns:.1},\n  \"xor_word_ns_per_op\": {word_ns:.1},\n  \"xor_speedup\": {speedup:.2},\n  \"gf_encode_pq_gib_s\": {encode_gib_s:.2},\n  \"rs_decode_gib_s\": {decode_gib_s:.2},\n  \"write_path_mib_s\": {mib_s:.1},\n  \"raizn2_write_mib_s\": {raizn2_mib_s:.1},\n  \"lsraid_write_mib_s\": {lsraid_mib_s:.1},\n  \"lsraid_partial_write_mib_s\": {lsraid_partial_mib_s:.1},\n  \"lsraid_rotation_host_ms\": {rotation_host_ms:.2},\n  \"allocs_per_full_stripe_write\": {allocs_per_full},\n  \"allocs_per_partial_write\": {allocs_per_partial},\n  \"raizn_partial_write_ns\": {partial_ns:.0},\n  \"raizn_partial_write_su_ratio\": {su_ratio:.2},\n  \"raizn_partial_write_ns_p2\": {partial_ns_p2:.0},\n  \"raizn_partial_write_su_ratio_p2\": {su_ratio_p2:.2},\n  \"allocs_per_fua_write\": {allocs_per_fua},\n  \"allocs_per_full_stripe_write_p2\": {allocs_per_full_p2},\n  \"allocs_per_partial_write_p2\": {allocs_per_partial_p2},\n  \"allocs_per_degraded_read\": {allocs_per_degraded},\n  \"allocs_per_degraded_read_p2\": {allocs_per_degraded_p2},\n  \"allocs_per_lsraid_write\": {allocs_per_ls},\n  \"lsraid_waf_gc_idle\": {ls_waf},\n  \"allocs_per_qos_op\": {allocs_per_qos},\n  \"allocs_per_write_managed\": {allocs_per_managed},\n  \"stripe_buffers_reused\": {reused},\n  \"trace_overhead_pct\": {overhead_pct:.2},\n  \"trace_overhead_ns_per_write\": {overhead_ns:.0},\n  \"scaling\": {scaling_json}\n}}\n"
     );
     std::fs::write("BENCH_hotpath.json", &json)?;
     print!("{json}");
@@ -740,6 +797,15 @@ fn main() -> bench::BenchResult {
         allocs_per_partial == 0.0 && allocs_per_partial_p2 == 0.0,
         "steady-state partial-stripe writes allocate: {allocs_per_partial} allocs/write \
          (dual parity: {allocs_per_partial_p2})"
+    );
+    gate!(
+        allocs_per_fua == 0.0,
+        "steady-state FUA writes allocate: {allocs_per_fua} allocs/write"
+    );
+    gate!(
+        su_ratio <= PARTIAL_SU_RATIO_MAX && su_ratio_p2 <= PARTIAL_SU_RATIO_MAX,
+        "a 4 KiB sub-stripe write costs more at a 64-sector stripe unit than at 16: \
+         {su_ratio:.2}x (dual parity: {su_ratio_p2:.2}x; limit {PARTIAL_SU_RATIO_MAX}x)"
     );
     gate!(
         allocs_per_degraded == 0.0 && allocs_per_degraded_p2 == 0.0,

@@ -2,12 +2,32 @@
 
 use zns::SECTOR_SIZE;
 
+/// Splits sectors `[from, to)` of a stripe at its unit boundaries and
+/// yields `(sector, row, run)` per segment: `run` sectors starting at
+/// stripe sector `sector`, which occupy the contiguous parity rows
+/// `[row, row + run)`. Whoever walks a written range by parity row — the
+/// running-parity fold, the partial-parity snapshot — splits it here.
+pub(crate) fn unit_segments(from: u64, to: u64, su: u64) -> impl Iterator<Item = (u64, u64, u64)> {
+    let mut s = from;
+    std::iter::from_fn(move || {
+        (s < to).then(|| {
+            let (at, row) = (s, s % su);
+            let run = (su - row).min(to - s);
+            s += run;
+            (at, row, run)
+        })
+    })
+}
+
 /// The in-memory buffer of one (possibly incomplete) stripe.
 ///
 /// Logical zone writes are sequential, so a stripe fills strictly from its
 /// beginning; the buffer tracks the fill frontier, keeps the data of every
 /// unit, and maintains the *running parity* — the XOR of all data written
-/// so far, with unwritten bytes treated as zero. When a non-stripe-aligned
+/// so far, with unwritten bytes treated as zero. Past the frontier the
+/// data region is undefined (a recycled buffer keeps its last stripe's
+/// bytes there; no accessor reaches them) and the parity columns are zero
+/// (whole columns are logged and stored). When a non-stripe-aligned
 /// write completes, the affected rows of the running parity are logged as
 /// partial parity; when the stripe completes, the full parity column is
 /// written to the parity device and the buffer is recycled.
@@ -114,17 +134,12 @@ impl StripeBuffer {
         let start = self.filled;
         let off = (start * SECTOR_SIZE) as usize;
         self.data[off..off + data.len()].copy_from_slice(data);
-        // Sectors [s, s+run) within one unit land on contiguous parity
-        // rows [s % su, s % su + run): XOR each such segment as a single
-        // contiguous range.
+        // Each unit segment lands on contiguous parity rows: fold it in
+        // as a single contiguous range.
         let su = self.unit_sectors;
-        let mut row_lo = u64::MAX;
-        let mut row_hi = 0u64;
-        let mut s = start;
         let end = start + sectors;
-        while s < end {
-            let row = s % su;
-            let run = (su - row).min(end - s);
+        let (mut row_lo, mut row_hi) = (u64::MAX, 0u64);
+        for (s, row, run) in unit_segments(start, end, su) {
             row_lo = row_lo.min(row);
             row_hi = row_hi.max(row + run);
             let d_off = (s * SECTOR_SIZE) as usize;
@@ -136,7 +151,6 @@ impl StripeBuffer {
                 (row * SECTOR_SIZE) as usize,
                 &self.data[d_off..d_off + len],
             );
-            s += run;
         }
         self.filled = end;
         // Convex hull of the touched rows (a superset of the paper's exact
@@ -169,16 +183,17 @@ impl StripeBuffer {
         &self.q
     }
 
-    /// The data of unit `k` as written so far (zero-filled beyond the
-    /// frontier).
+    /// The written prefix of unit `k`: whole below the fill frontier,
+    /// empty above it, and the frontier unit's sectors so far.
     ///
     /// # Panics
     ///
     /// Panics if `k` is out of range.
     pub fn unit_data(&self, k: u64) -> &[u8] {
         assert!(k < self.data_units, "unit index out of range");
-        let bytes = (self.unit_sectors * SECTOR_SIZE) as usize;
-        &self.data[k as usize * bytes..(k as usize + 1) * bytes]
+        let start = k * self.unit_sectors;
+        let end = self.filled.clamp(start, start + self.unit_sectors);
+        &self.data[(start * SECTOR_SIZE) as usize..(end * SECTOR_SIZE) as usize]
     }
 
     /// The staged bytes for the sector range `[from, to)` within the
@@ -194,19 +209,16 @@ impl StripeBuffer {
     }
 
     /// Resets the buffer for reuse on a new stripe, clearing only the
-    /// dirty prefix.
+    /// dirty parity rows.
     ///
     /// Fills are strictly sequential from the start of the stripe, so the
-    /// dirty region is exactly `[0, filled)` sectors of data and the first
-    /// `min(filled, unit_sectors)` parity rows; everything beyond is still
-    /// zero from construction (or the previous recycle). For a buffer
-    /// recycled after a partial stripe this avoids memsetting the full
-    /// D×SU extent.
+    /// dirty parity is exactly the first `min(filled, unit_sectors)` rows;
+    /// everything beyond is still zero from construction (or the previous
+    /// recycle). The data region is left as it is: every reader stops at
+    /// the fill frontier, below which the new stripe's fills overwrite it.
     pub fn recycle(&mut self, stripe: u64) {
         self.stripe = stripe;
-        let data_dirty = (self.filled * SECTOR_SIZE) as usize;
         let parity_dirty = (self.filled.min(self.unit_sectors) * SECTOR_SIZE) as usize;
-        self.data[..data_dirty].fill(0);
         self.parity[..parity_dirty].fill(0);
         if !self.q.is_empty() {
             self.q[..parity_dirty].fill(0);
@@ -256,10 +268,12 @@ mod tests {
 
     #[test]
     fn unit_data_extraction() {
-        let mut b = StripeBuffer::new(0, 2, 1);
-        b.fill(&sector(5));
-        assert!(b.unit_data(0).iter().all(|x| *x == 5));
-        assert!(b.unit_data(1).iter().all(|x| *x == 0));
+        let mut b = StripeBuffer::new(0, 3, 2);
+        b.fill(&vec![5; 3 * SECTOR_SIZE as usize]);
+        // Whole below the frontier, the sectors so far at it, none above.
+        assert_eq!(b.unit_data(0), &[sector(5), sector(5)].concat()[..]);
+        assert_eq!(b.unit_data(1), &sector(5)[..]);
+        assert!(b.unit_data(2).is_empty());
     }
 
     #[test]
@@ -339,26 +353,28 @@ mod tests {
                 b.fill(&data);
                 written += n;
             }
-            // Recompute parity as one fold over the unit columns.
+            // Recompute parity from the written prefix of every unit.
             let su_bytes = (4 * SECTOR_SIZE) as usize;
             let mut expect = vec![0u8; su_bytes];
-            sim::xor_fold(
-                &mut expect,
-                &(0..4).map(|k| b.unit_data(k)).collect::<Vec<_>>(),
-            );
+            for k in 0..4 {
+                let unit = b.unit_data(k);
+                sim::xor_into(&mut expect[..unit.len()], unit);
+            }
             prop_assert_eq!(&expect[..], b.parity());
         }
 
-        /// A buffer recycled after an arbitrary partial fill behaves
-        /// exactly like a freshly allocated one: same fill results, same
-        /// parity, same data, for any subsequent write sequence.
+        /// A buffer recycled after an arbitrary fill — its data region
+        /// still holding the last stripe's bytes — behaves exactly like a
+        /// freshly allocated one through every accessor, at both parity
+        /// levels, for any subsequent write sequence.
         #[test]
         fn recycled_buffer_indistinguishable_from_fresh(
-            pre in prop::collection::vec(1u64..5, 0..6),
-            post in prop::collection::vec(1u64..5, 1..6),
+            parity in 1u32..3,
+            pre in prop::collection::vec(1u64..6, 0..8),
+            post in prop::collection::vec(1u64..6, 1..8),
         ) {
             let total = 16u64; // 4 units x 4 sectors
-            let mut recycled = StripeBuffer::new(0, 4, 4);
+            let mut recycled = StripeBuffer::with_parity(0, 4, 4, parity);
             let mut rng = sim::SimRng::new(1234);
             let mut written = 0u64;
             for c in pre {
@@ -370,7 +386,7 @@ mod tests {
                 written += n;
             }
             recycled.recycle(7);
-            let mut fresh = StripeBuffer::new(7, 4, 4);
+            let mut fresh = StripeBuffer::with_parity(7, 4, 4, parity);
             let mut written = 0u64;
             for c in post {
                 let n = c.min(total - written);
@@ -381,13 +397,17 @@ mod tests {
                 let hull_f = fresh.fill(&data);
                 prop_assert_eq!(hull_r, hull_f);
                 written += n;
+                prop_assert_eq!(recycled.parity(), fresh.parity());
+                if parity == 2 {
+                    prop_assert_eq!(recycled.q_parity(), fresh.q_parity());
+                }
+                prop_assert_eq!(recycled.read_range(0, written), fresh.read_range(0, written));
+                for k in 0..4 {
+                    prop_assert_eq!(recycled.unit_data(k), fresh.unit_data(k));
+                }
             }
             prop_assert_eq!(recycled.stripe(), fresh.stripe());
             prop_assert_eq!(recycled.filled_sectors(), fresh.filled_sectors());
-            prop_assert_eq!(recycled.parity(), fresh.parity());
-            for k in 0..4 {
-                prop_assert_eq!(recycled.unit_data(k), fresh.unit_data(k));
-            }
         }
     }
 }

@@ -26,7 +26,7 @@ use crate::metadata::{
     MdPayloadRef, MdRecordRef, MetadataType, Superblock, GEN_COUNTERS_PER_PAGE, MD_HEADER_BYTES,
 };
 use crate::stats::{AtomicRaiznStats, RaiznStats};
-use crate::stripe::StripeBuffer;
+use crate::stripe::{unit_segments, StripeBuffer};
 use crate::Result;
 use parking_lot::{Mutex, RwLock};
 use sim::codec::{Decode, Role};
@@ -204,6 +204,11 @@ impl LZone {
 /// locking the zone shard that owns the stripe buffer. One per logical
 /// zone; the first capture reserves whole columns, so the pp-log path
 /// never grows them again.
+///
+/// Maintained incrementally: a stripe buffer only ever appends, so between
+/// two frontiers of one stripe the running parity changes exactly on the
+/// rows the sectors in between landed on, and `(stripe, filled)` is all a
+/// capture needs to know about the last one.
 #[derive(Debug, Default)]
 pub(crate) struct PpSnapshot {
     /// Stripe index the snapshot describes.
@@ -220,19 +225,32 @@ pub(crate) struct PpSnapshot {
 }
 
 impl PpSnapshot {
-    /// Re-captures the running parity prefix of `buf`, whose units are
-    /// `su` sectors.
+    /// Brings the snapshot to the frontier of `buf`, whose units are `su`
+    /// sectors, by copying the parity rows of the sectors filled since the
+    /// frontier it describes — since sector 0 when it describes another
+    /// stripe or, after a zone reset, nothing (`filled == 0`). Its bytes
+    /// equal a from-scratch copy of the buffer's parity prefix.
     pub(crate) fn capture(&mut self, buf: &StripeBuffer, su: u64) {
-        let rows = (buf.filled_sectors().min(su) * SECTOR_SIZE) as usize;
+        let filled = buf.filled_sectors();
+        let same = self.stripe == buf.stripe() && self.filled <= filled;
+        // The last `su` sectors touch every row once: no need to go back
+        // further, however stale the snapshot.
+        let from = if same { self.filled } else { 0 }.max(filled.saturating_sub(su));
         self.stripe = buf.stripe();
-        self.filled = buf.filled_sectors();
-        self.parity.clear();
-        self.parity.reserve_exact(buf.parity().len());
-        self.parity.extend_from_slice(&buf.parity()[..rows]);
-        self.q.clear();
+        self.filled = filled;
+        let prefix = (filled.min(su) * SECTOR_SIZE) as usize;
+        let advance = |snap: &mut Vec<u8>, col: &[u8]| {
+            // A whole column on the first capture, nothing afterwards.
+            snap.reserve_exact(col.len().saturating_sub(snap.len()));
+            snap.resize(prefix, 0);
+            for (_, row, run) in unit_segments(from, filled, su) {
+                let rows = (row * SECTOR_SIZE) as usize..((row + run) * SECTOR_SIZE) as usize;
+                snap[rows.clone()].copy_from_slice(&col[rows]);
+            }
+        };
+        advance(&mut self.parity, buf.parity());
         if buf.parity_units() >= 2 {
-            self.q.reserve_exact(buf.parity().len());
-            self.q.extend_from_slice(&buf.q_parity()[..rows]);
+            advance(&mut self.q, buf.q_parity());
         }
     }
 }
@@ -2131,26 +2149,26 @@ impl RaiznVolume {
     ) -> Result<SimTime> {
         let data_units = self.layout.data_units();
         let wp = z.wp;
-        let mut flush_set = HashSet::new();
+        // A device bitmask like `failed_mask`: no allocation per FUA.
+        let mut flush_mask = 0u64;
         for unit in z.pbitmap.unpersisted_below(wp) {
             let stripe = unit / data_units;
             let k = unit % data_units;
-            let dev = self.layout.data_device(lzone, stripe, k);
-            flush_set.insert(dev);
+            flush_mask |= 1 << self.layout.data_device(lzone, stripe, k);
             // The parity (or its log) must be durable too for fault
             // tolerance of the acknowledged data.
-            flush_set.insert(self.layout.parity_device(lzone, stripe));
+            flush_mask |= 1 << self.layout.parity_device(lzone, stripe);
             if let Some(q) = self.layout.q_device(lzone, stripe) {
-                flush_set.insert(q);
+                flush_mask |= 1 << q;
             }
         }
+        flush_mask &= !self.failure_mask();
         let mut done = at;
-        for dev in flush_set {
-            if self.is_failed(dev as usize) {
-                continue;
+        for (dev, device) in devices.iter().enumerate() {
+            if flush_mask & (1 << dev) != 0 {
+                done = done.max(device.flush(at)?.done);
+                AtomicRaiznStats::add(&self.stats.persistence_flushes, 1);
             }
-            done = done.max(devices[dev as usize].flush(at)?.done);
-            AtomicRaiznStats::add(&self.stats.persistence_flushes, 1);
         }
         z.pbitmap.mark_persisted_below(wp);
         self.tracer
@@ -2949,6 +2967,7 @@ impl obs::GaugeSource for RaiznVolume {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use zns::{FaultOp, FaultPlan, ZnsConfig};
 
     /// A whole-stripe write whose parity leg fails hands the zone its
@@ -2977,5 +2996,62 @@ mod tests {
         v.write(SimTime::ZERO, sectors, &stripe, WriteFlags::default())
             .unwrap_err();
         assert_eq!(v.lock_shard(0).scratch.len(), columns);
+    }
+
+    proptest! {
+        /// The incrementally maintained pp snapshot equals a from-scratch
+        /// copy of the buffer's parity prefix after every capture, for
+        /// fills that cross unit and stripe boundaries, captures skipped
+        /// for some fills (the ZRWA path, caught up later as
+        /// `sync_pp_snapshots` does) and zone resets that invalidate the
+        /// snapshot and restage the same stripe index.
+        #[test]
+        fn pp_snapshot_equals_prefix_copy(
+            parity in 1u32..3,
+            ops in prop::collection::vec((1u64..41, 0u32..6), 1..40),
+        ) {
+            let (units, su) = (4u64, 16u64);
+            let mut buf = StripeBuffer::with_parity(0, units, su, parity);
+            let mut snap = PpSnapshot::default();
+            let capture_and_check = |snap: &mut PpSnapshot, buf: &StripeBuffer| {
+                snap.capture(buf, su);
+                let rows = (buf.filled_sectors().min(su) * SECTOR_SIZE) as usize;
+                prop_assert_eq!(snap.stripe, buf.stripe());
+                prop_assert_eq!(snap.filled, buf.filled_sectors());
+                let at = (snap.stripe, snap.filled);
+                prop_assert!(snap.parity[..] == buf.parity()[..rows], "P differs at {at:?}");
+                if parity == 2 {
+                    prop_assert!(snap.q[..] == buf.q_parity()[..rows], "Q differs at {at:?}");
+                } else {
+                    prop_assert!(snap.q.is_empty());
+                }
+                Ok(())
+            };
+            let mut rng = sim::SimRng::new(0x5EED);
+            let mut data = vec![0u8; (40 * SECTOR_SIZE) as usize];
+            for (n, action) in ops {
+                if action == 0 {
+                    // Zone reset: `finish_reset`, then stripe 0 again.
+                    snap.filled = 0;
+                    buf.recycle(0);
+                }
+                let mut left = n;
+                while left > 0 {
+                    if buf.is_complete() {
+                        buf.recycle(buf.stripe() + 1);
+                    }
+                    let run = left.min(units * su - buf.filled_sectors());
+                    let chunk = &mut data[..(run * SECTOR_SIZE) as usize];
+                    rng.fill_bytes(chunk);
+                    buf.fill(chunk);
+                    left -= run;
+                }
+                // Action 1: the parity went in place (ZRWA), no capture.
+                if action != 1 {
+                    capture_and_check(&mut snap, &buf)?;
+                }
+            }
+            capture_and_check(&mut snap, &buf)?;
+        }
     }
 }
