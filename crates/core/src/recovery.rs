@@ -18,7 +18,7 @@
 use crate::config::RaiznConfig;
 use crate::metadata::{MdPayload, MdRecord, MD_HEADER_BYTES};
 use crate::stats::AtomicRaiznStats;
-use crate::stripe::StripeBuffer;
+use crate::stripe::{unit_segments, StripeBuffer};
 use crate::volume::{internal, LiveMeta, MdRole, MdRoles, MetaState, RaiznVolume, RelocatedUnit};
 use crate::Result;
 use sim::codec::{Decode, Role};
@@ -26,7 +26,7 @@ use sim::SimTime;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use zns::{WriteFlags, ZnsDevice, ZnsError, ZoneState, ZonedVolume, SECTOR_SIZE};
+use zns::{IoCompletion, WriteFlags, ZnsDevice, ZnsError, ZoneState, ZonedVolume, SECTOR_SIZE};
 
 /// A per-(zone, stripe) partial-parity image assembled by replaying pp
 /// records in write order, snapshotted at one data extent.
@@ -53,6 +53,21 @@ struct ParityImage {
 struct PpImages {
     p: HashMap<(u32, u64), Vec<ParityImage>>,
     q: HashMap<(u32, u64), Vec<ParityImage>>,
+}
+
+impl PpImages {
+    /// The highest fill (sectors into zone `lz`, which starts at
+    /// `zone_start`) any replayed image of the zone was computed over.
+    fn frontier(&self, lz: u32, zone_start: u64) -> Option<u64> {
+        [&self.p, &self.q]
+            .into_iter()
+            .flatten()
+            .filter(|((z2, _), _)| *z2 == lz)
+            .filter_map(|(_, imgs)| imgs.last())
+            .filter(|img| img.covered.iter().any(|c| *c))
+            .map(|img| img.end_lba.saturating_sub(zone_start))
+            .max()
+    }
 }
 
 impl ParityImage {
@@ -293,9 +308,17 @@ impl RaiznVolume {
         Ok(vol)
     }
 
-    /// Recovers one logical zone; returns whether its generation was
-    /// bumped. Holds the zone's shard and the metadata lock throughout
-    /// (mount is single-threaded; the locks document the domains used).
+    /// Recovers one logical zone the same way whatever state the crash
+    /// left it in; returns whether its generation was bumped.
+    ///
+    /// Three stages. **Claim**: the largest fill any witness supports
+    /// ([`ZoneRecovery::claim`]) — never an understated one. **Walk**: the
+    /// one repair and the one clamp ([`ZoneRecovery::readable_prefix`]),
+    /// so the write pointer a mount exposes is one the members can serve
+    /// (the stripe-hole rule, §5.2). **Settle**: stripe buffer, ghost
+    /// slots, zone state. Holds the zone's shard and the metadata lock
+    /// throughout (mount is single-threaded; the locks document the
+    /// domains used).
     fn recover_zone(
         &self,
         devices: &[Arc<ZnsDevice>],
@@ -307,301 +330,110 @@ impl RaiznVolume {
     ) -> Result<bool> {
         let layout = self.layout;
         let su = layout.stripe_unit();
-        let d_units = layout.data_units();
         let stripe_data = layout.stripe_data_sectors();
         let phys_zone = layout.phys_zone(lz);
-        let n = layout.devices();
+        let lgeo = layout.logical_geometry();
         let mut z = self.lock_shard(lz);
         let mut meta = self.lock_meta();
         let m = &mut meta.live;
 
         // Per-device physical write pointers (relative), None for failed.
-        let mut wp: Vec<Option<u64>> = Vec::with_capacity(n as usize);
-        let mut live_full = true;
-        let mut any_full = false;
+        let mut wp: Vec<Option<u64>> = Vec::with_capacity(devices.len());
+        let (mut live_full, mut any_full) = (true, false);
         for (i, dev) in devices.iter().enumerate() {
-            if self.is_failed(i) {
-                wp.push(None);
+            wp.push(if self.is_failed(i) {
+                None
             } else {
                 let info = dev.zone_info(phys_zone)?;
-                wp.push(Some(info.write_pointer - info.start));
                 live_full &= info.state == ZoneState::Full;
                 any_full |= info.state == ZoneState::Full;
-            }
+                Some(info.write_pointer - info.start)
+            });
         }
         // Generation-filtered pp images count as content: on a degraded
         // mount the failed devices may have held every written data unit,
         // leaving the parity logs as the zone's only witnesses.
-        let pp_witness = [&pp.p, &pp.q].into_iter().any(|map| {
-            map.iter().any(|((z2, _), imgs)| {
-                *z2 == lz
-                    && imgs
-                        .last()
-                        .is_some_and(|img| img.covered.iter().any(|c| *c))
-            })
-        });
-        let any_content = wp.iter().flatten().any(|w| *w > 0) || pp_witness;
-        // Every surviving physical zone sealed => the logical zone was
-        // finished (or filled). A finish writes the final stripe's parity
-        // *prefix* into the parity slot, so the parity-presence shortcut
-        // below must not be used to infer stripe completion here.
-        //
-        // An interrupted finish is witnessed two ways: by its WAL record
-        // (written before any device seals) and by a sealed *minority* of
-        // physical zones — writes fill the array's physical zones in
-        // lock-step, so only a crash mid-way through the per-device
-        // finish loop can leave a mixed Full / not-Full line-up (the
-        // witness path also covers arrays from before the WAL existed).
-        // Sealed zones reject writes until reset — leaving the logical
-        // zone `Closed` would wedge it — so the finish is rolled forward
-        // (the mirror image of the logged reset replay below): the zone
-        // recovers as finished and the straggler devices are sealed once
-        // its prefix is settled. A reset intent supersedes: you cannot
-        // finish a zone after logging its reset without the replay
-        // bumping the generation first.
-        let finish_roll = !reset_logged && !live_full && (any_full || finish_wp.is_some());
-        let finished = (live_full || any_full || finish_wp.is_some()) && any_content;
+        let pp_frontier = pp.frontier(lz, lgeo.zone_start(lz));
+        let any_content = wp.iter().flatten().any(|w| *w > 0) || pp_frontier.is_some();
+        // A sealed zone was finished, or filled. A finish is witnessed two
+        // ways: by its WAL record (written before any device seals) and by
+        // sealed physical zones — writes fill the array's physical zones
+        // in lock-step, so only a crash mid-way through the per-device
+        // finish loop, or one that took some members' cached tail, leaves
+        // a mixed Full / not-Full line-up. Sealed zones reject writes
+        // until reset — leaving the logical zone `Closed` would wedge it —
+        // so the finish is rolled forward (the mirror image of the logged
+        // reset replay below): the zone recovers as finished and the
+        // straggler devices are sealed once its prefix is settled. A reset
+        // intent supersedes: you cannot finish a zone after logging its
+        // reset without the replay bumping the generation first.
+        let sealed = live_full || any_full || finish_wp.is_some();
+        let finish_roll = !reset_logged && !live_full && sealed;
 
-        // Replayed partial zone reset: the WAL says this zone should be
-        // empty; finish the job (§5.2).
-        if reset_logged && any_content {
-            for (i, dev) in devices.iter().enumerate() {
-                if self.is_failed(i) {
-                    continue;
-                }
-                dev.reset_zone(at, phys_zone)?;
+        if reset_logged || !any_content {
+            // Either the WAL says this zone should be empty — finish the
+            // job (§5.2) — or it is: bump the generation so any stale
+            // metadata for it is invalidated (§4.3). A sealed-but-empty
+            // physical zone is a finish interrupted before the zone held
+            // any data — reset the sealed stragglers so the empty logical
+            // zone stays writable on every device.
+            if any_content || finish_roll {
+                self.on_survivors(devices, |dev| dev.reset_zone(at, phys_zone))?;
             }
             m.gens[lz as usize] += 1;
             m.relocated.retain(|(z2, _, _), _| *z2 != lz);
             self.sync_relocated_count(m);
             z.conflicts.clear();
-            AtomicRaiznStats::add(&self.stats.zone_resets, 1);
-            return Ok(true);
-        }
-        if !any_content {
-            // Empty zone: bump the generation so any stale metadata for it
-            // is invalidated (§4.3). A sealed-but-empty physical zone is a
-            // finish interrupted before the zone held any data — reset the
-            // sealed stragglers so the empty logical zone stays writable
-            // on every device.
-            if finish_roll {
-                for (i, dev) in devices.iter().enumerate() {
-                    if self.is_failed(i) {
-                        continue;
-                    }
-                    dev.reset_zone(at, phys_zone)?;
-                }
+            if any_content {
+                AtomicRaiznStats::add(&self.stats.zone_resets, 1);
             }
-            m.gens[lz as usize] += 1;
-            m.relocated.retain(|(z2, _, _), _| *z2 != lz);
-            self.sync_relocated_count(m);
-            z.conflicts.clear();
             return Ok(true);
         }
 
-        // Available sectors of the slot `dev` holds for `stripe`:
-        // relocated slots count by their relocation extent.
-        let avail = |m: &LiveMeta, wp: &[Option<u64>], stripe: u64, dev: u32| {
-            avail_local(m, wp, lz, su, stripe, dev)
+        // ---- Claim, then walk. -------------------------------------------
+        let mut rec = ZoneRecovery {
+            vol: self,
+            m,
+            devices,
+            pp,
+            at,
+            lz,
+            wp,
+            decoded: Vec::new(),
         };
+        let claim = rec.claim(pp_frontier, sealed, finish_wp);
+        let fill = rec.readable_prefix(claim)?;
+        let (wp, decoded) = (rec.wp, rec.decoded);
 
-        // Highest touched stripe and the intended data fill. Surviving
-        // write pointers alone can understate the frontier on a degraded
-        // mount: when the failed devices held the only data of the last
-        // stripe, its partial-parity images (or a relocation) are the
-        // only remaining witnesses.
-        let max_wp = wp.iter().flatten().copied().max().unwrap_or(0);
-        let mut max_stripe = max_wp.saturating_sub(1) / su;
-        for map in [&pp.p, &pp.q] {
-            for ((z2, s), imgs) in map.iter() {
-                let witnessed = imgs
-                    .last()
-                    .is_some_and(|img| img.covered.iter().any(|c| *c));
-                if *z2 == lz && witnessed {
-                    max_stripe = max_stripe.max(*s);
-                }
-            }
-        }
-        for ((z2, s, _), rel) in m.relocated.iter() {
-            if *z2 == lz && rel.valid > 0 {
-                max_stripe = max_stripe.max(*s);
-            }
-        }
-        let parity_dev = layout.parity_device(lz, max_stripe);
-        let last_parity = if finished {
-            0 // ignore the finish-written parity prefix
-        } else {
-            // Either parity leg witnesses stripe completion: in a degraded
-            // dual-parity mount the P holder may be the failed device.
-            let p = avail(m, &wp, max_stripe, parity_dev).unwrap_or(0);
-            let q = layout
-                .q_device(lz, max_stripe)
-                .and_then(|qd| avail(m, &wp, max_stripe, qd))
-                .unwrap_or(0);
-            p.max(q)
-        };
-        let mut fill = if last_parity > 0 {
-            // Parity present => the last stripe was completed.
-            (max_stripe + 1) * stripe_data
-        } else {
-            let mut f = max_stripe * stripe_data;
-            for k in 0..d_units {
-                let dev = layout.data_device(lz, max_stripe, k);
-                if let Some(a) = avail(m, &wp, max_stripe, dev) {
-                    if a > 0 {
-                        f = f.max(max_stripe * stripe_data + k * su + a);
-                    }
-                }
-            }
-            // Partial-parity logs may witness a higher extent than any
-            // surviving device (degraded mounts) — either leg will do.
-            let lgeo = layout.logical_geometry();
-            for map in [&pp.p, &pp.q] {
-                if let Some(img) = map.get(&(lz, max_stripe)).and_then(|v| v.last()) {
-                    f = f.max(img.end_lba.saturating_sub(lgeo.zone_start(lz)));
-                }
-            }
-            f
-        };
-        // The finish WAL is authoritative for sealed zones: it records
-        // the exact fill at seal time, which the surviving-extent
-        // heuristics above can only understate when the devices holding
-        // the final stripe's data are among the failed (a sealed zone's
-        // parity-prefix slot cannot distinguish a complete final stripe
-        // from a prefix, so it never witnesses completion).
-        if finished {
-            if let Some(w) = finish_wp {
-                fill = fill.max(w);
-            }
-        }
-
-        // Repair pass: walk stripes, rebuilding missing unit suffixes.
-        // Finished zones are sealed (no repair writes possible); their
-        // readable prefix is served as-is, reconstructing on demand.
-        let mut rollback: Option<u64> = None;
-        let repair_limit = if finished { 0 } else { max_stripe + 1 };
-        'stripes: for stripe in 0..repair_limit {
-            let complete = fill >= (stripe + 1) * stripe_data;
-            for dev in 0..n {
-                let unit = layout.unit_of_device(lz, stripe, dev);
-                let needed = layout.slot_extent(lz, stripe, dev, fill);
-                let have = avail(m, &wp, stripe, dev).unwrap_or(0);
-                if have >= needed {
-                    continue;
-                }
-                let failed = self.is_failed(dev as usize);
-                if failed && unit.is_none() {
-                    // A failed device's parity slot is neither repairable
-                    // nor needed for the prefix to stay readable.
-                    continue;
-                }
-                // Stripe hole: rebuild rows [have, needed) of this slot.
-                // For a failed device's data slot this is a probe only —
-                // no repair write is possible, but the rows must still be
-                // reconstructable or the zone has to roll back (a cached
-                // tail can die with its device).
-                let rows = needed - have;
-                let mut out = vec![0u8; (rows * SECTOR_SIZE) as usize];
-                let avail_now = wp.clone();
-                let ok = self.rebuild_rows(
-                    m, devices, at, lz, stripe, dev, have, needed, complete, pp, &avail_now,
-                    &mut out,
-                )?;
-                if !ok {
-                    rollback = Some(self.readable_prefix(m, devices, at, lz, &mut wp, pp, fill)?);
-                    break 'stripes;
-                }
-                if failed {
-                    continue;
-                }
-                // Write the recovered rows at the device's write pointer.
-                let pba = layout.stripe_pba(lz, stripe) + have;
-                devices[dev as usize].write(at, pba, &out, WriteFlags::default())?;
-                if let Some(w) = wp.get_mut(dev as usize).and_then(|w| w.as_mut()) {
-                    *w = stripe * su + needed;
-                }
-                AtomicRaiznStats::add(&self.stats.recovered_units, 1);
-            }
-        }
-
-        if let Some(r) = rollback {
-            fill = r;
-        }
-
-        // Seed the stripe buffer for an incomplete final stripe. This runs
-        // BEFORE the ghost sweep: reconstruction may need rolled-back rows
-        // still sitting on healthy devices as fold sources (they are
-        // consistent with the pre-rollback parity that folds them), and the
-        // sweep is about to mask those slots behind empty relocations.
+        // ---- Settle. -----------------------------------------------------
+        // Seed the stripe buffer for an incomplete final stripe ("up to one
+        // stripe buffer ... per open logical zone", §5.1): healthy and
+        // relocated units are fetched, an absent member's are the rows the
+        // walk decoded to prove them readable. This runs BEFORE the ghost
+        // sweep, which is about to mask rolled-back slots behind empty
+        // relocations.
         if fill % stripe_data != 0 {
             let stripe = fill / stripe_data;
-            let mut buf = StripeBuffer::with_parity(stripe, d_units, su, layout.parity_units());
             let in_stripe = fill % stripe_data;
             let mut staged = vec![0u8; (in_stripe * SECTOR_SIZE) as usize];
-            // Fetch every reachable unit first; collect the rest. Degraded
-            // mounts reconstruct them from the parity slots and the
-            // partial-parity images ("up to one stripe buffer ... per open
-            // logical zone", §5.1) — one unit from the P leg, two from P
-            // and Q jointly.
-            let mut missing: Vec<u64> = Vec::new();
-            let mut cursor = 0u64;
-            while cursor < in_stripe {
-                let k = cursor / su;
-                let row0 = cursor % su;
-                let rows = (su - row0).min(in_stripe - cursor);
+            for (sector, row0, rows) in unit_segments(0, in_stripe, su) {
+                let k = sector / su;
                 let dev = layout.data_device(lz, stripe, k);
-                let off = (cursor * SECTOR_SIZE) as usize;
+                let out =
+                    &mut staged[(sector * SECTOR_SIZE) as usize..][..(rows * SECTOR_SIZE) as usize];
                 if m.relocated.contains_key(&(lz, stripe, dev)) || !self.is_failed(dev as usize) {
-                    let out = &mut staged[off..off + (rows * SECTOR_SIZE) as usize];
                     self.fetch_slot_rows(Some(m), devices, at, lz, stripe, dev, row0, out)?;
                 } else {
-                    missing.push(k);
+                    let unit = decoded
+                        .iter()
+                        .find_map(|(j, unit)| (*j == k).then_some(unit.as_slice()))
+                        .filter(|unit| unit.len() >= out.len())
+                        .ok_or_else(|| internal("walk exposed rows it did not decode"))?;
+                    out.copy_from_slice(&unit[..out.len()]);
                 }
-                cursor += rows;
             }
-            if missing.len() > layout.parity_units() as usize {
-                return Err(ZnsError::InvalidArgument(format!(
-                    "degraded mount: {} data units of zone {lz} stripe {stripe} \
-                     unreachable, parity tolerates {}",
-                    missing.len(),
-                    layout.parity_units()
-                )));
-            }
-            // Decode each missing unit's staged rows through the shared
-            // reconstruction kernel: it tries the physical parity slots
-            // (the stripe may have completed in cache before the rollback),
-            // the pp image snapshots, and two-erasure combinations of both.
-            // A finished zone's parity slot holds a parity *prefix*, not
-            // full-stripe parity, and a ZRWA slot tracks the in-place fill
-            // — the slot-candidate extent is wrong for both, so candidates
-            // stay image-only there.
-            let slots_usable = !finished && !self.config.use_zrwa;
-            for &j in &missing {
-                let jw = (in_stripe.saturating_sub(j * su)).min(su);
-                let jdev = layout.data_device(lz, stripe, j);
-                let mut out = vec![0u8; (jw * SECTOR_SIZE) as usize];
-                let ok = self.rebuild_rows(
-                    m,
-                    devices,
-                    at,
-                    lz,
-                    stripe,
-                    jdev,
-                    0,
-                    jw,
-                    slots_usable,
-                    pp,
-                    &wp,
-                    &mut out,
-                )?;
-                if !ok {
-                    return Err(ZnsError::InvalidArgument(format!(
-                        "degraded mount: no usable partial parity for zone {lz} stripe {stripe}"
-                    )));
-                }
-                let off = (j * su * SECTOR_SIZE) as usize;
-                staged[off..off + out.len()].copy_from_slice(&out);
-            }
+            let (units, parity) = (layout.data_units(), layout.parity_units());
+            let mut buf = StripeBuffer::with_parity(stripe, units, su, parity);
             buf.fill(&staged);
             z.buffer = Some(buf);
         }
@@ -610,59 +442,47 @@ impl RaiznVolume {
         // the final logical write pointer implies, or the excess becomes a
         // conflicted "ghost" slot whose future writes are relocated. This
         // covers rollback ghosts and repairs that landed before a later
-        // rollback alike. Finished zones accept no writes until reset, so
+        // rollback alike. Sealed zones accept no writes until reset, so
         // no conflicts (or padding) are needed there.
-        for dev in 0..if finished { 0 } else { n } {
-            if self.is_failed(dev as usize) {
+        for (dev, w) in (0u32..).zip(&wp).filter(|_| !sealed) {
+            let Some(w) = *w else {
                 continue;
-            }
-            let w = wp[dev as usize].unwrap_or(0);
-            if w == 0 {
-                continue;
-            }
+            };
             let mut ghost = false;
-            for stripe in 0..=max_stripe {
-                let have = (w.saturating_sub(stripe * su)).min(su);
-                if have == 0 {
-                    break;
-                }
+            for stripe in 0..w.div_ceil(su) {
                 if m.relocated.contains_key(&(lz, stripe, dev)) {
                     continue; // already a conflicted slot from a past session
                 }
+                let have = (w - stripe * su).min(su);
                 if have > layout.slot_extent(lz, stripe, dev, fill) {
                     z.conflicts.insert((stripe, dev));
                     // Record the conflict as an (empty) relocation so it
                     // survives future mounts: the padded ghost slot would
                     // otherwise masquerade as valid data next time.
-                    m.relocated
-                        .entry((lz, stripe, dev))
-                        .or_insert_with(|| RelocatedUnit {
-                            data: vec![0u8; (su * SECTOR_SIZE) as usize],
-                            valid: 0,
-                        });
+                    let empty = RelocatedUnit {
+                        data: vec![0u8; (su * SECTOR_SIZE) as usize],
+                        valid: 0,
+                    };
+                    m.relocated.insert((lz, stripe, dev), empty);
                     ghost = true;
                 }
             }
             // Pad a mid-unit ghost frontier to the next unit boundary so
             // later slots keep their arithmetic addresses.
-            if ghost {
-                let pad_to = w.div_ceil(su) * su;
-                if pad_to > w {
-                    let zeros = vec![0u8; ((pad_to - w) * SECTOR_SIZE) as usize];
-                    let pba = layout.phys_geometry().zone_start(phys_zone) + w;
-                    devices[dev as usize].write(at, pba, &zeros, WriteFlags::default())?;
-                }
+            let pad_to = w.next_multiple_of(su);
+            if ghost && pad_to > w {
+                let zeros = vec![0u8; ((pad_to - w) * SECTOR_SIZE) as usize];
+                let pba = layout.phys_geometry().zone_start(phys_zone) + w;
+                devices[dev as usize].write(at, pba, &zeros, WriteFlags::default())?;
             }
         }
         self.sync_relocated_count(m);
 
-        let z_wp = fill;
-        let lgeo = layout.logical_geometry();
-        z.wp = z_wp;
-        self.zone_wp[lz as usize].store(z_wp, Ordering::Release);
-        z.state = if z_wp == 0 {
+        z.wp = fill;
+        self.zone_wp[lz as usize].store(fill, Ordering::Release);
+        z.state = if fill == 0 {
             ZoneState::Empty
-        } else if finished || z_wp == lgeo.zone_cap() {
+        } else if sealed || fill == lgeo.zone_cap() {
             ZoneState::Full
         } else {
             ZoneState::Closed
@@ -671,24 +491,15 @@ impl RaiznVolume {
         // (idempotent on the already-Full ones) so the device-level zone
         // states agree with the recovered logical seal and no physical
         // zone is pinned active under a Full logical zone. The fills pad
-        // each straggler's unwritten remainder at the modeled cost.
-        if finish_roll {
-            for (i, dev) in devices.iter().enumerate() {
-                if self.is_failed(i) {
-                    continue;
-                }
-                if z.state == ZoneState::Full {
-                    dev.finish_zone(at, phys_zone)?;
-                } else {
-                    // The recovered prefix collapsed to empty: undo the
-                    // partial seal instead so the zone stays writable.
-                    dev.reset_zone(at, phys_zone)?;
-                }
-            }
-            if z.state == ZoneState::Full {
-                AtomicRaiznStats::add(&self.stats.zone_finishes, 1);
-                AtomicRaiznStats::add(&self.stats.finish_rollforwards, 1);
-            }
+        // each straggler's unwritten remainder at the modeled cost. When
+        // the recovered prefix collapsed to empty the partial seal is
+        // undone instead, so the zone stays writable.
+        if finish_roll && z.state == ZoneState::Full {
+            self.on_survivors(devices, |dev| dev.finish_zone(at, phys_zone))?;
+            AtomicRaiznStats::add(&self.stats.zone_finishes, 1);
+            AtomicRaiznStats::add(&self.stats.finish_rollforwards, 1);
+        } else if finish_roll {
+            self.on_survivors(devices, |dev| dev.reset_zone(at, phys_zone))?;
         }
         // Any Full zone keeps (or gains) a checkpointed finish WAL: the
         // next metadata GC re-logs the recovered fill, so it stays
@@ -697,327 +508,22 @@ impl RaiznVolume {
             self.zone_sealed[lz as usize].store(true, Ordering::Release);
         }
         // Post-crash, everything on media is durable.
-        z.pbitmap.mark_persisted_below(z_wp);
+        z.pbitmap.mark_persisted_below(fill);
         Ok(false)
     }
 
-    /// Attempts to rebuild rows `[have, needed)` of the slot `dev` holds
-    /// for `(lz, stripe)`. Returns `Ok(false)` when reconstruction is
-    /// impossible (triggering rollback).
-    ///
-    /// Parity sources are the full parity slots (complete stripes) or the
-    /// partial-parity images replayed from the logs; in dual-parity mode
-    /// the Reed–Solomon Q leg lets the repair decode around one *more*
-    /// unavailable slot (a second failed device or a second stripe hole).
-    #[allow(clippy::too_many_arguments)]
-    fn rebuild_rows(
+    /// Runs one zone-management command on every surviving member.
+    fn on_survivors(
         &self,
-        m: &LiveMeta,
         devices: &[Arc<ZnsDevice>],
-        at: SimTime,
-        lz: u32,
-        stripe: u64,
-        dev: u32,
-        have: u64,
-        needed: u64,
-        complete: bool,
-        pp: &PpImages,
-        wp: &[Option<u64>],
-        out: &mut [u8],
-    ) -> Result<bool> {
-        let layout = self.layout;
-        let su = layout.stripe_unit();
-        let d_units = layout.data_units();
-        let rows = needed - have;
-        let row0 = have;
-        let bytes = (rows * SECTOR_SIZE) as usize;
-        let avail = |m: &LiveMeta, stripe: u64, dev: u32| avail_local(m, wp, lz, su, stripe, dev);
-        let pdev = layout.parity_device(lz, stripe);
-        let qdev = layout.q_device(lz, stripe);
-
-        // Load every usable version of one parity leg for rows
-        // [row0, needed): the parity slot of a complete stripe first, then
-        // the replayed pp image snapshots, newest extent first. Each
-        // candidate carries the data extent its parity was computed over —
-        // an older (smaller-extent) snapshot can be the only decodable one
-        // when a unit staged after it died with its device.
-        let leg_candidates = |leg_dev: u32,
-                              imgs: Option<&Vec<ParityImage>>|
-         -> Result<Vec<(Vec<u8>, u64)>> {
-            let mut cands = Vec::new();
-            if complete && avail(m, stripe, leg_dev).unwrap_or(0) >= needed.min(su) {
-                let mut buf = vec![0u8; bytes];
-                self.fetch_slot_rows(Some(m), devices, at, lz, stripe, leg_dev, row0, &mut buf)?;
-                cands.push((buf, layout.stripe_data_sectors()));
-            }
-            for img in imgs.into_iter().flatten().rev() {
-                if (row0..needed).all(|r| img.covered[r as usize]) {
-                    let buf = img.rows
-                        [(row0 * SECTOR_SIZE) as usize..(needed * SECTOR_SIZE) as usize]
-                        .to_vec();
-                    cands.push((buf, img.extent(lz, stripe, &layout)));
-                }
-            }
-            Ok(cands)
-        };
-
-        // Data units short of `irows` rows at extent `fill`, excluding
-        // `skip` (the unit being rebuilt, if any).
-        let missing_at = |fill: u64, skip: Option<u64>| -> Vec<u64> {
-            (0..d_units)
-                .filter(|i| Some(*i) != skip)
-                .filter(|&i| {
-                    let written = fill.saturating_sub(i * su).min(su);
-                    let irows = written.saturating_sub(row0).min(rows);
-                    irows > 0
-                        && avail(m, stripe, layout.data_device(lz, stripe, i)).unwrap_or(0)
-                            < row0 + irows
-                })
-                .collect()
-        };
-
-        // Fold every available data unit (except `skips`) into the
-        // syndromes of `plan`, zero-extended past each unit's written
-        // extent at `fill`.
-        let mut tmp = vec![0u8; bytes];
-        let mut aux = vec![0u8; bytes];
-        let absorb_data = |plan: &Decode,
-                           out: &mut [u8],
-                           aux: &mut [u8],
-                           tmp: &mut Vec<u8>,
-                           fill: u64,
-                           skips: &[u64]|
-         -> Result<()> {
-            for i in 0..d_units {
-                if skips.contains(&i) {
-                    continue;
-                }
-                let written = fill.saturating_sub(i * su).min(su);
-                let irows = written.saturating_sub(row0).min(rows);
-                if irows == 0 {
-                    continue;
-                }
-                let idev = layout.data_device(lz, stripe, i);
-                tmp.fill(0);
-                self.fetch_slot_rows(
-                    Some(m),
-                    devices,
-                    at,
-                    lz,
-                    stripe,
-                    idev,
-                    row0,
-                    &mut tmp[..(irows * SECTOR_SIZE) as usize],
-                )?;
-                plan.absorb(Role::Data(i as u32), tmp, out, aux);
-            }
-            Ok(())
-        };
-        // The codec never decodes a slot against itself.
-        let plan_of = |target: Role, other: Option<Role>| {
-            Decode::new(target, other).ok_or_else(|| internal("duplicate role in erasure set"))
-        };
-
-        match layout.unit_of_device(lz, stripe, dev) {
-            // ---- Rebuilding a parity slot (P or Q). ----------------------
-            None => {
-                // With every data unit in hand (fetched, or recovered
-                // below) the parity syndrome is the slot itself.
-                let plan = plan_of(if qdev == Some(dev) { Role::Q } else { Role::P }, None)?;
-                let fill = layout.stripe_data_sectors(); // parity slots exist only complete
-                let missing = missing_at(fill, None);
-                plan.begin(out, &mut aux);
-                absorb_data(&plan, out, &mut aux, &mut tmp, fill, &missing)?;
-                // Data units that are gone too: recover each one through
-                // the full data-unit machinery (the other parity leg,
-                // lower-extent pp snapshots, or a two-erasure solve), then
-                // fold them in. Depth is bounded: the data arm never
-                // recurses.
-                for &k in &missing {
-                    let kdev = layout.data_device(lz, stripe, k);
-                    let mut dk = vec![0u8; bytes];
-                    let ok = self.rebuild_rows(
-                        m, devices, at, lz, stripe, kdev, have, needed, complete, pp, wp, &mut dk,
-                    )?;
-                    if !ok {
-                        return Ok(false);
-                    }
-                    plan.absorb(Role::Data(k as u32), &dk, out, &mut aux);
-                }
-                Ok(true)
-            }
-            // ---- Rebuilding a data unit. ---------------------------------
-            Some(j) => {
-                let target = Role::Data(j as u32);
-                let p_cands = leg_candidates(pdev, pp.p.get(&(lz, stripe)))?;
-                let q_cands = match qdev {
-                    Some(qd) => leg_candidates(qd, pp.q.get(&(lz, stripe)))?,
-                    None => Vec::new(),
-                };
-                // Single-erasure via P, then via Q (decoding as if P were
-                // the second loss): the leg plus every other unit.
-                for (cands, leg, other) in [
-                    (&p_cands, Role::P, None),
-                    (&q_cands, Role::Q, Some(Role::P)),
-                ] {
-                    for (buf, extent) in cands {
-                        if j * su + needed <= *extent && missing_at(*extent, Some(j)).is_empty() {
-                            let plan = plan_of(target, other)?;
-                            plan.begin(out, &mut aux);
-                            plan.absorb(leg, buf, out, &mut aux);
-                            absorb_data(&plan, out, &mut aux, &mut tmp, *extent, &[j])?;
-                            plan.finish(out, &aux);
-                            return Ok(true);
-                        }
-                    }
-                }
-                // Two-erasure: both legs at the same data extent, exactly
-                // one other unit missing there.
-                for (pbuf, ep) in &p_cands {
-                    for (qbuf, eq) in &q_cands {
-                        if ep != eq || j * su + needed > *ep {
-                            continue;
-                        }
-                        let missing = missing_at(*ep, Some(j));
-                        let [k] = missing.as_slice() else {
-                            continue;
-                        };
-                        let k = *k;
-                        let plan = plan_of(target, Some(Role::Data(k as u32)))?;
-                        plan.begin(out, &mut aux);
-                        plan.absorb(Role::P, pbuf, out, &mut aux);
-                        plan.absorb(Role::Q, qbuf, out, &mut aux);
-                        absorb_data(&plan, out, &mut aux, &mut tmp, *ep, &[j, k])?;
-                        // Rows where unit k holds data need the 2x2 solve;
-                        // rows past its written extent see D_k == 0, so the
-                        // P syndrome (`aux`) is D_j there outright
-                        // (staggered fill, §5.1).
-                        let written_k = ep.saturating_sub(k * su).min(su);
-                        let krows = written_k.saturating_sub(row0).min(rows);
-                        let kb = (krows * SECTOR_SIZE) as usize;
-                        plan.finish(&mut out[..kb], &aux[..kb]);
-                        out[kb..].copy_from_slice(&aux[kb..]);
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
+        op: impl Fn(&ZnsDevice) -> Result<IoCompletion>,
+    ) -> Result<()> {
+        for (i, dev) in devices.iter().enumerate() {
+            if !self.is_failed(i) {
+                op(dev)?;
             }
         }
-    }
-
-    /// The longest prefix of the logical zone in which every sector is
-    /// readable — directly or by reconstruction within the parity
-    /// headroom — used as the rollback point after an irreparable slot.
-    ///
-    /// Reconstructable holes on healthy devices below the returned prefix
-    /// are repaired in place (the main repair pass stops at the first
-    /// irreparable slot, possibly leaving later reconstructable holes
-    /// behind); holes on failed devices are left to the degraded read
-    /// path. Without the reconstruction probe, a degraded dual-parity
-    /// mount would roll back below durable data merely because the failed
-    /// devices' slots are not directly readable.
-    ///
-    /// Within each stripe the data units are probed before the parity
-    /// legs: a parity slot is only reconstructable once the data holes it
-    /// folds over are filled, and repairing in data-then-parity order
-    /// keeps every healthy device's write pointer aligned with the slots
-    /// the walk exposes.
-    #[allow(clippy::too_many_arguments)]
-    fn readable_prefix(
-        &self,
-        m: &LiveMeta,
-        devices: &[Arc<ZnsDevice>],
-        at: SimTime,
-        lz: u32,
-        wp: &mut [Option<u64>],
-        pp: &PpImages,
-        fill: u64,
-    ) -> Result<u64> {
-        let layout = self.layout;
-        let su = layout.stripe_unit();
-        let stripe_data = layout.stripe_data_sectors();
-        // Once a healthy device's slot could not be fully repaired, its
-        // physical write pointer is stuck short — later slots on it can
-        // no longer be written in place (their addresses would misalign).
-        let mut write_blocked = vec![false; layout.devices() as usize];
-        let mut stripe = 0u64;
-        loop {
-            let stripe_fill = (fill.saturating_sub(stripe * stripe_data)).min(stripe_data);
-            if stripe_fill == 0 {
-                return Ok(fill);
-            }
-            let complete = stripe_fill == stripe_data;
-            let mut order: Vec<u32> = (0..layout.data_units())
-                .map(|k| layout.data_device(lz, stripe, k))
-                .collect();
-            order.push(layout.parity_device(lz, stripe));
-            order.extend(layout.q_device(lz, stripe));
-            // First sector of this stripe proven unreadable, if any.
-            let mut stripe_cap: Option<u64> = None;
-            for dev in order {
-                let unit = layout.unit_of_device(lz, stripe, dev);
-                let needed = layout.slot_extent(lz, stripe, dev, fill);
-                let have = avail_local(m, wp, lz, su, stripe, dev)
-                    .unwrap_or(0)
-                    .min(needed);
-                if have >= needed {
-                    continue;
-                }
-                let mut cap = |k: u64, rows: u64| {
-                    let pos = stripe * stripe_data + k * su + rows;
-                    stripe_cap = Some(stripe_cap.map_or(pos, |c| c.min(pos)));
-                };
-                if m.relocated.contains_key(&(lz, stripe, dev)) {
-                    // A short relocation cannot be extended here.
-                    if let Some(k) = unit {
-                        cap(k, have);
-                    }
-                    write_blocked[dev as usize] = true;
-                    continue;
-                }
-                // Largest reconstructable prefix [have, best) of the short
-                // rows: a durable prefix can be decodable from an older pp
-                // snapshot even when the cached tail died with a device.
-                let avail_now: Vec<Option<u64>> = wp.to_vec();
-                let mut best = have;
-                let mut repaired: Vec<u8> = Vec::new();
-                for want in (have + 1..=needed).rev() {
-                    let mut out = vec![0u8; ((want - have) * SECTOR_SIZE) as usize];
-                    let ok = self.rebuild_rows(
-                        m, devices, at, lz, stripe, dev, have, want, complete, pp, &avail_now,
-                        &mut out,
-                    )?;
-                    if ok {
-                        best = want;
-                        repaired = out;
-                        break;
-                    }
-                }
-                if best < needed {
-                    if let Some(k) = unit {
-                        cap(k, best);
-                    }
-                }
-                let failed = self.is_failed(dev as usize);
-                if !failed && !write_blocked[dev as usize] && best > have {
-                    // Repair in place so the exposed prefix stays directly
-                    // readable on healthy devices.
-                    let pba = layout.stripe_pba(lz, stripe) + have;
-                    devices[dev as usize].write(at, pba, &repaired, WriteFlags::default())?;
-                    if let Some(w) = wp.get_mut(dev as usize).and_then(|w| w.as_mut()) {
-                        *w = stripe * su + best;
-                    }
-                    AtomicRaiznStats::add(&self.stats.recovered_units, 1);
-                }
-                if best < needed {
-                    write_blocked[dev as usize] = true;
-                }
-            }
-            if let Some(c) = stripe_cap {
-                return Ok(c.min(fill));
-            }
-            stripe += 1;
-        }
+        Ok(())
     }
 
     /// §5.2 maintenance: when a logical zone holds more relocated stripe
@@ -1180,19 +686,371 @@ impl RaiznVolume {
     }
 }
 
-/// Slot availability shared by the repair helpers.
-fn avail_local(
-    m: &LiveMeta,
-    wp: &[Option<u64>],
+/// What the recovery stages of one logical zone share: the volume, the
+/// replayed metadata, and the members' write pointers as the walk's
+/// repairs advance them.
+struct ZoneRecovery<'a> {
+    vol: &'a RaiznVolume,
+    m: &'a LiveMeta,
+    devices: &'a [Arc<ZnsDevice>],
+    pp: &'a PpImages,
+    at: SimTime,
     lz: u32,
-    su: u64,
-    stripe: u64,
-    dev: u32,
-) -> Option<u64> {
-    if let Some(rel) = m.relocated.get(&(lz, stripe, dev)) {
-        return Some(rel.valid);
+    /// Zone-relative physical write pointer per member, `None` for an
+    /// absent one.
+    wp: Vec<Option<u64>>,
+    /// The walk's by-product: the rows it decoded for the data units the
+    /// absent members held in the stripe its prefix ends in, by unit.
+    decoded: Vec<(u64, Vec<u8>)>,
+}
+
+impl ZoneRecovery<'_> {
+    /// Available sectors of the slot `dev` holds for `stripe`: relocated
+    /// slots count by their relocation extent.
+    fn avail(&self, stripe: u64, dev: u32) -> Option<u64> {
+        if let Some(rel) = self.m.relocated.get(&(self.lz, stripe, dev)) {
+            return Some(rel.valid);
+        }
+        let su = self.vol.layout.stripe_unit();
+        self.wp[dev as usize].map(|w| w.saturating_sub(stripe * su).min(su))
     }
-    wp[dev as usize].map(|w| w.saturating_sub(stripe * su).min(su))
+
+    /// Reads rows `[row0, ..)` of the slot `dev` holds for `stripe`.
+    fn fetch(&self, stripe: u64, dev: u32, row0: u64, out: &mut [u8]) -> Result<SimTime> {
+        let (vol, m) = (self.vol, Some(self.m));
+        vol.fetch_slot_rows(m, self.devices, self.at, self.lz, stripe, dev, row0, out)
+    }
+
+    /// Stage 1: the largest fill any witness supports. Understating it
+    /// would hide data the members can serve; overstating it is harmless,
+    /// the walk clamps.
+    ///
+    /// A `sealed` zone claims the fill its finish WAL recorded (`finish_wp`)
+    /// or, absent one, the zone capacity — a finish always logs before it
+    /// seals, so a sealed member without a record filled by being written
+    /// to its last sector. (The survivors cannot say: a sealed zone's
+    /// parity slot holds the final stripe's parity *prefix*, which does
+    /// not tell a complete stripe from an absent one.) An open zone claims
+    /// what its newest slot implies: a data slot the stripe's fill through
+    /// its rows, a parity slot (either leg — in a degraded dual-parity
+    /// mount the P holder may be the failed device) a complete stripe.
+    /// Surviving write pointers alone can understate the frontier on a
+    /// degraded mount: when the failed devices held the only data of the
+    /// last stripe, its partial-parity images (`pp_frontier`) or a
+    /// relocation are the only remaining witnesses.
+    fn claim(&self, pp_frontier: Option<u64>, sealed: bool, finish_wp: Option<u64>) -> u64 {
+        let layout = self.vol.layout;
+        if sealed {
+            return finish_wp.unwrap_or(layout.logical_geometry().zone_cap());
+        }
+        let (su, stripe_data) = (layout.stripe_unit(), layout.stripe_data_sectors());
+        let slot_claim = |stripe: u64, dev: u32, rows: u64| {
+            stripe * stripe_data
+                + match layout.unit_of_device(self.lz, stripe, dev) {
+                    _ if rows == 0 => 0,
+                    Some(k) => k * su + rows,
+                    None => stripe_data,
+                }
+        };
+        let members = (0u32..).zip(&self.wp).filter_map(|(dev, w)| {
+            let stripe = w.filter(|w| *w > 0)?.saturating_sub(1) / su;
+            Some(slot_claim(stripe, dev, self.avail(stripe, dev)?))
+        });
+        let relocations = self
+            .m
+            .relocated
+            .iter()
+            .filter(|((z2, _, _), rel)| *z2 == self.lz && rel.valid > 0)
+            .map(|((_, stripe, dev), rel)| slot_claim(*stripe, *dev, rel.valid));
+        members
+            .chain(relocations)
+            .chain(pp_frontier)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Attempts to rebuild rows `[have, needed)` of the slot `dev` holds
+    /// for `stripe`. Returns `Ok(false)` when reconstruction is impossible
+    /// (the walk then rolls the zone back).
+    ///
+    /// Parity sources are the full parity slots (complete stripes) or the
+    /// partial-parity images replayed from the logs; in dual-parity mode
+    /// the Reed–Solomon Q leg lets the repair decode around one *more*
+    /// unavailable slot (a second failed device or a second stripe hole).
+    fn rebuild_rows(
+        &self,
+        stripe: u64,
+        dev: u32,
+        (have, needed): (u64, u64),
+        complete: bool,
+        out: &mut [u8],
+    ) -> Result<bool> {
+        let (lz, pp) = (self.lz, self.pp);
+        let layout = self.vol.layout;
+        let su = layout.stripe_unit();
+        let d_units = layout.data_units();
+        let rows = needed - have;
+        let row0 = have;
+        let bytes = (rows * SECTOR_SIZE) as usize;
+        let pdev = layout.parity_device(lz, stripe);
+        let qdev = layout.q_device(lz, stripe);
+
+        // Load every usable version of one parity leg for rows
+        // [row0, needed): the parity slot of a complete stripe first, then
+        // the replayed pp image snapshots, newest extent first. Each
+        // candidate carries the data extent its parity was computed over —
+        // an older (smaller-extent) snapshot can be the only decodable one
+        // when a unit staged after it died with its device.
+        let leg_candidates =
+            |leg_dev: u32, imgs: Option<&Vec<ParityImage>>| -> Result<Vec<(Vec<u8>, u64)>> {
+                let mut cands = Vec::new();
+                if complete && self.avail(stripe, leg_dev).unwrap_or(0) >= needed.min(su) {
+                    let mut buf = vec![0u8; bytes];
+                    self.fetch(stripe, leg_dev, row0, &mut buf)?;
+                    cands.push((buf, layout.stripe_data_sectors()));
+                }
+                for img in imgs.into_iter().flatten().rev() {
+                    if (row0..needed).all(|r| img.covered[r as usize]) {
+                        let buf = img.rows
+                            [(row0 * SECTOR_SIZE) as usize..(needed * SECTOR_SIZE) as usize]
+                            .to_vec();
+                        cands.push((buf, img.extent(lz, stripe, &layout)));
+                    }
+                }
+                Ok(cands)
+            };
+
+        // Data units short of `irows` rows at extent `fill`, excluding
+        // `skip` (the unit being rebuilt, if any).
+        let missing_at = |fill: u64, skip: Option<u64>| -> Vec<u64> {
+            (0..d_units)
+                .filter(|i| Some(*i) != skip)
+                .filter(|&i| {
+                    let written = fill.saturating_sub(i * su).min(su);
+                    let irows = written.saturating_sub(row0).min(rows);
+                    irows > 0
+                        && self
+                            .avail(stripe, layout.data_device(lz, stripe, i))
+                            .unwrap_or(0)
+                            < row0 + irows
+                })
+                .collect()
+        };
+
+        // Fold every available data unit (except `skips`) into the
+        // syndromes of `plan`, zero-extended past each unit's written
+        // extent at `fill`.
+        let mut tmp = vec![0u8; bytes];
+        let mut aux = vec![0u8; bytes];
+        let absorb_data = |plan: &Decode,
+                           out: &mut [u8],
+                           aux: &mut [u8],
+                           tmp: &mut Vec<u8>,
+                           fill: u64,
+                           skips: &[u64]|
+         -> Result<()> {
+            for i in 0..d_units {
+                if skips.contains(&i) {
+                    continue;
+                }
+                let written = fill.saturating_sub(i * su).min(su);
+                let irows = written.saturating_sub(row0).min(rows);
+                if irows == 0 {
+                    continue;
+                }
+                let idev = layout.data_device(lz, stripe, i);
+                tmp.fill(0);
+                self.fetch(
+                    stripe,
+                    idev,
+                    row0,
+                    &mut tmp[..(irows * SECTOR_SIZE) as usize],
+                )?;
+                plan.absorb(Role::Data(i as u32), tmp, out, aux);
+            }
+            Ok(())
+        };
+        // The codec never decodes a slot against itself.
+        let plan_of = |target: Role, other: Option<Role>| {
+            Decode::new(target, other).ok_or_else(|| internal("duplicate role in erasure set"))
+        };
+
+        match layout.unit_of_device(lz, stripe, dev) {
+            // ---- Rebuilding a parity slot (P or Q). ----------------------
+            None => {
+                // With every data unit in hand (fetched, or recovered
+                // below) the parity syndrome is the slot itself.
+                let plan = plan_of(if qdev == Some(dev) { Role::Q } else { Role::P }, None)?;
+                let fill = layout.stripe_data_sectors(); // parity slots exist only complete
+                let missing = missing_at(fill, None);
+                plan.begin(out, &mut aux);
+                absorb_data(&plan, out, &mut aux, &mut tmp, fill, &missing)?;
+                // Data units that are gone too: recover each one through
+                // the full data-unit machinery (the other parity leg,
+                // lower-extent pp snapshots, or a two-erasure solve), then
+                // fold them in. Depth is bounded: the data arm never
+                // recurses.
+                for &k in &missing {
+                    let kdev = layout.data_device(lz, stripe, k);
+                    let mut dk = vec![0u8; bytes];
+                    if !self.rebuild_rows(stripe, kdev, (have, needed), complete, &mut dk)? {
+                        return Ok(false);
+                    }
+                    plan.absorb(Role::Data(k as u32), &dk, out, &mut aux);
+                }
+                Ok(true)
+            }
+            // ---- Rebuilding a data unit. ---------------------------------
+            Some(j) => {
+                let target = Role::Data(j as u32);
+                let p_cands = leg_candidates(pdev, pp.p.get(&(lz, stripe)))?;
+                let q_cands = match qdev {
+                    Some(qd) => leg_candidates(qd, pp.q.get(&(lz, stripe)))?,
+                    None => Vec::new(),
+                };
+                // Single-erasure via P, then via Q (decoding as if P were
+                // the second loss): the leg plus every other unit.
+                for (cands, leg, other) in [
+                    (&p_cands, Role::P, None),
+                    (&q_cands, Role::Q, Some(Role::P)),
+                ] {
+                    for (buf, extent) in cands {
+                        if j * su + needed <= *extent && missing_at(*extent, Some(j)).is_empty() {
+                            let plan = plan_of(target, other)?;
+                            plan.begin(out, &mut aux);
+                            plan.absorb(leg, buf, out, &mut aux);
+                            absorb_data(&plan, out, &mut aux, &mut tmp, *extent, &[j])?;
+                            plan.finish(out, &aux);
+                            return Ok(true);
+                        }
+                    }
+                }
+                // Two-erasure: both legs at the same data extent, exactly
+                // one other unit missing there.
+                for (pbuf, ep) in &p_cands {
+                    for (qbuf, eq) in &q_cands {
+                        if ep != eq || j * su + needed > *ep {
+                            continue;
+                        }
+                        let missing = missing_at(*ep, Some(j));
+                        let [k] = missing.as_slice() else {
+                            continue;
+                        };
+                        let k = *k;
+                        let plan = plan_of(target, Some(Role::Data(k as u32)))?;
+                        plan.begin(out, &mut aux);
+                        plan.absorb(Role::P, pbuf, out, &mut aux);
+                        plan.absorb(Role::Q, qbuf, out, &mut aux);
+                        absorb_data(&plan, out, &mut aux, &mut tmp, *ep, &[j, k])?;
+                        // Rows where unit k holds data need the 2x2 solve;
+                        // rows past its written extent see D_k == 0, so the
+                        // P syndrome (`aux`) is D_j there outright
+                        // (staggered fill, §5.1).
+                        let written_k = ep.saturating_sub(k * su).min(su);
+                        let krows = written_k.saturating_sub(row0).min(rows);
+                        let kb = (krows * SECTOR_SIZE) as usize;
+                        plan.finish(&mut out[..kb], &aux[..kb]);
+                        out[kb..].copy_from_slice(&aux[kb..]);
+                        return Ok(true);
+                    }
+                }
+                Ok(false)
+            }
+        }
+    }
+
+    /// Stage 2: the longest prefix of `claim` in which every sector is
+    /// readable — directly or by reconstruction within the parity
+    /// headroom. The only repair and the only clamp of a mount, for open
+    /// and sealed zones alike: a sealed member already holds everything it
+    /// should (a seal is durable), so only stragglers are ever written.
+    ///
+    /// Reconstructable holes on healthy devices are repaired in place;
+    /// holes on failed devices are only probed — no repair write is
+    /// possible, but the rows must still be reconstructable or the zone
+    /// has to roll back (a cached tail can die with its device) — and
+    /// left to the degraded read path; what was decoded for the stripe the
+    /// prefix ends in stays in `self.decoded`, to seed the stripe buffer.
+    ///
+    /// Within each stripe the data units are probed before the parity
+    /// legs: a parity slot is only reconstructable once the data holes it
+    /// folds over are filled, and repairing in data-then-parity order
+    /// keeps every healthy device's write pointer aligned with the slots
+    /// the walk exposes.
+    fn readable_prefix(&mut self, claim: u64) -> Result<u64> {
+        let lz = self.lz;
+        let layout = self.vol.layout;
+        let su = layout.stripe_unit();
+        let stripe_data = layout.stripe_data_sectors();
+        // Once a healthy device's slot could not be fully repaired, its
+        // physical write pointer is stuck short — later slots on it can
+        // no longer be written in place (their addresses would misalign).
+        let mut write_blocked = vec![false; layout.devices() as usize];
+        for stripe in 0..claim.div_ceil(stripe_data) {
+            let complete = claim >= (stripe + 1) * stripe_data;
+            let order = (0..layout.data_units())
+                .map(|k| layout.data_device(lz, stripe, k))
+                .chain([layout.parity_device(lz, stripe)])
+                .chain(layout.q_device(lz, stripe));
+            // First sector of this stripe proven unreadable, if any.
+            let mut stripe_cap: Option<u64> = None;
+            self.decoded.clear();
+            for dev in order {
+                let unit = layout.unit_of_device(lz, stripe, dev);
+                let needed = layout.slot_extent(lz, stripe, dev, claim);
+                let have = self.avail(stripe, dev).unwrap_or(0).min(needed);
+                if have >= needed {
+                    continue;
+                }
+                let failed = self.vol.is_failed(dev as usize);
+                if failed && unit.is_none() {
+                    // A failed device's parity slot is neither repairable
+                    // nor needed for the prefix to stay readable.
+                    continue;
+                }
+                // Largest reconstructable prefix [have, best) of the short
+                // rows: a durable prefix can be decodable from an older pp
+                // snapshot even when the cached tail died with a device. A
+                // short relocation cannot be extended here.
+                let mut best = have;
+                let mut repaired: Vec<u8> = Vec::new();
+                if !self.m.relocated.contains_key(&(lz, stripe, dev)) {
+                    for want in (have + 1..=needed).rev() {
+                        let mut out = vec![0u8; ((want - have) * SECTOR_SIZE) as usize];
+                        if self.rebuild_rows(stripe, dev, (have, want), complete, &mut out)? {
+                            best = want;
+                            repaired = out;
+                            break;
+                        }
+                    }
+                }
+                if let Some(k) = unit.filter(|_| best < needed) {
+                    let pos = stripe * stripe_data + k * su + best;
+                    stripe_cap = Some(stripe_cap.map_or(pos, |c| c.min(pos)));
+                }
+                if best > have && failed {
+                    self.decoded.extend(unit.map(|k| (k, repaired)));
+                } else if best > have && !write_blocked[dev as usize] {
+                    // Repair in place so the exposed prefix stays directly
+                    // readable on healthy devices.
+                    let pba = layout.stripe_pba(lz, stripe) + have;
+                    self.devices[dev as usize].write(
+                        self.at,
+                        pba,
+                        &repaired,
+                        WriteFlags::default(),
+                    )?;
+                    self.wp[dev as usize] = Some(stripe * su + best);
+                    AtomicRaiznStats::add(&self.vol.stats.recovered_units, 1);
+                }
+                write_blocked[dev as usize] |= best < needed;
+            }
+            if let Some(c) = stripe_cap {
+                return Ok(c.min(claim));
+            }
+        }
+        Ok(claim)
+    }
 }
 
 /// Scans one metadata zone for records, stopping at the first invalid

@@ -1978,6 +1978,11 @@ impl RaiznVolume {
         let chunk_end = self.layout.logical_geometry().zone_start(lzone) + z.wp;
         let mut m = self.lock_meta();
         let MetaState { log, live, .. } = &mut *m;
+        // Refresh the checkpoint snapshot for metadata GC first (the stripe
+        // buffer itself stays behind this zone's shard): an append below
+        // that collects its own log zone must checkpoint this frontier —
+        // the write pointer mirror has already moved to it.
+        live.pp_live[lzone as usize].capture(buf, su);
         let mut pp_done = issue;
         for (dev, leg) in self.parity_legs(lzone, stripe) {
             let rec = MdRecordRef::new(
@@ -1991,9 +1996,6 @@ impl RaiznVolume {
             let done = self.md_append(log, live, devices, issue, dev, MdRole::PpLog, rec, fua)?;
             pp_done = pp_done.max(done);
         }
-        // Refresh the checkpoint snapshot for metadata GC: the stripe
-        // buffer itself stays behind this zone's shard.
-        live.pp_live[lzone as usize].capture(buf, su);
         drop(m);
         let legs = u64::from(self.layout.parity_units());
         AtomicRaiznStats::add(&self.stats.pp_log_entries, 1);

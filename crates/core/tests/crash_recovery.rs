@@ -6,7 +6,10 @@
 use raizn::{RaiznConfig, RaiznVolume};
 use sim::{SimRng, SimTime};
 use std::sync::Arc;
-use zns::{CrashPolicy, WriteFlags, ZnsConfig, ZnsDevice, ZoneState, ZonedVolume, SECTOR_SIZE};
+use zns::{
+    CrashPolicy, LatencyConfig, WriteFlags, ZnsConfig, ZnsDevice, ZoneState, ZonedVolume,
+    SECTOR_SIZE,
+};
 
 const T0: SimTime = SimTime::ZERO;
 
@@ -656,9 +659,8 @@ fn randomized_crash_storm_oracle() {
 /// stripe's first data unit (and, on a dual-parity array, without the P
 /// holder either): the stripe must read back byte-identical.
 ///
-/// The collection is driven from a second zone on purpose: one tripped by
-/// zone 0's own append finds its snapshot one write behind the write
-/// pointer and skips it (`own_append_md_gc_keeps_earlier_parity_rows`).
+/// The collection is driven from a second zone; one tripped by zone 0's
+/// own append is `own_append_md_gc_keeps_earlier_parity_rows`.
 fn checkpointed_partial_parity_is_what_recovery_consumes(config: RaiznConfig) {
     let devs = devices(5);
     let v = RaiznVolume::format(devs.clone(), config, T0).unwrap();
@@ -726,14 +728,13 @@ fn md_gc_checkpoint_of_incremental_snapshot_recovers_partial_stripe_p2() {
     checkpointed_partial_parity_is_what_recovery_consumes(RaiznConfig::small_test_raizn2());
 }
 
-/// Known defect (ROADMAP item 1), ignored until fixed: the pp-log append
-/// that trips metadata GC on its own parity holder runs after the write
-/// pointer mirror moved, so the zone's snapshot reads as stale, the
-/// checkpoint skips it, and the old log zone — with every earlier row of
-/// the stripe — is reset. Flushed sectors of the partial stripe then roll
-/// back at a mount that has to reconstruct one of its units.
+/// The pp-log append that trips metadata GC on its own parity holder runs
+/// after the write pointer mirror moved: were the zone's snapshot captured
+/// after the append, it would read as stale, the checkpoint would skip it,
+/// and the old log zone — with every earlier row of the stripe — would be
+/// reset. Flushed sectors of the partial stripe must survive a mount that
+/// has to reconstruct one of its units.
 #[test]
-#[ignore = "known defect: own-append md GC drops the stripe's earlier pp rows"]
 fn own_append_md_gc_keeps_earlier_parity_rows() {
     let config = RaiznConfig::small_test();
     let devs = devices(5);
@@ -763,4 +764,199 @@ fn own_append_md_gc_keeps_earlier_parity_rows() {
     let v = RaiznVolume::mount(devs, config, T0).unwrap();
     let recovered = v.zone_info(zone).unwrap().write_pointer;
     assert_eq!(recovered, wp, "flushed tail lost");
+}
+
+/// The member pairs the dual-parity histories lose: neighbours, one and
+/// two apart, with and without the first and last member.
+const ABSENT_PAIRS: [[usize; 2]; 4] = [[0, 2], [1, 3], [1, 4], [2, 3]];
+
+/// The absent-member sets a five-member array is mounted with: none, then
+/// as many members as the parity level tolerates — each single member, or
+/// each of [`ABSENT_PAIRS`] (a pair covers what either member alone would).
+fn absent_sets(parity: u32) -> Vec<Vec<usize>> {
+    let mut sets = vec![vec![]];
+    if parity == 2 {
+        sets.extend(ABSENT_PAIRS.map(|pair| pair.to_vec()));
+    } else {
+        sets.extend((0..5).map(|a| vec![a]));
+    }
+    sets
+}
+
+/// Power loss in which exactly the members of the `keep` bit mask keep
+/// their write cache, then the loss of the `absent` members; mounts what
+/// is left.
+fn mount_after_power_loss(
+    devs: &[Arc<ZnsDevice>],
+    config: RaiznConfig,
+    keep: u32,
+    absent: &[usize],
+) -> Result<RaiznVolume, String> {
+    for (i, d) in devs.iter().enumerate() {
+        d.crash(&mut if keep & (1 << i) != 0 {
+            CrashPolicy::KeepCache
+        } else {
+            CrashPolicy::LoseCache
+        });
+    }
+    for a in absent {
+        devs[*a].fail();
+    }
+    RaiznVolume::mount(devs.to_vec(), config, T0).map_err(|e| format!("mount: {e}"))
+}
+
+/// The recovered write pointer of `zone` (zone-relative), after checking
+/// that it lies in `[durable, model]` sectors and that every sector below
+/// it reads back as `model` has it.
+fn recovered_prefix(v: &RaiznVolume, zone: u32, model: &[u8], durable: u64) -> Result<u64, String> {
+    let start = v.geometry().zone_start(zone);
+    let wp = v.zone_info(zone).unwrap().write_pointer - start;
+    let written = model.len() as u64 / SECTOR_SIZE;
+    if wp < durable || wp > written {
+        return Err(format!("wp {wp} outside [{durable}, {written}]"));
+    }
+    let mut out = vec![0u8; SECTOR_SIZE as usize];
+    for s in 0..wp {
+        v.read(T0, start + s, &mut out)
+            .map_err(|e| format!("sector {s} below wp {wp}: {e}"))?;
+        if out != model[(s * SECTOR_SIZE) as usize..][..out.len()] {
+            return Err(format!("sector {s} below wp {wp} reads back wrong"));
+        }
+    }
+    Ok(wp)
+}
+
+/// Fails listing `bad` when any of `total` histories went wrong.
+fn assert_no_bad_histories(bad: &[String], total: usize) {
+    assert!(
+        bad.is_empty(),
+        "{} of {total} histories bad, the first:\n{}",
+        bad.len(),
+        bad[..bad.len().min(8)].join("\n")
+    );
+}
+
+/// One history of [`filled_zone_lost_tail_exposes_only_what_it_can_serve`]:
+/// `[0, f)` flushed, `[f, cap)` written in one call, then the power loss.
+fn lost_tail_history(
+    config: RaiznConfig,
+    f: u64,
+    keep: u32,
+    absent: &[usize],
+) -> Result<(), String> {
+    let devs = devices(5);
+    let v = RaiznVolume::format(devs.clone(), config, T0).unwrap();
+    let model = bytes(v.geometry().zone_cap(), 90 + f);
+    let (flushed, tail) = model.split_at((f * SECTOR_SIZE) as usize);
+    if f > 0 {
+        v.write(T0, 0, flushed, WriteFlags::default()).unwrap();
+    }
+    v.flush(T0).unwrap();
+    v.write(T0, f, tail, WriteFlags::default()).unwrap();
+    drop(v);
+    let v = mount_after_power_loss(&devs, config, keep, absent)?;
+    recovered_prefix(&v, 0, &model, f)?;
+    if absent.is_empty() {
+        v.scrub(T0).map_err(|e| format!("scrub: {e}"))?;
+    }
+    Ok(())
+}
+
+/// ROADMAP item 1, first defect: a zone that fills after the last flush
+/// looks sealed to a mount — every surviving member whose cache held is
+/// `Full` — yet members that lost their cache kept only the flushed prefix.
+/// The write pointer a mount exposes must be one the survivors (plus
+/// parity) can serve, whatever the line-up: four flush points, every
+/// subset of members keeping its cache, every absent set of
+/// [`absent_sets`]. Scrubbed when no member is absent.
+#[test]
+fn filled_zone_lost_tail_exposes_only_what_it_can_serve() {
+    let mut bad = Vec::new();
+    let mut total = 0;
+    for config in [RaiznConfig::small_test(), RaiznConfig::small_test_raizn2()] {
+        for absent in absent_sets(config.parity) {
+            for f in [0u64, 6, 16, 25] {
+                for keep in 0..32u32 {
+                    total += 1;
+                    if let Err(e) = lost_tail_history(config, f, keep, &absent) {
+                        bad.push(format!(
+                            "p{} flushed {f} keep {keep:05b} absent {absent:?}: {e}",
+                            config.parity
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert_no_bad_histories(&bad, total);
+}
+
+/// One history of
+/// [`dual_parity_mount_with_two_members_absent_keeps_everything_flushed`]:
+/// `zones` zones written to `short` sectors below capacity in writes of
+/// `step`, flushed; every cache lost, `pair` absent.
+fn flushed_then_pair_lost_history(
+    devs: &[Arc<ZnsDevice>],
+    (zones, short, step): (u32, u64, u64),
+    pair: [usize; 2],
+) -> Result<(), String> {
+    let config = RaiznConfig::small_test_raizn2();
+    let v = RaiznVolume::format(devs.to_vec(), config, T0).unwrap();
+    let g = v.geometry();
+    let written = g.zone_cap() - short;
+    let models: Vec<Vec<u8>> = (0..zones)
+        .map(|z| bytes(written, 100 + u64::from(z)))
+        .collect();
+    for (z, model) in (0u32..).zip(&models) {
+        for (i, chunk) in model.chunks((step * SECTOR_SIZE) as usize).enumerate() {
+            let lba = g.zone_start(z) + i as u64 * step;
+            v.write(T0, lba, chunk, WriteFlags::default()).unwrap();
+        }
+    }
+    v.flush(T0).unwrap();
+    drop(v);
+    let v = mount_after_power_loss(devs, config, 0, &pair)?;
+    for (z, model) in (0u32..).zip(&models) {
+        recovered_prefix(&v, z, model, written).map_err(|e| format!("zone {z}: {e}"))?;
+    }
+    Ok(())
+}
+
+/// ROADMAP item 1, second defect: everything was flushed, every cache is
+/// lost, and a dual-parity array mounts with two members absent — on five
+/// and six members, with 64- and 60-sector zone capacities, one and two
+/// zones written fully or five sectors short, in writes of five sizes.
+/// Every written sector must read back.
+#[test]
+fn dual_parity_mount_with_two_members_absent_keeps_everything_flushed() {
+    let short_zones = ZnsConfig::builder()
+        .zones(16, 64, 60)
+        .open_limits(4, 6)
+        .latency(LatencyConfig::instant())
+        .build();
+    let mut bad = Vec::new();
+    let mut total = 0;
+    for members in [5, 6] {
+        for zns in [ZnsConfig::small_test(), short_zones.clone()] {
+            for (zones, short) in [(1, 0), (1, 5), (2, 0), (2, 5)] {
+                for step in [1, 3, 7, 16, 64] {
+                    for pair in ABSENT_PAIRS {
+                        total += 1;
+                        let devs: Vec<_> = (0..members)
+                            .map(|_| Arc::new(ZnsDevice::new(zns.clone())))
+                            .collect();
+                        let shape = (zones, short, step);
+                        if let Err(e) = flushed_then_pair_lost_history(&devs, shape, pair) {
+                            bad.push(format!(
+                                "{members} members, capacity {}, {zones} zone(s) {short} short, \
+                                 writes of {step}, absent {pair:?}: {e}",
+                                zns.geometry().zone_cap()
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_no_bad_histories(&bad, total);
 }

@@ -73,6 +73,29 @@ if grep -nE 'extend_from_slice\(&[a-z_.]*(parity|q_parity)\(\)' "$core"/*.rs; th
   exit 1
 fi
 
+# Mount settles every zone one way (`recover_zone`, core/recovery.rs):
+# claim the frontier, walk the readable prefix once, settle state. The
+# walk is the only repair — a second site that counts a recovered unit, or
+# a `repair_limit`, is the second repair loop coming back — and it runs
+# for sealed and open zones alike: its one call sits at the top level of
+# `recover_zone`, not under an `if`/`else` on the zone's sealed state.
+if [ "$(grep -c 'stats\.recovered_units' "$core/recovery.rs")" -ne 1 ] ||
+   grep -n 'repair_limit' "$core/recovery.rs"; then
+  echo "check.sh: recovery.rs repairs outside readable_prefix (one walk, one repair site)" >&2
+  exit 1
+fi
+if [ "$(grep -c '\.readable_prefix(' "$core/recovery.rs")" -ne 1 ] ||
+   ! grep -q '^        let [^=]* = [a-z_]*\.readable_prefix(' "$core/recovery.rs"; then
+  echo "check.sh: readable_prefix must be called exactly once, unconditionally (sealed or open)" >&2
+  exit 1
+fi
+
+# A known defect is a failing test or a ROADMAP entry, never a skipped one.
+if grep -rn --include='*.rs' '#\[ignore' crates tests benchmark/src; then
+  echo "check.sh: #[ignore]d test in the workspace" >&2
+  exit 1
+fi
+
 # lsraid computes parity in one place, from whole stripes: `encode_pq` at
 # the seal (and in scrub). An incremental kernel named anywhere in the
 # crate is a running accumulator — and the clearing it needs — coming
