@@ -1,384 +1,46 @@
-//! Exhaustive crash-point sweep over a scripted workload.
+//! Exhaustive crash-point sweep over scripted workloads, on every engine
+//! configuration in one run: RAIZN and RAIZN-2, lsraid at both parities.
 //!
-//! Runs the workload on a fresh 5-device array, snapshots every device
-//! zone's `[durable, write_pointer]` range, then replays the workload
-//! once per crash point — pinning one zone of one device to each
-//! possible surviving write pointer — and asserts the recovery
-//! invariants every time:
+//! Each script is replayed through `workloads::harness::sweep` once per
+//! crash of three enumerators — every device zone pinned at every surviving
+//! write pointer in `[durable, written)` while the rest of the array keeps
+//! or loses its cache (plus the two extremes); every subset of members
+//! keeping its cache under every absent set the engine tolerates; seeded
+//! whole-array random trials — and every replay must pass the harness's
+//! recovery check: the volume mounts, each zone's write pointer lies in
+//! `[durable, written]`, everything below it reads back as written, and a
+//! scrub finds no damage.
 //!
-//! - the volume mounts;
-//! - each zone's recovered write pointer lies in `[durable, written]`;
-//! - everything below the recovered write pointer reads back as the
-//!   written prefix;
-//! - a scrub pass finds no parity mismatch (no stripe holes survive).
+//! On the dual-parity layout every pin point, lifecycle point and random
+//! trial also loses **two members**, cycling through the ten pairs: the
+//! mount must replay the P and Q partial-parity legs, serve byte-identical
+//! reads degraded, and — after both members are rebuilt onto fresh
+//! replacements — pass the scrubbed check.
 //!
-//! Two pin modes are swept (all other zones keep their cache / lose
-//! their cache), followed by seeded whole-array random-crash trials.
+//! Usage: `crash_sweep [--seed N]` (default seed 42, used for the random
+//! trials; the enumerated sweeps are exhaustive and seed-free).
 //!
-//! With `--raid6` the sweep runs the dual-parity (RAIZN-2) layout and
-//! additionally marks **two devices failed** after every crash point,
-//! cycling deterministically through the device pairs: the mount must
-//! replay the P and Q partial-parity legs, serve byte-identical reads,
-//! and — after both devices are rebuilt onto fresh replacements — pass
-//! a clean scrub.
-//!
-//! Usage: `crash_sweep [--seed N] [--raid6]` (default seed 42, used for
-//! the random trials; the enumerated sweep is exhaustive and seed-free).
-//!
-//! Every violated invariant exits nonzero with the crash point named on
-//! stderr (no panics: CI distinguishes a failed gate from a crash).
+//! Every violated invariant exits nonzero with engine, script and crash
+//! point named on stderr (no panics: CI distinguishes a failed gate from a
+//! crash).
 
-use bench::{gate, BenchError};
-use lsraid::{DirectSink, GcConfig, GcManager, LsConfig, LsVolume};
-use raizn::{RaiznConfig, RaiznVolume};
-use sim::{SimRng, SimTime};
+use bench::BenchError;
+use lsraid::{DirectSink, GcConfig, GcManager};
+use sim::SimTime;
+use std::cell::Cell;
 use std::sync::Arc;
-use zns::{
-    CrashPolicy, LatencyConfig, WriteFlags, ZnsConfig, ZnsDevice, ZoneState, ZonedVolume,
-    SECTOR_SIZE,
+use workloads::harness::{
+    absent_sets, keep_subsets, pin_points, random_trials, roomy_config, sweep, Crash, FaultTarget,
+    Loss, Ls, Pair, Raizn, ZoneModel, CACHED,
 };
+use zns::{WriteFlags, ZnsConfig, ZnsDevice, ZoneState, ZonedVolume};
 
 const T0: SimTime = SimTime::ZERO;
 const DEVICES: usize = 5;
 const RANDOM_TRIALS: u64 = 64;
+const LS_RANDOM_TRIALS: u64 = 16;
 
-/// Every unordered pair of the five devices; `--raid6` cycles through
-/// these so each crash point exercises a deterministic double failure.
-const PAIRS: [(usize, usize); 10] = [
-    (0, 1),
-    (0, 2),
-    (0, 3),
-    (0, 4),
-    (1, 2),
-    (1, 3),
-    (1, 4),
-    (2, 3),
-    (2, 4),
-    (3, 4),
-];
-
-fn devices() -> Vec<Arc<ZnsDevice>> {
-    (0..DEVICES)
-        .map(|i| {
-            let dev = Arc::new(ZnsDevice::new(ZnsConfig::small_test()));
-            dev.set_recorder(bench::recorder(), i as u32);
-            dev
-        })
-        .collect()
-}
-
-fn bytes(sectors: u64, seed: u64) -> Vec<u8> {
-    let mut v = vec![0u8; (sectors * SECTOR_SIZE) as usize];
-    SimRng::new(seed).fill_bytes(&mut v);
-    v
-}
-
-struct ZoneModel {
-    data: Vec<u8>,
-    durable: u64,
-}
-
-impl ZoneModel {
-    fn written(&self) -> u64 {
-        self.data.len() as u64 / SECTOR_SIZE
-    }
-}
-
-/// Scripted workload over four logical zones: stripe buffers, partial
-/// parity logs, FUA barriers, a logged zone reset, zone finish, and
-/// cached tails (including a cached stripe completion with its parity
-/// write). `flush` is volume-global, so the durable phase comes first.
-fn run_workload(v: &RaiznVolume) -> bench::BenchResult<Vec<ZoneModel>> {
-    let lgeo = v.layout().logical_geometry();
-    let z = |zone: u32| lgeo.zone_start(zone);
-
-    let a0 = bytes(24, 0xA0);
-    let a1 = bytes(20, 0xA1);
-    let b0 = bytes(16, 0xB0);
-    let b1 = bytes(11, 0xB1);
-    let c0 = bytes(5, 0xC0);
-    let c1 = bytes(2, 0xC1);
-    let c2 = bytes(6, 0xC2);
-    let d0 = bytes(8, 0xD0);
-    let d1 = bytes(10, 0xD1);
-
-    // Durable phase.
-    v.write(T0, z(0), &a0, WriteFlags::default())?;
-    v.write(T0, z(1), &b0, WriteFlags::FUA)?;
-    v.write(T0, z(2), &c0, WriteFlags::default())?;
-    v.write(T0, z(2) + 5, &c1, WriteFlags::FUA)?;
-    v.write(T0, z(3), &d0, WriteFlags::default())?;
-    v.flush(T0)?;
-    v.reset_zone(T0, 3)?;
-    v.write(T0, z(3), &d1, WriteFlags::default())?;
-    v.flush(T0)?;
-    v.finish_zone(T0, 3)?;
-
-    // Cached tails.
-    v.write(T0, z(0) + 24, &a1, WriteFlags::default())?;
-    v.write(T0, z(1) + 16, &b1, WriteFlags::default())?;
-    v.write(T0, z(2) + 7, &c2, WriteFlags::default())?;
-
-    Ok(vec![
-        ZoneModel {
-            data: [a0, a1].concat(),
-            durable: 24,
-        },
-        ZoneModel {
-            data: [b0, b1].concat(),
-            durable: 16,
-        },
-        ZoneModel {
-            data: [c0, c1, c2].concat(),
-            durable: 7,
-        },
-        ZoneModel {
-            data: d1,
-            durable: 10,
-        },
-    ])
-}
-
-fn verify(v: &RaiznVolume, models: &[ZoneModel], point: &str, scrub: bool) -> bench::BenchResult {
-    let lgeo = v.layout().logical_geometry();
-    for (zi, m) in models.iter().enumerate() {
-        let info = v.zone_info(zi as u32)?;
-        let wp = info.write_pointer - info.start;
-        gate!(
-            wp >= m.durable,
-            "{point}: zone {zi} lost durable data (wp {wp} < durable {})",
-            m.durable
-        );
-        gate!(
-            wp <= m.written(),
-            "{point}: zone {zi} invented data (wp {wp} > written {})",
-            m.written()
-        );
-        if wp > 0 {
-            let mut out = vec![0u8; (wp * SECTOR_SIZE) as usize];
-            v.read(T0, lgeo.zone_start(zi as u32), &mut out)
-                .map_err(|e| BenchError::Gate(format!("{point}: zone {zi} read failed: {e}")))?;
-            gate!(
-                out[..] == m.data[..out.len()],
-                "{point}: zone {zi} recovered data is not the written prefix (wp {wp})"
-            );
-        }
-    }
-    if scrub {
-        let rep = v
-            .scrub(T0)
-            .map_err(|e| BenchError::Gate(format!("{point}: scrub failed: {e}")))?;
-        gate!(
-            rep.parity_repairs == 0 && rep.units_healed == 0,
-            "{point}: scrub found damage after recovery: {rep:?}"
-        );
-    }
-    Ok(())
-}
-
-/// Runs the workload on fresh devices, crashes each device with the
-/// policy `policy_for(device)` returns, mounts and verifies. With a
-/// `fail_pair`, both devices are marked failed before the mount: the
-/// recovery runs degraded, reads are verified through the two-erasure
-/// path, then both devices are rebuilt onto fresh replacements and the
-/// full (scrubbed) verification repeats.
-fn run_point(
-    point: &str,
-    cfg: &RaiznConfig,
-    fail_pair: Option<(usize, usize)>,
-    mut policy_for: impl FnMut(usize) -> CrashPolicy,
-) -> bench::BenchResult {
-    let devs = devices();
-    let v = RaiznVolume::format(devs.clone(), *cfg, T0)?;
-    let models = run_workload(&v)?;
-    drop(v);
-    for (i, dev) in devs.iter().enumerate() {
-        let mut p = policy_for(i);
-        dev.crash(&mut p);
-    }
-    if let Some((a, b)) = fail_pair {
-        devs[a].fail();
-        devs[b].fail();
-    }
-    let v = RaiznVolume::mount(devs, *cfg, T0)
-        .map_err(|e| BenchError::Gate(format!("{point}: mount failed: {e}")))?;
-    if let Some((a, b)) = fail_pair {
-        // Scrub needs full redundancy: verify reads degraded first.
-        verify(&v, &models, point, false)?;
-        for lost in [a, b] {
-            let fresh = Arc::new(ZnsDevice::new(ZnsConfig::small_test()));
-            fresh.set_recorder(bench::recorder(), lost as u32);
-            v.rebuild(T0, fresh).map_err(|e| {
-                BenchError::Gate(format!("{point}: rebuild of dev {lost} failed: {e}"))
-            })?;
-        }
-        gate!(
-            v.failed_devices().is_empty(),
-            "{point}: devices still failed after both rebuilds"
-        );
-        verify(&v, &models, point, true)
-    } else {
-        verify(&v, &models, point, true)
-    }
-}
-
-/// Lifecycle crash points: a background zone finish or a batched zone
-/// reset interrupted after `k` of the array's per-device operations
-/// landed. Both are write-ahead logged: the remount replays the reset,
-/// and rolls the finish forward to Full at the logged write pointer —
-/// even when every already-sealed device is among the failed pair, the
-/// replicated finish log is witness enough. Either way the remount must
-/// agree with the durable zone states and leave the zone immediately
-/// usable.
-fn run_lifecycle_point(
-    cfg: &RaiznConfig,
-    fail_pair: Option<(usize, usize)>,
-    mid_finish: bool,
-    k: usize,
-) -> bench::BenchResult {
-    let what = if mid_finish { "finish" } else { "reset" };
-    let point = format!(
-        "lifecycle {what} k={k}{}",
-        fail_pair.map_or(String::new(), |(a, b)| format!(" fail ({a},{b})"))
-    );
-    let devs = devices();
-    let v = RaiznVolume::format(devs.clone(), *cfg, T0)?;
-    let lgeo = v.layout().logical_geometry();
-    let stripe_data = v.layout().stripe_data_sectors();
-    let phys = v.layout().phys_zone(0);
-    // Zone 0 takes the interruption; zone 1 is an untouched control.
-    let sectors = 2 * stripe_data;
-    let data = bytes(sectors, 0xF0 + k as u64);
-    let control = bytes(stripe_data + 3, 0xE0 + k as u64);
-    v.write(T0, lgeo.zone_start(0), &data, WriteFlags::default())?;
-    v.write(T0, lgeo.zone_start(1), &control, WriteFlags::default())?;
-    v.flush(T0)?;
-    if mid_finish {
-        v.interrupted_finish_for_test(T0, 0, k)?;
-    } else {
-        v.interrupted_reset_for_test(T0, 0, k)?;
-    }
-    drop(v);
-    for dev in &devs {
-        dev.crash(&mut CrashPolicy::LoseCache);
-    }
-    if let Some((a, b)) = fail_pair {
-        devs[a].fail();
-        devs[b].fail();
-    }
-    let v = RaiznVolume::mount(devs.clone(), *cfg, T0)
-        .map_err(|e| BenchError::Gate(format!("{point}: mount failed: {e}")))?;
-
-    let failed = |i: usize| fail_pair.is_some_and(|(a, b)| i == a || i == b);
-    // Roll-forward work (and its stat) happens only when a surviving
-    // device is still unsealed; if every live device already sealed,
-    // the remount just acknowledges the completed finish.
-    let surv_open = (k..DEVICES).any(|i| !failed(i));
-    let info = v.zone_info(0)?;
-    let wp = info.write_pointer - info.start;
-    if mid_finish {
-        gate!(
-            info.state == ZoneState::Full,
-            "{point}: finish not rolled forward ({:?})",
-            info.state
-        );
-        gate!(
-            v.stats().finish_rollforwards == (surv_open as u64),
-            "{point}: rollforward count {} (expected {})",
-            v.stats().finish_rollforwards,
-            surv_open as u64
-        );
-        for (i, dev) in devs.iter().enumerate() {
-            if !failed(i) {
-                let st = dev.zone_info(phys)?.state;
-                gate!(
-                    st == ZoneState::Full,
-                    "{point}: device {i} left unsealed ({st:?})"
-                );
-            }
-        }
-        gate!(
-            wp == sectors,
-            "{point}: zone 0 wp {wp} (expected {sectors})"
-        );
-        let mut out = vec![0u8; data.len()];
-        v.read(T0, lgeo.zone_start(0), &mut out)
-            .map_err(|e| BenchError::Gate(format!("{point}: zone 0 read failed: {e}")))?;
-        gate!(out == data, "{point}: zone 0 prefix corrupted");
-    } else {
-        // The reset WAL wins regardless of how many devices got reset.
-        gate!(
-            info.state == ZoneState::Empty && wp == 0,
-            "{point}: reset not replayed (state {:?} wp {wp})",
-            info.state
-        );
-    }
-    // The control zone is untouched by either interruption.
-    let c = v.zone_info(1)?;
-    gate!(
-        c.write_pointer - c.start == stripe_data + 3,
-        "{point}: control zone wp moved"
-    );
-    let mut out = vec![0u8; control.len()];
-    v.read(T0, lgeo.zone_start(1), &mut out)
-        .map_err(|e| BenchError::Gate(format!("{point}: control read failed: {e}")))?;
-    gate!(out == control, "{point}: control zone corrupted");
-
-    if let Some((a, b)) = fail_pair {
-        for lost in [a, b] {
-            let fresh = Arc::new(ZnsDevice::new(ZnsConfig::small_test()));
-            fresh.set_recorder(bench::recorder(), lost as u32);
-            v.rebuild(T0, fresh).map_err(|e| {
-                BenchError::Gate(format!("{point}: rebuild of dev {lost} failed: {e}"))
-            })?;
-        }
-    }
-    let rep = v
-        .scrub(T0)
-        .map_err(|e| BenchError::Gate(format!("{point}: scrub failed: {e}")))?;
-    gate!(
-        rep.parity_repairs == 0 && rep.units_healed == 0,
-        "{point}: scrub found damage after recovery: {rep:?}"
-    );
-    // The zone is immediately usable: rolled-forward finishes reopen
-    // via reset, replayed resets accept fresh data straight away.
-    let probe = bytes(2, 0x90 + k as u64);
-    if mid_finish {
-        v.reset_zone(T0, 0)?;
-    }
-    v.write(T0, lgeo.zone_start(0), &probe, WriteFlags::default())?;
-    let mut out = vec![0u8; probe.len()];
-    v.read(T0, lgeo.zone_start(0), &mut out)?;
-    gate!(out == probe, "{point}: zone 0 unusable after recovery");
-    Ok(())
-}
-
-// ----------------------------------------------------------------------
-// Log-structured engine (lsraid) sweep
-// ----------------------------------------------------------------------
-
-/// Which scripted lsraid workload a crash point interrupts.
-#[derive(Clone, Copy, PartialEq)]
-enum LsScenario {
-    /// Crash mid stripe-group seal: the last full stripe is sealed (its
-    /// summary record is durable) but its data and parity writes are
-    /// still cached, plus an in-memory partial-stripe tail.
-    Seal,
-    /// Crash mid GC migration: a victim is acquired and fully read, the
-    /// migrated copies sit in cached cold-stream writes, and the victim
-    /// group has not been reclaimed.
-    GcMigration,
-    /// Crash right after a GC reclaim: the group-free record is durable
-    /// and the victim's zones were reset.
-    GcReclaim,
-}
-
-fn ls_devices() -> Vec<Arc<ZnsDevice>> {
-    let config = ZnsConfig::builder()
-        .zones(16, 64, 64)
-        .open_limits(8, 12)
-        .latency(LatencyConfig::instant())
-        .build();
+fn devices(config: &ZnsConfig) -> Vec<Arc<ZnsDevice>> {
     (0..DEVICES)
         .map(|i| {
             let dev = Arc::new(ZnsDevice::new(config.clone()));
@@ -388,409 +50,315 @@ fn ls_devices() -> Vec<Arc<ZnsDevice>> {
         .collect()
 }
 
-/// Scripted seal workload over five logical zones: flushed prefixes, a
-/// FUA barrier, a logged zone reset, a zone finish, then a cached tail
-/// that seals one full stripe (durable summary, cached data + parity)
-/// and leaves a partial stripe in memory.
-fn ls_seal_workload(v: &LsVolume) -> bench::BenchResult<Vec<ZoneModel>> {
-    let geo = v.geometry();
-    let z = |zone: u32| geo.zone_start(zone);
+/// Scripted workload over four logical zones: stripe buffers, partial
+/// parity logs, FUA barriers, a logged zone reset, zone finish, and
+/// cached tails (including a cached stripe completion with its parity
+/// write). `flush` is volume-global, so the durable phase comes first.
+fn raizn_script(p: &mut Pair<Raizn>) -> Result<(), String> {
+    p.write(0, 24, CACHED)?;
+    p.write(1, 16, WriteFlags::FUA)?;
+    p.write(2, 5, CACHED)?;
+    p.write(2, 2, WriteFlags::FUA)?;
+    p.write(3, 8, CACHED)?;
+    p.flush()?;
+    p.reset(3)?;
+    p.write(3, 10, CACHED)?;
+    p.flush()?;
+    p.finish(3)?;
+    // Cached tails.
+    p.write(0, 20, CACHED)?;
+    p.write(1, 11, CACHED)?;
+    p.write(2, 6, CACHED)
+}
 
-    let a0 = bytes(40, 0x1A0);
-    let a1 = bytes(20, 0x1A1);
-    let b0 = bytes(64, 0x1B0);
-    let c0 = bytes(24, 0x1C0);
-    let c1 = bytes(10, 0x1C1);
-    let d0 = bytes(64, 0x1D0);
-    let e0 = bytes(64, 0x1E0);
+/// Lifecycle crash point: a background zone finish or a batched zone
+/// reset interrupted after `k` of the array's per-device operations
+/// landed. Both are write-ahead logged: the remount replays the reset,
+/// and rolls the finish forward to Full at the logged write pointer —
+/// even when every already-sealed device is among the absent pair, the
+/// replicated finish log is witness enough. Either way the remount must
+/// agree with the model and leave the zone immediately usable.
+fn lifecycle_point(
+    target: &Raizn,
+    absent: &[usize],
+    mid_finish: bool,
+    k: usize,
+) -> Result<(), String> {
+    let fresh = || devices(&ZnsConfig::small_test());
+    let mut p = Pair::format(target, &fresh)?;
+    let stripe_data = p.vol.layout().stripe_data_sectors();
+    // Zone 0 takes the interruption; zone 1 is an untouched control.
+    p.write(0, 2 * stripe_data, CACHED)?;
+    p.write(1, stripe_data + 3, CACHED)?;
+    p.flush()?;
+    if mid_finish {
+        p.vol.interrupted_finish_for_test(T0, 0, k)
+    } else {
+        p.model[0] = ZoneModel::default();
+        p.vol.interrupted_reset_for_test(T0, 0, k)
+    }
+    .map_err(|e| e.to_string())?;
+    p.power_cycle(&Crash::uniform("", Loss::Lose, DEVICES).without(absent))?;
 
-    // Durable phase.
-    v.write(T0, z(0), &a0, WriteFlags::default())?;
-    v.flush(T0)?;
-    v.write(T0, z(1), &b0, WriteFlags::FUA)?;
-    v.write(T0, z(2), &c0, WriteFlags::default())?;
-    v.flush(T0)?;
-    v.reset_zone(T0, 2)?;
-    v.write(T0, z(2), &c1, WriteFlags::default())?;
-    v.flush(T0)?;
-    v.write(T0, z(3), &d0, WriteFlags::default())?;
-    v.flush(T0)?;
-    v.finish_zone(T0, 3)?;
+    if mid_finish {
+        let state = p.vol.zone_info(0).map_err(|e| e.to_string())?.state;
+        if state != ZoneState::Full {
+            return Err(format!("finish not rolled forward ({state:?})"));
+        }
+        // Roll-forward work (and its stat) happens only when a surviving
+        // device is still unsealed; if every live device already sealed,
+        // the remount just acknowledges the completed finish.
+        let surv_open = (k..DEVICES).any(|i| !absent.contains(&i));
+        let rolled = p.vol.stats().finish_rollforwards;
+        if rolled != u64::from(surv_open) {
+            return Err(format!("rollforward count {rolled}, {surv_open} expected"));
+        }
+        let phys = p.vol.layout().phys_zone(0);
+        for (i, dev) in p.members.iter().enumerate() {
+            let sealed = absent.contains(&i)
+                || dev.zone_info(phys).map_err(|e| e.to_string())?.state == ZoneState::Full;
+            if !sealed {
+                return Err(format!("device {i} left unsealed"));
+            }
+        }
+    }
+    p.rebuild_absent()?;
+    // The zone is immediately usable: rolled-forward finishes reopen
+    // via reset, replayed resets accept fresh data straight away.
+    if mid_finish {
+        p.reset(0)?;
+    }
+    p.write(0, 2, CACHED)?;
+    p.read(0, 0, 2)
+}
 
+/// Scripted lsraid seal workload over five logical zones: flushed
+/// prefixes, a FUA barrier, a logged zone reset, a zone finish, then a
+/// cached tail that seals one full stripe (durable summary, cached data +
+/// parity) and leaves a partial stripe in memory.
+fn ls_seal_script(p: &mut Pair<Ls>) -> Result<(), String> {
+    p.write(0, 40, CACHED)?;
+    p.flush()?;
+    p.write(1, 64, WriteFlags::FUA)?;
+    p.write(2, 24, CACHED)?;
+    p.flush()?;
+    p.reset(2)?;
+    p.write(2, 10, CACHED)?;
+    p.flush()?;
+    p.write(3, 64, CACHED)?;
+    p.flush()?;
+    p.finish(3)?;
     // Cached tail: 20 + 64 sectors fill one 64-sector stripe (sealed,
     // summary durable, data cached) and leave 20 in the stripe buffer.
-    v.write(T0, z(0) + 40, &a1, WriteFlags::default())?;
-    v.write(T0, z(4), &e0, WriteFlags::default())?;
-
-    Ok(vec![
-        ZoneModel {
-            data: [a0, a1].concat(),
-            durable: 40,
-        },
-        ZoneModel {
-            data: b0,
-            durable: 64,
-        },
-        ZoneModel {
-            data: c1,
-            durable: 10,
-        },
-        ZoneModel {
-            data: d0,
-            durable: 64,
-        },
-        ZoneModel {
-            data: e0,
-            durable: 0,
-        },
-    ])
+    p.write(0, 20, CACHED)?;
+    p.write(4, 64, CACHED)
 }
 
 /// Fills eight zones, overwrites enough of them to create a high-garbage
 /// sealed group, flushes (so every logical sector is durable), then runs
-/// GC up to the scenario's interruption point. The crash must never lose
-/// a byte: the reclaim ordering keeps old copies mapped until migrated
-/// ones are durable.
-fn ls_gc_workload(v: &Arc<LsVolume>, scenario: LsScenario) -> bench::BenchResult<Vec<ZoneModel>> {
-    let geo = v.geometry();
-    let cap = geo.zone_cap();
-    let mut models = Vec::new();
-    for zi in 0..8u32 {
-        let data = bytes(cap, 0x200 + u64::from(zi));
-        v.write(T0, geo.zone_start(zi), &data, WriteFlags::default())?;
-        models.push(ZoneModel { data, durable: cap });
+/// GC: with `reclaim`, until the victim's group-free record is durable and
+/// its zones are reset; without, until a victim is acquired and read, the
+/// migrated copies sit in cached cold-stream writes and the victim is not
+/// yet reclaimed. The crash must never lose a byte: the reclaim ordering
+/// keeps old copies mapped until migrated ones are durable.
+fn ls_gc_script(p: &mut Pair<Ls>, reclaim: bool) -> Result<(), String> {
+    let geo = p.vol.geometry();
+    for zone in 0..8 {
+        p.write(zone, geo.zone_cap(), CACHED)?;
     }
-    v.flush(T0)?;
-    // Overwrites: zones 0 and 1 fully, zone 2 half — the first sealed
-    // group (zones 0..3) is now 5/8 garbage and the preferred victim.
-    for zi in 0..2u32 {
-        let data = bytes(cap, 0x300 + u64::from(zi));
-        v.write(T0, geo.zone_start(zi), &data, WriteFlags::default())?;
-        models[zi as usize].data = data;
+    p.flush()?;
+    // Overwrites in place (lsraid remaps below the write pointer): all but
+    // the last zone of the first sealed group, the last of those by half —
+    // at parity 1, zones 0 and 1 fully and zone 2 half of zones 0..3, so
+    // the group is 5/8 garbage and the preferred victim with 96 sectors to
+    // migrate at either parity.
+    let last = (p.vol.group_capacity() / geo.zone_cap()) as u32 - 2;
+    for zone in 0..=last {
+        let sectors = geo.zone_cap() / if zone == last { 2 } else { 1 };
+        let data = p.payload(sectors);
+        p.vol
+            .write(T0, geo.zone_start(zone), &data, CACHED)
+            .map_err(|e| format!("overwrite: {e}"))?;
+        p.model[zone as usize].data[..data.len()].copy_from_slice(&data);
     }
-    let half = bytes(cap / 2, 0x380);
-    v.write(T0, geo.zone_start(2), &half, WriteFlags::default())?;
-    models[2].data[..half.len()].copy_from_slice(&half);
-    v.flush(T0)?;
+    p.flush()?;
 
-    let budget = if scenario == LsScenario::GcMigration {
-        // Just enough to seal one cold stripe (cached) and stop with the
-        // victim still acquired and unreclaimed.
-        96
-    } else {
-        1 << 20
-    };
     let mut mgr = GcManager::new(
-        v.clone(),
+        p.vol.clone(),
         // Watermarks above the pool size keep the collector at full
         // pressure, so every pump migrates regardless of free headroom.
         GcConfig {
-            budget_sectors: budget,
+            // Mid-migration: just enough to seal one cold stripe (cached)
+            // and stop with the victim still acquired and unreclaimed.
+            budget_sectors: if reclaim { 1 << 20 } else { 96 },
             low_water: 64,
             threshold_water: 65,
             high_water: 65,
             ..GcConfig::default()
         },
     );
-    let mut sink = DirectSink::new(v);
-    mgr.pump(T0, &mut sink)?;
-    if scenario == LsScenario::GcMigration {
-        gate!(
-            mgr.active(),
-            "gc workload: migration completed instead of stopping mid-flight"
-        );
-        gate!(
-            mgr.migrated_sectors() >= 64,
-            "gc workload: budget sealed no cold stripe ({} sectors)",
+    let mut sink = DirectSink::new(&p.vol);
+    let mut reclaimed = 0;
+    loop {
+        mgr.pump(T0, &mut sink)
+            .map_err(|e| format!("gc pump: {e}"))?;
+        if !reclaim || (!mgr.active() && mgr.reclaimed_groups() > 0) {
+            break;
+        }
+        if !mgr.active() && mgr.reclaimed_groups() == reclaimed {
+            return Err("gc pump made no progress toward a reclaim".into());
+        }
+        reclaimed = mgr.reclaimed_groups();
+    }
+    let mid_flight = mgr.active() && mgr.migrated_sectors() >= p.vol.stripe_data_sectors();
+    if !reclaim && !mid_flight {
+        return Err(format!(
+            "gc migration did not stop mid-flight with a cold stripe sealed ({} sectors)",
             mgr.migrated_sectors()
-        );
-    } else {
-        while mgr.active() || mgr.reclaimed_groups() == 0 {
-            let before = mgr.reclaimed_groups();
-            mgr.pump(T0, &mut sink)?;
-            gate!(
-                mgr.reclaimed_groups() > before || mgr.active(),
-                "gc workload: pump made no progress toward a reclaim"
-            );
-        }
+        ));
     }
-    Ok(models)
-}
-
-fn ls_verify(v: &LsVolume, models: &[ZoneModel], point: &str) -> bench::BenchResult {
-    let geo = v.geometry();
-    for (zi, m) in models.iter().enumerate() {
-        let info = v.zone_info(zi as u32)?;
-        let wp = info.write_pointer - info.start;
-        gate!(
-            wp >= m.durable,
-            "{point}: lsraid zone {zi} lost durable data (wp {wp} < durable {})",
-            m.durable
-        );
-        gate!(
-            wp <= m.written(),
-            "{point}: lsraid zone {zi} invented data (wp {wp} > written {})",
-            m.written()
-        );
-        if wp > 0 {
-            let mut out = vec![0u8; (wp * SECTOR_SIZE) as usize];
-            v.read(T0, geo.zone_start(zi as u32), &mut out)
-                .map_err(|e| {
-                    BenchError::Gate(format!("{point}: lsraid zone {zi} read failed: {e}"))
-                })?;
-            gate!(
-                out[..] == m.data[..out.len()],
-                "{point}: lsraid zone {zi} recovered data is not the written prefix (wp {wp})"
-            );
-        }
-    }
-    let rep = v
-        .scrub(T0)
-        .map_err(|e| BenchError::Gate(format!("{point}: lsraid scrub failed: {e}")))?;
-    gate!(
-        rep.parity_errors == 0 && rep.q_errors == 0,
-        "{point}: lsraid scrub found damage after recovery: {rep:?}"
-    );
     Ok(())
 }
 
-/// Runs one lsraid scenario on fresh devices, crashes each device with
-/// `policy_for(device)`, remounts and verifies the recovery invariants.
-fn run_ls_point(
-    point: &str,
-    scenario: LsScenario,
-    mut policy_for: impl FnMut(usize) -> CrashPolicy,
-) -> bench::BenchResult {
-    let devs = ls_devices();
-    let v = Arc::new(LsVolume::format(devs.clone(), LsConfig::default(), T0)?);
-    let models = match scenario {
-        LsScenario::Seal => ls_seal_workload(&v)?,
-        _ => ls_gc_workload(&v, scenario)?,
-    };
-    drop(v);
-    for (i, dev) in devs.iter().enumerate() {
-        let mut p = policy_for(i);
-        dev.crash(&mut p);
-    }
-    let v = LsVolume::mount(devs, LsConfig::default(), T0)
-        .map_err(|e| BenchError::Gate(format!("{point}: lsraid mount failed: {e}")))?;
-    ls_verify(&v, &models, point)
+/// A scripted workload: its name, the pin points it must at least expose,
+/// and the script.
+type Script<'a, T> = (
+    &'a str,
+    usize,
+    &'a dyn Fn(&mut Pair<T>) -> Result<(), String>,
+);
+
+/// The double-failure axis: the next of the ten member pairs, in turn.
+fn next_pair(turn: &Cell<usize>) -> Vec<usize> {
+    let mut pairs = absent_sets(DEVICES, 2);
+    pairs.retain(|set| set.len() == 2);
+    pairs.swap_remove(turn.replace(turn.get() + 1) % pairs.len())
 }
 
-/// Enumerates every surviving crash point of a scenario (each device
-/// zone pinned to each write pointer between its durable prefix and its
-/// written tail), sweeps both pin modes plus the two global extremes,
-/// and finishes with seeded whole-array random crashes.
-fn ls_sweep(name: &str, scenario: LsScenario, seed: u64) -> bench::BenchResult<usize> {
-    let devs = ls_devices();
-    let v = Arc::new(LsVolume::format(devs.clone(), LsConfig::default(), T0)?);
-    let models = match scenario {
-        LsScenario::Seal => ls_seal_workload(&v)?,
-        _ => ls_gc_workload(&v, scenario)?,
+/// Sweeps one script on one engine under the three enumerators. On a
+/// dual-parity engine the pin points and random trials also lose a pair of
+/// members, the next in `turn`; whatever is absent is rebuilt after the
+/// degraded check and checked again, scrubbed. A script that enumerates
+/// fewer than `floor` pin points has stopped leaving the state it names.
+fn sweep_script<T: FaultTarget>(
+    target: &T,
+    config: &ZnsConfig,
+    (name, floor, script): Script<T>,
+    (seed, trials): (u64, u64),
+    turn: &Cell<usize>,
+) -> bench::BenchResult<String> {
+    let fresh = || devices(config);
+    let history = |p: &mut Pair<T>, crash: &Crash| {
+        script(p)?;
+        p.power_cycle(crash)?;
+        p.rebuild_absent()
     };
-    ls_verify(&v, &models, &format!("lsraid {name} baseline"))?;
-    drop(v);
-    let num_zones = devs[0].geometry().num_zones();
-    let mut points: Vec<(usize, u32, u64)> = Vec::new();
-    for (d, dev) in devs.iter().enumerate() {
-        for zone in 0..num_zones {
-            let durable = dev.durable_wp(zone);
-            let info = dev.zone_info(zone)?;
-            let wp = info.write_pointer - info.start;
-            for s in durable..wp {
-                points.push((d, zone, s));
-            }
-        }
+    let lose_pairs = |crashes: Vec<Crash>| match target.tolerates() {
+        2 => crashes
+            .into_iter()
+            .map(|crash| crash.without(&next_pair(turn)))
+            .collect(),
+        _ => crashes,
+    };
+    let absent = absent_sets(DEVICES, target.tolerates());
+    let mut counts = [0; 3];
+    let swept = sweep(target, &fresh, history, |cached| {
+        let crashes = [
+            lose_pairs(pin_points(cached)),
+            keep_subsets(DEVICES, &absent),
+            lose_pairs(random_trials(DEVICES, seed, trials)),
+        ];
+        counts = [0, 1, 2].map(|i| crashes[i].len());
+        crashes.concat()
+    });
+    let (points, bad) = swept.map_err(BenchError::Gate)?;
+    if let Some((crash, violation)) = bad.first() {
+        return Err(BenchError::Gate(format!(
+            "{} {name} {}: {violation} ({} of {points} points bad)",
+            target.name(),
+            crash.point,
+            bad.len()
+        )));
     }
-
-    run_ls_point(&format!("lsraid {name} keep-cache"), scenario, |_| {
-        CrashPolicy::KeepCache
-    })?;
-    run_ls_point(&format!("lsraid {name} lose-cache"), scenario, |_| {
-        CrashPolicy::LoseCache
-    })?;
-    for (d, zone, s) in &points {
-        run_ls_point(
-            &format!("lsraid {name} pin dev {d} zone {zone} survivor {s}"),
-            scenario,
-            |i| {
-                if i == *d {
-                    CrashPolicy::pin_zone(*zone, *s)
-                } else {
-                    CrashPolicy::KeepCache
-                }
-            },
-        )?;
-        run_ls_point(
-            &format!("lsraid {name} pin+lose dev {d} zone {zone} survivor {s}"),
-            scenario,
-            |i| {
-                if i == *d {
-                    CrashPolicy::pin_zone_lose_rest(*zone, *s)
-                } else {
-                    CrashPolicy::LoseCache
-                }
-            },
-        )?;
-    }
-    for trial in 0..LS_RANDOM_TRIALS {
-        run_ls_point(
-            &format!("lsraid {name} random trial {trial}"),
-            scenario,
-            |i| CrashPolicy::Random(SimRng::new_stream(seed, trial * DEVICES as u64 + i as u64)),
-        )?;
-    }
-    Ok(points.len())
+    let pins = (counts[0] - 2) / 2;
+    bench::gate!(
+        pins >= floor,
+        "{} {name}: {pins} pin points, at least {floor} expected",
+        target.name()
+    );
+    Ok(format!(
+        "{name} {pins} pin points x 2 modes + 2 extremes, {} keep-subset points, {} random trials",
+        counts[1], counts[2]
+    ))
 }
-
-const LS_RANDOM_TRIALS: u64 = 16;
 
 fn main() -> bench::BenchResult {
     let mut seed = 42u64;
-    let mut raid6 = false;
-    let mut rest = bench::cli_args();
-    // Crash points must replay one at a time to pin blame; the flag
-    // exists for CLI uniformity.
-    bench::note_single_threaded("crash_sweep", bench::take_threads(&mut rest)?);
-    let mut args = rest.into_iter();
+    let mut args = bench::cli_args().into_iter();
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| BenchError::Gate("--seed needs an integer".into()))?;
-            }
-            "--raid6" => raid6 = true,
-            other => {
+        seed = match (a.as_str(), args.next().and_then(|s| s.parse().ok())) {
+            ("--seed", Some(seed)) => seed,
+            _ => {
                 return Err(BenchError::Gate(format!(
-                    "unknown argument {other:?} (usage: crash_sweep [--seed N] [--raid6] [--threads N])"
-                )));
+                    "bad argument {a:?} (usage: crash_sweep [--seed N])"
+                )))
             }
-        }
+        };
     }
-    let cfg = if raid6 {
-        RaiznConfig::small_test_raizn2()
-    } else {
-        RaiznConfig::small_test()
-    };
-    // `--raid6` cycles one device pair per crash point so the sweep stays
-    // the same length while every pair recurs across the enumeration.
-    let mut pair_seq = 0usize;
-    let mut next_pair = || {
-        if raid6 {
-            let p = PAIRS[pair_seq % PAIRS.len()];
-            pair_seq += 1;
-            Some(p)
-        } else {
-            None
-        }
-    };
-
-    // Baseline run: verify and snapshot the crash-point ranges.
-    let base_devs = devices();
-    let v = RaiznVolume::format(base_devs.clone(), cfg, T0)?;
-    let models = run_workload(&v)?;
-    verify(&v, &models, "baseline", true)?;
-    drop(v);
-    let num_zones = base_devs[0].geometry().num_zones();
-    let mut points: Vec<(usize, u32, u64)> = Vec::new();
-    for (d, dev) in base_devs.iter().enumerate() {
-        for zone in 0..num_zones {
-            let durable = dev.durable_wp(zone);
-            let info = dev.zone_info(zone)?;
-            let wp = info.write_pointer - info.start;
-            for s in durable..wp {
-                points.push((d, zone, s));
-            }
-        }
-    }
-    println!(
-        "crash sweep{}: {} enumerated crash points x 2 pin modes + {} random trials (seed {seed})",
-        if raid6 { " [raid6]" } else { "" },
-        points.len(),
-        RANDOM_TRIALS
-    );
-
-    // Global extremes.
-    run_point("keep-cache", &cfg, next_pair(), |_| CrashPolicy::KeepCache)?;
-    run_point("lose-cache", &cfg, next_pair(), |_| CrashPolicy::LoseCache)?;
-
-    // Lifecycle crash points: a background finish interrupted after k of
-    // 5 device seals, and a batched reset interrupted after k of 5
-    // device resets (k = 0 leaves only the WAL intent in both cases).
-    let mut lifecycle_points = 0usize;
-    for k in 0..DEVICES {
-        run_lifecycle_point(&cfg, next_pair(), true, k)?;
-        lifecycle_points += 1;
-    }
-    for k in 0..DEVICES {
-        run_lifecycle_point(&cfg, next_pair(), false, k)?;
-        lifecycle_points += 1;
-    }
-
-    // Exhaustive single-zone pins: the probed zone survives at `s`
-    // while the rest of the array keeps (mode A) or loses (mode B) its
-    // cache.
-    for (d, zone, s) in &points {
-        run_point(
-            &format!("pin dev {d} zone {zone} survivor {s}"),
-            &cfg,
-            next_pair(),
-            |i| {
-                if i == *d {
-                    CrashPolicy::pin_zone(*zone, *s)
-                } else {
-                    CrashPolicy::KeepCache
-                }
-            },
+    let (small, roomy) = (ZnsConfig::small_test(), roomy_config());
+    for parity in [1, 2] {
+        let (target, turn) = (Raizn::small(parity), Cell::new(0));
+        let swept = sweep_script(
+            &target,
+            &small,
+            ("mixed", [56, 83][parity as usize - 1], &raizn_script),
+            (seed, RANDOM_TRIALS),
+            &turn,
         )?;
-        run_point(
-            &format!("pin+lose dev {d} zone {zone} survivor {s}"),
-            &cfg,
-            next_pair(),
-            |i| {
-                if i == *d {
-                    CrashPolicy::pin_zone_lose_rest(*zone, *s)
-                } else {
-                    CrashPolicy::LoseCache
-                }
-            },
-        )?;
+        // Lifecycle crash points: a background finish interrupted after k
+        // of 5 device seals, and a batched reset interrupted after k of 5
+        // device resets (k = 0 leaves only the WAL intent in both cases).
+        for (mid_finish, k) in [true, false]
+            .into_iter()
+            .flat_map(|f| (0..DEVICES).map(move |k| (f, k)))
+        {
+            let absent = match parity {
+                2 => next_pair(&turn),
+                _ => Vec::new(),
+            };
+            lifecycle_point(&target, &absent, mid_finish, k).map_err(|e| {
+                let what = if mid_finish { "finish" } else { "reset" };
+                BenchError::Gate(format!(
+                    "{} lifecycle {what} k={k} absent {absent:?}: {e}",
+                    target.name()
+                ))
+            })?;
+        }
+        println!(
+            "crash sweep [{}]: PASS ({swept}, {} lifecycle points; seed {seed})",
+            target.name(),
+            2 * DEVICES
+        );
     }
-
-    // Seeded whole-array random crashes: every zone of every device
-    // rolls independently.
-    for trial in 0..RANDOM_TRIALS {
-        run_point(&format!("random trial {trial}"), &cfg, next_pair(), |i| {
-            CrashPolicy::Random(SimRng::new_stream(seed, trial * DEVICES as u64 + i as u64))
-        })?;
+    // Log-structured engine: a stripe-group seal, a mid-flight GC
+    // migration, and a completed GC reclaim (the extremes, subsets and
+    // random trials cover the latter's all-durable state; it enumerates no
+    // cached points).
+    let scripts: [Script<Ls>; 3] = [
+        ("seal", 100, &ls_seal_script),
+        ("gc-migration", 112, &|p| ls_gc_script(p, false)),
+        ("gc-reclaim", 0, &|p| ls_gc_script(p, true)),
+    ];
+    for parity in [1, 2] {
+        let target = Ls::small(parity);
+        for (script, seed) in scripts.iter().zip(seed..) {
+            let trials = (seed, LS_RANDOM_TRIALS);
+            let swept = sweep_script(&target, &roomy, *script, trials, &Cell::new(0))?;
+            println!(
+                "crash sweep [{}]: PASS ({swept}; seed {seed})",
+                target.name()
+            );
+        }
     }
-
-    println!(
-        "crash sweep{}: PASS ({} points x 2 modes, 2 extremes, {} lifecycle points, {} random trials)",
-        if raid6 { " [raid6]" } else { "" },
-        points.len(),
-        lifecycle_points,
-        RANDOM_TRIALS
-    );
-
-    // Log-structured engine: the same exhaustive pin sweep over a
-    // stripe-group seal, a mid-flight GC migration, and a completed GC
-    // reclaim (the two extremes and random trials cover the latter's
-    // all-durable state; it enumerates no cached points).
-    let seal_points = ls_sweep("seal", LsScenario::Seal, seed)?;
-    let gc_points = ls_sweep(
-        "gc-migration",
-        LsScenario::GcMigration,
-        seed.wrapping_add(1),
-    )?;
-    let reclaim_points = ls_sweep("gc-reclaim", LsScenario::GcReclaim, seed.wrapping_add(2))?;
-    println!(
-        "crash sweep [lsraid]: PASS (seal {seal_points} + gc-migration {gc_points} + \
-         gc-reclaim {reclaim_points} points x 2 modes, 2 extremes and {LS_RANDOM_TRIALS} \
-         random trials each)"
-    );
-
     bench::write_breakdown("crash_sweep")
 }

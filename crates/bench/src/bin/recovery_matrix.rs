@@ -5,92 +5,28 @@
 //!
 //! One history: write `[0, f)` in writes of `step` sectors, flush, write
 //! `[f, len)` the same way, lose power with one subset of the five members
-//! keeping its write cache, lose the `absent` members, mount, read every
-//! sector below the recovered write pointer, scrub (when no member is
-//! absent). The matrix is single and dual parity × four lengths × four
-//! flush points × three write sizes × all 32 keep-cache subsets × the
-//! absent sets the parity level tolerates (none and each single member;
-//! none and four pairs) — 16 896 histories.
+//! keeping its write cache, lose the `absent` members, mount, and pass the
+//! harness's recovery check (`workloads::harness::Pair::check`; scrubbed
+//! when no member is absent). The matrix is single and dual parity × four
+//! lengths × four flush points × three write sizes × all 32 keep-cache
+//! subsets × the absent sets of `matrix_absent_sets` (none and each single
+//! member; none and four pairs) — 16 896 histories.
 //!
-//! A measurement, not a gate: prints the count per failure class and
-//! exits zero. `--list` also prints every bad history.
+//! Prints the count per failure class; `--list` also prints every bad
+//! history. A gate: exits nonzero on any bad history outside ROADMAP item
+//! 1's recorded residual (dual parity, two members absent, a flushed tail
+//! rolled back) or on more of those than recorded.
 
-use raizn::{RaiznConfig, RaiznVolume};
-use sim::{SimRng, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use zns::{CrashPolicy, WriteFlags, ZnsConfig, ZnsDevice, ZonedVolume, SECTOR_SIZE};
+use workloads::harness::{keep_subsets, matrix_absent_sets, sweep, Raizn, LOST_DURABLE};
+use zns::{ZnsConfig, ZnsDevice};
 
-const T0: SimTime = SimTime::ZERO;
 const MEMBERS: usize = 5;
 const FLUSH_POINTS: [u64; 4] = [0, 6, 16, 25];
 const STEPS: [u64; 3] = [1, 5, 64];
-const ABSENT_PAIRS: [[usize; 2]; 4] = [[0, 2], [1, 3], [1, 4], [2, 3]];
-
-struct History {
-    config: RaiznConfig,
-    len: u64,
-    flushed: u64,
-    step: u64,
-    keep: u32,
-    absent: Vec<usize>,
-}
-
-/// Runs one history; `Err` names the failure class.
-fn run(h: &History) -> Result<(), String> {
-    let devs: Vec<Arc<ZnsDevice>> = (0..MEMBERS)
-        .map(|_| Arc::new(ZnsDevice::new(ZnsConfig::small_test())))
-        .collect();
-    let v = RaiznVolume::format(devs.clone(), h.config, T0).map_err(|e| format!("format: {e}"))?;
-    let mut model = vec![0u8; (h.len * SECTOR_SIZE) as usize];
-    SimRng::new(h.len ^ h.flushed << 16).fill_bytes(&mut model);
-    let write = |from: u64, to: u64| -> Result<(), String> {
-        for lba in (from..to).step_by(h.step as usize) {
-            let end = (lba + h.step).min(to);
-            let chunk = &model[(lba * SECTOR_SIZE) as usize..(end * SECTOR_SIZE) as usize];
-            v.write(T0, lba, chunk, WriteFlags::default())
-                .map_err(|e| format!("write: {e}"))?;
-        }
-        Ok(())
-    };
-    write(0, h.flushed)?;
-    v.flush(T0).map_err(|e| format!("flush: {e}"))?;
-    write(h.flushed, h.len)?;
-    drop(v);
-    for (i, d) in devs.iter().enumerate() {
-        d.crash(&mut if h.keep & (1 << i) != 0 {
-            CrashPolicy::KeepCache
-        } else {
-            CrashPolicy::LoseCache
-        });
-    }
-    for a in &h.absent {
-        devs[*a].fail();
-    }
-    let v = RaiznVolume::mount(devs.clone(), h.config, T0)
-        .map_err(|e| format!("mount fails: {}", strip_numbers(&e.to_string())))?;
-    let wp = v
-        .zone_info(0)
-        .map_err(|e| format!("zone_info: {e}"))?
-        .write_pointer;
-    if wp < h.flushed {
-        return Err("flushed sectors rolled back".into());
-    }
-    if wp > h.len {
-        return Err("write pointer past what was written".into());
-    }
-    let mut out = vec![0u8; SECTOR_SIZE as usize];
-    for s in 0..wp {
-        let readable = v.read(T0, s, &mut out).is_ok();
-        if !readable || out != model[(s * SECTOR_SIZE) as usize..][..out.len()] {
-            return Err("write pointer exposed past an unreadable sector".into());
-        }
-    }
-    if h.absent.is_empty() {
-        v.scrub(T0).map_err(|_| "scrub errors".to_string())?;
-    }
-    Ok(())
-}
+/// Histories of the recorded residual class at the commit that recorded it.
+const RESIDUAL_CEILING: u64 = 224;
 
 /// An error message with its numbers blanked, so one defect is one class.
 fn strip_numbers(msg: &str) -> String {
@@ -105,42 +41,47 @@ fn strip_numbers(msg: &str) -> String {
     out
 }
 
-fn main() {
+fn main() -> bench::BenchResult {
     let list = std::env::args().any(|a| a == "--list");
+    let fresh = || -> Vec<Arc<ZnsDevice>> {
+        (0..MEMBERS)
+            .map(|_| Arc::new(ZnsDevice::new(ZnsConfig::small_test())))
+            .collect()
+    };
     let mut classes: BTreeMap<String, u64> = BTreeMap::new();
-    let mut total = 0u64;
-    for config in [RaiznConfig::small_test(), RaiznConfig::small_test_raizn2()] {
-        let cap = (MEMBERS as u64 - u64::from(config.parity)) * 64;
-        let mut absent_sets = vec![vec![]];
-        if config.parity == 2 {
-            absent_sets.extend(ABSENT_PAIRS.map(|p| p.to_vec()));
-        } else {
-            absent_sets.extend((0..MEMBERS).map(|a| vec![a]));
-        }
+    let (mut total, mut residual, mut unrecorded) = (0, 0, 0);
+    for parity in [1, 2] {
+        let target = Raizn::small(parity);
+        let cap = (MEMBERS as u64 - u64::from(parity)) * 64;
+        let absent = matrix_absent_sets(parity as usize);
         for len in [30, cap / 2 + 3, cap - 5, cap] {
             for (flushed, step) in FLUSH_POINTS.iter().flat_map(|f| STEPS.map(|s| (*f, s))) {
-                for (keep, absent) in
-                    (0..32u32).flat_map(|k| absent_sets.iter().map(move |a| (k, a.clone())))
-                {
-                    let h = History {
-                        config,
-                        len,
-                        flushed,
-                        step,
-                        keep,
-                        absent,
-                    };
-                    total += 1;
-                    if let Err(class) = run(&h) {
-                        if list {
-                            println!(
-                                "p{} len {len} flushed {flushed} step {step} keep {keep:05b} \
-                                 absent {:?}: {class}",
-                                config.parity, h.absent
-                            );
-                        }
-                        *classes.entry(class).or_default() += 1;
+                let (points, bad) = sweep(
+                    &target,
+                    &fresh,
+                    |p, crash| {
+                        p.write_in(0, flushed, step)?;
+                        p.flush()?;
+                        p.write_in(0, len - flushed, step)?;
+                        p.power_cycle(crash)
+                    },
+                    |_| keep_subsets(MEMBERS, &absent),
+                )
+                .map_err(bench::BenchError::Gate)?;
+                total += points;
+                for (crash, violation) in bad {
+                    let class = strip_numbers(&violation);
+                    if list {
+                        println!(
+                            "p{parity} len {len} flushed {flushed} step {step} {}: {class}",
+                            crash.point
+                        );
                     }
+                    match parity == 2 && crash.absent.len() == 2 && class.contains(LOST_DURABLE) {
+                        true => residual += 1,
+                        false => unrecorded += 1,
+                    }
+                    *classes.entry(class).or_default() += 1;
                 }
             }
         }
@@ -152,6 +93,12 @@ fn main() {
     }
     println!(
         "| **bad / total** | **{} / {total}** |",
-        classes.values().sum::<u64>()
+        residual + unrecorded
     );
+    bench::gate!(
+        unrecorded == 0 && residual <= RESIDUAL_CEILING,
+        "{unrecorded} bad histories outside the recorded residual class, {residual} inside \
+         (ceiling {RESIDUAL_CEILING})"
+    );
+    Ok(())
 }

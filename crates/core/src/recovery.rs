@@ -216,10 +216,14 @@ impl RaiznVolume {
                         .map(|r| r.valid <= *valid_sectors)
                         .unwrap_or(true);
                     if better {
+                        // The record carries the valid rows (a full unit
+                        // when an older mount wrote it).
+                        let mut data = data.clone();
+                        data.resize(su_bytes, 0);
                         relocated.insert(
                             key,
                             RelocatedUnit {
-                                data: data.clone(),
+                                data,
                                 valid: *valid_sectors,
                             },
                         );
@@ -400,10 +404,25 @@ impl RaiznVolume {
             lz,
             wp,
             decoded: Vec::new(),
+            relocated_parity: Vec::new(),
         };
         let claim = rec.claim(pp_frontier, sealed, finish_wp);
         let fill = rec.readable_prefix(claim)?;
-        let (wp, decoded) = (rec.wp, rec.decoded);
+        let (wp, decoded, relocated_parity) = (rec.wp, rec.decoded, rec.relocated_parity);
+        for (stripe, dev, row0, rows) in relocated_parity {
+            let rel = m.relocated.get_mut(&(lz, stripe, dev));
+            let rel = rel.ok_or_else(|| internal("walk rebuilt a relocation it did not find"))?;
+            rel.data[(row0 * SECTOR_SIZE) as usize..][..rows.len()].copy_from_slice(&rows);
+            rel.valid = row0 + rows.len() as u64 / SECTOR_SIZE;
+        }
+        // A rollback strands the rows a relocated unit holds past the
+        // settled frontier: left valid they would be re-logged, claimed by
+        // the next mount and exposed as data.
+        for ((_, stripe, dev), rel) in m.relocated.iter_mut().filter(|((z2, ..), _)| *z2 == lz) {
+            let keep = layout.slot_extent(lz, *stripe, *dev, fill).min(rel.valid);
+            rel.data[(keep * SECTOR_SIZE) as usize..].fill(0);
+            rel.valid = keep;
+        }
 
         // ---- Settle. -----------------------------------------------------
         // Seed the stripe buffer for an incomplete final stripe ("up to one
@@ -702,6 +721,9 @@ struct ZoneRecovery<'a> {
     /// The walk's by-product: the rows it decoded for the data units the
     /// absent members held in the stripe its prefix ends in, by unit.
     decoded: Vec<(u64, Vec<u8>)>,
+    /// Rows the walk rebuilt for relocated parity slots, as `(stripe,
+    /// member, first row, rows)`; settle extends the relocations by them.
+    relocated_parity: Vec<(u64, u32, u64, Vec<u8>)>,
 }
 
 impl ZoneRecovery<'_> {
@@ -1010,11 +1032,14 @@ impl ZoneRecovery<'_> {
                 }
                 // Largest reconstructable prefix [have, best) of the short
                 // rows: a durable prefix can be decodable from an older pp
-                // snapshot even when the cached tail died with a device. A
-                // short relocation cannot be extended here.
+                // snapshot even when the cached tail died with a device. Of
+                // the short relocations only a parity slot's is extended
+                // (its record died with the cache; settle re-logs it): later
+                // probes of this stripe would not see a data unit's rows.
                 let mut best = have;
                 let mut repaired: Vec<u8> = Vec::new();
-                if !self.m.relocated.contains_key(&(lz, stripe, dev)) {
+                let relocated = self.m.relocated.contains_key(&(lz, stripe, dev));
+                if !relocated || unit.is_none() {
                     for want in (have + 1..=needed).rev() {
                         let mut out = vec![0u8; ((want - have) * SECTOR_SIZE) as usize];
                         if self.rebuild_rows(stripe, dev, (have, want), complete, &mut out)? {
@@ -1030,6 +1055,8 @@ impl ZoneRecovery<'_> {
                 }
                 if best > have && failed {
                     self.decoded.extend(unit.map(|k| (k, repaired)));
+                } else if best > have && relocated {
+                    self.relocated_parity.push((stripe, dev, have, repaired));
                 } else if best > have && !write_blocked[dev as usize] {
                     // Repair in place so the exposed prefix stays directly
                     // readable on healthy devices.

@@ -1029,6 +1029,9 @@ impl RaiznVolume {
         checkpoint: bool,
     ) -> MdRecordRef<'a> {
         let unit = &live.relocated[&key];
+        // Only the valid rows are logged: a ghost slot's empty relocation
+        // costs its header sector, and replay pads the unit back out.
+        let data = &unit.data[..(unit.valid * SECTOR_SIZE) as usize];
         let stripe_data = self.layout.stripe_data_sectors();
         let sstart = self.layout.logical_geometry().zone_start(lzone) + stripe * stripe_data;
         MdRecordRef::new(
@@ -1036,7 +1039,7 @@ impl RaiznVolume {
                 lzone,
                 stripe,
                 valid_sectors: unit.valid,
-                data: &unit.data,
+                data,
             },
             checkpoint,
             sstart,
@@ -2481,13 +2484,10 @@ impl RaiznVolume {
                                 let len = out.len();
                                 out.copy_from_slice(&buf.unit_data(k)[..len]);
                             }
-                            _ => {
-                                // No buffer (e.g. finished zone): reconstruct
-                                // readable rows from surviving devices is not
-                                // possible without parity; read from survivors
-                                // directly is not possible either (this IS the
-                                // missing device). Treat as zeros.
-                            }
+                            // Mount and `finish_zone` always leave the
+                            // buffer of an incomplete stripe seeded; fail
+                            // rather than install zeros as data.
+                            _ => return Err(internal("incomplete stripe without its buffer")),
                         }
                         reads_done = cursor;
                     } else {

@@ -6,6 +6,9 @@
 use raizn::{RaiznConfig, RaiznVolume};
 use sim::{SimRng, SimTime};
 use std::sync::Arc;
+use workloads::harness::{
+    keep_subsets, matrix_absent_sets, oracle, sweep, Crash, Loss, Ls, Pair, Raizn, ABSENT_PAIRS,
+};
 use zns::{
     CrashPolicy, LatencyConfig, WriteFlags, ZnsConfig, ZnsDevice, ZoneState, ZonedVolume,
     SECTOR_SIZE,
@@ -475,175 +478,16 @@ fn metadata_gc_interruption_preserves_metadata() {
 
 #[test]
 fn randomized_crash_storm_oracle() {
-    // Randomized campaign: random writes/flushes/FUAs/resets, random
-    // crash points, remount each time and check the oracle:
-    //  (1) everything below the recovered write pointer matches what was
-    //      written, and
-    //  (2) everything acknowledged as durable (flush/FUA) is still there.
-    let mut rng = SimRng::new(4242);
-    for round in 0..40 {
-        let devs = devices(5);
-        let mut v = RaiznVolume::format(devs.clone(), RaiznConfig::small_test(), T0).unwrap();
-        let g = v.geometry();
-        let zones = 3u32.min(g.num_zones());
-        // Oracle state per zone: written data and durable watermark.
-        let mut model: Vec<Vec<u8>> = (0..zones)
-            .map(|_| vec![0u8; (g.zone_cap() * SECTOR_SIZE) as usize])
-            .collect();
-        let mut wp = vec![0u64; zones as usize];
-        let mut durable = vec![0u64; zones as usize];
-        // Per-zone finished flag (finished zones accept no more writes
-        // until reset).
-        let mut finished = vec![false; zones as usize];
-        // Two crash/remount generations per round: the second exercises
-        // recovery of already-recovered state (ghost slots, relocations,
-        // reseeded stripe buffers).
-        for generation in 0..2 {
-            let ops = 30 + rng.gen_range(40);
-            for op in 0..ops {
-                let op = generation * 1000 + op;
-                let z = rng.gen_range(zones as u64) as u32;
-                let dbg = std::env::var_os("STORM_DEBUG").is_some();
-                match rng.gen_range(12) {
-                    0 => {
-                        if dbg {
-                            eprintln!("[storm] flush");
-                        }
-                        // flush: everything becomes durable
-                        v.flush(T0).unwrap();
-                        for (w, d) in wp.iter().zip(durable.iter_mut()) {
-                            *d = *w;
-                        }
-                    }
-                    1 => {
-                        if wp[z as usize] > 0 {
-                            if dbg {
-                                eprintln!("[storm] reset z={z}");
-                            }
-                            v.reset_zone(T0, z).unwrap();
-                            wp[z as usize] = 0;
-                            durable[z as usize] = 0;
-                            model[z as usize].fill(0);
-                            finished[z as usize] = false;
-                        }
-                    }
-                    2 => {
-                        // finish: seals the zone and makes its prefix durable
-                        if wp[z as usize] > 0 && !finished[z as usize] {
-                            if dbg {
-                                eprintln!("[storm] finish z={z} wp={}", wp[z as usize]);
-                            }
-                            v.finish_zone(T0, z).unwrap();
-                            finished[z as usize] = true;
-                            durable[z as usize] = wp[z as usize];
-                        }
-                    }
-                    3 => {
-                        // zone append (sequentialized by the volume)
-                        if finished[z as usize] {
-                            continue;
-                        }
-                        let remaining = g.zone_cap() - wp[z as usize];
-                        if remaining == 0 {
-                            continue;
-                        }
-                        let n = 1 + rng.gen_range(remaining.min(6));
-                        let data = bytes(n, round * 20_000 + op);
-                        if dbg {
-                            eprintln!("[storm] append z={z} wp={} n={n}", wp[z as usize]);
-                        }
-                        let a = v.append(T0, z, &data, WriteFlags::default()).unwrap();
-                        assert_eq!(a.lba, g.zone_start(z) + wp[z as usize]);
-                        let off = (wp[z as usize] * SECTOR_SIZE) as usize;
-                        model[z as usize][off..off + data.len()].copy_from_slice(&data);
-                        wp[z as usize] += n;
-                    }
-                    _ => {
-                        if finished[z as usize] {
-                            continue;
-                        }
-                        let remaining = g.zone_cap() - wp[z as usize];
-                        if remaining == 0 {
-                            continue;
-                        }
-                        let n = 1 + rng.gen_range(remaining.min(12));
-                        let data = bytes(n, round * 10_000 + op);
-                        let fua = rng.gen_bool(0.25);
-                        let preflush = rng.gen_bool(0.1);
-                        let flags = WriteFlags { fua, preflush };
-                        if dbg {
-                            eprintln!(
-                                "[storm] write z={z} wp={} n={n} fua={fua} preflush={preflush}",
-                                wp[z as usize]
-                            );
-                        }
-                        v.write(T0, g.zone_start(z) + wp[z as usize], &data, flags)
-                            .unwrap();
-                        if preflush {
-                            // everything written before this op became durable
-                            for (w, d) in wp.iter().zip(durable.iter_mut()) {
-                                *d = *w;
-                            }
-                        }
-                        let off = (wp[z as usize] * SECTOR_SIZE) as usize;
-                        model[z as usize][off..off + data.len()].copy_from_slice(&data);
-                        wp[z as usize] += n;
-                        if fua {
-                            durable[z as usize] = wp[z as usize];
-                        }
-                    }
-                }
-            }
-            drop(v);
-            if std::env::var_os("STORM_DEBUG").is_some() {
-                eprintln!("[storm] CRASH round={round} gen={generation} model_wp={wp:?} durable={durable:?}");
-            }
-            crash_all(&devs, &mut CrashPolicy::Random(rng.fork()));
-            let v2 = RaiznVolume::mount(devs.clone(), RaiznConfig::small_test(), T0)
-                .unwrap_or_else(|e| panic!("round {round}: mount failed: {e}"));
-            for z in 0..zones {
-                let info = v2.zone_info(z).unwrap();
-                let got_wp = info.write_pointer - g.zone_start(z);
-                assert!(
-                    got_wp >= durable[z as usize],
-                    "round {round} zone {z}: durable data lost (wp {got_wp} < durable {})",
-                    durable[z as usize]
-                );
-                assert!(
-                    got_wp <= wp[z as usize],
-                    "round {round} zone {z}: wp beyond written data"
-                );
-                if got_wp > 0 {
-                    let mut out = vec![0u8; (got_wp * SECTOR_SIZE) as usize];
-                    v2.read(T0, g.zone_start(z), &mut out).unwrap_or_else(|e| {
-                        panic!("round {round} zone {z}: read below wp failed: {e}")
-                    });
-                    let expect = &model[z as usize][..out.len()];
-                    if out != expect {
-                        let bad_sector = out
-                            .chunks(SECTOR_SIZE as usize)
-                            .zip(expect.chunks(SECTOR_SIZE as usize))
-                            .position(|(a, b)| a != b)
-                            .unwrap();
-                        panic!(
-                            "round {round} gen {generation} zone {z}: recovered data \
-                         mismatch at sector {bad_sector} (wp={got_wp}, durable={}, \
-                         written={})",
-                            durable[z as usize], wp[z as usize]
-                        );
-                    }
-                }
-            }
-            // Adopt the recovered state as the next generation's baseline;
-            // everything on media is durable after a power cycle.
-            for z in 0..zones {
-                let info = v2.zone_info(z).unwrap();
-                let got_wp = info.write_pointer - g.zone_start(z);
-                wp[z as usize] = got_wp;
-                durable[z as usize] = got_wp;
-                finished[z as usize] = info.state == zns::ZoneState::Full;
-            }
-            v = v2;
+    // Randomized campaign on small_test's tight zone budget (three data
+    // zones beside the metadata zones): the harness's seeded oracle —
+    // random writes/appends/flushes/FUAs/resets/finishes, two random-loss
+    // power cycles, the rest of each run on the recovered state (ghost
+    // slots, relocations, reseeded stripe buffers) — on every engine.
+    for seed in 4242..4282 {
+        for parity in [1, 2] {
+            let config = ZnsConfig::small_test();
+            oracle(&Raizn::small(parity), &config, seed, 100, 2).unwrap_or_else(|e| panic!("{e}"));
+            oracle(&Ls::small(parity), &config, seed, 100, 2).unwrap_or_else(|e| panic!("{e}"));
         }
     }
 }
@@ -766,64 +610,27 @@ fn own_append_md_gc_keeps_earlier_parity_rows() {
     assert_eq!(recovered, wp, "flushed tail lost");
 }
 
-/// The member pairs the dual-parity histories lose: neighbours, one and
-/// two apart, with and without the first and last member.
-const ABSENT_PAIRS: [[usize; 2]; 4] = [[0, 2], [1, 3], [1, 4], [2, 3]];
-
-/// The absent-member sets a five-member array is mounted with: none, then
-/// as many members as the parity level tolerates — each single member, or
-/// each of [`ABSENT_PAIRS`] (a pair covers what either member alone would).
-fn absent_sets(parity: u32) -> Vec<Vec<usize>> {
-    let mut sets = vec![vec![]];
-    if parity == 2 {
-        sets.extend(ABSENT_PAIRS.map(|pair| pair.to_vec()));
-    } else {
-        sets.extend((0..5).map(|a| vec![a]));
-    }
-    sets
-}
-
-/// Power loss in which exactly the members of the `keep` bit mask keep
-/// their write cache, then the loss of the `absent` members; mounts what
-/// is left.
-fn mount_after_power_loss(
-    devs: &[Arc<ZnsDevice>],
-    config: RaiznConfig,
-    keep: u32,
-    absent: &[usize],
-) -> Result<RaiznVolume, String> {
-    for (i, d) in devs.iter().enumerate() {
-        d.crash(&mut if keep & (1 << i) != 0 {
-            CrashPolicy::KeepCache
-        } else {
-            CrashPolicy::LoseCache
-        });
-    }
-    for a in absent {
-        devs[*a].fail();
-    }
-    RaiznVolume::mount(devs.to_vec(), config, T0).map_err(|e| format!("mount: {e}"))
-}
-
-/// The recovered write pointer of `zone` (zone-relative), after checking
-/// that it lies in `[durable, model]` sectors and that every sector below
-/// it reads back as `model` has it.
-fn recovered_prefix(v: &RaiznVolume, zone: u32, model: &[u8], durable: u64) -> Result<u64, String> {
-    let start = v.geometry().zone_start(zone);
-    let wp = v.zone_info(zone).unwrap().write_pointer - start;
-    let written = model.len() as u64 / SECTOR_SIZE;
-    if wp < durable || wp > written {
-        return Err(format!("wp {wp} outside [{durable}, {written}]"));
-    }
-    let mut out = vec![0u8; SECTOR_SIZE as usize];
-    for s in 0..wp {
-        v.read(T0, start + s, &mut out)
-            .map_err(|e| format!("sector {s} below wp {wp}: {e}"))?;
-        if out != model[(s * SECTOR_SIZE) as usize..][..out.len()] {
-            return Err(format!("sector {s} below wp {wp} reads back wrong"));
-        }
-    }
-    Ok(wp)
+/// Sweeps `history` on `members` fresh `zns` devices under `crashes`;
+/// returns the histories run and, of each bad one, `row` and what went
+/// wrong.
+fn bad_histories(
+    row: &str,
+    (config, members, zns): (RaiznConfig, usize, &ZnsConfig),
+    history: impl Fn(&mut Pair<Raizn>) -> Result<(), String>,
+    crashes: Vec<Crash>,
+) -> (usize, Vec<String>) {
+    let fresh = || -> Vec<_> {
+        (0..members)
+            .map(|_| Arc::new(ZnsDevice::new(zns.clone())))
+            .collect()
+    };
+    let history = |p: &mut Pair<Raizn>, crash: &Crash| {
+        history(p)?;
+        p.power_cycle(crash)
+    };
+    let (total, bad) = sweep(&Raizn(config), &fresh, history, |_| crashes).unwrap();
+    let bad = bad.iter().map(|(c, e)| format!("{row} {}: {e}", c.point));
+    (total, bad.collect())
 }
 
 /// Fails listing `bad` when any of `total` histories went wrong.
@@ -836,90 +643,47 @@ fn assert_no_bad_histories(bad: &[String], total: usize) {
     );
 }
 
-/// One history of [`filled_zone_lost_tail_exposes_only_what_it_can_serve`]:
-/// `[0, f)` flushed, `[f, cap)` written in one call, then the power loss.
-fn lost_tail_history(
-    config: RaiznConfig,
-    f: u64,
-    keep: u32,
-    absent: &[usize],
-) -> Result<(), String> {
-    let devs = devices(5);
-    let v = RaiznVolume::format(devs.clone(), config, T0).unwrap();
-    let model = bytes(v.geometry().zone_cap(), 90 + f);
-    let (flushed, tail) = model.split_at((f * SECTOR_SIZE) as usize);
-    if f > 0 {
-        v.write(T0, 0, flushed, WriteFlags::default()).unwrap();
-    }
-    v.flush(T0).unwrap();
-    v.write(T0, f, tail, WriteFlags::default()).unwrap();
-    drop(v);
-    let v = mount_after_power_loss(&devs, config, keep, absent)?;
-    recovered_prefix(&v, 0, &model, f)?;
-    if absent.is_empty() {
-        v.scrub(T0).map_err(|e| format!("scrub: {e}"))?;
-    }
-    Ok(())
-}
-
 /// ROADMAP item 1, first defect: a zone that fills after the last flush
 /// looks sealed to a mount — every surviving member whose cache held is
 /// `Full` — yet members that lost their cache kept only the flushed prefix.
 /// The write pointer a mount exposes must be one the survivors (plus
-/// parity) can serve, whatever the line-up: four flush points, every
-/// subset of members keeping its cache, every absent set of
-/// [`absent_sets`]. Scrubbed when no member is absent.
+/// parity) can serve, whatever the line-up: `[0, f)` flushed at four flush
+/// points and the rest of the zone written in one call, every subset of
+/// members keeping its cache, every absent set of `matrix_absent_sets`.
+/// Scrubbed when no member is absent. The last row is item 1's residual
+/// (i): a near-full zone written in 5-sector writes, nothing flushed,
+/// whose long rollback left more ghost slots than a metadata zone could
+/// checkpoint while an empty relocation cost a whole stripe unit.
 #[test]
 fn filled_zone_lost_tail_exposes_only_what_it_can_serve() {
     let mut bad = Vec::new();
     let mut total = 0;
+    let mut rows = Vec::new();
     for config in [RaiznConfig::small_test(), RaiznConfig::small_test_raizn2()] {
-        for absent in absent_sets(config.parity) {
-            for f in [0u64, 6, 16, 25] {
-                for keep in 0..32u32 {
-                    total += 1;
-                    if let Err(e) = lost_tail_history(config, f, keep, &absent) {
-                        bad.push(format!(
-                            "p{} flushed {f} keep {keep:05b} absent {absent:?}: {e}",
-                            config.parity
-                        ));
-                    }
-                }
-            }
-        }
+        let cap = (5 - u64::from(config.parity)) * 64;
+        rows.extend([0, 6, 16, 25].map(|f| (config, f, cap, cap)));
+    }
+    rows.push((RaiznConfig::small_test(), 0, 251, 5));
+    for (config, f, len, step) in rows {
+        let row = format!(
+            "p{} flushed {f} of {len} in writes of {step}",
+            config.parity
+        );
+        let crashes = keep_subsets(5, &matrix_absent_sets(config.parity as usize));
+        let (n, b) = bad_histories(
+            &row,
+            (config, 5, &ZnsConfig::small_test()),
+            |p| {
+                p.write_in(0, f, step)?;
+                p.flush()?;
+                p.write_in(0, len - f, step)
+            },
+            crashes,
+        );
+        total += n;
+        bad.extend(b);
     }
     assert_no_bad_histories(&bad, total);
-}
-
-/// One history of
-/// [`dual_parity_mount_with_two_members_absent_keeps_everything_flushed`]:
-/// `zones` zones written to `short` sectors below capacity in writes of
-/// `step`, flushed; every cache lost, `pair` absent.
-fn flushed_then_pair_lost_history(
-    devs: &[Arc<ZnsDevice>],
-    (zones, short, step): (u32, u64, u64),
-    pair: [usize; 2],
-) -> Result<(), String> {
-    let config = RaiznConfig::small_test_raizn2();
-    let v = RaiznVolume::format(devs.to_vec(), config, T0).unwrap();
-    let g = v.geometry();
-    let written = g.zone_cap() - short;
-    let models: Vec<Vec<u8>> = (0..zones)
-        .map(|z| bytes(written, 100 + u64::from(z)))
-        .collect();
-    for (z, model) in (0u32..).zip(&models) {
-        for (i, chunk) in model.chunks((step * SECTOR_SIZE) as usize).enumerate() {
-            let lba = g.zone_start(z) + i as u64 * step;
-            v.write(T0, lba, chunk, WriteFlags::default()).unwrap();
-        }
-    }
-    v.flush(T0).unwrap();
-    drop(v);
-    let v = mount_after_power_loss(devs, config, 0, &pair)?;
-    for (z, model) in (0u32..).zip(&models) {
-        recovered_prefix(&v, z, model, written).map_err(|e| format!("zone {z}: {e}"))?;
-    }
-    Ok(())
 }
 
 /// ROADMAP item 1, second defect: everything was flushed, every cache is
@@ -940,20 +704,28 @@ fn dual_parity_mount_with_two_members_absent_keeps_everything_flushed() {
         for zns in [ZnsConfig::small_test(), short_zones.clone()] {
             for (zones, short) in [(1, 0), (1, 5), (2, 0), (2, 5)] {
                 for step in [1, 3, 7, 16, 64] {
-                    for pair in ABSENT_PAIRS {
-                        total += 1;
-                        let devs: Vec<_> = (0..members)
-                            .map(|_| Arc::new(ZnsDevice::new(zns.clone())))
-                            .collect();
-                        let shape = (zones, short, step);
-                        if let Err(e) = flushed_then_pair_lost_history(&devs, shape, pair) {
-                            bad.push(format!(
-                                "{members} members, capacity {}, {zones} zone(s) {short} short, \
-                                 writes of {step}, absent {pair:?}: {e}",
-                                zns.geometry().zone_cap()
-                            ));
-                        }
-                    }
+                    let row = format!(
+                        "{members} members, capacity {}, {zones} zone(s) {short} short, \
+                         writes of {step}",
+                        zns.geometry().zone_cap()
+                    );
+                    let lose_all = Crash::uniform("", Loss::Lose, members);
+                    let (n, b) = bad_histories(
+                        &row,
+                        (RaiznConfig::small_test_raizn2(), members, &zns),
+                        |p| {
+                            let written = p.vol.geometry().zone_cap() - short;
+                            for zone in 0..zones {
+                                p.write_in(zone, written, step)?;
+                            }
+                            p.flush()
+                        },
+                        ABSENT_PAIRS
+                            .map(|pair| lose_all.clone().without(&pair))
+                            .into(),
+                    );
+                    total += n;
+                    bad.extend(b);
                 }
             }
         }

@@ -1,278 +1,30 @@
-//! Differential oracle: a seeded random workload (writes, reads, resets,
-//! finishes, flushes, crashes) runs against a RAIZN volume and an
-//! in-memory reference model simultaneously. After every operation the
-//! two must agree:
+//! Differential oracle: the harness's seeded random workload (writes,
+//! appends, reads, flushes with the flush-window trace check, resets,
+//! finishes, power cycles under random cache loss) against the in-memory
+//! model, on every engine configuration (`workloads::harness::oracle`).
 //!
-//! - reads return byte-identical data to the model;
-//! - after a crash + remount, each zone's write pointer lies in
-//!   `[durable, written]` and the surviving prefix matches the model;
-//! - every acknowledged-durable write has a device-write trace span that
-//!   precedes the flush span that persisted it (checked per flush window
-//!   via trace sequence numbers);
-//! - a final scrub finds no parity damage.
-//!
-//! The trace ring doubles as the oracle for *which* path ran: the random
-//! mix of sub-stripe writes must exercise the partial-parity log, and
-//! crashes must never leave the volume unable to account for a path.
+//! The trace doubles as the oracle for *which* path ran: RAIZN's random
+//! sub-stripe writes must exercise the partial-parity log.
 
-use raizn::{RaiznConfig, RaiznVolume};
-use sim::{SimRng, SimTime};
-use std::sync::Arc;
-use zns::{CrashPolicy, LatencyConfig, WriteFlags, ZnsConfig, ZnsDevice, ZonedVolume, SECTOR_SIZE};
+use workloads::harness::{oracle, roomy_config, FaultTarget, Ls, Raizn};
 
-const T0: SimTime = SimTime::ZERO;
-const DEVICES: usize = 5;
 const OPS: u32 = 160;
-const MAX_CRASHES: u32 = 2;
+const MAX_CRASHES: u64 = 2;
 
-/// Reference state of one logical zone.
-struct ZoneModel {
-    data: Vec<u8>,
-    durable: u64,
-    finished: bool,
-}
-
-impl ZoneModel {
-    fn new() -> Self {
-        ZoneModel {
-            data: Vec::new(),
-            durable: 0,
-            finished: false,
-        }
-    }
-
-    fn written(&self) -> u64 {
-        self.data.len() as u64 / SECTOR_SIZE
-    }
-}
-
-fn bytes(rng: &mut SimRng, sectors: u64) -> Vec<u8> {
-    let mut v = vec![0u8; (sectors * SECTOR_SIZE) as usize];
-    rng.fill_bytes(&mut v);
-    v
-}
-
-/// Every device-write span in the flush window must precede the flush
-/// span that made it durable.
-fn assert_writes_precede_flush(evs: &[obs::TraceEvent]) {
-    let last_write = evs
-        .iter()
-        .filter(|e| {
-            e.stage == obs::Stage::DeviceIo
-                && matches!(e.op, obs::OpClass::Write | obs::OpClass::Append)
-        })
-        .map(|e| e.seq)
-        .max();
-    if let Some(w) = last_write {
-        let last_flush = evs
-            .iter()
-            .filter(|e| e.stage == obs::Stage::Flush)
-            .map(|e| e.seq)
-            .max()
-            .expect("flush window with device writes has no flush span");
-        assert!(
-            last_flush > w,
-            "flush span (seq {last_flush}) does not follow the device writes it persists (last write seq {w})"
-        );
-    }
-}
-
-/// Reads the recovered prefix of every zone and compares it to the model.
-fn verify_against_model(v: &RaiznVolume, model: &[ZoneModel], ctx: &str) {
-    let lgeo = v.layout().logical_geometry();
-    for (zi, m) in model.iter().enumerate() {
-        let wp = m.written();
-        if wp == 0 {
-            continue;
-        }
-        let mut out = vec![0u8; (wp * SECTOR_SIZE) as usize];
-        v.read(T0, lgeo.zone_start(zi as u32), &mut out)
-            .unwrap_or_else(|e| panic!("{ctx}: zone {zi} read failed: {e}"));
-        assert!(
-            out[..] == m.data[..],
-            "{ctx}: zone {zi} diverged from the model ({wp} sectors)"
-        );
-    }
+/// Runs `seed` on one engine; the recorder that traced the run.
+fn run<T: FaultTarget>(target: &T, seed: u64) -> std::sync::Arc<obs::Recorder> {
+    oracle(target, &roomy_config(), seed, OPS, MAX_CRASHES).unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn run_seed(seed: u64) {
-    let recorder = obs::Recorder::new(1 << 16, 1);
-    // small_test geometry with roomier zone limits: the random workload
-    // keeps four data zones active on top of the metadata zones, which
-    // overflows small_test's 6-active-zone budget during recovery.
-    let config = ZnsConfig::builder()
-        .zones(16, 64, 64)
-        .open_limits(8, 12)
-        .latency(LatencyConfig::instant())
-        .build();
-    let devs: Vec<Arc<ZnsDevice>> = (0..DEVICES)
-        .map(|i| {
-            let dev = Arc::new(ZnsDevice::new(config.clone()));
-            dev.set_recorder(recorder.clone(), i as u32);
-            dev
-        })
-        .collect();
-    let mut v = RaiznVolume::format(devs.clone(), RaiznConfig::small_test(), T0).unwrap();
-    v.set_recorder(recorder.clone());
-
-    let lgeo = v.layout().logical_geometry();
-    let zones = lgeo.num_zones().min(4) as usize;
-    let zone_cap = lgeo.zone_cap();
-    let mut model: Vec<ZoneModel> = (0..zones).map(|_| ZoneModel::new()).collect();
-    let mut rng = SimRng::new(seed);
-    let mut cursor = recorder.next_seq();
-    let mut crashes = 0u32;
-
-    for op in 0..OPS {
-        match rng.gen_range(100) {
-            // Append a random extent to a random zone with space left.
-            0..=54 => {
-                let open: Vec<usize> = (0..zones)
-                    .filter(|&z| !model[z].finished && model[z].written() < zone_cap)
-                    .collect();
-                let Some(&z) = open.get(rng.gen_range(open.len().max(1) as u64) as usize) else {
-                    // Everything full or finished: recycle one zone.
-                    let z = rng.gen_range(zones as u64) as u32;
-                    v.reset_zone(T0, z).unwrap();
-                    let m = &mut model[z as usize];
-                    m.data.clear();
-                    m.durable = 0;
-                    m.finished = false;
-                    continue;
-                };
-                let m = &mut model[z];
-                let room = (zone_cap - m.written()).min(16);
-                let len = 1 + rng.gen_range(room);
-                let data = bytes(&mut rng, len);
-                let fua = rng.gen_range(4) == 0;
-                let flags = if fua {
-                    WriteFlags::FUA
-                } else {
-                    WriteFlags::default()
-                };
-                v.write(T0, lgeo.zone_start(z as u32) + m.written(), &data, flags)
-                    .unwrap_or_else(|e| panic!("seed {seed} op {op}: write failed: {e}"));
-                m.data.extend_from_slice(&data);
-                if fua {
-                    // FUA persists the zone's cached prefix as well
-                    // (write-through acknowledges durability).
-                    m.durable = m.written();
-                }
-            }
-            // Random read inside a written zone: byte-identical to model.
-            55..=69 => {
-                let full: Vec<usize> = (0..zones).filter(|&z| model[z].written() > 0).collect();
-                if full.is_empty() {
-                    continue;
-                }
-                let z = full[rng.gen_range(full.len() as u64) as usize];
-                let m = &model[z];
-                let off = rng.gen_range(m.written());
-                let len = 1 + rng.gen_range((m.written() - off).min(16));
-                let mut out = vec![0u8; (len * SECTOR_SIZE) as usize];
-                v.read(T0, lgeo.zone_start(z as u32) + off, &mut out)
-                    .unwrap_or_else(|e| panic!("seed {seed} op {op}: read failed: {e}"));
-                let lo = (off * SECTOR_SIZE) as usize;
-                assert!(
-                    out[..] == m.data[lo..lo + out.len()],
-                    "seed {seed} op {op}: read of zone {z} sectors {off}+{len} diverged"
-                );
-            }
-            // Volume flush: everything written becomes durable, and the
-            // trace must show device writes before the flush span.
-            70..=77 => {
-                v.flush(T0).unwrap();
-                assert_writes_precede_flush(&recorder.events_since(cursor));
-                cursor = recorder.next_seq();
-                for m in &mut model {
-                    m.durable = m.written();
-                }
-            }
-            // Zone reset.
-            78..=83 => {
-                let z = rng.gen_range(zones as u64) as u32;
-                v.reset_zone(T0, z).unwrap();
-                let m = &mut model[z as usize];
-                m.data.clear();
-                m.durable = 0;
-                m.finished = false;
-            }
-            // Zone finish (flushed first so the seal covers durable data).
-            84..=87 => {
-                let open: Vec<usize> = (0..zones)
-                    .filter(|&z| !model[z].finished && model[z].written() > 0)
-                    .collect();
-                if open.is_empty() {
-                    continue;
-                }
-                let z = open[rng.gen_range(open.len() as u64) as usize];
-                v.flush(T0).unwrap();
-                v.finish_zone(T0, z as u32).unwrap();
-                cursor = recorder.next_seq();
-                for m in &mut model {
-                    m.durable = m.written();
-                }
-                model[z].finished = true;
-            }
-            // Crash every device with an independent random policy, then
-            // remount and reconcile the surviving state with the model.
-            _ => {
-                if crashes >= MAX_CRASHES {
-                    continue;
-                }
-                crashes += 1;
-                drop(v);
-                for (i, dev) in devs.iter().enumerate() {
-                    let mut p = CrashPolicy::Random(SimRng::new_stream(
-                        seed ^ 0xC7A5,
-                        u64::from(crashes) * DEVICES as u64 + i as u64,
-                    ));
-                    dev.crash(&mut p);
-                }
-                v = RaiznVolume::mount(devs.clone(), RaiznConfig::small_test(), T0)
-                    .unwrap_or_else(|e| panic!("seed {seed} op {op}: mount failed: {e}"));
-                v.set_recorder(recorder.clone());
-                for (zi, m) in model.iter_mut().enumerate() {
-                    let info = v.zone_info(zi as u32).unwrap();
-                    let wp = info.write_pointer - info.start;
-                    assert!(
-                        wp >= m.durable,
-                        "seed {seed} op {op}: zone {zi} lost durable data (wp {wp} < durable {})",
-                        m.durable
-                    );
-                    assert!(
-                        wp <= m.written(),
-                        "seed {seed} op {op}: zone {zi} invented data (wp {wp} > written {})",
-                        m.written()
-                    );
-                    m.data.truncate((wp * SECTOR_SIZE) as usize);
-                }
-                verify_against_model(&v, &model, &format!("seed {seed} op {op} post-crash"));
-                // Recovery replays; pin down the surviving state.
-                v.flush(T0).unwrap();
-                cursor = recorder.next_seq();
-                for m in &mut model {
-                    m.durable = m.written();
-                }
-            }
-        }
+    for parity in [1, 2] {
+        let recorder = run(&Raizn::small(parity), seed);
+        assert!(
+            recorder.count(obs::Counter::PpLogWrites) > 0,
+            "raizn p{parity} seed {seed:#x}: random sub-stripe writes never hit the pp-log path"
+        );
+        run(&Ls::small(parity), seed);
     }
-
-    // Final reconciliation: flush, byte-identical read-back, clean scrub.
-    v.flush(T0).unwrap();
-    assert_writes_precede_flush(&recorder.events_since(cursor));
-    verify_against_model(&v, &model, &format!("seed {seed} final"));
-    let rep = v.scrub(T0).unwrap();
-    assert!(
-        rep.parity_repairs == 0 && rep.units_healed == 0,
-        "seed {seed}: scrub found damage: {rep:?}"
-    );
-    // Path oracle: sub-stripe-unit writes must have taken the
-    // partial-parity log path at least once per seed.
-    assert!(
-        recorder.count(obs::Counter::PpLogWrites) > 0,
-        "seed {seed}: random sub-stripe writes never hit the pp-log path"
-    );
 }
 
 #[test]

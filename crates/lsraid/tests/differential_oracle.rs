@@ -1,53 +1,19 @@
-//! Differential oracle for the log-structured engine: one seeded random
-//! workload (sequential writes, reads, resets, finishes, flushes —
-//! the intersection of classic ZNS and log-structured semantics) runs
-//! simultaneously against an [`LsVolume`], a classic [`RaiznVolume`] and
-//! an in-memory reference model. After every read all three must agree
-//! byte-for-byte; at the end both volumes must scrub clean, the
-//! log-structured engine must have taken zero partial-parity-log paths
-//! (it has none), and the same seed must produce a bit-identical
-//! observability trace across runs (determinism pin).
+//! Differential oracle for the log-structured engine: the harness's seeded
+//! random workload (`workloads::harness::oracle` — the same op mix, power
+//! cycles included, every engine runs) against the in-memory model, on all
+//! four engine configurations. The log-structured engine must take zero
+//! partial-parity-log paths (it has none) while sealing full stripes, and
+//! the same seed must produce a bit-identical observability trace across
+//! runs (determinism pin).
 
-use lsraid::{LsConfig, LsVolume};
-use raizn::{RaiznConfig, RaiznVolume};
-use sim::{SimRng, SimTime};
 use std::sync::Arc;
-use zns::{LatencyConfig, WriteFlags, ZnsConfig, ZnsDevice, ZonedVolume, SECTOR_SIZE};
+use workloads::harness::{oracle, roomy_config, FaultTarget, Ls, Raizn};
 
-const T0: SimTime = SimTime::ZERO;
-const DEVICES: usize = 5;
 const OPS: u32 = 160;
+const MAX_CRASHES: u64 = 2;
 
-struct ZoneModel {
-    data: Vec<u8>,
-    finished: bool,
-}
-
-impl ZoneModel {
-    fn written(&self) -> u64 {
-        self.data.len() as u64 / SECTOR_SIZE
-    }
-}
-
-fn bytes(rng: &mut SimRng, sectors: u64) -> Vec<u8> {
-    let mut v = vec![0u8; (sectors * SECTOR_SIZE) as usize];
-    rng.fill_bytes(&mut v);
-    v
-}
-
-fn make_devices(recorder: &Arc<obs::Recorder>, base_id: u32) -> Vec<Arc<ZnsDevice>> {
-    let config = ZnsConfig::builder()
-        .zones(16, 64, 64)
-        .open_limits(8, 12)
-        .latency(LatencyConfig::instant())
-        .build();
-    (0..DEVICES)
-        .map(|i| {
-            let dev = Arc::new(ZnsDevice::new(config.clone()));
-            dev.set_recorder(recorder.clone(), base_id + i as u32);
-            dev
-        })
-        .collect()
+fn run<T: FaultTarget>(target: &T, seed: u64) -> Arc<obs::Recorder> {
+    oracle(target, &roomy_config(), seed, OPS, MAX_CRASHES).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A stable, comparable rendering of one trace event.
@@ -69,172 +35,29 @@ fn signature(e: &obs::TraceEvent) -> String {
     )
 }
 
-/// Drives the seeded workload through both engines and the model;
-/// returns the log-structured engine's full trace signature.
-fn run_differential(seed: u64) -> Vec<String> {
-    let rec_ls = obs::Recorder::new(1 << 16, 1);
-    let rec_rz = obs::Recorder::new(1 << 16, 1);
-    let ls_devs = make_devices(&rec_ls, 0);
-    let rz_devs = make_devices(&rec_rz, 0);
-    let ls = LsVolume::format(ls_devs, LsConfig::default(), T0).unwrap();
-    ls.set_recorder(rec_ls.clone());
-    let rz = RaiznVolume::format(rz_devs, RaiznConfig::small_test(), T0).unwrap();
-    rz.set_recorder(rec_rz.clone());
-
-    let ls_geo = ls.geometry();
-    let rz_geo = rz.layout().logical_geometry();
-    let zones = ls_geo.num_zones().min(rz_geo.num_zones()).min(4) as usize;
-    let cap = ls_geo.zone_cap().min(rz_geo.zone_cap());
-    let mut model: Vec<ZoneModel> = (0..zones)
-        .map(|_| ZoneModel {
-            data: Vec::new(),
-            finished: false,
-        })
-        .collect();
-    let mut rng = SimRng::new(seed);
-
-    for op in 0..OPS {
-        match rng.gen_range(100) {
-            // Sequential write to a random zone with room.
-            0..=54 => {
-                let open: Vec<usize> = (0..zones)
-                    .filter(|&z| !model[z].finished && model[z].written() < cap)
-                    .collect();
-                let Some(&z) = open.get(rng.gen_range(open.len().max(1) as u64) as usize) else {
-                    let z = rng.gen_range(zones as u64) as u32;
-                    ls.reset_zone(T0, z).unwrap();
-                    rz.reset_zone(T0, z).unwrap();
-                    let m = &mut model[z as usize];
-                    m.data.clear();
-                    m.finished = false;
-                    continue;
-                };
-                let m = &mut model[z];
-                let room = (cap - m.written()).min(16);
-                let len = 1 + rng.gen_range(room);
-                let data = bytes(&mut rng, len);
-                let flags = if rng.gen_range(4) == 0 {
-                    WriteFlags::FUA
-                } else {
-                    WriteFlags::default()
-                };
-                let wp = m.written();
-                ls.write(T0, ls_geo.zone_start(z as u32) + wp, &data, flags)
-                    .unwrap_or_else(|e| panic!("seed {seed} op {op}: lsraid write failed: {e}"));
-                rz.write(T0, rz_geo.zone_start(z as u32) + wp, &data, flags)
-                    .unwrap_or_else(|e| panic!("seed {seed} op {op}: raizn write failed: {e}"));
-                m.data.extend_from_slice(&data);
-            }
-            // Random read: all three must agree byte-for-byte.
-            55..=69 => {
-                let full: Vec<usize> = (0..zones).filter(|&z| model[z].written() > 0).collect();
-                if full.is_empty() {
-                    continue;
-                }
-                let z = full[rng.gen_range(full.len() as u64) as usize];
-                let m = &model[z];
-                let off = rng.gen_range(m.written());
-                let len = 1 + rng.gen_range((m.written() - off).min(16));
-                let mut ls_out = vec![0u8; (len * SECTOR_SIZE) as usize];
-                let mut rz_out = vec![0u8; (len * SECTOR_SIZE) as usize];
-                ls.read(T0, ls_geo.zone_start(z as u32) + off, &mut ls_out)
-                    .unwrap_or_else(|e| panic!("seed {seed} op {op}: lsraid read failed: {e}"));
-                rz.read(T0, rz_geo.zone_start(z as u32) + off, &mut rz_out)
-                    .unwrap_or_else(|e| panic!("seed {seed} op {op}: raizn read failed: {e}"));
-                let lo = (off * SECTOR_SIZE) as usize;
-                let want = &m.data[lo..lo + ls_out.len()];
-                assert!(
-                    ls_out[..] == want[..],
-                    "seed {seed} op {op}: lsraid read of zone {z} sectors {off}+{len} diverged"
-                );
-                assert!(
-                    rz_out[..] == want[..],
-                    "seed {seed} op {op}: raizn read of zone {z} sectors {off}+{len} diverged"
-                );
-            }
-            // Flush both engines.
-            70..=77 => {
-                ls.flush(T0).unwrap();
-                rz.flush(T0).unwrap();
-            }
-            // Zone reset.
-            78..=83 => {
-                let z = rng.gen_range(zones as u64) as u32;
-                ls.reset_zone(T0, z).unwrap();
-                rz.reset_zone(T0, z).unwrap();
-                let m = &mut model[z as usize];
-                m.data.clear();
-                m.finished = false;
-            }
-            // Zone finish.
-            84..=87 => {
-                let open: Vec<usize> = (0..zones)
-                    .filter(|&z| !model[z].finished && model[z].written() > 0)
-                    .collect();
-                if open.is_empty() {
-                    continue;
-                }
-                let z = open[rng.gen_range(open.len() as u64) as usize];
-                ls.flush(T0).unwrap();
-                rz.flush(T0).unwrap();
-                ls.finish_zone(T0, z as u32).unwrap();
-                rz.finish_zone(T0, z as u32).unwrap();
-                model[z].finished = true;
-            }
-            _ => {}
-        }
-    }
-
-    // Final reconciliation: full read-back of every written zone.
-    ls.flush(T0).unwrap();
-    rz.flush(T0).unwrap();
-    for (zi, m) in model.iter().enumerate() {
-        let wp = m.written();
-        if wp == 0 {
-            continue;
-        }
-        let mut ls_out = vec![0u8; (wp * SECTOR_SIZE) as usize];
-        let mut rz_out = vec![0u8; (wp * SECTOR_SIZE) as usize];
-        ls.read(T0, ls_geo.zone_start(zi as u32), &mut ls_out)
-            .unwrap();
-        rz.read(T0, rz_geo.zone_start(zi as u32), &mut rz_out)
-            .unwrap();
-        assert!(
-            ls_out[..] == m.data[..],
-            "seed {seed}: lsraid zone {zi} final read-back diverged"
+/// Runs `seed` on every engine configuration; returns the log-structured
+/// engine's full trace signature at each parity.
+fn run_differential(seed: u64) -> [Vec<String>; 2] {
+    [1, 2].map(|parity| {
+        // Path oracle: the log-structured engine never touches a
+        // partial-parity log (it has none), while the classic engine does
+        // on the same workload — the structural difference under test.
+        let ls = run(&Ls::small(parity), seed);
+        assert_eq!(
+            ls.count(obs::Counter::PpLogWrites),
+            0,
+            "lsraid p{parity} seed {seed:#x}: took a pp-log path"
         );
         assert!(
-            rz_out[..] == m.data[..],
-            "seed {seed}: raizn zone {zi} final read-back diverged"
+            ls.count(obs::Counter::FullParityWrites) > 0,
+            "lsraid p{parity} seed {seed:#x}: sealed no full stripes"
         );
-    }
-    let ls_rep = ls.scrub(T0).unwrap();
-    assert!(
-        ls_rep.parity_errors == 0 && ls_rep.q_errors == 0,
-        "seed {seed}: lsraid scrub found damage: {ls_rep:?}"
-    );
-    let rz_rep = rz.scrub(T0).unwrap();
-    assert!(
-        rz_rep.parity_repairs == 0 && rz_rep.units_healed == 0,
-        "seed {seed}: raizn scrub found damage: {rz_rep:?}"
-    );
-    // Path oracle: the log-structured engine must never touch a
-    // partial-parity log (it has none), while the classic engine does on
-    // the same workload — the structural difference under test.
-    assert_eq!(
-        rec_ls.count(obs::Counter::PpLogWrites),
-        0,
-        "seed {seed}: lsraid took a pp-log path"
-    );
-    assert!(
-        rec_ls.count(obs::Counter::FullParityWrites) > 0,
-        "seed {seed}: lsraid sealed no full stripes"
-    );
-    assert!(
-        rec_rz.count(obs::Counter::PpLogWrites) > 0,
-        "seed {seed}: raizn never exercised the pp-log on the shared workload"
-    );
-    rec_ls.events_since(0).iter().map(signature).collect()
+        assert!(
+            run(&Raizn::small(parity), seed).count(obs::Counter::PpLogWrites) > 0,
+            "raizn p{parity} seed {seed:#x}: never exercised the pp-log on the shared workload"
+        );
+        ls.events_since(0).iter().map(signature).collect()
+    })
 }
 
 #[test]
@@ -258,8 +81,10 @@ fn same_seed_pins_identical_trace() {
     // included. Any nondeterminism in the engine shows up here first.
     let a = run_differential(0x7EAC_E001);
     let b = run_differential(0x7EAC_E001);
-    assert_eq!(a.len(), b.len(), "trace length diverged across runs");
-    for (i, (ea, eb)) in a.iter().zip(&b).enumerate() {
-        assert_eq!(ea, eb, "trace event {i} diverged across runs");
+    for (a, b) in a.iter().zip(&b) {
+        assert_eq!(a.len(), b.len(), "trace length diverged across runs");
+        for (i, (ea, eb)) in a.iter().zip(b).enumerate() {
+            assert_eq!(ea, eb, "trace event {i} diverged across runs");
+        }
     }
 }

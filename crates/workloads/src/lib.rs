@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 mod engine;
+pub mod harness;
 mod sched;
 mod series;
 mod target;

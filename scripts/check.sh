@@ -90,6 +90,30 @@ if [ "$(grep -c '\.readable_prefix(' "$core/recovery.rs")" -ne 1 ] ||
   exit 1
 fi
 
+# One correctness harness (workloads/src/harness.rs): one reference model,
+# one recovery check, every engine's `FaultTarget` beside them. A second
+# `struct ZoneModel` or a second "lost durable data" message under crates/
+# is a hand-rolled model or recovery check coming back; an `impl
+# FaultTarget for` elsewhere is an engine the shared batteries do not list;
+# an `env::var` in a test is a debug knob where a failure should name the
+# engine, seed and op that replay it.
+harness=crates/workloads/src/harness.rs
+for once in 'struct ZoneModel' 'lost durable data'; do
+  if [ "$(grep -rnF --include='*.rs' "$once" crates | grep -c .)" -ne 1 ] ||
+     ! grep -qF "$once" "$harness"; then
+    echo "check.sh: '$once' must appear exactly once under crates/, in $harness" >&2
+    exit 1
+  fi
+done
+if grep -rn --include='*.rs' 'impl FaultTarget for' crates | grep -v "^$harness:"; then
+  echo "check.sh: impl FaultTarget outside $harness" >&2
+  exit 1
+fi
+if grep -rn 'env::var' crates/*/tests; then
+  echo "check.sh: env::var in a test (a failure names what replays it)" >&2
+  exit 1
+fi
+
 # A known defect is a failing test or a ROADMAP entry, never a skipped one.
 if grep -rn --include='*.rs' '#\[ignore' crates tests benchmark/src; then
   echo "check.sh: #[ignore]d test in the workspace" >&2
@@ -212,15 +236,22 @@ cargo run --release -q -p raizn-bench --bin report -- \
 # survival scenario reads byte-identical through the two-erasure decode.
 cargo run --release -q -p raizn-bench --bin raizn2 > /dev/null
 
-# Crash-consistency sweeps: exhaustive per-zone crash points, lifecycle
-# crash points (zone finish/batched reset interrupted after k of 5
-# device ops — the finish WAL must roll the seal forward, the reset WAL
-# must replay), plus seeded whole-array trials; the --raid6 pass reruns
-# every point on the dual-parity layout with a rotating pair of failed
-# devices, so recovery must replay both partial-parity legs and rebuild
-# to a clean scrub.
+# Crash-consistency sweeps, one run for every engine configuration
+# (RAIZN, RAIZN-2, lsraid at both parities) through the one harness
+# (workloads/src/harness.rs): exhaustive per-zone pin points, every
+# keep-cache subset under every tolerated absent set, lifecycle crash
+# points (zone finish/batched reset interrupted after k of 5 device ops —
+# the finish WAL must roll the seal forward, the reset WAL must replay),
+# seeded whole-array trials; on the dual-parity layout every pin point also
+# loses a rotating pair of members, so recovery must replay both
+# partial-parity legs and rebuild to a clean scrub.
 cargo run --release -q -p raizn-bench --bin crash_sweep -- --seed 42
-cargo run --release -q -p raizn-bench --bin crash_sweep -- --seed 42 --raid6
+
+# Mount-time recovery matrix (16 896 power-loss histories): exits nonzero
+# on any bad history outside ROADMAP item 1's recorded residual class, or
+# on more of those than recorded — a known defect is a ROADMAP entry with
+# a ceiling.
+cargo run --release -q -p raizn-bench --bin recovery_matrix > /dev/null
 
 # The two-clock benchmark (stand-alone package, own lock file and target
 # directory): its unit tests, then every workload twice at one seed —
