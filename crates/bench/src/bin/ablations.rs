@@ -77,9 +77,6 @@ fn small_write_run(
 }
 
 fn main() -> bench::BenchResult {
-    // Each ablation is a single 4 KiB-sequential job whose pp-log counts
-    // must be exact; the flag exists for CLI uniformity.
-    bench::note_single_threaded("ablations", bench::threads_arg("ablations")?);
     // Timeline capture rides on the paper-default variant: its pp-log and
     // metadata gauges are the plot the ablation argues from.
     let capture = TimelineRun::new("ablations");

@@ -93,9 +93,6 @@ fn run_overwrite(
 }
 
 fn main() -> bench::BenchResult {
-    // The 100 ms sample series this figure plots comes from the engine's
-    // single-threaded driver; the flag exists for CLI uniformity.
-    bench::note_single_threaded("fig10", bench::threads_arg("fig10")?);
     let rz_capture = TimelineRun::new("fig10_raizn");
     let raizn = rz_capture.raizn_volume(ZONES, ZONE_SECTORS, 16)?;
     let rt = ZonedTarget::new(raizn);

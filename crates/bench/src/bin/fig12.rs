@@ -25,9 +25,6 @@ fn fill(target: &dyn IoTarget, fraction: f64) -> bench::BenchResult<SimTime> {
 }
 
 fn main() -> bench::BenchResult {
-    // Repair is volume-driven (no engine worker pool) and the fill is a
-    // single sequential job; the flag exists for CLI uniformity.
-    bench::note_single_threaded("fig12", bench::threads_arg("fig12")?);
     // Timeline capture rides on the full-data RAIZN rebuild: the rebuild
     // is volume-driven (no engine loop), so windows come from recorded
     // spans and gauges from phase-boundary samples.

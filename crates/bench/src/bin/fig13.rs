@@ -70,9 +70,6 @@ fn run_suite<V: ZonedVolume>(
 }
 
 fn main() -> bench::BenchResult {
-    // zkv's db_bench harness drives the volume directly (no engine
-    // worker pool); the flag exists for CLI uniformity.
-    bench::note_single_threaded("fig13", bench::threads_arg("fig13")?);
     // Timeline capture rides on the flagship suite: 4000-byte values on
     // zkv-over-RAIZN, chained fillrandom/overwrite/readwhilewriting.
     let capture = TimelineRun::new("fig13");

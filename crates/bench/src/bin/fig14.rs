@@ -54,9 +54,6 @@ fn run_mixes<V: ZonedVolume>(
 }
 
 fn main() -> bench::BenchResult {
-    // zkv's OLTP harness models its own client threads on virtual time
-    // (no engine worker pool); the flag exists for CLI uniformity.
-    bench::note_single_threaded("fig14", bench::threads_arg("fig14")?);
     // Timeline capture rides on the flagship trial: 64-thread
     // oltp_read_write on zkv-over-RAIZN.
     let capture = TimelineRun::new("fig14");

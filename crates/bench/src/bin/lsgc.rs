@@ -41,8 +41,6 @@ const DECLINE_MAX: f64 = 0.9;
 const SEED: u64 = 0x6C5C_0001;
 
 fn main() -> bench::BenchResult {
-    bench::note_single_threaded("lsgc", bench::threads_arg("lsgc")?);
-
     // ------------------------------------------------------------------
     // Log-structured engine under GC pressure.
     // ------------------------------------------------------------------

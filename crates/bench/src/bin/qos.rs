@@ -246,9 +246,6 @@ fn coalesce_run(enable: bool) -> bench::BenchResult<CoalesceRun> {
 }
 
 fn main() -> bench::BenchResult {
-    // The mClock scheduler dispatches in a deterministic sequential order
-    // by design; the flag exists for CLI uniformity.
-    bench::note_single_threaded("qos", bench::threads_arg("qos")?);
     let iso = isolation()?;
     bench::gate!(
         iso.solo.jobs[0].ops == VICTIM_OPS && iso.contended.jobs[0].ops == VICTIM_OPS,

@@ -108,9 +108,6 @@ fn check(v: &RaiznVolume, lba: u64, expect: &[u8], what: &str) -> bench::BenchRe
 }
 
 fn main() -> bench::BenchResult {
-    // Virtual-time measurements; the flag exists for CLI uniformity.
-    bench::note_single_threaded("raizn2", bench::threads_arg("raizn2")?);
-
     // --- Write cost: parity = 1 vs parity = 2 ---------------------------
     let v1 = volume(1, 0)?;
     let (mib1, secs1, _) = fill(&v1, FILL_ZONES, 0x11)?;

@@ -49,9 +49,6 @@ fn sweep(zoned: bool, kind: OpKind) -> bench::BenchResult<Vec<(u64, f64)>> {
 }
 
 fn main() -> bench::BenchResult {
-    // Single-device, single-job trials (the paper's raw baseline); the
-    // flag exists for CLI uniformity.
-    bench::note_single_threaded("raw_devices", bench::threads_arg("raw_devices")?);
     let zw = sweep(true, OpKind::Write)?;
     let cw = sweep(false, OpKind::Write)?;
     let zr = sweep(true, OpKind::Read)?;

@@ -1143,11 +1143,7 @@ fn main() -> bench::BenchResult {
     let mut queue_share_max = 0.0f64;
     let mut diff_pairs: Vec<(String, String)> = Vec::new();
     let mut regress_max = 0.0f64;
-    // An artifact reader has no workload to shard; accepted (and inert)
-    // for CLI uniformity with the other binaries.
-    let mut rest = bench::cli_args();
-    bench::take_threads(&mut rest)?;
-    let mut args = rest.into_iter();
+    let mut args = bench::cli_args().into_iter();
     while let Some(a) = args.next() {
         let numeric = |args: &mut dyn Iterator<Item = String>| {
             args.next()

@@ -7,8 +7,6 @@ use raizn::{RaiznConfig, RaiznLayout, MD_HEADER_BYTES};
 use zns::ZoneGeometry;
 
 fn main() -> bench::BenchResult {
-    // Pure layout math, no workload; the flag exists for CLI uniformity.
-    bench::note_single_threaded("table1", bench::threads_arg("table1")?);
     // The paper's geometry: 2 TB ZN540 — 1077 MiB capacity zones.
     let phys = ZoneGeometry::new(1900, 524_288, 275_712);
     let config = RaiznConfig::default(); // 64 KiB stripe units, 3 md zones

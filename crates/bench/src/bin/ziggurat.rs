@@ -47,11 +47,6 @@ fn run(managed: bool) -> bench::BenchResult<SprayOutcome> {
 }
 
 fn main() -> bench::BenchResult {
-    // The spray is paced by completions (queue depth 1 + manager pumps),
-    // so the run is inherently sequential; the flag exists for CLI
-    // uniformity.
-    bench::note_single_threaded("ziggurat", bench::threads_arg("ziggurat")?);
-
     let nomgr = run(false)?;
     let total_stripes = SPRAY_ZONES as u64 * STRIPES_PER_ZONE;
     bench::gate!(

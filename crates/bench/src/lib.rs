@@ -84,11 +84,12 @@ pub fn cli_args() -> Vec<String> {
     std::env::args().skip(1).collect()
 }
 
-/// Consumes the shared `--threads N` flag from `args` (every benchmark
-/// binary accepts it), leaving all other arguments in place for the
-/// binary's own parsing. Returns the requested engine worker count;
-/// defaults to 1, which reproduces the single-threaded driver exactly, so
-/// default invocations keep bit-identical artifacts.
+/// Consumes the `--threads N` flag from `args` (the binaries that drive
+/// engine workers accept it: fig7/8/9/11, and hotpath for its sweep cap),
+/// leaving all other arguments in place for the binary's own parsing.
+/// Returns the requested engine worker count; defaults to 1, which
+/// reproduces the single-threaded driver exactly, so default invocations
+/// keep bit-identical artifacts.
 ///
 /// # Errors
 ///
@@ -127,19 +128,6 @@ pub fn threads_arg(bin: &str) -> BenchResult<usize> {
         )));
     }
     Ok(threads)
-}
-
-/// Prints the standard notice for binaries whose capture methodology is
-/// inherently single-threaded (per-second series sampling, non-engine
-/// harnesses, crash/verify sequences): they accept `--threads` for CLI
-/// uniformity but run the capture on one driver thread.
-pub fn note_single_threaded(bin: &str, threads: usize) {
-    if threads > 1 {
-        println!(
-            "note: {bin}'s capture is single-threaded by methodology; \
-             --threads {threads} leaves results unchanged"
-        );
-    }
 }
 
 /// Ring capacity of the shared benchmark recorder; long runs overflow it

@@ -59,12 +59,7 @@ struct DirectSink<'a> {
 
 impl MgmtSink for DirectSink<'_> {
     fn submit_mgmt(&mut self, at: SimTime, zone: u32, op: ZoneMgmtOp) -> Result<SimTime> {
-        Ok(match op {
-            ZoneMgmtOp::Open => self.volume.open_zone(at, zone)?.done,
-            ZoneMgmtOp::Close => self.volume.close_zone(at, zone)?.done,
-            ZoneMgmtOp::Finish => self.volume.finish_zone(at, zone)?.done,
-            ZoneMgmtOp::Reset => self.volume.reset_zone(at, zone)?.done,
-        })
+        Ok(self.volume.manage(at, zone, op)?.done)
     }
 }
 

@@ -1780,51 +1780,6 @@ impl RaiznVolume {
         Ok(at)
     }
 
-    /// Write stage 1: checks the arguments alone and names the target —
-    /// the logical zone and the write's length in sectors.
-    fn write_target(&self, lba: Lba, data: &[u8]) -> Result<(u32, u64)> {
-        let lgeo = self.layout.logical_geometry();
-        if data.is_empty() || !data.len().is_multiple_of(SECTOR_SIZE as usize) {
-            return Err(ZnsError::InvalidArgument(format!(
-                "buffer length {} is not a positive multiple of the sector size",
-                data.len()
-            )));
-        }
-        let sectors = data.len() as u64 / SECTOR_SIZE;
-        if !lgeo.contains(lba) {
-            return Err(ZnsError::OutOfRange { lba, sectors });
-        }
-        if self.read_only.load(Ordering::Acquire) {
-            return Err(ZnsError::VolumeReadOnly);
-        }
-        Ok((lgeo.zone_of(lba), sectors))
-    }
-
-    /// Write stage 2 (and again after a preflush dropped the shard): the
-    /// zone must be writable, `lba` must be its write pointer, and the
-    /// write must fit its capacity.
-    fn check_sequential(&self, z: &LZone, lzone: u32, lba: Lba, sectors: u64) -> Result<()> {
-        let lgeo = self.layout.logical_geometry();
-        match z.state {
-            ZoneState::Full => return Err(ZnsError::ZoneFull { zone: lzone }),
-            ZoneState::ReadOnly => return Err(ZnsError::ZoneReadOnly { zone: lzone }),
-            ZoneState::Offline => return Err(ZnsError::ZoneOffline { zone: lzone }),
-            _ => {}
-        }
-        let expect = lgeo.zone_start(lzone) + z.wp;
-        if lba != expect {
-            return Err(ZnsError::NotSequential {
-                zone: lzone,
-                expected: expect,
-                got: lba,
-            });
-        }
-        if z.wp + sectors > lgeo.zone_cap() {
-            return Err(ZnsError::ZoneFull { zone: lzone });
-        }
-        Ok(())
-    }
-
     /// Chunk stage: stages the chunk that starts `off_in_stripe` sectors
     /// into `stripe` in the zone's stripe buffer and returns the parity
     /// row hull it touched. A chunk that covers the whole stripe bypasses
@@ -2014,11 +1969,13 @@ impl RaiznVolume {
         Ok(pp_done)
     }
 
-    /// Write stage after the last chunk: a zone filled to capacity turns
-    /// `Full`, any other written zone is (at least) implicitly open.
+    /// Write stage after the last chunk: the contract's state after the
+    /// write; a zone filled to capacity drops its stripe buffer.
     fn settle_zone_state(&self, z: &mut LZone, lzone: u32) {
-        if z.wp == self.layout.logical_geometry().zone_cap() {
-            z.state = ZoneState::Full;
+        z.state = z
+            .state
+            .after_write(z.wp, self.layout.logical_geometry().zone_cap());
+        if z.state == ZoneState::Full {
             if let Some(buf) = z.buffer.take() {
                 z.retire_buffer(buf);
             }
@@ -2026,26 +1983,30 @@ impl RaiznVolume {
             // checkpoints a finish record so the cap fill stays durable
             // under maximal device failures.
             self.zone_sealed[lzone as usize].store(true, Ordering::Release);
-        } else if z.state == ZoneState::Empty || z.state == ZoneState::Closed {
-            z.state = ZoneState::ImplicitlyOpen;
         }
     }
 
-    /// The write-path core, shared by `write` and `append`, as a sequence
-    /// of named stages: validate → preflush → per stripe chunk { stage or
-    /// bypass the stripe buffer → issue data legs → advance the write
-    /// pointer → one parity stage } → settle zone state → FUA persist →
-    /// root span. Takes only the target zone's shard lock (plus brief
-    /// meta acquisitions in the metadata-logging stages), so writes to
-    /// distinct zones run concurrently.
+    /// The write-path core, shared by `write` and `append` once they have
+    /// checked the arguments, of `data` at offset `rel` of `lzone`, as a
+    /// sequence of named stages: validate → preflush → per stripe chunk {
+    /// stage or bypass the stripe buffer → issue data legs → advance the
+    /// write pointer → one parity stage } → settle zone state → FUA
+    /// persist → root span. Takes only the target zone's shard lock (plus
+    /// brief meta acquisitions in the metadata-logging stages), so writes
+    /// to distinct zones run concurrently.
     fn do_write(
         &self,
         at: SimTime,
-        lba: Lba,
+        lzone: u32,
+        rel: u64,
         data: &[u8],
         flags: WriteFlags,
     ) -> Result<IoCompletion> {
-        let (lzone, sectors) = self.write_target(lba, data)?;
+        if self.read_only.load(Ordering::Acquire) {
+            return Err(ZnsError::VolumeReadOnly);
+        }
+        let lgeo = self.layout.logical_geometry();
+        let sectors = data.len() as u64 / SECTOR_SIZE;
         let op_span = self.tracer.begin();
         // Foreground reclaim (opt-in): activating a fresh zone with the
         // device active budget exhausted inline-finishes a victim zone
@@ -2056,7 +2017,7 @@ impl RaiznVolume {
         let devices = self.devices.read();
         let mut z = self.lock_shard(lzone);
         self.tracer.lock_mark(obs::OpClass::Write, lzone, at);
-        self.check_sequential(&z, lzone, lba, sectors)?;
+        z.state.check_write(&lgeo, lzone, z.wp, rel, sectors)?;
 
         let mut issue = at;
         if flags.preflush {
@@ -2067,7 +2028,7 @@ impl RaiznVolume {
             drop(z);
             issue = self.flush_all(&devices, at)?;
             z = self.lock_shard(lzone);
-            self.check_sequential(&z, lzone, lba, sectors)?;
+            z.state.check_write(&lgeo, lzone, z.wp, rel, sectors)?;
         }
         let mut completion = issue;
 
@@ -2136,7 +2097,7 @@ impl RaiznVolume {
             &op_span,
             obs::Span::new(obs::OpClass::Write, obs::Stage::WholeOp, at, completion)
                 .zone(lzone)
-                .lba(lba)
+                .lba(lgeo.zone_start(lzone) + rel)
                 .sectors(sectors),
         );
         Ok(IoCompletion { done: completion })
@@ -2564,30 +2525,12 @@ impl ZonedVolume for RaiznVolume {
 
     fn read(&self, at: SimTime, lba: Lba, buf: &mut [u8]) -> Result<IoCompletion> {
         let lgeo = self.layout.logical_geometry();
-        if buf.is_empty() || !buf.len().is_multiple_of(SECTOR_SIZE as usize) {
-            return Err(ZnsError::InvalidArgument(format!(
-                "buffer length {} is not a positive multiple of the sector size",
-                buf.len()
-            )));
-        }
-        let sectors = buf.len() as u64 / SECTOR_SIZE;
-        if !lgeo.contains(lba) {
-            return Err(ZnsError::OutOfRange { lba, sectors });
-        }
-        if !lgeo.range_in_one_zone(lba, sectors) {
-            return Err(ZnsError::ZoneBoundary { lba, sectors });
-        }
-        let lzone = lgeo.zone_of(lba);
-        let rel0 = lgeo.offset_in_zone(lba);
+        let (lzone, rel0, sectors) = lgeo.check_io(lba, buf.len())?;
         let op_span = self.tracer.begin();
         let devices = self.devices.read();
         let mut z = self.lock_shard(lzone);
         self.tracer.lock_mark(obs::OpClass::Read, lzone, at);
-        if rel0 + sectors > z.wp {
-            return Err(ZnsError::ReadUnwritten {
-                lba: lgeo.zone_start(lzone) + z.wp,
-            });
-        }
+        z.state.check_read(&lgeo, lzone, z.wp, rel0, sectors)?;
         let su = self.layout.stripe_unit();
         let stripe_data = self.layout.stripe_data_sectors();
         let mut done = at;
@@ -2616,7 +2559,8 @@ impl ZonedVolume for RaiznVolume {
     }
 
     fn write(&self, at: SimTime, lba: Lba, data: &[u8], flags: WriteFlags) -> Result<IoCompletion> {
-        self.do_write(at, lba, data, flags)
+        let (lzone, rel, _) = self.layout.logical_geometry().check_io(lba, data.len())?;
+        self.do_write(at, lzone, rel, data, flags)
     }
 
     /// Batch-write entry point: stages `segments` into a pooled scratch
@@ -2632,14 +2576,14 @@ impl ZonedVolume for RaiznVolume {
     ) -> Result<IoCompletion> {
         match segments {
             [] => Ok(IoCompletion { done: at }),
-            [only] => self.do_write(at, lba, only, flags),
+            [only] => self.write(at, lba, only, flags),
             _ => {
                 let mut scratch = std::mem::take(&mut self.lock_meta().gather_scratch);
                 scratch.clear();
                 for seg in segments {
                     scratch.extend_from_slice(seg);
                 }
-                let r = self.do_write(at, lba, &scratch, flags);
+                let r = self.write(at, lba, &scratch, flags);
                 self.lock_meta().gather_scratch = scratch;
                 if r.is_ok() {
                     AtomicRaiznStats::add(&self.stats.gather_writes, 1);
@@ -2661,28 +2605,18 @@ impl ZonedVolume for RaiznVolume {
         flags: WriteFlags,
     ) -> Result<AppendCompletion> {
         let lgeo = self.layout.logical_geometry();
-        if zone >= lgeo.num_zones() {
-            return Err(ZnsError::OutOfRange {
-                lba: zone as u64 * lgeo.zone_size(),
-                sectors: 0,
-            });
-        }
-        let lba = {
-            let z = self.lock_shard(zone);
-            lgeo.zone_start(zone) + z.wp
-        };
-        let c = self.do_write(at, lba, data, flags)?;
-        Ok(AppendCompletion { lba, done: c.done })
+        lgeo.check_append(zone, data.len())?;
+        let rel = self.lock_shard(zone).wp;
+        let c = self.do_write(at, zone, rel, data, flags)?;
+        Ok(AppendCompletion {
+            lba: lgeo.zone_start(zone) + rel,
+            done: c.done,
+        })
     }
 
     fn reset_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
         let lgeo = self.layout.logical_geometry();
-        if zone >= lgeo.num_zones() {
-            return Err(ZnsError::OutOfRange {
-                lba: zone as u64 * lgeo.zone_size(),
-                sectors: 0,
-            });
-        }
+        lgeo.check_zone(zone)?;
         let op_span = self.tracer.begin();
         let devices = self.devices.read();
         let mut z = self.lock_shard(zone);
@@ -2690,6 +2624,7 @@ impl ZonedVolume for RaiznVolume {
         if self.read_only.load(Ordering::Acquire) {
             return Err(ZnsError::VolumeReadOnly);
         }
+        z.state.reset(zone)?;
         // WAL first (§5.2): the reset must be replayable before any
         // physical zone is touched.
         let t = {
@@ -2719,18 +2654,17 @@ impl ZonedVolume for RaiznVolume {
 
     fn finish_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
         let lgeo = self.layout.logical_geometry();
-        if zone >= lgeo.num_zones() {
-            return Err(ZnsError::OutOfRange {
-                lba: zone as u64 * lgeo.zone_size(),
-                sectors: 0,
-            });
-        }
+        lgeo.check_zone(zone)?;
         let op_span = self.tracer.begin();
         let devices = self.devices.read();
         let mut z = self.lock_shard(zone);
         self.tracer.lock_mark(obs::OpClass::Finish, zone, at);
         if self.read_only.load(Ordering::Acquire) {
             return Err(ZnsError::VolumeReadOnly);
+        }
+        let next = z.state.finish(zone)?;
+        if next == z.state {
+            return Ok(IoCompletion { done: at });
         }
         let mut done = at;
         // Seal the incomplete stripe's parity prefix into the parity slot
@@ -2782,7 +2716,7 @@ impl ZonedVolume for RaiznVolume {
             done = done.max(dev.finish_zone(at, phys)?.done);
         }
         self.zone_sealed[zone as usize].store(true, Ordering::Release);
-        z.state = ZoneState::Full;
+        z.state = next;
         let wp = z.wp;
         z.pbitmap.mark_persisted_below(wp);
         AtomicRaiznStats::add(&self.stats.zone_finishes, 1);
@@ -2796,44 +2730,33 @@ impl ZonedVolume for RaiznVolume {
     }
 
     fn open_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
-        let lgeo = self.layout.logical_geometry();
-        if zone >= lgeo.num_zones() {
-            return Err(ZnsError::OutOfRange {
-                lba: zone as u64 * lgeo.zone_size(),
-                sectors: 0,
-            });
-        }
+        self.layout.logical_geometry().check_zone(zone)?;
         let devices = self.devices.read();
         let mut z = self.lock_shard(zone);
+        let next = z.state.open(zone)?;
         let phys = self.layout.phys_zone(zone);
         let mut done = at;
         for (i, dev) in devices.iter().enumerate() {
             if self.is_failed(i) {
                 continue;
             }
-            done = done.max(dev.open_zone(at, phys)?.done);
+            // A member zone already full holds its whole share of the
+            // logical zone and takes no more writes; it stays full.
+            match dev.open_zone(at, phys) {
+                Ok(c) => done = done.max(c.done),
+                Err(ZnsError::ZoneFull { .. }) => {}
+                Err(e) => return Err(e),
+            }
         }
-        z.state = ZoneState::ExplicitlyOpen;
+        z.state = next;
         Ok(IoCompletion { done })
     }
 
     fn close_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
-        let lgeo = self.layout.logical_geometry();
-        if zone >= lgeo.num_zones() {
-            return Err(ZnsError::OutOfRange {
-                lba: zone as u64 * lgeo.zone_size(),
-                sectors: 0,
-            });
-        }
+        self.layout.logical_geometry().check_zone(zone)?;
         let devices = self.devices.read();
         let mut z = self.lock_shard(zone);
-        if !z.state.is_open() {
-            return Err(ZnsError::BadZoneState {
-                zone,
-                state: z.state.name(),
-                op: "close",
-            });
-        }
+        let next = z.state.close(zone, z.wp)?;
         let phys = self.layout.phys_zone(zone);
         let mut done = at;
         for (i, dev) in devices.iter().enumerate() {
@@ -2848,11 +2771,7 @@ impl ZonedVolume for RaiznVolume {
                 Err(e) => return Err(e),
             }
         }
-        z.state = if z.wp == 0 {
-            ZoneState::Empty
-        } else {
-            ZoneState::Closed
-        };
+        z.state = next;
         Ok(IoCompletion { done })
     }
 
@@ -2864,20 +2783,9 @@ impl ZonedVolume for RaiznVolume {
 
     fn zone_info(&self, zone: u32) -> Result<ZoneInfo> {
         let lgeo = self.layout.logical_geometry();
-        if zone >= lgeo.num_zones() {
-            return Err(ZnsError::OutOfRange {
-                lba: zone as u64 * lgeo.zone_size(),
-                sectors: 0,
-            });
-        }
+        lgeo.check_zone(zone)?;
         let z = self.lock_shard(zone);
-        Ok(ZoneInfo {
-            zone,
-            state: z.state,
-            start: lgeo.zone_start(zone),
-            write_pointer: lgeo.zone_start(zone) + z.wp,
-            capacity: lgeo.zone_cap(),
-        })
+        Ok(lgeo.info(zone, z.state, z.wp))
     }
 }
 

@@ -1944,30 +1944,12 @@ impl LsVolume {
         if !gc_write {
             let z = &mut inner.lz[zone as usize];
             z.wp = z.wp.max(rel + nsec);
-            if matches!(z.state, ZoneState::Empty | ZoneState::Closed) {
-                z.state = ZoneState::ImplicitlyOpen;
-            }
-            if z.wp == self.geo.zone_cap() {
-                z.state = ZoneState::Full;
-            }
+            z.state = z.state.after_write(z.wp, self.geo.zone_cap());
         }
         if flags.fua {
             done = self.flush_inner(inner, done)?;
         }
         Ok(done)
-    }
-
-    fn check_write_range(&self, lba: Lba, sectors: u64, bytes: usize) -> Result<(u32, u64)> {
-        if sectors == 0 || !bytes.is_multiple_of(SECTOR_SIZE as usize) {
-            return Err(invalid("lsraid: IO must be a whole number of sectors"));
-        }
-        if !self.geo.contains(lba) {
-            return Err(ZnsError::OutOfRange { lba, sectors });
-        }
-        if !self.geo.range_in_one_zone(lba, sectors) {
-            return Err(ZnsError::ZoneBoundary { lba, sectors });
-        }
-        Ok((self.geo.zone_of(lba), self.geo.offset_in_zone(lba)))
     }
 }
 
@@ -1977,16 +1959,12 @@ impl ZonedVolume for LsVolume {
     }
 
     fn read(&self, at: SimTime, lba: Lba, buf: &mut [u8]) -> Result<IoCompletion> {
-        let nsec = buf.len() as u64 / SECTOR_SIZE;
-        let (zone, rel) = self.check_write_range(lba, nsec, buf.len())?;
+        let (zone, rel, nsec) = self.geo.check_io(lba, buf.len())?;
         let op_span = self.tracer.begin();
         let inner = self.inner.lock();
         self.tracer.lock_mark(obs::OpClass::Read, zone, at);
-        if rel + nsec > inner.lz[zone as usize].wp {
-            return Err(ZnsError::ReadUnwritten {
-                lba: self.geo.zone_start(zone) + inner.lz[zone as usize].wp,
-            });
-        }
+        let z = &inner.lz[zone as usize];
+        z.state.check_read(&self.geo, zone, z.wp, rel, nsec)?;
         let done = self.read_inner(&inner, at, lba, buf)?;
         drop(inner);
         self.tracer.root(
@@ -2000,27 +1978,17 @@ impl ZonedVolume for LsVolume {
     }
 
     fn write(&self, at: SimTime, lba: Lba, data: &[u8], flags: WriteFlags) -> Result<IoCompletion> {
-        let nsec = data.len() as u64 / SECTOR_SIZE;
-        let (zone, rel) = self.check_write_range(lba, nsec, data.len())?;
+        let (zone, rel, nsec) = self.geo.check_io(lba, data.len())?;
         let op_span = self.tracer.begin();
         let mut inner = self.inner.lock();
         self.tracer.lock_mark(obs::OpClass::Write, zone, at);
+        // The contract's two exceptions (DESIGN.md "Zone contract"): GC
+        // migration bypasses it, and a write below the write pointer is an
+        // overwrite, remapped internally — even in a full zone.
         let gc_write = obs::current_actor() == obs::Actor::Gc && inner.migrating.is_some();
-        if !gc_write {
-            let z = &inner.lz[zone as usize];
-            if rel > z.wp {
-                return Err(ZnsError::NotSequential {
-                    zone,
-                    expected: self.geo.zone_start(zone) + z.wp,
-                    got: lba,
-                });
-            }
-            // Relaxed semantics: rewriting below the write pointer is an
-            // overwrite (remapped internally), even in a Full zone; only
-            // growth past the capacity is refused.
-            if rel + nsec > self.geo.zone_cap() {
-                return Err(ZnsError::ZoneFull { zone });
-            }
+        let z = &inner.lz[zone as usize];
+        if !gc_write && rel >= z.wp {
+            z.state.check_write(&self.geo, zone, z.wp, rel, nsec)?;
         }
         let done = self.write_body(&mut inner, at, zone, rel, data, flags, gc_write)?;
         drop(inner);
@@ -2041,23 +2009,13 @@ impl ZonedVolume for LsVolume {
         data: &[u8],
         flags: WriteFlags,
     ) -> Result<AppendCompletion> {
-        let nsec = data.len() as u64 / SECTOR_SIZE;
-        if nsec == 0 || !data.len().is_multiple_of(SECTOR_SIZE as usize) {
-            return Err(invalid("lsraid: IO must be a whole number of sectors"));
-        }
-        if zone >= self.geo.num_zones() {
-            return Err(ZnsError::OutOfRange {
-                lba: u64::from(zone) * self.geo.zone_size(),
-                sectors: nsec,
-            });
-        }
+        let nsec = self.geo.check_append(zone, data.len())?;
         let op_span = self.tracer.begin();
         let mut inner = self.inner.lock();
         self.tracer.lock_mark(obs::OpClass::Append, zone, at);
-        let rel = inner.lz[zone as usize].wp;
-        if inner.lz[zone as usize].state == ZoneState::Full || rel + nsec > self.geo.zone_cap() {
-            return Err(ZnsError::ZoneFull { zone });
-        }
+        let z = &inner.lz[zone as usize];
+        let rel = z.wp;
+        z.state.check_write(&self.geo, zone, rel, rel, nsec)?;
         let lba = self.geo.zone_start(zone) + rel;
         let done = self.write_body(&mut inner, at, zone, rel, data, flags, false)?;
         drop(inner);
@@ -2072,15 +2030,11 @@ impl ZonedVolume for LsVolume {
     }
 
     fn reset_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
-        if zone >= self.geo.num_zones() {
-            return Err(ZnsError::OutOfRange {
-                lba: u64::from(zone) * self.geo.zone_size(),
-                sectors: 0,
-            });
-        }
+        self.geo.check_zone(zone)?;
         let op_span = self.tracer.begin();
         let mut inner = self.inner.lock();
         self.tracer.lock_mark(obs::OpClass::Reset, zone, at);
+        let state = inner.lz[zone as usize].state.reset(zone)?;
         let base = u64::from(zone) * self.geo.zone_cap();
         for off in 0..self.geo.zone_cap() {
             let idx = (base + off) as usize;
@@ -2092,10 +2046,7 @@ impl ZonedVolume for LsVolume {
                 inner.map[idx] = NONE64;
             }
         }
-        inner.lz[zone as usize] = LZone {
-            wp: 0,
-            state: ZoneState::Empty,
-        };
+        inner.lz[zone as usize] = LZone { wp: 0, state };
         let done = self.commit_record(&mut inner, at, kind::ZONE_RESET, |_, buf| {
             put_u32(buf, zone);
         })?;
@@ -2110,22 +2061,19 @@ impl ZonedVolume for LsVolume {
     }
 
     fn finish_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
-        if zone >= self.geo.num_zones() {
-            return Err(ZnsError::OutOfRange {
-                lba: u64::from(zone) * self.geo.zone_size(),
-                sectors: 0,
-            });
-        }
+        self.geo.check_zone(zone)?;
         let op_span = self.tracer.begin();
         let mut inner = self.inner.lock();
         self.tracer.lock_mark(obs::OpClass::Finish, zone, at);
-        if inner.lz[zone as usize].state == ZoneState::Full {
+        let state = inner.lz[zone as usize].state;
+        let next = state.finish(zone)?;
+        if next == state {
             return Ok(IoCompletion { done: at });
         }
         // Finishing is a durability point: everything logged so far is
         // sealed and flushed before the Full state is recorded.
         let t = self.flush_inner(&mut inner, at)?;
-        inner.lz[zone as usize].state = ZoneState::Full;
+        inner.lz[zone as usize].state = next;
         let done = self.commit_record(&mut inner, t, kind::ZONE_FINISH, |_, buf| {
             put_u32(buf, zone);
         })?;
@@ -2140,43 +2088,18 @@ impl ZonedVolume for LsVolume {
     }
 
     fn open_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
-        if zone >= self.geo.num_zones() {
-            return Err(ZnsError::OutOfRange {
-                lba: u64::from(zone) * self.geo.zone_size(),
-                sectors: 0,
-            });
-        }
+        self.geo.check_zone(zone)?;
         let mut inner = self.inner.lock();
         let z = &mut inner.lz[zone as usize];
-        match z.state {
-            ZoneState::Full => Err(ZnsError::BadZoneState {
-                zone,
-                state: "full",
-                op: "open",
-            }),
-            _ => {
-                z.state = ZoneState::ExplicitlyOpen;
-                Ok(IoCompletion { done: at })
-            }
-        }
+        z.state = z.state.open(zone)?;
+        Ok(IoCompletion { done: at })
     }
 
     fn close_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
-        if zone >= self.geo.num_zones() {
-            return Err(ZnsError::OutOfRange {
-                lba: u64::from(zone) * self.geo.zone_size(),
-                sectors: 0,
-            });
-        }
+        self.geo.check_zone(zone)?;
         let mut inner = self.inner.lock();
         let z = &mut inner.lz[zone as usize];
-        if z.state.is_open() {
-            z.state = if z.wp > 0 {
-                ZoneState::Closed
-            } else {
-                ZoneState::Empty
-            };
-        }
+        z.state = z.state.close(zone, z.wp)?;
         Ok(IoCompletion { done: at })
     }
 
@@ -2194,21 +2117,10 @@ impl ZonedVolume for LsVolume {
     }
 
     fn zone_info(&self, zone: u32) -> Result<ZoneInfo> {
-        if zone >= self.geo.num_zones() {
-            return Err(ZnsError::OutOfRange {
-                lba: u64::from(zone) * self.geo.zone_size(),
-                sectors: 0,
-            });
-        }
+        self.geo.check_zone(zone)?;
         let inner = self.inner.lock();
         let z = &inner.lz[zone as usize];
-        Ok(ZoneInfo {
-            zone,
-            state: z.state,
-            start: self.geo.zone_start(zone),
-            write_pointer: self.geo.zone_start(zone) + z.wp,
-            capacity: self.geo.zone_cap(),
-        })
+        Ok(self.geo.info(zone, z.state, z.wp))
     }
 }
 

@@ -87,14 +87,28 @@ impl<B: BlockDevice> ZonedBlockShim<B> {
         &self.device
     }
 
-    fn check_zone(&self, zone: u32) -> Result<()> {
-        if zone >= self.geometry.num_zones() {
-            return Err(ZnsError::OutOfRange {
-                lba: zone as u64 * self.geometry.zone_size(),
-                sectors: 0,
-            });
-        }
-        Ok(())
+    /// Writes `data` at offset `rel` of `zone` once the zone contract allows
+    /// it, and moves the zone's software state only after the block device
+    /// has taken the write. Returns the write's LBA.
+    fn write_at(
+        &self,
+        at: SimTime,
+        zone: u32,
+        rel: Option<u64>,
+        data: &[u8],
+        flags: WriteFlags,
+    ) -> Result<AppendCompletion> {
+        let geo = self.geometry;
+        let sectors = data.len() as u64 / zns::SECTOR_SIZE;
+        let mut zones = self.zones.lock();
+        let z = &mut zones[zone as usize];
+        let rel = rel.unwrap_or(z.wp);
+        z.state.check_write(&geo, zone, z.wp, rel, sectors)?;
+        let lba = geo.zone_start(zone) + rel;
+        let done = self.device.write(at, lba, data, flags)?.done;
+        z.wp += sectors;
+        z.state = z.state.after_write(z.wp, geo.zone_cap());
+        Ok(AppendCompletion { lba, done })
     }
 }
 
@@ -104,51 +118,17 @@ impl<B: BlockDevice> ZonedVolume for ZonedBlockShim<B> {
     }
 
     fn read(&self, at: SimTime, lba: Lba, buf: &mut [u8]) -> Result<IoCompletion> {
-        let sectors = buf.len() as u64 / zns::SECTOR_SIZE;
-        if !self.geometry.range_in_one_zone(lba, sectors) {
-            return Err(ZnsError::ZoneBoundary { lba, sectors });
-        }
-        {
-            let zones = self.zones.lock();
-            let z = self.geometry.zone_of(lba);
-            let off = self.geometry.offset_in_zone(lba);
-            if off + sectors > zones[z as usize].wp {
-                return Err(ZnsError::ReadUnwritten {
-                    lba: self.geometry.zone_start(z) + zones[z as usize].wp,
-                });
-            }
-        }
+        let (zone, rel, sectors) = self.geometry.check_io(lba, buf.len())?;
+        let z = self.zones.lock()[zone as usize];
+        z.state
+            .check_read(&self.geometry, zone, z.wp, rel, sectors)?;
         self.device.read(at, lba, buf)
     }
 
     fn write(&self, at: SimTime, lba: Lba, data: &[u8], flags: WriteFlags) -> Result<IoCompletion> {
-        let sectors = data.len() as u64 / zns::SECTOR_SIZE;
-        if !self.geometry.range_in_one_zone(lba, sectors) {
-            return Err(ZnsError::ZoneBoundary { lba, sectors });
-        }
-        {
-            let mut zones = self.zones.lock();
-            let zi = self.geometry.zone_of(lba);
-            let off = self.geometry.offset_in_zone(lba);
-            let z = &mut zones[zi as usize];
-            if z.state == ZoneState::Full {
-                return Err(ZnsError::ZoneFull { zone: zi });
-            }
-            if off != z.wp {
-                return Err(ZnsError::NotSequential {
-                    zone: zi,
-                    expected: self.geometry.zone_start(zi) + z.wp,
-                    got: lba,
-                });
-            }
-            z.wp += sectors;
-            z.state = if z.wp == self.geometry.zone_cap() {
-                ZoneState::Full
-            } else {
-                ZoneState::ImplicitlyOpen
-            };
-        }
-        self.device.write(at, lba, data, flags)
+        let (zone, rel, _) = self.geometry.check_io(lba, data.len())?;
+        let done = self.write_at(at, zone, Some(rel), data, flags)?.done;
+        Ok(IoCompletion { done })
     }
 
     fn append(
@@ -158,55 +138,49 @@ impl<B: BlockDevice> ZonedVolume for ZonedBlockShim<B> {
         data: &[u8],
         flags: WriteFlags,
     ) -> Result<AppendCompletion> {
-        self.check_zone(zone)?;
-        let lba = {
-            let zones = self.zones.lock();
-            self.geometry.zone_start(zone) + zones[zone as usize].wp
-        };
-        let c = self.write(at, lba, data, flags)?;
-        Ok(AppendCompletion { lba, done: c.done })
+        self.geometry.check_append(zone, data.len())?;
+        self.write_at(at, zone, None, data, flags)
     }
 
     fn reset_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
-        self.check_zone(zone)?;
-        let wp = {
-            let mut zones = self.zones.lock();
-            let z = &mut zones[zone as usize];
-            let wp = z.wp;
-            z.wp = 0;
-            z.state = ZoneState::Empty;
-            wp
-        };
-        if wp == 0 {
-            return Ok(IoCompletion { done: at });
-        }
+        self.geometry.check_zone(zone)?;
+        let mut zones = self.zones.lock();
+        let z = &mut zones[zone as usize];
+        let next = z.state.reset(zone)?;
         // TRIM the written extent so the FTL can drop the pages.
-        self.device.trim(at, self.geometry.zone_start(zone), wp)
+        let done = match z.wp {
+            0 => at,
+            wp => {
+                self.device
+                    .trim(at, self.geometry.zone_start(zone), wp)?
+                    .done
+            }
+        };
+        *z = ShimZone { wp: 0, state: next };
+        Ok(IoCompletion { done })
     }
 
     fn finish_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
-        self.check_zone(zone)?;
+        self.geometry.check_zone(zone)?;
         let mut zones = self.zones.lock();
-        zones[zone as usize].state = ZoneState::Full;
+        let z = &mut zones[zone as usize];
+        z.state = z.state.finish(zone)?;
         Ok(IoCompletion { done: at })
     }
 
     fn open_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
-        self.check_zone(zone)?;
+        self.geometry.check_zone(zone)?;
         let mut zones = self.zones.lock();
-        zones[zone as usize].state = ZoneState::ExplicitlyOpen;
+        let z = &mut zones[zone as usize];
+        z.state = z.state.open(zone)?;
         Ok(IoCompletion { done: at })
     }
 
     fn close_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
-        self.check_zone(zone)?;
+        self.geometry.check_zone(zone)?;
         let mut zones = self.zones.lock();
         let z = &mut zones[zone as usize];
-        z.state = if z.wp == 0 {
-            ZoneState::Empty
-        } else {
-            ZoneState::Closed
-        };
+        z.state = z.state.close(zone, z.wp)?;
         Ok(IoCompletion { done: at })
     }
 
@@ -215,16 +189,9 @@ impl<B: BlockDevice> ZonedVolume for ZonedBlockShim<B> {
     }
 
     fn zone_info(&self, zone: u32) -> Result<ZoneInfo> {
-        self.check_zone(zone)?;
-        let zones = self.zones.lock();
-        let z = zones[zone as usize];
-        Ok(ZoneInfo {
-            zone,
-            state: z.state,
-            start: self.geometry.zone_start(zone),
-            write_pointer: self.geometry.zone_start(zone) + z.wp,
-            capacity: self.geometry.zone_cap(),
-        })
+        self.geometry.check_zone(zone)?;
+        let z = self.zones.lock()[zone as usize];
+        Ok(self.geometry.info(zone, z.state, z.wp))
     }
 }
 
@@ -290,6 +257,18 @@ mod tests {
             .append(SimTime::ZERO, 1, &vec![0u8; 4096], WriteFlags::default())
             .unwrap();
         assert_eq!(b.lba, 65);
+    }
+
+    #[test]
+    fn failed_device_write_leaves_zone_state() {
+        let s = shim();
+        let data = vec![0u8; 4096];
+        s.write(SimTime::ZERO, 0, &data, WriteFlags::default())
+            .unwrap();
+        s.device().fail();
+        s.write(SimTime::ZERO, 1, &data, WriteFlags::default())
+            .unwrap_err();
+        assert_eq!(s.zone_info(0).unwrap().write_pointer, 1);
     }
 
     #[test]

@@ -440,15 +440,20 @@ impl<'a, T: FaultTarget> Pair<'a, T> {
         Ok(())
     }
 
-    /// Finishes `zone`: sealed, and its prefix durable.
+    /// Finishes `zone`: sealed, and its prefix durable — unless it was full
+    /// already, which a finish leaves as it is (DESIGN.md "Zone contract").
     ///
     /// # Errors
     ///
     /// Names the finish failure.
     pub fn finish(&mut self, zone: u32) -> Result<(), String> {
         ctx(self.vol.finish_zone(T0, zone), "finish")?;
+        let cap = self.vol.geometry().zone_cap();
         let m = &mut self.model[zone as usize];
-        (m.durable, m.finished) = (m.written(), true);
+        if !m.finished && m.written() < cap {
+            m.durable = m.written();
+        }
+        m.finished = true;
         if let Some((recorder, cursor)) = &mut self.trace {
             *cursor = recorder.next_seq();
         }

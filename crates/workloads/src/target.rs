@@ -114,6 +114,21 @@ impl<V: ZonedVolume> ZonedTarget<V> {
         let (z, o) = self.locate(off);
         self.volume.geometry().zone_start(z) + o
     }
+
+    /// Where a write at dense offset `off` re-enters a zone at its start,
+    /// resets the zone first if it holds data (sequential-overwrite
+    /// semantics). Returns when the write may issue.
+    fn reset_on_reentry(&self, at: SimTime, off: u64) -> Result<SimTime> {
+        let (zone, zoff) = self.locate(off);
+        if !self.auto_reset || zoff != 0 {
+            return Ok(at);
+        }
+        let info = self.volume.zone_info(zone)?;
+        if info.write_pointer == info.start {
+            return Ok(at);
+        }
+        Ok(self.volume.reset_zone(at, zone)?.done)
+    }
 }
 
 impl<V: ZonedVolume> IoTarget for ZonedTarget<V> {
@@ -127,16 +142,7 @@ impl<V: ZonedVolume> IoTarget for ZonedTarget<V> {
     }
 
     fn write(&self, at: SimTime, off: u64, data: &[u8]) -> Result<SimTime> {
-        let (zone, zoff) = self.locate(off);
-        let mut t = at;
-        if self.auto_reset && zoff == 0 {
-            // Re-entering a zone at its start: reset it first if it holds
-            // data (sequential-overwrite semantics).
-            let info = self.volume.zone_info(zone)?;
-            if info.write_pointer > info.start {
-                t = self.volume.reset_zone(t, zone)?.done;
-            }
-        }
+        let t = self.reset_on_reentry(at, off)?;
         Ok(self
             .volume
             .write(t, self.to_lba(off), data, WriteFlags::default())?
@@ -144,14 +150,7 @@ impl<V: ZonedVolume> IoTarget for ZonedTarget<V> {
     }
 
     fn write_vectored(&self, at: SimTime, off: u64, segments: &[&[u8]]) -> Result<SimTime> {
-        let (zone, zoff) = self.locate(off);
-        let mut t = at;
-        if self.auto_reset && zoff == 0 {
-            let info = self.volume.zone_info(zone)?;
-            if info.write_pointer > info.start {
-                t = self.volume.reset_zone(t, zone)?.done;
-            }
-        }
+        let t = self.reset_on_reentry(at, off)?;
         Ok(self
             .volume
             .write_vectored(t, self.to_lba(off), segments, WriteFlags::default())?
@@ -163,12 +162,7 @@ impl<V: ZonedVolume> IoTarget for ZonedTarget<V> {
     }
 
     fn manage_zone(&self, at: SimTime, zone: u32, op: zns::ZoneMgmtOp) -> Result<SimTime> {
-        Ok(match op {
-            zns::ZoneMgmtOp::Open => self.volume.open_zone(at, zone)?.done,
-            zns::ZoneMgmtOp::Close => self.volume.close_zone(at, zone)?.done,
-            zns::ZoneMgmtOp::Finish => self.volume.finish_zone(at, zone)?.done,
-            zns::ZoneMgmtOp::Reset => self.volume.reset_zone(at, zone)?.done,
-        })
+        Ok(self.volume.manage(at, zone, op)?.done)
     }
 
     fn max_io_at(&self, off: u64) -> u64 {

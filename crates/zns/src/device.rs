@@ -61,6 +61,17 @@ struct Inner {
     faults: Option<FaultPlan>,
 }
 
+impl Inner {
+    /// Moves `zone` to `next`; the open/active counters follow from the
+    /// (old, new) state pair.
+    fn set_state(&mut self, zone: u32, next: ZoneState) {
+        let prev = std::mem::replace(&mut self.zones[zone as usize].state, next);
+        self.open_count = self.open_count + u32::from(next.is_open()) - u32::from(prev.is_open());
+        self.active_count =
+            self.active_count + u32::from(next.is_active()) - u32::from(prev.is_active());
+    }
+}
+
 impl ZnsDevice {
     /// Creates a fresh (all-zones-empty) device.
     pub fn new(config: ZnsConfig) -> Self {
@@ -290,29 +301,14 @@ impl ZnsDevice {
     /// Forces `zone` into the read-only failure state (media wear
     /// injection).
     pub fn set_zone_read_only(&self, zone: u32) {
-        let mut inner = self.inner.lock();
-        self.detach_state(&mut inner, zone);
-        inner.zones[zone as usize].state = ZoneState::ReadOnly;
+        self.inner.lock().set_state(zone, ZoneState::ReadOnly);
     }
 
     /// Forces `zone` offline (media failure injection); its data is gone.
     pub fn set_zone_offline(&self, zone: u32) {
         let mut inner = self.inner.lock();
-        self.detach_state(&mut inner, zone);
-        let z = &mut inner.zones[zone as usize];
-        z.state = ZoneState::Offline;
-        z.data = None;
-    }
-
-    /// Removes `zone`'s current state from the open/active accounting.
-    fn detach_state(&self, inner: &mut Inner, zone: u32) {
-        let state = inner.zones[zone as usize].state;
-        if state.is_open() {
-            inner.open_count -= 1;
-        }
-        if state.is_active() {
-            inner.active_count -= 1;
-        }
+        inner.set_state(zone, ZoneState::Offline);
+        inner.zones[zone as usize].data = None;
     }
 
     fn check_alive(inner: &Inner) -> Result<()> {
@@ -323,59 +319,21 @@ impl ZnsDevice {
         }
     }
 
-    fn check_zone_index(&self, zone: u32) -> Result<()> {
-        let geo = self.config.geometry();
-        if zone >= geo.num_zones() {
-            return Err(ZnsError::OutOfRange {
-                lba: zone as u64 * geo.zone_size(),
-                sectors: 0,
+    /// The open/active budgets of a writable zone in `state` that is about
+    /// to be opened: an empty zone takes an active slot, and a zone not yet
+    /// open takes an open slot, made by implicit-close eviction when none
+    /// is free. Returns when the zone is ready: `at` unless an eviction had
+    /// to run first, whose management stall delays the triggering command.
+    fn admit_open(&self, inner: &mut Inner, state: ZoneState, at: SimTime) -> Result<SimTime> {
+        if state == ZoneState::Empty && inner.active_count >= self.config.max_active_zones() {
+            return Err(ZnsError::TooManyActiveZones {
+                limit: self.config.max_active_zones(),
             });
         }
-        Ok(())
-    }
-
-    fn sector_count(data_len: usize) -> Result<u64> {
-        if data_len == 0 || !data_len.is_multiple_of(SECTOR_SIZE as usize) {
-            return Err(ZnsError::InvalidArgument(format!(
-                "buffer length {data_len} is not a positive multiple of the sector size"
-            )));
+        if !state.is_open() && inner.open_count >= self.config.max_open_zones() {
+            return self.evict_implicitly_open(inner, at);
         }
-        Ok((data_len / SECTOR_SIZE as usize) as u64)
-    }
-
-    /// Ensures `zone` is in a writable-open state, applying implicit open
-    /// with LRU implicit-close eviction when the open limit is reached.
-    /// Returns the time the zone is ready for the write: `at` unless an
-    /// eviction had to run first, in which case the eviction's management
-    /// stall delays the triggering write.
-    fn ensure_open_for_write(&self, inner: &mut Inner, zone: u32, at: SimTime) -> Result<SimTime> {
-        let state = inner.zones[zone as usize].state;
-        match state {
-            ZoneState::ImplicitlyOpen | ZoneState::ExplicitlyOpen => Ok(at),
-            ZoneState::Empty | ZoneState::Closed => {
-                if state == ZoneState::Empty && inner.active_count >= self.config.max_active_zones()
-                {
-                    return Err(ZnsError::TooManyActiveZones {
-                        limit: self.config.max_active_zones(),
-                    });
-                }
-                let ready = if inner.open_count >= self.config.max_open_zones() {
-                    self.evict_implicitly_open(inner, at)?
-                } else {
-                    at
-                };
-                let was_active = state.is_active();
-                inner.zones[zone as usize].state = ZoneState::ImplicitlyOpen;
-                inner.open_count += 1;
-                if !was_active {
-                    inner.active_count += 1;
-                }
-                Ok(ready)
-            }
-            ZoneState::Full => Err(ZnsError::ZoneFull { zone }),
-            ZoneState::ReadOnly => Err(ZnsError::ZoneReadOnly { zone }),
-            ZoneState::Offline => Err(ZnsError::ZoneOffline { zone }),
-        }
+        Ok(at)
     }
 
     /// Implicitly closes the least-recently-written implicitly-open zone,
@@ -394,8 +352,7 @@ impl ZnsDevice {
             Some(i) => {
                 // A zone with wp == 0 cannot be implicitly open (it would be
                 // empty), so the victim transitions to closed.
-                inner.zones[i].state = ZoneState::Closed;
-                inner.open_count -= 1;
+                inner.set_state(i as u32, ZoneState::Closed);
                 inner.stats.implicit_closes += 1;
                 let tag = obs::current_actor().as_u8();
                 Ok(self
@@ -409,18 +366,21 @@ impl ZnsDevice {
         }
     }
 
-    /// Shared implementation for write and append; `op` distinguishes the
-    /// two for fault accounting.
+    /// Shared implementation for write and append, whose arguments the
+    /// caller checked: `rel` is the write's offset in `zone` (an append
+    /// has none: it lands at the write pointer), `op` tells the two apart
+    /// for fault accounting.
     fn do_write(
         &self,
         at: SimTime,
         zone: u32,
+        rel: Option<u64>,
         data: &[u8],
         flags: WriteFlags,
         op: FaultOp,
     ) -> Result<AppendCompletion> {
         let geo = self.config.geometry();
-        let sectors = Self::sector_count(data.len())?;
+        let sectors = data.len() as u64 / SECTOR_SIZE;
         let opclass = if op == FaultOp::Append {
             obs::OpClass::Append
         } else {
@@ -438,18 +398,12 @@ impl ZnsDevice {
             );
             return Err(e);
         }
-
-        {
+        let (state, wp) = {
             let z = &inner.zones[zone as usize];
-            if z.wp + sectors > geo.zone_cap() {
-                return match z.state {
-                    ZoneState::ReadOnly => Err(ZnsError::ZoneReadOnly { zone }),
-                    ZoneState::Offline => Err(ZnsError::ZoneOffline { zone }),
-                    _ => Err(ZnsError::ZoneFull { zone }),
-                };
-            }
-        }
-        let ready = self.ensure_open_for_write(&mut inner, zone, at)?;
+            (z.state, z.wp)
+        };
+        state.check_write(&geo, zone, wp, rel.unwrap_or(wp), sectors)?;
+        let ready = self.admit_open(&mut inner, state, at)?;
 
         // A preflush makes all *prior* cached writes durable before this
         // write's data lands; the new write itself is only durable if FUA
@@ -467,7 +421,7 @@ impl ZnsDevice {
                 .leaf(obs::Span::new(obs::OpClass::Flush, obs::Stage::Flush, at, issue).zone(zone));
         }
 
-        let assigned = geo.zone_start(zone) + inner.zones[zone as usize].wp;
+        let assigned = geo.zone_start(zone) + wp;
         inner.write_seq += 1;
         let seq = inner.write_seq;
         let store = self.config.stores_data();
@@ -478,38 +432,16 @@ impl ZnsDevice {
                 let buf = z
                     .data
                     .get_or_insert_with(|| vec![0u8; cap_bytes].into_boxed_slice());
-                let off = sectors_to_bytes(z.wp);
+                let off = sectors_to_bytes(wp);
                 buf[off..off + data.len()].copy_from_slice(data);
             }
             z.wp += sectors;
             z.last_write_seq = seq;
-            if z.wp == geo.zone_cap() {
-                z.state = ZoneState::Full;
-            }
         }
-        if inner.zones[zone as usize].state == ZoneState::Full {
-            inner.open_count -= 1;
-            inner.active_count -= 1;
-        }
+        inner.set_state(zone, state.after_write(wp + sectors, geo.zone_cap()));
 
-        let tag = obs::current_actor().as_u8();
         let start = issue + lat.command_overhead;
-        let mut done = start;
-        let mut remaining = sectors;
-        // Only the first chunk's stall is genuine queueing; later chunks
-        // issued at the same instant wait behind this command's own earlier
-        // chunks, which is pipelined service, not device wait.
-        let mut first: Option<sim::Occupied> = None;
-        while remaining > 0 {
-            let chunk = remaining.min(lat.chunk_sectors);
-            let dur = lat.write_per_sector.saturating_mul(chunk);
-            let occ = self
-                .timing
-                .occupy_affine_tagged(zone as u64, start, dur, tag);
-            done = done.max(occ.done);
-            first.get_or_insert(occ);
-            remaining -= chunk;
-        }
+        let (done, first) = self.occupy_chunks(zone, start, sectors, lat.write_per_sector);
         if flags.fua {
             let z = &mut inner.zones[zone as usize];
             z.durable = z.wp;
@@ -531,6 +463,37 @@ impl ZnsDevice {
             lba: assigned,
             done,
         })
+    }
+
+    /// Occupies `zone`'s flash units with `sectors` of service at
+    /// `per_sector` from `start`, in chunks that run in parallel; returns
+    /// the completion and the first chunk's occupancy. Only that first
+    /// chunk's stall is genuine queueing: later chunks issued at the same
+    /// instant wait behind this command's own earlier chunks, which is
+    /// pipelined service, not device wait.
+    fn occupy_chunks(
+        &self,
+        zone: u32,
+        start: SimTime,
+        sectors: u64,
+        per_sector: sim::SimDuration,
+    ) -> (SimTime, Option<sim::Occupied>) {
+        let chunk_sectors = self.config.latency().chunk_sectors;
+        let tag = obs::current_actor().as_u8();
+        let mut done = start;
+        let mut first = None;
+        let mut remaining = sectors;
+        while remaining > 0 {
+            let chunk = remaining.min(chunk_sectors);
+            let dur = per_sector.saturating_mul(chunk);
+            let occ = self
+                .timing
+                .occupy_affine_tagged(zone as u64, start, dur, tag);
+            done = done.max(occ.done);
+            first.get_or_insert(occ);
+            remaining -= chunk;
+        }
+        (done, first)
     }
 
     fn mgmt_completion(&self, at: SimTime, dur: sim::SimDuration) -> SimTime {
@@ -558,19 +521,11 @@ impl ZnsDevice {
             ));
         }
         let geo = self.config.geometry();
-        let sectors = Self::sector_count(data.len())?;
-        if !geo.contains(lba) {
-            return Err(ZnsError::OutOfRange { lba, sectors });
-        }
-        if !geo.range_in_one_zone(lba, sectors) {
-            return Err(ZnsError::ZoneBoundary { lba, sectors });
-        }
-        let zone = geo.zone_of(lba);
-        let rel = geo.offset_in_zone(lba);
+        let (zone, rel, sectors) = geo.check_io(lba, data.len())?;
         let mut inner = self.inner.lock();
         Self::check_alive(&inner)?;
         Self::inject_fault(&mut inner, FaultOp::Write)?;
-        {
+        let (state, wp) = {
             let z = &inner.zones[zone as usize];
             match z.state {
                 ZoneState::Full => return Err(ZnsError::ZoneFull { zone }),
@@ -585,8 +540,10 @@ impl ZnsDevice {
                     (z.wp + zrwa).min(geo.zone_cap())
                 )));
             }
-        }
-        let ready = self.ensure_open_for_write(&mut inner, zone, at)?;
+            (z.state, z.wp)
+        };
+        let ready = self.admit_open(&mut inner, state, at)?;
+        inner.set_state(zone, state.after_write(wp, geo.zone_cap()));
         let store = self.config.stores_data();
         let cap_bytes = sectors_to_bytes(geo.zone_cap());
         if store {
@@ -597,22 +554,9 @@ impl ZnsDevice {
             let off = sectors_to_bytes(rel);
             buf[off..off + data.len()].copy_from_slice(data);
         }
-        let lat = self.config.latency().clone();
-        let tag = obs::current_actor().as_u8();
+        let lat = self.config.latency();
         let start = ready + lat.command_overhead;
-        let mut done = start;
-        let mut remaining = sectors;
-        let mut first: Option<sim::Occupied> = None;
-        while remaining > 0 {
-            let chunk = remaining.min(lat.chunk_sectors);
-            let dur = lat.write_per_sector.saturating_mul(chunk);
-            let occ = self
-                .timing
-                .occupy_affine_tagged(zone as u64, start, dur, tag);
-            done = done.max(occ.done);
-            first.get_or_insert(occ);
-            remaining -= chunk;
-        }
+        let (done, first) = self.occupy_chunks(zone, start, sectors, lat.write_per_sector);
         inner.stats.writes += 1;
         inner.stats.sectors_written += sectors;
         if let Some(occ) = first {
@@ -635,8 +579,8 @@ impl ZnsDevice {
                 "ZRWA is not enabled on this device".to_string(),
             ));
         }
-        self.check_zone_index(zone)?;
         let geo = self.config.geometry();
+        geo.check_zone(zone)?;
         let mut inner = self.inner.lock();
         Self::check_alive(&inner)?;
         {
@@ -649,13 +593,9 @@ impl ZnsDevice {
                 )));
             }
             z.wp = upto;
-            if z.wp == geo.zone_cap() {
-                z.state = ZoneState::Full;
-            }
         }
-        if inner.zones[zone as usize].state == ZoneState::Full {
-            inner.open_count -= 1;
-            inner.active_count -= 1;
+        if upto == geo.zone_cap() {
+            inner.set_state(zone, ZoneState::Full);
         }
         let dur = self.config.latency().zone_mgmt;
         let done = self.mgmt_completion(at, dur);
@@ -670,28 +610,13 @@ impl ZonedVolume for ZnsDevice {
 
     fn read(&self, at: SimTime, lba: Lba, buf: &mut [u8]) -> Result<IoCompletion> {
         let geo = self.config.geometry();
-        let sectors = Self::sector_count(buf.len())?;
-        if !geo.contains(lba) {
-            return Err(ZnsError::OutOfRange { lba, sectors });
-        }
-        if !geo.range_in_one_zone(lba, sectors) {
-            return Err(ZnsError::ZoneBoundary { lba, sectors });
-        }
-        let zone = geo.zone_of(lba);
-        let rel = geo.offset_in_zone(lba);
+        let (zone, rel, sectors) = geo.check_io(lba, buf.len())?;
         let mut inner = self.inner.lock();
         Self::check_alive(&inner)?;
         Self::inject_fault(&mut inner, FaultOp::Read)?;
         {
             let z = &inner.zones[zone as usize];
-            if z.state == ZoneState::Offline {
-                return Err(ZnsError::ZoneOffline { zone });
-            }
-            if rel + sectors > z.wp {
-                return Err(ZnsError::ReadUnwritten {
-                    lba: geo.zone_start(zone) + z.wp,
-                });
-            }
+            z.state.check_read(&geo, zone, z.wp, rel, sectors)?;
         }
         if let Err(e) = Self::check_latent(&mut inner, lba, sectors) {
             self.tracer.leaf(
@@ -713,22 +638,9 @@ impl ZonedVolume for ZnsDevice {
                 buf.fill(0);
             }
         }
-        let lat = self.config.latency().clone();
-        let tag = obs::current_actor().as_u8();
+        let lat = self.config.latency();
         let start = at + lat.command_overhead;
-        let mut done = start;
-        let mut remaining = sectors;
-        let mut first: Option<sim::Occupied> = None;
-        while remaining > 0 {
-            let chunk = remaining.min(lat.chunk_sectors);
-            let dur = lat.read_per_sector.saturating_mul(chunk);
-            let occ = self
-                .timing
-                .occupy_affine_tagged(zone as u64, start, dur, tag);
-            done = done.max(occ.done);
-            first.get_or_insert(occ);
-            remaining -= chunk;
-        }
+        let (done, first) = self.occupy_chunks(zone, start, sectors, lat.read_per_sector);
         inner.stats.reads += 1;
         inner.stats.sectors_read += sectors;
         let served = match first {
@@ -750,31 +662,8 @@ impl ZonedVolume for ZnsDevice {
     }
 
     fn write(&self, at: SimTime, lba: Lba, data: &[u8], flags: WriteFlags) -> Result<IoCompletion> {
-        let geo = self.config.geometry();
-        let sectors = Self::sector_count(data.len())?;
-        if !geo.contains(lba) {
-            return Err(ZnsError::OutOfRange { lba, sectors });
-        }
-        let zone = geo.zone_of(lba);
-        if geo.offset_in_zone(lba) + sectors > geo.zone_size() {
-            return Err(ZnsError::ZoneBoundary { lba, sectors });
-        }
-        // Sequential-write check before the shared path so the error names
-        // the expected write pointer.
-        {
-            let inner = self.inner.lock();
-            Self::check_alive(&inner)?;
-            let z = &inner.zones[zone as usize];
-            let rel = geo.offset_in_zone(lba);
-            if z.state.is_writable() && rel != z.wp {
-                return Err(ZnsError::NotSequential {
-                    zone,
-                    expected: geo.zone_start(zone) + z.wp,
-                    got: lba,
-                });
-            }
-        }
-        self.do_write(at, zone, data, flags, FaultOp::Write)
+        let (zone, rel, _) = self.config.geometry().check_io(lba, data.len())?;
+        self.do_write(at, zone, Some(rel), data, flags, FaultOp::Write)
             .map(|c| IoCompletion { done: c.done })
     }
 
@@ -785,25 +674,20 @@ impl ZonedVolume for ZnsDevice {
         data: &[u8],
         flags: WriteFlags,
     ) -> Result<AppendCompletion> {
-        self.check_zone_index(zone)?;
-        self.do_write(at, zone, data, flags, FaultOp::Append)
+        self.config.geometry().check_append(zone, data.len())?;
+        self.do_write(at, zone, None, data, flags, FaultOp::Append)
     }
 
     fn reset_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
-        self.check_zone_index(zone)?;
         let geo = self.config.geometry();
+        geo.check_zone(zone)?;
         let mut inner = self.inner.lock();
         Self::check_alive(&inner)?;
         Self::inject_fault(&mut inner, FaultOp::Reset)?;
-        match inner.zones[zone as usize].state {
-            ZoneState::ReadOnly => return Err(ZnsError::ZoneReadOnly { zone }),
-            ZoneState::Offline => return Err(ZnsError::ZoneOffline { zone }),
-            _ => {}
-        }
-        self.detach_state(&mut inner, zone);
+        let next = inner.zones[zone as usize].state.reset(zone)?;
+        inner.set_state(zone, next);
         {
             let z = &mut inner.zones[zone as usize];
-            z.state = ZoneState::Empty;
             z.wp = 0;
             z.durable = 0;
             z.data = None;
@@ -842,48 +726,44 @@ impl ZonedVolume for ZnsDevice {
     }
 
     fn finish_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
-        self.check_zone_index(zone)?;
         let geo = self.config.geometry();
+        geo.check_zone(zone)?;
         let mut inner = self.inner.lock();
         Self::check_alive(&inner)?;
         let state = inner.zones[zone as usize].state;
+        let next = state.finish(zone)?;
         let lat = self.config.latency().clone();
         let tag = obs::current_actor().as_u8();
         let mut first: Option<sim::Occupied> = None;
         let mut fill_done = at;
-        match state {
-            ZoneState::ReadOnly => return Err(ZnsError::ZoneReadOnly { zone }),
-            ZoneState::Offline => return Err(ZnsError::ZoneOffline { zone }),
-            ZoneState::Full => {}
-            _ => {
-                self.detach_state(&mut inner, zone);
-                // Finishing durably seals the written prefix.
-                let wp = {
-                    let z = &mut inner.zones[zone as usize];
-                    z.state = ZoneState::Full;
-                    z.durable = z.wp;
-                    z.wp
-                };
-                // The controller pads the unwritten remainder with
-                // block-sized program operations (ConfZNS++'s
-                // FINISH_BLOCK_SIZE model). The fills are sequential
-                // within the zone, so they chain on the zone's die group
-                // rather than spreading across the whole device.
-                if lat.finish_block_sectors > 0 {
-                    let mut left = geo.zone_cap() - wp;
-                    inner.stats.finish_fill_sectors += left;
-                    while left > 0 {
-                        let blk = left.min(lat.finish_block_sectors);
-                        let occ = self.timing.occupy_affine_tagged(
-                            zone as u64,
-                            fill_done,
-                            lat.write_per_sector.saturating_mul(blk),
-                            tag,
-                        );
-                        fill_done = occ.done;
-                        first.get_or_insert(occ);
-                        left -= blk;
-                    }
+        // Finishing a full zone changes nothing but still costs the command.
+        if next != state {
+            inner.set_state(zone, next);
+            // Finishing durably seals the written prefix.
+            let wp = {
+                let z = &mut inner.zones[zone as usize];
+                z.durable = z.wp;
+                z.wp
+            };
+            // The controller pads the unwritten remainder with
+            // block-sized program operations (ConfZNS++'s
+            // FINISH_BLOCK_SIZE model). The fills are sequential
+            // within the zone, so they chain on the zone's die group
+            // rather than spreading across the whole device.
+            if lat.finish_block_sectors > 0 {
+                let mut left = geo.zone_cap() - wp;
+                inner.stats.finish_fill_sectors += left;
+                while left > 0 {
+                    let blk = left.min(lat.finish_block_sectors);
+                    let occ = self.timing.occupy_affine_tagged(
+                        zone as u64,
+                        fill_done,
+                        lat.write_per_sector.saturating_mul(blk),
+                        tag,
+                    );
+                    fill_done = occ.done;
+                    first.get_or_insert(occ);
+                    left -= blk;
                 }
             }
         }
@@ -905,62 +785,25 @@ impl ZonedVolume for ZnsDevice {
     }
 
     fn open_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
-        self.check_zone_index(zone)?;
+        self.config.geometry().check_zone(zone)?;
         let mut inner = self.inner.lock();
         Self::check_alive(&inner)?;
         let state = inner.zones[zone as usize].state;
-        let mut issue = at;
-        match state {
-            ZoneState::ExplicitlyOpen => {}
-            ZoneState::Empty | ZoneState::Closed | ZoneState::ImplicitlyOpen => {
-                if state == ZoneState::Empty && inner.active_count >= self.config.max_active_zones()
-                {
-                    return Err(ZnsError::TooManyActiveZones {
-                        limit: self.config.max_active_zones(),
-                    });
-                }
-                if !state.is_open() && inner.open_count >= self.config.max_open_zones() {
-                    issue = self.evict_implicitly_open(&mut inner, at)?;
-                }
-                let was_open = state.is_open();
-                let was_active = state.is_active();
-                inner.zones[zone as usize].state = ZoneState::ExplicitlyOpen;
-                if !was_open {
-                    inner.open_count += 1;
-                }
-                if !was_active {
-                    inner.active_count += 1;
-                }
-            }
-            ZoneState::Full => return Err(ZnsError::ZoneFull { zone }),
-            ZoneState::ReadOnly => return Err(ZnsError::ZoneReadOnly { zone }),
-            ZoneState::Offline => return Err(ZnsError::ZoneOffline { zone }),
-        }
+        let next = state.open(zone)?;
+        let issue = self.admit_open(&mut inner, state, at)?;
+        inner.set_state(zone, next);
         let dur = self.config.latency().zone_mgmt;
         let done = self.mgmt_completion(issue, dur);
         Ok(IoCompletion { done })
     }
 
     fn close_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
-        self.check_zone_index(zone)?;
+        self.config.geometry().check_zone(zone)?;
         let mut inner = self.inner.lock();
         Self::check_alive(&inner)?;
-        let state = inner.zones[zone as usize].state;
-        if !state.is_open() {
-            return Err(ZnsError::BadZoneState {
-                zone,
-                state: state.name(),
-                op: "close",
-            });
-        }
-        inner.open_count -= 1;
-        let z = &mut inner.zones[zone as usize];
-        if z.wp == 0 {
-            z.state = ZoneState::Empty;
-            inner.active_count -= 1;
-        } else {
-            z.state = ZoneState::Closed;
-        }
+        let z = &inner.zones[zone as usize];
+        let next = z.state.close(zone, z.wp)?;
+        inner.set_state(zone, next);
         let dur = self.config.latency().zone_mgmt;
         let done = self.mgmt_completion(at, dur);
         Ok(IoCompletion { done })
@@ -985,17 +828,11 @@ impl ZonedVolume for ZnsDevice {
     }
 
     fn zone_info(&self, zone: u32) -> Result<ZoneInfo> {
-        self.check_zone_index(zone)?;
         let geo = self.config.geometry();
+        geo.check_zone(zone)?;
         let inner = self.inner.lock();
         let z = &inner.zones[zone as usize];
-        Ok(ZoneInfo {
-            zone,
-            state: z.state,
-            start: geo.zone_start(zone),
-            write_pointer: geo.zone_start(zone) + z.wp,
-            capacity: geo.zone_cap(),
-        })
+        Ok(geo.info(zone, z.state, z.wp))
     }
 }
 

@@ -1,4 +1,9 @@
-//! Address-space geometry shared by zoned devices and volumes.
+//! Address-space geometry shared by zoned devices and volumes, and the
+//! zone contract's argument rules (DESIGN.md "Zone contract").
+
+use crate::error::ZnsError;
+use crate::zone::{ZoneInfo, ZoneState};
+use crate::Result;
 
 /// A logical block address, i.e. a sector index into a device or volume.
 pub type Lba = u64;
@@ -136,6 +141,76 @@ impl ZoneGeometry {
         let zone = (lba / self.zone_size) as u32;
         lba + sectors <= self.zone_cap_end(zone)
     }
+
+    /// Zone contract: `zone` names one of this geometry's zones.
+    ///
+    /// # Errors
+    ///
+    /// [`ZnsError::OutOfRange`] at the zone's would-be start.
+    pub fn check_zone(&self, zone: u32) -> Result<()> {
+        if zone >= self.num_zones {
+            return Err(ZnsError::OutOfRange {
+                lba: u64::from(zone) * self.zone_size,
+                sectors: 0,
+            });
+        }
+        Ok(())
+    }
+
+    /// Zone contract: the arguments of a read or write of `bytes` at `lba`
+    /// — a positive whole number of sectors, inside the address space,
+    /// inside one zone. Returns the zone, the offset in it and the length
+    /// in sectors.
+    ///
+    /// # Errors
+    ///
+    /// [`ZnsError::InvalidArgument`], then [`ZnsError::OutOfRange`], then
+    /// [`ZnsError::ZoneBoundary`].
+    pub fn check_io(&self, lba: Lba, bytes: usize) -> Result<(u32, u64, u64)> {
+        let sectors = sectors_of(bytes)?;
+        if !self.contains(lba) {
+            return Err(ZnsError::OutOfRange { lba, sectors });
+        }
+        let rel = self.offset_in_zone(lba);
+        if rel + sectors > self.zone_size {
+            return Err(ZnsError::ZoneBoundary { lba, sectors });
+        }
+        Ok(((lba / self.zone_size) as u32, rel, sectors))
+    }
+
+    /// Zone contract: the arguments of an append of `bytes` to `zone`.
+    /// Returns the length in sectors; where it lands is the zone state's
+    /// [`check_write`](ZoneState::check_write) at the write pointer.
+    ///
+    /// # Errors
+    ///
+    /// [`ZnsError::OutOfRange`], then [`ZnsError::InvalidArgument`].
+    pub fn check_append(&self, zone: u32, bytes: usize) -> Result<u64> {
+        self.check_zone(zone)?;
+        sectors_of(bytes)
+    }
+
+    /// The zone report entry of `zone` in `state` with its write pointer
+    /// `wp` sectors past the zone start.
+    pub fn info(&self, zone: u32, state: ZoneState, wp: u64) -> ZoneInfo {
+        let start = self.zone_start(zone);
+        ZoneInfo {
+            zone,
+            state,
+            start,
+            write_pointer: start + wp,
+            capacity: self.zone_cap,
+        }
+    }
+}
+
+fn sectors_of(bytes: usize) -> Result<u64> {
+    if bytes == 0 || !bytes.is_multiple_of(SECTOR_SIZE as usize) {
+        return Err(ZnsError::InvalidArgument(format!(
+            "buffer length {bytes} is not a positive multiple of the sector size"
+        )));
+    }
+    Ok(bytes as u64 / SECTOR_SIZE)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The zoned block interface shared by physical devices and logical volumes.
 
 use crate::geometry::{Lba, ZoneGeometry};
-use crate::zone::ZoneInfo;
+use crate::zone::{ZoneInfo, ZoneMgmtOp};
 use crate::Result;
 use sim::SimTime;
 
@@ -143,6 +143,20 @@ pub trait ZonedVolume: Send + Sync {
     ///
     /// Fails if the zone is not open.
     fn close_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion>;
+
+    /// Issues the zone-management command `op` against `zone`.
+    ///
+    /// # Errors
+    ///
+    /// Those of the command `op` names.
+    fn manage(&self, at: SimTime, zone: u32, op: ZoneMgmtOp) -> Result<IoCompletion> {
+        match op {
+            ZoneMgmtOp::Open => self.open_zone(at, zone),
+            ZoneMgmtOp::Close => self.close_zone(at, zone),
+            ZoneMgmtOp::Finish => self.finish_zone(at, zone),
+            ZoneMgmtOp::Reset => self.reset_zone(at, zone),
+        }
+    }
 
     /// Makes all cached writes durable.
     ///

@@ -1,6 +1,9 @@
-//! Zone state machine.
+//! Zone state machine: the zone contract's state rules (DESIGN.md "Zone
+//! contract").
 
-use crate::geometry::Lba;
+use crate::error::ZnsError;
+use crate::geometry::{Lba, ZoneGeometry};
+use crate::Result;
 use std::fmt;
 
 /// The state of a zone, per the NVMe ZNS state machine (§2.1 of the paper).
@@ -56,6 +59,139 @@ impl ZoneState {
             ZoneState::ReadOnly => "read-only",
             ZoneState::Offline => "offline",
         }
+    }
+
+    /// The media failure states refuse every state change.
+    fn check_media(self, zone: u32) -> Result<()> {
+        match self {
+            ZoneState::ReadOnly => Err(ZnsError::ZoneReadOnly { zone }),
+            ZoneState::Offline => Err(ZnsError::ZoneOffline { zone }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Zone contract: a read of `sectors` at offset `rel` of `zone`, whose
+    /// write pointer is `wp`, touches only written sectors of a zone that
+    /// still holds data.
+    ///
+    /// # Errors
+    ///
+    /// [`ZnsError::ZoneOffline`], then [`ZnsError::ReadUnwritten`].
+    pub fn check_read(
+        self,
+        geo: &ZoneGeometry,
+        zone: u32,
+        wp: u64,
+        rel: u64,
+        sectors: u64,
+    ) -> Result<()> {
+        if self == ZoneState::Offline {
+            return Err(ZnsError::ZoneOffline { zone });
+        }
+        if rel + sectors > wp {
+            return Err(ZnsError::ReadUnwritten {
+                lba: geo.zone_start(zone) + wp,
+            });
+        }
+        Ok(())
+    }
+
+    /// Zone contract: a write of `sectors` at offset `rel` of `zone`, whose
+    /// write pointer is `wp`, goes to a writable zone, at its write
+    /// pointer, within its capacity.
+    ///
+    /// # Errors
+    ///
+    /// [`ZnsError::ZoneFull`], [`ZnsError::ZoneReadOnly`] or
+    /// [`ZnsError::ZoneOffline`] by state, then
+    /// [`ZnsError::NotSequential`], then [`ZnsError::ZoneFull`] past the
+    /// capacity.
+    pub fn check_write(
+        self,
+        geo: &ZoneGeometry,
+        zone: u32,
+        wp: u64,
+        rel: u64,
+        sectors: u64,
+    ) -> Result<()> {
+        self.check_media(zone)?;
+        let start = geo.zone_start(zone);
+        match self {
+            ZoneState::Full => Err(ZnsError::ZoneFull { zone }),
+            _ if rel != wp => Err(ZnsError::NotSequential {
+                zone,
+                expected: start + wp,
+                got: start + rel,
+            }),
+            _ if wp + sectors > geo.zone_cap() => Err(ZnsError::ZoneFull { zone }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Zone contract: the state after a write leaves the write pointer at
+    /// `wp` — full at the capacity `cap`, otherwise an empty or closed
+    /// zone is implicitly opened.
+    #[must_use]
+    pub fn after_write(self, wp: u64, cap: u64) -> ZoneState {
+        match self {
+            _ if wp == cap => ZoneState::Full,
+            ZoneState::Empty | ZoneState::Closed => ZoneState::ImplicitlyOpen,
+            s => s,
+        }
+    }
+
+    /// Zone contract: an explicit open makes any writable zone explicitly
+    /// open.
+    ///
+    /// # Errors
+    ///
+    /// [`ZnsError::ZoneFull`] (or the media error) on a zone that accepts
+    /// no writes.
+    pub fn open(self, zone: u32) -> Result<ZoneState> {
+        self.check_media(zone)?;
+        match self {
+            ZoneState::Full => Err(ZnsError::ZoneFull { zone }),
+            _ => Ok(ZoneState::ExplicitlyOpen),
+        }
+    }
+
+    /// Zone contract: a close releases an open zone, back to empty when
+    /// nothing was written (`wp == 0`).
+    ///
+    /// # Errors
+    ///
+    /// [`ZnsError::BadZoneState`] on a zone that is not open.
+    pub fn close(self, zone: u32, wp: u64) -> Result<ZoneState> {
+        match self {
+            s if !s.is_open() => Err(ZnsError::BadZoneState {
+                zone,
+                state: s.name(),
+                op: ZoneMgmtOp::Close.name(),
+            }),
+            _ if wp == 0 => Ok(ZoneState::Empty),
+            _ => Ok(ZoneState::Closed),
+        }
+    }
+
+    /// Zone contract: a finish seals the zone full; finishing a full zone
+    /// changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// The media error of a read-only or offline zone.
+    pub fn finish(self, zone: u32) -> Result<ZoneState> {
+        self.check_media(zone)?;
+        Ok(ZoneState::Full)
+    }
+
+    /// Zone contract: a reset empties the zone.
+    ///
+    /// # Errors
+    ///
+    /// The media error of a read-only or offline zone.
+    pub fn reset(self, zone: u32) -> Result<ZoneState> {
+        self.check_media(zone)?;
+        Ok(ZoneState::Empty)
     }
 }
 

@@ -26,6 +26,17 @@ if grep -rn --include='*.rs' 'TraceEvent {' crates | grep -v '^crates/obs/'; the
   exit 1
 fi
 
+# The zone contract (DESIGN.md "Zone contract") lives in crates/zns/src:
+# `ZoneGeometry::info` builds every zone report entry and the `ZoneState`
+# transitions raise every bad-state error. A `ZoneInfo {` literal or a
+# `BadZoneState {` construction anywhere else is a second copy of the
+# contract coming back; match patterns (`BadZoneState { .. }`) are fine.
+if grep -rnE --include='*.rs' 'ZoneInfo \{|BadZoneState \{ *(zone|$)' crates |
+   grep -v '^crates/zns/src/'; then
+  echo "check.sh: zone contract restated outside crates/zns/src (call ZoneGeometry/ZoneState)" >&2
+  exit 1
+fi
+
 # Core's metadata log is written in one place and its live records are
 # enumerated in one place (`md_write`, `checkpoint_live`, `log_zone_intent`
 # in core/volume.rs). The encode scratch named anywhere but `md_write`
