@@ -1,9 +1,13 @@
 //! Figure 11: degraded performance — sequential and random read
-//! throughput/latency after one device fails (no replacement).
+//! throughput/latency after one device fails (no replacement), for
+//! mdraid, RAIZN and the log-structured engine (whose reads decode through
+//! the member layer it shares with RAIZN).
 
 use bench::{
-    bs_label, mdraid_volume, prime, print_table, raizn_volume, run_micro, Micro, TimelineRun,
+    bs_label, lsraid_volume, mdraid_volume, prime, print_table, raizn_volume, run_micro, Micro,
+    TimelineRun,
 };
+use lsraid::LsConfig;
 use sim::SimTime;
 use workloads::{BlockTarget, ZonedTarget};
 use zns::ZonedVolume;
@@ -44,20 +48,29 @@ fn main() -> bench::BenchResult {
             md.fail_device(0);
             let m = run_micro(&mt, micro, bs, align, start, None, threads)?;
 
+            let ls = lsraid_volume(ZONES, ZONE_SECTORS, LsConfig::default().stripe_unit(SU))?;
+            let lt = ZonedTarget::new(ls.clone());
+            let start = prime(&lt, SimTime::ZERO)?;
+            ls.fail_device(0)?;
+            let l = run_micro(&lt, micro, bs, align, start, None, threads)?;
+
             rows.push(vec![
                 micro.name().to_string(),
                 bs_label(bs),
                 format!("{:.0}", m.throughput_mib_s()),
                 format!("{:.0}", r.throughput_mib_s()),
+                format!("{:.0}", l.throughput_mib_s()),
                 format!("{}", m.latency.percentile(99.9)),
                 format!("{}", r.latency.percentile(99.9)),
+                format!("{}", l.latency.percentile(99.9)),
             ]);
         }
     }
     print_table(
         "Figure 11: degraded read performance (device 0 failed)",
         &[
-            "workload", "bs", "md MiB/s", "rz MiB/s", "md p99.9", "rz p99.9",
+            "workload", "bs", "md MiB/s", "rz MiB/s", "ls MiB/s", "md p99.9", "rz p99.9",
+            "ls p99.9",
         ],
         &rows,
     );

@@ -1,9 +1,16 @@
 //! Figure 12: time to repair (TTR) a replaced device vs the amount of
 //! valid data. RAIZN rebuilds only written stripes (TTR scales with
-//! data); mdraid resyncs the whole address space (constant TTR).
+//! data); mdraid resyncs the whole address space (constant TTR). The
+//! log-structured engine fills the same share of its capacity, then
+//! overwrites the first half of it again before the failure: its rebuild
+//! walks the live groups of its map, reclaims the dead ones instead of
+//! copying them, and so scales with valid data, not with what was written.
 
-use bench::{conv_devices, mdraid_volume, print_table, raizn_volume, zns_devices, TimelineRun};
+use bench::{
+    conv_devices, lsraid_volume, mdraid_volume, print_table, raizn_volume, zns_devices, TimelineRun,
+};
 use ftl::BlockDevice;
+use lsraid::LsConfig;
 use sim::SimTime;
 use std::sync::Arc;
 use workloads::{BlockTarget, Engine, IoTarget, JobSpec, OpKind, Pattern, ZonedTarget};
@@ -12,16 +19,29 @@ use zns::ZnsDevice;
 const ZONES: u32 = 64;
 const ZONE_SECTORS: u64 = 4096; // 1 GiB per device
 
-fn fill(target: &dyn IoTarget, fraction: f64) -> bench::BenchResult<SimTime> {
+/// Writes the first `fraction` of `target` sequentially from `at`, in
+/// whole zones; returns the end time and the sectors written.
+fn fill_from(
+    target: &dyn IoTarget,
+    fraction: f64,
+    at: SimTime,
+) -> bench::BenchResult<(SimTime, u64)> {
     let cap = target.capacity_sectors();
     let sectors = ((cap as f64 * fraction) as u64) / ZONE_SECTORS * ZONE_SECTORS;
     if sectors == 0 {
-        return Ok(SimTime::ZERO);
+        return Ok((at, 0));
     }
     let job = JobSpec::new(OpKind::Write, Pattern::Sequential, 256)
         .region(0, sectors)
         .queue_depth(64);
-    Ok(Engine::new(12).run(target, &[job])?.end)
+    Ok((
+        Engine::new(12).start_at(at).run(target, &[job])?.end,
+        sectors,
+    ))
+}
+
+fn fill(target: &dyn IoTarget, fraction: f64) -> bench::BenchResult<SimTime> {
+    Ok(fill_from(target, fraction, SimTime::ZERO)?.0)
 }
 
 fn main() -> bench::BenchResult {
@@ -30,6 +50,8 @@ fn main() -> bench::BenchResult {
     // spans and gauges from phase-boundary samples.
     let capture = TimelineRun::new("fig12");
     let mut capture_end = SimTime::ZERO;
+    let ls_capture = TimelineRun::new("fig12_lsraid");
+    let mut ls_capture_end = SimTime::ZERO;
     let mut rows = Vec::new();
     for fraction in [0.125, 0.25, 0.5, 0.75, 1.0] {
         let flagship = fraction == 1.0;
@@ -59,12 +81,40 @@ fn main() -> bench::BenchResult {
         let repl: Arc<dyn BlockDevice> = conv_devices(1, ZONES as u64 * ZONE_SECTORS).remove(0);
         let resync = md.resync(t, repl)?;
 
+        // lsraid: fill, overwrite the first half of the fill (its old
+        // groups die), fail, rebuild. The full-data run's timeline covers
+        // the rebuild alone.
+        let ls = if flagship {
+            ls_capture.lsraid_volume(ZONES, ZONE_SECTORS, LsConfig::default())?
+        } else {
+            lsraid_volume(ZONES, ZONE_SECTORS, LsConfig::default())?
+        };
+        let lt = ZonedTarget::new(ls.clone());
+        let (t, _) = fill_from(&lt, fraction, SimTime::ZERO)?;
+        let (t, _) = fill_from(&lt, fraction / 2.0, t)?;
+        ls.fail_device(0)?;
+        if flagship {
+            ls_capture.reset_capture();
+            ls_capture.timeline().force_sample(t);
+        }
+        let reclaims = ls.stats().group_reclaims;
+        let replacement: Arc<ZnsDevice> = zns_devices(1, ZONES, ZONE_SECTORS).remove(0);
+        let ls_report = ls.rebuild(t, replacement)?;
+        let dead = ls.stats().group_reclaims - reclaims;
+        if flagship {
+            ls_capture_end = t + ls_report.duration;
+        }
+
+        let gib = |bytes: u64| format!("{:.2}", bytes as f64 / (1 << 30) as f64);
         rows.push(vec![
             format!("{:.0}%", fraction * 100.0),
-            format!("{:.2}", report.bytes_written as f64 / (1 << 30) as f64),
+            gib(report.bytes_written),
             format!("{:.3}", report.duration.as_secs_f64()),
-            format!("{:.2}", resync.bytes_written as f64 / (1 << 30) as f64),
+            gib(resync.bytes_written),
             format!("{:.3}", resync.duration.as_secs_f64()),
+            gib(ls_report.bytes_written),
+            format!("{:.3}", ls_report.duration.as_secs_f64()),
+            format!("{dead}"),
         ]);
     }
     print_table(
@@ -75,10 +125,14 @@ fn main() -> bench::BenchResult {
             "rz TTR (s)",
             "md GiB written",
             "md TTR (s)",
+            "ls GiB written",
+            "ls TTR (s)",
+            "ls dead groups reclaimed",
         ],
         &rows,
     );
 
     capture.finish(capture_end)?;
+    ls_capture.finish(ls_capture_end)?;
     bench::write_breakdown("fig12")
 }

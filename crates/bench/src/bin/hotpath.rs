@@ -49,6 +49,11 @@
 //!   one, so every erasure pattern of the rotation is decoded (gate: 0 —
 //!   syndromes accumulate in the caller's buffer and the zone's spare
 //!   parity columns).
+//! - `allocs_per_degraded_read_lsraid` / `allocs_per_degraded_read_lsraid_p2`:
+//!   the same reads on the log-structured engine, one member failed at
+//!   parity 1 and two at parity 2, decoded through the member layer shared
+//!   with RAIZN (gate: 0 — the decode's columns are the engine's parity
+//!   scratch).
 //! - `allocs_per_lsraid_write` / `lsraid_waf_gc_idle`: the
 //!   log-structured engine's steady state — heap allocations per
 //!   stripe-aligned append with full observability attached (gate: 0)
@@ -248,12 +253,13 @@ fn fresh_volume(
 /// Builds a fresh 5-device log-structured volume, observed when asked.
 fn fresh_ls_volume(
     observe: Observe<'_>,
+    parity: u32,
     zones: u32,
     zone_sectors: u64,
 ) -> bench::BenchResult<Arc<LsVolume>> {
     let vol = Arc::new(LsVolume::format(
         fresh_devices(observe, zones, zone_sectors),
-        LsConfig::default(),
+        LsConfig::default().parity(parity),
         SimTime::ZERO,
     )?);
     if let Some((rec, tl)) = observe {
@@ -448,8 +454,8 @@ fn main() -> bench::BenchResult {
     let untraced = fresh_volume(None, 1, 16)?;
     let traced = fresh_volume(Some((&recorder, &timeline)), 1, 16)?;
     let raizn2 = fresh_volume(Some((&recorder, &timeline)), 2, 16)?;
-    let lsr = fresh_ls_volume(Some((&recorder, &timeline)), 32, 4096)?;
-    let lsr_partial = fresh_ls_volume(Some((&recorder, &timeline)), 32, 4096)?;
+    let lsr = fresh_ls_volume(Some((&recorder, &timeline)), 1, 32, 4096)?;
+    let lsr_partial = fresh_ls_volume(Some((&recorder, &timeline)), 1, 32, 4096)?;
     let stripe_sectors = 64u64; // 4 data units x 16 sectors
     let stripe_bytes = (stripe_sectors * 4096) as usize;
     let data = vec![0u8; stripe_bytes];
@@ -616,12 +622,35 @@ fn main() -> bench::BenchResult {
         degraded_allocs[slot] = a as f64 / decoded as f64;
     }
     let [allocs_per_degraded, allocs_per_degraded_p2] = degraded_allocs;
+    // The log-structured engine's reads decode through the same member
+    // layer; it counts them on the recorder.
+    let mut ls_degraded_allocs = [0f64; 2];
+    for (parity, slot) in [(1u32, 0usize), (2, 1)] {
+        let vol = fresh_ls_volume(Some((&recorder, &timeline)), parity, 32, 4096)?;
+        let sectors = vol.stripe_data_sectors();
+        let mut lba = 0u64;
+        let payload = &data[..(sectors * 4096) as usize];
+        write_round(vol.as_ref(), &mut lba, payload, 10, Some(&timeline))?;
+        for dev in 0..parity as usize {
+            vol.fail_device(2 * dev)?;
+        }
+        read_round(vol.as_ref(), sectors, 10, &mut unit)?;
+        let before = recorder.count(obs::Counter::DegradedReads);
+        let a = read_round(vol.as_ref(), sectors, 10, &mut unit)?;
+        let decoded = recorder.count(obs::Counter::DegradedReads) - before;
+        gate!(
+            decoded > 0,
+            "lsraid parity = {parity}: no read took the degraded path"
+        );
+        ls_degraded_allocs[slot] = a as f64 / decoded as f64;
+    }
+    let [allocs_per_degraded_ls, allocs_per_degraded_ls_p2] = ls_degraded_allocs;
 
     // --- Log-structured engine: one metadata rotation --------------------
     // Unobserved, at the geometry of the `lsgc` scenario (and of the
     // benchmark's `lsraid_gc_qos`), where a checkpoint carries an
     // 811 008-entry mapping table.
-    let rotating = fresh_ls_volume(None, bench::lsgc::ZONES, bench::lsgc::ZONE_SECTORS)?;
+    let rotating = fresh_ls_volume(None, 1, bench::lsgc::ZONES, bench::lsgc::ZONE_SECTORS)?;
     let mut rotation_host_ms = f64::INFINITY;
     for _ in 0..3 {
         rotation_host_ms = rotation_host_ms.min(rotation_ms(&rotating)?);
@@ -766,7 +795,7 @@ fn main() -> bench::BenchResult {
 
     let reused = traced.stats().stripe_buffers_reused;
     let json = format!(
-        "{{\n  \"xor_scalar_ns_per_op\": {scalar_ns:.1},\n  \"xor_word_ns_per_op\": {word_ns:.1},\n  \"xor_speedup\": {speedup:.2},\n  \"gf_encode_pq_gib_s\": {encode_gib_s:.2},\n  \"rs_decode_gib_s\": {decode_gib_s:.2},\n  \"write_path_mib_s\": {mib_s:.1},\n  \"raizn2_write_mib_s\": {raizn2_mib_s:.1},\n  \"lsraid_write_mib_s\": {lsraid_mib_s:.1},\n  \"lsraid_partial_write_mib_s\": {lsraid_partial_mib_s:.1},\n  \"lsraid_rotation_host_ms\": {rotation_host_ms:.2},\n  \"allocs_per_full_stripe_write\": {allocs_per_full},\n  \"allocs_per_partial_write\": {allocs_per_partial},\n  \"raizn_partial_write_ns\": {partial_ns:.0},\n  \"raizn_partial_write_su_ratio\": {su_ratio:.2},\n  \"raizn_partial_write_ns_p2\": {partial_ns_p2:.0},\n  \"raizn_partial_write_su_ratio_p2\": {su_ratio_p2:.2},\n  \"allocs_per_fua_write\": {allocs_per_fua},\n  \"allocs_per_full_stripe_write_p2\": {allocs_per_full_p2},\n  \"allocs_per_partial_write_p2\": {allocs_per_partial_p2},\n  \"allocs_per_degraded_read\": {allocs_per_degraded},\n  \"allocs_per_degraded_read_p2\": {allocs_per_degraded_p2},\n  \"allocs_per_lsraid_write\": {allocs_per_ls},\n  \"lsraid_waf_gc_idle\": {ls_waf},\n  \"allocs_per_qos_op\": {allocs_per_qos},\n  \"allocs_per_write_managed\": {allocs_per_managed},\n  \"stripe_buffers_reused\": {reused},\n  \"trace_overhead_pct\": {overhead_pct:.2},\n  \"trace_overhead_ns_per_write\": {overhead_ns:.0},\n  \"scaling\": {scaling_json}\n}}\n"
+        "{{\n  \"xor_scalar_ns_per_op\": {scalar_ns:.1},\n  \"xor_word_ns_per_op\": {word_ns:.1},\n  \"xor_speedup\": {speedup:.2},\n  \"gf_encode_pq_gib_s\": {encode_gib_s:.2},\n  \"rs_decode_gib_s\": {decode_gib_s:.2},\n  \"write_path_mib_s\": {mib_s:.1},\n  \"raizn2_write_mib_s\": {raizn2_mib_s:.1},\n  \"lsraid_write_mib_s\": {lsraid_mib_s:.1},\n  \"lsraid_partial_write_mib_s\": {lsraid_partial_mib_s:.1},\n  \"lsraid_rotation_host_ms\": {rotation_host_ms:.2},\n  \"allocs_per_full_stripe_write\": {allocs_per_full},\n  \"allocs_per_partial_write\": {allocs_per_partial},\n  \"raizn_partial_write_ns\": {partial_ns:.0},\n  \"raizn_partial_write_su_ratio\": {su_ratio:.2},\n  \"raizn_partial_write_ns_p2\": {partial_ns_p2:.0},\n  \"raizn_partial_write_su_ratio_p2\": {su_ratio_p2:.2},\n  \"allocs_per_fua_write\": {allocs_per_fua},\n  \"allocs_per_full_stripe_write_p2\": {allocs_per_full_p2},\n  \"allocs_per_partial_write_p2\": {allocs_per_partial_p2},\n  \"allocs_per_degraded_read\": {allocs_per_degraded},\n  \"allocs_per_degraded_read_p2\": {allocs_per_degraded_p2},\n  \"allocs_per_degraded_read_lsraid\": {allocs_per_degraded_ls},\n  \"allocs_per_degraded_read_lsraid_p2\": {allocs_per_degraded_ls_p2},\n  \"allocs_per_lsraid_write\": {allocs_per_ls},\n  \"lsraid_waf_gc_idle\": {ls_waf},\n  \"allocs_per_qos_op\": {allocs_per_qos},\n  \"allocs_per_write_managed\": {allocs_per_managed},\n  \"stripe_buffers_reused\": {reused},\n  \"trace_overhead_pct\": {overhead_pct:.2},\n  \"trace_overhead_ns_per_write\": {overhead_ns:.0},\n  \"scaling\": {scaling_json}\n}}\n"
     );
     std::fs::write("BENCH_hotpath.json", &json)?;
     print!("{json}");
@@ -811,6 +840,11 @@ fn main() -> bench::BenchResult {
         allocs_per_degraded == 0.0 && allocs_per_degraded_p2 == 0.0,
         "steady-state degraded reads allocate: {allocs_per_degraded} allocs/read \
          (dual parity, two members failed: {allocs_per_degraded_p2})"
+    );
+    gate!(
+        allocs_per_degraded_ls == 0.0 && allocs_per_degraded_ls_p2 == 0.0,
+        "lsraid steady-state degraded reads allocate: {allocs_per_degraded_ls} allocs/read \
+         (dual parity, two members failed: {allocs_per_degraded_ls_p2})"
     );
     if raizn2_mib_s < P2_WALL_RATIO_TARGET * mib_s {
         println!(

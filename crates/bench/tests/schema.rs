@@ -583,6 +583,7 @@ fn lsgc_artifact_conforms_to_schema() {
             groups_opened: 180,
             meta_records: 500,
             meta_rotations: 2,
+            ..LsStats::default()
         },
         reclaims: 176,
         emergency: 0,

@@ -69,8 +69,8 @@ impl Default for RaiznConfig {
             use_zrwa: false,
             lb_metadata_headers: false,
             reclaim_on_exhaustion: false,
-            transient_retry_limit: 3,
-            device_error_budget: 16,
+            transient_retry_limit: zns::array::TRANSIENT_RETRY_LIMIT,
+            device_error_budget: zns::array::DEVICE_ERROR_BUDGET,
         }
     }
 }

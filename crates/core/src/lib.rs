@@ -84,7 +84,8 @@ pub use metadata::{
 };
 pub use stats::RaiznStats;
 pub use stripe::StripeBuffer;
-pub use volume::{RaiznVolume, RebuildReport, ScrubReport};
+pub use volume::{RaiznVolume, ScrubReport};
+pub use zns::array::RebuildReport;
 
 /// Result alias re-exported from the device layer (RAIZN shares the ZNS
 /// error type).

@@ -360,8 +360,8 @@ impl ZoneLifecycleManager {
     /// Whether every device has open/active headroom beyond the
     /// configured slack for one more pre-open.
     fn budget_headroom(&self) -> bool {
-        let devices = self.volume.devices.read();
-        devices.iter().all(|dev| {
+        let devices = self.volume.members.read();
+        devices.devices().iter().all(|dev| {
             let cfg = dev.config();
             dev.open_zones() + self.cfg.open_slack < cfg.max_open_zones()
                 && dev.active_zones() + self.cfg.active_slack < cfg.max_active_zones()
@@ -371,10 +371,10 @@ impl ZoneLifecycleManager {
     /// Management-IO share of all device write traffic: finish-fill
     /// padding sectors over (padding + host sectors), 0.0 when idle.
     pub fn mgmt_io_share(&self) -> f64 {
-        let devices = self.volume.devices.read();
+        let devices = self.volume.members.read();
         let mut fill = 0u64;
         let mut host = 0u64;
-        for dev in devices.iter() {
+        for dev in devices.devices() {
             let s = dev.stats();
             fill += s.finish_fill_sectors;
             host += s.sectors_written;
@@ -388,8 +388,9 @@ impl ZoneLifecycleManager {
 
     /// Minimum open-zone headroom across devices (gauge helper).
     fn open_headroom(&self) -> u64 {
-        let devices = self.volume.devices.read();
+        let devices = self.volume.members.read();
         devices
+            .devices()
             .iter()
             .map(|d| d.config().max_open_zones().saturating_sub(d.open_zones()) as u64)
             .min()
@@ -398,8 +399,9 @@ impl ZoneLifecycleManager {
 
     /// Minimum active-zone headroom across devices (gauge helper).
     fn active_headroom(&self) -> u64 {
-        let devices = self.volume.devices.read();
+        let devices = self.volume.members.read();
         devices
+            .devices()
             .iter()
             .map(|d| {
                 d.config()
@@ -577,7 +579,13 @@ mod tests {
                 ..Default::default()
             },
         );
-        let base: Vec<u32> = v.devices.read().iter().map(|d| d.open_zones()).collect();
+        let base: Vec<u32> = v
+            .members
+            .read()
+            .devices()
+            .iter()
+            .map(|d| d.open_zones())
+            .collect();
         mgr.pump(T0).unwrap();
         assert_eq!(mgr.stats().pre_opens, 2);
         assert_eq!(
@@ -590,7 +598,7 @@ mod tests {
         );
         // Every device opened exactly the two pre-opened data zones on top
         // of whatever metadata zones it already held open.
-        let devs = v.devices.read().clone();
+        let devs = v.members.read().devices().to_vec();
         for (d, b) in devs.iter().zip(base) {
             assert_eq!(d.open_zones(), b + 2);
         }

@@ -18,7 +18,7 @@
 use crate::config::RaiznConfig;
 use crate::metadata::{MdPayload, MdRecord, MD_HEADER_BYTES};
 use crate::stats::AtomicRaiznStats;
-use crate::stripe::{unit_segments, StripeBuffer};
+use crate::stripe::StripeBuffer;
 use crate::volume::{internal, LiveMeta, MdRole, MdRoles, MetaState, RaiznVolume, RelocatedUnit};
 use crate::Result;
 use sim::codec::{Decode, Role};
@@ -26,7 +26,8 @@ use sim::SimTime;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use zns::{IoCompletion, WriteFlags, ZnsDevice, ZnsError, ZoneState, ZonedVolume, SECTOR_SIZE};
+use zns::array::{plan, unit_segments, Exhausted, Roster};
+use zns::{WriteFlags, ZnsDevice, ZnsError, ZoneState, ZonedVolume, SECTOR_SIZE};
 
 /// A per-(zone, stripe) partial-parity image assembled by replaying pp
 /// records in write order, snapshotted at one data extent.
@@ -97,29 +98,21 @@ impl RaiznVolume {
         at: SimTime,
     ) -> Result<RaiznVolume> {
         let layout = Self::check_devices(&devices, config)?;
-        let failed: Vec<usize> = devices
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_failed())
-            .map(|(i, _)| i)
-            .collect();
-        if failed.len() > layout.parity_units() as usize {
-            return Err(ZnsError::TooManyFailures {
-                failed: failed.len() as u32,
-                parity: layout.parity_units(),
-            });
-        }
-        let failed_mask: u64 = failed.iter().fold(0, |m, d| m | (1u64 << d));
+        // Members found failed are absent: at most `parity` of them.
+        let members = Self::array_members(devices, config)?;
 
         // ---- 1. Scan metadata zones. -----------------------------------
         // (device, record) pairs in scan order.
         let mut harvest: Vec<(usize, MdRecord)> = Vec::new();
-        for (di, dev) in devices.iter().enumerate() {
-            if failed_mask & (1u64 << di) != 0 {
-                continue;
-            }
-            for mz in 0..config.md_zones_per_device {
-                scan_md_zone(dev, mz, at, di, &mut harvest)?;
+        {
+            let devices = members.read();
+            for di in 0..devices.len() {
+                if members.is_failed(di) {
+                    continue;
+                }
+                for mz in 0..config.md_zones_per_device {
+                    scan_md_zone(&devices, di, mz, at, &mut harvest)?;
+                }
             }
         }
 
@@ -131,7 +124,7 @@ impl RaiznVolume {
             match &rec.payload {
                 MdPayload::Superblock(sb) => {
                     saw_superblock = true;
-                    if sb.num_devices as usize != devices.len()
+                    if sb.num_devices != layout.devices()
                         || sb.stripe_unit_sectors != config.stripe_unit_sectors
                         || sb.md_zones_per_device != config.md_zones_per_device
                     {
@@ -275,10 +268,9 @@ impl RaiznVolume {
         }
 
         // ---- 3. Assemble and recover each logical zone. -----------------
-        let vol = Self::assemble(devices, config, layout, gens);
-        vol.failed_mask.store(failed_mask, Ordering::Release);
+        let vol = Self::assemble(members, config, layout, gens);
         {
-            let devices = vol.devices.read();
+            let devices = vol.members.read();
             // Seed per-zone conflict sets before the map moves into the
             // metadata domain (shard → meta lock order, one zone at a time).
             for (lz, stripe, dev) in relocated.keys() {
@@ -325,7 +317,7 @@ impl RaiznVolume {
     /// domains used).
     fn recover_zone(
         &self,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         at: SimTime,
         lz: u32,
         reset_logged: bool,
@@ -344,11 +336,11 @@ impl RaiznVolume {
         // Per-device physical write pointers (relative), None for failed.
         let mut wp: Vec<Option<u64>> = Vec::with_capacity(devices.len());
         let (mut live_full, mut any_full) = (true, false);
-        for (i, dev) in devices.iter().enumerate() {
-            wp.push(if self.is_failed(i) {
+        for i in 0..devices.len() {
+            wp.push(if self.members.is_failed(i) {
                 None
             } else {
-                let info = dev.zone_info(phys_zone)?;
+                let info = devices.zone_info(i, phys_zone)?;
                 live_full &= info.state == ZoneState::Full;
                 any_full |= info.state == ZoneState::Full;
                 Some(info.write_pointer - info.start)
@@ -382,7 +374,9 @@ impl RaiznVolume {
             // any data — reset the sealed stragglers so the empty logical
             // zone stays writable on every device.
             if any_content || finish_roll {
-                self.on_survivors(devices, |dev| dev.reset_zone(at, phys_zone))?;
+                devices.on_survivors(at, Exhausted::Surface, |_, d| {
+                    Ok(d.reset_zone(at, phys_zone)?.done)
+                })?;
             }
             m.gens[lz as usize] += 1;
             m.relocated.retain(|(z2, _, _), _| *z2 != lz);
@@ -440,7 +434,9 @@ impl RaiznVolume {
                 let dev = layout.data_device(lz, stripe, k);
                 let out =
                     &mut staged[(sector * SECTOR_SIZE) as usize..][..(rows * SECTOR_SIZE) as usize];
-                if m.relocated.contains_key(&(lz, stripe, dev)) || !self.is_failed(dev as usize) {
+                if m.relocated.contains_key(&(lz, stripe, dev))
+                    || !self.members.is_failed(dev as usize)
+                {
                     self.fetch_slot_rows(Some(m), devices, at, lz, stripe, dev, row0, out)?;
                 } else {
                     let unit = decoded
@@ -492,7 +488,9 @@ impl RaiznVolume {
             if ghost && pad_to > w {
                 let zeros = vec![0u8; ((pad_to - w) * SECTOR_SIZE) as usize];
                 let pba = layout.phys_geometry().zone_start(phys_zone) + w;
-                devices[dev as usize].write(at, pba, &zeros, WriteFlags::default())?;
+                devices.command(at, dev as usize, Exhausted::Surface, |d| {
+                    Ok(d.write(at, pba, &zeros, WriteFlags::default())?.done)
+                })?;
             }
         }
         self.sync_relocated_count(m);
@@ -514,11 +512,15 @@ impl RaiznVolume {
         // the recovered prefix collapsed to empty the partial seal is
         // undone instead, so the zone stays writable.
         if finish_roll && z.state == ZoneState::Full {
-            self.on_survivors(devices, |dev| dev.finish_zone(at, phys_zone))?;
+            devices.on_survivors(at, Exhausted::Surface, |_, d| {
+                Ok(d.finish_zone(at, phys_zone)?.done)
+            })?;
             AtomicRaiznStats::add(&self.stats.zone_finishes, 1);
             AtomicRaiznStats::add(&self.stats.finish_rollforwards, 1);
         } else if finish_roll {
-            self.on_survivors(devices, |dev| dev.reset_zone(at, phys_zone))?;
+            devices.on_survivors(at, Exhausted::Surface, |_, d| {
+                Ok(d.reset_zone(at, phys_zone)?.done)
+            })?;
         }
         // Any Full zone keeps (or gains) a checkpointed finish WAL: the
         // next metadata GC re-logs the recovered fill, so it stays
@@ -531,30 +533,12 @@ impl RaiznVolume {
         Ok(false)
     }
 
-    /// Runs one zone-management command on every surviving member.
-    fn on_survivors(
-        &self,
-        devices: &[Arc<ZnsDevice>],
-        op: impl Fn(&ZnsDevice) -> Result<IoCompletion>,
-    ) -> Result<()> {
-        for (i, dev) in devices.iter().enumerate() {
-            if !self.is_failed(i) {
-                op(dev)?;
-            }
-        }
-        Ok(())
-    }
-
     /// §5.2 maintenance: when a logical zone holds more relocated stripe
     /// units on one device than the configured threshold, the physical
     /// zone on that device is rewritten — contents are bounced through a
     /// swap zone, the zone is reset, and everything is written back with
     /// each relocated unit restored to its arithmetic slot.
-    pub(crate) fn rewrite_overloaded_zones(
-        &self,
-        devices: &[Arc<ZnsDevice>],
-        at: SimTime,
-    ) -> Result<()> {
+    pub(crate) fn rewrite_overloaded_zones(&self, devices: &Roster<'_>, at: SimTime) -> Result<()> {
         let threshold = self.config.relocation_threshold;
         let mut targets: Vec<(u32, u32)> = {
             let m = self.lock_meta();
@@ -570,7 +554,7 @@ impl RaiznVolume {
         };
         targets.sort_unstable();
         for (lz, dev) in targets {
-            if self.is_failed(dev as usize) {
+            if self.members.is_failed(dev as usize) {
                 continue;
             }
             self.rewrite_zone_on_device(devices, at, lz, dev)?;
@@ -580,7 +564,7 @@ impl RaiznVolume {
 
     fn rewrite_zone_on_device(
         &self,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         at: SimTime,
         lz: u32,
         dev: u32,
@@ -608,11 +592,10 @@ impl RaiznVolume {
             } else {
                 let off = corrected.len();
                 corrected.resize(off + bytes, 0);
-                devices[dev as usize].read(
-                    at,
-                    phys_start + stripe * su,
-                    &mut corrected[off..off + bytes],
-                )?;
+                let (pba, out) = (phys_start + stripe * su, &mut corrected[off..off + bytes]);
+                devices.command(at, dev as usize, Exhausted::Surface, |d| {
+                    Ok(d.read(at, pba, out)?.done)
+                })?;
             }
             if expected < su {
                 break; // frontier slot
@@ -627,18 +610,22 @@ impl RaiznVolume {
             .first()
             .copied()
             .ok_or_else(|| internal("zone rewrite requires at least one swap zone"))?;
-        let device = devices[dev as usize].clone();
+        let (member, flags, surface) = (dev as usize, WriteFlags::default(), Exhausted::Surface);
         let mut t = at;
         if !corrected.is_empty() {
-            let c = device.append(t, swap, &corrected, WriteFlags::default())?;
-            t = device.flush(c.done)?.done;
+            let c = devices.command(t, member, surface, |d| {
+                Ok(d.append(t, swap, &corrected, flags)?.done)
+            })?;
+            t = devices.flush(c, 1 << member)?;
         }
-        t = device.reset_zone(t, phys_zone)?.done;
+        t = devices.command(t, member, surface, |d| Ok(d.reset_zone(t, phys_zone)?.done))?;
         if !corrected.is_empty() {
-            let c = device.write(t, phys_start, &corrected, WriteFlags::default())?;
-            t = device.flush(c.done)?.done;
+            let c = devices.command(t, member, surface, |d| {
+                Ok(d.write(t, phys_start, &corrected, flags)?.done)
+            })?;
+            t = devices.flush(c, 1 << member)?;
         }
-        device.reset_zone(t, swap)?;
+        devices.command(t, member, surface, |d| Ok(d.reset_zone(t, swap)?.done))?;
 
         // The relocations on this device's column are healed.
         m.live
@@ -653,13 +640,13 @@ impl RaiznVolume {
     /// Mount-time metadata refresh: checkpoint all live metadata into the
     /// emptiest metadata zone per device, then reset the others — leaving
     /// a compact, bounded metadata footprint for the new session.
-    fn mount_refresh_metadata(&self, devices: &[Arc<ZnsDevice>], at: SimTime) -> Result<()> {
+    fn mount_refresh_metadata(&self, devices: &Roster<'_>, at: SimTime) -> Result<()> {
         self.sync_pp_snapshots();
         let mdz = self.layout.md_zones();
         let mut m = self.lock_meta();
         let MetaState { log, live, .. } = &mut *m;
         for dev in 0..devices.len() {
-            if self.is_failed(dev) {
+            if self.members.is_failed(dev) {
                 continue;
             }
             // Choose the md zone with the most free space as the new
@@ -667,7 +654,7 @@ impl RaiznVolume {
             let mut best = 0u32;
             let mut best_free = 0u64;
             for mz in 0..mdz {
-                let info = devices[dev].zone_info(mz)?;
+                let info = devices.zone_info(dev, mz)?;
                 let free = info.remaining();
                 if free >= best_free {
                     best = mz;
@@ -685,12 +672,14 @@ impl RaiznVolume {
                 t = self.md_append(log, live, devices, t, dev, MdRole::General, rec, false)?;
                 Ok(())
             })?;
-            devices[dev].flush(t)?;
+            devices.flush(t, 1 << dev)?;
             // Reset the other metadata zones.
             for mz in others {
-                let info = devices[dev].zone_info(mz)?;
+                let info = devices.zone_info(dev, mz)?;
                 if info.write_pointer > info.start {
-                    devices[dev].reset_zone(t, mz)?;
+                    devices.command(t, dev, Exhausted::Surface, |d| {
+                        Ok(d.reset_zone(t, mz)?.done)
+                    })?;
                 }
             }
             // Partial parity of the seeded stripe buffers goes back into
@@ -711,7 +700,7 @@ impl RaiznVolume {
 struct ZoneRecovery<'a> {
     vol: &'a RaiznVolume,
     m: &'a LiveMeta,
-    devices: &'a [Arc<ZnsDevice>],
+    devices: &'a Roster<'a>,
     pp: &'a PpImages,
     at: SimTime,
     lz: u32,
@@ -892,17 +881,13 @@ impl ZoneRecovery<'_> {
             }
             Ok(())
         };
-        // The codec never decodes a slot against itself.
-        let plan_of = |target: Role, other: Option<Role>| {
-            Decode::new(target, other).ok_or_else(|| internal("duplicate role in erasure set"))
-        };
 
         match layout.unit_of_device(lz, stripe, dev) {
             // ---- Rebuilding a parity slot (P or Q). ----------------------
             None => {
                 // With every data unit in hand (fetched, or recovered
                 // below) the parity syndrome is the slot itself.
-                let plan = plan_of(if qdev == Some(dev) { Role::Q } else { Role::P }, None)?;
+                let plan = plan(if qdev == Some(dev) { Role::Q } else { Role::P }, None)?;
                 let fill = layout.stripe_data_sectors(); // parity slots exist only complete
                 let missing = missing_at(fill, None);
                 plan.begin(out, &mut aux);
@@ -938,7 +923,7 @@ impl ZoneRecovery<'_> {
                 ] {
                     for (buf, extent) in cands {
                         if j * su + needed <= *extent && missing_at(*extent, Some(j)).is_empty() {
-                            let plan = plan_of(target, other)?;
+                            let plan = plan(target, other)?;
                             plan.begin(out, &mut aux);
                             plan.absorb(leg, buf, out, &mut aux);
                             absorb_data(&plan, out, &mut aux, &mut tmp, *extent, &[j])?;
@@ -959,7 +944,7 @@ impl ZoneRecovery<'_> {
                             continue;
                         };
                         let k = *k;
-                        let plan = plan_of(target, Some(Role::Data(k as u32)))?;
+                        let plan = plan(target, Some(Role::Data(k as u32)))?;
                         plan.begin(out, &mut aux);
                         plan.absorb(Role::P, pbuf, out, &mut aux);
                         plan.absorb(Role::Q, qbuf, out, &mut aux);
@@ -1024,7 +1009,7 @@ impl ZoneRecovery<'_> {
                 if have >= needed {
                     continue;
                 }
-                let failed = self.vol.is_failed(dev as usize);
+                let failed = self.vol.members.is_failed(dev as usize);
                 if failed && unit.is_none() {
                     // A failed device's parity slot is neither repairable
                     // nor needed for the prefix to stay readable.
@@ -1060,13 +1045,11 @@ impl ZoneRecovery<'_> {
                 } else if best > have && !write_blocked[dev as usize] {
                     // Repair in place so the exposed prefix stays directly
                     // readable on healthy devices.
-                    let pba = layout.stripe_pba(lz, stripe) + have;
-                    self.devices[dev as usize].write(
-                        self.at,
-                        pba,
-                        &repaired,
-                        WriteFlags::default(),
-                    )?;
+                    let (pba, at) = (layout.stripe_pba(lz, stripe) + have, self.at);
+                    self.devices
+                        .command(at, dev as usize, Exhausted::Surface, |d| {
+                            Ok(d.write(at, pba, &repaired, WriteFlags::default())?.done)
+                        })?;
                     self.wp[dev as usize] = Some(stripe * su + best);
                     AtomicRaiznStats::add(&self.vol.stats.recovered_units, 1);
                 }
@@ -1083,19 +1066,24 @@ impl ZoneRecovery<'_> {
 /// Scans one metadata zone for records, stopping at the first invalid
 /// header or truncated payload.
 fn scan_md_zone(
-    dev: &Arc<ZnsDevice>,
+    devices: &Roster<'_>,
+    device_index: usize,
     zone: u32,
     at: SimTime,
-    device_index: usize,
     harvest: &mut Vec<(usize, MdRecord)>,
 ) -> Result<()> {
-    let info = dev.zone_info(zone)?;
+    let read = |lba: u64, out: &mut [u8]| {
+        devices.command(at, device_index, Exhausted::Surface, |d| {
+            Ok(d.read(at, lba, out)?.done)
+        })
+    };
+    let info = devices.zone_info(device_index, zone)?;
     let wp = info.write_pointer - info.start;
     let start = info.start;
     let mut cursor = 0u64;
     let mut header = vec![0u8; MD_HEADER_BYTES];
     while cursor < wp {
-        dev.read(at, start + cursor, &mut header)?;
+        read(start + cursor, &mut header)?;
         let Some(payload_sectors) = MdRecord::payload_sectors(&header) else {
             break; // end of valid log
         };
@@ -1104,7 +1092,7 @@ fn scan_md_zone(
         }
         let mut payload = vec![0u8; (payload_sectors * SECTOR_SIZE) as usize];
         if payload_sectors > 0 {
-            dev.read(at, start + cursor + 1, &mut payload)?;
+            read(start + cursor + 1, &mut payload)?;
         }
         match MdRecord::decode(&header, &payload) {
             Ok(rec) => harvest.push((device_index, rec)),

@@ -76,7 +76,9 @@ pub struct RaiznStats {
 
 /// Lock-free mirror of [`RaiznStats`] used inside the sharded volume: hot
 /// paths bump counters with relaxed atomics instead of taking a lock, and
-/// [`snapshot`](AtomicRaiznStats::snapshot) materializes the public view.
+/// [`snapshot`](AtomicRaiznStats::snapshot) materializes the public view —
+/// all but the member layer's counters (retries, auto-degrades, two-erasure
+/// decodes), which the volume reads from `zns::array::Members`.
 #[derive(Debug, Default)]
 pub(crate) struct AtomicRaiznStats {
     pub pp_log_entries: AtomicU64,
@@ -89,7 +91,6 @@ pub(crate) struct AtomicRaiznStats {
     pub relocated_units: AtomicU64,
     pub zone_resets: AtomicU64,
     pub degraded_reads: AtomicU64,
-    pub double_degraded_reads: AtomicU64,
     pub recovered_units: AtomicU64,
     pub rebuild_bytes: AtomicU64,
     pub rebuilds_completed: AtomicU64,
@@ -98,10 +99,8 @@ pub(crate) struct AtomicRaiznStats {
     pub zrwa_parity_writes: AtomicU64,
     pub stripe_buffers_reused: AtomicU64,
     pub read_repairs: AtomicU64,
-    pub transient_retries: AtomicU64,
     pub scrub_runs: AtomicU64,
     pub scrub_repairs: AtomicU64,
-    pub auto_degrades: AtomicU64,
     pub zone_finishes: AtomicU64,
     pub foreground_reclaims: AtomicU64,
     pub finish_rollforwards: AtomicU64,
@@ -132,7 +131,6 @@ impl AtomicRaiznStats {
             relocated_units: ld(&self.relocated_units),
             zone_resets: ld(&self.zone_resets),
             degraded_reads: ld(&self.degraded_reads),
-            double_degraded_reads: ld(&self.double_degraded_reads),
             recovered_units: ld(&self.recovered_units),
             rebuild_bytes: ld(&self.rebuild_bytes),
             rebuilds_completed: ld(&self.rebuilds_completed),
@@ -141,15 +139,14 @@ impl AtomicRaiznStats {
             zrwa_parity_writes: ld(&self.zrwa_parity_writes),
             stripe_buffers_reused: ld(&self.stripe_buffers_reused),
             read_repairs: ld(&self.read_repairs),
-            transient_retries: ld(&self.transient_retries),
             scrub_runs: ld(&self.scrub_runs),
             scrub_repairs: ld(&self.scrub_repairs),
-            auto_degrades: ld(&self.auto_degrades),
             zone_finishes: ld(&self.zone_finishes),
             foreground_reclaims: ld(&self.foreground_reclaims),
             finish_rollforwards: ld(&self.finish_rollforwards),
             gather_writes: ld(&self.gather_writes),
             gather_segments_merged: ld(&self.gather_segments_merged),
+            ..RaiznStats::default()
         }
     }
 }

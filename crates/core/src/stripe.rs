@@ -1,23 +1,7 @@
 //! Stripe buffers: in-memory staging for partially written stripes (§5.1).
 
+use zns::array::unit_segments;
 use zns::SECTOR_SIZE;
-
-/// Splits sectors `[from, to)` of a stripe at its unit boundaries and
-/// yields `(sector, row, run)` per segment: `run` sectors starting at
-/// stripe sector `sector`, which occupy the contiguous parity rows
-/// `[row, row + run)`. Whoever walks a written range by parity row — the
-/// running-parity fold, the partial-parity snapshot — splits it here.
-pub(crate) fn unit_segments(from: u64, to: u64, su: u64) -> impl Iterator<Item = (u64, u64, u64)> {
-    let mut s = from;
-    std::iter::from_fn(move || {
-        (s < to).then(|| {
-            let (at, row) = (s, s % su);
-            let run = (su - row).min(to - s);
-            s += run;
-            (at, row, run)
-        })
-    })
-}
 
 /// The in-memory buffer of one (possibly incomplete) stripe.
 ///

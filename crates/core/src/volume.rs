@@ -26,14 +26,15 @@ use crate::metadata::{
     MdPayloadRef, MdRecordRef, MetadataType, Superblock, GEN_COUNTERS_PER_PAGE, MD_HEADER_BYTES,
 };
 use crate::stats::{AtomicRaiznStats, RaiznStats};
-use crate::stripe::{unit_segments, StripeBuffer};
+use crate::stripe::StripeBuffer;
 use crate::Result;
-use parking_lot::{Mutex, RwLock};
-use sim::codec::{Decode, Role};
+use parking_lot::Mutex;
+use sim::codec::Role;
 use sim::SimTime;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use zns::array::{unit_segments, Exhausted, Fill, Members, RebuildReport, Roster, Stripe};
 use zns::{
     AppendCompletion, IoCompletion, Lba, WriteFlags, ZnsDevice, ZnsError, ZoneGeometry, ZoneInfo,
     ZoneState, ZonedVolume, SECTOR_SIZE,
@@ -286,17 +287,6 @@ pub(crate) struct MetaState {
     pub gather_scratch: Vec<u8>,
 }
 
-/// Outcome of rebuilding a replaced device (§4.2, Fig. 12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebuildReport {
-    /// Virtual time from rebuild start to the last write completion.
-    pub duration: sim::SimDuration,
-    /// Bytes written to the replacement device (valid data only).
-    pub bytes_written: u64,
-    /// Logical zones whose contents were rebuilt.
-    pub zones_rebuilt: u32,
-}
-
 /// A logical host-managed zoned volume striped over an array of ZNS
 /// devices with rotating parity. See the crate docs for the design and an
 /// example; construct with [`RaiznVolume::format`] (fresh array) or
@@ -312,19 +302,10 @@ pub struct RaiznVolume {
     pub(crate) zones: Vec<Mutex<LZone>>,
     /// The global metadata domain.
     pub(crate) meta: Mutex<MetaState>,
-    /// Member devices. Read-locked for the duration of an operation;
-    /// write-locked only by rebuild's final device swap.
-    pub(crate) devices: RwLock<Vec<Arc<ZnsDevice>>>,
-    /// Bitmask of failed devices (bit `i` = device `i`). The array keeps
-    /// serving while `count_ones() <= layout.parity_units()`; claiming a
-    /// failure beyond that headroom is refused with
-    /// [`ZnsError::TooManyFailures`].
-    pub(crate) failed_mask: AtomicU64,
+    /// The member devices, their failure mask and error budgets: every
+    /// device command goes through [`Members::read`]'s roster.
+    pub(crate) members: Members,
     read_only: AtomicBool,
-    /// Per-device count of unrecovered errors (retry-exhausted transients
-    /// and media errors); exceeding the configured budget auto-degrades
-    /// the device.
-    pub(crate) device_errors: Vec<AtomicU64>,
     /// Lock-free mirror of each zone's write pointer, stored on every wp
     /// change under the shard lock. Readers that only need the frontier
     /// (metadata GC snapshot validation) use this instead of the shard.
@@ -337,11 +318,6 @@ pub struct RaiznVolume {
     /// Lock-free mirror of `meta.live.relocated.len()`: hot reads skip the meta
     /// lock entirely while no relocations exist.
     relocated_len: AtomicUsize,
-    /// Rebuild progress: zones scheduled by the in-flight rebuild pass
-    /// (0 when no rebuild is running). Exported as a gauge.
-    pub(crate) rebuild_zones_total: AtomicU64,
-    /// Rebuild progress: zones completed by the in-flight rebuild pass.
-    pub(crate) rebuild_zones_done: AtomicU64,
     pub(crate) stats: AtomicRaiznStats,
     /// Volume-layer spans (parity-path attribution, metadata appends,
     /// flush latency) and counters. Volume spans carry no device: device
@@ -397,60 +373,6 @@ impl RaiznVolume {
         self.meta_locks.lock(&self.meta)
     }
 
-    /// Whether device `dev` is in the failed set.
-    pub(crate) fn is_failed(&self, dev: usize) -> bool {
-        self.failed_mask.load(Ordering::Acquire) & (1u64 << dev) != 0
-    }
-
-    /// The current failed-device bitmask.
-    pub(crate) fn failure_mask(&self) -> u64 {
-        self.failed_mask.load(Ordering::Acquire)
-    }
-
-    /// Number of devices currently failed.
-    pub(crate) fn failed_count(&self) -> u32 {
-        self.failure_mask().count_ones()
-    }
-
-    /// The lowest failed device index, if any.
-    pub(crate) fn failed_idx(&self) -> Option<usize> {
-        match self.failure_mask() {
-            0 => None,
-            m => Some(m.trailing_zeros() as usize),
-        }
-    }
-
-    /// Attempts to add `dev` to the failed set. Returns `Ok(true)` when
-    /// this call newly claimed the failure, `Ok(false)` when the device
-    /// was already failed, and [`ZnsError::TooManyFailures`] when the
-    /// failure would exceed the array's parity count (no redundancy
-    /// headroom left). Lock-free compare-exchange loop.
-    pub(crate) fn claim_failure(&self, dev: usize) -> Result<bool> {
-        let bit = 1u64 << dev;
-        let parity = self.layout.parity_units();
-        let mut cur = self.failed_mask.load(Ordering::Acquire);
-        loop {
-            if cur & bit != 0 {
-                return Ok(false);
-            }
-            if cur.count_ones() >= parity {
-                return Err(ZnsError::TooManyFailures {
-                    failed: cur.count_ones(),
-                    parity,
-                });
-            }
-            match self.failed_mask.compare_exchange(
-                cur,
-                cur | bit,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Ok(true),
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
     /// Refreshes the lock-free relocation count mirror after any mutation
     /// of `meta.live.relocated` (call with the meta lock still held).
     pub(crate) fn sync_relocated_count(&self, live: &LiveMeta) {
@@ -475,23 +397,30 @@ impl RaiznVolume {
         at: SimTime,
     ) -> Result<RaiznVolume> {
         let layout = Self::check_devices(&devices, config)?;
-        // mkfs: wipe all zones.
-        for dev in &devices {
-            for z in 0..dev.geometry().num_zones() {
-                let info = dev.zone_info(z)?;
-                if info.write_pointer > info.start || info.state == ZoneState::Full {
-                    dev.reset_zone(at, z)?;
+        let members = Self::array_members(devices, config)?;
+        {
+            // mkfs: wipe all zones.
+            let devices = members.read();
+            let zones = layout.phys_geometry().num_zones();
+            for dev in 0..devices.len() {
+                for z in 0..zones {
+                    let info = devices.zone_info(dev, z)?;
+                    if info.write_pointer > info.start || info.state == ZoneState::Full {
+                        devices.command(at, dev, Exhausted::Surface, |d| {
+                            Ok(d.reset_zone(at, z)?.done)
+                        })?;
+                    }
                 }
             }
         }
         let vol = Self::assemble(
-            devices,
+            members,
             config,
             layout,
             vec![0; layout.logical_zones() as usize],
         );
         {
-            let devices = vol.devices.read();
+            let devices = vol.members.read();
             let mut m = vol.lock_meta();
             let MetaState { log, live, .. } = &mut *m;
             // Two passes over the (fresh) live state: the superblock lands
@@ -527,12 +456,6 @@ impl RaiznVolume {
                 devices.len()
             )));
         }
-        if devices.len() > 64 {
-            return Err(ZnsError::InvalidArgument(format!(
-                "RAIZN supports at most 64 devices (failure bitmask), got {}",
-                devices.len()
-            )));
-        }
         let geo = devices[0].geometry();
         if devices.iter().any(|d| d.geometry() != geo) {
             return Err(ZnsError::InvalidArgument(
@@ -551,14 +474,24 @@ impl RaiznVolume {
         Ok(RaiznLayout::new(devices.len() as u32, config, geo))
     }
 
+    /// The member layer over `devices` under `config`'s parity, retry limit
+    /// and error budget.
+    pub(crate) fn array_members(
+        devices: Vec<Arc<ZnsDevice>>,
+        config: RaiznConfig,
+    ) -> Result<Members> {
+        let (limit, budget) = (config.transient_retry_limit, config.device_error_budget);
+        Members::new(devices, config.parity, limit, budget)
+    }
+
     /// Builds the in-memory volume object with default metadata roles.
     pub(crate) fn assemble(
-        devices: Vec<Arc<ZnsDevice>>,
+        members: Members,
         config: RaiznConfig,
         layout: RaiznLayout,
         gens: Vec<u64>,
     ) -> RaiznVolume {
-        let n = devices.len();
+        let n = layout.devices() as usize;
         let nz = layout.logical_zones() as usize;
         let zones = (0..nz)
             .map(|_| {
@@ -595,15 +528,11 @@ impl RaiznVolume {
                 },
                 gather_scratch: Vec::new(),
             }),
-            devices: RwLock::new(devices),
-            failed_mask: AtomicU64::new(0),
+            members,
             read_only: AtomicBool::new(false),
-            device_errors: (0..n).map(|_| AtomicU64::new(0)).collect(),
             zone_wp: (0..nz).map(|_| AtomicU64::new(0)).collect(),
             zone_sealed: (0..nz).map(|_| AtomicBool::new(false)).collect(),
             relocated_len: AtomicUsize::new(0),
-            rebuild_zones_total: AtomicU64::new(0),
-            rebuild_zones_done: AtomicU64::new(0),
             stats: AtomicRaiznStats::default(),
             tracer: obs::Tracer::new(),
             shard_locks: obs::LockStats::new(),
@@ -621,9 +550,15 @@ impl RaiznVolume {
         self.config
     }
 
-    /// Volume statistics.
+    /// Volume statistics; retries, auto-degrades and two-erasure decodes
+    /// are the member layer's.
     pub fn stats(&self) -> RaiznStats {
-        self.stats.snapshot()
+        RaiznStats {
+            transient_retries: self.members.transient_retries(),
+            auto_degrades: self.members.auto_degrades(),
+            double_degraded_reads: self.members.double_degraded_reads(),
+            ..self.stats.snapshot()
+        }
     }
 
     /// Attaches an observability recorder: volume-layer spans (parity-path
@@ -631,6 +566,7 @@ impl RaiznVolume {
     /// it. To also capture device-layer spans, attach the same recorder to
     /// the member devices via [`zns::ZnsDevice::set_recorder`].
     pub fn set_recorder(&self, recorder: std::sync::Arc<obs::Recorder>) {
+        self.members.set_recorder(recorder.clone());
         self.tracer.attach(recorder, obs::NONE);
     }
 
@@ -641,7 +577,7 @@ impl RaiznVolume {
 
     /// Whether the array is running degraded (a device has failed).
     pub fn is_degraded(&self) -> bool {
-        self.failed_idx().is_some()
+        self.members.lowest_failed().is_some()
     }
 
     /// Number of currently relocated stripe units.
@@ -659,106 +595,19 @@ impl RaiznVolume {
     /// and [`ZnsError::TooManyFailures`] if the failure would exceed the
     /// array's parity count (one for RAIZN, two for RAIZN-2).
     pub fn fail_device(&self, index: usize) -> Result<()> {
-        let devices = self.devices.read();
-        if index >= devices.len() {
-            return Err(ZnsError::InvalidArgument(format!(
-                "device index {index} out of range (array has {})",
-                devices.len()
-            )));
-        }
-        if self.claim_failure(index)? {
-            devices[index].fail();
-        }
-        Ok(())
+        self.members.fail(index)
     }
 
     /// The lowest failed device index, if any. See
     /// [`failed_devices`](Self::failed_devices) for the full set.
     pub fn failed_device(&self) -> Option<usize> {
-        self.failed_idx()
+        self.members.lowest_failed()
     }
 
     /// All currently failed device indices, ascending.
     pub fn failed_devices(&self) -> Vec<usize> {
-        let mut m = self.failure_mask();
-        let mut out = Vec::new();
-        while m != 0 {
-            let d = m.trailing_zeros() as usize;
-            out.push(d);
-            m &= m - 1;
-        }
-        out
+        self.members.failed()
     }
-
-    // ------------------------------------------------------------------
-    // Fault handling: retries and the per-device error budget
-    // ------------------------------------------------------------------
-
-    /// Records one unrecovered error against `dev` and auto-degrades the
-    /// array (the [`fail_device`](Self::fail_device) equivalent) once the
-    /// device exceeds its error budget — but only while redundancy
-    /// headroom remains: once `parity` devices are already failed the
-    /// array keeps limping on the sick device rather than taking itself
-    /// past its tolerable failure count. Lock-free: the failure bit is
-    /// claimed by compare-exchange.
-    fn note_device_error(&self, devices: &[Arc<ZnsDevice>], dev: usize) {
-        let errs = self.device_errors[dev].fetch_add(1, Ordering::AcqRel) + 1;
-        if errs > self.config.device_error_budget && self.claim_failure(dev) == Ok(true) {
-            devices[dev].fail();
-            AtomicRaiznStats::add(&self.stats.auto_degrades, 1);
-        }
-    }
-
-    /// Issues one command to member `dev` with bounded retries on
-    /// transient errors — the only retry loop in the array layer. A
-    /// command that still fails transiently after
-    /// `transient_retry_limit` retries, or that reports a media error, is
-    /// charged against the member's error budget
-    /// ([`note_device_error`](Self::note_device_error)); what the caller
-    /// then sees is `exhausted`'s choice. Every other outcome passes
-    /// through untouched. `cmd` returns the command's completion instant.
-    fn member_command(
-        &self,
-        devices: &[Arc<ZnsDevice>],
-        at: SimTime,
-        dev: usize,
-        exhausted: Exhausted,
-        mut cmd: impl FnMut(&ZnsDevice) -> Result<SimTime>,
-    ) -> Result<SimTime> {
-        let limit = self.config.transient_retry_limit;
-        let mut attempt = 0u32;
-        loop {
-            match cmd(&devices[dev]) {
-                Err(ZnsError::TransientError { .. }) if attempt < limit => {
-                    attempt += 1;
-                    AtomicRaiznStats::add(&self.stats.transient_retries, 1);
-                    self.tracer.bump(obs::Counter::Retries);
-                }
-                Err(e @ (ZnsError::TransientError { .. } | ZnsError::MediaError { .. })) => {
-                    self.note_device_error(devices, dev);
-                    return match exhausted {
-                        Exhausted::Omit if self.is_failed(dev) => Ok(at),
-                        _ => Err(e),
-                    };
-                }
-                other => return other,
-            }
-        }
-    }
-}
-
-/// What [`RaiznVolume::member_command`] returns for a command it gave up
-/// on and charged to the member's error budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Exhausted {
-    /// Writes and resets: if the charge degraded the member the command
-    /// is omitted and completes at its issue time — the member is out of
-    /// the array, parity covers the unit, and a logged reset WAL replays
-    /// on its eventual rebuild/remount. Otherwise the error surfaces.
-    Omit,
-    /// Reads and appends: the error always surfaces, for the caller to
-    /// reconstruct around (reads) or to drop the replica (metadata).
-    Surface,
 }
 
 /// The generation counter page `page` of `gens`, borrowing the live
@@ -828,14 +677,14 @@ impl RaiznVolume {
         &self,
         log: &mut MdLog,
         live: &LiveMeta,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         at: SimTime,
         dev: usize,
         role: MdRole,
         rec: MdRecordRef<'_>,
         fua: bool,
     ) -> Result<SimTime> {
-        if self.is_failed(dev) {
+        if self.members.is_failed(dev) {
             return Ok(at);
         }
         let flags = WriteFlags {
@@ -843,7 +692,7 @@ impl RaiznVolume {
             preflush: false,
         };
         let write = |log: &mut MdLog, t: SimTime| {
-            self.member_command(devices, t, dev, Exhausted::Surface, |d| {
+            devices.command(t, dev, Exhausted::Surface, |d| {
                 self.md_write(log, d, t, dev, role, rec, flags)
             })
         };
@@ -859,7 +708,7 @@ impl RaiznVolume {
             // Retry exhaustion just degraded the device: its metadata
             // replica is gone with it, mirroring the failed-device
             // early-return above.
-            Err(ZnsError::TransientError { .. }) if self.is_failed(dev) => issued,
+            Err(ZnsError::TransientError { .. }) if self.members.is_failed(dev) => issued,
             Err(e) => return Err(e),
         };
         let sectors = rec.encoded_sectors() - u64::from(self.elides_header(&rec));
@@ -991,7 +840,7 @@ impl RaiznVolume {
         &self,
         log: &mut MdLog,
         live: &LiveMeta,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         at: SimTime,
         dev: usize,
         role: MdRole,
@@ -1005,14 +854,14 @@ impl RaiznVolume {
         let mut t = at;
         self.checkpoint_live(live, dev, role, true, |rec| {
             let issue = t;
-            t = self.member_command(devices, issue, dev, Exhausted::Surface, |d| {
+            t = devices.command(issue, dev, Exhausted::Surface, |d| {
                 self.md_write(log, d, issue, dev, role, rec, WriteFlags::default())
             })?;
             Ok(())
         })?;
         // The checkpoint must be durable before the old zone disappears.
-        t = devices[dev].flush(t)?.done;
-        t = self.member_command(devices, t, dev, Exhausted::Omit, |d| {
+        t = devices.flush(t, 1 << dev)?;
+        t = devices.command(t, dev, Exhausted::Omit, |d| {
             Ok(d.reset_zone(t, old_zone)?.done)
         })?;
         log.md[dev].swaps.insert(0, old_zone);
@@ -1054,7 +903,7 @@ impl RaiznVolume {
     fn log_relocation(
         &self,
         m: &mut MetaState,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         at: SimTime,
         lzone: u32,
         stripe: u64,
@@ -1072,7 +921,7 @@ impl RaiznVolume {
     pub(crate) fn persist_gen_page(
         &self,
         m: &mut MetaState,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         at: SimTime,
         lzone: u32,
     ) -> Result<SimTime> {
@@ -1105,7 +954,7 @@ impl RaiznVolume {
     pub(crate) fn fetch_slot_rows(
         &self,
         meta: Option<&LiveMeta>,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         at: SimTime,
         lzone: u32,
         stripe: u64,
@@ -1130,11 +979,11 @@ impl RaiznVolume {
         if cached {
             return Ok(at);
         }
-        if self.is_failed(dev as usize) {
+        if self.members.is_failed(dev as usize) {
             return Err(ZnsError::DeviceFailed);
         }
         let pba = self.layout.stripe_pba(lzone, stripe) + row0;
-        self.member_command(devices, at, dev as usize, Exhausted::Surface, |d| {
+        devices.command(at, dev as usize, Exhausted::Surface, |d| {
             Ok(d.read(at, pba, out)?.done)
         })
     }
@@ -1166,22 +1015,16 @@ impl RaiznVolume {
     }
 
     /// Reconstructs rows of the unit that `missing_dev` holds for
-    /// `(lzone, stripe)` from the surviving devices (§4.2). The stripe
-    /// must be complete (parity present).
-    ///
-    /// The arithmetic is the stripe codec's ([`sim::codec::Decode`]):
-    /// every surviving slot the erasure pattern needs is read into the
-    /// first column of `scratch` (the zone's spare parity columns) and
-    /// folded into `out` — and, when a second *data* unit is lost too,
-    /// into the second scratch column — then solved in place. Nothing is
-    /// allocated. Devices in the failed set whose slots are not served by
-    /// the relocation cache count as erased alongside `missing_dev`; more
-    /// erasures than parity units is unrecoverable.
+    /// `(lzone, stripe)` from the surviving devices (§4.2) through the
+    /// member layer's decode ([`Members::reconstruct`]), with `scratch`
+    /// the zone's spare parity columns. The stripe must be complete
+    /// (parity present); failed members whose slots the relocation cache
+    /// holds still count as sources.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn reconstruct_slot_rows(
         &self,
         scratch: &mut [u8],
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         at: SimTime,
         lzone: u32,
         stripe: u64,
@@ -1189,81 +1032,14 @@ impl RaiznVolume {
         row0: u64,
         out: &mut [u8],
     ) -> Result<SimTime> {
-        let n = self.layout.devices();
-        let mut missing = 1u64 << missing_dev;
-        let failed = self.failure_mask();
-        if failed & !missing != 0 {
-            for dev in 0..n {
-                let bit = 1u64 << dev;
-                if failed & bit == 0 || missing & bit != 0 {
-                    continue;
-                }
-                // A failed device's slot is still available when the
-                // relocation cache holds it.
-                if !self.is_relocated(lzone, stripe, dev) {
-                    missing |= bit;
-                }
-            }
-        }
-        if missing.count_ones() > self.layout.parity_units() {
-            return Err(ZnsError::DeviceFailed);
-        }
-        let target = self.slot_role(lzone, stripe, missing_dev);
-        let unit_bytes = (self.layout.stripe_unit() * SECTOR_SIZE) as usize;
-        let (tmp, aux) = scratch.split_at_mut(unit_bytes);
-        let len = out.len();
-        let tmp = &mut tmp[..len];
-        let aux_len = |plan: &Decode| if plan.uses_aux() { len } else { 0 };
-        // A *source* slot can turn out unreadable mid-decode (a latent
-        // media error on a second device); with parity headroom left it
-        // joins the erasure set and the decode restarts.
-        let (plan, done) = 'retry: loop {
-            let rest = missing & !(1u64 << missing_dev);
-            let other = (rest != 0).then(|| self.slot_role(lzone, stripe, rest.trailing_zeros()));
-            let plan = Decode::new(target, other)
-                .ok_or_else(|| internal("duplicate role in erasure set"))?;
-            let aux = &mut aux[..aux_len(&plan)];
-            plan.begin(out, aux);
-            let mut done = at;
-            for dev in 0..n {
-                if missing & (1u64 << dev) != 0 {
-                    continue;
-                }
-                let role = self.slot_role(lzone, stripe, dev);
-                if !plan.wants(role) {
-                    continue;
-                }
-                match self.fetch_slot_rows(None, devices, at, lzone, stripe, dev, row0, tmp) {
-                    Ok(t) => done = done.max(t),
-                    Err(
-                        e @ (ZnsError::MediaError { .. }
-                        | ZnsError::TransientError { .. }
-                        | ZnsError::DeviceFailed),
-                    ) => {
-                        if missing.count_ones() >= self.layout.parity_units() {
-                            return Err(e);
-                        }
-                        missing |= 1u64 << dev;
-                        continue 'retry;
-                    }
-                    Err(e) => return Err(e),
-                }
-                plan.absorb(role, tmp, out, aux);
-            }
-            break 'retry (plan, done);
+        let src = SlotStripe {
+            vol: self,
+            devices,
+            lzone,
+            stripe,
         };
-        plan.finish(out, &aux[..aux_len(&plan)]);
-        if missing.count_ones() > 1 {
-            AtomicRaiznStats::add(&self.stats.double_degraded_reads, 1);
-            self.tracer.bump(obs::Counter::DoubleDegradedReads);
-            self.tracer.leaf(
-                obs::Span::new(obs::OpClass::Read, obs::Stage::WholeOp, at, done)
-                    .path(obs::PathKind::DoubleDegraded)
-                    .zone(lzone)
-                    .sectors(out.len() as u64 / SECTOR_SIZE),
-            );
-        }
-        Ok(done)
+        self.members
+            .reconstruct(scratch, at, &src, missing_dev, row0, out)
     }
 
     // ------------------------------------------------------------------
@@ -1279,7 +1055,7 @@ impl RaiznVolume {
     fn read_slot_rows(
         &self,
         z: &mut LZone,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         at: SimTime,
         lzone: u32,
         stripe: u64,
@@ -1288,7 +1064,7 @@ impl RaiznVolume {
         out: &mut [u8],
     ) -> Result<SimTime> {
         let dev = self.layout.data_device(lzone, stripe, unit);
-        if self.is_relocated(lzone, stripe, dev) || !self.is_failed(dev as usize) {
+        if self.is_relocated(lzone, stripe, dev) || !self.members.is_failed(dev as usize) {
             match self.fetch_slot_rows(None, devices, at, lzone, stripe, dev, row0, out) {
                 Ok(t) => Ok(t),
                 Err(
@@ -1309,7 +1085,7 @@ impl RaiznVolume {
     fn degraded_slot_read(
         &self,
         z: &mut LZone,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         at: SimTime,
         lzone: u32,
         stripe: u64,
@@ -1355,7 +1131,7 @@ impl RaiznVolume {
     fn heal_read(
         &self,
         z: &mut LZone,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         at: SimTime,
         lzone: u32,
         stripe: u64,
@@ -1413,7 +1189,7 @@ impl RaiznVolume {
     fn relocate_repaired_unit(
         &self,
         z: &mut LZone,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         at: SimTime,
         lzone: u32,
         stripe: u64,
@@ -1445,7 +1221,7 @@ impl RaiznVolume {
     /// Takes each zone's shard in turn; concurrent writers to other zones
     /// are unaffected.
     pub fn scrub(&self, at: SimTime) -> Result<ScrubReport> {
-        if self.failed_idx().is_some() {
+        if self.members.lowest_failed().is_some() {
             return Err(ZnsError::DeviceFailed);
         }
         if self.read_only.load(Ordering::Acquire) {
@@ -1455,7 +1231,7 @@ impl RaiznVolume {
         // is blamed on the scrub actor, so foreground ops stalled behind
         // it show up as interference in their blame trees.
         let _actor = obs::actor_scope(obs::Actor::Scrub);
-        let devices = self.devices.read();
+        let devices = self.members.read();
         let su = self.layout.stripe_unit();
         let stripe_data = self.layout.stripe_data_sectors();
         let unit_bytes = (su * SECTOR_SIZE) as usize;
@@ -1549,7 +1325,7 @@ impl RaiznVolume {
     fn store_parity_legs(
         &self,
         z: &mut LZone,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         issue: SimTime,
         lzone: u32,
         stripe: u64,
@@ -1561,7 +1337,7 @@ impl RaiznVolume {
         // relocated) is dropped by `store_slot_rows`; it is neither
         // computed nor issued.
         let dropped = |z: &LZone, dev: u32| {
-            self.is_failed(dev as usize) && !z.conflicts.contains(&(stripe, dev))
+            self.members.is_failed(dev as usize) && !z.conflicts.contains(&(stripe, dev))
         };
         let want_p = !dropped(z, self.layout.parity_device(lzone, stripe));
         let want_q = self
@@ -1603,7 +1379,7 @@ impl RaiznVolume {
     fn issue_parity_columns(
         &self,
         z: &mut LZone,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         issue: SimTime,
         lzone: u32,
         stripe: u64,
@@ -1629,9 +1405,13 @@ impl RaiznVolume {
             for (dev, col) in [(Some(pdev), p), (qdev, q)] {
                 let Some(dev) = dev else { continue };
                 let col = col.ok_or_else(|| internal("zrwa parity leg without a column"))?;
-                let d = &devices[dev as usize];
-                let mut done = d.write_zrwa(issue, pba, &col[rows.clone()])?.done;
-                done = done.max(d.commit_zrwa(done, phys_zone, (stripe + 1) * su)?.done);
+                let (member, upto) = (dev as usize, (stripe + 1) * su);
+                let mut done = devices.command(issue, member, Exhausted::Surface, |d| {
+                    Ok(d.write_zrwa(issue, pba, &col[rows.clone()])?.done)
+                })?;
+                done = done.max(devices.command(done, member, Exhausted::Surface, |d| {
+                    Ok(d.commit_zrwa(done, phys_zone, upto)?.done)
+                })?);
                 completion = completion.max(done);
                 AtomicRaiznStats::add(&self.stats.zrwa_parity_writes, 1);
                 self.tracer.bump(obs::Counter::ZrwaParityWrites);
@@ -1685,7 +1465,7 @@ impl RaiznVolume {
     fn store_slot_rows(
         &self,
         z: &mut LZone,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         at: SimTime,
         lzone: u32,
         stripe: u64,
@@ -1722,13 +1502,13 @@ impl RaiznVolume {
             );
             return self.log_relocation(&mut m, devices, at, lzone, stripe, dev, flags.fua);
         }
-        if self.is_failed(dev as usize) {
+        if self.members.is_failed(dev as usize) {
             return Ok(at); // degraded write: omitted, covered by parity
         }
         // Retry exhaustion that degrades the device omits the write: the
         // unit stays covered by parity.
         let pba = self.layout.stripe_pba(lzone, stripe) + row0;
-        self.member_command(devices, at, dev as usize, Exhausted::Omit, |d| {
+        devices.command(at, dev as usize, Exhausted::Omit, |d| {
             Ok(d.write(at, pba, data, flags)?.done)
         })
     }
@@ -1750,9 +1530,9 @@ impl RaiznVolume {
             return Ok(at);
         }
         let exhausted = {
-            let devices = self.devices.read();
-            devices.iter().enumerate().any(|(d, dev)| {
-                !self.is_failed(d) && dev.active_zones() >= dev.config().max_active_zones()
+            let devices = self.members.read();
+            devices.devices().iter().enumerate().any(|(i, dev)| {
+                !self.members.is_failed(i) && dev.active_zones() >= dev.config().max_active_zones()
             })
         };
         if !exhausted {
@@ -1818,7 +1598,7 @@ impl RaiznVolume {
     fn issue_data_legs(
         &self,
         z: &mut LZone,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         issue: SimTime,
         lzone: u32,
         stripe: u64,
@@ -1833,18 +1613,13 @@ impl RaiznVolume {
         };
         let end = off_in_stripe + chunk.len() as u64 / SECTOR_SIZE;
         let mut completion = issue;
-        let mut cursor = off_in_stripe;
-        let mut coff = 0usize;
-        while cursor < end {
-            let row0 = cursor % su;
-            let rows = (su - row0).min(end - cursor);
-            let dev = self.layout.data_device(lzone, stripe, cursor / su);
-            let bytes = &chunk[coff..coff + (rows * SECTOR_SIZE) as usize];
+        for (sector, row0, rows) in unit_segments(off_in_stripe, end, su) {
+            let dev = self.layout.data_device(lzone, stripe, sector / su);
+            let off = ((sector - off_in_stripe) * SECTOR_SIZE) as usize;
+            let bytes = &chunk[off..off + (rows * SECTOR_SIZE) as usize];
             let done =
                 self.store_slot_rows(z, devices, issue, lzone, stripe, dev, row0, bytes, flags)?;
             completion = completion.max(done);
-            cursor += rows;
-            coff += (rows * SECTOR_SIZE) as usize;
         }
         Ok(completion)
     }
@@ -1856,7 +1631,7 @@ impl RaiznVolume {
     fn zrwa_parity_ok(&self, z: &LZone, lzone: u32, stripe: u64) -> bool {
         self.config.use_zrwa
             && self.parity_legs(lzone, stripe).all(|(dev, _)| {
-                !self.is_failed(dev as usize) && !z.conflicts.contains(&(stripe, dev))
+                !self.members.is_failed(dev as usize) && !z.conflicts.contains(&(stripe, dev))
             })
     }
 
@@ -1868,7 +1643,7 @@ impl RaiznVolume {
     fn zrwa_partial_legs(
         &self,
         z: &LZone,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         issue: SimTime,
         lzone: u32,
         stripe: u64,
@@ -1883,7 +1658,9 @@ impl RaiznVolume {
         let mut completion = issue;
         for (dev, leg) in self.parity_legs(lzone, stripe) {
             let delta = &leg.column(buf)[rows.clone()];
-            let done = devices[dev as usize].write_zrwa(issue, pba, delta)?.done;
+            let done = devices.command(issue, dev as usize, Exhausted::Surface, |d| {
+                Ok(d.write_zrwa(issue, pba, delta)?.done)
+            })?;
             completion = completion.max(done);
             AtomicRaiznStats::add(&self.stats.zrwa_parity_writes, 1);
             self.tracer.bump(obs::Counter::ZrwaParityWrites);
@@ -1912,7 +1689,7 @@ impl RaiznVolume {
     fn log_partial_parity(
         &self,
         z: &LZone,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         issue: SimTime,
         lzone: u32,
         stripe: u64,
@@ -2014,7 +1791,7 @@ impl RaiznVolume {
         // over the victim's remainder). Runs before any lock is taken:
         // it acquires shard/meta/device locks of its own.
         let at = self.reclaim_for_activation(at, lzone)?;
-        let devices = self.devices.read();
+        let devices = self.members.read();
         let mut z = self.lock_shard(lzone);
         self.tracer.lock_mark(obs::OpClass::Write, lzone, at);
         z.state.check_write(&lgeo, lzone, z.wp, rel, sectors)?;
@@ -2109,13 +1886,13 @@ impl RaiznVolume {
     fn persist_zone(
         &self,
         z: &mut LZone,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         at: SimTime,
         lzone: u32,
     ) -> Result<SimTime> {
         let data_units = self.layout.data_units();
         let wp = z.wp;
-        // A device bitmask like `failed_mask`: no allocation per FUA.
+        // A device bitmask like the failure mask: no allocation per FUA.
         let mut flush_mask = 0u64;
         for unit in z.pbitmap.unpersisted_below(wp) {
             let stripe = unit / data_units;
@@ -2128,14 +1905,10 @@ impl RaiznVolume {
                 flush_mask |= 1 << q;
             }
         }
-        flush_mask &= !self.failure_mask();
-        let mut done = at;
-        for (dev, device) in devices.iter().enumerate() {
-            if flush_mask & (1 << dev) != 0 {
-                done = done.max(device.flush(at)?.done);
-                AtomicRaiznStats::add(&self.stats.persistence_flushes, 1);
-            }
-        }
+        flush_mask &= !self.members.failure_mask();
+        let done = devices.flush(at, flush_mask)?;
+        let flushes = u64::from(flush_mask.count_ones());
+        AtomicRaiznStats::add(&self.stats.persistence_flushes, flushes);
         z.pbitmap.mark_persisted_below(wp);
         self.tracer
             .leaf(obs::Span::new(obs::OpClass::Flush, obs::Stage::Flush, at, done).zone(lzone));
@@ -2145,14 +1918,8 @@ impl RaiznVolume {
     /// Flushes all devices and marks every zone persisted. Callers must
     /// not hold any shard lock: each zone's shard is taken in index order
     /// to update its persistence bitmap.
-    fn flush_all(&self, devices: &[Arc<ZnsDevice>], at: SimTime) -> Result<SimTime> {
-        let mut done = at;
-        for (i, dev) in devices.iter().enumerate() {
-            if self.is_failed(i) {
-                continue;
-            }
-            done = done.max(dev.flush(at)?.done);
-        }
+    fn flush_all(&self, devices: &Roster<'_>, at: SimTime) -> Result<SimTime> {
+        let done = devices.flush(at, !0)?;
         for zm in &self.zones {
             let mut z = self.shard_locks.lock(zm);
             let wp = z.wp;
@@ -2198,7 +1965,7 @@ impl RaiznVolume {
     fn log_zone_intent(
         &self,
         m: &mut MetaState,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         at: SimTime,
         lzone: u32,
         intent: ZoneIntent,
@@ -2225,7 +1992,7 @@ impl RaiznVolume {
     fn finish_reset(
         &self,
         z: &mut LZone,
-        devices: &[Arc<ZnsDevice>],
+        devices: &Roster<'_>,
         t: SimTime,
         lzone: u32,
     ) -> Result<SimTime> {
@@ -2273,15 +2040,17 @@ impl RaiznVolume {
         lzone: u32,
         devices_reset: usize,
     ) -> Result<()> {
-        let devices = self.devices.read();
+        let devices = self.members.read();
         let _z = self.lock_shard(lzone);
         let t = {
             let mut m = self.lock_meta();
             self.log_zone_intent(&mut m, &devices, at, lzone, ZoneIntent::Reset)?
         };
         let phys = self.layout.phys_zone(lzone);
-        for dev in devices.iter().take(devices_reset) {
-            dev.reset_zone(t, phys)?;
+        for dev in 0..devices_reset {
+            devices.command(t, dev, Exhausted::Surface, |d| {
+                Ok(d.reset_zone(t, phys)?.done)
+            })?;
         }
         Ok(())
     }
@@ -2302,15 +2071,17 @@ impl RaiznVolume {
         lzone: u32,
         devices_finished: usize,
     ) -> Result<()> {
-        let devices = self.devices.read();
+        let devices = self.members.read();
         let z = self.lock_shard(lzone);
         let t = {
             let mut m = self.lock_meta();
             self.log_zone_intent(&mut m, &devices, at, lzone, ZoneIntent::Finish(z.wp))?
         };
         let phys = self.layout.phys_zone(lzone);
-        for dev in devices.iter().take(devices_finished) {
-            dev.finish_zone(t, phys)?;
+        for dev in 0..devices_finished {
+            devices.command(t, dev, Exhausted::Surface, |d| {
+                Ok(d.finish_zone(t, phys)?.done)
+            })?;
         }
         Ok(())
     }
@@ -2325,14 +2096,14 @@ impl RaiznVolume {
     ///
     /// Propagates device IO errors.
     pub fn maintenance(&self, at: SimTime) -> Result<SimTime> {
-        let devices = self.devices.read();
+        let devices = self.members.read();
         self.sync_pp_snapshots();
         let mut m = self.lock_meta();
         let MetaState { log, live, .. } = &mut *m;
         live.gens.fill(0);
         let mut t = at;
         for dev in 0..devices.len() {
-            if self.is_failed(dev) {
+            if self.members.is_failed(dev) {
                 continue;
             }
             t = t.max(self.md_gc(log, live, &devices, t, dev, MdRole::General)?);
@@ -2366,155 +2137,127 @@ impl RaiznVolume {
     /// Fails if no device is failed, the replacement geometry mismatches,
     /// or device IO fails.
     pub fn rebuild(&self, at: SimTime, replacement: Arc<ZnsDevice>) -> Result<RebuildReport> {
-        let failed = self.failed_idx().ok_or_else(|| {
-            ZnsError::InvalidArgument("rebuild requires a failed device".to_string())
-        })?;
-        if replacement.geometry() != self.layout.phys_geometry() {
-            return Err(ZnsError::InvalidArgument(
-                "replacement geometry mismatch".to_string(),
-            ));
+        // Priority order: active zones first (open/closed), then full.
+        let mut order: Vec<(u32, u8)> = Vec::new();
+        for lz in 0..self.layout.logical_zones() {
+            let z = self.lock_shard(lz);
+            if z.wp == 0 {
+                continue;
+            }
+            let pri = match z.state {
+                ZoneState::ImplicitlyOpen | ZoneState::ExplicitlyOpen | ZoneState::Closed => 0,
+                _ => 1,
+            };
+            order.push((lz, pri));
         }
+        order.sort_by_key(|&(_, pri)| pri);
         let su = self.layout.stripe_unit();
-        let su_bytes = (su * SECTOR_SIZE) as usize;
-
-        // Rebuild reads and replacement writes are blamed on the rebuild
-        // actor; foreground ops queued behind them see the stall as
-        // rebuild interference in their blame trees.
-        let _actor = obs::actor_scope(obs::Actor::Rebuild);
-        let mut cursor = at;
-        let mut last_write = at;
-        let mut bytes = 0u64;
-        let mut zones_rebuilt = 0u32;
-        {
-            let devices = self.devices.read();
-            // Priority order: active zones first (open/closed), then full.
-            let mut order: Vec<(u32, u8)> = Vec::new();
-            for lz in 0..self.layout.logical_zones() {
-                let z = self.lock_shard(lz);
-                if z.wp == 0 {
-                    continue;
-                }
-                let pri = match z.state {
-                    ZoneState::ImplicitlyOpen | ZoneState::ExplicitlyOpen | ZoneState::Closed => 0,
-                    _ => 1,
-                };
-                order.push((lz, pri));
-            }
-            order.sort_by_key(|&(_, pri)| pri);
-            self.rebuild_zones_total
-                .store(order.len() as u64, Ordering::Release);
-            self.rebuild_zones_done.store(0, Ordering::Release);
-
-            for (lzone, _) in order {
-                let mut z = self.lock_shard(lzone);
-                let wp = z.wp;
-                let phys_zone = self.layout.phys_zone(lzone);
-                let stripe_data = self.layout.stripe_data_sectors();
-                for stripe in 0..wp.div_ceil(stripe_data) {
-                    let complete = (stripe + 1) * stripe_data <= wp;
-                    // What does the replacement hold for this stripe?
-                    let needed = self.layout.slot_extent(lzone, stripe, failed as u32, wp);
-                    if needed == 0 {
-                        continue;
-                    }
-                    let mut out = vec![0u8; (needed * SECTOR_SIZE) as usize];
-                    let reads_done;
-                    let healed = {
-                        let mut m = self.lock_meta();
-                        let rel = m.live.relocated.remove(&(lzone, stripe, failed as u32));
-                        if rel.is_some() {
-                            self.sync_relocated_count(&m.live);
+        let stripe_data = self.layout.stripe_data_sectors();
+        let zones = order.len() as u64;
+        let report = self
+            .members
+            .rebuild(at, replacement, su, zones, |devices, rb| {
+                let failed = rb.member() as u32;
+                for (lzone, _) in order {
+                    let mut z = self.lock_shard(lzone);
+                    let wp = z.wp;
+                    let phys_zone = self.layout.phys_zone(lzone);
+                    for stripe in 0..wp.div_ceil(stripe_data) {
+                        // What does the replacement hold for this stripe?
+                        let needed = self.layout.slot_extent(lzone, stripe, failed, wp);
+                        if needed == 0 {
+                            continue;
                         }
-                        rel
-                    };
-                    if let Some(rel) = healed {
-                        // Heal the relocation: the true data returns to its
-                        // arithmetic slot on the fresh device.
-                        let len = out.len();
-                        out.copy_from_slice(&rel.data[..len]);
-                        reads_done = cursor;
-                        z.conflicts.remove(&(stripe, failed as u32));
-                    } else if !complete {
-                        // Incomplete stripe: serve from the stripe buffer.
-                        let k = self
-                            .layout
-                            .unit_of_device(lzone, stripe, failed as u32)
-                            .ok_or_else(|| internal("parity slot handled above"))?;
-                        match &z.buffer {
-                            Some(buf) if buf.stripe() == stripe => {
-                                let len = out.len();
-                                out.copy_from_slice(&buf.unit_data(k)[..len]);
+                        let healed = {
+                            let mut m = self.lock_meta();
+                            let rel = m.live.relocated.remove(&(lzone, stripe, failed));
+                            if rel.is_some() {
+                                self.sync_relocated_count(&m.live);
                             }
-                            // Mount and `finish_zone` always leave the
-                            // buffer of an incomplete stripe seeded; fail
-                            // rather than install zeros as data.
-                            _ => return Err(internal("incomplete stripe without its buffer")),
+                            rel
+                        };
+                        if let Some(rel) = healed {
+                            // Heal the relocation: the true data returns to its
+                            // arithmetic slot on the fresh device.
+                            z.conflicts.remove(&(stripe, failed));
+                            rb.extent(phys_zone, stripe, needed, Fill::Copy(&rel.data))?;
+                        } else if (stripe + 1) * stripe_data <= wp {
+                            let src = SlotStripe {
+                                vol: self,
+                                devices,
+                                lzone,
+                                stripe,
+                            };
+                            rb.extent(phys_zone, stripe, needed, Fill::Reconstruct(&src))?;
+                        } else {
+                            // Incomplete stripe: serve from the stripe buffer,
+                            // which mount and `finish_zone` always leave seeded;
+                            // fail rather than install zeros as data.
+                            let k = self
+                                .layout
+                                .unit_of_device(lzone, stripe, failed)
+                                .ok_or_else(|| internal("parity slot of an incomplete stripe"))?;
+                            let buf = z.buffer.as_ref().filter(|b| b.stripe() == stripe);
+                            let buf = buf
+                                .ok_or_else(|| internal("incomplete stripe without its buffer"))?;
+                            rb.extent(phys_zone, stripe, needed, Fill::Copy(buf.unit_data(k)))?;
                         }
-                        reads_done = cursor;
-                    } else {
-                        reads_done = self.reconstruct_slot_rows(
-                            z.scratch_mut(self.scratch_bytes()),
-                            &devices,
-                            cursor,
-                            lzone,
-                            stripe,
-                            failed as u32,
-                            0,
-                            &mut out,
-                        )?;
                     }
-                    debug_assert!(out.len() <= su_bytes);
-                    let pba = self.layout.phys_geometry().zone_start(phys_zone) + stripe * su;
-                    let w = replacement.write(reads_done, pba, &out, WriteFlags::default())?;
-                    last_write = last_write.max(w.done);
-                    bytes += out.len() as u64;
-                    cursor = reads_done;
+                    // Seal the replacement's zone to match the logical state.
+                    if z.state == ZoneState::Full {
+                        rb.seal(phys_zone)?;
+                    }
+                    rb.zone_done();
                 }
-                // Seal the replacement's zone to match the logical state.
-                if z.state == ZoneState::Full {
-                    replacement.finish_zone(last_write, phys_zone)?;
-                }
-                zones_rebuilt += 1;
-                self.rebuild_zones_done.fetch_add(1, Ordering::AcqRel);
-            }
-
-            // The fresh device's metadata zones get every live record the
-            // failed member's held.
-            {
+                // The fresh device's metadata zones get every live record the
+                // failed member's held.
                 let mut m = self.lock_meta();
                 let MetaState { log, live, .. } = &mut *m;
-                log.md[failed] = MdRoles::fresh(self.layout.md_zones());
-                let mut t = last_write;
-                let (fresh, fua) = (&*replacement, WriteFlags::FUA);
-                for role in [MdRole::General, MdRole::PpLog] {
-                    self.checkpoint_live(live, failed, role, false, |rec| {
-                        t = self.md_write(log, fresh, t, failed, role, rec, fua)?;
-                        Ok(())
-                    })?;
-                }
-                last_write = last_write.max(t);
-            }
-        }
-        // Swap in the replacement: the only writer of the device table.
-        {
-            let mut devs = self.devices.write();
-            devs[failed] = replacement;
-        }
-        // Clear only this device's failure bit: in dual-parity mode the
-        // other failed device (if any) stays degraded until its own
-        // rebuild pass.
-        self.failed_mask
-            .fetch_and(!(1u64 << failed), Ordering::AcqRel);
-        self.device_errors[failed].store(0, Ordering::Relaxed);
-        self.rebuild_zones_total.store(0, Ordering::Release);
-        self.rebuild_zones_done.store(0, Ordering::Release);
-        AtomicRaiznStats::add(&self.stats.rebuild_bytes, bytes);
+                let dev = failed as usize;
+                log.md[dev] = MdRoles::fresh(self.layout.md_zones());
+                rb.on_replacement(|fresh, mut t| {
+                    for role in [MdRole::General, MdRole::PpLog] {
+                        self.checkpoint_live(live, dev, role, false, |rec| {
+                            t = self.md_write(log, fresh, t, dev, role, rec, WriteFlags::FUA)?;
+                            Ok(())
+                        })?;
+                    }
+                    Ok(t)
+                })
+            })?;
+        AtomicRaiznStats::add(&self.stats.rebuild_bytes, report.bytes_written);
         AtomicRaiznStats::add(&self.stats.rebuilds_completed, 1);
-        Ok(RebuildReport {
-            duration: last_write.since(at),
-            bytes_written: bytes,
-            zones_rebuilt,
-        })
+        Ok(report)
+    }
+}
+
+/// One stripe of a logical zone as the member layer's decode sees it:
+/// roles by the rotating layout, failed members' slots served from the
+/// relocation cache.
+struct SlotStripe<'a, 'r> {
+    vol: &'a RaiznVolume,
+    devices: &'a Roster<'r>,
+    lzone: u32,
+    stripe: u64,
+}
+
+impl Stripe for SlotStripe<'_, '_> {
+    fn role(&self, dev: u32) -> Role {
+        self.vol.slot_role(self.lzone, self.stripe, dev)
+    }
+
+    fn available(&self, dev: u32) -> bool {
+        self.vol.is_relocated(self.lzone, self.stripe, dev)
+    }
+
+    fn fetch(&self, at: SimTime, dev: u32, row0: u64, out: &mut [u8]) -> Result<SimTime> {
+        let (lz, stripe) = (self.lzone, self.stripe);
+        self.vol
+            .fetch_slot_rows(None, self.devices, at, lz, stripe, dev, row0, out)
+    }
+
+    fn zone(&self) -> u32 {
+        self.lzone
     }
 }
 
@@ -2527,7 +2270,7 @@ impl ZonedVolume for RaiznVolume {
         let lgeo = self.layout.logical_geometry();
         let (lzone, rel0, sectors) = lgeo.check_io(lba, buf.len())?;
         let op_span = self.tracer.begin();
-        let devices = self.devices.read();
+        let devices = self.members.read();
         let mut z = self.lock_shard(lzone);
         self.tracer.lock_mark(obs::OpClass::Read, lzone, at);
         z.state.check_read(&lgeo, lzone, z.wp, rel0, sectors)?;
@@ -2618,7 +2361,7 @@ impl ZonedVolume for RaiznVolume {
         let lgeo = self.layout.logical_geometry();
         lgeo.check_zone(zone)?;
         let op_span = self.tracer.begin();
-        let devices = self.devices.read();
+        let devices = self.members.read();
         let mut z = self.lock_shard(zone);
         self.tracer.lock_mark(obs::OpClass::Reset, zone, at);
         if self.read_only.load(Ordering::Acquire) {
@@ -2633,15 +2376,8 @@ impl ZonedVolume for RaiznVolume {
             self.log_zone_intent(&mut m, &devices, at, zone, ZoneIntent::Reset)?
         };
         let phys = self.layout.phys_zone(zone);
-        let mut done = t;
-        for i in 0..devices.len() {
-            if self.is_failed(i) {
-                continue;
-            }
-            done = done.max(self.member_command(&devices, t, i, Exhausted::Omit, |d| {
-                Ok(d.reset_zone(t, phys)?.done)
-            })?);
-        }
+        let mut done =
+            devices.on_survivors(t, Exhausted::Omit, |_, d| Ok(d.reset_zone(t, phys)?.done))?;
         done = done.max(self.finish_reset(&mut z, &devices, done, zone)?);
         self.tracer.root(
             &op_span,
@@ -2656,7 +2392,7 @@ impl ZonedVolume for RaiznVolume {
         let lgeo = self.layout.logical_geometry();
         lgeo.check_zone(zone)?;
         let op_span = self.tracer.begin();
-        let devices = self.devices.read();
+        let devices = self.members.read();
         let mut z = self.lock_shard(zone);
         self.tracer.lock_mark(obs::OpClass::Finish, zone, at);
         if self.read_only.load(Ordering::Acquire) {
@@ -2709,12 +2445,9 @@ impl ZonedVolume for RaiznVolume {
             done = done.max(t);
         }
         let phys = self.layout.phys_zone(zone);
-        for (i, dev) in devices.iter().enumerate() {
-            if self.is_failed(i) {
-                continue;
-            }
-            done = done.max(dev.finish_zone(at, phys)?.done);
-        }
+        done = done.max(devices.on_survivors(at, Exhausted::Surface, |_, d| {
+            Ok(d.finish_zone(at, phys)?.done)
+        })?);
         self.zone_sealed[zone as usize].store(true, Ordering::Release);
         z.state = next;
         let wp = z.wp;
@@ -2731,52 +2464,43 @@ impl ZonedVolume for RaiznVolume {
 
     fn open_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
         self.layout.logical_geometry().check_zone(zone)?;
-        let devices = self.devices.read();
+        let devices = self.members.read();
         let mut z = self.lock_shard(zone);
         let next = z.state.open(zone)?;
         let phys = self.layout.phys_zone(zone);
-        let mut done = at;
-        for (i, dev) in devices.iter().enumerate() {
-            if self.is_failed(i) {
-                continue;
-            }
-            // A member zone already full holds its whole share of the
-            // logical zone and takes no more writes; it stays full.
-            match dev.open_zone(at, phys) {
-                Ok(c) => done = done.max(c.done),
-                Err(ZnsError::ZoneFull { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
+        // A member zone already full holds its whole share of the logical
+        // zone and takes no more writes; it stays full.
+        let done =
+            devices.on_survivors(at, Exhausted::Surface, |_, d| match d.open_zone(at, phys) {
+                Ok(c) => Ok(c.done),
+                Err(ZnsError::ZoneFull { .. }) => Ok(at),
+                Err(e) => Err(e),
+            })?;
         z.state = next;
         Ok(IoCompletion { done })
     }
 
     fn close_zone(&self, at: SimTime, zone: u32) -> Result<IoCompletion> {
         self.layout.logical_geometry().check_zone(zone)?;
-        let devices = self.devices.read();
+        let devices = self.members.read();
         let mut z = self.lock_shard(zone);
         let next = z.state.close(zone, z.wp)?;
         let phys = self.layout.phys_zone(zone);
-        let mut done = at;
-        for (i, dev) in devices.iter().enumerate() {
-            if self.is_failed(i) {
-                continue;
+        // Physical zones that were never written cannot be closed; ignore
+        // state errors from them.
+        let done = devices.on_survivors(at, Exhausted::Surface, |_, d| {
+            match d.close_zone(at, phys) {
+                Ok(c) => Ok(c.done),
+                Err(ZnsError::BadZoneState { .. }) => Ok(at),
+                Err(e) => Err(e),
             }
-            // Physical zones that were never written cannot be closed;
-            // ignore state errors from them.
-            match dev.close_zone(at, phys) {
-                Ok(c) => done = done.max(c.done),
-                Err(ZnsError::BadZoneState { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
+        })?;
         z.state = next;
         Ok(IoCompletion { done })
     }
 
     fn flush(&self, at: SimTime) -> Result<IoCompletion> {
-        let devices = self.devices.read();
+        let devices = self.members.read();
         let done = self.flush_all(&devices, at)?;
         Ok(IoCompletion { done })
     }
@@ -2809,13 +2533,13 @@ impl obs::GaugeSource for RaiznVolume {
         out.push(obs::GaugeReading::new(
             "degraded",
             obs::NONE,
-            if self.failed_idx().is_some() {
+            if self.members.lowest_failed().is_some() {
                 1.0
             } else {
                 0.0
             },
         ));
-        let s = self.stats.snapshot();
+        let s = self.stats();
         out.push(obs::GaugeReading::new(
             "pp_log_entries",
             obs::NONE,
@@ -2831,19 +2555,19 @@ impl obs::GaugeSource for RaiznVolume {
             obs::NONE,
             s.transient_retries as f64,
         ));
-        let budget = self.config.device_error_budget;
         {
-            let devices = self.devices.read();
+            let devices = self.members.read();
             let m = self.lock_meta();
-            for (d, (dev, roles)) in devices.iter().zip(m.log.md.iter()).enumerate() {
+            for (d, roles) in m.log.md.iter().enumerate() {
                 out.push(obs::GaugeReading::new(
                     "error_budget_remaining",
                     d as u32,
-                    budget.saturating_sub(self.device_errors[d].load(Ordering::Relaxed)) as f64,
+                    self.members.budget_remaining(d) as f64,
                 ));
                 // Consistent meta -> device lock order (same as the IO path).
                 let zone_fill = |zone: u32| -> u64 {
-                    dev.zone_info(zone)
+                    devices
+                        .zone_info(d, zone)
                         .map(|zi| zi.write_pointer - zi.start)
                         .unwrap_or(0)
                 };
@@ -2857,17 +2581,18 @@ impl obs::GaugeSource for RaiznVolume {
         out.push(obs::GaugeReading::new(
             "failed_devices",
             obs::NONE,
-            self.failed_count() as f64,
+            self.members.failure_mask().count_ones() as f64,
         ));
+        let (total, done) = self.members.rebuild_progress();
         out.push(obs::GaugeReading::new(
             "rebuild_zones_total",
             obs::NONE,
-            self.rebuild_zones_total.load(Ordering::Relaxed) as f64,
+            total as f64,
         ));
         out.push(obs::GaugeReading::new(
             "rebuild_zones_done",
             obs::NONE,
-            self.rebuild_zones_done.load(Ordering::Relaxed) as f64,
+            done as f64,
         ));
         self.shard_locks.sample_gauges(0, out);
         self.meta_locks.sample_gauges(1, out);

@@ -106,5 +106,5 @@ fn every_crash_point_recovers() {
         assert!(pins > 50, "workload exposes too few crash points ({pins})");
     }
     let subsets = points.map(|[_, subsets]| subsets);
-    assert_eq!(subsets, [192, 512, 32, 32]);
+    assert_eq!(subsets, [192, 512, 192, 512]);
 }

@@ -17,8 +17,19 @@
 //! member zone (`K` = stripe unit). Parity placement rotates by stripe
 //! (`P` on device `s % n`, `Q` on `(s+1) % n` for dual parity), so parity
 //! load spreads across the array exactly like classic RAID-5/6 rotation.
-//! Physical zones 0 and 1 on every device are reserved; devices 0 and 1
-//! use them as the two slots of a replicated, checksummed metadata log.
+//! Physical zones 0 and 1 on every device are reserved; the first
+//! `parity + 1` devices use them as the two slots of a replicated,
+//! checksummed metadata log, so losing as many members as parity covers
+//! always leaves a replica.
+//!
+//! # Members
+//!
+//! Every device command goes through the member layer shared with RAIZN
+//! ([`zns::array`]): bounded transient retries, the error budget and
+//! auto-degrade, the failure mask. A failed member's legs are omitted
+//! (parity covers them), reads decode around it, mount proves a stripe
+//! from the present members alone, and [`LsVolume::rebuild`] restores it
+//! from the live groups only — a dead group is reclaimed, not copied.
 //!
 //! # Crash consistency
 //!
@@ -62,8 +73,13 @@ pub use gc::{DirectSink, GcConfig, GcManager, GcSink};
 
 use meta::{finish_record, kind, parse_record, put_u32, put_u64, MetaLog, Record, HEADER_BYTES};
 use parking_lot::Mutex;
+use sim::codec::Role;
 use sim::SimTime;
 use std::sync::Arc;
+use zns::array::{
+    unit_segments, Exhausted, Fill, Members, RebuildReport, Roster, Stripe, DEVICE_ERROR_BUDGET,
+    TRANSIENT_RETRY_LIMIT,
+};
 use zns::{
     AppendCompletion, IoCompletion, Lba, Result, WriteFlags, ZnsDevice, ZnsError, ZoneGeometry,
     ZoneInfo, ZoneState, ZonedVolume, SECTOR_SIZE,
@@ -77,8 +93,6 @@ const NO_ZONE: u32 = u32::MAX;
 const SLOT_BITS: u32 = 40;
 /// Physical zones 0..META_ZONES are reserved on every device.
 const META_ZONES: u32 = 2;
-/// The metadata log is replicated on the first two devices.
-const META_DEVICES: usize = 2;
 /// Stream index for foreground (hot) data.
 const HOT: usize = 0;
 /// Stream index for GC-migrated (cold) data.
@@ -186,6 +200,10 @@ pub struct LsStats {
     pub meta_records: u64,
     /// Metadata slot rotations (checkpoint rewrites).
     pub meta_rotations: u64,
+    /// Transient device errors absorbed by the member layer's retries.
+    pub transient_retries: u64,
+    /// Members auto-degraded after exceeding their error budget.
+    pub auto_degrades: u64,
 }
 
 /// Result of a full-array parity scrub.
@@ -197,6 +215,12 @@ pub struct LsScrubReport {
     pub parity_errors: u64,
     /// Stripes whose Q (Reed–Solomon) parity did not verify.
     pub q_errors: u64,
+    /// Data units that failed to read (latent media errors) and were
+    /// reconstructed from the rest of their stripe.
+    pub units_healed: u64,
+    /// Valid sectors re-logged out of damaged stripes; their old copies
+    /// are garbage for GC to reclaim.
+    pub sectors_relogged: u64,
 }
 
 /// Lifecycle state of a stripe group.
@@ -272,7 +296,8 @@ struct LsInner {
     /// Only the first `fill` sectors of the open stripe mean anything.
     stages: Vec<Vec<u8>>,
     /// The P (then Q) unit of the stripe being sealed: output scratch of
-    /// [`LsVolume::seal_stripe`], dead outside it.
+    /// [`LsVolume::seal_stripe`], and the spare columns of a degraded
+    /// read's decode; dead outside either.
     parity: Vec<u8>,
     /// Bounce buffer for emergency-GC migration reads (one stripe).
     gc_buf: Vec<u8>,
@@ -293,7 +318,8 @@ struct LsInner {
 /// on the virtual timeline, so the lock is never held across real
 /// waiting).
 pub struct LsVolume {
-    devices: Vec<Arc<ZnsDevice>>,
+    /// The member devices, their failure mask and error budgets.
+    members: Members,
     config: LsConfig,
     /// Physical (device) zone layout.
     phys: ZoneGeometry,
@@ -417,15 +443,19 @@ impl LsVolume {
         {
             let mut inner = vol.inner.lock();
             let mut t = at;
-            for dev in &vol.devices {
+            let devices = vol.members.read();
+            for dev in 0..vol.n {
                 let mut td = at;
                 for z in 0..vol.phys.num_zones() {
-                    if dev.zone_info(z)?.state != ZoneState::Empty {
-                        td = dev.reset_zone(td, z)?.done;
+                    if devices.zone_info(dev, z)?.state != ZoneState::Empty {
+                        td = devices.command(td, dev, Exhausted::Surface, |d| {
+                            Ok(d.reset_zone(td, z)?.done)
+                        })?;
                     }
                 }
                 t = t.max(td);
             }
+            drop(devices);
             inner.meta.epoch = 1;
             inner.meta.slot = 0;
             inner.meta.used = 0;
@@ -439,12 +469,14 @@ impl LsVolume {
     /// replays its roll-forward records (validating every seal summary
     /// against the surviving device write pointers), trims each logical
     /// zone to its durable prefix, and rotates to a fresh checkpoint so
-    /// the recovered state is durable.
+    /// the recovered state is durable. Up to `parity` members may be
+    /// absent (failed): the array mounts degraded.
     ///
     /// # Errors
     ///
-    /// Fails if no slot holds a valid checkpoint, the on-disk layout
-    /// disagrees with `config`, or device IO fails.
+    /// Fails if more members are absent than parity covers, no slot holds
+    /// a valid checkpoint, the on-disk layout disagrees with `config`, or
+    /// device IO fails.
     pub fn mount(devices: Vec<Arc<ZnsDevice>>, config: LsConfig, at: SimTime) -> Result<LsVolume> {
         let vol = Self::assemble(devices, config)?;
         {
@@ -486,15 +518,15 @@ impl LsVolume {
             return Err(invalid("lsraid: op_ratio must be in [0, 0.9]"));
         }
         let phys = devices[0].config().geometry();
-        for dev in &devices[1..] {
-            let g = dev.config().geometry();
-            if g.num_zones() != phys.num_zones()
-                || g.zone_size() != phys.zone_size()
-                || g.zone_cap() != phys.zone_cap()
-            {
-                return Err(invalid("lsraid: devices disagree on geometry"));
-            }
+        if devices.iter().any(|dev| dev.config().geometry() != phys) {
+            return Err(invalid("lsraid: devices disagree on geometry"));
         }
+        let members = Members::new(
+            devices,
+            p as u32,
+            TRANSIENT_RETRY_LIMIT,
+            DEVICE_ERROR_BUDGET,
+        )?;
         let k = config.stripe_unit;
         let c = phys.zone_cap();
         if k == 0 || !c.is_multiple_of(k) {
@@ -607,7 +639,7 @@ impl LsVolume {
         };
 
         Ok(LsVolume {
-            devices,
+            members,
             config,
             phys,
             geo,
@@ -631,12 +663,26 @@ impl LsVolume {
     /// Attaches an observability recorder for volume-layer spans and
     /// counters (device-layer spans attach via each device).
     pub fn set_recorder(&self, recorder: Arc<obs::Recorder>) {
+        self.members.set_recorder(recorder.clone());
         self.tracer.attach(recorder, obs::NONE);
     }
 
-    /// The member devices.
-    pub fn devices(&self) -> &[Arc<ZnsDevice>] {
-        &self.devices
+    /// Marks member `index` failed: its legs are omitted from then on and
+    /// reads decode around it. Idempotent for a failed member. Waits for
+    /// the operation in flight, so none sees the member half failed.
+    ///
+    /// # Errors
+    ///
+    /// [`ZnsError::InvalidArgument`] if `index` is out of range,
+    /// [`ZnsError::TooManyFailures`] past the parity level.
+    pub fn fail_device(&self, index: usize) -> Result<()> {
+        let _inner = self.inner.lock();
+        self.members.fail(index)
+    }
+
+    /// All failed members, ascending.
+    pub fn failed_devices(&self) -> Vec<usize> {
+        self.members.failed()
     }
 
     /// The engine configuration.
@@ -673,6 +719,8 @@ impl LsVolume {
             groups_opened: inner.c_groups_opened,
             meta_records: inner.meta.seq,
             meta_rotations: inner.meta.epoch.saturating_sub(1),
+            transient_retries: self.members.transient_retries(),
+            auto_degrades: self.members.auto_degrades(),
         }
     }
 
@@ -745,6 +793,20 @@ impl LsVolume {
         }
     }
 
+    /// The data unit member `dev` holds in `stripe`, `None` for a parity
+    /// slot (the inverse of [`Self::data_dev`]).
+    fn unit_of_dev(&self, stripe: u64, dev: usize) -> Option<usize> {
+        let p0 = (stripe % self.n as u64) as usize;
+        let parity = [p0, (p0 + 1) % self.n];
+        let parity = &parity[..self.p];
+        (!parity.contains(&dev)).then(|| dev - parity.iter().filter(|&&q| q < dev).count())
+    }
+
+    /// Members holding the metadata log: one more than parity covers.
+    fn meta_devices(&self) -> usize {
+        self.p + 1
+    }
+
     /// Device index and physical LBA of a data slot in group `g`.
     fn locate_slot(&self, inner: &LsInner, g: u32, slot: u64) -> (usize, Lba) {
         let stripe = slot / self.kd;
@@ -761,14 +823,11 @@ impl LsVolume {
     // ------------------------------------------------------------------
 
     /// Writes `buf` (a finished record) at sector `used` of metadata
-    /// slot `slot` on both replicas with FUA. The caller advances the
-    /// log cursor on success.
+    /// slot `slot` on every live replica with FUA. The caller advances
+    /// the log cursor on success.
     fn meta_write(&self, slot: usize, used: u64, t: SimTime, buf: &[u8]) -> Result<SimTime> {
         let lba = self.phys.zone_start(slot as u32) + used;
-        let mut done = t;
-        for dev in self.devices.iter().take(META_DEVICES) {
-            done = done.max(dev.write(t, lba, buf, WriteFlags::FUA)?.done);
-        }
+        let done = self.on_replicas(t, |d| Ok(d.write(t, lba, buf, WriteFlags::FUA)?.done))?;
         self.tracer.leaf(
             obs::Span::new(obs::OpClass::Write, obs::Stage::MetaAppend, t, done)
                 .lba(lba)
@@ -876,16 +935,30 @@ impl LsVolume {
         let summarized = self.write_staged(inner, t)?;
         let t = self.flush_devices(padded.max(summarized))?;
         let other = 1 - inner.meta.slot;
-        let mut done = t;
-        for dev in self.devices.iter().take(META_DEVICES) {
-            if dev.zone_info(other as u32)?.state != ZoneState::Empty {
-                done = done.max(dev.reset_zone(t, other as u32)?.done);
-            }
-        }
+        let done = self.on_replicas(t, |d| match d.zone_info(other as u32)?.state {
+            ZoneState::Empty => Ok(t),
+            _ => Ok(d.reset_zone(t, other as u32)?.done),
+        })?;
         inner.meta.slot = other;
         inner.meta.used = 0;
         inner.meta.epoch += 1;
         self.write_checkpoint(inner, done)
+    }
+
+    /// Runs `cmd` on every live metadata replica; a replica whose command
+    /// degrades it is dropped. Returns the latest completion.
+    fn on_replicas(
+        &self,
+        t: SimTime,
+        mut cmd: impl FnMut(&ZnsDevice) -> Result<SimTime>,
+    ) -> Result<SimTime> {
+        let devices = self.members.read();
+        devices.on_survivors(t, Exhausted::Omit, |dev, d| {
+            match dev < self.meta_devices() {
+                true => cmd(d),
+                false => Ok(t),
+            }
+        })
     }
 
     fn write_checkpoint(&self, inner: &mut LsInner, t: SimTime) -> Result<SimTime> {
@@ -926,21 +999,29 @@ impl LsVolume {
     // Mount path
     // ------------------------------------------------------------------
 
-    /// Reads and parses one metadata slot, preferring the primary
-    /// replica and falling back to the secondary.
+    /// Reads and parses one metadata slot from the first live replica
+    /// that holds one.
     fn read_slot(&self, slot: u32, at: SimTime) -> Option<(u64, Vec<Record>)> {
-        (0..META_DEVICES).find_map(|di| self.read_slot_from(di, slot, at))
+        let devices = self.members.read();
+        (0..self.meta_devices())
+            .filter(|&di| !self.members.is_failed(di))
+            .find_map(|di| Self::read_slot_from(&devices, di, slot, at))
     }
 
-    fn read_slot_from(&self, di: usize, slot: u32, at: SimTime) -> Option<(u64, Vec<Record>)> {
-        let dev = &self.devices[di];
-        let info = dev.zone_info(slot).ok()?;
+    fn read_slot_from(
+        devices: &Roster<'_>,
+        di: usize,
+        slot: u32,
+        at: SimTime,
+    ) -> Option<(u64, Vec<Record>)> {
+        let info = devices.zone_info(di, slot).ok()?;
         let written = info.written();
         if written == 0 {
             return None;
         }
         let mut buf = vec![0u8; (written * SECTOR_SIZE) as usize];
-        dev.read(at, info.start, &mut buf).ok()?;
+        let read = |d: &ZnsDevice| Ok(d.read(at, info.start, &mut buf)?.done);
+        devices.command(at, di, Exhausted::Surface, read).ok()?;
         let mut records = Vec::new();
         let mut epoch = 0u64;
         let mut off = 0usize;
@@ -1039,20 +1120,25 @@ impl LsVolume {
         payload: &[u8],
         capped: &mut [bool],
     ) -> Result<()> {
+        let devices = self.members.read();
         for entry in meta::summary_entries(payload, self.kd as usize) {
             let g = entry.group as usize;
             let stripe = entry.stripe;
             if g >= inner.groups.len() || capped[g] || stripe != inner.groups[g].sealed {
                 continue;
             }
-            // Only apply when every member zone provably holds the stripe
-            // (device write pointers survive a crash truncated to the
-            // durable prefix; a lost data or parity write caps the group).
-            // The record is issued beside the stripe's legs, so it may
-            // well be durable when they are not.
+            // Only apply when every present member zone provably holds the
+            // stripe (device write pointers survive a crash truncated to
+            // the durable prefix; a lost data or parity write caps the
+            // group) — an absent member's leg is one of the `p` the
+            // present `n - p` durable legs decode. The record is issued
+            // beside the stripe's legs, so it may well be durable when
+            // they are not.
             for (di, &z) in inner.groups[g].zones.iter().enumerate() {
-                if z == NO_ZONE || self.devices[di].zone_info(z)?.written() < (stripe + 1) * self.k
-                {
+                if self.members.is_failed(di) {
+                    continue;
+                }
+                if z == NO_ZONE || devices.zone_info(di, z)?.written() < (stripe + 1) * self.k {
                     capped[g] = true;
                     break;
                 }
@@ -1259,17 +1345,22 @@ impl LsVolume {
         let Some(g) = inner.free_groups.pop() else {
             return Err(invalid("lsraid: out of free stripe groups"));
         };
+        let devices = self.members.read();
         for di in 0..self.n {
             let Some(z) = inner.free_zones[di].pop() else {
                 return Err(invalid("lsraid: out of free physical zones"));
             };
             // A crash between a durable GroupFree record and the zone
-            // resets leaves stale data behind; clean it up lazily here.
-            if self.devices[di].zone_info(z)?.state != ZoneState::Empty {
-                t = t.max(self.devices[di].reset_zone(t, z)?.done);
+            // resets leaves stale data behind; clean it up lazily here. A
+            // failed member's zone is assigned untouched: the rebuild
+            // writes it on the replacement.
+            if !self.members.is_failed(di) && devices.zone_info(di, z)?.state != ZoneState::Empty {
+                let reset = |d: &ZnsDevice| Ok(d.reset_zone(t, z)?.done);
+                t = t.max(devices.command(t, di, Exhausted::Omit, reset)?);
             }
             inner.groups[g as usize].zones[di] = z;
         }
+        drop(devices);
         let created = inner.created_seq;
         inner.created_seq += 1;
         {
@@ -1368,18 +1459,23 @@ impl LsVolume {
             stage
         });
         let zones = &inner.groups[gi].zones;
+        let devices = self.members.read();
         let mut done = t;
         let mut issued = 0u64;
         let mut legs = Ok(());
-        while issued < take {
-            let slot = fill + issued;
-            let sec = slot % self.k;
-            let run = (self.k - sec).min(take - issued);
+        // A failed member's leg is omitted: the stage (or `data`) and then
+        // the stripe's parity cover it.
+        for (slot, sec, run) in unit_segments(fill, fill + take, self.k) {
             let dev = self.data_dev(stripe, (slot / self.k) as usize);
             let plba = self.phys.zone_start(zones[dev]) + stripe * self.k + sec;
             let chunk = &image[bytes(slot)..bytes(slot + run)];
-            match self.devices[dev].write(t, plba, chunk, WriteFlags::default()) {
-                Ok(c) => done = done.max(c.done),
+            let write = |d: &ZnsDevice| Ok(d.write(t, plba, chunk, WriteFlags::default())?.done);
+            let leg = match self.members.is_failed(dev) {
+                true => Ok(t),
+                false => devices.command(t, dev, Exhausted::Omit, write),
+            };
+            match leg {
+                Ok(c) => done = done.max(c),
                 Err(e) => {
                     legs = Err(e);
                     break;
@@ -1387,6 +1483,7 @@ impl LsVolume {
             }
             issued += run;
         }
+        drop(devices);
         // Account for exactly what reached a device, failed call or not.
         let base = stripe * self.kd + fill;
         match mode {
@@ -1473,21 +1570,29 @@ impl LsVolume {
             (obs::PathKind::FullParity, obs::Counter::FullParityWrites),
             (obs::PathKind::QParity, obs::Counter::QParityWrites),
         ];
+        let devices = self.members.read();
         let mut done = t;
         for (i, (column, (path, counter))) in inner.parity.chunks_exact(unit).zip(legs).enumerate()
         {
             let dev = ((stripe + i as u64) % self.n as u64) as usize;
             let lba = self.phys.zone_start(inner.groups[gi].zones[dev]) + stripe * self.k;
-            let c = self.devices[dev].write(t, lba, column, WriteFlags::default())?;
+            // A failed member's parity leg is omitted, like a data leg.
+            let c = match self.members.is_failed(dev) {
+                true => t,
+                false => devices.command(t, dev, Exhausted::Omit, |d| {
+                    Ok(d.write(t, lba, column, WriteFlags::default())?.done)
+                })?,
+            };
             self.tracer.leaf(
-                obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, t, c.done)
+                obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, t, c)
                     .path(path)
                     .lba(lba)
                     .sectors(self.k),
             );
             self.tracer.bump(counter);
-            done = done.max(c.done);
+            done = done.max(c);
         }
+        drop(devices);
         inner.c_parity += self.k * self.p as u64;
         let base = (stripe * self.kd) as usize;
         meta::put_summary_entry(
@@ -1535,10 +1640,8 @@ impl LsVolume {
     }
 
     fn flush_devices(&self, start: SimTime) -> Result<SimTime> {
-        let mut done = start;
-        for dev in &self.devices {
-            done = done.max(dev.flush(start)?.done);
-        }
+        let devices = self.members.read();
+        let done = devices.flush(start, !0)?;
         self.tracer.leaf(obs::Span::new(
             obs::OpClass::Flush,
             obs::Stage::Flush,
@@ -1554,14 +1657,17 @@ impl LsVolume {
 
     /// Reads mapped sectors, coalescing physically contiguous runs
     /// (bounded by the stripe unit) into single device commands issued
-    /// in parallel.
+    /// in parallel. A run its member cannot serve — failed, or a read
+    /// error the member layer gave up on — is decoded from the rest of
+    /// its stripe, or copied from the stage while its stripe is open.
     fn read_inner(
         &self,
-        inner: &LsInner,
+        inner: &mut LsInner,
         at: SimTime,
         lba: u64,
         buf: &mut [u8],
     ) -> Result<SimTime> {
+        let devices = self.members.read();
         let nsec = buf.len() as u64 / SECTOR_SIZE;
         let mut done = at;
         let mut i = 0u64;
@@ -1576,16 +1682,68 @@ impl LsVolume {
             while run < max_run && inner.map[(lba + i + run) as usize] == pa + run {
                 run += 1;
             }
-            let (dev, plba) = self.locate_slot(inner, group_of(pa), slot_of(pa));
-            let c = self.devices[dev].read(
-                at,
-                plba,
-                &mut buf[(i * SECTOR_SIZE) as usize..((i + run) * SECTOR_SIZE) as usize],
-            )?;
-            done = done.max(c.done);
+            let (g, slot) = (group_of(pa), slot_of(pa));
+            let (dev, plba) = self.locate_slot(inner, g, slot);
+            let out = &mut buf[(i * SECTOR_SIZE) as usize..((i + run) * SECTOR_SIZE) as usize];
+            let read = match self.members.is_failed(dev) {
+                true => Err(ZnsError::DeviceFailed),
+                false => devices.command(at, dev, Exhausted::Surface, |d| {
+                    Ok(d.read(at, plba, out)?.done)
+                }),
+            };
+            let c = match read {
+                Err(
+                    ZnsError::MediaError { .. }
+                    | ZnsError::TransientError { .. }
+                    | ZnsError::DeviceFailed,
+                ) => self.degraded_read(inner, &devices, at, g, slot, out)?,
+                c => c?,
+            };
+            done = done.max(c);
             i += run;
         }
         Ok(done)
+    }
+
+    /// Serves data slots `slot..` of group `g` that their member cannot:
+    /// from the stage while the stripe is open (it has no parity yet),
+    /// else decoded through the member layer from the stripe's other
+    /// members, in the parity scratch. Allocates nothing.
+    fn degraded_read(
+        &self,
+        inner: &mut LsInner,
+        devices: &Roster<'_>,
+        at: SimTime,
+        g: u32,
+        slot: u64,
+        out: &mut [u8],
+    ) -> Result<SimTime> {
+        let LsInner {
+            groups,
+            stages,
+            parity,
+            ..
+        } = inner;
+        let grp = &groups[g as usize];
+        let (stripe, off) = (slot / self.kd, slot % self.kd);
+        self.tracer.bump(obs::Counter::DegradedReads);
+        if let GState::Open(stream) = grp.state {
+            if stripe == grp.sealed {
+                let from = (off * SECTOR_SIZE) as usize;
+                out.copy_from_slice(&stages[usize::from(stream)][from..from + out.len()]);
+                return Ok(at);
+            }
+        }
+        let src = GroupStripe {
+            vol: self,
+            devices,
+            zones: &grp.zones,
+            g,
+            stripe,
+        };
+        let dev = self.data_dev(stripe, (off / self.k) as usize) as u32;
+        self.members
+            .reconstruct(parity, at, &src, dev, off % self.k, out)
     }
 
     // ------------------------------------------------------------------
@@ -1770,12 +1928,17 @@ impl LsVolume {
         })?;
         let reset_at = t;
         let gi = g as usize;
+        let devices = self.members.read();
         for di in 0..self.n {
             let z = inner.groups[gi].zones[di];
             if z == NO_ZONE {
                 continue;
             }
-            t = t.max(self.devices[di].reset_zone(reset_at, z)?.done);
+            // A failed member's zone goes back to the pool untouched.
+            if !self.members.is_failed(di) {
+                let reset = |d: &ZnsDevice| Ok(d.reset_zone(reset_at, z)?.done);
+                t = t.max(devices.command(reset_at, di, Exhausted::Omit, reset)?);
+            }
             inner.free_zones[di].push(z);
             inner.groups[gi].zones[di] = NO_ZONE;
         }
@@ -1856,60 +2019,213 @@ impl LsVolume {
     // Scrub
     // ------------------------------------------------------------------
 
-    /// Verifies parity over every sealed stripe of every non-free group.
+    /// Verifies parity over every sealed stripe of every non-free group,
+    /// and repairs by re-logging: a stripe whose stored P or Q does not
+    /// match its data, or one of whose data units hit a latent media error
+    /// (decoded from the rest of the stripe), has its valid sectors written
+    /// back through the log as GC migrations, and GC later reclaims the old
+    /// copies. Refuses a degraded array, whose parity cannot be verified.
     ///
     /// # Errors
     ///
-    /// Propagates device IO failures.
+    /// [`ZnsError::DeviceFailed`] with a member failed; device IO failures.
     pub fn scrub(&self, at: SimTime) -> Result<LsScrubReport> {
-        let inner = self.inner.lock();
+        if self.members.failure_mask() != 0 {
+            return Err(ZnsError::DeviceFailed);
+        }
+        let mut inner = self.inner.lock();
+        let inner = &mut *inner;
         let mut rep = LsScrubReport::default();
         let bytes = (self.k * SECTOR_SIZE) as usize;
         // One stripe in memory: the data units in unit order, the parity
         // the codec computes over them, and one stored parity slot.
         let mut data = vec![0u8; self.d * bytes];
-        let mut p = vec![0u8; bytes];
-        let mut q = vec![0u8; if self.p == 2 { bytes } else { 0 }];
+        let mut fresh = vec![0u8; self.p * bytes];
         let mut stored = vec![0u8; bytes];
-        for grp in &inner.groups {
-            if grp.state == GState::Free {
-                continue;
-            }
-            for stripe in 0..grp.sealed {
+        for g in 0..inner.groups.len() as u32 {
+            // A re-log may append to this very group: `sealed` is re-read.
+            let mut stripe = 0;
+            while inner.groups[g as usize].state != GState::Free
+                && stripe < inner.groups[g as usize].sealed
+            {
                 rep.stripes += 1;
-                for (unit, unit_buf) in data.chunks_exact_mut(bytes).enumerate() {
-                    let dev = self.data_dev(stripe, unit);
-                    let z = grp.zones[dev];
-                    self.devices[dev].read(
-                        at,
-                        self.phys.zone_start(z) + stripe * self.k,
-                        unit_buf,
-                    )?;
+                let stripe_bufs = (&mut data[..], &mut fresh[..], &mut stored[..]);
+                if self.scrub_stripe(inner, at, g, stripe, stripe_bufs, &mut rep)? {
+                    rep.sectors_relogged += self.relog_stripe(inner, at, g, stripe, &data)?;
                 }
-                sim::encode_pq(&data, Some(&mut p), (self.p == 2).then_some(&mut q));
-                let pdev = (stripe % self.n as u64) as usize;
-                self.devices[pdev].read(
-                    at,
-                    self.phys.zone_start(grp.zones[pdev]) + stripe * self.k,
-                    &mut stored,
-                )?;
-                if stored != p {
-                    rep.parity_errors += 1;
-                }
-                if self.p == 2 {
-                    let qdev = ((stripe + 1) % self.n as u64) as usize;
-                    self.devices[qdev].read(
-                        at,
-                        self.phys.zone_start(grp.zones[qdev]) + stripe * self.k,
-                        &mut stored,
-                    )?;
-                    if stored != q {
-                        rep.q_errors += 1;
-                    }
-                }
+                stripe += 1;
             }
         }
         Ok(rep)
+    }
+
+    /// Reads and verifies one sealed stripe into `data` (its data units,
+    /// a unit lost to a media error decoded in place), `fresh` (the parity
+    /// of `data`) and `stored` (each stored parity slot in turn); counts
+    /// what it finds in `rep`. Returns whether the stripe is damaged.
+    fn scrub_stripe(
+        &self,
+        inner: &mut LsInner,
+        at: SimTime,
+        g: u32,
+        stripe: u64,
+        (data, fresh, stored): (&mut [u8], &mut [u8], &mut [u8]),
+        rep: &mut LsScrubReport,
+    ) -> Result<bool> {
+        let LsInner { groups, parity, .. } = inner;
+        let zones = &groups[g as usize].zones;
+        let devices = self.members.read();
+        let unit = stored.len();
+        let read = |dev: usize, out: &mut [u8]| {
+            let lba = self.phys.zone_start(zones[dev]) + stripe * self.k;
+            match devices.command(at, dev, Exhausted::Surface, |d| {
+                Ok(d.read(at, lba, out)?.done)
+            }) {
+                Ok(_) => Ok(true),
+                Err(ZnsError::MediaError { .. }) => Ok(false),
+                Err(e) => Err(e),
+            }
+        };
+        let mut lost = Vec::new();
+        for (u, unit_buf) in data.chunks_exact_mut(unit).enumerate() {
+            if !read(self.data_dev(stripe, u), unit_buf)? {
+                lost.push(u);
+            }
+        }
+        let src = GroupStripe {
+            vol: self,
+            devices: &devices,
+            zones,
+            g,
+            stripe,
+        };
+        for &u in &lost {
+            let dev = self.data_dev(stripe, u) as u32;
+            let out = &mut data[u * unit..(u + 1) * unit];
+            self.members.reconstruct(parity, at, &src, dev, 0, out)?;
+            rep.units_healed += 1;
+        }
+        let (p, q) = fresh.split_at_mut(unit);
+        sim::encode_pq(data, Some(p), (self.p == 2).then_some(q));
+        let mut damaged = !lost.is_empty();
+        for (leg, column) in fresh.chunks_exact(unit).enumerate() {
+            let dev = ((stripe + leg as u64) % self.n as u64) as usize;
+            if read(dev, stored)? && stored == column {
+                continue;
+            }
+            match leg {
+                0 => rep.parity_errors += 1,
+                _ => rep.q_errors += 1,
+            }
+            damaged = true;
+        }
+        Ok(damaged)
+    }
+
+    /// Writes the valid sectors of `stripe` in group `g` — whose verified
+    /// bytes are `data` — back through the log as GC migrations out of `g`,
+    /// so the stripe's copies become garbage. Returns the sectors moved.
+    fn relog_stripe(
+        &self,
+        inner: &mut LsInner,
+        at: SimTime,
+        g: u32,
+        stripe: u64,
+        data: &[u8],
+    ) -> Result<u64> {
+        let saved = inner.migrating.replace(g);
+        let target = self.migration_target(inner);
+        let (first, end) = (stripe * self.kd, (stripe + 1) * self.kd);
+        let (mut cursor, mut moved) = (first, 0);
+        let mut res = Ok(());
+        while let Some((lba, len, next)) = self.valid_run_inner(inner, g, cursor, self.kd) {
+            let start = next - len;
+            if start >= end {
+                break;
+            }
+            let len = len.min(end - start);
+            let off = ((start - first) * SECTOR_SIZE) as usize;
+            let run = &data[off..off + (len * SECTOR_SIZE) as usize];
+            res = self
+                .log_data(inner, at, run, LogMode::Gc, lba, target)
+                .map(drop);
+            if res.is_err() {
+                break;
+            }
+            (cursor, moved) = (start + len, moved + len);
+        }
+        inner.migrating = saved;
+        res.map(|()| moved)
+    }
+
+    // ------------------------------------------------------------------
+    // Rebuild
+    // ------------------------------------------------------------------
+
+    /// Rebuilds the lowest failed member onto `replacement` through the
+    /// member layer's rebuild driver, walking only what the map says is
+    /// live. A durability barrier goes first, while the member is still
+    /// failed: it pad-seals every open stripe and commits the staged
+    /// summaries, so every logged sector has parity and the log has
+    /// nothing left to append to the replacement's empty slot. Then a
+    /// sealed group with no valid sector left is reclaimed instead of
+    /// copied; every other non-free group has the member's slot of each
+    /// sealed stripe decoded onto the replacement, and its zone sealed once
+    /// the group is. A rebuilt metadata replica then gets a fresh
+    /// checkpoint by a log rotation. With two members failed, call again
+    /// for the second.
+    ///
+    /// # Errors
+    ///
+    /// Fails if no member is failed, the replacement geometry mismatches,
+    /// or device IO fails.
+    pub fn rebuild(&self, at: SimTime, replacement: Arc<ZnsDevice>) -> Result<RebuildReport> {
+        let mut inner = self.inner.lock();
+        let inner = &mut *inner;
+        let dead = |grp: &Group| grp.state == GState::Sealed && grp.valid == 0;
+        let live = inner
+            .groups
+            .iter()
+            .filter(|grp| grp.state != GState::Free && !dead(grp));
+        let live = live.count() as u64;
+        let mut member = 0;
+        let mut report = self
+            .members
+            .rebuild(at, replacement, self.k, live, |devices, rb| {
+                member = rb.member();
+                self.flush_inner(inner, at)?;
+                for g in 0..inner.groups.len() as u32 {
+                    if dead(&inner.groups[g as usize]) {
+                        self.reclaim_inner(inner, at, g)?;
+                    }
+                }
+                for (g, grp) in (0..).zip(&inner.groups) {
+                    if grp.state == GState::Free {
+                        continue;
+                    }
+                    let zone = grp.zones[member];
+                    for stripe in 0..grp.sealed {
+                        let src = GroupStripe {
+                            vol: self,
+                            devices,
+                            zones: &grp.zones,
+                            g,
+                            stripe,
+                        };
+                        rb.extent(zone, stripe, self.k, Fill::Reconstruct(&src))?;
+                    }
+                    if grp.state == GState::Sealed {
+                        rb.seal(zone)?;
+                    }
+                    rb.zone_done();
+                }
+                Ok(())
+            })?;
+        if member < self.meta_devices() {
+            let done = self.rotate_meta(inner, at + report.duration)?;
+            report.duration = report.duration.max(done.since(at));
+        }
+        Ok(report)
     }
 
     // ------------------------------------------------------------------
@@ -1953,6 +2269,45 @@ impl LsVolume {
     }
 }
 
+/// One stripe of a group as the member layer's decode sees it: roles by
+/// the rotation, a failed member's slot erased.
+struct GroupStripe<'a, 'r> {
+    vol: &'a LsVolume,
+    devices: &'a Roster<'r>,
+    zones: &'a [u32],
+    g: u32,
+    stripe: u64,
+}
+
+impl Stripe for GroupStripe<'_, '_> {
+    fn role(&self, dev: u32) -> Role {
+        match self.vol.unit_of_dev(self.stripe, dev as usize) {
+            Some(u) => Role::Data(u as u32),
+            None if u64::from(dev) == self.stripe % self.vol.n as u64 => Role::P,
+            None => Role::Q,
+        }
+    }
+
+    fn available(&self, _: u32) -> bool {
+        false
+    }
+
+    fn fetch(&self, at: SimTime, dev: u32, row0: u64, out: &mut [u8]) -> Result<SimTime> {
+        let (vol, dev) = (self.vol, dev as usize);
+        if vol.members.is_failed(dev) {
+            return Err(ZnsError::DeviceFailed);
+        }
+        let lba = vol.phys.zone_start(self.zones[dev]) + self.stripe * vol.k + row0;
+        self.devices.command(at, dev, Exhausted::Surface, |d| {
+            Ok(d.read(at, lba, out)?.done)
+        })
+    }
+
+    fn zone(&self) -> u32 {
+        self.g
+    }
+}
+
 impl ZonedVolume for LsVolume {
     fn geometry(&self) -> ZoneGeometry {
         self.geo
@@ -1961,11 +2316,11 @@ impl ZonedVolume for LsVolume {
     fn read(&self, at: SimTime, lba: Lba, buf: &mut [u8]) -> Result<IoCompletion> {
         let (zone, rel, nsec) = self.geo.check_io(lba, buf.len())?;
         let op_span = self.tracer.begin();
-        let inner = self.inner.lock();
+        let mut inner = self.inner.lock();
         self.tracer.lock_mark(obs::OpClass::Read, zone, at);
         let z = &inner.lz[zone as usize];
         z.state.check_read(&self.geo, zone, z.wp, rel, nsec)?;
-        let done = self.read_inner(&inner, at, lba, buf)?;
+        let done = self.read_inner(&mut inner, at, lba, buf)?;
         drop(inner);
         self.tracer.root(
             &op_span,

@@ -1,7 +1,7 @@
 //! Tests of invariants only the engine's internals can set up.
 
 use super::*;
-use zns::{LatencyConfig, ZnsConfig};
+use zns::{FaultOp, FaultPlan, LatencyConfig, ZnsConfig};
 
 const T0: SimTime = SimTime::ZERO;
 
@@ -56,8 +56,9 @@ fn headroom_covers_a_rotations_own_batch() {
     // 16 stripes sealed by the write, one pad-seal per stream.
     let batch = meta::record_sectors(19 * meta::summary_entry_bytes(vol.kd as usize));
     assert_eq!(batch, vol.meta_headroom, "the case is the tight one");
-    for dev in vol.devices.iter().take(META_DEVICES) {
-        assert_eq!(dev.zone_info(0).unwrap().written(), brink + batch);
+    let devices = vol.members.read();
+    for dev in 0..vol.meta_devices() {
+        assert_eq!(devices.zone_info(dev, 0).unwrap().written(), brink + batch);
     }
     assert_eq!(inner.c_pads, 3 * (vol.kd - 1));
 }
@@ -91,4 +92,198 @@ fn reopened_group_starts_with_an_empty_reverse_map() {
     assert_eq!(grp.state, GState::Open(COLD as u8));
     assert_eq!((grp.valid, grp.fill, grp.sealed), (0, 0, 0));
     assert!(grp.lbas.iter().all(|&l| l == NONE64));
+}
+
+/// What a member command that exhausted its retries turns into, seen from
+/// the volume.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Exhaustion {
+    /// The volume op succeeds: the command was omitted (a leg or a reset
+    /// of a member the charge degraded) or the read decoded.
+    Absorbed,
+    /// The transient error surfaces to the caller.
+    Surfaces,
+}
+
+/// One row per member-command kind, the cases RAIZN's member contract is
+/// pinned on: the command under test is the first of its class on member
+/// `target` (no metadata replica at either parity) once the plan is in.
+struct RetryCase {
+    op: FaultOp,
+    target: usize,
+    /// Brings the array to the point where the op runs.
+    setup: fn(&mut Array),
+    run: fn(&mut Array) -> Result<()>,
+    /// Exhaustion outcome while the member stays in the array.
+    exhausted_healthy: Exhaustion,
+}
+
+/// A volume over data-keeping members and the bytes its logical sectors
+/// should read back.
+struct Array {
+    devs: Vec<Arc<ZnsDevice>>,
+    vol: LsVolume,
+    image: Vec<u8>,
+    version: u8,
+}
+
+impl Array {
+    fn new(parity: u32) -> Array {
+        let config = ZnsConfig::builder()
+            .zones(16, 256, 256)
+            .open_limits(8, 12)
+            .latency(LatencyConfig::instant())
+            .build();
+        let devs: Vec<_> = (0..5)
+            .map(|_| Arc::new(ZnsDevice::new(config.clone())))
+            .collect();
+        let vol = LsVolume::format(devs.clone(), LsConfig::default().parity(parity), T0).unwrap();
+        Array {
+            devs,
+            vol,
+            image: Vec::new(),
+            version: 0,
+        }
+    }
+
+    /// Writes `sectors` fresh bytes at `lba`, zone by zone.
+    fn put(&mut self, lba: u64, sectors: u64) -> Result<()> {
+        self.version += 1;
+        let zone = self.vol.geo.zone_cap();
+        let bytes = |s: u64| (s * SECTOR_SIZE) as usize;
+        self.image
+            .resize(self.image.len().max(bytes(lba + sectors)), 0);
+        for start in (lba..lba + sectors).step_by(zone as usize) {
+            let range = bytes(start)..bytes((start + zone).min(lba + sectors));
+            self.image[range.clone()].fill(self.version);
+            self.vol
+                .write(T0, start, &self.image[range], WriteFlags::default())?;
+        }
+        Ok(())
+    }
+
+    /// Reads every logical sector written back.
+    fn verify(&mut self) -> Result<()> {
+        let mut got = vec![0u8; self.image.len()];
+        let zone = (self.vol.geo.zone_cap() * SECTOR_SIZE) as usize;
+        for (lba, chunk) in (0..)
+            .step_by(zone / SECTOR_SIZE as usize)
+            .zip(got.chunks_mut(zone))
+        {
+            self.vol.read(T0, lba, chunk)?;
+        }
+        assert!(got == self.image, "read back differs");
+        Ok(())
+    }
+}
+
+const RETRY_CASES: [RetryCase; 4] = [
+    // A data leg: member 4 holds a data unit of stripe 0 at both parities.
+    RetryCase {
+        op: FaultOp::Write,
+        target: 4,
+        setup: |_| {},
+        run: |a| a.put(0, a.vol.kd),
+        exhausted_healthy: Exhaustion::Surfaces,
+    },
+    // A parity leg: P of stripe 3 is on member 3, whose data units of
+    // stripes 0..3 land before the plan.
+    RetryCase {
+        op: FaultOp::Write,
+        target: 3,
+        setup: |a| {
+            a.put(0, 3 * a.vol.kd).unwrap();
+            a.vol.flush(T0).unwrap();
+        },
+        run: |a| a.put(3 * a.vol.kd, a.vol.kd),
+        exhausted_healthy: Exhaustion::Surfaces,
+    },
+    // A read the member cannot serve is decoded from the stripe.
+    RetryCase {
+        op: FaultOp::Read,
+        target: 4,
+        setup: |a| {
+            a.put(0, a.vol.kd).unwrap();
+            a.vol.flush(T0).unwrap();
+        },
+        run: Array::verify,
+        exhausted_healthy: Exhaustion::Absorbed,
+    },
+    // A reset: reclaiming the first group once every sector it held has
+    // been written again.
+    RetryCase {
+        op: FaultOp::Reset,
+        target: 4,
+        setup: |a| {
+            a.put(0, a.vol.group_cap).unwrap();
+            a.put(0, a.vol.group_cap).unwrap();
+            a.vol.flush(T0).unwrap();
+        },
+        run: |a| a.vol.reclaim_group(T0, 0).map(drop),
+        exhausted_healthy: Exhaustion::Surfaces,
+    },
+];
+
+/// The member contract RAIZN pins in `fault_injection.rs`, on lsraid at
+/// both parities: a burst up to the retry limit is absorbed uncharged; one
+/// more failure charges the member exactly once after exactly `limit`
+/// retries, and what the caller sees depends on the command kind and on
+/// whether the charge degraded the member — with its budget spent, the
+/// member is failed and the volume keeps serving every byte.
+#[test]
+fn member_command_retry_counts_charges_and_outcomes() {
+    let limit = TRANSIENT_RETRY_LIMIT;
+    for parity in [1, 2] {
+        for case in &RETRY_CASES {
+            // (consecutive failures, error budget already spent)
+            for (failures, spent) in [(limit, false), (limit + 1, false), (limit + 1, true)] {
+                let ctx = format!("p{parity} {} x{failures} spent {spent}", case.op);
+                let mut a = Array::new(parity);
+                (case.setup)(&mut a);
+                let dev = case.target;
+                if spent {
+                    let devices = a.vol.members.read();
+                    (0..DEVICE_ERROR_BUDGET).for_each(|_| devices.charge(dev));
+                }
+                let plan = (1..=u64::from(failures))
+                    .fold(FaultPlan::new(1), |plan, n| plan.fail_nth(case.op, n));
+                a.devs[dev].set_fault_plan(plan);
+
+                let result = (case.run)(&mut a);
+
+                let stats = a.vol.stats();
+                let exhausted = failures > limit;
+                assert_eq!(
+                    stats.transient_retries,
+                    u64::from(limit.min(failures)),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    u64::from(failures),
+                    a.devs[dev].stats().injected_transients,
+                    "{ctx}: every planned failure was consumed by the one command"
+                );
+                let degraded = exhausted && spent;
+                assert_eq!(stats.auto_degrades, u64::from(degraded), "{ctx}");
+                let expect_failed = if degraded { vec![dev] } else { vec![] };
+                assert_eq!(a.vol.failed_devices(), expect_failed, "{ctx}");
+                let charged = u64::from(exhausted) + if spent { DEVICE_ERROR_BUDGET } else { 0 };
+                assert_eq!(a.vol.members.errors(dev), charged, "{ctx}");
+                let expect = match (exhausted, degraded) {
+                    (false, _) | (true, true) => Exhaustion::Absorbed,
+                    (true, false) => case.exhausted_healthy,
+                };
+                match expect {
+                    Exhaustion::Absorbed => {
+                        result.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                        a.verify().unwrap_or_else(|e| panic!("{ctx}: serving: {e}"));
+                    }
+                    Exhaustion::Surfaces => assert!(
+                        matches!(result, Err(ZnsError::TransientError { op }) if op == case.op),
+                        "{ctx}: {result:?}"
+                    ),
+                }
+            }
+        }
+    }
 }

@@ -502,3 +502,125 @@ proptest! {
         prop_assert!(w.pad_sectors < 2 * stripe);
     }
 }
+
+/// The metadata log lives on `parity + 1` members: a dual-parity array
+/// that loses members 0 and 1 still has a replica, mounts, and serves
+/// every byte by decoding around both.
+#[test]
+fn dual_parity_mount_without_members_0_and_1_reads_back() {
+    let devs = devices(5);
+    let cfg = LsConfig::default().parity(2);
+    {
+        let vol = LsVolume::format(devs.clone(), cfg.clone(), T0).unwrap();
+        for z in 0..6 {
+            write_zone(&vol, z, z.into());
+        }
+        vol.flush(T0).unwrap();
+    }
+    devs[0].fail();
+    devs[1].fail();
+    let vol = LsVolume::mount(devs, cfg, T0).unwrap();
+    assert_eq!(vol.failed_devices(), [0, 1]);
+    for z in 0..6 {
+        verify_zone(&vol, z, z.into());
+    }
+}
+
+/// A member failed at run time is read around — sealed stripes by
+/// decoding, the open stripe from the stage — and written around; a
+/// rebuild restores it from the live groups only (a dead one is
+/// reclaimed, not copied), after which the array scrubs clean and
+/// remounts whole. At two parity levels: one member, then two; and
+/// metadata replicas rebuilt while a stripe is still open and no dead
+/// group forces a flush.
+#[test]
+fn failed_members_are_read_around_and_rebuilt() {
+    let rows = [
+        (1u32, vec![2usize], true),
+        (2, vec![1, 3], true),
+        (1, vec![0], false),
+        (2, vec![0, 1], false),
+    ];
+    for (parity, failed, overwrite) in rows {
+        let mut devs = devices(5);
+        let cfg = LsConfig::default().parity(parity);
+        let vol = LsVolume::format(devs.clone(), cfg.clone(), T0).unwrap();
+        for z in 0..6 {
+            write_zone(&vol, z, 1);
+        }
+        // Zones 0..4 again: the group that held zones 0..2 dies.
+        if overwrite {
+            for z in 0..4 {
+                write_zone(&vol, z, 2);
+            }
+        }
+        vol.flush(T0).unwrap();
+        for &dev in &failed {
+            vol.fail_device(dev).unwrap();
+        }
+        assert!(vol.fail_device(4).is_err(), "parity {parity} headroom");
+        let version = |z: u32| if overwrite && z < 4 { 2 } else { 1 };
+        for z in 0..6 {
+            verify_zone(&vol, z, version(z));
+        }
+        // Degraded writes: a whole zone, then a partial stripe whose bytes
+        // only the stage holds on the failed members.
+        write_zone(&vol, 6, 3);
+        let start = vol.geometry().zone_start(7);
+        let tail = pattern(start, 20, 4);
+        vol.write(T0, start, &tail, WriteFlags::default()).unwrap();
+        let mut got = vec![0u8; tail.len()];
+        vol.read(T0, start, &mut got).unwrap();
+        assert_eq!(got, tail, "open stripe read around a failed member");
+
+        let reclaims = vol.stats().group_reclaims;
+        for &dev in &failed {
+            let replacement = devices(1).remove(0);
+            let report = vol.rebuild(T0, replacement.clone()).unwrap();
+            assert!(report.zones_rebuilt > 0 && report.bytes_written > 0);
+            devs[dev] = replacement;
+        }
+        let dead = u64::from(overwrite);
+        assert_eq!(vol.stats().group_reclaims, reclaims + dead, "dead groups");
+        assert!(vol.failed_devices().is_empty());
+        let check = |vol: &LsVolume| {
+            for z in 0..7 {
+                verify_zone(vol, z, if z == 6 { 3 } else { version(z) });
+            }
+            let rep = vol.scrub(T0).unwrap();
+            assert_eq!(
+                (rep.parity_errors, rep.q_errors, rep.units_healed),
+                (0, 0, 0)
+            );
+        };
+        check(&vol);
+        vol.flush(T0).unwrap();
+        drop(vol);
+        check(&LsVolume::mount(devs, cfg, T0).unwrap());
+    }
+}
+
+/// A latent media error on a data unit: scrub decodes the unit from the
+/// rest of its stripe and re-logs the stripe's valid sectors, so reads
+/// never touch the bad sectors again.
+#[test]
+fn scrub_relogs_a_stripe_with_a_latent_data_unit() {
+    let devs = devices(5);
+    let vol = LsVolume::format(devs.clone(), LsConfig::default(), T0).unwrap();
+    for z in 0..4 {
+        write_zone(&vol, z, 0);
+    }
+    vol.flush(T0).unwrap();
+    // Stripe 0 of the first group (physical zone 2): device 1 holds its
+    // first data unit.
+    let plba = devs[1].config().geometry().zone_start(2);
+    devs[1].set_fault_plan(zns::FaultPlan::new(5).latent_range(plba, vol.stripe_unit()));
+    let rep = vol.scrub(T0).unwrap();
+    assert_eq!((rep.units_healed, rep.parity_errors), (1, 0));
+    assert_eq!(rep.sectors_relogged, vol.stripe_data_sectors());
+    let hits = devs[1].stats().injected_media_errors;
+    for z in 0..4 {
+        verify_zone(&vol, z, 0);
+    }
+    assert_eq!(devs[1].stats().injected_media_errors, hits);
+}

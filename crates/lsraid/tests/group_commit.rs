@@ -6,11 +6,13 @@
 //! Metadata records are FUA writes, which the device model makes durable
 //! at once, so a power-loss policy alone cannot lose one: the cases that
 //! need a record gone fail its write through a [`FaultPlan`] and crash
-//! right after.
+//! right after. A failed write is one the member layer gave up on: its
+//! first attempt and every retry fail.
 
 use lsraid::{LsConfig, LsVolume};
 use sim::{SimDuration, SimTime};
 use std::sync::Arc;
+use zns::array::TRANSIENT_RETRY_LIMIT;
 use zns::{
     CrashPolicy, FaultOp, FaultPlan, LatencyConfig, WriteFlags, ZnsConfig, ZnsDevice, ZonedVolume,
     SECTOR_SIZE,
@@ -52,6 +54,14 @@ fn pattern(lba: u64, sectors: u64) -> Vec<u8> {
         }
     }
     buf
+}
+
+/// Fails write `nth` of a device, retries included, without using up the
+/// member's error budget.
+fn fail_write(nth: u64) -> FaultPlan {
+    (nth..=nth + u64::from(TRANSIENT_RETRY_LIMIT)).fold(FaultPlan::new(1), |plan, n| {
+        plan.fail_nth(FaultOp::Write, n)
+    })
 }
 
 fn write(vol: &LsVolume, lba: u64, sectors: u64) -> zns::Result<SimTime> {
@@ -190,7 +200,7 @@ fn lose_the_batch_of_zone_one() -> (Vec<Arc<ZnsDevice>>, LsVolume, u64) {
     let zone = vol.geometry().zone_cap();
     write(&vol, 0, zone).unwrap();
     vol.flush(T0).unwrap();
-    devs[0].set_fault_plan(FaultPlan::new(1).fail_nth(FaultOp::Write, 5));
+    devs[0].set_fault_plan(fail_write(5));
     let records = vol.stats().meta_records;
     assert!(
         write(&vol, zone, zone).is_err(),
@@ -258,7 +268,7 @@ fn crash_between_staging_and_commit_inside_a_rotation() {
     // The next reset rotates: pad-seal (entry staged, legs on devices 1
     // to 4), then the batch into the old slot — device 0's first write of
     // the op — which fails. Power goes before anything else happens.
-    devs[0].set_fault_plan(FaultPlan::new(1).fail_nth(FaultOp::Write, 1));
+    devs[0].set_fault_plan(fail_write(1));
     assert!(vol.reset_zone(T0, 5).is_err());
     assert_eq!(vol.stats().pad_sectors, STRIPE - 20);
     assert_eq!(vol.stats().meta_rotations, 0);
@@ -285,7 +295,7 @@ fn failed_leg_inside_a_whole_stripe_write(parity: u32, victim: usize, nth: u64) 
     let devs = devices(1024);
     let vol = LsVolume::format(devs.clone(), cfg.clone(), T0).unwrap();
     let stripe = vol.stripe_data_sectors();
-    devs[victim].set_fault_plan(FaultPlan::new(1).fail_nth(FaultOp::Write, nth));
+    devs[victim].set_fault_plan(fail_write(nth));
     assert!(write(&vol, 0, 4 * stripe).is_err(), "the leg must fail");
     assert_eq!(written(&vol, 0), 0);
     // The retry completes the open stripe through the stage, goes on in

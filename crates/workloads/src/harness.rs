@@ -133,8 +133,7 @@ impl FaultTarget for Raizn {
     }
 }
 
-/// The log-structured engine; it cannot yet mount without a member
-/// (ROADMAP item 2).
+/// The log-structured engine (parity 1 or 2).
 pub struct Ls(pub LsConfig);
 
 impl Ls {
@@ -160,17 +159,14 @@ impl FaultTarget for Ls {
         vol.set_recorder(recorder);
     }
     fn tolerates(&self) -> usize {
-        0
+        self.0.parity as usize
     }
     fn scrub_damage(&self, vol: &LsVolume) -> zns::Result<u64> {
         let rep = vol.scrub(T0)?;
-        Ok(rep.parity_errors + rep.q_errors)
+        Ok(rep.parity_errors + rep.q_errors + rep.units_healed)
     }
-    fn rebuild(&self, _: &LsVolume, _: Arc<ZnsDevice>) -> zns::Result<()> {
-        Err(zns::ZnsError::TooManyFailures {
-            failed: 1,
-            parity: 0,
-        })
+    fn rebuild(&self, vol: &LsVolume, replacement: Arc<ZnsDevice>) -> zns::Result<()> {
+        vol.rebuild(T0, replacement).map(|_| ())
     }
 }
 

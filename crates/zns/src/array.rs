@@ -1,0 +1,754 @@
+//! The member-facing half of a zoned RAID array, shared by every engine
+//! that stripes over [`ZnsDevice`]s (DESIGN.md "Array layer").
+//!
+//! An engine owns a [`Members`]: the device table, the failure mask and the
+//! per-member error counters. Every command it sends a member goes through
+//! [`Roster::command`] — the one bounded transient retry, the one error
+//! budget and the one auto-degrade. Every erasure decode goes through
+//! [`Members::reconstruct`] over the engine's [`Stripe`] (which role each
+//! member plays, which failed member is still served elsewhere, how a slot
+//! is read), and every rebuild through [`Members::rebuild`], whose policy
+//! closure names the live extents of the lost member. What stays with the
+//! engine is its policy: layout, caches, metadata.
+
+use crate::{Result, WriteFlags, ZnsDevice, ZnsError, ZoneInfo, ZonedVolume, SECTOR_SIZE};
+use parking_lot::{RwLock, RwLockReadGuard};
+use sim::codec::{Decode, Role};
+use sim::{SimDuration, SimTime};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// Retries a member command gets after a transient error before the
+/// failure is charged to the member.
+pub const TRANSIENT_RETRY_LIMIT: u32 = 3;
+
+/// Unrecovered errors a member may accumulate before it is auto-degraded.
+pub const DEVICE_ERROR_BUDGET: u64 = 16;
+
+/// Splits sectors `[from, to)` of a stripe at its unit boundaries and
+/// yields `(sector, row, run)` per segment: `run` sectors starting at
+/// stripe sector `sector`, which occupy the contiguous rows `[row, row +
+/// run)` of unit `sector / su`. Whoever walks a range of a stripe unit by
+/// unit — the running-parity fold, the partial-parity snapshot, the data
+/// legs of a write — splits it here.
+pub fn unit_segments(from: u64, to: u64, su: u64) -> impl Iterator<Item = (u64, u64, u64)> {
+    let mut s = from;
+    std::iter::from_fn(move || {
+        (s < to).then(|| {
+            let (at, row) = (s, s % su);
+            let run = (su - row).min(to - s);
+            s += run;
+            (at, row, run)
+        })
+    })
+}
+
+/// The erasure decode of `target` with `other` lost beside it: the one
+/// place a decode plan is made, for [`Members::reconstruct`] and for a
+/// mount's decode from replayed parity images.
+///
+/// # Errors
+///
+/// [`ZnsError::InvalidArgument`] when both name the same slot.
+pub fn plan(target: Role, other: Option<Role>) -> Result<Decode> {
+    Decode::new(target, other).ok_or_else(|| {
+        ZnsError::InvalidArgument(
+            "internal invariant violated: duplicate role in erasure set".to_string(),
+        )
+    })
+}
+
+/// What [`Roster::command`] returns for a command it gave up on and
+/// charged to the member's error budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exhausted {
+    /// Writes and resets: if the charge degraded the member the command
+    /// is omitted and completes at its issue time — the member is out of
+    /// the array and parity covers what it would have held. Otherwise the
+    /// error surfaces.
+    Omit,
+    /// Reads and appends: the error always surfaces, for the caller to
+    /// reconstruct around (reads) or to drop the replica (metadata).
+    Surface,
+}
+
+/// One stripe as an erasure decode sees it; the engine's layout and caches
+/// answer for it.
+pub trait Stripe {
+    /// The role member `dev` plays in this stripe.
+    fn role(&self, dev: u32) -> Role;
+
+    /// Whether failed member `dev`'s slot can still be fetched (served
+    /// from a cache rather than the device).
+    fn available(&self, dev: u32) -> bool;
+
+    /// Reads rows `[row0, ..)` of member `dev`'s slot into `out`, issued
+    /// at `at`; returns the completion.
+    ///
+    /// # Errors
+    ///
+    /// A media, transient or device-failed error makes the slot an
+    /// erasure; any other error ends the decode.
+    fn fetch(&self, at: SimTime, dev: u32, row0: u64, out: &mut [u8]) -> Result<SimTime>;
+
+    /// The zone the stripe belongs to, for the decode's trace span.
+    fn zone(&self) -> u32;
+}
+
+/// Outcome of rebuilding a replaced member (§4.2, Fig. 12).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RebuildReport {
+    /// Virtual time from rebuild start to the last write completion.
+    pub duration: SimDuration,
+    /// Bytes written to the replacement device (valid data only).
+    pub bytes_written: u64,
+    /// Zones whose contents were rebuilt.
+    pub zones_rebuilt: u32,
+}
+
+/// Where one extent of a rebuilt member comes from.
+pub enum Fill<'a> {
+    /// Bytes the engine still holds (a stripe buffer, a relocation, a
+    /// stage); written as they are.
+    Copy(&'a [u8]),
+    /// Decoded from the surviving members of the stripe.
+    Reconstruct(&'a dyn Stripe),
+}
+
+/// The members of an array: the device table, the failure mask, the
+/// per-member error counters and the counters of what the member layer
+/// absorbed.
+#[derive(Debug)]
+pub struct Members {
+    /// Read-locked for the duration of an operation; write-locked only by
+    /// a rebuild's final swap.
+    devices: RwLock<Vec<Arc<ZnsDevice>>>,
+    /// Bit `i` set = member `i` failed. The array keeps serving while
+    /// `count_ones() <= parity`.
+    failed: AtomicU64,
+    /// Unrecovered errors charged per member.
+    errors: Vec<AtomicU64>,
+    parity: u32,
+    retry_limit: u32,
+    error_budget: u64,
+    transient_retries: AtomicU64,
+    auto_degrades: AtomicU64,
+    double_degraded_reads: AtomicU64,
+    /// Rebuild progress gauges: zones scheduled and completed by the
+    /// in-flight rebuild (0 when none runs).
+    rebuild_total: AtomicU64,
+    rebuild_done: AtomicU64,
+    tracer: obs::Tracer,
+}
+
+impl Members {
+    /// An array of `devices` tolerating `parity` failed members, whose
+    /// commands retry transients up to `retry_limit` times and which
+    /// degrades a member past `error_budget` unrecovered errors. Members
+    /// already failed join the failure mask.
+    ///
+    /// # Errors
+    ///
+    /// [`ZnsError::InvalidArgument`] past 64 members,
+    /// [`ZnsError::TooManyFailures`] with more than `parity` failed.
+    pub fn new(
+        devices: Vec<Arc<ZnsDevice>>,
+        parity: u32,
+        retry_limit: u32,
+        error_budget: u64,
+    ) -> Result<Members> {
+        if devices.len() > 64 {
+            return Err(ZnsError::InvalidArgument(format!(
+                "an array has at most 64 members (failure bitmask), got {}",
+                devices.len()
+            )));
+        }
+        let failed = (0..)
+            .zip(&devices)
+            .fold(0u64, |m, (i, d)| m | (u64::from(d.is_failed()) << i));
+        if failed.count_ones() > parity {
+            return Err(ZnsError::TooManyFailures {
+                failed: failed.count_ones(),
+                parity,
+            });
+        }
+        Ok(Members {
+            errors: devices.iter().map(|_| AtomicU64::new(0)).collect(),
+            devices: RwLock::new(devices),
+            failed: AtomicU64::new(failed),
+            parity,
+            retry_limit,
+            error_budget,
+            transient_retries: AtomicU64::new(0),
+            auto_degrades: AtomicU64::new(0),
+            double_degraded_reads: AtomicU64::new(0),
+            rebuild_total: AtomicU64::new(0),
+            rebuild_done: AtomicU64::new(0),
+            tracer: obs::Tracer::new(),
+        })
+    }
+
+    /// Attaches the recorder the member layer's counters and decode spans
+    /// land on.
+    pub fn set_recorder(&self, recorder: Arc<obs::Recorder>) {
+        self.tracer.attach(recorder, obs::NONE);
+    }
+
+    /// Read access to the members for one operation.
+    pub fn read(&self) -> Roster<'_> {
+        Roster {
+            members: self,
+            devices: self.devices.read(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.errors.len()
+    }
+
+    /// The failed-member bitmask.
+    pub fn failure_mask(&self) -> u64 {
+        self.failed.load(Ordering::Acquire)
+    }
+
+    /// Whether member `dev` is failed.
+    pub fn is_failed(&self, dev: usize) -> bool {
+        self.failure_mask() & (1u64 << dev) != 0
+    }
+
+    /// The lowest failed member, if any.
+    pub fn lowest_failed(&self) -> Option<usize> {
+        match self.failure_mask() {
+            0 => None,
+            m => Some(m.trailing_zeros() as usize),
+        }
+    }
+
+    /// Every failed member, ascending.
+    pub fn failed(&self) -> Vec<usize> {
+        let mask = self.failure_mask();
+        (0..self.len())
+            .filter(|d| mask & (1u64 << d) != 0)
+            .collect()
+    }
+
+    /// Adds `dev` to the failed set: `Ok(true)` when this call claimed the
+    /// failure, `Ok(false)` when it was already failed, and
+    /// [`ZnsError::TooManyFailures`] when the array has no parity headroom
+    /// left. Lock-free compare-exchange loop.
+    ///
+    /// # Errors
+    ///
+    /// [`ZnsError::TooManyFailures`] as above.
+    pub fn claim_failure(&self, dev: usize) -> Result<bool> {
+        let bit = 1u64 << dev;
+        let mut cur = self.failure_mask();
+        loop {
+            if cur & bit != 0 {
+                return Ok(false);
+            }
+            if cur.count_ones() >= self.parity {
+                return Err(ZnsError::TooManyFailures {
+                    failed: cur.count_ones(),
+                    parity: self.parity,
+                });
+            }
+            match self
+                .failed
+                .compare_exchange(cur, cur | bit, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => return Ok(true),
+                Err(seen) => cur = seen,
+            }
+        }
+    }
+
+    /// Fails member `dev`: later reads decode around it and writes omit
+    /// it. Idempotent for a failed member.
+    ///
+    /// # Errors
+    ///
+    /// [`ZnsError::InvalidArgument`] out of range,
+    /// [`ZnsError::TooManyFailures`] past the parity headroom.
+    pub fn fail(&self, dev: usize) -> Result<()> {
+        if dev >= self.len() {
+            return Err(ZnsError::InvalidArgument(format!(
+                "device index {dev} out of range (array has {})",
+                self.len()
+            )));
+        }
+        if self.claim_failure(dev)? {
+            self.devices.read()[dev].fail();
+        }
+        Ok(())
+    }
+
+    /// Unrecovered errors charged to member `dev` so far.
+    pub fn errors(&self, dev: usize) -> u64 {
+        self.errors[dev].load(Ordering::Relaxed)
+    }
+
+    /// Error budget left to member `dev`.
+    pub fn budget_remaining(&self, dev: usize) -> u64 {
+        self.error_budget.saturating_sub(self.errors(dev))
+    }
+
+    /// Transient errors absorbed by retries.
+    pub fn transient_retries(&self) -> u64 {
+        self.transient_retries.load(Ordering::Relaxed)
+    }
+
+    /// Members auto-degraded past their error budget.
+    pub fn auto_degrades(&self) -> u64 {
+        self.auto_degrades.load(Ordering::Relaxed)
+    }
+
+    /// Decodes that solved around two erasures.
+    pub fn double_degraded_reads(&self) -> u64 {
+        self.double_degraded_reads.load(Ordering::Relaxed)
+    }
+
+    /// `(zones scheduled, zones done)` of the in-flight rebuild.
+    pub fn rebuild_progress(&self) -> (u64, u64) {
+        (
+            self.rebuild_total.load(Ordering::Relaxed),
+            self.rebuild_done.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Reconstructs rows `[row0, ..)` of the slot member `target` holds in
+    /// `stripe` into `out`, from the surviving members (§4.2).
+    ///
+    /// Failed members whose slot `stripe` cannot serve count as erased
+    /// beside `target`; more erasures than parity is unrecoverable. Every
+    /// surviving slot the erasure pattern needs is fetched into the first
+    /// column of `scratch` (the caller's `parity` spare columns of one
+    /// unit each) and folded into `out` — and, when a second data unit is
+    /// lost too, into the second column — then solved in place. A source
+    /// that turns out unreadable mid-decode joins the erasure set and the
+    /// decode restarts while headroom remains. Nothing is allocated.
+    /// Returns the latest fetch completion.
+    ///
+    /// # Errors
+    ///
+    /// [`ZnsError::DeviceFailed`] past the parity headroom, or the first
+    /// fetch error that is not an erasure.
+    pub fn reconstruct(
+        &self,
+        scratch: &mut [u8],
+        at: SimTime,
+        stripe: &dyn Stripe,
+        target: u32,
+        row0: u64,
+        out: &mut [u8],
+    ) -> Result<SimTime> {
+        let n = self.len() as u32;
+        let mut missing = 1u64 << target;
+        let failed = self.failure_mask();
+        for dev in 0..n {
+            let bit = 1u64 << dev;
+            if failed & bit != 0 && missing & bit == 0 && !stripe.available(dev) {
+                missing |= bit;
+            }
+        }
+        if missing.count_ones() > self.parity {
+            return Err(ZnsError::DeviceFailed);
+        }
+        let unit_bytes = scratch.len() / self.parity as usize;
+        let (tmp, aux) = scratch.split_at_mut(unit_bytes);
+        let len = out.len();
+        let tmp = &mut tmp[..len];
+        let aux_len = |plan: &Decode| if plan.uses_aux() { len } else { 0 };
+        let target_role = stripe.role(target);
+        let (plan, done) = 'retry: loop {
+            let rest = missing & !(1u64 << target);
+            let other = (rest != 0).then(|| stripe.role(rest.trailing_zeros()));
+            let plan = plan(target_role, other)?;
+            let aux = &mut aux[..aux_len(&plan)];
+            plan.begin(out, aux);
+            let mut done = at;
+            for dev in 0..n {
+                if missing & (1u64 << dev) != 0 {
+                    continue;
+                }
+                let role = stripe.role(dev);
+                if !plan.wants(role) {
+                    continue;
+                }
+                match stripe.fetch(at, dev, row0, tmp) {
+                    Ok(t) => done = done.max(t),
+                    Err(
+                        e @ (ZnsError::MediaError { .. }
+                        | ZnsError::TransientError { .. }
+                        | ZnsError::DeviceFailed),
+                    ) => {
+                        if missing.count_ones() >= self.parity {
+                            return Err(e);
+                        }
+                        missing |= 1u64 << dev;
+                        continue 'retry;
+                    }
+                    Err(e) => return Err(e),
+                }
+                plan.absorb(role, tmp, out, aux);
+            }
+            break 'retry (plan, done);
+        };
+        plan.finish(out, &aux[..aux_len(&plan)]);
+        if missing.count_ones() > 1 {
+            self.double_degraded_reads.fetch_add(1, Ordering::Relaxed);
+            self.tracer.bump(obs::Counter::DoubleDegradedReads);
+            self.tracer.leaf(
+                obs::Span::new(obs::OpClass::Read, obs::Stage::WholeOp, at, done)
+                    .path(obs::PathKind::DoubleDegraded)
+                    .zone(stripe.zone())
+                    .sectors(len as u64 / SECTOR_SIZE),
+            );
+        }
+        Ok(done)
+    }
+
+    /// Rebuilds the lowest failed member onto `replacement`: `policy`
+    /// walks the `zones` zones the engine says are live and hands each
+    /// extent of the lost member to the [`Rebuild`] it is given (which
+    /// writes and seals the replacement); then the replacement is swapped
+    /// in, its failure bit and error count cleared. Device time is blamed
+    /// on [`obs::Actor::Rebuild`], and the progress gauges follow the
+    /// policy's zones.
+    ///
+    /// # Errors
+    ///
+    /// [`ZnsError::InvalidArgument`] with no member failed or a
+    /// replacement of another geometry; whatever `policy` fails with.
+    pub fn rebuild(
+        &self,
+        at: SimTime,
+        replacement: Arc<ZnsDevice>,
+        unit_sectors: u64,
+        zones: u64,
+        policy: impl FnOnce(&Roster<'_>, &mut Rebuild<'_>) -> Result<()>,
+    ) -> Result<RebuildReport> {
+        let dev = self.lowest_failed().ok_or_else(|| {
+            ZnsError::InvalidArgument("rebuild requires a failed device".to_string())
+        })?;
+        let report = {
+            let roster = self.read();
+            if replacement.geometry() != roster.devices[0].geometry() {
+                return Err(ZnsError::InvalidArgument(
+                    "replacement geometry mismatch".to_string(),
+                ));
+            }
+            // Rebuild reads and replacement writes are blamed on the
+            // rebuild actor; foreground ops queued behind them see the
+            // stall as rebuild interference in their blame trees.
+            let _actor = obs::actor_scope(obs::Actor::Rebuild);
+            self.rebuild_total.store(zones, Ordering::Release);
+            self.rebuild_done.store(0, Ordering::Release);
+            let unit_bytes = (unit_sectors * SECTOR_SIZE) as usize;
+            let mut rb = Rebuild {
+                members: self,
+                replacement: &replacement,
+                dev,
+                unit_sectors,
+                cursor: at,
+                last_write: at,
+                bytes: 0,
+                zones: 0,
+                out: vec![0u8; unit_bytes],
+                scratch: vec![0u8; unit_bytes * self.parity as usize],
+            };
+            policy(&roster, &mut rb)?;
+            RebuildReport {
+                duration: rb.last_write.since(at),
+                bytes_written: rb.bytes,
+                zones_rebuilt: rb.zones,
+            }
+        };
+        // The swap is the only writer of the device table. Only this
+        // member's failure bit clears: a second failed member stays
+        // degraded until its own rebuild.
+        self.devices.write()[dev] = replacement;
+        self.failed.fetch_and(!(1u64 << dev), Ordering::AcqRel);
+        self.errors[dev].store(0, Ordering::Relaxed);
+        self.rebuild_total.store(0, Ordering::Release);
+        self.rebuild_done.store(0, Ordering::Release);
+        Ok(report)
+    }
+}
+
+/// The members, read-locked for one operation.
+#[derive(Debug)]
+pub struct Roster<'a> {
+    members: &'a Members,
+    devices: RwLockReadGuard<'a, Vec<Arc<ZnsDevice>>>,
+}
+
+impl Roster<'_> {
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.devices.len()
+    }
+
+    /// Whether the array has no members.
+    pub fn is_empty(&self) -> bool {
+        self.devices.is_empty()
+    }
+
+    /// The member devices, for queries (geometry, zone limits, counters);
+    /// commands go through [`command`](Self::command).
+    pub fn devices(&self) -> &[Arc<ZnsDevice>] {
+        &self.devices
+    }
+
+    /// Issues one command to member `dev` with bounded retries on
+    /// transient errors — the array's only retry loop. A command that
+    /// still fails transiently after the retry limit, or that reports a
+    /// media error, is charged against the member's error budget
+    /// ([`charge`](Self::charge)); what the caller then sees is
+    /// `exhausted`'s choice. Every other outcome passes through untouched. `cmd` returns
+    /// the command's completion instant.
+    ///
+    /// # Errors
+    ///
+    /// As above.
+    pub fn command(
+        &self,
+        at: SimTime,
+        dev: usize,
+        exhausted: Exhausted,
+        mut cmd: impl FnMut(&ZnsDevice) -> Result<SimTime>,
+    ) -> Result<SimTime> {
+        let m = self.members;
+        let mut attempt = 0u32;
+        loop {
+            match cmd(&self.devices[dev]) {
+                Err(ZnsError::TransientError { .. }) if attempt < m.retry_limit => {
+                    attempt += 1;
+                    m.transient_retries.fetch_add(1, Ordering::Relaxed);
+                    m.tracer.bump(obs::Counter::Retries);
+                }
+                Err(e @ (ZnsError::TransientError { .. } | ZnsError::MediaError { .. })) => {
+                    self.charge(dev);
+                    return match exhausted {
+                        Exhausted::Omit if m.is_failed(dev) => Ok(at),
+                        _ => Err(e),
+                    };
+                }
+                other => return other,
+            }
+        }
+    }
+
+    /// Runs `cmd` on every member not failed, in index order, through
+    /// [`command`](Self::command); returns the latest completion (`at`
+    /// when nothing ran).
+    ///
+    /// # Errors
+    ///
+    /// The first command error.
+    pub fn on_survivors(
+        &self,
+        at: SimTime,
+        exhausted: Exhausted,
+        mut cmd: impl FnMut(usize, &ZnsDevice) -> Result<SimTime>,
+    ) -> Result<SimTime> {
+        let mut done = at;
+        for dev in 0..self.len() {
+            if !self.members.is_failed(dev) {
+                done = done.max(self.command(at, dev, exhausted, |d| cmd(dev, d))?);
+            }
+        }
+        Ok(done)
+    }
+
+    /// Flushes the write cache of every member in `mask` that has not
+    /// failed; returns the latest completion.
+    ///
+    /// # Errors
+    ///
+    /// The first flush error.
+    pub fn flush(&self, at: SimTime, mask: u64) -> Result<SimTime> {
+        let mask = mask & !self.members.failure_mask();
+        self.on_survivors(at, Exhausted::Surface, |dev, d| {
+            Ok(match mask & (1u64 << dev) {
+                0 => at,
+                _ => d.flush(at)?.done,
+            })
+        })
+    }
+
+    /// Charges one unrecovered error to member `dev`, auto-degrading it
+    /// once it exceeds the error budget — but only while parity headroom
+    /// remains: past it the array limps on the sick member rather than
+    /// fail itself.
+    pub fn charge(&self, dev: usize) {
+        let m = self.members;
+        let errs = m.errors[dev].fetch_add(1, Ordering::AcqRel) + 1;
+        if errs > m.error_budget && m.claim_failure(dev) == Ok(true) {
+            self.devices[dev].fail();
+            m.auto_degrades.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Member `dev`'s report of one of its zones.
+    ///
+    /// # Errors
+    ///
+    /// The device's error (a failed member reports
+    /// [`ZnsError::DeviceFailed`]).
+    pub fn zone_info(&self, dev: usize, zone: u32) -> Result<ZoneInfo> {
+        self.devices[dev].zone_info(zone)
+    }
+}
+
+/// A rebuild in flight: what a [`Members::rebuild`] policy hands the lost
+/// member's extents to.
+pub struct Rebuild<'a> {
+    members: &'a Members,
+    replacement: &'a ZnsDevice,
+    dev: usize,
+    unit_sectors: u64,
+    /// Issue instant of the next extent: when the previous one's sources
+    /// were in hand.
+    cursor: SimTime,
+    last_write: SimTime,
+    bytes: u64,
+    zones: u32,
+    /// One unit of rebuilt bytes, and the decode's spare columns.
+    out: Vec<u8>,
+    scratch: Vec<u8>,
+}
+
+impl Rebuild<'_> {
+    /// The member being rebuilt.
+    pub fn member(&self) -> usize {
+        self.dev
+    }
+
+    /// Writes `rows` rows of the lost member's slot in `stripe` of its
+    /// zone `zone` to the replacement, from `fill`. A reconstruction is
+    /// issued when the previous extent's sources were in hand, and the
+    /// write when its own are.
+    ///
+    /// # Errors
+    ///
+    /// The decode's or the replacement's error.
+    pub fn extent(&mut self, zone: u32, stripe: u64, rows: u64, fill: Fill<'_>) -> Result<()> {
+        let out = &mut self.out[..(rows * SECTOR_SIZE) as usize];
+        let ready = match fill {
+            Fill::Copy(bytes) => {
+                out.copy_from_slice(&bytes[..out.len()]);
+                self.cursor
+            }
+            Fill::Reconstruct(src) => {
+                let scratch = &mut self.scratch;
+                self.members
+                    .reconstruct(scratch, self.cursor, src, self.dev as u32, 0, out)?
+            }
+        };
+        let pba = self.replacement.geometry().zone_start(zone) + stripe * self.unit_sectors;
+        let w = self
+            .replacement
+            .write(ready, pba, out, WriteFlags::default())?;
+        self.last_write = self.last_write.max(w.done);
+        self.bytes += out.len() as u64;
+        self.cursor = ready;
+        Ok(())
+    }
+
+    /// Seals the replacement's zone `zone` once its last write landed.
+    ///
+    /// # Errors
+    ///
+    /// The replacement's error.
+    pub fn seal(&mut self, zone: u32) -> Result<()> {
+        self.replacement.finish_zone(self.last_write, zone)?;
+        Ok(())
+    }
+
+    /// Counts one zone done.
+    pub fn zone_done(&mut self) {
+        self.zones += 1;
+        self.members.rebuild_done.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Runs the engine's own commands on the replacement (its metadata),
+    /// issued at the last data write's completion; `cmd` returns its own.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `cmd` fails with.
+    pub fn on_replacement(
+        &mut self,
+        cmd: impl FnOnce(&ZnsDevice, SimTime) -> Result<SimTime>,
+    ) -> Result<()> {
+        let done = cmd(self.replacement, self.last_write)?;
+        self.last_write = self.last_write.max(done);
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{FaultOp, FaultPlan, ZnsConfig};
+
+    fn members(n: usize, parity: u32, budget: u64) -> Members {
+        let devs = (0..n)
+            .map(|_| Arc::new(ZnsDevice::new(ZnsConfig::small_test())))
+            .collect();
+        Members::new(devs, parity, TRANSIENT_RETRY_LIMIT, budget).unwrap()
+    }
+
+    fn write(roster: &Roster<'_>, dev: usize, exhausted: Exhausted) -> Result<SimTime> {
+        let data = vec![1u8; SECTOR_SIZE as usize];
+        roster.command(SimTime::ZERO, dev, exhausted, |d| {
+            Ok(d.write(SimTime::ZERO, 0, &data, WriteFlags::default())?
+                .done)
+        })
+    }
+
+    #[test]
+    fn unit_segments_split_at_unit_boundaries() {
+        let segs: Vec<_> = unit_segments(3, 13, 4).collect();
+        assert_eq!(segs, [(3, 3, 1), (4, 0, 4), (8, 0, 4), (12, 0, 1)]);
+        assert_eq!(unit_segments(5, 5, 4).count(), 0);
+    }
+
+    #[test]
+    fn a_burst_within_the_limit_is_absorbed_uncharged() {
+        let m = members(4, 1, DEVICE_ERROR_BUDGET);
+        let plan = (1..=3).fold(FaultPlan::new(1), |p, n| p.fail_nth(FaultOp::Write, n));
+        m.read().devices()[2].set_fault_plan(plan);
+        write(&m.read(), 2, Exhausted::Surface).unwrap();
+        assert_eq!((m.transient_retries(), m.errors(2)), (3, 0));
+    }
+
+    #[test]
+    fn an_exhausted_command_is_charged_once_and_omitted_only_when_it_degrades() {
+        for (budget, degraded) in [(DEVICE_ERROR_BUDGET, false), (0, true)] {
+            let m = members(4, 1, budget);
+            let plan = (1..=4).fold(FaultPlan::new(1), |p, n| p.fail_nth(FaultOp::Write, n));
+            m.read().devices()[1].set_fault_plan(plan);
+            let r = write(&m.read(), 1, Exhausted::Omit);
+            assert_eq!(m.errors(1), 1);
+            assert_eq!(r.is_ok(), degraded, "budget {budget}: {r:?}");
+            assert_eq!(m.failed(), if degraded { vec![1] } else { vec![] });
+            assert_eq!(m.auto_degrades(), u64::from(degraded));
+        }
+    }
+
+    #[test]
+    fn failures_stop_at_the_parity_headroom() {
+        let m = members(5, 2, 0);
+        m.fail(0).unwrap();
+        m.fail(0).unwrap();
+        m.fail(3).unwrap();
+        assert!(matches!(m.fail(4), Err(ZnsError::TooManyFailures { .. })));
+        assert!(matches!(m.fail(9), Err(ZnsError::InvalidArgument(_))));
+        // A charge past the budget cannot take the array past its parity.
+        m.read().charge(4);
+        assert_eq!(m.failed(), [0, 3]);
+        assert_eq!(m.lowest_failed(), Some(0));
+    }
+}

@@ -19,7 +19,10 @@
 //!   stripe-hole and partial-zone-reset scenarios of §3 are produced in
 //!   tests;
 //! - **device failure** injection for degraded-mode and rebuild experiments;
-//! - a deterministic, channel-parallel **latency model** on virtual time.
+//! - a deterministic, channel-parallel **latency model** on virtual time;
+//! - the **array layer** ([`array`](mod@array)) both RAID engines share:
+//!   member commands with bounded retries and an error budget, the failure
+//!   mask, erasure decode and the rebuild driver.
 //!
 //! # Examples
 //!
@@ -42,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod array;
 mod config;
 mod crash;
 mod device;

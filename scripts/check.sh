@@ -131,6 +131,44 @@ if grep -rn --include='*.rs' '#\[ignore' crates tests benchmark/src; then
   exit 1
 fi
 
+# One array layer (zns::array, DESIGN.md "Array layer"): both engines reach
+# their members only through it. In core and lsraid, a device command
+# runs inside a `Roster::command` closure, whose member is `d`, and the
+# roster's own `flush`/`zone_info` take a member index; a command named on
+# any other receiver — an indexed device table, a replacement, a stray
+# handle — is a member command issued outside the array, skipping its
+# retries, error budget and failure mask. The transient retry and the
+# erasure decode plan live once there too: a second retry loop or a
+# `Decode::new` anywhere else is a fork of the member layer coming back.
+cmds='read|write|append|reset_zone|finish_zone|open_zone|close_zone|flush|write_zrwa|commit_zrwa|zone_info'
+if awk -v cmds="$cmds" '
+     FNR == 1 { skip = (FILENAME ~ /\/tests\.rs$/) }
+     /^mod tests \{/ { skip = 1 }
+     skip || /^ *\/\// { next }
+     {
+       rest = $0
+       while (match(rest, "([][A-Za-z0-9_.]|\\(\\))+\\.(" cmds ")\\([^)]")) {
+         call = substr(rest, RSTART, RLENGTH)
+         rest = substr(rest, RSTART + RLENGTH)
+         sub("\\.(" cmds ")\\(.$", "", call)
+         n = split(call, seg, ".")
+         if (seg[n] !~ /^(d|devices|self|vol|volume)$/) { print FILENAME ":" FNR ": " $0; found = 1 }
+       }
+     }
+     END { exit !found }' crates/core/src/*.rs crates/lsraid/src/*.rs; then
+  echo "check.sh: member command outside zns::array (issue it through Roster::command)" >&2
+  exit 1
+fi
+if grep -rnE 'TransientError[^=]*\) if [^=]*<|bump\(obs::Counter::Retries\)' crates/*/src |
+   grep -v '^crates/zns/src/array\.rs:'; then
+  echo "check.sh: transient-retry loop outside zns::array (Roster::command is the one)" >&2
+  exit 1
+fi
+if grep -rn 'Decode::new' crates/core/src crates/lsraid/src; then
+  echo "check.sh: erasure decode plan outside zns::array (Members::reconstruct, array::plan)" >&2
+  exit 1
+fi
+
 # lsraid computes parity in one place, from whole stripes: `encode_pq` at
 # the seal (and in scrub). An incremental kernel named anywhere in the
 # crate is a running accumulator — and the clearing it needs — coming
