@@ -77,8 +77,9 @@ pub struct RaiznStats {
 /// Lock-free mirror of [`RaiznStats`] used inside the sharded volume: hot
 /// paths bump counters with relaxed atomics instead of taking a lock, and
 /// [`snapshot`](AtomicRaiznStats::snapshot) materializes the public view —
-/// all but the member layer's counters (retries, auto-degrades, two-erasure
-/// decodes), which the volume reads from `zns::array::Members`.
+/// all but the member layer's counters (retries, auto-degrades, degraded
+/// reads, two-erasure decodes, read repairs), which the volume reads from
+/// `zns::array::Members`.
 #[derive(Debug, Default)]
 pub(crate) struct AtomicRaiznStats {
     pub pp_log_entries: AtomicU64,
@@ -90,7 +91,6 @@ pub(crate) struct AtomicRaiznStats {
     pub md_gc_runs: AtomicU64,
     pub relocated_units: AtomicU64,
     pub zone_resets: AtomicU64,
-    pub degraded_reads: AtomicU64,
     pub recovered_units: AtomicU64,
     pub rebuild_bytes: AtomicU64,
     pub rebuilds_completed: AtomicU64,
@@ -98,7 +98,6 @@ pub(crate) struct AtomicRaiznStats {
     pub zone_rewrites: AtomicU64,
     pub zrwa_parity_writes: AtomicU64,
     pub stripe_buffers_reused: AtomicU64,
-    pub read_repairs: AtomicU64,
     pub scrub_runs: AtomicU64,
     pub scrub_repairs: AtomicU64,
     pub zone_finishes: AtomicU64,
@@ -130,7 +129,6 @@ impl AtomicRaiznStats {
             md_gc_runs: ld(&self.md_gc_runs),
             relocated_units: ld(&self.relocated_units),
             zone_resets: ld(&self.zone_resets),
-            degraded_reads: ld(&self.degraded_reads),
             recovered_units: ld(&self.recovered_units),
             rebuild_bytes: ld(&self.rebuild_bytes),
             rebuilds_completed: ld(&self.rebuilds_completed),
@@ -138,7 +136,6 @@ impl AtomicRaiznStats {
             zone_rewrites: ld(&self.zone_rewrites),
             zrwa_parity_writes: ld(&self.zrwa_parity_writes),
             stripe_buffers_reused: ld(&self.stripe_buffers_reused),
-            read_repairs: ld(&self.read_repairs),
             scrub_runs: ld(&self.scrub_runs),
             scrub_repairs: ld(&self.scrub_repairs),
             zone_finishes: ld(&self.zone_finishes),

@@ -474,14 +474,15 @@ impl RaiznVolume {
         Ok(RaiznLayout::new(devices.len() as u32, config, geo))
     }
 
-    /// The member layer over `devices` under `config`'s parity, retry limit
-    /// and error budget.
+    /// The member layer over `devices` under `config`'s parity, stripe
+    /// unit, retry limit and error budget.
     pub(crate) fn array_members(
         devices: Vec<Arc<ZnsDevice>>,
         config: RaiznConfig,
     ) -> Result<Members> {
         let (limit, budget) = (config.transient_retry_limit, config.device_error_budget);
-        Members::new(devices, config.parity, limit, budget)
+        let su = config.stripe_unit_sectors;
+        Members::new(devices, config.parity, su, limit, budget)
     }
 
     /// Builds the in-memory volume object with default metadata roles.
@@ -550,13 +551,15 @@ impl RaiznVolume {
         self.config
     }
 
-    /// Volume statistics; retries, auto-degrades and two-erasure decodes
-    /// are the member layer's.
+    /// Volume statistics; retries, auto-degrades, degraded reads, decodes
+    /// and read repairs are the member layer's.
     pub fn stats(&self) -> RaiznStats {
         RaiznStats {
             transient_retries: self.members.transient_retries(),
             auto_degrades: self.members.auto_degrades(),
+            degraded_reads: self.members.degraded_reads(),
             double_degraded_reads: self.members.double_degraded_reads(),
+            read_repairs: self.members.read_repairs(),
             ..self.stats.snapshot()
         }
     }
@@ -1014,172 +1017,11 @@ impl RaiznVolume {
         (self.layout.parity_units() as u64 * self.layout.stripe_unit() * SECTOR_SIZE) as usize
     }
 
-    /// Reconstructs rows of the unit that `missing_dev` holds for
-    /// `(lzone, stripe)` from the surviving devices (§4.2) through the
-    /// member layer's decode ([`Members::reconstruct`]), with `scratch`
-    /// the zone's spare parity columns. The stripe must be complete
-    /// (parity present); failed members whose slots the relocation cache
-    /// holds still count as sources.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn reconstruct_slot_rows(
-        &self,
-        scratch: &mut [u8],
-        devices: &Roster<'_>,
-        at: SimTime,
-        lzone: u32,
-        stripe: u64,
-        missing_dev: u32,
-        row0: u64,
-        out: &mut [u8],
-    ) -> Result<SimTime> {
-        let src = SlotStripe {
-            vol: self,
-            devices,
-            lzone,
-            stripe,
-        };
-        self.members
-            .reconstruct(scratch, at, &src, missing_dev, row0, out)
-    }
-
     // ------------------------------------------------------------------
     // Self-healing read path
     // ------------------------------------------------------------------
 
-    /// Reads rows of data unit `unit` at `(lzone, stripe)`, healing around
-    /// device errors: latent media errors trigger in-place repair
-    /// (reconstruct + relocate), retry-exhausted transients fall back to
-    /// one-off reconstruction, and failed devices take the degraded path.
-    /// Runs under `lzone`'s shard lock (`z`).
-    #[allow(clippy::too_many_arguments)]
-    fn read_slot_rows(
-        &self,
-        z: &mut LZone,
-        devices: &Roster<'_>,
-        at: SimTime,
-        lzone: u32,
-        stripe: u64,
-        unit: u64,
-        row0: u64,
-        out: &mut [u8],
-    ) -> Result<SimTime> {
-        let dev = self.layout.data_device(lzone, stripe, unit);
-        if self.is_relocated(lzone, stripe, dev) || !self.members.is_failed(dev as usize) {
-            match self.fetch_slot_rows(None, devices, at, lzone, stripe, dev, row0, out) {
-                Ok(t) => Ok(t),
-                Err(
-                    e @ (ZnsError::MediaError { .. }
-                    | ZnsError::TransientError { .. }
-                    | ZnsError::DeviceFailed),
-                ) => self.heal_read(z, devices, at, lzone, stripe, unit, dev, row0, out, e),
-                Err(e) => Err(e),
-            }
-        } else {
-            self.degraded_slot_read(z, devices, at, lzone, stripe, unit, dev, row0, out)
-        }
-    }
-
-    /// Degraded read (§4.2): incomplete stripes come from the stripe
-    /// buffer; complete ones reconstruct from parity.
-    #[allow(clippy::too_many_arguments)]
-    fn degraded_slot_read(
-        &self,
-        z: &mut LZone,
-        devices: &Roster<'_>,
-        at: SimTime,
-        lzone: u32,
-        stripe: u64,
-        unit: u64,
-        dev: u32,
-        row0: u64,
-        out: &mut [u8],
-    ) -> Result<SimTime> {
-        AtomicRaiznStats::add(&self.stats.degraded_reads, 1);
-        self.tracer.bump(obs::Counter::DegradedReads);
-        let from_buffer = matches!(&z.buffer, Some(b) if b.stripe() == stripe);
-        let r = if from_buffer {
-            let b = z
-                .buffer
-                .as_ref()
-                .ok_or_else(|| internal("stripe buffer matched above"))?;
-            let su = self.layout.stripe_unit();
-            let s0 = unit * su + row0;
-            let rows = out.len() as u64 / SECTOR_SIZE;
-            out.copy_from_slice(b.read_range(s0, s0 + rows));
-            Ok(at)
-        } else {
-            let scratch = z.scratch_mut(self.scratch_bytes());
-            self.reconstruct_slot_rows(scratch, devices, at, lzone, stripe, dev, row0, out)
-        };
-        if let Ok(t) = r {
-            self.tracer.leaf(
-                obs::Span::new(obs::OpClass::Read, obs::Stage::WholeOp, at, t)
-                    .path(obs::PathKind::Degraded)
-                    .zone(lzone)
-                    .sectors(out.len() as u64 / SECTOR_SIZE),
-            );
-        }
-        r
-    }
-
-    /// Recovers a read that hit a device error on `dev`. Latent media
-    /// errors in complete stripes are healed in place: the whole unit is
-    /// reconstructed from the surviving devices and relocated, so
-    /// subsequent reads of the range succeed without reconstruction.
-    /// Other errors fall back to one-off degraded service.
-    #[allow(clippy::too_many_arguments)]
-    fn heal_read(
-        &self,
-        z: &mut LZone,
-        devices: &Roster<'_>,
-        at: SimTime,
-        lzone: u32,
-        stripe: u64,
-        unit: u64,
-        dev: u32,
-        row0: u64,
-        out: &mut [u8],
-        err: ZnsError,
-    ) -> Result<SimTime> {
-        let su = self.layout.stripe_unit();
-        let stripe_data = self.layout.stripe_data_sectors();
-        let complete = (stripe + 1) * stripe_data <= z.wp;
-        if !complete {
-            // No parity yet: the stripe buffer still stages this stripe,
-            // and any sector below the logical wp is within its fill
-            // frontier.
-            let staged = matches!(&z.buffer, Some(b) if b.stripe() == stripe);
-            if staged {
-                return self
-                    .degraded_slot_read(z, devices, at, lzone, stripe, unit, dev, row0, out);
-            }
-            return Err(err);
-        }
-        if matches!(err, ZnsError::MediaError { .. }) {
-            // Self-heal: rebuild the full unit, serve the requested rows,
-            // and relocate the repaired copy so the latent sectors are
-            // never read again.
-            let mut data = vec![0u8; (su * SECTOR_SIZE) as usize];
-            let scratch = z.scratch_mut(self.scratch_bytes());
-            let t =
-                self.reconstruct_slot_rows(scratch, devices, at, lzone, stripe, dev, 0, &mut data)?;
-            let off = (row0 * SECTOR_SIZE) as usize;
-            out.copy_from_slice(&data[off..off + out.len()]);
-            AtomicRaiznStats::add(&self.stats.read_repairs, 1);
-            self.tracer.bump(obs::Counter::ReadRepairs);
-            let t2 = self.relocate_repaired_unit(z, devices, at, lzone, stripe, dev, data, su)?;
-            Ok(t.max(t2))
-        } else {
-            // Transient exhaustion / fresh device failure: serve this read
-            // from parity without committing a relocation.
-            AtomicRaiznStats::add(&self.stats.degraded_reads, 1);
-            self.tracer.bump(obs::Counter::DegradedReads);
-            let scratch = z.scratch_mut(self.scratch_bytes());
-            self.reconstruct_slot_rows(scratch, devices, at, lzone, stripe, dev, row0, out)
-        }
-    }
-
-    /// Installs a repaired copy of the unit held by `dev` at
+    /// Installs a repaired copy `data` of the whole unit held by `dev` at
     /// `(lzone, stripe)` into the relocation cache (marking the physical
     /// slot conflicted) and persists a relocation record, mirroring the
     /// §5.2 write-conflict machinery. Failure to persist the record is
@@ -1195,8 +1037,8 @@ impl RaiznVolume {
         stripe: u64,
         dev: u32,
         data: Vec<u8>,
-        valid: u64,
     ) -> Result<SimTime> {
+        let valid = self.layout.stripe_unit();
         z.conflicts.insert((stripe, dev));
         let mut m = self.lock_meta();
         m.live
@@ -1210,91 +1052,49 @@ impl RaiznVolume {
         }
     }
 
-    /// Walks every complete stripe of the volume verifying its parity,
-    /// repairing what it finds (§4.2 maintenance): latent media errors
-    /// are healed by reconstruction, and parity mismatches are corrected
-    /// from the data. In dual-parity mode both P (data XOR parity must
-    /// vanish) and Q (the Reed–Solomon syndrome must vanish) are checked
-    /// and repaired independently. Returns what was checked and repaired;
+    /// Walks every complete stripe of the volume through the member
+    /// layer's scrub ([`Members::scrub`], which refuses a degraded array
+    /// and blames the pass on the scrub actor), repairing what each
+    /// stripe's verify finds (§4.2 maintenance): a slot lost to a latent
+    /// media error is relocated as decoded, and a stored P or Q slot that
+    /// differs from the encode of the data is relocated as that encode.
+    /// Refuses a read-only volume. Returns what was checked and repaired;
     /// counters land in [`stats`](Self::stats).
     ///
     /// Takes each zone's shard in turn; concurrent writers to other zones
     /// are unaffected.
     pub fn scrub(&self, at: SimTime) -> Result<ScrubReport> {
-        if self.members.lowest_failed().is_some() {
-            return Err(ZnsError::DeviceFailed);
-        }
-        if self.read_only.load(Ordering::Acquire) {
-            return Err(ZnsError::VolumeReadOnly);
-        }
-        // Everything the scrub touches — device occupancy, trace events —
-        // is blamed on the scrub actor, so foreground ops stalled behind
-        // it show up as interference in their blame trees.
-        let _actor = obs::actor_scope(obs::Actor::Scrub);
-        let devices = self.members.read();
-        let su = self.layout.stripe_unit();
         let stripe_data = self.layout.stripe_data_sectors();
-        let unit_bytes = (su * SECTOR_SIZE) as usize;
-        let mut report = ScrubReport::default();
-        // One stripe in memory: the data units in unit order, the stored
-        // parity slots, and the parity the codec computes over the data.
-        let mut data = vec![0u8; self.layout.data_units() as usize * unit_bytes];
-        let mut stored = vec![0u8; self.scratch_bytes()];
-        let mut fresh = vec![0u8; self.scratch_bytes()];
-        for lz in 0..self.layout.logical_zones() {
-            let mut z = self.lock_shard(lz);
-            let full_stripes = z.wp / stripe_data;
-            for stripe in 0..full_stripes {
-                for dev in 0..self.layout.devices() {
-                    let slot = match self.slot_role(lz, stripe, dev) {
-                        Role::Data(k) => &mut data[k as usize * unit_bytes..][..unit_bytes],
-                        Role::P => &mut stored[..unit_bytes],
-                        Role::Q => &mut stored[unit_bytes..],
+        let report = self.members.scrub(|devices, verify| {
+            if self.read_only.load(Ordering::Acquire) {
+                return Err(ZnsError::VolumeReadOnly);
+            }
+            let mut report = ScrubReport::default();
+            for lz in 0..self.layout.logical_zones() {
+                let mut z = self.lock_shard(lz);
+                for stripe in 0..z.wp / stripe_data {
+                    let src = SlotStripe {
+                        vol: self,
+                        devices,
+                        lzone: lz,
+                        stripe,
                     };
-                    match self.fetch_slot_rows(None, &devices, at, lz, stripe, dev, 0, slot) {
-                        Ok(_) => {}
-                        Err(ZnsError::MediaError { .. }) => {
-                            let scratch = z.scratch_mut(self.scratch_bytes());
-                            self.reconstruct_slot_rows(
-                                scratch, &devices, at, lz, stripe, dev, 0, slot,
-                            )?;
-                            self.relocate_repaired_unit(
-                                &mut z,
-                                &devices,
-                                at,
-                                lz,
-                                stripe,
-                                dev,
-                                slot.to_vec(),
-                                su,
-                            )?;
-                            report.units_healed += 1;
-                            AtomicRaiznStats::add(&self.stats.scrub_repairs, 1);
-                        }
-                        Err(e) => return Err(e),
+                    let damage = verify.stripe(at, &src)?;
+                    report.stripes_checked += 1;
+                    report.units_healed += u64::from(damage.lost.count_ones());
+                    report.parity_repairs += u64::from(damage.differs.count_ones());
+                    let lost = (0..self.layout.devices()).filter(|dev| damage.lost >> dev & 1 == 1);
+                    let legs = self.parity_legs(lz, stripe).map(|(dev, _)| dev);
+                    let wrong = legs.filter(|dev| damage.differs >> dev & 1 == 1);
+                    for dev in lost.chain(wrong) {
+                        let fixed = verify.slot(self.slot_role(lz, stripe, dev)).to_vec();
+                        self.relocate_repaired_unit(&mut z, devices, at, lz, stripe, dev, fixed)?;
+                        AtomicRaiznStats::add(&self.stats.scrub_repairs, 1);
                     }
-                }
-                report.stripes_checked += 1;
-                let (p, q) = fresh.split_at_mut(unit_bytes);
-                sim::encode_pq(&data, Some(p), (!q.is_empty()).then_some(q));
-                // A stored parity slot that differs from the encode of the
-                // data is wrong; the encode is the repair, installed as a
-                // relocated unit.
-                let pdev = self.layout.parity_device(lz, stripe);
-                let legs = [Some(pdev), self.layout.q_device(lz, stripe)];
-                for (leg, dev) in legs.into_iter().enumerate() {
-                    let Some(dev) = dev else { continue };
-                    let col = leg * unit_bytes..(leg + 1) * unit_bytes;
-                    if stored[col.clone()] == fresh[col.clone()] {
-                        continue;
-                    }
-                    let fixed = fresh[col].to_vec();
-                    self.relocate_repaired_unit(&mut z, &devices, at, lz, stripe, dev, fixed, su)?;
-                    report.parity_repairs += 1;
-                    AtomicRaiznStats::add(&self.stats.scrub_repairs, 1);
                 }
             }
-        }
+            Ok(report)
+        })?;
         AtomicRaiznStats::add(&self.stats.scrub_runs, 1);
         Ok(report)
     }
@@ -2151,12 +1951,11 @@ impl RaiznVolume {
             order.push((lz, pri));
         }
         order.sort_by_key(|&(_, pri)| pri);
-        let su = self.layout.stripe_unit();
         let stripe_data = self.layout.stripe_data_sectors();
         let zones = order.len() as u64;
         let report = self
             .members
-            .rebuild(at, replacement, su, zones, |devices, rb| {
+            .rebuild(at, replacement, zones, |devices, rb| {
                 let failed = rb.member() as u32;
                 for (lzone, _) in order {
                     let mut z = self.lock_shard(lzone);
@@ -2274,20 +2073,42 @@ impl ZonedVolume for RaiznVolume {
         let mut z = self.lock_shard(lzone);
         self.tracer.lock_mark(obs::OpClass::Read, lzone, at);
         z.state.check_read(&lgeo, lzone, z.wp, rel0, sectors)?;
+        let z = &mut *z;
         let su = self.layout.stripe_unit();
         let stripe_data = self.layout.stripe_data_sectors();
         let mut done = at;
         let mut cursor = rel0;
         let mut off = 0usize;
+        // Unit by unit through the member layer's read path: a member that
+        // cannot serve its rows is read around — from the stripe buffer
+        // while the stripe has no parity, by decoding once it has — and a
+        // latent unit comes back decoded whole and is relocated, so later
+        // reads never touch the bad sectors.
         while cursor < rel0 + sectors {
             let stripe = cursor / stripe_data;
             let within = cursor % stripe_data;
-            let unit = within / su;
+            let dev = self.layout.data_device(lzone, stripe, within / su);
             let row0 = within % su;
             let rows = (su - row0).min(rel0 + sectors - cursor);
             let out = &mut buf[off..off + (rows * SECTOR_SIZE) as usize];
-            let t = self.read_slot_rows(&mut z, &devices, at, lzone, stripe, unit, row0, out)?;
+            let staged = z.buffer.as_ref().filter(|b| b.stripe() == stripe);
+            let staged = staged.filter(|b| within + rows <= b.filled_sectors());
+            let open = staged.map(|b| b.read_range(within, within + rows));
+            let src = SlotStripe {
+                vol: self,
+                devices: &devices,
+                lzone,
+                stripe,
+            };
+            let scratch = &mut z.scratch;
+            let (t, repaired) = self
+                .members
+                .read_slot(scratch, at, &src, dev, row0, out, open)?;
             done = done.max(t);
+            if let Some(unit) = repaired {
+                let t = self.relocate_repaired_unit(z, &devices, at, lzone, stripe, dev, unit)?;
+                done = done.max(t);
+            }
             cursor += rows;
             off += (rows * SECTOR_SIZE) as usize;
         }

@@ -1,11 +1,13 @@
-//! Fault-injection tests: latent sector errors heal in place on the read
-//! path, transient command errors are absorbed by bounded retries, the
+//! Fault-injection tests: latent sector errors heal on the read path of
+//! every engine, transient command errors are absorbed by bounded retries, the
 //! per-device error budget auto-degrades a flaky device, and scrub passes
 //! verify and repair parity.
 
+use obs::Counter;
 use raizn::{RaiznConfig, RaiznVolume};
 use sim::{SimRng, SimTime};
 use std::sync::Arc;
+use workloads::harness::{roomy_config, FaultTarget, Ls, Pair, Raizn, CACHED};
 use zns::{
     FaultOp, FaultPlan, WriteFlags, ZnsConfig, ZnsDevice, ZnsError, ZonedVolume, SECTOR_SIZE,
 };
@@ -30,42 +32,57 @@ fn read_all(v: &RaiznVolume, sectors: u64) -> Vec<u8> {
     out
 }
 
-/// The acceptance scenario: a seeded plan poisons one stripe unit with
-/// latent read errors; a full-volume read completes anyway, repairs the
-/// unit in place, and subsequent reads of the repaired range never touch
-/// the bad sectors again — including across a remount.
+/// The acceptance scenario, one row per engine and parity level: a seeded
+/// plan poisons one stripe unit of a flushed zone with latent read errors;
+/// a read of the zone completes anyway, byte-identical, and repairs the
+/// unit, and later reads of it never touch the bad sectors again —
+/// including after a flush and a remount.
 #[test]
 fn latent_read_errors_self_heal() {
-    let devs = devices(5);
-    let v = RaiznVolume::format(devs.clone(), RaiznConfig::small_test(), T0).unwrap();
-    let layout = v.layout();
-    let su = layout.stripe_unit();
-    let data = bytes(48, 11); // three complete stripes
-    v.write(T0, 0, &data, WriteFlags::default()).unwrap();
-    v.flush(T0).unwrap();
+    fn row<T: FaultTarget>(target: &T, config: ZnsConfig) {
+        let name = target.name();
+        let fresh = || {
+            let member = |_| Arc::new(ZnsDevice::new(config.clone()));
+            (0..5).map(member).collect()
+        };
+        let mut pair = Pair::format(target, &fresh).unwrap();
+        let recorder = obs::Recorder::new(1 << 12, 1);
+        pair.attach(recorder.clone());
+        let cap = pair.vol.geometry().zone_cap();
+        pair.write(0, cap, CACHED).unwrap();
+        pair.flush().unwrap();
 
-    // Poison the unit device 'dev' holds for (lz 0, stripe 1).
-    let dev = layout.data_device(0, 1, 1) as usize;
-    let bad_pba = layout.stripe_pba(0, 1);
-    devs[dev].set_fault_plan(FaultPlan::new(42).latent_range(bad_pba, su));
+        let (dev, bad) = target.locate(&pair.vol, cap / 2);
+        let poisoned = pair.members[dev].clone();
+        poisoned.set_fault_plan(FaultPlan::new(42).latent_range(bad.start, bad.end - bad.start));
 
-    assert_eq!(read_all(&v, 48), data, "read must heal around media errors");
-    let stats = v.stats();
-    assert!(stats.read_repairs > 0, "repair not recorded");
-    assert_eq!(stats.degraded_reads, 0, "heal is a repair, not degraded IO");
-    assert!(v.failed_device().is_none());
+        let read_all = |pair: &Pair<T>| {
+            pair.read(0, 0, cap)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+        };
+        read_all(&pair);
+        let repairs = recorder.count(Counter::ReadRepairs);
+        assert!(repairs > 0, "{name}: repair not recorded");
+        let degraded = recorder.count(Counter::DegradedReads);
+        assert_eq!(degraded, 0, "{name}: heal is a repair, not degraded IO");
+        assert!(pair.members.iter().all(|d| !d.is_failed()), "{name}");
 
-    // Re-read: served from the repaired copy, no new media errors hit.
-    let media_hits = devs[dev].stats().injected_media_errors;
-    assert_eq!(read_all(&v, 48), data);
-    assert_eq!(v.stats().read_repairs, stats.read_repairs);
-    assert_eq!(devs[dev].stats().injected_media_errors, media_hits);
+        // Re-read: served from the repaired copy, no new media errors hit.
+        let media_hits = poisoned.stats().injected_media_errors;
+        read_all(&pair);
+        assert_eq!(recorder.count(Counter::ReadRepairs), repairs, "{name}");
+        assert_eq!(poisoned.stats().injected_media_errors, media_hits, "{name}");
 
-    // The repair record persisted: a remount still avoids the bad unit.
-    drop(v);
-    let v2 = RaiznVolume::mount(devs.clone(), RaiznConfig::small_test(), T0).unwrap();
-    assert_eq!(read_all(&v2, 48), data);
-    assert_eq!(devs[dev].stats().injected_media_errors, media_hits);
+        // The repair is durable: after a remount reads still avoid the unit.
+        pair.flush().unwrap();
+        pair.vol = Arc::new(target.mount(pair.members.clone()).unwrap());
+        read_all(&pair);
+        assert_eq!(poisoned.stats().injected_media_errors, media_hits, "{name}");
+    }
+    row(&Raizn::small(1), ZnsConfig::small_test());
+    row(&Raizn::small(2), ZnsConfig::small_test());
+    row(&Ls::small(1), roomy_config());
+    row(&Ls::small(2), roomy_config());
 }
 
 #[test]

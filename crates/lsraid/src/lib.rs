@@ -75,6 +75,7 @@ use meta::{finish_record, kind, parse_record, put_u32, put_u64, MetaLog, Record,
 use parking_lot::Mutex;
 use sim::codec::Role;
 use sim::SimTime;
+use std::ops::Range;
 use std::sync::Arc;
 use zns::array::{
     unit_segments, Exhausted, Fill, Members, RebuildReport, Roster, Stripe, DEVICE_ERROR_BUDGET,
@@ -204,6 +205,11 @@ pub struct LsStats {
     pub transient_retries: u64,
     /// Members auto-degraded after exceeding their error budget.
     pub auto_degrades: u64,
+    /// Reads served around a member that could not serve them: from the
+    /// stage while their stripe is open, else decoded.
+    pub degraded_reads: u64,
+    /// Latent units a read decoded whole and re-logged.
+    pub read_repairs: u64,
 }
 
 /// Result of a full-array parity scrub.
@@ -328,13 +334,11 @@ pub struct LsVolume {
     geo: ZoneGeometry,
     n: usize,
     p: usize,
-    /// Data units per stripe (`n - p`).
-    d: usize,
     /// Stripe unit in sectors.
     k: u64,
     /// Stripes per group (`zone_cap / k`).
     s: u64,
-    /// Data slots per stripe (`k * d`).
+    /// Data slots per stripe (`k * (n - p)`).
     kd: u64,
     /// Data slots per group (`s * kd`).
     group_cap: u64,
@@ -521,13 +525,14 @@ impl LsVolume {
         if devices.iter().any(|dev| dev.config().geometry() != phys) {
             return Err(invalid("lsraid: devices disagree on geometry"));
         }
+        let k = config.stripe_unit;
         let members = Members::new(
             devices,
             p as u32,
+            k,
             TRANSIENT_RETRY_LIMIT,
             DEVICE_ERROR_BUDGET,
         )?;
-        let k = config.stripe_unit;
         let c = phys.zone_cap();
         if k == 0 || !c.is_multiple_of(k) {
             return Err(invalid("lsraid: stripe unit must divide zone capacity"));
@@ -645,7 +650,6 @@ impl LsVolume {
             geo,
             n,
             p,
-            d,
             k,
             s,
             kd,
@@ -721,6 +725,8 @@ impl LsVolume {
             meta_rotations: inner.meta.epoch.saturating_sub(1),
             transient_retries: self.members.transient_retries(),
             auto_degrades: self.members.auto_degrades(),
+            degraded_reads: self.members.degraded_reads(),
+            read_repairs: self.members.read_repairs(),
         }
     }
 
@@ -1560,11 +1566,14 @@ impl LsVolume {
         let gi = g as usize;
         let stripe = inner.groups[gi].sealed;
         let unit = (self.k * SECTOR_SIZE) as usize;
+        let leg_dev = |leg: u64| ((stripe + leg) % self.n as u64) as usize;
+        // A failed member's parity column is neither computed nor issued.
+        let live = |leg: u64| !self.members.is_failed(leg_dev(leg));
         let (p, q) = inner.parity.split_at_mut(unit);
         sim::encode_pq(
             whole.unwrap_or(&inner.stages[stream]),
-            Some(p),
-            (self.p == 2).then_some(q),
+            live(0).then_some(p),
+            (self.p == 2 && live(1)).then_some(q),
         );
         let legs = [
             (obs::PathKind::FullParity, obs::Counter::FullParityWrites),
@@ -1574,12 +1583,12 @@ impl LsVolume {
         let mut done = t;
         for (i, (column, (path, counter))) in inner.parity.chunks_exact(unit).zip(legs).enumerate()
         {
-            let dev = ((stripe + i as u64) % self.n as u64) as usize;
+            let dev = leg_dev(i as u64);
             let lba = self.phys.zone_start(inner.groups[gi].zones[dev]) + stripe * self.k;
             // A failed member's parity leg is omitted, like a data leg.
-            let c = match self.members.is_failed(dev) {
-                true => t,
-                false => devices.command(t, dev, Exhausted::Omit, |d| {
+            let c = match live(i as u64) {
+                false => t,
+                true => devices.command(t, dev, Exhausted::Omit, |d| {
                     Ok(d.write(t, lba, column, WriteFlags::default())?.done)
                 })?,
             };
@@ -1657,9 +1666,14 @@ impl LsVolume {
 
     /// Reads mapped sectors, coalescing physically contiguous runs
     /// (bounded by the stripe unit) into single device commands issued
-    /// in parallel. A run its member cannot serve — failed, or a read
-    /// error the member layer gave up on — is decoded from the rest of
-    /// its stripe, or copied from the stage while its stripe is open.
+    /// in parallel, each through the member layer's read path
+    /// ([`Members::read_slot`], the parity scratch as the decode's spare
+    /// columns): a run its member cannot serve is copied from the stage
+    /// while its stripe is open, else decoded from the rest of the
+    /// stripe. A latent unit comes back decoded whole, and its valid
+    /// sectors are re-logged once the decode completes, so later reads find
+    /// them elsewhere — unless this read is a migration out of the unit's
+    /// group, which moves them anyway.
     fn read_inner(
         &self,
         inner: &mut LsInner,
@@ -1667,7 +1681,6 @@ impl LsVolume {
         lba: u64,
         buf: &mut [u8],
     ) -> Result<SimTime> {
-        let devices = self.members.read();
         let nsec = buf.len() as u64 / SECTOR_SIZE;
         let mut done = at;
         let mut i = 0u64;
@@ -1683,67 +1696,51 @@ impl LsVolume {
                 run += 1;
             }
             let (g, slot) = (group_of(pa), slot_of(pa));
-            let (dev, plba) = self.locate_slot(inner, g, slot);
+            let (stripe, off) = (slot / self.kd, slot % self.kd);
             let out = &mut buf[(i * SECTOR_SIZE) as usize..((i + run) * SECTOR_SIZE) as usize];
-            let read = match self.members.is_failed(dev) {
-                true => Err(ZnsError::DeviceFailed),
-                false => devices.command(at, dev, Exhausted::Surface, |d| {
-                    Ok(d.read(at, plba, out)?.done)
-                }),
+            let grp = &inner.groups[g as usize];
+            let from = (off * SECTOR_SIZE) as usize;
+            let open = match grp.state {
+                GState::Open(s) if stripe == grp.sealed => {
+                    Some(&inner.stages[usize::from(s)][from..from + out.len()])
+                }
+                _ => None,
             };
-            let c = match read {
-                Err(
-                    ZnsError::MediaError { .. }
-                    | ZnsError::TransientError { .. }
-                    | ZnsError::DeviceFailed,
-                ) => self.degraded_read(inner, &devices, at, g, slot, out)?,
-                c => c?,
+            let dev = self.data_dev(stripe, (off / self.k) as usize) as u32;
+            let (t, repaired) = {
+                let devices = self.members.read();
+                let src = GroupStripe {
+                    vol: self,
+                    devices: &devices,
+                    zones: &grp.zones,
+                    g,
+                    stripe,
+                };
+                let parity = &mut inner.parity;
+                self.members
+                    .read_slot(parity, at, &src, dev, within, out, open)?
             };
-            done = done.max(c);
+            done = done.max(t);
+            if let Some(unit) = repaired.filter(|_| inner.migrating != Some(g)) {
+                let first = slot - within;
+                let (_, relogged) = self.relog(inner, t, g, first..first + self.k, &unit)?;
+                done = done.max(relogged);
+            }
             i += run;
         }
         Ok(done)
     }
 
-    /// Serves data slots `slot..` of group `g` that their member cannot:
-    /// from the stage while the stripe is open (it has no parity yet),
-    /// else decoded through the member layer from the stripe's other
-    /// members, in the parity scratch. Allocates nothing.
-    fn degraded_read(
-        &self,
-        inner: &mut LsInner,
-        devices: &Roster<'_>,
-        at: SimTime,
-        g: u32,
-        slot: u64,
-        out: &mut [u8],
-    ) -> Result<SimTime> {
-        let LsInner {
-            groups,
-            stages,
-            parity,
-            ..
-        } = inner;
-        let grp = &groups[g as usize];
-        let (stripe, off) = (slot / self.kd, slot % self.kd);
-        self.tracer.bump(obs::Counter::DegradedReads);
-        if let GState::Open(stream) = grp.state {
-            if stripe == grp.sealed {
-                let from = (off * SECTOR_SIZE) as usize;
-                out.copy_from_slice(&stages[usize::from(stream)][from..from + out.len()]);
-                return Ok(at);
-            }
-        }
-        let src = GroupStripe {
-            vol: self,
-            devices,
-            zones: &grp.zones,
-            g,
-            stripe,
-        };
-        let dev = self.data_dev(stripe, (off / self.k) as usize) as u32;
-        self.members
-            .reconstruct(parity, at, &src, dev, off % self.k, out)
+    /// The member holding logical sector `lba` and the physical sectors of
+    /// the stripe unit it lies in (`None` while unmapped), for tests that
+    /// aim a fault at one unit.
+    #[doc(hidden)]
+    pub fn locate(&self, lba: Lba) -> Option<(usize, Range<Lba>)> {
+        let inner = self.inner.lock();
+        let pa = *inner.map.get(lba as usize).filter(|&&pa| pa != NONE64)?;
+        let (dev, plba) = self.locate_slot(&inner, group_of(pa), slot_of(pa));
+        let start = plba - slot_of(pa) % self.k;
+        Some((dev, start..start + self.k))
     }
 
     // ------------------------------------------------------------------
@@ -2019,143 +2016,91 @@ impl LsVolume {
     // Scrub
     // ------------------------------------------------------------------
 
-    /// Verifies parity over every sealed stripe of every non-free group,
-    /// and repairs by re-logging: a stripe whose stored P or Q does not
-    /// match its data, or one of whose data units hit a latent media error
-    /// (decoded from the rest of the stripe), has its valid sectors written
-    /// back through the log as GC migrations, and GC later reclaims the old
-    /// copies. Refuses a degraded array, whose parity cannot be verified.
+    /// Verifies parity over every sealed stripe of every non-free group
+    /// through the member layer's scrub ([`Members::scrub`], which refuses
+    /// a degraded array and blames the pass on the scrub actor), and
+    /// repairs by re-logging: a stripe whose stored P or Q does not match
+    /// its data, or one of whose slots hit a latent media error (decoded
+    /// from the rest of the stripe), has its valid sectors written back
+    /// through the log as GC migrations, and GC later reclaims the old
+    /// copies.
     ///
     /// # Errors
     ///
     /// [`ZnsError::DeviceFailed`] with a member failed; device IO failures.
     pub fn scrub(&self, at: SimTime) -> Result<LsScrubReport> {
-        if self.members.failure_mask() != 0 {
-            return Err(ZnsError::DeviceFailed);
-        }
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        let mut rep = LsScrubReport::default();
-        let bytes = (self.k * SECTOR_SIZE) as usize;
-        // One stripe in memory: the data units in unit order, the parity
-        // the codec computes over them, and one stored parity slot.
-        let mut data = vec![0u8; self.d * bytes];
-        let mut fresh = vec![0u8; self.p * bytes];
-        let mut stored = vec![0u8; bytes];
-        for g in 0..inner.groups.len() as u32 {
-            // A re-log may append to this very group: `sealed` is re-read.
-            let mut stripe = 0;
-            while inner.groups[g as usize].state != GState::Free
-                && stripe < inner.groups[g as usize].sealed
-            {
-                rep.stripes += 1;
-                let stripe_bufs = (&mut data[..], &mut fresh[..], &mut stored[..]);
-                if self.scrub_stripe(inner, at, g, stripe, stripe_bufs, &mut rep)? {
-                    rep.sectors_relogged += self.relog_stripe(inner, at, g, stripe, &data)?;
+        self.members.scrub(|devices, verify| {
+            let mut rep = LsScrubReport::default();
+            for g in 0..inner.groups.len() as u32 {
+                // A re-log may append to this very group: `sealed` is re-read.
+                let mut stripe = 0;
+                while inner.groups[g as usize].state != GState::Free
+                    && stripe < inner.groups[g as usize].sealed
+                {
+                    rep.stripes += 1;
+                    let src = GroupStripe {
+                        vol: self,
+                        devices,
+                        zones: &inner.groups[g as usize].zones,
+                        g,
+                        stripe,
+                    };
+                    let damage = verify.stripe(at, &src)?;
+                    let leg = |i: u64| 1u64 << ((stripe + i) % self.n as u64);
+                    let (p, q) = (leg(0), if self.p == 2 { leg(1) } else { 0 });
+                    let bad = damage.lost | damage.differs;
+                    rep.parity_errors += u64::from(bad & p != 0);
+                    rep.q_errors += u64::from(bad & q != 0);
+                    rep.units_healed += u64::from((damage.lost & !(p | q)).count_ones());
+                    if bad != 0 {
+                        let first = stripe * self.kd;
+                        let slots = first..first + self.kd;
+                        rep.sectors_relogged += self.relog(inner, at, g, slots, verify.data())?.0;
+                    }
+                    stripe += 1;
                 }
-                stripe += 1;
             }
-        }
-        Ok(rep)
+            Ok(rep)
+        })
     }
 
-    /// Reads and verifies one sealed stripe into `data` (its data units,
-    /// a unit lost to a media error decoded in place), `fresh` (the parity
-    /// of `data`) and `stored` (each stored parity slot in turn); counts
-    /// what it finds in `rep`. Returns whether the stripe is damaged.
-    fn scrub_stripe(
+    /// Writes the valid sectors among data slots `slots` of group `g` —
+    /// whose verified bytes are `data`, from the range's first slot on —
+    /// back through the log as GC migrations out of `g`, all issued at
+    /// `at`, so their copies in `g` become garbage. Returns the sectors
+    /// moved and the latest completion.
+    fn relog(
         &self,
         inner: &mut LsInner,
         at: SimTime,
         g: u32,
-        stripe: u64,
-        (data, fresh, stored): (&mut [u8], &mut [u8], &mut [u8]),
-        rep: &mut LsScrubReport,
-    ) -> Result<bool> {
-        let LsInner { groups, parity, .. } = inner;
-        let zones = &groups[g as usize].zones;
-        let devices = self.members.read();
-        let unit = stored.len();
-        let read = |dev: usize, out: &mut [u8]| {
-            let lba = self.phys.zone_start(zones[dev]) + stripe * self.k;
-            match devices.command(at, dev, Exhausted::Surface, |d| {
-                Ok(d.read(at, lba, out)?.done)
-            }) {
-                Ok(_) => Ok(true),
-                Err(ZnsError::MediaError { .. }) => Ok(false),
-                Err(e) => Err(e),
-            }
-        };
-        let mut lost = Vec::new();
-        for (u, unit_buf) in data.chunks_exact_mut(unit).enumerate() {
-            if !read(self.data_dev(stripe, u), unit_buf)? {
-                lost.push(u);
-            }
-        }
-        let src = GroupStripe {
-            vol: self,
-            devices: &devices,
-            zones,
-            g,
-            stripe,
-        };
-        for &u in &lost {
-            let dev = self.data_dev(stripe, u) as u32;
-            let out = &mut data[u * unit..(u + 1) * unit];
-            self.members.reconstruct(parity, at, &src, dev, 0, out)?;
-            rep.units_healed += 1;
-        }
-        let (p, q) = fresh.split_at_mut(unit);
-        sim::encode_pq(data, Some(p), (self.p == 2).then_some(q));
-        let mut damaged = !lost.is_empty();
-        for (leg, column) in fresh.chunks_exact(unit).enumerate() {
-            let dev = ((stripe + leg as u64) % self.n as u64) as usize;
-            if read(dev, stored)? && stored == column {
-                continue;
-            }
-            match leg {
-                0 => rep.parity_errors += 1,
-                _ => rep.q_errors += 1,
-            }
-            damaged = true;
-        }
-        Ok(damaged)
-    }
-
-    /// Writes the valid sectors of `stripe` in group `g` — whose verified
-    /// bytes are `data` — back through the log as GC migrations out of `g`,
-    /// so the stripe's copies become garbage. Returns the sectors moved.
-    fn relog_stripe(
-        &self,
-        inner: &mut LsInner,
-        at: SimTime,
-        g: u32,
-        stripe: u64,
+        slots: Range<u64>,
         data: &[u8],
-    ) -> Result<u64> {
+    ) -> Result<(u64, SimTime)> {
         let saved = inner.migrating.replace(g);
         let target = self.migration_target(inner);
-        let (first, end) = (stripe * self.kd, (stripe + 1) * self.kd);
-        let (mut cursor, mut moved) = (first, 0);
+        let (mut cursor, mut moved, mut done) = (slots.start, 0, at);
         let mut res = Ok(());
         while let Some((lba, len, next)) = self.valid_run_inner(inner, g, cursor, self.kd) {
             let start = next - len;
-            if start >= end {
+            if start >= slots.end {
                 break;
             }
-            let len = len.min(end - start);
-            let off = ((start - first) * SECTOR_SIZE) as usize;
+            let len = len.min(slots.end - start);
+            let off = ((start - slots.start) * SECTOR_SIZE) as usize;
             let run = &data[off..off + (len * SECTOR_SIZE) as usize];
             res = self
                 .log_data(inner, at, run, LogMode::Gc, lba, target)
-                .map(drop);
+                .map(|t| done = done.max(t));
             if res.is_err() {
                 break;
             }
             (cursor, moved) = (start + len, moved + len);
         }
         inner.migrating = saved;
-        res.map(|()| moved)
+        res.map(|()| (moved, done))
     }
 
     // ------------------------------------------------------------------
@@ -2189,38 +2134,36 @@ impl LsVolume {
             .filter(|grp| grp.state != GState::Free && !dead(grp));
         let live = live.count() as u64;
         let mut member = 0;
-        let mut report = self
-            .members
-            .rebuild(at, replacement, self.k, live, |devices, rb| {
-                member = rb.member();
-                self.flush_inner(inner, at)?;
-                for g in 0..inner.groups.len() as u32 {
-                    if dead(&inner.groups[g as usize]) {
-                        self.reclaim_inner(inner, at, g)?;
-                    }
+        let mut report = self.members.rebuild(at, replacement, live, |devices, rb| {
+            member = rb.member();
+            self.flush_inner(inner, at)?;
+            for g in 0..inner.groups.len() as u32 {
+                if dead(&inner.groups[g as usize]) {
+                    self.reclaim_inner(inner, at, g)?;
                 }
-                for (g, grp) in (0..).zip(&inner.groups) {
-                    if grp.state == GState::Free {
-                        continue;
-                    }
-                    let zone = grp.zones[member];
-                    for stripe in 0..grp.sealed {
-                        let src = GroupStripe {
-                            vol: self,
-                            devices,
-                            zones: &grp.zones,
-                            g,
-                            stripe,
-                        };
-                        rb.extent(zone, stripe, self.k, Fill::Reconstruct(&src))?;
-                    }
-                    if grp.state == GState::Sealed {
-                        rb.seal(zone)?;
-                    }
-                    rb.zone_done();
+            }
+            for (g, grp) in (0..).zip(&inner.groups) {
+                if grp.state == GState::Free {
+                    continue;
                 }
-                Ok(())
-            })?;
+                let zone = grp.zones[member];
+                for stripe in 0..grp.sealed {
+                    let src = GroupStripe {
+                        vol: self,
+                        devices,
+                        zones: &grp.zones,
+                        g,
+                        stripe,
+                    };
+                    rb.extent(zone, stripe, self.k, Fill::Reconstruct(&src))?;
+                }
+                if grp.state == GState::Sealed {
+                    rb.seal(zone)?;
+                }
+                rb.zone_done();
+            }
+            Ok(())
+        })?;
         if member < self.meta_devices() {
             let done = self.rotate_meta(inner, at + report.duration)?;
             report.duration = report.duration.max(done.since(at));

@@ -4,9 +4,9 @@
 
 use lsraid::{DirectSink, GcConfig, GcManager, LsConfig, LsVolume};
 use proptest::prelude::*;
-use sim::{SimRng, SimTime};
+use sim::{SimDuration, SimRng, SimTime};
 use std::sync::Arc;
-use zns::{CrashPolicy, WriteFlags, ZnsConfig, ZnsDevice, ZonedVolume, SECTOR_SIZE};
+use zns::{CrashPolicy, LatencyConfig, WriteFlags, ZnsConfig, ZnsDevice, ZonedVolume, SECTOR_SIZE};
 
 const T0: SimTime = SimTime::ZERO;
 
@@ -623,4 +623,61 @@ fn scrub_relogs_a_stripe_with_a_latent_data_unit() {
         verify_zone(&vol, z, 0);
     }
     assert_eq!(devs[1].stats().injected_media_errors, hits);
+}
+
+/// lsraid answers to the observability plane as RAIZN does: a read around
+/// a failed member counts a degraded read and emits one `Degraded` span,
+/// and a foreground read queued behind a scrub's reads is blamed on the
+/// scrub (`interference_rebuild`), not on nobody.
+#[test]
+fn degraded_reads_and_scrub_interference_are_traced() {
+    let recorder = obs::Recorder::new(1 << 14, 1);
+    recorder.enable_spans(obs::SpanConfig::default());
+    let config = ZnsConfig::builder()
+        .zones(16, 64, 64)
+        .open_limits(8, 12)
+        .latency(LatencyConfig::zns_ssd())
+        .build();
+    let devs: Vec<_> = (0..5u32)
+        .map(|i| {
+            let dev = Arc::new(ZnsDevice::new(config.clone()));
+            dev.set_recorder(recorder.clone(), i);
+            dev
+        })
+        .collect();
+    let vol = LsVolume::format(devs, LsConfig::default(), T0).unwrap();
+    vol.set_recorder(recorder.clone());
+    for z in 0..2 {
+        write_zone(&vol, z, 0);
+    }
+    vol.flush(T0).unwrap();
+
+    // Long after the fill drained: the scrub's reads and a foreground read
+    // of the same stripes, issued at one instant.
+    let at = T0 + SimDuration::from_secs(1);
+    assert_eq!(vol.scrub(at).unwrap().parity_errors, 0);
+    let mut buf = vec![0u8; (vol.stripe_unit() * SECTOR_SIZE) as usize];
+    vol.read(at, 0, &mut buf).unwrap();
+    let col = obs::BLAME_CATEGORIES
+        .iter()
+        .position(|&c| c == "interference_rebuild")
+        .unwrap();
+    let blamed: u64 = recorder
+        .blame_rows()
+        .iter()
+        .map(|r| r.categories[col])
+        .sum();
+    assert!(blamed > 0, "a read behind the scrub is not blamed on it");
+
+    vol.fail_device(1).unwrap();
+    let spans = || {
+        let degraded = |e: &obs::TraceEvent| e.path == Some(obs::PathKind::Degraded);
+        recorder.events().iter().filter(|e| degraded(e)).count() as u64
+    };
+    let before = spans();
+    verify_zone(&vol, 0, 0);
+    let stats = vol.stats();
+    assert!(stats.degraded_reads > 0, "no read went around member 1");
+    assert_eq!(spans() - before, stats.degraded_reads, "one span per read");
+    assert_eq!(stats.read_repairs, 0);
 }

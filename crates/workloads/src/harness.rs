@@ -16,7 +16,7 @@ use sim::{SimRng, SimTime};
 use std::ops::Range;
 use std::sync::Arc;
 use zns::{
-    CrashPolicy, LatencyConfig, WriteFlags, ZnsConfig, ZnsDevice, ZoneState, ZonedVolume,
+    CrashPolicy, LatencyConfig, Lba, WriteFlags, ZnsConfig, ZnsDevice, ZoneState, ZonedVolume,
     SECTOR_SIZE,
 };
 
@@ -91,6 +91,10 @@ pub trait FaultTarget {
     ///
     /// Propagates the engine's rebuild failure.
     fn rebuild(&self, vol: &Self::Volume, replacement: Arc<ZnsDevice>) -> zns::Result<()>;
+
+    /// The member holding written logical sector `lba` and the physical
+    /// sectors of the stripe unit it lies in, where a fault plan can aim.
+    fn locate(&self, vol: &Self::Volume, lba: Lba) -> (usize, Range<Lba>);
 }
 
 /// RAIZN (parity 1) and RAIZN-2 (parity 2).
@@ -131,6 +135,12 @@ impl FaultTarget for Raizn {
     fn rebuild(&self, vol: &RaiznVolume, replacement: Arc<ZnsDevice>) -> zns::Result<()> {
         vol.rebuild(T0, replacement).map(|_| ())
     }
+    fn locate(&self, vol: &RaiznVolume, lba: Lba) -> (usize, Range<Lba>) {
+        let (layout, loc) = (vol.layout(), vol.layout().locate(lba));
+        let (dev, pba) = layout.device_pba(loc);
+        let start = pba - loc.within_unit;
+        (dev as usize, start..start + layout.stripe_unit())
+    }
 }
 
 /// The log-structured engine (parity 1 or 2).
@@ -167,6 +177,9 @@ impl FaultTarget for Ls {
     }
     fn rebuild(&self, vol: &LsVolume, replacement: Arc<ZnsDevice>) -> zns::Result<()> {
         vol.rebuild(T0, replacement).map(|_| ())
+    }
+    fn locate(&self, vol: &LsVolume, lba: Lba) -> (usize, Range<Lba>) {
+        vol.locate(lba).expect("a written sector is mapped")
     }
 }
 

@@ -4,12 +4,15 @@
 //! An engine owns a [`Members`]: the device table, the failure mask and the
 //! per-member error counters. Every command it sends a member goes through
 //! [`Roster::command`] — the one bounded transient retry, the one error
-//! budget and the one auto-degrade. Every erasure decode goes through
-//! [`Members::reconstruct`] over the engine's [`Stripe`] (which role each
-//! member plays, which failed member is still served elsewhere, how a slot
-//! is read), and every rebuild through [`Members::rebuild`], whose policy
-//! closure names the live extents of the lost member. What stays with the
-//! engine is its policy: layout, caches, metadata.
+//! budget and the one auto-degrade. Every erasure decode is the one decode
+//! loop here, over the engine's [`Stripe`] (which role each member plays,
+//! which failed member is still served elsewhere, how a slot is read), and
+//! an engine reaches it only three ways: every data read through
+//! [`Members::read_slot`], which decides what a failed member read
+//! becomes; every scrub through [`Members::scrub`] and [`Verify::stripe`];
+//! every rebuild through [`Members::rebuild`], whose policy closure names
+//! the live extents of the lost member. What stays with the engine is its
+//! policy: layout, caches, metadata, and where a repaired unit goes.
 
 use crate::{Result, WriteFlags, ZnsDevice, ZnsError, ZoneInfo, ZonedVolume, SECTOR_SIZE};
 use parking_lot::{RwLock, RwLockReadGuard};
@@ -44,8 +47,8 @@ pub fn unit_segments(from: u64, to: u64, su: u64) -> impl Iterator<Item = (u64, 
 }
 
 /// The erasure decode of `target` with `other` lost beside it: the one
-/// place a decode plan is made, for [`Members::reconstruct`] and for a
-/// mount's decode from replayed parity images.
+/// place a decode plan is made, for the member layer's decode loop and for
+/// a mount's decode from replayed parity images.
 ///
 /// # Errors
 ///
@@ -129,11 +132,15 @@ pub struct Members {
     /// Unrecovered errors charged per member.
     errors: Vec<AtomicU64>,
     parity: u32,
+    /// Sectors per member slot of a stripe (the stripe unit).
+    unit_sectors: u64,
     retry_limit: u32,
     error_budget: u64,
     transient_retries: AtomicU64,
     auto_degrades: AtomicU64,
+    degraded_reads: AtomicU64,
     double_degraded_reads: AtomicU64,
+    read_repairs: AtomicU64,
     /// Rebuild progress gauges: zones scheduled and completed by the
     /// in-flight rebuild (0 when none runs).
     rebuild_total: AtomicU64,
@@ -142,10 +149,11 @@ pub struct Members {
 }
 
 impl Members {
-    /// An array of `devices` tolerating `parity` failed members, whose
-    /// commands retry transients up to `retry_limit` times and which
-    /// degrades a member past `error_budget` unrecovered errors. Members
-    /// already failed join the failure mask.
+    /// An array of `devices` tolerating `parity` failed members, striped
+    /// in `unit_sectors`-sector units, whose commands retry transients up
+    /// to `retry_limit` times and which degrades a member past
+    /// `error_budget` unrecovered errors. Members already failed join the
+    /// failure mask.
     ///
     /// # Errors
     ///
@@ -154,6 +162,7 @@ impl Members {
     pub fn new(
         devices: Vec<Arc<ZnsDevice>>,
         parity: u32,
+        unit_sectors: u64,
         retry_limit: u32,
         error_budget: u64,
     ) -> Result<Members> {
@@ -177,11 +186,14 @@ impl Members {
             devices: RwLock::new(devices),
             failed: AtomicU64::new(failed),
             parity,
+            unit_sectors,
             retry_limit,
             error_budget,
             transient_retries: AtomicU64::new(0),
             auto_degrades: AtomicU64::new(0),
+            degraded_reads: AtomicU64::new(0),
             double_degraded_reads: AtomicU64::new(0),
+            read_repairs: AtomicU64::new(0),
             rebuild_total: AtomicU64::new(0),
             rebuild_done: AtomicU64::new(0),
             tracer: obs::Tracer::new(),
@@ -204,6 +216,10 @@ impl Members {
 
     fn len(&self) -> usize {
         self.errors.len()
+    }
+
+    fn unit_bytes(&self) -> usize {
+        (self.unit_sectors * SECTOR_SIZE) as usize
     }
 
     /// The failed-member bitmask.
@@ -303,9 +319,19 @@ impl Members {
         self.auto_degrades.load(Ordering::Relaxed)
     }
 
+    /// Reads served around a member that could not serve them.
+    pub fn degraded_reads(&self) -> u64 {
+        self.degraded_reads.load(Ordering::Relaxed)
+    }
+
     /// Decodes that solved around two erasures.
     pub fn double_degraded_reads(&self) -> u64 {
         self.double_degraded_reads.load(Ordering::Relaxed)
+    }
+
+    /// Latent units a read decoded whole and handed back for repair.
+    pub fn read_repairs(&self) -> u64 {
+        self.read_repairs.load(Ordering::Relaxed)
     }
 
     /// `(zones scheduled, zones done)` of the in-flight rebuild.
@@ -333,7 +359,7 @@ impl Members {
     ///
     /// [`ZnsError::DeviceFailed`] past the parity headroom, or the first
     /// fetch error that is not an erasure.
-    pub fn reconstruct(
+    fn reconstruct(
         &self,
         scratch: &mut [u8],
         at: SimTime,
@@ -408,6 +434,109 @@ impl Members {
         Ok(done)
     }
 
+    /// Reads rows `[row0, ..)` of the data unit member `dev` holds in
+    /// `stripe` into `out`: the one read path of every engine, and the one
+    /// place that decides what a member read that failed becomes (§4.2).
+    ///
+    /// A member that cannot serve the rows — failed with nothing else
+    /// serving its slot, a retry-exhausted transient, a media error — is
+    /// read around, counting a degraded read and emitting one
+    /// [`obs::PathKind::Degraded`] span: while the stripe has no parity
+    /// yet, `open` holds the engine's staged bytes of those rows and they
+    /// are served; once it has, the rows are decoded in `scratch`, the
+    /// engine's spare columns, grown to `parity` units on first use. A
+    /// media error in a stripe with parity is a latent sector instead: the
+    /// whole unit is decoded, the rows are served from it, and it comes
+    /// back with the completion for the engine to store where reads will
+    /// find it (a read repair, counted).
+    ///
+    /// # Errors
+    ///
+    /// A fetch error that is not an erasure; the decode's error.
+    #[allow(clippy::too_many_arguments)]
+    pub fn read_slot(
+        &self,
+        scratch: &mut Vec<u8>,
+        at: SimTime,
+        stripe: &dyn Stripe,
+        dev: u32,
+        row0: u64,
+        out: &mut [u8],
+        open: Option<&[u8]>,
+    ) -> Result<(SimTime, Option<Vec<u8>>)> {
+        let err = match stripe.fetch(at, dev, row0, out) {
+            Err(
+                e @ (ZnsError::MediaError { .. }
+                | ZnsError::TransientError { .. }
+                | ZnsError::DeviceFailed),
+            ) => e,
+            done => return done.map(|t| (t, None)),
+        };
+        let spare = self.unit_bytes() * self.parity as usize;
+        let mut decode = |row0: u64, out: &mut [u8]| {
+            if scratch.len() < spare {
+                scratch.resize(spare, 0);
+            }
+            self.reconstruct(&mut scratch[..spare], at, stripe, dev, row0, out)
+        };
+        if let (ZnsError::MediaError { .. }, None) = (err, open) {
+            let mut unit = vec![0u8; self.unit_bytes()];
+            let done = decode(0, &mut unit)?;
+            let off = (row0 * SECTOR_SIZE) as usize;
+            out.copy_from_slice(&unit[off..off + out.len()]);
+            self.read_repairs.fetch_add(1, Ordering::Relaxed);
+            self.tracer.bump(obs::Counter::ReadRepairs);
+            return Ok((done, Some(unit)));
+        }
+        self.degraded_reads.fetch_add(1, Ordering::Relaxed);
+        self.tracer.bump(obs::Counter::DegradedReads);
+        let done = match open {
+            Some(rows) => {
+                out.copy_from_slice(rows);
+                at
+            }
+            None => decode(row0, out)?,
+        };
+        self.tracer.leaf(
+            obs::Span::new(obs::OpClass::Read, obs::Stage::WholeOp, at, done)
+                .path(obs::PathKind::Degraded)
+                .zone(stripe.zone())
+                .sectors(out.len() as u64 / SECTOR_SIZE),
+        );
+        Ok((done, None))
+    }
+
+    /// Runs one scrub pass (§4.2 maintenance). Refuses a degraded array —
+    /// parity is only checked, and a repair only trusted, with every
+    /// member present — blames device time on [`obs::Actor::Scrub`], so
+    /// foreground ops stalled behind it show up as interference in their
+    /// blame trees, and hands `walk` the roster and one [`Verify`]: the
+    /// engine picks the stripes and repairs what [`Verify::stripe`] finds.
+    ///
+    /// # Errors
+    ///
+    /// [`ZnsError::DeviceFailed`] with a member failed; whatever `walk`
+    /// fails with.
+    pub fn scrub<T>(
+        &self,
+        walk: impl FnOnce(&Roster<'_>, &mut Verify<'_>) -> Result<T>,
+    ) -> Result<T> {
+        if self.failure_mask() != 0 {
+            return Err(ZnsError::DeviceFailed);
+        }
+        let _actor = obs::actor_scope(obs::Actor::Scrub);
+        let unit = self.unit_bytes();
+        let columns = unit * self.parity as usize;
+        let mut verify = Verify {
+            members: self,
+            unit,
+            data: vec![0u8; unit * (self.len() - self.parity as usize)],
+            stored: vec![0u8; columns],
+            fresh: vec![0u8; columns],
+        };
+        walk(&self.read(), &mut verify)
+    }
+
     /// Rebuilds the lowest failed member onto `replacement`: `policy`
     /// walks the `zones` zones the engine says are live and hands each
     /// extent of the lost member to the [`Rebuild`] it is given (which
@@ -424,7 +553,6 @@ impl Members {
         &self,
         at: SimTime,
         replacement: Arc<ZnsDevice>,
-        unit_sectors: u64,
         zones: u64,
         policy: impl FnOnce(&Roster<'_>, &mut Rebuild<'_>) -> Result<()>,
     ) -> Result<RebuildReport> {
@@ -444,12 +572,11 @@ impl Members {
             let _actor = obs::actor_scope(obs::Actor::Rebuild);
             self.rebuild_total.store(zones, Ordering::Release);
             self.rebuild_done.store(0, Ordering::Release);
-            let unit_bytes = (unit_sectors * SECTOR_SIZE) as usize;
+            let unit_bytes = self.unit_bytes();
             let mut rb = Rebuild {
                 members: self,
                 replacement: &replacement,
                 dev,
-                unit_sectors,
                 cursor: at,
                 last_write: at,
                 bytes: 0,
@@ -607,7 +734,6 @@ pub struct Rebuild<'a> {
     members: &'a Members,
     replacement: &'a ZnsDevice,
     dev: usize,
-    unit_sectors: u64,
     /// Issue instant of the next extent: when the previous one's sources
     /// were in hand.
     cursor: SimTime,
@@ -646,7 +772,7 @@ impl Rebuild<'_> {
                     .reconstruct(scratch, self.cursor, src, self.dev as u32, 0, out)?
             }
         };
-        let pba = self.replacement.geometry().zone_start(zone) + stripe * self.unit_sectors;
+        let pba = self.replacement.geometry().zone_start(zone) + stripe * self.members.unit_sectors;
         let w = self
             .replacement
             .write(ready, pba, out, WriteFlags::default())?;
@@ -688,6 +814,88 @@ impl Rebuild<'_> {
     }
 }
 
+/// What [`Verify::stripe`] found in one stripe, one bit per member.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Damage {
+    /// Slots whose read reported a media error; decoded from the rest of
+    /// the stripe.
+    pub lost: u64,
+    /// Parity slots whose stored bytes differ from the parity encoded over
+    /// the data.
+    pub differs: u64,
+}
+
+/// A scrub in flight: one stripe in memory — its data units in unit order,
+/// its stored parity slots, and the parity encoded over the data (also
+/// the decode's spare columns).
+pub struct Verify<'a> {
+    members: &'a Members,
+    unit: usize,
+    data: Vec<u8>,
+    stored: Vec<u8>,
+    fresh: Vec<u8>,
+}
+
+impl Verify<'_> {
+    /// Verifies one complete stripe: reads every member's slot whole at
+    /// `at`, in member order, decoding a slot whose read reports a media
+    /// error before the next is read; then encodes P (and Q) over the data
+    /// and compares each stored parity slot with it.
+    ///
+    /// # Errors
+    ///
+    /// A read error other than a media error; the decode's error.
+    pub fn stripe(&mut self, at: SimTime, stripe: &dyn Stripe) -> Result<Damage> {
+        let (members, unit) = (self.members, self.unit);
+        let mut damage = Damage::default();
+        for dev in 0..members.len() as u32 {
+            let slot = match stripe.role(dev) {
+                Role::Data(k) => &mut self.data[k as usize * unit..][..unit],
+                Role::P => &mut self.stored[..unit],
+                Role::Q => &mut self.stored[unit..],
+            };
+            match stripe.fetch(at, dev, 0, slot) {
+                Ok(_) => {}
+                Err(ZnsError::MediaError { .. }) => {
+                    members.reconstruct(&mut self.fresh, at, stripe, dev, 0, slot)?;
+                    damage.lost |= 1 << dev;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        let (p, q) = self.fresh.split_at_mut(unit);
+        sim::encode_pq(&self.data, Some(p), (!q.is_empty()).then_some(q));
+        for dev in 0..members.len() as u32 {
+            let column = match stripe.role(dev) {
+                Role::Data(_) => continue,
+                Role::P => 0..unit,
+                Role::Q => unit..2 * unit,
+            };
+            if self.stored[column.clone()] != self.fresh[column] {
+                damage.differs |= 1 << dev;
+            }
+        }
+        Ok(damage)
+    }
+
+    /// The last verified stripe's data units in unit order, lost ones
+    /// decoded.
+    pub fn data(&self) -> &[u8] {
+        &self.data
+    }
+
+    /// The last verified stripe's bytes for the slot playing `role`: its
+    /// data unit, or the parity encoded over the data.
+    pub fn slot(&self, role: Role) -> &[u8] {
+        let unit = self.unit;
+        match role {
+            Role::Data(k) => &self.data[k as usize * unit..][..unit],
+            Role::P => &self.fresh[..unit],
+            Role::Q => &self.fresh[unit..],
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -697,7 +905,7 @@ mod tests {
         let devs = (0..n)
             .map(|_| Arc::new(ZnsDevice::new(ZnsConfig::small_test())))
             .collect();
-        Members::new(devs, parity, TRANSIENT_RETRY_LIMIT, budget).unwrap()
+        Members::new(devs, parity, 4, TRANSIENT_RETRY_LIMIT, budget).unwrap()
     }
 
     fn write(roster: &Roster<'_>, dev: usize, exhausted: Exhausted) -> Result<SimTime> {

@@ -168,6 +168,16 @@ if grep -rn 'Decode::new' crates/core/src crates/lsraid/src; then
   echo "check.sh: erasure decode plan outside zns::array (Members::reconstruct, array::plan)" >&2
   exit 1
 fi
+# What a failed member read becomes is decided there too: `Members::read_slot`
+# serves around it, counts it and hands a latent unit back for repair, and
+# `Verify::stripe` reads, decodes and checks a stripe for scrub. An engine
+# that matches on `MediaError`, calls a decode itself or bumps the
+# degraded-read / read-repair counters is a second read-around coming back.
+if grep -rnE 'MediaError *\{|\.reconstruct\(|(bump|add)\((obs::)?Counter::(DegradedReads|ReadRepairs)' \
+     crates/core/src crates/lsraid/src; then
+  echo "check.sh: read-around outside zns::array (Members::read_slot, Verify::stripe)" >&2
+  exit 1
+fi
 
 # lsraid computes parity in one place, from whole stripes: `encode_pq` at
 # the seal (and in scrub). An incremental kernel named anywhere in the
