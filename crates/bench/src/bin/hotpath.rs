@@ -90,7 +90,7 @@
 //!   budget is < 5% of a write. It was gated as such while a write cost
 //!   24 us; the plane has not changed, the write now costs 5 us, and the
 //!   share reads 10-20% — over budget, said so in a notice on every run
-//!   (ROADMAP item 3). What fails the binary is the same budget in the
+//!   (ROADMAP "Observability back under its budget"). What fails the binary is the same budget in the
 //!   nanoseconds the old gate allowed (gate: < 1200 ns = 5% of 24 us).
 //!   Both paths are timed in interleaved rounds and the per-round minimum
 //!   is compared, so a one-off scheduler hiccup cannot fail the gate.
@@ -133,7 +133,8 @@ const TRACE_BUDGET_SHARE: f64 = 0.05;
 /// The plane costs what it did (eight events per write, 0.6-1.1 us here,
 /// 0.1-1.3 us at the parent under this estimator, 570 ns in its committed
 /// run); as a share of today's 5 us write that is 10-20%, which the
-/// recorder cannot meet without a redesign of its own (ROADMAP item 3).
+/// recorder cannot meet without a redesign of its own (ROADMAP "Observability back
+/// under its budget").
 const TRACE_BUDGET_NS: f64 = TRACE_BUDGET_SHARE * 24_000.0;
 
 /// ISSUE 14's target for dual-parity / single-parity write throughput on

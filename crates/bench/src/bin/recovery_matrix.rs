@@ -13,8 +13,8 @@
 //! member; none and four pairs) — 16 896 histories.
 //!
 //! Prints the count per failure class; `--list` also prints every bad
-//! history. A gate: exits nonzero on any bad history outside ROADMAP item
-//! 1's recorded residual (dual parity, two members absent, a flushed tail
+//! history. A gate: exits nonzero on any bad history outside ROADMAP
+//! "Residual (ii)"'s recorded class (dual parity, two members absent, a flushed tail
 //! rolled back) or on more of those than recorded.
 
 use std::collections::BTreeMap;

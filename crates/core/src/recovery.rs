@@ -21,12 +21,12 @@ use crate::stats::AtomicRaiznStats;
 use crate::stripe::StripeBuffer;
 use crate::volume::{internal, LiveMeta, MdRole, MdRoles, MetaState, RaiznVolume, RelocatedUnit};
 use crate::Result;
-use sim::codec::{Decode, Role};
+use sim::codec::Role;
 use sim::SimTime;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use zns::array::{plan, unit_segments, Exhausted, Roster};
+use zns::array::{unit_segments, Exhausted, Roster, Stripe};
 use zns::{WriteFlags, ZnsDevice, ZnsError, ZoneState, ZonedVolume, SECTOR_SIZE};
 
 /// A per-(zone, stripe) partial-parity image assembled by replaying pp
@@ -68,15 +68,6 @@ impl PpImages {
             .filter(|img| img.covered.iter().any(|c| *c))
             .map(|img| img.end_lba.saturating_sub(zone_start))
             .max()
-    }
-}
-
-impl ParityImage {
-    /// Data extent (sectors into the stripe) this image was computed over.
-    fn extent(&self, lz: u32, stripe: u64, layout: &crate::RaiznLayout) -> u64 {
-        let lgeo = layout.logical_geometry();
-        (self.end_lba.saturating_sub(lgeo.zone_start(lz)))
-            .saturating_sub(stripe * layout.stripe_data_sectors())
     }
 }
 
@@ -715,7 +706,7 @@ struct ZoneRecovery<'a> {
     relocated_parity: Vec<(u64, u32, u64, Vec<u8>)>,
 }
 
-impl ZoneRecovery<'_> {
+impl<'a> ZoneRecovery<'a> {
     /// Available sectors of the slot `dev` holds for `stripe`: relocated
     /// slots count by their relocation extent.
     fn avail(&self, stripe: u64, dev: u32) -> Option<u64> {
@@ -781,13 +772,16 @@ impl ZoneRecovery<'_> {
     }
 
     /// Attempts to rebuild rows `[have, needed)` of the slot `dev` holds
-    /// for `stripe`. Returns `Ok(false)` when reconstruction is impossible
-    /// (the walk then rolls the zone back).
+    /// for `stripe` into `out`; `Ok(false)` when no parity version decodes
+    /// them (the walk then rolls the zone back).
     ///
-    /// Parity sources are the full parity slots (complete stripes) or the
-    /// partial-parity images replayed from the logs; in dual-parity mode
-    /// the Reed–Solomon Q leg lets the repair decode around one *more*
-    /// unavailable slot (a second failed device or a second stripe hole).
+    /// A data unit is decoded by the array layer from one [`ImageStripe`]
+    /// after another: the complete stripe's parity slots first, then the
+    /// replayed pp images, newest extent first (an older image can be the
+    /// only decodable one when a unit staged after it died with its
+    /// device). A parity slot, complete stripes only, is the fold of the
+    /// data units, each absent one decoded first (a data unit never
+    /// recurses).
     fn rebuild_rows(
         &self,
         stripe: u64,
@@ -796,174 +790,59 @@ impl ZoneRecovery<'_> {
         complete: bool,
         out: &mut [u8],
     ) -> Result<bool> {
-        let (lz, pp) = (self.lz, self.pp);
-        let layout = self.vol.layout;
-        let su = layout.stripe_unit();
-        let d_units = layout.data_units();
-        let rows = needed - have;
-        let row0 = have;
-        let bytes = (rows * SECTOR_SIZE) as usize;
-        let pdev = layout.parity_device(lz, stripe);
-        let qdev = layout.q_device(lz, stripe);
-
-        // Load every usable version of one parity leg for rows
-        // [row0, needed): the parity slot of a complete stripe first, then
-        // the replayed pp image snapshots, newest extent first. Each
-        // candidate carries the data extent its parity was computed over —
-        // an older (smaller-extent) snapshot can be the only decodable one
-        // when a unit staged after it died with its device.
-        let leg_candidates =
-            |leg_dev: u32, imgs: Option<&Vec<ParityImage>>| -> Result<Vec<(Vec<u8>, u64)>> {
-                let mut cands = Vec::new();
-                if complete && self.avail(stripe, leg_dev).unwrap_or(0) >= needed.min(su) {
-                    let mut buf = vec![0u8; bytes];
-                    self.fetch(stripe, leg_dev, row0, &mut buf)?;
-                    cands.push((buf, layout.stripe_data_sectors()));
-                }
-                for img in imgs.into_iter().flatten().rev() {
-                    if (row0..needed).all(|r| img.covered[r as usize]) {
-                        let buf = img.rows
-                            [(row0 * SECTOR_SIZE) as usize..(needed * SECTOR_SIZE) as usize]
-                            .to_vec();
-                        cands.push((buf, img.extent(lz, stripe, &layout)));
-                    }
-                }
-                Ok(cands)
+        let (lz, layout) = (self.lz, self.vol.layout);
+        let full = layout.stripe_data_sectors();
+        let decode = |extent, images, known: &[Option<Vec<u8>>], out: &mut [u8]| {
+            let rows = (have, needed);
+            let version = ImageStripe {
+                rec: self,
+                stripe,
+                extent,
+                rows,
+                images,
+                known,
             };
-
-        // Data units short of `irows` rows at extent `fill`, excluding
-        // `skip` (the unit being rebuilt, if any).
-        let missing_at = |fill: u64, skip: Option<u64>| -> Vec<u64> {
-            (0..d_units)
-                .filter(|i| Some(*i) != skip)
-                .filter(|&i| {
-                    let written = fill.saturating_sub(i * su).min(su);
-                    let irows = written.saturating_sub(row0).min(rows);
-                    irows > 0
-                        && self
-                            .avail(stripe, layout.data_device(lz, stripe, i))
-                            .unwrap_or(0)
-                            < row0 + irows
-                })
-                .collect()
+            self.vol.members.decode(self.at, &version, dev, have, out)
         };
-
-        // Fold every available data unit (except `skips`) into the
-        // syndromes of `plan`, zero-extended past each unit's written
-        // extent at `fill`.
-        let mut tmp = vec![0u8; bytes];
-        let mut aux = vec![0u8; bytes];
-        let absorb_data = |plan: &Decode,
-                           out: &mut [u8],
-                           aux: &mut [u8],
-                           tmp: &mut Vec<u8>,
-                           fill: u64,
-                           skips: &[u64]|
-         -> Result<()> {
-            for i in 0..d_units {
-                if skips.contains(&i) {
-                    continue;
-                }
-                let written = fill.saturating_sub(i * su).min(su);
-                let irows = written.saturating_sub(row0).min(rows);
-                if irows == 0 {
-                    continue;
-                }
-                let idev = layout.data_device(lz, stripe, i);
-                tmp.fill(0);
-                self.fetch(
-                    stripe,
-                    idev,
-                    row0,
-                    &mut tmp[..(irows * SECTOR_SIZE) as usize],
-                )?;
-                plan.absorb(Role::Data(i as u32), tmp, out, aux);
-            }
-            Ok(())
-        };
-
-        match layout.unit_of_device(lz, stripe, dev) {
-            // ---- Rebuilding a parity slot (P or Q). ----------------------
-            None => {
-                // With every data unit in hand (fetched, or recovered
-                // below) the parity syndrome is the slot itself.
-                let plan = plan(if qdev == Some(dev) { Role::Q } else { Role::P }, None)?;
-                let fill = layout.stripe_data_sectors(); // parity slots exist only complete
-                let missing = missing_at(fill, None);
-                plan.begin(out, &mut aux);
-                absorb_data(&plan, out, &mut aux, &mut tmp, fill, &missing)?;
-                // Data units that are gone too: recover each one through
-                // the full data-unit machinery (the other parity leg,
-                // lower-extent pp snapshots, or a two-erasure solve), then
-                // fold them in. Depth is bounded: the data arm never
-                // recurses.
-                for &k in &missing {
-                    let kdev = layout.data_device(lz, stripe, k);
-                    let mut dk = vec![0u8; bytes];
-                    if !self.rebuild_rows(stripe, kdev, (have, needed), complete, &mut dk)? {
+        let Some(j) = layout.unit_of_device(lz, stripe, dev) else {
+            let mut known = vec![None; layout.data_units() as usize];
+            for (k, rows) in (0..).zip(&mut known) {
+                let kdev = layout.data_device(lz, stripe, k);
+                if self.avail(stripe, kdev).unwrap_or(0) < needed {
+                    let rows = rows.insert(vec![0u8; out.len()]);
+                    if !self.rebuild_rows(stripe, kdev, (have, needed), complete, rows)? {
                         return Ok(false);
                     }
-                    plan.absorb(Role::Data(k as u32), &dk, out, &mut aux);
                 }
-                Ok(true)
             }
-            // ---- Rebuilding a data unit. ---------------------------------
-            Some(j) => {
-                let target = Role::Data(j as u32);
-                let p_cands = leg_candidates(pdev, pp.p.get(&(lz, stripe)))?;
-                let q_cands = match qdev {
-                    Some(qd) => leg_candidates(qd, pp.q.get(&(lz, stripe)))?,
-                    None => Vec::new(),
-                };
-                // Single-erasure via P, then via Q (decoding as if P were
-                // the second loss): the leg plus every other unit.
-                for (cands, leg, other) in [
-                    (&p_cands, Role::P, None),
-                    (&q_cands, Role::Q, Some(Role::P)),
-                ] {
-                    for (buf, extent) in cands {
-                        if j * su + needed <= *extent && missing_at(*extent, Some(j)).is_empty() {
-                            let plan = plan(target, other)?;
-                            plan.begin(out, &mut aux);
-                            plan.absorb(leg, buf, out, &mut aux);
-                            absorb_data(&plan, out, &mut aux, &mut tmp, *extent, &[j])?;
-                            plan.finish(out, &aux);
-                            return Ok(true);
-                        }
-                    }
-                }
-                // Two-erasure: both legs at the same data extent, exactly
-                // one other unit missing there.
-                for (pbuf, ep) in &p_cands {
-                    for (qbuf, eq) in &q_cands {
-                        if ep != eq || j * su + needed > *ep {
-                            continue;
-                        }
-                        let missing = missing_at(*ep, Some(j));
-                        let [k] = missing.as_slice() else {
-                            continue;
-                        };
-                        let k = *k;
-                        let plan = plan(target, Some(Role::Data(k as u32)))?;
-                        plan.begin(out, &mut aux);
-                        plan.absorb(Role::P, pbuf, out, &mut aux);
-                        plan.absorb(Role::Q, qbuf, out, &mut aux);
-                        absorb_data(&plan, out, &mut aux, &mut tmp, *ep, &[j, k])?;
-                        // Rows where unit k holds data need the 2x2 solve;
-                        // rows past its written extent see D_k == 0, so the
-                        // P syndrome (`aux`) is D_j there outright
-                        // (staggered fill, §5.1).
-                        let written_k = ep.saturating_sub(k * su).min(su);
-                        let krows = written_k.saturating_sub(row0).min(rows);
-                        let kb = (krows * SECTOR_SIZE) as usize;
-                        plan.finish(&mut out[..kb], &aux[..kb]);
-                        out[kb..].copy_from_slice(&aux[kb..]);
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
+            return decode(full, None, &known, out);
+        };
+        let first_lba = layout.logical_geometry().zone_start(lz) + stripe * full;
+        let (ps, qs) = (self.pp.p.get(&(lz, stripe)), self.pp.q.get(&(lz, stripe)));
+        let image = |imgs: Option<&'a Vec<ParityImage>>, end| {
+            let img = imgs?.iter().find(|img| img.end_lba == end)?;
+            (have..needed)
+                .all(|r| img.covered[r as usize])
+                .then_some(img.rows.as_slice())
+        };
+        let mut ends: Vec<u64> = ps
+            .into_iter()
+            .chain(qs)
+            .flatten()
+            .map(|img| img.end_lba)
+            .collect();
+        ends.sort_unstable_by(|a, b| b.cmp(a));
+        ends.dedup();
+        let images = ends.into_iter().map(|end| {
+            let legs = [image(ps, end), image(qs, end)];
+            (end.saturating_sub(first_lba), Some(legs))
+        });
+        for (extent, images) in complete.then_some((full, None)).into_iter().chain(images) {
+            if j * layout.stripe_unit() + needed <= extent && decode(extent, images, &[], out)? {
+                return Ok(true);
             }
         }
+        Ok(false)
     }
 
     /// Stage 2: the longest prefix of `claim` in which every sector is
@@ -1060,6 +939,88 @@ impl ZoneRecovery<'_> {
             }
         }
         Ok(claim)
+    }
+}
+
+/// One parity version of a stripe as the array layer's decode sees it
+/// (§5.1): each data unit as it stood at `extent` — zero past what it held
+/// there — and P/Q from the complete stripe's parity slots or from the
+/// replayed images of that extent. A slot the mount cannot serve for
+/// `rows` is unavailable, an erasure.
+struct ImageStripe<'a, 'r> {
+    rec: &'a ZoneRecovery<'r>,
+    stripe: u64,
+    /// Data sectors of the stripe the parity was computed over.
+    extent: u64,
+    /// The rows `[have, needed)` being decoded.
+    rows: (u64, u64),
+    /// The P and Q image rows of the extent, where replayed; `None` for
+    /// the complete stripe's parity slots.
+    images: Option<[Option<&'a [u8]>; 2]>,
+    /// Rows of data units decoded beforehand, by unit.
+    known: &'a [Option<Vec<u8>>],
+}
+
+impl ImageStripe<'_, '_> {
+    /// Rows of `rows` that data unit `k` held at the extent.
+    fn held(&self, k: u32) -> u64 {
+        let su = self.rec.vol.layout.stripe_unit();
+        let (row0, end) = self.rows;
+        self.extent
+            .saturating_sub(u64::from(k) * su)
+            .clamp(row0, end)
+            - row0
+    }
+
+    fn known(&self, k: u32) -> Option<&[u8]> {
+        self.known.get(k as usize).and_then(Option::as_deref)
+    }
+}
+
+impl Stripe for ImageStripe<'_, '_> {
+    fn role(&self, dev: u32) -> Role {
+        self.rec.vol.slot_role(self.rec.lz, self.stripe, dev)
+    }
+
+    fn available(&self, dev: u32) -> bool {
+        let have = self.rec.avail(self.stripe, dev).unwrap_or(0);
+        match (self.role(dev), self.images) {
+            (Role::Data(k), _) => {
+                let held = self.held(k);
+                self.known(k).is_some() || held == 0 || have >= self.rows.0 + held
+            }
+            (_, None) => have >= self.rows.1,
+            (role, Some(legs)) => legs[usize::from(role == Role::Q)].is_some(),
+        }
+    }
+
+    fn fetch(&self, at: SimTime, dev: u32, row0: u64, out: &mut [u8]) -> Result<SimTime> {
+        let (rec, stripe) = (self.rec, self.stripe);
+        let copy = |rows: &[u8], out: &mut [u8]| {
+            out.copy_from_slice(&rows[..out.len()]);
+            Ok(at)
+        };
+        let held = match (self.role(dev), self.images) {
+            (Role::Data(k), _) => match self.known(k) {
+                Some(rows) => return copy(rows, out),
+                None => self.held(k),
+            },
+            (_, None) => return rec.fetch(stripe, dev, row0, out),
+            (role, Some(legs)) => {
+                let rows = legs[usize::from(role == Role::Q)].ok_or(ZnsError::DeviceFailed)?;
+                return copy(&rows[(row0 * SECTOR_SIZE) as usize..], out);
+            }
+        };
+        let (held, rest) = out.split_at_mut((held * SECTOR_SIZE) as usize);
+        rest.fill(0);
+        match held.is_empty() {
+            true => Ok(at),
+            false => rec.fetch(stripe, dev, row0, held),
+        }
+    }
+
+    fn zone(&self) -> u32 {
+        self.rec.lz
     }
 }
 

@@ -1004,7 +1004,7 @@ impl RaiznVolume {
 
     /// The role a device plays in one stripe: a data unit, the P (XOR)
     /// parity, or the Q (Reed–Solomon) parity.
-    fn slot_role(&self, lzone: u32, stripe: u64, dev: u32) -> Role {
+    pub(crate) fn slot_role(&self, lzone: u32, stripe: u64, dev: u32) -> Role {
         match self.layout.unit_of_device(lzone, stripe, dev) {
             Some(k) => Role::Data(k as u32),
             None if dev == self.layout.parity_device(lzone, stripe) => Role::P,
@@ -2031,8 +2031,8 @@ impl RaiznVolume {
 }
 
 /// One stripe of a logical zone as the member layer's decode sees it:
-/// roles by the rotating layout, failed members' slots served from the
-/// relocation cache.
+/// roles by the rotating layout, every slot but a failed member's served,
+/// and a failed member's too when the relocation cache holds it.
 struct SlotStripe<'a, 'r> {
     vol: &'a RaiznVolume,
     devices: &'a Roster<'r>,
@@ -2046,7 +2046,8 @@ impl Stripe for SlotStripe<'_, '_> {
     }
 
     fn available(&self, dev: u32) -> bool {
-        self.vol.is_relocated(self.lzone, self.stripe, dev)
+        !self.vol.members.is_failed(dev as usize)
+            || self.vol.is_relocated(self.lzone, self.stripe, dev)
     }
 
     fn fetch(&self, at: SimTime, dev: u32, row0: u64, out: &mut [u8]) -> Result<SimTime> {

@@ -610,6 +610,112 @@ fn own_append_md_gc_keeps_earlier_parity_rows() {
     assert_eq!(recovered, wp, "flushed tail lost");
 }
 
+/// A member of zone 0's first stripe, named by the slot it holds.
+enum Holder {
+    P,
+    Unit(u64),
+}
+
+/// One decode shape a mount relies on: writes into zone 0 (sectors, FUA),
+/// then a power loss in which the `lose` members lose their caches and
+/// the `absent` ones are gone.
+struct Shape {
+    name: &'static str,
+    parity: u32,
+    writes: &'static [(u64, bool)],
+    lose: &'static [Holder],
+    absent: &'static [Holder],
+}
+
+/// One row per shape of decode from replayed parity: each crashes, mounts,
+/// passes the harness's recovery check and, with its absent members
+/// rebuilt, a scrub. A mount that cannot decode a row's shape rolls the
+/// zone back past its durable data, or exposes a parity slot it never
+/// repaired, and the row fails by name. Zone 0's first stripe holds P on
+/// member 0, Q (dual parity) on member 1 and its four-sector data units
+/// on the rest, in order.
+#[test]
+fn every_mount_decode_shape_recovers() {
+    use Holder::{Unit, P};
+    let shapes = [
+        Shape {
+            name: "P at the newest extent",
+            parity: 1,
+            writes: &[(6, true)],
+            lose: &[],
+            absent: &[Unit(0)],
+        },
+        Shape {
+            // The newest image needs unit 1, whose rows staged past the
+            // barrier died; the image at the barrier decodes unit 0's
+            // durable rows.
+            name: "P at an older extent",
+            parity: 1,
+            writes: &[(2, true), (4, false)],
+            lose: &[Unit(1)],
+            absent: &[Unit(0)],
+        },
+        Shape {
+            name: "Q alone, the P holder absent",
+            parity: 2,
+            writes: &[(6, true)],
+            lose: &[],
+            absent: &[P, Unit(0)],
+        },
+        Shape {
+            // Unit 1 holds two of the four rows decoded for unit 0.
+            name: "P+Q, the second lost unit part-written",
+            parity: 2,
+            writes: &[(6, true)],
+            lose: &[],
+            absent: &[Unit(0), Unit(1)],
+        },
+        Shape {
+            name: "short parity slot of a complete stripe, a data unit absent",
+            parity: 2,
+            writes: &[(12, false)],
+            lose: &[P],
+            absent: &[Unit(2)],
+        },
+    ];
+    let fresh = || devices(5);
+    let mut bad = Vec::new();
+    for shape in &shapes {
+        let config = match shape.parity {
+            1 => RaiznConfig::small_test(),
+            _ => RaiznConfig::small_test_raizn2(),
+        };
+        let target = Raizn(config);
+        let row = || -> Result<(), String> {
+            let mut p = Pair::format(&target, &fresh)?;
+            let layout = p.vol.layout();
+            let member = |h: &Holder| match *h {
+                P => layout.parity_device(0, 0) as usize,
+                Unit(k) => layout.data_device(0, 0, k) as usize,
+            };
+            for &(sectors, fua) in shape.writes {
+                let flags = if fua {
+                    WriteFlags::FUA
+                } else {
+                    WriteFlags::default()
+                };
+                p.write(0, sectors, flags)?;
+            }
+            let mut crash = Crash::uniform(shape.name, Loss::Keep, 5);
+            for h in shape.lose {
+                crash.policy[member(h)] = Loss::Lose;
+            }
+            let absent: Vec<usize> = shape.absent.iter().map(member).collect();
+            p.power_cycle(&crash.without(&absent))?;
+            p.rebuild_absent()
+        };
+        if let Err(e) = row() {
+            bad.push(format!("{}: {e}", shape.name));
+        }
+    }
+    assert_no_bad_histories(&bad, shapes.len());
+}
+
 /// Sweeps `history` on `members` fresh `zns` devices under `crashes`;
 /// returns the histories run and, of each bad one, `row` and what went
 /// wrong.
@@ -643,14 +749,14 @@ fn assert_no_bad_histories(bad: &[String], total: usize) {
     );
 }
 
-/// ROADMAP item 1, first defect: a zone that fills after the last flush
+/// A recovery defect, now fixed: a zone that fills after the last flush
 /// looks sealed to a mount — every surviving member whose cache held is
 /// `Full` — yet members that lost their cache kept only the flushed prefix.
 /// The write pointer a mount exposes must be one the survivors (plus
 /// parity) can serve, whatever the line-up: `[0, f)` flushed at four flush
 /// points and the rest of the zone written in one call, every subset of
 /// members keeping its cache, every absent set of `matrix_absent_sets`.
-/// Scrubbed when no member is absent. The last row is item 1's residual
+/// Scrubbed when no member is absent. The last row is the fixed residual
 /// (i): a near-full zone written in 5-sector writes, nothing flushed,
 /// whose long rollback left more ghost slots than a metadata zone could
 /// checkpoint while an empty relocation cost a whole stripe unit.
@@ -686,7 +792,7 @@ fn filled_zone_lost_tail_exposes_only_what_it_can_serve() {
     assert_no_bad_histories(&bad, total);
 }
 
-/// ROADMAP item 1, second defect: everything was flushed, every cache is
+/// A second recovery defect, now fixed: everything was flushed, every cache is
 /// lost, and a dual-parity array mounts with two members absent — on five
 /// and six members, with 64- and 60-sector zone capacities, one and two
 /// zones written fully or five sectors short, in writes of five sizes.

@@ -2231,8 +2231,8 @@ impl Stripe for GroupStripe<'_, '_> {
         }
     }
 
-    fn available(&self, _: u32) -> bool {
-        false
+    fn available(&self, dev: u32) -> bool {
+        !self.vol.members.is_failed(dev as usize)
     }
 
     fn fetch(&self, at: SimTime, dev: u32, row0: u64, out: &mut [u8]) -> Result<SimTime> {

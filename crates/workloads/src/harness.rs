@@ -23,7 +23,7 @@ use zns::{
 const T0: SimTime = SimTime::ZERO;
 
 /// What [`Pair::check`] says of a zone that recovered below its durable
-/// watermark (`recovery_matrix` recognises ROADMAP item 1's residual by it).
+/// watermark (`recovery_matrix` recognises ROADMAP "Residual (ii)" by it).
 pub const LOST_DURABLE: &str = "lost durable data";
 
 /// Flags of a plain write: cached until a flush, a FUA or a finish.

@@ -6,13 +6,14 @@
 //! [`Roster::command`] — the one bounded transient retry, the one error
 //! budget and the one auto-degrade. Every erasure decode is the one decode
 //! loop here, over the engine's [`Stripe`] (which role each member plays,
-//! which failed member is still served elsewhere, how a slot is read), and
-//! an engine reaches it only three ways: every data read through
-//! [`Members::read_slot`], which decides what a failed member read
-//! becomes; every scrub through [`Members::scrub`] and [`Verify::stripe`];
-//! every rebuild through [`Members::rebuild`], whose policy closure names
-//! the live extents of the lost member. What stays with the engine is its
-//! policy: layout, caches, metadata, and where a repaired unit goes.
+//! which slots can be served, how a slot is read), and an engine reaches
+//! it only four ways: every data read through [`Members::read_slot`],
+//! which decides what a failed member read becomes; every scrub through
+//! [`Members::scrub`] and [`Verify::stripe`]; every rebuild through
+//! [`Members::rebuild`], whose policy closure names the live extents of
+//! the lost member; every mount-time decode from replayed parity through
+//! [`Members::decode`]. What stays with the engine is its policy: layout,
+//! caches, metadata, and where a repaired unit goes.
 
 use crate::{Result, WriteFlags, ZnsDevice, ZnsError, ZoneInfo, ZonedVolume, SECTOR_SIZE};
 use parking_lot::{RwLock, RwLockReadGuard};
@@ -46,19 +47,13 @@ pub fn unit_segments(from: u64, to: u64, su: u64) -> impl Iterator<Item = (u64, 
     })
 }
 
-/// The erasure decode of `target` with `other` lost beside it: the one
-/// place a decode plan is made, for the member layer's decode loop and for
-/// a mount's decode from replayed parity images.
-///
-/// # Errors
-///
-/// [`ZnsError::InvalidArgument`] when both name the same slot.
-pub fn plan(target: Role, other: Option<Role>) -> Result<Decode> {
-    Decode::new(target, other).ok_or_else(|| {
-        ZnsError::InvalidArgument(
-            "internal invariant violated: duplicate role in erasure set".to_string(),
-        )
-    })
+/// Whether a fetch that failed with `e` makes its slot an erasure rather
+/// than ending the operation.
+fn erasure(e: &ZnsError) -> bool {
+    matches!(
+        e,
+        ZnsError::MediaError { .. } | ZnsError::TransientError { .. } | ZnsError::DeviceFailed
+    )
 }
 
 /// What [`Roster::command`] returns for a command it gave up on and
@@ -81,8 +76,8 @@ pub trait Stripe {
     /// The role member `dev` plays in this stripe.
     fn role(&self, dev: u32) -> Role;
 
-    /// Whether failed member `dev`'s slot can still be fetched (served
-    /// from a cache rather than the device).
+    /// Whether member `dev`'s slot can be served. An unavailable slot is an
+    /// erasure and is never fetched.
     fn available(&self, dev: u32) -> bool;
 
     /// Reads rows `[row0, ..)` of member `dev`'s slot into `out`, issued
@@ -342,24 +337,26 @@ impl Members {
         )
     }
 
-    /// Reconstructs rows `[row0, ..)` of the slot member `target` holds in
-    /// `stripe` into `out`, from the surviving members (§4.2).
+    /// The one decode loop: rows `[row0, ..)` of the slot member `target`
+    /// holds in `stripe`, into `out`, from the slots the stripe can serve
+    /// (§4.2).
     ///
-    /// Failed members whose slot `stripe` cannot serve count as erased
-    /// beside `target`; more erasures than parity is unrecoverable. Every
-    /// surviving slot the erasure pattern needs is fetched into the first
-    /// column of `scratch` (the caller's `parity` spare columns of one
-    /// unit each) and folded into `out` — and, when a second data unit is
-    /// lost too, into the second column — then solved in place. A source
-    /// that turns out unreadable mid-decode joins the erasure set and the
-    /// decode restarts while headroom remains. Nothing is allocated.
-    /// Returns the latest fetch completion.
+    /// Every member whose slot `stripe` reports unavailable counts as
+    /// erased beside `target`; more erasures than parity is unrecoverable.
+    /// Every other slot the erasure pattern needs is fetched into the first
+    /// column of `scratch` (the caller's `parity` spare columns of one unit
+    /// each) and folded into `out` — and, when a second data unit is lost
+    /// too, into the second column — then solved in place. A source that
+    /// turns out unreadable mid-decode joins the erasure set and the decode
+    /// restarts while headroom remains. Nothing is allocated. Returns the
+    /// latest fetch completion and the number of erased slots.
     ///
     /// # Errors
     ///
-    /// [`ZnsError::DeviceFailed`] past the parity headroom, or the first
-    /// fetch error that is not an erasure.
-    fn reconstruct(
+    /// [`ZnsError::DeviceFailed`] past the parity headroom (or the erasure
+    /// that crossed it mid-decode), or the first fetch error that is not an
+    /// erasure.
+    fn solve(
         &self,
         scratch: &mut [u8],
         at: SimTime,
@@ -367,16 +364,11 @@ impl Members {
         target: u32,
         row0: u64,
         out: &mut [u8],
-    ) -> Result<SimTime> {
+    ) -> Result<(SimTime, u32)> {
         let n = self.len() as u32;
-        let mut missing = 1u64 << target;
-        let failed = self.failure_mask();
-        for dev in 0..n {
-            let bit = 1u64 << dev;
-            if failed & bit != 0 && missing & bit == 0 && !stripe.available(dev) {
-                missing |= bit;
-            }
-        }
+        let mut missing = (0..n)
+            .filter(|&dev| dev != target && !stripe.available(dev))
+            .fold(1u64 << target, |m, dev| m | 1u64 << dev);
         if missing.count_ones() > self.parity {
             return Err(ZnsError::DeviceFailed);
         }
@@ -389,7 +381,11 @@ impl Members {
         let (plan, done) = 'retry: loop {
             let rest = missing & !(1u64 << target);
             let other = (rest != 0).then(|| stripe.role(rest.trailing_zeros()));
-            let plan = plan(target_role, other)?;
+            let plan = Decode::new(target_role, other).ok_or_else(|| {
+                ZnsError::InvalidArgument(
+                    "internal invariant violated: duplicate role in erasure set".to_string(),
+                )
+            })?;
             let aux = &mut aux[..aux_len(&plan)];
             plan.begin(out, aux);
             let mut done = at;
@@ -403,11 +399,7 @@ impl Members {
                 }
                 match stripe.fetch(at, dev, row0, tmp) {
                     Ok(t) => done = done.max(t),
-                    Err(
-                        e @ (ZnsError::MediaError { .. }
-                        | ZnsError::TransientError { .. }
-                        | ZnsError::DeviceFailed),
-                    ) => {
+                    Err(e) if erasure(&e) => {
                         if missing.count_ones() >= self.parity {
                             return Err(e);
                         }
@@ -421,17 +413,59 @@ impl Members {
             break 'retry (plan, done);
         };
         plan.finish(out, &aux[..aux_len(&plan)]);
-        if missing.count_ones() > 1 {
+        Ok((done, missing.count_ones()))
+    }
+
+    /// [`solve`](Self::solve) for a read, a scrub or a rebuild: a decode
+    /// around two erasures is counted and emits one
+    /// [`obs::PathKind::DoubleDegraded`] span. Returns the latest fetch
+    /// completion; errors as `solve`.
+    fn reconstruct(
+        &self,
+        scratch: &mut [u8],
+        at: SimTime,
+        stripe: &dyn Stripe,
+        target: u32,
+        row0: u64,
+        out: &mut [u8],
+    ) -> Result<SimTime> {
+        let (done, erased) = self.solve(scratch, at, stripe, target, row0, out)?;
+        if erased > 1 {
             self.double_degraded_reads.fetch_add(1, Ordering::Relaxed);
             self.tracer.bump(obs::Counter::DoubleDegradedReads);
             self.tracer.leaf(
                 obs::Span::new(obs::OpClass::Read, obs::Stage::WholeOp, at, done)
                     .path(obs::PathKind::DoubleDegraded)
                     .zone(stripe.zone())
-                    .sectors(len as u64 / SECTOR_SIZE),
+                    .sectors(out.len() as u64 / SECTOR_SIZE),
             );
         }
         Ok(done)
+    }
+
+    /// Mount's decode from replayed parity (§5.1): [`solve`](Self::solve)
+    /// with its own spare columns, counting and tracing nothing (a mount is
+    /// not a degraded read). `Ok(false)` past the parity headroom — a source
+    /// that fails mid-decode joins the erasure set as on every other path —
+    /// for the caller to try another parity version or roll back.
+    ///
+    /// # Errors
+    ///
+    /// The first fetch error that is not an erasure.
+    pub fn decode(
+        &self,
+        at: SimTime,
+        stripe: &dyn Stripe,
+        target: u32,
+        row0: u64,
+        out: &mut [u8],
+    ) -> Result<bool> {
+        let mut scratch = vec![0u8; self.unit_bytes() * self.parity as usize];
+        match self.solve(&mut scratch, at, stripe, target, row0, out) {
+            Ok(_) => Ok(true),
+            Err(e) if erasure(&e) => Ok(false),
+            Err(e) => Err(e),
+        }
     }
 
     /// Reads rows `[row0, ..)` of the data unit member `dev` holds in
@@ -465,11 +499,7 @@ impl Members {
         open: Option<&[u8]>,
     ) -> Result<(SimTime, Option<Vec<u8>>)> {
         let err = match stripe.fetch(at, dev, row0, out) {
-            Err(
-                e @ (ZnsError::MediaError { .. }
-                | ZnsError::TransientError { .. }
-                | ZnsError::DeviceFailed),
-            ) => e,
+            Err(e) if erasure(&e) => e,
             done => return done.map(|t| (t, None)),
         };
         let spare = self.unit_bytes() * self.parity as usize;
@@ -944,6 +974,74 @@ mod tests {
             assert_eq!(m.failed(), if degraded { vec![1] } else { vec![] });
             assert_eq!(m.auto_degrades(), u64::from(degraded));
         }
+    }
+
+    /// A stripe in memory: data units 0–2 on members 0–2, P on 3, Q on 4;
+    /// the `gone` members' slots unavailable; every fetch recorded.
+    struct Memory {
+        slots: Vec<Vec<u8>>,
+        gone: u64,
+        fetched: std::cell::Cell<u64>,
+    }
+
+    impl Stripe for Memory {
+        fn role(&self, dev: u32) -> Role {
+            match dev {
+                3 => Role::P,
+                4 => Role::Q,
+                k => Role::Data(k),
+            }
+        }
+
+        fn available(&self, dev: u32) -> bool {
+            self.gone & (1 << dev) == 0
+        }
+
+        fn fetch(&self, at: SimTime, dev: u32, row0: u64, out: &mut [u8]) -> Result<SimTime> {
+            self.fetched.set(self.fetched.get() | (1 << dev));
+            let off = (row0 * SECTOR_SIZE) as usize;
+            out.copy_from_slice(&self.slots[dev as usize][off..][..out.len()]);
+            Ok(at)
+        }
+
+        fn zone(&self) -> u32 {
+            0
+        }
+    }
+
+    #[test]
+    fn an_unavailable_healthy_slot_is_an_unread_erasure_and_mount_counts_nothing() {
+        let m = members(5, 2, DEVICE_ERROR_BUDGET);
+        let unit = m.unit_bytes();
+        let data: Vec<u8> = (0..3 * unit).map(|i| (i * 7 + i / 251) as u8).collect();
+        let (mut p, mut q) = (vec![0u8; unit], vec![0u8; unit]);
+        sim::encode_pq(&data, Some(&mut p), Some(&mut q));
+        let slots = data.chunks(unit).map(<[u8]>::to_vec).chain([p, q]);
+        let mut stripe = Memory {
+            slots: slots.collect(),
+            gone: 1 << 1,
+            fetched: std::cell::Cell::new(0),
+        };
+        // Rows [1, 3) of unit 0, with member 1 healthy but unavailable.
+        let rows = SECTOR_SIZE as usize..3 * SECTOR_SIZE as usize;
+        let mut out = vec![0u8; rows.len()];
+        assert!(m.decode(SimTime::ZERO, &stripe, 0, 1, &mut out).unwrap());
+        assert_eq!(out, stripe.slots[0][rows.clone()]);
+        assert_eq!(
+            stripe.fetched.get(),
+            0b11100,
+            "only members 2, 3 and 4 are read"
+        );
+        assert!(m.failed().is_empty());
+        assert_eq!(m.double_degraded_reads(), 0);
+        // The same decode for a read counts the double erasure.
+        let mut scratch = vec![0u8; 2 * unit];
+        m.reconstruct(&mut scratch, SimTime::ZERO, &stripe, 0, 1, &mut out)
+            .unwrap();
+        assert_eq!(m.double_degraded_reads(), 1);
+        // A third erasure is past the headroom: mount's entry says so.
+        stripe.gone |= 1 << 2;
+        assert!(!m.decode(SimTime::ZERO, &stripe, 0, 1, &mut out).unwrap());
     }
 
     #[test]

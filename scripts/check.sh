@@ -138,8 +138,10 @@ fi
 # any other receiver — an indexed device table, a replacement, a stray
 # handle — is a member command issued outside the array, skipping its
 # retries, error budget and failure mask. The transient retry and the
-# erasure decode plan live once there too: a second retry loop or a
-# `Decode::new` anywhere else is a fork of the member layer coming back.
+# erasure decode live once there too: a second retry loop, or the codec's
+# `Decode`, `array::plan` or a plan's `.absorb(` named in core or lsraid —
+# mount included, which decodes through `Members::decode` — is a fork of
+# the member layer coming back.
 cmds='read|write|append|reset_zone|finish_zone|open_zone|close_zone|flush|write_zrwa|commit_zrwa|zone_info'
 if awk -v cmds="$cmds" '
      FNR == 1 { skip = (FILENAME ~ /\/tests\.rs$/) }
@@ -164,8 +166,9 @@ if grep -rnE 'TransientError[^=]*\) if [^=]*<|bump\(obs::Counter::Retries\)' cra
   echo "check.sh: transient-retry loop outside zns::array (Roster::command is the one)" >&2
   exit 1
 fi
-if grep -rn 'Decode::new' crates/core/src crates/lsraid/src; then
-  echo "check.sh: erasure decode plan outside zns::array (Members::reconstruct, array::plan)" >&2
+if grep -rnE '\bDecode\b|\bplan\(|array::(\{[^}]*)?\bplan\b|\.absorb\(' \
+     crates/core/src crates/lsraid/src; then
+  echo "check.sh: erasure decode outside zns::array (Members::reconstruct, Members::decode)" >&2
   exit 1
 fi
 # What a failed member read becomes is decided there too: `Members::read_slot`
@@ -199,7 +202,7 @@ cargo test --release -q -p raizn --test concurrent_stress
 # gates all three; 1.2 us is the 5% of a 24 us write the gate allowed
 # before whole-stripe writes got 4x cheaper — as a share of today's
 # write the plane is over its 5% budget and the binary says so, see
-# ROADMAP item 3), dual-parity (parity = 2) steady-state full-stripe
+# ROADMAP "Observability back under its budget"), dual-parity (parity = 2) steady-state full-stripe
 # writes also allocation-free and >= 0.45x the single-parity write path
 # on the wall clock (target 0.5x, not met as a floor), partial-stripe
 # writes (FUA ones included) and degraded reads (one and two members
@@ -307,7 +310,7 @@ cargo run --release -q -p raizn-bench --bin raizn2 > /dev/null
 cargo run --release -q -p raizn-bench --bin crash_sweep -- --seed 42
 
 # Mount-time recovery matrix (16 896 power-loss histories): exits nonzero
-# on any bad history outside ROADMAP item 1's recorded residual class, or
+# on any bad history outside ROADMAP "Residual (ii)"'s recorded class, or
 # on more of those than recorded — a known defect is a ROADMAP entry with
 # a ceiling.
 cargo run --release -q -p raizn-bench --bin recovery_matrix > /dev/null
