@@ -109,7 +109,7 @@ use bench::gate;
 use bench::lsgc::phase_waf;
 use lsraid::{LsConfig, LsVolume};
 use qos::{QosConfig, QosScheduler, TenantSpec};
-use raizn::{LifecycleConfig, RaiznConfig, RaiznVolume, ZoneLifecycleManager};
+use raizn::{RaiznConfig, RaiznVolume, ZoneLifecycleManager};
 use sim::codec::{Decode, Role};
 use sim::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -664,7 +664,7 @@ fn main() -> bench::BenchResult {
     // manager state is preallocated at construction and the pump's zone
     // scan touches only atomics. Warm-up pumps settle the pre-open pass
     // (its one management open) before the measured window.
-    let manager = ZoneLifecycleManager::new(traced.clone(), LifecycleConfig::default());
+    let manager = ZoneLifecycleManager::new(traced.clone());
     let zone_cap = traced.geometry().zone_cap();
     let mut lba_m = zone_cap; // fresh zone: stripe-aligned writes
     for _ in 0..8 {

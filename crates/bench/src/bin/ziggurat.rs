@@ -21,8 +21,8 @@
 //! `--expect-flat`).
 
 use bench::lifecycle::{
-    cliff_ratio, flat_ratio, lifecycle_json, lifecycle_scheduler, lifecycle_volume, manager_config,
-    spray, SprayOutcome, ACTIVE_LIMIT, SPRAY_ZONES, STRIPES_PER_ZONE,
+    cliff_ratio, flat_ratio, lifecycle_json, lifecycle_scheduler, lifecycle_volume, spray,
+    SprayOutcome, ACTIVE_LIMIT, SPRAY_ZONES, STRIPES_PER_ZONE,
 };
 use raizn::ZoneLifecycleManager;
 use std::sync::Arc;
@@ -37,7 +37,7 @@ fn run(managed: bool) -> bench::BenchResult<SprayOutcome> {
     let (volume, devices) = lifecycle_volume(&run, !managed)?;
     let sched = lifecycle_scheduler(&run, volume.clone())?;
     let manager = managed.then(|| {
-        let mgr = Arc::new(ZoneLifecycleManager::new(volume.clone(), manager_config()));
+        let mgr = Arc::new(ZoneLifecycleManager::new(volume.clone()));
         run.register(mgr.clone());
         mgr
     });

@@ -13,10 +13,7 @@
 
 use crate::{BenchError, BenchResult, TimelineRun, ARRAY_DEVICES, TIMELINE_WINDOW};
 use qos::{QosConfig, QosScheduler, TenantSnapshot, TenantSpec};
-use raizn::{
-    LifecycleConfig, LifecycleStats, MgmtSink, RaiznConfig, RaiznStats, RaiznVolume,
-    ZoneLifecycleManager,
-};
+use raizn::{LifecycleStats, MgmtSink, RaiznConfig, RaiznStats, RaiznVolume, ZoneLifecycleManager};
 use sim::SimTime;
 use std::sync::Arc;
 use workloads::{Admission, SchedCompletion, SharedScheduler, TenantId, ZonedTarget};
@@ -41,9 +38,9 @@ pub const SPRAY_ZONES: u32 = 40;
 /// capacity — past the manager's finish threshold (85%), while leaving a
 /// remainder whose foreground fill cost is the cliff.
 pub const STRIPES_PER_ZONE: u64 = 220;
-/// Foreground ops between manager pumps. Frequent pumps with
-/// [`manager_config`]'s one-finish-per-pump cap spread management IO
-/// thinly instead of bursting it, which is what keeps the band flat.
+/// Foreground ops between manager pumps. Frequent pumps with the
+/// manager's one-finish-per-pump cap spread management IO thinly instead
+/// of bursting it, which is what keeps the band flat.
 pub const PUMP_OPS: u64 = 8;
 /// Sprayed-zone age (in zones) at which the workload queues its reset.
 pub const RESET_LAG: u32 = 30;
@@ -110,18 +107,6 @@ pub fn lifecycle_volume(
     volume.set_recorder(run.recorder());
     run.register(volume.clone());
     Ok((volume, devices))
-}
-
-/// The manager policy used by the experiments (module docs explain the
-/// interplay with [`STRIPES_PER_ZONE`]): at most one background finish
-/// and a small reset batch per pump, so no single window absorbs a
-/// burst of management IO.
-pub fn manager_config() -> LifecycleConfig {
-    LifecycleConfig {
-        max_finishes_per_pump: 1,
-        reset_batch: 2,
-        ..LifecycleConfig::default()
-    }
 }
 
 /// [`MgmtSink`] adapter submitting management IO to a [`QosScheduler`]
@@ -429,7 +414,7 @@ mod tests {
         // short of full, or the experiment degenerates.
         let cap = ZONE_SECTORS * (ARRAY_DEVICES as u64 - 1);
         let sprayed = STRIPES_PER_ZONE * STRIPE_DATA;
-        let threshold = cap * manager_config().finish_fill_permille as u64 / 1000;
+        let threshold = cap * raizn::FINISH_FILL_PERMILLE / 1000;
         assert!(sprayed >= threshold, "spray below finish threshold");
         assert!(sprayed < cap, "spray must not fill the zone");
         const { assert!(SPRAY_ZONES < ZONES - 4, "spray exceeds device zones") };

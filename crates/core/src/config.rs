@@ -1,10 +1,18 @@
 //! RAIZN array configuration.
 
+/// Metadata zones reserved at the start of every device (§4–5): general
+/// metadata, the partial-parity log and one swap zone.
+pub(crate) const MD_ZONES: u32 = 3;
+
+/// When a logical zone holds more relocated stripe units than this on one
+/// device, that device's physical zone is rewritten through a swap zone at
+/// the next mount (§5.2).
+pub const RELOCATION_THRESHOLD: usize = 16;
+
 /// Configuration of a [`crate::RaiznVolume`].
 ///
-/// The defaults mirror the paper's evaluation setup: 64 KiB stripe units,
-/// 3 reserved metadata zones per device (general metadata, partial-parity
-/// log, one swap zone).
+/// The defaults mirror the paper's evaluation setup: 64 KiB stripe units
+/// and single parity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RaiznConfig {
     /// Stripe unit size in sectors (default 16 = 64 KiB).
@@ -14,13 +22,6 @@ pub struct RaiznConfig {
     /// survives any two device failures). Q rotates with P: it always
     /// sits on the device after the parity device.
     pub parity: u32,
-    /// Metadata zones reserved at the start of every device (>= 3:
-    /// general + partial-parity + at least one swap zone).
-    pub md_zones_per_device: u32,
-    /// When a logical zone accumulates more relocated stripe units than
-    /// this, its physical zones are rewritten through a swap zone at the
-    /// next mount.
-    pub relocation_threshold: usize,
     /// Ablation: log the **full** running parity unit on every partial
     /// write instead of only the affected rows. The paper's design logs
     /// only the affected subset to minimize write amplification (§5.1);
@@ -48,14 +49,6 @@ pub struct RaiznConfig {
     /// cliff the `ZoneLifecycleManager` exists to prevent. Off by
     /// default; benches and tests enable it to reproduce the cliff.
     pub reclaim_on_exhaustion: bool,
-    /// How many times a transient (injected) device error is retried
-    /// before the command is declared failed and counted against the
-    /// device's error budget.
-    pub transient_retry_limit: u32,
-    /// Unrecovered errors (retry-exhausted transients and latent media
-    /// errors) a single device may accumulate before the array
-    /// auto-degrades it, exactly as if `fail_device` had been called.
-    pub device_error_budget: u64,
 }
 
 impl Default for RaiznConfig {
@@ -63,14 +56,10 @@ impl Default for RaiznConfig {
         RaiznConfig {
             stripe_unit_sectors: 16,
             parity: 1,
-            md_zones_per_device: 3,
-            relocation_threshold: 16,
             pp_log_full_unit: false,
             use_zrwa: false,
             lb_metadata_headers: false,
             reclaim_on_exhaustion: false,
-            transient_retry_limit: zns::array::TRANSIENT_RETRY_LIMIT,
-            device_error_budget: zns::array::DEVICE_ERROR_BUDGET,
         }
     }
 }
@@ -98,8 +87,7 @@ impl RaiznConfig {
     /// # Panics
     ///
     /// Panics if the stripe unit does not divide the physical zone
-    /// capacity, fewer than 3 metadata zones are reserved, or no data
-    /// zones remain.
+    /// capacity or no data zones remain past the three metadata zones.
     pub fn validate(&self, geometry: &zns::ZoneGeometry) {
         assert!(self.stripe_unit_sectors > 0, "stripe unit must be nonzero");
         assert!(
@@ -115,14 +103,8 @@ impl RaiznConfig {
             geometry.zone_cap()
         );
         assert!(
-            self.md_zones_per_device >= 3,
-            "RAIZN reserves at least 3 metadata zones per device (got {})",
-            self.md_zones_per_device
-        );
-        assert!(
-            geometry.num_zones() > self.md_zones_per_device,
-            "no data zones left after reserving {} metadata zones",
-            self.md_zones_per_device
+            geometry.num_zones() > MD_ZONES,
+            "no data zones left after reserving {MD_ZONES} metadata zones"
         );
     }
 }
@@ -135,7 +117,7 @@ mod tests {
     fn defaults_are_papers() {
         let c = RaiznConfig::default();
         assert_eq!(c.stripe_unit_sectors * 4096, 64 * 1024);
-        assert_eq!(c.md_zones_per_device, 3);
+        assert_eq!(c.parity, 1);
     }
 
     #[test]
@@ -152,11 +134,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least 3 metadata zones")]
-    fn too_few_md_zones_rejected() {
-        let geo = zns::ZnsConfig::small_test().geometry();
-        let mut c = RaiznConfig::small_test();
-        c.md_zones_per_device = 2;
-        c.validate(&geo);
+    #[should_panic(expected = "no data zones left")]
+    fn no_data_zones_rejected() {
+        let geo = zns::ZoneGeometry::new(MD_ZONES, 64, 64);
+        RaiznConfig::small_test().validate(&geo);
     }
 }

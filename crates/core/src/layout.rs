@@ -13,7 +13,7 @@
 //! as one and any two device failures are survivable. Data unit `k` then
 //! starts at `P + 2` instead of `P + 1`.
 
-use crate::config::RaiznConfig;
+use crate::config::{RaiznConfig, MD_ZONES};
 use zns::{Lba, ZoneGeometry};
 
 /// Address arithmetic for a RAIZN array.
@@ -36,7 +36,6 @@ use zns::{Lba, ZoneGeometry};
 pub struct RaiznLayout {
     n: u32,
     su: u64,
-    md_zones: u32,
     parity: u32,
     phys: ZoneGeometry,
 }
@@ -59,7 +58,6 @@ impl RaiznLayout {
         RaiznLayout {
             n,
             su: config.stripe_unit_sectors,
-            md_zones: config.md_zones_per_device,
             parity: config.parity,
             phys,
         }
@@ -90,11 +88,6 @@ impl RaiznLayout {
         self.data_units() * self.su
     }
 
-    /// Metadata zones reserved per device.
-    pub fn md_zones(&self) -> u32 {
-        self.md_zones
-    }
-
     /// The physical device geometry.
     pub fn phys_geometry(&self) -> ZoneGeometry {
         self.phys
@@ -102,7 +95,7 @@ impl RaiznLayout {
 
     /// Number of logical zones.
     pub fn logical_zones(&self) -> u32 {
-        self.phys.num_zones() - self.md_zones
+        self.phys.num_zones() - MD_ZONES
     }
 
     /// Stripes per logical zone.
@@ -124,7 +117,7 @@ impl RaiznLayout {
     /// device).
     pub fn phys_zone(&self, lzone: u32) -> u32 {
         debug_assert!(lzone < self.logical_zones());
-        lzone + self.md_zones
+        lzone + MD_ZONES
     }
 
     /// The device holding the (P) parity unit of `stripe` in `lzone`.

@@ -75,9 +75,9 @@ mod stripe;
 mod volume;
 
 pub use bitmap::PersistenceBitmap;
-pub use config::RaiznConfig;
+pub use config::{RaiznConfig, RELOCATION_THRESHOLD};
 pub use layout::{Location, RaiznLayout};
-pub use lifecycle::{LifecycleConfig, LifecycleStats, MgmtSink, ZoneLifecycleManager};
+pub use lifecycle::{LifecycleStats, MgmtSink, ZoneLifecycleManager, FINISH_FILL_PERMILLE};
 pub use metadata::{
     MdPayload, MdPayloadRef, MdRecord, MdRecordRef, MetadataHeader, MetadataType,
     GEN_COUNTERS_PER_PAGE, MD_HEADER_BYTES,

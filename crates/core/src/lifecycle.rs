@@ -10,15 +10,19 @@
 //!
 //! The [`ZoneLifecycleManager`] takes that work off the critical path:
 //!
-//! - **Background finish**: zones written past a fill threshold and idle
-//!   across consecutive pumps are finished in the background, releasing
-//!   their open/active slots before a foreground write needs them.
-//! - **Pre-open**: a configurable number of empty zones are kept
-//!   explicitly open ahead of projected demand, under the open budget,
-//!   so zone activation never pays open/eviction stalls inline.
+//! - **Background finish**: zones written past [`FINISH_FILL_PERMILLE`]
+//!   and idle across consecutive pumps are finished in the background,
+//!   one per pump, releasing their open/active slots before a foreground
+//!   write needs them.
+//! - **Pre-open**: one empty zone is kept explicitly open ahead of
+//!   projected demand, under the open budget, so zone activation never
+//!   pays open/eviction stalls inline.
 //! - **Reset batching**: resets are queued ([`request_reset`]) and
 //!   drained in batches, keeping their die-group holds off the write
 //!   path.
+//!
+//! The policy is fixed: one finish per pump and a two-reset batch keep any
+//! single window from absorbing a burst of management IO.
 //!
 //! The manager is pumped on virtual time (no threads): callers invoke
 //! [`pump`](ZoneLifecycleManager::pump) at workload-chosen intervals.
@@ -63,48 +67,31 @@ impl MgmtSink for DirectSink<'_> {
     }
 }
 
-/// Tuning knobs of the [`ZoneLifecycleManager`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LifecycleConfig {
-    /// Fill threshold, in permille of the logical zone capacity, past
-    /// which an idle zone becomes a background-finish candidate
-    /// (default 850 = 85%).
-    pub finish_fill_permille: u32,
-    /// Consecutive pumps a candidate's write pointer must hold still
-    /// before it is finished — a zone still being written is never
-    /// sealed under the writer (default 2).
-    pub idle_pumps: u32,
-    /// Background finishes issued per pump at most; the rest stay
-    /// pending for later pumps (default 2).
-    pub max_finishes_per_pump: usize,
-    /// Empty zones to keep explicitly open ahead of demand (default 1;
-    /// 0 disables pre-opening).
-    pub pre_open_zones: usize,
-    /// Open-zone slots to leave free on every device when pre-opening
-    /// (default 1).
-    pub open_slack: u32,
-    /// Active-zone slots to leave free on every device when pre-opening
-    /// (default 2).
-    pub active_slack: u32,
-    /// Queued resets that trigger a drain on the next pump; a smaller
-    /// queue waits for more requests (default 4). `flush_resets` drains
-    /// regardless.
-    pub reset_batch: usize,
-}
+/// Fill, in permille of the logical zone capacity, past which an idle
+/// zone becomes a background-finish candidate (85 %).
+pub const FINISH_FILL_PERMILLE: u64 = 850;
 
-impl Default for LifecycleConfig {
-    fn default() -> Self {
-        LifecycleConfig {
-            finish_fill_permille: 850,
-            idle_pumps: 2,
-            max_finishes_per_pump: 2,
-            pre_open_zones: 1,
-            open_slack: 1,
-            active_slack: 2,
-            reset_batch: 4,
-        }
-    }
-}
+/// Consecutive pumps a candidate's write pointer must hold still before it
+/// is finished: a zone still being written is never sealed under the
+/// writer.
+const IDLE_PUMPS: u32 = 2;
+
+/// Background finishes issued per pump at most; the rest stay pending for
+/// later pumps.
+const FINISHES_PER_PUMP: usize = 1;
+
+/// Empty zones kept explicitly open ahead of demand.
+const PRE_OPEN_ZONES: usize = 1;
+
+/// Open-zone slots left free on every device when pre-opening.
+const OPEN_SLACK: u32 = 1;
+
+/// Active-zone slots left free on every device when pre-opening.
+const ACTIVE_SLACK: u32 = 2;
+
+/// Queued resets that trigger a drain on the next pump; a smaller queue
+/// waits for more requests. `flush_resets` drains regardless.
+const RESET_BATCH: usize = 2;
 
 /// Cumulative counters of one manager instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -125,7 +112,6 @@ pub struct LifecycleStats {
 /// [`pump`](ZoneLifecycleManager::pump).
 pub struct ZoneLifecycleManager {
     volume: Arc<RaiznVolume>,
-    cfg: LifecycleConfig,
     /// Write pointer observed at the previous pump, per logical zone.
     last_wp: Vec<AtomicU64>,
     /// Consecutive pumps the zone has been an idle finish candidate.
@@ -148,11 +134,10 @@ pub struct ZoneLifecycleManager {
 impl ZoneLifecycleManager {
     /// Creates a manager for `volume`. All per-zone state is allocated
     /// here; pumps allocate nothing.
-    pub fn new(volume: Arc<RaiznVolume>, cfg: LifecycleConfig) -> Self {
+    pub fn new(volume: Arc<RaiznVolume>) -> Self {
         let zones = volume.layout().logical_zones() as usize;
         ZoneLifecycleManager {
             volume,
-            cfg,
             last_wp: (0..zones).map(|_| AtomicU64::new(0)).collect(),
             idle: (0..zones).map(|_| AtomicU32::new(0)).collect(),
             sealed: (0..zones).map(|_| AtomicBool::new(false)).collect(),
@@ -164,11 +149,6 @@ impl ZoneLifecycleManager {
             pumps: AtomicU64::new(0),
             pending_finishes: AtomicU64::new(0),
         }
-    }
-
-    /// The manager's configuration.
-    pub fn config(&self) -> LifecycleConfig {
-        self.cfg
     }
 
     /// The managed volume.
@@ -187,9 +167,8 @@ impl ZoneLifecycleManager {
     }
 
     /// Queues logical `zone` for a batched background reset. The reset
-    /// executes on a later [`pump`](Self::pump) (once
-    /// [`reset_batch`](LifecycleConfig::reset_batch) requests are queued)
-    /// or on [`flush_resets`](Self::flush_resets).
+    /// executes on a later [`pump`](Self::pump) (once two requests are
+    /// queued) or on [`flush_resets`](Self::flush_resets).
     pub fn request_reset(&self, zone: u32) {
         let mut q = self.pending_resets.lock();
         if !q.contains(&zone) {
@@ -252,7 +231,7 @@ impl ZoneLifecycleManager {
     /// unconditionally with `force`).
     fn drain_resets(&self, now: SimTime, sink: &mut dyn MgmtSink, force: bool) -> Result<SimTime> {
         let mut done = now;
-        if !force && self.pending_resets.lock().len() < self.cfg.reset_batch {
+        if !force && self.pending_resets.lock().len() < RESET_BATCH {
             return Ok(done);
         }
         // Threshold reached: drain the whole batch.
@@ -274,7 +253,7 @@ impl ZoneLifecycleManager {
     /// per-pump limit.
     fn finish_pass(&self, now: SimTime, sink: &mut dyn MgmtSink) -> Result<SimTime> {
         let cap = self.volume.layout().logical_geometry().zone_cap();
-        let threshold = cap * self.cfg.finish_fill_permille as u64 / 1000;
+        let threshold = cap * FINISH_FILL_PERMILLE / 1000;
         let mut done = now;
         let mut pending = 0u64;
         let mut issued = 0usize;
@@ -297,11 +276,11 @@ impl ZoneLifecycleManager {
                 self.idle[z].store(0, Ordering::Relaxed);
                 0
             };
-            if idle < self.cfg.idle_pumps {
+            if idle < IDLE_PUMPS {
                 pending += 1;
                 continue;
             }
-            if issued >= self.cfg.max_finishes_per_pump {
+            if issued >= FINISHES_PER_PUMP {
                 pending += 1;
                 continue;
             }
@@ -321,12 +300,9 @@ impl ZoneLifecycleManager {
         Ok(done)
     }
 
-    /// Keeps `pre_open_zones` empty zones explicitly open ahead of
-    /// demand, under the open/active budgets minus the configured slack.
+    /// Keeps [`PRE_OPEN_ZONES`] empty zones explicitly open ahead of
+    /// demand, under the open/active budgets minus the slack.
     fn pre_open_pass(&self, now: SimTime, sink: &mut dyn MgmtSink) -> Result<SimTime> {
-        if self.cfg.pre_open_zones == 0 {
-            return Ok(now);
-        }
         let mut held = 0usize;
         for z in 0..self.pre_opened.len() {
             if self.pre_opened[z].load(Ordering::Relaxed)
@@ -337,7 +313,7 @@ impl ZoneLifecycleManager {
         }
         let mut done = now;
         let mut z = 0usize;
-        while held < self.cfg.pre_open_zones && z < self.pre_opened.len() {
+        while held < PRE_OPEN_ZONES && z < self.pre_opened.len() {
             if !self.budget_headroom() {
                 break;
             }
@@ -357,14 +333,14 @@ impl ZoneLifecycleManager {
         Ok(done)
     }
 
-    /// Whether every device has open/active headroom beyond the
-    /// configured slack for one more pre-open.
+    /// Whether every device has open/active headroom beyond the slack for
+    /// one more pre-open.
     fn budget_headroom(&self) -> bool {
         let devices = self.volume.members.read();
         devices.devices().iter().all(|dev| {
             let cfg = dev.config();
-            dev.open_zones() + self.cfg.open_slack < cfg.max_open_zones()
-                && dev.active_zones() + self.cfg.active_slack < cfg.max_active_zones()
+            dev.open_zones() + OPEN_SLACK < cfg.max_open_zones()
+                && dev.active_zones() + ACTIVE_SLACK < cfg.max_active_zones()
         })
     }
 
@@ -491,13 +467,7 @@ mod tests {
     #[test]
     fn finishes_idle_near_full_zone_after_idle_pumps() {
         let v = volume();
-        let mgr = ZoneLifecycleManager::new(
-            v.clone(),
-            LifecycleConfig {
-                pre_open_zones: 0,
-                ..Default::default()
-            },
-        );
+        let mgr = ZoneLifecycleManager::new(v.clone());
         let cap = v.layout().logical_geometry().zone_cap();
         fill(&v, 0, cap * 9 / 10);
         // Pump 1 + 2 observe the idle wp; pump 3 crosses the idle bar.
@@ -514,13 +484,7 @@ mod tests {
     #[test]
     fn below_threshold_or_moving_zones_left_alone() {
         let v = volume();
-        let mgr = ZoneLifecycleManager::new(
-            v.clone(),
-            LifecycleConfig {
-                pre_open_zones: 0,
-                ..Default::default()
-            },
-        );
+        let mgr = ZoneLifecycleManager::new(v.clone());
         let cap = v.layout().logical_geometry().zone_cap();
         fill(&v, 0, cap / 2); // below threshold
         for _ in 0..4 {
@@ -545,14 +509,7 @@ mod tests {
     #[test]
     fn reset_batching_waits_for_batch_then_drains() {
         let v = volume();
-        let mgr = ZoneLifecycleManager::new(
-            v.clone(),
-            LifecycleConfig {
-                pre_open_zones: 0,
-                reset_batch: 2,
-                ..Default::default()
-            },
-        );
+        let mgr = ZoneLifecycleManager::new(v.clone());
         let cap = v.layout().logical_geometry().zone_cap();
         fill(&v, 0, cap);
         fill(&v, 1, cap);
@@ -572,13 +529,7 @@ mod tests {
     #[test]
     fn pre_open_respects_budget_slack() {
         let v = volume();
-        let mgr = ZoneLifecycleManager::new(
-            v.clone(),
-            LifecycleConfig {
-                pre_open_zones: 2,
-                ..Default::default()
-            },
-        );
+        let mgr = ZoneLifecycleManager::new(v.clone());
         let base: Vec<u32> = v
             .members
             .read()
@@ -586,31 +537,38 @@ mod tests {
             .iter()
             .map(|d| d.open_zones())
             .collect();
+        let state = |zone| v.zone_info(zone).unwrap().state;
         mgr.pump(T0).unwrap();
-        assert_eq!(mgr.stats().pre_opens, 2);
-        assert_eq!(
-            v.zone_info(0).unwrap().state,
-            zns::ZoneState::ExplicitlyOpen
-        );
-        assert_eq!(
-            v.zone_info(1).unwrap().state,
-            zns::ZoneState::ExplicitlyOpen
-        );
-        // Every device opened exactly the two pre-opened data zones on top
-        // of whatever metadata zones it already held open.
+        assert_eq!(mgr.stats().pre_opens, 1);
+        assert_eq!(state(0), zns::ZoneState::ExplicitlyOpen);
+        assert_eq!(state(1), zns::ZoneState::Empty);
+        // Every device opened exactly the pre-opened data zone on top of
+        // whatever metadata zones it already held open.
         let devs = v.members.read().devices().to_vec();
-        for (d, b) in devs.iter().zip(base) {
-            assert_eq!(d.open_zones(), b + 2);
+        for (d, b) in devs.iter().zip(&base) {
+            assert_eq!(d.open_zones(), b + 1);
         }
-        // A second pump sees both pre-opens still held and does nothing.
+        // A second pump sees the pre-open still held and does nothing.
         mgr.pump(T0).unwrap();
-        assert_eq!(mgr.stats().pre_opens, 2);
+        assert_eq!(mgr.stats().pre_opens, 1);
+        // Once written, zone 0 is no longer held, but the partial-parity
+        // log the write opened leaves its device only `OPEN_SLACK` open
+        // slots: the pump holds back.
+        fill(&v, 0, 4);
+        mgr.pump(T0).unwrap();
+        assert_eq!(mgr.stats().pre_opens, 1);
+        assert_eq!(state(1), zns::ZoneState::Empty);
+        let pdev = &devs[v.layout().parity_device(0, 0) as usize];
+        assert_eq!(
+            pdev.open_zones() + OPEN_SLACK,
+            pdev.config().max_open_zones()
+        );
     }
 
     #[test]
     fn mgmt_io_share_counts_fill_padding() {
         let v = volume();
-        let mgr = ZoneLifecycleManager::new(v.clone(), LifecycleConfig::default());
+        let mgr = ZoneLifecycleManager::new(v.clone());
         assert_eq!(mgr.mgmt_io_share(), 0.0);
         fill(&v, 0, 8);
         // small_test devices model finishes flat (finish_block_sectors =

@@ -15,7 +15,7 @@
 //! still follows the sharded volume's lock order (zone shard → metadata →
 //! device) so the helpers it shares with the IO path stay uniform.
 
-use crate::config::RaiznConfig;
+use crate::config::{RaiznConfig, MD_ZONES, RELOCATION_THRESHOLD};
 use crate::metadata::{MdPayload, MdRecord, MD_HEADER_BYTES};
 use crate::stats::AtomicRaiznStats;
 use crate::stripe::StripeBuffer;
@@ -101,7 +101,7 @@ impl RaiznVolume {
                 if members.is_failed(di) {
                     continue;
                 }
-                for mz in 0..config.md_zones_per_device {
+                for mz in 0..MD_ZONES {
                     scan_md_zone(&devices, di, mz, at, &mut harvest)?;
                 }
             }
@@ -117,7 +117,7 @@ impl RaiznVolume {
                     saw_superblock = true;
                     if sb.num_devices != layout.devices()
                         || sb.stripe_unit_sectors != config.stripe_unit_sectors
-                        || sb.md_zones_per_device != config.md_zones_per_device
+                        || sb.md_zones_per_device != MD_ZONES
                     {
                         return Err(ZnsError::InvalidArgument(
                             "superblock parameters do not match the mount configuration"
@@ -525,12 +525,11 @@ impl RaiznVolume {
     }
 
     /// §5.2 maintenance: when a logical zone holds more relocated stripe
-    /// units on one device than the configured threshold, the physical
+    /// units on one device than [`RELOCATION_THRESHOLD`], the physical
     /// zone on that device is rewritten — contents are bounced through a
     /// swap zone, the zone is reset, and everything is written back with
     /// each relocated unit restored to its arithmetic slot.
     pub(crate) fn rewrite_overloaded_zones(&self, devices: &Roster<'_>, at: SimTime) -> Result<()> {
-        let threshold = self.config.relocation_threshold;
         let mut targets: Vec<(u32, u32)> = {
             let m = self.lock_meta();
             let mut counts: HashMap<(u32, u32), usize> = HashMap::new();
@@ -539,7 +538,7 @@ impl RaiznVolume {
             }
             counts
                 .into_iter()
-                .filter(|(_, c)| *c > threshold)
+                .filter(|(_, c)| *c > RELOCATION_THRESHOLD)
                 .map(|(k, _)| k)
                 .collect()
         };
@@ -633,7 +632,6 @@ impl RaiznVolume {
     /// a compact, bounded metadata footprint for the new session.
     fn mount_refresh_metadata(&self, devices: &Roster<'_>, at: SimTime) -> Result<()> {
         self.sync_pp_snapshots();
-        let mdz = self.layout.md_zones();
         let mut m = self.lock_meta();
         let MetaState { log, live, .. } = &mut *m;
         for dev in 0..devices.len() {
@@ -644,7 +642,7 @@ impl RaiznVolume {
             // general zone.
             let mut best = 0u32;
             let mut best_free = 0u64;
-            for mz in 0..mdz {
+            for mz in 0..MD_ZONES {
                 let info = devices.zone_info(dev, mz)?;
                 let free = info.remaining();
                 if free >= best_free {
@@ -652,7 +650,7 @@ impl RaiznVolume {
                     best_free = free;
                 }
             }
-            let others: Vec<u32> = (0..mdz).filter(|z| *z != best).collect();
+            let others: Vec<u32> = (0..MD_ZONES).filter(|z| *z != best).collect();
             log.md[dev] = MdRoles {
                 general: best,
                 pplog: others[0],

@@ -20,7 +20,7 @@
 //! shards.
 
 use crate::bitmap::PersistenceBitmap;
-use crate::config::RaiznConfig;
+use crate::config::{RaiznConfig, MD_ZONES};
 use crate::layout::RaiznLayout;
 use crate::metadata::{
     MdPayloadRef, MdRecordRef, MetadataType, Superblock, GEN_COUNTERS_PER_PAGE, MD_HEADER_BYTES,
@@ -102,11 +102,11 @@ pub(crate) struct MdRoles {
 
 impl MdRoles {
     /// The assignment of a freshly formatted (or replaced) device.
-    fn fresh(md_zones: u32) -> MdRoles {
+    fn fresh() -> MdRoles {
         MdRoles {
             general: 0,
             pplog: 1,
-            swaps: (2..md_zones).collect(),
+            swaps: (2..MD_ZONES).collect(),
         }
     }
 
@@ -474,15 +474,13 @@ impl RaiznVolume {
         Ok(RaiznLayout::new(devices.len() as u32, config, geo))
     }
 
-    /// The member layer over `devices` under `config`'s parity, stripe
-    /// unit, retry limit and error budget.
+    /// The member layer over `devices` under `config`'s parity and stripe
+    /// unit.
     pub(crate) fn array_members(
         devices: Vec<Arc<ZnsDevice>>,
         config: RaiznConfig,
     ) -> Result<Members> {
-        let (limit, budget) = (config.transient_retry_limit, config.device_error_budget);
-        let su = config.stripe_unit_sectors;
-        Members::new(devices, config.parity, su, limit, budget)
+        Members::new(devices, config.parity, config.stripe_unit_sectors)
     }
 
     /// Builds the in-memory volume object with default metadata roles.
@@ -510,9 +508,7 @@ impl RaiznVolume {
                 })
             })
             .collect();
-        let md = (0..n)
-            .map(|_| MdRoles::fresh(config.md_zones_per_device))
-            .collect();
+        let md = (0..n).map(|_| MdRoles::fresh()).collect();
         RaiznVolume {
             layout,
             config,
@@ -758,7 +754,7 @@ impl RaiznVolume {
                     num_devices: self.layout.devices(),
                     device_index: dev as u32,
                     stripe_unit_sectors: self.layout.stripe_unit(),
-                    md_zones_per_device: self.layout.md_zones(),
+                    md_zones_per_device: MD_ZONES,
                     phys_zones: phys.num_zones(),
                     phys_zone_size: phys.zone_size(),
                     phys_zone_cap: phys.zone_cap(),
@@ -2013,7 +2009,7 @@ impl RaiznVolume {
                 let mut m = self.lock_meta();
                 let MetaState { log, live, .. } = &mut *m;
                 let dev = failed as usize;
-                log.md[dev] = MdRoles::fresh(self.layout.md_zones());
+                log.md[dev] = MdRoles::fresh();
                 rb.on_replacement(|fresh, mut t| {
                     for role in [MdRole::General, MdRole::PpLog] {
                         self.checkpoint_live(live, dev, role, false, |rec| {
@@ -2435,12 +2431,8 @@ mod tests {
         let devices: Vec<Arc<ZnsDevice>> = (0..5)
             .map(|_| Arc::new(ZnsDevice::new(ZnsConfig::small_test())))
             .collect();
-        let config = RaiznConfig {
-            transient_retry_limit: 0,
-            device_error_budget: u64::MAX,
-            ..RaiznConfig::small_test()
-        };
-        let v = RaiznVolume::format(devices.clone(), config, SimTime::ZERO).unwrap();
+        let v =
+            RaiznVolume::format(devices.clone(), RaiznConfig::small_test(), SimTime::ZERO).unwrap();
         let sectors = v.layout.stripe_data_sectors();
         let stripe = vec![7u8; (sectors * SECTOR_SIZE) as usize];
         v.write(SimTime::ZERO, 0, &stripe, WriteFlags::default())
@@ -2449,7 +2441,11 @@ mod tests {
         assert_eq!(v.lock_shard(0).scratch.len(), columns);
 
         let pdev = v.layout.parity_device(0, 1) as usize;
-        devices[pdev].set_fault_plan(FaultPlan::new(1).fail_nth(FaultOp::Write, 1));
+        let plan = (1..=u64::from(zns::array::TRANSIENT_RETRY_LIMIT) + 1)
+            .fold(FaultPlan::new(1), |plan, n| {
+                plan.fail_nth(FaultOp::Write, n)
+            });
+        devices[pdev].set_fault_plan(plan);
         v.write(SimTime::ZERO, sectors, &stripe, WriteFlags::default())
             .unwrap_err();
         assert_eq!(v.lock_shard(0).scratch.len(), columns);

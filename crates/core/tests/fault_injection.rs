@@ -8,6 +8,7 @@ use raizn::{RaiznConfig, RaiznVolume};
 use sim::{SimRng, SimTime};
 use std::sync::Arc;
 use workloads::harness::{roomy_config, FaultTarget, Ls, Pair, Raizn, CACHED};
+use zns::array::{DEVICE_ERROR_BUDGET, TRANSIENT_RETRY_LIMIT};
 use zns::{
     FaultOp, FaultPlan, WriteFlags, ZnsConfig, ZnsDevice, ZnsError, ZonedVolume, SECTOR_SIZE,
 };
@@ -235,7 +236,7 @@ fn scrub_refuses_degraded_array() {
 
 /// What a member command that exhausted its retries turns into, seen from
 /// the volume: per command kind, whether the charge degraded the member
-/// (`budget == 0`: the first charge does) or not.
+/// (with its budget spent, the next charge does) or not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Exhaustion {
     /// The volume op succeeds: the command was omitted (write, reset),
@@ -314,7 +315,35 @@ fn charged(v: &RaiznVolume, dev: usize) -> u64 {
         .find(|g| g.gauge == "error_budget_remaining" && g.device == dev as u32)
         .expect("per-device budget gauge")
         .value;
-    v.config().device_error_budget - remaining as u64
+    DEVICE_ERROR_BUDGET - remaining as u64
+}
+
+/// Spends member `dev`'s whole error budget through the volume:
+/// `DEVICE_ERROR_BUDGET` reads of a unit it holds in zone 1, each failing
+/// past the retry limit, charged once and served from parity.
+fn spend_budget(v: &RaiznVolume, devs: &[Arc<ZnsDevice>], dev: usize) {
+    let layout = v.layout();
+    let start = layout.logical_geometry().zone_start(1);
+    let sectors = 3 * layout.stripe_data_sectors();
+    v.write(T0, start, &bytes(sectors, 78), WriteFlags::default())
+        .unwrap();
+    v.flush(T0).unwrap();
+    let lba = (start..start + sectors)
+        .find(|&lba| {
+            let at = layout.locate(lba);
+            layout.data_device(at.lzone, at.stripe, at.unit) as usize == dev
+        })
+        .expect("every member holds data in three stripes");
+    devs[dev].set_fault_plan(FaultPlan::new(1).transient_rate(FaultOp::Read, 1.0));
+    let mut out = vec![0u8; SECTOR_SIZE as usize];
+    for _ in 0..DEVICE_ERROR_BUDGET {
+        v.read(T0, lba, &mut out).unwrap();
+    }
+    assert_eq!(charged(v, dev), DEVICE_ERROR_BUDGET, "budget spent");
+    assert!(
+        v.failed_devices().is_empty(),
+        "a spent budget alone degrades nothing"
+    );
 }
 
 /// The one member-command retry, pinned per command kind: bursts up to the
@@ -324,23 +353,23 @@ fn charged(v: &RaiznVolume, dev: usize) -> u64 {
 /// the member.
 #[test]
 fn member_command_retry_counts_charges_and_outcomes() {
-    let limit = RaiznConfig::small_test().transient_retry_limit;
+    let limit = TRANSIENT_RETRY_LIMIT;
     for case in &RETRY_CASES {
-        // (consecutive failures, error budget)
-        for (failures, budget) in [(limit, 16), (limit + 1, 16), (limit + 1, 0)] {
-            let ctx = format!("{} x{failures} budget {budget}", case.op);
+        // (consecutive failures, error budget already spent)
+        for (failures, spent) in [(limit, false), (limit + 1, false), (limit + 1, true)] {
+            let ctx = format!("{} x{failures} spent {spent}", case.op);
             let devs = devices(5);
-            let config = RaiznConfig {
-                device_error_budget: budget,
-                ..RaiznConfig::small_test()
-            };
-            let v = RaiznVolume::format(devs.clone(), config, T0).unwrap();
+            let v = RaiznVolume::format(devs.clone(), RaiznConfig::small_test(), T0).unwrap();
             if case.prefill {
                 v.write(T0, 0, &bytes(16, 77), WriteFlags::default())
                     .unwrap();
                 v.flush(T0).unwrap();
             }
             let dev = (case.target)(&v.layout());
+            if spent {
+                spend_budget(&v, &devs, dev);
+            }
+            let (before, injected) = (v.stats(), devs[dev].stats().injected_transients);
             let plan = (1..=u64::from(failures))
                 .fold(FaultPlan::new(1), |plan, n| plan.fail_nth(case.op, n));
             devs[dev].set_fault_plan(plan);
@@ -350,25 +379,29 @@ fn member_command_retry_counts_charges_and_outcomes() {
             let stats = v.stats();
             let exhausted = failures > limit;
             assert_eq!(
-                stats.transient_retries,
+                stats.transient_retries - before.transient_retries,
                 u64::from(limit.min(failures)),
                 "{ctx}"
             );
             assert_eq!(
                 u64::from(failures),
-                devs[dev].stats().injected_transients,
+                devs[dev].stats().injected_transients - injected,
                 "{ctx}: every planned failure was consumed by the one command"
             );
-            let degraded = exhausted && budget == 0;
+            let degraded = exhausted && spent;
             assert_eq!(stats.auto_degrades, u64::from(degraded), "{ctx}");
             assert_eq!(
                 v.failed_devices(),
                 if degraded { vec![dev] } else { vec![] },
                 "{ctx}"
             );
-            if budget > 0 {
-                assert_eq!(charged(&v, dev), u64::from(exhausted), "{ctx}");
-            }
+            // The gauge saturates at a spent budget.
+            let expect_charged = if spent {
+                DEVICE_ERROR_BUDGET
+            } else {
+                u64::from(exhausted)
+            };
+            assert_eq!(charged(&v, dev), expect_charged, "{ctx}");
             let expect = match (exhausted, degraded) {
                 (false, _) | (true, true) => Exhaustion::Absorbed,
                 (true, false) => case.exhausted_healthy,
@@ -382,7 +415,11 @@ fn member_command_retry_counts_charges_and_outcomes() {
             }
             // A read the member could not serve is a degraded read, once.
             let reconstructed = case.op == FaultOp::Read && exhausted;
-            assert_eq!(stats.degraded_reads, u64::from(reconstructed), "{ctx}");
+            assert_eq!(
+                stats.degraded_reads - before.degraded_reads,
+                u64::from(reconstructed),
+                "{ctx}"
+            );
         }
     }
 }

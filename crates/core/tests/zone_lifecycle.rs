@@ -3,7 +3,7 @@
 //! attribution through the QoS scheduler, and the no-manager write-stall
 //! cliff as a regression oracle for the cost model.
 
-use raizn::{LifecycleConfig, MgmtSink, RaiznConfig, RaiznVolume, ZoneLifecycleManager};
+use raizn::{MgmtSink, RaiznConfig, RaiznVolume, ZoneLifecycleManager};
 use sim::SimTime;
 use std::sync::Arc;
 use workloads::{Admission, SchedCompletion, SharedScheduler, ZonedTarget};
@@ -72,13 +72,7 @@ fn read_back(v: &RaiznVolume, zone: u32, sectors: u64) -> Vec<u8> {
 fn background_finish_releases_active_budget_and_preserves_data() {
     let (v, devices) = array(4, 6, LatencyConfig::instant(), false);
     let cap = v.layout().logical_geometry().zone_cap();
-    let mgr = ZoneLifecycleManager::new(
-        v.clone(),
-        LifecycleConfig {
-            pre_open_zones: 0,
-            ..Default::default()
-        },
-    );
+    let mgr = ZoneLifecycleManager::new(v.clone());
     let sectors = cap * 9 / 10;
     write_at(&v, 0, 0, sectors, 0xAB);
     let active_before: u32 = devices.iter().map(|d| d.active_zones()).sum();
@@ -87,9 +81,12 @@ fn background_finish_releases_active_budget_and_preserves_data() {
     }
     assert_eq!(v.zone_info(0).unwrap().state, ZoneState::Full);
     assert_eq!(mgr.stats().finishes, 1);
-    // Finishing moved every device's physical zone out of the active set.
+    // Finishing moved every device's physical zone out of the active set,
+    // and the slot it freed went to the one pre-opened empty zone.
+    assert_eq!(mgr.stats().pre_opens, 1);
+    assert_eq!(v.zone_info(1).unwrap().state, ZoneState::ExplicitlyOpen);
     let active_after: u32 = devices.iter().map(|d| d.active_zones()).sum();
-    assert_eq!(active_after, active_before - DEVICES as u32);
+    assert_eq!(active_after, active_before);
     // The sealed zone still reads back byte-for-byte.
     assert!(read_back(&v, 0, sectors).iter().all(|&b| b == 0xAB));
 }
@@ -102,15 +99,7 @@ fn open_budget_never_exceeded_under_zone_spray() {
     // would fail the write instead of silently reclaiming).
     let (v, devices) = array(4, 6, LatencyConfig::instant(), false);
     let cap = v.layout().logical_geometry().zone_cap();
-    let mgr = ZoneLifecycleManager::new(
-        v.clone(),
-        LifecycleConfig {
-            pre_open_zones: 0,
-            idle_pumps: 1,
-            reset_batch: 3,
-            ..Default::default()
-        },
-    );
+    let mgr = ZoneLifecycleManager::new(v.clone());
     let chunk = cap * 9 / 10 / 4;
     for zone in 0..10u32 {
         for part in 0..4 {
@@ -127,15 +116,19 @@ fn open_budget_never_exceeded_under_zone_spray() {
                 );
             }
         }
-        // Two pumps per sprayed zone: observe idle, then finish.
-        mgr.pump(T0).unwrap();
-        mgr.pump(T0).unwrap();
+        // Three pumps per sprayed zone: the first sees it move, the next
+        // two see it idle, and the second of those finishes it.
+        for _ in 0..3 {
+            mgr.pump(T0).unwrap();
+        }
         if zone >= 6 {
             mgr.request_reset(zone - 6);
         }
     }
+    // The last two requests form the final batch; one more pump drains it.
+    mgr.pump(T0).unwrap();
     assert!(mgr.stats().finishes >= 8, "stats {:?}", mgr.stats());
-    assert!(mgr.stats().resets >= 3, "stats {:?}", mgr.stats());
+    assert_eq!(mgr.stats().resets, 4, "stats {:?}", mgr.stats());
     assert_eq!(v.stats().foreground_reclaims, 0);
 }
 
@@ -143,14 +136,7 @@ fn open_budget_never_exceeded_under_zone_spray() {
 fn batched_resets_preserve_read_back_of_untouched_zones() {
     let (v, _devices) = array(4, 6, LatencyConfig::instant(), false);
     let cap = v.layout().logical_geometry().zone_cap();
-    let mgr = ZoneLifecycleManager::new(
-        v.clone(),
-        LifecycleConfig {
-            pre_open_zones: 0,
-            reset_batch: 2,
-            ..Default::default()
-        },
-    );
+    let mgr = ZoneLifecycleManager::new(v.clone());
     let sectors = cap * 9 / 10;
     for (zone, pattern) in [(0u32, 0x11u8), (1, 0x22), (2, 0x33)] {
         write_at(&v, zone, 0, sectors, pattern);
@@ -164,28 +150,32 @@ fn batched_resets_preserve_read_back_of_untouched_zones() {
     assert_eq!(v.zone_info(0).unwrap().state, ZoneState::Full);
     mgr.request_reset(1);
     mgr.pump(T0).unwrap();
-    assert_eq!(v.zone_info(0).unwrap().state, ZoneState::Empty);
+    // Both reset, and the slots they freed let the same pump pre-open the
+    // lowest empty zone.
+    assert_eq!(mgr.stats().resets, 2);
+    assert_eq!(mgr.stats().pre_opens, 1);
+    assert_eq!(v.zone_info(0).unwrap().state, ZoneState::ExplicitlyOpen);
     assert_eq!(v.zone_info(1).unwrap().state, ZoneState::Empty);
+    for zone in [0, 1] {
+        let zi = v.zone_info(zone).unwrap();
+        assert_eq!(zi.write_pointer, zi.start, "zone {zone} not reset");
+    }
     // The zone that was never queued still holds its data.
     assert_eq!(v.zone_info(2).unwrap().state, ZoneState::Full);
     assert!(read_back(&v, 2, sectors).iter().all(|&b| b == 0x33));
 }
 
-/// Test-local QoS sink: management IO goes through the scheduler as
-/// tenant 1 and the scheduler is drained after each submission.
-struct SchedSink<'a> {
-    sched: &'a qos::QosScheduler,
-    tag: u64,
-}
+/// Management IO through the scheduler as tenant 1, drained after each
+/// submission.
+struct SchedSink<'a>(qos::InternalTenant<'a>);
 
 impl MgmtSink for SchedSink<'_> {
     fn submit_mgmt(&mut self, at: SimTime, zone: u32, op: zns::ZoneMgmtOp) -> zns::Result<SimTime> {
-        let adm = self.sched.submit_mgmt(1, self.tag, at, zone, op)?;
-        assert!(matches!(adm, Admission::Admitted(_)), "mgmt op shed");
-        self.tag += 1;
-        let mut out: Vec<SchedCompletion> = Vec::new();
-        while self.sched.step(&mut out)? {}
-        Ok(out.iter().map(|c| c.done).fold(at, SimTime::max))
+        self.0.submit_and_drain(
+            at,
+            format_args!("{op} of zone {zone}"),
+            |sched, tenant, tag| sched.submit_mgmt(tenant, tag, at, zone, op),
+        )
     }
 }
 
@@ -204,14 +194,7 @@ fn management_io_is_attributed_to_the_internal_tenant() {
     )
     .unwrap()
     .with_recorder(rec.clone());
-    let mgr = ZoneLifecycleManager::new(
-        v.clone(),
-        LifecycleConfig {
-            pre_open_zones: 0,
-            reset_batch: 1,
-            ..Default::default()
-        },
-    );
+    let mgr = ZoneLifecycleManager::new(v.clone());
 
     // Foreground traffic as tenant 0, through the same scheduler.
     let data = vec![0xCDu8; (cap * 9 / 10 * SECTOR_SIZE) as usize];
@@ -222,17 +205,15 @@ fn management_io_is_attributed_to_the_internal_tenant() {
     ));
     while sched.step(&mut out).unwrap() {}
 
-    let mut sink = SchedSink {
-        sched: &sched,
-        tag: 0,
-    };
+    let mut sink = SchedSink(qos::InternalTenant::new(&sched, 1));
     for _ in 0..3 {
         mgr.pump_with(T0, &mut sink).unwrap();
     }
     mgr.request_reset(0);
-    mgr.pump_with(T0, &mut sink).unwrap();
+    mgr.flush_resets(T0, &mut sink).unwrap();
     assert_eq!(mgr.stats().finishes, 1);
     assert_eq!(mgr.stats().resets, 1);
+    assert_eq!(mgr.stats().pre_opens, 1);
 
     // Every management span carries the internal tenant's index; no
     // management op is ever attributed to the foreground tenant.
@@ -250,10 +231,11 @@ fn management_io_is_attributed_to_the_internal_tenant() {
         .filter(|e| e.device == 0)
         .collect();
     assert!(!fg.is_empty(), "foreground write spans missing");
-    assert_eq!(rec.count(obs::Counter::SchedMgmtOps), 2);
+    // Finish, reset and the pre-open the finish made room for.
+    assert_eq!(rec.count(obs::Counter::SchedMgmtOps), 3);
     let tenants = sched.stats();
     assert_eq!(tenants[1].name, "mgmt");
-    assert_eq!(tenants[1].completed, 2);
+    assert_eq!(tenants[1].completed, 3);
 }
 
 #[test]

@@ -77,10 +77,7 @@ use sim::codec::Role;
 use sim::SimTime;
 use std::ops::Range;
 use std::sync::Arc;
-use zns::array::{
-    unit_segments, Exhausted, Fill, Members, RebuildReport, Roster, Stripe, DEVICE_ERROR_BUDGET,
-    TRANSIENT_RETRY_LIMIT,
-};
+use zns::array::{unit_segments, Exhausted, Fill, Members, RebuildReport, Roster, Stripe};
 use zns::{
     AppendCompletion, IoCompletion, Lba, Result, WriteFlags, ZnsDevice, ZnsError, ZoneGeometry,
     ZoneInfo, ZoneState, ZonedVolume, SECTOR_SIZE,
@@ -94,6 +91,12 @@ const NO_ZONE: u32 = u32::MAX;
 const SLOT_BITS: u32 = 40;
 /// Physical zones 0..META_ZONES are reserved on every device.
 const META_ZONES: u32 = 2;
+/// Free stripe groups kept in reserve; dropping to the reserve triggers an
+/// inline (emergency) collection that stalls the write. Two, because
+/// draining a victim can consume one free group for survivors before the
+/// victim's own reclaim returns a group, and the write that triggered the
+/// collection takes another.
+const RESERVE_GROUPS: u32 = 2;
 /// Stream index for foreground (hot) data.
 const HOT: usize = 0;
 /// Stream index for GC-migrated (cold) data.
@@ -129,12 +132,6 @@ pub struct LsConfig {
     /// Fraction of spendable capacity held back as over-provisioning;
     /// raising it gives GC more slack and lowers write amplification.
     pub op_ratio: f64,
-    /// Free stripe groups kept in reserve; dropping to the reserve
-    /// triggers an inline (emergency) collection that stalls the write.
-    /// Must be at least 2: draining a victim can consume one free group
-    /// for survivors before the victim's own reclaim returns a group,
-    /// and the write that triggered the collection takes another.
-    pub reserve_groups: u32,
 }
 
 impl Default for LsConfig {
@@ -143,7 +140,6 @@ impl Default for LsConfig {
             stripe_unit: 16,
             parity: 1,
             op_ratio: 0.20,
-            reserve_groups: 2,
         }
     }
 }
@@ -167,13 +163,6 @@ impl LsConfig {
     #[must_use]
     pub fn op_ratio(mut self, ratio: f64) -> Self {
         self.op_ratio = ratio;
-        self
-    }
-
-    /// Sets the reserved free-group count.
-    #[must_use]
-    pub fn reserve_groups(mut self, groups: u32) -> Self {
-        self.reserve_groups = groups;
         self
     }
 }
@@ -526,13 +515,7 @@ impl LsVolume {
             return Err(invalid("lsraid: devices disagree on geometry"));
         }
         let k = config.stripe_unit;
-        let members = Members::new(
-            devices,
-            p as u32,
-            k,
-            TRANSIENT_RETRY_LIMIT,
-            DEVICE_ERROR_BUDGET,
-        )?;
+        let members = Members::new(devices, p as u32, k)?;
         let c = phys.zone_cap();
         if k == 0 || !c.is_multiple_of(k) {
             return Err(invalid("lsraid: stripe unit must divide zone capacity"));
@@ -541,7 +524,7 @@ impl LsVolume {
         let s = c / k;
         let kd = k * d as u64;
         let group_cap = s * kd;
-        if phys.num_zones() < META_ZONES + config.reserve_groups + 3 {
+        if phys.num_zones() < META_ZONES + RESERVE_GROUPS + 3 {
             return Err(invalid("lsraid: too few zones per device"));
         }
         let g_total = phys.num_zones() - META_ZONES;
@@ -1335,8 +1318,7 @@ impl LsVolume {
         // the reclaim frees the victim), but every pass converts that
         // victim's garbage to log headroom, so the loop terminates —
         // either the pool recovers or no garbage is left anywhere.
-        while !inner.in_emergency && inner.free_groups.len() <= self.config.reserve_groups as usize
-        {
+        while !inner.in_emergency && inner.free_groups.len() <= RESERVE_GROUPS as usize {
             let (done, collected) = self.emergency_collect(inner, t)?;
             t = done;
             if !collected {
@@ -1955,7 +1937,7 @@ impl LsVolume {
 
     /// Inline collection on the foreground write path: drains the best
     /// victim into the cold stream and reclaims it, stalling the caller.
-    /// Runs when the free pool hits the configured reserve (the
+    /// Runs when the free pool hits [`RESERVE_GROUPS`] (the
     /// background [`GcManager`] should normally keep ahead of this).
     fn emergency_collect(&self, inner: &mut LsInner, at: SimTime) -> Result<(SimTime, bool)> {
         let Some(victim) = self.pick_victim_inner(inner, 0.0, true) else {

@@ -1,6 +1,7 @@
 //! Tests of invariants only the engine's internals can set up.
 
 use super::*;
+use zns::array::{DEVICE_ERROR_BUDGET, TRANSIENT_RETRY_LIMIT};
 use zns::{FaultOp, FaultPlan, LatencyConfig, ZnsConfig};
 
 const T0: SimTime = SimTime::ZERO;

@@ -119,11 +119,6 @@ pub struct QosConfig {
     /// cross the next multiple of this after their start (0 disables
     /// alignment capping).
     pub stripe_sectors: u64,
-    /// Maximum ops merged into one coalesced batch.
-    pub max_coalesce_ops: usize,
-    /// EWMA smoothing factor for the device service-latency congestion
-    /// signal, in (0, 1].
-    pub congestion_alpha: f64,
     /// Service-latency EWMA above which the scheduler is congested and
     /// halves effective queue caps ([`SimDuration::ZERO`] disables).
     pub congestion_threshold: SimDuration,
@@ -134,8 +129,6 @@ impl Default for QosConfig {
         QosConfig {
             server_depth: 4,
             stripe_sectors: 0,
-            max_coalesce_ops: 32,
-            congestion_alpha: 0.2,
             congestion_threshold: SimDuration::ZERO,
         }
     }

@@ -13,9 +13,12 @@ use workloads::{
 };
 use zns::{Result, ZnsError, SECTOR_SIZE};
 
-/// Hard ceiling on ops merged into one batch (bounds the stack-allocated
-/// segment table used for gather writes).
-const MAX_BATCH: usize = 64;
+/// Ops merged into one coalesced batch at most (also the size of the
+/// stack-allocated segment table of its gather write).
+const MAX_COALESCE_OPS: usize = 32;
+
+/// EWMA smoothing factor of the device service-latency congestion signal.
+const CONGESTION_ALPHA: f64 = 0.2;
 
 /// Retired payload buffers kept for reuse across ops.
 const POOL_CAP: usize = 1024;
@@ -128,7 +131,7 @@ impl QosScheduler {
     ///
     /// # Errors
     ///
-    /// Fails if `tenants` is empty or a config knob is out of range.
+    /// Fails if `tenants` is empty or the server depth is zero.
     pub fn new(
         target: Arc<dyn IoTarget>,
         config: QosConfig,
@@ -144,12 +147,6 @@ impl QosScheduler {
                 "server depth must be nonzero".to_string(),
             ));
         }
-        if !(config.congestion_alpha > 0.0 && config.congestion_alpha <= 1.0) {
-            return Err(ZnsError::InvalidArgument(format!(
-                "congestion alpha {} outside (0, 1]",
-                config.congestion_alpha
-            )));
-        }
         let states = tenants
             .into_iter()
             .map(|spec| TenantState {
@@ -164,13 +161,9 @@ impl QosScheduler {
         for _ in 0..config.server_depth {
             slots.push(Reverse(0));
         }
-        let max_batch = config.max_coalesce_ops.clamp(1, MAX_BATCH);
         Ok(QosScheduler {
             target,
-            config: QosConfig {
-                max_coalesce_ops: max_batch,
-                ..config
-            },
+            config,
             tracer: obs::Tracer::new(),
             locks: obs::LockStats::new(),
             inner: Mutex::new(Inner {
@@ -180,7 +173,7 @@ impl QosScheduler {
                 next_token: 0,
                 ewma_service_ns: 0.0,
                 pool: Vec::with_capacity(POOL_CAP),
-                batch: Vec::with_capacity(max_batch),
+                batch: Vec::with_capacity(MAX_COALESCE_OPS),
                 read_buf: Vec::new(),
             }),
         })
@@ -455,10 +448,7 @@ impl SharedScheduler for QosScheduler {
         // Pop the head, then greedily absorb adjacent queued sequential
         // writes into a stripe-aligned batch.
         inner.batch.clear();
-        let (coalesce_on, max_batch) = (
-            inner.tenants[ti].spec.coalesce,
-            self.config.max_coalesce_ops,
-        );
+        let coalesce_on = inner.tenants[ti].spec.coalesce;
         let head = inner.tenants[ti]
             .queue
             .pop_front()
@@ -477,7 +467,7 @@ impl SharedScheduler for QosScheduler {
                 .checked_div(stripe)
                 .map_or(u64::MAX, |q| (q + 1) * stripe);
             let hard_end = stripe_end.min(start_off + self.target.max_io_at(start_off));
-            while inner.batch.len() < max_batch {
+            while inner.batch.len() < MAX_COALESCE_OPS {
                 let Some(next) = inner.tenants[ti].queue.front() else {
                     break;
                 };
@@ -525,7 +515,7 @@ impl SharedScheduler for QosScheduler {
         let total_sectors = end_off - start_off;
         let done = match dir {
             OpDir::Write => {
-                let mut segs: [&[u8]; MAX_BATCH] = [&[]; MAX_BATCH];
+                let mut segs: [&[u8]; MAX_COALESCE_OPS] = [&[]; MAX_COALESCE_OPS];
                 for (i, op) in inner.batch.iter().enumerate() {
                     segs[i] = op.buf.as_deref().expect("write op carries payload");
                 }
@@ -546,7 +536,7 @@ impl SharedScheduler for QosScheduler {
         inner.slots.push(Reverse(done.as_nanos()));
 
         let service_ns = done.since(dispatch).as_nanos() as f64;
-        let a = self.config.congestion_alpha;
+        let a = CONGESTION_ALPHA;
         inner.ewma_service_ns = if inner.ewma_service_ns == 0.0 {
             service_ns
         } else {

@@ -26,7 +26,6 @@ fn run_once(seed: u64) -> (RunReport, Vec<obs::TraceEvent>, Vec<qos::TenantSnaps
             server_depth: 2,
             stripe_sectors: 64,
             congestion_threshold: SimDuration::from_millis(2),
-            ..QosConfig::default()
         },
         vec![
             TenantSpec::new("reserved")

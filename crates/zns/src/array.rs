@@ -129,8 +129,6 @@ pub struct Members {
     parity: u32,
     /// Sectors per member slot of a stripe (the stripe unit).
     unit_sectors: u64,
-    retry_limit: u32,
-    error_budget: u64,
     transient_retries: AtomicU64,
     auto_degrades: AtomicU64,
     degraded_reads: AtomicU64,
@@ -146,21 +144,15 @@ pub struct Members {
 impl Members {
     /// An array of `devices` tolerating `parity` failed members, striped
     /// in `unit_sectors`-sector units, whose commands retry transients up
-    /// to `retry_limit` times and which degrades a member past
-    /// `error_budget` unrecovered errors. Members already failed join the
-    /// failure mask.
+    /// to [`TRANSIENT_RETRY_LIMIT`] times and which degrades a member past
+    /// [`DEVICE_ERROR_BUDGET`] unrecovered errors. Members already failed
+    /// join the failure mask.
     ///
     /// # Errors
     ///
     /// [`ZnsError::InvalidArgument`] past 64 members,
     /// [`ZnsError::TooManyFailures`] with more than `parity` failed.
-    pub fn new(
-        devices: Vec<Arc<ZnsDevice>>,
-        parity: u32,
-        unit_sectors: u64,
-        retry_limit: u32,
-        error_budget: u64,
-    ) -> Result<Members> {
+    pub fn new(devices: Vec<Arc<ZnsDevice>>, parity: u32, unit_sectors: u64) -> Result<Members> {
         if devices.len() > 64 {
             return Err(ZnsError::InvalidArgument(format!(
                 "an array has at most 64 members (failure bitmask), got {}",
@@ -182,8 +174,6 @@ impl Members {
             failed: AtomicU64::new(failed),
             parity,
             unit_sectors,
-            retry_limit,
-            error_budget,
             transient_retries: AtomicU64::new(0),
             auto_degrades: AtomicU64::new(0),
             degraded_reads: AtomicU64::new(0),
@@ -301,7 +291,7 @@ impl Members {
 
     /// Error budget left to member `dev`.
     pub fn budget_remaining(&self, dev: usize) -> u64 {
-        self.error_budget.saturating_sub(self.errors(dev))
+        DEVICE_ERROR_BUDGET.saturating_sub(self.errors(dev))
     }
 
     /// Transient errors absorbed by retries.
@@ -679,7 +669,7 @@ impl Roster<'_> {
         let mut attempt = 0u32;
         loop {
             match cmd(&self.devices[dev]) {
-                Err(ZnsError::TransientError { .. }) if attempt < m.retry_limit => {
+                Err(ZnsError::TransientError { .. }) if attempt < TRANSIENT_RETRY_LIMIT => {
                     attempt += 1;
                     m.transient_retries.fetch_add(1, Ordering::Relaxed);
                     m.tracer.bump(obs::Counter::Retries);
@@ -741,7 +731,7 @@ impl Roster<'_> {
     pub fn charge(&self, dev: usize) {
         let m = self.members;
         let errs = m.errors[dev].fetch_add(1, Ordering::AcqRel) + 1;
-        if errs > m.error_budget && m.claim_failure(dev) == Ok(true) {
+        if errs > DEVICE_ERROR_BUDGET && m.claim_failure(dev) == Ok(true) {
             self.devices[dev].fail();
             m.auto_degrades.fetch_add(1, Ordering::Relaxed);
         }
@@ -931,11 +921,19 @@ mod tests {
     use super::*;
     use crate::{FaultOp, FaultPlan, ZnsConfig};
 
-    fn members(n: usize, parity: u32, budget: u64) -> Members {
+    fn members(n: usize, parity: u32) -> Members {
         let devs = (0..n)
             .map(|_| Arc::new(ZnsDevice::new(ZnsConfig::small_test())))
             .collect();
-        Members::new(devs, parity, 4, TRANSIENT_RETRY_LIMIT, budget).unwrap()
+        Members::new(devs, parity, 4).unwrap()
+    }
+
+    /// Charges member `dev` its whole error budget: the next charge
+    /// degrades it.
+    fn spend_budget(m: &Members, dev: usize) {
+        let roster = m.read();
+        (0..DEVICE_ERROR_BUDGET).for_each(|_| roster.charge(dev));
+        assert!(m.failed().is_empty());
     }
 
     fn write(roster: &Roster<'_>, dev: usize, exhausted: Exhausted) -> Result<SimTime> {
@@ -955,7 +953,7 @@ mod tests {
 
     #[test]
     fn a_burst_within_the_limit_is_absorbed_uncharged() {
-        let m = members(4, 1, DEVICE_ERROR_BUDGET);
+        let m = members(4, 1);
         let plan = (1..=3).fold(FaultPlan::new(1), |p, n| p.fail_nth(FaultOp::Write, n));
         m.read().devices()[2].set_fault_plan(plan);
         write(&m.read(), 2, Exhausted::Surface).unwrap();
@@ -964,13 +962,17 @@ mod tests {
 
     #[test]
     fn an_exhausted_command_is_charged_once_and_omitted_only_when_it_degrades() {
-        for (budget, degraded) in [(DEVICE_ERROR_BUDGET, false), (0, true)] {
-            let m = members(4, 1, budget);
+        for degraded in [false, true] {
+            let m = members(4, 1);
+            if degraded {
+                spend_budget(&m, 1);
+            }
+            let spent = m.errors(1);
             let plan = (1..=4).fold(FaultPlan::new(1), |p, n| p.fail_nth(FaultOp::Write, n));
             m.read().devices()[1].set_fault_plan(plan);
             let r = write(&m.read(), 1, Exhausted::Omit);
-            assert_eq!(m.errors(1), 1);
-            assert_eq!(r.is_ok(), degraded, "budget {budget}: {r:?}");
+            assert_eq!(m.errors(1), spent + 1);
+            assert_eq!(r.is_ok(), degraded, "budget spent {degraded}: {r:?}");
             assert_eq!(m.failed(), if degraded { vec![1] } else { vec![] });
             assert_eq!(m.auto_degrades(), u64::from(degraded));
         }
@@ -1011,7 +1013,7 @@ mod tests {
 
     #[test]
     fn an_unavailable_healthy_slot_is_an_unread_erasure_and_mount_counts_nothing() {
-        let m = members(5, 2, DEVICE_ERROR_BUDGET);
+        let m = members(5, 2);
         let unit = m.unit_bytes();
         let data: Vec<u8> = (0..3 * unit).map(|i| (i * 7 + i / 251) as u8).collect();
         let (mut p, mut q) = (vec![0u8; unit], vec![0u8; unit]);
@@ -1046,7 +1048,8 @@ mod tests {
 
     #[test]
     fn failures_stop_at_the_parity_headroom() {
-        let m = members(5, 2, 0);
+        let m = members(5, 2);
+        spend_budget(&m, 4);
         m.fail(0).unwrap();
         m.fail(0).unwrap();
         m.fail(3).unwrap();

@@ -191,6 +191,17 @@ if grep -rnE 'codec::absorb|xor_into|gf_mul_into' crates/lsraid/src; then
   exit 1
 fi
 
+# Knobs only where callers differ: these settings took one value in every
+# caller and are constants now (`zns::array::{TRANSIENT_RETRY_LIMIT,
+# DEVICE_ERROR_BUDGET}` for both engines, `raizn::RELOCATION_THRESHOLD`,
+# the lifecycle manager's policy, lsraid's `RESERVE_GROUPS`, the
+# scheduler's `MAX_COALESCE_OPS` and `CONGESTION_ALPHA`). One of their old
+# names under crates/ is a single-valued setting coming back.
+if grep -rnE '\b(LifecycleConfig|transient_retry_limit|device_error_budget|relocation_threshold|reserve_groups|max_coalesce_ops|congestion_alpha)\b' crates; then
+  echo "check.sh: a single-valued setting is configurable again (use the constant)" >&2
+  exit 1
+fi
+
 # Concurrency correctness: racing per-zone schedules vs the
 # single-threaded oracle, same-seed determinism, remount after the race.
 cargo test --release -q -p raizn --test concurrent_stress
@@ -314,6 +325,15 @@ cargo run --release -q -p raizn-bench --bin crash_sweep -- --seed 42
 # on more of those than recorded — a known defect is a ROADMAP entry with
 # a ceiling.
 cargo run --release -q -p raizn-bench --bin recovery_matrix > /dev/null
+
+# Same seeds => same bytes: every committed artifact the bins above
+# regenerated must come out byte-identical to the committed copy, so a
+# change that moves a virtual-time row has to commit the moved artifact.
+# The `BENCH_hotpath*` files are wall clock and exempt.
+if ! git diff --exit-code --stat -- 'BENCH_*' ':(exclude)BENCH_hotpath*'; then
+  echo "check.sh: a regenerated BENCH_* artifact differs from the committed one" >&2
+  exit 1
+fi
 
 # The two-clock benchmark (stand-alone package, own lock file and target
 # directory): its unit tests, then every workload twice at one seed —
