@@ -71,7 +71,9 @@ mod tests;
 
 pub use gc::{DirectSink, GcConfig, GcManager, GcSink};
 
-use meta::{finish_record, kind, parse_record, put_u32, put_u64, MetaLog, Record, HEADER_BYTES};
+use meta::{
+    finish_record, kind, parse_record, put_u32, put_u64, MetaLog, Record, HEADER_BYTES, UNMAPPED,
+};
 use parking_lot::Mutex;
 use sim::codec::Role;
 use sim::SimTime;
@@ -83,12 +85,8 @@ use zns::{
     ZoneInfo, ZoneState, ZonedVolume, SECTOR_SIZE,
 };
 
-/// Sentinel for an unmapped logical sector / empty reverse-map slot.
-const NONE64: u64 = u64::MAX;
 /// Sentinel for "no physical zone assigned".
 const NO_ZONE: u32 = u32::MAX;
-/// Bits of a packed physical address holding the in-group slot index.
-const SLOT_BITS: u32 = 40;
 /// Physical zones 0..META_ZONES are reserved on every device.
 const META_ZONES: u32 = 2;
 /// Free stripe groups kept in reserve; dropping to the reserve triggers an
@@ -106,21 +104,6 @@ const COLD: usize = 1;
 /// survivors of a cold-group collection have proven cold twice and go
 /// to generation 2, where they stop being remixed with warm newcomers.
 const STREAMS: usize = 3;
-
-/// Packs a stripe-group index and in-group slot into one map word.
-fn enc(g: u32, slot: u64) -> u64 {
-    (u64::from(g) << SLOT_BITS) | slot
-}
-
-/// The stripe group a packed physical address lives in.
-fn group_of(pa: u64) -> u32 {
-    (pa >> SLOT_BITS) as u32
-}
-
-/// The in-group data-slot index of a packed physical address.
-fn slot_of(pa: u64) -> u64 {
-    pa & ((1u64 << SLOT_BITS) - 1)
-}
 
 /// Configuration of a log-structured RAID volume.
 #[derive(Debug, Clone)]
@@ -247,8 +230,8 @@ struct Group {
     /// foreground, 1/2 = cold generations). Migration out of a victim
     /// targets `min(gen + 1, STREAMS - 1)`.
     gen: u8,
-    /// Reverse map: logical sector per data slot (`NONE64` = garbage).
-    lbas: Vec<u64>,
+    /// Reverse map: logical sector per data slot (`UNMAPPED` = garbage).
+    lbas: Vec<u32>,
 }
 
 /// One logical zone exposed through [`ZonedVolume`].
@@ -271,8 +254,8 @@ enum LogMode {
 
 #[derive(Debug)]
 struct LsInner {
-    /// Logical sector → packed physical address (`NONE64` = unmapped).
-    map: Vec<u64>,
+    /// Logical sector → packed physical address (`UNMAPPED` = unmapped).
+    map: Vec<u32>,
     lz: Vec<LZone>,
     groups: Vec<Group>,
     /// Per-device free physical zones (popped lowest-index first).
@@ -331,6 +314,10 @@ pub struct LsVolume {
     kd: u64,
     /// Data slots per group (`s * kd`).
     group_cap: u64,
+    /// Low bits of a packed physical address that hold the in-group slot
+    /// (the group index sits above them): `group_cap` rounded up to a
+    /// power of two.
+    slot_bits: u32,
     /// Metadata headroom (sectors) that forces early rotation so the
     /// rotation's own summary batch still fits the old slot.
     meta_headroom: u64,
@@ -416,6 +403,11 @@ impl<'a> Rd<'a> {
         let v = meta::get_u64(self.b, self.off);
         self.off += 8;
         Ok(v)
+    }
+
+    /// Everything not yet read.
+    fn rest(&self) -> &'a [u8] {
+        &self.b[self.off..]
     }
 }
 
@@ -536,8 +528,40 @@ impl LsVolume {
             return Err(invalid("lsraid: capacity too small for one logical zone"));
         }
         let geo = ZoneGeometry::new(l_zones, c, c);
+        // The mapping state is 32-bit words: a packed address (group index
+        // above `slot_bits` slot bits) and a logical sector must both stay
+        // below the sentinel. Refused before anything is allocated.
+        let slot_bits = u64::BITS - (group_cap - 1).leading_zeros();
+        let map_len = u64::from(l_zones) * c;
+        if u128::from(g_total) << slot_bits > u128::from(UNMAPPED) || map_len > u64::from(UNMAPPED)
+        {
+            return Err(invalid("lsraid: geometry exceeds 32-bit mapping words"));
+        }
 
-        let map = vec![NONE64; (u64::from(l_zones) * c) as usize];
+        // Most seal entries one summary batch can hold: a foreground
+        // write stays inside one logical zone (`c` sectors entered
+        // mid-stripe seal at most `ceil(c / kd)` stripes), an inline
+        // collection it triggers seals one more with its first migration
+        // run (at most `kd` sectors) before that run's own commit drains
+        // the batch, and a rotation pad-seals every stream on top. The
+        // headroom keeps that much of the active slot free, so the batch
+        // a rotation writes before its barrier always fits.
+        let batch_entries = c.div_ceil(kd) as usize + 1 + STREAMS;
+        let meta_headroom =
+            meta::record_sectors(batch_entries * meta::summary_entry_bytes(kd as usize));
+        // Ordinary records (group open/free, zone reset/finish) take
+        // one sector; the checkpoint dominates everything. Its map runs
+        // take at most 8 bytes an entry (`meta::put_runs`), so this bounds
+        // every checkpoint the volume can write.
+        let rec_cap = SECTOR_SIZE as usize;
+        let ckpt_payload =
+            32 + l_zones as usize * 16 + g_total as usize * (24 + n * 4) + map_len as usize * 8;
+        let ckpt_sectors = meta::record_sectors(ckpt_payload);
+        if ckpt_sectors + meta_headroom + 1 > c {
+            return Err(invalid("lsraid: checkpoint does not fit the metadata zone"));
+        }
+
+        let map = vec![UNMAPPED; map_len as usize];
         let lz = vec![
             LZone {
                 wp: 0,
@@ -554,7 +578,7 @@ impl LsVolume {
                 valid: 0,
                 created: 0,
                 gen: 0,
-                lbas: vec![NONE64; group_cap as usize],
+                lbas: vec![UNMAPPED; group_cap as usize],
             })
             .collect();
         let free_zones: Vec<Vec<u32>> = (0..n)
@@ -570,26 +594,6 @@ impl LsVolume {
         let stages = (0..STREAMS)
             .map(|_| vec![0u8; (kd * SECTOR_SIZE) as usize])
             .collect();
-
-        // Most seal entries one summary batch can hold: a foreground
-        // write stays inside one logical zone (`c` sectors entered
-        // mid-stripe seal at most `ceil(c / kd)` stripes), an inline
-        // collection it triggers seals one more with its first migration
-        // run (at most `kd` sectors) before that run's own commit drains
-        // the batch, and a rotation pad-seals every stream on top. The
-        // headroom keeps that much of the active slot free, so the batch
-        // a rotation writes before its barrier always fits.
-        let batch_entries = c.div_ceil(kd) as usize + 1 + STREAMS;
-        let meta_headroom =
-            meta::record_sectors(batch_entries * meta::summary_entry_bytes(kd as usize));
-        // Ordinary records (group open/free, zone reset/finish) take
-        // one sector; the checkpoint dominates everything.
-        let rec_cap = SECTOR_SIZE as usize;
-        let ckpt_payload = 24 + lz.len() * 16 + groups.len() * (24 + n * 4) + map.len() * 8;
-        let ckpt_sectors = meta::record_sectors(ckpt_payload);
-        if ckpt_sectors + meta_headroom + 1 > c {
-            return Err(invalid("lsraid: checkpoint does not fit the metadata zone"));
-        }
 
         let inner = LsInner {
             map,
@@ -637,6 +641,7 @@ impl LsVolume {
             s,
             kd,
             group_cap,
+            slot_bits,
             meta_headroom,
             inner: Mutex::new(inner),
             tracer: obs::Tracer::new(),
@@ -789,6 +794,21 @@ impl LsVolume {
         let parity = [p0, (p0 + 1) % self.n];
         let parity = &parity[..self.p];
         (!parity.contains(&dev)).then(|| dev - parity.iter().filter(|&&q| q < dev).count())
+    }
+
+    /// Packs a stripe-group index and in-group slot into one map word.
+    fn enc(&self, g: u32, slot: u64) -> u32 {
+        (g << self.slot_bits) | slot as u32
+    }
+
+    /// The stripe group a packed physical address lives in.
+    fn group_of(&self, pa: u32) -> u32 {
+        pa >> self.slot_bits
+    }
+
+    /// The in-group data-slot index of a packed physical address.
+    fn slot_of(&self, pa: u32) -> u64 {
+        u64::from(pa & ((1 << self.slot_bits) - 1))
     }
 
     /// Members holding the metadata log: one more than parity covers.
@@ -981,7 +1001,7 @@ impl LsVolume {
                 put_u32(buf, z);
             }
         }
-        meta::put_u64s(buf, &inner.map);
+        meta::put_runs(buf, &inner.map);
     }
 
     // ------------------------------------------------------------------
@@ -1096,8 +1116,16 @@ impl LsVolume {
                 grp.zones[zi] = rd.u32()?;
             }
         }
-        for mi in 0..map_len as usize {
-            inner.map[mi] = rd.u64()?;
+        let g_total = inner.groups.len() as u32;
+        let names_a_slot =
+            |pa: u32| self.group_of(pa) < g_total && self.slot_of(pa) < self.group_cap;
+        if meta::get_runs(rd.rest(), &mut inner.map).is_none()
+            || !inner
+                .map
+                .iter()
+                .all(|&pa| pa == UNMAPPED || names_a_slot(pa))
+        {
+            return Err(invalid("lsraid: malformed checkpoint mapping runs"));
         }
         Ok(())
     }
@@ -1136,10 +1164,10 @@ impl LsVolume {
                 continue;
             }
             for (i, lba) in entry.lbas().enumerate() {
-                if lba == NONE64 || lba as usize >= inner.map.len() {
+                if lba == UNMAPPED || lba as usize >= inner.map.len() {
                     continue;
                 }
-                inner.map[lba as usize] = enc(g as u32, stripe * self.kd + i as u64);
+                inner.map[lba as usize] = self.enc(g as u32, stripe * self.kd + i as u64);
             }
             inner.groups[g].sealed = stripe + 1;
         }
@@ -1183,8 +1211,8 @@ impl LsVolume {
         // mapping should point here, but a crash-truncated log replays
         // the same records deterministically either way.
         for pa in &mut inner.map {
-            if *pa != NONE64 && group_of(*pa) == g {
-                *pa = NONE64;
+            if *pa != UNMAPPED && self.group_of(*pa) == g {
+                *pa = UNMAPPED;
             }
         }
         let grp = &mut inner.groups[g as usize];
@@ -1202,7 +1230,7 @@ impl LsVolume {
         }
         let base = u64::from(zone) * self.geo.zone_cap();
         for off in 0..self.geo.zone_cap() {
-            inner.map[(base + off) as usize] = NONE64;
+            inner.map[(base + off) as usize] = UNMAPPED;
         }
         inner.lz[zone as usize] = LZone {
             wp: 0,
@@ -1229,11 +1257,11 @@ impl LsVolume {
         for (zi, z) in inner.lz.iter_mut().enumerate() {
             let base = zi as u64 * c;
             let mut prefix = 0u64;
-            while prefix < c && inner.map[(base + prefix) as usize] != NONE64 {
+            while prefix < c && inner.map[(base + prefix) as usize] != UNMAPPED {
                 prefix += 1;
             }
             for off in prefix..c {
-                inner.map[(base + off) as usize] = NONE64;
+                inner.map[(base + off) as usize] = UNMAPPED;
             }
             z.wp = prefix;
             z.state = match z.state {
@@ -1246,15 +1274,15 @@ impl LsVolume {
         for grp in &mut inner.groups {
             grp.valid = 0;
             grp.fill = 0;
-            grp.lbas.fill(NONE64);
+            grp.lbas.fill(UNMAPPED);
         }
         for (l, &pa) in inner.map.iter().enumerate() {
-            if pa == NONE64 {
+            if pa == UNMAPPED {
                 continue;
             }
-            let g = group_of(pa) as usize;
+            let g = self.group_of(pa) as usize;
             inner.groups[g].valid += 1;
-            inner.groups[g].lbas[slot_of(pa) as usize] = l as u64;
+            inner.groups[g].lbas[self.slot_of(pa) as usize] = l as u32;
         }
         // Dispose of interrupted open groups only after validity is
         // rebuilt: a checkpoint taken mid-seal can map data into a group
@@ -1487,7 +1515,7 @@ impl LsVolume {
                     // Only remap if the sector is still where GC read
                     // it from; a concurrent overwrite wins and the
                     // migrated copy becomes garbage.
-                    if old != NONE64 && inner.migrating == Some(group_of(old)) {
+                    if old != UNMAPPED && inner.migrating == Some(self.group_of(old)) {
                         self.map_sector(inner, gi, base + i, lba + i);
                     }
                 }
@@ -1521,13 +1549,13 @@ impl LsVolume {
     /// mapping.
     fn map_sector(&self, inner: &mut LsInner, gi: usize, slot: u64, l: u64) {
         let old = inner.map[l as usize];
-        if old != NONE64 {
-            let og = group_of(old) as usize;
-            inner.groups[og].lbas[slot_of(old) as usize] = NONE64;
+        if old != UNMAPPED {
+            let og = self.group_of(old) as usize;
+            inner.groups[og].lbas[self.slot_of(old) as usize] = UNMAPPED;
             inner.groups[og].valid -= 1;
         }
-        inner.map[l as usize] = enc(gi as u32, slot);
-        inner.groups[gi].lbas[slot as usize] = l;
+        inner.map[l as usize] = self.enc(gi as u32, slot);
+        inner.groups[gi].lbas[slot as usize] = l as u32;
         inner.groups[gi].valid += 1;
     }
 
@@ -1668,16 +1696,17 @@ impl LsVolume {
         let mut i = 0u64;
         while i < nsec {
             let pa = inner.map[(lba + i) as usize];
-            if pa == NONE64 {
+            if pa == UNMAPPED {
                 return Err(ZnsError::ReadUnwritten { lba: lba + i });
             }
-            let within = slot_of(pa) % self.k;
+            let (g, slot) = (self.group_of(pa), self.slot_of(pa));
+            let within = slot % self.k;
             let max_run = (self.k - within).min(nsec - i);
+            // Slots of one stripe unit pack to consecutive words.
             let mut run = 1u64;
-            while run < max_run && inner.map[(lba + i + run) as usize] == pa + run {
+            while run < max_run && inner.map[(lba + i + run) as usize] == pa + run as u32 {
                 run += 1;
             }
-            let (g, slot) = (group_of(pa), slot_of(pa));
             let (stripe, off) = (slot / self.kd, slot % self.kd);
             let out = &mut buf[(i * SECTOR_SIZE) as usize..((i + run) * SECTOR_SIZE) as usize];
             let grp = &inner.groups[g as usize];
@@ -1719,9 +1748,10 @@ impl LsVolume {
     #[doc(hidden)]
     pub fn locate(&self, lba: Lba) -> Option<(usize, Range<Lba>)> {
         let inner = self.inner.lock();
-        let pa = *inner.map.get(lba as usize).filter(|&&pa| pa != NONE64)?;
-        let (dev, plba) = self.locate_slot(&inner, group_of(pa), slot_of(pa));
-        let start = plba - slot_of(pa) % self.k;
+        let pa = *inner.map.get(lba as usize).filter(|&&pa| pa != UNMAPPED)?;
+        let slot = self.slot_of(pa);
+        let (dev, plba) = self.locate_slot(&inner, self.group_of(pa), slot);
+        let start = plba - slot % self.k;
         Some((dev, start..start + self.k))
     }
 
@@ -1847,17 +1877,17 @@ impl LsVolume {
         let grp = inner.groups.get(g as usize)?;
         let total = grp.lbas.len() as u64;
         let mut start = from;
-        while start < total && grp.lbas[start as usize] == NONE64 {
+        while start < total && grp.lbas[start as usize] == UNMAPPED {
             start += 1;
         }
         if start >= total {
             return None;
         }
-        let lba0 = grp.lbas[start as usize];
+        let lba0 = u64::from(grp.lbas[start as usize]);
         let zone = lba0 / self.geo.zone_cap();
         let mut len = 1u64;
         while start + len < total && len < max.max(1) {
-            let l = grp.lbas[(start + len) as usize];
+            let l = u64::from(grp.lbas[(start + len) as usize]);
             if l != lba0 + len || l / self.geo.zone_cap() != zone {
                 break;
             }
@@ -1925,10 +1955,10 @@ impl LsVolume {
         grp.state = GState::Free;
         grp.sealed = 0;
         grp.fill = 0;
-        // A `Free` group has an all-`NONE64` reverse map (`assemble` and
+        // A `Free` group has an all-`UNMAPPED` reverse map (`assemble` and
         // `finish_mount` leave every group so), which is what lets
         // `open_group` hand it out without touching the map.
-        grp.lbas.fill(NONE64);
+        grp.lbas.fill(UNMAPPED);
         inner.free_groups.push(g);
         inner.c_group_reclaims += 1;
         self.tracer.bump(obs::Counter::LsGroupReclaims);
@@ -2319,11 +2349,11 @@ impl ZonedVolume for LsVolume {
         for off in 0..self.geo.zone_cap() {
             let idx = (base + off) as usize;
             let pa = inner.map[idx];
-            if pa != NONE64 {
-                let og = group_of(pa) as usize;
-                inner.groups[og].lbas[slot_of(pa) as usize] = NONE64;
+            if pa != UNMAPPED {
+                let og = self.group_of(pa) as usize;
+                inner.groups[og].lbas[self.slot_of(pa) as usize] = UNMAPPED;
                 inner.groups[og].valid -= 1;
-                inner.map[idx] = NONE64;
+                inner.map[idx] = UNMAPPED;
             }
         }
         inner.lz[zone as usize] = LZone { wp: 0, state };

@@ -15,6 +15,10 @@
 
 use zns::SECTOR_SIZE;
 
+/// Sentinel word of the mapping state, in memory and on the log: an
+/// unmapped logical sector, a garbage reverse-map slot.
+pub(crate) const UNMAPPED: u32 = u32::MAX;
+
 /// Record magic ("LSRD").
 pub(crate) const MAGIC: u32 = 0x4C53_5244;
 
@@ -24,7 +28,8 @@ pub(crate) const HEADER_BYTES: usize = 32;
 
 /// Record kinds.
 pub(crate) mod kind {
-    /// Full engine state: logical zones, group table, mapping table.
+    /// Full engine state: logical zones, group table, and the mapping
+    /// table as runs ([`put_runs`](super::put_runs)).
     pub const CHECKPOINT: u32 = 1;
     /// Stripes sealed: one [`SummaryEntry`](super::SummaryEntry) per
     /// stripe, in seal order.
@@ -90,17 +95,6 @@ pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Appends `words` little-endian: one resize and a copy per word, which
-/// is what keeps a checkpoint's mapping table (one word per logical
-/// sector) cheap to serialise.
-pub(crate) fn put_u64s(buf: &mut Vec<u8>, words: &[u64]) {
-    let at = buf.len();
-    buf.resize(at + words.len() * 8, 0);
-    for (dst, w) in buf[at..].chunks_exact_mut(8).zip(words) {
-        dst.copy_from_slice(&w.to_le_bytes());
-    }
-}
-
 pub(crate) fn get_u32(buf: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(buf[off..off + 4].try_into().expect("u32 slice"))
 }
@@ -112,16 +106,18 @@ pub(crate) fn get_u64(buf: &[u8], off: usize) -> u64 {
 /// Bytes one seal entry occupies in a `Summary` payload for stripes of
 /// `kd` data slots: group, pad, stripe, then the reverse map.
 pub(crate) fn summary_entry_bytes(kd: usize) -> usize {
-    16 + kd * 8
+    16 + kd * 4
 }
 
 /// Appends the seal entry of `stripe` in group `g` to a `Summary`
 /// payload; `lbas` is the stripe's reverse map (`kd` slots).
-pub(crate) fn put_summary_entry(buf: &mut Vec<u8>, g: u32, stripe: u64, lbas: &[u64]) {
+pub(crate) fn put_summary_entry(buf: &mut Vec<u8>, g: u32, stripe: u64, lbas: &[u32]) {
     put_u32(buf, g);
     put_u32(buf, 0);
     put_u64(buf, stripe);
-    put_u64s(buf, lbas);
+    for &l in lbas {
+        put_u32(buf, l);
+    }
 }
 
 /// One stripe's seal entry inside a parsed `Summary` payload.
@@ -132,10 +128,59 @@ pub(crate) struct SummaryEntry<'a> {
 }
 
 impl SummaryEntry<'_> {
-    /// The logical sector each data slot of the stripe held at seal time.
-    pub fn lbas(&self) -> impl Iterator<Item = u64> + '_ {
-        self.lbas.chunks_exact(8).map(|b| get_u64(b, 0))
+    /// The logical sector each data slot of the stripe held at seal time
+    /// ([`UNMAPPED`] for a pad or garbage slot).
+    pub fn lbas(&self) -> impl Iterator<Item = u32> + '_ {
+        self.lbas.chunks_exact(4).map(|b| get_u32(b, 0))
     }
+}
+
+/// Appends `map` as runs of `(len: u32, first: u32)`: `len` consecutive
+/// entries that read `first, first + 1, …`, or that are all
+/// [`UNMAPPED`]. A counting run stops short of the sentinel, so the worst
+/// case — no entry continuing its neighbour — is 8 bytes per entry.
+pub(crate) fn put_runs(buf: &mut Vec<u8>, map: &[u32]) {
+    let mut rest = map;
+    while let Some(&first) = rest.first() {
+        let len = if first == UNMAPPED {
+            rest.iter().take_while(|&&v| v == UNMAPPED).count()
+        } else {
+            // `first..UNMAPPED` ends below the sentinel.
+            rest.iter()
+                .zip(first..UNMAPPED)
+                .take_while(|&(&v, e)| v == e)
+                .count()
+        };
+        put_u32(buf, len as u32);
+        put_u32(buf, first);
+        rest = &rest[len..];
+    }
+}
+
+/// Expands runs written by [`put_runs`] into `map`. `None` unless the
+/// bytes are whole runs, none empty or counting into the sentinel, that
+/// cover `map` exactly.
+pub(crate) fn get_runs(bytes: &[u8], map: &mut [u32]) -> Option<()> {
+    if !bytes.len().is_multiple_of(8) {
+        return None;
+    }
+    let mut at = 0usize;
+    for run in bytes.chunks_exact(8) {
+        let (len, first) = (get_u32(run, 0), get_u32(run, 4));
+        if len == 0 {
+            return None;
+        }
+        let out = map.get_mut(at..at.checked_add(len as usize)?)?;
+        if first == UNMAPPED {
+            out.fill(UNMAPPED);
+        } else if u64::from(first) + u64::from(len) <= u64::from(UNMAPPED) {
+            out.iter_mut().zip(first..).for_each(|(o, v)| *o = v);
+        } else {
+            return None;
+        }
+        at += len as usize;
+    }
+    (at == map.len()).then_some(())
 }
 
 /// Iterates the entries of a `Summary` payload in seal order. The
@@ -229,6 +274,7 @@ pub(crate) fn parse_record(bytes: &[u8]) -> Option<(Record, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn record_roundtrip() {
@@ -250,12 +296,12 @@ mod tests {
     #[test]
     fn multi_entry_summary_roundtrip() {
         let kd = 64usize;
-        let stripes: Vec<(u32, u64, Vec<u64>)> = (0..4u64)
+        let stripes: Vec<(u32, u64, Vec<u32>)> = (0..4u32)
             .map(|s| {
-                let lbas = (0..kd as u64)
-                    .map(|i| if i % 7 == 0 { u64::MAX } else { s * 1000 + i })
+                let lbas = (0..kd as u32)
+                    .map(|i| if i % 7 == 0 { UNMAPPED } else { s * 1000 + i })
                     .collect();
-                (3 + (s / 3) as u32, 125 + s, lbas)
+                (3 + s / 3, 125 + u64::from(s), lbas)
             })
             .collect();
         let mut buf = vec![0u8; HEADER_BYTES];
@@ -266,10 +312,103 @@ mod tests {
         // Four 64-slot entries share one sector: that is the group commit.
         assert_eq!(finish_record(&mut buf, kind::SUMMARY, 2, 9), 1);
         let (rec, _) = parse_record(&buf).expect("valid record");
-        let got: Vec<(u32, u64, Vec<u64>)> = summary_entries(&rec.payload, kd)
+        let got: Vec<(u32, u64, Vec<u32>)> = summary_entries(&rec.payload, kd)
             .map(|e| (e.group, e.stripe, e.lbas().collect()))
             .collect();
         assert_eq!(got, stripes);
+    }
+
+    /// Runs of `map`, and the map they expand to.
+    fn runs_of(map: &[u32]) -> (Vec<u8>, Vec<u32>) {
+        let mut bytes = Vec::new();
+        put_runs(&mut bytes, map);
+        let mut back = vec![0x5A5A_5A5A; map.len()];
+        get_runs(&bytes, &mut back).expect("runs cover the map");
+        (bytes, back)
+    }
+
+    /// The stretches a map is made of: unmapped holes, counting runs (one
+    /// of them up to one short of the sentinel) and scattered entries,
+    /// which make runs of length 1.
+    fn stretch() -> impl Strategy<Value = Vec<u32>> {
+        prop_oneof![
+            (1usize..40).prop_map(|n| vec![UNMAPPED; n]),
+            (0u32..1000, 1u32..40).prop_map(|(a, n)| (a..a + n).collect()),
+            (1u32..40).prop_map(|n| (UNMAPPED - n..UNMAPPED).collect()),
+            proptest::collection::vec(any::<u32>(), 1..8),
+        ]
+    }
+
+    fn map() -> impl Strategy<Value = Vec<u32>> {
+        prop_oneof![
+            proptest::collection::vec(stretch(), 0..12).prop_map(|s| s.concat()),
+            (0usize..300).prop_map(|n| vec![UNMAPPED; n]),
+            (0u32..1000, 1u32..300).prop_map(|(a, n)| (a..a + n).collect()),
+        ]
+    }
+
+    proptest! {
+        /// Runs expand back to the map they were written from, are as
+        /// long as they can be, and never take more than the 8 bytes per
+        /// entry `assemble` sizes the checkpoint for.
+        #[test]
+        fn runs_roundtrip_within_eight_bytes_an_entry(map in map()) {
+            let (bytes, back) = runs_of(&map);
+            prop_assert_eq!(&back, &map);
+            prop_assert!(bytes.len() <= 8 * map.len());
+            let runs: Vec<(u32, u32)> = bytes
+                .chunks_exact(8)
+                .map(|r| (get_u32(r, 0), get_u32(r, 4)))
+                .collect();
+            for w in runs.windows(2) {
+                let ((len, first), (_, next)) = (w[0], w[1]);
+                let joins = match first {
+                    UNMAPPED => next == UNMAPPED,
+                    _ => next != UNMAPPED && u64::from(next) == u64::from(first) + u64::from(len),
+                };
+                prop_assert!(!joins, "runs {:?} could be one", w);
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_maps_are_one_run() {
+        for map in [vec![UNMAPPED; 5000], (7..5007).collect()] {
+            assert_eq!(runs_of(&map).0.len(), 8);
+        }
+        // Counting ends one short of the sentinel: the sentinel after it is
+        // a run of its own.
+        let edge = [UNMAPPED - 2, UNMAPPED - 1, UNMAPPED, UNMAPPED];
+        assert_eq!(runs_of(&edge).0.len(), 16);
+        assert!(runs_of(&[]).0.is_empty());
+    }
+
+    #[test]
+    fn malformed_runs_are_rejected() {
+        let map: Vec<u32> = [vec![UNMAPPED; 3], (10..14).collect(), vec![2, 3]].concat();
+        let (good, _) = runs_of(&map);
+        assert_eq!(good.len(), 24);
+        let run = |len: u32, first: u32| [len.to_le_bytes(), first.to_le_bytes()].concat();
+        let with_len = |i: usize, len: u32| {
+            let mut b = good.clone();
+            b[i * 8..i * 8 + 4].copy_from_slice(&len.to_le_bytes());
+            b
+        };
+        let cases = [
+            ("zero length", [run(0, 5), good.clone()].concat()),
+            ("overrun", with_len(2, 3)),
+            ("under-cover", good[..16].to_vec()),
+            ("ragged tail", [&good[..], &[0u8; 4]].concat()),
+            ("torn last run", good[..20].to_vec()),
+            (
+                "counts into the sentinel",
+                [&good[..16], &run(2, UNMAPPED - 1)].concat(),
+            ),
+        ];
+        for (what, bytes) in cases {
+            let mut out = vec![0; map.len()];
+            assert!(get_runs(&bytes, &mut out).is_none(), "{what}");
+        }
     }
 
     #[test]

@@ -92,7 +92,7 @@ fn reopened_group_starts_with_an_empty_reverse_map() {
     let grp = &inner.groups[0];
     assert_eq!(grp.state, GState::Open(COLD as u8));
     assert_eq!((grp.valid, grp.fill, grp.sealed), (0, 0, 0));
-    assert!(grp.lbas.iter().all(|&l| l == NONE64));
+    assert!(grp.lbas.iter().all(|&l| l == UNMAPPED));
 }
 
 /// What a member command that exhausted its retries turns into, seen from
@@ -285,6 +285,52 @@ fn member_command_retry_counts_charges_and_outcomes() {
                     ),
                 }
             }
+        }
+    }
+}
+
+/// A checkpoint whose map runs do not cover the map exactly fails the
+/// mount with an error, never a panic: one newer checkpoint is written
+/// into the other slot, well formed or edited after its group table.
+#[test]
+fn malformed_checkpoint_runs_fail_the_mount() {
+    type Edit = fn(&mut Vec<u8>, usize);
+    let cases: [(&str, Edit); 5] = [
+        ("well formed", |_, _| {}),
+        ("zero length", |b, at| {
+            drop(b.splice(at..at, [0, 0, 0, 0, 5, 0, 0, 0]))
+        }),
+        ("overrun", |b, at| {
+            let len = meta::get_u32(b, at) + 1;
+            b[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        }),
+        ("under-cover", |b, _| b.truncate(b.len() - 8)),
+        ("ragged tail", |b, _| b.extend_from_slice(&[0; 4])),
+    ];
+    for (what, edit) in cases {
+        let mut a = Array::new(1);
+        a.put(0, 3 * a.vol.kd + 5).unwrap();
+        a.put(7, 9).unwrap();
+        a.vol.flush(T0).unwrap();
+        let mut buf = vec![0u8; HEADER_BYTES];
+        let inner = a.vol.inner.lock();
+        a.vol.build_checkpoint(&inner, &mut buf);
+        let runs =
+            HEADER_BYTES + 32 + inner.lz.len() * 16 + inner.groups.len() * (24 + a.vol.n * 4);
+        assert!(buf.len() - runs >= 3 * 8, "{what}: a few runs to edit");
+        drop(inner);
+        edit(&mut buf, runs);
+        finish_record(&mut buf, kind::CHECKPOINT, 2, 0);
+        let lba = a.vol.phys.zone_start(1);
+        for d in &a.devs[..a.vol.meta_devices()] {
+            d.write(T0, lba, &buf, WriteFlags::FUA).unwrap();
+        }
+        let cfg = a.vol.config.clone();
+        drop(a.vol);
+        match (what, LsVolume::mount(a.devs, cfg, T0)) {
+            ("well formed", Ok(vol)) => assert_eq!(vol.stats().meta_rotations, 2),
+            (_, Err(ZnsError::InvalidArgument(m))) if m.contains("mapping runs") => {}
+            (_, res) => panic!("{what}: {:?}", res.map(drop)),
         }
     }
 }

@@ -191,6 +191,17 @@ if grep -rnE 'codec::absorb|xor_into|gf_mul_into' crates/lsraid/src; then
   exit 1
 fi
 
+# lsraid's mapping state is 32-bit words in memory and on its log (DESIGN.md
+# "Log-structured RAID engine", "Mapping"): the map and the reverse maps
+# are `Vec<u32>`, and the checkpoint writes the map as runs. A `Vec<u64>`
+# map or reverse map, or the word-per-sector `put_u64s` serialiser, is the
+# 8-byte format coming back.
+if grep -nE '^ *(map|lbas): Vec<u64>' crates/lsraid/src/lib.rs ||
+   grep -rnw 'put_u64s' crates/lsraid/src; then
+  echo "check.sh: lsraid mapping state back to 64-bit words (map/lbas are Vec<u32>, checkpoint as runs)" >&2
+  exit 1
+fi
+
 # Knobs only where callers differ: these settings took one value in every
 # caller and are constants now (`zns::array::{TRANSIENT_RETRY_LIMIT,
 # DEVICE_ERROR_BUDGET}` for both engines, `raizn::RELOCATION_THRESHOLD`,
@@ -292,7 +303,7 @@ cargo run --release -q -p raizn-bench --bin report -- \
 # boundary shift reads as a ~5% swing — hence the 0.6 floor here vs the
 # binary's 0.8 band on 300 ms windows. A band is a ratio and passes at
 # any speed, so `report --lsgc` also holds the median window throughput
-# to an absolute floor of 600 MiB/s (observed 1410; 227 before legs
+# to an absolute floor of 600 MiB/s (observed 1540; 227 before legs
 # overlapped). GC interference may claim at most 10% of foreground wall
 # latency in the span artifact (observed ~2-3%).
 cargo run --release -q -p raizn-bench --bin lsgc > /dev/null
