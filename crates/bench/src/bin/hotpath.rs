@@ -117,9 +117,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use workloads::{
-    Admission, Engine, JobSpec, OpKind, Pattern, SchedCompletion, SharedScheduler, ZonedTarget,
-};
+use workloads::{Engine, JobSpec, OpKind, Pattern, SchedCompletion, SharedScheduler, ZonedTarget};
 use zns::{WriteFlags, ZnsConfig, ZnsDevice, ZonedVolume};
 
 /// The observability plane's design budget: this share of a full-stripe
@@ -341,14 +339,9 @@ fn qos_round(
     let mut inflight = 0usize;
     while completed < iters {
         while submitted < iters && inflight < 8 {
-            match sched.submit_write(0, 0, *frontier, *off, data)? {
-                Admission::Admitted(_) => {}
-                Admission::Shed { .. } => {
-                    return Err(bench::BenchError::Gate(
-                        "qos hotpath round shed an op".to_string(),
-                    ));
-                }
-            }
+            sched
+                .submit_write(0, 0, *frontier, *off, data)?
+                .admitted("qos hotpath round write")?;
             *off += sectors;
             submitted += 1;
             inflight += 1;

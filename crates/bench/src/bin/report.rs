@@ -189,8 +189,6 @@ fn load(path: &str) -> bench::BenchResult<Run> {
 struct QosTenant {
     name: String,
     completed: u64,
-    shed: u64,
-    deferred: u64,
     merged: u64,
 }
 
@@ -225,8 +223,6 @@ fn qos_tenants(section: &Json, path: &str) -> bench::BenchResult<Vec<QosTenant>>
                 .unwrap_or("?")
                 .to_string(),
             completed: field("completed"),
-            shed: field("shed"),
-            deferred: field("deferred"),
             merged: field("merged"),
         });
     }
@@ -910,8 +906,8 @@ fn render_qos(q: &QosRun) {
     let tenant_rows = |tenants: &[QosTenant]| {
         for t in tenants {
             println!(
-                "     {:<10} completed {:>7}  shed {:>5}  deferred {:>5}  merged {:>5}",
-                t.name, t.completed, t.shed, t.deferred, t.merged
+                "     {:<10} completed {:>7}  merged {:>5}",
+                t.name, t.completed, t.merged
             );
         }
     };

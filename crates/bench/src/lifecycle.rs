@@ -11,12 +11,12 @@
 //! scheduler (as a low-priority internal tenant), near-full zones are
 //! finished off the critical path and the band stays flat.
 
-use crate::{BenchError, BenchResult, TimelineRun, ARRAY_DEVICES, TIMELINE_WINDOW};
+use crate::{BenchResult, TimelineRun, ARRAY_DEVICES, TIMELINE_WINDOW};
 use qos::{QosConfig, QosScheduler, TenantSnapshot, TenantSpec};
 use raizn::{LifecycleStats, MgmtSink, RaiznConfig, RaiznStats, RaiznVolume, ZoneLifecycleManager};
 use sim::SimTime;
 use std::sync::Arc;
-use workloads::{Admission, SchedCompletion, SharedScheduler, TenantId, ZonedTarget};
+use workloads::{SchedCompletion, SharedScheduler, TenantId, ZonedTarget};
 use zns::{LatencyConfig, ZnsConfig, ZnsDevice, ZonedVolume, SECTOR_SIZE};
 
 /// Physical zones per device and their capacity.
@@ -112,8 +112,7 @@ pub fn lifecycle_volume(
 /// [`MgmtSink`] adapter submitting management IO to a [`QosScheduler`]
 /// as tenant [`MGMT_TENANT`], then draining the scheduler so each pump's
 /// management work is dispatched under mClock arbitration before the
-/// next foreground op. A shed management op is a harness bug (the
-/// internal tenant's queue is drained every pump), so it fails loudly.
+/// next foreground op.
 pub struct QosMgmtSink<'a>(qos::InternalTenant<'a>);
 
 impl<'a> QosMgmtSink<'a> {
@@ -163,9 +162,7 @@ pub struct SprayOutcome {
 ///
 /// # Errors
 ///
-/// Propagates scheduler/volume errors; fails the gate if any foreground
-/// op is shed (the spray is paced by completions, so its queue never
-/// backs up).
+/// Propagates scheduler/volume errors.
 pub fn spray(
     run: &TimelineRun,
     volume: &Arc<RaiznVolume>,
@@ -192,14 +189,11 @@ pub fn spray(
     for zone in 0..SPRAY_ZONES {
         for stripe in 0..STRIPES_PER_ZONE {
             let off = zone as u64 * zone_cap + stripe * STRIPE_DATA;
-            match sched.submit_write(FG_TENANT, ops, now, off, &block)? {
-                Admission::Admitted(_) => {}
-                Admission::Shed { reason, .. } => {
-                    return Err(BenchError::Gate(format!(
-                        "foreground write shed ({reason:?}) at zone {zone} stripe {stripe}"
-                    )))
-                }
-            }
+            sched
+                .submit_write(FG_TENANT, ops, now, off, &block)?
+                .admitted(format_args!(
+                    "foreground write at zone {zone} stripe {stripe}"
+                ))?;
             completions.clear();
             while sched.step(&mut completions)? {}
             for c in &completions {

@@ -13,12 +13,12 @@
 //! and declines as device-level FTL GC sets in.
 
 use crate::lifecycle::{join, tenant_json, windows_json};
-use crate::{BenchError, BenchResult, TimelineRun};
+use crate::{BenchResult, TimelineRun};
 use lsraid::{GcManager, GcSink, LsStats};
 use qos::{QosConfig, QosScheduler, TenantSnapshot, TenantSpec};
 use sim::{SimRng, SimTime};
 use std::sync::Arc;
-use workloads::{Admission, IoTarget, SchedCompletion, SharedScheduler, TenantId};
+use workloads::{IoTarget, SchedCompletion, SharedScheduler, TenantId};
 use zns::{Lba, SECTOR_SIZE};
 
 /// Physical zones per device. Many small stripe groups (rather than a
@@ -137,8 +137,7 @@ pub fn overwrite_offsets(total_blocks: u64, ops: u64, seed: u64) -> Vec<u64> {
 /// [`GcSink`] adapter submitting migration writes to a [`QosScheduler`]
 /// as tenant [`GC_TENANT`], then draining the scheduler so each
 /// migration is dispatched under mClock arbitration before the collector
-/// proceeds. A shed migration is a harness bug (the sink drains the
-/// queue after every submit), so it fails loudly.
+/// proceeds.
 pub struct QosGcSink<'a>(qos::InternalTenant<'a>);
 
 impl<'a> QosGcSink<'a> {
@@ -173,8 +172,7 @@ pub const BAND_WINDOW: sim::SimDuration = sim::SimDuration::from_millis(300);
 ///
 /// # Errors
 ///
-/// Propagates scheduler/volume errors; fails the gate if any foreground
-/// op is shed (the drive is paced, so its queue never backs up).
+/// Propagates scheduler/volume errors.
 pub fn drive(
     run: &TimelineRun,
     sched: &QosScheduler,
@@ -189,14 +187,9 @@ pub fn drive(
     let mut windows: Vec<u64> = Vec::new();
     let mut now = start;
     for (i, &off) in offsets.iter().enumerate() {
-        match sched.submit_write(APP_TENANT, i as u64, now, off, block)? {
-            Admission::Admitted(_) => {}
-            Admission::Shed { reason, .. } => {
-                return Err(BenchError::Gate(format!(
-                    "foreground write shed ({reason:?}) at op {i}"
-                )))
-            }
-        }
+        sched
+            .submit_write(APP_TENANT, i as u64, now, off, block)?
+            .admitted(format_args!("foreground write at op {i}"))?;
         completions.clear();
         while sched.step(&mut completions)? {}
         for c in &completions {

@@ -368,10 +368,6 @@ pub enum Counter {
     RmwWrites,
     /// mdraid reconstruct-write updates.
     RcwWrites,
-    /// QoS scheduler: ops rejected at admission (queue full / congestion).
-    SchedSheds,
-    /// QoS scheduler: ops whose queue wait exceeded their deadline.
-    SchedDeferrals,
     /// QoS scheduler: write ops merged into an already-queued batch.
     SchedCoalescedOps,
     /// QoS scheduler: zone-management ops (open/close/finish/reset)
@@ -390,7 +386,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in index order.
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 22] = [
         Counter::Retries,
         Counter::DegradedReads,
         Counter::DoubleDegradedReads,
@@ -407,8 +403,6 @@ impl Counter {
         Counter::FullStripeWrites,
         Counter::RmwWrites,
         Counter::RcwWrites,
-        Counter::SchedSheds,
-        Counter::SchedDeferrals,
         Counter::SchedCoalescedOps,
         Counter::SchedMgmtOps,
         Counter::DeviceWaitNanos,
@@ -436,8 +430,6 @@ impl Counter {
             Counter::FullStripeWrites => "full_stripe_writes",
             Counter::RmwWrites => "rmw_writes",
             Counter::RcwWrites => "rcw_writes",
-            Counter::SchedSheds => "sched_sheds",
-            Counter::SchedDeferrals => "sched_deferrals",
             Counter::SchedCoalescedOps => "sched_coalesced_ops",
             Counter::SchedMgmtOps => "sched_mgmt_ops",
             Counter::DeviceWaitNanos => "device_wait_nanos",

@@ -4,7 +4,7 @@
 use crate::QosScheduler;
 use sim::SimTime;
 use workloads::{Admission, SchedCompletion, SharedScheduler, TenantId};
-use zns::{Result, ZnsError};
+use zns::Result;
 
 /// A background actor's seat at the scheduler: zone-lifecycle management,
 /// garbage collection and the like submit their IO as one (low-weight)
@@ -13,9 +13,8 @@ use zns::{Result, ZnsError};
 ///
 /// Each [`InternalTenant::submit_and_drain`] submits one op and then
 /// steps the scheduler until it goes idle, so the op is dispatched before
-/// the actor — or the next foreground op — proceeds. That leaves the
-/// tenant's queue empty between submits; an op shed nonetheless is a
-/// harness bug and fails loudly.
+/// the actor — or the next foreground op — proceeds, and leaves the
+/// tenant's queue empty between submits.
 pub struct InternalTenant<'a> {
     sched: &'a QosScheduler,
     tenant: TenantId,
@@ -42,21 +41,14 @@ impl<'a> InternalTenant<'a> {
     /// # Errors
     ///
     /// Propagates scheduler and target errors; a shed op is an
-    /// [`ZnsError::InvalidArgument`].
+    /// [`zns::ZnsError::InvalidArgument`].
     pub fn submit_and_drain(
         &mut self,
         at: SimTime,
         what: std::fmt::Arguments<'_>,
         submit: impl FnOnce(&QosScheduler, TenantId, u64) -> Result<Admission>,
     ) -> Result<SimTime> {
-        match submit(self.sched, self.tenant, self.next_tag)? {
-            Admission::Admitted(_) => {}
-            Admission::Shed { reason, .. } => {
-                return Err(ZnsError::InvalidArgument(format!(
-                    "{what} shed ({reason:?})"
-                )))
-            }
-        }
+        submit(self.sched, self.tenant, self.next_tag)?.admitted(what)?;
         self.next_tag += 1;
         self.completions.clear();
         while self.sched.step(&mut self.completions)? {}

@@ -1,4 +1,4 @@
-//! mClock tag state and the deterministic token bucket.
+//! mClock tag state.
 
 use crate::config::TenantSpec;
 
@@ -59,84 +59,17 @@ impl TagState {
     }
 }
 
-/// A deterministic token bucket: `limit_iops` tokens per second, at most
-/// `burst` stored. All arithmetic is integer nanoseconds.
-#[derive(Debug)]
-pub(crate) struct TokenBucket {
-    period_ns: u64,
-    burst: u64,
-    level: u64,
-    last_refill_ns: u64,
-}
-
-impl TokenBucket {
-    pub(crate) fn new(spec: &TenantSpec) -> Self {
-        let period_ns = NS_PER_SEC
-            .checked_div(spec.limit_iops)
-            .map_or(0, |p| p.max(1));
-        TokenBucket {
-            period_ns,
-            burst: spec.burst_ops.max(1),
-            level: spec.burst_ops.max(1),
-            last_refill_ns: 0,
-        }
-    }
-
-    /// Whether this bucket enforces a limit at all.
-    pub(crate) fn limited(&self) -> bool {
-        self.period_ns > 0
-    }
-
-    /// Earliest instant at which one token is available, given the op
-    /// arrives at `arrival_ns`.
-    pub(crate) fn eligible_at(&self, arrival_ns: u64) -> u64 {
-        if !self.limited() {
-            return arrival_ns;
-        }
-        let accrued = arrival_ns.saturating_sub(self.last_refill_ns) / self.period_ns;
-        if self.level.saturating_add(accrued) >= 1 {
-            arrival_ns
-        } else {
-            arrival_ns.max(self.last_refill_ns.saturating_add(self.period_ns))
-        }
-    }
-
-    /// Consumes one token at instant `now_ns` (which must be eligible).
-    pub(crate) fn consume(&mut self, now_ns: u64) {
-        if !self.limited() {
-            return;
-        }
-        let accrued = now_ns.saturating_sub(self.last_refill_ns) / self.period_ns;
-        if accrued > 0 {
-            let new_level = self.level.saturating_add(accrued).min(self.burst);
-            if new_level == self.burst {
-                // Bucket filled: credit beyond the burst is forfeited.
-                self.last_refill_ns = now_ns;
-            } else {
-                self.last_refill_ns += accrued * self.period_ns;
-            }
-            self.level = new_level;
-        }
-        debug_assert!(self.level >= 1, "token consumed while ineligible");
-        self.level = self.level.saturating_sub(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn spec(reservation: u64, weight: u64, limit: u64, burst: u64) -> TenantSpec {
-        let mut s = TenantSpec::new("t").weight(weight);
-        s.reservation_iops = reservation;
-        s.limit_iops = limit;
-        s.burst_ops = burst;
-        s
+    fn spec(reservation: u64, weight: u64) -> TenantSpec {
+        TenantSpec::new("t").weight(weight).reservation(reservation)
     }
 
     #[test]
     fn reservation_tags_spaced_by_period() {
-        let mut t = TagState::new(&spec(1000, 1, 0, 1));
+        let mut t = TagState::new(&spec(1000, 1));
         assert_eq!(t.next_r_tag(0), 1_000_000);
         assert_eq!(t.next_r_tag(0), 2_000_000);
         // Idle gap: tag restarts at arrival.
@@ -145,14 +78,14 @@ mod tests {
 
     #[test]
     fn no_reservation_is_sentinel() {
-        let mut t = TagState::new(&spec(0, 1, 0, 1));
+        let mut t = TagState::new(&spec(0, 1));
         assert_eq!(t.next_r_tag(5), NO_RESERVATION);
     }
 
     #[test]
     fn proportional_tags_scale_inverse_weight() {
-        let mut w1 = TagState::new(&spec(0, 1, 0, 1));
-        let mut w4 = TagState::new(&spec(0, 4, 0, 1));
+        let mut w1 = TagState::new(&spec(0, 1));
+        let mut w4 = TagState::new(&spec(0, 4));
         let a = w1.next_p_tag(0, 8);
         let b = w4.next_p_tag(0, 8);
         assert_eq!(a, 4 * b, "weight-4 tenant advances 4x slower");
@@ -160,49 +93,10 @@ mod tests {
 
     #[test]
     fn idle_tenant_syncs_to_vtime() {
-        let mut t = TagState::new(&spec(0, 1, 0, 1));
+        let mut t = TagState::new(&spec(0, 1));
         let first = t.next_p_tag(0, 1);
         let resumed = t.next_p_tag(1_000_000, 1);
         assert!(resumed > 1_000_000);
         assert!(resumed > first);
-    }
-
-    #[test]
-    fn bucket_enforces_rate_after_burst() {
-        let mut b = TokenBucket::new(&spec(0, 1, 1000, 2));
-        // Burst of 2 is immediately available.
-        assert_eq!(b.eligible_at(0), 0);
-        b.consume(0);
-        assert_eq!(b.eligible_at(0), 0);
-        b.consume(0);
-        // Empty: next token accrues one period after the last refill.
-        assert_eq!(b.eligible_at(0), 1_000_000);
-        b.consume(1_000_000);
-        assert_eq!(b.eligible_at(1_000_000), 2_000_000);
-    }
-
-    #[test]
-    fn unlimited_bucket_always_eligible() {
-        let mut b = TokenBucket::new(&spec(0, 1, 0, 1));
-        assert!(!b.limited());
-        for t in 0..100 {
-            assert_eq!(b.eligible_at(t), t);
-            b.consume(t);
-        }
-    }
-
-    #[test]
-    fn bucket_caps_accumulated_credit_at_burst() {
-        let mut b = TokenBucket::new(&spec(0, 1, 1000, 4));
-        for _ in 0..4 {
-            b.consume(0);
-        }
-        // A long idle period accrues at most `burst` tokens.
-        let late = 1_000_000_000;
-        for i in 0..4 {
-            assert_eq!(b.eligible_at(late + i), late + i);
-            b.consume(late + i);
-        }
-        assert!(b.eligible_at(late + 4) > late + 4);
     }
 }

@@ -1,30 +1,28 @@
 //! The multi-tenant scheduler: admission, mClock dispatch, coalescing.
 
 use crate::config::{QosConfig, TenantSpec};
-use crate::mclock::{TagState, TokenBucket, NO_RESERVATION};
-use crate::stats::TenantSnapshot;
+use crate::mclock::{TagState, NO_RESERVATION};
+use crate::stats::{coalesce_ratio, TenantSnapshot};
 use parking_lot::Mutex;
-use sim::{SimDuration, SimTime};
+use sim::SimTime;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
-use workloads::{
-    Admission, IoTarget, OpToken, SchedCompletion, SharedScheduler, ShedReason, TenantId,
-};
+use workloads::{Admission, IoTarget, OpToken, SchedCompletion, SharedScheduler, TenantId};
 use zns::{Result, ZnsError, SECTOR_SIZE};
 
 /// Ops merged into one coalesced batch at most (also the size of the
 /// stack-allocated segment table of its gather write).
 const MAX_COALESCE_OPS: usize = 32;
 
-/// EWMA smoothing factor of the device service-latency congestion signal.
-const CONGESTION_ALPHA: f64 = 0.2;
-
 /// Retired payload buffers kept for reuse across ops.
 const POOL_CAP: usize = 1024;
 
-/// Floor for shed retry-at estimates.
-const MIN_RETRY_NS: u64 = 1_000;
+/// Ops each tenant queue holds before it first grows. Submitters bound
+/// their own queues (the engine keeps at most `queue_depth` outstanding
+/// per job, internal tenants drain after every submit), so in steady
+/// state a queue never outgrows this and never allocates.
+const QUEUE_PREALLOC: usize = 256;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OpDir {
@@ -64,19 +62,15 @@ struct QueuedOp {
 struct TenantTotals {
     admitted: u64,
     completed: u64,
-    shed: u64,
-    deferred: u64,
     batches: u64,
     merged: u64,
     bytes: u64,
-    write_ops: u64,
 }
 
 struct TenantState {
     spec: TenantSpec,
     queue: VecDeque<QueuedOp>,
     tags: TagState,
-    bucket: TokenBucket,
     totals: TenantTotals,
 }
 
@@ -87,8 +81,6 @@ struct Inner {
     /// Global proportional virtual time: p-tag of the last dispatch.
     vtime: u64,
     next_token: OpToken,
-    /// EWMA of device service latency (dispatch to completion), nanos.
-    ewma_service_ns: f64,
     /// Recycled payload buffers.
     pool: Vec<Vec<u8>>,
     /// Scratch: constituents of the batch being dispatched.
@@ -98,9 +90,9 @@ struct Inner {
 }
 
 /// A deterministic virtual-time I/O scheduler wrapping one
-/// [`IoTarget`] with per-tenant mClock scheduling, token-bucket rate
-/// limits, bounded queues with shed/defer accounting, and stripe-aware
-/// write coalescing.
+/// [`IoTarget`] with per-tenant mClock scheduling (reservation and
+/// weight) and stripe-aware write coalescing. It admits every
+/// well-formed submission.
 ///
 /// Drive it with [`workloads::Engine::run_shared`], or directly through
 /// the [`SharedScheduler`] trait. All state sits behind one mutex and
@@ -150,9 +142,8 @@ impl QosScheduler {
         let states = tenants
             .into_iter()
             .map(|spec| TenantState {
-                queue: VecDeque::with_capacity(spec.queue_cap),
+                queue: VecDeque::with_capacity(QUEUE_PREALLOC),
                 tags: TagState::new(&spec),
-                bucket: TokenBucket::new(&spec),
                 totals: TenantTotals::default(),
                 spec,
             })
@@ -171,7 +162,6 @@ impl QosScheduler {
                 slots,
                 vtime: 0,
                 next_token: 0,
-                ewma_service_ns: 0.0,
                 pool: Vec::with_capacity(POOL_CAP),
                 batch: Vec::with_capacity(MAX_COALESCE_OPS),
                 read_buf: Vec::new(),
@@ -182,15 +172,10 @@ impl QosScheduler {
     /// Attaches an observability recorder: each completed op emits a
     /// queue-wait span (arrival to dispatch) and a service span
     /// (dispatch to completion) tagged with its tenant index, and
-    /// sheds/deferrals/coalesces bump their counters.
+    /// coalesced and management ops bump their counters.
     pub fn with_recorder(self, recorder: Arc<obs::Recorder>) -> Self {
         self.tracer.attach(recorder, obs::NONE);
         self
-    }
-
-    /// Number of registered tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.locks.lock(&self.inner).tenants.len()
     }
 
     /// Per-tenant accounting snapshots, in registration order.
@@ -203,8 +188,8 @@ impl QosScheduler {
                 name: t.spec.name.clone(),
                 admitted: t.totals.admitted,
                 completed: t.totals.completed,
-                shed: t.totals.shed,
-                deferred: t.totals.deferred,
+                shed: 0,
+                deferred: 0,
                 batches: t.totals.batches,
                 merged: t.totals.merged,
                 bytes: t.totals.bytes,
@@ -212,39 +197,11 @@ impl QosScheduler {
             .collect()
     }
 
-    /// Current device service-latency EWMA (the congestion signal).
-    pub fn service_ewma(&self) -> SimDuration {
-        SimDuration::from_nanos(self.locks.lock(&self.inner).ewma_service_ns as u64)
-    }
-
-    /// Whether the congestion signal currently exceeds its threshold.
-    pub fn congested(&self) -> bool {
-        let t = self.config.congestion_threshold.as_nanos();
-        t > 0 && self.locks.lock(&self.inner).ewma_service_ns as u64 > t
-    }
-
-    fn congested_locked(&self, inner: &Inner) -> bool {
-        let t = self.config.congestion_threshold.as_nanos();
-        t > 0 && inner.ewma_service_ns as u64 > t
-    }
-
-    /// Deterministic estimate of when tenant `ti`'s queue will have
-    /// drained enough to admit again: its queue length worth of service
-    /// at the current EWMA, spread over the dispatch slots.
-    fn retry_estimate(&self, inner: &Inner, ti: usize, arrival: SimTime) -> SimTime {
-        let qlen = inner.tenants[ti].queue.len() as u64;
-        let per_slot = qlen.div_ceil(self.config.server_depth as u64).max(1);
-        let wait_ns = (inner.ewma_service_ns as u64)
-            .saturating_mul(per_slot)
-            .max(MIN_RETRY_NS);
-        arrival + SimDuration::from_nanos(wait_ns)
-    }
-
     /// Enqueues a zone-management operation for `tenant`: it competes for
-    /// dispatch under the same mClock tags, rate tokens and queue caps as
-    /// data IO (weighted as one sector), so a low-priority internal
-    /// tenant's management traffic can never starve foreground tenants.
-    /// `zone` is the logical zone index on the wrapped target.
+    /// dispatch under the same mClock tags as data IO (weighted as one
+    /// sector), so a low-priority internal tenant's management traffic
+    /// can never starve foreground tenants. `zone` is the logical zone
+    /// index on the wrapped target.
     ///
     /// # Errors
     ///
@@ -312,21 +269,6 @@ impl QosScheduler {
                 )));
             }
         }
-        let congested = self.congested_locked(inner);
-        let cap = inner.tenants[ti].spec.queue_cap;
-        let effective_cap = if congested { (cap / 2).max(1) } else { cap };
-        if inner.tenants[ti].queue.len() >= effective_cap {
-            let reason = if inner.tenants[ti].queue.len() >= cap {
-                ShedReason::QueueFull
-            } else {
-                ShedReason::Congestion
-            };
-            inner.tenants[ti].totals.shed += 1;
-            self.tracer.bump(obs::Counter::SchedSheds);
-            let retry_at = self.retry_estimate(inner, ti, arrival);
-            return Ok(Admission::Shed { reason, retry_at });
-        }
-
         let token = inner.next_token;
         inner.next_token += 1;
         let vtime = inner.vtime;
@@ -357,7 +299,7 @@ impl QosScheduler {
 
     /// Picks the tenant to serve at `now_ns`: overdue reservation tags
     /// first (smallest tag wins), then the smallest proportional tag
-    /// among limit-eligible heads. Ties break toward the lower tenant
+    /// among heads that have arrived. Ties break toward the lower tenant
     /// index, keeping dispatch fully deterministic.
     fn pick(&self, inner: &Inner, now_ns: u64) -> Option<usize> {
         let mut best_r: Option<(u64, usize)> = None;
@@ -366,7 +308,7 @@ impl QosScheduler {
             let Some(head) = t.queue.front() else {
                 continue;
             };
-            if t.bucket.eligible_at(head.arrival_ns) > now_ns {
+            if head.arrival_ns > now_ns {
                 continue;
             }
             if head.r_tag != NO_RESERVATION && head.r_tag <= now_ns {
@@ -420,24 +362,22 @@ impl SharedScheduler for QosScheduler {
         let mut inner = self.locks.lock(&self.inner);
         let inner = &mut *inner;
 
-        // Earliest instant any head could dispatch (arrival + tokens).
-        let mut min_eligible: Option<u64> = None;
-        for t in &inner.tenants {
-            if let Some(head) = t.queue.front() {
-                let e = t.bucket.eligible_at(head.arrival_ns);
-                min_eligible = Some(min_eligible.map_or(e, |m: u64| m.min(e)));
-            }
-        }
-        let Some(min_eligible) = min_eligible else {
+        // Earliest instant any head could dispatch: its arrival.
+        let Some(min_arrival) = inner
+            .tenants
+            .iter()
+            .filter_map(|t| t.queue.front().map(|head| head.arrival_ns))
+            .min()
+        else {
             return Ok(false);
         };
         let slot_free = inner.slots.peek().map(|Reverse(n)| *n).unwrap_or(0);
-        let now_ns = slot_free.max(min_eligible);
+        let now_ns = slot_free.max(min_arrival);
 
         let ti = match self.pick(inner, now_ns) {
             Some(ti) => ti,
-            // Unreachable: the head achieving `min_eligible` is eligible
-            // at `now_ns` by construction. Keep a defensive error.
+            // Unreachable: the head achieving `min_arrival` has arrived
+            // by `now_ns` by construction. Keep a defensive error.
             None => {
                 return Err(ZnsError::InvalidArgument(
                     "scheduler found no eligible tenant".to_string(),
@@ -487,9 +427,8 @@ impl SharedScheduler for QosScheduler {
             }
         }
 
-        // One batch consumes one dispatch slot and one rate token.
+        // One batch consumes one dispatch slot.
         inner.slots.pop();
-        inner.tenants[ti].bucket.consume(now_ns);
         inner.vtime = inner.vtime.max(head_p_tag);
 
         // The batch is the causal root: the target's own op span and the
@@ -535,38 +474,18 @@ impl SharedScheduler for QosScheduler {
         };
         inner.slots.push(Reverse(done.as_nanos()));
 
-        let service_ns = done.since(dispatch).as_nanos() as f64;
-        let a = CONGESTION_ALPHA;
-        inner.ewma_service_ns = if inner.ewma_service_ns == 0.0 {
-            service_ns
-        } else {
-            a * service_ns + (1.0 - a) * inner.ewma_service_ns
-        };
-
         let merged = inner.batch.len() as u64 - 1;
         let t = &mut inner.tenants[ti];
         t.totals.batches += 1;
         t.totals.merged += merged;
         self.tracer.add(obs::Counter::SchedCoalescedOps, merged);
-        let deadline_ns = t.spec.deadline.as_nanos();
         for mut op in inner.batch.drain(..) {
             let arrival = SimTime::from_nanos(op.arrival_ns);
-            let deferred = deadline_ns > 0 && now_ns.saturating_sub(op.arrival_ns) > deadline_ns;
             t.totals.completed += 1;
-            if !matches!(op.dir, OpDir::Mgmt(_)) {
-                t.totals.bytes += op.sectors * SECTOR_SIZE;
-            }
-            if op.dir == OpDir::Write {
-                t.totals.write_ops += 1;
-            }
-            if deferred {
-                t.totals.deferred += 1;
-            }
-            if deferred {
-                self.tracer.bump(obs::Counter::SchedDeferrals);
-            }
             if matches!(op.dir, OpDir::Mgmt(_)) {
                 self.tracer.bump(obs::Counter::SchedMgmtOps);
+            } else {
+                t.totals.bytes += op.sectors * SECTOR_SIZE;
             }
             let class = op.dir.class();
             let tenant = ti as u32;
@@ -594,7 +513,6 @@ impl SharedScheduler for QosScheduler {
                 arrival,
                 dispatched: dispatch,
                 done,
-                deferred,
             });
         }
         // Close the batch's blame tree: the root is recorded after every
@@ -638,21 +556,7 @@ impl obs::GaugeSource for QosScheduler {
                 0.0
             };
             out.push(obs::GaugeReading::new("granted_share", dev, share));
-            out.push(obs::GaugeReading::new(
-                "deferred_ops",
-                dev,
-                t.totals.deferred as f64,
-            ));
-            out.push(obs::GaugeReading::new(
-                "shed_ops",
-                dev,
-                t.totals.shed as f64,
-            ));
-            let ratio = if t.totals.write_ops > 0 {
-                t.totals.merged as f64 / t.totals.write_ops as f64
-            } else {
-                0.0
-            };
+            let ratio = coalesce_ratio(t.totals.merged, t.totals.completed);
             out.push(obs::GaugeReading::new("coalesce_ratio", dev, ratio));
         }
         drop(inner);

@@ -1,8 +1,8 @@
 //! Per-tenant accounting snapshots.
 
 /// Cumulative per-tenant accounting, snapshotted from the scheduler.
-/// Nothing is dropped silently: `admitted == completed + queued` and
-/// every rejected submission counts in `shed`.
+/// Every well-formed submission is admitted, so `admitted == completed +
+/// queued`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantSnapshot {
     /// Tenant label from its [`TenantSpec`](crate::TenantSpec).
@@ -11,9 +11,11 @@ pub struct TenantSnapshot {
     pub admitted: u64,
     /// Ops dispatched and completed.
     pub completed: u64,
-    /// Submissions rejected at admission (queue full or congestion).
+    /// Always 0: the scheduler sheds nothing. Kept because the
+    /// stand-alone `benchmark/` package reads it.
     pub shed: u64,
-    /// Completed ops whose queue wait exceeded the tenant deadline.
+    /// Always 0: the scheduler defers nothing. Kept because the
+    /// stand-alone `benchmark/` package reads it.
     pub deferred: u64,
     /// Device dispatches (coalesced batches count once).
     pub batches: u64,
@@ -26,10 +28,15 @@ pub struct TenantSnapshot {
 impl TenantSnapshot {
     /// Fraction of completed ops that rode along in a coalesced batch.
     pub fn coalesce_ratio(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.merged as f64 / self.completed as f64
-        }
+        coalesce_ratio(self.merged, self.completed)
+    }
+}
+
+/// `merged / completed`, 0 before the first completion.
+pub(crate) fn coalesce_ratio(merged: u64, completed: u64) -> f64 {
+    if completed == 0 {
+        0.0
+    } else {
+        merged as f64 / completed as f64
     }
 }

@@ -176,7 +176,7 @@ proptest! {
         let s = QosScheduler::new(
             sched_target.clone(),
             QosConfig { stripe_sectors: 64, ..QosConfig::default() },
-            vec![TenantSpec::new("w").coalesce(true).queue_cap(64)],
+            vec![TenantSpec::new("w").coalesce(true)],
         )
         .unwrap();
         let mut off = 0u64;

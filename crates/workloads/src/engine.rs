@@ -1,6 +1,6 @@
 //! The job engine: queue depths, issue scheduling and reporting.
 
-use crate::sched::{Admission, SchedCompletion, SharedScheduler, TenantId};
+use crate::sched::{SchedCompletion, SharedScheduler, TenantId};
 use crate::series::LatencySeries;
 use crate::target::{io_buffer, IoTarget};
 use sim::{Histogram, SimDuration, SimRng, SimTime, Timeseries, TimeseriesPoint};
@@ -173,11 +173,6 @@ pub struct JobReport {
     pub ops: u64,
     /// Bytes transferred by this job.
     pub bytes: u64,
-    /// Ops rejected at scheduler admission (always 0 for [`Engine::run`]).
-    pub shed: u64,
-    /// Ops whose queue wait exceeded the tenant deadline (still
-    /// completed; always 0 for [`Engine::run`]).
-    pub deferred: u64,
     /// This job's per-IO latency distribution (arrival to completion).
     pub latency: Histogram,
 }
@@ -689,15 +684,12 @@ impl Engine {
         let deadline = self.time_limit.map(|l| self.start + l);
         let mut comps: Vec<SchedCompletion> = Vec::with_capacity(64);
 
-        // Submits one op for job `ji` at its frontier. Sheds count as
-        // consumed ops (the scheduler has already accounted them) and
-        // push the job's frontier to the advised retry instant so the
-        // loop always terminates.
+        // Submits one op for job `ji` at its frontier; a shed op is an
+        // error.
         fn submit_one(
             engine: &mut Engine,
             sched: &dyn SharedScheduler,
             states: &mut [JobState],
-            per_job: &mut [JobReport],
             buf: &[u8],
             ji: usize,
         ) -> Result<()> {
@@ -713,18 +705,9 @@ impl Engine {
                 }
                 OpKind::Read => sched.submit_read(tenant, ji as u64, arrival, off, block)?,
             };
-            match admission {
-                Admission::Admitted(_) => {
-                    states[ji].outstanding += 1;
-                    states[ji].remaining -= 1;
-                }
-                Admission::Shed { retry_at, .. } => {
-                    per_job[ji].shed += 1;
-                    states[ji].remaining -= 1;
-                    let bumped = arrival + SimDuration::from_nanos(1);
-                    states[ji].frontier = retry_at.max(bumped);
-                }
-            }
+            admission.admitted(format_args!("job {ji} op at offset {off}"))?;
+            states[ji].outstanding += 1;
+            states[ji].remaining -= 1;
             Ok(())
         }
 
@@ -733,7 +716,7 @@ impl Engine {
         // so early submission does not perturb scheduling.
         for ji in 0..states.len() {
             while states[ji].remaining > 0 && states[ji].outstanding < states[ji].spec.queue_depth {
-                submit_one(self, sched, &mut states, &mut tally.per_job, &buf, ji)?;
+                submit_one(self, sched, &mut states, &buf, ji)?;
             }
         }
 
@@ -770,9 +753,6 @@ impl Engine {
                         .top();
                 let bytes = spec.block_sectors * SECTOR_SIZE;
                 tally.complete(ji, bytes, c.done.since(c.arrival), c.done, None, event);
-                if c.deferred {
-                    tally.per_job[ji].deferred += 1;
-                }
                 states[ji].frontier = states[ji].frontier.max(c.done);
                 if let Some(d) = deadline {
                     if states[ji].frontier >= d {
@@ -785,7 +765,7 @@ impl Engine {
                 while states[ji].remaining > 0
                     && states[ji].outstanding < states[ji].spec.queue_depth
                 {
-                    submit_one(self, sched, &mut states, &mut tally.per_job, &buf, ji)?;
+                    submit_one(self, sched, &mut states, &buf, ji)?;
                 }
             }
         }

@@ -7,8 +7,8 @@
 //! scheduler queues them, and [`SharedScheduler::step`] dispatches the
 //! next op (or coalesced batch) in the scheduler's own order, returning
 //! one [`SchedCompletion`] per original op. This lets a scheduler reorder
-//! across tenants, rate-limit, defer and shed — none of which the
-//! synchronous [`IoTarget`](crate::IoTarget) interface can express.
+//! ops across tenants and merge a tenant's ops into batches, which the
+//! synchronous [`IoTarget`](crate::IoTarget) interface cannot express.
 //!
 //! Determinism contract: given the same sequence of `submit_*`/`step`
 //! calls, a scheduler must produce the same admissions, dispatch order
@@ -16,7 +16,7 @@
 //! sequence, so whole runs replay exactly.
 
 use sim::SimTime;
-use zns::Result;
+use zns::{Result, ZnsError};
 
 /// Index of a tenant registered with the scheduler.
 pub type TenantId = u32;
@@ -24,13 +24,13 @@ pub type TenantId = u32;
 /// Scheduler-assigned identifier of an admitted op.
 pub type OpToken = u64;
 
-/// Why an op was rejected at admission.
+/// Why an op was rejected at admission. Nothing in the workspace sheds;
+/// kept, with [`Admission::Shed`], because the stand-alone `benchmark/`
+/// package matches on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
     /// The tenant's bounded queue was full.
     QueueFull,
-    /// The congestion controller clamped admission below the queue bound.
-    Congestion,
 }
 
 /// Outcome of a submission.
@@ -38,15 +38,29 @@ pub enum ShedReason {
 pub enum Admission {
     /// The op was queued; a completion carrying this token will follow.
     Admitted(OpToken),
-    /// The op was rejected (counted by the scheduler — never silent).
-    /// `retry_at` is the scheduler's deterministic estimate of when the
-    /// tenant's queue will have drained enough to accept again.
+    /// The op was rejected. No scheduler in the workspace constructs
+    /// this; it stays because the stand-alone `benchmark/` package
+    /// matches on it.
     Shed {
         /// Why admission failed.
         reason: ShedReason,
-        /// Earliest instant a retry is likely to be admitted.
-        retry_at: SimTime,
     },
+}
+
+impl Admission {
+    /// The admitted op's token.
+    ///
+    /// # Errors
+    ///
+    /// A shed op is a [`ZnsError::InvalidArgument`] naming `what`.
+    pub fn admitted(self, what: impl std::fmt::Display) -> Result<OpToken> {
+        match self {
+            Admission::Admitted(token) => Ok(token),
+            Admission::Shed { reason } => Err(ZnsError::InvalidArgument(format!(
+                "{what} shed ({reason:?})"
+            ))),
+        }
+    }
 }
 
 /// Completion record of one admitted op.
@@ -64,9 +78,6 @@ pub struct SchedCompletion {
     pub dispatched: SimTime,
     /// Instant the underlying target completed it.
     pub done: SimTime,
-    /// The op's queue wait exceeded its tenant's deadline (the op still
-    /// completed; deferral is an accounting signal, not a drop).
-    pub deferred: bool,
 }
 
 /// A multi-tenant I/O scheduler the engine can drive op by op.
@@ -83,7 +94,7 @@ pub trait SharedScheduler: Send + Sync {
     /// # Errors
     ///
     /// Fails only on malformed submissions (unknown tenant, unaligned
-    /// length); resource exhaustion is reported as [`Admission::Shed`].
+    /// length).
     fn submit_write(
         &self,
         tenant: TenantId,
@@ -97,8 +108,7 @@ pub trait SharedScheduler: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Fails only on malformed submissions; resource exhaustion is
-    /// reported as [`Admission::Shed`].
+    /// Fails only on malformed submissions.
     fn submit_read(
         &self,
         tenant: TenantId,

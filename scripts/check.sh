@@ -206,10 +206,14 @@ fi
 # caller and are constants now (`zns::array::{TRANSIENT_RETRY_LIMIT,
 # DEVICE_ERROR_BUDGET}` for both engines, `raizn::RELOCATION_THRESHOLD`,
 # the lifecycle manager's policy, lsraid's `RESERVE_GROUPS`, the
-# scheduler's `MAX_COALESCE_OPS` and `CONGESTION_ALPHA`). One of their old
-# names under crates/ is a single-valued setting coming back.
-if grep -rnE '\b(LifecycleConfig|transient_retry_limit|device_error_budget|relocation_threshold|reserve_groups|max_coalesce_ops|congestion_alpha)\b' crates; then
-  echo "check.sh: a single-valued setting is configurable again (use the constant)" >&2
+# scheduler's `MAX_COALESCE_OPS`). The QoS scheduler keeps only what a
+# scenario runs (mClock reservation and weight, the coalescer, the actor);
+# its token bucket, queue-cap shedding, deadline deferral and congestion
+# EWMA were set only by its own tests and are gone. One of these old names
+# under crates/ is a single-valued setting or a removed behaviour coming
+# back.
+if grep -rnE '\b(LifecycleConfig|transient_retry_limit|device_error_budget|relocation_threshold|reserve_groups|max_coalesce_ops|congestion_alpha|limit_iops|burst_ops|queue_cap|congestion_threshold|TokenBucket|retry_estimate|SchedSheds|SchedDeferrals)\b' crates; then
+  echo "check.sh: a single-valued setting or a removed QoS behaviour is back (use the constant)" >&2
   exit 1
 fi
 
