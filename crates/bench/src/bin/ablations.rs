@@ -3,9 +3,7 @@
 //! 1. **Partial-parity scope** — paper's affected-rows logging vs logging
 //!    the full running parity unit per partial write (§5.1's
 //!    write-amplification argument).
-//! 2. **Metadata headers** — the 4 KiB header sector per log entry vs the
-//!    §5.4 logical-block-metadata optimization (headers ride free).
-//! 3. **Stripe unit size** — small-write metadata overhead across stripe
+//! 2. **Stripe unit size** — small-write metadata overhead across stripe
 //!    unit sizes.
 
 use bench::{bs_label, print_table, TimelineRun};
@@ -18,7 +16,7 @@ use zns::{LatencyConfig, ZnsConfig, ZnsDevice};
 const ZONES: u32 = 64;
 const ZONE_SECTORS: u64 = 4096;
 
-/// Builds the volume. Custom configs (ZRWA windows, pp variants) mean the
+/// Builds the volume. Custom configs (pp variants, stripe units) mean the
 /// harness volume builders don't fit; when `run` is set the devices and
 /// volume are wired into its recorder and gauge registry instead of the
 /// process-wide recorder.
@@ -26,16 +24,13 @@ fn build(config: RaiznConfig, run: Option<&TimelineRun>) -> bench::BenchResult<A
     let rec = run.map_or_else(bench::recorder, TimelineRun::recorder);
     let devices: Vec<Arc<ZnsDevice>> = (0..5)
         .map(|_| {
-            let mut builder = ZnsConfig::builder();
-            builder
+            let config = ZnsConfig::builder()
                 .zones(ZONES, ZONE_SECTORS, ZONE_SECTORS)
                 .open_limits(14, 28)
                 .latency(LatencyConfig::zns_ssd())
-                .store_data(false);
-            if config.use_zrwa {
-                builder.zrwa(config.stripe_unit_sectors);
-            }
-            Arc::new(ZnsDevice::new(builder.build()))
+                .store_data(false)
+                .build();
+            Arc::new(ZnsDevice::new(config))
         })
         .collect();
     for (i, dev) in devices.iter().enumerate() {
@@ -82,26 +77,16 @@ fn main() -> bench::BenchResult {
     let capture = TimelineRun::new("ablations");
     let mut capture_end = SimTime::ZERO;
 
-    // --- Ablation 1 + 2: pp scope and header cost at 4 KiB writes. ----
+    // --- Ablation 1: pp scope at 4 KiB writes. ------------------------
     let base = RaiznConfig::default();
     let full_unit = RaiznConfig {
         pp_log_full_unit: true,
-        ..base
-    };
-    let lb_meta = RaiznConfig {
-        lb_metadata_headers: true,
-        ..base
-    };
-    let zrwa = RaiznConfig {
-        use_zrwa: true,
         ..base
     };
     let mut rows = Vec::new();
     for (label, cfg) in [
         ("affected-rows pp + header (paper)", base),
         ("full-unit pp + header", full_unit),
-        ("affected-rows pp, free headers (§5.4)", lb_meta),
-        ("ZRWA in-place parity (§5.4)", zrwa),
     ] {
         let flagship = label.contains("(paper)");
         let (mib_s, entries, bytes, end) = small_write_run(cfg, flagship.then_some(&capture))?;
@@ -123,7 +108,7 @@ fn main() -> bench::BenchResult {
         &rows,
     );
 
-    // --- Ablation 3: stripe unit size vs small-write overhead. --------
+    // --- Ablation 2: stripe unit size vs small-write overhead. --------
     let mut rows = Vec::new();
     for su in [2u64, 4, 16, 32] {
         let cfg = RaiznConfig {

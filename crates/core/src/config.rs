@@ -27,19 +27,6 @@ pub struct RaiznConfig {
     /// only the affected subset to minimize write amplification (§5.1);
     /// this switch quantifies that saving.
     pub pp_log_full_unit: bool,
-    /// Extension (§5.4): use each device's Zone Random Write Area for
-    /// in-place partial-parity updates instead of the partial-parity log.
-    /// Requires devices built with `ZnsConfig::builder().zrwa(su)` where
-    /// `su >= stripe_unit_sectors`. Uncommitted window contents are
-    /// volatile in this model, so crash recovery of the final stripe falls
-    /// back to data-extent rollback (a power-protected ZRWA would retain
-    /// the paper's stronger guarantee).
-    pub use_zrwa: bool,
-    /// Ablation: model the §5.4 "logical block metadata" optimization —
-    /// the 4 KiB metadata header travels in per-block metadata descriptors
-    /// instead of a dedicated header sector, removing one sector of write
-    /// amplification from every log append.
-    pub lb_metadata_headers: bool,
     /// When the devices' active-zone budget is exhausted and a write
     /// needs to activate a fresh logical zone, inline-finish the most
     /// nearly full active logical zone to reclaim headroom instead of
@@ -57,8 +44,6 @@ impl Default for RaiznConfig {
             stripe_unit_sectors: 16,
             parity: 1,
             pp_log_full_unit: false,
-            use_zrwa: false,
-            lb_metadata_headers: false,
             reclaim_on_exhaustion: false,
         }
     }

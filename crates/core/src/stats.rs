@@ -39,8 +39,6 @@ pub struct RaiznStats {
     pub persistence_flushes: u64,
     /// Physical zones rewritten to heal excess relocations (§5.2).
     pub zone_rewrites: u64,
-    /// In-place ZRWA parity updates performed (§5.4 extension).
-    pub zrwa_parity_writes: u64,
     /// Stripe buffers served from the recycle pool instead of allocating.
     pub stripe_buffers_reused: u64,
     /// Stripe units healed in place after a latent media read error
@@ -96,7 +94,6 @@ pub(crate) struct AtomicRaiznStats {
     pub rebuilds_completed: AtomicU64,
     pub persistence_flushes: AtomicU64,
     pub zone_rewrites: AtomicU64,
-    pub zrwa_parity_writes: AtomicU64,
     pub stripe_buffers_reused: AtomicU64,
     pub scrub_runs: AtomicU64,
     pub scrub_repairs: AtomicU64,
@@ -134,7 +131,6 @@ impl AtomicRaiznStats {
             rebuilds_completed: ld(&self.rebuilds_completed),
             persistence_flushes: ld(&self.persistence_flushes),
             zone_rewrites: ld(&self.zone_rewrites),
-            zrwa_parity_writes: ld(&self.zrwa_parity_writes),
             stripe_buffers_reused: ld(&self.stripe_buffers_reused),
             scrub_runs: ld(&self.scrub_runs),
             scrub_repairs: ld(&self.scrub_repairs),

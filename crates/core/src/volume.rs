@@ -22,9 +22,7 @@
 use crate::bitmap::PersistenceBitmap;
 use crate::config::{RaiznConfig, MD_ZONES};
 use crate::layout::RaiznLayout;
-use crate::metadata::{
-    MdPayloadRef, MdRecordRef, MetadataType, Superblock, GEN_COUNTERS_PER_PAGE, MD_HEADER_BYTES,
-};
+use crate::metadata::{MdPayloadRef, MdRecordRef, MetadataType, Superblock, GEN_COUNTERS_PER_PAGE};
 use crate::stats::{AtomicRaiznStats, RaiznStats};
 use crate::stripe::StripeBuffer;
 use crate::Result;
@@ -462,15 +460,6 @@ impl RaiznVolume {
                 "all array devices must share one geometry".to_string(),
             ));
         }
-        if config.use_zrwa
-            && devices
-                .iter()
-                .any(|d| d.config().zrwa_sectors() < config.stripe_unit_sectors)
-        {
-            return Err(ZnsError::InvalidArgument(
-                "use_zrwa requires every device's ZRWA window to cover one stripe unit".to_string(),
-            ));
-        }
         Ok(RaiznLayout::new(devices.len() as u32, config, geo))
     }
 
@@ -627,20 +616,6 @@ impl RaiznVolume {
     // Metadata log: one writer, one enumeration of live records
     // ------------------------------------------------------------------
 
-    /// Whether `rec`'s header sector is left out of its log append: the
-    /// §5.4 ablation where, with logical-block metadata enabled, partial
-    /// parity headers ride in per-block metadata descriptors instead of a
-    /// dedicated 4 KiB sector (recovery of such records is not exercised
-    /// by the ablation benches).
-    fn elides_header(&self, rec: &MdRecordRef<'_>) -> bool {
-        self.config.lb_metadata_headers
-            && rec.encoded_sectors() > 1
-            && matches!(
-                rec.header.md_type,
-                MetadataType::PartialParity | MetadataType::PartialParityQ
-            )
-    }
-
     /// Serializes `rec` and appends it to `member`'s metadata zone for
     /// `role` (`member` is device `dev`, or the replacement about to take
     /// its place): the only place a record is encoded, and the only code
@@ -658,10 +633,8 @@ impl RaiznVolume {
         flags: WriteFlags,
     ) -> Result<SimTime> {
         rec.encode_into(&mut log.md_scratch);
-        let skip = usize::from(self.elides_header(&rec)) * MD_HEADER_BYTES;
-        let bytes = &log.md_scratch[skip..];
         let done = member
-            .append(at, log.md[dev].zone(role), bytes, flags)?
+            .append(at, log.md[dev].zone(role), &log.md_scratch, flags)?
             .done;
         AtomicRaiznStats::add(&self.stats.md_appends, 1);
         Ok(done)
@@ -710,11 +683,10 @@ impl RaiznVolume {
             Err(ZnsError::TransientError { .. }) if self.members.is_failed(dev) => issued,
             Err(e) => return Err(e),
         };
-        let sectors = rec.encoded_sectors() - u64::from(self.elides_header(&rec));
         self.tracer.leaf(
             obs::Span::new(obs::OpClass::Append, obs::Stage::MetaAppend, at, done)
                 .zone(zone)
-                .sectors(sectors),
+                .sectors(rec.encoded_sectors()),
         );
         Ok(done)
     }
@@ -817,8 +789,8 @@ impl RaiznVolume {
 
     /// Re-captures every zone's pp checkpoint snapshot from its stripe
     /// buffer (shard → meta, one zone at a time), for a checkpoint that
-    /// must not miss zones staging parity without pp appends: the ZRWA
-    /// path, and the buffers mount-time recovery seeds.
+    /// must not miss zones staging parity without pp appends: the buffers
+    /// mount-time recovery seeds.
     pub(crate) fn sync_pp_snapshots(&self) {
         let su = self.layout.stripe_unit();
         for lz in 0..self.layout.logical_zones() {
@@ -1126,7 +1098,6 @@ impl RaiznVolume {
         lzone: u32,
         stripe: u64,
         chunk: &[u8],
-        zrwa_rows: Option<(u64, u64)>,
         fua: bool,
     ) -> Result<SimTime> {
         // A parity leg whose device has failed (and whose slot is not
@@ -1143,8 +1114,7 @@ impl RaiznVolume {
         match z.buffer.take() {
             Some(buf) => {
                 let (p, q) = (want_p.then(|| buf.parity()), want_q.then(|| buf.q_parity()));
-                let done = self
-                    .issue_parity_columns(z, devices, issue, lzone, stripe, p, q, zrwa_rows, fua);
+                let done = self.issue_parity_columns(z, devices, issue, lzone, stripe, p, q, fua);
                 z.retire_buffer(buf);
                 done
             }
@@ -1155,19 +1125,17 @@ impl RaiznVolume {
                 let (mut p, mut q) = (want_p.then_some(p), want_q.then_some(q));
                 sim::encode_pq(chunk, p.as_deref_mut(), q.as_deref_mut());
                 let (p, q) = (p.as_deref(), q.as_deref());
-                let done = self
-                    .issue_parity_columns(z, devices, issue, lzone, stripe, p, q, zrwa_rows, fua);
+                let done = self.issue_parity_columns(z, devices, issue, lzone, stripe, p, q, fua);
                 z.scratch = cols;
                 done
             }
         }
     }
 
-    /// Issues the parity legs of a completed stripe and returns when the
-    /// last one completes: with `zrwa_rows` the final delta rows and the
-    /// slot commit of each in-place ZRWA parity slot, otherwise the whole
-    /// columns to the parity slots. `p` / `q` are `None` for a leg that
-    /// does not exist (`q` on a single-parity array) or that
+    /// Issues the parity legs of a completed stripe, the whole columns to
+    /// the parity slots, and returns when the last one completes. `p` /
+    /// `q` are `None` for a leg that does not exist (`q` on a
+    /// single-parity array) or that
     /// `store_slot_rows` would drop (device failed, slot not relocated);
     /// a dropped leg is not issued, its span and counters still land at
     /// `issue`. Runs under `lzone`'s shard lock (`z`).
@@ -1181,7 +1149,6 @@ impl RaiznVolume {
         stripe: u64,
         p: Option<&[u8]>,
         q: Option<&[u8]>,
-        zrwa_rows: Option<(u64, u64)>,
         fua: bool,
     ) -> Result<SimTime> {
         let su = self.layout.stripe_unit();
@@ -1192,57 +1159,25 @@ impl RaiznVolume {
             preflush: false,
         };
         let mut completion = issue;
-        if let Some((row_lo, row_hi)) = zrwa_rows {
-            // §5.4 extension: the earlier rows are already in the window;
-            // write the final delta and commit the slot.
-            let rows = (row_lo * SECTOR_SIZE) as usize..(row_hi * SECTOR_SIZE) as usize;
-            let phys_zone = self.layout.phys_zone(lzone);
-            let pba = self.layout.stripe_pba(lzone, stripe) + row_lo;
-            for (dev, col) in [(Some(pdev), p), (qdev, q)] {
-                let Some(dev) = dev else { continue };
-                let col = col.ok_or_else(|| internal("zrwa parity leg without a column"))?;
-                let (member, upto) = (dev as usize, (stripe + 1) * su);
-                let mut done = devices.command(issue, member, Exhausted::Surface, |d| {
-                    Ok(d.write_zrwa(issue, pba, &col[rows.clone()])?.done)
-                })?;
-                done = done.max(devices.command(done, member, Exhausted::Surface, |d| {
-                    Ok(d.commit_zrwa(done, phys_zone, upto)?.done)
-                })?);
-                completion = completion.max(done);
-                AtomicRaiznStats::add(&self.stats.zrwa_parity_writes, 1);
-                self.tracer.bump(obs::Counter::ZrwaParityWrites);
-                if dev == pdev {
-                    self.tracer.leaf(
-                        obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, issue, done)
-                            .path(obs::PathKind::Zrwa)
-                            .zone(lzone)
-                            .lba(pba)
-                            .sectors(row_hi - row_lo),
-                    );
+        let legs = [
+            (Some(pdev), p, obs::PathKind::FullParity),
+            (qdev, q, obs::PathKind::QParity),
+        ];
+        for (dev, col, path) in legs {
+            let Some(dev) = dev else { continue };
+            let done = match col {
+                Some(col) => {
+                    self.store_slot_rows(z, devices, issue, lzone, stripe, dev, 0, col, flags)?
                 }
-            }
-        } else {
-            // Full parity to the parity slots in the data zone.
-            let legs = [
-                (Some(pdev), p, obs::PathKind::FullParity),
-                (qdev, q, obs::PathKind::QParity),
-            ];
-            for (dev, col, path) in legs {
-                let Some(dev) = dev else { continue };
-                let done = match col {
-                    Some(col) => {
-                        self.store_slot_rows(z, devices, issue, lzone, stripe, dev, 0, col, flags)?
-                    }
-                    None => issue,
-                };
-                completion = completion.max(done);
-                self.tracer.leaf(
-                    obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, issue, done)
-                        .path(path)
-                        .zone(lzone)
-                        .sectors(su),
-                );
-            }
+                None => issue,
+            };
+            completion = completion.max(done);
+            self.tracer.leaf(
+                obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, issue, done)
+                    .path(path)
+                    .zone(lzone)
+                    .sectors(su),
+            );
         }
         AtomicRaiznStats::add(&self.stats.full_parity_writes, 1);
         self.tracer.bump(obs::Counter::FullParityWrites);
@@ -1420,59 +1355,6 @@ impl RaiznVolume {
         Ok(completion)
     }
 
-    /// Whether an incomplete stripe's parity may go in place through ZRWA
-    /// windows: that needs a healthy, unconflicted slot for every parity
-    /// leg; otherwise the store / pp-log stages handle degradation and
-    /// relocation.
-    fn zrwa_parity_ok(&self, z: &LZone, lzone: u32, stripe: u64) -> bool {
-        self.config.use_zrwa
-            && self.parity_legs(lzone, stripe).all(|(dev, _)| {
-                !self.members.is_failed(dev as usize) && !z.conflicts.contains(&(stripe, dev))
-            })
-    }
-
-    /// Parity stage of a chunk that leaves its stripe incomplete on a
-    /// ZRWA array (§5.4 extension): overwrites the affected rows of every
-    /// parity leg in place inside its slot's ZRWA window, borrowed
-    /// straight out of the stripe buffer. The rows stay open in the
-    /// windows until the stripe completes.
-    fn zrwa_partial_legs(
-        &self,
-        z: &LZone,
-        devices: &Roster<'_>,
-        issue: SimTime,
-        lzone: u32,
-        stripe: u64,
-        (row_lo, row_hi): (u64, u64),
-    ) -> Result<SimTime> {
-        let buf = z
-            .buffer
-            .as_ref()
-            .ok_or_else(|| internal("stripe buffer staged for zrwa parity"))?;
-        let rows = (row_lo * SECTOR_SIZE) as usize..(row_hi * SECTOR_SIZE) as usize;
-        let pba = self.layout.stripe_pba(lzone, stripe) + row_lo;
-        let mut completion = issue;
-        for (dev, leg) in self.parity_legs(lzone, stripe) {
-            let delta = &leg.column(buf)[rows.clone()];
-            let done = devices.command(issue, dev as usize, Exhausted::Surface, |d| {
-                Ok(d.write_zrwa(issue, pba, delta)?.done)
-            })?;
-            completion = completion.max(done);
-            AtomicRaiznStats::add(&self.stats.zrwa_parity_writes, 1);
-            self.tracer.bump(obs::Counter::ZrwaParityWrites);
-            if leg == ParityLeg::P {
-                self.tracer.leaf(
-                    obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, issue, done)
-                        .path(obs::PathKind::Zrwa)
-                        .zone(lzone)
-                        .lba(pba)
-                        .sectors(row_hi - row_lo),
-                );
-            }
-        }
-        Ok(completion)
-    }
-
     /// Parity stage of a chunk that leaves its stripe incomplete (§5.1):
     /// logs the affected rows of the running parity on the device that
     /// will hold the stripe's parity — and, on a dual-parity array, a
@@ -1634,16 +1516,10 @@ impl RaiznVolume {
             self.zone_wp[lzone as usize].store(z.wp, Ordering::Release);
             // Exactly one parity stage per chunk: full parity when the
             // chunk completes its stripe, otherwise the affected rows in
-            // place (ZRWA) or in the partial-parity log.
+            // the partial-parity log.
             let complete = z.buffer.as_ref().is_none_or(StripeBuffer::is_complete);
-            let zrwa = self.zrwa_parity_ok(&z, lzone, stripe);
             let done = if complete {
-                let zrwa_rows = zrwa.then_some(rows);
-                self.store_parity_legs(
-                    &mut z, &devices, issue, lzone, stripe, chunk, zrwa_rows, flags.fua,
-                )?
-            } else if zrwa {
-                self.zrwa_partial_legs(&z, &devices, issue, lzone, stripe, rows)?
+                self.store_parity_legs(&mut z, &devices, issue, lzone, stripe, chunk, flags.fua)?
             } else {
                 self.log_partial_parity(
                     &z,
@@ -2455,8 +2331,8 @@ mod tests {
         /// The incrementally maintained pp snapshot equals a from-scratch
         /// copy of the buffer's parity prefix after every capture, for
         /// fills that cross unit and stripe boundaries, captures skipped
-        /// for some fills (the ZRWA path, caught up later as
-        /// `sync_pp_snapshots` does) and zone resets that invalidate the
+        /// for some fills (a buffer mount-time recovery seeds, caught up
+        /// later as `sync_pp_snapshots` does) and zone resets that invalidate the
         /// snapshot and restage the same stripe index.
         #[test]
         fn pp_snapshot_equals_prefix_copy(
@@ -2499,7 +2375,8 @@ mod tests {
                     buf.fill(chunk);
                     left -= run;
                 }
-                // Action 1: the parity went in place (ZRWA), no capture.
+                // Action 1: the fill made no pp append (as when mount
+                // seeds a buffer), no capture.
                 if action != 1 {
                     capture_and_check(&mut snap, &buf)?;
                 }

@@ -93,12 +93,15 @@ fn sweep_engine<T: FaultTarget>(target: &T, config: ZnsConfig) -> [usize; 2] {
     })
 }
 
-/// Every crash point of the scripted workload, on every engine.
+/// Every crash point of the scripted workload, on every engine and every
+/// RAIZN mode a bin runs.
 #[test]
 fn every_crash_point_recovers() {
     let points = [
         sweep_engine(&Raizn::small(1), ZnsConfig::small_test()),
         sweep_engine(&Raizn::small(2), ZnsConfig::small_test()),
+        sweep_engine(&Raizn::small_full_unit(1), ZnsConfig::small_test()),
+        sweep_engine(&Raizn::small_full_unit(2), ZnsConfig::small_test()),
         sweep_engine(&Ls::small(1), roomy_config()),
         sweep_engine(&Ls::small(2), roomy_config()),
     ];
@@ -106,5 +109,5 @@ fn every_crash_point_recovers() {
         assert!(pins > 50, "workload exposes too few crash points ({pins})");
     }
     let subsets = points.map(|[_, subsets]| subsets);
-    assert_eq!(subsets, [192, 512, 192, 512]);
+    assert_eq!(subsets, [192, 512, 192, 512, 192, 512]);
 }

@@ -1,7 +1,8 @@
 //! Differential oracle: the harness's seeded random workload (writes,
 //! appends, reads, flushes with the flush-window trace check, resets,
 //! finishes, power cycles under random cache loss) against the in-memory
-//! model, on every engine configuration (`workloads::harness::oracle`).
+//! model, on every engine configuration and every RAIZN mode a bin runs
+//! (`workloads::harness::oracle`).
 //!
 //! The trace doubles as the oracle for *which* path ran: RAIZN's random
 //! sub-stripe writes must exercise the partial-parity log.
@@ -18,11 +19,14 @@ fn run<T: FaultTarget>(target: &T, seed: u64) -> std::sync::Arc<obs::Recorder> {
 
 fn run_seed(seed: u64) {
     for parity in [1, 2] {
-        let recorder = run(&Raizn::small(parity), seed);
-        assert!(
-            recorder.count(obs::Counter::PpLogWrites) > 0,
-            "raizn p{parity} seed {seed:#x}: random sub-stripe writes never hit the pp-log path"
-        );
+        for target in [Raizn::small(parity), Raizn::small_full_unit(parity)] {
+            let recorder = run(&target, seed);
+            assert!(
+                recorder.count(obs::Counter::PpLogWrites) > 0,
+                "{} seed {seed:#x}: random sub-stripe writes never hit the pp-log path",
+                target.name()
+            );
+        }
         run(&Ls::small(parity), seed);
     }
 }

@@ -80,58 +80,22 @@ fn full_unit_pp_logging_increases_write_amp() {
 }
 
 #[test]
-fn lb_metadata_headers_reduce_log_footprint() {
-    let used_md_sectors = |lb: bool| {
-        let cfg = RaiznConfig {
-            lb_metadata_headers: lb,
-            ..RaiznConfig::small_test()
-        };
-        let devs = devices(5);
-        let v = RaiznVolume::format(devs.clone(), cfg, T0).unwrap();
-        for i in 0..8u64 {
-            v.write(T0, i, &bytes(1, i), WriteFlags::default()).unwrap();
-        }
-        drop(v);
-        // Sum the pp-log zone (zone 1) usage across devices.
-        devs.iter()
-            .map(|d| {
-                let info = d.zone_info(1).unwrap();
-                info.write_pointer - info.start
-            })
-            .sum::<u64>()
-    };
-    let with_headers = used_md_sectors(false);
-    let without = used_md_sectors(true);
-    assert!(
-        without < with_headers,
-        "free headers should shrink the log: {without} vs {with_headers}"
-    );
-}
-
-#[test]
 fn ablation_configs_still_read_back_correctly() {
-    for cfg in [
-        RaiznConfig {
-            pp_log_full_unit: true,
-            ..RaiznConfig::small_test()
-        },
-        RaiznConfig {
-            lb_metadata_headers: true,
-            ..RaiznConfig::small_test()
-        },
-    ] {
-        let v = RaiznVolume::format(devices(5), cfg, T0).unwrap();
-        let data = bytes(40, 7);
-        v.write(T0, 0, &data, WriteFlags::default()).unwrap();
-        let mut out = vec![0u8; data.len()];
-        v.read(T0, 0, &mut out).unwrap();
-        assert_eq!(out, data);
-        // Degraded reads still reconstruct (full parity path unaffected).
-        v.fail_device(2).unwrap();
-        let mut out2 = vec![0u8; data.len()];
-        v.read(T0, 0, &mut out2).unwrap();
-        assert_eq!(out2, data);
-    }
+    let cfg = RaiznConfig {
+        pp_log_full_unit: true,
+        ..RaiznConfig::small_test()
+    };
+    let v = RaiznVolume::format(devices(5), cfg, T0).unwrap();
+    let data = bytes(40, 7);
+    v.write(T0, 0, &data, WriteFlags::default()).unwrap();
+    let mut out = vec![0u8; data.len()];
+    v.read(T0, 0, &mut out).unwrap();
+    assert_eq!(out, data);
+    // Degraded reads still reconstruct (full parity path unaffected).
+    v.fail_device(2).unwrap();
+    let mut out2 = vec![0u8; data.len()];
+    v.read(T0, 0, &mut out2).unwrap();
+    assert_eq!(out2, data);
 }
 
 #[test]

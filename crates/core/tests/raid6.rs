@@ -1,7 +1,7 @@
 //! RAIZN-2 (dual rotating parity) integration tests: two-failure
 //! survival across every device pair, the double-fault rebuild
-//! acceptance scenario, crash recovery with two missing devices via the
-//! partial-parity Q leg, and dual-parity ZRWA mode.
+//! acceptance scenario, and crash recovery with two missing devices via
+//! the partial-parity Q leg.
 
 use raizn::{RaiznConfig, RaiznVolume};
 use sim::{SimRng, SimTime};
@@ -213,37 +213,6 @@ fn crash_with_p_holder_missing_uses_q_leg() {
         data,
         "Q-leg replay must cover the staged stripe when P's log is gone"
     );
-}
-
-/// Dual parity composes with ZRWA mode: P and Q both live in their
-/// slots' ZRWA windows, and a two-device loss still reads back.
-#[test]
-fn zrwa_dual_parity_round_trip_and_double_failure() {
-    let mut config = RaiznConfig::small_test_raizn2();
-    config.use_zrwa = true;
-    let zrwa_devs: Vec<Arc<ZnsDevice>> = (0..5)
-        .map(|_| {
-            Arc::new(ZnsDevice::new(
-                ZnsConfig::builder()
-                    .zones(16, 64, 64)
-                    .open_limits(4, 6)
-                    .zrwa(4)
-                    .build(),
-            ))
-        })
-        .collect();
-    let v = RaiznVolume::format(zrwa_devs, config, T0).unwrap();
-    let g = v.geometry();
-    let data = bytes(g.zone_cap(), 61);
-    v.write(T0, 0, &data, WriteFlags::default()).unwrap();
-    let tail = bytes(7, 62);
-    v.write(T0, g.zone_start(1), &tail, WriteFlags::default())
-        .unwrap();
-    assert_eq!(read_back(&v, 0, g.zone_cap()), data);
-    v.fail_device(1).unwrap();
-    v.fail_device(2).unwrap();
-    assert_eq!(read_back(&v, 0, g.zone_cap()), data);
-    assert_eq!(read_back(&v, g.zone_start(1), 7), tail);
 }
 
 /// Single-parity arrays are unchanged: no Q device, `parity: 2` requires

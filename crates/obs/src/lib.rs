@@ -198,8 +198,6 @@ pub enum PathKind {
     FullParity,
     /// RAIZN: a partial stripe logged partial parity to the metadata zone.
     PpLog,
-    /// RAIZN: parity updated in place through a ZRWA window.
-    Zrwa,
     /// RAIZN: the write was relocated to a metadata zone (conflicted unit).
     Relocated,
     /// RAIZN/mdraid: data served by parity reconstruction (degraded).
@@ -223,7 +221,6 @@ impl PathKind {
         match self {
             PathKind::FullParity => "full_parity",
             PathKind::PpLog => "pp_log",
-            PathKind::Zrwa => "zrwa",
             PathKind::Relocated => "relocated",
             PathKind::Degraded => "degraded",
             PathKind::QParity => "q_parity",
@@ -358,8 +355,6 @@ pub enum Counter {
     QParityWrites,
     /// RAIZN partial-parity log appends.
     PpLogWrites,
-    /// RAIZN in-place ZRWA parity updates.
-    ZrwaParityWrites,
     /// RAIZN writes relocated to a metadata zone.
     RelocatedWrites,
     /// mdraid full-stripe writes.
@@ -386,7 +381,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in index order.
-    pub const ALL: [Counter; 22] = [
+    pub const ALL: [Counter; 21] = [
         Counter::Retries,
         Counter::DegradedReads,
         Counter::DoubleDegradedReads,
@@ -398,7 +393,6 @@ impl Counter {
         Counter::FullParityWrites,
         Counter::QParityWrites,
         Counter::PpLogWrites,
-        Counter::ZrwaParityWrites,
         Counter::RelocatedWrites,
         Counter::FullStripeWrites,
         Counter::RmwWrites,
@@ -425,7 +419,6 @@ impl Counter {
             Counter::FullParityWrites => "full_parity_writes",
             Counter::QParityWrites => "q_parity_writes",
             Counter::PpLogWrites => "pp_log_writes",
-            Counter::ZrwaParityWrites => "zrwa_parity_writes",
             Counter::RelocatedWrites => "relocated_writes",
             Counter::FullStripeWrites => "full_stripe_writes",
             Counter::RmwWrites => "rmw_writes",

@@ -108,13 +108,27 @@ impl Raizn {
             ..RaiznConfig::small_test()
         })
     }
+
+    /// [`small`](Self::small) logging the full running parity unit on
+    /// every partial write (`pp_log_full_unit`, the §5.1 ablation).
+    pub fn small_full_unit(parity: u32) -> Raizn {
+        Raizn(RaiznConfig {
+            pp_log_full_unit: true,
+            ..Self::small(parity).0
+        })
+    }
 }
 
 impl FaultTarget for Raizn {
     type Volume = RaiznVolume;
 
     fn name(&self) -> String {
-        format!("raizn p{}", self.0.parity)
+        let mode = if self.0.pp_log_full_unit {
+            " full-unit"
+        } else {
+            ""
+        };
+        format!("raizn p{}{mode}", self.0.parity)
     }
     fn format(&self, members: Vec<Arc<ZnsDevice>>) -> zns::Result<RaiznVolume> {
         RaiznVolume::format(members, self.0, T0)

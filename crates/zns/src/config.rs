@@ -126,7 +126,6 @@ pub struct ZnsConfig {
     pub(crate) max_active_zones: u32,
     pub(crate) latency: LatencyConfig,
     pub(crate) store_data: bool,
-    pub(crate) zrwa_sectors: u64,
 }
 
 impl ZnsConfig {
@@ -192,11 +191,6 @@ impl ZnsConfig {
     pub fn stores_data(&self) -> bool {
         self.store_data
     }
-
-    /// Zone Random Write Area window size in sectors (0 = ZRWA disabled).
-    pub fn zrwa_sectors(&self) -> u64 {
-        self.zrwa_sectors
-    }
 }
 
 /// Builder for [`ZnsConfig`].
@@ -221,7 +215,6 @@ pub struct ZnsConfigBuilder {
     max_active_zones: u32,
     latency: LatencyConfig,
     store_data: bool,
-    zrwa_sectors: u64,
 }
 
 impl Default for ZnsConfigBuilder {
@@ -241,7 +234,6 @@ impl ZnsConfigBuilder {
             max_active_zones: 6,
             latency: LatencyConfig::instant(),
             store_data: true,
-            zrwa_sectors: 0,
         }
     }
 
@@ -273,14 +265,6 @@ impl ZnsConfigBuilder {
         self
     }
 
-    /// Enables a Zone Random Write Area of `sectors` sectors (§5.4 of the
-    /// paper): a sliding window ahead of each write pointer that accepts
-    /// random (over-)writes until explicitly committed.
-    pub fn zrwa(&mut self, sectors: u64) -> &mut Self {
-        self.zrwa_sectors = sectors;
-        self
-    }
-
     /// Validates and produces the configuration.
     ///
     /// # Panics
@@ -308,17 +292,12 @@ impl ZnsConfigBuilder {
             self.latency.chunk_sectors > 0,
             "latency.chunk_sectors must be nonzero"
         );
-        assert!(
-            self.zrwa_sectors <= self.zone_cap,
-            "ZRWA window cannot exceed the zone capacity"
-        );
         ZnsConfig {
             geometry,
             max_open_zones: self.max_open_zones,
             max_active_zones: self.max_active_zones,
             latency: self.latency.clone(),
             store_data: self.store_data,
-            zrwa_sectors: self.zrwa_sectors,
         }
     }
 }

@@ -503,104 +503,6 @@ impl ZnsDevice {
             .occupy_tagged(at, dur, obs::current_actor().as_u8())
             .done
     }
-
-    /// Writes into the Zone Random Write Area (§5.4): `lba` may land
-    /// anywhere in the window `[wp, wp + zrwa)` of its zone, overwriting
-    /// freely; the write pointer does not move until
-    /// [`commit_zrwa`](Self::commit_zrwa).
-    ///
-    /// # Errors
-    ///
-    /// Fails when ZRWA is disabled, the range leaves the window, or the
-    /// zone is not writable.
-    pub fn write_zrwa(&self, at: SimTime, lba: Lba, data: &[u8]) -> Result<IoCompletion> {
-        let zrwa = self.config.zrwa_sectors();
-        if zrwa == 0 {
-            return Err(ZnsError::InvalidArgument(
-                "ZRWA is not enabled on this device".to_string(),
-            ));
-        }
-        let geo = self.config.geometry();
-        let (zone, rel, sectors) = geo.check_io(lba, data.len())?;
-        let mut inner = self.inner.lock();
-        Self::check_alive(&inner)?;
-        Self::inject_fault(&mut inner, FaultOp::Write)?;
-        let (state, wp) = {
-            let z = &inner.zones[zone as usize];
-            match z.state {
-                ZoneState::Full => return Err(ZnsError::ZoneFull { zone }),
-                ZoneState::ReadOnly => return Err(ZnsError::ZoneReadOnly { zone }),
-                ZoneState::Offline => return Err(ZnsError::ZoneOffline { zone }),
-                _ => {}
-            }
-            if rel < z.wp || rel + sectors > z.wp + zrwa || rel + sectors > geo.zone_cap() {
-                return Err(ZnsError::InvalidArgument(format!(
-                    "zrwa write [{rel}, +{sectors}) outside window [{}, {})",
-                    z.wp,
-                    (z.wp + zrwa).min(geo.zone_cap())
-                )));
-            }
-            (z.state, z.wp)
-        };
-        let ready = self.admit_open(&mut inner, state, at)?;
-        inner.set_state(zone, state.after_write(wp, geo.zone_cap()));
-        let store = self.config.stores_data();
-        let cap_bytes = sectors_to_bytes(geo.zone_cap());
-        if store {
-            let z = &mut inner.zones[zone as usize];
-            let buf = z
-                .data
-                .get_or_insert_with(|| vec![0u8; cap_bytes].into_boxed_slice());
-            let off = sectors_to_bytes(rel);
-            buf[off..off + data.len()].copy_from_slice(data);
-        }
-        let lat = self.config.latency();
-        let start = ready + lat.command_overhead;
-        let (done, first) = self.occupy_chunks(zone, start, sectors, lat.write_per_sector);
-        inner.stats.writes += 1;
-        inner.stats.sectors_written += sectors;
-        if let Some(occ) = first {
-            self.record_wait(&mut inner, obs::OpClass::Write, zone, lba, start, occ);
-        }
-        Ok(IoCompletion { done })
-    }
-
-    /// Commits the ZRWA window of `zone` up to relative sector `upto`,
-    /// advancing the write pointer (an "explicit ZRWA commit").
-    ///
-    /// # Errors
-    ///
-    /// Fails when ZRWA is disabled, `upto` is behind the write pointer or
-    /// beyond the window/capacity.
-    pub fn commit_zrwa(&self, at: SimTime, zone: u32, upto: u64) -> Result<IoCompletion> {
-        let zrwa = self.config.zrwa_sectors();
-        if zrwa == 0 {
-            return Err(ZnsError::InvalidArgument(
-                "ZRWA is not enabled on this device".to_string(),
-            ));
-        }
-        let geo = self.config.geometry();
-        geo.check_zone(zone)?;
-        let mut inner = self.inner.lock();
-        Self::check_alive(&inner)?;
-        {
-            let z = &mut inner.zones[zone as usize];
-            if upto < z.wp || upto > z.wp + zrwa || upto > geo.zone_cap() {
-                return Err(ZnsError::InvalidArgument(format!(
-                    "zrwa commit to {upto} outside [{}, {}]",
-                    z.wp,
-                    (z.wp + zrwa).min(geo.zone_cap())
-                )));
-            }
-            z.wp = upto;
-        }
-        if upto == geo.zone_cap() {
-            inner.set_state(zone, ZoneState::Full);
-        }
-        let dur = self.config.latency().zone_mgmt;
-        let done = self.mgmt_completion(at, dur);
-        Ok(IoCompletion { done })
-    }
 }
 
 impl ZonedVolume for ZnsDevice {
@@ -1269,61 +1171,6 @@ mod tests {
         let mut small = vec![0u8; 0];
         let err = d.read(SimTime::ZERO, 0, &mut small).unwrap_err();
         assert!(matches!(err, ZnsError::InvalidArgument(_)));
-    }
-
-    #[test]
-    fn zrwa_overwrites_within_window() {
-        let cfg = ZnsConfig::builder().zones(4, 64, 64).zrwa(8).build();
-        let d = ZnsDevice::new(cfg);
-        // Write rows 0..2 of the window, overwrite row 0, commit.
-        d.write_zrwa(SimTime::ZERO, 0, &sectors(2)).unwrap();
-        let patch = vec![0x11u8; SECTOR_SIZE as usize];
-        d.write_zrwa(SimTime::ZERO, 0, &patch).unwrap();
-        assert_eq!(d.zone_info(0).unwrap().write_pointer, 0); // not committed
-        d.commit_zrwa(SimTime::ZERO, 0, 2).unwrap();
-        assert_eq!(d.zone_info(0).unwrap().write_pointer, 2);
-        let mut out = vec![0u8; SECTOR_SIZE as usize];
-        d.read(SimTime::ZERO, 0, &mut out).unwrap();
-        assert_eq!(out, patch);
-    }
-
-    #[test]
-    fn zrwa_window_bounds_enforced() {
-        let cfg = ZnsConfig::builder().zones(4, 64, 64).zrwa(8).build();
-        let d = ZnsDevice::new(cfg);
-        // Beyond the window:
-        assert!(d.write_zrwa(SimTime::ZERO, 8, &sectors(1)).is_err());
-        // Behind the write pointer after commit:
-        d.write_zrwa(SimTime::ZERO, 0, &sectors(4)).unwrap();
-        d.commit_zrwa(SimTime::ZERO, 0, 4).unwrap();
-        assert!(d.write_zrwa(SimTime::ZERO, 2, &sectors(1)).is_err());
-        // Window slides with the write pointer:
-        d.write_zrwa(SimTime::ZERO, 11, &sectors(1)).unwrap();
-        // Commit up to the window end is allowed; overshooting is not.
-        assert!(d.commit_zrwa(SimTime::ZERO, 0, 12).is_ok());
-        assert!(d.commit_zrwa(SimTime::ZERO, 0, 21).is_err());
-    }
-
-    #[test]
-    fn zrwa_disabled_by_default() {
-        let d = dev();
-        assert!(matches!(
-            d.write_zrwa(SimTime::ZERO, 0, &sectors(1)),
-            Err(ZnsError::InvalidArgument(_))
-        ));
-        assert!(matches!(
-            d.commit_zrwa(SimTime::ZERO, 0, 1),
-            Err(ZnsError::InvalidArgument(_))
-        ));
-    }
-
-    #[test]
-    fn zrwa_commit_to_capacity_fills_zone() {
-        let cfg = ZnsConfig::builder().zones(4, 64, 64).zrwa(64).build();
-        let d = ZnsDevice::new(cfg);
-        d.write_zrwa(SimTime::ZERO, 0, &sectors(64)).unwrap();
-        d.commit_zrwa(SimTime::ZERO, 0, 64).unwrap();
-        assert_eq!(d.zone_info(0).unwrap().state, ZoneState::Full);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::fmt;
 pub enum FaultOp {
     /// Host read commands.
     Read,
-    /// Host write commands (including ZRWA writes).
+    /// Host write commands.
     Write,
     /// Zone append commands.
     Append,

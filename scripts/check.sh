@@ -142,7 +142,7 @@ fi
 # `Decode`, `array::plan` or a plan's `.absorb(` named in core or lsraid —
 # mount included, which decodes through `Members::decode` — is a fork of
 # the member layer coming back.
-cmds='read|write|append|reset_zone|finish_zone|open_zone|close_zone|flush|write_zrwa|commit_zrwa|zone_info'
+cmds='read|write|append|reset_zone|finish_zone|open_zone|close_zone|flush|zone_info'
 if awk -v cmds="$cmds" '
      FNR == 1 { skip = (FILENAME ~ /\/tests\.rs$/) }
      /^mod tests \{/ { skip = 1 }
@@ -214,6 +214,14 @@ fi
 # back.
 if grep -rnE '\b(LifecycleConfig|transient_retry_limit|device_error_budget|relocation_threshold|reserve_groups|max_coalesce_ops|congestion_alpha|limit_iops|burst_ops|queue_cap|congestion_threshold|TokenBucket|retry_estimate|SchedSheds|SchedDeferrals)\b' crates; then
   echo "check.sh: a single-valued setting or a removed QoS behaviour is back (use the constant)" >&2
+  exit 1
+fi
+
+# RAIZN keeps only the modes its own mount recovers: ZRWA in-place parity
+# and header elision (the paper's §5.4 sketches) never passed the crash
+# harness and are gone, with the device's ZRWA window model.
+if grep -rnE '\b(use_zrwa|write_zrwa|commit_zrwa|zrwa_sectors|zrwa_parity_writes|ZrwaParityWrites|lb_metadata_headers|elides_header)\b|PathKind::Zrwa' crates; then
+  echo "check.sh: a removed RAIZN mode is back (ZRWA parity or header elision)" >&2
   exit 1
 fi
 
@@ -335,10 +343,10 @@ cargo run --release -q -p raizn-bench --bin raizn2 > /dev/null
 # partial-parity legs and rebuild to a clean scrub.
 cargo run --release -q -p raizn-bench --bin crash_sweep -- --seed 42
 
-# Mount-time recovery matrix (16 896 power-loss histories): exits nonzero
-# on any bad history outside ROADMAP "Residual (ii)"'s recorded class, or
-# on more of those than recorded — a known defect is a ROADMAP entry with
-# a ceiling.
+# Mount-time recovery matrix (33 792 power-loss histories, every RAIZN
+# mode a bin runs at both parities): exits nonzero on any bad history
+# outside its row's recorded class, or on more of those than the row's
+# ceiling — a known defect is a ROADMAP entry with a ceiling.
 cargo run --release -q -p raizn-bench --bin recovery_matrix > /dev/null
 
 # Same seeds => same bytes: every committed artifact the bins above
