@@ -47,13 +47,19 @@
 //!   allocations per 64 KiB read of a unit on a failed member — one
 //!   member failed on the single-parity volume, two on the dual-parity
 //!   one, so every erasure pattern of the rotation is decoded (gate: 0 —
-//!   syndromes accumulate in the caller's buffer and the zone's spare
-//!   parity columns).
+//!   syndromes accumulate in the caller's buffer and a column set the
+//!   member layer lends from its pool).
 //! - `allocs_per_degraded_read_lsraid` / `allocs_per_degraded_read_lsraid_p2`:
 //!   the same reads on the log-structured engine, one member failed at
 //!   parity 1 and two at parity 2, decoded through the member layer shared
-//!   with RAIZN (gate: 0 — the decode's columns are the engine's parity
-//!   scratch).
+//!   with RAIZN (gate: 0 — the same pooled column sets).
+//! - `allocs_per_fresh_zone_write` / `allocs_per_fresh_zone_degraded_read`:
+//!   heap allocations of the first whole-stripe write, the first
+//!   sub-stripe write and the first degraded read in RAIZN zones never
+//!   touched before, after a warm-up in other zones, at p1 and p2, per
+//!   fresh zone (gate: 0 — column sets, stripe buffers and pp-snapshot
+//!   columns come from pools sized by the stripes in flight; 2.5 and 1
+//!   while every zone ever written held its own).
 //! - `allocs_per_lsraid_write` / `lsraid_waf_gc_idle`: the
 //!   log-structured engine's steady state — heap allocations per
 //!   stripe-aligned append with full observability attached (gate: 0)
@@ -458,7 +464,7 @@ fn main() -> bench::BenchResult {
     let one_unit = &data[..16 * 4096];
     let (mut lba_u, mut lba_t, mut lba2) = (0u64, 0u64, 0u64);
     let (mut lba_l, mut lba_lp) = (0u64, 0u64);
-    // Warm-up: a few stripes so the spare parity columns and metadata
+    // Warm-up: a few stripes so the pooled parity columns and metadata
     // scratch on every volume reach their steady-state capacities (the
     // timeline takes its one due sample here, outside the timed rounds).
     write_round(untraced.as_ref(), &mut lba_u, &data, 8, None)?;
@@ -475,10 +481,9 @@ fn main() -> bench::BenchResult {
     let ls_pre = lsr.stats();
 
     // 8 + 8 x 30 stripes, plus the partial writes below, stay inside each
-    // volume's first logical zone (256 stripes): a fresh zone's first
-    // whole-stripe write allocates its spare parity columns. They also
-    // stay inside the log-structured volumes' first stripe group (256
-    // stripes as well), opened by the warm-up.
+    // volume's first logical zone (256 stripes) and inside the
+    // log-structured volumes' first stripe group (256 stripes as well),
+    // opened by the warm-up: opening a group is not the steady state.
     const ROUNDS: usize = 8;
     let full_iters = 30u64;
     let mut untraced_ns = f64::INFINITY;
@@ -593,8 +598,8 @@ fn main() -> bench::BenchResult {
     // --- Degraded reads: erasure decode on the read path -----------------
     // Fresh volumes (full observability attached) with a few whole
     // stripes each; one member fails on the single-parity volume, two on
-    // the dual-parity one. The first pass faults in the zone's spare
-    // parity columns; the measured pass must not touch the heap.
+    // the dual-parity one. The first pass fills the member layer's column
+    // pool; the measured pass must not touch the heap.
     let mut unit = vec![0u8; 16 * 4096];
     let mut degraded_allocs = [0f64; 2];
     for (parity, sectors, slot) in [(1u32, stripe_sectors, 0usize), (2, r2_stripe_sectors, 1)] {
@@ -639,6 +644,53 @@ fn main() -> bench::BenchResult {
         ls_degraded_allocs[slot] = a as f64 / decoded as f64;
     }
     let [allocs_per_degraded_ls, allocs_per_degraded_ls_p2] = ls_degraded_allocs;
+
+    // --- Fresh zones: buffers follow the stripes in flight ---------------
+    // After a warm-up that stages, completes and decodes stripes in a few
+    // zones, the first whole-stripe write, the first sub-stripe write and
+    // the first degraded read of zones never touched before must draw
+    // every host buffer from the pools: column sets, stripe buffers and
+    // pp-snapshot columns. The read's zone was written through staged
+    // stripes only, so no whole-stripe encode ever ran there.
+    let (mut fresh_write_allocs, mut fresh_read_allocs) = (0u64, 0u64);
+    for (parity, sectors) in [(1u32, stripe_sectors), (2, r2_stripe_sectors)] {
+        let vol = fresh_volume(Some((&recorder, &timeline)), parity, 16)?;
+        let zone = |z: u64| z * vol.geometry().zone_cap();
+        let (whole, half) = (&data[..(sectors * 4096) as usize], sectors / 2);
+        let (head, tail) = whole.split_at((half * 4096) as usize);
+        let halves = |lba: u64| -> bench::BenchResult<()> {
+            vol.write(SimTime::ZERO, lba, head, WriteFlags::default())?;
+            vol.write(SimTime::ZERO, lba + half, tail, WriteFlags::default())?;
+            Ok(())
+        };
+        for s in 0..2 {
+            vol.write(SimTime::ZERO, s * sectors, whole, WriteFlags::default())?;
+        }
+        halves(zone(1))?;
+        for s in 0..2 {
+            halves(zone(2) + s * sectors)?;
+        }
+        let a0 = allocs();
+        vol.write(SimTime::ZERO, zone(3), whole, WriteFlags::default())?;
+        vol.write(SimTime::ZERO, zone(4), head, WriteFlags::default())?;
+        fresh_write_allocs += allocs() - a0;
+        for dev in 0..parity as usize {
+            vol.fail_device(2 * dev)?;
+        }
+        read_round(vol.as_ref(), sectors, 2, &mut unit)?;
+        let (before, a0) = (vol.stats().degraded_reads, allocs());
+        for lba in (zone(2)..zone(2) + 2 * sectors).step_by(16) {
+            vol.read(SimTime::ZERO, lba, &mut unit)?;
+        }
+        fresh_read_allocs += allocs() - a0;
+        gate!(
+            vol.stats().degraded_reads > before,
+            "parity = {parity}: no read of the fresh zone took the degraded path"
+        );
+    }
+    // Two fresh zones written and one read per parity level.
+    let allocs_per_fresh_zone_write = fresh_write_allocs as f64 / 4.0;
+    let allocs_per_fresh_zone_degraded_read = fresh_read_allocs as f64 / 2.0;
 
     // --- Log-structured engine: one metadata rotation --------------------
     // Unobserved, at the geometry of the `lsgc` scenario (and of the
@@ -789,7 +841,7 @@ fn main() -> bench::BenchResult {
 
     let reused = traced.stats().stripe_buffers_reused;
     let json = format!(
-        "{{\n  \"xor_scalar_ns_per_op\": {scalar_ns:.1},\n  \"xor_word_ns_per_op\": {word_ns:.1},\n  \"xor_speedup\": {speedup:.2},\n  \"gf_encode_pq_gib_s\": {encode_gib_s:.2},\n  \"rs_decode_gib_s\": {decode_gib_s:.2},\n  \"write_path_mib_s\": {mib_s:.1},\n  \"raizn2_write_mib_s\": {raizn2_mib_s:.1},\n  \"lsraid_write_mib_s\": {lsraid_mib_s:.1},\n  \"lsraid_partial_write_mib_s\": {lsraid_partial_mib_s:.1},\n  \"lsraid_rotation_host_ms\": {rotation_host_ms:.2},\n  \"allocs_per_full_stripe_write\": {allocs_per_full},\n  \"allocs_per_partial_write\": {allocs_per_partial},\n  \"raizn_partial_write_ns\": {partial_ns:.0},\n  \"raizn_partial_write_su_ratio\": {su_ratio:.2},\n  \"raizn_partial_write_ns_p2\": {partial_ns_p2:.0},\n  \"raizn_partial_write_su_ratio_p2\": {su_ratio_p2:.2},\n  \"allocs_per_fua_write\": {allocs_per_fua},\n  \"allocs_per_full_stripe_write_p2\": {allocs_per_full_p2},\n  \"allocs_per_partial_write_p2\": {allocs_per_partial_p2},\n  \"allocs_per_degraded_read\": {allocs_per_degraded},\n  \"allocs_per_degraded_read_p2\": {allocs_per_degraded_p2},\n  \"allocs_per_degraded_read_lsraid\": {allocs_per_degraded_ls},\n  \"allocs_per_degraded_read_lsraid_p2\": {allocs_per_degraded_ls_p2},\n  \"allocs_per_lsraid_write\": {allocs_per_ls},\n  \"lsraid_waf_gc_idle\": {ls_waf},\n  \"allocs_per_qos_op\": {allocs_per_qos},\n  \"allocs_per_write_managed\": {allocs_per_managed},\n  \"stripe_buffers_reused\": {reused},\n  \"trace_overhead_pct\": {overhead_pct:.2},\n  \"trace_overhead_ns_per_write\": {overhead_ns:.0},\n  \"scaling\": {scaling_json}\n}}\n"
+        "{{\n  \"xor_scalar_ns_per_op\": {scalar_ns:.1},\n  \"xor_word_ns_per_op\": {word_ns:.1},\n  \"xor_speedup\": {speedup:.2},\n  \"gf_encode_pq_gib_s\": {encode_gib_s:.2},\n  \"rs_decode_gib_s\": {decode_gib_s:.2},\n  \"write_path_mib_s\": {mib_s:.1},\n  \"raizn2_write_mib_s\": {raizn2_mib_s:.1},\n  \"lsraid_write_mib_s\": {lsraid_mib_s:.1},\n  \"lsraid_partial_write_mib_s\": {lsraid_partial_mib_s:.1},\n  \"lsraid_rotation_host_ms\": {rotation_host_ms:.2},\n  \"allocs_per_full_stripe_write\": {allocs_per_full},\n  \"allocs_per_partial_write\": {allocs_per_partial},\n  \"raizn_partial_write_ns\": {partial_ns:.0},\n  \"raizn_partial_write_su_ratio\": {su_ratio:.2},\n  \"raizn_partial_write_ns_p2\": {partial_ns_p2:.0},\n  \"raizn_partial_write_su_ratio_p2\": {su_ratio_p2:.2},\n  \"allocs_per_fua_write\": {allocs_per_fua},\n  \"allocs_per_full_stripe_write_p2\": {allocs_per_full_p2},\n  \"allocs_per_partial_write_p2\": {allocs_per_partial_p2},\n  \"allocs_per_degraded_read\": {allocs_per_degraded},\n  \"allocs_per_degraded_read_p2\": {allocs_per_degraded_p2},\n  \"allocs_per_degraded_read_lsraid\": {allocs_per_degraded_ls},\n  \"allocs_per_degraded_read_lsraid_p2\": {allocs_per_degraded_ls_p2},\n  \"allocs_per_fresh_zone_write\": {allocs_per_fresh_zone_write},\n  \"allocs_per_fresh_zone_degraded_read\": {allocs_per_fresh_zone_degraded_read},\n  \"allocs_per_lsraid_write\": {allocs_per_ls},\n  \"lsraid_waf_gc_idle\": {ls_waf},\n  \"allocs_per_qos_op\": {allocs_per_qos},\n  \"allocs_per_write_managed\": {allocs_per_managed},\n  \"stripe_buffers_reused\": {reused},\n  \"trace_overhead_pct\": {overhead_pct:.2},\n  \"trace_overhead_ns_per_write\": {overhead_ns:.0},\n  \"scaling\": {scaling_json}\n}}\n"
     );
     std::fs::write("BENCH_hotpath.json", &json)?;
     print!("{json}");
@@ -839,6 +891,12 @@ fn main() -> bench::BenchResult {
         allocs_per_degraded_ls == 0.0 && allocs_per_degraded_ls_p2 == 0.0,
         "lsraid steady-state degraded reads allocate: {allocs_per_degraded_ls} allocs/read \
          (dual parity, two members failed: {allocs_per_degraded_ls_p2})"
+    );
+    gate!(
+        allocs_per_fresh_zone_write == 0.0 && allocs_per_fresh_zone_degraded_read == 0.0,
+        "a zone never touched before allocates host buffers: \
+         {allocs_per_fresh_zone_write} allocs per fresh zone written, \
+         {allocs_per_fresh_zone_degraded_read} per fresh zone read degraded"
     );
     if raizn2_mib_s < P2_WALL_RATIO_TARGET * mib_s {
         println!(

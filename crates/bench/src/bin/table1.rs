@@ -66,10 +66,10 @@ fn main() -> bench::BenchResult {
             "Stripe buffers".into(),
             "-".into(),
             "-".into(),
-            // What a zone shard holds (`LZone::{buffer, spare}`): the staged
-            // buffer of its incomplete stripe plus one retired spare.
+            // What a zone shard holds (`LZone::buffer`): the staged buffer
+            // of its incomplete stripe, drawn from and returned to one pool.
             format!(
-                "{} KiB ({} units) x 2 per open zone (staged + spare)",
+                "{} KiB ({} units) per open stripe, pooled",
                 stripe_buffer_bytes / 1024,
                 layout.data_units() + 1,
             ),

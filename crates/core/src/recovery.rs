@@ -18,7 +18,6 @@
 use crate::config::{RaiznConfig, MD_ZONES, RELOCATION_THRESHOLD};
 use crate::metadata::{MdPayload, MdRecord, MD_HEADER_BYTES};
 use crate::stats::AtomicRaiznStats;
-use crate::stripe::StripeBuffer;
 use crate::volume::{internal, LiveMeta, MdRole, MdRoles, MetaState, RaiznVolume, RelocatedUnit};
 use crate::Result;
 use sim::codec::Role;
@@ -438,8 +437,7 @@ impl RaiznVolume {
                     out.copy_from_slice(&unit[..out.len()]);
                 }
             }
-            let (units, parity) = (layout.data_units(), layout.parity_units());
-            let mut buf = StripeBuffer::with_parity(stripe, units, su, parity);
+            let mut buf = self.draw_stripe_buffer(stripe);
             buf.fill(&staged);
             z.buffer = Some(buf);
         }

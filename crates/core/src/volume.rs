@@ -13,11 +13,14 @@
 //! appends, relocations and resets.
 //!
 //! Lock order (deadlock freedom): **at most one zone shard → meta →
-//! device**. Counters are relaxed atomics ([`AtomicRaiznStats`]), the
-//! failed-device bitmask and read-only flag are atomics, and per-zone
-//! write pointers are mirrored in lock-free [`RaiznVolume::zone_wp`] cells
-//! so metadata GC can validate checkpoint snapshots without touching
-//! shards.
+//! device**. The two buffer pools (the member layer's column sets,
+//! [`Members::columns`], and the volume's stripe buffers) are innermost
+//! locks, held only to pop or push one buffer, never across a device
+//! command or while the meta lock is taken. Counters are relaxed atomics
+//! ([`AtomicRaiznStats`]), the failed-device bitmask and read-only flag
+//! are atomics, and per-zone write pointers are mirrored in lock-free
+//! [`RaiznVolume::zone_wp`] cells so metadata GC can validate checkpoint
+//! snapshots without touching shards.
 
 use crate::bitmap::PersistenceBitmap;
 use crate::config::{RaiznConfig, MD_ZONES};
@@ -142,67 +145,22 @@ pub(crate) struct LZone {
     /// Mirrored lock-free in [`RaiznVolume::zone_wp`] on every change.
     pub wp: u64,
     pub pbitmap: PersistenceBitmap,
-    /// Stripe buffer of the current incomplete stripe, if any.
+    /// Stripe buffer of the current incomplete stripe, if any: drawn from
+    /// the volume's pool when the stripe starts, back in it when the
+    /// stripe completes or the zone fills or resets. A finished zone
+    /// keeps its partial stripe's buffer: reads and rebuild serve from it.
     pub buffer: Option<StripeBuffer>,
     /// Slots `(stripe, device)` occupied by unreachable "ghost" data from
     /// a rolled-back crash suffix; writes to them are relocated.
     pub conflicts: HashSet<(u64, u32)>,
-    /// Retired stripe buffer kept for reuse, so this zone's steady-state
-    /// sub-stripe writes allocate nothing. Per-shard (not a global pool):
-    /// reuse never contends with other zones' writers. Parked dirty; the
-    /// one clear happens when it is drawn again.
-    pub spare: Option<StripeBuffer>,
-    /// Spare parity columns (`parity_units` stripe units, allocated on
-    /// first use): where a whole-stripe write encodes P and Q straight
-    /// from the caller's payload, and the landing/second-syndrome columns
-    /// of a degraded-read decode. Contents are scratch between uses.
-    pub scratch: Vec<u8>,
-}
-
-impl LZone {
-    /// Returns a cleared stripe buffer for `stripe`, reusing the zone's
-    /// spare when available.
-    fn stripe_buffer(
-        &mut self,
-        stats: &AtomicRaiznStats,
-        stripe: u64,
-        data_units: u64,
-        unit_sectors: u64,
-        parity_units: u32,
-    ) -> StripeBuffer {
-        match self.spare.take() {
-            Some(mut b) => {
-                debug_assert!(b.shape_matches_parity(data_units, unit_sectors, parity_units));
-                b.recycle(stripe);
-                AtomicRaiznStats::add(&stats.stripe_buffers_reused, 1);
-                b
-            }
-            None => StripeBuffer::with_parity(stripe, data_units, unit_sectors, parity_units),
-        }
-    }
-
-    /// Parks a stripe buffer in the zone's spare slot as it is, or drops
-    /// it if a spare is already parked.
-    fn retire_buffer(&mut self, buf: StripeBuffer) {
-        if self.spare.is_none() {
-            self.spare = Some(buf);
-        }
-    }
-
-    /// The zone's spare parity columns, at least `bytes` long.
-    fn scratch_mut(&mut self, bytes: usize) -> &mut Vec<u8> {
-        if self.scratch.len() < bytes {
-            self.scratch = vec![0u8; bytes];
-        }
-        &mut self.scratch
-    }
 }
 
 /// Checkpoint snapshot of a zone's running partial parity, maintained on
 /// every pp-log append so metadata GC can re-log live parity without
 /// locking the zone shard that owns the stripe buffer. One per logical
-/// zone; the first capture reserves whole columns, so the pp-log path
-/// never grows them again.
+/// zone. Its columns are whole stripe units, reserved once and then passed
+/// from dead snapshots to new ones through [`LiveMeta::pp_free`], so the
+/// pp-log path never grows them again and only live snapshots need them.
 ///
 /// Maintained incrementally: a stripe buffer only ever appends, so between
 /// two frontiers of one stripe the running parity changes exactly on the
@@ -228,8 +186,14 @@ impl PpSnapshot {
     /// sectors, by copying the parity rows of the sectors filled since the
     /// frontier it describes — since sector 0 when it describes another
     /// stripe or, after a zone reset, nothing (`filled == 0`). Its bytes
-    /// equal a from-scratch copy of the buffer's parity prefix.
-    pub(crate) fn capture(&mut self, buf: &StripeBuffer, su: u64) {
+    /// equal a from-scratch copy of the buffer's parity prefix. A snapshot
+    /// without columns takes a retired pair from `free` first.
+    pub(crate) fn capture(&mut self, buf: &StripeBuffer, su: u64, free: &mut Vec<PpColumns>) {
+        if self.parity.capacity() == 0 {
+            if let Some((parity, q)) = free.pop() {
+                (self.parity, self.q) = (parity, q);
+            }
+        }
         let filled = buf.filled_sectors();
         let same = self.stripe == buf.stripe() && self.filled <= filled;
         // The last `su` sectors touch every row once: no need to go back
@@ -252,7 +216,20 @@ impl PpSnapshot {
             advance(&mut self.q, buf.q_parity());
         }
     }
+
+    /// Ends the snapshot — the zone has none (`filled == 0`) — and hands
+    /// its columns, if it holds any, to `free`.
+    pub(crate) fn retire(&mut self, free: &mut Vec<PpColumns>) {
+        let PpSnapshot { parity, q, .. } = std::mem::take(self);
+        if parity.capacity() > 0 {
+            free.push((parity, q));
+        }
+    }
 }
+
+/// The P and Q columns of a retired [`PpSnapshot`] (Q empty on a
+/// single-parity array).
+pub(crate) type PpColumns = (Vec<u8>, Vec<u8>);
 
 /// The metadata log's write cursor: where each device's records go, and
 /// the pooled buffer they are encoded in.
@@ -270,6 +247,16 @@ pub(crate) struct LiveMeta {
     /// Partial-parity checkpoint snapshots, indexed by logical zone (see
     /// [`PpSnapshot`]).
     pub pp_live: Vec<PpSnapshot>,
+    /// Columns of dead snapshots, for the next capture that has none: as
+    /// many pairs as snapshots were ever live at once.
+    pub pp_free: Vec<PpColumns>,
+}
+
+impl LiveMeta {
+    /// Ends zone `lz`'s pp snapshot, its columns to the free list.
+    pub fn retire_snapshot(&mut self, lz: u32) {
+        self.pp_live[lz as usize].retire(&mut self.pp_free);
+    }
 }
 
 /// Cross-zone volume metadata: the single global lock domain. Split into
@@ -326,6 +313,9 @@ pub struct RaiznVolume {
     shard_locks: obs::LockStats,
     /// Wall-clock contention statistics for the meta lock (gauge id 1).
     meta_locks: obs::LockStats,
+    /// Stripe buffers between staged stripes: as many as were ever staged
+    /// at once. An innermost lock (see the module docs).
+    stripe_buffers: Mutex<Vec<StripeBuffer>>,
 }
 
 impl std::fmt::Debug for RaiznVolume {
@@ -492,12 +482,14 @@ impl RaiznVolume {
                     ),
                     buffer: None,
                     conflicts: HashSet::new(),
-                    spare: None,
-                    scratch: Vec::new(),
                 })
             })
             .collect();
         let md = (0..n).map(|_| MdRoles::fresh()).collect();
+        // Room in the free lists for one buffer per zone the members can
+        // hold active, where every partial stripe lives: returning one
+        // allocates nothing.
+        let active = members.read().devices()[0].config().max_active_zones() as usize;
         RaiznVolume {
             layout,
             config,
@@ -511,6 +503,7 @@ impl RaiznVolume {
                     gens,
                     relocated: HashMap::new(),
                     pp_live: (0..nz).map(|_| PpSnapshot::default()).collect(),
+                    pp_free: Vec::with_capacity(active),
                 },
                 gather_scratch: Vec::new(),
             }),
@@ -523,6 +516,7 @@ impl RaiznVolume {
             tracer: obs::Tracer::new(),
             shard_locks: obs::LockStats::new(),
             meta_locks: obs::LockStats::new(),
+            stripe_buffers: Mutex::new(Vec::with_capacity(active)),
         }
     }
 
@@ -757,11 +751,7 @@ impl RaiznVolume {
                 let su = self.layout.stripe_unit();
                 for lz in zones {
                     let snap = &live.pp_live[lz as usize];
-                    let wp = self.zone_wp[lz as usize].load(Ordering::Acquire);
-                    if snap.filled == 0
-                        || wp / stripe_data != snap.stripe
-                        || wp % stripe_data != snap.filled
-                    {
+                    if !self.snapshot_live(lz, snap) {
                         continue;
                     }
                     let (leg, column) =
@@ -787,21 +777,71 @@ impl RaiznVolume {
         Ok(())
     }
 
+    /// Whether zone `lz`'s pp snapshot describes its write pointer (the
+    /// lock-free mirror), so a checkpoint re-logs it. Once the write
+    /// pointer moves past it without a capture — the stripe completed, the
+    /// zone filled — or the zone resets, it never will again.
+    fn snapshot_live(&self, lz: u32, snap: &PpSnapshot) -> bool {
+        let stripe_data = self.layout.stripe_data_sectors();
+        let wp = self.zone_wp[lz as usize].load(Ordering::Acquire);
+        snap.filled != 0 && wp / stripe_data == snap.stripe && wp % stripe_data == snap.filled
+    }
+
+    /// Captures zone `lz`'s pp snapshot from `buf` under the meta lock. A
+    /// snapshot without columns, with none free, first retires every other
+    /// zone's dead snapshot: new columns are reserved only when every pair
+    /// belongs to a live one.
+    fn capture_snapshot(&self, live: &mut LiveMeta, lz: u32, buf: &StripeBuffer) {
+        let LiveMeta {
+            pp_live, pp_free, ..
+        } = live;
+        if pp_free.is_empty() && pp_live[lz as usize].parity.capacity() == 0 {
+            for (other, snap) in (0..).zip(pp_live.iter_mut()) {
+                if other != lz && !self.snapshot_live(other, snap) {
+                    snap.retire(pp_free);
+                }
+            }
+        }
+        pp_live[lz as usize].capture(buf, self.layout.stripe_unit(), pp_free);
+    }
+
     /// Re-captures every zone's pp checkpoint snapshot from its stripe
     /// buffer (shard → meta, one zone at a time), for a checkpoint that
     /// must not miss zones staging parity without pp appends: the buffers
     /// mount-time recovery seeds.
     pub(crate) fn sync_pp_snapshots(&self) {
-        let su = self.layout.stripe_unit();
         for lz in 0..self.layout.logical_zones() {
             let z = self.lock_shard(lz);
             let mut m = self.lock_meta();
-            let snap = &mut m.live.pp_live[lz as usize];
             match &z.buffer {
-                Some(buf) if buf.filled_sectors() > 0 => snap.capture(buf, su),
-                _ => snap.filled = 0,
+                Some(buf) if buf.filled_sectors() > 0 => {
+                    self.capture_snapshot(&mut m.live, lz, buf)
+                }
+                _ => m.live.retire_snapshot(lz),
             }
         }
+    }
+
+    /// A cleared stripe buffer for `stripe`, from the pool when it holds
+    /// one.
+    pub(crate) fn draw_stripe_buffer(&self, stripe: u64) -> StripeBuffer {
+        let (units, su) = (self.layout.data_units(), self.layout.stripe_unit());
+        let parity = self.layout.parity_units();
+        match self.stripe_buffers.lock().pop() {
+            Some(mut b) => {
+                debug_assert!(b.shape_matches_parity(units, su, parity));
+                b.recycle(stripe);
+                AtomicRaiznStats::add(&self.stats.stripe_buffers_reused, 1);
+                b
+            }
+            None => StripeBuffer::with_parity(stripe, units, su, parity),
+        }
+    }
+
+    /// Returns a stripe buffer to the pool as it is (dirty: the one clear
+    /// happens when it is drawn again).
+    fn retire_stripe_buffer(&self, buf: StripeBuffer) {
+        self.stripe_buffers.lock().push(buf);
     }
 
     /// Garbage collects `dev`'s metadata zone for `role` (§4.3, Fig. 4):
@@ -980,11 +1020,6 @@ impl RaiznVolume {
         }
     }
 
-    /// Bytes of a zone's spare parity columns ([`LZone::scratch`]).
-    fn scratch_bytes(&self) -> usize {
-        (self.layout.parity_units() as u64 * self.layout.stripe_unit() * SECTOR_SIZE) as usize
-    }
-
     // ------------------------------------------------------------------
     // Self-healing read path
     // ------------------------------------------------------------------
@@ -1083,12 +1118,12 @@ impl RaiznVolume {
     }
 
     /// Parity stage of a chunk that completes its stripe: detaches
-    /// whichever owns the parity columns — the staged buffer, or the
-    /// zone's spare columns after a one-pass encode of the caller's
-    /// payload (`chunk` is then the whole stripe) — and hands them to the
-    /// device layer as borrowed slices (no copy). The owner goes back to
-    /// the zone whether or not a leg fails. Runs under `lzone`'s shard
-    /// lock (`z`).
+    /// whichever owns the parity columns — the staged buffer, or a column
+    /// set drawn from the member layer after a one-pass encode of the
+    /// caller's payload (`chunk` is then the whole stripe) — and hands
+    /// them to the device layer as borrowed slices (no copy). The owner
+    /// goes back to its pool whether or not a leg fails. Runs under
+    /// `lzone`'s shard lock (`z`).
     #[allow(clippy::too_many_arguments)]
     fn store_parity_legs(
         &self,
@@ -1115,19 +1150,17 @@ impl RaiznVolume {
             Some(buf) => {
                 let (p, q) = (want_p.then(|| buf.parity()), want_q.then(|| buf.q_parity()));
                 let done = self.issue_parity_columns(z, devices, issue, lzone, stripe, p, q, fua);
-                z.retire_buffer(buf);
+                self.retire_stripe_buffer(buf);
                 done
             }
             None => {
                 let unit_bytes = (self.layout.stripe_unit() * SECTOR_SIZE) as usize;
-                let mut cols = std::mem::take(z.scratch_mut(self.scratch_bytes()));
+                let mut cols = self.members.columns();
                 let (p, q) = cols.split_at_mut(unit_bytes);
                 let (mut p, mut q) = (want_p.then_some(p), want_q.then_some(q));
                 sim::encode_pq(chunk, p.as_deref_mut(), q.as_deref_mut());
                 let (p, q) = (p.as_deref(), q.as_deref());
-                let done = self.issue_parity_columns(z, devices, issue, lzone, stripe, p, q, fua);
-                z.scratch = cols;
-                done
+                self.issue_parity_columns(z, devices, issue, lzone, stripe, p, q, fua)
             }
         }
     }
@@ -1296,7 +1329,7 @@ impl RaiznVolume {
     /// row hull it touched. A chunk that covers the whole stripe bypasses
     /// the buffer: its parity is encoded straight from the caller's
     /// payload once the data legs are out. Buffers are drawn from the
-    /// zone's spare, so steady-state writes allocate nothing.
+    /// volume's pool, so steady-state writes allocate nothing.
     fn stage_chunk(
         &self,
         z: &mut LZone,
@@ -1310,11 +1343,10 @@ impl RaiznVolume {
         if !staged_here {
             debug_assert_eq!(off_in_stripe, 0, "mid-stripe write without a staged buffer");
             if let Some(stale) = z.buffer.take() {
-                z.retire_buffer(stale);
+                self.retire_stripe_buffer(stale);
             }
             if !whole {
-                let (units, parity) = (self.layout.data_units(), self.layout.parity_units());
-                z.buffer = Some(z.stripe_buffer(&self.stats, stripe, units, su, parity));
+                z.buffer = Some(self.draw_stripe_buffer(stripe));
             }
         }
         match z.buffer.as_mut() {
@@ -1395,7 +1427,7 @@ impl RaiznVolume {
         // buffer itself stays behind this zone's shard): an append below
         // that collects its own log zone must checkpoint this frontier —
         // the write pointer mirror has already moved to it.
-        live.pp_live[lzone as usize].capture(buf, su);
+        self.capture_snapshot(live, lzone, buf);
         let mut pp_done = issue;
         for (dev, leg) in self.parity_legs(lzone, stripe) {
             let rec = MdRecordRef::new(
@@ -1425,14 +1457,14 @@ impl RaiznVolume {
     }
 
     /// Write stage after the last chunk: the contract's state after the
-    /// write; a zone filled to capacity drops its stripe buffer.
+    /// write; a zone filled to capacity returns its stripe buffer.
     fn settle_zone_state(&self, z: &mut LZone, lzone: u32) {
         z.state = z
             .state
             .after_write(z.wp, self.layout.logical_geometry().zone_cap());
         if z.state == ZoneState::Full {
             if let Some(buf) = z.buffer.take() {
-                z.retire_buffer(buf);
+                self.retire_stripe_buffer(buf);
             }
             // No WAL is written on the hot path, but the next metadata GC
             // checkpoints a finish record so the cap fill stays durable
@@ -1679,11 +1711,11 @@ impl RaiznVolume {
             let done = self.persist_gen_page(&mut m, devices, t, lzone)?;
             m.live.relocated.retain(|(lz, _, _), _| *lz != lzone);
             self.sync_relocated_count(&m.live);
-            m.live.pp_live[lzone as usize].filled = 0;
+            m.live.retire_snapshot(lzone);
             done
         };
         if let Some(buf) = z.buffer.take() {
-            z.retire_buffer(buf);
+            self.retire_stripe_buffer(buf);
         }
         z.state = ZoneState::Empty;
         z.wp = 0;
@@ -1973,10 +2005,7 @@ impl ZonedVolume for RaiznVolume {
                 lzone,
                 stripe,
             };
-            let scratch = &mut z.scratch;
-            let (t, repaired) = self
-                .members
-                .read_slot(scratch, at, &src, dev, row0, out, open)?;
+            let (t, repaired) = self.members.read_slot(at, &src, dev, row0, out, open)?;
             done = done.max(t);
             if let Some(unit) = repaired {
                 let t = self.relocate_repaired_unit(z, &devices, at, lzone, stripe, dev, unit)?;
@@ -2299,9 +2328,9 @@ mod tests {
     use proptest::prelude::*;
     use zns::{FaultOp, FaultPlan, ZnsConfig};
 
-    /// A whole-stripe write whose parity leg fails hands the zone its
-    /// spare parity columns back: the next whole-stripe write or degraded
-    /// read must not have to allocate them again.
+    /// A whole-stripe write whose parity leg fails hands its column set
+    /// back to the member layer's pool: the next whole-stripe write or
+    /// degraded read draws it again instead of allocating.
     #[test]
     fn failed_parity_leg_keeps_the_spare_columns() {
         let devices: Vec<Arc<ZnsDevice>> = (0..5)
@@ -2313,8 +2342,7 @@ mod tests {
         let stripe = vec![7u8; (sectors * SECTOR_SIZE) as usize];
         v.write(SimTime::ZERO, 0, &stripe, WriteFlags::default())
             .unwrap();
-        let columns = v.scratch_bytes();
-        assert_eq!(v.lock_shard(0).scratch.len(), columns);
+        assert_eq!(v.members.pooled_columns(), 1);
 
         let pdev = v.layout.parity_device(0, 1) as usize;
         let plan = (1..=u64::from(zns::array::TRANSIENT_RETRY_LIMIT) + 1)
@@ -2324,7 +2352,81 @@ mod tests {
         devices[pdev].set_fault_plan(plan);
         v.write(SimTime::ZERO, sectors, &stripe, WriteFlags::default())
             .unwrap_err();
-        assert_eq!(v.lock_shard(0).scratch.len(), columns);
+        assert_eq!(v.members.pooled_columns(), 1);
+    }
+
+    /// RAIZN's host buffers follow the stripes in flight, not the zones
+    /// ever written: whole-stripe writes to 16 zones, a sub-stripe tail in
+    /// each of 16 more then the rest of the zone, and degraded reads over
+    /// all 32 (one member failed at p1, two at p2) leave one column set
+    /// and one stripe buffer pooled, and one pair of pp-snapshot columns —
+    /// where a buffer per zone ever written held 32 column sets.
+    #[test]
+    fn buffers_do_not_grow_with_zones_written() {
+        for config in [RaiznConfig::small_test(), RaiznConfig::small_test_raizn2()] {
+            let parity = config.parity;
+            let devices = (0..5)
+                .map(|_| {
+                    let c = ZnsConfig::builder()
+                        .zones(40, 64, 64)
+                        .open_limits(4, 6)
+                        .latency(zns::LatencyConfig::instant())
+                        .build();
+                    Arc::new(ZnsDevice::new(c))
+                })
+                .collect();
+            let v = RaiznVolume::format(devices, config, SimTime::ZERO).unwrap();
+            let lgeo = v.layout.logical_geometry();
+            let (cap, stripe) = (lgeo.zone_cap(), v.layout.stripe_data_sectors());
+            assert!(lgeo.num_zones() >= 32);
+            let bytes = |sectors: u64, seed: u64| -> Vec<u8> {
+                let mut b = vec![0u8; (sectors * SECTOR_SIZE) as usize];
+                sim::SimRng::new(seed).fill_bytes(&mut b);
+                b
+            };
+            let write = |lba: u64, data: &[u8]| {
+                v.write(SimTime::ZERO, lba, data, WriteFlags::default())
+                    .unwrap();
+            };
+            let mut zones = Vec::new();
+            for lz in 0..32u32 {
+                let (start, data) = (lgeo.zone_start(lz), bytes(cap, u64::from(lz)));
+                if lz < 16 {
+                    let stripes = data.chunks((stripe * SECTOR_SIZE) as usize);
+                    for (s, whole) in (0..).zip(stripes) {
+                        write(start + s * stripe, whole);
+                    }
+                } else {
+                    let (tail, rest) = data.split_at((stripe / 2 * SECTOR_SIZE) as usize);
+                    write(start, tail);
+                    write(start + stripe / 2, rest);
+                }
+                zones.push((start, data));
+            }
+            for dev in 0..parity as usize {
+                v.fail_device(2 * dev).unwrap();
+            }
+            let degraded = v.stats().degraded_reads;
+            for (start, data) in &zones {
+                let mut out = vec![0u8; data.len()];
+                v.read(SimTime::ZERO, *start, &mut out).unwrap();
+                assert!(out == *data, "p{parity}: zone at {start} read back wrong");
+            }
+            assert!(v.stats().degraded_reads > degraded);
+            assert_eq!(v.members.pooled_columns(), 1, "p{parity}: column sets");
+            assert!(
+                v.stripe_buffers.lock().len() <= 2,
+                "p{parity}: stripe buffers"
+            );
+            assert!((0..32).all(|lz| v.lock_shard(lz).buffer.is_none()));
+            let m = v.lock_meta();
+            let held = m.live.pp_live.iter().filter(|s| s.parity.capacity() > 0);
+            assert_eq!(
+                held.count() + m.live.pp_free.len(),
+                1,
+                "p{parity}: pp-snapshot columns"
+            );
+        }
     }
 
     proptest! {
@@ -2342,8 +2444,10 @@ mod tests {
             let (units, su) = (4u64, 16u64);
             let mut buf = StripeBuffer::with_parity(0, units, su, parity);
             let mut snap = PpSnapshot::default();
-            let capture_and_check = |snap: &mut PpSnapshot, buf: &StripeBuffer| {
-                snap.capture(buf, su);
+            let mut free = Vec::new();
+            let capture_and_check =
+                |snap: &mut PpSnapshot, buf: &StripeBuffer, free: &mut Vec<PpColumns>| {
+                snap.capture(buf, su, free);
                 let rows = (buf.filled_sectors().min(su) * SECTOR_SIZE) as usize;
                 prop_assert_eq!(snap.stripe, buf.stripe());
                 prop_assert_eq!(snap.filled, buf.filled_sectors());
@@ -2360,8 +2464,10 @@ mod tests {
             let mut data = vec![0u8; (40 * SECTOR_SIZE) as usize];
             for (n, action) in ops {
                 if action == 0 {
-                    // Zone reset: `finish_reset`, then stripe 0 again.
-                    snap.filled = 0;
+                    // Zone reset: `finish_reset` retires the snapshot, the
+                    // next capture takes its stale columns back; then
+                    // stripe 0 again.
+                    snap.retire(&mut free);
                     buf.recycle(0);
                 }
                 let mut left = n;
@@ -2378,10 +2484,10 @@ mod tests {
                 // Action 1: the fill made no pp append (as when mount
                 // seeds a buffer), no capture.
                 if action != 1 {
-                    capture_and_check(&mut snap, &buf)?;
+                    capture_and_check(&mut snap, &buf, &mut free)?;
                 }
             }
-            capture_and_check(&mut snap, &buf)?;
+            capture_and_check(&mut snap, &buf, &mut free)?;
         }
     }
 }

@@ -274,8 +274,7 @@ struct LsInner {
     /// Only the first `fill` sectors of the open stripe mean anything.
     stages: Vec<Vec<u8>>,
     /// The P (then Q) unit of the stripe being sealed: output scratch of
-    /// [`LsVolume::seal_stripe`], and the spare columns of a degraded
-    /// read's decode; dead outside either.
+    /// [`LsVolume::seal_stripe`], dead outside it.
     parity: Vec<u8>,
     /// Bounce buffer for emergency-GC migration reads (one stripe).
     gc_buf: Vec<u8>,
@@ -1677,10 +1676,9 @@ impl LsVolume {
     /// Reads mapped sectors, coalescing physically contiguous runs
     /// (bounded by the stripe unit) into single device commands issued
     /// in parallel, each through the member layer's read path
-    /// ([`Members::read_slot`], the parity scratch as the decode's spare
-    /// columns): a run its member cannot serve is copied from the stage
-    /// while its stripe is open, else decoded from the rest of the
-    /// stripe. A latent unit comes back decoded whole, and its valid
+    /// ([`Members::read_slot`]): a run its member cannot serve is copied
+    /// from the stage while its stripe is open, else decoded from the rest
+    /// of the stripe in columns the member layer lends. A latent unit comes back decoded whole, and its valid
     /// sectors are re-logged once the decode completes, so later reads find
     /// them elsewhere — unless this read is a migration out of the unit's
     /// group, which moves them anyway.
@@ -1727,9 +1725,7 @@ impl LsVolume {
                     g,
                     stripe,
                 };
-                let parity = &mut inner.parity;
-                self.members
-                    .read_slot(parity, at, &src, dev, within, out, open)?
+                self.members.read_slot(at, &src, dev, within, out, open)?
             };
             done = done.max(t);
             if let Some(unit) = repaired.filter(|_| inner.migrating != Some(g)) {

@@ -16,7 +16,7 @@
 //! caches, metadata, and where a repaired unit goes.
 
 use crate::{Result, WriteFlags, ZnsDevice, ZnsError, ZoneInfo, ZonedVolume, SECTOR_SIZE};
-use parking_lot::{RwLock, RwLockReadGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use sim::codec::{Decode, Role};
 use sim::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -138,6 +138,10 @@ pub struct Members {
     /// in-flight rebuild (0 when none runs).
     rebuild_total: AtomicU64,
     rebuild_done: AtomicU64,
+    /// Spare column sets (`parity` units each) between uses: as many as
+    /// were ever lent at once. An innermost lock, held only to pop or
+    /// push a set.
+    spare_columns: Mutex<Vec<Vec<u8>>>,
     tracer: obs::Tracer,
 }
 
@@ -181,6 +185,7 @@ impl Members {
             read_repairs: AtomicU64::new(0),
             rebuild_total: AtomicU64::new(0),
             rebuild_done: AtomicU64::new(0),
+            spare_columns: Mutex::new(Vec::new()),
             tracer: obs::Tracer::new(),
         })
     }
@@ -205,6 +210,24 @@ impl Members {
 
     fn unit_bytes(&self) -> usize {
         (self.unit_sectors * SECTOR_SIZE) as usize
+    }
+
+    /// Lends a set of spare columns, `parity` stripe units long: a
+    /// whole-stripe encode's P and Q, or a decode's landing and second
+    /// syndrome columns. Drawn from the pool (allocated only when every
+    /// set is out) and returned to it when the guard drops, on error
+    /// paths too. Contents are stale between uses.
+    pub fn columns(&self) -> Columns<'_> {
+        let set = self.spare_columns.lock().pop();
+        Columns {
+            set: set.unwrap_or_else(|| vec![0u8; self.unit_bytes() * self.parity as usize]),
+            pool: &self.spare_columns,
+        }
+    }
+
+    /// Column sets in the pool, none of them lent.
+    pub fn pooled_columns(&self) -> usize {
+        self.spare_columns.lock().len()
     }
 
     /// The failed-member bitmask.
@@ -334,12 +357,12 @@ impl Members {
     /// Every member whose slot `stripe` reports unavailable counts as
     /// erased beside `target`; more erasures than parity is unrecoverable.
     /// Every other slot the erasure pattern needs is fetched into the first
-    /// column of `scratch` (the caller's `parity` spare columns of one unit
-    /// each) and folded into `out` — and, when a second data unit is lost
-    /// too, into the second column — then solved in place. A source that
-    /// turns out unreadable mid-decode joins the erasure set and the decode
-    /// restarts while headroom remains. Nothing is allocated. Returns the
-    /// latest fetch completion and the number of erased slots.
+    /// column of `scratch` (a set of [`columns`](Self::columns)) and
+    /// folded into `out` — and, when a second data unit is lost too, into
+    /// the second column — then solved in place. A source that turns out
+    /// unreadable mid-decode joins the erasure set and the decode restarts
+    /// while headroom remains. Nothing is allocated. Returns the latest
+    /// fetch completion and the number of erased slots.
     ///
     /// # Errors
     ///
@@ -434,10 +457,11 @@ impl Members {
     }
 
     /// Mount's decode from replayed parity (§5.1): [`solve`](Self::solve)
-    /// with its own spare columns, counting and tracing nothing (a mount is
-    /// not a degraded read). `Ok(false)` past the parity headroom — a source
-    /// that fails mid-decode joins the erasure set as on every other path —
-    /// for the caller to try another parity version or roll back.
+    /// in a set of [`columns`](Self::columns), counting and tracing nothing
+    /// (a mount is not a degraded read). `Ok(false)` past the parity
+    /// headroom — a source that fails mid-decode joins the erasure set as
+    /// on every other path — for the caller to try another parity version
+    /// or roll back.
     ///
     /// # Errors
     ///
@@ -450,8 +474,7 @@ impl Members {
         row0: u64,
         out: &mut [u8],
     ) -> Result<bool> {
-        let mut scratch = vec![0u8; self.unit_bytes() * self.parity as usize];
-        match self.solve(&mut scratch, at, stripe, target, row0, out) {
+        match self.solve(&mut self.columns(), at, stripe, target, row0, out) {
             Ok(_) => Ok(true),
             Err(e) if erasure(&e) => Ok(false),
             Err(e) => Err(e),
@@ -467,9 +490,9 @@ impl Members {
     /// read around, counting a degraded read and emitting one
     /// [`obs::PathKind::Degraded`] span: while the stripe has no parity
     /// yet, `open` holds the engine's staged bytes of those rows and they
-    /// are served; once it has, the rows are decoded in `scratch`, the
-    /// engine's spare columns, grown to `parity` units on first use. A
-    /// media error in a stripe with parity is a latent sector instead: the
+    /// are served; once it has, the rows are decoded in a set of
+    /// [`columns`](Self::columns), drawn only for the decode. A media
+    /// error in a stripe with parity is a latent sector instead: the
     /// whole unit is decoded, the rows are served from it, and it comes
     /// back with the completion for the engine to store where reads will
     /// find it (a read repair, counted).
@@ -477,10 +500,8 @@ impl Members {
     /// # Errors
     ///
     /// A fetch error that is not an erasure; the decode's error.
-    #[allow(clippy::too_many_arguments)]
     pub fn read_slot(
         &self,
-        scratch: &mut Vec<u8>,
         at: SimTime,
         stripe: &dyn Stripe,
         dev: u32,
@@ -492,12 +513,8 @@ impl Members {
             Err(e) if erasure(&e) => e,
             done => return done.map(|t| (t, None)),
         };
-        let spare = self.unit_bytes() * self.parity as usize;
-        let mut decode = |row0: u64, out: &mut [u8]| {
-            if scratch.len() < spare {
-                scratch.resize(spare, 0);
-            }
-            self.reconstruct(&mut scratch[..spare], at, stripe, dev, row0, out)
+        let decode = |row0: u64, out: &mut [u8]| {
+            self.reconstruct(&mut self.columns(), at, stripe, dev, row0, out)
         };
         if let (ZnsError::MediaError { .. }, None) = (err, open) {
             let mut unit = vec![0u8; self.unit_bytes()];
@@ -602,7 +619,7 @@ impl Members {
                 bytes: 0,
                 zones: 0,
                 out: vec![0u8; unit_bytes],
-                scratch: vec![0u8; unit_bytes * self.parity as usize],
+                scratch: self.columns(),
             };
             policy(&roster, &mut rb)?;
             RebuildReport {
@@ -748,6 +765,34 @@ impl Roster<'_> {
     }
 }
 
+/// A set of spare columns lent by [`Members::columns`]; back in the pool
+/// when dropped.
+#[derive(Debug)]
+pub struct Columns<'a> {
+    set: Vec<u8>,
+    pool: &'a Mutex<Vec<Vec<u8>>>,
+}
+
+impl std::ops::Deref for Columns<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.set
+    }
+}
+
+impl std::ops::DerefMut for Columns<'_> {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.set
+    }
+}
+
+impl Drop for Columns<'_> {
+    fn drop(&mut self) {
+        self.pool.lock().push(std::mem::take(&mut self.set));
+    }
+}
+
 /// A rebuild in flight: what a [`Members::rebuild`] policy hands the lost
 /// member's extents to.
 pub struct Rebuild<'a> {
@@ -762,7 +807,7 @@ pub struct Rebuild<'a> {
     zones: u32,
     /// One unit of rebuilt bytes, and the decode's spare columns.
     out: Vec<u8>,
-    scratch: Vec<u8>,
+    scratch: Columns<'a>,
 }
 
 impl Rebuild<'_> {
@@ -978,21 +1023,40 @@ mod tests {
         }
     }
 
-    /// A stripe in memory: data units 0–2 on members 0–2, P on 3, Q on 4;
-    /// the `gone` members' slots unavailable; every fetch recorded.
+    /// A stripe in memory: member `i` plays `roles[i]`; the `gone`
+    /// members' slots unavailable, the `broken` members' fetches failing
+    /// as a failed device's do; every fetch recorded.
     struct Memory {
+        roles: Vec<Role>,
         slots: Vec<Vec<u8>>,
         gone: u64,
+        broken: u64,
         fetched: std::cell::Cell<u64>,
+    }
+
+    impl Memory {
+        /// `data` encoded into a stripe whose members play `roles`.
+        fn encode(roles: Vec<Role>, data: &[u8], unit: usize) -> Memory {
+            let (mut p, mut q) = (vec![0u8; unit], vec![0u8; unit]);
+            sim::encode_pq(data, Some(&mut p), Some(&mut q));
+            let slots = roles.iter().map(|role| match *role {
+                Role::Data(k) => data[k as usize * unit..][..unit].to_vec(),
+                Role::P => p.clone(),
+                Role::Q => q.clone(),
+            });
+            Memory {
+                slots: slots.collect(),
+                roles,
+                gone: 0,
+                broken: 0,
+                fetched: std::cell::Cell::new(0),
+            }
+        }
     }
 
     impl Stripe for Memory {
         fn role(&self, dev: u32) -> Role {
-            match dev {
-                3 => Role::P,
-                4 => Role::Q,
-                k => Role::Data(k),
-            }
+            self.roles[dev as usize]
         }
 
         fn available(&self, dev: u32) -> bool {
@@ -1001,6 +1065,9 @@ mod tests {
 
         fn fetch(&self, at: SimTime, dev: u32, row0: u64, out: &mut [u8]) -> Result<SimTime> {
             self.fetched.set(self.fetched.get() | (1 << dev));
+            if self.broken & (1 << dev) != 0 {
+                return Err(ZnsError::DeviceFailed);
+            }
             let off = (row0 * SECTOR_SIZE) as usize;
             out.copy_from_slice(&self.slots[dev as usize][off..][..out.len()]);
             Ok(at)
@@ -1011,19 +1078,23 @@ mod tests {
         }
     }
 
+    fn stripe_bytes(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 7 + i / 251) as u8).collect()
+    }
+
     #[test]
     fn an_unavailable_healthy_slot_is_an_unread_erasure_and_mount_counts_nothing() {
         let m = members(5, 2);
         let unit = m.unit_bytes();
-        let data: Vec<u8> = (0..3 * unit).map(|i| (i * 7 + i / 251) as u8).collect();
-        let (mut p, mut q) = (vec![0u8; unit], vec![0u8; unit]);
-        sim::encode_pq(&data, Some(&mut p), Some(&mut q));
-        let slots = data.chunks(unit).map(<[u8]>::to_vec).chain([p, q]);
-        let mut stripe = Memory {
-            slots: slots.collect(),
-            gone: 1 << 1,
-            fetched: std::cell::Cell::new(0),
-        };
+        let roles = vec![
+            Role::Data(0),
+            Role::Data(1),
+            Role::Data(2),
+            Role::P,
+            Role::Q,
+        ];
+        let mut stripe = Memory::encode(roles, &stripe_bytes(3 * unit), unit);
+        stripe.gone = 1 << 1;
         // Rows [1, 3) of unit 0, with member 1 healthy but unavailable.
         let rows = SECTOR_SIZE as usize..3 * SECTOR_SIZE as usize;
         let mut out = vec![0u8; rows.len()];
@@ -1037,13 +1108,51 @@ mod tests {
         assert!(m.failed().is_empty());
         assert_eq!(m.double_degraded_reads(), 0);
         // The same decode for a read counts the double erasure.
-        let mut scratch = vec![0u8; 2 * unit];
-        m.reconstruct(&mut scratch, SimTime::ZERO, &stripe, 0, 1, &mut out)
+        m.reconstruct(&mut m.columns(), SimTime::ZERO, &stripe, 0, 1, &mut out)
             .unwrap();
         assert_eq!(m.double_degraded_reads(), 1);
         // A third erasure is past the headroom: mount's entry says so.
         stripe.gone |= 1 << 2;
         assert!(!m.decode(SimTime::ZERO, &stripe, 0, 1, &mut out).unwrap());
+    }
+
+    /// A read whose member fails and whose decode then loses its second
+    /// source — past the headroom at parity 1, a restart at parity 2 —
+    /// returns its column set to the pool every time: the pool holds the
+    /// one set the first read drew, however many reads follow. Shapes:
+    /// RAIZN's (P, then Q, after the data units) and lsraid's (P and Q
+    /// rotated into the middle of the stripe).
+    #[test]
+    fn a_decode_that_loses_a_source_returns_its_columns() {
+        let (d, p, q) = (Role::Data, Role::P, Role::Q);
+        let shapes = [
+            (1, vec![d(0), d(1), d(2), d(3), p]),
+            (2, vec![d(0), d(1), d(2), p, q]),
+            (1, vec![d(0), p, d(1), d(2), d(3)]),
+            (2, vec![d(0), p, q, d(1), d(2)]),
+        ];
+        for (parity, roles) in shapes {
+            let m = members(roles.len(), parity);
+            let unit = m.unit_bytes();
+            let units = roles.len() - parity as usize;
+            let mut stripe = Memory::encode(roles.clone(), &stripe_bytes(units * unit), unit);
+            // The read's member fails, then the first source after it.
+            stripe.broken = 1 << 0 | 1 << 1;
+            let mut out = vec![0u8; unit];
+            let mut read = || m.read_slot(SimTime::ZERO, &stripe, 0, 0, &mut out, None);
+            read().ok();
+            assert_eq!(m.pooled_columns(), 1, "{roles:?}");
+            for _ in 0..100 {
+                match read() {
+                    Ok((_, repaired)) => assert!(parity == 2 && repaired.is_none()),
+                    Err(e) => assert!(parity == 1 && e == ZnsError::DeviceFailed, "{e:?}"),
+                }
+            }
+            assert_eq!(m.pooled_columns(), 1, "{roles:?}");
+            if parity == 2 {
+                assert_eq!(out, stripe.slots[0]);
+            }
+        }
     }
 
     #[test]

@@ -225,6 +225,24 @@ if grep -rnE '\b(use_zrwa|write_zrwa|commit_zrwa|zrwa_sectors|zrwa_parity_writes
   exit 1
 fi
 
+# RAIZN's host buffers follow the stripes in flight, not the zones ever
+# written (DESIGN.md "Stripe-buffer pooling", "Array layer"): column sets
+# come from `Members::columns`, stripe buffers from the volume's pool. A
+# per-zone spare (`LZone::spare`, `LZone::scratch`, `retire_buffer`,
+# `scratch_mut`) or a scratch handed to `read_slot` (in the signature, or
+# as a call's argument before `at`) is a buffer per zone ever written
+# coming back.
+if grep -rnE '\b(retire_buffer|scratch_mut)\b|\.read_slot\( *[a-z_&][a-z_.& ]*, *at\b' crates ||
+   awk '/^pub\(crate\) struct LZone \{/ { inside = 1 }
+        inside && /^\}/ { inside = 0 }
+        inside && /^ *pub (spare|scratch):/ { print FILENAME ": " $0; found = 1 }
+        END { exit !found }' crates/core/src/volume.rs ||
+   awk '/fn read_slot\(/ { getline; getline; if ($1 != "at:") { print FILENAME ": " $0; found = 1 } }
+        END { exit !found }' crates/zns/src/array.rs; then
+  echo "check.sh: a per-zone host buffer is back (draw from Members::columns / the stripe-buffer pool)" >&2
+  exit 1
+fi
+
 # Concurrency correctness: racing per-zone schedules vs the
 # single-threaded oracle, same-seed determinism, remount after the race.
 cargo test --release -q -p raizn --test concurrent_stress
