@@ -18,8 +18,8 @@ const ZONE_SECTORS: u64 = 4096;
 
 /// Builds the volume. Custom configs (pp variants, stripe units) mean the
 /// harness volume builders don't fit; when `run` is set the devices and
-/// volume are wired into its recorder and gauge registry instead of the
-/// process-wide recorder.
+/// volume are wired into its recorder instead of the process-wide
+/// recorder.
 fn build(config: RaiznConfig, run: Option<&TimelineRun>) -> bench::BenchResult<Arc<RaiznVolume>> {
     let rec = run.map_or_else(bench::recorder, TimelineRun::recorder);
     let devices: Vec<Arc<ZnsDevice>> = (0..5)
@@ -35,47 +35,34 @@ fn build(config: RaiznConfig, run: Option<&TimelineRun>) -> bench::BenchResult<A
         .collect();
     for (i, dev) in devices.iter().enumerate() {
         dev.set_recorder(rec.clone(), i as u32);
-        if let Some(run) = run {
-            run.register(dev.clone());
-        }
     }
     let vol = Arc::new(RaiznVolume::format(devices, config, SimTime::ZERO)?);
     vol.set_recorder(rec);
-    if let Some(run) = run {
-        run.register(vol.clone());
-    }
     Ok(vol)
 }
 
 fn small_write_run(
     config: RaiznConfig,
     run: Option<&TimelineRun>,
-) -> bench::BenchResult<(f64, u64, u64, SimTime)> {
+) -> bench::BenchResult<(f64, u64, u64)> {
     let vol = build(config, run)?;
     let target = ZonedTarget::new(vol.clone());
     // 4 KiB sequential writes: every one logs partial parity.
     let job = JobSpec::new(OpKind::Write, Pattern::Sequential, 1)
         .ops(16_384)
         .queue_depth(64);
-    let mut engine = Engine::new(77);
-    if let Some(run) = run {
-        engine = engine.timeline(run.timeline());
-    }
-    let report = engine.run(&target, &[job])?;
+    let report = Engine::new(77).run(&target, &[job])?;
     let stats = vol.stats();
     Ok((
         report.throughput_mib_s(),
         stats.pp_log_entries,
         stats.pp_log_bytes,
-        report.end,
     ))
 }
 
 fn main() -> bench::BenchResult {
-    // Timeline capture rides on the paper-default variant: its pp-log and
-    // metadata gauges are the plot the ablation argues from.
+    // Timeline capture rides on the paper-default variant.
     let capture = TimelineRun::new("ablations");
-    let mut capture_end = SimTime::ZERO;
 
     // --- Ablation 1: pp scope at 4 KiB writes. ------------------------
     let base = RaiznConfig::default();
@@ -89,10 +76,7 @@ fn main() -> bench::BenchResult {
         ("full-unit pp + header", full_unit),
     ] {
         let flagship = label.contains("(paper)");
-        let (mib_s, entries, bytes, end) = small_write_run(cfg, flagship.then_some(&capture))?;
-        if flagship {
-            capture_end = end;
-        }
+        let (mib_s, entries, bytes) = small_write_run(cfg, flagship.then_some(&capture))?;
         let wa = (bytes + entries * 4096) as f64 / (16_384.0 * 4096.0);
         rows.push(vec![
             label.to_string(),
@@ -115,7 +99,7 @@ fn main() -> bench::BenchResult {
             stripe_unit_sectors: su,
             ..RaiznConfig::default()
         };
-        let (mib_s, entries, bytes, _) = small_write_run(cfg, None)?;
+        let (mib_s, entries, bytes) = small_write_run(cfg, None)?;
         rows.push(vec![
             bs_label(su),
             format!("{mib_s:.0}"),
@@ -129,6 +113,6 @@ fn main() -> bench::BenchResult {
         &rows,
     );
 
-    capture.finish(capture_end)?;
+    capture.finish()?;
     bench::write_breakdown("ablations")
 }

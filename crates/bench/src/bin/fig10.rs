@@ -14,9 +14,9 @@
 //!
 //! Each system emits a `BENCH_fig10_<system>_timeline.json` artifact
 //! covering the overwrite phase (the phase the paper plots): per-window
-//! throughput and stage percentiles plus device/FTL/array gauges, and the
-//! log-structured run a `BENCH_fig10_spans.json` blame artifact. The
-//! `report` binary renders and gates them (`scripts/check.sh`).
+//! throughput and stage percentiles, and the log-structured run a
+//! `BENCH_fig10_spans.json` blame artifact. The `report` binary renders
+//! and gates them (`scripts/check.sh`).
 
 use bench::{print_table, TimelineRun};
 use lsraid::LsConfig;
@@ -44,12 +44,7 @@ fn run_overwrite(
                 .queue_depth(32)
         })
         .collect();
-    let depth = workloads::PipelineDepth::new();
-    capture.register(depth.clone());
-    let mut e = Engine::new(10)
-        .sample_interval(SimDuration::from_millis(100))
-        .timeline(capture.timeline())
-        .depth_gauge(depth.clone());
+    let mut e = Engine::new(10).sample_interval(SimDuration::from_millis(100));
     let p1 = e.run(target, &phase1)?;
     // The paper's figure plots the overwrite phase; scope the timeline
     // artifact to it so its windows are not diluted by the concurrent
@@ -61,11 +56,9 @@ fn run_overwrite(
         .queue_depth(32)];
     let mut e2 = Engine::new(11)
         .start_at(p1.end)
-        .sample_interval(SimDuration::from_millis(100))
-        .timeline(capture.timeline())
-        .depth_gauge(depth);
+        .sample_interval(SimDuration::from_millis(100));
     let p2 = e2.run(target, &phase2)?;
-    capture.write_to(std::path::Path::new("."), p2.end)?;
+    capture.write_to(std::path::Path::new("."))?;
 
     let mut rows = Vec::new();
     let collect = |rows: &mut Vec<Vec<String>>, rep: &workloads::RunReport, phase: &str| {

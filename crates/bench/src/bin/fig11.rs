@@ -19,10 +19,8 @@ const BLOCK_SIZES: [u64; 5] = [1, 4, 16, 64, 256];
 
 fn main() -> bench::BenchResult {
     let threads = bench::threads_arg("fig11")?;
-    // Timeline capture rides on the flagship degraded random-read run;
-    // its gauges show the degraded flag and reconstruction load.
+    // Timeline capture rides on the flagship degraded random-read run.
     let capture = TimelineRun::new("fig11");
-    let mut capture_end = SimTime::ZERO;
     let mut rows = Vec::new();
     for micro in [Micro::SeqRead, Micro::RandRead] {
         for bs in BLOCK_SIZES {
@@ -36,23 +34,19 @@ fn main() -> bench::BenchResult {
             let start = prime(&rt, SimTime::ZERO)?;
             raizn.fail_device(0).unwrap();
             let align = rt.volume().geometry().zone_cap();
-            let timeline = flagship.then(|| capture.timeline());
-            let r = run_micro(&rt, micro, bs, align, start, timeline, threads)?;
-            if flagship {
-                capture_end = r.end;
-            }
+            let r = run_micro(&rt, micro, bs, align, start, threads)?;
 
             let md = mdraid_volume(ZONES as u64 * ZONE_SECTORS, SU)?;
             let mt = BlockTarget::new(md.clone());
             let start = prime(&mt, SimTime::ZERO)?;
             md.fail_device(0);
-            let m = run_micro(&mt, micro, bs, align, start, None, threads)?;
+            let m = run_micro(&mt, micro, bs, align, start, threads)?;
 
             let ls = lsraid_volume(ZONES, ZONE_SECTORS, LsConfig::default().stripe_unit(SU))?;
             let lt = ZonedTarget::new(ls.clone());
             let start = prime(&lt, SimTime::ZERO)?;
             ls.fail_device(0)?;
-            let l = run_micro(&lt, micro, bs, align, start, None, threads)?;
+            let l = run_micro(&lt, micro, bs, align, start, threads)?;
 
             rows.push(vec![
                 micro.name().to_string(),
@@ -75,6 +69,6 @@ fn main() -> bench::BenchResult {
         &rows,
     );
 
-    capture.finish(capture_end)?;
+    capture.finish()?;
     bench::write_breakdown("fig11")
 }

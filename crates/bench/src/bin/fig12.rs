@@ -47,11 +47,9 @@ fn fill(target: &dyn IoTarget, fraction: f64) -> bench::BenchResult<SimTime> {
 fn main() -> bench::BenchResult {
     // Timeline capture rides on the full-data RAIZN rebuild: the rebuild
     // is volume-driven (no engine loop), so windows come from recorded
-    // spans and gauges from phase-boundary samples.
+    // spans.
     let capture = TimelineRun::new("fig12");
-    let mut capture_end = SimTime::ZERO;
     let ls_capture = TimelineRun::new("fig12_lsraid");
-    let mut ls_capture_end = SimTime::ZERO;
     let mut rows = Vec::new();
     for fraction in [0.125, 0.25, 0.5, 0.75, 1.0] {
         let flagship = fraction == 1.0;
@@ -64,14 +62,8 @@ fn main() -> bench::BenchResult {
         let rt = ZonedTarget::new(raizn.clone());
         let t = fill(&rt, fraction)?;
         raizn.fail_device(0).unwrap();
-        if flagship {
-            capture.timeline().force_sample(t);
-        }
         let replacement: Arc<ZnsDevice> = zns_devices(1, ZONES, ZONE_SECTORS).remove(0);
         let report = raizn.rebuild(t, replacement)?;
-        if flagship {
-            capture_end = t + report.duration;
-        }
 
         // mdraid: fill, fail, resync.
         let md = mdraid_volume(ZONES as u64 * ZONE_SECTORS, 16)?;
@@ -95,15 +87,11 @@ fn main() -> bench::BenchResult {
         ls.fail_device(0)?;
         if flagship {
             ls_capture.reset_capture();
-            ls_capture.timeline().force_sample(t);
         }
         let reclaims = ls.stats().group_reclaims;
         let replacement: Arc<ZnsDevice> = zns_devices(1, ZONES, ZONE_SECTORS).remove(0);
         let ls_report = ls.rebuild(t, replacement)?;
         let dead = ls.stats().group_reclaims - reclaims;
-        if flagship {
-            ls_capture_end = t + ls_report.duration;
-        }
 
         let gib = |bytes: u64| format!("{:.2}", bytes as f64 / (1 << 30) as f64);
         rows.push(vec![
@@ -132,7 +120,7 @@ fn main() -> bench::BenchResult {
         &rows,
     );
 
-    capture.finish(capture_end)?;
-    ls_capture.finish(ls_capture_end)?;
+    capture.finish()?;
+    ls_capture.finish()?;
     bench::write_breakdown("fig12")
 }

@@ -14,8 +14,8 @@ use std::sync::Arc;
 use zkv::{DbBench, DbWorkload, ZkvConfig, ZkvStore};
 use zns::ZonedVolume;
 
-/// Rows of (workload label, kops/s, MiB/s) plus the run's end time.
-type SuiteRows = (Vec<(String, f64, f64)>, SimTime);
+/// Rows of (workload label, ops/s, p99 us).
+type SuiteRows = Vec<(String, f64, f64)>;
 
 const ZONES: u32 = 64;
 const ZONE_SECTORS: u64 = 4096; // 1 GiB per device
@@ -23,8 +23,8 @@ const OPS: u64 = 20_000;
 
 /// Runs the four db_bench workloads. `capture` (when present) rides on
 /// the store that serves the three chained workloads; zkv drives the
-/// volume directly (no engine loop), so gauges are force-sampled at
-/// workload boundaries while windows come from the recorded volume spans.
+/// volume directly (no engine loop), so windows come from the recorded
+/// volume spans.
 fn run_suite<V: ZonedVolume>(
     mk: impl Fn(Option<&TimelineRun>) -> bench::BenchResult<Arc<V>>,
     value_size: usize,
@@ -52,9 +52,6 @@ fn run_suite<V: ZonedVolume>(
     ] {
         let r = bench.run(&store, wl, t)?;
         t = r.end;
-        if let Some(c) = capture {
-            c.timeline().force_sample(t);
-        }
         let p99 = if wl == DbWorkload::ReadWhileWriting {
             r.read_latency.percentile(99.0)
         } else {
@@ -66,17 +63,16 @@ fn run_suite<V: ZonedVolume>(
             p99.as_secs_f64() * 1e6,
         ));
     }
-    Ok((out, t))
+    Ok(out)
 }
 
 fn main() -> bench::BenchResult {
     // Timeline capture rides on the flagship suite: 4000-byte values on
     // zkv-over-RAIZN, chained fillrandom/overwrite/readwhilewriting.
     let capture = TimelineRun::new("fig13");
-    let mut capture_end = SimTime::ZERO;
     for value_size in [4000usize, 8000] {
         let flagship = value_size == 4000;
-        let (raizn, rz_end) = run_suite(
+        let raizn = run_suite(
             |c| match c {
                 Some(c) => c.raizn_volume(ZONES, ZONE_SECTORS, 16),
                 None => raizn_volume(ZONES, ZONE_SECTORS, 16),
@@ -84,15 +80,12 @@ fn main() -> bench::BenchResult {
             value_size,
             flagship.then_some(&capture),
         )?;
-        if flagship {
-            capture_end = rz_end;
-        }
-        let (lsr, _) = run_suite(
+        let lsr = run_suite(
             |_| lsraid_volume(ZONES, ZONE_SECTORS, LsConfig::default()),
             value_size,
             None,
         )?;
-        let (mdraid, _) = run_suite(
+        let mdraid = run_suite(
             |_| {
                 // The stripe cache is scaled with the dataset: the paper's
                 // database is ~3000x md's 128 MiB cache, so a full-size
@@ -150,6 +143,6 @@ fn main() -> bench::BenchResult {
         );
     }
 
-    capture.finish(capture_end)?;
+    capture.finish()?;
     bench::write_breakdown("fig13")
 }

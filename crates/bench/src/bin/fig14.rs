@@ -10,8 +10,8 @@ use std::sync::Arc;
 use zkv::{OltpBench, OltpMix, ZkvConfig, ZkvStore};
 use zns::ZonedVolume;
 
-/// Rows of (mix label, ktx/s, read MiB/s, write MiB/s) plus the run's end time.
-type MixRows = (Vec<(String, f64, f64, f64)>, SimTime);
+/// Rows of (mix label, TPS, average ms, p95 ms).
+type MixRows = Vec<(String, f64, f64, f64)>;
 
 const ZONES: u32 = 64;
 const ZONE_SECTORS: u64 = 4096;
@@ -19,15 +19,13 @@ const TABLES: u32 = 8;
 const ROWS: u64 = 10_000; // paper: 10M; scaled for simulation
 
 /// Runs the three OLTP mixes. `capture` rides on the read_write mix
-/// (the mix that exercises both planes); zkv drives the volume directly,
-/// so gauges are force-sampled at prepare/run boundaries.
+/// (the mix that exercises both planes).
 fn run_mixes<V: ZonedVolume>(
     mk: impl Fn(Option<&TimelineRun>) -> bench::BenchResult<Arc<V>>,
     threads: usize,
     capture: Option<&TimelineRun>,
 ) -> bench::BenchResult<MixRows> {
     let mut out = Vec::new();
-    let mut end = SimTime::ZERO;
     for mix in [OltpMix::ReadOnly, OltpMix::WriteOnly, OltpMix::ReadWrite] {
         let cap = capture.filter(|_| mix == OltpMix::ReadWrite);
         // Fresh database per trial, like the paper.
@@ -35,14 +33,7 @@ fn run_mixes<V: ZonedVolume>(
         let mut bench = OltpBench::new(TABLES, ROWS, threads);
         bench.duration = SimDuration::from_secs(5);
         let t = bench.prepare(&store, SimTime::ZERO)?;
-        if let Some(c) = cap {
-            c.timeline().force_sample(t);
-        }
         let r = bench.run(&store, mix, t)?;
-        if let Some(c) = cap {
-            c.timeline().force_sample(r.end);
-            end = r.end;
-        }
         out.push((
             mix.name().to_string(),
             r.tps(),
@@ -50,17 +41,16 @@ fn run_mixes<V: ZonedVolume>(
             r.latency.percentile(95.0).as_secs_f64() * 1e3,
         ));
     }
-    Ok((out, end))
+    Ok(out)
 }
 
 fn main() -> bench::BenchResult {
     // Timeline capture rides on the flagship trial: 64-thread
     // oltp_read_write on zkv-over-RAIZN.
     let capture = TimelineRun::new("fig14");
-    let mut capture_end = SimTime::ZERO;
     for threads in [64usize, 128] {
         let flagship = threads == 64;
-        let (raizn, rz_end) = run_mixes(
+        let raizn = run_mixes(
             |c| match c {
                 Some(c) => c.raizn_volume(ZONES, ZONE_SECTORS, 16),
                 None => raizn_volume(ZONES, ZONE_SECTORS, 16),
@@ -68,10 +58,7 @@ fn main() -> bench::BenchResult {
             threads,
             flagship.then_some(&capture),
         )?;
-        if flagship {
-            capture_end = rz_end;
-        }
-        let (mdraid, _) = run_mixes(
+        let mdraid = run_mixes(
             |_| {
                 // Stripe cache scaled with the dataset (see fig13).
                 let devices: Vec<Arc<dyn BlockDevice>> =
@@ -121,6 +108,6 @@ fn main() -> bench::BenchResult {
         );
     }
 
-    capture.finish(capture_end)?;
+    capture.finish()?;
     bench::write_breakdown("fig14")
 }

@@ -14,7 +14,6 @@ fn main() -> bench::BenchResult {
     // Timeline capture rides on the flagship configuration (largest
     // stripe unit and block size, sequential write).
     let capture = TimelineRun::new("fig7");
-    let mut capture_end = SimTime::ZERO;
     for micro in [Micro::SeqWrite, Micro::SeqRead, Micro::RandRead] {
         let mut rows = Vec::new();
         for su in STRIPE_UNITS {
@@ -32,11 +31,7 @@ fn main() -> bench::BenchResult {
                 } else {
                     prime(&t, SimTime::ZERO)?
                 };
-                let timeline = flagship.then(|| capture.timeline());
-                let r = run_micro(&t, micro, bs, su * 4, start, timeline, threads)?;
-                if flagship {
-                    capture_end = r.end;
-                }
+                let r = run_micro(&t, micro, bs, su * 4, start, threads)?;
                 cells.push(format!("{:.0}", r.throughput_mib_s()));
             }
             rows.push(cells);
@@ -55,6 +50,6 @@ fn main() -> bench::BenchResult {
         );
     }
 
-    capture.finish(capture_end)?;
+    capture.finish()?;
     bench::write_breakdown("fig7")
 }

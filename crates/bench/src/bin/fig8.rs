@@ -16,7 +16,6 @@ fn main() -> bench::BenchResult {
     // Timeline capture rides on the flagship configuration (largest
     // stripe unit and block size, sequential write).
     let capture = TimelineRun::new("fig8");
-    let mut capture_end = SimTime::ZERO;
     for micro in [Micro::SeqWrite, Micro::SeqRead, Micro::RandRead] {
         let mut rows = Vec::new();
         for su in STRIPE_UNITS {
@@ -35,11 +34,7 @@ fn main() -> bench::BenchResult {
                     prime(&t, SimTime::ZERO)?
                 };
                 let align = t.volume().geometry().zone_cap();
-                let timeline = flagship.then(|| capture.timeline());
-                let r = run_micro(&t, micro, bs, align, start, timeline, threads)?;
-                if flagship {
-                    capture_end = r.end;
-                }
+                let r = run_micro(&t, micro, bs, align, start, threads)?;
                 cells.push(format!("{:.0}", r.throughput_mib_s()));
             }
             rows.push(cells);
@@ -58,6 +53,6 @@ fn main() -> bench::BenchResult {
         );
     }
 
-    capture.finish(capture_end)?;
+    capture.finish()?;
     bench::write_breakdown("fig8")
 }

@@ -21,8 +21,6 @@ fn main() -> bench::BenchResult {
     // (sequential write, 1 MiB blocks).
     let rz_capture = TimelineRun::new("fig9_raizn");
     let md_capture = TimelineRun::new("fig9_mdraid");
-    let mut rz_end = SimTime::ZERO;
-    let mut md_end = SimTime::ZERO;
     let mut rows = Vec::new();
     for micro in [Micro::SeqWrite, Micro::SeqRead, Micro::RandRead] {
         for bs in BLOCK_SIZES {
@@ -41,11 +39,7 @@ fn main() -> bench::BenchResult {
                 prime(&rt, SimTime::ZERO)?
             };
             let align = rt.volume().geometry().zone_cap();
-            let timeline = flagship.then(|| rz_capture.timeline());
-            let r = run_micro(&rt, micro, bs, align, start, timeline, threads)?;
-            if flagship {
-                rz_end = r.end;
-            }
+            let r = run_micro(&rt, micro, bs, align, start, threads)?;
 
             // mdraid on fresh conventional SSDs of the same capacity.
             let md = if flagship {
@@ -59,11 +53,7 @@ fn main() -> bench::BenchResult {
             } else {
                 prime(&mt, SimTime::ZERO)?
             };
-            let timeline = flagship.then(|| md_capture.timeline());
-            let m = run_micro(&mt, micro, bs, align, start, timeline, threads)?;
-            if flagship {
-                md_end = m.end;
-            }
+            let m = run_micro(&mt, micro, bs, align, start, threads)?;
 
             rows.push(vec![
                 micro.name().to_string(),
@@ -85,7 +75,7 @@ fn main() -> bench::BenchResult {
         &rows,
     );
 
-    rz_capture.finish(rz_end)?;
-    md_capture.finish(md_end)?;
+    rz_capture.finish()?;
+    md_capture.finish()?;
     bench::write_breakdown("fig9")
 }

@@ -11,11 +11,10 @@
 //!   RAIZN writes with tracing enabled (simulated device time costs
 //!   nothing real).
 //! - `allocs_per_full_stripe_write`: heap allocations per full-stripe
-//!   write after warm-up, **with an unsampled windowed recorder and a
-//!   gauge timeline attached** (gate: 0 — stripe-buffer pool, pooled
-//!   metadata scratch, the fixed-size trace ring, preallocated window
-//!   digests and preallocated gauge series make the steady state
-//!   allocation-free).
+//!   write after warm-up, **with an unsampled windowed recorder
+//!   attached** (gate: 0 — stripe-buffer pool, pooled metadata scratch,
+//!   the fixed-size trace ring and preallocated window digests make the
+//!   steady state allocation-free).
 //! - `gf_encode_pq_gib_s` / `rs_decode_gib_s`: the stripe codec alone —
 //!   data bytes per second through the fused P+Q encode of a 3 × 64 KiB
 //!   stripe, and rebuilt bytes per second through a two-data-erasure
@@ -90,9 +89,9 @@
 //!   (gate: 0 — per-zone manager state is preallocated and the pump's
 //!   zone scan touches only atomics).
 //! - `trace_overhead_ns_per_write` / `trace_overhead_pct`: what the
-//!   observed write path (unsampled tracing + tumbling windows +
-//!   per-write timeline polling) costs over an identical unobserved
-//!   volume, per full-stripe write and as a share of it. The design
+//!   observed write path (unsampled tracing + tumbling windows + span
+//!   trees) costs over an identical unobserved volume, per full-stripe
+//!   write and as a share of it. The design
 //!   budget is < 5% of a write. It was gated as such while a write cost
 //!   24 us; the plane has not changed, the write now costs 5 us, and the
 //!   share reads 10-20% — over budget, said so in a notice on every run
@@ -109,7 +108,7 @@
 //!
 //! Also emits `BENCH_hotpath_breakdown.json` (per-stage latency breakdown
 //! of the traced rounds) and `BENCH_hotpath_timeline.json` (window
-//! digests and gauge series captured while the gate ran).
+//! digests captured while the gate ran).
 
 use bench::gate;
 use bench::lsgc::phase_waf;
@@ -208,9 +207,8 @@ fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
 }
 
 /// Who observes a fresh array: a recorder every layer records into
-/// (unsampled, so the traced configuration is the worst case) and the
-/// timeline every layer registers its gauges on.
-type Observe<'a> = Option<(&'a Arc<obs::Recorder>, &'a Arc<obs::Timeline>)>;
+/// (unsampled, so the traced configuration is the worst case).
+type Observe<'a> = Option<&'a Arc<obs::Recorder>>;
 
 /// Five fresh accounting-only devices, observed when asked.
 fn fresh_devices(observe: Observe<'_>, zones: u32, zone_sectors: u64) -> Vec<Arc<ZnsDevice>> {
@@ -223,9 +221,8 @@ fn fresh_devices(observe: Observe<'_>, zones: u32, zone_sectors: u64) -> Vec<Arc
                     .store_data(false)
                     .build(),
             ));
-            if let Some((rec, tl)) = observe {
+            if let Some(rec) = observe {
                 dev.set_recorder(rec.clone(), i);
-                tl.register(dev.clone());
             }
             dev
         })
@@ -248,9 +245,8 @@ fn fresh_volume(
         },
         SimTime::ZERO,
     )?);
-    if let Some((rec, tl)) = observe {
+    if let Some(rec) = observe {
         vol.set_recorder(rec.clone());
-        tl.register(vol.clone());
     }
     Ok(vol)
 }
@@ -267,9 +263,8 @@ fn fresh_ls_volume(
         LsConfig::default().parity(parity),
         SimTime::ZERO,
     )?);
-    if let Some((rec, tl)) = observe {
+    if let Some(rec) = observe {
         vol.set_recorder(rec.clone());
-        tl.register(vol.clone());
     }
     Ok(vol)
 }
@@ -290,22 +285,17 @@ fn rotation_ms(vol: &LsVolume) -> bench::BenchResult<f64> {
 }
 
 /// Issues `iters` contiguous writes of `data` starting at `*lba`,
-/// returning (ns per write, heap allocations observed). When `timeline`
-/// is given it is polled once per write, like the workload engine does.
+/// returning (ns per write, heap allocations observed).
 fn write_round(
     vol: &dyn ZonedVolume,
     lba: &mut u64,
     data: &[u8],
     iters: u64,
-    timeline: Option<&obs::Timeline>,
 ) -> bench::BenchResult<(f64, u64)> {
     let a0 = allocs();
     let t0 = Instant::now();
     for _ in 0..iters {
         vol.write(SimTime::ZERO, *lba, data, WriteFlags::default())?;
-        if let Some(tl) = timeline {
-            tl.maybe_sample(SimTime::ZERO);
-        }
         *lba += data.len() as u64 / 4096;
     }
     let ns = t0.elapsed().as_nanos() as f64 / iters as f64;
@@ -436,9 +426,9 @@ fn main() -> bench::BenchResult {
     // --- Write path: steady-state full-stripe writes --------------------
     // Two identical single-parity volumes, one unobserved and one with
     // the full observability plane attached — unsampled tracing
-    // (sample_every = 1), tumbling windows, and a gauge timeline polled
-    // per write — plus an observed dual-parity (RAIZN-2) volume and two
-    // observed log-structured ones (whole-stripe and one-unit appends).
+    // (sample_every = 1), tumbling windows and span trees — plus an
+    // observed dual-parity (RAIZN-2) volume and two observed
+    // log-structured ones (whole-stripe and one-unit appends).
     // Rounds interleave so all of them see the same machine conditions;
     // the minimum round of each is compared.
     let recorder = obs::Recorder::new(65_536, 1);
@@ -450,12 +440,11 @@ fn main() -> bench::BenchResult {
         slow: None,
         keep_slowest: None,
     });
-    let timeline = obs::Timeline::new(bench::TIMELINE_WINDOW);
     let untraced = fresh_volume(None, 1, 16)?;
-    let traced = fresh_volume(Some((&recorder, &timeline)), 1, 16)?;
-    let raizn2 = fresh_volume(Some((&recorder, &timeline)), 2, 16)?;
-    let lsr = fresh_ls_volume(Some((&recorder, &timeline)), 1, 32, 4096)?;
-    let lsr_partial = fresh_ls_volume(Some((&recorder, &timeline)), 1, 32, 4096)?;
+    let traced = fresh_volume(Some(&recorder), 1, 16)?;
+    let raizn2 = fresh_volume(Some(&recorder), 2, 16)?;
+    let lsr = fresh_ls_volume(Some(&recorder), 1, 32, 4096)?;
+    let lsr_partial = fresh_ls_volume(Some(&recorder), 1, 32, 4096)?;
     let stripe_sectors = 64u64; // 4 data units x 16 sectors
     let stripe_bytes = (stripe_sectors * 4096) as usize;
     let data = vec![0u8; stripe_bytes];
@@ -465,19 +454,12 @@ fn main() -> bench::BenchResult {
     let (mut lba_u, mut lba_t, mut lba2) = (0u64, 0u64, 0u64);
     let (mut lba_l, mut lba_lp) = (0u64, 0u64);
     // Warm-up: a few stripes so the pooled parity columns and metadata
-    // scratch on every volume reach their steady-state capacities (the
-    // timeline takes its one due sample here, outside the timed rounds).
-    write_round(untraced.as_ref(), &mut lba_u, &data, 8, None)?;
-    write_round(traced.as_ref(), &mut lba_t, &data, 8, Some(&timeline))?;
-    write_round(raizn2.as_ref(), &mut lba2, r2_data, 8, Some(&timeline))?;
-    write_round(lsr.as_ref(), &mut lba_l, &data, 8, Some(&timeline))?;
-    write_round(
-        lsr_partial.as_ref(),
-        &mut lba_lp,
-        one_unit,
-        8,
-        Some(&timeline),
-    )?;
+    // scratch on every volume reach their steady-state capacities.
+    write_round(untraced.as_ref(), &mut lba_u, &data, 8)?;
+    write_round(traced.as_ref(), &mut lba_t, &data, 8)?;
+    write_round(raizn2.as_ref(), &mut lba2, r2_data, 8)?;
+    write_round(lsr.as_ref(), &mut lba_l, &data, 8)?;
+    write_round(lsr_partial.as_ref(), &mut lba_lp, one_unit, 8)?;
     let ls_pre = lsr.stats();
 
     // 8 + 8 x 30 stripes, plus the partial writes below, stay inside each
@@ -493,29 +475,11 @@ fn main() -> bench::BenchResult {
     let mut ls_partial_ns = f64::INFINITY;
     let (mut full_allocs, mut r2_full_allocs, mut ls_allocs) = (0u64, 0u64, 0u64);
     for _ in 0..ROUNDS {
-        let (nu, au) = write_round(untraced.as_ref(), &mut lba_u, &data, full_iters, None)?;
-        let (nt, at) = write_round(
-            traced.as_ref(),
-            &mut lba_t,
-            &data,
-            full_iters,
-            Some(&timeline),
-        )?;
-        let (n2, a2) = write_round(
-            raizn2.as_ref(),
-            &mut lba2,
-            r2_data,
-            full_iters,
-            Some(&timeline),
-        )?;
-        let (nl, al) = write_round(lsr.as_ref(), &mut lba_l, &data, full_iters, Some(&timeline))?;
-        let (np, _) = write_round(
-            lsr_partial.as_ref(),
-            &mut lba_lp,
-            one_unit,
-            full_iters,
-            Some(&timeline),
-        )?;
+        let (nu, au) = write_round(untraced.as_ref(), &mut lba_u, &data, full_iters)?;
+        let (nt, at) = write_round(traced.as_ref(), &mut lba_t, &data, full_iters)?;
+        let (n2, a2) = write_round(raizn2.as_ref(), &mut lba2, r2_data, full_iters)?;
+        let (nl, al) = write_round(lsr.as_ref(), &mut lba_l, &data, full_iters)?;
+        let (np, _) = write_round(lsr_partial.as_ref(), &mut lba_lp, one_unit, full_iters)?;
         gate!(au == 0, "untraced steady-state writes allocate: {au}");
         untraced_ns = untraced_ns.min(nu);
         traced_ns = traced_ns.min(nt);
@@ -551,13 +515,11 @@ fn main() -> bench::BenchResult {
     // The dual-parity volume holds the same budget: the Q column and the
     // second partial-parity leg draw from the same pools as P.
     let four_k = &data[..4096];
-    write_round(traced.as_ref(), &mut lba_t, four_k, 8, Some(&timeline))?;
-    let (_, partial_allocs) =
-        write_round(traced.as_ref(), &mut lba_t, four_k, 64, Some(&timeline))?;
+    write_round(traced.as_ref(), &mut lba_t, four_k, 8)?;
+    let (_, partial_allocs) = write_round(traced.as_ref(), &mut lba_t, four_k, 64)?;
     let allocs_per_partial = partial_allocs as f64 / 64.0;
-    write_round(raizn2.as_ref(), &mut lba2, four_k, 8, Some(&timeline))?;
-    let (_, r2_partial_allocs) =
-        write_round(raizn2.as_ref(), &mut lba2, four_k, 64, Some(&timeline))?;
+    write_round(raizn2.as_ref(), &mut lba2, four_k, 8)?;
+    let (_, r2_partial_allocs) = write_round(raizn2.as_ref(), &mut lba2, four_k, 64)?;
     let allocs_per_partial_p2 = r2_partial_allocs as f64 / 64.0;
 
     // FUA: the same write, then a flush of every device that holds an
@@ -581,13 +543,13 @@ fn main() -> bench::BenchResult {
     for (parity, unit) in [(1u32, 16u64), (1, 64), (2, 16), (2, 64)] {
         let vol = fresh_volume(None, parity, unit)?;
         let mut lba = 0u64;
-        write_round(vol.as_ref(), &mut lba, four_k, 64, None)?;
+        write_round(vol.as_ref(), &mut lba, four_k, 64)?;
         sub.push((vol, lba));
     }
     let mut sub_ns = [f64::INFINITY; 4];
     for _ in 0..ROUNDS {
         for ((vol, lba), best) in sub.iter_mut().zip(&mut sub_ns) {
-            let (ns, _) = write_round(vol.as_ref(), lba, four_k, 1024, None)?;
+            let (ns, _) = write_round(vol.as_ref(), lba, four_k, 1024)?;
             *best = best.min(ns);
         }
     }
@@ -603,10 +565,10 @@ fn main() -> bench::BenchResult {
     let mut unit = vec![0u8; 16 * 4096];
     let mut degraded_allocs = [0f64; 2];
     for (parity, sectors, slot) in [(1u32, stripe_sectors, 0usize), (2, r2_stripe_sectors, 1)] {
-        let vol = fresh_volume(Some((&recorder, &timeline)), parity, 16)?;
+        let vol = fresh_volume(Some(&recorder), parity, 16)?;
         let mut lba = 0u64;
         let payload = &data[..(sectors * 4096) as usize];
-        write_round(vol.as_ref(), &mut lba, payload, 10, Some(&timeline))?;
+        write_round(vol.as_ref(), &mut lba, payload, 10)?;
         for dev in 0..parity as usize {
             vol.fail_device(2 * dev)?;
         }
@@ -625,11 +587,11 @@ fn main() -> bench::BenchResult {
     // layer; it counts them on the recorder.
     let mut ls_degraded_allocs = [0f64; 2];
     for (parity, slot) in [(1u32, 0usize), (2, 1)] {
-        let vol = fresh_ls_volume(Some((&recorder, &timeline)), parity, 32, 4096)?;
+        let vol = fresh_ls_volume(Some(&recorder), parity, 32, 4096)?;
         let sectors = vol.stripe_data_sectors();
         let mut lba = 0u64;
         let payload = &data[..(sectors * 4096) as usize];
-        write_round(vol.as_ref(), &mut lba, payload, 10, Some(&timeline))?;
+        write_round(vol.as_ref(), &mut lba, payload, 10)?;
         for dev in 0..parity as usize {
             vol.fail_device(2 * dev)?;
         }
@@ -654,7 +616,7 @@ fn main() -> bench::BenchResult {
     // stripes only, so no whole-stripe encode ever ran there.
     let (mut fresh_write_allocs, mut fresh_read_allocs) = (0u64, 0u64);
     for (parity, sectors) in [(1u32, stripe_sectors), (2, r2_stripe_sectors)] {
-        let vol = fresh_volume(Some((&recorder, &timeline)), parity, 16)?;
+        let vol = fresh_volume(Some(&recorder), parity, 16)?;
         let zone = |z: u64| z * vol.geometry().zone_cap();
         let (whole, half) = (&data[..(sectors * 4096) as usize], sectors / 2);
         let (head, tail) = whole.split_at((half * 4096) as usize);
@@ -722,7 +684,6 @@ fn main() -> bench::BenchResult {
     for _ in 0..mgr_iters {
         traced.write(SimTime::ZERO, lba_m, &data, WriteFlags::default())?;
         lba_m += stripe_sectors;
-        timeline.maybe_sample(SimTime::ZERO);
         manager.pump(SimTime::ZERO)?;
     }
     let allocs_per_managed = (allocs() - m0) as f64 / mgr_iters as f64;
@@ -850,10 +811,9 @@ fn main() -> bench::BenchResult {
         recorder.breakdown_json("hotpath"),
     )?;
     println!("\nlatency breakdown -> BENCH_hotpath_breakdown.json");
-    timeline.force_sample(SimTime::ZERO);
     std::fs::write(
         "BENCH_hotpath_timeline.json",
-        obs::timeline_json("hotpath", &recorder, Some(&timeline), zns::SECTOR_SIZE),
+        obs::timeline_json("hotpath", &recorder, zns::SECTOR_SIZE),
     )?;
     println!("timeline -> BENCH_hotpath_timeline.json");
     gate!(

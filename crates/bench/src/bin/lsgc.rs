@@ -63,23 +63,16 @@ fn main() -> bench::BenchResult {
     // garbage distribution reaches steady state. Both phases are
     // unmeasured; the capture is scoped to the sustained phase after.
     let prefill: Vec<u64> = (0..total_blocks).map(|b| b * BLOCK).collect();
-    let (_, t) = drive(&run, &sched, SimTime::ZERO, &prefill, &block, None)?;
+    let (_, t) = drive(&sched, SimTime::ZERO, &prefill, &block, None)?;
     let t = vol.flush(t)?.done;
     let mut mgr = GcManager::new(vol.clone(), gc_config());
     let mut sink = QosGcSink::new(&sched);
     let aging = overwrite_offsets(total_blocks, AGE_OPS, SEED ^ 0xA6E);
-    let (_, t) = drive(&run, &sched, t, &aging, &block, Some((&mut mgr, &mut sink)))?;
+    let (_, t) = drive(&sched, t, &aging, &block, Some((&mut mgr, &mut sink)))?;
     run.reset_capture();
 
     let pre = vol.stats();
-    let (ls_windows, ls_end) = drive(
-        &run,
-        &sched,
-        t,
-        &offsets,
-        &block,
-        Some((&mut mgr, &mut sink)),
-    )?;
+    let (ls_windows, ls_end) = drive(&sched, t, &offsets, &block, Some((&mut mgr, &mut sink)))?;
     let post = vol.stats();
 
     let pp_log = run.recorder().count(obs::Counter::PpLogWrites);
@@ -116,7 +109,7 @@ fn main() -> bench::BenchResult {
         "lsraid band ratio {ls_flat:.3} under sustained overwrite (need >= {FLAT_MIN})"
     );
     bench::write_spans("lsgc", &run.recorder())?;
-    run.finish(ls_end)?;
+    run.finish()?;
 
     // ------------------------------------------------------------------
     // mdraid-5 baseline: identical op sequence, conventional SSDs.
@@ -125,9 +118,9 @@ fn main() -> bench::BenchResult {
     // Match the log-structured logical capacity (4 data devices).
     let md = md_run.mdraid_volume(total_sectors / 4, 16)?;
     let md_sched = lsgc_scheduler(&md_run, Arc::new(BlockTarget::new(md)))?;
-    let (_, mt) = drive(&md_run, &md_sched, SimTime::ZERO, &prefill, &block, None)?;
+    let (_, mt) = drive(&md_sched, SimTime::ZERO, &prefill, &block, None)?;
     md_run.reset_capture();
-    let (md_windows, md_end) = drive(&md_run, &md_sched, mt, &offsets, &block, None)?;
+    let (md_windows, md_end) = drive(&md_sched, mt, &offsets, &block, None)?;
     let md = MdOutcome {
         windows_mib_s: md_windows,
         end: md_end,
@@ -143,7 +136,7 @@ fn main() -> bench::BenchResult {
         ls_flat > md_cliff,
         "lsraid band ({ls_flat:.3}) does not beat the mdraid cliff ({md_cliff:.3})"
     );
-    md_run.finish(md_end)?;
+    md_run.finish()?;
 
     bench::print_table(
         "Sustained skewed overwrite (median MiB/s, band ratio)",

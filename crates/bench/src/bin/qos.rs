@@ -18,10 +18,9 @@
 //!    ratio rises).
 //!
 //! Emits `BENCH_qos.json` (all numbers above, plus per-tenant
-//! accounting) and `BENCH_qos_timeline.json` (window digests and
-//! per-tenant scheduler gauges captured during the contended isolation
-//! phase). SLO gates over the JSON run in `report --qos` and are wired
-//! into `scripts/check.sh`.
+//! accounting) and `BENCH_qos_timeline.json` (window digests captured
+//! during the contended isolation phase). SLO gates over the JSON run in
+//! `report --qos` and are wired into `scripts/check.sh`.
 
 use bench::lifecycle::{join, tenant_json};
 use qos::{QosConfig, QosScheduler, TenantSnapshot, TenantSpec};
@@ -113,21 +112,15 @@ fn isolation() -> bench::BenchResult<Isolation> {
         .with_recorder(bench::recorder());
     let solo = Engine::new(0xA105).run_shared(&sched, &[victim_job(zc)])?;
 
-    // Contended run, with the scheduler's per-tenant gauges on the
-    // timeline artifact.
+    // Contended run, on the timeline artifact.
     let run = bench::TimelineRun::new("qos");
     let vol = run.raizn_volume(ZONES, ZONE_SECTORS, STRIPE_UNIT)?;
     let zc = vol.geometry().zone_cap();
-    let sched = Arc::new(
-        QosScheduler::new(Arc::new(ZonedTarget::new(vol)), sched_config(), tenants())?
-            .with_recorder(run.recorder()),
-    );
-    run.register(sched.clone());
-    let contended = run
-        .engine(0xA105)
-        .run_shared(sched.as_ref(), &[victim_job(zc), noisy_job(zc)])?;
+    let sched = QosScheduler::new(Arc::new(ZonedTarget::new(vol)), sched_config(), tenants())?
+        .with_recorder(run.recorder());
+    let contended = Engine::new(0xA105).run_shared(&sched, &[victim_job(zc), noisy_job(zc)])?;
     let tenants = sched.stats();
-    run.finish(contended.end)?;
+    run.finish()?;
     Ok(Isolation {
         solo,
         contended,

@@ -76,8 +76,6 @@ struct Run {
     /// Index range of the analysis windows within `windows`.
     active: std::ops::Range<usize>,
     whole_run_p99_ns: u64,
-    /// `(source.gauge, first mean, last mean, series count)`.
-    gauges: Vec<(String, f64, f64, usize)>,
 }
 
 impl Run {
@@ -137,41 +135,6 @@ fn load(path: &str) -> bench::BenchResult<Run> {
     let first = tputs.iter().position(|&t| t > 0.0).unwrap_or(0);
     let active = first..first + bench::lifecycle::active_windows(&tputs).len();
 
-    let mut gauges: Vec<(String, f64, f64, usize)> = Vec::new();
-    for g in doc
-        .get("gauges")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[])
-        .iter()
-    {
-        let name = format!(
-            "{}.{}",
-            g.get("source").and_then(Json::as_str).unwrap_or("?"),
-            g.get("gauge").and_then(Json::as_str).unwrap_or("?"),
-        );
-        let points = g.get("points").and_then(Json::as_arr).unwrap_or(&[]);
-        let value_of = |p: &Json| p.as_arr().and_then(|a| a.get(1)).and_then(Json::as_f64);
-        let (Some(first), Some(last)) = (
-            points.first().and_then(value_of),
-            points.last().and_then(value_of),
-        ) else {
-            continue;
-        };
-        match gauges.iter_mut().find(|(n, ..)| *n == name) {
-            Some((_, f, l, n)) => {
-                *f += first;
-                *l += last;
-                *n += 1;
-            }
-            None => gauges.push((name, first, last, 1)),
-        }
-    }
-    // Multiple series per gauge (one per device): report the mean.
-    for (_, f, l, n) in &mut gauges {
-        *f /= *n as f64;
-        *l /= *n as f64;
-    }
-
     Ok(Run {
         label,
         path: path.to_string(),
@@ -181,7 +144,6 @@ fn load(path: &str) -> bench::BenchResult<Run> {
         windows,
         active,
         whole_run_p99_ns,
-        gauges,
     })
 }
 
@@ -989,69 +951,6 @@ fn render(run: &Run) {
             v,
             bar(*v, max, BAR_WIDTH)
         );
-    }
-    if !run.gauges.is_empty() {
-        println!("   gauges (mean first -> mean last):");
-        for (name, first, last, n) in &run.gauges {
-            println!(
-                "     {name}: {first:.2} -> {last:.2}{}",
-                if *n > 1 {
-                    format!(" ({n} series)")
-                } else {
-                    String::new()
-                }
-            );
-        }
-    }
-    // Concurrency health: the sharded write pipeline's lock counters are
-    // cumulative (the last sample is the run total, wall-clock nanos —
-    // see obs::LockStats), and the engine's queue-depth gauge reports its
-    // high-water mark. Summed back over series (the parse step averaged).
-    let total_of = |suffix: &str| -> Option<f64> {
-        let mut sum = None;
-        for (name, _, last, n) in &run.gauges {
-            if name.ends_with(suffix) {
-                *sum.get_or_insert(0.0) += last * *n as f64;
-            }
-        }
-        sum
-    };
-    if let (Some(acq), Some(contended), Some(wait)) = (
-        total_of(".lock_acquisitions"),
-        total_of(".lock_contended"),
-        total_of(".lock_wait_ns"),
-    ) {
-        if acq > 0.0 {
-            println!(
-                "   lock contention: {acq:.0} acquisitions, {:.3}% contended, \
-                 {:.1} ns blocked per acquisition (wall clock)",
-                contended / acq * 100.0,
-                wait / acq,
-            );
-        }
-    }
-    if let Some(peak) = total_of(".pipeline_queue_depth_peak") {
-        println!("   pipeline queue depth peak: {peak:.0}");
-    }
-    // Redundancy health: the volume exports its failed-device count and
-    // rebuild progress as gauges; surface them so a run that ended
-    // degraded (or mid-rebuild) is impossible to miss in the report.
-    if let Some(failed) = total_of(".failed_devices") {
-        if failed > 0.0 {
-            println!(
-                "   DEGRADED: {failed:.0} device(s) still failed at end of run \
-                 (reads served via parity decode)"
-            );
-        }
-    }
-    if let Some(total) = total_of(".rebuild_zones_total") {
-        if total > 0.0 {
-            let done = total_of(".rebuild_zones_done").unwrap_or(0.0);
-            println!(
-                "   rebuild in flight: {done:.0}/{total:.0} zones ({:.0}%)",
-                done / total * 100.0
-            );
-        }
     }
 }
 

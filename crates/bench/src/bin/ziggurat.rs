@@ -25,7 +25,6 @@ use bench::lifecycle::{
     SprayOutcome, ACTIVE_LIMIT, SPRAY_ZONES, STRIPES_PER_ZONE,
 };
 use raizn::ZoneLifecycleManager;
-use std::sync::Arc;
 
 fn run(managed: bool) -> bench::BenchResult<SprayOutcome> {
     let name = if managed {
@@ -36,13 +35,9 @@ fn run(managed: bool) -> bench::BenchResult<SprayOutcome> {
     let run = bench::TimelineRun::new(name);
     let (volume, devices) = lifecycle_volume(&run, !managed)?;
     let sched = lifecycle_scheduler(&run, volume.clone())?;
-    let manager = managed.then(|| {
-        let mgr = Arc::new(ZoneLifecycleManager::new(volume.clone()));
-        run.register(mgr.clone());
-        mgr
-    });
-    let outcome = spray(&run, &volume, &devices, &sched, manager.as_deref())?;
-    run.finish(outcome.end)?;
+    let manager = managed.then(|| ZoneLifecycleManager::new(volume.clone()));
+    let outcome = spray(&run, &volume, &devices, &sched, manager.as_ref())?;
+    run.finish()?;
     Ok(outcome)
 }
 

@@ -307,7 +307,7 @@ mod tests {
             .leaf(obs::Span::new(obs::OpClass::Write, obs::Stage::WholeOp, start, end).sectors(8));
         let breakdown = Json::parse(&rec.breakdown_json("x")).unwrap();
         assert!(breakdown.get("stages").unwrap().get("whole_op").is_some());
-        let timeline = Json::parse(&obs::timeline_json("x", &rec, None, 4096)).unwrap();
+        let timeline = Json::parse(&obs::timeline_json("x", &rec, 4096)).unwrap();
         assert_eq!(timeline.get("kind").unwrap().as_str(), Some("timeline"));
         assert!(!timeline
             .get("windows")

@@ -226,8 +226,7 @@ pub const TIMELINE_WINDOW: SimDuration = SimDuration::from_millis(100);
 const TIMELINE_MAX_WINDOWS: usize = 8192;
 
 /// One timeline-enabled benchmark run: a private windowed [`obs::Recorder`]
-/// plus an [`obs::Timeline`] gauge registry covering one contiguous span
-/// of virtual time.
+/// covering one contiguous span of virtual time.
 ///
 /// Benchmarks that chain several sub-runs restart the virtual clock per
 /// sub-run, which would interleave unrelated runs into the same windows if
@@ -239,7 +238,6 @@ const TIMELINE_MAX_WINDOWS: usize = 8192;
 pub struct TimelineRun {
     name: String,
     recorder: Arc<obs::Recorder>,
-    timeline: Arc<obs::Timeline>,
 }
 
 impl TimelineRun {
@@ -251,7 +249,6 @@ impl TimelineRun {
         TimelineRun {
             name: name.to_string(),
             recorder,
-            timeline: obs::Timeline::new(TIMELINE_WINDOW),
         }
     }
 
@@ -260,18 +257,8 @@ impl TimelineRun {
         self.recorder.clone()
     }
 
-    /// The run's gauge timeline (attach to engines, register sources).
-    pub fn timeline(&self) -> Arc<obs::Timeline> {
-        self.timeline.clone()
-    }
-
-    /// Registers a gauge source for periodic sampling.
-    pub fn register(&self, source: Arc<dyn obs::GaugeSource>) {
-        self.timeline.register(source);
-    }
-
     /// Builds a RAIZN volume wired for this run: devices and volume
-    /// record into the run's recorder and are registered as gauge sources.
+    /// record into the run's recorder.
     ///
     /// # Errors
     ///
@@ -283,24 +270,17 @@ impl TimelineRun {
         stripe_unit_sectors: u64,
     ) -> BenchResult<Arc<RaiznVolume>> {
         let devices = zns_devices_with(&self.recorder, ARRAY_DEVICES, zones, zone_sectors);
-        for dev in &devices {
-            self.register(dev.clone());
-        }
         let config = RaiznConfig {
             stripe_unit_sectors,
             ..RaiznConfig::default()
         };
         let volume = Arc::new(RaiznVolume::format(devices, config, SimTime::ZERO)?);
         volume.set_recorder(self.recorder());
-        self.register(volume.clone());
         Ok(volume)
     }
 
     /// Builds a log-structured RAID volume wired for this run (see
-    /// [`TimelineRun::raizn_volume`]): devices and volume record into the
-    /// run's recorder and are registered as gauge sources, so the timeline
-    /// artifact carries the `lsraid.*` series (WAF, garbage ratio, group
-    /// pools) alongside per-device gauges.
+    /// [`TimelineRun::raizn_volume`]).
     ///
     /// # Errors
     ///
@@ -312,12 +292,8 @@ impl TimelineRun {
         config: LsConfig,
     ) -> BenchResult<Arc<LsVolume>> {
         let devices = zns_devices_with(&self.recorder, ARRAY_DEVICES, zones, zone_sectors);
-        for dev in &devices {
-            self.register(dev.clone());
-        }
         let volume = Arc::new(LsVolume::format(devices, config, SimTime::ZERO)?);
         volume.set_recorder(self.recorder());
-        self.register(volume.clone());
         Ok(volume)
     }
 
@@ -332,14 +308,11 @@ impl TimelineRun {
         user_sectors: u64,
         chunk_sectors: u64,
     ) -> BenchResult<Arc<Md5Volume>> {
-        let convs = conv_devices_with(&self.recorder, ARRAY_DEVICES, user_sectors);
-        for dev in &convs {
-            self.register(dev.clone());
-        }
-        let devices: Vec<Arc<dyn BlockDevice>> = convs
-            .into_iter()
-            .map(|d| d as Arc<dyn BlockDevice>)
-            .collect();
+        let devices: Vec<Arc<dyn BlockDevice>> =
+            conv_devices_with(&self.recorder, ARRAY_DEVICES, user_sectors)
+                .into_iter()
+                .map(|d| d as Arc<dyn BlockDevice>)
+                .collect();
         let volume = Arc::new(Md5Volume::new(
             devices,
             Md5Config {
@@ -348,63 +321,43 @@ impl TimelineRun {
             },
         )?);
         volume.set_recorder(self.recorder());
-        self.register(volume.clone());
         Ok(volume)
     }
 
-    /// A workload engine that drives this run's gauge sampling. The
-    /// engine's in-flight queue depth is registered as a gauge source, so
-    /// the artifact carries `engine.pipeline_queue_depth` series.
-    pub fn engine(&self, seed: u64) -> workloads::Engine {
-        let depth = workloads::PipelineDepth::new();
-        self.register(depth.clone());
-        workloads::Engine::new(seed)
-            .timeline(self.timeline())
-            .depth_gauge(depth)
-    }
-
-    /// Takes a final gauge sample at `at` and writes the timeline artifact
-    /// into `dir`, returning its path. Callable repeatedly (e.g. once per
-    /// phase); the artifact accumulates.
+    /// Writes the timeline artifact into `dir`, returning its path.
+    /// Callable repeatedly (e.g. once per phase); the artifact accumulates.
     ///
     /// # Errors
     ///
     /// Returns an error if the file cannot be written.
-    pub fn write_to(&self, dir: &Path, at: SimTime) -> BenchResult<PathBuf> {
-        self.timeline.force_sample(at);
+    pub fn write_to(&self, dir: &Path) -> BenchResult<PathBuf> {
         let path = dir.join(format!("BENCH_{}_timeline.json", self.name));
-        let json = obs::timeline_json(
-            &self.name,
-            &self.recorder,
-            Some(&self.timeline),
-            SECTOR_BYTES,
-        );
+        let json = obs::timeline_json(&self.name, &self.recorder, SECTOR_BYTES);
         std::fs::write(&path, json)?;
         Ok(path)
     }
 
-    /// Finishes the run: final gauge sample at `at`, artifact written to
-    /// the working directory, aggregates absorbed into the process-wide
-    /// [`recorder`] so breakdown artifacts stay complete.
+    /// Finishes the run: artifact written to the working directory,
+    /// aggregates absorbed into the process-wide [`recorder`] so breakdown
+    /// artifacts stay complete.
     ///
     /// # Errors
     ///
     /// Returns an error if the artifact cannot be written.
-    pub fn finish(self, at: SimTime) -> BenchResult<PathBuf> {
-        let path = self.write_to(Path::new("."), at)?;
+    pub fn finish(self) -> BenchResult<PathBuf> {
+        let path = self.write_to(Path::new("."))?;
         println!("timeline -> {}", path.display());
         recorder().absorb(&self.recorder);
         Ok(path)
     }
 
-    /// Discards everything captured so far (windows, gauge points,
-    /// histograms) after folding it into the process-wide [`recorder`].
+    /// Discards everything captured so far (windows, histograms) after
+    /// folding it into the process-wide [`recorder`].
     /// Used to scope the artifact to the phase of interest: call this at
     /// a phase boundary and the timeline covers only what follows.
     pub fn reset_capture(&self) {
         recorder().absorb(&self.recorder);
         self.recorder.clear();
-        self.timeline.clear();
     }
 }
 
@@ -603,8 +556,7 @@ pub fn prime(target: &dyn workloads::IoTarget, at: SimTime) -> BenchResult<SimTi
 }
 
 /// Runs one microbenchmark with the paper's job/queue-depth parameters,
-/// with per-config op counts capped for simulation speed. `timeline`, when
-/// given, has its gauges sampled as the run's virtual clock advances.
+/// with per-config op counts capped for simulation speed.
 ///
 /// `threads` > 1 shards the jobs over that many OS threads (see
 /// [`workloads::Engine::run_threaded`]): logical outcomes stay
@@ -621,7 +573,6 @@ pub fn run_micro(
     block_sectors: u64,
     align_sectors: u64,
     at: SimTime,
-    timeline: Option<Arc<obs::Timeline>>,
     threads: usize,
 ) -> BenchResult<workloads::RunReport> {
     use workloads::{Engine, JobSpec, OpKind, Pattern};
@@ -659,9 +610,6 @@ pub fn run_micro(
         }
     };
     let mut engine = Engine::new(0xB5 ^ block_sectors).start_at(at);
-    if let Some(tl) = timeline {
-        engine = engine.timeline(tl);
-    }
     if threads > 1 {
         Ok(engine.run_threaded(target, &jobs, threads)?)
     } else {
@@ -693,19 +641,17 @@ mod tests {
         let run = TimelineRun::new("unit_tlr");
         let v = run.raizn_volume(8, 4096, 16).unwrap();
         let data = vec![0u8; zns::SECTOR_SIZE as usize];
-        let done = v
-            .write(SimTime::ZERO, 0, &data, zns::WriteFlags::default())
-            .unwrap()
-            .done;
+        v.write(SimTime::ZERO, 0, &data, zns::WriteFlags::default())
+            .unwrap();
         assert!(run.recorder().next_seq() > 0, "run recorder saw spans");
         let global_before = recorder().next_seq();
         let dir = std::env::temp_dir();
-        let path = run.write_to(&dir, done).unwrap();
+        let path = run.write_to(&dir).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"kind\": \"timeline\""));
-        assert!(text.contains("\"gauge\": \"wp_sectors\""));
+        assert!(!text.contains("\"gauges\""));
         let run_seq = run.recorder().next_seq();
-        run.finish(done).unwrap();
+        run.finish().unwrap();
         // finish() folded the run's aggregates into the global recorder.
         assert!(recorder().next_seq() >= global_before + run_seq);
         let _ = std::fs::remove_file(dir.join("BENCH_unit_tlr_timeline.json"));

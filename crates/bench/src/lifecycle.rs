@@ -77,7 +77,6 @@ pub fn lifecycle_devices(run: &TimelineRun) -> Vec<Arc<ZnsDevice>> {
                     .build(),
             ));
             dev.set_recorder(rec.clone(), i as u32);
-            run.register(dev.clone());
             dev
         })
         .collect()
@@ -85,7 +84,7 @@ pub fn lifecycle_devices(run: &TimelineRun) -> Vec<Arc<ZnsDevice>> {
 
 /// Builds the experiment's RAIZN volume over [`lifecycle_devices`].
 /// `reclaim` enables the foreground reclaim path (the cliff). Returns
-/// the device handles too so callers can sample device-level gauges.
+/// the device handles too so callers can watch their active zones.
 ///
 /// # Errors
 ///
@@ -105,7 +104,6 @@ pub fn lifecycle_volume(
         SimTime::ZERO,
     )?);
     volume.set_recorder(run.recorder());
-    run.register(volume.clone());
     Ok((volume, devices))
 }
 
@@ -207,7 +205,6 @@ pub fn spray(
                 }
             }
             ops += 1;
-            run.timeline().maybe_sample(now);
             if ops.is_multiple_of(PUMP_OPS) {
                 sample_active(&mut max_active);
                 if let (Some(mgr), Some(sink)) = (manager, sink.as_mut()) {
@@ -266,7 +263,6 @@ pub fn lifecycle_scheduler(
         )?
         .with_recorder(run.recorder()),
     );
-    run.register(sched.clone());
     Ok(sched)
 }
 

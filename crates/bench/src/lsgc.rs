@@ -105,7 +105,6 @@ pub fn lsgc_scheduler(
         )?
         .with_recorder(run.recorder()),
     );
-    run.register(sched.clone());
     Ok(sched)
 }
 
@@ -174,7 +173,6 @@ pub const BAND_WINDOW: sim::SimDuration = sim::SimDuration::from_millis(300);
 ///
 /// Propagates scheduler/volume errors.
 pub fn drive(
-    run: &TimelineRun,
     sched: &QosScheduler,
     start: SimTime,
     offsets: &[u64],
@@ -204,7 +202,6 @@ pub fn drive(
                 windows[w] += sectors;
             }
         }
-        run.timeline().maybe_sample(now);
         if let Some((mgr, sink)) = gc.as_mut() {
             if (i as u64 + 1).is_multiple_of(PUMP_OPS) {
                 mgr.pump(now, *sink)?;

@@ -5,8 +5,9 @@
 //! every `BENCH_*_breakdown.json` / `BENCH_*_timeline.json` /
 //! `BENCH_*_spans.json` found there and asserts the documented schema
 //! (DESIGN.md "Observability"): required keys, per-stage digest fields,
-//! strictly monotone window indices and start timestamps, monotone gauge
-//! sample times, and span blame tables that partition exactly.
+//! strictly monotone window indices and start timestamps, and span blame
+//! tables that partition exactly. A second emission with the same seeds
+//! must write byte-identical timeline artifacts.
 
 use bench::json::Json;
 use bench::lifecycle::{lifecycle_json, SprayOutcome};
@@ -17,7 +18,7 @@ use qos::TenantSnapshot;
 use raizn::{LifecycleStats, RaiznStats};
 use sim::SimTime;
 use std::path::{Path, PathBuf};
-use workloads::{BlockTarget, JobSpec, OpKind, Pattern, ZonedTarget};
+use workloads::{BlockTarget, Engine, JobSpec, OpKind, Pattern, ZonedTarget};
 
 const STAGES: [&str; 9] = [
     "device_io",
@@ -31,15 +32,14 @@ const STAGES: [&str; 9] = [
     "lock_wait",
 ];
 
-fn scratch_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("raizn_schema_{}", std::process::id()));
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("raizn_schema_{}_{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
 }
 
-/// Emits one RAIZN, one lsraid and one mdraid timeline (covering the
-/// zns/raizn, lsraid and ftl/mdraid gauge sources) plus a breakdown
-/// into `dir`.
+/// Emits one RAIZN, one lsraid and one mdraid timeline plus a breakdown
+/// and a spans artifact into `dir`.
 fn emit_artifacts(dir: &Path) {
     let rz = TimelineRun::new("schema_rz");
     let vol = rz.raizn_volume(8, 4096, 16).expect("raizn volume");
@@ -47,28 +47,26 @@ fn emit_artifacts(dir: &Path) {
     let job = JobSpec::new(OpKind::Write, Pattern::Sequential, 16)
         .ops(512)
         .queue_depth(8);
-    let rep = rz
-        .engine(7)
+    Engine::new(7)
         .run(&target, std::slice::from_ref(&job))
         .expect("run");
-    rz.write_to(dir, rep.end).expect("write raizn timeline");
+    rz.write_to(dir).expect("write raizn timeline");
 
     let lsr = TimelineRun::new("schema_ls");
     let vol = lsr
         .lsraid_volume(8, 4096, LsConfig::default())
         .expect("lsraid volume");
     let target = ZonedTarget::overwriting(vol);
-    let rep = lsr
-        .engine(9)
+    Engine::new(9)
         .run(&target, std::slice::from_ref(&job))
         .expect("run");
-    lsr.write_to(dir, rep.end).expect("write lsraid timeline");
+    lsr.write_to(dir).expect("write lsraid timeline");
 
     let md = TimelineRun::new("schema_md");
     let vol = md.mdraid_volume(65_536, 16).expect("mdraid volume");
     let target = BlockTarget::new(vol);
-    let rep = md.engine(8).run(&target, &[job]).expect("run");
-    md.write_to(dir, rep.end).expect("write mdraid timeline");
+    Engine::new(8).run(&target, &[job]).expect("run");
+    md.write_to(dir).expect("write mdraid timeline");
 
     bench::write_breakdown_to("schema", dir).expect("write breakdown");
     // `write_to` scopes the timeline artifact to `dir` but (unlike
@@ -161,46 +159,10 @@ fn check_timeline(path: &Path) {
         prev = Some((index, start));
     }
 
-    let gauges = doc
-        .get("gauges")
-        .and_then(Json::as_arr)
-        .unwrap_or_else(|| panic!("{ctx}: missing gauges array"));
     assert!(
-        !gauges.is_empty(),
-        "{ctx}: smoke run produced no gauge series"
+        doc.get("gauges").is_none(),
+        "{ctx}: timelines carry windows only"
     );
-    for g in gauges {
-        let source = g
-            .get("source")
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| panic!("{ctx}: gauge missing source"));
-        let name = g
-            .get("gauge")
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| panic!("{ctx}: gauge missing name"));
-        let gctx = format!("{ctx} gauge {source}.{name}");
-        let points = g
-            .get("points")
-            .and_then(Json::as_arr)
-            .unwrap_or_else(|| panic!("{gctx}: missing points"));
-        let mut prev_t = None;
-        for p in points {
-            let pair = p
-                .as_arr()
-                .unwrap_or_else(|| panic!("{gctx}: point not a pair"));
-            assert_eq!(pair.len(), 2, "{gctx}: point not a [t, v] pair");
-            let t = pair[0]
-                .as_u64()
-                .unwrap_or_else(|| panic!("{gctx}: non-integer sample time"));
-            pair[1]
-                .as_f64()
-                .unwrap_or_else(|| panic!("{gctx}: non-numeric sample value"));
-            if let Some(pt) = prev_t {
-                assert!(t >= pt, "{gctx}: sample times not monotone");
-            }
-            prev_t = Some(t);
-        }
-    }
 }
 
 fn check_breakdown(path: &Path) {
@@ -641,7 +603,7 @@ fn lifecycle_artifact_conforms_to_schema() {
 
 #[test]
 fn emitted_artifacts_conform_to_schema() {
-    let dir = scratch_dir();
+    let dir = scratch_dir("schema");
     emit_artifacts(&dir);
 
     let mut timelines = 0;
@@ -671,4 +633,32 @@ fn emitted_artifacts_conform_to_schema() {
     assert_eq!(spans, 1, "expected one spans artifact");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Same seeds, same bytes: two emissions into separate directories write
+/// identical timeline artifacts.
+#[test]
+fn same_seeds_emit_identical_timelines() {
+    let (a, b) = (scratch_dir("first"), scratch_dir("second"));
+    emit_artifacts(&a);
+    emit_artifacts(&b);
+    let mut compared = 0;
+    for entry in std::fs::read_dir(&a).expect("read scratch dir") {
+        let path = entry.expect("dir entry").path();
+        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+            continue;
+        };
+        if name.starts_with("BENCH_") && name.ends_with("_timeline.json") {
+            let first = std::fs::read(&path).expect("read first timeline");
+            let second = std::fs::read(b.join(name)).expect("read second timeline");
+            assert!(first == second, "{name}: same seeds wrote different bytes");
+            compared += 1;
+        }
+    }
+    assert_eq!(
+        compared, 3,
+        "expected raizn + lsraid + mdraid timeline pairs"
+    );
+    let _ = std::fs::remove_dir_all(&a);
+    let _ = std::fs::remove_dir_all(&b);
 }

@@ -127,8 +127,6 @@ pub struct ZoneLifecycleManager {
     resets: AtomicU64,
     pre_opens: AtomicU64,
     pumps: AtomicU64,
-    /// Finish candidates seen by the latest pump (gauge).
-    pending_finishes: AtomicU64,
 }
 
 impl ZoneLifecycleManager {
@@ -147,7 +145,6 @@ impl ZoneLifecycleManager {
             resets: AtomicU64::new(0),
             pre_opens: AtomicU64::new(0),
             pumps: AtomicU64::new(0),
-            pending_finishes: AtomicU64::new(0),
         }
     }
 
@@ -255,7 +252,6 @@ impl ZoneLifecycleManager {
         let cap = self.volume.layout().logical_geometry().zone_cap();
         let threshold = cap * FINISH_FILL_PERMILLE / 1000;
         let mut done = now;
-        let mut pending = 0u64;
         let mut issued = 0usize;
         for z in 0..self.last_wp.len() {
             let wp = self.volume.zone_wp[z].load(Ordering::Acquire);
@@ -276,12 +272,7 @@ impl ZoneLifecycleManager {
                 self.idle[z].store(0, Ordering::Relaxed);
                 0
             };
-            if idle < IDLE_PUMPS {
-                pending += 1;
-                continue;
-            }
-            if issued >= FINISHES_PER_PUMP {
-                pending += 1;
+            if idle < IDLE_PUMPS || issued >= FINISHES_PER_PUMP {
                 continue;
             }
             // Re-check under the shard lock: a racing writer may have
@@ -296,7 +287,6 @@ impl ZoneLifecycleManager {
             self.finishes.fetch_add(1, Ordering::Relaxed);
             issued += 1;
         }
-        self.pending_finishes.store(pending, Ordering::Relaxed);
         Ok(done)
     }
 
@@ -360,85 +350,6 @@ impl ZoneLifecycleManager {
         } else {
             fill as f64 / (fill + host) as f64
         }
-    }
-
-    /// Minimum open-zone headroom across devices (gauge helper).
-    fn open_headroom(&self) -> u64 {
-        let devices = self.volume.members.read();
-        devices
-            .devices()
-            .iter()
-            .map(|d| d.config().max_open_zones().saturating_sub(d.open_zones()) as u64)
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Minimum active-zone headroom across devices (gauge helper).
-    fn active_headroom(&self) -> u64 {
-        let devices = self.volume.members.read();
-        devices
-            .devices()
-            .iter()
-            .map(|d| {
-                d.config()
-                    .max_active_zones()
-                    .saturating_sub(d.active_zones()) as u64
-            })
-            .min()
-            .unwrap_or(0)
-    }
-}
-
-impl obs::GaugeSource for ZoneLifecycleManager {
-    fn source_label(&self) -> &'static str {
-        "lifecycle"
-    }
-
-    /// Lifecycle health: budget headroom (min across devices), pending
-    /// management backlogs, cumulative management counters, and the
-    /// management share of device write traffic.
-    fn sample_gauges(&self, out: &mut Vec<obs::GaugeReading>) {
-        let s = self.stats();
-        out.push(obs::GaugeReading::new(
-            "open_zone_headroom",
-            obs::NONE,
-            self.open_headroom() as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "active_zone_headroom",
-            obs::NONE,
-            self.active_headroom() as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "pending_finishes",
-            obs::NONE,
-            self.pending_finishes.load(Ordering::Relaxed) as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "pending_resets",
-            obs::NONE,
-            self.pending_resets() as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "mgmt_finishes",
-            obs::NONE,
-            s.finishes as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "mgmt_resets",
-            obs::NONE,
-            s.resets as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "mgmt_pre_opens",
-            obs::NONE,
-            s.pre_opens as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "mgmt_io_share",
-            obs::NONE,
-            self.mgmt_io_share(),
-        ));
     }
 }
 

@@ -308,11 +308,6 @@ pub struct RaiznVolume {
     /// flush latency) and counters. Volume spans carry no device: device
     /// attribution lives in the spans [`zns::ZnsDevice`] emits itself.
     tracer: obs::Tracer,
-    /// Wall-clock contention statistics for the zone shard locks
-    /// (aggregate across shards; gauge id 0).
-    shard_locks: obs::LockStats,
-    /// Wall-clock contention statistics for the meta lock (gauge id 1).
-    meta_locks: obs::LockStats,
     /// Stripe buffers between staged stripes: as many as were ever staged
     /// at once. An innermost lock (see the module docs).
     stripe_buffers: Mutex<Vec<StripeBuffer>>,
@@ -350,15 +345,15 @@ impl RaiznVolume {
     // Locking and lock-free helpers
     // ------------------------------------------------------------------
 
-    /// Locks logical zone `lzone`'s shard, recording contention.
+    /// Locks logical zone `lzone`'s shard.
     pub(crate) fn lock_shard(&self, lzone: u32) -> parking_lot::MutexGuard<'_, LZone> {
-        self.shard_locks.lock(&self.zones[lzone as usize])
+        self.zones[lzone as usize].lock()
     }
 
-    /// Locks the global metadata domain, recording contention. Callers
-    /// may hold at most one zone shard (lock order: shard → meta).
+    /// Locks the global metadata domain. Callers may hold at most one
+    /// zone shard (lock order: shard → meta).
     pub(crate) fn lock_meta(&self) -> parking_lot::MutexGuard<'_, MetaState> {
-        self.meta_locks.lock(&self.meta)
+        self.meta.lock()
     }
 
     /// Refreshes the lock-free relocation count mirror after any mutation
@@ -514,8 +509,6 @@ impl RaiznVolume {
             relocated_len: AtomicUsize::new(0),
             stats: AtomicRaiznStats::default(),
             tracer: obs::Tracer::new(),
-            shard_locks: obs::LockStats::new(),
-            meta_locks: obs::LockStats::new(),
             stripe_buffers: Mutex::new(Vec::with_capacity(active)),
         }
     }
@@ -589,6 +582,12 @@ impl RaiznVolume {
     /// All currently failed device indices, ascending.
     pub fn failed_devices(&self) -> Vec<usize> {
         self.members.failed()
+    }
+
+    /// Unrecovered errors charged to device `dev` so far (its error
+    /// budget is [`zns::array::DEVICE_ERROR_BUDGET`]).
+    pub fn device_errors(&self, dev: usize) -> u64 {
+        self.members.errors(dev)
     }
 }
 
@@ -1625,7 +1624,7 @@ impl RaiznVolume {
     fn flush_all(&self, devices: &Roster<'_>, at: SimTime) -> Result<SimTime> {
         let done = devices.flush(at, !0)?;
         for zm in &self.zones {
-            let mut z = self.shard_locks.lock(zm);
+            let mut z = zm.lock();
             let wp = z.wp;
             z.pbitmap.mark_persisted_below(wp);
         }
@@ -1856,78 +1855,75 @@ impl RaiznVolume {
         }
         order.sort_by_key(|&(_, pri)| pri);
         let stripe_data = self.layout.stripe_data_sectors();
-        let zones = order.len() as u64;
-        let report = self
-            .members
-            .rebuild(at, replacement, zones, |devices, rb| {
-                let failed = rb.member() as u32;
-                for (lzone, _) in order {
-                    let mut z = self.lock_shard(lzone);
-                    let wp = z.wp;
-                    let phys_zone = self.layout.phys_zone(lzone);
-                    for stripe in 0..wp.div_ceil(stripe_data) {
-                        // What does the replacement hold for this stripe?
-                        let needed = self.layout.slot_extent(lzone, stripe, failed, wp);
-                        if needed == 0 {
-                            continue;
+        let report = self.members.rebuild(at, replacement, |devices, rb| {
+            let failed = rb.member() as u32;
+            for (lzone, _) in order {
+                let mut z = self.lock_shard(lzone);
+                let wp = z.wp;
+                let phys_zone = self.layout.phys_zone(lzone);
+                for stripe in 0..wp.div_ceil(stripe_data) {
+                    // What does the replacement hold for this stripe?
+                    let needed = self.layout.slot_extent(lzone, stripe, failed, wp);
+                    if needed == 0 {
+                        continue;
+                    }
+                    let healed = {
+                        let mut m = self.lock_meta();
+                        let rel = m.live.relocated.remove(&(lzone, stripe, failed));
+                        if rel.is_some() {
+                            self.sync_relocated_count(&m.live);
                         }
-                        let healed = {
-                            let mut m = self.lock_meta();
-                            let rel = m.live.relocated.remove(&(lzone, stripe, failed));
-                            if rel.is_some() {
-                                self.sync_relocated_count(&m.live);
-                            }
-                            rel
+                        rel
+                    };
+                    if let Some(rel) = healed {
+                        // Heal the relocation: the true data returns to its
+                        // arithmetic slot on the fresh device.
+                        z.conflicts.remove(&(stripe, failed));
+                        rb.extent(phys_zone, stripe, needed, Fill::Copy(&rel.data))?;
+                    } else if (stripe + 1) * stripe_data <= wp {
+                        let src = SlotStripe {
+                            vol: self,
+                            devices,
+                            lzone,
+                            stripe,
                         };
-                        if let Some(rel) = healed {
-                            // Heal the relocation: the true data returns to its
-                            // arithmetic slot on the fresh device.
-                            z.conflicts.remove(&(stripe, failed));
-                            rb.extent(phys_zone, stripe, needed, Fill::Copy(&rel.data))?;
-                        } else if (stripe + 1) * stripe_data <= wp {
-                            let src = SlotStripe {
-                                vol: self,
-                                devices,
-                                lzone,
-                                stripe,
-                            };
-                            rb.extent(phys_zone, stripe, needed, Fill::Reconstruct(&src))?;
-                        } else {
-                            // Incomplete stripe: serve from the stripe buffer,
-                            // which mount and `finish_zone` always leave seeded;
-                            // fail rather than install zeros as data.
-                            let k = self
-                                .layout
-                                .unit_of_device(lzone, stripe, failed)
-                                .ok_or_else(|| internal("parity slot of an incomplete stripe"))?;
-                            let buf = z.buffer.as_ref().filter(|b| b.stripe() == stripe);
-                            let buf = buf
-                                .ok_or_else(|| internal("incomplete stripe without its buffer"))?;
-                            rb.extent(phys_zone, stripe, needed, Fill::Copy(buf.unit_data(k)))?;
-                        }
+                        rb.extent(phys_zone, stripe, needed, Fill::Reconstruct(&src))?;
+                    } else {
+                        // Incomplete stripe: serve from the stripe buffer,
+                        // which mount and `finish_zone` always leave seeded;
+                        // fail rather than install zeros as data.
+                        let k = self
+                            .layout
+                            .unit_of_device(lzone, stripe, failed)
+                            .ok_or_else(|| internal("parity slot of an incomplete stripe"))?;
+                        let buf = z.buffer.as_ref().filter(|b| b.stripe() == stripe);
+                        let buf =
+                            buf.ok_or_else(|| internal("incomplete stripe without its buffer"))?;
+                        rb.extent(phys_zone, stripe, needed, Fill::Copy(buf.unit_data(k)))?;
                     }
-                    // Seal the replacement's zone to match the logical state.
-                    if z.state == ZoneState::Full {
-                        rb.seal(phys_zone)?;
-                    }
-                    rb.zone_done();
                 }
-                // The fresh device's metadata zones get every live record the
-                // failed member's held.
-                let mut m = self.lock_meta();
-                let MetaState { log, live, .. } = &mut *m;
-                let dev = failed as usize;
-                log.md[dev] = MdRoles::fresh();
-                rb.on_replacement(|fresh, mut t| {
-                    for role in [MdRole::General, MdRole::PpLog] {
-                        self.checkpoint_live(live, dev, role, false, |rec| {
-                            t = self.md_write(log, fresh, t, dev, role, rec, WriteFlags::FUA)?;
-                            Ok(())
-                        })?;
-                    }
-                    Ok(t)
-                })
-            })?;
+                // Seal the replacement's zone to match the logical state.
+                if z.state == ZoneState::Full {
+                    rb.seal(phys_zone)?;
+                }
+                rb.zone_done();
+            }
+            // The fresh device's metadata zones get every live record the
+            // failed member's held.
+            let mut m = self.lock_meta();
+            let MetaState { log, live, .. } = &mut *m;
+            let dev = failed as usize;
+            log.md[dev] = MdRoles::fresh();
+            rb.on_replacement(|fresh, mut t| {
+                for role in [MdRole::General, MdRole::PpLog] {
+                    self.checkpoint_live(live, dev, role, false, |rec| {
+                        t = self.md_write(log, fresh, t, dev, role, rec, WriteFlags::FUA)?;
+                        Ok(())
+                    })?;
+                }
+                Ok(t)
+            })
+        })?;
         AtomicRaiznStats::add(&self.stats.rebuild_bytes, report.bytes_written);
         AtomicRaiznStats::add(&self.stats.rebuilds_completed, 1);
         Ok(report)
@@ -2233,92 +2229,6 @@ impl ZonedVolume for RaiznVolume {
         lgeo.check_zone(zone)?;
         let z = self.lock_shard(zone);
         Ok(lgeo.info(zone, z.state, z.wp))
-    }
-}
-
-impl obs::GaugeSource for RaiznVolume {
-    fn source_label(&self) -> &'static str {
-        "raizn"
-    }
-
-    /// Instantaneous array state: relocation backlog, degraded flag and
-    /// metadata-path counters volume-wide, plus per-device error-budget
-    /// headroom, metadata-zone utilization (general + pp-log zone fill,
-    /// the input to the §4.3 metadata GC policy), and — new with the
-    /// sharded pipeline — per-lock-domain contention gauges (id 0 = zone
-    /// shards, id 1 = global metadata).
-    fn sample_gauges(&self, out: &mut Vec<obs::GaugeReading>) {
-        out.push(obs::GaugeReading::new(
-            "relocation_backlog",
-            obs::NONE,
-            self.relocated_len.load(Ordering::Acquire) as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "degraded",
-            obs::NONE,
-            if self.members.lowest_failed().is_some() {
-                1.0
-            } else {
-                0.0
-            },
-        ));
-        let s = self.stats();
-        out.push(obs::GaugeReading::new(
-            "pp_log_entries",
-            obs::NONE,
-            s.pp_log_entries as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "md_appends",
-            obs::NONE,
-            s.md_appends as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "transient_retries",
-            obs::NONE,
-            s.transient_retries as f64,
-        ));
-        {
-            let devices = self.members.read();
-            let m = self.lock_meta();
-            for (d, roles) in m.log.md.iter().enumerate() {
-                out.push(obs::GaugeReading::new(
-                    "error_budget_remaining",
-                    d as u32,
-                    self.members.budget_remaining(d) as f64,
-                ));
-                // Consistent meta -> device lock order (same as the IO path).
-                let zone_fill = |zone: u32| -> u64 {
-                    devices
-                        .zone_info(d, zone)
-                        .map(|zi| zi.write_pointer - zi.start)
-                        .unwrap_or(0)
-                };
-                out.push(obs::GaugeReading::new(
-                    "md_zone_used_sectors",
-                    d as u32,
-                    (zone_fill(roles.general) + zone_fill(roles.pplog)) as f64,
-                ));
-            }
-        }
-        out.push(obs::GaugeReading::new(
-            "failed_devices",
-            obs::NONE,
-            self.members.failure_mask().count_ones() as f64,
-        ));
-        let (total, done) = self.members.rebuild_progress();
-        out.push(obs::GaugeReading::new(
-            "rebuild_zones_total",
-            obs::NONE,
-            total as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "rebuild_zones_done",
-            obs::NONE,
-            done as f64,
-        ));
-        self.shard_locks.sample_gauges(0, out);
-        self.meta_locks.sample_gauges(1, out);
     }
 }
 

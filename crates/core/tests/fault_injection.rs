@@ -305,19 +305,6 @@ const RETRY_CASES: [RetryCase; 4] = [
     },
 ];
 
-/// Unrecovered errors charged to `dev` so far, read back through the
-/// `error_budget_remaining` gauge.
-fn charged(v: &RaiznVolume, dev: usize) -> u64 {
-    let mut gauges = Vec::new();
-    obs::GaugeSource::sample_gauges(v, &mut gauges);
-    let remaining = gauges
-        .iter()
-        .find(|g| g.gauge == "error_budget_remaining" && g.device == dev as u32)
-        .expect("per-device budget gauge")
-        .value;
-    DEVICE_ERROR_BUDGET - remaining as u64
-}
-
 /// Spends member `dev`'s whole error budget through the volume:
 /// `DEVICE_ERROR_BUDGET` reads of a unit it holds in zone 1, each failing
 /// past the retry limit, charged once and served from parity.
@@ -339,7 +326,7 @@ fn spend_budget(v: &RaiznVolume, devs: &[Arc<ZnsDevice>], dev: usize) {
     for _ in 0..DEVICE_ERROR_BUDGET {
         v.read(T0, lba, &mut out).unwrap();
     }
-    assert_eq!(charged(v, dev), DEVICE_ERROR_BUDGET, "budget spent");
+    assert_eq!(v.device_errors(dev), DEVICE_ERROR_BUDGET, "budget spent");
     assert!(
         v.failed_devices().is_empty(),
         "a spent budget alone degrades nothing"
@@ -395,13 +382,8 @@ fn member_command_retry_counts_charges_and_outcomes() {
                 if degraded { vec![dev] } else { vec![] },
                 "{ctx}"
             );
-            // The gauge saturates at a spent budget.
-            let expect_charged = if spent {
-                DEVICE_ERROR_BUDGET
-            } else {
-                u64::from(exhausted)
-            };
-            assert_eq!(charged(&v, dev), expect_charged, "{ctx}");
+            let charged = u64::from(exhausted) + if spent { DEVICE_ERROR_BUDGET } else { 0 };
+            assert_eq!(v.device_errors(dev), charged, "{ctx}");
             let expect = match (exhausted, degraded) {
                 (false, _) | (true, true) => Exhaustion::Absorbed,
                 (true, false) => case.exhausted_healthy,

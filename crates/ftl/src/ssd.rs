@@ -47,11 +47,6 @@ const NONE32: u32 = u32::MAX;
 pub struct ConvSsd {
     config: FtlConfig,
     inner: Mutex<Inner>,
-    /// Wall-clock contention statistics for the device lock — the
-    /// conventional baseline serializes every command behind one mutex
-    /// (unlike the sharded RAIZN write path), and these gauges make that
-    /// serialization visible next to the array's shard/meta lock gauges.
-    locks: obs::LockStats,
 }
 
 #[derive(Debug)]
@@ -97,8 +92,7 @@ struct Inner {
     stats: FtlStats,
     failed: bool,
     /// Span/counter handle (device-layer spans, GC-stall counters).
-    /// Attached under the device lock, like everything else in here, so
-    /// the lock gauges count the attach as they always did.
+    /// Attached under the device lock, like everything else in here.
     tracer: obs::Tracer,
 }
 
@@ -131,7 +125,6 @@ impl ConvSsd {
                 tracer: obs::Tracer::new(),
             }),
             config,
-            locks: obs::LockStats::new(),
         }
     }
 
@@ -140,7 +133,7 @@ impl ConvSsd {
     /// stalls are surfaced as [`obs::Counter::GcStalls`] /
     /// [`obs::Counter::GcStallNanos`].
     pub fn set_recorder(&self, recorder: std::sync::Arc<obs::Recorder>, dev_id: u32) {
-        self.locks.lock(&self.inner).tracer.attach(recorder, dev_id);
+        self.inner.lock().tracer.attach(recorder, dev_id);
     }
 
     /// The device configuration.
@@ -150,23 +143,23 @@ impl ConvSsd {
 
     /// FTL statistics (write amplification, GC stalls).
     pub fn ftl_stats(&self) -> FtlStats {
-        self.locks.lock(&self.inner).stats
+        self.inner.lock().stats
     }
 
     /// Marks the device failed; all subsequent IO returns
     /// [`ZnsError::DeviceFailed`].
     pub fn fail(&self) {
-        self.locks.lock(&self.inner).failed = true;
+        self.inner.lock().failed = true;
     }
 
     /// Whether the device is failed.
     pub fn is_failed(&self) -> bool {
-        self.locks.lock(&self.inner).failed
+        self.inner.lock().failed
     }
 
     /// Number of currently free erase blocks (test observability).
     pub fn free_blocks(&self) -> usize {
-        self.locks.lock(&self.inner).free_list.len()
+        self.inner.lock().free_list.len()
     }
 
     fn check_range(&self, lba: Lba, sectors: u64) -> Result<()> {
@@ -352,7 +345,7 @@ impl BlockDevice for ConvSsd {
     fn read(&self, at: SimTime, lba: Lba, buf: &mut [u8]) -> Result<IoCompletion> {
         let sectors = Self::sector_count(buf.len())?;
         self.check_range(lba, sectors)?;
-        let mut inner = self.locks.lock(&self.inner);
+        let mut inner = self.inner.lock();
         if inner.failed {
             return Err(ZnsError::DeviceFailed);
         }
@@ -392,7 +385,7 @@ impl BlockDevice for ConvSsd {
         self.check_range(lba, sectors)?;
         let ppb = self.config.pages_per_block;
         let gc_low = self.config.gc_low_blocks;
-        let mut inner = self.locks.lock(&self.inner);
+        let mut inner = self.inner.lock();
         if inner.failed {
             return Err(ZnsError::DeviceFailed);
         }
@@ -464,7 +457,7 @@ impl BlockDevice for ConvSsd {
     fn trim(&self, at: SimTime, lba: Lba, sectors: u64) -> Result<IoCompletion> {
         self.check_range(lba, sectors)?;
         let ppb = self.config.pages_per_block;
-        let mut inner = self.locks.lock(&self.inner);
+        let mut inner = self.inner.lock();
         if inner.failed {
             return Err(ZnsError::DeviceFailed);
         }
@@ -491,7 +484,7 @@ impl BlockDevice for ConvSsd {
     }
 
     fn flush(&self, at: SimTime) -> Result<IoCompletion> {
-        let inner = self.locks.lock(&self.inner);
+        let inner = self.inner.lock();
         if inner.failed {
             return Err(ZnsError::DeviceFailed);
         }
@@ -504,51 +497,6 @@ impl BlockDevice for ConvSsd {
             done,
         ));
         Ok(IoCompletion { done })
-    }
-}
-
-impl obs::GaugeSource for ConvSsd {
-    fn source_label(&self) -> &'static str {
-        "ftl"
-    }
-
-    /// Instantaneous FTL state: GC activity (runs, copied pages, stall
-    /// time), write amplification, and the free-block pool — the gauges
-    /// that make the conventional-SSD throughput collapse explainable.
-    fn sample_gauges(&self, out: &mut Vec<obs::GaugeReading>) {
-        let inner = self.locks.lock(&self.inner);
-        let d = inner.tracer.device().unwrap_or(0);
-        let free = inner.free_list.len();
-        let total = inner.blocks.len().max(1);
-        out.push(obs::GaugeReading::new(
-            "gc_runs",
-            d,
-            inner.stats.gc_runs as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "gc_pages_copied",
-            d,
-            inner.stats.gc_pages_copied as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "gc_stall_nanos",
-            d,
-            inner.stats.gc_stall.as_nanos() as f64,
-        ));
-        out.push(obs::GaugeReading::new("waf", d, inner.stats.waf()));
-        out.push(obs::GaugeReading::new("free_blocks", d, free as f64));
-        out.push(obs::GaugeReading::new(
-            "free_block_ratio",
-            d,
-            free as f64 / total as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "host_pages_written",
-            d,
-            inner.stats.host_pages_written as f64,
-        ));
-        drop(inner);
-        self.locks.sample_gauges(d, out);
     }
 }
 

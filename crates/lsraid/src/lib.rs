@@ -721,13 +721,9 @@ impl LsVolume {
     /// Parity is excluded (it is the RAID tax, not a log-structuring
     /// cost) and reported via [`LsStats::parity_sectors`]. Exactly 1.0
     /// until GC migrates or a flush pads.
+    #[allow(clippy::cast_precision_loss)]
     pub fn waf(&self) -> f64 {
         let inner = self.inner.lock();
-        Self::waf_inner(&inner)
-    }
-
-    #[allow(clippy::cast_precision_loss)]
-    fn waf_inner(inner: &LsInner) -> f64 {
         if inner.c_user == 0 {
             return 1.0;
         }
@@ -736,13 +732,9 @@ impl LsVolume {
 
     /// Fraction of sealed-group capacity that is garbage (0.0 when no
     /// group is sealed).
+    #[allow(clippy::cast_precision_loss)]
     pub fn garbage_ratio(&self) -> f64 {
         let inner = self.inner.lock();
-        self.garbage_ratio_inner(&inner)
-    }
-
-    #[allow(clippy::cast_precision_loss)]
-    fn garbage_ratio_inner(&self, inner: &LsInner) -> f64 {
         let mut garbage = 0u64;
         let mut total = 0u64;
         for g in &inner.groups {
@@ -2136,13 +2128,8 @@ impl LsVolume {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         let dead = |grp: &Group| grp.state == GState::Sealed && grp.valid == 0;
-        let live = inner
-            .groups
-            .iter()
-            .filter(|grp| grp.state != GState::Free && !dead(grp));
-        let live = live.count() as u64;
         let mut member = 0;
-        let mut report = self.members.rebuild(at, replacement, live, |devices, rb| {
+        let mut report = self.members.rebuild(at, replacement, |devices, rb| {
             member = rb.member();
             self.flush_inner(inner, at)?;
             for g in 0..inner.groups.len() as u32 {
@@ -2427,36 +2414,5 @@ impl ZonedVolume for LsVolume {
         let inner = self.inner.lock();
         let z = &inner.lz[zone as usize];
         Ok(self.geo.info(zone, z.state, z.wp))
-    }
-}
-
-impl obs::GaugeSource for LsVolume {
-    fn source_label(&self) -> &'static str {
-        "lsraid"
-    }
-
-    #[allow(clippy::cast_precision_loss)]
-    fn sample_gauges(&self, out: &mut Vec<obs::GaugeReading>) {
-        let inner = self.inner.lock();
-        out.push(obs::GaugeReading::new(
-            "ls_garbage_ratio",
-            obs::NONE,
-            self.garbage_ratio_inner(&inner),
-        ));
-        out.push(obs::GaugeReading::new(
-            "ls_waf",
-            obs::NONE,
-            Self::waf_inner(&inner),
-        ));
-        out.push(obs::GaugeReading::new(
-            "ls_open_groups",
-            obs::NONE,
-            inner.open.iter().flatten().count() as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "ls_free_groups",
-            obs::NONE,
-            inner.free_groups.len() as f64,
-        ));
     }
 }

@@ -18,8 +18,6 @@ pub struct StripeCache {
     tick: u64,
     chunk_bytes: usize,
     slots: usize,
-    hits: u64,
-    misses: u64,
 }
 
 #[derive(Debug)]
@@ -45,8 +43,6 @@ impl StripeCache {
             tick: 0,
             chunk_bytes,
             slots,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -68,39 +64,13 @@ impl StripeCache {
         self.entries.is_empty()
     }
 
-    /// Maximum number of stripes the cache can hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// (hits, misses) counters for chunk lookups.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
     /// Looks up one chunk (`slot`) of `stripe`, refreshing LRU recency.
     pub fn get(&mut self, stripe: u64, slot: usize) -> Option<&[u8]> {
         self.tick += 1;
         let tick = self.tick;
-        match self.entries.get_mut(&stripe) {
-            Some(e) => {
-                e.last_use = tick;
-                match &e.slots[slot] {
-                    Some(data) => {
-                        self.hits += 1;
-                        Some(data)
-                    }
-                    None => {
-                        self.misses += 1;
-                        None
-                    }
-                }
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let e = self.entries.get_mut(&stripe)?;
+        e.last_use = tick;
+        e.slots[slot].as_deref()
     }
 
     /// Inserts one chunk of `stripe`, evicting the LRU stripe if needed.
@@ -202,16 +172,6 @@ mod tests {
         // Tiny budgets still hold one stripe.
         let c = StripeCache::with_byte_budget(1, 4, 64);
         assert_eq!(c.capacity, 1);
-    }
-
-    #[test]
-    fn hit_miss_stats() {
-        let mut c = StripeCache::new(2, 2, 4);
-        c.put(1, 0, &[1u8; 4]);
-        c.get(1, 0);
-        c.get(1, 1);
-        c.get(5, 0);
-        assert_eq!(c.stats(), (1, 2));
     }
 
     #[test]

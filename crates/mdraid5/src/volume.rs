@@ -655,41 +655,6 @@ impl BlockDevice for Md5Volume {
     }
 }
 
-impl obs::GaugeSource for Md5Volume {
-    fn source_label(&self) -> &'static str {
-        "mdraid"
-    }
-
-    /// Instantaneous array state: stripe-cache occupancy and hit/miss
-    /// counters (cache occupancy in the issue's gauge list) plus the
-    /// degraded flag.
-    fn sample_gauges(&self, out: &mut Vec<obs::GaugeReading>) {
-        let st = self.state.lock();
-        out.push(obs::GaugeReading::new(
-            "cache_stripes",
-            obs::NONE,
-            st.cache.len() as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "cache_capacity",
-            obs::NONE,
-            st.cache.capacity() as f64,
-        ));
-        let (hits, misses) = st.cache.stats();
-        out.push(obs::GaugeReading::new("cache_hits", obs::NONE, hits as f64));
-        out.push(obs::GaugeReading::new(
-            "cache_misses",
-            obs::NONE,
-            misses as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "degraded",
-            obs::NONE,
-            if st.failed.is_some() { 1.0 } else { 0.0 },
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -76,7 +76,7 @@ pub use span::{
     actor_scope, blame_segments, current_actor, current_span, span_scope, spans_json, Actor,
     ActorScope, BlameRow, SlowOp, SpanConfig, SpanScope, BLAME_CATEGORIES, NCATS,
 };
-pub use timeline::{timeline_json, GaugeReading, GaugeSeries, GaugeSource, Timeline};
+pub use timeline::timeline_json;
 pub use tracer::{OpenSpan, Span, Tracer};
 
 /// The class of operation a trace event describes.
@@ -141,7 +141,7 @@ pub enum Stage {
     DeviceWait,
     /// Zone-shard / metadata lock acquisition marker. Locks cost no
     /// *virtual* time, so these spans are zero-width; wall-clock
-    /// contention stays in [`LockStats`] gauges.
+    /// contention is not measured.
     LockWait,
 }
 
@@ -1038,87 +1038,6 @@ impl Recorder {
     }
 }
 
-/// Wall-clock lock-contention statistics for one lock domain (a volume
-/// shard, the metadata section, a scheduler queue).
-///
-/// Unlike trace events — which live on the deterministic *virtual* clock —
-/// lock waits are a property of the real execution and are measured with
-/// the monotonic wall clock. They are therefore reported only through
-/// gauges and counters, never folded into virtual-time latencies.
-///
-/// All fields are atomics; [`LockStats::lock`] is the intended entry
-/// point: an uncontended acquisition is a `try_lock` plus two relaxed
-/// `fetch_add`s (no timestamp is taken), so the hot path stays cheap.
-#[derive(Debug, Default)]
-pub struct LockStats {
-    acquisitions: AtomicU64,
-    contended: AtomicU64,
-    wait_nanos: AtomicU64,
-}
-
-impl LockStats {
-    /// Creates zeroed statistics.
-    pub const fn new() -> Self {
-        LockStats {
-            acquisitions: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
-            wait_nanos: AtomicU64::new(0),
-        }
-    }
-
-    /// Acquires `m`, attributing the acquisition (and any blocking wait)
-    /// to these statistics.
-    pub fn lock<'a, T>(&self, m: &'a Mutex<T>) -> parking_lot::MutexGuard<'a, T> {
-        if let Some(g) = m.try_lock() {
-            self.acquisitions.fetch_add(1, Ordering::Relaxed);
-            return g;
-        }
-        let t0 = std::time::Instant::now();
-        let g = m.lock();
-        let waited = t0.elapsed().as_nanos() as u64;
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        self.contended.fetch_add(1, Ordering::Relaxed);
-        self.wait_nanos.fetch_add(waited, Ordering::Relaxed);
-        g
-    }
-
-    /// Total acquisitions through [`LockStats::lock`].
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions.load(Ordering::Relaxed)
-    }
-
-    /// Acquisitions that had to block.
-    pub fn contended(&self) -> u64 {
-        self.contended.load(Ordering::Relaxed)
-    }
-
-    /// Total wall-clock nanoseconds spent blocked.
-    pub fn wait_nanos(&self) -> u64 {
-        self.wait_nanos.load(Ordering::Relaxed)
-    }
-
-    /// Emits the three readings as gauges tagged with `id` (e.g. a shard
-    /// index), named `<prefix>_acquisitions`, `<prefix>_contended` and
-    /// `<prefix>_wait_ns` for a fixed `prefix` of `lock`.
-    pub fn sample_gauges(&self, id: u32, out: &mut Vec<GaugeReading>) {
-        out.push(GaugeReading::new(
-            "lock_acquisitions",
-            id,
-            self.acquisitions() as f64,
-        ));
-        out.push(GaugeReading::new(
-            "lock_contended",
-            id,
-            self.contended() as f64,
-        ));
-        out.push(GaugeReading::new(
-            "lock_wait_ns",
-            id,
-            self.wait_nanos() as f64,
-        ));
-    }
-}
-
 /// Serializes one event as a single-line JSON object.
 pub fn event_json(ev: &TraceEvent) -> String {
     let mut s = format!(
@@ -1473,35 +1392,6 @@ mod tests {
         let evs = r.events();
         assert_eq!(evs.len(), 1024.min(total as usize));
         assert!(evs.windows(2).all(|w| w[0].seq < w[1].seq));
-    }
-
-    #[test]
-    fn lock_stats_attribute_waits() {
-        let stats = LockStats::new();
-        let m = Mutex::new(0u64);
-        {
-            let mut g = stats.lock(&m);
-            *g += 1;
-        }
-        assert_eq!(stats.acquisitions(), 1);
-        assert_eq!(stats.contended(), 0);
-        // Force contention: hold the lock in another thread.
-        std::thread::scope(|s| {
-            let held = s.spawn(|| {
-                let _g = m.lock();
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            });
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            let _g = stats.lock(&m);
-            held.join().unwrap();
-        });
-        assert_eq!(stats.acquisitions(), 2);
-        assert_eq!(stats.contended(), 1);
-        assert!(stats.wait_nanos() > 0);
-        let mut gauges = Vec::new();
-        stats.sample_gauges(7, &mut gauges);
-        assert_eq!(gauges.len(), 3);
-        assert!(gauges.iter().all(|g| g.device == 7));
     }
 
     #[test]

@@ -28,8 +28,7 @@
 //!   all tree timestamps are virtual, so single-threaded same-seed runs
 //!   produce byte-identical span trees (asserted by the replay suites).
 //!   Wall-clock lock waits never enter the tree: `LockWait` events are
-//!   zero-width virtual markers and the wall-time aggregates stay in
-//!   [`crate::LockStats`].
+//!   zero-width virtual markers.
 
 use crate::{Recorder, Stage, TraceEvent, NONE};
 use parking_lot::Mutex;

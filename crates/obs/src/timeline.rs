@@ -1,272 +1,13 @@
-//! Time-series telemetry: virtual-time gauge sampling and the combined
-//! timeline JSON exporter.
+//! The `BENCH_*_timeline.json` exporter.
 //!
 //! The windowed latency digests live inside [`Recorder`] (same mutex as
-//! the trace ring, so the hot path pays no extra lock); this module adds
-//! the *gauge* plane — instantaneous state readings sampled on the
-//! virtual clock — and the `BENCH_*_timeline.json` exporter that merges
-//! both into one artifact.
-//!
-//! Design constraints mirror the tracing layer (DESIGN.md
-//! "Observability"):
-//!
-//! - **Driven, not threaded.** There is no background thread; whatever
-//!   advances virtual time (normally the workload engine) calls
-//!   [`Timeline::maybe_sample`] with the current instant. The fast path
-//!   is one atomic load, so attaching a timeline costs nothing between
-//!   sample points.
-//! - **Allocation-free in steady state.** Series storage is discovered
-//!   and preallocated when a source is registered; sampling appends into
-//!   fixed-capacity buffers and drops (counted) beyond them.
-//! - **Deterministic.** Sample instants derive from [`SimTime`] only, so
-//!   identical runs produce identical timelines.
+//! the trace ring, so the hot path pays no extra lock); this module
+//! renders them, with the whole-run stage digest, as one artifact.
+//! Window instants derive from [`SimTime`] only, so identical runs
+//! produce identical timelines.
 
 use crate::{Recorder, Stage};
-use parking_lot::Mutex;
-use sim::{SimDuration, SimTime};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Maximum points retained per gauge series; later samples are dropped
-/// (and counted) so steady-state sampling never reallocates.
-const POINTS_PER_SERIES: usize = 4096;
-
-/// One instantaneous gauge reading, produced by a [`GaugeSource`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GaugeReading {
-    /// Stable snake-case gauge name (e.g. `"open_zones"`).
-    pub gauge: &'static str,
-    /// Device index the reading belongs to, or [`crate::NONE`] for
-    /// volume-wide gauges.
-    pub device: u32,
-    /// The sampled value.
-    pub value: f64,
-}
-
-impl GaugeReading {
-    /// Convenience constructor.
-    pub fn new(gauge: &'static str, device: u32, value: f64) -> Self {
-        GaugeReading {
-            gauge,
-            device,
-            value,
-        }
-    }
-}
-
-/// A provider of instantaneous gauge readings — implemented by devices
-/// and volumes (`ZnsDevice`, `ConvSsd`, `RaiznVolume`, `Md5Volume`).
-///
-/// `sample_gauges` must emit the *same set* of `(gauge, device)` pairs on
-/// every call: the timeline discovers and preallocates series storage at
-/// registration time, and a pair first seen later allocates on the
-/// sampling path.
-pub trait GaugeSource: Send + Sync {
-    /// Stable label of the source layer (e.g. `"zns"`, `"raizn"`).
-    fn source_label(&self) -> &'static str;
-
-    /// Appends one reading per exported gauge to `out`.
-    fn sample_gauges(&self, out: &mut Vec<GaugeReading>);
-}
-
-/// One exported gauge series (snapshot form returned by
-/// [`Timeline::series`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaugeSeries {
-    /// Source layer label.
-    pub source: &'static str,
-    /// Gauge name.
-    pub gauge: &'static str,
-    /// Device index, or [`crate::NONE`].
-    pub device: u32,
-    /// `(instant, value)` samples, oldest first.
-    pub points: Vec<(SimTime, f64)>,
-}
-
-struct SeriesSlot {
-    source: &'static str,
-    gauge: &'static str,
-    device: u32,
-    /// Which registered source produces this series.
-    src_index: usize,
-    points: Vec<(u64, f64)>,
-}
-
-struct TlInner {
-    sources: Vec<Arc<dyn GaugeSource>>,
-    series: Vec<SeriesSlot>,
-    scratch: Vec<GaugeReading>,
-    samples_taken: u64,
-    points_dropped: u64,
-}
-
-/// A registry of [`GaugeSource`]s sampled on the virtual clock at a fixed
-/// interval. Shareable (`Arc`); one timeline normally covers the whole
-/// stack of an experiment, alongside a windowed [`Recorder`].
-pub struct Timeline {
-    interval_ns: u64,
-    /// Next virtual instant at which sampling is due (fast-path check).
-    next_at: AtomicU64,
-    inner: Mutex<TlInner>,
-}
-
-impl std::fmt::Debug for Timeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
-        f.debug_struct("Timeline")
-            .field("interval_ns", &self.interval_ns)
-            .field("sources", &inner.sources.len())
-            .field("series", &inner.series.len())
-            .field("samples_taken", &inner.samples_taken)
-            .finish()
-    }
-}
-
-impl Timeline {
-    /// Creates a timeline sampling every `interval` of virtual time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn new(interval: SimDuration) -> Arc<Self> {
-        assert!(
-            interval > SimDuration::ZERO,
-            "timeline interval must be positive"
-        );
-        Arc::new(Timeline {
-            interval_ns: interval.as_nanos(),
-            next_at: AtomicU64::new(0),
-            inner: Mutex::new(TlInner {
-                sources: Vec::new(),
-                series: Vec::new(),
-                scratch: Vec::new(),
-                samples_taken: 0,
-                points_dropped: 0,
-            }),
-        })
-    }
-
-    /// The sampling interval.
-    pub fn interval(&self) -> SimDuration {
-        SimDuration::from_nanos(self.interval_ns)
-    }
-
-    /// Registers a gauge source. The source is sampled once (discarding
-    /// the values) to discover its series and preallocate their storage,
-    /// so steady-state sampling stays allocation-free.
-    pub fn register(&self, source: Arc<dyn GaugeSource>) {
-        let mut inner = self.inner.lock();
-        let src_index = inner.sources.len();
-        let label = source.source_label();
-        let mut discovered = Vec::new();
-        source.sample_gauges(&mut discovered);
-        for r in &discovered {
-            inner.series.push(SeriesSlot {
-                source: label,
-                gauge: r.gauge,
-                device: r.device,
-                src_index,
-                points: Vec::with_capacity(POINTS_PER_SERIES),
-            });
-        }
-        let scratch_need = discovered.len().max(16);
-        let have = inner.scratch.capacity();
-        inner.scratch.reserve(scratch_need.saturating_sub(have));
-        inner.sources.push(source);
-    }
-
-    /// Samples all sources if `now` has reached the next sample instant.
-    /// The fast path (not yet due) is a single atomic load — cheap enough
-    /// to call once per IO completion.
-    pub fn maybe_sample(&self, now: SimTime) {
-        if now.as_nanos() < self.next_at.load(Ordering::Relaxed) {
-            return;
-        }
-        self.force_sample(now);
-    }
-
-    /// Samples all sources unconditionally at `now` (phase boundaries,
-    /// end-of-run capture) and schedules the next periodic sample.
-    pub fn force_sample(&self, now: SimTime) {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        let t = now.as_nanos();
-        for (src_index, source) in inner.sources.iter().enumerate() {
-            inner.scratch.clear();
-            source.sample_gauges(&mut inner.scratch);
-            for r in &inner.scratch {
-                let slot = inner.series.iter_mut().find(|s| {
-                    s.src_index == src_index && s.gauge == r.gauge && s.device == r.device
-                });
-                let slot = match slot {
-                    Some(s) => s,
-                    None => {
-                        // A series not present at registration: create it
-                        // (allocates — sources should emit a stable set).
-                        inner.series.push(SeriesSlot {
-                            source: source.source_label(),
-                            gauge: r.gauge,
-                            device: r.device,
-                            src_index,
-                            points: Vec::with_capacity(POINTS_PER_SERIES),
-                        });
-                        inner.series.last_mut().expect("just pushed")
-                    }
-                };
-                if slot.points.len() == POINTS_PER_SERIES {
-                    inner.points_dropped += 1;
-                } else {
-                    slot.points.push((t, r.value));
-                }
-            }
-        }
-        inner.samples_taken += 1;
-        let next = (t / self.interval_ns + 1) * self.interval_ns;
-        self.next_at.store(next, Ordering::Relaxed);
-    }
-
-    /// Number of sampling passes performed.
-    pub fn samples_taken(&self) -> u64 {
-        self.inner.lock().samples_taken
-    }
-
-    /// Points discarded because a series hit its retention cap.
-    pub fn points_dropped(&self) -> u64 {
-        self.inner.lock().points_dropped
-    }
-
-    /// Snapshot of every gauge series, in registration order.
-    pub fn series(&self) -> Vec<GaugeSeries> {
-        let inner = self.inner.lock();
-        inner
-            .series
-            .iter()
-            .map(|s| GaugeSeries {
-                source: s.source,
-                gauge: s.gauge,
-                device: s.device,
-                points: s
-                    .points
-                    .iter()
-                    .map(|&(t, v)| (SimTime::from_nanos(t), v))
-                    .collect(),
-            })
-            .collect()
-    }
-
-    /// Discards all recorded points (sources and series stay registered)
-    /// and re-arms sampling, so a timeline can cover only the phase of
-    /// interest of a longer run.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        for s in &mut inner.series {
-            s.points.clear();
-        }
-        inner.samples_taken = 0;
-        inner.points_dropped = 0;
-        self.next_at.store(0, Ordering::Relaxed);
-    }
-}
+use sim::SimDuration;
 
 fn fmt_f64(v: f64) -> String {
     if v.fract() == 0.0 && v.abs() < 1e15 {
@@ -276,16 +17,10 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Renders the combined timeline artifact: whole-run stage percentiles,
+/// Renders the timeline artifact: whole-run stage percentiles and
 /// per-window digests (with throughput derived from whole-op sectors of
-/// `sector_bytes` each) and every gauge series. `name` tags the producing
-/// experiment; `timeline` may be omitted for window-only captures.
-pub fn timeline_json(
-    name: &str,
-    recorder: &Recorder,
-    timeline: Option<&Timeline>,
-    sector_bytes: u64,
-) -> String {
+/// `sector_bytes` each). `name` tags the producing experiment.
+pub fn timeline_json(name: &str, recorder: &Recorder, sector_bytes: u64) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\n");
     out.push_str(&format!("  \"name\": \"{}\",\n", crate::escape(name)));
@@ -357,35 +92,6 @@ pub fn timeline_json(
         }
         out.push_str("}}");
     }
-    out.push_str("\n  ],\n");
-
-    // Gauge series.
-    out.push_str("  \"gauges\": [");
-    let series = timeline.map(|t| t.series()).unwrap_or_default();
-    let mut first = true;
-    for s in &series {
-        if s.points.is_empty() {
-            continue;
-        }
-        out.push_str(if first { "\n" } else { ",\n" });
-        first = false;
-        out.push_str(&format!(
-            "    {{\"source\": \"{}\", \"gauge\": \"{}\", ",
-            crate::escape(s.source),
-            crate::escape(s.gauge)
-        ));
-        if s.device != crate::NONE {
-            out.push_str(&format!("\"device\": {}, ", s.device));
-        }
-        out.push_str("\"points\": [");
-        for (i, (t, v)) in s.points.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("[{}, {}]", t.as_nanos(), fmt_f64(*v)));
-        }
-        out.push_str("]}");
-    }
     out.push_str("\n  ]\n}\n");
     out
 }
@@ -394,83 +100,10 @@ pub fn timeline_json(
 mod tests {
     use super::*;
     use crate::{OpClass, Outcome, TraceEvent};
-
-    struct FakeSource {
-        label: &'static str,
-        value: Mutex<f64>,
-    }
-
-    impl GaugeSource for FakeSource {
-        fn source_label(&self) -> &'static str {
-            self.label
-        }
-
-        fn sample_gauges(&self, out: &mut Vec<GaugeReading>) {
-            let v = *self.value.lock();
-            out.push(GaugeReading::new("level", 0, v));
-            out.push(GaugeReading::new("level", 1, v * 2.0));
-        }
-    }
-
-    fn fake(label: &'static str) -> Arc<FakeSource> {
-        Arc::new(FakeSource {
-            label,
-            value: Mutex::new(1.0),
-        })
-    }
+    use sim::SimTime;
 
     #[test]
-    fn register_discovers_series_without_recording_points() {
-        let tl = Timeline::new(SimDuration::from_millis(10));
-        tl.register(fake("zns"));
-        let series = tl.series();
-        assert_eq!(series.len(), 2);
-        assert!(series.iter().all(|s| s.points.is_empty()));
-        assert_eq!(series[0].source, "zns");
-        assert_eq!(series[0].gauge, "level");
-    }
-
-    #[test]
-    fn maybe_sample_fires_once_per_interval() {
-        let tl = Timeline::new(SimDuration::from_millis(10));
-        let src = fake("ftl");
-        tl.register(src.clone());
-        tl.maybe_sample(SimTime::from_millis(0)); // due immediately
-        tl.maybe_sample(SimTime::from_millis(3)); // same window: skipped
-        tl.maybe_sample(SimTime::from_millis(9));
-        assert_eq!(tl.samples_taken(), 1);
-        *src.value.lock() = 7.0;
-        tl.maybe_sample(SimTime::from_millis(12)); // next window
-        assert_eq!(tl.samples_taken(), 2);
-        let series = tl.series();
-        assert_eq!(series[0].points.len(), 2);
-        assert_eq!(series[0].points[1], (SimTime::from_millis(12), 7.0));
-        assert_eq!(series[1].points[1].1, 14.0);
-    }
-
-    #[test]
-    fn force_sample_ignores_schedule() {
-        let tl = Timeline::new(SimDuration::from_secs(1));
-        tl.register(fake("raizn"));
-        tl.force_sample(SimTime::from_nanos(5));
-        tl.force_sample(SimTime::from_nanos(6));
-        assert_eq!(tl.samples_taken(), 2);
-    }
-
-    #[test]
-    fn clear_resets_points_and_schedule() {
-        let tl = Timeline::new(SimDuration::from_millis(1));
-        tl.register(fake("mdraid"));
-        tl.maybe_sample(SimTime::from_millis(5));
-        assert_eq!(tl.series()[0].points.len(), 1);
-        tl.clear();
-        assert!(tl.series()[0].points.is_empty());
-        tl.maybe_sample(SimTime::from_millis(5));
-        assert_eq!(tl.series()[0].points.len(), 1);
-    }
-
-    #[test]
-    fn timeline_json_contains_windows_and_gauges() {
+    fn timeline_json_contains_windows() {
         let rec = Recorder::new(64, 1);
         rec.enable_windows(SimDuration::from_millis(10), 128);
         for i in 0..4u64 {
@@ -491,27 +124,14 @@ mod tests {
                 blame: crate::Actor::None,
             });
         }
-        let tl = Timeline::new(SimDuration::from_millis(10));
-        tl.register(fake("zns"));
-        tl.force_sample(SimTime::from_millis(15));
-        let json = timeline_json("demo", &rec, Some(&tl), 4096);
+        let json = timeline_json("demo", &rec, 4096);
         assert!(json.contains("\"kind\": \"timeline\""));
         assert!(json.contains("\"window_ns\": 10000000"));
         assert!(json.contains("\"whole_run\""));
         assert!(json.contains("\"throughput_mib_s\""));
-        assert!(json.contains("\"gauge\": \"level\""));
+        assert!(!json.contains("\"gauges\""));
         // All four windows present (three finalized + the open one).
         assert!(json.matches("\"index\":").count() >= 4);
-    }
-
-    #[test]
-    fn points_capped_at_capacity() {
-        let tl = Timeline::new(SimDuration::from_nanos(1));
-        tl.register(fake("zns"));
-        for i in 0..(POINTS_PER_SERIES as u64 + 10) {
-            tl.force_sample(SimTime::from_nanos(i));
-        }
-        assert_eq!(tl.series()[0].points.len(), POINTS_PER_SERIES);
-        assert_eq!(tl.points_dropped(), 20); // 10 overflow samples x 2 series
+        assert!(json.ends_with("\n  ]\n}\n"));
     }
 }

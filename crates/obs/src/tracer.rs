@@ -240,9 +240,8 @@ impl Tracer {
 
     /// Drops a zero-width [`Stage::LockWait`] marker at `at` into the
     /// ambient span (only while span tracing is on). Wall-clock lock
-    /// contention never enters the virtual timeline — totals live in
-    /// [`crate::LockStats`] — but the marker places the acquisition in the
-    /// op's blame tree and exported waterfalls.
+    /// contention never enters the virtual timeline, but the marker places
+    /// the acquisition in the op's blame tree and exported waterfalls.
     #[inline]
     pub fn lock_mark(&self, op: OpClass, zone: u32, at: SimTime) {
         if self.slot.get().is_some_and(|a| a.recorder.spans_enabled()) {

@@ -145,28 +145,4 @@ mod tests {
         assert!(st[0].merged > 0, "adjacent sequential writes must merge");
         assert!(st[0].batches < st[0].completed);
     }
-
-    #[test]
-    fn gauges_emit_stable_series() {
-        use obs::GaugeSource;
-        let s = QosScheduler::new(
-            target(),
-            QosConfig::default(),
-            vec![TenantSpec::new("a"), TenantSpec::new("b")],
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        s.sample_gauges(&mut out);
-        assert_eq!(out.len(), 9, "3 gauges x 2 tenants + 3 lock gauges");
-        let mut again = Vec::new();
-        s.sample_gauges(&mut again);
-        assert_eq!(
-            out.iter().map(|g| (g.gauge, g.device)).collect::<Vec<_>>(),
-            again
-                .iter()
-                .map(|g| (g.gauge, g.device))
-                .collect::<Vec<_>>(),
-            "gauge set must be stable across samples"
-        );
-    }
 }

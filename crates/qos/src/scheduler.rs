@@ -2,7 +2,7 @@
 
 use crate::config::{QosConfig, TenantSpec};
 use crate::mclock::{TagState, NO_RESERVATION};
-use crate::stats::{coalesce_ratio, TenantSnapshot};
+use crate::stats::TenantSnapshot;
 use parking_lot::Mutex;
 use sim::SimTime;
 use std::cmp::Reverse;
@@ -99,15 +99,12 @@ struct Inner {
 /// every method takes `&self`, so multiple engine workers may submit
 /// concurrently; dispatch order is then serialized by the mutex and
 /// deterministic only for a deterministic call sequence (the benchmarks
-/// drive it single-threaded for exactly that reason). Contention on the
-/// scheduler mutex is surfaced through the same `lock_*` gauges as the
-/// RAIZN volume's shard and meta locks.
+/// drive it single-threaded for exactly that reason).
 pub struct QosScheduler {
     target: Arc<dyn IoTarget>,
     config: QosConfig,
     tracer: obs::Tracer,
     inner: Mutex<Inner>,
-    locks: obs::LockStats,
 }
 
 impl std::fmt::Debug for QosScheduler {
@@ -156,7 +153,6 @@ impl QosScheduler {
             target,
             config,
             tracer: obs::Tracer::new(),
-            locks: obs::LockStats::new(),
             inner: Mutex::new(Inner {
                 tenants: states,
                 slots,
@@ -180,7 +176,7 @@ impl QosScheduler {
 
     /// Per-tenant accounting snapshots, in registration order.
     pub fn stats(&self) -> Vec<TenantSnapshot> {
-        let inner = self.locks.lock(&self.inner);
+        let inner = self.inner.lock();
         inner
             .tenants
             .iter()
@@ -248,7 +244,7 @@ impl QosScheduler {
         data: Option<&[u8]>,
         dir: OpDir,
     ) -> Result<Admission> {
-        let mut inner = self.locks.lock(&self.inner);
+        let mut inner = self.inner.lock();
         let inner = &mut *inner;
         let ti = tenant as usize;
         if ti >= inner.tenants.len() {
@@ -359,7 +355,7 @@ impl SharedScheduler for QosScheduler {
     }
 
     fn step(&self, out: &mut Vec<SchedCompletion>) -> Result<bool> {
-        let mut inner = self.locks.lock(&self.inner);
+        let mut inner = self.inner.lock();
         let inner = &mut *inner;
 
         // Earliest instant any head could dispatch: its arrival.
@@ -532,34 +528,5 @@ impl SharedScheduler for QosScheduler {
             );
         }
         Ok(true)
-    }
-}
-
-impl obs::GaugeSource for QosScheduler {
-    fn source_label(&self) -> &'static str {
-        "qos"
-    }
-
-    fn sample_gauges(&self, out: &mut Vec<obs::GaugeReading>) {
-        let inner = self.locks.lock(&self.inner);
-        let total_completed: u64 = inner.tenants.iter().map(|t| t.totals.completed).sum();
-        for (i, t) in inner.tenants.iter().enumerate() {
-            let dev = i as u32;
-            out.push(obs::GaugeReading::new(
-                "queue_depth",
-                dev,
-                t.queue.len() as f64,
-            ));
-            let share = if total_completed > 0 {
-                t.totals.completed as f64 / total_completed as f64
-            } else {
-                0.0
-            };
-            out.push(obs::GaugeReading::new("granted_share", dev, share));
-            let ratio = coalesce_ratio(t.totals.merged, t.totals.completed);
-            out.push(obs::GaugeReading::new("coalesce_ratio", dev, ratio));
-        }
-        drop(inner);
-        self.locks.sample_gauges(0, out);
     }
 }

@@ -27,16 +27,12 @@ pub struct TenantSnapshot {
 
 impl TenantSnapshot {
     /// Fraction of completed ops that rode along in a coalesced batch.
+    /// 0 before the first completion.
     pub fn coalesce_ratio(&self) -> f64 {
-        coalesce_ratio(self.merged, self.completed)
-    }
-}
-
-/// `merged / completed`, 0 before the first completion.
-pub(crate) fn coalesce_ratio(merged: u64, completed: u64) -> f64 {
-    if completed == 0 {
-        0.0
-    } else {
-        merged as f64 / completed as f64
+        if self.completed == 0 {
+            0.0
+        } else {
+            self.merged as f64 / self.completed as f64
+        }
     }
 }

@@ -6,65 +6,8 @@ use crate::target::{io_buffer, IoTarget};
 use sim::{Histogram, SimDuration, SimRng, SimTime, Timeseries, TimeseriesPoint};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use zns::{Result, ZnsError, SECTOR_SIZE};
-
-/// Live pipeline occupancy gauge: how many IOs the engine currently keeps
-/// in flight across all jobs (and the high-water mark). Attach with
-/// [`Engine::depth_gauge`] and register on an [`obs::Timeline`] to get a
-/// `pipeline_queue_depth` series; multi-threaded runs share one gauge
-/// across workers.
-#[derive(Debug, Default)]
-pub struct PipelineDepth {
-    cur: AtomicU64,
-    peak: AtomicU64,
-}
-
-impl PipelineDepth {
-    /// Creates a zeroed gauge.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// Current in-flight IO count.
-    pub fn current(&self) -> u64 {
-        self.cur.load(Ordering::Relaxed)
-    }
-
-    /// Highest in-flight IO count observed.
-    pub fn peak(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
-    }
-
-    fn enter(&self) {
-        let now = self.cur.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak.fetch_max(now, Ordering::Relaxed);
-    }
-
-    fn exit(&self) {
-        self.cur.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-impl obs::GaugeSource for PipelineDepth {
-    fn source_label(&self) -> &'static str {
-        "engine"
-    }
-
-    fn sample_gauges(&self, out: &mut Vec<obs::GaugeReading>) {
-        out.push(obs::GaugeReading::new(
-            "pipeline_queue_depth",
-            obs::NONE,
-            self.current() as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "pipeline_queue_depth_peak",
-            obs::NONE,
-            self.peak() as f64,
-        ));
-    }
-}
 
 /// Operation type of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -278,11 +221,9 @@ impl JobState {
 
 /// Completion accounting of one run, shared by every run loop: the
 /// latency distributions, per-job and total counts, the sampled series,
-/// the op's whole-op trace event, the gauge-timeline tick and the run's
-/// end instant.
+/// the op's whole-op trace event and the run's end instant.
 struct Tally {
     tracer: obs::Tracer,
-    timeline: Option<Arc<obs::Timeline>>,
     latency: Histogram,
     per_job: Vec<JobReport>,
     throughput: Option<Timeseries>,
@@ -294,11 +235,10 @@ struct Tally {
 
 impl Tally {
     /// A zeroed tally for a run of `jobs` jobs observed through
-    /// `engine`'s tracer and timeline, sampling series at `sample`.
+    /// `engine`'s tracer, sampling series at `sample`.
     fn new(engine: &Engine, jobs: usize, sample: Option<SimDuration>) -> Tally {
         Tally {
             tracer: engine.tracer.clone(),
-            timeline: engine.timeline.clone(),
             latency: Histogram::new(),
             per_job: (0..jobs).map(|_| JobReport::default()).collect(),
             throughput: sample.map(Timeseries::new),
@@ -330,9 +270,6 @@ impl Tally {
         match root {
             Some(open) => self.tracer.root(&open, event),
             None => self.tracer.leaf(event),
-        }
-        if let Some(tl) = self.timeline.as_ref() {
-            tl.maybe_sample(done);
         }
         if let Some(ts) = self.throughput.as_mut() {
             ts.record(done, bytes);
@@ -380,8 +317,6 @@ pub struct Engine {
     sample: Option<SimDuration>,
     time_limit: Option<SimDuration>,
     tracer: obs::Tracer,
-    timeline: Option<Arc<obs::Timeline>>,
-    depth: Option<Arc<PipelineDepth>>,
 }
 
 impl Engine {
@@ -394,16 +329,7 @@ impl Engine {
             sample: None,
             time_limit: None,
             tracer: obs::Tracer::new(),
-            timeline: None,
-            depth: None,
         }
-    }
-
-    /// Attaches a shared [`PipelineDepth`] gauge the run updates on every
-    /// issue and retire.
-    pub fn depth_gauge(mut self, gauge: Arc<PipelineDepth>) -> Self {
-        self.depth = Some(gauge);
-        self
     }
 
     /// Attaches an observability recorder: every issued IO lands on it as
@@ -412,17 +338,6 @@ impl Engine {
     /// runs.
     pub fn recorder(self, recorder: Arc<obs::Recorder>) -> Self {
         self.tracer.attach(recorder, obs::NONE);
-        self
-    }
-
-    /// Attaches a gauge timeline: after every IO completion the engine
-    /// offers the completion instant to [`obs::Timeline::maybe_sample`],
-    /// which samples all registered gauge sources whenever the virtual
-    /// clock has crossed the timeline's sampling interval. The engine is
-    /// the natural driver because it is the only component that observes
-    /// virtual time advancing with no device or volume lock held.
-    pub fn timeline(mut self, timeline: Arc<obs::Timeline>) -> Self {
-        self.timeline = Some(timeline);
         self
     }
 
@@ -546,9 +461,6 @@ impl Engine {
                     break;
                 };
                 job.frontier = job.frontier.max(SimTime::from_nanos(done));
-                if let Some(g) = self.depth.as_ref() {
-                    g.exit();
-                }
             }
             let issue = job.frontier.max(issue);
 
@@ -571,17 +483,7 @@ impl Engine {
             let lat = done.since(issue);
             tally.complete(ji, bytes as u64, lat, done, Some(root), event);
             job.in_flight.push(Reverse(done.as_nanos()));
-            if let Some(g) = self.depth.as_ref() {
-                g.enter();
-            }
             job.remaining -= 1;
-        }
-        if let Some(g) = self.depth.as_ref() {
-            for job in &states {
-                for _ in 0..job.in_flight.len() {
-                    g.exit();
-                }
-            }
         }
 
         Ok(tally.report(self.start))
@@ -597,8 +499,6 @@ impl Engine {
             sample: None,
             time_limit: self.time_limit,
             tracer: self.tracer.clone(),
-            timeline: self.timeline.clone(),
-            depth: self.depth.clone(),
         }
     }
 
@@ -616,8 +516,7 @@ impl Engine {
     /// zones) — RAIZN serializes same-zone writers, and the zone-reset
     /// heuristic of [`ZonedTarget`](crate::ZonedTarget) is not atomic
     /// across racing jobs. Timeseries sampling is disabled for workers;
-    /// the recorder, timeline and depth gauge (all thread-safe) are
-    /// shared.
+    /// the recorder (thread-safe) is shared.
     ///
     /// # Errors
     ///
@@ -884,31 +783,6 @@ mod tests {
     }
 
     #[test]
-    fn timeline_sampled_on_virtual_clock() {
-        let dev = timed_device();
-        let t = ZonedTarget::new(dev.clone());
-        let tl = obs::Timeline::new(SimDuration::from_millis(1));
-        tl.register(dev.clone());
-        let job = JobSpec::new(OpKind::Write, Pattern::Sequential, 64).region(0, 8192);
-        let report = Engine::new(12)
-            .timeline(tl.clone())
-            .run(&t, &[job])
-            .unwrap();
-        assert!(report.duration > SimDuration::from_millis(2));
-        // At least one sample per elapsed millisecond window was possible;
-        // the engine must have taken several.
-        assert!(tl.samples_taken() >= 2, "samples: {}", tl.samples_taken());
-        let wp = tl
-            .series()
-            .into_iter()
-            .find(|s| s.gauge == "wp_sectors")
-            .expect("zns gauge registered");
-        // Write pointer advances monotonically across samples.
-        assert!(wp.points.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert!(wp.points.last().unwrap().1 > 0.0);
-    }
-
-    #[test]
     fn threaded_run_matches_job_totals() {
         let t = ZonedTarget::new(timed_device());
         let jobs: Vec<JobSpec> = (0..4)
@@ -953,29 +827,6 @@ mod tests {
             (report.total_ops, report.total_bytes, wps)
         };
         assert_eq!(run_once(), run_once());
-    }
-
-    #[test]
-    fn depth_gauge_tracks_in_flight() {
-        let t = ZonedTarget::new(timed_device());
-        let gauge = PipelineDepth::new();
-        let job = JobSpec::new(OpKind::Write, Pattern::Sequential, 64)
-            .region(0, 4096)
-            .queue_depth(8);
-        Engine::new(13)
-            .depth_gauge(gauge.clone())
-            .run(&t, &[job])
-            .unwrap();
-        assert_eq!(gauge.current(), 0, "all IOs retired at run end");
-        assert!(
-            gauge.peak() >= 1 && gauge.peak() <= 8,
-            "peak {}",
-            gauge.peak()
-        );
-        let mut out = Vec::new();
-        obs::GaugeSource::sample_gauges(&*gauge, &mut out);
-        assert!(out.iter().any(|g| g.gauge == "pipeline_queue_depth"));
-        assert!(out.iter().any(|g| g.gauge == "pipeline_queue_depth_peak"));
     }
 
     #[test]

@@ -37,7 +37,7 @@ mod sched;
 mod series;
 mod target;
 
-pub use engine::{Engine, JobReport, JobSpec, OpKind, Pattern, PipelineDepth, RunReport};
+pub use engine::{Engine, JobReport, JobSpec, OpKind, Pattern, RunReport};
 pub use sched::{Admission, OpToken, SchedCompletion, SharedScheduler, ShedReason, TenantId};
 pub use series::LatencySeries;
 pub use target::{BlockTarget, IoTarget, ZonedTarget};

@@ -134,10 +134,6 @@ pub struct Members {
     degraded_reads: AtomicU64,
     double_degraded_reads: AtomicU64,
     read_repairs: AtomicU64,
-    /// Rebuild progress gauges: zones scheduled and completed by the
-    /// in-flight rebuild (0 when none runs).
-    rebuild_total: AtomicU64,
-    rebuild_done: AtomicU64,
     /// Spare column sets (`parity` units each) between uses: as many as
     /// were ever lent at once. An innermost lock, held only to pop or
     /// push a set.
@@ -183,8 +179,6 @@ impl Members {
             degraded_reads: AtomicU64::new(0),
             double_degraded_reads: AtomicU64::new(0),
             read_repairs: AtomicU64::new(0),
-            rebuild_total: AtomicU64::new(0),
-            rebuild_done: AtomicU64::new(0),
             spare_columns: Mutex::new(Vec::new()),
             tracer: obs::Tracer::new(),
         })
@@ -312,11 +306,6 @@ impl Members {
         self.errors[dev].load(Ordering::Relaxed)
     }
 
-    /// Error budget left to member `dev`.
-    pub fn budget_remaining(&self, dev: usize) -> u64 {
-        DEVICE_ERROR_BUDGET.saturating_sub(self.errors(dev))
-    }
-
     /// Transient errors absorbed by retries.
     pub fn transient_retries(&self) -> u64 {
         self.transient_retries.load(Ordering::Relaxed)
@@ -340,14 +329,6 @@ impl Members {
     /// Latent units a read decoded whole and handed back for repair.
     pub fn read_repairs(&self) -> u64 {
         self.read_repairs.load(Ordering::Relaxed)
-    }
-
-    /// `(zones scheduled, zones done)` of the in-flight rebuild.
-    pub fn rebuild_progress(&self) -> (u64, u64) {
-        (
-            self.rebuild_total.load(Ordering::Relaxed),
-            self.rebuild_done.load(Ordering::Relaxed),
-        )
     }
 
     /// The one decode loop: rows `[row0, ..)` of the slot member `target`
@@ -575,12 +556,11 @@ impl Members {
     }
 
     /// Rebuilds the lowest failed member onto `replacement`: `policy`
-    /// walks the `zones` zones the engine says are live and hands each
-    /// extent of the lost member to the [`Rebuild`] it is given (which
-    /// writes and seals the replacement); then the replacement is swapped
-    /// in, its failure bit and error count cleared. Device time is blamed
-    /// on [`obs::Actor::Rebuild`], and the progress gauges follow the
-    /// policy's zones.
+    /// walks the zones the engine says are live and hands each extent of
+    /// the lost member to the [`Rebuild`] it is given (which writes and
+    /// seals the replacement); then the replacement is swapped in, its
+    /// failure bit and error count cleared. Device time is blamed on
+    /// [`obs::Actor::Rebuild`].
     ///
     /// # Errors
     ///
@@ -590,7 +570,6 @@ impl Members {
         &self,
         at: SimTime,
         replacement: Arc<ZnsDevice>,
-        zones: u64,
         policy: impl FnOnce(&Roster<'_>, &mut Rebuild<'_>) -> Result<()>,
     ) -> Result<RebuildReport> {
         let dev = self.lowest_failed().ok_or_else(|| {
@@ -607,8 +586,6 @@ impl Members {
             // rebuild actor; foreground ops queued behind them see the
             // stall as rebuild interference in their blame trees.
             let _actor = obs::actor_scope(obs::Actor::Rebuild);
-            self.rebuild_total.store(zones, Ordering::Release);
-            self.rebuild_done.store(0, Ordering::Release);
             let unit_bytes = self.unit_bytes();
             let mut rb = Rebuild {
                 members: self,
@@ -634,8 +611,6 @@ impl Members {
         self.devices.write()[dev] = replacement;
         self.failed.fetch_and(!(1u64 << dev), Ordering::AcqRel);
         self.errors[dev].store(0, Ordering::Relaxed);
-        self.rebuild_total.store(0, Ordering::Release);
-        self.rebuild_done.store(0, Ordering::Release);
         Ok(report)
     }
 }
@@ -860,7 +835,6 @@ impl Rebuild<'_> {
     /// Counts one zone done.
     pub fn zone_done(&mut self) {
         self.zones += 1;
-        self.members.rebuild_done.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Runs the engine's own commands on the replacement (its metadata),

@@ -738,54 +738,6 @@ impl ZonedVolume for ZnsDevice {
     }
 }
 
-impl obs::GaugeSource for ZnsDevice {
-    fn source_label(&self) -> &'static str {
-        "zns"
-    }
-
-    /// Instantaneous device state: cumulative write-pointer position (its
-    /// series differentiates into the paper's write-pointer advance rate),
-    /// volatile-cache occupancy (`wp - durable` across zones), open/active
-    /// zone counts, and cumulative injected-error counters.
-    fn sample_gauges(&self, out: &mut Vec<obs::GaugeReading>) {
-        let inner = self.inner.lock();
-        let mut wp = 0u64;
-        let mut cache = 0u64;
-        for z in &inner.zones {
-            wp += z.wp;
-            cache += z.wp - z.durable;
-        }
-        let d = self.tracer.device().unwrap_or(0);
-        out.push(obs::GaugeReading::new("wp_sectors", d, wp as f64));
-        out.push(obs::GaugeReading::new("cache_sectors", d, cache as f64));
-        out.push(obs::GaugeReading::new(
-            "open_zones",
-            d,
-            inner.open_count as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "active_zones",
-            d,
-            inner.active_count as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "device_wait_ns",
-            d,
-            inner.stats.device_wait_ns as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "injected_transients",
-            d,
-            inner.stats.injected_transients as f64,
-        ));
-        out.push(obs::GaugeReading::new(
-            "injected_media_errors",
-            d,
-            inner.stats.injected_media_errors as f64,
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

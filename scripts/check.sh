@@ -243,13 +243,23 @@ if grep -rnE '\b(retire_buffer|scratch_mut)\b|\.read_slot\( *[a-z_&][a-z_.& ]*, 
   exit 1
 fi
 
+# Telemetry keeps only what something reads (DESIGN.md "Observability"):
+# per-window digests and causal spans. The gauge plane (a registry of
+# sampled state series, the engine's queue-depth gauge, wall-clock lock
+# counters and the rebuild-progress counters it alone read) had no reader
+# and is gone; one of its names under crates/ is that plane coming back.
+if grep -rnE '\b(GaugeSource|GaugeReading|GaugeSeries|LockStats|sample_gauges|PipelineDepth|depth_gauge|maybe_sample|force_sample|rebuild_progress)\b|\bobs::Timeline\b' crates; then
+  echo "check.sh: a removed gauge-plane name is back (timelines carry windows only)" >&2
+  exit 1
+fi
+
 # Concurrency correctness: racing per-zone schedules vs the
 # single-threaded oracle, same-seed determinism, remount after the race.
 cargo test --release -q -p raizn --test concurrent_stress
 
 # Hot-path gates: XOR speedup >= 4x, 0 allocs/write with the full
-# observability plane attached (unsampled tracing + windows + gauge
-# timeline + causal span tracing with rolling-p99 tail sampling),
+# observability plane attached (unsampled tracing + tumbling windows +
+# causal span tracing with rolling-p99 tail sampling),
 # observability overhead < 1.2 us per full-stripe write (the binary
 # gates all three; 1.2 us is the 5% of a 24 us write the gate allowed
 # before whole-stripe writes got 4x cheaper — as a share of today's
@@ -366,6 +376,16 @@ cargo run --release -q -p raizn-bench --bin crash_sweep -- --seed 42
 # outside its row's recorded class, or on more of those than the row's
 # ceiling — a known defect is a ROADMAP entry with a ceiling.
 cargo run --release -q -p raizn-bench --bin recovery_matrix > /dev/null
+
+# Timeline artifacts carry windows and whole-run digests only: a
+# `"gauges"` key in one the bins above wrote is the gauge plane back.
+timelines="BENCH_hotpath_timeline.json BENCH_fig10_*_timeline.json BENCH_qos_timeline.json
+  BENCH_ziggurat_*_timeline.json BENCH_lsgc_*_timeline.json"
+if grep -qs '"gauges"' $timelines; then
+  grep -ls '"gauges"' $timelines >&2 || true
+  echo "check.sh: a timeline artifact has a \"gauges\" key" >&2
+  exit 1
+fi
 
 # Same seeds => same bytes: every committed artifact the bins above
 # regenerated must come out byte-identical to the committed copy, so a
