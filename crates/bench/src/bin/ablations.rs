@@ -6,46 +6,19 @@
 //! 2. **Stripe unit size** — small-write metadata overhead across stripe
 //!    unit sizes.
 
-use bench::{bs_label, print_table, TimelineRun};
-use raizn::{RaiznConfig, RaiznVolume};
-use sim::SimTime;
+use bench::{bs_label, print_table, raizn_volume, TimelineRun};
+use raizn::RaiznConfig;
 use std::sync::Arc;
 use workloads::{Engine, JobSpec, OpKind, Pattern, ZonedTarget};
-use zns::{LatencyConfig, ZnsConfig, ZnsDevice};
 
 const ZONES: u32 = 64;
 const ZONE_SECTORS: u64 = 4096;
 
-/// Builds the volume. Custom configs (pp variants, stripe units) mean the
-/// harness volume builders don't fit; when `run` is set the devices and
-/// volume are wired into its recorder instead of the process-wide
-/// recorder.
-fn build(config: RaiznConfig, run: Option<&TimelineRun>) -> bench::BenchResult<Arc<RaiznVolume>> {
-    let rec = run.map_or_else(bench::recorder, TimelineRun::recorder);
-    let devices: Vec<Arc<ZnsDevice>> = (0..5)
-        .map(|_| {
-            let config = ZnsConfig::builder()
-                .zones(ZONES, ZONE_SECTORS, ZONE_SECTORS)
-                .open_limits(14, 28)
-                .latency(LatencyConfig::zns_ssd())
-                .store_data(false)
-                .build();
-            Arc::new(ZnsDevice::new(config))
-        })
-        .collect();
-    for (i, dev) in devices.iter().enumerate() {
-        dev.set_recorder(rec.clone(), i as u32);
-    }
-    let vol = Arc::new(RaiznVolume::format(devices, config, SimTime::ZERO)?);
-    vol.set_recorder(rec);
-    Ok(vol)
-}
-
 fn small_write_run(
     config: RaiznConfig,
-    run: Option<&TimelineRun>,
+    rec: &Arc<obs::Recorder>,
 ) -> bench::BenchResult<(f64, u64, u64)> {
-    let vol = build(config, run)?;
+    let vol = raizn_volume(rec, ZONES, ZONE_SECTORS, config)?;
     let target = ZonedTarget::new(vol.clone());
     // 4 KiB sequential writes: every one logs partial parity.
     let job = JobSpec::new(OpKind::Write, Pattern::Sequential, 1)
@@ -76,7 +49,7 @@ fn main() -> bench::BenchResult {
         ("full-unit pp + header", full_unit),
     ] {
         let flagship = label.contains("(paper)");
-        let (mib_s, entries, bytes) = small_write_run(cfg, flagship.then_some(&capture))?;
+        let (mib_s, entries, bytes) = small_write_run(cfg, &capture.recorder_if(flagship))?;
         let wa = (bytes + entries * 4096) as f64 / (16_384.0 * 4096.0);
         rows.push(vec![
             label.to_string(),
@@ -99,7 +72,7 @@ fn main() -> bench::BenchResult {
             stripe_unit_sectors: su,
             ..RaiznConfig::default()
         };
-        let (mib_s, entries, bytes) = small_write_run(cfg, None)?;
+        let (mib_s, entries, bytes) = small_write_run(cfg, &bench::recorder())?;
         rows.push(vec![
             bs_label(su),
             format!("{mib_s:.0}"),

@@ -28,27 +28,16 @@ use bench::BenchError;
 use lsraid::{DirectSink, GcConfig, GcManager};
 use sim::SimTime;
 use std::cell::Cell;
-use std::sync::Arc;
 use workloads::harness::{
     absent_sets, keep_subsets, pin_points, random_trials, roomy_config, sweep, Crash, FaultTarget,
     Loss, Ls, Pair, Raizn, ZoneModel, CACHED,
 };
-use zns::{WriteFlags, ZnsConfig, ZnsDevice, ZoneState, ZonedVolume};
+use zns::{WriteFlags, ZnsConfig, ZoneState, ZonedVolume};
 
 const T0: SimTime = SimTime::ZERO;
 const DEVICES: usize = 5;
 const RANDOM_TRIALS: u64 = 64;
 const LS_RANDOM_TRIALS: u64 = 16;
-
-fn devices(config: &ZnsConfig) -> Vec<Arc<ZnsDevice>> {
-    (0..DEVICES)
-        .map(|i| {
-            let dev = Arc::new(ZnsDevice::new(config.clone()));
-            dev.set_recorder(bench::recorder(), i as u32);
-            dev
-        })
-        .collect()
-}
 
 /// Scripted workload over four logical zones: stripe buffers, partial
 /// parity logs, FUA barriers, a logged zone reset, zone finish, and
@@ -84,7 +73,7 @@ fn lifecycle_point(
     mid_finish: bool,
     k: usize,
 ) -> Result<(), String> {
-    let fresh = || devices(&ZnsConfig::small_test());
+    let fresh = || bench::zns_devices(&bench::recorder(), DEVICES, &ZnsConfig::small_test());
     let mut p = Pair::format(target, &fresh)?;
     let stripe_data = p.vol.layout().stripe_data_sectors();
     // Zone 0 takes the interruption; zone 1 is an untouched control.
@@ -247,7 +236,7 @@ fn sweep_script<T: FaultTarget>(
     (seed, trials): (u64, u64),
     turn: &Cell<usize>,
 ) -> bench::BenchResult<String> {
-    let fresh = || devices(config);
+    let fresh = || bench::zns_devices(&bench::recorder(), DEVICES, config);
     let history = |p: &mut Pair<T>, crash: &Crash| {
         script(p)?;
         p.power_cycle(crash)?;

@@ -18,8 +18,7 @@
 //! `BENCH_fig10_spans.json` blame artifact. The `report` binary renders
 //! and gates them (`scripts/check.sh`).
 
-use bench::{print_table, TimelineRun};
-use lsraid::LsConfig;
+use bench::{lsraid_volume, mdraid_volume, print_table, raizn_volume, TimelineRun};
 use sim::SimDuration;
 use workloads::{BlockTarget, Engine, IoTarget, JobSpec, OpKind, Pattern, ZonedTarget};
 
@@ -87,20 +86,22 @@ fn run_overwrite(
 
 fn main() -> bench::BenchResult {
     let rz_capture = TimelineRun::new("fig10_raizn");
-    let raizn = rz_capture.raizn_volume(ZONES, ZONE_SECTORS, 16)?;
+    let rec = rz_capture.recorder();
+    let raizn = raizn_volume(&rec, ZONES, ZONE_SECTORS, Default::default())?;
     let rt = ZonedTarget::new(raizn);
     let mut rows = run_overwrite(&rt, "raizn", &rz_capture)?;
 
     let ls_capture = TimelineRun::new("fig10_lsraid");
-    let ls = ls_capture.lsraid_volume(ZONES, ZONE_SECTORS, LsConfig::default())?;
+    let rec = ls_capture.recorder();
+    let ls = lsraid_volume(&rec, ZONES, ZONE_SECTORS, Default::default())?;
     let lt = ZonedTarget::overwriting(ls);
     rows.extend(run_overwrite(&lt, "lsraid", &ls_capture)?);
     // Blame trees of the overwrite phase: `report --explain` on this
     // artifact says what a group open costs the write that pays for it.
-    bench::write_spans("fig10", &ls_capture.recorder())?;
+    bench::write_spans("fig10", &rec)?;
 
     let md_capture = TimelineRun::new("fig10_mdraid");
-    let md = md_capture.mdraid_volume(ZONES as u64 * ZONE_SECTORS, 16)?;
+    let md = mdraid_volume(&md_capture.recorder(), ZONES as u64 * ZONE_SECTORS, 16)?;
     let mt = BlockTarget::new(md.clone());
     rows.extend(run_overwrite(&mt, "mdraid", &md_capture)?);
 

@@ -4,10 +4,11 @@
 //! the member layer it shares with RAIZN).
 
 use bench::{
-    bs_label, lsraid_volume, mdraid_volume, prime, print_table, raizn_volume, run_micro, Micro,
-    TimelineRun,
+    bs_label, lsraid_volume, mdraid_volume, prime, print_table, raizn_volume, recorder, run_micro,
+    Micro, TimelineRun,
 };
 use lsraid::LsConfig;
+use raizn::RaiznConfig;
 use sim::SimTime;
 use workloads::{BlockTarget, ZonedTarget};
 use zns::ZonedVolume;
@@ -21,28 +22,30 @@ fn main() -> bench::BenchResult {
     let threads = bench::threads_arg("fig11")?;
     // Timeline capture rides on the flagship degraded random-read run.
     let capture = TimelineRun::new("fig11");
+    let config = RaiznConfig {
+        stripe_unit_sectors: SU,
+        ..RaiznConfig::default()
+    };
     let mut rows = Vec::new();
     for micro in [Micro::SeqRead, Micro::RandRead] {
         for bs in BLOCK_SIZES {
             let flagship = micro == Micro::RandRead && bs == 256;
-            let raizn = if flagship {
-                capture.raizn_volume(ZONES, ZONE_SECTORS, SU)?
-            } else {
-                raizn_volume(ZONES, ZONE_SECTORS, SU)?
-            };
+            let rec = capture.recorder_if(flagship);
+            let raizn = raizn_volume(&rec, ZONES, ZONE_SECTORS, config)?;
             let rt = ZonedTarget::new(raizn.clone());
             let start = prime(&rt, SimTime::ZERO)?;
             raizn.fail_device(0).unwrap();
             let align = rt.volume().geometry().zone_cap();
             let r = run_micro(&rt, micro, bs, align, start, threads)?;
 
-            let md = mdraid_volume(ZONES as u64 * ZONE_SECTORS, SU)?;
+            let md = mdraid_volume(&recorder(), ZONES as u64 * ZONE_SECTORS, SU)?;
             let mt = BlockTarget::new(md.clone());
             let start = prime(&mt, SimTime::ZERO)?;
             md.fail_device(0);
             let m = run_micro(&mt, micro, bs, align, start, threads)?;
 
-            let ls = lsraid_volume(ZONES, ZONE_SECTORS, LsConfig::default().stripe_unit(SU))?;
+            let ls_config = LsConfig::default().stripe_unit(SU);
+            let ls = lsraid_volume(&recorder(), ZONES, ZONE_SECTORS, ls_config)?;
             let lt = ZonedTarget::new(ls.clone());
             let start = prime(&lt, SimTime::ZERO)?;
             ls.fail_device(0)?;

@@ -7,14 +7,15 @@
 //! copying them, and so scales with valid data, not with what was written.
 
 use bench::{
-    conv_devices, lsraid_volume, mdraid_volume, print_table, raizn_volume, zns_devices, TimelineRun,
+    conv_devices, lsraid_volume, mdraid_volume, print_table, raizn_volume, recorder, zns_config,
+    zns_devices, TimelineRun,
 };
 use ftl::BlockDevice;
 use lsraid::LsConfig;
+use raizn::RaiznConfig;
 use sim::SimTime;
 use std::sync::Arc;
 use workloads::{BlockTarget, Engine, IoTarget, JobSpec, OpKind, Pattern, ZonedTarget};
-use zns::ZnsDevice;
 
 const ZONES: u32 = 64;
 const ZONE_SECTORS: u64 = 4096; // 1 GiB per device
@@ -54,33 +55,28 @@ fn main() -> bench::BenchResult {
     for fraction in [0.125, 0.25, 0.5, 0.75, 1.0] {
         let flagship = fraction == 1.0;
         // RAIZN: fill, fail, rebuild.
-        let raizn = if flagship {
-            capture.raizn_volume(ZONES, ZONE_SECTORS, 16)?
-        } else {
-            raizn_volume(ZONES, ZONE_SECTORS, 16)?
-        };
+        let rec = capture.recorder_if(flagship);
+        let raizn = raizn_volume(&rec, ZONES, ZONE_SECTORS, RaiznConfig::default())?;
         let rt = ZonedTarget::new(raizn.clone());
         let t = fill(&rt, fraction)?;
         raizn.fail_device(0).unwrap();
-        let replacement: Arc<ZnsDevice> = zns_devices(1, ZONES, ZONE_SECTORS).remove(0);
+        let replacement = zns_devices(&recorder(), 1, &zns_config(ZONES, ZONE_SECTORS)).remove(0);
         let report = raizn.rebuild(t, replacement)?;
 
         // mdraid: fill, fail, resync.
-        let md = mdraid_volume(ZONES as u64 * ZONE_SECTORS, 16)?;
+        let md = mdraid_volume(&recorder(), ZONES as u64 * ZONE_SECTORS, 16)?;
         let mt = BlockTarget::new(md.clone());
         let t = fill(&mt, fraction)?;
         md.fail_device(0);
-        let repl: Arc<dyn BlockDevice> = conv_devices(1, ZONES as u64 * ZONE_SECTORS).remove(0);
+        let repl: Arc<dyn BlockDevice> =
+            conv_devices(&recorder(), 1, ZONES as u64 * ZONE_SECTORS).remove(0);
         let resync = md.resync(t, repl)?;
 
         // lsraid: fill, overwrite the first half of the fill (its old
         // groups die), fail, rebuild. The full-data run's timeline covers
         // the rebuild alone.
-        let ls = if flagship {
-            ls_capture.lsraid_volume(ZONES, ZONE_SECTORS, LsConfig::default())?
-        } else {
-            lsraid_volume(ZONES, ZONE_SECTORS, LsConfig::default())?
-        };
+        let rec = ls_capture.recorder_if(flagship);
+        let ls = lsraid_volume(&rec, ZONES, ZONE_SECTORS, LsConfig::default())?;
         let lt = ZonedTarget::new(ls.clone());
         let (t, _) = fill_from(&lt, fraction, SimTime::ZERO)?;
         let (t, _) = fill_from(&lt, fraction / 2.0, t)?;
@@ -89,7 +85,7 @@ fn main() -> bench::BenchResult {
             ls_capture.reset_capture();
         }
         let reclaims = ls.stats().group_reclaims;
-        let replacement: Arc<ZnsDevice> = zns_devices(1, ZONES, ZONE_SECTORS).remove(0);
+        let replacement = zns_devices(&recorder(), 1, &zns_config(ZONES, ZONE_SECTORS)).remove(0);
         let ls_report = ls.rebuild(t, replacement)?;
         let dead = ls.stats().group_reclaims - reclaims;
 

@@ -5,10 +5,11 @@
 //! writes from its append-only stripe log, so the store's own zone
 //! resets become whole-group unmaps.
 
-use bench::{conv_devices, lsraid_volume, print_table, raizn_volume, TimelineRun};
+use bench::{conv_devices, lsraid_volume, print_table, raizn_volume, recorder, TimelineRun};
 use ftl::BlockDevice;
 use lsraid::LsConfig;
 use mdraid5::{Md5Config, Md5Volume, ZonedBlockShim};
+use raizn::RaiznConfig;
 use sim::SimTime;
 use std::sync::Arc;
 use zkv::{DbBench, DbWorkload, ZkvConfig, ZkvStore};
@@ -21,20 +22,20 @@ const ZONES: u32 = 64;
 const ZONE_SECTORS: u64 = 4096; // 1 GiB per device
 const OPS: u64 = 20_000;
 
-/// Runs the four db_bench workloads. `capture` (when present) rides on
-/// the store that serves the three chained workloads; zkv drives the
-/// volume directly (no engine loop), so windows come from the recorded
-/// volume spans.
+/// Runs the four db_bench workloads. The store that serves the three
+/// chained workloads records into `chained`; zkv drives the volume
+/// directly (no engine loop), so a timeline's windows come from the
+/// recorded volume spans.
 fn run_suite<V: ZonedVolume>(
-    mk: impl Fn(Option<&TimelineRun>) -> bench::BenchResult<Arc<V>>,
+    mk: impl Fn(&Arc<obs::Recorder>) -> bench::BenchResult<Arc<V>>,
     value_size: usize,
-    capture: Option<&TimelineRun>,
+    chained: &Arc<obs::Recorder>,
 ) -> bench::BenchResult<SuiteRows> {
     let bench = DbBench::new(OPS, value_size);
     let mut out = Vec::new();
     // fillseq runs on a fresh store.
     {
-        let store = ZkvStore::create(mk(None)?, ZkvConfig::default(), SimTime::ZERO)?;
+        let store = ZkvStore::create(mk(&recorder())?, ZkvConfig::default(), SimTime::ZERO)?;
         let r = bench.run(&store, DbWorkload::FillSeq, SimTime::ZERO)?;
         out.push((
             "fillseq".to_string(),
@@ -43,7 +44,7 @@ fn run_suite<V: ZonedVolume>(
         ));
     }
     // The remaining three run in succession on one store (paper method).
-    let store = ZkvStore::create(mk(capture)?, ZkvConfig::default(), SimTime::ZERO)?;
+    let store = ZkvStore::create(mk(chained)?, ZkvConfig::default(), SimTime::ZERO)?;
     let mut t = SimTime::ZERO;
     for wl in [
         DbWorkload::FillRandom,
@@ -73,25 +74,22 @@ fn main() -> bench::BenchResult {
     for value_size in [4000usize, 8000] {
         let flagship = value_size == 4000;
         let raizn = run_suite(
-            |c| match c {
-                Some(c) => c.raizn_volume(ZONES, ZONE_SECTORS, 16),
-                None => raizn_volume(ZONES, ZONE_SECTORS, 16),
-            },
+            |rec| raizn_volume(rec, ZONES, ZONE_SECTORS, RaiznConfig::default()),
             value_size,
-            flagship.then_some(&capture),
+            &capture.recorder_if(flagship),
         )?;
         let lsr = run_suite(
-            |_| lsraid_volume(ZONES, ZONE_SECTORS, LsConfig::default()),
+            |rec| lsraid_volume(rec, ZONES, ZONE_SECTORS, LsConfig::default()),
             value_size,
-            None,
+            &recorder(),
         )?;
         let mdraid = run_suite(
-            |_| {
+            |rec| {
                 // The stripe cache is scaled with the dataset: the paper's
                 // database is ~3000x md's 128 MiB cache, so a full-size
                 // cache here would (unrealistically) hold the whole DB.
                 let devices: Vec<Arc<dyn BlockDevice>> =
-                    conv_devices(5, ZONES as u64 * ZONE_SECTORS)
+                    conv_devices(rec, 5, ZONES as u64 * ZONE_SECTORS)
                         .into_iter()
                         .map(|d| d as Arc<dyn BlockDevice>)
                         .collect();
@@ -106,7 +104,7 @@ fn main() -> bench::BenchResult {
                 Ok(Arc::new(ZonedBlockShim::new(md, 4 * ZONE_SECTORS)?))
             },
             value_size,
-            None,
+            &recorder(),
         )?;
         let rows: Vec<Vec<String>> = raizn
             .iter()

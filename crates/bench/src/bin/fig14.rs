@@ -2,9 +2,10 @@
 //! read_write at 64 and 128 threads): TPS, average latency, p95 — on
 //! zkv-over-RAIZN vs zkv-over-mdraid.
 
-use bench::{conv_devices, print_table, raizn_volume, TimelineRun};
+use bench::{conv_devices, print_table, raizn_volume, recorder, TimelineRun};
 use ftl::BlockDevice;
 use mdraid5::{Md5Config, Md5Volume, ZonedBlockShim};
+use raizn::RaiznConfig;
 use sim::{SimDuration, SimTime};
 use std::sync::Arc;
 use zkv::{OltpBench, OltpMix, ZkvConfig, ZkvStore};
@@ -18,18 +19,23 @@ const ZONE_SECTORS: u64 = 4096;
 const TABLES: u32 = 8;
 const ROWS: u64 = 10_000; // paper: 10M; scaled for simulation
 
-/// Runs the three OLTP mixes. `capture` rides on the read_write mix
-/// (the mix that exercises both planes).
+/// Runs the three OLTP mixes. The read_write mix (the one that
+/// exercises both planes) records into `read_write`, the others into the
+/// process-wide recorder.
 fn run_mixes<V: ZonedVolume>(
-    mk: impl Fn(Option<&TimelineRun>) -> bench::BenchResult<Arc<V>>,
+    mk: impl Fn(&Arc<obs::Recorder>) -> bench::BenchResult<Arc<V>>,
     threads: usize,
-    capture: Option<&TimelineRun>,
+    read_write: &Arc<obs::Recorder>,
 ) -> bench::BenchResult<MixRows> {
     let mut out = Vec::new();
     for mix in [OltpMix::ReadOnly, OltpMix::WriteOnly, OltpMix::ReadWrite] {
-        let cap = capture.filter(|_| mix == OltpMix::ReadWrite);
+        let rec = if mix == OltpMix::ReadWrite {
+            read_write.clone()
+        } else {
+            recorder()
+        };
         // Fresh database per trial, like the paper.
-        let store = ZkvStore::create(mk(cap)?, ZkvConfig::default(), SimTime::ZERO)?;
+        let store = ZkvStore::create(mk(&rec)?, ZkvConfig::default(), SimTime::ZERO)?;
         let mut bench = OltpBench::new(TABLES, ROWS, threads);
         bench.duration = SimDuration::from_secs(5);
         let t = bench.prepare(&store, SimTime::ZERO)?;
@@ -51,18 +57,15 @@ fn main() -> bench::BenchResult {
     for threads in [64usize, 128] {
         let flagship = threads == 64;
         let raizn = run_mixes(
-            |c| match c {
-                Some(c) => c.raizn_volume(ZONES, ZONE_SECTORS, 16),
-                None => raizn_volume(ZONES, ZONE_SECTORS, 16),
-            },
+            |rec| raizn_volume(rec, ZONES, ZONE_SECTORS, RaiznConfig::default()),
             threads,
-            flagship.then_some(&capture),
+            &capture.recorder_if(flagship),
         )?;
         let mdraid = run_mixes(
-            |_| {
+            |rec| {
                 // Stripe cache scaled with the dataset (see fig13).
                 let devices: Vec<Arc<dyn BlockDevice>> =
-                    conv_devices(5, ZONES as u64 * ZONE_SECTORS)
+                    conv_devices(rec, 5, ZONES as u64 * ZONE_SECTORS)
                         .into_iter()
                         .map(|d| d as Arc<dyn BlockDevice>)
                         .collect();
@@ -76,7 +79,7 @@ fn main() -> bench::BenchResult {
                 Ok(Arc::new(ZonedBlockShim::new(md, 4 * ZONE_SECTORS)?))
             },
             threads,
-            None,
+            &recorder(),
         )?;
         let rows: Vec<Vec<String>> = raizn
             .iter()

@@ -20,11 +20,7 @@ fn main() -> bench::BenchResult {
             let mut cells = vec![format!("su={}", bs_label(su))];
             for bs in BLOCK_SIZES {
                 let flagship = micro == Micro::SeqWrite && su == 32 && bs == 256;
-                let md = if flagship {
-                    capture.mdraid_volume(DEV_SECTORS, su)?
-                } else {
-                    mdraid_volume(DEV_SECTORS, su)?
-                };
+                let md = mdraid_volume(&capture.recorder_if(flagship), DEV_SECTORS, su)?;
                 let t = BlockTarget::new(md);
                 let start = if micro == Micro::SeqWrite {
                     SimTime::ZERO

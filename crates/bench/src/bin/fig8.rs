@@ -2,6 +2,7 @@
 //! (sequential write, sequential read, random read).
 
 use bench::{bs_label, prime, print_table, raizn_volume, run_micro, Micro, TimelineRun};
+use raizn::RaiznConfig;
 use sim::SimTime;
 use workloads::ZonedTarget;
 use zns::ZonedVolume;
@@ -22,11 +23,12 @@ fn main() -> bench::BenchResult {
             let mut cells = vec![format!("su={}", bs_label(su))];
             for bs in BLOCK_SIZES {
                 let flagship = micro == Micro::SeqWrite && su == 32 && bs == 256;
-                let vol = if flagship {
-                    capture.raizn_volume(ZONES, ZONE_SECTORS, su)?
-                } else {
-                    raizn_volume(ZONES, ZONE_SECTORS, su)?
+                let config = RaiznConfig {
+                    stripe_unit_sectors: su,
+                    ..RaiznConfig::default()
                 };
+                let vol =
+                    raizn_volume(&capture.recorder_if(flagship), ZONES, ZONE_SECTORS, config)?;
                 let t = ZonedTarget::new(vol);
                 let start = if micro == Micro::SeqWrite {
                     SimTime::ZERO

@@ -5,6 +5,7 @@
 use bench::{
     bs_label, mdraid_volume, prime, print_table, raizn_volume, run_micro, Micro, TimelineRun,
 };
+use raizn::RaiznConfig;
 use sim::SimTime;
 use workloads::{BlockTarget, ZonedTarget};
 use zns::ZonedVolume;
@@ -21,17 +22,18 @@ fn main() -> bench::BenchResult {
     // (sequential write, 1 MiB blocks).
     let rz_capture = TimelineRun::new("fig9_raizn");
     let md_capture = TimelineRun::new("fig9_mdraid");
+    let config = RaiznConfig {
+        stripe_unit_sectors: SU,
+        ..RaiznConfig::default()
+    };
     let mut rows = Vec::new();
     for micro in [Micro::SeqWrite, Micro::SeqRead, Micro::RandRead] {
         for bs in BLOCK_SIZES {
             let flagship = micro == Micro::SeqWrite && bs == 256;
 
             // RAIZN on fresh ZNS devices.
-            let raizn = if flagship {
-                rz_capture.raizn_volume(ZONES, ZONE_SECTORS, SU)?
-            } else {
-                raizn_volume(ZONES, ZONE_SECTORS, SU)?
-            };
+            let rec = rz_capture.recorder_if(flagship);
+            let raizn = raizn_volume(&rec, ZONES, ZONE_SECTORS, config)?;
             let rt = ZonedTarget::new(raizn);
             let start = if micro == Micro::SeqWrite {
                 SimTime::ZERO
@@ -42,11 +44,8 @@ fn main() -> bench::BenchResult {
             let r = run_micro(&rt, micro, bs, align, start, threads)?;
 
             // mdraid on fresh conventional SSDs of the same capacity.
-            let md = if flagship {
-                md_capture.mdraid_volume(ZONES as u64 * ZONE_SECTORS, SU)?
-            } else {
-                mdraid_volume(ZONES as u64 * ZONE_SECTORS, SU)?
-            };
+            let rec = md_capture.recorder_if(flagship);
+            let md = mdraid_volume(&rec, ZONES as u64 * ZONE_SECTORS, SU)?;
             let mt = BlockTarget::new(md);
             let start = if micro == Micro::SeqWrite {
                 SimTime::ZERO

@@ -23,11 +23,13 @@
 
 use bench::lifecycle::{cliff_ratio, flat_ratio, median_active};
 use bench::lsgc::{
-    drive, gc_config, lsgc_json, lsgc_scheduler, overwrite_offsets, phase_waf, LsOutcome,
-    MdOutcome, QosGcSink, AGE_OPS, BLOCK, OVERWRITE_OPS, WAF_MAX, ZONES, ZONE_SECTORS,
+    gc_config, lsgc_json, lsgc_scheduler, overwrite_offsets, phase_waf, LsOutcome, MdOutcome,
+    QosGcSink, AGE_OPS, APP_TENANT, BAND_WINDOW, BLOCK, OVERWRITE_OPS, PUMP_OPS, WAF_MAX, ZONES,
+    ZONE_SECTORS,
 };
-use bench::{gate, BenchError, TimelineRun};
+use bench::{drive, gate, lsraid_volume, mdraid_volume, BenchError, TimelineRun};
 use lsraid::{GcManager, LsConfig};
+use qos::QosScheduler;
 use sim::SimTime;
 use std::sync::Arc;
 use workloads::{BlockTarget, ZonedTarget};
@@ -45,7 +47,7 @@ fn main() -> bench::BenchResult {
     // Log-structured engine under GC pressure.
     // ------------------------------------------------------------------
     let run = TimelineRun::new("lsgc_lsraid");
-    let vol = run.lsraid_volume(ZONES, ZONE_SECTORS, LsConfig::default())?;
+    let vol = lsraid_volume(&run.recorder(), ZONES, ZONE_SECTORS, LsConfig::default())?;
     let geo = vol.geometry();
     let total_sectors = u64::from(geo.num_zones()) * geo.zone_cap();
     let total_blocks = total_sectors / BLOCK;
@@ -63,16 +65,36 @@ fn main() -> bench::BenchResult {
     // garbage distribution reaches steady state. Both phases are
     // unmeasured; the capture is scoped to the sustained phase after.
     let prefill: Vec<u64> = (0..total_blocks).map(|b| b * BLOCK).collect();
-    let (_, t) = drive(&sched, SimTime::ZERO, &prefill, &block, None)?;
+    // Every phase on either target writes the app tenant's blocks into
+    // band windows; only the GC pump after each op differs.
+    type AfterOp<'a> = &'a mut dyn FnMut(u64, SimTime) -> bench::BenchResult;
+    let app = |sched: &QosScheduler, start, offsets: &[u64], after_op: AfterOp| {
+        drive(
+            sched,
+            APP_TENANT,
+            start,
+            offsets,
+            &block,
+            BAND_WINDOW,
+            after_op,
+        )
+    };
+    let (_, t) = app(&sched, SimTime::ZERO, &prefill, &mut |_, _| Ok(()))?;
     let t = vol.flush(t)?.done;
     let mut mgr = GcManager::new(vol.clone(), gc_config());
     let mut sink = QosGcSink::new(&sched);
+    let mut pump_gc = |i: u64, now| -> bench::BenchResult {
+        if (i + 1).is_multiple_of(PUMP_OPS) {
+            mgr.pump(now, &mut sink)?;
+        }
+        Ok(())
+    };
     let aging = overwrite_offsets(total_blocks, AGE_OPS, SEED ^ 0xA6E);
-    let (_, t) = drive(&sched, t, &aging, &block, Some((&mut mgr, &mut sink)))?;
+    let (_, t) = app(&sched, t, &aging, &mut pump_gc)?;
     run.reset_capture();
 
     let pre = vol.stats();
-    let (ls_windows, ls_end) = drive(&sched, t, &offsets, &block, Some((&mut mgr, &mut sink)))?;
+    let (ls_windows, ls_end) = app(&sched, t, &offsets, &mut pump_gc)?;
     let post = vol.stats();
 
     let pp_log = run.recorder().count(obs::Counter::PpLogWrites);
@@ -100,6 +122,7 @@ fn main() -> bench::BenchResult {
         reclaims,
         emergency,
         migrated: post.migrated_sectors - pre.migrated_sectors,
+        pp_log_writes: pp_log,
         tenants: sched.stats(),
     };
     let ls_flat = flat_ratio(&ls.windows_mib_s)
@@ -116,11 +139,11 @@ fn main() -> bench::BenchResult {
     // ------------------------------------------------------------------
     let md_run = TimelineRun::new("lsgc_mdraid");
     // Match the log-structured logical capacity (4 data devices).
-    let md = md_run.mdraid_volume(total_sectors / 4, 16)?;
+    let md = mdraid_volume(&md_run.recorder(), total_sectors / 4, 16)?;
     let md_sched = lsgc_scheduler(&md_run, Arc::new(BlockTarget::new(md)))?;
-    let (_, mt) = drive(&md_sched, SimTime::ZERO, &prefill, &block, None)?;
+    let (_, mt) = app(&md_sched, SimTime::ZERO, &prefill, &mut |_, _| Ok(()))?;
     md_run.reset_capture();
-    let (md_windows, md_end) = drive(&md_sched, mt, &offsets, &block, None)?;
+    let (md_windows, md_end) = app(&md_sched, mt, &offsets, &mut |_, _| Ok(()))?;
     let md = MdOutcome {
         windows_mib_s: md_windows,
         end: md_end,

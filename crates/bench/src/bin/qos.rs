@@ -55,6 +55,15 @@ fn sched_config() -> QosConfig {
     }
 }
 
+/// The experiment's RAIZN array, recording into `rec`.
+fn raizn_volume(rec: &Arc<obs::Recorder>) -> bench::BenchResult<Arc<raizn::RaiznVolume>> {
+    let config = raizn::RaiznConfig {
+        stripe_unit_sectors: STRIPE_UNIT,
+        ..raizn::RaiznConfig::default()
+    };
+    bench::raizn_volume(rec, ZONES, ZONE_SECTORS, config)
+}
+
 /// Jain's fairness index over per-tenant normalized shares.
 fn jain(x: &[f64]) -> f64 {
     let n = x.len() as f64;
@@ -106,7 +115,7 @@ fn isolation() -> bench::BenchResult<Isolation> {
     };
 
     // Solo reference run.
-    let vol = bench::raizn_volume(ZONES, ZONE_SECTORS, STRIPE_UNIT)?;
+    let vol = raizn_volume(&bench::recorder())?;
     let zc = vol.geometry().zone_cap();
     let sched = QosScheduler::new(Arc::new(ZonedTarget::new(vol)), sched_config(), tenants())?
         .with_recorder(bench::recorder());
@@ -114,7 +123,7 @@ fn isolation() -> bench::BenchResult<Isolation> {
 
     // Contended run, on the timeline artifact.
     let run = bench::TimelineRun::new("qos");
-    let vol = run.raizn_volume(ZONES, ZONE_SECTORS, STRIPE_UNIT)?;
+    let vol = raizn_volume(&run.recorder())?;
     let zc = vol.geometry().zone_cap();
     let sched = QosScheduler::new(Arc::new(ZonedTarget::new(vol)), sched_config(), tenants())?
         .with_recorder(run.recorder());
@@ -158,7 +167,7 @@ impl Fairness {
 /// everyone is still queueing so shares reflect contention.
 fn fairness() -> bench::BenchResult<Fairness> {
     let weights = vec![1u64, 2, 4];
-    let vol = bench::raizn_volume(ZONES, ZONE_SECTORS, STRIPE_UNIT)?;
+    let vol = raizn_volume(&bench::recorder())?;
     let zc = vol.geometry().zone_cap();
     let tenants = weights
         .iter()
@@ -201,7 +210,7 @@ impl CoalesceRun {
 /// One coalescing run: unaligned (half a stripe unit) sequential writes
 /// through the scheduler, coalescer on or off.
 fn coalesce_run(enable: bool) -> bench::BenchResult<CoalesceRun> {
-    let vol = bench::raizn_volume(ZONES, ZONE_SECTORS, STRIPE_UNIT)?;
+    let vol = raizn_volume(&bench::recorder())?;
     let zc = vol.geometry().zone_cap();
     let sched = QosScheduler::new(
         Arc::new(ZonedTarget::new(vol.clone())),

@@ -3,7 +3,7 @@
 //! 1052 MiB/s write / 3265 MiB/s read for the ZNS device, 2% / 4% lower
 //! than the conventional SSD.
 
-use bench::{bs_label, conv_devices, prime, print_table, zns_devices};
+use bench::{bs_label, conv_devices, prime, print_table, recorder, zns_config, zns_devices};
 use sim::SimTime;
 use workloads::{BlockTarget, Engine, IoTarget, JobSpec, OpKind, Pattern, ZonedTarget};
 
@@ -27,7 +27,8 @@ fn sweep(zoned: bool, kind: OpKind) -> bench::BenchResult<Vec<(u64, f64)>> {
     let mut out = Vec::new();
     for bs in [16u64, 64, 256] {
         let tput = if zoned {
-            let t = ZonedTarget::new(zns_devices(1, ZONES, ZONE_SECTORS).remove(0));
+            let dev = zns_devices(&recorder(), 1, &zns_config(ZONES, ZONE_SECTORS)).remove(0);
+            let t = ZonedTarget::new(dev);
             let start = if kind == OpKind::Read {
                 prime(&t, SimTime::ZERO)?
             } else {
@@ -35,7 +36,8 @@ fn sweep(zoned: bool, kind: OpKind) -> bench::BenchResult<Vec<(u64, f64)>> {
             };
             one(&t, kind, bs, start)?
         } else {
-            let t = BlockTarget::new(conv_devices(1, ZONES as u64 * ZONE_SECTORS).remove(0));
+            let dev = conv_devices(&recorder(), 1, ZONES as u64 * ZONE_SECTORS).remove(0);
+            let t = BlockTarget::new(dev);
             let start = if kind == OpKind::Read {
                 prime(&t, SimTime::ZERO)?
             } else {

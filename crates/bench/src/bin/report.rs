@@ -47,7 +47,8 @@
 //! ```
 //!
 //! The thresholds of the `--qos`, `--lifecycle` and `--lsgc` gates are the
-//! constants below [`LSGC_MIB_MIN`]; nothing sets them per run.
+//! constants below [`LSGC_MIB_MIN`] and the `lsgc` binary's own
+//! [`WAF_MAX`]; nothing sets them per run.
 //!
 //! Every SLO prints one machine-readable line
 //! `SLO <check> file=<path> value=<v> threshold=<t> <PASS|FAIL>`; any FAIL
@@ -58,7 +59,8 @@
 //! final active window is dropped when possible — the run usually ends
 //! inside it, so its throughput over a full window underestimates.
 
-use bench::json::Json;
+use bench::json::{self, Field, Json};
+use bench::lsgc::WAF_MAX;
 use bench::BenchError;
 use obs::BLAME_CATEGORIES;
 
@@ -87,48 +89,28 @@ impl Run {
     }
 }
 
-fn req<'a>(v: &'a Json, key: &str, path: &str) -> bench::BenchResult<&'a Json> {
-    v.get(key)
-        .ok_or_else(|| BenchError::Gate(format!("{path}: missing key {key:?}")))
-}
-
-fn load(path: &str) -> bench::BenchResult<Run> {
-    let text = std::fs::read_to_string(path)?;
-    let doc =
-        Json::parse(&text).map_err(|e| BenchError::Gate(format!("{path}: invalid JSON: {e}")))?;
-    let label = req(&doc, "name", path)?
-        .as_str()
-        .unwrap_or(path)
-        .to_string();
-    let window_ns = req(&doc, "window_ns", path)?
-        .as_u64()
-        .ok_or_else(|| BenchError::Gate(format!("{path}: window_ns is not an integer")))?;
-    let whole_run_p99_ns = req(&doc, "whole_run", path)?
-        .get("stages")
+/// `stages.whole_op.p99_ns` of a digest, 0 when absent.
+fn whole_op_p99(v: &Json) -> u64 {
+    v.get("stages")
         .and_then(|s| s.get("whole_op"))
         .and_then(|s| s.get("p99_ns"))
         .and_then(Json::as_u64)
-        .unwrap_or(0);
+        .unwrap_or(0)
+}
 
+fn load(path: &str) -> bench::BenchResult<Run> {
+    let artifact = json::load(path, None)?;
+    let doc = artifact.at(path);
+    let label = doc.str("name")?.to_string();
+    let window_ns = doc.u64("window_ns")?;
+    let whole_run_p99_ns = whole_op_p99(doc.get("whole_run")?.value);
     let mut windows = Vec::new();
     let mut errors = 0u64;
-    for w in req(&doc, "windows", path)?.as_arr().unwrap_or(&[]) {
-        let start_s = req(w, "start_ns", path)?
-            .as_u64()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: window start_ns is not an integer")))?
-            as f64
-            / 1e9;
-        let tput = req(w, "throughput_mib_s", path)?
-            .as_f64()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: throughput_mib_s is not a number")))?;
-        let p99 = w
-            .get("stages")
-            .and_then(|s| s.get("whole_op"))
-            .and_then(|s| s.get("p99_ns"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        errors += w.get("errors").and_then(Json::as_u64).unwrap_or(0);
-        windows.push((start_s, tput, p99));
+    for w in doc.arr("windows")? {
+        let start_s = w.u64("start_ns")? as f64 / 1e9;
+        let tput = w.f64("throughput_mib_s")?;
+        errors += w.value.get("errors").and_then(Json::as_u64).unwrap_or(0);
+        windows.push((start_s, tput, whole_op_p99(w.value)));
     }
 
     let tputs: Vec<f64> = windows.iter().map(|w| w.1).collect();
@@ -174,12 +156,13 @@ struct QosRun {
     batches: u64,
 }
 
-fn qos_tenants(section: &Json, path: &str) -> bench::BenchResult<Vec<QosTenant>> {
+fn qos_tenants(section: Field) -> bench::BenchResult<Vec<QosTenant>> {
     let mut out = Vec::new();
-    for t in req(section, "tenants", path)?.as_arr().unwrap_or(&[]) {
-        let field = |k: &str| t.get(k).and_then(Json::as_u64).unwrap_or(0);
+    for t in section.arr("tenants")? {
+        let field = |k: &str| t.value.get(k).and_then(Json::as_u64).unwrap_or(0);
         out.push(QosTenant {
             name: t
+                .value
                 .get("name")
                 .and_then(Json::as_str)
                 .unwrap_or("?")
@@ -192,64 +175,39 @@ fn qos_tenants(section: &Json, path: &str) -> bench::BenchResult<Vec<QosTenant>>
 }
 
 fn load_qos(path: &str) -> bench::BenchResult<QosRun> {
-    let text = std::fs::read_to_string(path)?;
-    let doc =
-        Json::parse(&text).map_err(|e| BenchError::Gate(format!("{path}: invalid JSON: {e}")))?;
-    if req(&doc, "kind", path)?.as_str() != Some("qos") {
-        return Err(BenchError::Gate(format!("{path}: not a qos artifact")));
-    }
-    let iso = req(&doc, "isolation", path)?;
-    let fair = req(&doc, "fairness", path)?;
-    let coal = req(&doc, "coalesce", path)?;
-    let f64_of = |v: &Json, key: &str| -> bench::BenchResult<f64> {
-        req(v, key, path)?
-            .as_f64()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: {key} is not a number")))
+    let artifact = json::load(path, Some("qos"))?;
+    let doc = artifact.at(path);
+    let iso = doc.obj("isolation")?;
+    let fair = doc.obj("fairness")?;
+    let coal = doc.obj("coalesce")?;
+    let on = coal.obj("on")?;
+    let u64_list = |v: Field, key: &str| -> bench::BenchResult<Vec<u64>> {
+        Ok(v.arr(key)?.filter_map(|x| x.value.as_u64()).collect())
     };
-    let u64_of = |v: &Json, key: &str| -> bench::BenchResult<u64> {
-        req(v, key, path)?
-            .as_u64()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: {key} is not an integer")))
-    };
-    let u64_list = |v: &Json, key: &str| -> bench::BenchResult<Vec<u64>> {
-        Ok(req(v, key, path)?
-            .as_arr()
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(Json::as_u64)
-            .collect())
-    };
+    let on_count = |key: &str| on.value.get(key).and_then(Json::as_u64).unwrap_or(0);
     Ok(QosRun {
         path: path.to_string(),
-        solo_p99_ns: u64_of(iso, "victim_solo_p99_ns")?,
-        contended_p99_ns: u64_of(iso, "victim_contended_p99_ns")?,
-        p99_ratio: f64_of(iso, "p99_ratio")?,
-        noisy_load: f64_of(iso, "noisy_load_factor")?,
-        iso_tenants: qos_tenants(iso, path)?,
+        solo_p99_ns: iso.u64("victim_solo_p99_ns")?,
+        contended_p99_ns: iso.u64("victim_contended_p99_ns")?,
+        p99_ratio: iso.f64("p99_ratio")?,
+        noisy_load: iso.f64("noisy_load_factor")?,
+        iso_tenants: qos_tenants(iso)?,
         weights: u64_list(fair, "weights")?,
         ops: u64_list(fair, "ops")?,
-        jain: f64_of(fair, "jain")?,
-        max_weight_dev: f64_of(fair, "max_weight_dev")?,
-        fair_tenants: qos_tenants(fair, path)?,
-        off_full_per_pp: f64_of(req(coal, "off", path)?, "full_per_pp")?,
-        on_full_per_pp: f64_of(req(coal, "on", path)?, "full_per_pp")?,
-        uplift: f64_of(coal, "uplift")?,
-        merged: req(coal, "on", path)?
-            .get("merged")
-            .and_then(Json::as_u64)
-            .unwrap_or(0),
-        batches: req(coal, "on", path)?
-            .get("batches")
-            .and_then(Json::as_u64)
-            .unwrap_or(0),
+        jain: fair.f64("jain")?,
+        max_weight_dev: fair.f64("max_weight_dev")?,
+        fair_tenants: qos_tenants(fair)?,
+        off_full_per_pp: coal.obj("off")?.f64("full_per_pp")?,
+        on_full_per_pp: on.f64("full_per_pp")?,
+        uplift: coal.f64("uplift")?,
+        merged: on_count("merged"),
+        batches: on_count("batches"),
     })
 }
 
 /// Floor on the log-structured run's median window throughput. A band
 /// ratio alone passes at any speed; this is the speed.
 const LSGC_MIB_MIN: f64 = 600.0;
-/// Ceiling on the log-structured run's measured-phase write amplification.
-const LSGC_WAF_MAX: f64 = 1.5;
 /// Ceiling on the victim's contended p99 over its solo p99.
 const QOS_P99_RATIO_MAX: f64 = 1.25;
 /// Floor on the Jain fairness index of the weighted tenants.
@@ -265,12 +223,9 @@ const LIFECYCLE_CLIFF_MAX: f64 = 0.70;
 const LIFECYCLE_FLAT_MIN: f64 = 0.90;
 
 /// The per-window throughput series of one run section.
-fn windows_of(v: &Json, path: &str) -> bench::BenchResult<Vec<f64>> {
-    Ok(req(v, "windows_mib_s", path)?
-        .as_arr()
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(Json::as_f64)
+fn windows_of(v: Field) -> bench::BenchResult<Vec<f64>> {
+    Ok(v.arr("windows_mib_s")?
+        .filter_map(|w| w.value.as_f64())
         .collect())
 }
 
@@ -286,41 +241,23 @@ struct LsgcRun {
     migrated_sectors: u64,
 }
 
-/// Parses a `kind: "lsgc"` summary document (see the `lsgc` binary).
-fn lsgc_from_doc(doc: &Json, path: &str) -> bench::BenchResult<LsgcRun> {
-    if req(doc, "kind", path)?.as_str() != Some("lsgc") {
-        return Err(BenchError::Gate(format!("{path}: not an lsgc artifact")));
-    }
-    let ls = req(doc, "lsraid", path)?;
-    let md = req(doc, "mdraid", path)?;
-    let f64_of = |v: &Json, key: &str| -> bench::BenchResult<f64> {
-        req(v, key, path)?
-            .as_f64()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: {key} is not a number")))
-    };
-    let u64_of = |v: &Json, key: &str| -> bench::BenchResult<u64> {
-        req(v, key, path)?
-            .as_u64()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: {key} is not an integer")))
-    };
+/// Loads a `kind: "lsgc"` summary artifact (see the `lsgc` binary).
+fn load_lsgc(path: &str) -> bench::BenchResult<LsgcRun> {
+    let artifact = json::load(path, Some("lsgc"))?;
+    let doc = artifact.at(path);
+    let ls = doc.obj("lsraid")?;
+    let md = doc.obj("mdraid")?;
     Ok(LsgcRun {
         path: path.to_string(),
-        median_mib_s: bench::lifecycle::median_active(&windows_of(ls, path)?),
-        flat_ratio: f64_of(ls, "flat_ratio")?,
-        cliff_ratio: f64_of(md, "cliff_ratio")?,
-        waf: f64_of(ls, "waf")?,
-        pp_log_writes: u64_of(ls, "pp_log_writes")?,
-        group_reclaims: u64_of(ls, "group_reclaims")?,
-        emergency_reclaims: u64_of(ls, "emergency_reclaims")?,
-        migrated_sectors: u64_of(ls, "migrated_sectors")?,
+        median_mib_s: bench::lifecycle::median_active(&windows_of(ls)?),
+        flat_ratio: ls.f64("flat_ratio")?,
+        cliff_ratio: md.f64("cliff_ratio")?,
+        waf: ls.f64("waf")?,
+        pp_log_writes: ls.u64("pp_log_writes")?,
+        group_reclaims: ls.u64("group_reclaims")?,
+        emergency_reclaims: ls.u64("emergency_reclaims")?,
+        migrated_sectors: ls.u64("migrated_sectors")?,
     })
-}
-
-fn load_lsgc(path: &str) -> bench::BenchResult<LsgcRun> {
-    let text = std::fs::read_to_string(path)?;
-    let doc =
-        Json::parse(&text).map_err(|e| BenchError::Gate(format!("{path}: invalid JSON: {e}")))?;
-    lsgc_from_doc(&doc, path)
 }
 
 fn render_lsgc(g: &LsgcRun) {
@@ -356,40 +293,24 @@ struct LifecycleRun {
 }
 
 fn load_lifecycle(path: &str) -> bench::BenchResult<LifecycleRun> {
-    let text = std::fs::read_to_string(path)?;
-    let doc =
-        Json::parse(&text).map_err(|e| BenchError::Gate(format!("{path}: invalid JSON: {e}")))?;
-    if req(&doc, "kind", path)?.as_str() != Some("lifecycle") {
-        return Err(BenchError::Gate(format!(
-            "{path}: not a lifecycle artifact"
-        )));
-    }
-    let nomgr = req(&doc, "nomgr", path)?;
-    let mgr = req(&doc, "mgr", path)?;
-    let f64_of = |v: &Json, key: &str| -> bench::BenchResult<f64> {
-        req(v, key, path)?
-            .as_f64()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: {key} is not a number")))
-    };
-    let u64_of = |v: &Json, key: &str| -> bench::BenchResult<u64> {
-        req(v, key, path)?
-            .as_u64()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: {key} is not an integer")))
-    };
+    let artifact = json::load(path, Some("lifecycle"))?;
+    let doc = artifact.at(path);
+    let nomgr = doc.obj("nomgr")?;
+    let mgr = doc.obj("mgr")?;
     Ok(LifecycleRun {
         path: path.to_string(),
-        cliff_ratio: f64_of(nomgr, "cliff_ratio")?,
-        flat_ratio: f64_of(mgr, "flat_ratio")?,
-        mgr_fg_reclaims: u64_of(mgr, "foreground_reclaims")?,
-        active_limit: u64_of(&doc, "active_limit")?,
-        max_active_mgr: u64_of(mgr, "max_active_seen")?,
-        max_active_nomgr: u64_of(nomgr, "max_active_seen")?,
-        mgmt_finishes: u64_of(mgr, "mgmt_finishes")?,
-        mgmt_resets: u64_of(mgr, "mgmt_resets")?,
-        sched_mgmt_ops: u64_of(mgr, "sched_mgmt_ops")?,
-        mgmt_io_share: f64_of(mgr, "mgmt_io_share")?,
-        nomgr_windows: windows_of(nomgr, path)?,
-        mgr_windows: windows_of(mgr, path)?,
+        cliff_ratio: nomgr.f64("cliff_ratio")?,
+        flat_ratio: mgr.f64("flat_ratio")?,
+        mgr_fg_reclaims: mgr.u64("foreground_reclaims")?,
+        active_limit: doc.u64("active_limit")?,
+        max_active_mgr: mgr.u64("max_active_seen")?,
+        max_active_nomgr: nomgr.u64("max_active_seen")?,
+        mgmt_finishes: mgr.u64("mgmt_finishes")?,
+        mgmt_resets: mgr.u64("mgmt_resets")?,
+        sched_mgmt_ops: mgr.u64("sched_mgmt_ops")?,
+        mgmt_io_share: mgr.f64("mgmt_io_share")?,
+        nomgr_windows: windows_of(nomgr)?,
+        mgr_windows: windows_of(mgr)?,
     })
 }
 
@@ -541,77 +462,60 @@ impl SpanRun {
     }
 }
 
-fn segments_of(v: &Json, path: &str) -> bench::BenchResult<[u64; BLAME_CATEGORIES.len()]> {
-    let seg = req(v, "segments", path)?;
+fn segments_of(v: Field) -> bench::BenchResult<[u64; BLAME_CATEGORIES.len()]> {
+    let seg = v.obj("segments")?;
     let mut out = [0u64; BLAME_CATEGORIES.len()];
     for (k, name) in BLAME_CATEGORIES.iter().enumerate() {
-        out[k] = seg
-            .get(&format!("{name}_ns"))
-            .and_then(Json::as_u64)
-            .ok_or_else(|| BenchError::Gate(format!("{path}: segments missing {name}_ns")))?;
+        out[k] = seg.u64(&format!("{name}_ns"))?;
     }
     Ok(out)
 }
 
 fn load_spans(path: &str) -> bench::BenchResult<SpanRun> {
-    let text = std::fs::read_to_string(path)?;
-    let doc =
-        Json::parse(&text).map_err(|e| BenchError::Gate(format!("{path}: invalid JSON: {e}")))?;
-    if req(&doc, "kind", path)?.as_str() != Some("spans") {
-        return Err(BenchError::Gate(format!("{path}: not a spans artifact")));
-    }
-    let u64_of = |v: &Json, key: &str| -> bench::BenchResult<u64> {
-        req(v, key, path)?
-            .as_u64()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: {key} is not an integer")))
-    };
-    let str_of = |v: &Json, key: &str| -> bench::BenchResult<String> {
-        Ok(req(v, key, path)?
-            .as_str()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: {key} is not a string")))?
-            .to_string())
-    };
+    let artifact = json::load(path, Some("spans"))?;
+    let doc = artifact.at(path);
     let mut blame = Vec::new();
-    for row in req(&doc, "blame", path)?.as_arr().unwrap_or(&[]) {
+    for row in doc.arr("blame")? {
         blame.push(BlameRow {
-            tenant: str_of(row, "tenant")?,
-            count: u64_of(row, "count")?,
-            total_ns: u64_of(row, "total_ns")?,
-            segments: segments_of(row, path)?,
+            tenant: row.str("tenant")?.to_string(),
+            count: row.u64("count")?,
+            total_ns: row.u64("total_ns")?,
+            segments: segments_of(row)?,
         });
     }
     let mut slow = Vec::new();
-    for op in req(&doc, "slow_ops", path)?.as_arr().unwrap_or(&[]) {
+    for op in doc.arr("slow_ops")? {
         let mut events = Vec::new();
-        for ev in req(op, "events", path)?.as_arr().unwrap_or(&[]) {
+        for ev in op.arr("events")? {
             events.push(SpanEvent {
-                stage: str_of(ev, "stage")?,
+                stage: ev.str("stage")?.to_string(),
                 blame: ev
+                    .value
                     .get("blame")
                     .and_then(Json::as_str)
                     .unwrap_or("")
                     .to_string(),
-                start_ns: u64_of(ev, "start_ns")?,
-                end_ns: u64_of(ev, "end_ns")?,
+                start_ns: ev.u64("start_ns")?,
+                end_ns: ev.u64("end_ns")?,
             });
         }
         slow.push(SlowOp {
-            latency_ns: u64_of(op, "latency_ns")?,
-            op: str_of(op, "op")?,
-            tenant: str_of(op, "tenant")?,
-            start_ns: u64_of(op, "start_ns")?,
-            end_ns: u64_of(op, "end_ns")?,
-            truncated: u64_of(op, "truncated_events")?,
+            latency_ns: op.u64("latency_ns")?,
+            op: op.str("op")?.to_string(),
+            tenant: op.str("tenant")?.to_string(),
+            start_ns: op.u64("start_ns")?,
+            end_ns: op.u64("end_ns")?,
+            truncated: op.u64("truncated_events")?,
             events,
         });
     }
     Ok(SpanRun {
         path: path.to_string(),
-        name: str_of(&doc, "name")?,
-        threshold_ns: u64_of(&doc, "threshold_ns")?,
-        roots: u64_of(&doc, "roots")?,
-        orphans: u64_of(&doc, "orphan_events")?,
-        truncated: u64_of(&doc, "truncated_events")?,
+        name: doc.str("name")?.to_string(),
+        threshold_ns: doc.u64("threshold_ns")?,
+        roots: doc.u64("roots")?,
+        orphans: doc.u64("orphan_events")?,
+        truncated: doc.u64("truncated_events")?,
         blame,
         slow,
     })
@@ -714,30 +618,26 @@ struct DiffSide {
 }
 
 fn load_diff(path: &str) -> bench::BenchResult<DiffSide> {
-    let text = std::fs::read_to_string(path)?;
-    let doc =
-        Json::parse(&text).map_err(|e| BenchError::Gate(format!("{path}: invalid JSON: {e}")))?;
-    if doc.get("kind").and_then(Json::as_str) == Some("spans") {
-        return spans_diff_side(&doc, path);
+    let artifact = json::load(path, None)?;
+    let doc = artifact.at(path);
+    if artifact.get("kind").and_then(Json::as_str) == Some("spans") {
+        return spans_diff_side(doc);
     }
-    let stage_map = doc
+    let stage_map = artifact
         .get("stages")
-        .or_else(|| doc.get("whole_run").and_then(|w| w.get("stages")))
+        .or_else(|| artifact.get("whole_run").and_then(|w| w.get("stages")))
         .and_then(Json::as_obj)
         .ok_or_else(|| {
             BenchError::Gate(format!(
-                "{path}: no per-stage map (expected a breakdown or timeline artifact)"
+                "{path}: missing key \"stages\" (expected a breakdown or timeline artifact)"
             ))
         })?;
     let mut stages = Vec::new();
     for (name, st) in stage_map {
-        let p99 = req(st, "p99_ns", path)?
-            .as_u64()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: {name}.p99_ns is not an integer")))?;
-        stages.push((name.clone(), p99));
+        stages.push((name.clone(), st.at(path).u64("p99_ns")?));
     }
     let mut tput_mib_s = None;
-    if let Some(ws) = doc.get("windows").and_then(Json::as_arr) {
+    if let Some(ws) = artifact.get("windows").and_then(Json::as_arr) {
         let active: Vec<f64> = ws
             .iter()
             .filter_map(|w| w.get("throughput_mib_s").and_then(Json::as_f64))
@@ -759,20 +659,15 @@ fn load_diff(path: &str) -> bench::BenchResult<DiffSide> {
 /// mean per-op nanoseconds (per-op so runs of different length compare),
 /// which puts GC-interference regressions under the same worst-growth
 /// gate as stage p99s.
-fn spans_diff_side(doc: &Json, path: &str) -> bench::BenchResult<DiffSide> {
+fn spans_diff_side(doc: Field) -> bench::BenchResult<DiffSide> {
     let mut stages = Vec::new();
-    for row in req(doc, "blame", path)?.as_arr().unwrap_or(&[]) {
-        let tenant = req(row, "tenant", path)?
-            .as_str()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: blame tenant is not a string")))?
-            .to_string();
-        let count = req(row, "count", path)?
-            .as_u64()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: blame count is not an integer")))?;
+    for row in doc.arr("blame")? {
+        let tenant = row.str("tenant")?;
+        let count = row.u64("count")?;
         if count == 0 {
             continue;
         }
-        let segments = segments_of(row, path)?;
+        let segments = segments_of(row)?;
         for (k, name) in BLAME_CATEGORIES.iter().enumerate() {
             if segments[k] > 0 {
                 stages.push((format!("{tenant}:{name}"), segments[k] / count));
@@ -780,7 +675,7 @@ fn spans_diff_side(doc: &Json, path: &str) -> bench::BenchResult<DiffSide> {
         }
     }
     Ok(DiffSide {
-        path: path.to_string(),
+        path: doc.path.to_string(),
         stages,
         tput_mib_s: None,
     })
@@ -1196,13 +1091,7 @@ fn main() -> bench::BenchResult {
             LSGC_MIB_MIN,
             g.median_mib_s >= LSGC_MIB_MIN,
         );
-        slo(
-            "lsgc_waf",
-            &g.path,
-            g.waf,
-            LSGC_WAF_MAX,
-            g.waf <= LSGC_WAF_MAX,
-        );
+        slo("lsgc_waf", &g.path, g.waf, WAF_MAX, g.waf <= WAF_MAX);
         #[allow(clippy::cast_precision_loss)]
         slo(
             "lsgc_pp_log_writes",
@@ -1434,7 +1323,7 @@ mod tests {
             ))
             .unwrap()
         };
-        let a = spans_diff_side(&doc(200, 100), "a.json").unwrap();
+        let a = spans_diff_side(doc(200, 100).at("a.json")).unwrap();
         assert_eq!(
             a.stages,
             vec![
@@ -1444,7 +1333,7 @@ mod tests {
         );
         // GC blame per op doubled while queue stayed put: the worst-growth
         // gate sees the +100% interference regression.
-        let b = spans_diff_side(&doc(200, 200), "b.json").unwrap();
+        let b = spans_diff_side(doc(200, 200).at("b.json")).unwrap();
         let worst = worst_p99_growth(&a, &b).unwrap();
         assert!((worst - 100.0).abs() < 1e-9);
     }
@@ -1465,6 +1354,14 @@ mod tests {
         assert!(worst_p99_growth(&a, &b).is_none());
     }
 
+    /// Writes `text` as an artifact file unique to this process and `tag`,
+    /// returning its path.
+    fn artifact(tag: &str, text: &str) -> String {
+        let path = std::env::temp_dir().join(format!("report_{}_{tag}.json", std::process::id()));
+        std::fs::write(&path, text).expect("write artifact");
+        path.to_string_lossy().into_owned()
+    }
+
     #[test]
     fn lsgc_artifact_parses_and_rejects_wrong_kind() {
         let text = r#"{
@@ -1477,8 +1374,8 @@ mod tests {
             },
             "mdraid": { "cliff_ratio": 0.621 }
         }"#;
-        let doc = Json::parse(text).expect("valid JSON");
-        let g = lsgc_from_doc(&doc, "BENCH_lsgc.json").expect("parses");
+        let path = artifact("lsgc", text);
+        let g = load_lsgc(&path).expect("parses");
         // The trailing partial window does not count.
         assert!((g.median_mib_s - 1400.0).abs() < 1e-9);
         assert!((g.flat_ratio - 0.903).abs() < 1e-9);
@@ -1490,7 +1387,192 @@ mod tests {
         assert_eq!(g.migrated_sectors, 408_604);
         assert!(g.waf <= 1.5 && g.flat_ratio > g.cliff_ratio);
 
-        let wrong = Json::parse(r#"{"kind": "qos"}"#).expect("valid JSON");
-        assert!(lsgc_from_doc(&wrong, "x.json").is_err());
+        let wrong = artifact("lsgc_wrong", r#"{"kind": "qos"}"#);
+        let err = load_lsgc(&wrong).err().expect("a qos artifact is not lsgc");
+        assert!(err.to_string().contains("kind is not \"lsgc\""), "{err}");
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(wrong);
+    }
+
+    /// Serialises a parsed document back to JSON text.
+    fn to_text(v: &Json) -> String {
+        let join = |items: Vec<String>| items.join(", ");
+        match v {
+            Json::Null => "null".into(),
+            Json::Bool(b) => b.to_string(),
+            Json::Num(n) => n.to_string(),
+            Json::Str(s) => format!("{s:?}"),
+            Json::Arr(a) => format!("[{}]", join(a.iter().map(to_text).collect())),
+            Json::Obj(m) => format!(
+                "{{{}}}",
+                join(
+                    m.iter()
+                        .map(|(k, v)| format!("{k:?}: {}", to_text(v)))
+                        .collect()
+                )
+            ),
+        }
+    }
+
+    /// Deletes the key at the dotted `path` (array elements by index).
+    fn remove_key(v: &mut Json, path: &[&str]) {
+        match (v, path) {
+            (Json::Obj(m), [key]) => assert!(m.remove(*key).is_some(), "no key {key}"),
+            (Json::Obj(m), [key, rest @ ..]) => remove_key(m.get_mut(*key).expect(key), rest),
+            (Json::Arr(a), [i, rest @ ..]) => remove_key(&mut a[i.parse::<usize>().unwrap()], rest),
+            (v, path) => panic!("cannot descend {path:?} into {v}"),
+        }
+    }
+
+    /// One artifact kind `report` reads: its loader, a minimal valid
+    /// document, and the dotted paths of the keys the loader requires and
+    /// of the keys it defaults.
+    struct LoaderCase {
+        kind: &'static str,
+        load: fn(&str) -> bench::BenchResult<()>,
+        doc: String,
+        required: String,
+        defaulted: &'static str,
+    }
+
+    fn loader_cases() -> Vec<LoaderCase> {
+        let cats = || BLAME_CATEGORIES.iter();
+        let segments: Vec<String> = cats().map(|c| format!("\"{c}_ns\": 0")).collect();
+        let segment_keys: Vec<String> =
+            cats().map(|c| format!("blame.0.segments.{c}_ns")).collect();
+        vec![
+            LoaderCase {
+                kind: "timeline",
+                load: |p| load(p).map(drop),
+                doc: r#"{"name": "t", "window_ns": 100000000,
+                    "whole_run": {"stages": {"whole_op": {"p99_ns": 5}}},
+                    "windows": [{"start_ns": 0, "throughput_mib_s": 10.0, "errors": 0,
+                                 "stages": {"whole_op": {"p99_ns": 5}}}]}"#
+                    .into(),
+                required: "name window_ns whole_run windows windows.0.start_ns
+                    windows.0.throughput_mib_s"
+                    .into(),
+                defaulted: "whole_run.stages.whole_op.p99_ns windows.0.errors
+                    windows.0.stages.whole_op.p99_ns",
+            },
+            LoaderCase {
+                kind: "qos",
+                load: |p| load_qos(p).map(drop),
+                doc: r#"{"kind": "qos",
+                    "isolation": {"victim_solo_p99_ns": 1, "victim_contended_p99_ns": 1,
+                        "p99_ratio": 1.0, "noisy_load_factor": 2.0,
+                        "tenants": [{"name": "victim", "completed": 1, "merged": 0}]},
+                    "fairness": {"weights": [1], "ops": [1], "jain": 1.0,
+                        "max_weight_dev": 0.0, "tenants": []},
+                    "coalesce": {"off": {"full_per_pp": 1.0},
+                        "on": {"full_per_pp": 2.0, "merged": 3, "batches": 1},
+                        "uplift": 2.0}}"#
+                    .into(),
+                required: "kind isolation isolation.victim_solo_p99_ns
+                    isolation.victim_contended_p99_ns isolation.p99_ratio
+                    isolation.noisy_load_factor isolation.tenants fairness fairness.weights
+                    fairness.ops fairness.jain fairness.max_weight_dev fairness.tenants coalesce
+                    coalesce.off coalesce.off.full_per_pp coalesce.on coalesce.on.full_per_pp
+                    coalesce.uplift"
+                    .into(),
+                defaulted: "coalesce.on.merged coalesce.on.batches isolation.tenants.0.name
+                    isolation.tenants.0.completed isolation.tenants.0.merged",
+            },
+            LoaderCase {
+                kind: "lifecycle",
+                load: |p| load_lifecycle(p).map(drop),
+                doc: r#"{"kind": "lifecycle", "active_limit": 9,
+                    "nomgr": {"windows_mib_s": [1.0], "cliff_ratio": 0.5, "max_active_seen": 9},
+                    "mgr": {"windows_mib_s": [1.0], "flat_ratio": 0.95,
+                        "foreground_reclaims": 0, "max_active_seen": 4, "mgmt_finishes": 1,
+                        "mgmt_resets": 1, "sched_mgmt_ops": 2, "mgmt_io_share": 0.1}}"#
+                    .into(),
+                required: "kind active_limit nomgr nomgr.windows_mib_s nomgr.cliff_ratio
+                    nomgr.max_active_seen mgr mgr.windows_mib_s mgr.flat_ratio
+                    mgr.foreground_reclaims mgr.max_active_seen mgr.mgmt_finishes
+                    mgr.mgmt_resets mgr.sched_mgmt_ops mgr.mgmt_io_share"
+                    .into(),
+                defaulted: "",
+            },
+            LoaderCase {
+                kind: "lsgc",
+                load: |p| load_lsgc(p).map(drop),
+                doc: r#"{"kind": "lsgc",
+                    "lsraid": {"windows_mib_s": [1.0], "flat_ratio": 0.9, "waf": 1.2,
+                        "pp_log_writes": 0, "group_reclaims": 1, "emergency_reclaims": 0,
+                        "migrated_sectors": 1},
+                    "mdraid": {"cliff_ratio": 0.6}}"#
+                    .into(),
+                required: "kind lsraid lsraid.windows_mib_s lsraid.flat_ratio lsraid.waf
+                    lsraid.pp_log_writes lsraid.group_reclaims lsraid.emergency_reclaims
+                    lsraid.migrated_sectors mdraid mdraid.cliff_ratio"
+                    .into(),
+                defaulted: "",
+            },
+            LoaderCase {
+                kind: "spans",
+                load: |p| load_spans(p).map(drop),
+                doc: format!(
+                    r#"{{"kind": "spans", "name": "x", "threshold_ns": 0, "roots": 1,
+                    "orphan_events": 0, "truncated_events": 0,
+                    "blame": [{{"tenant": "0", "count": 1, "total_ns": 0,
+                        "segments": {{{}}}}}],
+                    "slow_ops": [{{"latency_ns": 1, "op": "write", "tenant": "0",
+                        "start_ns": 0, "end_ns": 1, "truncated_events": 0,
+                        "events": [{{"stage": "whole_op", "blame": "gc",
+                            "start_ns": 0, "end_ns": 1}}]}}]}}"#,
+                    segments.join(", ")
+                ),
+                required: format!(
+                    "kind name threshold_ns roots orphan_events truncated_events blame
+                    blame.0.tenant blame.0.count blame.0.total_ns blame.0.segments {}
+                    slow_ops slow_ops.0.latency_ns slow_ops.0.op slow_ops.0.tenant
+                    slow_ops.0.start_ns slow_ops.0.end_ns slow_ops.0.truncated_events
+                    slow_ops.0.events slow_ops.0.events.0.stage slow_ops.0.events.0.start_ns
+                    slow_ops.0.events.0.end_ns",
+                    segment_keys.join(" ")
+                ),
+                defaulted: "slow_ops.0.events.0.blame",
+            },
+            LoaderCase {
+                kind: "breakdown",
+                load: |p| load_diff(p).map(drop),
+                doc: r#"{"name": "b", "stages": {"whole_op": {"p99_ns": 5}}}"#.into(),
+                required: "stages stages.whole_op.p99_ns".into(),
+                defaulted: "",
+            },
+        ]
+    }
+
+    #[test]
+    fn loaders_require_and_default_the_keys_they_always_did() {
+        for case in loader_cases() {
+            let base = Json::parse(&case.doc).expect("valid minimal document");
+            let path = artifact(case.kind, &to_text(&base));
+            (case.load)(&path).unwrap_or_else(|e| panic!("{}: minimal document: {e}", case.kind));
+            let without = |key: &str| {
+                let mut doc = base.clone();
+                remove_key(&mut doc, &key.split('.').collect::<Vec<_>>());
+                std::fs::write(&path, to_text(&doc)).expect("write artifact");
+                (case.load)(&path)
+            };
+            for key in case.required.split_whitespace() {
+                let leaf = key.rsplit('.').next().unwrap();
+                let err = without(key)
+                    .err()
+                    .unwrap_or_else(|| panic!("{}: loads without required {key}", case.kind));
+                let msg = err.to_string();
+                assert!(
+                    msg.contains(&path) && msg.contains(leaf),
+                    "{}: error for missing {key} names neither file nor key: {msg}",
+                    case.kind
+                );
+            }
+            for key in case.defaulted.split_whitespace() {
+                without(key)
+                    .unwrap_or_else(|e| panic!("{}: {key} no longer defaults: {e}", case.kind));
+            }
+            let _ = std::fs::remove_file(path);
+        }
     }
 }

@@ -7,9 +7,85 @@
 //! arrays, strings with escapes, numbers, booleans, null) with byte
 //! offsets in error messages; numbers are parsed as `f64`, which is exact
 //! for every count the exporters emit below 2^53.
+//!
+//! Artifact readers go through [`load`] and the typed getters of
+//! [`Field`], whose errors name the file and the key.
 
+use crate::{BenchError, BenchResult};
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Reads and parses the artifact at `path`. With `kind`, the document's
+/// `kind` key must name it.
+///
+/// # Errors
+///
+/// Fails if the file cannot be read, is not JSON, or is of another kind.
+pub fn load(path: &str, kind: Option<&str>) -> BenchResult<Json> {
+    let text = std::fs::read_to_string(path)?;
+    let doc = Json::parse(&text).map_err(|e| fail(path, format!("invalid JSON: {e}")))?;
+    if let Some(kind) = kind {
+        if doc.at(path).str("kind")? != kind {
+            return Err(fail(path, format!("kind is not {kind:?}")));
+        }
+    }
+    Ok(doc)
+}
+
+fn fail(path: &str, what: impl fmt::Display) -> BenchError {
+    BenchError::Gate(format!("{path}: {what}"))
+}
+
+/// A value of the artifact at `path`. Each getter reads a required key of
+/// one type and fails, naming the file and the key, when the key is
+/// missing or of another type.
+#[derive(Debug, Clone, Copy)]
+pub struct Field<'a> {
+    /// The artifact's path.
+    pub path: &'a str,
+    /// The value itself, for keys a reader defaults.
+    pub value: &'a Json,
+}
+
+impl<'a> Field<'a> {
+    /// The key `key`, of any type.
+    pub fn get(self, key: &str) -> BenchResult<Field<'a>> {
+        let value = self.value.get(key);
+        let value = value.ok_or_else(|| fail(self.path, format!("missing key {key:?}")))?;
+        Ok(Field { value, ..self })
+    }
+
+    fn typed<T>(self, key: &str, what: &str, cast: fn(&'a Json) -> Option<T>) -> BenchResult<T> {
+        cast(self.get(key)?.value).ok_or_else(|| fail(self.path, format!("{key} is not {what}")))
+    }
+
+    /// The non-negative integer `key`.
+    pub fn u64(self, key: &str) -> BenchResult<u64> {
+        self.typed(key, "an integer", Json::as_u64)
+    }
+
+    /// The number `key`.
+    pub fn f64(self, key: &str) -> BenchResult<f64> {
+        self.typed(key, "a number", Json::as_f64)
+    }
+
+    /// The string `key`.
+    pub fn str(self, key: &str) -> BenchResult<&'a str> {
+        self.typed(key, "a string", Json::as_str)
+    }
+
+    /// The object `key`.
+    pub fn obj(self, key: &str) -> BenchResult<Field<'a>> {
+        self.typed(key, "an object", Json::as_obj)?;
+        self.get(key)
+    }
+
+    /// The elements of the array `key`.
+    pub fn arr(self, key: &str) -> BenchResult<impl Iterator<Item = Field<'a>>> {
+        let items = self.typed(key, "an array", Json::as_arr)?;
+        Ok(items.iter().map(move |value| Field { value, ..self }))
+    }
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,6 +120,12 @@ impl Json {
             return Err(format!("trailing data at byte {}", p.pos));
         }
         Ok(v)
+    }
+
+    /// This value as read from the artifact at `path`, for [`Field`]'s
+    /// getters.
+    pub fn at<'a>(&'a self, path: &'a str) -> Field<'a> {
+        Field { path, value: self }
     }
 
     /// Object field lookup; `None` on non-objects or missing keys.

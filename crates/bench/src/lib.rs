@@ -15,10 +15,12 @@
 use ftl::{BlockDevice, ConvSsd, FtlConfig};
 use lsraid::{LsConfig, LsVolume};
 use mdraid5::{Md5Config, Md5Volume};
+use qos::QosScheduler;
 use raizn::{RaiznConfig, RaiznVolume};
 use sim::{SimDuration, SimTime};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
+use workloads::{SchedCompletion, SharedScheduler, TenantId};
 use zns::{LatencyConfig, ZnsConfig, ZnsDevice};
 
 pub mod json;
@@ -166,54 +168,41 @@ fn span_config() -> obs::SpanConfig {
     }
 }
 
-/// Writes the recorder's causal-span artifact (per-tenant blame table,
-/// tail-sampled slow-op trees, Chrome/Perfetto `traceEvents`) to
-/// `BENCH_<name>_spans.json` in `dir`, returning the path.
-///
-/// # Errors
-///
-/// Returns an error if the file cannot be written.
-pub fn write_spans_to(name: &str, rec: &obs::Recorder, dir: &Path) -> BenchResult<PathBuf> {
-    let path = dir.join(format!("BENCH_{name}_spans.json"));
-    std::fs::write(&path, obs::spans_json(name, rec))?;
-    Ok(path)
-}
-
-/// Writes `BENCH_<name>_spans.json` in the working directory from the
-/// given recorder and prints the path.
-///
-/// # Errors
-///
-/// Returns an error if the file cannot be written.
-pub fn write_spans(name: &str, rec: &obs::Recorder) -> BenchResult {
-    let path = write_spans_to(name, rec, Path::new("."))?;
-    println!("span blame/trace -> {}", path.display());
-    Ok(())
-}
-
-/// Writes the shared recorder's latency breakdown to
-/// `BENCH_<name>_breakdown.json` in `dir` (per-stage p50/p99/mean/max
-/// plus counters), returning the path.
-///
-/// # Errors
-///
-/// Returns an error if the file cannot be written.
-pub fn write_breakdown_to(name: &str, dir: &Path) -> BenchResult<PathBuf> {
-    let path = dir.join(format!("BENCH_{name}_breakdown.json"));
-    let json = recorder().breakdown_json(name);
-    std::fs::write(&path, json)?;
-    Ok(path)
-}
-
-/// Writes the shared recorder's latency breakdown to
-/// `BENCH_<name>_breakdown.json` in the working directory and prints the
+/// Writes `json` to `BENCH_<name>_<what>.json` in `dir`, returning the
 /// path.
 ///
 /// # Errors
 ///
 /// Returns an error if the file cannot be written.
+pub fn write_artifact(dir: &Path, name: &str, what: &str, json: &str) -> BenchResult<PathBuf> {
+    let path = dir.join(format!("BENCH_{name}_{what}.json"));
+    std::fs::write(&path, json)?;
+    Ok(path)
+}
+
+/// Writes `rec`'s causal-span artifact (per-tenant blame table,
+/// tail-sampled slow-op trees, Chrome/Perfetto `traceEvents`) to
+/// `BENCH_<name>_spans.json` in the working directory and prints the path.
+///
+/// # Errors
+///
+/// Returns an error if the file cannot be written.
+pub fn write_spans(name: &str, rec: &obs::Recorder) -> BenchResult {
+    let path = write_artifact(Path::new("."), name, "spans", &obs::spans_json(name, rec))?;
+    println!("span blame/trace -> {}", path.display());
+    Ok(())
+}
+
+/// Writes the shared recorder's latency breakdown (per-stage
+/// p50/p99/mean/max plus counters) to `BENCH_<name>_breakdown.json` in the
+/// working directory and prints the path.
+///
+/// # Errors
+///
+/// Returns an error if the file cannot be written.
 pub fn write_breakdown(name: &str) -> BenchResult {
-    let path = write_breakdown_to(name, Path::new("."))?;
+    let json = recorder().breakdown_json(name);
+    let path = write_artifact(Path::new("."), name, "breakdown", &json)?;
     println!("\nlatency breakdown -> {}", path.display());
     Ok(())
 }
@@ -257,71 +246,15 @@ impl TimelineRun {
         self.recorder.clone()
     }
 
-    /// Builds a RAIZN volume wired for this run: devices and volume
-    /// record into the run's recorder.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the configuration is invalid.
-    pub fn raizn_volume(
-        &self,
-        zones: u32,
-        zone_sectors: u64,
-        stripe_unit_sectors: u64,
-    ) -> BenchResult<Arc<RaiznVolume>> {
-        let devices = zns_devices_with(&self.recorder, ARRAY_DEVICES, zones, zone_sectors);
-        let config = RaiznConfig {
-            stripe_unit_sectors,
-            ..RaiznConfig::default()
-        };
-        let volume = Arc::new(RaiznVolume::format(devices, config, SimTime::ZERO)?);
-        volume.set_recorder(self.recorder());
-        Ok(volume)
-    }
-
-    /// Builds a log-structured RAID volume wired for this run (see
-    /// [`TimelineRun::raizn_volume`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the configuration is invalid.
-    pub fn lsraid_volume(
-        &self,
-        zones: u32,
-        zone_sectors: u64,
-        config: LsConfig,
-    ) -> BenchResult<Arc<LsVolume>> {
-        let devices = zns_devices_with(&self.recorder, ARRAY_DEVICES, zones, zone_sectors);
-        let volume = Arc::new(LsVolume::format(devices, config, SimTime::ZERO)?);
-        volume.set_recorder(self.recorder());
-        Ok(volume)
-    }
-
-    /// Builds an mdraid-5 volume wired for this run (see
-    /// [`TimelineRun::raizn_volume`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the configuration is invalid.
-    pub fn mdraid_volume(
-        &self,
-        user_sectors: u64,
-        chunk_sectors: u64,
-    ) -> BenchResult<Arc<Md5Volume>> {
-        let devices: Vec<Arc<dyn BlockDevice>> =
-            conv_devices_with(&self.recorder, ARRAY_DEVICES, user_sectors)
-                .into_iter()
-                .map(|d| d as Arc<dyn BlockDevice>)
-                .collect();
-        let volume = Arc::new(Md5Volume::new(
-            devices,
-            Md5Config {
-                chunk_sectors,
-                stripe_cache_bytes: 128 * 1024 * 1024,
-            },
-        )?);
-        volume.set_recorder(self.recorder());
-        Ok(volume)
+    /// The run's recorder when `captured`, else the process-wide
+    /// [`recorder`]: a sweep captures its flagship configuration and folds
+    /// the rest into the breakdown only.
+    pub fn recorder_if(&self, captured: bool) -> Arc<obs::Recorder> {
+        if captured {
+            self.recorder()
+        } else {
+            recorder()
+        }
     }
 
     /// Writes the timeline artifact into `dir`, returning its path.
@@ -331,10 +264,8 @@ impl TimelineRun {
     ///
     /// Returns an error if the file cannot be written.
     pub fn write_to(&self, dir: &Path) -> BenchResult<PathBuf> {
-        let path = dir.join(format!("BENCH_{}_timeline.json", self.name));
         let json = obs::timeline_json(&self.name, &self.recorder, SECTOR_BYTES);
-        std::fs::write(&path, json)?;
-        Ok(path)
+        write_artifact(dir, &self.name, "timeline", &json)
     }
 
     /// Finishes the run: artifact written to the working directory,
@@ -364,79 +295,32 @@ impl TimelineRun {
 /// Bytes per sector, as a u64 (timeline throughput derivation).
 const SECTOR_BYTES: u64 = zns::SECTOR_SIZE;
 
-/// Builds `n` ZNS devices with `zones` zones of `zone_sectors` capacity
-/// (accounting-only data mode, ZN540-like timing), recording into `rec`.
-pub fn zns_devices_with(
-    rec: &Arc<obs::Recorder>,
-    n: usize,
-    zones: u32,
-    zone_sectors: u64,
-) -> Vec<Arc<ZnsDevice>> {
+/// The evaluation's ZNS device: `zones` zones of `zone_sectors` capacity,
+/// ZN540-like timing and open limits, accounting-only data.
+pub fn zns_config(zones: u32, zone_sectors: u64) -> ZnsConfig {
+    ZnsConfig::builder()
+        .zones(zones, zone_sectors, zone_sectors)
+        .open_limits(14, 28)
+        .latency(LatencyConfig::zns_ssd())
+        .store_data(false)
+        .build()
+}
+
+/// Builds `n` ZNS devices of `config`, recording into `rec` as devices
+/// `0..n`.
+pub fn zns_devices(rec: &Arc<obs::Recorder>, n: usize, config: &ZnsConfig) -> Vec<Arc<ZnsDevice>> {
     (0..n)
         .map(|i| {
-            let dev = Arc::new(ZnsDevice::new(
-                ZnsConfig::builder()
-                    .zones(zones, zone_sectors, zone_sectors)
-                    .open_limits(14, 28)
-                    .latency(LatencyConfig::zns_ssd())
-                    .store_data(false)
-                    .build(),
-            ));
+            let dev = Arc::new(ZnsDevice::new(config.clone()));
             dev.set_recorder(rec.clone(), i as u32);
             dev
         })
         .collect()
 }
 
-/// Builds `n` ZNS devices recording into the process-wide [`recorder`].
-pub fn zns_devices(n: usize, zones: u32, zone_sectors: u64) -> Vec<Arc<ZnsDevice>> {
-    zns_devices_with(&recorder(), n, zones, zone_sectors)
-}
-
-/// Builds a formatted RAIZN volume over fresh ZNS devices.
-///
-/// # Errors
-///
-/// Returns an error if the configuration is invalid.
-pub fn raizn_volume(
-    zones: u32,
-    zone_sectors: u64,
-    stripe_unit_sectors: u64,
-) -> BenchResult<Arc<RaiznVolume>> {
-    let devices = zns_devices(ARRAY_DEVICES, zones, zone_sectors);
-    let config = RaiznConfig {
-        stripe_unit_sectors,
-        ..RaiznConfig::default()
-    };
-    let volume = Arc::new(RaiznVolume::format(devices, config, SimTime::ZERO)?);
-    volume.set_recorder(recorder());
-    Ok(volume)
-}
-
-/// Builds a formatted log-structured RAID volume over fresh ZNS devices,
-/// recording into the process-wide [`recorder`].
-///
-/// # Errors
-///
-/// Returns an error if the configuration is invalid.
-pub fn lsraid_volume(
-    zones: u32,
-    zone_sectors: u64,
-    config: LsConfig,
-) -> BenchResult<Arc<LsVolume>> {
-    let devices = zns_devices(ARRAY_DEVICES, zones, zone_sectors);
-    let volume = Arc::new(LsVolume::format(devices, config, SimTime::ZERO)?);
-    volume.set_recorder(recorder());
-    Ok(volume)
-}
-
 /// Builds `n` conventional SSDs of `user_sectors` capacity (7% OP,
 /// accounting-only), recording into `rec`.
-pub fn conv_devices_with(
-    rec: &Arc<obs::Recorder>,
-    n: usize,
-    user_sectors: u64,
-) -> Vec<Arc<ConvSsd>> {
+pub fn conv_devices(rec: &Arc<obs::Recorder>, n: usize, user_sectors: u64) -> Vec<Arc<ConvSsd>> {
     (0..n)
         .map(|i| {
             let dev = Arc::new(ConvSsd::new(FtlConfig {
@@ -453,19 +337,54 @@ pub fn conv_devices_with(
         .collect()
 }
 
-/// Builds `n` conventional SSDs recording into the process-wide
-/// [`recorder`].
-pub fn conv_devices(n: usize, user_sectors: u64) -> Vec<Arc<ConvSsd>> {
-    conv_devices_with(&recorder(), n, user_sectors)
-}
-
-/// Builds an mdraid-5 volume over fresh conventional SSDs.
+/// Builds a formatted RAIZN volume of `config` over fresh [`zns_config`]
+/// devices; devices and volume record into `rec`.
 ///
 /// # Errors
 ///
 /// Returns an error if the configuration is invalid.
-pub fn mdraid_volume(user_sectors: u64, chunk_sectors: u64) -> BenchResult<Arc<Md5Volume>> {
-    let devices: Vec<Arc<dyn BlockDevice>> = conv_devices(ARRAY_DEVICES, user_sectors)
+pub fn raizn_volume(
+    rec: &Arc<obs::Recorder>,
+    zones: u32,
+    zone_sectors: u64,
+    config: RaiznConfig,
+) -> BenchResult<Arc<RaiznVolume>> {
+    let devices = zns_devices(rec, ARRAY_DEVICES, &zns_config(zones, zone_sectors));
+    let volume = Arc::new(RaiznVolume::format(devices, config, SimTime::ZERO)?);
+    volume.set_recorder(rec.clone());
+    Ok(volume)
+}
+
+/// Builds a formatted log-structured RAID volume over fresh
+/// [`zns_config`] devices; devices and volume record into `rec`.
+///
+/// # Errors
+///
+/// Returns an error if the configuration is invalid.
+pub fn lsraid_volume(
+    rec: &Arc<obs::Recorder>,
+    zones: u32,
+    zone_sectors: u64,
+    config: LsConfig,
+) -> BenchResult<Arc<LsVolume>> {
+    let devices = zns_devices(rec, ARRAY_DEVICES, &zns_config(zones, zone_sectors));
+    let volume = Arc::new(LsVolume::format(devices, config, SimTime::ZERO)?);
+    volume.set_recorder(rec.clone());
+    Ok(volume)
+}
+
+/// Builds an mdraid-5 volume (128 MiB stripe cache) over fresh
+/// conventional SSDs; devices and volume record into `rec`.
+///
+/// # Errors
+///
+/// Returns an error if the configuration is invalid.
+pub fn mdraid_volume(
+    rec: &Arc<obs::Recorder>,
+    user_sectors: u64,
+    chunk_sectors: u64,
+) -> BenchResult<Arc<Md5Volume>> {
+    let devices: Vec<Arc<dyn BlockDevice>> = conv_devices(rec, ARRAY_DEVICES, user_sectors)
         .into_iter()
         .map(|d| d as Arc<dyn BlockDevice>)
         .collect();
@@ -476,8 +395,58 @@ pub fn mdraid_volume(user_sectors: u64, chunk_sectors: u64) -> BenchResult<Arc<M
             stripe_cache_bytes: 128 * 1024 * 1024,
         },
     )?);
-    volume.set_recorder(recorder());
+    volume.set_recorder(rec.clone());
     Ok(volume)
+}
+
+/// The paced closed loop of the background-actor experiments (the
+/// lifecycle zone spray, the lsgc overwrite drive): for each offset it
+/// submits one `block`-sized foreground write as `tenant`, steps the
+/// scheduler until idle, advances the clock to the write's completion and
+/// adds its sectors to a `window`-wide tumbling window (relative to
+/// `start`, so the first window is full), then calls `after_op(i, now)`
+/// — where a run pumps its background actor. The foreground clock never
+/// waits on that actor's completions: its interference shows where it
+/// belongs, in device occupancy and scheduler arbitration.
+///
+/// Returns the windows' data throughput in MiB/s and the end time.
+///
+/// # Errors
+///
+/// Propagates scheduler/volume errors and `after_op`'s.
+pub fn drive(
+    sched: &QosScheduler,
+    tenant: TenantId,
+    start: SimTime,
+    offsets: &[u64],
+    block: &[u8],
+    window: SimDuration,
+    mut after_op: impl FnMut(u64, SimTime) -> BenchResult,
+) -> BenchResult<(Vec<f64>, SimTime)> {
+    let window_ns = window.as_nanos();
+    let sectors = block.len() as u64 / SECTOR_BYTES;
+    let mut completions: Vec<SchedCompletion> = Vec::with_capacity(8);
+    let mut windows: Vec<u64> = Vec::new();
+    let mut now = start;
+    for (i, &off) in (0u64..).zip(offsets) {
+        sched
+            .submit_write(tenant, i, now, off, block)?
+            .admitted(format_args!("foreground write at op {i}"))?;
+        completions.clear();
+        while sched.step(&mut completions)? {}
+        for c in completions.iter().filter(|c| c.tenant == tenant) {
+            now = now.max(c.done);
+            let w = (c.done.as_nanos().saturating_sub(start.as_nanos()) / window_ns) as usize;
+            if windows.len() <= w {
+                windows.resize(w + 1, 0);
+            }
+            windows[w] += sectors;
+        }
+        after_op(i, now)?;
+    }
+    let mib_s =
+        |s: u64| s as f64 * SECTOR_BYTES as f64 / (1 << 20) as f64 / (window_ns as f64 / 1e9);
+    Ok((windows.iter().map(|&s| mib_s(s)).collect(), now))
 }
 
 /// Prints a fixed-width text table.
@@ -624,9 +593,9 @@ mod tests {
 
     #[test]
     fn arrays_assemble() {
-        let r = raizn_volume(8, 4096, 16).unwrap();
+        let r = raizn_volume(&recorder(), 8, 4096, RaiznConfig::default()).unwrap();
         assert_eq!(r.geometry().num_zones(), 5);
-        let m = mdraid_volume(262_144, 16).unwrap();
+        let m = mdraid_volume(&recorder(), 262_144, 16).unwrap();
         assert!(m.capacity_sectors() > 0);
     }
 
@@ -639,7 +608,7 @@ mod tests {
     #[test]
     fn timeline_run_isolated_from_global_recorder_until_finish() {
         let run = TimelineRun::new("unit_tlr");
-        let v = run.raizn_volume(8, 4096, 16).unwrap();
+        let v = raizn_volume(&run.recorder(), 8, 4096, RaiznConfig::default()).unwrap();
         let data = vec![0u8; zns::SECTOR_SIZE as usize];
         v.write(SimTime::ZERO, 0, &data, zns::WriteFlags::default())
             .unwrap();
@@ -661,7 +630,7 @@ mod tests {
     #[test]
     fn harness_volumes_record_into_shared_recorder() {
         let before = recorder().next_seq();
-        let v = raizn_volume(8, 4096, 16).unwrap();
+        let v = raizn_volume(&recorder(), 8, 4096, RaiznConfig::default()).unwrap();
         let data = vec![0u8; zns::SECTOR_SIZE as usize];
         v.write(SimTime::ZERO, 0, &data, zns::WriteFlags::default())
             .unwrap();

@@ -11,12 +11,12 @@
 //! scheduler (as a low-priority internal tenant), near-full zones are
 //! finished off the critical path and the band stays flat.
 
-use crate::{BenchResult, TimelineRun, ARRAY_DEVICES, TIMELINE_WINDOW};
+use crate::{drive, zns_devices, BenchResult, TimelineRun, ARRAY_DEVICES, TIMELINE_WINDOW};
 use qos::{QosConfig, QosScheduler, TenantSnapshot, TenantSpec};
 use raizn::{LifecycleStats, MgmtSink, RaiznConfig, RaiznStats, RaiznVolume, ZoneLifecycleManager};
 use sim::SimTime;
 use std::sync::Arc;
-use workloads::{SchedCompletion, SharedScheduler, TenantId, ZonedTarget};
+use workloads::{TenantId, ZonedTarget};
 use zns::{LatencyConfig, ZnsConfig, ZnsDevice, ZonedVolume, SECTOR_SIZE};
 
 /// Physical zones per device and their capacity.
@@ -63,28 +63,11 @@ pub fn lifecycle_latency() -> LatencyConfig {
     }
 }
 
-/// Builds the experiment's device array wired into `run`.
-pub fn lifecycle_devices(run: &TimelineRun) -> Vec<Arc<ZnsDevice>> {
-    let rec = run.recorder();
-    (0..ARRAY_DEVICES)
-        .map(|i| {
-            let dev = Arc::new(ZnsDevice::new(
-                ZnsConfig::builder()
-                    .zones(ZONES, ZONE_SECTORS, ZONE_SECTORS)
-                    .open_limits(OPEN_LIMIT, ACTIVE_LIMIT)
-                    .latency(lifecycle_latency())
-                    .store_data(false)
-                    .build(),
-            ));
-            dev.set_recorder(rec.clone(), i as u32);
-            dev
-        })
-        .collect()
-}
-
-/// Builds the experiment's RAIZN volume over [`lifecycle_devices`].
-/// `reclaim` enables the foreground reclaim path (the cliff). Returns
-/// the device handles too so callers can watch their active zones.
+/// Builds the experiment's RAIZN volume over [`ARRAY_DEVICES`] devices
+/// with the [`lifecycle_latency`] timing and the [`OPEN_LIMIT`] /
+/// [`ACTIVE_LIMIT`] budget, wired into `run`. `reclaim` enables the
+/// foreground reclaim path (the cliff). Returns the device handles too so
+/// callers can watch their active zones.
 ///
 /// # Errors
 ///
@@ -93,7 +76,13 @@ pub fn lifecycle_volume(
     run: &TimelineRun,
     reclaim: bool,
 ) -> BenchResult<(Arc<RaiznVolume>, Vec<Arc<ZnsDevice>>)> {
-    let devices = lifecycle_devices(run);
+    let config = ZnsConfig::builder()
+        .zones(ZONES, ZONE_SECTORS, ZONE_SECTORS)
+        .open_limits(OPEN_LIMIT, ACTIVE_LIMIT)
+        .latency(lifecycle_latency())
+        .store_data(false)
+        .build();
+    let devices = zns_devices(&run.recorder(), ARRAY_DEVICES, &config);
     let volume = Arc::new(RaiznVolume::format(
         devices.clone(),
         RaiznConfig {
@@ -153,10 +142,12 @@ pub struct SprayOutcome {
 }
 
 /// Runs the zone-spray workload through `sched` (foreground tenant
-/// [`FG_TENANT`]), pumping `manager` every [`PUMP_OPS`] ops when given.
-/// All IO — foreground writes and background management — dispatches
-/// through the scheduler, so the artifact's tenant accounting covers the
-/// whole experiment.
+/// [`FG_TENANT`]) on the shared [`drive`] loop: every [`PUMP_OPS`] ops it
+/// samples the devices' active zones and pumps `manager` (when given),
+/// and after each sprayed zone it queues the reset of the zone
+/// [`RESET_LAG`] zones back. All IO — foreground writes and background
+/// management — dispatches through the scheduler, so the artifact's
+/// tenant accounting covers the whole experiment.
 ///
 /// # Errors
 ///
@@ -169,67 +160,47 @@ pub fn spray(
     manager: Option<&ZoneLifecycleManager>,
 ) -> BenchResult<SprayOutcome> {
     let zone_cap = volume.geometry().zone_cap();
-    let window_ns = TIMELINE_WINDOW.as_nanos();
+    let offsets: Vec<u64> = (0..u64::from(SPRAY_ZONES))
+        .flat_map(|zone| {
+            (0..STRIPES_PER_ZONE).map(move |stripe| zone * zone_cap + stripe * STRIPE_DATA)
+        })
+        .collect();
     let block = vec![0x5Au8; (STRIPE_DATA * SECTOR_SIZE) as usize];
-    let mut sink = manager.map(|_| QosMgmtSink::new(sched));
-    let mut completions: Vec<SchedCompletion> = Vec::with_capacity(8);
-    let mut windows: Vec<u64> = Vec::new();
-    let mut now = SimTime::ZERO;
-    let mut ops = 0u64;
+    let mut mgmt = manager.map(|mgr| (mgr, QosMgmtSink::new(sched)));
     let mut max_active = 0u32;
-
-    let sample_active = |max_active: &mut u32| {
+    let mut sample_active = || {
         for dev in devices {
-            *max_active = (*max_active).max(dev.active_zones());
+            max_active = max_active.max(dev.active_zones());
         }
     };
-
-    for zone in 0..SPRAY_ZONES {
-        for stripe in 0..STRIPES_PER_ZONE {
-            let off = zone as u64 * zone_cap + stripe * STRIPE_DATA;
-            sched
-                .submit_write(FG_TENANT, ops, now, off, &block)?
-                .admitted(format_args!(
-                    "foreground write at zone {zone} stripe {stripe}"
-                ))?;
-            completions.clear();
-            while sched.step(&mut completions)? {}
-            for c in &completions {
-                if c.tenant == FG_TENANT {
-                    now = now.max(c.done);
-                    let w = (c.done.as_nanos() / window_ns) as usize;
-                    if windows.len() <= w {
-                        windows.resize(w + 1, 0);
-                    }
-                    windows[w] += STRIPE_DATA;
-                }
-            }
-            ops += 1;
-            if ops.is_multiple_of(PUMP_OPS) {
-                sample_active(&mut max_active);
-                if let (Some(mgr), Some(sink)) = (manager, sink.as_mut()) {
-                    // Background work: the foreground clock does not wait
-                    // for the management completion time — interference
-                    // is modeled where it belongs, in device occupancy
-                    // (fills collide with writes on shared die groups).
-                    mgr.pump_with(now, sink)?;
-                }
+    let after_op = |i: u64, now| -> BenchResult {
+        if (i + 1).is_multiple_of(PUMP_OPS) {
+            sample_active();
+            if let Some((mgr, sink)) = mgmt.as_mut() {
+                mgr.pump_with(now, sink)?;
             }
         }
-        if let Some(mgr) = manager {
-            if zone >= RESET_LAG {
-                mgr.request_reset(zone - RESET_LAG);
+        if (i + 1).is_multiple_of(STRIPES_PER_ZONE) {
+            let zone = (i / STRIPES_PER_ZONE) as u32;
+            if let (Some((mgr, _)), Some(old)) = (&mgmt, zone.checked_sub(RESET_LAG)) {
+                mgr.request_reset(old);
             }
         }
-    }
-    sample_active(&mut max_active);
-
-    let mib_per_window = |sectors: u64| {
-        sectors as f64 * SECTOR_SIZE as f64 / (1 << 20) as f64 / (window_ns as f64 / 1e9)
+        Ok(())
     };
+    let (windows_mib_s, end) = drive(
+        sched,
+        FG_TENANT,
+        SimTime::ZERO,
+        &offsets,
+        &block,
+        TIMELINE_WINDOW,
+        after_op,
+    )?;
+    sample_active();
     Ok(SprayOutcome {
-        windows_mib_s: windows.iter().map(|&s| mib_per_window(s)).collect(),
-        end: now,
+        windows_mib_s,
+        end,
         max_active_seen: max_active,
         raizn: volume.stats(),
         tenants: sched.stats(),

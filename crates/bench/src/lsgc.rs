@@ -14,12 +14,12 @@
 
 use crate::lifecycle::{join, tenant_json, windows_json};
 use crate::{BenchResult, TimelineRun};
-use lsraid::{GcManager, GcSink, LsStats};
+use lsraid::{GcSink, LsStats};
 use qos::{QosConfig, QosScheduler, TenantSnapshot, TenantSpec};
 use sim::{SimRng, SimTime};
 use std::sync::Arc;
-use workloads::{IoTarget, SchedCompletion, SharedScheduler, TenantId};
-use zns::{Lba, SECTOR_SIZE};
+use workloads::{IoTarget, SharedScheduler, TenantId};
+use zns::Lba;
 
 /// Physical zones per device. Many small stripe groups (rather than a
 /// few huge ones) give the victim picker a fine-grained garbage
@@ -162,57 +162,6 @@ impl GcSink for QosGcSink<'_> {
 /// holds only ~20 ops, so a one-op boundary shift reads as a 5% swing).
 pub const BAND_WINDOW: sim::SimDuration = sim::SimDuration::from_millis(300);
 
-/// Drives `offsets` as [`BLOCK`]-sized writes through `sched` (tenant
-/// [`APP_TENANT`]), pacing by completion and accounting data throughput
-/// into [`BAND_WINDOW`] tumbling windows. With a collector, pumps it
-/// every [`PUMP_OPS`] ops; the foreground clock does not wait for
-/// migration completions — interference is modeled where it belongs, in
-/// device occupancy and scheduler arbitration.
-///
-/// # Errors
-///
-/// Propagates scheduler/volume errors.
-pub fn drive(
-    sched: &QosScheduler,
-    start: SimTime,
-    offsets: &[u64],
-    block: &[u8],
-    mut gc: Option<(&mut GcManager, &mut QosGcSink)>,
-) -> BenchResult<(Vec<f64>, SimTime)> {
-    let window_ns = BAND_WINDOW.as_nanos();
-    let sectors = block.len() as u64 / SECTOR_SIZE;
-    let mut completions: Vec<SchedCompletion> = Vec::with_capacity(8);
-    let mut windows: Vec<u64> = Vec::new();
-    let mut now = start;
-    for (i, &off) in offsets.iter().enumerate() {
-        sched
-            .submit_write(APP_TENANT, i as u64, now, off, block)?
-            .admitted(format_args!("foreground write at op {i}"))?;
-        completions.clear();
-        while sched.step(&mut completions)? {}
-        for c in &completions {
-            if c.tenant == APP_TENANT {
-                now = now.max(c.done);
-                // Windows are phase-relative so the first one is full,
-                // not a partial that breaks the flat-band ratio.
-                let w = (c.done.as_nanos().saturating_sub(start.as_nanos()) / window_ns) as usize;
-                if windows.len() <= w {
-                    windows.resize(w + 1, 0);
-                }
-                windows[w] += sectors;
-            }
-        }
-        if let Some((mgr, sink)) = gc.as_mut() {
-            if (i as u64 + 1).is_multiple_of(PUMP_OPS) {
-                mgr.pump(now, *sink)?;
-            }
-        }
-    }
-    let mib_per_window =
-        |s: u64| s as f64 * SECTOR_SIZE as f64 / (1 << 20) as f64 / (window_ns as f64 / 1e9);
-    Ok((windows.iter().map(|&s| mib_per_window(s)).collect(), now))
-}
-
 /// Outcome of the log-structured side of the experiment.
 pub struct LsOutcome {
     /// Data throughput per tumbling window, MiB/s.
@@ -230,6 +179,9 @@ pub struct LsOutcome {
     pub emergency: u64,
     /// Sectors the collector migrated during the phase.
     pub migrated: u64,
+    /// Partial-parity-log writes the run recorded (the engine has no pp
+    /// log, so the `lsgc` binary gates this at 0).
+    pub pp_log_writes: u64,
     /// Scheduler tenant accounting (app, then gc).
     pub tenants: Vec<TenantSnapshot>,
 }
@@ -265,7 +217,7 @@ pub fn lsgc_json(ls: &LsOutcome, ls_flat: f64, md: &MdOutcome, md_cliff: f64) ->
          \"hot_region_pct\": {},\n  \"hot_write_pct\": {},\n  \"lsraid\": {{\n    \
          \"windows_mib_s\": [{}],\n    \"flat_ratio\": {:.4},\n    \"waf\": {:.4},\n    \
          \"group_reclaims\": {},\n    \"emergency_reclaims\": {},\n    \
-         \"migrated_sectors\": {},\n    \"pad_sectors\": {},\n    \"pp_log_writes\": 0,\n    \
+         \"migrated_sectors\": {},\n    \"pad_sectors\": {},\n    \"pp_log_writes\": {},\n    \
          \"duration_ms\": {:.2},\n    \"tenants\": [{}]\n  }},\n  \"mdraid\": {{\n    \
          \"windows_mib_s\": [{}],\n    \"cliff_ratio\": {:.4},\n    \"duration_ms\": {:.2},\n    \
          \"tenants\": [{}]\n  }}\n}}\n",
@@ -280,6 +232,7 @@ pub fn lsgc_json(ls: &LsOutcome, ls_flat: f64, md: &MdOutcome, md_cliff: f64) ->
         ls.emergency,
         ls.migrated,
         ls.stats.pad_sectors,
+        ls.pp_log_writes,
         ls.end.as_nanos() as f64 / 1e6,
         join(ls.tenants.iter().map(tenant_json)),
         windows_json(&md.windows_mib_s),

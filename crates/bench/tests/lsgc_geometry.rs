@@ -9,7 +9,8 @@ use zns::ZonedVolume;
 #[test]
 fn lsgc_geometry_formats_at_both_parities() {
     for parity in [1, 2] {
-        let vol = bench::lsraid_volume(ZONES, ZONE_SECTORS, LsConfig::default().parity(parity))
+        let config = LsConfig::default().parity(parity);
+        let vol = bench::lsraid_volume(&bench::recorder(), ZONES, ZONE_SECTORS, config)
             .unwrap_or_else(|e| panic!("p{parity}: {e}"));
         assert!(vol.geometry().num_zones() > 0);
     }

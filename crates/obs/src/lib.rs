@@ -64,7 +64,6 @@
 
 use parking_lot::Mutex;
 use sim::{Histogram, SimDuration, SimTime};
-use std::io::Write as IoWrite;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -984,21 +983,6 @@ impl Recorder {
         }
     }
 
-    /// Streams the retained events into `sink`, oldest first, returning
-    /// how many were emitted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sink IO errors.
-    pub fn export(&self, sink: &mut dyn TraceSink) -> std::io::Result<usize> {
-        let events = self.events();
-        for ev in &events {
-            sink.emit(ev)?;
-        }
-        sink.finish()?;
-        Ok(events.len())
-    }
-
     /// A machine-readable latency breakdown: per-stage count / p50 / p99 /
     /// mean / max (virtual nanoseconds) plus every counter. `name` tags
     /// the producing experiment.
@@ -1075,52 +1059,6 @@ pub fn event_json(ev: &TraceEvent) -> String {
     }
     s.push('}');
     s
-}
-
-/// A consumer of trace events (file, buffer, test collector).
-pub trait TraceSink {
-    /// Consumes one event.
-    ///
-    /// # Errors
-    ///
-    /// Returns IO errors from the underlying medium.
-    fn emit(&mut self, ev: &TraceEvent) -> std::io::Result<()>;
-
-    /// Flushes any buffered output. Default: no-op.
-    ///
-    /// # Errors
-    ///
-    /// Returns IO errors from the underlying medium.
-    fn finish(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// A [`TraceSink`] writing one JSON object per line (JSON-lines).
-pub struct JsonLinesSink<W: IoWrite> {
-    writer: W,
-}
-
-impl<W: IoWrite> JsonLinesSink<W> {
-    /// Wraps `writer`.
-    pub fn new(writer: W) -> Self {
-        JsonLinesSink { writer }
-    }
-
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
-impl<W: IoWrite> TraceSink for JsonLinesSink<W> {
-    fn emit(&mut self, ev: &TraceEvent) -> std::io::Result<()> {
-        writeln!(self.writer, "{}", event_json(ev))
-    }
-
-    fn finish(&mut self) -> std::io::Result<()> {
-        self.writer.flush()
-    }
 }
 
 pub(crate) fn escape(s: &str) -> String {
@@ -1205,14 +1143,13 @@ mod tests {
         let mut e = ev(Stage::MetaAppend, 3, 5);
         e.path = Some(PathKind::PpLog);
         r.record(e);
-        let mut sink = JsonLinesSink::new(Vec::new());
-        let n = r.export(&mut sink).unwrap();
-        assert_eq!(n, 1);
-        let line = String::from_utf8(sink.into_inner()).unwrap();
+        let events = r.events();
+        assert_eq!(events.len(), 1);
+        let line = event_json(&events[0]);
         assert!(line.contains("\"stage\": \"meta_append\""));
         assert!(line.contains("\"path\": \"pp_log\""));
         assert!(line.contains("\"start_ns\": 3000"));
-        assert!(line.ends_with("}\n"));
+        assert!(line.ends_with('}') && !line.contains('\n'));
     }
 
     #[test]

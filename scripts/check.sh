@@ -1,10 +1,16 @@
 #!/usr/bin/env bash
-# Repo gate: build, full test suite, hot-path gates, lints, formatting.
+# Repo gate: build, full test suite, lints, formatting, static guards,
+# then the wall-clock and figure gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test --workspace -q
+# Deterministic checks run before the first wall-clock gate (hotpath),
+# so a noisy host that fails that gate cannot hide a lint or format
+# failure behind it.
+cargo clippy --workspace --all-targets -- -D warnings
+cargo fmt --check
 
 # Every workspace crate must carry tests (unit or integration).
 for crate in crates/*/; do
@@ -253,6 +259,26 @@ if grep -rnE '\b(GaugeSource|GaugeReading|GaugeSeries|LockStats|sample_gauges|Pi
   exit 1
 fi
 
+# One way out of obs, one timing harness per question (DESIGN.md
+# "Observability", "Experiments"): every artifact goes through
+# `timeline_json`, `breakdown_json` or `spans_json`, per-layer host cost is
+# timed by benchmark/'s `per_layer` rows, and hotpath keeps the gated
+# rows. An event sink under crates/, or a Criterion suite (a manifest
+# naming `criterion` or a `[[bench]]` target, `crates/bench/benches`,
+# `vendor/criterion`), is a second exporter or a second timing harness
+# coming back.
+if grep -rnwE 'TraceSink|JsonLinesSink' crates; then
+  echo "check.sh: a removed obs event sink is back (export through timeline_json/breakdown_json/spans_json)" >&2
+  exit 1
+fi
+if find . -name Cargo.toml -not -path '*/target/*' -print0 |
+     xargs -0 grep -nE '\bcriterion\b|^\[\[bench\]\]' ||
+   grep -nw criterion Cargo.lock ||
+   [ -e crates/bench/benches ] || [ -e vendor/criterion ]; then
+  echo "check.sh: a Criterion suite is back (time a layer in benchmark/'s per_layer rows or hotpath)" >&2
+  exit 1
+fi
+
 # Concurrency correctness: racing per-zone schedules vs the
 # single-threaded oracle, same-seed determinism, remount after the race.
 cargo test --release -q -p raizn --test concurrent_stress
@@ -404,6 +430,4 @@ fi
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- --check-repeat
 
-cargo clippy --workspace --all-targets -- -D warnings
-cargo fmt --check
 echo "check.sh: all gates passed"
