@@ -500,8 +500,10 @@ fn main() -> bench::BenchResult {
     // The log-structured engine's share of the rounds. Its steady state
     // holds the same allocation budget with the full observability plane
     // attached: the flat mapping table, the per-stream stages, the
-    // parity scratch and the per-group metadata are preallocated, so
-    // appends into an open stripe group never touch the heap. Its
+    // parity scratch and the per-group metadata are preallocated, and a
+    // group's reverse-map runs grow only when a write breaks the last
+    // run (sequential appends extend it), so appends into an open
+    // stripe group never touch the heap. Its
     // reported WAF must be exactly 1.0 while its collector is idle:
     // stripe-aligned appends produce no pads and no migrations, and the
     // stats must not invent amplification where none happened.

@@ -66,6 +66,7 @@
 
 mod gc;
 mod meta;
+mod revmap;
 #[cfg(test)]
 mod tests;
 
@@ -75,6 +76,7 @@ use meta::{
     finish_record, kind, parse_record, put_u32, put_u64, MetaLog, Record, HEADER_BYTES, UNMAPPED,
 };
 use parking_lot::Mutex;
+use revmap::RevMap;
 use sim::codec::Role;
 use sim::SimTime;
 use std::ops::Range;
@@ -230,8 +232,8 @@ struct Group {
     /// foreground, 1/2 = cold generations). Migration out of a victim
     /// targets `min(gen + 1, STREAMS - 1)`.
     gen: u8,
-    /// Reverse map: logical sector per data slot (`UNMAPPED` = garbage).
-    lbas: Vec<u32>,
+    /// Reverse map: the logical sector of each live data slot.
+    rev: RevMap,
 }
 
 /// One logical zone exposed through [`ZonedVolume`].
@@ -577,7 +579,7 @@ impl LsVolume {
                 valid: 0,
                 created: 0,
                 gen: 0,
-                lbas: vec![UNMAPPED; group_cap as usize],
+                rev: RevMap::new(group_cap),
             })
             .collect();
         let free_zones: Vec<Vec<u32>> = (0..n)
@@ -1262,19 +1264,28 @@ impl LsVolume {
                 _ => ZoneState::Empty,
             };
         }
-        for grp in &mut inner.groups {
+        // The reverse maps take their slots in slot order, the map gives
+        // them in logical order: a transient word per data slot of every
+        // group sorts them, and is freed here.
+        let cap = self.group_cap as usize;
+        let mut slots = vec![UNMAPPED; inner.groups.len() * cap];
+        for (l, &pa) in inner.map.iter().enumerate() {
+            if pa != UNMAPPED {
+                slots[self.group_of(pa) as usize * cap + self.slot_of(pa) as usize] = l as u32;
+            }
+        }
+        for (grp, lbas) in inner.groups.iter_mut().zip(slots.chunks_exact(cap)) {
             grp.valid = 0;
             grp.fill = 0;
-            grp.lbas.fill(UNMAPPED);
-        }
-        for (l, &pa) in inner.map.iter().enumerate() {
-            if pa == UNMAPPED {
-                continue;
+            grp.rev.clear();
+            for (slot, &l) in (0..).zip(lbas) {
+                if l != UNMAPPED {
+                    grp.rev.push(slot, u64::from(l));
+                    grp.valid += 1;
+                }
             }
-            let g = self.group_of(pa) as usize;
-            inner.groups[g].valid += 1;
-            inner.groups[g].lbas[self.slot_of(pa) as usize] = l as u32;
         }
+        drop(slots);
         // Dispose of interrupted open groups only after validity is
         // rebuilt: a checkpoint taken mid-seal can map data into a group
         // whose `sealed` count is still zero, and freeing such a group
@@ -1334,10 +1345,14 @@ impl LsVolume {
         // Collect until the pool clears the reserve. A single pass is
         // not enough under high-valid victims: draining one group can
         // net almost nothing (survivors fill a cold group as fast as
-        // the reclaim frees the victim), but every pass converts that
-        // victim's garbage to log headroom, so the loop terminates —
-        // either the pool recovers or no garbage is left anywhere.
+        // the reclaim frees the victim), but a pass that converts the
+        // victim's garbage to log headroom is progress, so the loop ends
+        // when the pool recovers or no garbage is left anywhere. A pass
+        // that nets no headroom — its reclaim barrier padded the open
+        // streams by as much as the victim freed — would repeat forever:
+        // the volume is full.
         while !inner.in_emergency && inner.free_groups.len() <= RESERVE_GROUPS as usize {
+            let before = self.headroom(inner);
             let (done, collected) = self.emergency_collect(inner, t)?;
             t = done;
             if !collected {
@@ -1347,6 +1362,9 @@ impl LsVolume {
             // have opened this very stream's group; don't open a second.
             if let Some(g) = inner.open[stream] {
                 return Ok((g, t));
+            }
+            if self.headroom(inner) <= before {
+                return Err(invalid("lsraid: out of free stripe groups"));
             }
         }
         let Some(g) = inner.free_groups.pop() else {
@@ -1390,6 +1408,16 @@ impl LsVolume {
         })?;
         inner.open[stream] = Some(g);
         Ok((g, done))
+    }
+
+    /// Data slots the log can take before it needs a reclaim: every free
+    /// group's, and what is left of each open group.
+    fn headroom(&self, inner: &LsInner) -> u64 {
+        let open = inner.open.iter().flatten().map(|&g| {
+            let grp = &inner.groups[g as usize];
+            self.group_cap - grp.sealed * self.kd - grp.fill
+        });
+        inner.free_groups.len() as u64 * self.group_cap + open.sum::<u64>()
     }
 
     /// Appends `data` into `stream`'s log, opening groups as they fill.
@@ -1542,11 +1570,11 @@ impl LsVolume {
         let old = inner.map[l as usize];
         if old != UNMAPPED {
             let og = self.group_of(old) as usize;
-            inner.groups[og].lbas[self.slot_of(old) as usize] = UNMAPPED;
+            inner.groups[og].rev.kill(self.slot_of(old));
             inner.groups[og].valid -= 1;
         }
         inner.map[l as usize] = self.enc(gi as u32, slot);
-        inner.groups[gi].lbas[slot as usize] = l as u32;
+        inner.groups[gi].rev.push(slot, l);
         inner.groups[gi].valid += 1;
     }
 
@@ -1604,12 +1632,14 @@ impl LsVolume {
         }
         drop(devices);
         inner.c_parity += self.k * self.p as u64;
-        let base = (stripe * self.kd) as usize;
+        // Garbage, pads and GC moves that lost their race are `UNMAPPED`.
+        let base = stripe * self.kd;
+        let lbas = inner.groups[gi].rev.lbas(base..base + self.kd);
         meta::put_summary_entry(
             &mut inner.meta.staged,
             g,
             stripe,
-            &inner.groups[gi].lbas[base..base + self.kd as usize],
+            lbas.map(|l| l.unwrap_or(UNMAPPED)),
         );
         let grp = &mut inner.groups[gi];
         grp.sealed = stripe + 1;
@@ -1862,25 +1892,17 @@ impl LsVolume {
         from: u64,
         max: u64,
     ) -> Option<(Lba, u64, u64)> {
-        let grp = inner.groups.get(g as usize)?;
-        let total = grp.lbas.len() as u64;
-        let mut start = from;
-        while start < total && grp.lbas[start as usize] == UNMAPPED {
-            start += 1;
-        }
-        if start >= total {
-            return None;
-        }
-        let lba0 = u64::from(grp.lbas[start as usize]);
+        let rev = &inner.groups.get(g as usize)?.rev;
+        let start = rev.next_live(from)?;
+        let mut lbas = rev.lbas(start..self.group_cap.min(start + max.max(1)));
+        let lba0 = u64::from(lbas.next()??);
         let zone = lba0 / self.geo.zone_cap();
-        let mut len = 1u64;
-        while start + len < total && len < max.max(1) {
-            let l = u64::from(grp.lbas[(start + len) as usize]);
-            if l != lba0 + len || l / self.geo.zone_cap() != zone {
-                break;
-            }
-            len += 1;
-        }
+        let len = 1 + lbas
+            .zip(1..)
+            .take_while(|&(l, i)| {
+                l.map(u64::from) == Some(lba0 + i) && (lba0 + i) / self.geo.zone_cap() == zone
+            })
+            .count() as u64;
         Some((lba0, len, start + len))
     }
 
@@ -1943,10 +1965,10 @@ impl LsVolume {
         grp.state = GState::Free;
         grp.sealed = 0;
         grp.fill = 0;
-        // A `Free` group has an all-`UNMAPPED` reverse map (`assemble` and
+        // A `Free` group has an empty reverse map (`assemble` and
         // `finish_mount` leave every group so), which is what lets
         // `open_group` hand it out without touching the map.
-        grp.lbas.fill(UNMAPPED);
+        grp.rev.clear();
         inner.free_groups.push(g);
         inner.c_group_reclaims += 1;
         self.tracer.bump(obs::Counter::LsGroupReclaims);
@@ -2334,7 +2356,7 @@ impl ZonedVolume for LsVolume {
             let pa = inner.map[idx];
             if pa != UNMAPPED {
                 let og = self.group_of(pa) as usize;
-                inner.groups[og].lbas[self.slot_of(pa) as usize] = UNMAPPED;
+                inner.groups[og].rev.kill(self.slot_of(pa));
                 inner.groups[og].valid -= 1;
                 inner.map[idx] = UNMAPPED;
             }

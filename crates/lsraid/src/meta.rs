@@ -110,12 +110,17 @@ pub(crate) fn summary_entry_bytes(kd: usize) -> usize {
 }
 
 /// Appends the seal entry of `stripe` in group `g` to a `Summary`
-/// payload; `lbas` is the stripe's reverse map (`kd` slots).
-pub(crate) fn put_summary_entry(buf: &mut Vec<u8>, g: u32, stripe: u64, lbas: &[u32]) {
+/// payload; `lbas` is the stripe's reverse map, a word per slot (`kd`).
+pub(crate) fn put_summary_entry(
+    buf: &mut Vec<u8>,
+    g: u32,
+    stripe: u64,
+    lbas: impl IntoIterator<Item = u32>,
+) {
     put_u32(buf, g);
     put_u32(buf, 0);
     put_u64(buf, stripe);
-    for &l in lbas {
+    for l in lbas {
         put_u32(buf, l);
     }
 }
@@ -306,7 +311,7 @@ mod tests {
             .collect();
         let mut buf = vec![0u8; HEADER_BYTES];
         for (g, stripe, lbas) in &stripes {
-            put_summary_entry(&mut buf, *g, *stripe, lbas);
+            put_summary_entry(&mut buf, *g, *stripe, lbas.iter().copied());
         }
         assert_eq!(buf.len(), HEADER_BYTES + 4 * summary_entry_bytes(kd));
         // Four 64-slot entries share one sector: that is the group commit.

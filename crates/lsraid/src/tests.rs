@@ -1,6 +1,7 @@
 //! Tests of invariants only the engine's internals can set up.
 
 use super::*;
+use sim::SimRng;
 use zns::array::{DEVICE_ERROR_BUDGET, TRANSIENT_RETRY_LIMIT};
 use zns::{FaultOp, FaultPlan, LatencyConfig, ZnsConfig};
 
@@ -65,8 +66,8 @@ fn headroom_covers_a_rotations_own_batch() {
 }
 
 /// A reclaimed group goes back to the pool with the state `open_group`
-/// relies on and no longer resets: no valid sectors, a reverse map that
-/// names none.
+/// relies on and no longer resets: no valid sectors, a reverse map with
+/// no live slot and no run.
 #[test]
 fn reopened_group_starts_with_an_empty_reverse_map() {
     let vol = LsVolume::format(devices(64), LsConfig::default(), T0).unwrap();
@@ -86,13 +87,246 @@ fn reopened_group_starts_with_an_empty_reverse_map() {
     assert_eq!(inner.groups[0].state, GState::Sealed);
     vol.reclaim_inner(inner, T0, 0).unwrap();
     assert_eq!(inner.groups[0].state, GState::Free);
+    let rev = &inner.groups[0].rev;
+    assert_eq!((rev.live_count(), rev.run_count()), (0, 0));
     // The pool is a stack: the next open takes the group just freed.
     let (g, _) = vol.open_group(inner, T0, COLD).unwrap();
     assert_eq!(g, 0);
     let grp = &inner.groups[0];
     assert_eq!(grp.state, GState::Open(COLD as u8));
     assert_eq!((grp.valid, grp.fill, grp.sealed), (0, 0, 0));
-    assert!(grp.lbas.iter().all(|&l| l == UNMAPPED));
+    assert_eq!((grp.rev.live_count(), grp.rev.run_count()), (0, 0));
+}
+
+/// The reverse map's memory follows the writes, not the slots: 1 MiB
+/// writes fill a group with at most one run each, sequential or not.
+#[test]
+fn reverse_map_holds_a_run_per_megabyte_write() {
+    const MIB: u64 = (1 << 20) / SECTOR_SIZE;
+    let vol = LsVolume::format(devices(1024), LsConfig::default(), T0).unwrap();
+    let data = vec![0x3Cu8; (MIB * SECTOR_SIZE) as usize];
+    let sectors = u64::from(vol.geo.num_zones()) * vol.geo.zone_cap();
+    let mut rng = SimRng::new(0x4E5);
+    let mut inner = vol.inner.lock();
+    let inner = &mut *inner;
+    let shape = |inner: &LsInner, what: &str| {
+        for (g, grp) in inner.groups.iter().enumerate() {
+            let fill = grp.sealed * vol.kd + grp.fill;
+            let runs = grp.rev.run_count() as u64;
+            assert!(
+                runs <= fill / MIB + 1,
+                "{what}: group {g}: {runs} runs over {fill} slots"
+            );
+        }
+    };
+    // Sequential: the whole fill is one run.
+    for lba in (0..vol.group_cap).step_by(MIB as usize) {
+        vol.log_data(inner, T0, &data, LogMode::User, lba, HOT)
+            .unwrap();
+        shape(inner, "sequential");
+    }
+    assert_eq!(inner.groups[0].rev.run_count(), 1);
+    // Overwrites at random 1 MiB-aligned sectors: a run per write.
+    for _ in 0..2 * vol.group_cap / MIB {
+        let lba = rng.gen_range(sectors / MIB) * MIB;
+        vol.log_data(inner, T0, &data, LogMode::User, lba, HOT)
+            .unwrap();
+        shape(inner, "overwrite");
+    }
+}
+
+/// Every non-free group's `(slot, lba)` pairs, read off the forward map.
+fn forward_pairs(vol: &LsVolume, inner: &LsInner) -> Vec<Vec<(u64, u64)>> {
+    let mut pairs = vec![Vec::new(); inner.groups.len()];
+    for (l, &pa) in (0..).zip(&inner.map) {
+        if pa != UNMAPPED {
+            pairs[vol.group_of(pa) as usize].push((vol.slot_of(pa), l));
+        }
+    }
+    pairs.iter_mut().for_each(|p| p.sort_unstable());
+    pairs
+}
+
+/// The collector's walk of every group against the forward map, in
+/// runs of at most `kd` slots and of at most three.
+fn check_walk(vol: &LsVolume, inner: &LsInner, what: &str) {
+    for (g, want) in (0..).zip(forward_pairs(vol, inner)) {
+        let grp = &inner.groups[g as usize];
+        assert_eq!(grp.valid, want.len() as u64, "{what}: group {g} valid");
+        if grp.state == GState::Free {
+            assert_eq!(grp.rev.live_count(), 0, "{what}: free group {g}");
+            continue;
+        }
+        for max in [vol.kd, 3] {
+            let mut got = Vec::new();
+            let mut cursor = 0;
+            while let Some((lba, len, next)) = vol.valid_run_inner(inner, g, cursor, max) {
+                assert!((1..=max).contains(&len), "{what}: group {g}: run of {len}");
+                got.extend((0..len).map(|i| (next - len + i, lba + i)));
+                cursor = next;
+            }
+            assert_eq!(got, want, "{what}: group {g}, runs of at most {max}");
+        }
+    }
+}
+
+/// The seal entries staged from byte `from` on against what a flat
+/// per-slot reverse map, read off the forward map, gives at the seal.
+fn check_staged(vol: &LsVolume, inner: &LsInner, from: usize, what: &str) {
+    if inner.meta.staged.len() == from {
+        return;
+    }
+    let pairs = forward_pairs(vol, inner);
+    for entry in meta::summary_entries(&inner.meta.staged[from..], vol.kd as usize) {
+        let mut flat = vec![UNMAPPED; vol.group_cap as usize];
+        for &(slot, l) in &pairs[entry.group as usize] {
+            flat[slot as usize] = l as u32;
+        }
+        let base = (entry.stripe * vol.kd) as usize;
+        let got: Vec<u32> = entry.lbas().collect();
+        let ctx = format!("{what}: group {} stripe {}", entry.group, entry.stripe);
+        assert_eq!(got, flat[base..base + vol.kd as usize], "{ctx}");
+    }
+}
+
+/// `write_body` inside one logical zone, checking each stripe's seal
+/// entry as it is staged.
+fn log_checked(vol: &LsVolume, inner: &mut LsInner, data: &[u8], mode: LogMode, lba: u64) {
+    let nsec = data.len() as u64 / SECTOR_SIZE;
+    let stream = match mode {
+        LogMode::Gc => vol.migration_target(inner),
+        _ => HOT,
+    };
+    if mode == LogMode::User {
+        let (cap, rel) = (vol.geo.zone_cap(), lba % vol.geo.zone_cap());
+        let z = &mut inner.lz[(lba / cap) as usize];
+        z.wp = z.wp.max(rel + nsec);
+        z.state = z.state.after_write(z.wp, cap);
+    }
+    let mut consumed = 0;
+    while consumed < nsec {
+        let (g, _) = vol.open_group(inner, T0, stream).unwrap();
+        let from = inner.meta.staged.len();
+        let rest = &data[(consumed * SECTOR_SIZE) as usize..];
+        let (n, _) = vol
+            .fill_stripe(inner, g, stream, T0, rest, mode, lba + consumed)
+            .unwrap();
+        check_staged(vol, inner, from, "seal");
+        consumed += n;
+    }
+    vol.commit_staged(inner, T0).unwrap();
+}
+
+/// The flush barrier with each stream's pad-seal entry checked.
+fn flush_checked(vol: &LsVolume, inner: &mut LsInner) {
+    for stream in 0..STREAMS {
+        if let Some(g) = inner.open[stream].filter(|&g| inner.groups[g as usize].fill > 0) {
+            let from = inner.meta.staged.len();
+            vol.fill_stripe(inner, g, stream, T0, &[], LogMode::Pad, 0)
+                .unwrap();
+            check_staged(vol, inner, from, "pad");
+        }
+    }
+    vol.flush_inner(inner, T0).unwrap();
+}
+
+/// The reverse map (live bits and write-once runs) stays what a flat word
+/// per slot would hold, through every way slots are written and die:
+/// whole-stripe and sub-stripe writes, overwrites, GC moves that win and
+/// lose their race, zone resets, collector pumps, a scrub re-log, the
+/// flush barrier's pads, and a crash and mount that rebuilds it from the
+/// forward map.
+#[test]
+fn reverse_map_agrees_with_a_flat_one() {
+    for parity in [1u32, 2] {
+        let mut a = Array::new(parity);
+        let vol = Arc::new(a.vol);
+        let (kd, zone) = (vol.kd, vol.geo.zone_cap());
+        let zones = u64::from(vol.geo.num_zones());
+        let mut rng = SimRng::new(0x5EED + u64::from(parity));
+        let mut gc = GcManager::new(vol.clone(), GcConfig::default());
+        for step in 0..400u32 {
+            let what = format!("p{parity} step {step}");
+            let fill = (step % 251) as u8;
+            match rng.gen_range(16) {
+                0 => drop(vol.reset_zone(T0, rng.gen_range(zones) as u32).unwrap()),
+                1 => {
+                    let mut sink = DirectSink::new(&vol);
+                    for _ in 0..4 {
+                        gc.pump(T0, &mut sink).unwrap();
+                    }
+                }
+                2 => flush_checked(&vol, &mut vol.inner.lock()),
+                3 => {
+                    // A GC move out of the best victim, one of whose
+                    // sectors a foreground overwrite takes first.
+                    let mut inner = vol.inner.lock();
+                    let inner = &mut *inner;
+                    if let Some(victim) = vol.pick_victim_inner(inner, 0.0, true) {
+                        inner.migrating = Some(victim);
+                        let (lba, len, _) = vol.valid_run_inner(inner, victim, 0, kd).unwrap();
+                        let mut moved = vec![0u8; (len * SECTOR_SIZE) as usize];
+                        vol.read_inner(inner, T0, lba, &mut moved).unwrap();
+                        let one = vec![fill; SECTOR_SIZE as usize];
+                        log_checked(&vol, inner, &one, LogMode::User, lba + len / 2);
+                        log_checked(&vol, inner, &moved, LogMode::Gc, lba);
+                        inner.migrating = None;
+                    }
+                }
+                op => {
+                    // One or two stripes' worth, or less than a stripe,
+                    // anywhere inside one logical zone.
+                    let len = match op % 2 {
+                        0 => kd * (1 + rng.gen_range(2)),
+                        _ => 1 + rng.gen_range(kd - 1),
+                    };
+                    let lba = rng.gen_range(zones) * zone + rng.gen_range(zone - len + 1);
+                    let data = vec![fill; (len * SECTOR_SIZE) as usize];
+                    log_checked(&vol, &mut vol.inner.lock(), &data, LogMode::User, lba);
+                }
+            }
+            check_walk(&vol, &vol.inner.lock(), &what);
+        }
+        // A latent error on the unit of a sealed group's first live slot:
+        // the scrub decodes it and re-logs the stripe's valid sectors.
+        flush_checked(&vol, &mut vol.inner.lock());
+        let (dev, plba) = {
+            let inner = vol.inner.lock();
+            let grp = inner
+                .groups
+                .iter()
+                .find(|g| g.state == GState::Sealed && g.valid > 0);
+            let grp = grp.unwrap();
+            let slot = grp.rev.next_live(0).unwrap();
+            let stripe = slot / kd;
+            let dev = vol.data_dev(stripe, ((slot % kd) / vol.k) as usize);
+            (dev, vol.phys.zone_start(grp.zones[dev]) + stripe * vol.k)
+        };
+        a.devs[dev].set_fault_plan(FaultPlan::new(5).latent_range(plba, vol.k));
+        let rep = vol.scrub(T0).unwrap();
+        assert!(rep.sectors_relogged > 0, "p{parity}: {rep:?}");
+        check_walk(&vol, &vol.inner.lock(), &format!("p{parity} scrub"));
+        a.devs[dev].set_fault_plan(FaultPlan::new(5));
+
+        flush_checked(&vol, &mut vol.inner.lock());
+        let before = forward_pairs(&vol, &vol.inner.lock());
+        let cfg = vol.config.clone();
+        drop((gc, vol));
+        for d in &a.devs {
+            d.crash(&mut zns::CrashPolicy::LoseCache);
+        }
+        a.vol = LsVolume::mount(a.devs.clone(), cfg, T0).unwrap();
+        let inner = a.vol.inner.lock();
+        check_walk(&a.vol, &inner, &format!("p{parity} mount"));
+        // The mount trims each logical zone to its contiguous prefix, so
+        // it keeps a subset of what was flushed.
+        let after = forward_pairs(&a.vol, &inner);
+        assert!(after.iter().map(Vec::len).sum::<usize>() > 0);
+        for (g, (after, before)) in after.iter().zip(&before).enumerate() {
+            let kept = after.iter().all(|p| before.binary_search(p).is_ok());
+            assert!(kept, "p{parity}: group {g} gained a mapping at mount");
+        }
+    }
 }
 
 /// What a member command that exhausted its retries turns into, seen from

@@ -777,3 +777,79 @@ fn fragmented_map_survives_rotations_and_a_crash() {
         }
     }
 }
+
+/// Every logical zone written, then random single-sector overwrites with
+/// no background collector: each inline collection's victim is mostly
+/// valid, and its reclaim barrier pads the open cold stripes by about as
+/// much as the victim freed. Every write must come back after a bounded
+/// number of collection passes — done, or refused with "out of free
+/// stripe groups" once a pass nets no headroom — and a refused volume
+/// still reads back every acknowledged sector and takes writes again
+/// once zones are reset. The writes run on a second thread while this one
+/// counts the passes, so a write that never returns fails the test
+/// instead of hanging it.
+#[test]
+fn inline_collection_on_a_full_volume_ends_in_bounded_passes() {
+    /// Passes the whole run may take: it takes one (p1) or three (p2).
+    const MAX_PASSES: u64 = 64;
+    for parity in [1u32, 2] {
+        let recorder = obs::Recorder::new(1, u64::MAX);
+        let vol = LsVolume::format(devices(5), LsConfig::default().parity(parity), T0).unwrap();
+        vol.set_recorder(recorder.clone());
+        let zones = vol.geometry().num_zones();
+        for z in 0..zones {
+            write_zone(&vol, z, 0);
+        }
+        let sectors = u64::from(zones) * vol.geometry().zone_cap();
+        let vol = Arc::new(vol);
+        let writer = {
+            let vol = vol.clone();
+            std::thread::spawn(move || {
+                let mut version = vec![0u64; sectors as usize];
+                let mut rng = SimRng::new(0xF011 + u64::from(parity));
+                for v in 1..=20_000u64 {
+                    let lba = rng.gen_range(sectors);
+                    match vol.write(T0, lba, &pattern(lba, 1, v), WriteFlags::default()) {
+                        Ok(_) => version[lba as usize] = v,
+                        Err(zns::ZnsError::InvalidArgument(m))
+                            if m.contains("out of free stripe groups") =>
+                        {
+                            return (version, v);
+                        }
+                        Err(e) => panic!("p{parity}: overwrite {v}: {e}"),
+                    }
+                }
+                panic!("p{parity}: never refused");
+            })
+        };
+        // The pass counter is read without the volume's lock. A write that
+        // never returns fails here and leaves its thread looping,
+        // detached, until the test process exits.
+        while !writer.is_finished() {
+            let passes = recorder.count(obs::Counter::GcStalls);
+            assert!(
+                passes <= MAX_PASSES,
+                "p{parity}: {passes} inline collection passes and a write has not returned"
+            );
+            std::thread::yield_now();
+        }
+        let (version, refused_at) = writer.join().unwrap();
+        let passes = vol.stats().emergency_reclaims;
+        assert!(passes <= MAX_PASSES, "p{parity}: {passes} passes");
+        let mut got = vec![0u8; SECTOR_SIZE as usize];
+        for (lba, &ver) in (0..).zip(&version) {
+            vol.read(T0, lba, &mut got).unwrap();
+            assert!(got == pattern(lba, 1, ver), "p{parity}: lba {lba}");
+        }
+        // Half the zones reset: their sectors are garbage to collect.
+        for z in 0..zones / 2 {
+            vol.reset_zone(T0, z).unwrap();
+        }
+        for z in 0..zones / 2 {
+            write_zone(&vol, z, refused_at);
+        }
+        for z in 0..zones / 2 {
+            verify_zone(&vol, z, refused_at);
+        }
+    }
+}

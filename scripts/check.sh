@@ -198,13 +198,20 @@ if grep -rnE 'codec::absorb|xor_into|gf_mul_into' crates/lsraid/src; then
 fi
 
 # lsraid's mapping state is 32-bit words in memory and on its log (DESIGN.md
-# "Log-structured RAID engine", "Mapping"): the map and the reverse maps
-# are `Vec<u32>`, and the checkpoint writes the map as runs. A `Vec<u64>`
-# map or reverse map, or the word-per-sector `put_u64s` serialiser, is the
-# 8-byte format coming back.
+# "Log-structured RAID engine", "Mapping"): the map is `Vec<u32>`, and the
+# checkpoint writes the map as runs. A `Vec<u64>` map or reverse map, or
+# the word-per-sector `put_u64s` serialiser, is the 8-byte format coming
+# back.
 if grep -nE '^ *(map|lbas): Vec<u64>' crates/lsraid/src/lib.rs ||
    grep -rnw 'put_u64s' crates/lsraid/src; then
   echo "check.sh: lsraid mapping state back to 64-bit words (map/lbas are Vec<u32>, checkpoint as runs)" >&2
+  exit 1
+fi
+# A group's reverse map is a live bit per data slot and write-once runs
+# (`RevMap`, crates/lsraid/src/revmap.rs). A per-slot `lbas: Vec<u32>`
+# field, or `.lbas[` indexing into one, is the word per slot coming back.
+if grep -rnE '^ *(pub(\([a-z]+\))? )?lbas: Vec<u32>|\.lbas\[' crates/lsraid/src; then
+  echo "check.sh: per-slot reverse map in crates/lsraid/src (keep live bits and runs, RevMap)" >&2
   exit 1
 fi
 
