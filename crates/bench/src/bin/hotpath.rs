@@ -586,7 +586,7 @@ fn main() -> bench::BenchResult {
     }
     let [allocs_per_degraded, allocs_per_degraded_p2] = degraded_allocs;
     // The log-structured engine's reads decode through the same member
-    // layer; it counts them on the recorder.
+    // layer, which counts them in its stats.
     let mut ls_degraded_allocs = [0f64; 2];
     for (parity, slot) in [(1u32, 0usize), (2, 1)] {
         let vol = fresh_ls_volume(Some(&recorder), parity, 32, 4096)?;
@@ -598,9 +598,9 @@ fn main() -> bench::BenchResult {
             vol.fail_device(2 * dev)?;
         }
         read_round(vol.as_ref(), sectors, 10, &mut unit)?;
-        let before = recorder.count(obs::Counter::DegradedReads);
+        let before = vol.stats().degraded_reads;
         let a = read_round(vol.as_ref(), sectors, 10, &mut unit)?;
-        let decoded = recorder.count(obs::Counter::DegradedReads) - before;
+        let decoded = vol.stats().degraded_reads - before;
         gate!(
             decoded > 0,
             "lsraid parity = {parity}: no read took the degraded path"

@@ -24,7 +24,7 @@
 //!                         lifecycle) and gate its cliff/flat/budget SLOs
 //!   --lsgc FILE           render a BENCH_lsgc.json artifact (log-structured
 //!                         RAID under sustained overwrite GC pressure) and
-//!                         gate its WAF / pp-log / band-vs-cliff SLOs and
+//!                         gate its WAF / band-vs-cliff SLOs and
 //!                         the absolute floor on its median MiB/s
 //!   --explain FILE        render a BENCH_*_spans.json artifact (causal
 //!                         blame trees): per-tenant critical-path blame
@@ -235,7 +235,6 @@ struct LsgcRun {
     flat_ratio: f64,
     cliff_ratio: f64,
     waf: f64,
-    pp_log_writes: u64,
     group_reclaims: u64,
     emergency_reclaims: u64,
     migrated_sectors: u64,
@@ -253,7 +252,6 @@ fn load_lsgc(path: &str) -> bench::BenchResult<LsgcRun> {
         flat_ratio: ls.f64("flat_ratio")?,
         cliff_ratio: md.f64("cliff_ratio")?,
         waf: ls.f64("waf")?,
-        pp_log_writes: ls.u64("pp_log_writes")?,
         group_reclaims: ls.u64("group_reclaims")?,
         emergency_reclaims: ls.u64("emergency_reclaims")?,
         migrated_sectors: ls.u64("migrated_sectors")?,
@@ -264,14 +262,13 @@ fn render_lsgc(g: &LsgcRun) {
     println!("\n## lsgc ({})", g.path);
     println!(
         "   lsraid: median {:.0} MiB/s, band {:.3}, WAF {:.3}, {} reclaims ({} emergency), \
-         {} sectors migrated, {} pp-log writes",
+         {} sectors migrated",
         g.median_mib_s,
         g.flat_ratio,
         g.waf,
         g.group_reclaims,
         g.emergency_reclaims,
         g.migrated_sectors,
-        g.pp_log_writes,
     );
     println!("   mdraid: cliff {:.3}", g.cliff_ratio);
 }
@@ -1078,11 +1075,10 @@ fn main() -> bench::BenchResult {
         }
     }
 
-    // Log-structured GC gates: WAF ceiling, the structural zero-pp-log
-    // claim (full-stripe appends never take the partial-parity path),
-    // the scenario's reason to exist — the log-structured band must
-    // beat the mdraid cliff it is contrasted against — and an absolute
-    // throughput floor, because a flat band says nothing about its level.
+    // Log-structured GC gates: WAF ceiling, the scenario's reason to exist
+    // — the log-structured band must beat the mdraid cliff it is contrasted
+    // against — and an absolute throughput floor, because a flat band says
+    // nothing about its level.
     for g in &lsgc_runs {
         slo(
             "lsgc_median_mib_s",
@@ -1092,14 +1088,6 @@ fn main() -> bench::BenchResult {
             g.median_mib_s >= LSGC_MIB_MIN,
         );
         slo("lsgc_waf", &g.path, g.waf, WAF_MAX, g.waf <= WAF_MAX);
-        #[allow(clippy::cast_precision_loss)]
-        slo(
-            "lsgc_pp_log_writes",
-            &g.path,
-            g.pp_log_writes as f64,
-            0.0,
-            g.pp_log_writes == 0,
-        );
         slo(
             "lsgc_band_vs_cliff",
             &g.path,
@@ -1369,8 +1357,7 @@ mod tests {
             "lsraid": {
                 "windows_mib_s": [1400.0, 1410.0, 1390.0, 700.0],
                 "flat_ratio": 0.903, "waf": 1.392, "group_reclaims": 176,
-                "emergency_reclaims": 0, "migrated_sectors": 408604,
-                "pp_log_writes": 0
+                "emergency_reclaims": 0, "migrated_sectors": 408604
             },
             "mdraid": { "cliff_ratio": 0.621 }
         }"#;
@@ -1381,7 +1368,6 @@ mod tests {
         assert!((g.flat_ratio - 0.903).abs() < 1e-9);
         assert!((g.cliff_ratio - 0.621).abs() < 1e-9);
         assert!((g.waf - 1.392).abs() < 1e-9);
-        assert_eq!(g.pp_log_writes, 0);
         assert_eq!(g.group_reclaims, 176);
         assert_eq!(g.emergency_reclaims, 0);
         assert_eq!(g.migrated_sectors, 408_604);
@@ -1499,12 +1485,12 @@ mod tests {
                 load: |p| load_lsgc(p).map(drop),
                 doc: r#"{"kind": "lsgc",
                     "lsraid": {"windows_mib_s": [1.0], "flat_ratio": 0.9, "waf": 1.2,
-                        "pp_log_writes": 0, "group_reclaims": 1, "emergency_reclaims": 0,
+                        "group_reclaims": 1, "emergency_reclaims": 0,
                         "migrated_sectors": 1},
                     "mdraid": {"cliff_ratio": 0.6}}"#
                     .into(),
                 required: "kind lsraid lsraid.windows_mib_s lsraid.flat_ratio lsraid.waf
-                    lsraid.pp_log_writes lsraid.group_reclaims lsraid.emergency_reclaims
+                    lsraid.group_reclaims lsraid.emergency_reclaims
                     lsraid.migrated_sectors mdraid mdraid.cliff_ratio"
                     .into(),
                 defaulted: "",

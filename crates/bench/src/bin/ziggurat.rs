@@ -36,7 +36,7 @@ fn run(managed: bool) -> bench::BenchResult<SprayOutcome> {
     let (volume, devices) = lifecycle_volume(&run, !managed)?;
     let sched = lifecycle_scheduler(&run, volume.clone())?;
     let manager = managed.then(|| ZoneLifecycleManager::new(volume.clone()));
-    let outcome = spray(&run, &volume, &devices, &sched, manager.as_ref())?;
+    let outcome = spray(&volume, &devices, &sched, manager.as_ref())?;
     run.finish()?;
     Ok(outcome)
 }
@@ -65,9 +65,9 @@ fn main() -> bench::BenchResult {
         stats.resets
     );
     bench::gate!(
-        mgr.sched_mgmt_ops >= stats.finishes + stats.resets,
+        mgr.sched_mgmt_ops() >= stats.finishes + stats.resets,
         "management ops bypassed the scheduler ({} dispatched < {} issued)",
-        mgr.sched_mgmt_ops,
+        mgr.sched_mgmt_ops(),
         stats.finishes + stats.resets
     );
     bench::gate!(

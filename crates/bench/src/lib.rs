@@ -133,7 +133,7 @@ pub fn threads_arg(bin: &str) -> BenchResult<usize> {
 }
 
 /// Ring capacity of the shared benchmark recorder; long runs overflow it
-/// (oldest events drop) but histograms and counters always see everything.
+/// (oldest events drop) but the stage histograms always see everything.
 const RECORDER_CAPACITY: usize = 65_536;
 
 /// Sample every N-th event into the ring: benchmarks only consume the
@@ -194,7 +194,7 @@ pub fn write_spans(name: &str, rec: &obs::Recorder) -> BenchResult {
 }
 
 /// Writes the shared recorder's latency breakdown (per-stage
-/// p50/p99/mean/max plus counters) to `BENCH_<name>_breakdown.json` in the
+/// p50/p99/mean/max) to `BENCH_<name>_breakdown.json` in the
 /// working directory and prints the path.
 ///
 /// # Errors
@@ -222,7 +222,7 @@ const TIMELINE_MAX_WINDOWS: usize = 8192;
 /// they shared one windowed recorder. A `TimelineRun` therefore gives each
 /// captured run fresh window state; [`TimelineRun::finish`] writes the
 /// `BENCH_<name>_timeline.json` artifact and folds the run's aggregate
-/// histograms/counters into the process-wide [`recorder`], so breakdown
+/// histograms into the process-wide [`recorder`], so breakdown
 /// artifacts still cover everything.
 pub struct TimelineRun {
     name: String,

@@ -136,9 +136,14 @@ pub struct SprayOutcome {
     pub mgmt: Option<LifecycleStats>,
     /// Management share of device write traffic (fill padding fraction).
     pub mgmt_io_share: f64,
-    /// `sched_mgmt_ops` counter: management ops dispatched by the
-    /// scheduler.
-    pub sched_mgmt_ops: u64,
+}
+
+impl SprayOutcome {
+    /// Management ops the scheduler dispatched: the [`MGMT_TENANT`]
+    /// snapshot's `completed`.
+    pub fn sched_mgmt_ops(&self) -> u64 {
+        self.tenants[MGMT_TENANT as usize].completed
+    }
 }
 
 /// Runs the zone-spray workload through `sched` (foreground tenant
@@ -153,7 +158,6 @@ pub struct SprayOutcome {
 ///
 /// Propagates scheduler/volume errors.
 pub fn spray(
-    run: &TimelineRun,
     volume: &Arc<RaiznVolume>,
     devices: &[Arc<ZnsDevice>],
     sched: &QosScheduler,
@@ -206,7 +210,6 @@ pub fn spray(
         tenants: sched.stats(),
         mgmt: manager.map(|m| m.stats()),
         mgmt_io_share: manager.map(|m| m.mgmt_io_share()).unwrap_or(0.0),
-        sched_mgmt_ops: run.recorder().count(obs::Counter::SchedMgmtOps),
     })
 }
 
@@ -342,7 +345,7 @@ pub fn lifecycle_json(
         stats.pre_opens,
         stats.pumps,
         mgr.mgmt_io_share,
-        mgr.sched_mgmt_ops,
+        mgr.sched_mgmt_ops(),
         mgr.end.as_nanos() as f64 / 1e6,
         join(mgr.tenants.iter().map(tenant_json)),
     )

@@ -179,9 +179,6 @@ pub struct LsOutcome {
     pub emergency: u64,
     /// Sectors the collector migrated during the phase.
     pub migrated: u64,
-    /// Partial-parity-log writes the run recorded (the engine has no pp
-    /// log, so the `lsgc` binary gates this at 0).
-    pub pp_log_writes: u64,
     /// Scheduler tenant accounting (app, then gc).
     pub tenants: Vec<TenantSnapshot>,
 }
@@ -217,7 +214,7 @@ pub fn lsgc_json(ls: &LsOutcome, ls_flat: f64, md: &MdOutcome, md_cliff: f64) ->
          \"hot_region_pct\": {},\n  \"hot_write_pct\": {},\n  \"lsraid\": {{\n    \
          \"windows_mib_s\": [{}],\n    \"flat_ratio\": {:.4},\n    \"waf\": {:.4},\n    \
          \"group_reclaims\": {},\n    \"emergency_reclaims\": {},\n    \
-         \"migrated_sectors\": {},\n    \"pad_sectors\": {},\n    \"pp_log_writes\": {},\n    \
+         \"migrated_sectors\": {},\n    \"pad_sectors\": {},\n    \
          \"duration_ms\": {:.2},\n    \"tenants\": [{}]\n  }},\n  \"mdraid\": {{\n    \
          \"windows_mib_s\": [{}],\n    \"cliff_ratio\": {:.4},\n    \"duration_ms\": {:.2},\n    \
          \"tenants\": [{}]\n  }}\n}}\n",
@@ -232,7 +229,6 @@ pub fn lsgc_json(ls: &LsOutcome, ls_flat: f64, md: &MdOutcome, md_cliff: f64) ->
         ls.emergency,
         ls.migrated,
         ls.stats.pad_sectors,
-        ls.pp_log_writes,
         ls.end.as_nanos() as f64 / 1e6,
         join(ls.tenants.iter().map(tenant_json)),
         windows_json(&md.windows_mib_s),

@@ -2,7 +2,7 @@
 
 /// Cumulative counters of a [`crate::RaiznVolume`], used by tests and by
 /// the benchmark harness (e.g. to report partial-parity write
-/// amplification, Table 1 footprints and rebuild volumes).
+/// amplification and Table 1 footprints).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RaiznStats {
     /// Partial-parity log entries appended.
@@ -14,8 +14,6 @@ pub struct RaiznStats {
     /// Q (Reed–Solomon) parity stripe units written to data zones
     /// (RAIZN-2 dual-parity mode).
     pub q_parity_writes: u64,
-    /// Partial-parity log entries appended for the Q leg (RAIZN-2).
-    pub pp_q_log_entries: u64,
     /// Metadata records appended (all types).
     pub md_appends: u64,
     /// Metadata zone garbage collections performed.
@@ -31,8 +29,6 @@ pub struct RaiznStats {
     pub double_degraded_reads: u64,
     /// Stripe units repaired from parity during recovery.
     pub recovered_units: u64,
-    /// Bytes written to replacement devices by rebuilds.
-    pub rebuild_bytes: u64,
     /// Device rebuilds completed (one per replaced device).
     pub rebuilds_completed: u64,
     /// Flush sub-IOs issued for FUA/persistence handling.
@@ -67,9 +63,6 @@ pub struct RaiznStats {
     ///
     /// [`write_vectored`]: zns::ZonedVolume::write_vectored
     pub gather_writes: u64,
-    /// Segments absorbed into gather writes beyond the first of each
-    /// batch (the count of device round-trips avoided).
-    pub gather_segments_merged: u64,
 }
 
 /// Lock-free mirror of [`RaiznStats`] used inside the sharded volume: hot
@@ -84,13 +77,11 @@ pub(crate) struct AtomicRaiznStats {
     pub pp_log_bytes: AtomicU64,
     pub full_parity_writes: AtomicU64,
     pub q_parity_writes: AtomicU64,
-    pub pp_q_log_entries: AtomicU64,
     pub md_appends: AtomicU64,
     pub md_gc_runs: AtomicU64,
     pub relocated_units: AtomicU64,
     pub zone_resets: AtomicU64,
     pub recovered_units: AtomicU64,
-    pub rebuild_bytes: AtomicU64,
     pub rebuilds_completed: AtomicU64,
     pub persistence_flushes: AtomicU64,
     pub zone_rewrites: AtomicU64,
@@ -101,7 +92,6 @@ pub(crate) struct AtomicRaiznStats {
     pub foreground_reclaims: AtomicU64,
     pub finish_rollforwards: AtomicU64,
     pub gather_writes: AtomicU64,
-    pub gather_segments_merged: AtomicU64,
 }
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,13 +111,11 @@ impl AtomicRaiznStats {
             pp_log_bytes: ld(&self.pp_log_bytes),
             full_parity_writes: ld(&self.full_parity_writes),
             q_parity_writes: ld(&self.q_parity_writes),
-            pp_q_log_entries: ld(&self.pp_q_log_entries),
             md_appends: ld(&self.md_appends),
             md_gc_runs: ld(&self.md_gc_runs),
             relocated_units: ld(&self.relocated_units),
             zone_resets: ld(&self.zone_resets),
             recovered_units: ld(&self.recovered_units),
-            rebuild_bytes: ld(&self.rebuild_bytes),
             rebuilds_completed: ld(&self.rebuilds_completed),
             persistence_flushes: ld(&self.persistence_flushes),
             zone_rewrites: ld(&self.zone_rewrites),
@@ -138,7 +126,6 @@ impl AtomicRaiznStats {
             foreground_reclaims: ld(&self.foreground_reclaims),
             finish_rollforwards: ld(&self.finish_rollforwards),
             gather_writes: ld(&self.gather_writes),
-            gather_segments_merged: ld(&self.gather_segments_merged),
             ..RaiznStats::default()
         }
     }
@@ -152,7 +139,7 @@ mod tests {
     fn default_is_zeroed() {
         let s = RaiznStats::default();
         assert_eq!(s.pp_log_entries, 0);
-        assert_eq!(s.rebuild_bytes, 0);
+        assert_eq!(s.gather_writes, 0);
     }
 
     #[test]

@@ -305,7 +305,7 @@ pub struct RaiznVolume {
     relocated_len: AtomicUsize,
     pub(crate) stats: AtomicRaiznStats,
     /// Volume-layer spans (parity-path attribution, metadata appends,
-    /// flush latency) and counters. Volume spans carry no device: device
+    /// flush latency). Volume spans carry no device: device
     /// attribution lives in the spans [`zns::ZnsDevice`] emits itself.
     tracer: obs::Tracer,
     /// Stripe buffers between staged stripes: as many as were ever staged
@@ -537,9 +537,9 @@ impl RaiznVolume {
     }
 
     /// Attaches an observability recorder: volume-layer spans (parity-path
-    /// attribution, metadata appends, flush latency) and counters land on
-    /// it. To also capture device-layer spans, attach the same recorder to
-    /// the member devices via [`zns::ZnsDevice::set_recorder`].
+    /// attribution, metadata appends, flush latency) land on it. To also
+    /// capture device-layer spans, attach the same recorder to the member
+    /// devices via [`zns::ZnsDevice::set_recorder`].
     pub fn set_recorder(&self, recorder: std::sync::Arc<obs::Recorder>) {
         self.members.set_recorder(recorder.clone());
         self.tracer.attach(recorder, obs::NONE);
@@ -855,7 +855,6 @@ impl RaiznVolume {
         dev: usize,
         role: MdRole,
     ) -> Result<SimTime> {
-        self.tracer.bump(obs::Counter::MdGcRuns);
         let new_zone = log.md[dev]
             .swaps
             .pop()
@@ -1212,10 +1211,8 @@ impl RaiznVolume {
             );
         }
         AtomicRaiznStats::add(&self.stats.full_parity_writes, 1);
-        self.tracer.bump(obs::Counter::FullParityWrites);
         if qdev.is_some() {
             AtomicRaiznStats::add(&self.stats.q_parity_writes, 1);
-            self.tracer.bump(obs::Counter::QParityWrites);
         }
         Ok(completion)
     }
@@ -1256,7 +1253,6 @@ impl RaiznVolume {
             entry.valid = entry.valid.max(row0 + data.len() as u64 / SECTOR_SIZE);
             self.sync_relocated_count(&m.live);
             AtomicRaiznStats::add(&self.stats.relocated_units, 1);
-            self.tracer.bump(obs::Counter::RelocatedWrites);
             self.tracer.leaf(
                 obs::Span::new(obs::OpClass::Write, obs::Stage::WholeOp, at, at)
                     .path(obs::PathKind::Relocated)
@@ -1443,9 +1439,7 @@ impl RaiznVolume {
         drop(m);
         let legs = u64::from(self.layout.parity_units());
         AtomicRaiznStats::add(&self.stats.pp_log_entries, 1);
-        AtomicRaiznStats::add(&self.stats.pp_q_log_entries, legs - 1);
         AtomicRaiznStats::add(&self.stats.pp_log_bytes, legs * (hi - lo) * SECTOR_SIZE);
-        self.tracer.bump(obs::Counter::PpLogWrites);
         self.tracer.leaf(
             obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, issue, pp_done)
                 .path(obs::PathKind::PpLog)
@@ -1703,7 +1697,7 @@ impl RaiznVolume {
             let mut m = self.lock_meta();
             m.live.gens[lzone as usize] += 1;
             if m.live.gens[lzone as usize] == u64::MAX {
-                // Counter exhaustion: the volume goes read-only until
+                // Generation exhausted: the volume goes read-only until
                 // maintenance runs (§4.3).
                 self.read_only.store(true, Ordering::Release);
             }
@@ -1924,7 +1918,6 @@ impl RaiznVolume {
                 Ok(t)
             })
         })?;
-        AtomicRaiznStats::add(&self.stats.rebuild_bytes, report.bytes_written);
         AtomicRaiznStats::add(&self.stats.rebuilds_completed, 1);
         Ok(report)
     }
@@ -2049,10 +2042,6 @@ impl ZonedVolume for RaiznVolume {
                 self.lock_meta().gather_scratch = scratch;
                 if r.is_ok() {
                     AtomicRaiznStats::add(&self.stats.gather_writes, 1);
-                    AtomicRaiznStats::add(
-                        &self.stats.gather_segments_merged,
-                        segments.len() as u64 - 1,
-                    );
                 }
                 r
             }
@@ -2140,15 +2129,11 @@ impl ZonedVolume for RaiznVolume {
                 let t = self
                     .store_slot_rows(&mut z, &devices, at, zone, stripe, dev, 0, prefix, flags)?;
                 done = done.max(t);
-                let (writes, counter) = match leg {
-                    ParityLeg::P => (
-                        &self.stats.full_parity_writes,
-                        obs::Counter::FullParityWrites,
-                    ),
-                    ParityLeg::Q => (&self.stats.q_parity_writes, obs::Counter::QParityWrites),
+                let writes = match leg {
+                    ParityLeg::P => &self.stats.full_parity_writes,
+                    ParityLeg::Q => &self.stats.q_parity_writes,
                 };
                 AtomicRaiznStats::add(writes, 1);
-                self.tracer.bump(counter);
             }
             Ok(())
         })();

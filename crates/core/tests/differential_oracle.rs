@@ -22,7 +22,10 @@ fn run_seed(seed: u64) {
         for target in [Raizn::small(parity), Raizn::small_full_unit(parity)] {
             let recorder = run(&target, seed);
             assert!(
-                recorder.count(obs::Counter::PpLogWrites) > 0,
+                recorder
+                    .events()
+                    .iter()
+                    .any(|e| e.path == Some(obs::PathKind::PpLog)),
                 "{} seed {seed:#x}: random sub-stripe writes never hit the pp-log path",
                 target.name()
             );

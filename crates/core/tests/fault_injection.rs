@@ -3,7 +3,6 @@
 //! per-device error budget auto-degrades a flaky device, and scrub passes
 //! verify and repair parity.
 
-use obs::Counter;
 use raizn::{RaiznConfig, RaiznVolume};
 use sim::{SimRng, SimTime};
 use std::sync::Arc;
@@ -37,18 +36,18 @@ fn read_all(v: &RaiznVolume, sectors: u64) -> Vec<u8> {
 /// plan poisons one stripe unit of a flushed zone with latent read errors;
 /// a read of the zone completes anyway, byte-identical, and repairs the
 /// unit, and later reads of it never touch the bad sectors again —
-/// including after a flush and a remount.
+/// including after a flush and a remount. `counts` reads the engine's
+/// `(read_repairs, degraded_reads)` stats.
 #[test]
 fn latent_read_errors_self_heal() {
-    fn row<T: FaultTarget>(target: &T, config: ZnsConfig) {
+    fn row<T: FaultTarget>(target: &T, config: ZnsConfig, counts: fn(&T::Volume) -> (u64, u64)) {
         let name = target.name();
         let fresh = || {
             let member = |_| Arc::new(ZnsDevice::new(config.clone()));
             (0..5).map(member).collect()
         };
         let mut pair = Pair::format(target, &fresh).unwrap();
-        let recorder = obs::Recorder::new(1 << 12, 1);
-        pair.attach(recorder.clone());
+        pair.attach(obs::Recorder::new(1 << 12, 1));
         let cap = pair.vol.geometry().zone_cap();
         pair.write(0, cap, CACHED).unwrap();
         pair.flush().unwrap();
@@ -62,16 +61,15 @@ fn latent_read_errors_self_heal() {
                 .unwrap_or_else(|e| panic!("{name}: {e}"))
         };
         read_all(&pair);
-        let repairs = recorder.count(Counter::ReadRepairs);
+        let (repairs, degraded) = counts(&pair.vol);
         assert!(repairs > 0, "{name}: repair not recorded");
-        let degraded = recorder.count(Counter::DegradedReads);
         assert_eq!(degraded, 0, "{name}: heal is a repair, not degraded IO");
         assert!(pair.members.iter().all(|d| !d.is_failed()), "{name}");
 
         // Re-read: served from the repaired copy, no new media errors hit.
         let media_hits = poisoned.stats().injected_media_errors;
         read_all(&pair);
-        assert_eq!(recorder.count(Counter::ReadRepairs), repairs, "{name}");
+        assert_eq!(counts(&pair.vol).0, repairs, "{name}");
         assert_eq!(poisoned.stats().injected_media_errors, media_hits, "{name}");
 
         // The repair is durable: after a remount reads still avoid the unit.
@@ -80,10 +78,12 @@ fn latent_read_errors_self_heal() {
         read_all(&pair);
         assert_eq!(poisoned.stats().injected_media_errors, media_hits, "{name}");
     }
-    row(&Raizn::small(1), ZnsConfig::small_test());
-    row(&Raizn::small(2), ZnsConfig::small_test());
-    row(&Ls::small(1), roomy_config());
-    row(&Ls::small(2), roomy_config());
+    let raizn = |v: &RaiznVolume| (v.stats().read_repairs, v.stats().degraded_reads);
+    let ls = |v: &<Ls as FaultTarget>::Volume| (v.stats().read_repairs, v.stats().degraded_reads);
+    row(&Raizn::small(1), ZnsConfig::small_test(), raizn);
+    row(&Raizn::small(2), ZnsConfig::small_test(), raizn);
+    row(&Ls::small(1), roomy_config(), ls);
+    row(&Ls::small(2), roomy_config(), ls);
 }
 
 #[test]

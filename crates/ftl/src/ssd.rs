@@ -91,7 +91,7 @@ struct Inner {
     timing: OccupancyModel,
     stats: FtlStats,
     failed: bool,
-    /// Span/counter handle (device-layer spans, GC-stall counters).
+    /// Span handle (device-layer spans).
     /// Attached under the device lock, like everything else in here.
     tracer: obs::Tracer,
 }
@@ -130,8 +130,7 @@ impl ConvSsd {
 
     /// Attaches a trace recorder; every subsequent command emits spans
     /// tagged with `dev_id` (the device's index within its array). GC
-    /// stalls are surfaced as [`obs::Counter::GcStalls`] /
-    /// [`obs::Counter::GcStallNanos`].
+    /// stalls are counted in [`FtlStats::gc_stall`].
     pub fn set_recorder(&self, recorder: std::sync::Arc<obs::Recorder>, dev_id: u32) {
         self.inner.lock().tracer.attach(recorder, dev_id);
     }
@@ -155,11 +154,6 @@ impl ConvSsd {
     /// Whether the device is failed.
     pub fn is_failed(&self) -> bool {
         self.inner.lock().failed
-    }
-
-    /// Number of currently free erase blocks (test observability).
-    pub fn free_blocks(&self) -> usize {
-        self.inner.lock().free_list.len()
     }
 
     fn check_range(&self, lba: Lba, sectors: u64) -> Result<()> {
@@ -426,10 +420,6 @@ impl BlockDevice for ConvSsd {
                 inner.timing.occupy(start, per_channel);
             }
             inner.stats.gc_stall += gc_busy;
-            inner.tracer.bump(obs::Counter::GcStalls);
-            inner
-                .tracer
-                .add(obs::Counter::GcStallNanos, gc_busy.as_nanos());
         }
         let mut done = start;
         let mut remaining = sectors;
@@ -444,7 +434,6 @@ impl BlockDevice for ConvSsd {
             // crash consistency is out of scope (the paper benchmarks
             // mdraid without a journal).
             done += lat.flush;
-            inner.tracer.bump(obs::Counter::CacheFlushes);
         }
         inner.tracer.leaf(
             obs::Span::new(obs::OpClass::Write, obs::Stage::DeviceIo, at, done)
@@ -489,7 +478,6 @@ impl BlockDevice for ConvSsd {
             return Err(ZnsError::DeviceFailed);
         }
         let done = inner.timing.drained_at().max(at) + self.config.latency.flush;
-        inner.tracer.bump(obs::Counter::CacheFlushes);
         inner.tracer.leaf(obs::Span::new(
             obs::OpClass::Flush,
             obs::Stage::Flush,
@@ -744,7 +732,10 @@ mod tests {
             d.write(SimTime::ZERO, lba, &data, WriteFlags::default())
                 .unwrap();
         }
-        assert!(rec.count(obs::Counter::GcStalls) > 0, "GC never stalled");
+        assert!(
+            d.ftl_stats().gc_stall > SimDuration::ZERO,
+            "GC never stalled"
+        );
         let evs = rec.events();
         assert!(evs
             .iter()

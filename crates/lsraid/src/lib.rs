@@ -653,8 +653,8 @@ impl LsVolume {
     // Accessors
     // ------------------------------------------------------------------
 
-    /// Attaches an observability recorder for volume-layer spans and
-    /// counters (device-layer spans attach via each device).
+    /// Attaches an observability recorder for volume-layer spans
+    /// (device-layer spans attach via each device).
     pub fn set_recorder(&self, recorder: Arc<obs::Recorder>) {
         self.members.set_recorder(recorder.clone());
         self.tracer.attach(recorder, obs::NONE);
@@ -1539,11 +1539,9 @@ impl LsVolume {
                     }
                 }
                 inner.c_migrated += issued;
-                self.tracer.add(obs::Counter::LsMigratedSectors, issued);
             }
             LogMode::Pad => {
                 inner.c_pads += issued;
-                self.tracer.add(obs::Counter::LsPadSectors, issued);
             }
         }
         inner.groups[gi].fill += issued;
@@ -1604,14 +1602,10 @@ impl LsVolume {
             live(0).then_some(p),
             (self.p == 2 && live(1)).then_some(q),
         );
-        let legs = [
-            (obs::PathKind::FullParity, obs::Counter::FullParityWrites),
-            (obs::PathKind::QParity, obs::Counter::QParityWrites),
-        ];
+        let legs = [obs::PathKind::FullParity, obs::PathKind::QParity];
         let devices = self.members.read();
         let mut done = t;
-        for (i, (column, (path, counter))) in inner.parity.chunks_exact(unit).zip(legs).enumerate()
-        {
+        for (i, (column, path)) in inner.parity.chunks_exact(unit).zip(legs).enumerate() {
             let dev = leg_dev(i as u64);
             let lba = self.phys.zone_start(inner.groups[gi].zones[dev]) + stripe * self.k;
             // A failed member's parity leg is omitted, like a data leg.
@@ -1627,7 +1621,6 @@ impl LsVolume {
                     .lba(lba)
                     .sectors(self.k),
             );
-            self.tracer.bump(counter);
             done = done.max(c);
         }
         drop(devices);
@@ -1971,7 +1964,6 @@ impl LsVolume {
         grp.rev.clear();
         inner.free_groups.push(g);
         inner.c_group_reclaims += 1;
-        self.tracer.bump(obs::Counter::LsGroupReclaims);
         Ok(t)
     }
 
@@ -1996,11 +1988,6 @@ impl LsVolume {
         inner.in_emergency = false;
         let done = res?;
         inner.c_emergency += 1;
-        self.tracer.bump(obs::Counter::GcStalls);
-        self.tracer.add(
-            obs::Counter::GcStallNanos,
-            done.as_nanos().saturating_sub(at.as_nanos()),
-        );
         Ok((done, true))
     }
 

@@ -16,6 +16,12 @@ fn run<T: FaultTarget>(target: &T, seed: u64) -> Arc<obs::Recorder> {
     oracle(target, &roomy_config(), seed, OPS, MAX_CRASHES).unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// Events of the run tagged with `path`.
+fn path_events(recorder: &obs::Recorder, path: obs::PathKind) -> usize {
+    let events = recorder.events();
+    events.iter().filter(|e| e.path == Some(path)).count()
+}
+
 /// A stable, comparable rendering of one trace event.
 fn signature(e: &obs::TraceEvent) -> String {
     format!(
@@ -42,18 +48,21 @@ fn run_differential(seed: u64) -> [Vec<String>; 2] {
         // Path oracle: the log-structured engine never touches a
         // partial-parity log (it has none), while the classic engine does
         // on the same workload — the structural difference under test.
+        // The ring kept every event, so a missing `PpLog` one was never
+        // recorded.
         let ls = run(&Ls::small(parity), seed);
+        assert_eq!(ls.dropped(), 0, "lsraid p{parity} seed {seed:#x}");
         assert_eq!(
-            ls.count(obs::Counter::PpLogWrites),
+            path_events(&ls, obs::PathKind::PpLog),
             0,
             "lsraid p{parity} seed {seed:#x}: took a pp-log path"
         );
         assert!(
-            ls.count(obs::Counter::FullParityWrites) > 0,
+            path_events(&ls, obs::PathKind::FullParity) > 0,
             "lsraid p{parity} seed {seed:#x}: sealed no full stripes"
         );
         assert!(
-            run(&Raizn::small(parity), seed).count(obs::Counter::PpLogWrites) > 0,
+            path_events(&run(&Raizn::small(parity), seed), obs::PathKind::PpLog) > 0,
             "raizn p{parity} seed {seed:#x}: never exercised the pp-log on the shared workload"
         );
         ls.events_since(0).iter().map(signature).collect()

@@ -786,8 +786,8 @@ fn fragmented_map_survives_rotations_and_a_crash() {
 /// stripe groups" once a pass nets no headroom — and a refused volume
 /// still reads back every acknowledged sector and takes writes again
 /// once zones are reset. The writes run on a second thread while this one
-/// counts the passes, so a write that never returns fails the test
-/// instead of hanging it.
+/// counts the flushes that bound the passes, so a write that never
+/// returns fails the test instead of hanging it.
 #[test]
 fn inline_collection_on_a_full_volume_ends_in_bounded_passes() {
     /// Passes the whole run may take: it takes one (p1) or three (p2).
@@ -800,6 +800,13 @@ fn inline_collection_on_a_full_volume_ends_in_bounded_passes() {
         for z in 0..zones {
             write_zone(&vol, z, 0);
         }
+        // Each pass ends in a reclaim barrier that records one volume
+        // flush span; other flushes (metadata rotations) only add to the
+        // count. Stage histograms see every event, sampled out or not, and
+        // are read without the volume's lock, so the flush count bounds
+        // the passes while a write is still running.
+        let flushes = || recorder.stage_histogram(obs::Stage::Flush).count();
+        let base = flushes();
         let sectors = u64::from(zones) * vol.geometry().zone_cap();
         let vol = Arc::new(vol);
         let writer = {
@@ -822,20 +829,25 @@ fn inline_collection_on_a_full_volume_ends_in_bounded_passes() {
                 panic!("p{parity}: never refused");
             })
         };
-        // The pass counter is read without the volume's lock. A write that
-        // never returns fails here and leaves its thread looping,
-        // detached, until the test process exits.
+        // A write that never returns fails here and leaves its thread
+        // looping, detached, until the test process exits.
         while !writer.is_finished() {
-            let passes = recorder.count(obs::Counter::GcStalls);
+            let flushed = flushes() - base;
             assert!(
-                passes <= MAX_PASSES,
-                "p{parity}: {passes} inline collection passes and a write has not returned"
+                flushed <= MAX_PASSES,
+                "p{parity}: {flushed} flushes (inline collection passes and more) \
+                 and a write has not returned"
             );
             std::thread::yield_now();
         }
         let (version, refused_at) = writer.join().unwrap();
         let passes = vol.stats().emergency_reclaims;
         assert!(passes <= MAX_PASSES, "p{parity}: {passes} passes");
+        // Every pass flushed, so the bound above held the passes too.
+        assert!(
+            flushes() - base >= passes,
+            "p{parity}: a pass flushed nothing"
+        );
         let mut got = vec![0u8; SECTOR_SIZE as usize];
         for (lba, &ver) in (0..).zip(&version) {
             vol.read(T0, lba, &mut got).unwrap();

@@ -45,7 +45,7 @@ pub struct Md5Volume {
     layout: Md5Layout,
     state: Mutex<State>,
     /// Array-layer spans (full-stripe vs RMW vs RCW path attribution,
-    /// journal appends) and counters. mdraid has no zones, so spans carry
+    /// journal appends). mdraid has no zones, so spans carry
     /// no zone and address the stripe via its device-space offset in
     /// `lba`.
     tracer: obs::Tracer,
@@ -138,7 +138,7 @@ impl Md5Volume {
 
     /// Attaches an observability recorder: array-layer spans (full-stripe
     /// vs read-modify-write vs reconstruct-write path attribution, journal
-    /// appends, degraded reads) and counters land on it.
+    /// appends, degraded reads) land on it.
     pub fn set_recorder(&self, recorder: Arc<obs::Recorder>) {
         self.tracer.attach(recorder, obs::NONE);
     }
@@ -222,7 +222,6 @@ impl Md5Volume {
         if row_off == 0 && rows == self.layout.chunk_sectors() && out.len() == chunk_bytes {
             st.cache.put(stripe, slot, out);
         }
-        self.tracer.bump(obs::Counter::DegradedReads);
         self.tracer.leaf(
             obs::Span::new(obs::OpClass::Read, obs::Stage::WholeOp, at, done)
                 .path(obs::PathKind::Degraded)
@@ -296,7 +295,6 @@ impl Md5Volume {
             }
             done =
                 done.max(self.store_rows(st, at, stripe, self.parity_slot(), 0, &parity, flags)?);
-            self.tracer.bump(obs::Counter::FullStripeWrites);
             self.tracer.leaf(
                 obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, at, done)
                     .path(obs::PathKind::FullStripe)
@@ -411,12 +409,11 @@ impl Md5Volume {
                 flags,
             )?);
         }
-        let (path, counter) = if use_rmw {
-            (obs::PathKind::Rmw, obs::Counter::RmwWrites)
+        let path = if use_rmw {
+            obs::PathKind::Rmw
         } else {
-            (obs::PathKind::Rcw, obs::Counter::RcwWrites)
+            obs::PathKind::Rcw
         };
-        self.tracer.bump(counter);
         self.tracer.leaf(
             obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, at, done)
                 .path(path)

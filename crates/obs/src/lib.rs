@@ -12,15 +12,14 @@
 //!
 //! Design constraints (see DESIGN.md "Observability"):
 //!
-//! - **Allocation-free recording.** The ring buffer, stage histograms and
-//!   counter table are allocated once in [`Recorder::new`]; recording an
+//! - **Allocation-free recording.** The ring buffer and stage histograms
+//!   are allocated once in [`Recorder::new`]; recording an
 //!   event is an atomic sequence claim, one shard-mutex acquisition and a
 //!   few array writes. This preserves the zero-alloc steady-state
 //!   write-path gate of `BENCH_hotpath.json`.
 //! - **Shard-parallel.** The ring and stage histograms are split over up
-//!   to eight shards selected by sequence number, and the aggregate
-//!   counters are plain atomics, so concurrent writers on a multi-threaded
-//!   volume do not serialize on one recorder mutex. Read-side snapshots
+//!   to eight shards selected by sequence number, so concurrent writers
+//!   on a multi-threaded volume do not serialize on one recorder mutex. Read-side snapshots
 //!   ([`Recorder::events`], [`Recorder::stage_histogram`]) merge shards.
 //! - **Deterministic.** Timestamps are [`SimTime`] (virtual) only; the
 //!   recorder never consults a wall clock, so two runs with the same seed
@@ -28,8 +27,9 @@
 //!   as an *oracle* (assert which path an IO took, not just its result).
 //! - **Bounded.** The ring keeps the most recent `capacity` sampled
 //!   events; older events are overwritten (counted in
-//!   [`Recorder::dropped`]). Histograms and counters always see every
-//!   event regardless of sampling.
+//!   [`Recorder::dropped`]). Histograms always see every event
+//!   regardless of sampling. Counts of what a layer did (parity writes,
+//!   pp-log appends, degraded reads) live in that layer's own stats.
 //!
 //! # Examples
 //!
@@ -38,7 +38,7 @@
 //! (sequence number, ambient causal parent, ambient actor, outcome).
 //!
 //! ```
-//! use obs::{Counter, OpClass, Recorder, Span, Stage, Tracer};
+//! use obs::{OpClass, Recorder, Span, Stage, Tracer};
 //! use sim::SimTime;
 //!
 //! let rec = Recorder::new(1024, 1);
@@ -51,7 +51,6 @@
 //!         .lba(192)
 //!         .sectors(8),
 //! );
-//! tracer.bump(Counter::CacheFlushes);
 //! let events = rec.events();
 //! assert_eq!(events.len(), 1);
 //! assert_eq!(events[0].stage, Stage::DeviceIo);
@@ -327,118 +326,6 @@ impl TraceEvent {
     }
 }
 
-/// Aggregate counters maintained alongside the trace ring. Unlike ring
-/// events these are never sampled away.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Counter {
-    /// Transient device errors retried by an upper layer.
-    Retries,
-    /// Reads served by parity reconstruction (device missing/failed).
-    DegradedReads,
-    /// Reads served by two-erasure RS reconstruction (RAIZN-2, two
-    /// devices missing/failed).
-    DoubleDegradedReads,
-    /// Foreground FTL garbage-collection stalls suffered by host writes.
-    GcStalls,
-    /// Total virtual nanoseconds host writes spent stalled behind GC.
-    GcStallNanos,
-    /// Device write-cache flushes (explicit flush, preflush, FUA closure).
-    CacheFlushes,
-    /// RAIZN metadata-zone garbage-collection runs.
-    MdGcRuns,
-    /// Latent-sector read errors healed in place.
-    ReadRepairs,
-    /// RAIZN full parity-unit writes (completed stripes).
-    FullParityWrites,
-    /// RAIZN-2 full Q-parity-unit writes (completed stripes, dual parity).
-    QParityWrites,
-    /// RAIZN partial-parity log appends.
-    PpLogWrites,
-    /// RAIZN writes relocated to a metadata zone.
-    RelocatedWrites,
-    /// mdraid full-stripe writes.
-    FullStripeWrites,
-    /// mdraid read-modify-write updates.
-    RmwWrites,
-    /// mdraid reconstruct-write updates.
-    RcwWrites,
-    /// QoS scheduler: write ops merged into an already-queued batch.
-    SchedCoalescedOps,
-    /// QoS scheduler: zone-management ops (open/close/finish/reset)
-    /// dispatched on behalf of background lifecycle management.
-    SchedMgmtOps,
-    /// Total virtual nanoseconds device commands stalled waiting for a
-    /// busy occupancy unit (the [`Stage::DeviceWait`] aggregate).
-    DeviceWaitNanos,
-    /// lsraid: valid sectors migrated out of GC victim stripe groups.
-    LsMigratedSectors,
-    /// lsraid: zero-pad sectors written to seal partial stripes at flush.
-    LsPadSectors,
-    /// lsraid: stripe groups reclaimed (all zones reset, returned free).
-    LsGroupReclaims,
-}
-
-impl Counter {
-    /// All counters, in index order.
-    pub const ALL: [Counter; 21] = [
-        Counter::Retries,
-        Counter::DegradedReads,
-        Counter::DoubleDegradedReads,
-        Counter::GcStalls,
-        Counter::GcStallNanos,
-        Counter::CacheFlushes,
-        Counter::MdGcRuns,
-        Counter::ReadRepairs,
-        Counter::FullParityWrites,
-        Counter::QParityWrites,
-        Counter::PpLogWrites,
-        Counter::RelocatedWrites,
-        Counter::FullStripeWrites,
-        Counter::RmwWrites,
-        Counter::RcwWrites,
-        Counter::SchedCoalescedOps,
-        Counter::SchedMgmtOps,
-        Counter::DeviceWaitNanos,
-        Counter::LsMigratedSectors,
-        Counter::LsPadSectors,
-        Counter::LsGroupReclaims,
-    ];
-
-    /// Stable snake-case name (used by the JSON exporters).
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::Retries => "retries",
-            Counter::DegradedReads => "degraded_reads",
-            Counter::DoubleDegradedReads => "double_degraded_reads",
-            Counter::GcStalls => "gc_stalls",
-            Counter::GcStallNanos => "gc_stall_nanos",
-            Counter::CacheFlushes => "cache_flushes",
-            Counter::MdGcRuns => "md_gc_runs",
-            Counter::ReadRepairs => "read_repairs",
-            Counter::FullParityWrites => "full_parity_writes",
-            Counter::QParityWrites => "q_parity_writes",
-            Counter::PpLogWrites => "pp_log_writes",
-            Counter::RelocatedWrites => "relocated_writes",
-            Counter::FullStripeWrites => "full_stripe_writes",
-            Counter::RmwWrites => "rmw_writes",
-            Counter::RcwWrites => "rcw_writes",
-            Counter::SchedCoalescedOps => "sched_coalesced_ops",
-            Counter::SchedMgmtOps => "sched_mgmt_ops",
-            Counter::DeviceWaitNanos => "device_wait_nanos",
-            Counter::LsMigratedSectors => "ls_migrated_sectors",
-            Counter::LsPadSectors => "ls_pad_sectors",
-            Counter::LsGroupReclaims => "ls_group_reclaims",
-        }
-    }
-
-    fn index(self) -> usize {
-        Counter::ALL
-            .iter()
-            .position(|c| *c == self)
-            .unwrap_or_default()
-    }
-}
-
 /// Per-stage digest of one tumbling window (extracted from the window's
 /// histogram when the window closes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -633,8 +520,8 @@ const MAX_SHARDS: usize = 8;
 /// all layers of one experiment normally share a single recorder so the
 /// breakdown covers the whole stack.
 ///
-/// Internally sharded: sequence numbers come from one atomic, aggregate
-/// counters are atomics, and the ring/histograms are split over up to
+/// Internally sharded: sequence numbers come from one atomic, and the
+/// ring/histograms are split over up to
 /// eight mutex-protected shards, so concurrent writers do not serialize.
 /// Within one shard, concurrent inserts may land slightly out of sequence
 /// order; snapshots ([`Recorder::events`]) sort by `seq` before returning.
@@ -643,7 +530,6 @@ pub struct Recorder {
     capacity: usize,
     /// Next sequence number to assign.
     seq: AtomicU64,
-    counts: [AtomicU64; Counter::ALL.len()],
     shards: Vec<Mutex<RecShard>>,
     /// Fast-path skip flag so the hot path never touches the windows
     /// mutex while windowing is disabled.
@@ -671,8 +557,8 @@ impl std::fmt::Debug for Recorder {
 
 impl Recorder {
     /// Creates a recorder whose ring holds `capacity` events and stores
-    /// every `sample_every`-th event (1 = keep all). Histograms and
-    /// counters are updated for *every* event regardless of sampling.
+    /// every `sample_every`-th event (1 = keep all). Histograms are
+    /// updated for *every* event regardless of sampling.
     ///
     /// All memory is allocated here; recording never allocates.
     ///
@@ -695,7 +581,6 @@ impl Recorder {
             sample_every,
             capacity,
             seq: AtomicU64::new(0),
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
             shards,
             windows_on: AtomicBool::new(false),
             windows: Mutex::new(None),
@@ -768,7 +653,7 @@ impl Recorder {
     }
 
     /// Folds another recorder's whole-run aggregates (stage histograms,
-    /// counters, event/drop totals) into this one. Used by benches that
+    /// event/drop totals) into this one. Used by benches that
     /// give each sub-run a fresh windowed recorder (virtual clocks restart
     /// per run) while keeping one cumulative breakdown: the sub-run
     /// recorder is absorbed after each run. Ring events and window state
@@ -791,9 +676,6 @@ impl Recorder {
                 mine.merge(theirs);
             }
             s.dropped += dropped;
-        }
-        for (mine, theirs) in self.counts.iter().zip(other.counts.iter()) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
         }
         self.seq
             .fetch_add(other.seq.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -902,21 +784,6 @@ impl Recorder {
         self.spans.get().map_or_else(Vec::new, |s| s.slow_ops())
     }
 
-    /// Increments `counter` by one.
-    pub fn bump(&self, counter: Counter) {
-        self.add(counter, 1);
-    }
-
-    /// Adds `n` to `counter`.
-    pub fn add(&self, counter: Counter, n: u64) {
-        self.counts[counter.index()].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value of `counter`.
-    pub fn count(&self, counter: Counter) -> u64 {
-        self.counts[counter.index()].load(Ordering::Relaxed)
-    }
-
     /// Total events recorded so far (including sampled-out ones). The next
     /// event gets this sequence number — use as a cursor for
     /// [`Recorder::events_since`].
@@ -959,7 +826,7 @@ impl Recorder {
         out
     }
 
-    /// Clears the ring, histograms and counters (sequence numbers keep
+    /// Clears the ring and histograms (sequence numbers keep
     /// increasing so cursors stay valid).
     pub fn clear(&self) {
         for shard in &self.shards {
@@ -971,9 +838,6 @@ impl Recorder {
                 h.clear();
             }
         }
-        for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
-        }
         if let Some(w) = self.windows.lock().as_mut() {
             let (interval_ns, cap) = (w.interval_ns, w.cap);
             *w = WindowState::new(SimDuration::from_nanos(interval_ns), cap);
@@ -984,7 +848,7 @@ impl Recorder {
     }
 
     /// A machine-readable latency breakdown: per-stage count / p50 / p99 /
-    /// mean / max (virtual nanoseconds) plus every counter. `name` tags
+    /// mean / max (virtual nanoseconds). `name` tags
     /// the producing experiment.
     pub fn breakdown_json(&self, name: &str) -> String {
         let mut out = String::with_capacity(1024);
@@ -1005,16 +869,6 @@ impl Recorder {
                 h.mean().as_nanos(),
                 h.max().as_nanos(),
                 if i + 1 < Stage::ALL.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  },\n");
-        out.push_str("  \"counters\": {\n");
-        for (i, c) in Counter::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{}\": {}{}\n",
-                c.name(),
-                self.count(*c),
-                if i + 1 < Counter::ALL.len() { "," } else { "" },
             ));
         }
         out.push_str("  }\n}\n");
@@ -1114,17 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate() {
-        let r = Recorder::new(8, 1);
-        r.bump(Counter::Retries);
-        r.add(Counter::GcStallNanos, 500);
-        r.bump(Counter::Retries);
-        assert_eq!(r.count(Counter::Retries), 2);
-        assert_eq!(r.count(Counter::GcStallNanos), 500);
-        assert_eq!(r.count(Counter::DegradedReads), 0);
-    }
-
-    #[test]
     fn events_since_cursor() {
         let r = Recorder::new(64, 1);
         r.record(ev(Stage::DeviceIo, 0, 1));
@@ -1153,32 +996,25 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_json_has_stages_and_counters() {
+    fn breakdown_json_has_every_stage() {
         let r = Recorder::new(8, 1);
         r.record(ev(Stage::DeviceIo, 0, 10));
         r.record(ev(Stage::DeviceIo, 0, 20));
-        r.bump(Counter::CacheFlushes);
         let j = r.breakdown_json("unit \"test\"");
         assert!(j.contains("\"device_io\": {\"count\": 2"));
-        assert!(j.contains("\"cache_flushes\": 1"));
         assert!(j.contains("unit \\\"test\\\""));
-        // Every stage and counter name is present.
         for s in Stage::ALL {
             assert!(j.contains(s.name()), "missing stage {}", s.name());
         }
-        for c in Counter::ALL {
-            assert!(j.contains(c.name()), "missing counter {}", c.name());
-        }
+        assert!(!j.contains("counters"));
     }
 
     #[test]
     fn clear_resets_aggregates_but_not_seq() {
         let r = Recorder::new(8, 1);
         r.record(ev(Stage::WholeOp, 0, 9));
-        r.bump(Counter::RmwWrites);
         r.clear();
         assert!(r.events().is_empty());
-        assert_eq!(r.count(Counter::RmwWrites), 0);
         assert_eq!(r.stage_histogram(Stage::WholeOp).count(), 0);
         assert_eq!(r.next_seq(), 1);
     }
@@ -1270,14 +1106,11 @@ mod tests {
         let a = Recorder::new(16, 1);
         let b = Recorder::new(16, 1);
         a.record(ev(Stage::DeviceIo, 0, 10));
-        a.bump(Counter::Retries);
         b.record(ev(Stage::DeviceIo, 0, 30));
         b.record(ev(Stage::Flush, 0, 2));
-        b.add(Counter::Retries, 2);
         a.absorb(&b);
         assert_eq!(a.stage_histogram(Stage::DeviceIo).count(), 2);
         assert_eq!(a.stage_histogram(Stage::Flush).count(), 1);
-        assert_eq!(a.count(Counter::Retries), 3);
         assert_eq!(a.next_seq(), 3);
         // b untouched.
         assert_eq!(b.next_seq(), 2);
@@ -1315,14 +1148,12 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..per_thread {
                         r.record(ev(Stage::DeviceIo, i, i + 1));
-                        r.bump(Counter::Retries);
                     }
                 });
             }
         });
         let total = threads * per_thread;
         assert_eq!(r.next_seq(), total);
-        assert_eq!(r.count(Counter::Retries), total);
         assert_eq!(r.stage_histogram(Stage::DeviceIo).count(), total);
         // Every event retained (capacity not exceeded), seqs unique and
         // sorted.

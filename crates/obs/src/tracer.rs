@@ -7,7 +7,7 @@
 //! `seq`/`span`/`outcome` defaults of a [`TraceEvent`].
 
 use crate::{
-    current_actor, current_span, span_scope, Actor, Counter, OpClass, Outcome, PathKind, Recorder,
+    current_actor, current_span, span_scope, Actor, OpClass, Outcome, PathKind, Recorder,
     SpanScope, Stage, TraceEvent, NONE,
 };
 use sim::SimTime;
@@ -246,20 +246,6 @@ impl Tracer {
     pub fn lock_mark(&self, op: OpClass, zone: u32, at: SimTime) {
         if self.slot.get().is_some_and(|a| a.recorder.spans_enabled()) {
             self.leaf(Span::new(op, Stage::LockWait, at, at).zone(zone));
-        }
-    }
-
-    /// Increments `counter` by one.
-    #[inline]
-    pub fn bump(&self, counter: Counter) {
-        self.add(counter, 1);
-    }
-
-    /// Adds `n` to `counter`.
-    #[inline]
-    pub fn add(&self, counter: Counter, n: u64) {
-        if let Some(a) = self.slot.get() {
-            a.recorder.add(counter, n);
         }
     }
 }

@@ -5,8 +5,8 @@
 //! cannot define.)
 
 use obs::{
-    actor_scope, span_scope, Actor, Counter, OpClass, Outcome, PathKind, Recorder, Span,
-    SpanConfig, Stage, Tracer, NONE,
+    actor_scope, span_scope, Actor, OpClass, Outcome, PathKind, Recorder, Span, SpanConfig, Stage,
+    Tracer, NONE,
 };
 use sim::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -68,15 +68,12 @@ fn detached_tracer_records_nothing_and_allocates_nothing() {
         assert_eq!(open.id(), 0, "a detached tracer allocates no span ids");
         tracer.lock_mark(OpClass::Write, 3, us(i));
         tracer.leaf(write(Stage::DeviceIo, i, i + 1).zone(3).lba(i).sectors(8));
-        tracer.bump(Counter::Retries);
-        tracer.add(Counter::DeviceWaitNanos, i);
         tracer.root(&open, write(Stage::WholeOp, i, i + 1));
     }
     assert_eq!(ALLOCS.with(Cell::get), before, "detached calls allocated");
 
     // The recorder nobody attached saw none of it.
     assert_eq!(rec.next_seq(), 0);
-    assert_eq!(rec.count(Counter::Retries), 0);
     assert_eq!(rec.span_roots(), 0);
 }
 
@@ -124,8 +121,6 @@ fn ambient_span_and_actor_become_parent_and_blame() {
         tracer.leaf(write(Stage::DeviceWait, 4, 5).behind(Actor::Gc));
         tracer.leaf(write(Stage::WholeOp, 5, 6).top());
     }
-    tracer.bump(Counter::Retries);
-    tracer.add(Counter::Retries, 2);
 
     let ev = rec.events();
     assert_eq!(ev.len(), 6);
@@ -151,7 +146,6 @@ fn ambient_span_and_actor_become_parent_and_blame() {
         "queueing behind one's own actor is no interference"
     );
     assert_eq!((ev[5].parent, ev[5].blame), (0, Actor::None));
-    assert_eq!(rec.count(Counter::Retries), 3);
 }
 
 #[test]

@@ -167,8 +167,7 @@ impl QosScheduler {
 
     /// Attaches an observability recorder: each completed op emits a
     /// queue-wait span (arrival to dispatch) and a service span
-    /// (dispatch to completion) tagged with its tenant index, and
-    /// coalesced and management ops bump their counters.
+    /// (dispatch to completion) tagged with its tenant index.
     pub fn with_recorder(self, recorder: Arc<obs::Recorder>) -> Self {
         self.tracer.attach(recorder, obs::NONE);
         self
@@ -474,13 +473,10 @@ impl SharedScheduler for QosScheduler {
         let t = &mut inner.tenants[ti];
         t.totals.batches += 1;
         t.totals.merged += merged;
-        self.tracer.add(obs::Counter::SchedCoalescedOps, merged);
         for mut op in inner.batch.drain(..) {
             let arrival = SimTime::from_nanos(op.arrival_ns);
             t.totals.completed += 1;
-            if matches!(op.dir, OpDir::Mgmt(_)) {
-                self.tracer.bump(obs::Counter::SchedMgmtOps);
-            } else {
+            if !matches!(op.dir, OpDir::Mgmt(_)) {
                 t.totals.bytes += op.sectors * SECTOR_SIZE;
             }
             let class = op.dir.class();

@@ -184,8 +184,7 @@ impl Members {
         })
     }
 
-    /// Attaches the recorder the member layer's counters and decode spans
-    /// land on.
+    /// Attaches the recorder the member layer's decode spans land on.
     pub fn set_recorder(&self, recorder: Arc<obs::Recorder>) {
         self.tracer.attach(recorder, obs::NONE);
     }
@@ -426,7 +425,6 @@ impl Members {
         let (done, erased) = self.solve(scratch, at, stripe, target, row0, out)?;
         if erased > 1 {
             self.double_degraded_reads.fetch_add(1, Ordering::Relaxed);
-            self.tracer.bump(obs::Counter::DoubleDegradedReads);
             self.tracer.leaf(
                 obs::Span::new(obs::OpClass::Read, obs::Stage::WholeOp, at, done)
                     .path(obs::PathKind::DoubleDegraded)
@@ -503,11 +501,9 @@ impl Members {
             let off = (row0 * SECTOR_SIZE) as usize;
             out.copy_from_slice(&unit[off..off + out.len()]);
             self.read_repairs.fetch_add(1, Ordering::Relaxed);
-            self.tracer.bump(obs::Counter::ReadRepairs);
             return Ok((done, Some(unit)));
         }
         self.degraded_reads.fetch_add(1, Ordering::Relaxed);
-        self.tracer.bump(obs::Counter::DegradedReads);
         let done = match open {
             Some(rows) => {
                 out.copy_from_slice(rows);
@@ -664,7 +660,6 @@ impl Roster<'_> {
                 Err(ZnsError::TransientError { .. }) if attempt < TRANSIENT_RETRY_LIMIT => {
                     attempt += 1;
                     m.transient_retries.fetch_add(1, Ordering::Relaxed);
-                    m.tracer.bump(obs::Counter::Retries);
                 }
                 Err(e @ (ZnsError::TransientError { .. } | ZnsError::MediaError { .. })) => {
                     self.charge(dev);

@@ -46,7 +46,7 @@ pub struct ZnsDevice {
     /// service time in parallel without serializing on `inner`.
     timing: OccupancyModel,
     inner: Mutex<Inner>,
-    /// Span/counter handle; lives outside the state mutex like `timing`.
+    /// Span handle; lives outside the state mutex like `timing`.
     tracer: obs::Tracer,
 }
 
@@ -102,8 +102,9 @@ impl ZnsDevice {
         self.tracer.attach(recorder, dev_id);
     }
 
-    /// Accounts a command's queueing stall behind a busy flash unit: bumps
-    /// the device-wait counters and, when the stall is non-zero, emits a
+    /// Accounts a command's queueing stall behind a busy flash unit: adds
+    /// it to [`DeviceStats::device_wait_ns`] and, when the stall is
+    /// non-zero, emits a
     /// [`obs::Stage::DeviceWait`] span `[at, at + wait)` blamed on the
     /// actor whose work last held the unit (no blame when it was our own
     /// actor class — that is plain queueing, not interference). Returns
@@ -124,7 +125,6 @@ impl ZnsDevice {
         }
         inner.stats.device_wait_ns += occ.wait_ns;
         let stalled_until = at + sim::SimDuration::from_nanos(occ.wait_ns);
-        self.tracer.add(obs::Counter::DeviceWaitNanos, occ.wait_ns);
         self.tracer.leaf(
             obs::Span::new(op, obs::Stage::DeviceWait, at, stalled_until)
                 .zone(zone)
@@ -416,7 +416,6 @@ impl ZnsDevice {
             }
             issue = self.timing.drained_at().max(issue) + lat.flush;
             inner.stats.flushes += 1;
-            self.tracer.bump(obs::Counter::CacheFlushes);
             self.tracer
                 .leaf(obs::Span::new(obs::OpClass::Flush, obs::Stage::Flush, at, issue).zone(zone));
         }
@@ -719,7 +718,6 @@ impl ZonedVolume for ZnsDevice {
         }
         inner.stats.flushes += 1;
         let done = self.timing.drained_at().max(at) + self.config.latency().flush;
-        self.tracer.bump(obs::Counter::CacheFlushes);
         self.tracer.leaf(obs::Span::new(
             obs::OpClass::Flush,
             obs::Stage::Flush,
@@ -1233,7 +1231,7 @@ mod tests {
         assert_eq!(evs[0].sectors, 2);
         assert_eq!(evs[1].op, obs::OpClass::Read);
         assert_eq!(evs[2].stage, obs::Stage::Flush);
-        assert_eq!(rec.count(obs::Counter::CacheFlushes), 1);
+        assert_eq!(d.stats().flushes, 1);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Repo gate: build, full test suite, lints, formatting, static guards,
-# then the wall-clock and figure gates.
+# Repo gate in two tiers. The deterministic tier runs first and must pass
+# on every host: build, full test suite, lints, formatting, static guards,
+# the figure bins and their reports, the crash and recovery sweeps, the
+# committed-artifact diff and the benchmark's unit tests. The wall-clock
+# tier runs last (hotpath, the benchmark's --check-repeat), so a noisy
+# host that fails one of its gates cannot hide a deterministic failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test --workspace -q
-# Deterministic checks run before the first wall-clock gate (hotpath),
-# so a noisy host that fails that gate cannot hide a lint or format
-# failure behind it.
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 
@@ -167,8 +168,11 @@ if awk -v cmds="$cmds" '
   echo "check.sh: member command outside zns::array (issue it through Roster::command)" >&2
   exit 1
 fi
-if grep -rnE 'TransientError[^=]*\) if [^=]*<|bump\(obs::Counter::Retries\)' crates/*/src |
-   grep -v '^crates/zns/src/array\.rs:'; then
+# Counting a retry is the member layer's job too: a `+=`, `fetch_add` or
+# `AtomicRaiznStats::add` on a `*retries` field outside it is an engine
+# keeping its own retry count, i.e. its own retry loop.
+if grep -rnE 'TransientError[^=]*\) if [^=]*<|[a-z_]*retries( *\+=|\.fetch_add\()|::add\(&[a-z_.]*retries' \
+     crates/*/src | grep -v '^crates/zns/src/array\.rs:'; then
   echo "check.sh: transient-retry loop outside zns::array (Roster::command is the one)" >&2
   exit 1
 fi
@@ -180,9 +184,11 @@ fi
 # What a failed member read becomes is decided there too: `Members::read_slot`
 # serves around it, counts it and hands a latent unit back for repair, and
 # `Verify::stripe` reads, decodes and checks a stripe for scrub. An engine
-# that matches on `MediaError`, calls a decode itself or bumps the
-# degraded-read / read-repair counters is a second read-around coming back.
-if grep -rnE 'MediaError *\{|\.reconstruct\(|(bump|add)\((obs::)?Counter::(DegradedReads|ReadRepairs)' \
+# that matches on `MediaError`, calls a decode itself or counts a degraded
+# read or read repair of its own (a `+=`, `fetch_add` or
+# `AtomicRaiznStats::add` on such a field; the engines' stats copy the
+# member layer's counts) is a second read-around coming back.
+if grep -rnE 'MediaError *\{|\.reconstruct\(|[a-z_]*(degraded_reads|read_repairs)( *\+=|\.fetch_add\()|::add\(&[a-z_.]*(degraded_reads|read_repairs)' \
      crates/core/src crates/lsraid/src; then
   echo "check.sh: read-around outside zns::array (Members::read_slot, Verify::stripe)" >&2
   exit 1
@@ -212,6 +218,18 @@ fi
 # field, or `.lbas[` indexing into one, is the word per slot coming back.
 if grep -rnE '^ *(pub(\([a-z]+\))? )?lbas: Vec<u32>|\.lbas\[' crates/lsraid/src; then
   echo "check.sh: per-slot reverse map in crates/lsraid/src (keep live bits and runs, RevMap)" >&2
+  exit 1
+fi
+
+# lsraid has no partial-parity log (DESIGN.md "Log-structured RAID
+# engine"): it does not link the RAIZN engine, whose log it would be, and
+# tags no span with that path. `raizn` in its `[dependencies]` (tests may
+# use it) or `PathKind::PpLog` in its source is that log coming back.
+if awk '/^\[/ { deps = ($0 == "[dependencies]") }
+        deps && /^raizn *[.=]/ { print FILENAME ": " $0; found = 1 }
+        END { exit !found }' crates/lsraid/Cargo.toml ||
+   grep -rn 'PathKind::PpLog' crates/lsraid/src; then
+  echo "check.sh: a partial-parity log in lsraid (it appends whole stripes only)" >&2
   exit 1
 fi
 
@@ -286,32 +304,30 @@ if find . -name Cargo.toml -not -path '*/target/*' -print0 |
   exit 1
 fi
 
+# Every count is kept once (DESIGN.md "Observability"): in its layer's
+# stats, or as a tagged span. The recorder's counter plane (`obs::Counter`,
+# `bump`/`add` on a tracer, a breakdown's "counters" object) was a third
+# copy nothing needed; one of its names is that copy coming back.
+if grep -rnwE 'Counter' crates || grep -rnE 'tracer\.(bump|add)\(' crates; then
+  echo "check.sh: a removed obs counter name is back (count in the layer's stats or a span)" >&2
+  exit 1
+fi
+
+# Artifact keys of removed planes: a `"gauges"` key in a timeline or a
+# `"counters"` key in a breakdown a bin below writes.
+stale_keys() {
+  local found=0
+  grep -ls '"gauges"' "$@" >&2 && found=1
+  grep -ls '"counters"' "$@" >&2 && found=1
+  if [ "$found" = 1 ]; then
+    echo "check.sh: an artifact above has a removed \"gauges\" or \"counters\" key" >&2
+    exit 1
+  fi
+}
+
 # Concurrency correctness: racing per-zone schedules vs the
 # single-threaded oracle, same-seed determinism, remount after the race.
 cargo test --release -q -p raizn --test concurrent_stress
-
-# Hot-path gates: XOR speedup >= 4x, 0 allocs/write with the full
-# observability plane attached (unsampled tracing + tumbling windows +
-# causal span tracing with rolling-p99 tail sampling),
-# observability overhead < 1.2 us per full-stripe write (the binary
-# gates all three; 1.2 us is the 5% of a 24 us write the gate allowed
-# before whole-stripe writes got 4x cheaper — as a share of today's
-# write the plane is over its 5% budget and the binary says so, see
-# ROADMAP "Observability back under its budget"), dual-parity (parity = 2) steady-state full-stripe
-# writes also allocation-free and >= 0.45x the single-parity write path
-# on the wall clock (target 0.5x, not met as a floor), partial-stripe
-# writes (FUA ones included) and degraded reads (one and two members
-# failed) allocation-free too, a 4 KiB sub-stripe write at a 64-sector
-# stripe unit within 1.5x of the same write at 16 sectors at both parity
-# levels (`raizn_partial_write_su_ratio[_p2]`: a ratio of two rows of one
-# run, so it fires on a noisy host; 2.8-3.3 while each write re-copied
-# the running-parity prefix), and the write path stays
-# 0-alloc with a ZoneLifecycleManager attached and pumped per write.
-# Also runs the thread-scaling sweep: on hosts with >= 4 cores the
-# sharded write pipeline must reach >= 2x wall-clock write throughput at
-# 4 engine workers vs 1 (the binary skips the gate, with a notice, on
-# smaller hosts).
-cargo run --release -q -p raizn-bench --bin hotpath > /dev/null
 
 # Timeline SLO gate: fig 10's artifacts must show the paper's shape —
 # RAIZN holds a flat throughput band over the overwrite phase while
@@ -367,18 +383,18 @@ cargo run --release -q -p raizn-bench --bin report -- \
 # Log-structured GC gates: under sustained skewed random overwrite at
 # 100% logical fill, the log-structured engine (dynamic stripe groups +
 # background RAID-level GC as an internal QoS tenant) must hold a >= 0.8
-# min/max band over 300 ms windows with measured-phase WAF <= 1.5, zero
-# partial-parity-log appends, and no emergency-reclaim dominance — all
-# gated inside the binary — while the mdraid baseline falls off its
-# device-FTL GC cliff. The report then re-gates the summary artifact
-# (WAF ceiling, zero pp-log, band-beats-cliff) and the raw timeline: the
-# timeline's 100 ms windows hold ~20 one-MiB ops each, so a one-op
-# boundary shift reads as a ~5% swing — hence the 0.6 floor here vs the
-# binary's 0.8 band on 300 ms windows. A band is a ratio and passes at
-# any speed, so `report --lsgc` also holds the median window throughput
-# to an absolute floor of 600 MiB/s (observed 1540; 227 before legs
-# overlapped). GC interference may claim at most 10% of foreground wall
-# latency in the span artifact (observed ~2-3%).
+# min/max band over 300 ms windows with measured-phase WAF <= 1.5 and no
+# emergency-reclaim dominance — all gated inside the binary — while the
+# mdraid baseline falls off its device-FTL GC cliff (that lsraid takes no
+# partial-parity path is the structural guard above). The report then
+# re-gates the summary artifact (WAF ceiling, band-beats-cliff) and the
+# raw timeline: the timeline's 100 ms windows hold ~20 one-MiB ops each,
+# so a one-op boundary shift reads as a ~5% swing — hence the 0.6 floor
+# here vs the binary's 0.8 band on 300 ms windows. A band is a ratio and
+# passes at any speed, so `report --lsgc` also holds the median window
+# throughput to an absolute floor of 600 MiB/s (observed 1540; 227 before
+# legs overlapped). GC interference may claim at most 10% of foreground
+# wall latency in the span artifact (observed ~2-3%).
 cargo run --release -q -p raizn-bench --bin lsgc > /dev/null
 cargo run --release -q -p raizn-bench --bin report -- \
   --expect-flat BENCH_lsgc_lsraid_timeline.json --flat-min 0.6 \
@@ -410,15 +426,11 @@ cargo run --release -q -p raizn-bench --bin crash_sweep -- --seed 42
 # ceiling — a known defect is a ROADMAP entry with a ceiling.
 cargo run --release -q -p raizn-bench --bin recovery_matrix > /dev/null
 
-# Timeline artifacts carry windows and whole-run digests only: a
-# `"gauges"` key in one the bins above wrote is the gauge plane back.
-timelines="BENCH_hotpath_timeline.json BENCH_fig10_*_timeline.json BENCH_qos_timeline.json
-  BENCH_ziggurat_*_timeline.json BENCH_lsgc_*_timeline.json"
-if grep -qs '"gauges"' $timelines; then
-  grep -ls '"gauges"' $timelines >&2 || true
-  echo "check.sh: a timeline artifact has a \"gauges\" key" >&2
-  exit 1
-fi
+# Timelines carry windows and whole-run digests only, breakdowns stages
+# only: every one the bins above wrote.
+stale_keys BENCH_fig10_*_timeline.json BENCH_qos_timeline.json BENCH_ziggurat_*_timeline.json \
+  BENCH_lsgc_*_timeline.json \
+  BENCH_{fig10,qos,ziggurat,lsgc,raizn2,crash_sweep}_breakdown.json
 
 # Same seeds => same bytes: every committed artifact the bins above
 # regenerated must come out byte-identical to the committed copy, so a
@@ -430,11 +442,40 @@ if ! git diff --exit-code --stat -- 'BENCH_*' ':(exclude)BENCH_hotpath*'; then
 fi
 
 # The two-clock benchmark (stand-alone package, own lock file and target
-# directory): its unit tests, then every workload twice at one seed —
-# virtual-clock and count metrics must repeat exactly, so a kernel or
-# write-path change that moves a device command shows up here, before
-# the pipeline compares it with the parent commit.
+# directory): its unit tests here; its --check-repeat runs last.
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
+# ---- Wall-clock tier ----------------------------------------------------
+
+# Hot-path gates: XOR speedup >= 4x, 0 allocs/write with the full
+# observability plane attached (unsampled tracing + tumbling windows +
+# causal span tracing with rolling-p99 tail sampling),
+# observability overhead < 1.2 us per full-stripe write (the binary
+# gates all three; 1.2 us is the 5% of a 24 us write the gate allowed
+# before whole-stripe writes got 4x cheaper — as a share of today's
+# write the plane is over its 5% budget and the binary says so, see
+# ROADMAP "Observability back under its budget"), dual-parity (parity = 2) steady-state full-stripe
+# writes also allocation-free and >= 0.45x the single-parity write path
+# on the wall clock (target 0.5x, not met as a floor), partial-stripe
+# writes (FUA ones included) and degraded reads (one and two members
+# failed) allocation-free too, a 4 KiB sub-stripe write at a 64-sector
+# stripe unit within 1.5x of the same write at 16 sectors at both parity
+# levels (`raizn_partial_write_su_ratio[_p2]`: a ratio of two rows of one
+# run, so it fires on a noisy host; 2.8-3.3 while each write re-copied
+# the running-parity prefix), and the write path stays
+# 0-alloc with a ZoneLifecycleManager attached and pumped per write.
+# Also runs the thread-scaling sweep: on hosts with >= 4 cores the
+# sharded write pipeline must reach >= 2x wall-clock write throughput at
+# 4 engine workers vs 1 (the binary skips the gate, with a notice, on
+# smaller hosts).
+cargo run --release -q -p raizn-bench --bin hotpath > /dev/null
+
+stale_keys BENCH_hotpath_timeline.json BENCH_hotpath_breakdown.json
+
+# Every benchmark workload twice at one seed: virtual-clock and count
+# metrics must repeat exactly, so a kernel or write-path change that moves
+# a device command shows up here, before the pipeline compares it with the
+# parent commit; its host-clock rows must repeat within their bounds.
 cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- --check-repeat
 
 echo "check.sh: all gates passed"
