@@ -61,9 +61,10 @@
 //!   while every zone ever written held its own).
 //! - `allocs_per_lsraid_write` / `lsraid_waf_gc_idle`: the
 //!   log-structured engine's steady state — heap allocations per
-//!   stripe-aligned append with full observability attached (gate: 0)
-//!   and the WAF its stats report while the collector is idle (gate:
-//!   exactly 1.0).
+//!   stripe-aligned append with full observability attached, one stripe
+//!   a round written as two half-chunk writes (the first splits a
+//!   forward-map chunk) counted in (gate: 0), and the WAF its stats
+//!   report while the collector is idle (gate: exactly 1.0).
 //! - `lsraid_write_mib_s`: its throughput on the same whole-stripe
 //!   appends, timed inside the interleaved rounds that produce
 //!   `write_path_mib_s` (per-round minimum). Both engines then do the
@@ -76,9 +77,10 @@
 //!   stripe, same rounds: the piecemeal path, where a call's bytes are
 //!   copied into the stream's stage and the fourth call seals from it.
 //! - `lsraid_rotation_host_ms`: wall clock of one metadata rotation at
-//!   `bench::lsgc` geometry (a 6.5 MB checkpoint: serialise the mapping
-//!   table, checksum it, two replica writes), the fastest of three — the
-//!   row that says what a checkpoint costs the write that trips it.
+//!   `bench::lsgc` geometry (read the mapping table's runs off its chunk
+//!   words, checksum the checkpoint, two replica writes), the fastest of
+//!   three — the row that says what a checkpoint costs the write that
+//!   trips it.
 //! - `allocs_per_qos_op`: heap allocations per op submitted through and
 //!   dispatched by the `qos` scheduler (coalescer on, recorder attached)
 //!   after warm-up (gate: 0 — pooled payload buffers, preallocated
@@ -284,6 +286,19 @@ fn rotation_ms(vol: &LsVolume) -> bench::BenchResult<f64> {
     }
 }
 
+/// Writes one stripe at `*lba` as two halves of a forward-map chunk (a
+/// stripe is one chunk here): the first splits the chunk, taking a page
+/// off the map's free list, and the second makes it one run again,
+/// handing the page back. Returns the heap allocations observed.
+fn split_round(vol: &LsVolume, lba: &mut u64, half: &[u8]) -> bench::BenchResult<u64> {
+    let a0 = allocs();
+    for _ in 0..2 {
+        vol.write(SimTime::ZERO, *lba, half, WriteFlags::default())?;
+        *lba += half.len() as u64 / 4096;
+    }
+    Ok(allocs() - a0)
+}
+
 /// Issues `iters` contiguous writes of `data` starting at `*lba`,
 /// returning (ns per write, heap allocations observed).
 fn write_round(
@@ -451,21 +466,25 @@ fn main() -> bench::BenchResult {
     let r2_stripe_sectors = 48u64; // 3 data units x 16 sectors
     let r2_data = &data[..(r2_stripe_sectors * 4096) as usize];
     let one_unit = &data[..16 * 4096];
+    let half_stripe = &data[..stripe_bytes / 2];
     let (mut lba_u, mut lba_t, mut lba2) = (0u64, 0u64, 0u64);
     let (mut lba_l, mut lba_lp) = (0u64, 0u64);
     // Warm-up: a few stripes so the pooled parity columns and metadata
-    // scratch on every volume reach their steady-state capacities.
+    // scratch on every volume reach their steady-state capacities, and
+    // one split round so the forward map's slab holds a page.
     write_round(untraced.as_ref(), &mut lba_u, &data, 8)?;
     write_round(traced.as_ref(), &mut lba_t, &data, 8)?;
     write_round(raizn2.as_ref(), &mut lba2, r2_data, 8)?;
-    write_round(lsr.as_ref(), &mut lba_l, &data, 8)?;
+    write_round(lsr.as_ref(), &mut lba_l, &data, 7)?;
+    split_round(&lsr, &mut lba_l, half_stripe)?;
     write_round(lsr_partial.as_ref(), &mut lba_lp, one_unit, 8)?;
     let ls_pre = lsr.stats();
 
     // 8 + 8 x 30 stripes, plus the partial writes below, stay inside each
-    // volume's first logical zone (256 stripes) and inside the
-    // log-structured volumes' first stripe group (256 stripes as well),
-    // opened by the warm-up: opening a group is not the steady state.
+    // RAIZN volume's first logical zone (256 stripes); 8 + 8 x 31 (a
+    // split round each) fill the log-structured volumes' first stripe
+    // group (256 stripes as well), opened by the warm-up: opening a
+    // group is not the steady state.
     const ROUNDS: usize = 8;
     let full_iters = 30u64;
     let mut untraced_ns = f64::INFINITY;
@@ -479,6 +498,7 @@ fn main() -> bench::BenchResult {
         let (nt, at) = write_round(traced.as_ref(), &mut lba_t, &data, full_iters)?;
         let (n2, a2) = write_round(raizn2.as_ref(), &mut lba2, r2_data, full_iters)?;
         let (nl, al) = write_round(lsr.as_ref(), &mut lba_l, &data, full_iters)?;
+        let split_allocs = split_round(&lsr, &mut lba_l, half_stripe)?;
         let (np, _) = write_round(lsr_partial.as_ref(), &mut lba_lp, one_unit, full_iters)?;
         gate!(au == 0, "untraced steady-state writes allocate: {au}");
         untraced_ns = untraced_ns.min(nu);
@@ -488,7 +508,7 @@ fn main() -> bench::BenchResult {
         ls_partial_ns = ls_partial_ns.min(np);
         full_allocs += at;
         r2_full_allocs += a2;
-        ls_allocs += al;
+        ls_allocs += al + split_allocs;
     }
     let writes = (ROUNDS as u64 * full_iters) as f64;
     let allocs_per_full = full_allocs as f64 / writes;
@@ -499,14 +519,15 @@ fn main() -> bench::BenchResult {
     let raizn2_mib_s = (r2_stripe_sectors * 4096) as f64 / (1024.0 * 1024.0) / (r2_ns / 1e9);
     // The log-structured engine's share of the rounds. Its steady state
     // holds the same allocation budget with the full observability plane
-    // attached: the flat mapping table, the per-stream stages, the
-    // parity scratch and the per-group metadata are preallocated, and a
+    // attached: the forward map's chunk words, the per-stream stages, the
+    // parity scratch and the per-group metadata are preallocated; a
+    // chunk a write splits takes its page off the map's free list, and
+    // the write that makes it one run again hands the page back; and a
     // group's reverse-map runs grow only when a write breaks the last
-    // run (sequential appends extend it), so appends into an open
-    // stripe group never touch the heap. Its
-    // reported WAF must be exactly 1.0 while its collector is idle:
-    // stripe-aligned appends produce no pads and no migrations, and the
-    // stats must not invent amplification where none happened.
+    // run, which these sequential appends never do, so they never touch
+    // the heap. Its reported WAF must be exactly 1.0 while its collector
+    // is idle: stripe-aligned appends produce no pads and no migrations,
+    // and the stats must not invent amplification where none happened.
     let allocs_per_ls = ls_allocs as f64 / writes;
     let ls_waf = phase_waf(&ls_pre, &lsr.stats());
     let lsraid_mib_s = stripe_bytes as f64 / (1024.0 * 1024.0) / (ls_ns / 1e9);
@@ -659,7 +680,8 @@ fn main() -> bench::BenchResult {
     // --- Log-structured engine: one metadata rotation --------------------
     // Unobserved, at the geometry of the `lsgc` scenario (and of the
     // benchmark's `lsraid_gc_qos`), where a checkpoint carries an
-    // 811 008-entry mapping table.
+    // 811 008-entry mapping table (12 672 chunk words at the default
+    // over-provisioning).
     let rotating = fresh_ls_volume(None, 1, bench::lsgc::ZONES, bench::lsgc::ZONE_SECTORS)?;
     let mut rotation_host_ms = f64::INFINITY;
     for _ in 0..3 {

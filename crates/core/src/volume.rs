@@ -2129,10 +2129,16 @@ impl ZonedVolume for RaiznVolume {
                 let t = self
                     .store_slot_rows(&mut z, &devices, at, zone, stripe, dev, 0, prefix, flags)?;
                 done = done.max(t);
-                let writes = match leg {
-                    ParityLeg::P => &self.stats.full_parity_writes,
-                    ParityLeg::Q => &self.stats.q_parity_writes,
+                let (writes, path) = match leg {
+                    ParityLeg::P => (&self.stats.full_parity_writes, obs::PathKind::FullParity),
+                    ParityLeg::Q => (&self.stats.q_parity_writes, obs::PathKind::QParity),
                 };
+                self.tracer.leaf(
+                    obs::Span::new(obs::OpClass::Write, obs::Stage::Xor, at, t)
+                        .path(path)
+                        .zone(zone)
+                        .sectors(rows),
+                );
                 AtomicRaiznStats::add(writes, 1);
             }
             Ok(())

@@ -64,6 +64,7 @@
 
 #![warn(missing_docs)]
 
+mod fwdmap;
 mod gc;
 mod meta;
 mod revmap;
@@ -72,6 +73,7 @@ mod tests;
 
 pub use gc::{DirectSink, GcConfig, GcManager, GcSink};
 
+use fwdmap::FwdMap;
 use meta::{
     finish_record, kind, parse_record, put_u32, put_u64, MetaLog, Record, HEADER_BYTES, UNMAPPED,
 };
@@ -257,7 +259,7 @@ enum LogMode {
 #[derive(Debug)]
 struct LsInner {
     /// Logical sector → packed physical address (`UNMAPPED` = unmapped).
-    map: Vec<u32>,
+    map: FwdMap,
     lz: Vec<LZone>,
     groups: Vec<Group>,
     /// Per-device free physical zones (popped lowest-index first).
@@ -562,7 +564,7 @@ impl LsVolume {
             return Err(invalid("lsraid: checkpoint does not fit the metadata zone"));
         }
 
-        let map = vec![UNMAPPED; map_len as usize];
+        let map = FwdMap::new(map_len);
         let lz = vec![
             LZone {
                 wp: 0,
@@ -978,7 +980,7 @@ impl LsVolume {
         put_u32(buf, self.n as u32);
         put_u32(buf, inner.groups.len() as u32);
         put_u32(buf, 0);
-        put_u64(buf, inner.map.len() as u64);
+        put_u64(buf, inner.map.len());
         put_u64(buf, inner.created_seq);
         for z in &inner.lz {
             put_u64(buf, z.wp);
@@ -1084,7 +1086,7 @@ impl LsVolume {
         if l != self.geo.num_zones()
             || n as usize != self.n
             || g as usize != inner.groups.len()
-            || map_len as usize != inner.map.len()
+            || map_len != inner.map.len()
         {
             return Err(invalid("lsraid: checkpoint layout mismatch"));
         }
@@ -1113,10 +1115,9 @@ impl LsVolume {
         let names_a_slot =
             |pa: u32| self.group_of(pa) < g_total && self.slot_of(pa) < self.group_cap;
         if meta::get_runs(rd.rest(), &mut inner.map).is_none()
-            || !inner
-                .map
-                .iter()
-                .all(|&pa| pa == UNMAPPED || names_a_slot(pa))
+            || !inner.map.runs().all(|(first, len)| {
+                first == UNMAPPED || (first..).take(len as usize).all(names_a_slot)
+            })
         {
             return Err(invalid("lsraid: malformed checkpoint mapping runs"));
         }
@@ -1131,6 +1132,7 @@ impl LsVolume {
         capped: &mut [bool],
     ) -> Result<()> {
         let devices = self.members.read();
+        let map_len = inner.map.len();
         for entry in meta::summary_entries(payload, self.kd as usize) {
             let g = entry.group as usize;
             let stripe = entry.stripe;
@@ -1156,11 +1158,21 @@ impl LsVolume {
             if capped[g] {
                 continue;
             }
-            for (i, lba) in entry.lbas().enumerate() {
-                if lba == UNMAPPED || lba as usize >= inner.map.len() {
-                    continue;
+            // Consecutive slots holding consecutive sectors map as one run.
+            let mut lbas = (0u64..)
+                .zip(entry.lbas().map(u64::from))
+                .filter(|&(_, l)| l < map_len)
+                .peekable();
+            while let Some((i, l)) = lbas.next() {
+                let mut len = 1;
+                while lbas
+                    .next_if(|&(j, m)| (j, m) == (i + len, l + len))
+                    .is_some()
+                {
+                    len += 1;
                 }
-                inner.map[lba as usize] = self.enc(g as u32, stripe * self.kd + i as u64);
+                let pa = self.enc(g as u32, stripe * self.kd + i);
+                inner.map.map_run(l, pa, len, |_, _| true);
             }
             inner.groups[g].sealed = stripe + 1;
         }
@@ -1203,11 +1215,8 @@ impl LsVolume {
         // Defensive sweep: by the reclaim ordering invariant no live
         // mapping should point here, but a crash-truncated log replays
         // the same records deterministically either way.
-        for pa in &mut inner.map {
-            if *pa != UNMAPPED && self.group_of(*pa) == g {
-                *pa = UNMAPPED;
-            }
-        }
+        let len = inner.map.len();
+        inner.map.unmap_range(0, len, |pa| self.group_of(pa) == g);
         let grp = &mut inner.groups[g as usize];
         grp.state = GState::Free;
         grp.sealed = 0;
@@ -1221,10 +1230,8 @@ impl LsVolume {
         if zone >= self.geo.num_zones() {
             return Ok(());
         }
-        let base = u64::from(zone) * self.geo.zone_cap();
-        for off in 0..self.geo.zone_cap() {
-            inner.map[(base + off) as usize] = UNMAPPED;
-        }
+        let (c, base) = (self.geo.zone_cap(), self.geo.zone_start(zone));
+        inner.map.unmap_range(base, c, |_| true);
         inner.lz[zone as usize] = LZone {
             wp: 0,
             state: ZoneState::Empty,
@@ -1250,12 +1257,13 @@ impl LsVolume {
         for (zi, z) in inner.lz.iter_mut().enumerate() {
             let base = zi as u64 * c;
             let mut prefix = 0u64;
-            while prefix < c && inner.map[(base + prefix) as usize] != UNMAPPED {
-                prefix += 1;
+            while prefix < c {
+                match inner.map.run(base + prefix, c - prefix) {
+                    (UNMAPPED, _) => break,
+                    (_, len) => prefix += len,
+                }
             }
-            for off in prefix..c {
-                inner.map[(base + off) as usize] = UNMAPPED;
-            }
+            inner.map.unmap_range(base + prefix, c - prefix, |_| true);
             z.wp = prefix;
             z.state = match z.state {
                 ZoneState::Full => ZoneState::Full,
@@ -1265,27 +1273,32 @@ impl LsVolume {
             };
         }
         // The reverse maps take their slots in slot order, the map gives
-        // them in logical order: a transient word per data slot of every
-        // group sorts them, and is freed here.
-        let cap = self.group_cap as usize;
-        let mut slots = vec![UNMAPPED; inner.groups.len() * cap];
-        for (l, &pa) in inner.map.iter().enumerate() {
-            if pa != UNMAPPED {
-                slots[self.group_of(pa) as usize * cap + self.slot_of(pa) as usize] = l as u32;
+        // them in logical order: its mapped runs, sorted by address, do.
+        // A slot two sectors name (only a corrupt log says so) counts
+        // once.
+        let mut runs: Vec<(u32, u64, u64)> = Vec::new();
+        let mut l = 0;
+        for (first, len) in inner.map.runs() {
+            if first != UNMAPPED {
+                runs.push((first, l, len));
             }
+            l += len;
         }
-        for (grp, lbas) in inner.groups.iter_mut().zip(slots.chunks_exact(cap)) {
+        runs.sort_unstable();
+        for grp in &mut inner.groups {
             grp.valid = 0;
             grp.fill = 0;
             grp.rev.clear();
-            for (slot, &l) in (0..).zip(lbas) {
-                if l != UNMAPPED {
-                    grp.rev.push(slot, u64::from(l));
-                    grp.valid += 1;
-                }
+        }
+        for (first, l, len) in runs {
+            for i in 0..len {
+                let pa = first + i as u32;
+                let grp = &mut inner.groups[self.group_of(pa) as usize];
+                let slot = self.slot_of(pa);
+                grp.valid += u64::from(!grp.rev.is_live(slot));
+                grp.rev.push(slot, l + i);
             }
         }
-        drop(slots);
         // Dispose of interrupted open groups only after validity is
         // rebuilt: a checkpoint taken mid-seal can map data into a group
         // whose `sealed` count is still zero, and freeing such a group
@@ -1520,29 +1533,13 @@ impl LsVolume {
         }
         drop(devices);
         // Account for exactly what reached a device, failed call or not.
-        let base = stripe * self.kd + fill;
         match mode {
-            LogMode::User => {
-                for i in 0..issued {
-                    self.map_sector(inner, gi, base + i, lba + i);
-                }
-                inner.c_user += issued;
-            }
-            LogMode::Gc => {
-                for i in 0..issued {
-                    let old = inner.map[(lba + i) as usize];
-                    // Only remap if the sector is still where GC read
-                    // it from; a concurrent overwrite wins and the
-                    // migrated copy becomes garbage.
-                    if old != UNMAPPED && inner.migrating == Some(self.group_of(old)) {
-                        self.map_sector(inner, gi, base + i, lba + i);
-                    }
-                }
-                inner.c_migrated += issued;
-            }
-            LogMode::Pad => {
-                inner.c_pads += issued;
-            }
+            LogMode::User => inner.c_user += issued,
+            LogMode::Gc => inner.c_migrated += issued,
+            LogMode::Pad => inner.c_pads += issued,
+        }
+        if mode != LogMode::Pad {
+            self.map_log(inner, gi, stripe * self.kd + fill, lba, issued, mode);
         }
         inner.groups[gi].fill += issued;
         let seal = legs.and_then(|()| {
@@ -1562,18 +1559,40 @@ impl LsVolume {
         Ok((take, done.max(seal?)))
     }
 
-    /// Points logical sector `l` at `(gi, slot)`, releasing any previous
-    /// mapping.
-    fn map_sector(&self, inner: &mut LsInner, gi: usize, slot: u64, l: u64) {
-        let old = inner.map[l as usize];
-        if old != UNMAPPED {
-            let og = self.group_of(old) as usize;
-            inner.groups[og].rev.kill(self.slot_of(old));
-            inner.groups[og].valid -= 1;
-        }
-        inner.map[l as usize] = self.enc(gi as u32, slot);
-        inner.groups[gi].rev.push(slot, l);
-        inner.groups[gi].valid += 1;
+    /// Points logical sectors `l..l + len` at group `gi`'s slots from
+    /// `slot` on, releasing each previous mapping. A [`LogMode::Gc`]
+    /// move only remaps a sector that still lives in the group being
+    /// drained: a concurrent overwrite wins and the migrated copy becomes
+    /// garbage.
+    fn map_log(&self, inner: &mut LsInner, gi: usize, slot: u64, l: u64, len: u64, mode: LogMode) {
+        let LsInner {
+            map,
+            groups,
+            migrating,
+            ..
+        } = inner;
+        let pa = self.enc(gi as u32, slot);
+        map.map_run(l, pa, len, |i, old| {
+            let take = match mode {
+                LogMode::Gc => old != UNMAPPED && *migrating == Some(self.group_of(old)),
+                _ => true,
+            };
+            if take {
+                if old != UNMAPPED {
+                    self.release(groups, old);
+                }
+                groups[gi].rev.push(slot + i, l + i);
+                groups[gi].valid += 1;
+            }
+            take
+        });
+    }
+
+    /// Turns the slot a sector mapped to into garbage.
+    fn release(&self, groups: &mut [Group], pa: u32) {
+        let grp = &mut groups[self.group_of(pa) as usize];
+        grp.rev.kill(self.slot_of(pa));
+        grp.valid -= 1;
     }
 
     /// Encodes the full stripe's parity in one pass over its bytes —
@@ -1708,18 +1727,11 @@ impl LsVolume {
         let mut done = at;
         let mut i = 0u64;
         while i < nsec {
-            let pa = inner.map[(lba + i) as usize];
-            if pa == UNMAPPED {
+            let Some((pa, run)) = self.read_run(&inner.map, lba + i, nsec - i) else {
                 return Err(ZnsError::ReadUnwritten { lba: lba + i });
-            }
+            };
             let (g, slot) = (self.group_of(pa), self.slot_of(pa));
             let within = slot % self.k;
-            let max_run = (self.k - within).min(nsec - i);
-            // Slots of one stripe unit pack to consecutive words.
-            let mut run = 1u64;
-            while run < max_run && inner.map[(lba + i + run) as usize] == pa + run as u32 {
-                run += 1;
-            }
             let (stripe, off) = (slot / self.kd, slot % self.kd);
             let out = &mut buf[(i * SECTOR_SIZE) as usize..((i + run) * SECTOR_SIZE) as usize];
             let grp = &inner.groups[g as usize];
@@ -1753,13 +1765,24 @@ impl LsVolume {
         Ok(done)
     }
 
+    /// The run [`Self::read_inner`] reads as one command from sector `l`:
+    /// its address and length, at most `limit` sectors and inside one
+    /// stripe unit (whose slots pack to consecutive addresses); `None`
+    /// where `l` is unmapped.
+    fn read_run(&self, map: &FwdMap, l: u64, limit: u64) -> Option<(u32, u64)> {
+        let pa = Some(map.get(l)).filter(|&pa| pa != UNMAPPED)?;
+        Some(map.run(l, limit.min(self.k - self.slot_of(pa) % self.k)))
+    }
+
     /// The member holding logical sector `lba` and the physical sectors of
     /// the stripe unit it lies in (`None` while unmapped), for tests that
     /// aim a fault at one unit.
     #[doc(hidden)]
     pub fn locate(&self, lba: Lba) -> Option<(usize, Range<Lba>)> {
         let inner = self.inner.lock();
-        let pa = *inner.map.get(lba as usize).filter(|&&pa| pa != UNMAPPED)?;
+        let pa = (lba < inner.map.len())
+            .then(|| inner.map.get(lba))
+            .filter(|&pa| pa != UNMAPPED)?;
         let slot = self.slot_of(pa);
         let (dev, plba) = self.locate_slot(&inner, self.group_of(pa), slot);
         let start = plba - slot % self.k;
@@ -2337,17 +2360,11 @@ impl ZonedVolume for LsVolume {
         let mut inner = self.inner.lock();
         self.tracer.lock_mark(obs::OpClass::Reset, zone, at);
         let state = inner.lz[zone as usize].state.reset(zone)?;
-        let base = u64::from(zone) * self.geo.zone_cap();
-        for off in 0..self.geo.zone_cap() {
-            let idx = (base + off) as usize;
-            let pa = inner.map[idx];
-            if pa != UNMAPPED {
-                let og = self.group_of(pa) as usize;
-                inner.groups[og].rev.kill(self.slot_of(pa));
-                inner.groups[og].valid -= 1;
-                inner.map[idx] = UNMAPPED;
-            }
-        }
+        let LsInner { map, groups, .. } = &mut *inner;
+        map.unmap_range(self.geo.zone_start(zone), self.geo.zone_cap(), |pa| {
+            self.release(groups, pa);
+            true
+        });
         inner.lz[zone as usize] = LZone { wp: 0, state };
         let done = self.commit_record(&mut inner, at, kind::ZONE_RESET, |_, buf| {
             put_u32(buf, zone);

@@ -13,6 +13,7 @@
 //! Every record is padded to whole sectors and carries a checksum, so a
 //! torn tail after a crash parses as a clean durable prefix.
 
+use crate::fwdmap::FwdMap;
 use zns::SECTOR_SIZE;
 
 /// Sentinel word of the mapping state, in memory and on the log: an
@@ -142,48 +143,37 @@ impl SummaryEntry<'_> {
 
 /// Appends `map` as runs of `(len: u32, first: u32)`: `len` consecutive
 /// entries that read `first, first + 1, …`, or that are all
-/// [`UNMAPPED`]. A counting run stops short of the sentinel, so the worst
-/// case — no entry continuing its neighbour — is 8 bytes per entry.
-pub(crate) fn put_runs(buf: &mut Vec<u8>, map: &[u32]) {
-    let mut rest = map;
-    while let Some(&first) = rest.first() {
-        let len = if first == UNMAPPED {
-            rest.iter().take_while(|&&v| v == UNMAPPED).count()
-        } else {
-            // `first..UNMAPPED` ends below the sentinel.
-            rest.iter()
-                .zip(first..UNMAPPED)
-                .take_while(|&(&v, e)| v == e)
-                .count()
-        };
+/// [`UNMAPPED`], read off its chunks ([`FwdMap::runs`]). A counting run
+/// stops short of the sentinel, so the worst case — no entry continuing
+/// its neighbour — is 8 bytes per entry.
+pub(crate) fn put_runs(buf: &mut Vec<u8>, map: &FwdMap) {
+    for (first, len) in map.runs() {
         put_u32(buf, len as u32);
         put_u32(buf, first);
-        rest = &rest[len..];
     }
 }
 
-/// Expands runs written by [`put_runs`] into `map`. `None` unless the
-/// bytes are whole runs, none empty or counting into the sentinel, that
-/// cover `map` exactly.
-pub(crate) fn get_runs(bytes: &[u8], map: &mut [u32]) -> Option<()> {
+/// Decodes runs written by [`put_runs`] into `map`'s chunks. `None` unless
+/// the bytes are whole runs, none empty or counting into the sentinel,
+/// that cover `map` exactly.
+pub(crate) fn get_runs(bytes: &[u8], map: &mut FwdMap) -> Option<()> {
     if !bytes.len().is_multiple_of(8) {
         return None;
     }
-    let mut at = 0usize;
+    let mut at = 0u64;
     for run in bytes.chunks_exact(8) {
-        let (len, first) = (get_u32(run, 0), get_u32(run, 4));
-        if len == 0 {
+        let (len, first) = (u64::from(get_u32(run, 0)), get_u32(run, 4));
+        if len == 0 || at + len > map.len() {
             return None;
         }
-        let out = map.get_mut(at..at.checked_add(len as usize)?)?;
         if first == UNMAPPED {
-            out.fill(UNMAPPED);
-        } else if u64::from(first) + u64::from(len) <= u64::from(UNMAPPED) {
-            out.iter_mut().zip(first..).for_each(|(o, v)| *o = v);
+            map.unmap_range(at, len, |_| true);
+        } else if u64::from(first) + len <= u64::from(UNMAPPED) {
+            map.map_run(at, first, len, |_, _| true);
         } else {
             return None;
         }
-        at += len as usize;
+        at += len;
     }
     (at == map.len()).then_some(())
 }
@@ -323,13 +313,23 @@ mod tests {
         assert_eq!(got, stripes);
     }
 
-    /// Runs of `map`, and the map they expand to.
+    /// A chunk map holding `entries`, sector by sector.
+    fn chunked(entries: &[u32]) -> FwdMap {
+        let mut map = FwdMap::new(entries.len() as u64);
+        for (l, &pa) in (0..).zip(entries) {
+            map.map_run(l, pa, 1, |_, _| pa != UNMAPPED);
+        }
+        map
+    }
+
+    /// Runs of `map`, and the map they expand to over a map that held
+    /// other entries.
     fn runs_of(map: &[u32]) -> (Vec<u8>, Vec<u32>) {
         let mut bytes = Vec::new();
-        put_runs(&mut bytes, map);
-        let mut back = vec![0x5A5A_5A5A; map.len()];
+        put_runs(&mut bytes, &chunked(map));
+        let mut back = chunked(&vec![0x5A5A_5A5A; map.len()]);
         get_runs(&bytes, &mut back).expect("runs cover the map");
-        (bytes, back)
+        (bytes, back.to_vec())
     }
 
     /// The stretches a map is made of: unmapped holes, counting runs (one
@@ -411,7 +411,7 @@ mod tests {
             ),
         ];
         for (what, bytes) in cases {
-            let mut out = vec![0; map.len()];
+            let mut out = FwdMap::new(map.len() as u64);
             assert!(get_runs(&bytes, &mut out).is_none(), "{what}");
         }
     }

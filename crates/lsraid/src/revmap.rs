@@ -30,7 +30,7 @@ impl RevMap {
     }
 
     /// Whether the forward map points at `slot`.
-    fn is_live(&self, slot: u64) -> bool {
+    pub fn is_live(&self, slot: u64) -> bool {
         self.live[(slot / 64) as usize] & (1 << (slot % 64)) != 0
     }
 

@@ -1,6 +1,7 @@
 //! Tests of invariants only the engine's internals can set up.
 
 use super::*;
+use fwdmap::FwdMap;
 use sim::SimRng;
 use zns::array::{DEVICE_ERROR_BUDGET, TRANSIENT_RETRY_LIMIT};
 use zns::{FaultOp, FaultPlan, LatencyConfig, ZnsConfig};
@@ -138,7 +139,7 @@ fn reverse_map_holds_a_run_per_megabyte_write() {
 /// Every non-free group's `(slot, lba)` pairs, read off the forward map.
 fn forward_pairs(vol: &LsVolume, inner: &LsInner) -> Vec<Vec<(u64, u64)>> {
     let mut pairs = vec![Vec::new(); inner.groups.len()];
-    for (l, &pa) in (0..).zip(&inner.map) {
+    for (l, pa) in (0..).zip(inner.map.to_vec()) {
         if pa != UNMAPPED {
             pairs[vol.group_of(pa) as usize].push((vol.slot_of(pa), l));
         }
@@ -190,8 +191,15 @@ fn check_staged(vol: &LsVolume, inner: &LsInner, from: usize, what: &str) {
 }
 
 /// `write_body` inside one logical zone, checking each stripe's seal
-/// entry as it is staged.
-fn log_checked(vol: &LsVolume, inner: &mut LsInner, data: &[u8], mode: LogMode, lba: u64) {
+/// entry as it is staged. Returns where its sectors went: `(group, first
+/// slot, sectors)` per stripe filled, in order.
+fn log_checked(
+    vol: &LsVolume,
+    inner: &mut LsInner,
+    data: &[u8],
+    mode: LogMode,
+    lba: u64,
+) -> Vec<(u32, u64, u64)> {
     let nsec = data.len() as u64 / SECTOR_SIZE;
     let stream = match mode {
         LogMode::Gc => vol.migration_target(inner),
@@ -204,17 +212,22 @@ fn log_checked(vol: &LsVolume, inner: &mut LsInner, data: &[u8], mode: LogMode, 
         z.state = z.state.after_write(z.wp, cap);
     }
     let mut consumed = 0;
+    let mut placed = Vec::new();
     while consumed < nsec {
         let (g, _) = vol.open_group(inner, T0, stream).unwrap();
         let from = inner.meta.staged.len();
+        let grp = &inner.groups[g as usize];
+        let slot = grp.sealed * vol.kd + grp.fill;
         let rest = &data[(consumed * SECTOR_SIZE) as usize..];
         let (n, _) = vol
             .fill_stripe(inner, g, stream, T0, rest, mode, lba + consumed)
             .unwrap();
         check_staged(vol, inner, from, "seal");
+        placed.push((g, slot, n));
         consumed += n;
     }
     vol.commit_staged(inner, T0).unwrap();
+    placed
 }
 
 /// The flush barrier with each stream's pad-seal entry checked.
@@ -327,6 +340,282 @@ fn reverse_map_agrees_with_a_flat_one() {
             assert!(kept, "p{parity}: group {g} gained a mapping at mount");
         }
     }
+}
+
+/// The checkpoint's map runs over a flat word per logical sector: `len`
+/// entries reading `first, first + 1, …` (stopping short of the
+/// sentinel) or all unmapped, each as `(len, first)`.
+fn flat_runs(flat: &[u32]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut rest = flat;
+    while let Some(&first) = rest.first() {
+        let len = match first {
+            UNMAPPED => rest.iter().take_while(|&&v| v == UNMAPPED).count(),
+            _ => (rest.iter().zip(first..UNMAPPED))
+                .take_while(|&(&v, e)| v == e)
+                .count(),
+        };
+        put_u32(&mut bytes, len as u32);
+        put_u32(&mut bytes, first);
+        rest = &rest[len..];
+    }
+    bytes
+}
+
+/// The chunk map against the flat oracle: every sector's address, every
+/// run a read issues from any sector, a run lookup from every seventh
+/// sector (across chunk boundaries), and the checkpoint's run bytes.
+fn check_flat(vol: &LsVolume, map: &FwdMap, flat: &[u32], what: &str) {
+    let got = map.to_vec();
+    if let Some(l) = (0..flat.len()).find(|&l| got[l] != flat[l]) {
+        panic!(
+            "{what}: sector {l} maps to {:#x}, not {:#x}",
+            got[l], flat[l]
+        );
+    }
+    let len = flat.len() as u64;
+    for l in 0..len {
+        for limit in [1, 3, vol.k] {
+            let want = Some(flat[l as usize])
+                .filter(|&pa| pa != UNMAPPED)
+                .map(|pa| {
+                    let max = (vol.k - vol.slot_of(pa) % vol.k).min(limit).min(len - l);
+                    let same = |r: &u64| flat[(l + r) as usize] == pa + *r as u32;
+                    (pa, 1 + (1..max).take_while(same).count() as u64)
+                });
+            let got = vol.read_run(map, l, limit);
+            assert_eq!(got, want, "{what}: read run at {l}, at most {limit}");
+        }
+    }
+    for l in (0..len).step_by(7) {
+        let limit = 2 * fwdmap::CHUNK + 3;
+        let first = flat[l as usize];
+        let end = len.min(l + limit);
+        let same = |r: &u64| match first {
+            UNMAPPED => flat[*r as usize] == UNMAPPED,
+            _ => u64::from(flat[*r as usize]) == u64::from(first) + (r - l),
+        };
+        let want = (first, (l..end).take_while(same).count() as u64);
+        assert_eq!(map.run(l, limit), want, "{what}: run at {l}");
+    }
+    let mut bytes = Vec::new();
+    meta::put_runs(&mut bytes, map);
+    assert!(bytes == flat_runs(flat), "{what}: checkpoint runs differ");
+}
+
+/// Takes what the engine moved into the oracle, outside `skip`: a sector
+/// whose address changed was mapped before and still is — a GC or re-log
+/// move never maps or unmaps a sector.
+fn adopt_moves(map: &FwdMap, flat: &mut [u32], skip: Range<usize>, what: &str) {
+    for (l, (now, was)) in map.to_vec().into_iter().zip(flat.iter_mut()).enumerate() {
+        if now != *was && !skip.contains(&l) {
+            let moved = *was != UNMAPPED && now != UNMAPPED;
+            assert!(moved, "{what}: sector {l} went from {was:#x} to {now:#x}");
+            *was = now;
+        }
+    }
+}
+
+/// Logs `data` at `lba` and applies it to the oracle the flat way: a
+/// user sector takes its new slot, a GC one only while it still lives in
+/// the group being drained. Moves by an inline collection the log call
+/// ran, outside its own sectors, are adopted.
+fn log_flat(
+    vol: &LsVolume,
+    inner: &mut LsInner,
+    flat: &mut [u32],
+    data: &[u8],
+    mode: LogMode,
+    lba: u64,
+) {
+    let migrating = inner.migrating;
+    let placed = log_checked(vol, inner, data, mode, lba);
+    let own = lba as usize..lba as usize + data.len() / SECTOR_SIZE as usize;
+    adopt_moves(&inner.map, flat, own, "inline collection");
+    let mut l = lba as usize;
+    for (g, slot, n) in placed {
+        for i in 0..n {
+            let old = flat[l];
+            let current = old != UNMAPPED && migrating == Some(vol.group_of(old));
+            if mode == LogMode::User || current {
+                flat[l] = vol.enc(g, slot + i);
+            }
+            l += 1;
+        }
+    }
+}
+
+/// The chunk map (a word per 64 sectors, a page where a run boundary
+/// cuts a chunk) reads exactly as a flat word per logical sector kept
+/// beside it, through 1 MiB-aligned and sub-chunk writes, overwrites,
+/// zone resets, collector pumps, a GC move that loses a sector to a
+/// foreground overwrite, a scrub re-log, the flush barrier's pads, and a
+/// crash and the mount that reads the map back from its checkpoint runs.
+#[test]
+fn forward_map_agrees_with_a_flat_one() {
+    for parity in [1u32, 2] {
+        let mut a = Array::new(parity);
+        let vol = Arc::new(a.vol);
+        let (kd, zone) = (vol.kd, vol.geo.zone_cap());
+        assert_eq!(zone * SECTOR_SIZE, 1 << 20, "a logical zone is 1 MiB");
+        let zones = u64::from(vol.geo.num_zones());
+        let mut flat = vec![UNMAPPED; (zones * zone) as usize];
+        let mut rng = SimRng::new(0xF1A7 + u64::from(parity));
+        let mut gc = GcManager::new(vol.clone(), GcConfig::default());
+        let (mut split, mut raced) = (0, 0);
+        for step in 0..300u32 {
+            let op = rng.gen_range(16);
+            let what = format!("p{parity} step {step} op {op}");
+            let fill = (step % 251) as u8;
+            match op {
+                0 => {
+                    let z = rng.gen_range(zones);
+                    vol.reset_zone(T0, z as u32).unwrap();
+                    flat[(z * zone) as usize..((z + 1) * zone) as usize].fill(UNMAPPED);
+                }
+                1 => {
+                    let mut sink = DirectSink::new(&vol);
+                    for _ in 0..4 {
+                        gc.pump(T0, &mut sink).unwrap();
+                    }
+                    adopt_moves(&vol.inner.lock().map, &mut flat, 0..0, &what);
+                }
+                2 => flush_checked(&vol, &mut vol.inner.lock()),
+                3 => {
+                    // A GC move out of the best victim, one of whose
+                    // sectors a foreground overwrite takes first.
+                    let mut inner = vol.inner.lock();
+                    let inner = &mut *inner;
+                    if let Some(victim) = vol.pick_victim_inner(inner, 0.0, true) {
+                        inner.migrating = Some(victim);
+                        let (lba, len, _) = vol.valid_run_inner(inner, victim, 0, kd).unwrap();
+                        let mut moved = vec![0u8; (len * SECTOR_SIZE) as usize];
+                        vol.read_inner(inner, T0, lba, &mut moved).unwrap();
+                        let one = vec![fill; SECTOR_SIZE as usize];
+                        let at = lba + len / 2;
+                        log_flat(&vol, inner, &mut flat, &one, LogMode::User, at);
+                        log_flat(&vol, inner, &mut flat, &moved, LogMode::Gc, lba);
+                        inner.migrating = None;
+                        raced += 1;
+                    }
+                }
+                op => {
+                    // A whole 1 MiB zone, one or two stripes anywhere in
+                    // a zone, or less than a chunk anywhere in a zone.
+                    let (len, aligned) = match op % 3 {
+                        0 => (zone, true),
+                        1 => (kd * (1 + rng.gen_range(2)), false),
+                        _ => (1 + rng.gen_range(fwdmap::CHUNK - 1), false),
+                    };
+                    let z = rng.gen_range(zones) * zone;
+                    let lba = if aligned {
+                        z
+                    } else {
+                        z + rng.gen_range(zone - len + 1)
+                    };
+                    let data = vec![fill; (len * SECTOR_SIZE) as usize];
+                    let mut inner = vol.inner.lock();
+                    log_flat(&vol, &mut inner, &mut flat, &data, LogMode::User, lba);
+                }
+            }
+            let inner = vol.inner.lock();
+            check_flat(&vol, &inner.map, &flat, &what);
+            split = split.max(inner.map.split_chunks());
+        }
+        assert!(
+            split > 0 && raced > 0,
+            "p{parity}: {split} split, {raced} races"
+        );
+        // A latent error on the unit of a sealed group's first live slot:
+        // the scrub decodes it and re-logs the stripe's valid sectors.
+        flush_checked(&vol, &mut vol.inner.lock());
+        let (dev, plba) = {
+            let inner = vol.inner.lock();
+            let grp = inner
+                .groups
+                .iter()
+                .find(|g| g.state == GState::Sealed && g.valid > 0);
+            let grp = grp.unwrap();
+            let slot = grp.rev.next_live(0).unwrap();
+            let stripe = slot / kd;
+            let dev = vol.data_dev(stripe, ((slot % kd) / vol.k) as usize);
+            (dev, vol.phys.zone_start(grp.zones[dev]) + stripe * vol.k)
+        };
+        a.devs[dev].set_fault_plan(FaultPlan::new(5).latent_range(plba, vol.k));
+        let rep = vol.scrub(T0).unwrap();
+        assert!(rep.sectors_relogged > 0, "p{parity}: {rep:?}");
+        let what = format!("p{parity} scrub");
+        adopt_moves(&vol.inner.lock().map, &mut flat, 0..0, &what);
+        check_flat(&vol, &vol.inner.lock().map, &flat, &what);
+        a.devs[dev].set_fault_plan(FaultPlan::new(5));
+
+        flush_checked(&vol, &mut vol.inner.lock());
+        check_flat(
+            &vol,
+            &vol.inner.lock().map,
+            &flat,
+            &format!("p{parity} flush"),
+        );
+        let cfg = vol.config.clone();
+        drop((gc, vol));
+        for d in &a.devs {
+            d.crash(&mut zns::CrashPolicy::LoseCache);
+        }
+        a.vol = LsVolume::mount(a.devs.clone(), cfg, T0).unwrap();
+        // Everything was flushed; the mount trims each logical zone to
+        // its contiguous mapped prefix.
+        for z in flat.chunks_mut(zone as usize) {
+            let prefix = z.iter().take_while(|&&pa| pa != UNMAPPED).count();
+            z[prefix..].fill(UNMAPPED);
+        }
+        check_flat(
+            &a.vol,
+            &a.vol.inner.lock().map,
+            &flat,
+            &format!("p{parity} mount"),
+        );
+    }
+}
+
+/// 1 MiB writes at 1 MiB-aligned sectors map whole chunks to consecutive
+/// slots: a fill and overwrites leave no chunk split. A sub-chunk write
+/// splits one, and the aligned overwrite that covers it again makes it
+/// one word once more.
+#[test]
+fn aligned_writes_keep_chunks_whole() {
+    const MIB: u64 = (1 << 20) / SECTOR_SIZE;
+    let vol = LsVolume::format(devices(1024), LsConfig::default(), T0).unwrap();
+    let data = vec![0x6Du8; (MIB * SECTOR_SIZE) as usize];
+    let mut rng = SimRng::new(0xA11);
+    let mut inner = vol.inner.lock();
+    let inner = &mut *inner;
+    let put = |inner: &mut LsInner, lba: u64, sectors: u64| {
+        vol.log_data(
+            inner,
+            T0,
+            &data[..(sectors * SECTOR_SIZE) as usize],
+            LogMode::User,
+            lba,
+            HOT,
+        )
+        .unwrap();
+    };
+    // A group's worth: no collection runs, so every write lands in the
+    // hot stream's stripes in order.
+    for lba in (0..vol.group_cap).step_by(MIB as usize) {
+        put(inner, lba, MIB);
+        assert_eq!(inner.map.split_chunks(), 0, "fill at {lba}");
+    }
+    for _ in 0..vol.group_cap / MIB {
+        let lba = rng.gen_range(vol.group_cap / MIB) * MIB;
+        put(inner, lba, MIB);
+        assert_eq!(inner.map.split_chunks(), 0, "overwrite at {lba}");
+    }
+    put(inner, 3 * MIB + 5, 1);
+    assert_eq!(inner.map.split_chunks(), 1, "a sub-chunk overwrite");
+    put(inner, 3 * MIB, MIB);
+    assert_eq!(inner.map.split_chunks(), 0, "covered again");
+    assert_eq!(inner.c_emergency, 0);
 }
 
 /// What a member command that exhausted its retries turns into, seen from

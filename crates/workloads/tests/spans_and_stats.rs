@@ -5,10 +5,10 @@
 //! oracles read.
 //!
 //! One row per engine and parity level runs a seeded mix of sub-stripe and
-//! whole-stripe writes (some FUA), reads, flushes and resets, with one
-//! member failed halfway, on a recorder that keeps every event. No row
-//! finishes a zone: RAIZN's finish seals the open stripe's parity and
-//! counts it in `full_parity_writes` / `q_parity_writes` without a span.
+//! whole-stripe writes (some FUA), reads, flushes, finishes and resets,
+//! with one member failed halfway, on a recorder that keeps every event.
+//! A RAIZN finish that lands mid-stripe seals the open stripe's parity:
+//! one more parity write per leg, and one more span.
 
 use lsraid::LsVolume;
 use raizn::RaiznVolume;
@@ -52,9 +52,12 @@ fn row<T: FaultTarget>(
             fail(&pair.vol, 1).unwrap();
         }
         let z = rng.gen_range(ZONES) as u32;
-        let written = pair.model[z as usize].written();
+        let (written, finished) = {
+            let m = &pair.model[z as usize];
+            (m.written(), m.finished)
+        };
         let step = match rng.gen_range(100) {
-            0..=54 if written == cap => pair.reset(z),
+            0..=54 if written == cap || finished => pair.reset(z),
             0..=54 => {
                 let sectors = 1 + rng.gen_range((cap - written).min(32));
                 let flags = WriteFlags {
@@ -67,8 +70,9 @@ fn row<T: FaultTarget>(
                 let off = rng.gen_range(written);
                 pair.read(z, off, 1 + rng.gen_range((written - off).min(32)))
             }
-            85..=94 => pair.flush(),
-            95..=99 => pair.reset(z),
+            85..=92 => pair.flush(),
+            93..=96 if written > 0 && !finished => pair.finish(z),
+            93..=99 => pair.reset(z),
             _ => Ok(()),
         };
         step.unwrap_or_else(|e| panic!("{name} op {op}: {e}"));

@@ -204,13 +204,26 @@ if grep -rnE 'codec::absorb|xor_into|gf_mul_into' crates/lsraid/src; then
 fi
 
 # lsraid's mapping state is 32-bit words in memory and on its log (DESIGN.md
-# "Log-structured RAID engine", "Mapping"): the map is `Vec<u32>`, and the
-# checkpoint writes the map as runs. A `Vec<u64>` map or reverse map, or
-# the word-per-sector `put_u64s` serialiser, is the 8-byte format coming
-# back.
-if grep -nE '^ *(map|lbas): Vec<u64>' crates/lsraid/src/lib.rs ||
+# "Log-structured RAID engine", "Mapping"): the forward map is a `u32`
+# word per 64-sector chunk with a `u32` page only where a run splits one
+# (`FwdMap`, crates/lsraid/src/fwdmap.rs), and the checkpoint writes the
+# map as runs. A `Vec<u64>` map or reverse map, or the word-per-sector
+# `put_u64s` serialiser, is the 8-byte format coming back.
+if grep -rnE '^ *(map|words|pages|lbas): Vec<(u64|\[u64)' crates/lsraid/src ||
    grep -rnw 'put_u64s' crates/lsraid/src; then
-  echo "check.sh: lsraid mapping state back to 64-bit words (map/lbas are Vec<u32>, checkpoint as runs)" >&2
+  echo "check.sh: lsraid mapping state back to 64-bit words (chunk words and pages are u32, checkpoint as runs)" >&2
+  exit 1
+fi
+# A flat forward map — a `map: Vec<u32>` field, or outside the tests a
+# `vec![UNMAPPED; …]` other than the chunk words — is the word per sector
+# coming back (2.5 MiB an instance at the `lsgc` geometry, every page
+# resident from format).
+if grep -rnE '^ *(pub(\([a-z]+\))? )?map: Vec<u32>' crates/lsraid/src ||
+   awk 'FNR == 1 { skip = (FILENAME ~ /\/tests\.rs$/) }
+        /^mod tests \{/ { skip = 1 }
+        !skip && /vec!\[UNMAPPED;/ && !/vec!\[UNMAPPED; chunks\]/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }' crates/lsraid/src/*.rs; then
+  echo "check.sh: flat per-sector forward map in crates/lsraid/src (keep chunk words and split pages, FwdMap)" >&2
   exit 1
 fi
 # A group's reverse map is a live bit per data slot and write-once runs
