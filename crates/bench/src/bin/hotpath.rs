@@ -63,8 +63,13 @@
 //!   log-structured engine's steady state — heap allocations per
 //!   stripe-aligned append with full observability attached, one stripe
 //!   a round written as two half-chunk writes (the first splits a
-//!   forward-map chunk) counted in (gate: 0), and the WAF its stats
-//!   report while the collector is idle (gate: exactly 1.0).
+//!   forward-map chunk) and one as two half-chunk rewrites of a freshly
+//!   reset spare zone (each breaks the open group's reverse-map runs)
+//!   counted in, in a stripe group opened after a warm-up that reclaimed
+//!   a group whose runs the rounds filled (gate: 0 — the opened group
+//!   records into the longest runs vector a reclaimed one handed back;
+//!   0.013 while each group kept its own), and the WAF its stats report
+//!   while the collector is idle (gate: exactly 1.0).
 //! - `lsraid_write_mib_s`: its throughput on the same whole-stripe
 //!   appends, timed inside the interleaved rounds that produce
 //!   `write_path_mib_s` (per-round minimum). Both engines then do the
@@ -86,6 +91,11 @@
 //!   after warm-up (gate: 0 — pooled payload buffers, preallocated
 //!   queues and reused batch scratch make its steady state
 //!   allocation-free too).
+//! - `allocs_per_qos_op_second_scheduler`: the same, over the first round
+//!   of a second scheduler built after the first has drained (gate: 0 —
+//!   payload buffers come from one process-wide pool, so the new
+//!   scheduler writes from the ones the first returned; 0.125 while each
+//!   scheduler kept its own).
 //! - `allocs_per_write_managed`: heap allocations per full-stripe write
 //!   with a `ZoneLifecycleManager` attached and pumped once per write
 //!   (gate: 0 — per-zone manager state is preallocated and the pump's
@@ -289,12 +299,21 @@ fn rotation_ms(vol: &LsVolume) -> bench::BenchResult<f64> {
 /// Writes one stripe at `*lba` as two halves of a forward-map chunk (a
 /// stripe is one chunk here): the first splits the chunk, taking a page
 /// off the map's free list, and the second makes it one run again,
-/// handing the page back. Returns the heap allocations observed.
-fn split_round(vol: &LsVolume, lba: &mut u64, half: &[u8]) -> bench::BenchResult<u64> {
+/// handing the page back. Then, twice, resets logical zone `spare` and
+/// rewrites the first half of its first chunk: one more stripe, each
+/// half of which breaks the open group's reverse-map runs (its own
+/// sectors, then the next round's). Returns the heap allocations
+/// observed.
+fn split_round(vol: &LsVolume, lba: &mut u64, half: &[u8], spare: u32) -> bench::BenchResult<u64> {
     let a0 = allocs();
     for _ in 0..2 {
         vol.write(SimTime::ZERO, *lba, half, WriteFlags::default())?;
         *lba += half.len() as u64 / 4096;
+    }
+    let start = vol.geometry().zone_start(spare);
+    for _ in 0..2 {
+        vol.reset_zone(SimTime::ZERO, spare)?;
+        vol.write(SimTime::ZERO, start, half, WriteFlags::default())?;
     }
     Ok(allocs() - a0)
 }
@@ -469,24 +488,52 @@ fn main() -> bench::BenchResult {
     let half_stripe = &data[..stripe_bytes / 2];
     let (mut lba_u, mut lba_t, mut lba2) = (0u64, 0u64, 0u64);
     let (mut lba_l, mut lba_lp) = (0u64, 0u64);
+    const ROUNDS: usize = 8;
+    let full_iters = 30u64;
+    // A round of the whole-stripe log-structured volume: 29 appends and
+    // a split round (two stripes).
+    let ls_iters = full_iters - 1;
+    let ls_spare = lsr.geometry().num_zones() - 1;
+    // Its first 8 stripes in a stripe group: 6 appends and a split round.
+    let ls_lead = |lba: &mut u64| -> bench::BenchResult<()> {
+        write_round(lsr.as_ref(), lba, &data, 6)?;
+        split_round(&lsr, lba, half_stripe, ls_spare)?;
+        Ok(())
+    };
     // Warm-up: a few stripes so the pooled parity columns and metadata
-    // scratch on every volume reach their steady-state capacities, and
-    // one split round so the forward map's slab holds a page.
+    // scratch on every volume reach their steady-state capacities. The
+    // whole-stripe log-structured volume first writes what its measured
+    // rounds will into its first stripe group (256 stripes), so the
+    // forward map's slab holds a page and that group's reverse map the
+    // rounds' runs, then a group of plain appends (one run). With their
+    // zones reset, both groups are reclaimed, first to last, and the
+    // group reclaimed last opens again for the rounds' lead, taking the
+    // runs vector the first one handed back.
     write_round(untraced.as_ref(), &mut lba_u, &data, 8)?;
     write_round(traced.as_ref(), &mut lba_t, &data, 8)?;
     write_round(raizn2.as_ref(), &mut lba2, r2_data, 8)?;
-    write_round(lsr.as_ref(), &mut lba_l, &data, 7)?;
-    split_round(&lsr, &mut lba_l, half_stripe)?;
+    ls_lead(&mut lba_l)?;
+    for _ in 0..ROUNDS {
+        write_round(lsr.as_ref(), &mut lba_l, &data, ls_iters)?;
+        split_round(&lsr, &mut lba_l, half_stripe, ls_spare)?;
+    }
+    write_round(lsr.as_ref(), &mut lba_l, &data, 256)?;
+    for zone in (0..lba_l.div_ceil(lsr.geometry().zone_cap()) as u32).chain([ls_spare]) {
+        lsr.reset_zone(SimTime::ZERO, zone)?;
+    }
+    lsr.reclaim_group(SimTime::ZERO, 0)?;
+    lsr.reclaim_group(SimTime::ZERO, 1)?;
+    lba_l = 0;
+    ls_lead(&mut lba_l)?;
     write_round(lsr_partial.as_ref(), &mut lba_lp, one_unit, 8)?;
     let ls_pre = lsr.stats();
 
     // 8 + 8 x 30 stripes, plus the partial writes below, stay inside each
-    // RAIZN volume's first logical zone (256 stripes); 8 + 8 x 31 (a
-    // split round each) fill the log-structured volumes' first stripe
-    // group (256 stripes as well), opened by the warm-up: opening a
-    // group is not the steady state.
-    const ROUNDS: usize = 8;
-    let full_iters = 30u64;
+    // RAIZN volume's first logical zone (256 stripes); 8 + 8 x 31 fill
+    // the stripe group the whole-stripe log-structured volume opened for
+    // the lead (256 stripes as well), and the one-unit volume's units
+    // stay inside its first group: opening a group is not the steady
+    // state.
     let mut untraced_ns = f64::INFINITY;
     let mut traced_ns = f64::INFINITY;
     let mut r2_ns = f64::INFINITY;
@@ -497,8 +544,8 @@ fn main() -> bench::BenchResult {
         let (nu, au) = write_round(untraced.as_ref(), &mut lba_u, &data, full_iters)?;
         let (nt, at) = write_round(traced.as_ref(), &mut lba_t, &data, full_iters)?;
         let (n2, a2) = write_round(raizn2.as_ref(), &mut lba2, r2_data, full_iters)?;
-        let (nl, al) = write_round(lsr.as_ref(), &mut lba_l, &data, full_iters)?;
-        let split_allocs = split_round(&lsr, &mut lba_l, half_stripe)?;
+        let (nl, al) = write_round(lsr.as_ref(), &mut lba_l, &data, ls_iters)?;
+        let split_allocs = split_round(&lsr, &mut lba_l, half_stripe, ls_spare)?;
         let (np, _) = write_round(lsr_partial.as_ref(), &mut lba_lp, one_unit, full_iters)?;
         gate!(au == 0, "untraced steady-state writes allocate: {au}");
         untraced_ns = untraced_ns.min(nu);
@@ -519,16 +566,17 @@ fn main() -> bench::BenchResult {
     let raizn2_mib_s = (r2_stripe_sectors * 4096) as f64 / (1024.0 * 1024.0) / (r2_ns / 1e9);
     // The log-structured engine's share of the rounds. Its steady state
     // holds the same allocation budget with the full observability plane
-    // attached: the forward map's chunk words, the per-stream stages, the
-    // parity scratch and the per-group metadata are preallocated; a
-    // chunk a write splits takes its page off the map's free list, and
-    // the write that makes it one run again hands the page back; and a
-    // group's reverse-map runs grow only when a write breaks the last
-    // run, which these sequential appends never do, so they never touch
-    // the heap. Its reported WAF must be exactly 1.0 while its collector
+    // attached: the forward map's chunk words, the parity scratch and the
+    // per-group metadata are preallocated, and the stage of the stream
+    // the split rounds fill piecemeal was sized by the warm-up; a chunk a
+    // write splits takes its page off the map's free list, and the write
+    // that makes it one run again hands the page back; and the opened
+    // group's reverse-map runs grow into the vector a reclaimed group
+    // that held as many handed back, so they never touch the heap. Its
+    // reported WAF must be exactly 1.0 while its collector
     // is idle: stripe-aligned appends produce no pads and no migrations,
     // and the stats must not invent amplification where none happened.
-    let allocs_per_ls = ls_allocs as f64 / writes;
+    let allocs_per_ls = ls_allocs as f64 / (ROUNDS as u64 * ls_iters) as f64;
     let ls_waf = phase_waf(&ls_pre, &lsr.stats());
     let lsraid_mib_s = stripe_bytes as f64 / (1024.0 * 1024.0) / (ls_ns / 1e9);
     let lsraid_partial_mib_s = one_unit.len() as f64 / (1024.0 * 1024.0) / (ls_partial_ns / 1e9);
@@ -723,15 +771,19 @@ fn main() -> bench::BenchResult {
             .store_data(false)
             .build(),
     ));
-    let qsched = QosScheduler::new(
-        Arc::new(ZonedTarget::new(qdev)),
-        QosConfig {
-            stripe_sectors,
-            ..QosConfig::default()
-        },
-        vec![TenantSpec::new("hot").coalesce(true)],
-    )?
-    .with_recorder(recorder.clone());
+    let qtarget = Arc::new(ZonedTarget::new(qdev));
+    let scheduler = || {
+        QosScheduler::new(
+            qtarget.clone(),
+            QosConfig {
+                stripe_sectors,
+                ..QosConfig::default()
+            },
+            vec![TenantSpec::new("hot").coalesce(true)],
+        )
+        .map(|s| s.with_recorder(recorder.clone()))
+    };
+    let qsched = scheduler()?;
     let qdata = &data[..16 * 4096];
     let mut qoff = 0u64;
     let mut qfrontier = SimTime::ZERO;
@@ -747,6 +799,21 @@ fn main() -> bench::BenchResult {
         &mut qcomps,
     )?;
     let allocs_per_qos = qos_allocs as f64 / qos_iters as f64;
+    // A second scheduler, built once the first has drained: its first
+    // round writes from the payload buffers the first one returned to
+    // the process-wide pool, so it does not touch the heap either.
+    drop(qsched);
+    let qsched = scheduler()?;
+    let second_iters = 64u64;
+    let second_allocs = qos_round(
+        &qsched,
+        &mut qoff,
+        &mut qfrontier,
+        qdata,
+        second_iters,
+        &mut qcomps,
+    )?;
+    let allocs_per_qos_op_second_scheduler = second_allocs as f64 / second_iters as f64;
 
     // --- Thread scaling: sharded write pipeline --------------------------
     // Fixed work — eight sequential full-stripe jobs, each confined to its
@@ -826,7 +893,7 @@ fn main() -> bench::BenchResult {
 
     let reused = traced.stats().stripe_buffers_reused;
     let json = format!(
-        "{{\n  \"xor_scalar_ns_per_op\": {scalar_ns:.1},\n  \"xor_word_ns_per_op\": {word_ns:.1},\n  \"xor_speedup\": {speedup:.2},\n  \"gf_encode_pq_gib_s\": {encode_gib_s:.2},\n  \"rs_decode_gib_s\": {decode_gib_s:.2},\n  \"write_path_mib_s\": {mib_s:.1},\n  \"raizn2_write_mib_s\": {raizn2_mib_s:.1},\n  \"lsraid_write_mib_s\": {lsraid_mib_s:.1},\n  \"lsraid_partial_write_mib_s\": {lsraid_partial_mib_s:.1},\n  \"lsraid_rotation_host_ms\": {rotation_host_ms:.2},\n  \"allocs_per_full_stripe_write\": {allocs_per_full},\n  \"allocs_per_partial_write\": {allocs_per_partial},\n  \"raizn_partial_write_ns\": {partial_ns:.0},\n  \"raizn_partial_write_su_ratio\": {su_ratio:.2},\n  \"raizn_partial_write_ns_p2\": {partial_ns_p2:.0},\n  \"raizn_partial_write_su_ratio_p2\": {su_ratio_p2:.2},\n  \"allocs_per_fua_write\": {allocs_per_fua},\n  \"allocs_per_full_stripe_write_p2\": {allocs_per_full_p2},\n  \"allocs_per_partial_write_p2\": {allocs_per_partial_p2},\n  \"allocs_per_degraded_read\": {allocs_per_degraded},\n  \"allocs_per_degraded_read_p2\": {allocs_per_degraded_p2},\n  \"allocs_per_degraded_read_lsraid\": {allocs_per_degraded_ls},\n  \"allocs_per_degraded_read_lsraid_p2\": {allocs_per_degraded_ls_p2},\n  \"allocs_per_fresh_zone_write\": {allocs_per_fresh_zone_write},\n  \"allocs_per_fresh_zone_degraded_read\": {allocs_per_fresh_zone_degraded_read},\n  \"allocs_per_lsraid_write\": {allocs_per_ls},\n  \"lsraid_waf_gc_idle\": {ls_waf},\n  \"allocs_per_qos_op\": {allocs_per_qos},\n  \"allocs_per_write_managed\": {allocs_per_managed},\n  \"stripe_buffers_reused\": {reused},\n  \"trace_overhead_pct\": {overhead_pct:.2},\n  \"trace_overhead_ns_per_write\": {overhead_ns:.0},\n  \"scaling\": {scaling_json}\n}}\n"
+        "{{\n  \"xor_scalar_ns_per_op\": {scalar_ns:.1},\n  \"xor_word_ns_per_op\": {word_ns:.1},\n  \"xor_speedup\": {speedup:.2},\n  \"gf_encode_pq_gib_s\": {encode_gib_s:.2},\n  \"rs_decode_gib_s\": {decode_gib_s:.2},\n  \"write_path_mib_s\": {mib_s:.1},\n  \"raizn2_write_mib_s\": {raizn2_mib_s:.1},\n  \"lsraid_write_mib_s\": {lsraid_mib_s:.1},\n  \"lsraid_partial_write_mib_s\": {lsraid_partial_mib_s:.1},\n  \"lsraid_rotation_host_ms\": {rotation_host_ms:.2},\n  \"allocs_per_full_stripe_write\": {allocs_per_full},\n  \"allocs_per_partial_write\": {allocs_per_partial},\n  \"raizn_partial_write_ns\": {partial_ns:.0},\n  \"raizn_partial_write_su_ratio\": {su_ratio:.2},\n  \"raizn_partial_write_ns_p2\": {partial_ns_p2:.0},\n  \"raizn_partial_write_su_ratio_p2\": {su_ratio_p2:.2},\n  \"allocs_per_fua_write\": {allocs_per_fua},\n  \"allocs_per_full_stripe_write_p2\": {allocs_per_full_p2},\n  \"allocs_per_partial_write_p2\": {allocs_per_partial_p2},\n  \"allocs_per_degraded_read\": {allocs_per_degraded},\n  \"allocs_per_degraded_read_p2\": {allocs_per_degraded_p2},\n  \"allocs_per_degraded_read_lsraid\": {allocs_per_degraded_ls},\n  \"allocs_per_degraded_read_lsraid_p2\": {allocs_per_degraded_ls_p2},\n  \"allocs_per_fresh_zone_write\": {allocs_per_fresh_zone_write},\n  \"allocs_per_fresh_zone_degraded_read\": {allocs_per_fresh_zone_degraded_read},\n  \"allocs_per_lsraid_write\": {allocs_per_ls},\n  \"lsraid_waf_gc_idle\": {ls_waf},\n  \"allocs_per_qos_op\": {allocs_per_qos},\n  \"allocs_per_qos_op_second_scheduler\": {allocs_per_qos_op_second_scheduler},\n  \"allocs_per_write_managed\": {allocs_per_managed},\n  \"stripe_buffers_reused\": {reused},\n  \"trace_overhead_pct\": {overhead_pct:.2},\n  \"trace_overhead_ns_per_write\": {overhead_ns:.0},\n  \"scaling\": {scaling_json}\n}}\n"
     );
     std::fs::write("BENCH_hotpath.json", &json)?;
     print!("{json}");
@@ -923,6 +990,11 @@ fn main() -> bench::BenchResult {
     gate!(
         allocs_per_qos == 0.0,
         "qos scheduler steady state allocates: {allocs_per_qos} allocs/op"
+    );
+    gate!(
+        allocs_per_qos_op_second_scheduler == 0.0,
+        "a second qos scheduler's first round allocates: \
+         {allocs_per_qos_op_second_scheduler} allocs/op"
     );
     gate!(
         allocs_per_managed == 0.0,

@@ -276,12 +276,18 @@ struct LsInner {
     /// Data stage per stream (a stream has at most one open group),
     /// `kd` sectors: what a stripe that fills piecemeal holds so far.
     /// Only the first `fill` sectors of the open stripe mean anything.
+    /// Empty until the stream's first partial stripe ([`stage`]): a
+    /// stream whose stripes all arrive whole never holds one.
     stages: Vec<Vec<u8>>,
     /// The P (then Q) unit of the stripe being sealed: output scratch of
     /// [`LsVolume::seal_stripe`], dead outside it.
     parity: Vec<u8>,
-    /// Bounce buffer for emergency-GC migration reads (one stripe).
+    /// Bounce buffer for emergency-GC migration reads (one stripe),
+    /// empty until the first inline collection.
     gc_buf: Vec<u8>,
+    /// Reverse-map run vectors handed back by reclaimed groups, for the
+    /// next groups opened ([`RevMap::release`]).
+    spare_runs: Vec<Vec<(u32, u32)>>,
     meta: MetaLog,
     c_user: u64,
     c_migrated: u64,
@@ -341,6 +347,17 @@ impl std::fmt::Debug for LsVolume {
 
 fn invalid(msg: &str) -> ZnsError {
     ZnsError::InvalidArgument(msg.to_string())
+}
+
+/// A stream's stage, sized to one stripe's data (`kd` sectors) on first
+/// use. Every writer of a stage takes it through here, so a stream
+/// whose stripes all arrive whole never holds one.
+fn stage(stage: &mut Vec<u8>, kd: u64) -> &mut [u8] {
+    let len = (kd * SECTOR_SIZE) as usize;
+    if stage.len() < len {
+        stage.resize(len, 0);
+    }
+    stage
 }
 
 fn zstate_code(s: ZoneState) -> u32 {
@@ -594,9 +611,6 @@ impl LsVolume {
             })
             .collect();
         let free_groups: Vec<u32> = (0..g_total).rev().collect();
-        let stages = (0..STREAMS)
-            .map(|_| vec![0u8; (kd * SECTOR_SIZE) as usize])
-            .collect();
 
         let inner = LsInner {
             map,
@@ -608,16 +622,17 @@ impl LsVolume {
             migrating: None,
             in_emergency: false,
             created_seq: 0,
-            stages,
+            stages: vec![Vec::new(); STREAMS],
             parity: vec![0u8; (k * SECTOR_SIZE) as usize * p],
-            gc_buf: vec![0u8; (kd * SECTOR_SIZE) as usize],
+            gc_buf: Vec::new(),
+            spare_runs: Vec::with_capacity(g_total as usize),
             meta: MetaLog {
                 slot: 0,
                 used: 0,
                 seq: 0,
                 epoch: 0,
                 rec_buf: Vec::with_capacity(rec_cap),
-                ckpt_buf: Vec::with_capacity((ckpt_sectors * SECTOR_SIZE) as usize),
+                ckpt_buf: Vec::new(),
                 staged: {
                     let mut staged = Vec::with_capacity((meta_headroom * SECTOR_SIZE) as usize);
                     staged.resize(HEADER_BYTES, 0);
@@ -1401,6 +1416,12 @@ impl LsVolume {
         drop(devices);
         let created = inner.created_seq;
         inner.created_seq += 1;
+        // The longest runs vector a reclaimed group handed back.
+        let spare = (0..inner.spare_runs.len()).max_by_key(|&i| inner.spare_runs[i].capacity());
+        if let Some(i) = spare {
+            let runs = inner.spare_runs.swap_remove(i);
+            inner.groups[g as usize].rev.reuse(runs);
+        }
         {
             let grp = &mut inner.groups[g as usize];
             grp.state = GState::Open(stream as u8);
@@ -1499,7 +1520,7 @@ impl LsVolume {
         let whole = (take == self.kd && mode != LogMode::Pad).then(|| &data[..bytes(take)]);
         // The stripe's image: slot `i` of the open stripe is sector `i`.
         let image = whole.unwrap_or_else(|| {
-            let stage = &mut inner.stages[stream];
+            let stage = stage(&mut inner.stages[stream], self.kd);
             match mode {
                 LogMode::Pad => stage[bytes(fill)..].fill(0),
                 _ => stage[bytes(fill)..bytes(fill + take)].copy_from_slice(&data[..bytes(take)]),
@@ -1554,7 +1575,7 @@ impl LsVolume {
             // failed one, or full and unsealed — and whoever completes it
             // encodes from the stage, which this call bypassed.
             let kept = bytes(inner.groups[gi].fill);
-            inner.stages[stream][..kept].copy_from_slice(&data[..kept]);
+            stage(&mut inner.stages[stream], self.kd)[..kept].copy_from_slice(&data[..kept]);
         }
         Ok((take, done.max(seal?)))
     }
@@ -1983,8 +2004,10 @@ impl LsVolume {
         grp.fill = 0;
         // A `Free` group has an empty reverse map (`assemble` and
         // `finish_mount` leave every group so), which is what lets
-        // `open_group` hand it out without touching the map.
-        grp.rev.clear();
+        // `open_group` hand it out without touching the map. Its runs
+        // vector goes to the next group opened.
+        let runs = grp.rev.release();
+        inner.spare_runs.push(runs);
         inner.free_groups.push(g);
         inner.c_group_reclaims += 1;
         Ok(t)
@@ -2016,6 +2039,7 @@ impl LsVolume {
 
     fn drain_victim(&self, inner: &mut LsInner, at: SimTime, victim: u32) -> Result<SimTime> {
         let mut buf = std::mem::take(&mut inner.gc_buf);
+        buf.resize((self.kd * SECTOR_SIZE) as usize, 0);
         let res = self.drain_victim_with(inner, at, victim, &mut buf);
         inner.gc_buf = buf;
         res

@@ -58,7 +58,8 @@ pub(crate) struct MetaLog {
     pub epoch: u64,
     /// Preallocated scratch for ordinary (non-checkpoint) records.
     pub rec_buf: Vec<u8>,
-    /// Preallocated scratch for checkpoint records.
+    /// Scratch for checkpoint records: empty until the first
+    /// checkpoint, then as long as the longest one written.
     pub ckpt_buf: Vec<u8>,
     /// The `Summary` record under construction: [`HEADER_BYTES`] of
     /// reserved space, then one entry per stripe sealed since the last

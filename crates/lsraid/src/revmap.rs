@@ -15,8 +15,10 @@ pub(crate) struct RevMap {
     /// One bit per data slot, set while the forward map points at it.
     live: Vec<u64>,
     /// `(slot, lba)`: slot `slot + i` was written with `lba + i`, up to
-    /// the next run's slot. Sorted by slot; a cleared map keeps the
-    /// capacity, so a reused group's first runs do not allocate.
+    /// the next run's slot. Sorted by slot. A reclaimed group hands the
+    /// vector back ([`RevMap::release`]) and the next group opened takes
+    /// the longest one kept ([`RevMap::reuse`]), so runs allocate only
+    /// past the most any group has held.
     runs: Vec<(u32, u32)>,
 }
 
@@ -57,6 +59,26 @@ impl RevMap {
     pub fn clear(&mut self) {
         self.live.fill(0);
         self.runs.clear();
+    }
+
+    /// Forgets every slot and hands back the runs' vector, emptied, for
+    /// another group to record into: the map keeps no capacity.
+    pub fn release(&mut self) -> Vec<(u32, u32)> {
+        self.clear();
+        std::mem::take(&mut self.runs)
+    }
+
+    /// Records into `runs` — empty, from [`RevMap::release`] — from now
+    /// on. The map must be empty.
+    pub fn reuse(&mut self, runs: Vec<(u32, u32)>) {
+        debug_assert!(self.runs.is_empty() && runs.is_empty());
+        self.runs = runs;
+    }
+
+    /// Capacity of the runs' vector, in runs (memory shape).
+    #[cfg(test)]
+    pub fn runs_capacity(&self) -> usize {
+        self.runs.capacity()
     }
 
     /// The first live slot at or after `from`.

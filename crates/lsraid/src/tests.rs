@@ -99,6 +99,82 @@ fn reopened_group_starts_with_an_empty_reverse_map() {
     assert_eq!((grp.rev.live_count(), grp.rev.run_count()), (0, 0));
 }
 
+/// A reclaimed group hands its reverse-map runs vector back, and the
+/// next group opened records into the longest one kept: runs allocate
+/// only past the most any group has held.
+#[test]
+fn an_opened_group_takes_the_longest_spare_runs() {
+    let vol = LsVolume::format(devices(64), LsConfig::default(), T0).unwrap();
+    let group = vol.group_cap;
+    let sector = vec![0x1Eu8; SECTOR_SIZE as usize];
+    let run = vec![0xE1u8; (group * SECTOR_SIZE) as usize];
+    let mut inner = vol.inner.lock();
+    let inner = &mut *inner;
+    let log = |inner: &mut LsInner, data: &[u8], lba: u64| {
+        vol.log_data(inner, T0, data, LogMode::User, lba, HOT)
+            .unwrap();
+    };
+    // Group 0: every other sector, a run each. Groups 1 and 2: one run
+    // each, which leaves group 0 garbage; group 3 leaves group 1 so.
+    for i in 0..group {
+        log(inner, &sector, 2 * i);
+    }
+    for lba in [0, group, 0] {
+        log(inner, &run, lba);
+    }
+    let long = inner.groups[0].rev.runs_capacity();
+    let short = inner.groups[1].rev.runs_capacity();
+    assert!(long >= group as usize && short < long);
+    vol.reclaim_inner(inner, T0, 0).unwrap();
+    vol.reclaim_inner(inner, T0, 1).unwrap();
+    assert_eq!(
+        inner.groups[1].rev.runs_capacity(),
+        0,
+        "a free group holds none"
+    );
+    assert_eq!(inner.spare_runs.len(), 2);
+
+    // The pool is a stack: group 1 opens next, with group 0's vector.
+    let (g, _) = vol.open_group(inner, T0, HOT).unwrap();
+    assert_eq!(g, 1);
+    assert_eq!(inner.groups[1].rev.runs_capacity(), long);
+    assert_eq!(inner.groups[1].rev.run_count(), 0);
+    assert_eq!(inner.spare_runs.len(), 1);
+    assert_eq!(inner.spare_runs[0].capacity(), short);
+}
+
+/// Each stream's stage in bytes (capacity: what the stage holds).
+fn stage_bytes(vol: &LsVolume) -> Vec<usize> {
+    vol.inner.lock().stages.iter().map(Vec::capacity).collect()
+}
+
+/// Whole-stripe appends seal from the caller's slice: no stream's stage
+/// is ever sized, and no inline collection sized the bounce buffer.
+#[test]
+fn whole_stripe_appends_leave_every_stage_unallocated() {
+    let vol = LsVolume::format(devices(1024), LsConfig::default(), T0).unwrap();
+    let stripe = vec![0x77u8; (vol.kd * SECTOR_SIZE) as usize];
+    for i in 0..2 * vol.s {
+        vol.write(T0, i * vol.kd, &stripe, WriteFlags::default())
+            .unwrap();
+    }
+    assert_eq!(vol.stats().user_sectors, 2 * vol.s * vol.kd);
+    assert_eq!(stage_bytes(&vol), [0; STREAMS]);
+    assert_eq!(vol.inner.lock().gc_buf.capacity(), 0);
+}
+
+/// A 64 KiB append (a quarter of a stripe) is copied into its stream's
+/// stage, which is sized to one stripe; the other streams hold none.
+#[test]
+fn a_64k_append_sizes_exactly_its_streams_stage() {
+    let vol = LsVolume::format(devices(1024), LsConfig::default(), T0).unwrap();
+    let unit = vec![0x88u8; 64 << 10];
+    vol.write(T0, 0, &unit, WriteFlags::default()).unwrap();
+    let stripe = (vol.kd * SECTOR_SIZE) as usize;
+    assert!(stripe > unit.len());
+    assert_eq!(stage_bytes(&vol), [stripe, 0, 0]);
+}
+
 /// The reverse map's memory follows the writes, not the slots: 1 MiB
 /// writes fill a group with at most one run each, sequential or not.
 #[test]

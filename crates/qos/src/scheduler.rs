@@ -7,7 +7,7 @@ use parking_lot::Mutex;
 use sim::SimTime;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use workloads::{Admission, IoTarget, OpToken, SchedCompletion, SharedScheduler, TenantId};
 use zns::{Result, ZnsError, SECTOR_SIZE};
 
@@ -15,8 +15,57 @@ use zns::{Result, ZnsError, SECTOR_SIZE};
 /// stack-allocated segment table of its gather write).
 const MAX_COALESCE_OPS: usize = 32;
 
-/// Retired payload buffers kept for reuse across ops.
+/// Retired payload buffers the process-wide pool keeps for reuse.
 const POOL_CAP: usize = 1024;
+
+/// Bytes of buffer capacity the process-wide pool keeps: a burst of
+/// more payload than this in flight does not stay pinned after it.
+const POOL_BYTES: usize = 8 << 20;
+
+/// Retired write payloads, shared by every [`QosScheduler`] in the
+/// process: a scheduler draws one at submit and returns it at completion,
+/// so a scheduler built after another has drained reuses its buffers and
+/// an idle scheduler holds none. A returned buffer past [`POOL_CAP`]
+/// buffers or [`POOL_BYTES`] bytes is dropped.
+static POOL: std::sync::Mutex<PayloadPool> = std::sync::Mutex::new(PayloadPool::new());
+
+/// Retired payload buffers and the capacity they hold.
+#[derive(Debug)]
+struct PayloadPool {
+    bufs: Vec<Vec<u8>>,
+    bytes: usize,
+}
+
+impl PayloadPool {
+    const fn new() -> PayloadPool {
+        PayloadPool {
+            bufs: Vec::new(),
+            bytes: 0,
+        }
+    }
+
+    /// A retired buffer, or an empty one when none is kept.
+    fn take(&mut self) -> Vec<u8> {
+        let buf = self.bufs.pop().unwrap_or_default();
+        self.bytes -= buf.capacity();
+        buf
+    }
+
+    /// Keeps `buf` for reuse, or drops it if keeping it would pass a
+    /// ceiling.
+    fn give(&mut self, buf: Vec<u8>) {
+        if self.bufs.len() < POOL_CAP && self.bytes + buf.capacity() <= POOL_BYTES {
+            self.bytes += buf.capacity();
+            self.bufs.push(buf);
+        }
+    }
+}
+
+/// The process-wide payload pool. Nothing under its lock can panic
+/// half-way, so a poisoned lock still guards a consistent pool.
+fn pool() -> std::sync::MutexGuard<'static, PayloadPool> {
+    POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Ops each tenant queue holds before it first grows. Submitters bound
 /// their own queues (the engine keeps at most `queue_depth` outstanding
@@ -54,7 +103,7 @@ struct QueuedOp {
     arrival_ns: u64,
     r_tag: u64,
     p_tag: u64,
-    /// Pooled payload for writes; `None` for reads.
+    /// Payload for writes, drawn from [`POOL`]; `None` for reads.
     buf: Option<Vec<u8>>,
 }
 
@@ -81,8 +130,6 @@ struct Inner {
     /// Global proportional virtual time: p-tag of the last dispatch.
     vtime: u64,
     next_token: OpToken,
-    /// Recycled payload buffers.
-    pool: Vec<Vec<u8>>,
     /// Scratch: constituents of the batch being dispatched.
     batch: Vec<QueuedOp>,
     /// Scratch: read landing buffer.
@@ -158,7 +205,6 @@ impl QosScheduler {
                 slots,
                 vtime: 0,
                 next_token: 0,
-                pool: Vec::with_capacity(POOL_CAP),
                 batch: Vec::with_capacity(MAX_COALESCE_OPS),
                 read_buf: Vec::new(),
             }),
@@ -272,7 +318,7 @@ impl QosScheduler {
         let r_tag = t.tags.next_r_tag(arrival_ns);
         let p_tag = t.tags.next_p_tag(vtime, sectors);
         let buf = data.map(|d| {
-            let mut b = inner.pool.pop().unwrap_or_default();
+            let mut b = pool().take();
             b.clear();
             b.extend_from_slice(d);
             b
@@ -494,9 +540,7 @@ impl SharedScheduler for QosScheduler {
                     .sectors(op.sectors),
             );
             if let Some(buf) = op.buf.take() {
-                if inner.pool.len() < POOL_CAP {
-                    inner.pool.push(buf);
-                }
+                pool().give(buf);
             }
             out.push(SchedCompletion {
                 token: op.token,
@@ -524,5 +568,40 @@ impl SharedScheduler for QosScheduler {
             );
         }
         Ok(true)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_returned_buffer_past_a_ceiling_is_dropped() {
+        let mut pool = PayloadPool::new();
+        for _ in 0..=POOL_CAP {
+            pool.give(Vec::with_capacity(1));
+        }
+        assert_eq!(pool.bufs.len(), POOL_CAP, "past the count ceiling");
+
+        let mut pool = PayloadPool::new();
+        let big = Vec::with_capacity(POOL_BYTES - 4096);
+        let held = big.capacity();
+        pool.give(big);
+        pool.give(Vec::with_capacity(POOL_BYTES - held + 1));
+        assert_eq!(
+            (pool.bufs.len(), pool.bytes),
+            (1, held),
+            "past the byte ceiling"
+        );
+        pool.give(Vec::with_capacity(POOL_BYTES - held));
+        assert_eq!(
+            pool.bufs.len(),
+            2,
+            "a buffer up to the byte ceiling is kept"
+        );
+        assert!(pool.bytes <= POOL_BYTES);
+        let taken = pool.take();
+        assert!(taken.capacity() >= POOL_BYTES - held);
+        assert_eq!(pool.bytes, held, "a taken buffer leaves the count");
     }
 }

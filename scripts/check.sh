@@ -234,6 +234,25 @@ if grep -rnE '^ *(pub(\([a-z]+\))? )?lbas: Vec<u32>|\.lbas\[' crates/lsraid/src;
   exit 1
 fi
 
+# An idle array holds no payload-sized buffer (DESIGN.md "QoS &
+# multi-tenancy", "Log-structured RAID engine"): qos's retired payloads
+# live in one process-wide pool, and lsraid sizes a stream's stage, its
+# inline-collection bounce buffer and its checkpoint buffer at first use.
+# A per-scheduler `pool:` field, a checkpoint buffer reserved for the
+# worst case, or a stage or bounce buffer zero-filled in `assemble` is a
+# worst-case buffer per instance coming back.
+if grep -rnE '^ *pool: ' crates/qos/src ||
+   grep -rnE 'ckpt_buf: *Vec::with_capacity' crates/lsraid/src ||
+   awk '/fn assemble\(/ { inside = 1 }
+        inside && /^    }$/ { inside = 0 }
+        inside && (/vec!\[0u8; *\(kd/ || (/stages|gc_buf/ && /vec!\[0u8|with_capacity|resize/)) {
+          print FILENAME ":" FNR ": " $0; found = 1
+        }
+        END { exit !found }' crates/lsraid/src/lib.rs; then
+  echo "check.sh: a payload-sized buffer held per idle instance (qos payload pool is process-wide; lsraid stages, gc_buf and ckpt_buf are sized by use)" >&2
+  exit 1
+fi
+
 # lsraid has no partial-parity log (DESIGN.md "Log-structured RAID
 # engine"): it does not link the RAIZN engine, whose log it would be, and
 # tags no span with that path. `raizn` in its `[dependencies]` (tests may
